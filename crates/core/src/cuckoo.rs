@@ -12,6 +12,13 @@
 //! with partial-key cuckoo hashing (`i2 = i1 ^ H(fp)`), a power-of-two
 //! bucket count so the XOR trick is an involution, and a bounded eviction
 //! walk (500 kicks) driven by a deterministic internal LCG.
+//!
+//! Beside the table sits a one-bit-per-bucket occupancy summary (4 KB for
+//! the 256 KB default table). The filter sizes itself for ~0.84 load at
+//! *capacity*; the marking component runs it far emptier, so most probes
+//! land on an empty bucket. The summary answers those from a cache-resident
+//! bitmap instead of a cold table line. It is derived state: never
+//! serialized, rebuilt on restore, and invisible in every answer.
 
 use vertigo_pkt::mix64;
 
@@ -31,6 +38,10 @@ const FULL_PCT: usize = 94;
 pub struct CuckooFilter {
     /// `buckets[i][j]` is a fingerprint; 0 = empty slot.
     buckets: Vec<[u16; BUCKET_SLOTS]>,
+    /// Bit `i` is set iff `buckets[i]` holds at least one fingerprint.
+    /// Allocated by the first insert: an empty `Vec` reads as all-clear,
+    /// and building a filter (one per host) touches no memory for it.
+    occupied: Vec<u64>,
     bucket_mask: usize,
     len: usize,
     /// Deterministic state for eviction-victim choice.
@@ -48,6 +59,7 @@ impl CuckooFilter {
         let nbuckets = padded.next_power_of_two().max(2);
         CuckooFilter {
             buckets: vec![[0; BUCKET_SLOTS]; nbuckets],
+            occupied: Vec::new(),
             bucket_mask: nbuckets - 1,
             len: 0,
             lcg: 0x1234_5678_9ABC_DEF1,
@@ -90,7 +102,28 @@ impl CuckooFilter {
         index ^ ((mix64(fp as u64) as usize) & self.bucket_mask)
     }
 
+    #[inline]
+    fn is_occupied(&self, idx: usize) -> bool {
+        self.occupied
+            .get(idx / 64)
+            .is_some_and(|word| (word >> (idx % 64)) & 1 != 0)
+    }
+
+    fn set_occupied(&mut self, idx: usize) {
+        if self.occupied.is_empty() {
+            self.occupied = vec![0; self.buckets.len().div_ceil(64)];
+        }
+        self.occupied[idx / 64] |= 1 << (idx % 64);
+    }
+
     fn bucket_insert(&mut self, idx: usize, fp: u16) -> bool {
+        if !self.is_occupied(idx) {
+            // Empty bucket: slot 0 is the first free slot; write it
+            // without reading the (probably cold) line.
+            self.set_occupied(idx);
+            self.buckets[idx][0] = fp;
+            return true;
+        }
         for slot in self.buckets[idx].iter_mut() {
             if *slot == 0 {
                 *slot = fp;
@@ -100,14 +133,22 @@ impl CuckooFilter {
         false
     }
 
+    #[inline]
     fn bucket_contains(&self, idx: usize, fp: u16) -> bool {
-        self.buckets[idx].contains(&fp)
+        self.is_occupied(idx) && self.buckets[idx].contains(&fp)
     }
 
     fn bucket_remove(&mut self, idx: usize, fp: u16) -> bool {
-        for slot in self.buckets[idx].iter_mut() {
+        if !self.is_occupied(idx) {
+            return false;
+        }
+        let bucket = &mut self.buckets[idx];
+        for slot in bucket.iter_mut() {
             if *slot == fp {
                 *slot = 0;
+                if *bucket == [0; BUCKET_SLOTS] {
+                    self.occupied[idx / 64] &= !(1 << (idx % 64));
+                }
                 return true;
             }
         }
@@ -142,7 +183,8 @@ impl CuckooFilter {
             // and still fail. Degrade gracefully instead.
             return false;
         }
-        // Evict: random walk between the two candidate buckets.
+        // Evict: random walk between the two candidate buckets. Every
+        // bucket the walk swaps in is full, so occupancy bits do not move.
         let mut idx = if self.next_rand() & 1 == 0 { i1 } else { i2 };
         for _ in 0..MAX_KICKS {
             let victim_slot = (self.next_rand() as usize) % BUCKET_SLOTS;
@@ -207,7 +249,8 @@ impl CuckooFilter {
 /// Serializes the whole table (bucket contents, occupancy, and the
 /// eviction-victim LCG state — the LCG **must** round-trip or post-restore
 /// eviction walks would pick different victims than the straight-through
-/// run and break determinism).
+/// run and break determinism). The occupancy summary is a function of the
+/// bucket contents and is rebuilt, not stored.
 impl vertigo_simcore::Snapshot for CuckooFilter {
     fn save(&self, w: &mut vertigo_simcore::SnapWriter) {
         w.put_usize(self.buckets.len());
@@ -245,12 +288,19 @@ impl vertigo_simcore::Snapshot for CuckooFilter {
         }
         let len = r.get_usize()?;
         let lcg = r.get_u64()?;
-        Ok(CuckooFilter {
+        let mut filter = CuckooFilter {
             buckets,
+            occupied: Vec::new(),
             bucket_mask: nbuckets - 1,
             len,
             lcg,
-        })
+        };
+        for idx in 0..nbuckets {
+            if filter.buckets[idx] != [0; BUCKET_SLOTS] {
+                filter.set_occupied(idx);
+            }
+        }
+        Ok(filter)
     }
 }
 
@@ -407,7 +457,158 @@ mod tests {
         }
     }
 
+    /// The filter as it stood before the occupancy summary: same hashes,
+    /// same kick walk, every probe reads the table. The oracle the
+    /// summarised filter must be indistinguishable from.
+    struct PlainFilter {
+        buckets: Vec<[u16; BUCKET_SLOTS]>,
+        len: usize,
+        lcg: u64,
+    }
+
+    impl PlainFilter {
+        fn like(f: &CuckooFilter) -> Self {
+            PlainFilter {
+                buckets: vec![[0; BUCKET_SLOTS]; f.buckets.len()],
+                len: 0,
+                lcg: f.lcg,
+            }
+        }
+
+        fn indices(&self, key: u64) -> (u16, usize, usize) {
+            let mask = self.buckets.len() - 1;
+            let fp = CuckooFilter::fingerprint(key);
+            let i1 = (mix64(key) as usize) & mask;
+            (fp, i1, self.alt(i1, fp))
+        }
+
+        fn alt(&self, idx: usize, fp: u16) -> usize {
+            idx ^ ((mix64(fp as u64) as usize) & (self.buckets.len() - 1))
+        }
+
+        fn put(&mut self, idx: usize, fp: u16) -> bool {
+            match self.buckets[idx].iter_mut().find(|s| **s == 0) {
+                Some(slot) => {
+                    *slot = fp;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn rand(&mut self) -> u64 {
+            self.lcg = self
+                .lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.lcg >> 33
+        }
+
+        fn insert(&mut self, key: u64) -> bool {
+            let (mut fp, i1, i2) = self.indices(key);
+            if self.put(i1, fp) || self.put(i2, fp) {
+                self.len += 1;
+                return true;
+            }
+            if self.len * 100 >= self.buckets.len() * BUCKET_SLOTS * FULL_PCT {
+                return false;
+            }
+            let mut idx = if self.rand() & 1 == 0 { i1 } else { i2 };
+            for _ in 0..MAX_KICKS {
+                let victim = (self.rand() as usize) % BUCKET_SLOTS;
+                std::mem::swap(&mut fp, &mut self.buckets[idx][victim]);
+                idx = self.alt(idx, fp);
+                if self.put(idx, fp) {
+                    self.len += 1;
+                    return true;
+                }
+            }
+            self.buckets[idx][0] = fp;
+            false
+        }
+
+        fn contains(&self, key: u64) -> bool {
+            let (fp, i1, i2) = self.indices(key);
+            self.buckets[i1].contains(&fp) || self.buckets[i2].contains(&fp)
+        }
+
+        fn remove(&mut self, key: u64) -> bool {
+            let (fp, i1, i2) = self.indices(key);
+            for idx in [i1, i2] {
+                if let Some(slot) = self.buckets[idx].iter_mut().find(|s| **s == fp) {
+                    *slot = 0;
+                    self.len -= 1;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn snapshot_bytes(&self) -> Vec<u8> {
+            let mut w = vertigo_simcore::SnapWriter::new();
+            w.put_usize(self.buckets.len());
+            for &fp in self.buckets.iter().flatten() {
+                w.put_u16(fp);
+            }
+            w.put_usize(self.len);
+            w.put_u64(self.lcg);
+            w.into_bytes()
+        }
+    }
+
+    /// The summary says exactly "this bucket is non-empty", bucket by bucket.
+    fn summary_is_exact(f: &CuckooFilter) -> bool {
+        (0..f.buckets.len()).all(|i| f.is_occupied(i) == (f.buckets[i] != [0; BUCKET_SLOTS]))
+    }
+
     proptest! {
+        /// The summarised filter against the plain one over random
+        /// insert / contains / remove streams on a 64-slot table: a key
+        /// space of 160 drives it through saturation (the `FULL_PCT`
+        /// bail-out) and the kick walk, removes empty buckets again.
+        /// Identical answers, `len` and snapshot bytes throughout; a
+        /// restored filter has the same summary and carries on identically.
+        #[test]
+        fn summary_is_unobservable(
+            ops in proptest::collection::vec((0u8..8, 0u64..160), 1..600),
+            tail in proptest::collection::vec((0u8..8, 0u64..160), 1..100),
+        ) {
+            use vertigo_simcore::{SnapReader, SnapWriter, Snapshot};
+            let mut f = CuckooFilter::with_capacity(40);
+            prop_assert_eq!(f.capacity(), 64);
+            let mut plain = PlainFilter::like(&f);
+            // Spread keys over the u64 space; removes only target keys the
+            // reference believes present (the cuckoo-filter contract).
+            let key = |k: u64| mix64(k ^ 0xC0FFEE);
+            let step = |f: &mut CuckooFilter, plain: &mut PlainFilter, op: u8, k: u64| {
+                let k = key(k);
+                match op {
+                    0..=3 => assert_eq!(f.insert(k), plain.insert(k), "insert {k:#x}"),
+                    4..=5 => assert_eq!(f.remove(k), plain.remove(k), "remove {k:#x}"),
+                    _ => {}
+                }
+                assert_eq!(f.contains(k), plain.contains(k), "contains {k:#x}");
+                assert_eq!(f.len(), plain.len);
+            };
+            for &(op, k) in &ops {
+                step(&mut f, &mut plain, op, k);
+            }
+            prop_assert!(summary_is_exact(&f));
+            let mut w = SnapWriter::new();
+            f.save(&mut w);
+            let bytes = w.into_bytes();
+            prop_assert_eq!(&bytes, &plain.snapshot_bytes());
+            let mut g = CuckooFilter::restore(&mut SnapReader::new(&bytes)).unwrap();
+            prop_assert!(summary_is_exact(&g));
+            for &(op, k) in &tail {
+                step(&mut g, &mut plain, op, k);
+            }
+            prop_assert!(summary_is_exact(&g));
+            for k in 0..160 {
+                prop_assert_eq!(g.contains(key(k)), plain.contains(key(k)));
+            }
+        }
+
         /// No false negatives: every inserted (and not removed) key is found,
         /// for arbitrary key sets within design load.
         #[test]

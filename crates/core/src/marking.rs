@@ -19,7 +19,7 @@
 use crate::boost;
 use crate::cuckoo::CuckooFilter;
 use std::collections::HashMap;
-use vertigo_pkt::{mix64, FlowId, FlowInfo, NodeId, MAX_PAYLOAD};
+use vertigo_pkt::{mix64, FlowId, FlowInfo, Mix64Build, NodeId, MAX_PAYLOAD};
 
 /// Which quantity the RFS field carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,13 +83,13 @@ pub struct MarkingComponent {
     cfg: MarkingConfig,
     /// Per-retransmission rotation in bits; 0 when boosting is disabled.
     shift: u32,
-    flows: HashMap<FlowId, FlowTx>,
+    flows: HashMap<FlowId, FlowTx, Mix64Build>,
     filter: CuckooFilter,
     /// retcnt per (flow, seq) — only populated once a retransmission is
     /// detected, so its footprint tracks loss, not traffic.
-    retx: HashMap<(FlowId, u64), u8>,
+    retx: HashMap<(FlowId, u64), u8, Mix64Build>,
     /// Rolling 3-bit flow counter per destination host.
-    dst_counters: HashMap<NodeId, u8>,
+    dst_counters: HashMap<NodeId, u8, Mix64Build>,
     stats: MarkingStats,
 }
 
@@ -101,10 +101,10 @@ impl MarkingComponent {
         MarkingComponent {
             cfg,
             shift,
-            flows: HashMap::new(),
+            flows: HashMap::default(),
             filter,
-            retx: HashMap::new(),
-            dst_counters: HashMap::new(),
+            retx: HashMap::default(),
+            dst_counters: HashMap::default(),
             stats: MarkingStats::default(),
         }
     }
@@ -228,21 +228,24 @@ impl MarkingComponent {
     }
 
     /// Removes all state for a completed flow: the flow-table entry, its
-    /// retransmission counters, and its cuckoo-filter fingerprints
-    /// (segments are MSS-aligned, so the key set is reconstructible).
+    /// cuckoo-filter fingerprints and its retransmission counters
+    /// (segments are MSS-aligned, so both key sets are reconstructible and
+    /// the cost is the flow's own length, not the host's loss history).
     pub fn complete_flow(&mut self, flow: FlowId) {
         if let Some(fl) = self.flows.remove(&flow) {
             let mut seq = 0u64;
             while seq < fl.total {
                 self.filter.remove(Self::key(flow, seq));
+                if !self.retx.is_empty() {
+                    self.retx.remove(&(flow, seq));
+                }
                 seq += MAX_PAYLOAD as u64;
             }
         }
-        self.retx.retain(|(f, _), _| *f != flow);
     }
 
     /// Serializes all mutable state. Hash maps are written in sorted key
-    /// order so the byte stream is deterministic regardless of hasher seed;
+    /// order so the byte stream does not depend on the hasher;
     /// the config and boost shift are not saved (resume reconstructs the
     /// component from the run spec before calling
     /// [`MarkingComponent::snap_restore`]).

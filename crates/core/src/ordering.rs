@@ -26,7 +26,7 @@
 //! The component is generic over the buffered item `T` so it can carry the
 //! simulator's packets, a real stack's mbuf pointers, or test tokens.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use vertigo_pkt::{FlowId, FlowInfo};
 use vertigo_simcore::{SimDuration, SimTime};
 
@@ -154,6 +154,11 @@ impl<T> FlowRx<T> {
 pub struct OrderingComponent<T> {
     cfg: OrderingConfig,
     flows: BTreeMap<FlowId, FlowRx<T>>,
+    /// Every armed `(deadline, flow)`, ordered by deadline, so the earliest
+    /// one is `first()` rather than a scan over `flows`. Derived from the
+    /// per-flow deadlines (every write goes through [`Self::set_deadline`]);
+    /// not serialized, rebuilt on restore.
+    armed: BTreeSet<(SimTime, FlowId)>,
     stats: OrderingStats,
 }
 
@@ -163,6 +168,7 @@ impl<T> OrderingComponent<T> {
         OrderingComponent {
             cfg,
             flows: BTreeMap::new(),
+            armed: BTreeSet::new(),
             stats: OrderingStats::default(),
         }
     }
@@ -194,7 +200,43 @@ impl<T> OrderingComponent<T> {
     /// host arms a simulation timer at this instant and calls
     /// [`OrderingComponent::on_timer`] when it fires.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.flows.values().filter_map(|f| f.deadline).min()
+        let next = self.armed.first().map(|&(deadline, _)| deadline);
+        // The scan over all flows this index replaces, as its oracle.
+        #[cfg(any(debug_assertions, feature = "audit"))]
+        assert_eq!(
+            next,
+            self.flows.values().filter_map(|f| f.deadline).min(),
+            "armed-deadline index out of step with the per-flow deadlines"
+        );
+        next
+    }
+
+    /// The single place a flow's deadline changes, keeping `armed` in step.
+    fn set_deadline(
+        armed: &mut BTreeSet<(SimTime, FlowId)>,
+        flow: FlowId,
+        st: &mut FlowRx<T>,
+        deadline: Option<SimTime>,
+    ) {
+        if st.deadline == deadline {
+            return;
+        }
+        if let Some(old) = st.deadline {
+            armed.remove(&(old, flow));
+        }
+        if let Some(new) = deadline {
+            armed.insert((new, flow));
+        }
+        st.deadline = deadline;
+    }
+
+    /// Forgets a flow, disarming its deadline first.
+    fn drop_flow(&mut self, flow: FlowId) -> Option<FlowRx<T>> {
+        let st = self.flows.remove(&flow)?;
+        if let Some(deadline) = st.deadline {
+            self.armed.remove(&(deadline, flow));
+        }
+        Some(st)
     }
 
     /// The armed τ release deadline for one flow, if any (provenance
@@ -264,6 +306,8 @@ impl<T> OrderingComponent<T> {
                     // First packet still in flight (or lost): buffer.
                     Self::buffer_early(
                         &mut self.stats,
+                        &mut self.armed,
+                        flow,
                         st,
                         now,
                         rfs,
@@ -271,7 +315,14 @@ impl<T> OrderingComponent<T> {
                         item,
                         self.cfg.timeout,
                     );
-                    Self::maybe_force_release(&self.cfg, &mut self.stats, st, out);
+                    Self::maybe_force_release(
+                        &self.cfg,
+                        &mut self.stats,
+                        &mut self.armed,
+                        flow,
+                        st,
+                        out,
+                    );
                     return false;
                 }
             }
@@ -287,9 +338,9 @@ impl<T> OrderingComponent<T> {
             });
             st.expect = Self::advance(mode, rfs, payload);
             let done = Self::drain_contiguous(mode, &mut self.stats, st, out);
-            Self::rearm(st, self.cfg.timeout);
+            Self::rearm(&mut self.armed, flow, st, self.cfg.timeout);
             if done || st.expect == Expect::AwaitFirst && st.ooo.is_empty() {
-                self.flows.remove(&flow);
+                self.drop_flow(flow);
                 return true;
             }
             return false;
@@ -299,6 +350,8 @@ impl<T> OrderingComponent<T> {
             // Early: a gap is in front of it. Buffer (dropping duplicates).
             Self::buffer_early(
                 &mut self.stats,
+                &mut self.armed,
+                flow,
                 st,
                 now,
                 rfs,
@@ -306,7 +359,7 @@ impl<T> OrderingComponent<T> {
                 item,
                 self.cfg.timeout,
             );
-            Self::maybe_force_release(&self.cfg, &mut self.stats, st, out);
+            Self::maybe_force_release(&self.cfg, &mut self.stats, &mut self.armed, flow, st, out);
             false
         } else {
             // Late: behind the release window. Hand it up immediately so
@@ -321,8 +374,11 @@ impl<T> OrderingComponent<T> {
         }
     }
 
+    #[allow(clippy::too_many_arguments)] // disjoint borrows of `self`, spelled out
     fn buffer_early(
         stats: &mut OrderingStats,
+        armed: &mut BTreeSet<(SimTime, FlowId)>,
+        flow: FlowId,
         st: &mut FlowRx<T>,
         now: SimTime,
         rfs: u64,
@@ -345,7 +401,7 @@ impl<T> OrderingComponent<T> {
         );
         stats.max_depth = stats.max_depth.max(st.ooo.len());
         if st.deadline.is_none() {
-            st.deadline = Some(now + timeout);
+            Self::set_deadline(armed, flow, st, Some(now + timeout));
         }
     }
 
@@ -381,13 +437,14 @@ impl<T> OrderingComponent<T> {
 
     /// Re-arms the deadline to τ past the oldest still-buffered arrival, or
     /// disarms it if the buffer emptied.
-    fn rearm(st: &mut FlowRx<T>, timeout: SimDuration) {
-        st.deadline = st
-            .ooo
-            .values()
-            .map(|e| e.arrived)
-            .min()
-            .map(|oldest| oldest + timeout);
+    fn rearm(
+        armed: &mut BTreeSet<(SimTime, FlowId)>,
+        flow: FlowId,
+        st: &mut FlowRx<T>,
+        timeout: SimDuration,
+    ) {
+        let oldest = st.ooo.values().map(|e| e.arrived).min();
+        Self::set_deadline(armed, flow, st, oldest.map(|at| at + timeout));
     }
 
     /// If the buffer exceeds its cap, force an immediate release up to the
@@ -395,12 +452,14 @@ impl<T> OrderingComponent<T> {
     fn maybe_force_release(
         cfg: &OrderingConfig,
         stats: &mut OrderingStats,
+        armed: &mut BTreeSet<(SimTime, FlowId)>,
+        flow: FlowId,
         st: &mut FlowRx<T>,
         out: &mut Vec<Delivered<T>>,
     ) {
         if st.ooo.len() > cfg.max_buffered_per_flow {
             Self::release_to_next_gap(cfg.mode, stats, st, out);
-            Self::rearm(st, cfg.timeout);
+            Self::rearm(armed, flow, st, cfg.timeout);
         }
     }
 
@@ -446,9 +505,8 @@ impl<T> OrderingComponent<T> {
                 }
                 self.stats.timeouts += 1;
                 Self::release_to_next_gap(mode, &mut self.stats, st, out);
-                Self::rearm(st, cfg_timeout);
+                Self::rearm(&mut self.armed, *flow, st, cfg_timeout);
                 if st.ooo.is_empty() {
-                    st.deadline = None;
                     if st.expect == Expect::AwaitFirst {
                         done_flows.push(*flow);
                     }
@@ -457,7 +515,7 @@ impl<T> OrderingComponent<T> {
             }
         }
         for f in done_flows {
-            self.flows.remove(&f);
+            self.drop_flow(f);
         }
     }
 
@@ -511,6 +569,7 @@ impl<T> OrderingComponent<T> {
     {
         use vertigo_simcore::{SnapError, Snapshot};
         self.flows.clear();
+        self.armed.clear();
         let nflows = r.get_usize()?;
         for _ in 0..nflows {
             let flow = FlowId::restore(r)?;
@@ -541,6 +600,9 @@ impl<T> OrderingComponent<T> {
                 );
             }
             st.deadline = Option::restore(r)?;
+            if let Some(deadline) = st.deadline {
+                self.armed.insert((deadline, flow));
+            }
             self.flows.insert(flow, st);
         }
         self.stats.in_order = r.get_u64()?;
@@ -557,7 +619,7 @@ impl<T> OrderingComponent<T> {
     /// Drops all state for a flow, flushing any buffered packets up (used
     /// when the transport reports the flow finished or aborted).
     pub fn purge_flow(&mut self, flow: FlowId, out: &mut Vec<Delivered<T>>) {
-        if let Some(st) = self.flows.remove(&flow) {
+        if let Some(st) = self.drop_flow(flow) {
             let mode = self.cfg.mode;
             let mut entries: Vec<(u64, OooEntry<T>)> = st.ooo.into_iter().collect();
             if matches!(mode, OrderingMode::SrptBytes) {
@@ -878,6 +940,55 @@ mod tests {
         let a = o.on_packet(t(900), f, info(4, 5), MSS, 4, &mut out);
         let b = o2.on_packet(t(900), f, info(4, 5), MSS, 4, &mut out2);
         assert_eq!(a, b);
+    }
+
+    /// The scan `next_deadline` used to be: the oracle for the index.
+    fn armed_by_scan(o: &OrderingComponent<u64>) -> Vec<(SimTime, FlowId)> {
+        let mut v: Vec<_> = o
+            .flows
+            .iter()
+            .filter_map(|(&f, st)| st.deadline.map(|d| (d, f)))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    proptest::proptest! {
+        /// Over random multi-flow streams of arrivals, timer firings,
+        /// purges and snapshot round trips, the armed-deadline index holds
+        /// exactly the per-flow deadlines a scan finds, after every step.
+        #[test]
+        fn armed_index_equals_scan(
+            ops in proptest::collection::vec((0u8..10, 0u64..4, 0u32..12), 1..300),
+        ) {
+            use vertigo_simcore::{SnapReader, SnapWriter};
+            let mut o: OrderingComponent<u64> = OrderingComponent::new(OrderingConfig {
+                max_buffered_per_flow: 4, // small: forced releases happen
+                ..cfg()
+            });
+            let mut out = Vec::new();
+            for (i, &(op, flow, k)) in ops.iter().enumerate() {
+                let now = t(i as u64 * 40);
+                let flow = FlowId(flow);
+                match op {
+                    0..=6 => {
+                        o.on_packet(now, flow, info(k, 12), MSS, k as u64, &mut out);
+                    }
+                    7 => o.on_timer(now, &mut out),
+                    8 => o.purge_flow(flow, &mut out),
+                    _ => {
+                        let mut w = SnapWriter::new();
+                        o.snap_save(&mut w);
+                        let bytes = w.into_bytes();
+                        o.snap_restore(&mut SnapReader::new(&bytes)).unwrap();
+                    }
+                }
+                let scan = armed_by_scan(&o);
+                proptest::prop_assert_eq!(o.armed.iter().copied().collect::<Vec<_>>(), &scan[..]);
+                proptest::prop_assert_eq!(o.next_deadline(), scan.first().map(|e| e.0));
+                out.clear();
+            }
+        }
     }
 
     #[test]

@@ -8,16 +8,35 @@
 //! ordering τ) through one consolidated wakeup.
 //!
 //! Timer scheme: the host tracks the earliest outstanding `HostTimer`
-//! event it has scheduled. A wakeup is only pushed when the desired
-//! deadline is *earlier* than anything outstanding; when a wakeup fires,
-//! every due timer is processed and the next one is scheduled. Early or
-//! redundant wakeups are harmless (processing checks deadlines), and this
-//! keeps the event queue free of one-event-per-ACK churn.
+//! event it has scheduled (`wake_scheduled`) and keeps it at or before
+//! every live deadline — each sender's RTO / pacer release and each
+//! ordering flow's τ. A deadline can only move when an event touches its
+//! owner, so `Host::rearm_timer` is handed just the deadlines that moved
+//! in this event and pushes a wakeup only when one of them is *earlier*
+//! than anything outstanding; deadlines it is not shown are already
+//! covered. When a wakeup fires, every due timer is processed and the next
+//! wakeup is computed over all deadlines (the one place that looks at
+//! all of them). Early or redundant wakeups are harmless (processing
+//! checks deadlines), and this keeps the event queue free of
+//! one-event-per-ACK churn.
+//!
+//! Pump scheme: [`FlowSender::poll_segment`] returning `None` changes
+//! nothing, and only three things can turn that `None` into `Some`: a call
+//! into the sender (`on_ack`, `on_timer`), the pacer's release instant
+//! passing, or room appearing in a NIC that was full. So the host keeps a
+//! ready set — senders started, ACKed, timer-fired, released by the pacer
+//! or left unpolled by a full NIC since their last `None` — and `pump`
+//! polls only those, in ascending flow order. Every sender it skips would
+//! have answered `None`. Both schemes are derived state: not in snapshots,
+//! rebuilt conservatively (everyone ready) on restore, and checked against
+//! the poll-everyone / scan-everything behaviour they replace under
+//! `debug_assertions` and the `audit` feature.
 
 use crate::events::{Ctx, Event};
 use crate::link::LinkParams;
 use crate::trace::deliver_reason_code;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use vertigo_core::boost::unboost;
 use vertigo_core::{Delivered, MarkingComponent, MarkingConfig, OrderingComponent, OrderingConfig};
 use vertigo_pkt::{pool, FlowId, NodeId, Packet, PacketKind, PortId, QueryId};
@@ -96,11 +115,16 @@ impl<T> FlowTable<T> {
         }
     }
 
+    fn index_of(&self, flow: FlowId) -> Option<usize> {
+        self.ids.binary_search(&flow).ok()
+    }
+
+    fn get(&self, flow: FlowId) -> Option<&T> {
+        self.index_of(flow).map(|i| &self.vals[i])
+    }
+
     fn get_mut(&mut self, flow: FlowId) -> Option<&mut T> {
-        match self.ids.binary_search(&flow) {
-            Ok(i) => Some(&mut self.vals[i]),
-            Err(_) => None,
-        }
+        self.index_of(flow).map(|i| &mut self.vals[i])
     }
 
     fn remove(&mut self, flow: FlowId) -> Option<T> {
@@ -199,9 +223,23 @@ pub struct Host {
     wake_scheduled: Option<SimTime>,
     uid: u64,
     stats: HostStats,
-    /// Scratch buffers reused across events to avoid per-packet allocation.
+    /// Senders whose next `poll_segment` may return a segment: ascending,
+    /// no duplicates. Anything not listed would answer `None`.
+    ready: Vec<FlowId>,
+    /// Pacer-blocked senders with pending work, by release instant; an
+    /// entry moves its sender into `ready` once due. Stale entries (the
+    /// sender has since sent, or finished) cost one idle poll.
+    paced: BinaryHeap<Reverse<(SimTime, FlowId)>>,
+    /// Scratch buffer reused across events to avoid per-packet allocation.
     deliveries: Vec<Delivered<Box<Packet>>>,
-    flow_scratch: Vec<FlowId>,
+}
+
+/// The earlier of two optional deadlines.
+fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
 }
 
 impl Host {
@@ -231,8 +269,9 @@ impl Host {
             wake_scheduled: None,
             uid: (id.0 as u64) << 40,
             stats: HostStats::default(),
+            ready: Vec::new(),
+            paced: BinaryHeap::new(),
             deliveries: Vec::new(),
-            flow_scratch: Vec::new(),
         }
     }
 
@@ -335,7 +374,9 @@ impl Host {
         }
         let sender = FlowSender::new(flow, bytes, self.cfg.transport);
         self.senders.insert(flow, SendState { sender, dst, query });
-        self.pump(ctx);
+        self.mark_ready(flow);
+        let moved = self.pump(ctx);
+        self.rearm_timer(moved, ctx);
     }
 
     /// A packet arrived from the network.
@@ -344,6 +385,8 @@ impl Host {
         // Custody transfer: the host now owns this packet (packets parked
         // in the ordering buffer count as consumed).
         ctx.rec.audit.on_host_consumed();
+        // The earliest deadline this arrival moved, for `rearm_timer`.
+        let mut moved = None;
         match pkt.kind {
             PacketKind::Data(_) if pkt.is_trimmed() => {
                 // A header stub: explicit loss notice, bypasses ordering.
@@ -386,35 +429,41 @@ impl Host {
                         self.deliver_data(d.item, ctx);
                     }
                     self.deliveries = out;
+                    // Only this flow's τ can have been armed or re-armed.
+                    moved = self.ordering.as_ref().and_then(|o| o.flow_deadline(flow));
                 } else {
                     self.deliver_data(pkt, ctx);
                 }
             }
             PacketKind::Ack(ack) => {
-                let done = if let Some(st) = self.senders.get_mut(pkt.flow) {
-                    let outcome = st.sender.on_ack(ctx.now, &ack);
-                    outcome.completed
-                } else {
-                    false
-                };
-                if done {
-                    // Bank the finished sender's stats and free its state.
-                    if let Some(st) = self.senders.remove(pkt.flow) {
-                        let x = st.sender.stats();
-                        self.stats.segments_sent += x.segments_sent;
-                        self.stats.retransmits += x.retransmits;
-                        self.stats.rtos += x.rtos;
-                        self.stats.fast_retransmits += x.fast_retransmits;
+                let completed = self
+                    .senders
+                    .get_mut(pkt.flow)
+                    .map(|st| st.sender.on_ack(ctx.now, &ack).completed);
+                match completed {
+                    Some(true) => {
+                        // Bank the finished sender's stats and free its state.
+                        if let Some(st) = self.senders.remove(pkt.flow) {
+                            let x = st.sender.stats();
+                            self.stats.segments_sent += x.segments_sent;
+                            self.stats.retransmits += x.retransmits;
+                            self.stats.rtos += x.rtos;
+                            self.stats.fast_retransmits += x.fast_retransmits;
+                        }
+                        if let Some(m) = &mut self.marking {
+                            m.complete_flow(pkt.flow);
+                        }
                     }
-                    if let Some(m) = &mut self.marking {
-                        m.complete_flow(pkt.flow);
-                    }
+                    // The window may have opened, or a hole been marked lost.
+                    Some(false) => self.mark_ready(pkt.flow),
+                    // A stray ACK for a flow that already finished.
+                    None => {}
                 }
                 pool::recycle(pkt);
-                self.pump(ctx);
+                moved = self.pump(ctx);
             }
         }
-        self.rearm_timer(ctx);
+        self.rearm_timer(moved, ctx);
     }
 
     /// Processes a trimmed header stub: the receiver answers with an
@@ -517,24 +566,57 @@ impl Host {
             }
             self.deliveries = out;
         }
-        self.pump(ctx);
-        self.rearm_timer(ctx);
+        // Any sender's RTO may have fired: poll them all. That also makes
+        // `pump` report the earliest deadline over *all* senders, so with
+        // the ordering component's earliest τ this is the full recompute.
+        self.mark_all_ready();
+        let senders_next = self.pump(ctx);
+        let ordering_next = self.ordering.as_ref().and_then(|o| o.next_deadline());
+        self.rearm_timer(earlier(senders_next, ordering_next), ctx);
     }
 
-    /// Releases transmittable segments from every sender into the NIC.
-    fn pump(&mut self, ctx: &mut Ctx) {
+    /// Adds `flow` to the ready set.
+    fn mark_ready(&mut self, flow: FlowId) {
+        if let Err(at) = self.ready.binary_search(&flow) {
+            self.ready.insert(at, flow);
+        }
+    }
+
+    /// Makes every sender ready. Always a valid ready set: an idle poll
+    /// changes nothing.
+    fn mark_all_ready(&mut self) {
+        self.ready.clear();
+        self.ready.extend(self.senders.keys());
+    }
+
+    /// Releases transmittable segments from the ready senders into the NIC.
+    /// Returns the earliest deadline among the senders it looked at — the
+    /// only senders whose deadlines can have moved in this event.
+    fn pump(&mut self, ctx: &mut Ctx) -> Option<SimTime> {
         let mss_wire = (self.cfg.transport.mss
             + vertigo_pkt::DATA_HEADER_BYTES
             + vertigo_pkt::FLOWINFO_OVERHEAD_BYTES) as u64;
-        let mut flows = std::mem::take(&mut self.flow_scratch);
-        flows.clear();
-        flows.extend(self.senders.keys());
-        'outer: for &flow in &flows {
+        while let Some(&Reverse((release, flow))) = self.paced.peek() {
+            if release > ctx.now {
+                break;
+            }
+            self.paced.pop();
+            self.mark_ready(flow);
+        }
+        let mut ready = std::mem::take(&mut self.ready);
+        let mut moved = None;
+        // Entries of `ready` dealt with: polled to `None`, or gone.
+        let mut settled = 0;
+        'outer: for &flow in &ready {
+            let Some(i) = self.senders.index_of(flow) else {
+                settled += 1; // finished since it was marked
+                continue;
+            };
             loop {
                 if self.nic_bytes + mss_wire > self.cfg.nic_buffer_bytes {
                     break 'outer; // NIC full: stop generating
                 }
-                let st = self.senders.get_mut(flow).expect("present");
+                let st = &mut self.senders.vals[i];
                 let Some(seg) = st.sender.poll_segment(ctx.now) else {
                     break;
                 };
@@ -568,10 +650,33 @@ impl Host {
                 ctx.rec.data_sent += 1;
                 self.enqueue_nic(pkt, ctx);
             }
+            settled += 1;
+            let sender = &self.senders.vals[i].sender;
+            if let Some(release) = sender.pacer_release(ctx.now) {
+                self.paced.push(Reverse((release, flow)));
+            }
+            moved = earlier(moved, sender.next_deadline(ctx.now));
         }
-        self.flow_scratch = flows;
+        // Senders a full NIC kept us from reaching stay ready. One of them
+        // may be the sender this event ACKed, so their deadlines count too.
+        for &flow in &ready[settled..] {
+            if let Some(st) = self.senders.get(flow) {
+                moved = earlier(moved, st.sender.next_deadline(ctx.now));
+            }
+        }
+        ready.drain(..settled);
+        self.ready = ready;
         self.start_tx(ctx);
-        self.rearm_timer(ctx);
+        #[cfg(any(debug_assertions, feature = "audit"))]
+        for (flow, st) in self.senders.ids.iter().zip(&mut self.senders.vals) {
+            // What polling every sender, as this loop once did, would find.
+            assert!(
+                self.ready.binary_search(flow).is_ok() || st.sender.poll_segment(ctx.now).is_none(),
+                "host {:?}: pump skipped {flow:?}, which had a segment to send",
+                self.id
+            );
+        }
+        moved
     }
 
     fn enqueue_nic(&mut self, pkt: Box<Packet>, ctx: &mut Ctx) {
@@ -638,16 +743,17 @@ impl Host {
     pub fn on_tx_done(&mut self, ctx: &mut Ctx) {
         self.nic_busy = false;
         self.start_tx(ctx);
-        // A sender may have been window- or pacing-blocked on the NIC.
-        self.pump(ctx);
+        // A sender may have been left ready behind a full NIC.
+        let moved = self.pump(ctx);
+        self.rearm_timer(moved, ctx);
     }
 
     /// Serializes the mutable host state: the NIC queue, every live
     /// sender and receiver, the marking and ordering components, the
     /// wakeup cursor, the uid counter, and banked stats. The config and
-    /// link come from the run spec; the scratch vectors are not saved —
-    /// `deliveries` is drained within every event, and `pump` clears
-    /// `flow_scratch` before reading it, so stale contents are inert.
+    /// link come from the run spec. `deliveries` is drained within every
+    /// event, and the ready set and pacer heap are derived state that
+    /// `snap_restore` rebuilds, so none of them is saved.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         debug_assert!(self.deliveries.is_empty());
         w.put_usize(self.nic_q.len());
@@ -757,28 +863,42 @@ impl Host {
         self.stats.retransmits = r.get_u64()?;
         self.stats.rtos = r.get_u64()?;
         self.stats.fast_retransmits = r.get_u64()?;
+        // Rebuild the derived state: pacer-blocked senders re-enter the
+        // heap as they answer the next pump.
+        self.mark_all_ready();
+        self.paced.clear();
         Ok(())
     }
 
-    /// Schedules the next wakeup at the earliest pending deadline, unless
-    /// an outstanding wakeup already covers it.
-    fn rearm_timer(&mut self, ctx: &mut Ctx) {
-        let mut next: Option<SimTime> = None;
-        for st in self.senders.values() {
-            if let Some(d) = st.sender.next_deadline(ctx.now) {
-                next = Some(next.map_or(d, |n: SimTime| n.min(d)));
-            }
-        }
-        if let Some(o) = &self.ordering {
-            if let Some(d) = o.next_deadline() {
-                next = Some(next.map_or(d, |n: SimTime| n.min(d)));
-            }
-        }
-        if let Some(d) = next {
+    /// Schedules a wakeup at `moved` — the earliest deadline this event
+    /// armed or moved — unless an outstanding wakeup already covers it.
+    /// Deadlines the event did not touch are covered by construction.
+    fn rearm_timer(&mut self, moved: Option<SimTime>, ctx: &mut Ctx) {
+        if let Some(d) = moved {
             let d = d.max(ctx.now);
             if self.wake_scheduled.is_none_or(|w| w > d) {
                 self.wake_scheduled = Some(d);
                 ctx.events.push(d, Event::HostTimer { node: self.id });
+            }
+        }
+        #[cfg(any(debug_assertions, feature = "audit"))]
+        {
+            // The scan over every sender and ordering flow this replaces
+            // must find nothing left to schedule.
+            let senders_next = self
+                .senders
+                .values()
+                .filter_map(|st| st.sender.next_deadline(ctx.now))
+                .min();
+            let ordering_next = self.ordering.as_ref().and_then(|o| o.next_deadline());
+            if let Some(d) = earlier(senders_next, ordering_next) {
+                let d = d.max(ctx.now);
+                assert!(
+                    self.wake_scheduled.is_some_and(|w| w <= d),
+                    "host {:?}: deadline {d:?} not covered by wakeup {:?}",
+                    self.id,
+                    self.wake_scheduled
+                );
             }
         }
     }

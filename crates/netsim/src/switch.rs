@@ -75,6 +75,10 @@ pub struct Switch {
     /// Reusable buffer for deflection-candidate port lists, so deflecting
     /// a packet allocates nothing on the steady path.
     pub(crate) deflect_scratch: Vec<u16>,
+    /// Reusable buffers for power-of-n sampling: the drawn candidate
+    /// indices, and (for deflection) the ports they select.
+    pick_scratch: Vec<usize>,
+    pub(crate) sample_scratch: Vec<u16>,
     /// Administratively-downed ports: never offered as deflection
     /// candidates. All-false by default; set by tests and operators, not
     /// by the fault layer (which intercepts at event dispatch).
@@ -113,6 +117,8 @@ impl Switch {
             drill_best: vec![None; hosts],
             ecmp_salt,
             deflect_scratch: Vec::new(),
+            pick_scratch: Vec::new(),
+            sample_scratch: Vec::new(),
             down: vec![false; nports],
             load_ewma: 0,
             mutate_victim: false,
@@ -304,7 +310,8 @@ impl Switch {
                         let k = d.min(n);
                         let mut best: Option<u16> = None;
                         let mut best_bytes = u64::MAX;
-                        for i in ctx.rng.k_distinct(k, n) {
+                        ctx.rng.k_distinct_into(k, n, &mut self.pick_scratch);
+                        for &i in &self.pick_scratch {
                             let p = cands[i];
                             let b = self.ports[p as usize].queue.bytes();
                             if best.is_none() || b < best_bytes {
@@ -327,7 +334,8 @@ impl Switch {
                         let k = power.max(1).min(n);
                         let mut best: Option<u16> = None;
                         let mut best_bytes = u64::MAX;
-                        for i in ctx.rng.k_distinct(k, n) {
+                        ctx.rng.k_distinct_into(k, n, &mut self.pick_scratch);
+                        for &i in &self.pick_scratch {
                             let p = cands[i];
                             let b = self.ports[p as usize].queue.bytes();
                             if best.is_none() || b < best_bytes {
@@ -535,6 +543,19 @@ impl Switch {
         cands
     }
 
+    /// Draws `k` distinct members of `cands` into the per-switch sample
+    /// buffer and hands it out; like `deflect_scratch`, the caller puts it
+    /// back into `sample_scratch` when done so the next deflection reuses
+    /// the allocation.
+    pub(crate) fn sample_ports(&mut self, cands: &[u16], k: usize, ctx: &mut Ctx) -> Vec<u16> {
+        ctx.rng
+            .k_distinct_into(k, cands.len(), &mut self.pick_scratch);
+        let mut sample = std::mem::take(&mut self.sample_scratch);
+        sample.clear();
+        sample.extend(self.pick_scratch.iter().map(|&i| cands[i]));
+        sample
+    }
+
     /// Vertigo deflection: power-of-n placement; on total congestion force
     /// the victim in and drop the worst-ranked packet (paper footnote 5).
     /// `arriving_uid` identifies the packet that triggered the overflow,
@@ -557,12 +578,7 @@ impl Switch {
             return;
         }
         let k = power.max(1).min(cands.len());
-        let sample: Vec<u16> = ctx
-            .rng
-            .k_distinct(k, cands.len())
-            .into_iter()
-            .map(|i| cands[i])
-            .collect();
+        let sample = self.sample_ports(&cands, k, ctx);
         self.deflect_scratch = cands;
         // Least-loaded sampled queue (the seeded mutation flips this to
         // most-loaded, so golden traces catch selection regressions).
@@ -605,6 +621,7 @@ impl Switch {
                 ctx,
             );
             trace_deflect(self, ctx, &victim, chosen, false);
+            self.sample_scratch = sample;
             self.ports[chosen as usize].queue.push(victim);
             self.start_tx(chosen, ctx);
             return;
@@ -616,6 +633,7 @@ impl Switch {
         victim.deflections += 1;
         ctx.rec.deflections += 1;
         trace_deflect(self, ctx, &victim, forced, true);
+        self.sample_scratch = sample;
         let q = &mut self.ports[forced as usize].queue;
         q.push(victim);
         while q.bytes() > cap {

@@ -218,3 +218,220 @@ fn flow_record_lifecycle_lives_at_the_sender() {
     assert_eq!(hs.segments_sent, 1);
     assert_eq!(hs.retransmits, 0);
 }
+
+/// A cumulative ACK for `flow` as the peer would send it.
+fn ack_pkt(flow: FlowId, cum_ack: u64, ts_echo: SimTime) -> Box<Packet> {
+    Box::new(Packet::ack(
+        900,
+        flow,
+        QueryId::NONE,
+        PEER_HOST,
+        ME,
+        vertigo_pkt::AckSeg {
+            cum_ack,
+            ecn_echo: false,
+            ts_echo,
+            reorder_seen: 0,
+        },
+        SimTime::ZERO,
+    ))
+}
+
+/// What one flow's sender was seen to do: a data segment put on the wire
+/// (`sent_at`, `seq`, retransmission?) or a host wakeup (fired, or still
+/// pending when the run stopped).
+#[derive(Debug, PartialEq, Eq)]
+enum Seen {
+    Segment(SimTime, u64, bool),
+    TimerFired(SimTime),
+    TimerPending(SimTime),
+}
+
+/// Runs `active` (60 MSS) to completion on a host that also carries
+/// `idle` flows stuck behind their initial windows — their ACKs never
+/// come — and returns everything the active flow and the host timer did.
+/// ACKs for the active flow follow a fixed absolute schedule with a 12 ms
+/// hole in it, so its RTO fires once mid-flow.
+fn active_flow_trace(idle: u64) -> Vec<Seen> {
+    const ACTIVE: FlowId = FlowId(40);
+    const SEGS: u64 = 60;
+    let mut h = Harness::new();
+    let mut host = vertigo_host();
+    host.start_flow(ACTIVE, PEER_HOST, SEGS * 1460, QueryId::NONE, &mut h.ctx());
+    // Idle flows on both sides of the active one in flow-id order.
+    for i in 0..idle {
+        let id = if i < idle / 2 { i } else { 100 + i };
+        host.start_flow(
+            FlowId(id),
+            PEER_HOST,
+            20 * 1460,
+            QueryId::NONE,
+            &mut h.ctx(),
+        );
+    }
+    // One ACK per segment, 20 µs apart from 2 ms on (the NIC has drained
+    // every initial window by then); the second half 12 ms later.
+    for k in 1..=SEGS {
+        let at = 2_000_000 + k * 20_000 + if k > SEGS / 2 { 12_000_000 } else { 0 };
+        h.events.push(
+            SimTime::from_nanos(at),
+            Event::Arrive {
+                node: ME,
+                port: PortId(0),
+                pkt: ack_pkt(ACTIVE, k * 1460, SimTime::from_nanos(at - 50_000)),
+            },
+        );
+    }
+    let mut seen = Vec::new();
+    while host.active_senders() as u64 > idle {
+        let (at, ev) = h.events.pop().expect("active flow still running");
+        match ev {
+            Event::Arrive { node: TOR, pkt, .. } => {
+                if pkt.flow == ACTIVE {
+                    let seg = pkt.data_seg().expect("senders emit data");
+                    seen.push(Seen::Segment(pkt.sent_at, seg.seq, seg.retransmit));
+                }
+            }
+            Event::Arrive { pkt, .. } => host.on_arrive(pkt, &mut h.ctx()),
+            Event::TxDone { .. } => host.on_tx_done(&mut h.ctx()),
+            Event::HostTimer { .. } => {
+                seen.push(Seen::TimerFired(at));
+                host.on_timer(&mut h.ctx());
+            }
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+    while let Some((at, ev)) = h.events.pop() {
+        if matches!(ev, Event::HostTimer { .. }) {
+            seen.push(Seen::TimerPending(at));
+        }
+    }
+    seen
+}
+
+#[test]
+fn idle_senders_do_not_change_what_an_active_flow_does() {
+    let alone = active_flow_trace(0);
+    let crowded = active_flow_trace(64);
+    // The script really exercises the timer: an RTO fired and repaired.
+    assert!(alone.iter().any(|s| matches!(s, Seen::TimerFired(_))));
+    assert!(alone.iter().any(|s| matches!(s, Seen::Segment(_, _, true))));
+    let segments = |t: &[Seen]| t.iter().filter(|s| matches!(s, Seen::Segment(..))).count();
+    assert!(segments(&alone) > 60, "60 segments plus retransmissions");
+    // 64 window-blocked neighbours are invisible to the active flow: same
+    // segments at the same instants, same wakeups fired and left pending.
+    // (Their own RTOs sit at the initial 1 s, exactly where the active
+    // flow's first wakeup already is.)
+    assert_eq!(alone, crowded);
+}
+
+#[test]
+fn pacer_release_is_exact_when_another_event_shares_the_instant() {
+    const PACED: FlowId = FlowId(1);
+    const OTHER: FlowId = FlowId(2);
+    let mut transport = TransportConfig::default_for(CcKind::Swift);
+    transport.swift.init_cwnd = 0.5; // sub-packet window: one in flight, paced
+    transport.swift.ai = 0.0;
+    let mut host = Host::new(
+        ME,
+        TOR,
+        PortId(2),
+        LinkParams::gbps(10, 500),
+        HostConfig::plain(transport),
+    );
+    let mut h = Harness::new();
+    host.start_flow(PACED, PEER_HOST, 10 * 1460, QueryId::NONE, &mut h.ctx());
+    host.start_flow(OTHER, PEER_HOST, 10 * 1460, QueryId::NONE, &mut h.ctx());
+    let us = SimTime::from_micros;
+    // The paced flow's first two ACKs: the first lets segment 1 out and
+    // arms the pacer, the second finds the pacer closed.
+    for (at, cum, echo) in [(100, 1460, 0), (150, 2 * 1460, 100)] {
+        h.events.push(
+            us(at),
+            Event::Arrive {
+                node: ME,
+                port: PortId(0),
+                pkt: ack_pkt(PACED, cum, us(echo)),
+            },
+        );
+    }
+    // Dispatch until the pacer's wakeup comes up (the RTO wakeups are
+    // milliseconds out); collect what reaches the wire on the way.
+    let mut wire: Vec<Packet> = Vec::new();
+    let release = loop {
+        let (at, ev) = h.events.pop().expect("pacer wakeup pending");
+        match ev {
+            Event::Arrive { node: TOR, pkt, .. } => wire.push(*pkt),
+            Event::Arrive { pkt, .. } => host.on_arrive(pkt, &mut h.ctx()),
+            Event::TxDone { .. } => host.on_tx_done(&mut h.ctx()),
+            Event::HostTimer { .. } if at > us(150) => break at,
+            Event::HostTimer { .. } => host.on_timer(&mut h.ctx()),
+            other => panic!("unexpected event {other:?}"),
+        }
+    };
+    assert!(release > us(150) && release < us(1000), "{release:?}");
+    let sent = |wire: &[Packet], flow| wire.iter().filter(|p| p.flow == flow).count();
+    assert_eq!(sent(&wire, PACED), 2, "segment 2 waits for the pacer");
+    assert_eq!(sent(&wire, OTHER), 1, "sub-packet window: one in flight");
+    // The clock now reads `release`, and the wakeup has not been handled.
+    // Another event of the same instant goes first: the other flow's ACK.
+    wire.clear();
+    host.on_arrive(ack_pkt(OTHER, 1460, us(1)), &mut h.ctx());
+    // That event's pump must already release the paced sender — polling
+    // every sender always did — ahead of the higher-numbered flow it ACKed.
+    host.on_timer(&mut h.ctx());
+    while let Some((_, ev)) = h.events.pop() {
+        match ev {
+            Event::Arrive { node: TOR, pkt, .. } => wire.push(*pkt),
+            Event::TxDone { .. } => host.on_tx_done(&mut h.ctx()),
+            Event::HostTimer { .. } => {}
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+    let order: Vec<(FlowId, u64)> = wire
+        .iter()
+        .map(|p| (p.flow, p.data_seg().unwrap().seq))
+        .collect();
+    assert_eq!(order, [(PACED, 2 * 1460), (OTHER, 1460)]);
+    assert_eq!(wire[0].sent_at, release, "on the wire at exactly pace_next");
+    assert!(wire[0].uid < wire[1].uid, "created first, in flow order");
+}
+
+#[test]
+fn full_nic_keeps_unreached_senders_ready() {
+    // A NIC that holds 12 packets, five flows with 10-segment initial
+    // windows: the pump stops at "NIC full" with flows still unpolled, and
+    // an ACK lands while it is full. Nothing may be stranded or dropped.
+    // (Debug builds also check, after every pump and re-arm here, that no
+    // skipped sender had a segment and no deadline went uncovered.)
+    let mut cfg = HostConfig::vertigo(TransportConfig::default_for(CcKind::Dctcp));
+    cfg.nic_buffer_bytes = 12 * (1460 + 40 + FLOWINFO_OVERHEAD_BYTES) as u64;
+    let mut host = Host::new(ME, TOR, PortId(2), LinkParams::gbps(10, 500), cfg);
+    let mut h = Harness::new();
+    for f in 1..=5 {
+        host.start_flow(FlowId(f), PEER_HOST, 20 * 1460, QueryId::NONE, &mut h.ctx());
+    }
+    // Flow 1's window is out; its ACK arrives with the NIC still full.
+    host.on_arrive(ack_pkt(FlowId(1), 1460, SimTime::ZERO), &mut h.ctx());
+    let wire = h.drain_tx(&mut host);
+    assert_eq!(h.rec.total_drops(), 0, "the pump never overruns the NIC");
+    for f in 1..=5 {
+        let seqs: Vec<u64> = wire
+            .iter()
+            .filter(|p| p.flow == FlowId(f))
+            .map(|p| p.data_seg().unwrap().seq)
+            .collect();
+        // Slow start: the ACK frees one slot and grows flow 1's window by one.
+        let want = if f == 1 { 12 } else { 10 };
+        assert_eq!(seqs.len(), want, "flow {f}");
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "flow {f}: {seqs:?}");
+    }
+    // Whenever room appears the lowest-numbered ready flow goes first, so
+    // first transmissions are grouped by flow in ascending order.
+    let firsts: Vec<u64> = wire
+        .iter()
+        .filter(|p| p.data_seg().unwrap().seq == 0)
+        .map(|p| p.flow.0)
+        .collect();
+    assert_eq!(firsts, [1, 2, 3, 4, 5]);
+}

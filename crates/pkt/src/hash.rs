@@ -32,6 +32,43 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A fixed-seed [`std::hash::Hasher`] that folds every written word
+/// through [`mix64`]. For `HashMap`s keyed by the id newtypes on
+/// per-packet paths: a few multiplies per lookup instead of SipHash, and
+/// the same table layout in every run. Not DoS-resistant — keys here are
+/// simulator-assigned ids, not untrusted input.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Mix64Hasher(u64);
+
+impl std::hash::Hasher for Mix64Hasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix64(self.0 ^ x);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x as u64);
+    }
+}
+
+/// `BuildHasher` for [`Mix64Hasher`]: `HashMap<K, V, Mix64Build>`.
+pub type Mix64Build = std::hash::BuildHasherDefault<Mix64Hasher>;
+
 /// Hashes a (flow, salt) pair for ECMP-style path selection. The salt lets
 /// each run (or each switch) pick decorrelated hash functions while staying
 /// deterministic for a given seed.
@@ -60,6 +97,24 @@ mod tests {
         for i in 0..100_000u64 {
             assert!(seen.insert(mix64(i)));
         }
+    }
+
+    #[test]
+    fn mix64_hasher_is_fixed_seed_and_order_sensitive() {
+        use std::hash::BuildHasher;
+        let h = |key: (u64, u64)| Mix64Build::default().hash_one(key);
+        assert_eq!(h((1, 2)), h((1, 2)), "no per-instance seed");
+        assert_ne!(h((1, 2)), h((2, 1)));
+        assert_eq!(h((7, 0)), mix64(mix64(7)), "one mix per written word");
+        // A map built on it behaves like any other map.
+        let mut m = std::collections::HashMap::with_hasher(Mix64Build::default());
+        for k in 0..1000u64 {
+            m.insert((k, k * 1460), k as u8);
+        }
+        assert_eq!(m.len(), 1000);
+        assert_eq!(m.remove(&(999, 999 * 1460)), Some(231));
+        let b = Mix64Build::default();
+        assert_eq!(b.hash_one(5u32), b.hash_one(5u64), "narrow ids widen");
     }
 
     #[test]

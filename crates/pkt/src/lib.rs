@@ -15,7 +15,7 @@ mod packet;
 pub mod pool;
 mod snap;
 
-pub use hash::{ecmp_hash, fnv1a, fnv1a_u64, mix64};
+pub use hash::{ecmp_hash, fnv1a, fnv1a_u64, mix64, Mix64Build, Mix64Hasher};
 pub use ids::{FlowId, NodeId, PortId, QueryId};
 pub use packet::{
     AckSeg, DataSeg, Ecn, FlowInfo, Packet, PacketKind, ACK_WIRE_BYTES, DATA_HEADER_BYTES,

@@ -116,26 +116,33 @@ impl SimRng {
     /// `k` distinct uniform indices in `[0, n)` (partial Fisher–Yates).
     /// Requires `k <= n`.
     pub fn k_distinct(&mut self, k: usize, n: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.k_distinct_into(k, n, &mut out);
+        out
+    }
+
+    /// [`SimRng::k_distinct`] into a caller-owned buffer (cleared first),
+    /// so per-packet callers allocate nothing once the buffer has grown.
+    /// Same branches, same draws in the same order.
+    pub fn k_distinct_into(&mut self, k: usize, n: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "k_distinct(k={k}, n={n})");
+        out.clear();
         // For small k relative to n, rejection sampling is cheaper than
         // materializing [0, n); for dense draws use Fisher–Yates.
         if k * 4 <= n {
-            let mut out = Vec::with_capacity(k);
             while out.len() < k {
                 let c = self.index(n);
                 if !out.contains(&c) {
                     out.push(c);
                 }
             }
-            out
         } else {
-            let mut pool: Vec<usize> = (0..n).collect();
+            out.extend(0..n);
             for i in 0..k {
                 let j = i + self.index(n - i);
-                pool.swap(i, j);
+                out.swap(i, j);
             }
-            pool.truncate(k);
-            pool
+            out.truncate(k);
         }
     }
 
@@ -274,6 +281,47 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), k, "duplicates in {xs:?}");
             assert!(xs.iter().all(|&x| x < n));
+        }
+    }
+
+    /// The allocating form as it stood before `k_distinct_into` existed:
+    /// the oracle for the RNG stream the digests pin.
+    fn k_distinct_reference(r: &mut SimRng, k: usize, n: usize) -> Vec<usize> {
+        if k * 4 <= n {
+            let mut out = Vec::with_capacity(k);
+            while out.len() < k {
+                let c = r.index(n);
+                if !out.contains(&c) {
+                    out.push(c);
+                }
+            }
+            out
+        } else {
+            let mut pool: Vec<usize> = (0..n).collect();
+            for i in 0..k {
+                let j = i + r.index(n - i);
+                pool.swap(i, j);
+            }
+            pool.truncate(k);
+            pool
+        }
+    }
+
+    #[test]
+    fn k_distinct_into_matches_reference_draw_for_draw() {
+        let mut a = SimRng::new(0xD157);
+        let mut b = SimRng::new(0xD157);
+        let mut buf = vec![7; 3]; // stale contents must not leak through
+        let shapes = [(0usize, 0usize), (1, 4), (2, 8), (2, 100), (5, 20)]
+            .into_iter() // rejection branch: k * 4 <= n
+            .chain([(1, 1), (1, 3), (2, 4), (3, 10), (10, 10), (7, 8)]); // Fisher–Yates
+        for (k, n) in shapes.cycle().take(400) {
+            let want = k_distinct_reference(&mut a, k, n);
+            b.k_distinct_into(k, n, &mut buf);
+            assert_eq!(buf, want, "k={k} n={n}");
+            assert_eq!(b.k_distinct(k, n), k_distinct_reference(&mut a, k, n));
+            // Same number of draws consumed: the streams stay in lockstep.
+            assert_eq!(a.next_u64(), b.next_u64(), "k={k} n={n}");
         }
     }
 

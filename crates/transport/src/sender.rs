@@ -189,14 +189,19 @@ impl FlowSender {
         if self.completed {
             return None;
         }
-        let mut next = self.rto_deadline;
-        if self.has_pending_work() && self.pace_next > now {
-            next = Some(match next {
-                Some(d) => d.min(self.pace_next),
-                None => self.pace_next,
-            });
+        match (self.rto_deadline, self.pacer_release(now)) {
+            (Some(rto), Some(pace)) => Some(rto.min(pace)),
+            (rto, pace) => rto.or(pace),
         }
-        next
+    }
+
+    /// The instant the pacer unblocks, if the pacer is what holds pending
+    /// work back at `now`. This is the only way [`FlowSender::poll_segment`]
+    /// can go from `None` to `Some` with no call into the sender in
+    /// between: every other condition it checks is sender state, which
+    /// only `on_ack`, `on_timer` and a successful poll change.
+    pub fn pacer_release(&self, now: SimTime) -> Option<SimTime> {
+        (self.has_pending_work() && self.pace_next > now).then_some(self.pace_next)
     }
 
     fn cwnd_bytes(&self) -> u64 {
@@ -330,14 +335,12 @@ impl FlowSender {
         if newly > 0 {
             self.cum_acked = ack.cum_ack;
             self.dup_acks = 0;
-            // Retire fully acknowledged segments.
-            let acked: Vec<u64> = self
-                .outstanding
-                .range(..self.cum_acked)
-                .map(|(&s, _)| s)
-                .collect();
-            for s in acked {
-                let seg = self.outstanding.remove(&s).expect("present");
+            // Retire fully acknowledged segments (they leave from the front).
+            while let Some(head) = self.outstanding.first_entry() {
+                if *head.key() >= self.cum_acked {
+                    break;
+                }
+                let (s, seg) = head.remove_entry();
                 if seg.lost {
                     self.lost.remove(&s);
                 } else {
@@ -501,9 +504,12 @@ impl FlowSender {
         self.rto.backoff();
         self.in_recovery = false;
         self.dup_acks = 0;
-        let seqs: Vec<u64> = self.outstanding.keys().copied().collect();
-        for s in seqs {
-            self.mark_lost(s);
+        for (&s, seg) in self.outstanding.iter_mut() {
+            if !seg.lost {
+                seg.lost = true;
+                self.lost.insert(s);
+                self.flight = self.flight.saturating_sub(seg.len as u64);
+            }
         }
         self.arm_rto(now);
     }

@@ -229,4 +229,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 
+echo "==> perfbench (own workspace, path deps on crates/*): tests, fmt, clippy"
+# The benchmark package only calls public functions of the workspace
+# crates; an API change that breaks it must fail here, not in the pipeline.
+cargo test --manifest-path perfbench/Cargo.toml -q
+cargo fmt --manifest-path perfbench/Cargo.toml --check
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> ci OK"
