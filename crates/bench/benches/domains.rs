@@ -4,9 +4,14 @@
 //! per-barrier work dominates barrier overhead; on a single core they
 //! measure the engine's synchronization tax. BENCH_PR6.json records the
 //! committed numbers.
+//!
+//! The `mailbox` group isolates the barrier's data structure: the
+//! per-domain calendar inbox against the global `BTreeMap` mailbox it
+//! replaced, one barrier round per iteration at a fixed number pending.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use vertigo_simcore::SimDuration;
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+use std::collections::BTreeMap;
+use vertigo_simcore::{CalendarInbox, Delivery, LookaheadGrid, SimDuration, SimTime};
 use vertigo_transport::CcKind;
 use vertigo_workload::{
     BackgroundSpec, DistKind, IncastSpec, RunSpec, SystemKind, TopoKind, WorkloadSpec,
@@ -59,5 +64,71 @@ fn bench_domains(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_domains);
+/// Lookahead quantum of the paper topologies, in ns.
+const QUANTUM: u64 = 500;
+/// Slots between a delivery's push and its arrival: a 1500 B packet on a
+/// 10 Gbps link with 500 ns of propagation lands 1.7 us out.
+const SLOTS_AHEAD: u64 = 4;
+
+/// The deliveries one window produces when `pending` are in flight: sent
+/// in clock order, the odd ones a slot early (ACK-sized).
+fn window(round: u64, pending: usize) -> impl Iterator<Item = Delivery<u64>> {
+    let per_round = pending as u64 / SLOTS_AHEAD;
+    (0..per_round).map(move |k| {
+        let sent = round * QUANTUM + k * QUANTUM / per_round;
+        let uid = (round * per_round + k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        Delivery {
+            at: SimTime::from_nanos(sent + (SLOTS_AHEAD - k % 2) * QUANTUM),
+            sent: SimTime::from_nanos(sent),
+            uid,
+            src: 0,
+            ev: uid,
+        }
+    })
+}
+
+fn bench_mailbox(c: &mut Criterion) {
+    let mut g = c.benchmark_group("mailbox");
+    for pending in [64usize, 512, 4096] {
+        g.bench_function(format!("calendar/pending{pending}"), |b| {
+            let mut inbox = CalendarInbox::new(LookaheadGrid::new(QUANTUM));
+            let mut round = 0;
+            let mut step = |inbox: &mut CalendarInbox<u64>| {
+                window(round, pending).for_each(|d| inbox.push(d));
+                round += 1;
+                inbox.drain_until(SimTime::from_nanos(round * QUANTUM), |d| {
+                    black_box(d);
+                });
+            };
+            (0..2 * SLOTS_AHEAD).for_each(|_| step(&mut inbox));
+            b.iter(|| step(&mut inbox))
+        });
+        g.bench_function(format!("btree/pending{pending}"), |b| {
+            // As the barrier used it: keyed insert, then pop the front
+            // while it is due, collected into a fresh Vec.
+            let mut mailbox: BTreeMap<(SimTime, SimTime, u64), (u64, u32)> = BTreeMap::new();
+            let mut round = 0;
+            let mut step = |mailbox: &mut BTreeMap<_, _>| {
+                for d in window(round, pending) {
+                    mailbox.insert((d.at, d.sent, d.uid), (d.ev, d.src));
+                }
+                round += 1;
+                let limit = SimTime::from_nanos(round * QUANTUM);
+                let mut out = Vec::new();
+                while let Some(e) = mailbox.first_entry() {
+                    if e.key().0 > limit {
+                        break;
+                    }
+                    out.push(e.remove_entry());
+                }
+                black_box(out);
+            };
+            (0..2 * SLOTS_AHEAD).for_each(|_| step(&mut mailbox));
+            b.iter(|| step(&mut mailbox))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_mailbox, bench_domains);
 criterion_main!(benches);

@@ -15,13 +15,18 @@
 //! order its wheel pops events, and (c) its private RNG stream. The
 //! engine makes all three independent of the partition:
 //!
-//! * **All wire deliveries** (`Event::Arrive`, same-domain or not) detour
-//!   through per-domain outboxes and a global mailbox, and are injected
-//!   into the target wheels at barriers in canonical
+//! * **All wire deliveries** (`Event::Arrive`, same-domain or not) wait
+//!   for a barrier in the destination's calendar inbox — pushed there
+//!   directly when sender and receiver share a domain, via a per-destination
+//!   outbox handed over at the barrier when they do not — and every domain
+//!   injects what came due into its own wheel in canonical
 //!   `(arrival, send time, packet uid)` order — never in thread finish
-//!   order. Self-targeted events (`TxDone`, `HostTimer`) go straight to
-//!   the local wheel, so their tie order against injected arrivals is a
-//!   function of the (partition-independent) barrier grid alone.
+//!   order. A wheel only ever sees deliveries addressed to its own nodes,
+//!   so that order is the global canonical order restricted to the domain,
+//!   whatever the partition. Self-targeted events (`TxDone`, `HostTimer`)
+//!   go straight to the local wheel, so their tie order against injected
+//!   arrivals is a function of the (partition-independent) barrier grid
+//!   alone.
 //! * **Barriers land on a fixed grid**: a window starting at the earliest
 //!   pending time `m` ends at `min(grid_ceil(m), horizon, next sample)`
 //!   where the grid quantum is the global minimum propagation delay.
@@ -35,20 +40,31 @@
 //! The per-domain recorders merge commutatively at the end
 //! ([`Recorder::absorb`] + [`Recorder::recompute_queries`]).
 //!
+//! # What stays serial
+//!
+//! Between rounds the coordinator hands each outbox to its destination (a
+//! swap per domain pair, no delivery touched), sums the pending counts,
+//! takes the earliest pending time over wheels, inboxes and handed-over
+//! batches (each tracks its own minimum), and samples telemetry.
+//! Everything that costs per delivery — buffering, sorting a slot that
+//! came due, pushing it into the wheel — is the destination domain's and
+//! runs inside its round.
+//!
 //! The classic engine (no `--domains` flag) is untouched and remains the
 //! golden-trace / snapshot reference; it orders same-time events by
 //! global insertion order, which is history a parallel engine cannot
 //! reproduce, so the two engines are deliberately *not* byte-compared.
 
-use crate::events::{Ctx, Event, EventSink, Outbox};
+use crate::events::{Ctx, Event, EventSink, Router};
 use crate::faults::{FaultAction, FaultState};
-use crate::sim::{Node, Simulation};
+use crate::host::earlier;
+use crate::sim::{self, Node, Simulation};
 use crate::telemetry::{Telemetry, TelemetryConfig};
 use crate::topology::Topology;
 use std::sync::Arc;
 use vertigo_pkt::pool;
 use vertigo_simcore::{
-    EventQueue, LookaheadGrid, Mailbox, MailboxKey, SimDuration, SimRng, SimTime, WorkerPool,
+    Batch, CalendarInbox, EventQueue, LookaheadGrid, SimDuration, SimRng, SimTime, WorkerPool,
 };
 use vertigo_stats::{Recorder, Report};
 
@@ -59,15 +75,20 @@ const NODE_STREAM_BASE: u64 = 0x4E0D_0000_0000;
 /// One partition of the network: a slice of the node arena plus
 /// everything those nodes need to run a window unassisted.
 struct Domain {
-    index: u32,
     /// Local nodes, densely packed (in ascending global-id order).
     nodes: Vec<Node>,
     /// One RNG stream per local node, parallel to `nodes`.
     rngs: Vec<SimRng>,
     /// This domain's private event wheel.
     wheel: EventQueue<Event>,
-    /// Wire deliveries produced this window, collected at the barrier.
-    outbox: Outbox,
+    /// Where this domain's wire deliveries wait: its inbox, and its
+    /// outboxes towards the other domains.
+    router: Router,
+    /// What each other domain sent last window (indexed by source),
+    /// absorbed into the inbox at the start of the next round.
+    inbound: Vec<Batch<Event>>,
+    /// Deliveries from other domains injected into this wheel so far.
+    cross_in: u64,
     /// This domain's private metrics (merged into the base at the end).
     rec: Recorder,
     /// Shared compiled fault schedule (content-keyed, so `&self` works).
@@ -77,21 +98,49 @@ struct Domain {
 }
 
 impl Domain {
-    /// Runs this domain's wheel up to and including `limit` — the body of
-    /// one barrier round. Mirrors `Simulation::drain_until`, minus
-    /// telemetry (the coordinator samples at barriers) and tracing
-    /// (rejected up front for domain runs).
+    /// Events this domain holds anywhere: wheel, inbox, and deliveries
+    /// handed over but not yet absorbed.
+    fn pending(&self) -> u64 {
+        let inbound: usize = self.inbound.iter().map(Batch::len).sum();
+        (self.wheel.len() + self.router.inbox.len() + inbound) as u64
+    }
+
+    /// Earliest time any of them is due.
+    fn min_time(&self) -> Option<SimTime> {
+        self.inbound
+            .iter()
+            .filter_map(Batch::min_time)
+            .chain(self.wheel.peek_time())
+            .chain(self.router.inbox.min_time())
+            .min()
+    }
+
+    /// One barrier round: takes delivery of what other domains sent last
+    /// window, injects every delivery landing at or before `limit` in
+    /// canonical order, then runs the wheel up to and including `limit`.
+    /// The loop mirrors `Simulation::drain_until`, minus telemetry (the
+    /// coordinator samples at barriers) and tracing (rejected up front
+    /// for domain runs).
     fn drain_window(&mut self, limit: SimTime) {
         let Domain {
             nodes,
             rngs,
             wheel,
-            outbox,
+            router,
+            inbound,
+            cross_in,
             rec,
             faults,
             node_local,
-            ..
         } = self;
+        for batch in inbound {
+            router.inbox.absorb(batch);
+        }
+        let own = router.index;
+        router.inbox.drain_until(limit, |d| {
+            *cross_in += u64::from(d.src != own);
+            wheel.push(d.at, d.ev);
+        });
         while let Some((now, ev)) = wheel.pop_until(limit) {
             if let Some(fs) = faults.as_deref() {
                 match fs.intercept_keyed(now, &ev) {
@@ -122,7 +171,7 @@ impl Domain {
                     let l = local(node);
                     let mut ctx = Ctx {
                         now,
-                        events: EventSink::routed(wheel, outbox),
+                        events: EventSink::routed(wheel, router),
                         rec,
                         rng: &mut rngs[l],
                     };
@@ -135,7 +184,7 @@ impl Domain {
                     let l = local(node);
                     let mut ctx = Ctx {
                         now,
-                        events: EventSink::routed(wheel, outbox),
+                        events: EventSink::routed(wheel, router),
                         rec,
                         rng: &mut rngs[l],
                     };
@@ -148,7 +197,7 @@ impl Domain {
                     let l = local(node);
                     let mut ctx = Ctx {
                         now,
-                        events: EventSink::routed(wheel, outbox),
+                        events: EventSink::routed(wheel, router),
                         rec,
                         rng: &mut rngs[l],
                     };
@@ -167,7 +216,7 @@ impl Domain {
                     let l = local(src);
                     let mut ctx = Ctx {
                         now,
-                        events: EventSink::routed(wheel, outbox),
+                        events: EventSink::routed(wheel, router),
                         rec,
                         rng: &mut rngs[l],
                     };
@@ -192,14 +241,10 @@ pub struct DomainSimulation {
     topo: Arc<Topology>,
     domains: Vec<Domain>,
     grid: LookaheadGrid,
-    mailbox: Mailbox<Event>,
     horizon: SimDuration,
     base_rec: Recorder,
     telemetry: Option<(TelemetryConfig, Telemetry)>,
-    /// Global node id -> owning domain.
-    node_domain: Vec<u16>,
     barrier_epochs: u64,
-    cross_domain_packets: u64,
     peak_pending: u64,
 }
 
@@ -239,7 +284,7 @@ impl DomainSimulation {
         );
         let grid = LookaheadGrid::new(quantum);
 
-        let node_domain = topo.partition(n);
+        let node_domain = Arc::new(topo.partition(n));
         let mut node_local = vec![0u32; topo.num_nodes()];
         let mut counts = vec![0u32; n];
         for (id, &d) in node_domain.iter().enumerate() {
@@ -252,11 +297,17 @@ impl DomainSimulation {
 
         let mut domains: Vec<Domain> = (0..n)
             .map(|i| Domain {
-                index: i as u32,
                 nodes: Vec::with_capacity(counts[i] as usize),
                 rngs: Vec::with_capacity(counts[i] as usize),
                 wheel: EventQueue::with_backend(backend),
-                outbox: Vec::new(),
+                router: Router {
+                    index: i as u32,
+                    node_domain: Arc::clone(&node_domain),
+                    inbox: CalendarInbox::new(grid),
+                    outboxes: (0..n).map(|_| Batch::default()).collect(),
+                },
+                inbound: (0..n).map(|_| Batch::default()).collect(),
+                cross_in: 0,
                 rec: Recorder::new(),
                 faults: faults.clone(),
                 node_local: Arc::clone(&node_local),
@@ -290,13 +341,10 @@ impl DomainSimulation {
             topo,
             domains,
             grid,
-            mailbox: Mailbox::new(),
             horizon,
             base_rec: rec,
             telemetry,
-            node_domain,
             barrier_epochs: 0,
-            cross_domain_packets: 0,
             peak_pending: 0,
         }
     }
@@ -317,33 +365,21 @@ impl DomainSimulation {
         let mut prev_limit = SimTime::ZERO;
 
         loop {
-            // (1) Collect every delivery produced last window into the
-            // canonical mailbox. Domain order here is irrelevant: the
-            // mailbox sorts by (arrival, send time, uid).
-            for d in &mut self.domains {
-                let idx = d.index;
-                for e in d.outbox.drain(..) {
-                    self.mailbox.push(
-                        MailboxKey {
-                            at: e.at,
-                            sent: e.sent,
-                            key: e.uid,
-                        },
-                        e.ev,
-                        idx,
-                    );
-                }
-            }
+            // (1) Hand last window's cross-domain deliveries to their
+            // destinations, which absorb them when their round starts.
+            self.exchange();
 
-            // (2) Global scheduler pressure (wheels + mailbox) peaks at
-            // barriers; this is the domain analogue of the classic
-            // queue's high-water mark and is domain-count-invariant.
-            let pending: u64 = self
-                .domains
-                .iter()
-                .map(|d| d.wheel.len() as u64)
-                .sum::<u64>()
-                + self.mailbox.len() as u64;
+            // (2) Global scheduler pressure (wheels, inboxes, deliveries in
+            // hand-over) peaks at barriers; this is the domain analogue of
+            // the classic queue's high-water mark and is
+            // domain-count-invariant. The same pass finds the earliest
+            // pending work anywhere.
+            let mut pending = 0u64;
+            let mut m = None;
+            for d in &self.domains {
+                pending += d.pending();
+                m = earlier(m, d.min_time());
+            }
             self.peak_pending = self.peak_pending.max(pending);
 
             // (3) Fire any telemetry sample the last window landed on
@@ -365,21 +401,9 @@ impl DomainSimulation {
                 next_sample = Some(s + interval).filter(|&t| t <= horizon);
             }
 
-            // (4) Earliest pending work anywhere; the sampling train keeps
-            // the loop alive through quiet stretches, like the classic
-            // engine's TelemetrySample events.
-            let mut m = self
-                .domains
-                .iter()
-                .filter_map(|d| d.wheel.peek_time())
-                .min();
-            if let Some(t) = self.mailbox.min_time() {
-                m = Some(m.map_or(t, |u| u.min(t)));
-            }
-            if let Some(s) = next_sample {
-                m = Some(m.map_or(s, |u| u.min(s)));
-            }
-            let Some(m) = m.filter(|&t| t <= horizon) else {
+            // (4) The sampling train keeps the loop alive through quiet
+            // stretches, like the classic engine's TelemetrySample events.
+            let Some(m) = earlier(m, next_sample).filter(|&t| t <= horizon) else {
                 break; // quiescent (or only post-horizon events remain)
             };
 
@@ -391,33 +415,10 @@ impl DomainSimulation {
                 end = end.min(s);
             }
 
-            // (6) Inject every delivery landing in the window, in
-            // canonical order, counting boundary crossings.
-            for (key, ev, src) in self.mailbox.drain_until(end) {
-                let dst = match &ev {
-                    Event::Arrive { node, .. } => self.node_domain[node.index()] as usize,
-                    other => unreachable!("only Arrive routes through the mailbox: {other:?}"),
-                };
-                if src as usize != dst {
-                    self.cross_domain_packets += 1;
-                }
-                // Custody transfer: the sender's domain counted the tx;
-                // hand the in-flight packet to the receiver's tally so
-                // neither side underflows.
-                #[cfg(feature = "audit")]
-                {
-                    self.domains[src as usize].rec.audit.on_wire_rx();
-                    self.domains[dst].rec.audit.on_wire_tx();
-                }
-                self.domains[dst].wheel.push(key.at, ev);
-            }
-
-            // (7) One lockstep round.
+            // (6) One lockstep round: every domain injects what lands in
+            // the window and drains it.
             match pool.as_mut() {
-                Some(p) => {
-                    let states = std::mem::take(&mut self.domains);
-                    self.domains = p.round(states, end);
-                }
+                Some(p) => p.round_in_place(&mut self.domains, end),
                 None => self.domains[0].drain_window(end),
             }
 
@@ -428,6 +429,35 @@ impl DomainSimulation {
         self.finalize(horizon)
     }
 
+    /// Swaps every non-empty outbox with the (drained, so empty) batch
+    /// its destination keeps for that source: O(1) per pair, and both
+    /// allocations keep circulating.
+    fn exchange(&mut self) {
+        for src in 0..self.domains.len() {
+            for dst in 0..self.domains.len() {
+                if self.domains[src].router.outboxes[dst].is_empty() {
+                    continue;
+                }
+                let (lo, hi) = self.domains.split_at_mut(src.max(dst));
+                let (from, to) = if src < dst {
+                    (&mut lo[src], &mut hi[0])
+                } else {
+                    (&mut hi[0], &mut lo[dst])
+                };
+                debug_assert!(to.inbound[src].is_empty(), "absorbed every round");
+                std::mem::swap(&mut from.router.outboxes[dst], &mut to.inbound[src]);
+                // Custody transfer: the sender's domain counted the tx;
+                // hand the in-flight packets to the receiver's tally so
+                // neither side underflows.
+                #[cfg(feature = "audit")]
+                for _ in 0..to.inbound[src].len() {
+                    from.rec.audit.on_wire_rx();
+                    to.rec.audit.on_wire_tx();
+                }
+            }
+        }
+    }
+
     /// Collects one telemetry sample at time `s` (called at a barrier
     /// that landed exactly on the sample time).
     fn sample_telemetry(&mut self, s: SimTime, pending: u64) {
@@ -436,7 +466,6 @@ impl DomainSimulation {
         let mut deflections = 0u64;
         let mut drops = 0u64;
         let mut ecn = 0u64;
-        let mut per_domain = Vec::with_capacity(self.domains.len());
         for d in &self.domains {
             for node in &d.nodes {
                 if let Node::Switch(sw) = node {
@@ -447,7 +476,6 @@ impl DomainSimulation {
             deflections += d.rec.deflections;
             drops += d.rec.total_drops();
             ecn += d.rec.ecn_marks;
-            per_domain.push(d.wheel.len() as u64);
         }
         deflections += self.base_rec.deflections;
         drops += self.base_rec.total_drops();
@@ -461,7 +489,7 @@ impl DomainSimulation {
                 drops,
                 ecn,
                 pending,
-                per_domain,
+                self.domains.iter().map(|d| d.wheel.len() as u64),
             );
         }
     }
@@ -473,8 +501,6 @@ impl DomainSimulation {
     #[cfg(feature = "audit")]
     fn audit_conservation(&mut self, where_: &str) {
         let mut scratch = Recorder::new();
-        let mut nic_queued = 0u64;
-        let mut switch_queued = 0u64;
         scratch.audit.absorb(&self.base_rec.audit);
         for (d, b) in scratch.drops.iter_mut().zip(&self.base_rec.drops) {
             *d += b;
@@ -484,14 +510,8 @@ impl DomainSimulation {
             for (d, b) in scratch.drops.iter_mut().zip(&dom.rec.drops) {
                 *d += b;
             }
-            for node in &dom.nodes {
-                match node {
-                    Node::Host(h) => nic_queued += h.nic_queued_pkts(),
-                    Node::Switch(s) => switch_queued += s.queued_pkts(),
-                }
-            }
         }
-        crate::audit::check_conservation(&mut scratch, nic_queued, switch_queued, where_);
+        sim::audit_conservation(self.nodes(), &mut scratch, where_);
         self.base_rec.audit.on_check();
     }
 
@@ -514,19 +534,10 @@ impl DomainSimulation {
         rec.recompute_queries();
         #[cfg(feature = "audit")]
         {
-            let mut nic_queued = 0u64;
-            let mut switch_queued = 0u64;
-            for dom in &self.domains {
-                for node in &dom.nodes {
-                    match node {
-                        Node::Host(h) => nic_queued += h.nic_queued_pkts(),
-                        Node::Switch(s) => switch_queued += s.queued_pkts(),
-                    }
-                }
-            }
-            // In-flight custody at the horizon = wheel arrivals + mailbox
-            // + outboxes, all already summed into the merged `wire` tally.
-            crate::audit::check_conservation(&mut rec, nic_queued, switch_queued, "end of run");
+            // In-flight custody at the horizon = arrivals in wheels and
+            // inboxes + deliveries handed over in the last exchange, all
+            // already summed into the merged `wire` tally.
+            sim::audit_conservation(self.nodes(), &mut rec, "end of run");
             crate::audit::check_flow_accounting(&mut rec);
         }
         let mut report = Report::from_recorder(&rec, horizon);
@@ -534,7 +545,7 @@ impl DomainSimulation {
         report.peak_pending_events = self.peak_pending;
         report.domains = self.domains.len() as u64;
         report.barrier_epochs = self.barrier_epochs;
-        report.cross_domain_packets = self.cross_domain_packets;
+        report.cross_domain_packets = self.domains.iter().map(|d| d.cross_in).sum();
         report.domain_peak_pending = self
             .domains
             .iter()
@@ -554,51 +565,23 @@ impl DomainSimulation {
         self.telemetry.as_ref().map(|(_, t)| t)
     }
 
+    /// Every node, domain by domain.
+    fn nodes(&self) -> impl Iterator<Item = &Node> {
+        self.domains.iter().flat_map(|d| d.nodes.iter())
+    }
+
     /// High-water mark of single-port queue occupancy across switches.
     pub fn max_port_bytes(&self) -> u64 {
-        self.domains
-            .iter()
-            .flat_map(|d| d.nodes.iter())
-            .filter_map(|n| match n {
-                Node::Switch(s) => Some(s.max_port_bytes),
-                Node::Host(_) => None,
-            })
-            .max()
-            .unwrap_or(0)
+        sim::max_port_bytes(self.nodes())
     }
 
     /// Aggregated ordering-shim counters across hosts.
     pub fn ordering_stats(&self) -> vertigo_core::OrderingStats {
-        let mut total = vertigo_core::OrderingStats::default();
-        for n in self.domains.iter().flat_map(|d| d.nodes.iter()) {
-            if let Node::Host(h) = n {
-                if let Some(s) = h.ordering_stats() {
-                    total.in_order += s.in_order;
-                    total.buffered += s.buffered;
-                    total.gap_filled += s.gap_filled;
-                    total.timeout_released += s.timeout_released;
-                    total.timeouts += s.timeouts;
-                    total.late_or_dup += s.late_or_dup;
-                    total.dup_dropped += s.dup_dropped;
-                    total.max_depth = total.max_depth.max(s.max_depth);
-                }
-            }
-        }
-        total
+        sim::ordering_stats(self.nodes())
     }
 
     /// Aggregated marking-component counters across hosts.
     pub fn marking_stats(&self) -> vertigo_core::MarkingStats {
-        let mut total = vertigo_core::MarkingStats::default();
-        for n in self.domains.iter().flat_map(|d| d.nodes.iter()) {
-            if let Node::Host(h) = n {
-                if let Some(s) = h.marking_stats() {
-                    total.marked += s.marked;
-                    total.retransmissions += s.retransmissions;
-                    total.filter_overflows += s.filter_overflows;
-                }
-            }
-        }
-        total
+        sim::marking_stats(self.nodes())
     }
 }

@@ -1,7 +1,11 @@
 //! Simulation events and the handler context.
 
+use std::sync::Arc;
 use vertigo_pkt::{FlowId, NodeId, Packet, PortId, QueryId};
-use vertigo_simcore::{EventQueue, SimRng, SimTime, SnapError, SnapReader, SnapWriter, Snapshot};
+use vertigo_simcore::{
+    Batch, CalendarInbox, Delivery, EventQueue, SimRng, SimTime, SnapError, SnapReader, SnapWriter,
+    Snapshot,
+};
 use vertigo_stats::Recorder;
 
 /// Everything that can happen in the simulated network.
@@ -110,32 +114,31 @@ impl Snapshot for Event {
     }
 }
 
-/// One wire delivery captured for cross-domain exchange: the scheduled
-/// arrival, the send time, and the packet's globally unique id (the
-/// canonical merge tie-breaker — content-derived, partition-independent).
-#[derive(Debug)]
-pub struct OutEntry {
-    /// When the packet lands.
-    pub at: SimTime,
-    /// When it was transmitted.
-    pub sent: SimTime,
-    /// The packet's unique id (`Packet::uid`).
-    pub uid: u64,
-    /// The buffered `Event::Arrive`.
-    pub ev: Event,
+/// Where one domain's wire deliveries wait for a barrier: its own
+/// calendar inbox for packets that stay inside the domain, one outbox per
+/// destination for packets that leave it. The merge key of a delivery is
+/// `(arrival, send time, Packet::uid)` — content-derived, so independent
+/// of the partition.
+pub(crate) struct Router {
+    /// The owning domain.
+    pub(crate) index: u32,
+    /// Global node id -> owning domain.
+    pub(crate) node_domain: Arc<Vec<u16>>,
+    /// Deliveries to this domain's own nodes that are not due yet.
+    pub(crate) inbox: CalendarInbox<Event>,
+    /// Deliveries produced this window for each other domain, handed
+    /// over at the barrier (`outboxes[index]` stays empty).
+    pub(crate) outboxes: Vec<Batch<Event>>,
 }
-
-/// Buffered wire deliveries produced by one domain during one window.
-pub type Outbox = Vec<OutEntry>;
 
 /// Where scheduled events go: straight into the local queue (classic
 /// single-queue engine), or — in the domain-partitioned engine — wire
-/// deliveries (`Event::Arrive`) detour through an outbox so the barrier
-/// can merge them in canonical order, while self-targeted events
-/// (`TxDone`, `HostTimer`) stay local.
+/// deliveries (`Event::Arrive`) detour through the domain's [`Router`] so
+/// the barrier can inject them in canonical order, while self-targeted
+/// events (`TxDone`, `HostTimer`) stay local.
 pub struct EventSink<'a> {
     queue: &'a mut EventQueue<Event>,
-    outbox: Option<&'a mut Outbox>,
+    router: Option<&'a mut Router>,
 }
 
 impl<'a> EventSink<'a> {
@@ -143,15 +146,15 @@ impl<'a> EventSink<'a> {
     pub fn direct(queue: &'a mut EventQueue<Event>) -> Self {
         EventSink {
             queue,
-            outbox: None,
+            router: None,
         }
     }
 
-    /// A sink that detours `Arrive` events into `outbox` (domain engine).
-    pub(crate) fn routed(queue: &'a mut EventQueue<Event>, outbox: &'a mut Outbox) -> Self {
+    /// A sink that detours `Arrive` events through `router` (domain engine).
+    pub(crate) fn routed(queue: &'a mut EventQueue<Event>, router: &'a mut Router) -> Self {
         EventSink {
             queue,
-            outbox: Some(outbox),
+            router: Some(router),
         }
     }
 
@@ -164,15 +167,21 @@ impl<'a> EventSink<'a> {
     /// Schedules `ev` at absolute time `at`.
     #[inline]
     pub fn push(&mut self, at: SimTime, ev: Event) {
-        match (&mut self.outbox, &ev) {
-            (Some(outbox), Event::Arrive { pkt, .. }) => {
-                let uid = pkt.uid;
-                outbox.push(OutEntry {
+        match (&mut self.router, &ev) {
+            (Some(r), Event::Arrive { node, pkt, .. }) => {
+                let dst = r.node_domain[node.index()] as usize;
+                let d = Delivery {
                     at,
                     sent: self.queue.now(),
-                    uid,
+                    uid: pkt.uid,
+                    src: r.index,
                     ev,
-                });
+                };
+                if dst == r.index as usize {
+                    r.inbox.push(d);
+                } else {
+                    r.outboxes[dst].push(d);
+                }
             }
             _ => self.queue.push(at, ev),
         }

@@ -235,7 +235,7 @@ pub struct Host {
 }
 
 /// The earlier of two optional deadlines.
-fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+pub(crate) fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     match (a, b) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),

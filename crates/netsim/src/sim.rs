@@ -448,7 +448,7 @@ impl Simulation {
                         }
                     }
                     #[cfg(feature = "audit")]
-                    audit_conservation(nodes, ctx.rec, "telemetry sample");
+                    audit_conservation(nodes.iter(), ctx.rec, "telemetry sample");
                 }
                 Event::FlowStart {
                     src,
@@ -482,7 +482,7 @@ impl Simulation {
         // finished flow's byte ledger must balance.
         #[cfg(feature = "audit")]
         {
-            audit_conservation(&self.nodes, &mut self.rec, "end of run");
+            audit_conservation(self.nodes.iter(), &mut self.rec, "end of run");
             crate::audit::check_flow_accounting(&mut self.rec);
         }
         let mut report = Report::from_recorder(&self.rec, horizon);
@@ -634,56 +634,78 @@ impl Simulation {
 
     /// High-water mark of single-port queue occupancy across switches.
     pub fn max_port_bytes(&self) -> u64 {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                Node::Switch(s) => Some(s.max_port_bytes),
-                Node::Host(_) => None,
-            })
-            .max()
-            .unwrap_or(0)
+        max_port_bytes(self.nodes.iter())
     }
 
     /// Aggregated ordering-shim counters across hosts (for §4.3 analyses).
     pub fn ordering_stats(&self) -> vertigo_core::OrderingStats {
-        let mut total = vertigo_core::OrderingStats::default();
-        for n in &self.nodes {
-            if let Node::Host(h) = n {
-                if let Some(s) = h.ordering_stats() {
-                    total.in_order += s.in_order;
-                    total.buffered += s.buffered;
-                    total.gap_filled += s.gap_filled;
-                    total.timeout_released += s.timeout_released;
-                    total.timeouts += s.timeouts;
-                    total.late_or_dup += s.late_or_dup;
-                    total.dup_dropped += s.dup_dropped;
-                    total.max_depth = total.max_depth.max(s.max_depth);
-                }
-            }
-        }
-        total
+        ordering_stats(self.nodes.iter())
     }
 
     /// Aggregated marking-component counters across hosts.
     pub fn marking_stats(&self) -> vertigo_core::MarkingStats {
-        let mut total = vertigo_core::MarkingStats::default();
-        for n in &self.nodes {
-            if let Node::Host(h) = n {
-                if let Some(s) = h.marking_stats() {
-                    total.marked += s.marked;
-                    total.retransmissions += s.retransmissions;
-                    total.filter_overflows += s.filter_overflows;
-                }
+        marking_stats(self.nodes.iter())
+    }
+}
+
+// Whole-fabric aggregates, over whichever nodes an engine holds: the
+// classic arena or the domain engine's per-domain slices chained.
+
+pub(crate) fn max_port_bytes<'a>(nodes: impl Iterator<Item = &'a Node>) -> u64 {
+    nodes
+        .filter_map(|n| match n {
+            Node::Switch(s) => Some(s.max_port_bytes),
+            Node::Host(_) => None,
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+pub(crate) fn ordering_stats<'a>(
+    nodes: impl Iterator<Item = &'a Node>,
+) -> vertigo_core::OrderingStats {
+    let mut total = vertigo_core::OrderingStats::default();
+    for n in nodes {
+        if let Node::Host(h) = n {
+            if let Some(s) = h.ordering_stats() {
+                total.in_order += s.in_order;
+                total.buffered += s.buffered;
+                total.gap_filled += s.gap_filled;
+                total.timeout_released += s.timeout_released;
+                total.timeouts += s.timeouts;
+                total.late_or_dup += s.late_or_dup;
+                total.dup_dropped += s.dup_dropped;
+                total.max_depth = total.max_depth.max(s.max_depth);
             }
         }
-        total
     }
+    total
+}
+
+pub(crate) fn marking_stats<'a>(
+    nodes: impl Iterator<Item = &'a Node>,
+) -> vertigo_core::MarkingStats {
+    let mut total = vertigo_core::MarkingStats::default();
+    for n in nodes {
+        if let Node::Host(h) = n {
+            if let Some(s) = h.marking_stats() {
+                total.marked += s.marked;
+                total.retransmissions += s.retransmissions;
+                total.filter_overflows += s.filter_overflows;
+            }
+        }
+    }
+    total
 }
 
 /// Gathers live queue occupancy from every node and runs the
 /// conservation check (see `crate::audit`).
 #[cfg(feature = "audit")]
-pub(crate) fn audit_conservation(nodes: &[Node], rec: &mut Recorder, where_: &str) {
+pub(crate) fn audit_conservation<'a>(
+    nodes: impl Iterator<Item = &'a Node>,
+    rec: &mut Recorder,
+    where_: &str,
+) {
     let mut nic_queued = 0u64;
     let mut switch_queued = 0u64;
     for n in nodes {

@@ -46,14 +46,14 @@ pub struct Telemetry {
     /// Samples in time order.
     pub samples: Vec<TelemetrySample>,
     /// Parallel to `samples`: the per-domain breakdown of
-    /// `pending_events` when the domain engine collected the sample
-    /// (`domain_pending[i][d]` = events pending in domain `d`'s wheel at
-    /// sample `i`; the cross-domain mailbox accounts for the remainder).
-    /// Empty for classic single-queue runs. Kept out of
-    /// [`TelemetrySample`] so the sample stays `Copy` and the snapshot
-    /// format is untouched — snapshots and domains are mutually
-    /// exclusive anyway.
-    pub domain_pending: Vec<Vec<u64>>,
+    /// `pending_events` when the domain engine collected the sample, one
+    /// row of N counts per sample, flat (`domain_pending[i * N + d]` =
+    /// events pending in domain `d`'s wheel at sample `i`; deliveries
+    /// waiting in inboxes account for the remainder). Empty for classic
+    /// single-queue runs. Kept out of [`TelemetrySample`] so the sample
+    /// stays `Copy` and the snapshot format is untouched — snapshots and
+    /// domains are mutually exclusive anyway.
+    pub domain_pending: Vec<u64>,
     last_deflections: u64,
     last_drops: u64,
     last_ecn: u64,
@@ -104,7 +104,7 @@ impl Telemetry {
         drops_cum: u64,
         ecn_cum: u64,
         pending_events: u64,
-        per_domain: Vec<u64>,
+        per_domain: impl IntoIterator<Item = u64>,
     ) {
         self.record(
             at,
@@ -115,7 +115,7 @@ impl Telemetry {
             ecn_cum,
             pending_events,
         );
-        self.domain_pending.push(per_domain);
+        self.domain_pending.extend(per_domain);
     }
 
     /// Serializes the collected series and the delta cursors.

@@ -65,31 +65,38 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// thread; returns the states in index order once all have finished.
     ///
     /// # Panics
+    /// As [`WorkerPool::round_in_place`].
+    pub fn round(&mut self, mut states: Vec<T>, limit: SimTime) -> Vec<T> {
+        self.round_in_place(&mut states, limit);
+        states
+    }
+
+    /// [`WorkerPool::round`] for a caller that keeps its `Vec`: the states
+    /// leave and come back in index order, and the buffer is reused.
+    ///
+    /// # Panics
     /// Panics if any worker thread panicked (its channel closes), after
     /// joining it so the original panic message reaches stderr first.
-    pub fn round(&mut self, states: Vec<T>, limit: SimTime) -> Vec<T> {
+    pub fn round_in_place(&mut self, states: &mut Vec<T>, limit: SimTime) {
         assert_eq!(
             states.len(),
             self.workers.len(),
             "one state per worker, in domain-index order"
         );
-        for (w, s) in self.workers.iter().zip(states) {
+        for (w, s) in self.workers.iter().zip(states.drain(..)) {
             if w.tx.send((s, limit)).is_err() {
                 panic!("domain worker died before the round started");
             }
         }
-        self.workers
-            .iter_mut()
-            .map(|w| match w.rx.recv() {
-                Ok(s) => s,
-                Err(_) => {
-                    if let Some(h) = w.handle.take() {
-                        let _ = h.join(); // surfaces the worker's panic payload
-                    }
-                    panic!("domain worker panicked during a barrier round");
+        states.extend(self.workers.iter_mut().map(|w| match w.rx.recv() {
+            Ok(s) => s,
+            Err(_) => {
+                if let Some(h) = w.handle.take() {
+                    let _ = h.join(); // surfaces the worker's panic payload
                 }
-            })
-            .collect()
+                panic!("domain worker panicked during a barrier round");
+            }
+        }));
     }
 }
 

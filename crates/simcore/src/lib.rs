@@ -10,7 +10,7 @@
 //!   selectable via [`EventBackend`] for differential testing,
 //! * [`SimRng`] — seeded randomness with forkable independent streams,
 //! * [`TimerSlot`] / [`TimerToken`] — O(1)-cancellable logical timers,
-//! * [`LookaheadGrid`] / [`Mailbox`] / [`WorkerPool`] — model-agnostic
+//! * [`LookaheadGrid`] / [`CalendarInbox`] / [`WorkerPool`] — model-agnostic
 //!   building blocks for conservative parallel (domain-partitioned)
 //!   simulation with deterministic cross-domain merge order.
 //!
@@ -33,7 +33,7 @@ mod timer;
 mod wheel;
 
 pub use barrier::WorkerPool;
-pub use domain::{LookaheadGrid, Mailbox, MailboxKey};
+pub use domain::{Batch, CalendarInbox, Delivery, LookaheadGrid};
 pub use event::{EventBackend, EventQueue};
 pub use heapq::HeapEventQueue;
 pub use rng::SimRng;

@@ -96,8 +96,8 @@ pub struct Report {
     pub domains: u64,
     /// Lookahead barrier epochs executed by the domain engine.
     pub barrier_epochs: u64,
-    /// Packets that crossed a domain boundary through the barrier
-    /// mailbox. Depends on the partition (not domain-count-invariant) —
+    /// Packets that crossed a domain boundary and were injected into the
+    /// receiving domain's wheel. Depends on the partition (not domain-count-invariant) —
     /// a load-balance diagnostic, not a result.
     pub cross_domain_packets: u64,
     /// Per-domain high-water marks of pending events in each domain's

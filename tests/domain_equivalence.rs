@@ -1,13 +1,14 @@
 //! Domain-count invariance: the conservative-parallel engine must produce
 //! byte-identical results for every `--domains N`. A partition decides
 //! *where* events execute, never *what* they compute — the canonical
-//! mailbox order at barriers, per-node RNG streams, and content-keyed
+//! injection order at barriers, per-node RNG streams, and content-keyed
 //! fault draws together make the domain count unobservable in every
 //! Report field that is a result (the partition-shape diagnostics
 //! `domains`, `cross_domain_packets`, and `domain_peak_pending` are
 //! explicitly excluded from stdout/CSV and normalized here).
 
 use proptest::prelude::*;
+use vertigo::netsim::{DomainSimulation, TelemetryConfig};
 use vertigo::simcore::{EventBackend, SimDuration};
 use vertigo::stats::Report;
 use vertigo::transport::CcKind;
@@ -136,6 +137,55 @@ fn domain_equivalence_holds_on_a_fat_tree() {
             "--domains {n} diverged on the fat-tree"
         );
     }
+}
+
+/// Everything a run with off-grid window ends produced: the barrier loop
+/// caps windows at the horizon and at every telemetry sample, and neither
+/// is a multiple of the 500 ns lookahead quantum here, so most samples and
+/// the final window cut a calendar slot in two.
+fn off_grid_run(backend: EventBackend, faults: FaultSchedule, n: usize) -> (String, String, u64) {
+    let mut spec = cell(SystemKind::Vertigo, backend);
+    spec.horizon = SimDuration::from_nanos(4_000_777);
+    spec.faults = faults;
+    let mut sim = spec.build();
+    sim.enable_telemetry(TelemetryConfig {
+        interval: SimDuration::from_nanos(33_333),
+    });
+    let mut dsim = DomainSimulation::from_sim(sim, n);
+    let report = dsim.run();
+    assert!(report.flows_completed > 0, "cell must carry traffic");
+    assert_eq!(
+        report.fault_events > 0,
+        !faults.is_empty(),
+        "a fault window must actually intervene"
+    );
+    let samples = &dsim.telemetry().expect("telemetry was enabled").samples;
+    assert_eq!(samples.len(), 4_000_777 / 33_333);
+    (canon(report), format!("{samples:?}"), dsim.max_port_bytes())
+}
+
+fn assert_off_grid_runs_agree(faults: FaultSchedule) {
+    for backend in [EventBackend::Wheel, EventBackend::Heap] {
+        let base = off_grid_run(backend, faults, 1);
+        for n in [2usize, 4] {
+            assert_eq!(
+                off_grid_run(backend, faults, n),
+                base,
+                "--domains {n} diverged on {backend:?} with off-grid window ends"
+            );
+        }
+    }
+}
+
+#[test]
+fn domain_equivalence_holds_when_windows_end_off_the_grid() {
+    assert_off_grid_runs_agree(FaultSchedule::new());
+}
+
+#[test]
+fn off_grid_windows_and_a_fault_window_compose() {
+    // The fault window's edges are off the grid too.
+    assert_off_grid_runs_agree(FaultSchedule::parse("loss:*:0.002@1000333ns-3000111ns").unwrap());
 }
 
 proptest! {
