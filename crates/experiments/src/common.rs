@@ -12,12 +12,14 @@
 //! `--quick` is for smoke tests. EXPERIMENTS.md records which preset
 //! produced the committed numbers.
 
+use crate::tune::{Knob, Search, TuneOpts};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use vertigo_simcore::{EventBackend, SimDuration};
+use vertigo_transport::CcKind;
 use vertigo_workload::{
-    CheckpointSpec, DeflectKind, FaultSchedule, ForkSpec, IncastSpec, ScenarioSpec, SnapshotSpec,
-    TopoKind, TraceSpec,
+    CheckpointSpec, DeflectKind, FaultSchedule, ForkSpec, IncastSpec, RunSpec, ScenarioSpec,
+    SnapshotSpec, SystemKind, TopoKind, TraceSpec, WorkloadSpec,
 };
 
 /// Scale preset for a harness invocation.
@@ -162,8 +164,7 @@ pub struct Opts {
     pub trace: Option<TraceSpec>,
     /// Checkpoint/resume request applied to every run
     /// (`--checkpoint-every SIMTIME[:PATH]` / `--resume PATH`; see
-    /// `vertigo_workload::snapshot` for the grammar). Requires a binary
-    /// built with `--features snapshot`.
+    /// `vertigo_workload::snapshot` for the grammar).
     pub snapshot: SnapshotSpec,
     /// Domain count for the conservative-parallel engine (`--domains N`,
     /// N ≥ 1). `None` runs the classic single-queue engine. Results are
@@ -172,7 +173,8 @@ pub struct Opts {
     pub domains: Option<usize>,
     /// Share one warmup snapshot per equivalence class across the sweep
     /// (`--warm-start`). Results are byte-identical to a cold sweep — CI
-    /// digest-diffs this — only the wall clock changes.
+    /// digest-diffs this — only the wall clock changes, and only for
+    /// figures whose cells carry a fork (the footer says how many did).
     pub warm_start: bool,
     /// Deflection-policy override applied to every Vertigo-system run
     /// (`--deflect vertigo|dibs|pabo|hybrid|bounded`). `None` (and the
@@ -184,15 +186,26 @@ pub struct Opts {
     /// grammar). Empty by default — and byte-inert when empty: CI
     /// digest-diffs an unflagged run against the committed figures.
     pub scenario: ScenarioSpec,
+    /// The `tune` subcommand's own flags (defaults everywhere else).
+    pub tune: TuneOpts,
 }
 
+/// The flags every subcommand takes, for the usage text.
+pub const FLAGS: &str = "[--quick|--full] [--seed N] [--out DIR] [--jobs N] \
+    [--events wheel|heap] [--faults SPEC] [--trace FILE[:filter]] \
+    [--checkpoint-every SIMTIME[:PATH]] [--resume PATH] [--domains N] [--warm-start] \
+    [--deflect vertigo|dibs|pabo|hybrid|bounded] [--workload SPEC]";
+
+/// The flags only `tune` takes, for the usage text.
+pub const TUNE_FLAGS: &str =
+    "[--search grid|halving] [--knobs tau,defl,k,buf] [--budget N] [--cold]";
+
 impl Opts {
-    /// Parses `[--quick|--full] [--seed N] [--out DIR] [--jobs N]
-    /// [--events wheel|heap] [--faults SPEC] [--trace PATH[:filter]]
-    /// [--checkpoint-every SIMTIME[:PATH]] [--resume PATH] [--domains N]
-    /// [--warm-start] [--deflect vertigo|dibs|pabo|hybrid|bounded]` from
-    /// args.
-    pub fn parse(args: &[String]) -> Result<Opts, String> {
+    /// Parses the flags of subcommand `cmd` ([`FLAGS`], plus
+    /// [`TUNE_FLAGS`] when `cmd` is `tune`) and refuses the combinations
+    /// that cannot work.
+    pub fn parse(cmd: &str, args: &[String]) -> Result<Opts, String> {
+        let tuning = cmd == "tune";
         let mut scale = Scale::default_scale();
         let mut seed = 1u64;
         let mut outdir = PathBuf::from("results");
@@ -205,6 +218,7 @@ impl Opts {
         let mut warm_start = false;
         let mut deflect = None;
         let mut scenario = ScenarioSpec::new();
+        let mut tune = TuneOpts::default();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             match a.as_str() {
@@ -281,44 +295,89 @@ impl Opts {
                         return Err("--jobs must be at least 1".into());
                     }
                 }
+                "--search" if tuning => {
+                    tune.search = Search::parse(it.next().ok_or("--search needs a value")?)?;
+                }
+                "--knobs" if tuning => {
+                    tune.knobs = Knob::parse_list(it.next().ok_or("--knobs needs a comma list")?)?;
+                }
+                "--budget" if tuning => {
+                    let n: usize = it
+                        .next()
+                        .ok_or("--budget needs a value")?
+                        .parse()
+                        .map_err(|e| format!("bad budget: {e}"))?;
+                    if n < 2 {
+                        return Err("--budget must be at least 2 (a search needs contrast)".into());
+                    }
+                    tune.budget = Some(n);
+                }
+                "--cold" if tuning => tune.cold = true,
                 other => return Err(format!("unknown option: {other}")),
             }
         }
-        // Warm-starting forks every cell from a restored snapshot on the
-        // classic engine — each of these options needs the one thing that
-        // path cannot give it, so refuse loudly up front (PR6 style)
-        // rather than silently degrade.
-        if warm_start {
-            if domains.is_some() {
-                return Err(
-                    "--warm-start forks cells on the classic engine (the domain engine \
-                     has no quiescent single-queue state to fork from): \
-                     drop either --warm-start or --domains"
-                        .into(),
-                );
-            }
-            if trace.is_some() {
-                return Err(
-                    "--warm-start shares one warmup across cells, so per-cell traces \
-                     would be missing their prefix: drop either --warm-start or --trace"
-                        .into(),
-                );
-            }
-            if snapshot.resume.is_some() {
-                return Err(
-                    "--warm-start manages its own in-memory snapshots and cannot also \
-                     resume from disk: drop either --warm-start or --resume"
-                        .into(),
-                );
-            }
-            if snapshot.checkpoint.is_some() {
-                return Err(
-                    "--warm-start skips the shared warmup in every forked cell, so \
-                     periodic checkpoints would be incomplete: drop either \
-                     --warm-start or --checkpoint-every"
-                        .into(),
-                );
-            }
+        // Every flag combination that cannot work, refused up front with
+        // both sides of the conflict named rather than silently degraded.
+        // Warm-starting forks cells from a restored snapshot on the classic
+        // engine, `tune` is warm-started by construction, and the domain
+        // engine has neither provenance hooks nor a quiescent single-queue
+        // state: each refused option needs the one thing its partner
+        // cannot give it.
+        let refusals = [
+            (
+                warm_start && domains.is_some(),
+                "--warm-start forks cells on the classic engine (the domain engine \
+                 has no quiescent single-queue state to fork from): \
+                 drop either --warm-start or --domains",
+            ),
+            (
+                warm_start && trace.is_some(),
+                "--warm-start shares one warmup across cells, so per-cell traces \
+                 would be missing their prefix: drop either --warm-start or --trace",
+            ),
+            (
+                warm_start && snapshot.resume.is_some(),
+                "--warm-start manages its own in-memory snapshots and cannot also \
+                 resume from disk: drop either --warm-start or --resume",
+            ),
+            (
+                warm_start && snapshot.checkpoint.is_some(),
+                "--warm-start skips the shared warmup in every forked cell, so \
+                 periodic checkpoints would be incomplete: drop either \
+                 --warm-start or --checkpoint-every",
+            ),
+            (
+                tuning && domains.is_some(),
+                "tune forks every candidate from a shared snapshot on the classic engine: \
+                 drop --domains",
+            ),
+            (
+                tuning && trace.is_some(),
+                "tune shares one warmup across candidates, so per-candidate traces would \
+                 be missing their prefix: drop --trace",
+            ),
+            (
+                tuning && snapshot.is_active(),
+                "tune manages its own in-memory snapshots: drop --checkpoint-every/--resume",
+            ),
+            (
+                cmd == "soak" && warm_start,
+                "soak runs one sustained cell with no warmup equivalence class to share: \
+                 drop --warm-start",
+            ),
+            (
+                domains.is_some() && trace.is_some(),
+                "packet tracing requires the classic engine: \
+                 drop either --trace or --domains",
+            ),
+            (
+                domains.is_some() && snapshot.is_active(),
+                "checkpoint/resume requires the classic engine: \
+                 drop either --checkpoint-every/--resume or --domains",
+            ),
+        ];
+        if let Some((_, why)) = refusals.iter().find(|(hit, _)| *hit) {
+            return Err((*why).to_owned());
         }
         Ok(Opts {
             scale,
@@ -333,20 +392,31 @@ impl Opts {
             warm_start,
             deflect,
             scenario,
+            tune,
         })
+    }
+
+    /// The run this invocation asks for, for one (system, transport,
+    /// workload) cell on the scale's leaf-spine: the only place options
+    /// become a [`RunSpec`]. Fat-tree figures override `topo`/`horizon`
+    /// on the result, ablations the `vertigo` knobs.
+    pub fn spec(&self, system: SystemKind, cc: CcKind, workload: WorkloadSpec) -> RunSpec {
+        let mut spec = RunSpec::new(system, cc, workload);
+        spec.topo = self.scale.leaf_spine();
+        spec.horizon = self.scale.horizon;
+        spec.seed = self.seed;
+        spec.event_backend = self.events;
+        spec.domains = self.domains;
+        spec.faults = self.faults;
+        spec.deflect = self.deflect;
+        spec.scenario = self.scenario;
+        spec
     }
 
     /// The phased-run fork every warm-startable figure grid uses: incast
     /// deferred to the scale's fork horizon, no knob overrides.
     pub fn fig_fork(&self) -> ForkSpec {
         ForkSpec::at(self.scale.fork_at())
-    }
-
-    /// The snapshot options to hand to [`vertigo_workload::RunSpec::run_with_options`]:
-    /// `None` when neither flag was given, so unflagged runs take the
-    /// exact code path they always did.
-    pub fn snapshot_opts(&self) -> Option<&SnapshotSpec> {
-        self.snapshot.is_active().then_some(&self.snapshot)
     }
 }
 
@@ -369,6 +439,13 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         self.rows.push(cells);
+    }
+
+    /// Appends rows in order.
+    pub fn rows(&mut self, rows: impl IntoIterator<Item = Vec<String>>) {
+        for r in rows {
+            self.row(r);
+        }
     }
 
     /// Renders with aligned columns.
@@ -443,6 +520,11 @@ pub fn fmt_pct(x: f64) -> String {
 mod tests {
     use super::*;
 
+    fn parse(cmd: &str, args: &[&str]) -> Result<Opts, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Opts::parse(cmd, &args)
+    }
+
     #[test]
     fn incast_load_solves_correctly() {
         let s = Scale::default_scale();
@@ -453,83 +535,80 @@ mod tests {
 
     #[test]
     fn opts_parse() {
-        let o = Opts::parse(&[
-            "--quick".into(),
-            "--seed".into(),
-            "7".into(),
-            "--out".into(),
-            "/tmp/x".into(),
-            "--jobs".into(),
-            "3".into(),
-        ])
+        let o = parse(
+            "fig5",
+            &["--quick", "--seed", "7", "--out", "/tmp/x", "--jobs", "3"],
+        )
         .unwrap();
         assert_eq!(o.scale.name, "quick");
         assert_eq!(o.seed, 7);
         assert_eq!(o.outdir, PathBuf::from("/tmp/x"));
         assert_eq!(o.jobs, 3);
-        assert!(Opts::parse(&["--bogus".into()]).is_err());
-        assert!(Opts::parse(&["--jobs".into(), "0".into()]).is_err());
+        assert!(parse("fig5", &["--bogus"]).is_err());
+        assert!(parse("fig5", &["--jobs", "0"]).is_err());
         // Default worker count follows the machine.
-        let d = Opts::parse(&[]).unwrap();
+        let d = parse("fig5", &[]).unwrap();
         assert!(d.jobs >= 1);
         assert_eq!(d.events, EventBackend::Wheel);
-        let h = Opts::parse(&["--events".into(), "heap".into()]).unwrap();
+        let h = parse("fig5", &["--events", "heap"]).unwrap();
         assert_eq!(h.events, EventBackend::Heap);
-        assert!(Opts::parse(&["--events".into(), "btree".into()]).is_err());
+        assert!(parse("fig5", &["--events", "btree"]).is_err());
         assert!(d.faults.is_empty());
-        let f = Opts::parse(&["--faults".into(), "loss:*:0.01@2ms-18ms".into()]).unwrap();
+        let f = parse("fig5", &["--faults", "loss:*:0.01@2ms-18ms"]).unwrap();
         assert_eq!(f.faults.len(), 1);
-        assert!(Opts::parse(&["--faults".into(), "flood:*@0s-1ms".into()]).is_err());
-        assert!(Opts::parse(&["--faults".into()]).is_err());
+        assert!(parse("fig5", &["--faults", "flood:*@0s-1ms"]).is_err());
+        assert!(parse("fig5", &["--faults"]).is_err());
         assert!(d.trace.is_none());
-        let t = Opts::parse(&["--trace".into(), "out/t.vtrace:flow=3,time=1ms-".into()]).unwrap();
+        let t = parse("fig5", &["--trace", "out/t.vtrace:flow=3,time=1ms-"]).unwrap();
         let spec = t.trace.unwrap();
         assert_eq!(spec.path, PathBuf::from("out/t.vtrace"));
         assert_eq!(spec.filter.flow, Some(3));
-        assert!(Opts::parse(&["--trace".into(), "t.vtrace:bogus=1".into()]).is_err());
-        assert!(Opts::parse(&["--trace".into()]).is_err());
+        assert!(parse("fig5", &["--trace", "t.vtrace:bogus=1"]).is_err());
+        assert!(parse("fig5", &["--trace"]).is_err());
         assert!(!d.snapshot.is_active());
-        assert!(d.snapshot_opts().is_none());
-        let c = Opts::parse(&["--checkpoint-every".into(), "6ms:out/ck.vsnp".into()]).unwrap();
+        let c = parse("fig5", &["--checkpoint-every", "6ms:out/ck.vsnp"]).unwrap();
         let ck = c.snapshot.checkpoint.as_ref().unwrap();
         assert_eq!(ck.every, SimDuration::from_millis(6));
         assert_eq!(ck.stem, PathBuf::from("out/ck.vsnp"));
-        assert!(c.snapshot_opts().is_some());
-        let r = Opts::parse(&["--resume".into(), "out/ck.vsnp".into()]).unwrap();
+        assert!(c.snapshot.is_active());
+        let r = parse("fig5", &["--resume", "out/ck.vsnp"]).unwrap();
         assert_eq!(r.snapshot.resume, Some(PathBuf::from("out/ck.vsnp")));
-        assert!(Opts::parse(&["--checkpoint-every".into(), "6".into()]).is_err());
-        assert!(Opts::parse(&["--checkpoint-every".into()]).is_err());
-        assert!(Opts::parse(&["--resume".into()]).is_err());
+        assert!(parse("fig5", &["--checkpoint-every", "6"]).is_err());
+        assert!(parse("fig5", &["--checkpoint-every"]).is_err());
+        assert!(parse("fig5", &["--resume"]).is_err());
         assert!(d.domains.is_none());
-        let dm = Opts::parse(&["--domains".into(), "4".into()]).unwrap();
+        let dm = parse("fig5", &["--domains", "4"]).unwrap();
         assert_eq!(dm.domains, Some(4));
-        assert!(Opts::parse(&["--domains".into(), "0".into()]).is_err());
-        assert!(Opts::parse(&["--domains".into(), "two".into()]).is_err());
-        assert!(Opts::parse(&["--domains".into()]).is_err());
+        assert!(parse("fig5", &["--domains", "0"]).is_err());
+        assert!(parse("fig5", &["--domains", "two"]).is_err());
+        assert!(parse("fig5", &["--domains"]).is_err());
         assert!(d.deflect.is_none());
         for name in ["vertigo", "dibs", "pabo", "hybrid", "bounded"] {
-            let o = Opts::parse(&["--deflect".into(), name.into()]).unwrap();
+            let o = parse("fig5", &["--deflect", name]).unwrap();
             assert_eq!(o.deflect.unwrap().name(), name);
         }
-        assert!(Opts::parse(&["--deflect".into(), "random".into()]).is_err());
-        assert!(Opts::parse(&["--deflect".into()]).is_err());
+        assert!(parse("fig5", &["--deflect", "random"]).is_err());
+        assert!(parse("fig5", &["--deflect"]).is_err());
         assert!(d.scenario.is_empty());
-        let w = Opts::parse(&[
-            "--workload".into(),
-            "bg:load=0.3,dist=datamining + incast:scale=8,size=64k,qps=500,sync=5us".into(),
-        ])
+        let w = parse(
+            "fig5",
+            &[
+                "--workload",
+                "bg:load=0.3,dist=datamining + incast:scale=8,size=64k,qps=500,sync=5us",
+            ],
+        )
         .unwrap();
         assert_eq!(w.scenario.len(), 2);
-        assert!(Opts::parse(&["--workload".into(), "flood:load=0.1".into()]).is_err());
-        assert!(Opts::parse(&["--workload".into(), "bg:load=1.5".into()]).is_err());
-        assert!(Opts::parse(&["--workload".into()]).is_err());
+        assert!(parse("fig5", &["--workload", "flood:load=0.1"]).is_err());
+        assert!(parse("fig5", &["--workload", "bg:load=1.5"]).is_err());
+        assert!(parse("fig5", &["--workload"]).is_err());
     }
 
     #[test]
     fn warm_start_parses_and_guards_interop() {
-        let d = Opts::parse(&[]).unwrap();
+        let d = parse("fig5", &[]).unwrap();
         assert!(!d.warm_start);
-        let w = Opts::parse(&["--warm-start".into()]).unwrap();
+        let w = parse("fig5", &["--warm-start"]).unwrap();
         assert!(w.warm_start);
 
         // Each incompatible flag is refused with an actionable message
@@ -553,15 +632,159 @@ mod tests {
             ),
         ];
         for (args, needle) in cases {
-            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            let err = Opts::parse(&args).expect_err("conflicting flags must be rejected");
+            let err = parse("fig5", args).expect_err("conflicting flags must be rejected");
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
         }
 
         // Flag order must not matter.
-        let err = Opts::parse(&["--domains".into(), "2".into(), "--warm-start".into()])
+        let err = parse("fig5", &["--domains", "2", "--warm-start"])
             .expect_err("order-independent rejection");
         assert!(err.contains("drop either --warm-start or --domains"));
+    }
+
+    #[test]
+    fn subcommand_and_engine_refusals() {
+        let cases: [(&str, &[&str], &str); 7] = [
+            ("tune", &["--domains", "2"], "drop --domains"),
+            ("tune", &["--trace", "x"], "drop --trace"),
+            (
+                "tune",
+                &["--resume", "x"],
+                "drop --checkpoint-every/--resume",
+            ),
+            (
+                "tune",
+                &["--checkpoint-every", "6ms"],
+                "drop --checkpoint-every/--resume",
+            ),
+            ("soak", &["--warm-start"], "drop --warm-start"),
+            (
+                "fig5",
+                &["--domains", "2", "--trace", "x"],
+                "drop either --trace or --domains",
+            ),
+            (
+                "fig5",
+                &["--resume", "x", "--domains", "1"],
+                "drop either --checkpoint-every/--resume or --domains",
+            ),
+        ];
+        for (cmd, args, needle) in cases {
+            let err = parse(cmd, args).expect_err("conflicting flags must be rejected");
+            assert!(
+                err.contains(needle),
+                "{cmd}: {err:?} should mention {needle:?}"
+            );
+        }
+        // The same flags are fine where nothing conflicts.
+        assert!(parse("fig5", &["--warm-start"]).is_ok());
+        assert!(parse("soak", &["--domains", "2"]).is_ok());
+    }
+
+    #[test]
+    fn tune_flags_parse_for_tune_only() {
+        let t = parse("tune", &[]).unwrap().tune;
+        assert_eq!(t.search, Search::Grid);
+        assert_eq!(t.knobs, [Knob::Tau, Knob::Defl]);
+        assert_eq!(t.budget, None);
+        assert!(!t.cold);
+        let args = [
+            "--search", "halving", "--knobs", "k,buf", "--budget", "4", "--cold", "--quick",
+        ];
+        let o = parse("tune", &args).unwrap();
+        assert_eq!(o.tune.search, Search::Halving);
+        assert_eq!(o.tune.knobs, [Knob::EcnK, Knob::Buf]);
+        assert_eq!(o.tune.budget, Some(4));
+        assert!(o.tune.cold);
+        assert_eq!(o.scale.name, "quick");
+        for bad in [
+            &["--search", "random"][..],
+            &["--search"],
+            &["--knobs", "tau,speed"],
+            &["--knobs", ""],
+            &["--budget", "1"],
+            &["--budget", "many"],
+        ] {
+            assert!(parse("tune", bad).is_err(), "{bad:?}");
+        }
+        // Everywhere else they are unknown options.
+        let err = parse("fig5", &args).unwrap_err();
+        assert_eq!(err, "unknown option: --search");
+        assert_eq!(
+            parse("soak", &["--cold"]).unwrap_err(),
+            "unknown option: --cold"
+        );
+    }
+
+    /// Every run axis `Opts` carries must land in the `RunSpec`. The
+    /// exhaustive destructuring makes a new `Opts` field a compile error
+    /// here until it is classified as an axis (and asserted on) or not.
+    #[test]
+    fn spec_carries_every_run_axis() {
+        let opts = parse(
+            "fig5",
+            &[
+                "--quick",
+                "--seed",
+                "7",
+                "--events",
+                "heap",
+                "--faults",
+                "loss:*:0.01@2ms-18ms",
+                "--domains",
+                "3",
+                "--deflect",
+                "pabo",
+                "--workload",
+                "perm:load=0.2",
+            ],
+        )
+        .unwrap();
+        let workload = WorkloadSpec {
+            background: None,
+            incast: Some(opts.scale.incast_for_load(0.3)),
+        };
+        let spec = opts.spec(SystemKind::Dibs, CcKind::Swift, workload);
+        let Opts {
+            scale,
+            seed,
+            events,
+            faults,
+            domains,
+            deflect,
+            scenario,
+            // How cells execute, not what they simulate: the sweep runner's.
+            jobs: _,
+            trace: _,
+            snapshot: _,
+            warm_start: _,
+            // Where tables go, and one subcommand's search strategy.
+            outdir: _,
+            tune: _,
+        } = opts;
+        assert_eq!(
+            format!("{:?}", spec.topo),
+            format!("{:?}", scale.leaf_spine())
+        );
+        assert_eq!(spec.horizon, scale.horizon);
+        assert_eq!(spec.seed, seed);
+        assert_eq!(spec.event_backend, events);
+        assert_eq!(format!("{:?}", spec.faults), format!("{faults:?}"));
+        assert_eq!(spec.domains, domains);
+        assert_eq!(spec.deflect, deflect);
+        assert_eq!(spec.scenario.to_string(), scenario.to_string());
+        // None of them is the default, so a dropped assignment shows.
+        let plain = RunSpec::new(SystemKind::Dibs, CcKind::Swift, workload);
+        assert_ne!(spec.horizon, plain.horizon);
+        assert_ne!(spec.seed, plain.seed);
+        assert_ne!(spec.event_backend, plain.event_backend);
+        assert_ne!(format!("{:?}", spec.faults), format!("{:?}", plain.faults));
+        assert_ne!(spec.domains, plain.domains);
+        assert!(plain.deflect.is_none() && plain.scenario.is_empty());
+        // The cell's own coordinates pass through untouched.
+        assert_eq!(spec.system, SystemKind::Dibs);
+        assert_eq!(spec.cc, CcKind::Swift);
+        assert_eq!(format!("{:?}", spec.workload), format!("{workload:?}"));
     }
 
     #[test]
@@ -574,7 +797,7 @@ mod tests {
                 s.name
             );
         }
-        let o = Opts::parse(&["--quick".into()]).unwrap();
+        let o = parse("fig5", &["--quick"]).unwrap();
         let f = o.fig_fork();
         assert_eq!(f.at, SimDuration::from_millis(5));
         assert!(f.defer_incast);

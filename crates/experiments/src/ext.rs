@@ -6,10 +6,11 @@
 //! standard bursty workload.
 
 use crate::common::{fmt_pct, fmt_secs, Opts, Table};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== Extension: NDP-style trimming vs drop/deflect policies ==\n");
     let s = &opts.scale;
     let systems = [
@@ -18,15 +19,7 @@ pub fn run(opts: &Opts) {
         SystemKind::Dibs,
         SystemKind::Vertigo,
     ];
-    let mut t = Table::new(&[
-        "load%",
-        "system",
-        "query_compl",
-        "mean_qct",
-        "drops",
-        "rtos",
-        "retransmits",
-    ]);
+    let mut cells = Vec::new();
     for total in [55u32, 75, 95] {
         let workload = WorkloadSpec {
             background: Some(BackgroundSpec {
@@ -36,27 +29,35 @@ pub fn run(opts: &Opts) {
             incast: Some(s.incast_for_load((total - 25) as f64 / 100.0)),
         };
         for sys in systems {
-            let mut spec = RunSpec::new(sys, CcKind::Dctcp, workload);
-            spec.topo = s.leaf_spine();
-            spec.horizon = s.horizon;
-            spec.seed = opts.seed;
-            spec.event_backend = opts.events;
-            spec.domains = opts.domains;
-            spec.faults = opts.faults;
-            spec.deflect = opts.deflect;
-            spec.scenario = opts.scenario;
-            let out = spec.run_with_options(opts.trace.as_ref(), opts.snapshot_opts());
-            let r = &out.report;
-            t.row(vec![
-                total.to_string(),
-                sys.name().to_string(),
-                fmt_pct(r.query_completion_ratio()),
-                fmt_secs(r.qct_mean),
-                r.drops.to_string(),
-                r.rtos.to_string(),
-                r.retransmits.to_string(),
-            ]);
+            cells.push(Cell::new(
+                format!("ext load{total} {}", sys.name()),
+                opts.spec(sys, CcKind::Dctcp, workload),
+                total,
+            ));
         }
     }
+    let rows = sweep::run(opts, "ext", cells, |c, out| {
+        let r = &out.report;
+        vec![
+            c.tag.to_string(),
+            c.spec.system.name().to_string(),
+            fmt_pct(r.query_completion_ratio()),
+            fmt_secs(r.qct_mean),
+            r.drops.to_string(),
+            r.rtos.to_string(),
+            r.retransmits.to_string(),
+        ]
+    })?;
+    let mut t = Table::new(&[
+        "load%",
+        "system",
+        "query_compl",
+        "mean_qct",
+        "drops",
+        "rtos",
+        "retransmits",
+    ]);
+    t.rows(rows);
     t.emit(opts, "ext_trim");
+    Ok(())
 }

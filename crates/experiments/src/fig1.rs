@@ -8,10 +8,11 @@
 //! and elephant-flow goodput.
 
 use crate::common::{fmt_pct, fmt_secs, Opts, Table};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== Figure 1: random deflection vs. load (15% BG + incast sweep) ==\n");
     let s = &opts.scale;
     let systems: [(&str, SystemKind, CcKind); 3] = [
@@ -19,6 +20,40 @@ pub fn run(opts: &Opts) {
         ("DCTCP+ECMP", SystemKind::Ecmp, CcKind::Dctcp),
         ("RandDefl+DCTCP", SystemKind::Dibs, CcKind::Dctcp),
     ];
+    let mut cells = Vec::new();
+    for total in (25..=95).step_by(10) {
+        let incast_load = (total as f64 / 100.0 - 0.15).max(0.01);
+        let workload = WorkloadSpec {
+            background: Some(BackgroundSpec {
+                load: 0.15,
+                dist: DistKind::DataMining,
+            }),
+            incast: Some(s.incast_for_load(incast_load)),
+        };
+        for (name, sys, cc) in systems {
+            cells.push(Cell::new(
+                format!("fig1 load{total} {name}"),
+                opts.spec(sys, cc, workload),
+                (total, name),
+            ));
+        }
+    }
+    let rows = sweep::run(opts, "fig1", cells, |c, out| {
+        let (total, name) = c.tag;
+        let r = &out.report;
+        vec![
+            total.to_string(),
+            name.to_string(),
+            fmt_pct(r.query_completion_ratio()),
+            fmt_secs(r.qct_mean),
+            fmt_pct(r.flow_completion_ratio()),
+            fmt_secs(r.fct_mean),
+            format!("{:.2}", r.goodput_gbps),
+            format!("{:.1}", r.elephant_goodput_mbps),
+            r.drops.to_string(),
+            format!("{:.2}", r.mean_hops),
+        ]
+    })?;
     let mut t = Table::new(&[
         "load%",
         "system",
@@ -31,40 +66,7 @@ pub fn run(opts: &Opts) {
         "drops",
         "mean_hops",
     ]);
-    for total in (25..=95).step_by(10) {
-        let incast_load = (total as f64 / 100.0 - 0.15).max(0.01);
-        let workload = WorkloadSpec {
-            background: Some(BackgroundSpec {
-                load: 0.15,
-                dist: DistKind::DataMining,
-            }),
-            incast: Some(s.incast_for_load(incast_load)),
-        };
-        for (name, sys, cc) in systems {
-            let mut spec = RunSpec::new(sys, cc, workload);
-            spec.topo = s.leaf_spine();
-            spec.horizon = s.horizon;
-            spec.seed = opts.seed;
-            spec.event_backend = opts.events;
-            spec.domains = opts.domains;
-            spec.faults = opts.faults;
-            spec.deflect = opts.deflect;
-            spec.scenario = opts.scenario;
-            let out = spec.run_with_options(opts.trace.as_ref(), opts.snapshot_opts());
-            let r = &out.report;
-            t.row(vec![
-                total.to_string(),
-                name.to_string(),
-                fmt_pct(r.query_completion_ratio()),
-                fmt_secs(r.qct_mean),
-                fmt_pct(r.flow_completion_ratio()),
-                fmt_secs(r.fct_mean),
-                format!("{:.2}", r.goodput_gbps),
-                format!("{:.1}", r.elephant_goodput_mbps),
-                r.drops.to_string(),
-                format!("{:.2}", r.mean_hops),
-            ]);
-        }
-    }
+    t.rows(rows);
     t.emit(opts, "fig1");
+    Ok(())
 }

@@ -2,14 +2,14 @@
 //! arrival rate rises while background load falls to compensate.
 
 use crate::common::{fmt_secs, Opts, Table};
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== Figure 10: incast arrival-rate sweep at fixed 80% load ==\n");
     let s = opts.scale;
-    let mut cells: Vec<Cell<Vec<String>>> = Vec::new();
+    let mut cells = Vec::new();
     for incast_pct in [4u32, 8, 12, 16, 20, 24, 28] {
         let inc = s.incast_for_load(incast_pct as f64 / 100.0);
         let workload = WorkloadSpec {
@@ -20,34 +20,25 @@ pub fn run(opts: &Opts) {
             incast: Some(inc),
         };
         for sys in SystemKind::all() {
-            let mut spec = RunSpec::new(sys, CcKind::Dctcp, workload);
-            spec.topo = s.leaf_spine();
-            spec.horizon = s.horizon;
-            spec.seed = opts.seed;
-            spec.event_backend = opts.events;
-            spec.domains = opts.domains;
-            spec.faults = opts.faults;
-            spec.deflect = opts.deflect;
-            spec.scenario = opts.scenario;
-            let trace = opts.trace.clone();
-            let snap = opts.snapshot_opts().cloned();
             cells.push(Cell::new(
                 format!("fig10 incast{incast_pct}% {}", sys.name()),
-                move || {
-                    let out = spec.run_with_options(trace.as_ref(), snap.as_ref());
-                    let r = &out.report;
-                    vec![
-                        incast_pct.to_string(),
-                        format!("{:.1}", inc.qps / 1000.0),
-                        sys.name().to_string(),
-                        fmt_secs(r.qct_mean),
-                        fmt_secs(r.fct_p99),
-                        r.drops.to_string(),
-                    ]
-                },
+                opts.spec(sys, CcKind::Dctcp, workload),
+                (incast_pct, inc.qps),
             ));
         }
     }
+    let rows = sweep::run(opts, "fig10", cells, |c, out| {
+        let (incast_pct, qps) = c.tag;
+        let r = &out.report;
+        vec![
+            incast_pct.to_string(),
+            format!("{:.1}", qps / 1000.0),
+            c.spec.system.name().to_string(),
+            fmt_secs(r.qct_mean),
+            fmt_secs(r.fct_p99),
+            r.drops.to_string(),
+        ]
+    })?;
     let mut t = Table::new(&[
         "incast_load%",
         "kqps",
@@ -56,8 +47,7 @@ pub fn run(opts: &Opts) {
         "p99_fct",
         "drops",
     ]);
-    for row in run_cells(opts.jobs, cells) {
-        t.row(row);
-    }
+    t.rows(rows);
     t.emit(opts, "fig10");
+    Ok(())
 }

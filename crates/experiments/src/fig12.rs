@@ -2,10 +2,11 @@
 //! and deflection (1DEF/2DEF), on both topologies: mean QCT and drop %.
 
 use crate::common::{fmt_secs, Opts, Table};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, IncastSpec, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DistKind, IncastSpec, RunError, SystemKind, WorkloadSpec};
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== Figure 12: 1FW/2FW x 1DEF/2DEF on leaf-spine and fat-tree ==\n");
     let s = &opts.scale;
     let combos: [(&str, usize, usize); 4] = [
@@ -14,9 +15,10 @@ pub fn run(opts: &Opts) {
         ("2FW 1DEF", 2, 1),
         ("Vertigo(2FW 2DEF)", 2, 2),
     ];
-    for (topo_name, topo, total_bw, horizon, fanin) in [
+    for (topo_name, tag, topo, total_bw, horizon, fanin) in [
         (
             "leaf-spine",
+            "ab",
             s.leaf_spine(),
             s.ls_total_bw(),
             s.horizon,
@@ -24,6 +26,7 @@ pub fn run(opts: &Opts) {
         ),
         (
             "fat-tree",
+            "cd",
             s.fat_tree(),
             s.ft_total_bw(),
             s.ft_horizon,
@@ -31,7 +34,7 @@ pub fn run(opts: &Opts) {
         ),
     ] {
         println!("--- {topo_name} ---");
-        let mut t = Table::new(&["load%", "combo", "mean_qct", "drop_pct", "deflections"]);
+        let mut cells = Vec::new();
         for total in [35u32, 55, 75, 95] {
             let workload = WorkloadSpec {
                 background: Some(BackgroundSpec {
@@ -50,33 +53,32 @@ pub fn run(opts: &Opts) {
                 }),
             };
             for (name, fw, def) in combos {
-                let mut spec = RunSpec::new(SystemKind::Vertigo, CcKind::Dctcp, workload);
+                let mut spec = opts.spec(SystemKind::Vertigo, CcKind::Dctcp, workload);
                 spec.topo = topo;
                 spec.horizon = horizon;
-                spec.seed = opts.seed;
-                spec.event_backend = opts.events;
-                spec.domains = opts.domains;
-                spec.faults = opts.faults;
-                spec.deflect = opts.deflect;
-                spec.scenario = opts.scenario;
                 spec.vertigo.fw_power = fw;
                 spec.vertigo.defl_power = def;
-                let out = spec.run_with_options(opts.trace.as_ref(), opts.snapshot_opts());
-                let r = &out.report;
-                t.row(vec![
-                    total.to_string(),
-                    name.to_string(),
-                    fmt_secs(r.qct_mean),
-                    format!("{:.3}", r.drop_rate * 100.0),
-                    r.deflections.to_string(),
-                ]);
+                cells.push(Cell::new(
+                    format!("fig12 {topo_name} load{total} {name}"),
+                    spec,
+                    (total, name),
+                ));
             }
         }
-        let tag = if topo_name == "leaf-spine" {
-            "ab"
-        } else {
-            "cd"
-        };
+        let rows = sweep::run(opts, "fig12", cells, |c, out| {
+            let (total, name) = c.tag;
+            let r = &out.report;
+            vec![
+                total.to_string(),
+                name.to_string(),
+                fmt_secs(r.qct_mean),
+                format!("{:.3}", r.drop_rate * 100.0),
+                r.deflections.to_string(),
+            ]
+        })?;
+        let mut t = Table::new(&["load%", "combo", "mean_qct", "drop_pct", "deflections"]);
+        t.rows(rows);
         t.emit(opts, &format!("fig12{tag}_{topo_name}"));
     }
+    Ok(())
 }

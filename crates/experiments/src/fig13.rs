@@ -2,11 +2,12 @@
 //! timeout τ (120 µs → 1.08 ms) under a heavily bursty load.
 
 use crate::common::{fmt_secs, Opts, Table};
+use crate::sweep::{self, Cell};
 use vertigo_simcore::SimDuration;
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== Figure 13: ordering timeout sweep (85% load) ==\n");
     let s = &opts.scale;
     let workload = WorkloadSpec {
@@ -16,6 +17,25 @@ pub fn run(opts: &Opts) {
         }),
         incast: Some(s.incast_for_load(0.60)),
     };
+    let cells = [120u64, 240, 360, 480, 600, 720, 840, 960, 1080]
+        .into_iter()
+        .map(|tau_us| {
+            let mut spec = opts.spec(SystemKind::Vertigo, CcKind::Dctcp, workload);
+            spec.vertigo.tau = SimDuration::from_micros(tau_us);
+            Cell::new(format!("fig13 tau{tau_us}us"), spec, tau_us)
+        })
+        .collect();
+    let rows = sweep::run(opts, "fig13", cells, |c, out| {
+        let r = &out.report;
+        vec![
+            c.tag.to_string(),
+            fmt_secs(r.fct_mean),
+            fmt_secs(r.fct_p99),
+            fmt_secs(r.qct_mean),
+            out.ordering.timeouts.to_string(),
+            format!("{:.4}", r.reorder_rate),
+        ]
+    })?;
     let mut t = Table::new(&[
         "tau_us",
         "mean_fct",
@@ -24,27 +44,7 @@ pub fn run(opts: &Opts) {
         "ooo_timeouts",
         "reorder_rate",
     ]);
-    for tau_us in [120u64, 240, 360, 480, 600, 720, 840, 960, 1080] {
-        let mut spec = RunSpec::new(SystemKind::Vertigo, CcKind::Dctcp, workload);
-        spec.topo = s.leaf_spine();
-        spec.horizon = s.horizon;
-        spec.seed = opts.seed;
-        spec.event_backend = opts.events;
-        spec.domains = opts.domains;
-        spec.faults = opts.faults;
-        spec.deflect = opts.deflect;
-        spec.scenario = opts.scenario;
-        spec.vertigo.tau = SimDuration::from_micros(tau_us);
-        let out = spec.run_with_options(opts.trace.as_ref(), opts.snapshot_opts());
-        let r = &out.report;
-        t.row(vec![
-            tau_us.to_string(),
-            fmt_secs(r.fct_mean),
-            fmt_secs(r.fct_p99),
-            fmt_secs(r.qct_mean),
-            out.ordering.timeouts.to_string(),
-            format!("{:.4}", r.reorder_rate),
-        ]);
-    }
+    t.rows(rows);
     t.emit(opts, "fig13");
+    Ok(())
 }

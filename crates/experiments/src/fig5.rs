@@ -10,19 +10,19 @@
 //! of per cell. Output is byte-identical either way (CI digest-diffs it).
 
 use crate::common::{fmt_secs, Opts, Table};
-use crate::sweep::{run_warm_cells, warm_footer, WarmCell};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== Figure 5: systems x background load (DCTCP) ==\n");
     let s = opts.scale;
     let fork = opts.fig_fork();
     // Build the whole grid up front so all three panels share one sweep.
-    let mut cells: Vec<WarmCell<Vec<String>>> = Vec::new();
+    let mut cells = Vec::new();
     let mut panels: Vec<(u32, usize)> = Vec::new(); // (bg_pct, cell count)
     for bg_pct in [25u32, 50, 75] {
-        let mut count = 0;
+        let before = cells.len();
         let mut total = bg_pct + 10;
         let mut loads = Vec::new();
         while total <= 95 {
@@ -42,57 +42,36 @@ pub fn run(opts: &Opts) {
                 incast: Some(s.incast_for_load(incast_load)),
             };
             for sys in SystemKind::all() {
-                let mut spec = RunSpec::new(sys, CcKind::Dctcp, workload);
-                spec.topo = s.leaf_spine();
-                spec.horizon = s.horizon;
-                spec.seed = opts.seed;
-                spec.event_backend = opts.events;
-                spec.domains = opts.domains;
-                spec.faults = opts.faults;
-                spec.deflect = opts.deflect;
-                spec.scenario = opts.scenario;
-                let trace = opts.trace.clone();
-                let snap = opts.snapshot_opts().cloned();
-                let key = opts.warm_start.then(|| spec.fork_key(&fork)).flatten();
-                cells.push(WarmCell::new(
+                cells.push(Cell::phased(
                     format!("fig5 bg{bg_pct} load{total} {}", sys.name()),
-                    key,
-                    move || spec.run_warmup(&fork),
-                    move |buf| {
-                        let out = match buf {
-                            Some(b) => spec.run_forked(&fork, b),
-                            None => spec.run_staged(trace.as_ref(), snap.as_ref(), Some(&fork)),
-                        };
-                        let r = &out.report;
-                        vec![
-                            total.to_string(),
-                            sys.name().to_string(),
-                            fmt_secs(r.qct_mean),
-                            fmt_secs(r.qct_p99),
-                            fmt_secs(r.fct_mean),
-                            fmt_secs(r.fct_p99),
-                            r.drops.to_string(),
-                        ]
-                    },
+                    opts.spec(sys, CcKind::Dctcp, workload),
+                    fork,
+                    total,
                 ));
-                count += 1;
             }
         }
-        panels.push((bg_pct, count));
+        panels.push((bg_pct, cells.len() - before));
     }
-    let (rows, stats) = run_warm_cells(opts.jobs, opts.warm_start, cells);
-    if opts.warm_start {
-        warm_footer("fig5", &stats);
-    }
+    let rows = sweep::run(opts, "fig5", cells, |c, out| {
+        let r = &out.report;
+        vec![
+            c.tag.to_string(),
+            c.spec.system.name().to_string(),
+            fmt_secs(r.qct_mean),
+            fmt_secs(r.qct_p99),
+            fmt_secs(r.fct_mean),
+            fmt_secs(r.fct_p99),
+            r.drops.to_string(),
+        ]
+    })?;
     let mut rows = rows.into_iter();
     for (bg_pct, count) in panels {
         println!("--- panel: {bg_pct}% background load ---");
         let mut t = Table::new(&[
             "load%", "system", "mean_qct", "p99_qct", "mean_fct", "p99_fct", "drops",
         ]);
-        for row in rows.by_ref().take(count) {
-            t.row(row);
-        }
+        t.rows(rows.by_ref().take(count));
         t.emit(opts, &format!("fig5_bg{bg_pct}"));
     }
+    Ok(())
 }

@@ -3,9 +3,9 @@
 //! QCT CDF at 85 % load.
 
 use crate::common::{fmt_secs, Opts, Table};
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
 const COMBOS: [(SystemKind, CcKind); 7] = [
     (SystemKind::Dibs, CcKind::Reno),
@@ -17,13 +17,10 @@ const COMBOS: [(SystemKind, CcKind); 7] = [
     (SystemKind::Vertigo, CcKind::Swift),
 ];
 
-/// One cell's output: the sweep row, plus CDF rows for the 85 % column.
-type CellOut = (Vec<String>, Vec<Vec<String>>);
-
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== Figure 6: DIBS/Vertigo x TCP/DCTCP/Swift (25% BG + incast) ==\n");
     let s = opts.scale;
-    let mut cells: Vec<Cell<CellOut>> = Vec::new();
+    let mut cells = Vec::new();
     for total in (35..=95).step_by(10) {
         let workload = WorkloadSpec {
             background: Some(BackgroundSpec {
@@ -33,45 +30,37 @@ pub fn run(opts: &Opts) {
             incast: Some(s.incast_for_load((total - 25) as f64 / 100.0)),
         };
         for (sys, cc) in COMBOS {
-            let mut spec = RunSpec::new(sys, cc, workload);
-            spec.topo = s.leaf_spine();
-            spec.horizon = s.horizon;
-            spec.seed = opts.seed;
-            spec.event_backend = opts.events;
-            spec.domains = opts.domains;
-            spec.faults = opts.faults;
-            spec.deflect = opts.deflect;
-            spec.scenario = opts.scenario;
-            let trace = opts.trace.clone();
-            let snap = opts.snapshot_opts().cloned();
             cells.push(Cell::new(
                 format!("fig6 load{total} {}+{}", sys.name(), cc.name()),
-                move || {
-                    let out = spec.run_with_options(trace.as_ref(), snap.as_ref());
-                    let r = &out.report;
-                    let row = vec![
-                        total.to_string(),
-                        sys.name().to_string(),
-                        cc.name().to_string(),
-                        fmt_secs(r.qct_mean),
-                        format!("{:.2e}", r.drop_rate),
-                        r.queries_completed.to_string(),
-                    ];
-                    let mut cdf_rows = Vec::new();
-                    if total == 85 {
-                        for (v, f) in r.qct_cdf(40).points {
-                            cdf_rows.push(vec![
-                                format!("{}+{}", sys.name(), cc.name()),
-                                format!("{v:.6}"),
-                                format!("{f:.4}"),
-                            ]);
-                        }
-                    }
-                    (row, cdf_rows)
-                },
+                opts.spec(sys, cc, workload),
+                total,
             ));
         }
     }
+    // One cell's output: the sweep row, plus CDF rows for the 85 % column.
+    let outs = sweep::run(opts, "fig6", cells, |c, out| {
+        let (total, sys, cc) = (c.tag, c.spec.system.name(), c.spec.cc.name());
+        let r = &out.report;
+        let row = vec![
+            total.to_string(),
+            sys.to_string(),
+            cc.to_string(),
+            fmt_secs(r.qct_mean),
+            format!("{:.2e}", r.drop_rate),
+            r.queries_completed.to_string(),
+        ];
+        let mut cdf_rows = Vec::new();
+        if total == 85 {
+            for (v, f) in r.qct_cdf(40).points {
+                cdf_rows.push(vec![
+                    format!("{sys}+{cc}"),
+                    format!("{v:.6}"),
+                    format!("{f:.4}"),
+                ]);
+            }
+        }
+        (row, cdf_rows)
+    })?;
     let mut t = Table::new(&[
         "load%",
         "system",
@@ -81,12 +70,11 @@ pub fn run(opts: &Opts) {
         "queries_done",
     ]);
     let mut cdf_table = Table::new(&["system_cc", "qct_secs", "cum_frac"]);
-    for (row, cdf_rows) in run_cells(opts.jobs, cells) {
+    for (row, cdf_rows) in outs {
         t.row(row);
-        for r in cdf_rows {
-            cdf_table.row(r);
-        }
+        cdf_table.rows(cdf_rows);
     }
     t.emit(opts, "fig6a");
     cdf_table.emit(opts, "fig6b_cdf85");
+    Ok(())
 }

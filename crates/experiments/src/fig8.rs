@@ -3,11 +3,11 @@
 //! mirroring the paper's 50→450 over 320 hosts.
 
 use crate::common::{fmt_pct, fmt_secs, Opts, Table};
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, IncastSpec, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DistKind, IncastSpec, RunError, SystemKind, WorkloadSpec};
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== Figure 8: incast scale sweep (50% BG, fixed QPS) ==\n");
     let s = opts.scale;
     let hosts = s.ls_hosts();
@@ -20,7 +20,7 @@ pub fn run(opts: &Opts) {
     // Fixed QPS chosen so the largest scale pushes total load to ~95 %.
     let max_scale = *scales.last().expect("nonempty");
     let qps = IncastSpec::qps_for_load(0.45, max_scale, s.incast_flow, s.ls_total_bw());
-    let mut cells: Vec<Cell<Vec<String>>> = Vec::new();
+    let mut cells = Vec::new();
     for &scale in &scales {
         let workload = WorkloadSpec {
             background: Some(BackgroundSpec {
@@ -34,34 +34,24 @@ pub fn run(opts: &Opts) {
             }),
         };
         for sys in SystemKind::all() {
-            let mut spec = RunSpec::new(sys, CcKind::Dctcp, workload);
-            spec.topo = s.leaf_spine();
-            spec.horizon = s.horizon;
-            spec.seed = opts.seed;
-            spec.event_backend = opts.events;
-            spec.domains = opts.domains;
-            spec.faults = opts.faults;
-            spec.deflect = opts.deflect;
-            spec.scenario = opts.scenario;
-            let trace = opts.trace.clone();
-            let snap = opts.snapshot_opts().cloned();
             cells.push(Cell::new(
                 format!("fig8 scale{scale} {}", sys.name()),
-                move || {
-                    let out = spec.run_with_options(trace.as_ref(), snap.as_ref());
-                    let r = &out.report;
-                    vec![
-                        scale.to_string(),
-                        sys.name().to_string(),
-                        fmt_pct(r.query_completion_ratio()),
-                        fmt_secs(r.qct_mean),
-                        fmt_secs(r.fct_mean),
-                        fmt_secs(r.fct_p99),
-                    ]
-                },
+                opts.spec(sys, CcKind::Dctcp, workload),
+                scale,
             ));
         }
     }
+    let rows = sweep::run(opts, "fig8", cells, |c, out| {
+        let r = &out.report;
+        vec![
+            c.tag.to_string(),
+            c.spec.system.name().to_string(),
+            fmt_pct(r.query_completion_ratio()),
+            fmt_secs(r.qct_mean),
+            fmt_secs(r.fct_mean),
+            fmt_secs(r.fct_p99),
+        ]
+    })?;
     let mut t = Table::new(&[
         "scale",
         "system",
@@ -70,8 +60,7 @@ pub fn run(opts: &Opts) {
         "mean_fct",
         "p99_fct",
     ]);
-    for row in run_cells(opts.jobs, cells) {
-        t.row(row);
-    }
+    t.rows(rows);
     t.emit(opts, "fig8");
+    Ok(())
 }

@@ -2,11 +2,11 @@
 //! over 50 % background load.
 
 use crate::common::{fmt_secs, Opts, Table};
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, IncastSpec, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DistKind, IncastSpec, RunError, SystemKind, WorkloadSpec};
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== Figure 9: incast flow size sweep (50% BG) ==\n");
     let s = opts.scale;
     // Fixed QPS: at the largest flow size (180 KB) total load hits ~95 %.
@@ -18,7 +18,7 @@ pub fn run(opts: &Opts) {
         ("DIBS", SystemKind::Dibs, CcKind::Dctcp),
         ("Vertigo", SystemKind::Vertigo, CcKind::Dctcp),
     ];
-    let mut cells: Vec<Cell<Vec<String>>> = Vec::new();
+    let mut cells = Vec::new();
     for flow_kb in [1u64, 20, 40, 60, 100, 140, 180] {
         let workload = WorkloadSpec {
             background: Some(BackgroundSpec {
@@ -32,30 +32,24 @@ pub fn run(opts: &Opts) {
             }),
         };
         for (name, sys, cc) in systems {
-            let mut spec = RunSpec::new(sys, cc, workload);
-            spec.topo = s.leaf_spine();
-            spec.horizon = s.horizon;
-            spec.seed = opts.seed;
-            spec.event_backend = opts.events;
-            spec.domains = opts.domains;
-            spec.faults = opts.faults;
-            spec.deflect = opts.deflect;
-            spec.scenario = opts.scenario;
-            let trace = opts.trace.clone();
-            let snap = opts.snapshot_opts().cloned();
-            cells.push(Cell::new(format!("fig9 {flow_kb}KB {name}"), move || {
-                let out = spec.run_with_options(trace.as_ref(), snap.as_ref());
-                let r = &out.report;
-                vec![
-                    flow_kb.to_string(),
-                    name.to_string(),
-                    fmt_secs(r.qct_mean),
-                    r.queries_completed.to_string(),
-                    r.drops.to_string(),
-                ]
-            }));
+            cells.push(Cell::new(
+                format!("fig9 {flow_kb}KB {name}"),
+                opts.spec(sys, cc, workload),
+                (flow_kb, name),
+            ));
         }
     }
+    let rows = sweep::run(opts, "fig9", cells, |c, out| {
+        let (flow_kb, name) = c.tag;
+        let r = &out.report;
+        vec![
+            flow_kb.to_string(),
+            name.to_string(),
+            fmt_secs(r.qct_mean),
+            r.queries_completed.to_string(),
+            r.drops.to_string(),
+        ]
+    })?;
     let mut t = Table::new(&[
         "flow_kb",
         "system",
@@ -63,8 +57,7 @@ pub fn run(opts: &Opts) {
         "completed_queries",
         "drops",
     ]);
-    for row in run_cells(opts.jobs, cells) {
-        t.row(row);
-    }
+    t.rows(rows);
     t.emit(opts, "fig9");
+    Ok(())
 }

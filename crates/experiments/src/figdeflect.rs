@@ -17,11 +17,11 @@
 //! correctly sends all 15 cells down the cold path.
 
 use crate::common::{fmt_pct, fmt_secs, Opts, Table};
-use crate::sweep::{run_warm_cells, warm_footer, WarmCell};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DeflectKind, DistKind, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DeflectKind, DistKind, RunError, SystemKind, WorkloadSpec};
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== fig-deflect: deflection-policy zoo x congestion control ==\n");
     let s = opts.scale;
     let fork = opts.fig_fork();
@@ -32,59 +32,43 @@ pub fn run(opts: &Opts) {
         }),
         incast: Some(s.incast_for_load(0.50)),
     };
-    let mut cells: Vec<WarmCell<Vec<String>>> = Vec::new();
+    let mut cells = Vec::new();
     for cc in [CcKind::Reno, CcKind::Dctcp, CcKind::Swift] {
         for kind in DeflectKind::ALL {
-            let mut spec = RunSpec::new(SystemKind::Vertigo, cc, workload);
-            spec.topo = s.leaf_spine();
-            spec.horizon = s.horizon;
-            spec.seed = opts.seed;
-            spec.event_backend = opts.events;
-            spec.domains = opts.domains;
-            spec.faults = opts.faults;
+            let mut spec = opts.spec(SystemKind::Vertigo, cc, workload);
             spec.deflect = Some(kind);
-            spec.scenario = opts.scenario;
-            let trace = opts.trace.clone();
-            let snap = opts.snapshot_opts().cloned();
-            let key = opts.warm_start.then(|| spec.fork_key(&fork)).flatten();
-            cells.push(WarmCell::new(
+            cells.push(Cell::phased(
                 format!("figdeflect {} {}", cc.name(), kind.name()),
-                key,
-                move || spec.run_warmup(&fork),
-                move |buf| {
-                    let out = match buf {
-                        Some(b) => spec.run_forked(&fork, b),
-                        None => spec.run_staged(trace.as_ref(), snap.as_ref(), Some(&fork)),
-                    };
-                    let r = &out.report;
-                    // The policy-specific action column: what the policy
-                    // did *instead of* plain deflection (PABO bounces are
-                    // deflections too, so they show in both columns).
-                    let policy_action = match kind {
-                        DeflectKind::Vertigo | DeflectKind::Dibs => 0,
-                        DeflectKind::Pabo => r.pabo_bounces,
-                        DeflectKind::Hybrid => r.hybrid_retx_drops,
-                        DeflectKind::Bounded => r.bounded_cap_drops,
-                    };
-                    vec![
-                        cc.name().to_string(),
-                        kind.name().to_string(),
-                        fmt_secs(r.qct_mean),
-                        fmt_secs(r.qct_p99),
-                        fmt_secs(r.fct_mice_p99),
-                        fmt_pct(r.query_completion_ratio()),
-                        r.deflections.to_string(),
-                        policy_action.to_string(),
-                        r.drops.to_string(),
-                    ]
-                },
+                spec,
+                fork,
+                kind,
             ));
         }
     }
-    let (rows, stats) = run_warm_cells(opts.jobs, opts.warm_start, cells);
-    if opts.warm_start {
-        warm_footer("figdeflect", &stats);
-    }
+    let rows = sweep::run(opts, "figdeflect", cells, |c, out| {
+        let kind = c.tag;
+        let r = &out.report;
+        // The policy-specific action column: what the policy did
+        // *instead of* plain deflection (PABO bounces are deflections
+        // too, so they show in both columns).
+        let policy_action = match kind {
+            DeflectKind::Vertigo | DeflectKind::Dibs => 0,
+            DeflectKind::Pabo => r.pabo_bounces,
+            DeflectKind::Hybrid => r.hybrid_retx_drops,
+            DeflectKind::Bounded => r.bounded_cap_drops,
+        };
+        vec![
+            c.spec.cc.name().to_string(),
+            kind.name().to_string(),
+            fmt_secs(r.qct_mean),
+            fmt_secs(r.qct_p99),
+            fmt_secs(r.fct_mice_p99),
+            fmt_pct(r.query_completion_ratio()),
+            r.deflections.to_string(),
+            policy_action.to_string(),
+            r.drops.to_string(),
+        ]
+    })?;
     let mut t = Table::new(&[
         "cc",
         "deflect",
@@ -96,8 +80,7 @@ pub fn run(opts: &Opts) {
         "policy_action",
         "drops",
     ]);
-    for row in rows {
-        t.row(row);
-    }
+    t.rows(rows);
     t.emit(opts, "figdeflect");
+    Ok(())
 }

@@ -11,9 +11,11 @@
 //! per-tenant breakdown.
 
 use crate::common::{fmt_secs, Opts, Table};
-use crate::sweep::{run_warm_cells, warm_footer, WarmCell};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, RunSpec, ScenarioSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{
+    BackgroundSpec, DistKind, RunError, ScenarioSpec, SystemKind, WorkloadSpec,
+};
 
 /// The scenario presets, parameterized by the run's scale. Times are in
 /// whole nanoseconds of the horizon so every scale divides evenly.
@@ -50,10 +52,8 @@ fn presets(opts: &Opts) -> Vec<(&'static str, String)> {
     ]
 }
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== figworkload: systems x composable scenarios ==\n");
-    let s = opts.scale;
-    let fork = opts.fig_fork();
     let base = WorkloadSpec {
         background: Some(BackgroundSpec {
             load: 0.30,
@@ -61,59 +61,37 @@ pub fn run(opts: &Opts) {
         }),
         incast: None,
     };
-    let mut cells: Vec<WarmCell<Vec<String>>> = Vec::new();
+    let mut cells = Vec::new();
     for (name, spec_str) in presets(opts) {
         let scenario = ScenarioSpec::parse(&spec_str)
             .unwrap_or_else(|e| panic!("figworkload preset `{name}`: {e}"));
         for sys in SystemKind::all() {
-            let mut spec = RunSpec::new(sys, CcKind::Dctcp, base);
-            spec.topo = s.leaf_spine();
-            spec.horizon = s.horizon;
-            spec.seed = opts.seed;
-            spec.event_backend = opts.events;
-            spec.domains = opts.domains;
-            spec.faults = opts.faults;
-            spec.deflect = opts.deflect;
+            let mut spec = opts.spec(sys, CcKind::Dctcp, base);
             spec.scenario = scenario;
-            let trace = opts.trace.clone();
-            let snap = opts.snapshot_opts().cloned();
-            // With no base incast to defer and no overrides, fork_key is
-            // None and every cell falls back to a cold run — `--warm-start`
-            // stays accepted (and byte-inert) for flag uniformity.
-            let key = opts.warm_start.then(|| spec.fork_key(&fork)).flatten();
-            cells.push(WarmCell::new(
+            cells.push(Cell::new(
                 format!("figworkload {name} {}", sys.name()),
-                key,
-                move || spec.run_warmup(&fork),
-                move |buf| {
-                    let out = match buf {
-                        Some(b) => spec.run_forked(&fork, b),
-                        None => spec.run_staged(trace.as_ref(), snap.as_ref(), None),
-                    };
-                    let r = &out.report;
-                    vec![
-                        name.to_string(),
-                        sys.name().to_string(),
-                        fmt_secs(r.fct_mean),
-                        fmt_secs(r.fct_p99),
-                        fmt_secs(r.qct_p99),
-                        format!("{:.2}", r.goodput_gbps),
-                        r.drops.to_string(),
-                        r.tenants.len().to_string(),
-                    ]
-                },
+                spec,
+                name,
             ));
         }
     }
-    let (rows, stats) = run_warm_cells(opts.jobs, opts.warm_start, cells);
-    if opts.warm_start {
-        warm_footer("figworkload", &stats);
-    }
+    let rows = sweep::run(opts, "figworkload", cells, |c, out| {
+        let r = &out.report;
+        vec![
+            c.tag.to_string(),
+            c.spec.system.name().to_string(),
+            fmt_secs(r.fct_mean),
+            fmt_secs(r.fct_p99),
+            fmt_secs(r.qct_p99),
+            format!("{:.2}", r.goodput_gbps),
+            r.drops.to_string(),
+            r.tenants.len().to_string(),
+        ]
+    })?;
     let mut t = Table::new(&[
         "scenario", "system", "mean_fct", "p99_fct", "p99_qct", "goodput", "drops", "tenants",
     ]);
-    for row in rows {
-        t.row(row);
-    }
+    t.rows(rows);
     t.emit(opts, "figworkload");
+    Ok(())
 }

@@ -3,15 +3,13 @@
 //! ECMP+DCTCP with Vertigo+DCTCP.
 
 use crate::common::{fmt_secs, Opts, Table};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== Non-bursty workloads: background-only FCT comparison ==\n");
-    let s = &opts.scale;
-    let mut t = Table::new(&[
-        "dist", "load%", "system", "mean_fct", "mice_fct", "p99_fct", "drops",
-    ]);
+    let mut cells = Vec::new();
     for dist in [
         DistKind::CacheFollower,
         DistKind::WebSearch,
@@ -26,28 +24,31 @@ pub fn run(opts: &Opts) {
                 incast: None,
             };
             for sys in [SystemKind::Ecmp, SystemKind::Vertigo] {
-                let mut spec = RunSpec::new(sys, CcKind::Dctcp, workload);
-                spec.topo = s.leaf_spine();
-                spec.horizon = s.horizon;
-                spec.seed = opts.seed;
-                spec.event_backend = opts.events;
-                spec.domains = opts.domains;
-                spec.faults = opts.faults;
-                spec.deflect = opts.deflect;
-                spec.scenario = opts.scenario;
-                let out = spec.run_with_options(opts.trace.as_ref(), opts.snapshot_opts());
-                let r = &out.report;
-                t.row(vec![
-                    dist.name().to_string(),
-                    load.to_string(),
-                    sys.name().to_string(),
-                    fmt_secs(r.fct_mean),
-                    fmt_secs(r.fct_mice_mean),
-                    fmt_secs(r.fct_p99),
-                    r.drops.to_string(),
-                ]);
+                cells.push(Cell::new(
+                    format!("nonbursty {} load{load} {}", dist.name(), sys.name()),
+                    opts.spec(sys, CcKind::Dctcp, workload),
+                    (dist, load),
+                ));
             }
         }
     }
+    let rows = sweep::run(opts, "nonbursty", cells, |c, out| {
+        let (dist, load) = c.tag;
+        let r = &out.report;
+        vec![
+            dist.name().to_string(),
+            load.to_string(),
+            c.spec.system.name().to_string(),
+            fmt_secs(r.fct_mean),
+            fmt_secs(r.fct_mice_mean),
+            fmt_secs(r.fct_p99),
+            r.drops.to_string(),
+        ]
+    })?;
+    let mut t = Table::new(&[
+        "dist", "load%", "system", "mean_fct", "mice_fct", "p99_fct", "drops",
+    ]);
+    t.rows(rows);
     t.emit(opts, "nonbursty");
+    Ok(())
 }

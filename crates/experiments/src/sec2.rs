@@ -5,21 +5,14 @@
 //! and mice-flow FCT — the four §2 observations that motivate Vertigo.
 
 use crate::common::{fmt_secs, Opts, Table};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== Section 2 measurements: random deflection pathologies ==\n");
     let s = &opts.scale;
-    let mut t = Table::new(&[
-        "load%",
-        "system",
-        "mean_hops",
-        "reorder_rate",
-        "drops",
-        "mice_fct",
-        "mean_qct",
-    ]);
+    let mut cells = Vec::new();
     for total in [35u32, 50, 65, 80] {
         let workload = WorkloadSpec {
             background: Some(BackgroundSpec {
@@ -29,31 +22,39 @@ pub fn run(opts: &Opts) {
             incast: Some(s.incast_for_load((total - 15) as f64 / 100.0)),
         };
         for sys in [SystemKind::Ecmp, SystemKind::Dibs] {
-            let mut spec = RunSpec::new(sys, CcKind::Dctcp, workload);
-            spec.topo = s.leaf_spine();
-            spec.horizon = s.horizon;
-            spec.seed = opts.seed;
-            spec.event_backend = opts.events;
-            spec.domains = opts.domains;
-            spec.faults = opts.faults;
-            spec.deflect = opts.deflect;
-            spec.scenario = opts.scenario;
-            let out = spec.run_with_options(opts.trace.as_ref(), opts.snapshot_opts());
-            let r = &out.report;
-            t.row(vec![
-                total.to_string(),
-                sys.name().to_string(),
-                format!("{:.3}", r.mean_hops),
-                format!("{:.4}", r.reorder_rate),
-                r.drops.to_string(),
-                fmt_secs(r.fct_mice_mean),
-                fmt_secs(r.qct_mean),
-            ]);
+            cells.push(Cell::new(
+                format!("sec2 load{total} {}", sys.name()),
+                opts.spec(sys, CcKind::Dctcp, workload),
+                total,
+            ));
         }
     }
+    let rows = sweep::run(opts, "sec2", cells, |c, out| {
+        let r = &out.report;
+        vec![
+            c.tag.to_string(),
+            c.spec.system.name().to_string(),
+            format!("{:.3}", r.mean_hops),
+            format!("{:.4}", r.reorder_rate),
+            r.drops.to_string(),
+            fmt_secs(r.fct_mice_mean),
+            fmt_secs(r.qct_mean),
+        ]
+    })?;
+    let mut t = Table::new(&[
+        "load%",
+        "system",
+        "mean_hops",
+        "reorder_rate",
+        "drops",
+        "mice_fct",
+        "mean_qct",
+    ]);
+    t.rows(rows);
     t.emit(opts, "sec2");
     println!("paper §2 claims to compare against:");
     println!("  - deflection increases mean hop count by ~20% under load");
     println!("  - random deflection raises transport reordering ~10x at 35% load");
     println!("  - random deflection inflates mice FCT (~40%) and QCT under load");
+    Ok(())
 }

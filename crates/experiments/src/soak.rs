@@ -13,9 +13,12 @@
 //! violation fails loudly.
 
 use crate::common::{fmt_pct, fmt_secs, Opts, Table};
+use crate::sweep::{self, Cell};
 use vertigo_simcore::SimDuration;
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, RunSpec, ScenarioSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{
+    BackgroundSpec, DistKind, RunError, ScenarioSpec, SystemKind, WorkloadSpec,
+};
 
 /// The canned multi-tenant scenario, parameterized by host count: ON-OFF
 /// bursty tenant on the low half, Poisson service tenant on the high
@@ -33,12 +36,7 @@ pub fn default_scenario(hosts: usize) -> String {
     )
 }
 
-pub fn run(opts: &Opts) {
-    assert!(
-        !opts.warm_start,
-        "soak runs one sustained cell with no warmup equivalence class to share: \
-         drop --warm-start"
-    );
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     let s = opts.scale;
     let hosts = s.ft_hosts();
     let scenario = if opts.scenario.is_empty() {
@@ -62,54 +60,59 @@ pub fn run(opts: &Opts) {
         }),
         incast: None,
     };
-    let mut spec = RunSpec::new(SystemKind::Vertigo, CcKind::Dctcp, base);
+    let mut spec = opts.spec(SystemKind::Vertigo, CcKind::Dctcp, base);
     spec.topo = s.fat_tree();
     spec.horizon = horizon;
-    spec.seed = opts.seed;
-    spec.event_backend = opts.events;
-    spec.domains = opts.domains;
-    spec.faults = opts.faults;
-    spec.deflect = opts.deflect;
     spec.scenario = scenario;
 
-    let out = spec.run_staged(opts.trace.as_ref(), opts.snapshot_opts(), None);
-    let r = &out.report;
+    // The one cell's output: the per-tenant rows, the totals line, and
+    // the audit tally.
+    let cell = Cell::new("soak", spec, ());
+    let mut outs = sweep::run(opts, "soak", vec![cell], |_, out| {
+        let r = &out.report;
+        let tenants: Vec<Vec<String>> = r
+            .tenants
+            .iter()
+            .map(|ten| {
+                vec![
+                    ten.label.clone(),
+                    ten.flows_started.to_string(),
+                    ten.flows_completed.to_string(),
+                    fmt_secs(ten.fct_mean),
+                    fmt_secs(ten.fct_p99),
+                    ten.queries_started.to_string(),
+                    fmt_secs(ten.qct_p99),
+                    format!("{:.2}", ten.goodput_gbps),
+                ]
+            })
+            .collect();
+        let totals = format!(
+            "offered load {}  goodput {:.2} Gbps  flows {}/{}  queries {}/{}  drops {}",
+            fmt_pct(out.offered_load),
+            r.goodput_gbps,
+            r.flows_completed,
+            r.flows_started,
+            r.queries_completed,
+            r.queries_started,
+            r.drops,
+        );
+        (tenants, totals, r.audit_checks)
+    })?;
+    let (tenants, totals, audit_checks) = outs.pop().expect("one cell in, one row out");
 
     let mut t = Table::new(&[
         "tenant", "flows", "done", "mean_fct", "p99_fct", "queries", "p99_qct", "gbps",
     ]);
-    for ten in &r.tenants {
-        t.row(vec![
-            ten.label.clone(),
-            ten.flows_started.to_string(),
-            ten.flows_completed.to_string(),
-            fmt_secs(ten.fct_mean),
-            fmt_secs(ten.fct_p99),
-            ten.queries_started.to_string(),
-            fmt_secs(ten.qct_p99),
-            format!("{:.2}", ten.goodput_gbps),
-        ]);
-    }
+    t.rows(tenants);
     t.emit(opts, "soak");
 
-    println!(
-        "offered load {}  goodput {:.2} Gbps  flows {}/{}  queries {}/{}  drops {}",
-        fmt_pct(out.offered_load),
-        r.goodput_gbps,
-        r.flows_completed,
-        r.flows_started,
-        r.queries_completed,
-        r.queries_started,
-        r.drops,
-    );
+    println!("{totals}");
     // Audit tallies live on stderr with the build note: stdout stays
     // byte-identical between audit and non-audit builds.
     if vertigo_stats::AUDIT_AVAILABLE {
-        eprintln!(
-            "[audit] conservation layer live: {} invariant checks, zero diffs",
-            r.audit_checks
-        );
+        eprintln!("[audit] conservation layer live: {audit_checks} invariant checks, zero diffs");
     } else {
         eprintln!("[audit] built without --features audit: conservation checks compiled out");
     }
+    Ok(())
 }

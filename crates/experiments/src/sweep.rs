@@ -1,185 +1,173 @@
-//! The parallel sweep engine: runs independent simulation cells across a
-//! worker pool.
+//! The sweep runner: the one place a figure's cells become simulation
+//! runs.
 //!
-//! Every figure in the harness is a grid of *cells* — one `RunSpec::run()`
-//! per (load, system, transport, ...) combination — with no data flowing
+//! Every figure in the harness is a grid of *cells* — one `RunSpec` per
+//! (load, system, transport, ...) combination — with no data flowing
 //! between cells: each gets its seed from the experiment options, not from
-//! a shared RNG. That makes the grid embarrassingly parallel, and this
-//! module exploits it with `std::thread::scope` (no external dependencies).
+//! a shared RNG. That makes the grid embarrassingly parallel, and [`run`]
+//! exploits it with `std::thread::scope` (no external dependencies). It
+//! owns every option that decides *how* a cell executes: `--jobs`,
+//! `--warm-start`, `--trace` and `--checkpoint-every`/`--resume`.
 //!
 //! ## Determinism contract
 //!
-//! Results come back in **submission order**, regardless of worker count or
-//! completion order, and each cell's closure is self-contained (its
-//! `RunSpec` carries its own seed). Consequently the table a figure prints
-//! is identical for every `--jobs` value, and `--jobs 1` executes the cells
-//! inline on the calling thread — the exact code path of the old sequential
-//! harness, byte-for-byte. Progress chatter goes to stderr only, so stdout
-//! (tables, CSV paths) stays clean and comparable.
+//! Rows come back in **submission order**, regardless of worker count or
+//! completion order, and each cell is self-contained (its `RunSpec`
+//! carries its own seed). Consequently the table a figure prints is
+//! identical for every `--jobs` value, and `--jobs 1` executes the cells
+//! inline on the calling thread. Warm-started cells are byte-identical to
+//! cold ones (`vertigo_workload::warm`), so `--warm-start` is equally
+//! unobservable. Progress chatter and the warm-start footer go to stderr
+//! only, so stdout (tables, CSV paths) stays clean and comparable.
 
-use std::collections::BTreeMap;
+use crate::common::Opts;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use vertigo_workload::SnapBuf;
+use vertigo_workload::{ForkSpec, RunError, RunOutput, RunSpec, SnapBuf};
 
-/// One unit of work: a label for progress reporting plus the closure that
-/// runs the simulation and formats its result.
-pub struct Cell<R> {
-    label: String,
-    job: Box<dyn FnOnce() -> R + Send>,
+/// One unit of a figure's grid.
+pub struct Cell<T> {
+    /// Progress label (stderr only).
+    pub label: String,
+    /// The run, seed and all.
+    pub spec: RunSpec,
+    /// Phased execution (`RunSpec::try_run_staged`'s `fork`). A cell that
+    /// carries one may be warm-started from its class's shared snapshot.
+    pub fork: Option<ForkSpec>,
+    /// Whatever else the figure's row function needs to know about the
+    /// cell (the swept load, a display name, ...).
+    pub tag: T,
 }
 
-impl<R> Cell<R> {
-    /// Wraps a closure as a sweep cell.
-    pub fn new(label: impl Into<String>, job: impl FnOnce() -> R + Send + 'static) -> Self {
+impl<T> Cell<T> {
+    /// A cell simulated straight through.
+    pub fn new(label: impl Into<String>, spec: RunSpec, tag: T) -> Self {
         Cell {
             label: label.into(),
-            job: Box::new(job),
+            spec,
+            fork: None,
+            tag,
         }
     }
-}
 
-/// A sweep cell that can optionally be *warm-started* from a shared
-/// per-class snapshot (see `vertigo_workload::warm`).
-///
-/// `key` is the cell's warmup-equivalence class (`RunSpec::fork_key`);
-/// `None` means "not provable — run cold". `warmup` captures the class
-/// snapshot (only the first cell of each class runs it); `job` receives
-/// `Some(buf)` to fork warm or `None` to run cold, and must produce
-/// byte-identical results either way — that is the warm-start oracle CI
-/// digest-diffs.
-pub struct WarmCell<R> {
-    label: String,
-    key: Option<u64>,
-    warmup: Box<dyn FnOnce() -> SnapBuf + Send>,
-    job: Job<R>,
-}
-
-/// A cell's work: given `Some(class snapshot)` fork warm, given `None`
-/// run cold; either way the result must be byte-identical.
-type Job<R> = Box<dyn FnOnce(Option<&SnapBuf>) -> R + Send>;
-
-impl<R> WarmCell<R> {
-    /// Wraps the warmup and job closures as a warm-startable cell.
-    pub fn new(
-        label: impl Into<String>,
-        key: Option<u64>,
-        warmup: impl FnOnce() -> SnapBuf + Send + 'static,
-        job: impl FnOnce(Option<&SnapBuf>) -> R + Send + 'static,
-    ) -> Self {
-        WarmCell {
-            label: label.into(),
-            key,
-            warmup: Box::new(warmup),
-            job: Box::new(job),
+    /// A cell run in two phases around `fork`.
+    pub fn phased(label: impl Into<String>, spec: RunSpec, fork: ForkSpec, tag: T) -> Self {
+        Cell {
+            fork: Some(fork),
+            ..Cell::new(label, spec, tag)
         }
     }
 }
 
 /// How a warm sweep's cells were scheduled (the report footer's numbers).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WarmStats {
+struct WarmStats {
     /// Warmup snapshots captured (one per multi-member class).
-    pub classes_warmed: usize,
+    classes_warmed: usize,
     /// Cells forked from a shared snapshot.
-    pub warm_cells: usize,
+    warm_cells: usize,
     /// Cells run cold because their class has a single member (a warmup
     /// would cost more than it saves).
-    pub singleton_cells: usize,
-    /// Cells run cold because prefix-equivalence was not provable
-    /// (`fork_key` returned `None`).
-    pub unprovable_cells: usize,
+    singleton_cells: usize,
+    /// Cells run cold because prefix-equivalence was not provable (no
+    /// fork, or `fork_key` returned `None`).
+    unprovable_cells: usize,
 }
 
-/// Runs warm-startable `cells` across `jobs` workers in two phases —
-/// one warmup per multi-member equivalence class, then every cell — and
-/// returns results in submission order.
+/// Runs the figure `name`'s `cells` under `opts` and maps each cell's
+/// output through `row` (on the worker, so only rows are retained),
+/// returning the rows in submission order.
 ///
-/// With `warm_start` off, every cell runs cold through the plain
-/// [`run_cells`] pool: the exact code path (and bytes) of a sweep that
-/// never heard of warm-starting. With it on, the stdout contract is
-/// unchanged — the footer goes to stderr — and the results are
-/// byte-identical to the cold sweep at every `jobs` value.
-pub fn run_warm_cells<R: Send + 'static>(
-    jobs: usize,
-    warm_start: bool,
-    cells: Vec<WarmCell<R>>,
-) -> (Vec<R>, WarmStats) {
-    let mut stats = WarmStats::default();
-    if !warm_start {
-        let cold: Vec<Cell<R>> = cells
-            .into_iter()
-            .map(|c| Cell::new(c.label, move || (c.job)(None)))
-            .collect();
-        return (run_cells(jobs, cold), stats);
+/// With `--warm-start`, cells that carry a fork and a provable
+/// [`RunSpec::fork_key`] are grouped into equivalence classes; each class
+/// with at least two members simulates its warmup once and its cells fork
+/// from that snapshot. Every other cell — and every cell without the flag
+/// — runs cold through [`RunSpec::try_run_staged`], the code path (and
+/// bytes) of a sweep that never heard of warm-starting. The first cell
+/// error in submission order is returned.
+pub fn run<T: Send, R: Send>(
+    opts: &Opts,
+    name: &str,
+    cells: Vec<Cell<T>>,
+    row: impl Fn(&Cell<T>, &RunOutput) -> R + Sync,
+) -> Result<Vec<R>, RunError> {
+    let (snaps, stats) = if opts.warm_start {
+        warm_up(opts.jobs, &cells)
+    } else {
+        (vec![None; cells.len()], WarmStats::default())
+    };
+    let items = cells
+        .into_iter()
+        .zip(snaps)
+        .map(|(cell, snap)| (cell.label.clone(), (cell, snap)))
+        .collect();
+    let rows = pool(opts.jobs, items, |(cell, snap)| {
+        let out = match (&cell.fork, snap) {
+            (Some(fork), Some(snap)) => cell.spec.run_forked(fork, &snap),
+            _ => cell.spec.try_run_staged(
+                opts.trace.as_ref(),
+                Some(&opts.snapshot),
+                cell.fork.as_ref(),
+            )?,
+        };
+        Ok(row(&cell, &out))
+    });
+    if opts.warm_start {
+        // Stderr only: stdout is digest-diffed against cold sweeps and
+        // must stay byte-identical. Fallback counts are measured, never
+        // guessed — a cell is either forked from a snapshot or it ran
+        // cold, and this says which and why.
+        let cold = stats.singleton_cells + stats.unprovable_cells;
+        eprintln!(
+            "[warm-start] {name}: {} cells forked from {} shared warmups; {cold} cold \
+             ({} singleton-class, {} unprovable)",
+            stats.warm_cells, stats.classes_warmed, stats.singleton_cells, stats.unprovable_cells,
+        );
     }
+    rows.into_iter().collect()
+}
 
-    // Class census, in first-submission order (BTreeMap on key only for
-    // counting — scheduling order below follows submission order).
+/// The warm-start census and warmup phase: per cell, the class snapshot
+/// it forks from (`None`: run cold).
+fn warm_up<T>(jobs: usize, cells: &[Cell<T>]) -> (Vec<Option<Arc<SnapBuf>>>, WarmStats) {
+    let keys: Vec<Option<u64>> = cells
+        .iter()
+        .map(|c| c.fork.and_then(|f| c.spec.fork_key(&f)))
+        .collect();
     let mut members: BTreeMap<u64, usize> = BTreeMap::new();
-    for c in &cells {
-        if let Some(k) = c.key {
-            *members.entry(k).or_insert(0) += 1;
-        } else {
-            stats.unprovable_cells += 1;
-        }
+    for k in keys.iter().flatten() {
+        *members.entry(*k).or_insert(0) += 1;
     }
-
-    // Phase 1: one warmup per class with ≥ 2 members, scheduled through
-    // the same pool. Singleton classes run cold — a warmup would simulate
-    // the prefix once to save simulating it once.
-    let mut warmups: Vec<Cell<(u64, SnapBuf)>> = Vec::new();
-    let mut claimed: BTreeMap<u64, bool> = BTreeMap::new();
-    let mut pending: Vec<(String, Option<u64>, Job<R>)> = Vec::new();
-    for c in cells.into_iter() {
-        let WarmCell {
-            label,
-            key,
-            warmup,
-            job,
-        } = c;
-        match key {
-            Some(k) if members[&k] >= 2 => {
-                if !claimed.get(&k).copied().unwrap_or(false) {
-                    claimed.insert(k, true);
-                    warmups.push(Cell::new(format!("warmup {label}"), move || (k, warmup())));
-                }
+    // One warmup per class with ≥ 2 members, claimed by the class's first
+    // cell in submission order. Singleton classes run cold — a warmup
+    // would simulate the prefix once to save simulating it once.
+    let mut stats = WarmStats::default();
+    let mut warmups = Vec::new();
+    let mut claimed = BTreeSet::new();
+    for (c, key) in cells.iter().zip(&keys) {
+        match (key, c.fork) {
+            (Some(k), Some(fork)) if members[k] >= 2 => {
                 stats.warm_cells += 1;
+                if claimed.insert(*k) {
+                    warmups.push((format!("warmup {}", c.label), (*k, c.spec, fork)));
+                }
             }
-            Some(_) => stats.singleton_cells += 1,
-            None => {}
+            (Some(_), _) => stats.singleton_cells += 1,
+            (None, _) => stats.unprovable_cells += 1,
         }
-        pending.push((label, key, job));
     }
     stats.classes_warmed = warmups.len();
-    let snaps: BTreeMap<u64, Arc<SnapBuf>> = run_cells(jobs, warmups)
-        .into_iter()
-        .map(|(k, buf)| (k, Arc::new(buf)))
+    let snaps: BTreeMap<u64, Arc<SnapBuf>> = pool(jobs, warmups, |(k, spec, fork)| {
+        (k, Arc::new(spec.run_warmup(&fork)))
+    })
+    .into_iter()
+    .collect();
+    let per_cell = keys
+        .iter()
+        .map(|k| k.and_then(|k| snaps.get(&k).cloned()))
         .collect();
-
-    // Phase 2: every cell, forking from its class snapshot when one was
-    // captured.
-    let run: Vec<Cell<R>> = pending
-        .into_iter()
-        .map(|(label, key, job)| {
-            let buf = key.and_then(|k| snaps.get(&k).cloned());
-            Cell::new(label, move || job(buf.as_deref()))
-        })
-        .collect();
-    (run_cells(jobs, run), stats)
-}
-
-/// The warm sweep's report footer. Stderr only: stdout is digest-diffed
-/// against cold sweeps and must stay byte-identical. Fallback counts are
-/// measured, never guessed — a cell is either forked from a snapshot or
-/// it ran cold, and this says which and why.
-pub fn warm_footer(name: &str, stats: &WarmStats) {
-    let cold = stats.singleton_cells + stats.unprovable_cells;
-    eprintln!(
-        "[warm-start] {name}: {} cells forked from {} shared warmups; {} cold \
-         ({} singleton-class, {} unprovable)",
-        stats.warm_cells, stats.classes_warmed, cold, stats.singleton_cells, stats.unprovable_cells,
-    );
+    (per_cell, stats)
 }
 
 /// Number of workers to use when `--jobs` is not given.
@@ -189,22 +177,26 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `cells` across `jobs` workers and returns their results in
-/// submission order.
+/// Applies `f` to every labelled item across `jobs` workers and returns
+/// the results in submission order.
 ///
-/// `jobs <= 1` runs every cell inline on the calling thread, in order —
-/// the sequential reference behavior. Otherwise `min(jobs, cells)` scoped
-/// threads pull cells off a shared index counter; a panicking cell
+/// `jobs <= 1` runs every item inline on the calling thread, in order —
+/// the sequential reference behavior. Otherwise `min(jobs, items)` scoped
+/// threads pull items off a shared index counter; a panicking item
 /// propagates the panic once the scope joins.
-pub fn run_cells<R: Send>(jobs: usize, cells: Vec<Cell<R>>) -> Vec<R> {
-    let n = cells.len();
+pub fn pool<T: Send, R: Send>(
+    jobs: usize,
+    items: Vec<(String, T)>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let n = items.len();
     if jobs <= 1 || n <= 1 {
-        return cells.into_iter().map(|c| (c.job)()).collect();
+        return items.into_iter().map(|(_, item)| f(item)).collect();
     }
     // Work queue: each slot is claimed exactly once via the shared counter;
-    // the Mutex exists to move the FnOnce out from behind the shared ref.
-    let slots: Vec<Mutex<Option<Cell<R>>>> =
-        cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    // the Mutex exists to move the item out from behind the shared ref.
+    let slots: Vec<Mutex<Option<(String, T)>>> =
+        items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
@@ -216,17 +208,17 @@ pub fn run_cells<R: Send>(jobs: usize, cells: Vec<Cell<R>>) -> Vec<R> {
                 if i >= n {
                     break;
                 }
-                let cell = slots[i]
+                let (label, item) = slots[i]
                     .lock()
                     .expect("no panics while holding slot lock")
                     .take()
                     .expect("each slot claimed exactly once");
-                let r = (cell.job)();
+                let r = f(item);
                 *results[i]
                     .lock()
                     .expect("no panics while holding result lock") = Some(r);
                 let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                eprintln!("[sweep {finished}/{n}] {}", cell.label);
+                eprintln!("[sweep {finished}/{n}] {label}");
             });
         }
     });
@@ -243,13 +235,19 @@ pub fn run_cells<R: Send>(jobs: usize, cells: Vec<Cell<R>>) -> Vec<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vertigo_simcore::SimDuration;
+    use vertigo_transport::CcKind;
+    use vertigo_workload::{
+        BackgroundSpec, DistKind, IncastSpec, SystemKind, TopoKind, WorkloadSpec,
+    };
+
+    fn labelled(n: usize) -> Vec<(String, usize)> {
+        (0..n).map(|i| (format!("c{i}"), i)).collect()
+    }
 
     #[test]
     fn sequential_preserves_order() {
-        let cells: Vec<Cell<usize>> = (0..10)
-            .map(|i| Cell::new(format!("c{i}"), move || i * i))
-            .collect();
-        let out = run_cells(1, cells);
+        let out = pool(1, labelled(10), |i| i * i);
         assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -257,102 +255,121 @@ mod tests {
     fn parallel_matches_sequential_order() {
         // Deliberately uneven work so completion order differs from
         // submission order; results must still come back in submission order.
-        let make = || -> Vec<Cell<usize>> {
-            (0..32)
-                .map(|i| {
-                    Cell::new(format!("c{i}"), move || {
-                        let mut acc = i as u64;
-                        for _ in 0..((31 - i) * 10_000) {
-                            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        }
-                        std::hint::black_box(acc);
-                        i
-                    })
-                })
-                .collect()
+        let work = |i: usize| {
+            let mut acc = i as u64;
+            for _ in 0..((31 - i) * 10_000) {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+            }
+            std::hint::black_box(acc);
+            i
         };
-        let seq = run_cells(1, make());
+        let seq = pool(1, labelled(32), work);
         for jobs in [2, 4, 8] {
-            assert_eq!(run_cells(jobs, make()), seq, "jobs={jobs}");
+            assert_eq!(pool(jobs, labelled(32), work), seq, "jobs={jobs}");
         }
     }
 
     #[test]
-    fn more_workers_than_cells_is_fine() {
-        let cells: Vec<Cell<u32>> = (0..3).map(|i| Cell::new("tiny", move || i)).collect();
-        assert_eq!(run_cells(64, cells), vec![0, 1, 2]);
+    fn more_workers_than_items_is_fine() {
+        assert_eq!(pool(64, labelled(3), |i| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn empty_sweep_returns_empty() {
-        let out: Vec<()> = run_cells(8, Vec::new());
+        let out: Vec<()> = pool(8, Vec::new(), |(): ()| ());
         assert!(out.is_empty());
     }
 
-    /// A toy warm grid over real simulator machinery would be slow here;
-    /// scheduling semantics are what this module owns, so fake the
-    /// snapshot side with a sentinel-free contract: the job reports
-    /// whether it got a buffer.
-    fn warm_grid(keys: &[Option<u64>]) -> Vec<WarmCell<(usize, bool)>> {
-        keys.iter()
-            .enumerate()
-            .map(|(i, k)| {
-                let spec = warm_test_spec();
-                let f = warm_test_fork();
-                WarmCell::new(
-                    format!("cell{i}"),
-                    *k,
-                    move || spec.run_warmup(&f),
-                    move |buf| (i, buf.is_some()),
-                )
-            })
-            .collect()
+    fn test_opts(jobs: usize, warm_start: bool) -> Opts {
+        let mut args = vec!["--quick".to_string(), "--jobs".into(), jobs.to_string()];
+        if warm_start {
+            args.push("--warm-start".into());
+        }
+        Opts::parse("fig5", &args).expect("valid test options")
     }
 
-    fn warm_test_spec() -> vertigo_workload::RunSpec {
-        use vertigo_workload::{BackgroundSpec, IncastSpec, WorkloadSpec};
-        let mut spec = vertigo_workload::RunSpec::new(
-            vertigo_workload::SystemKind::Ecmp,
-            vertigo_transport::CcKind::Dctcp,
+    /// A 2 ms cell on the 32-host leaf-spine; `incast_qps` varies only
+    /// what happens after the fork, `seed` splits the class.
+    fn test_spec(seed: u64, incast_qps: f64) -> RunSpec {
+        let mut spec = RunSpec::new(
+            SystemKind::Ecmp,
+            CcKind::Dctcp,
             WorkloadSpec {
                 background: Some(BackgroundSpec {
                     load: 0.05,
-                    dist: vertigo_workload::DistKind::CacheFollower,
+                    dist: DistKind::CacheFollower,
                 }),
                 incast: Some(IncastSpec {
-                    qps: 100.0,
+                    qps: incast_qps,
                     scale: 4,
                     flow_bytes: 2_000,
                 }),
             },
         );
-        spec.topo = vertigo_workload::TopoKind::LeafSpine { hosts_per_leaf: 4 };
-        spec.horizon = vertigo_simcore::SimDuration::from_millis(2);
+        spec.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };
+        spec.horizon = SimDuration::from_millis(2);
+        spec.seed = seed;
         spec
     }
 
-    fn warm_test_fork() -> vertigo_workload::ForkSpec {
-        vertigo_workload::ForkSpec::at(vertigo_simcore::SimDuration::from_micros(500))
+    /// Two classes of two, one singleton, one cell without a fork —
+    /// interleaved, so submission order differs from class order.
+    fn mixed_grid() -> Vec<Cell<usize>> {
+        let fork = ForkSpec::at(SimDuration::from_micros(500));
+        let cells = [
+            (7, 2000.0, true),
+            (9, 2000.0, true),
+            (7, 6000.0, true),
+            (11, 2000.0, true),
+            (9, 6000.0, true),
+            (7, 2000.0, false),
+        ];
+        cells
+            .into_iter()
+            .enumerate()
+            .map(|(i, (seed, qps, forked))| {
+                let spec = test_spec(seed, qps);
+                if forked {
+                    Cell::phased(format!("cell{i}"), spec, fork, i)
+                } else {
+                    Cell::new(format!("cell{i}"), spec, i)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rows_come_back_in_submission_order_warm_or_cold_at_any_jobs() {
+        let digest = |c: &Cell<usize>, out: &RunOutput| (c.tag, format!("{:?}", out.report));
+        let reference = run(&test_opts(1, false), "test", mixed_grid(), digest).unwrap();
+        assert_eq!(
+            reference.iter().map(|r| r.0).collect::<Vec<_>>(),
+            (0..6).collect::<Vec<_>>()
+        );
+        assert_ne!(reference[0].1, reference[2].1, "cells must differ");
+        assert_ne!(reference[0].1, reference[5].1, "phasing must matter");
+        for jobs in [1, 2, 5] {
+            for warm_start in [false, true] {
+                let rows = run(&test_opts(jobs, warm_start), "test", mixed_grid(), digest);
+                assert_eq!(rows.unwrap(), reference, "jobs={jobs} warm={warm_start}");
+            }
+        }
     }
 
     #[test]
     fn warm_scheduling_groups_classes_and_falls_back() {
-        // Two classes of two, one singleton, one unprovable.
-        let keys = [Some(7), Some(7), Some(9), Some(9), Some(11), None];
+        let grid = mixed_grid();
         for jobs in [1, 4] {
-            let (out, stats) = run_warm_cells(jobs, true, warm_grid(&keys));
+            let (snaps, stats) = warm_up(jobs, &grid);
             assert_eq!(
-                out,
-                vec![
-                    (0, true),
-                    (1, true),
-                    (2, true),
-                    (3, true),
-                    (4, false),
-                    (5, false)
-                ],
+                snaps.iter().map(Option::is_some).collect::<Vec<_>>(),
+                vec![true, true, true, false, true, false],
                 "jobs={jobs}"
             );
+            assert!(Arc::ptr_eq(
+                snaps[0].as_ref().unwrap(),
+                snaps[2].as_ref().unwrap()
+            ));
             assert_eq!(
                 stats,
                 WarmStats {
@@ -367,10 +384,15 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_off_runs_everything_cold() {
-        let keys = [Some(7), Some(7), None];
-        let (out, stats) = run_warm_cells(4, false, warm_grid(&keys));
-        assert_eq!(out, vec![(0, false), (1, false), (2, false)]);
-        assert_eq!(stats, WarmStats::default());
+    fn a_cell_error_is_returned_not_panicked() {
+        let dir = std::env::temp_dir().join(format!("vertigo-sweep-err-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let garbage = dir.join("garbage.vsnp");
+        std::fs::write(&garbage, b"not a snapshot").unwrap();
+        let mut opts = test_opts(2, false);
+        opts.snapshot.resume = Some(garbage);
+        let err = run(&opts, "test", mixed_grid(), |_, _| ()).expect_err("resume must fail");
+        assert!(err.to_string().contains("not a VSNP snapshot"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,11 +3,11 @@
 //! leaf-spine.
 
 use crate::common::{fmt_pct, Opts, Table};
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
-use vertigo_workload::{BackgroundSpec, DistKind, RunSpec, SystemKind, WorkloadSpec};
+use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
-pub fn run(opts: &Opts) {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
     println!("== Table 2: completion ratios at 75% load (50% BG + 25% incast) ==\n");
     let s = opts.scale;
     let workload = WorkloadSpec {
@@ -17,37 +17,26 @@ pub fn run(opts: &Opts) {
         }),
         incast: Some(s.incast_for_load(0.25)),
     };
-    let mut cells: Vec<Cell<Vec<String>>> = Vec::new();
+    let mut cells = Vec::new();
     for cc in [CcKind::Dctcp, CcKind::Swift] {
         for sys in [SystemKind::Ecmp, SystemKind::Dibs, SystemKind::Vertigo] {
-            let mut spec = RunSpec::new(sys, cc, workload);
-            spec.topo = s.leaf_spine();
-            spec.horizon = s.horizon;
-            spec.seed = opts.seed;
-            spec.event_backend = opts.events;
-            spec.domains = opts.domains;
-            spec.faults = opts.faults;
-            spec.deflect = opts.deflect;
-            spec.scenario = opts.scenario;
-            let trace = opts.trace.clone();
-            let snap = opts.snapshot_opts().cloned();
             cells.push(Cell::new(
                 format!("table2 {}+{}", sys.name(), cc.name()),
-                move || {
-                    let out = spec.run_with_options(trace.as_ref(), snap.as_ref());
-                    vec![
-                        cc.name().to_string(),
-                        sys.name().to_string(),
-                        fmt_pct(out.report.flow_completion_ratio()),
-                        fmt_pct(out.report.query_completion_ratio()),
-                    ]
-                },
+                opts.spec(sys, cc, workload),
+                (),
             ));
         }
     }
+    let rows = sweep::run(opts, "table2", cells, |c, out| {
+        vec![
+            c.spec.cc.name().to_string(),
+            c.spec.system.name().to_string(),
+            fmt_pct(out.report.flow_completion_ratio()),
+            fmt_pct(out.report.query_completion_ratio()),
+        ]
+    })?;
     let mut t = Table::new(&["cc", "system", "flow_completion", "query_completion"]);
-    for row in run_cells(opts.jobs, cells) {
-        t.row(row);
-    }
+    t.rows(rows);
     t.emit(opts, "table2");
+    Ok(())
 }

@@ -21,17 +21,17 @@
 //! same oracle the figure grids obey; CI diffs it.
 
 use crate::common::{fmt_secs, Opts, Table};
-use crate::sweep::{run_cells, Cell};
-use std::sync::Arc;
+use crate::sweep::pool;
 use vertigo_simcore::SimDuration;
 use vertigo_transport::CcKind;
 use vertigo_workload::{
-    BackgroundSpec, DistKind, ForkOverrides, ForkSpec, RunSpec, SnapBuf, SystemKind, WorkloadSpec,
+    BackgroundSpec, DistKind, ForkOverrides, ForkSpec, RunError, RunSpec, SnapBuf, SystemKind,
+    WorkloadSpec,
 };
 
 /// Which knobs a `--knobs` list selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Knob {
+pub enum Knob {
     /// Ordering timeout τ.
     Tau,
     /// Deflection power-of-d.
@@ -42,11 +42,63 @@ enum Knob {
     Buf,
 }
 
+impl Knob {
+    /// Parses a `--knobs` comma list.
+    pub fn parse_list(list: &str) -> Result<Vec<Knob>, String> {
+        list.split(',')
+            .map(|k| match k {
+                "tau" => Ok(Knob::Tau),
+                "defl" => Ok(Knob::Defl),
+                "k" => Ok(Knob::EcnK),
+                "buf" => Ok(Knob::Buf),
+                other => Err(format!("bad knob (tau|defl|k|buf): {other}")),
+            })
+            .collect()
+    }
+}
+
 /// Search strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Search {
+pub enum Search {
+    /// Every candidate at full depth.
     Grid,
+    /// Successive halving over the measurement window.
     Halving,
+}
+
+impl Search {
+    /// Parses a `--search` value.
+    pub fn parse(s: &str) -> Result<Search, String> {
+        match s {
+            "grid" => Ok(Search::Grid),
+            "halving" => Ok(Search::Halving),
+            other => Err(format!("bad --search (grid|halving): {other}")),
+        }
+    }
+}
+
+/// The `tune`-only flags (`Opts::parse` accepts them for `tune` alone).
+#[derive(Debug, Clone)]
+pub struct TuneOpts {
+    /// `--search grid|halving`.
+    pub search: Search,
+    /// `--knobs tau,defl,k,buf`.
+    pub knobs: Vec<Knob>,
+    /// `--budget N`: evaluate only the first N grid candidates.
+    pub budget: Option<usize>,
+    /// `--cold`: simulate every candidate straight through.
+    pub cold: bool,
+}
+
+impl Default for TuneOpts {
+    fn default() -> Self {
+        TuneOpts {
+            search: Search::Grid,
+            knobs: vec![Knob::Tau, Knob::Defl],
+            budget: None,
+            cold: false,
+        }
+    }
 }
 
 /// One point of the search space.
@@ -74,105 +126,6 @@ const TAUS_US: [u64; 4] = [180, 360, 540, 720];
 const DEFLS: [usize; 2] = [1, 2];
 const ECN_KS: [usize; 3] = [20, 65, 140];
 const BUFS: [u64; 3] = [150_000, 300_000, 600_000];
-
-fn usage(err: &str) -> ! {
-    eprintln!(
-        "error: {err}\n\
-         usage: experiments tune [--quick|--full] [--seed N] [--out DIR] [--jobs N]\n\
-         \x20                 [--events wheel|heap] [--faults SPEC]\n\
-         \x20                 [--search grid|halving] [--knobs tau,defl,k,buf] [--budget N] [--cold]"
-    );
-    std::process::exit(2);
-}
-
-/// Fully parsed `tune` invocation: the tune-specific flags plus the
-/// common harness options.
-struct TuneArgs {
-    search: Search,
-    knobs: Vec<Knob>,
-    budget: Option<usize>,
-    cold: bool,
-    opts: Opts,
-}
-
-fn parse(args: &[String]) -> Result<TuneArgs, String> {
-    let mut search = Search::Grid;
-    let mut knobs = vec![Knob::Tau, Knob::Defl];
-    let mut budget = None;
-    let mut cold = false;
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--search" => {
-                search = match it.next().ok_or("--search needs a value")?.as_str() {
-                    "grid" => Search::Grid,
-                    "halving" => Search::Halving,
-                    other => return Err(format!("bad --search (grid|halving): {other}")),
-                };
-            }
-            "--knobs" => {
-                let list = it.next().ok_or("--knobs needs a comma list")?;
-                knobs = list
-                    .split(',')
-                    .map(|k| match k {
-                        "tau" => Ok(Knob::Tau),
-                        "defl" => Ok(Knob::Defl),
-                        "k" => Ok(Knob::EcnK),
-                        "buf" => Ok(Knob::Buf),
-                        other => Err(format!("bad knob (tau|defl|k|buf): {other}")),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if knobs.is_empty() {
-                    return Err("--knobs needs at least one knob".into());
-                }
-            }
-            "--budget" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--budget needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad budget: {e}"))?;
-                if n < 2 {
-                    return Err("--budget must be at least 2 (a search needs contrast)".into());
-                }
-                budget = Some(n);
-            }
-            "--cold" => cold = true,
-            other => rest.push(other.to_owned()),
-        }
-    }
-    let opts = Opts::parse(&rest)?;
-    // The search is warm-started by construction; these options need the
-    // one thing a forked candidate cannot give them (same rationale as
-    // the --warm-start guards, same loud refusal).
-    if opts.domains.is_some() {
-        return Err(
-            "tune forks every candidate from a shared snapshot on the classic engine: \
-             drop --domains"
-                .into(),
-        );
-    }
-    if opts.trace.is_some() {
-        return Err(
-            "tune shares one warmup across candidates, so per-candidate traces would \
-             be missing their prefix: drop --trace"
-                .into(),
-        );
-    }
-    if opts.snapshot.is_active() {
-        return Err(
-            "tune manages its own in-memory snapshots: drop --checkpoint-every/--resume".into(),
-        );
-    }
-    Ok(TuneArgs {
-        search,
-        knobs,
-        budget,
-        cold,
-        opts,
-    })
-}
 
 /// The cartesian candidate grid over the selected knobs, in a fixed
 /// deterministic order (τ outermost, buffer innermost). Unselected knobs
@@ -215,50 +168,43 @@ fn scenario(opts: &Opts) -> RunSpec {
         }),
         incast: Some(s.incast_for_load(0.50)),
     };
-    let mut spec = RunSpec::new(SystemKind::Vertigo, CcKind::Dctcp, workload);
-    spec.topo = s.leaf_spine();
-    spec.horizon = s.horizon;
-    spec.seed = opts.seed;
-    spec.event_backend = opts.events;
-    spec.faults = opts.faults;
-    spec.deflect = opts.deflect;
-    spec.scenario = opts.scenario;
-    spec
+    opts.spec(SystemKind::Vertigo, CcKind::Dctcp, workload)
 }
 
 /// Evaluates `who` (candidate indices) at `window` across the job pool,
 /// warm (forked from `buf`) or cold (straight through).
+///
+/// This is the one grid that does not go through `sweep::run`: a rung
+/// drains only a measurement *window* past the fork, and all rungs share
+/// the one snapshot captured before the first — neither is something a
+/// figure cell can say.
 fn evaluate(
     opts: &Opts,
     spec: RunSpec,
     cands: &[Candidate],
     who: &[usize],
     window: Option<SimDuration>,
-    buf: Option<&Arc<SnapBuf>>,
+    buf: Option<&SnapBuf>,
 ) -> Vec<Scored> {
-    let cells: Vec<Cell<Scored>> = who
+    let items = who
         .iter()
-        .map(|&idx| {
-            let fork = fork_for(opts, &cands[idx]);
-            let buf = buf.cloned();
-            let label = format!("tune cand{idx}");
-            Cell::new(label, move || {
-                let out = match &buf {
-                    Some(b) => spec.run_forked_until(&fork, b, window),
-                    None => spec.run_phased_until(&fork, window),
-                };
-                Scored {
-                    idx,
-                    window,
-                    p99_fct: out.report.fct_p99,
-                    mean_fct: out.report.fct_mean,
-                    drops: out.report.drops,
-                    finalist: window.is_none(),
-                }
-            })
-        })
+        .map(|&idx| (format!("tune cand{idx}"), idx))
         .collect();
-    run_cells(opts.jobs, cells)
+    pool(opts.jobs, items, |idx| {
+        let fork = fork_for(opts, &cands[idx]);
+        let out = match buf {
+            Some(b) => spec.run_forked_until(&fork, b, window),
+            None => spec.run_phased_until(&fork, window),
+        };
+        Scored {
+            idx,
+            window,
+            p99_fct: out.report.fct_p99,
+            mean_fct: out.report.fct_mean,
+            drops: out.report.drops,
+            finalist: window.is_none(),
+        }
+    })
 }
 
 fn fork_for(opts: &Opts, cand: &Candidate) -> ForkSpec {
@@ -289,24 +235,13 @@ fn fmt_override<T: std::fmt::Display>(v: Option<T>) -> String {
     v.map(|x| x.to_string()).unwrap_or_else(|| "-".into())
 }
 
-pub fn run(args: &[String]) {
-    let TuneArgs {
+pub fn run(opts: &Opts) -> Result<(), RunError> {
+    let TuneOpts {
         search,
-        knobs,
+        ref knobs,
         budget,
         cold,
-        opts,
-    } = match parse(args) {
-        Ok(p) => p,
-        Err(e) => usage(&e),
-    };
-    println!(
-        "[scale={} seed={} leaf-spine {} hosts / fat-tree k={}]\n",
-        opts.scale.name,
-        opts.seed,
-        opts.scale.ls_hosts(),
-        opts.scale.ft_k
-    );
+    } = opts.tune;
     println!(
         "== tune: Vertigo knob search ({}) ==\n",
         match search {
@@ -315,8 +250,8 @@ pub fn run(args: &[String]) {
         }
     );
 
-    let spec = scenario(&opts);
-    let mut cands = grid(&knobs);
+    let spec = scenario(opts);
+    let mut cands = grid(knobs);
     if let Some(b) = budget {
         if b < cands.len() {
             // Deterministic truncation; stderr so stdout stays
@@ -331,13 +266,13 @@ pub fn run(args: &[String]) {
 
     // One shared warmup for the whole search: every candidate's knobs are
     // fork-time overrides, so every fork key is the same class.
-    let fork0 = fork_for(&opts, &cands[0]);
+    let fork0 = fork_for(opts, &cands[0]);
     let key = spec
         .fork_key(&fork0)
         .expect("the tune scenario is warm-startable by construction");
     for c in &cands {
         assert_eq!(
-            spec.fork_key(&fork_for(&opts, c)),
+            spec.fork_key(&fork_for(opts, c)),
             Some(key),
             "all candidates must share one equivalence class"
         );
@@ -351,7 +286,7 @@ pub fn run(args: &[String]) {
             cands.len(),
             fmt_secs(fork0.at.as_secs_f64()),
         );
-        Some(Arc::new(spec.run_warmup(&fork0)))
+        Some(spec.run_warmup(&fork0))
     };
 
     let full_window = SimDuration::from_nanos(spec.horizon.as_nanos() - fork0.at.as_nanos());
@@ -359,7 +294,7 @@ pub fn run(args: &[String]) {
     match search {
         Search::Grid => {
             let who: Vec<usize> = (0..cands.len()).collect();
-            best = evaluate(&opts, spec, &cands, &who, None, buf.as_ref());
+            best = evaluate(opts, spec, &cands, &who, None, buf.as_ref());
         }
         Search::Halving => {
             // Rung resource = measurement window past the fork: quarter,
@@ -373,7 +308,7 @@ pub fn run(args: &[String]) {
                 // front) are always evaluated at full depth.
                 let last_rung = *frac == 1 || alive.len() <= 2;
                 let window = (!last_rung).then(|| full_window / *frac);
-                let scored = evaluate(&opts, spec, &cands, &alive, window, buf.as_ref());
+                let scored = evaluate(opts, spec, &cands, &alive, window, buf.as_ref());
                 eprintln!(
                     "[tune] rung {i}: {} candidates at window {}",
                     alive.len(),
@@ -430,7 +365,7 @@ pub fn run(args: &[String]) {
             if front.contains(&s.idx) { "*" } else { "" }.to_string(),
         ]);
     }
-    t.emit(&opts, "tune");
+    t.emit(opts, "tune");
 
     println!("Pareto front (minimize p99 FCT and drops):");
     for idx in &front {
@@ -446,4 +381,5 @@ pub fn run(args: &[String]) {
             s.drops,
         );
     }
+    Ok(())
 }

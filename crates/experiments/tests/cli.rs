@@ -1,0 +1,87 @@
+//! The `experiments` binary from the outside: argument errors are
+//! reported on stderr with the usage text and exit code 2, never as a
+//! panic, and before any simulation starts.
+
+use std::process::{Command, Output};
+
+fn experiments(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("the experiments binary runs")
+}
+
+/// Asserts exit code 2, `needle` on stderr, and no banner on stdout.
+fn refused(args: &[&str], needle: &str) {
+    let out = experiments(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage: experiments <id>"), "{args:?}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed before refusing");
+}
+
+#[test]
+fn no_arguments_prints_usage() {
+    let out = experiments(&[]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for id in ["fig1", "fig11a", "figworkload", "tune", "soak", "all"] {
+        assert!(stderr.contains(&format!("\n  {id} ")), "{id}: {stderr}");
+    }
+}
+
+#[test]
+fn bad_arguments_exit_2() {
+    refused(&["fig5", "--jobs", "0"], "--jobs must be at least 1");
+    refused(&["fig5", "--jobs", "abc"], "bad jobs");
+    refused(&["fig5", "--jobs"], "--jobs needs a value");
+    refused(&["fig5", "--quick", "--domains"], "--domains needs a value");
+    refused(&["fig5", "--domains", "0"], "--domains must be at least 1");
+    refused(&["fig99", "--quick"], "unknown id: fig99");
+    refused(&["fig5", "--bogus"], "unknown option: --bogus");
+    refused(&["fig5", "--search", "grid"], "unknown option: --search");
+}
+
+#[test]
+fn conflicting_flags_exit_2() {
+    refused(
+        &["fig5", "--warm-start", "--domains", "2"],
+        "drop either --warm-start or --domains",
+    );
+    refused(&["tune", "--trace", "x"], "drop --trace");
+    refused(&["tune", "--quick", "--domains", "2"], "drop --domains");
+    refused(&["soak", "--quick", "--warm-start"], "drop --warm-start");
+    refused(
+        &["fig5", "--quick", "--domains", "2", "--trace", "x"],
+        "drop either --trace or --domains",
+    );
+    refused(
+        &["all", "--quick", "--domains", "2", "--resume", "x"],
+        "drop either --checkpoint-every/--resume or --domains",
+    );
+}
+
+#[test]
+fn unusable_resume_file_exits_2_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("vertigo-cli-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let garbage = dir.join("garbage.vsnp");
+    std::fs::write(&garbage, b"not a snapshot").unwrap();
+    let out = experiments(&[
+        "table2",
+        "--quick",
+        "--out",
+        dir.to_str().unwrap(),
+        "--resume",
+        garbage.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("error: --resume "), "{stderr}");
+    assert!(stderr.contains("not a VSNP snapshot"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!dir.join("table2.csv").exists(), "no table after an error");
+    std::fs::remove_dir_all(&dir).ok();
+}

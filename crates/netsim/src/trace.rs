@@ -22,7 +22,7 @@
 //!
 //! This module compiles unconditionally: parsing a spec never requires
 //! the `trace` feature. Only *recording* does, and
-//! `RunSpec::run_with_trace` fails loudly when a spec is supplied to a
+//! `RunSpec::try_run_staged` fails loudly when a spec is supplied to a
 //! build that cannot honor it.
 
 use std::path::PathBuf;

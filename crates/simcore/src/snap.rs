@@ -29,12 +29,9 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// reader refuses mismatched versions with an actionable error.
 pub const SNAP_VERSION: u16 = 1;
 
-/// Whether this build accepts `--checkpoint-every` / `--resume`.
-///
-/// Serialization itself compiles unconditionally (the round-trip tests
-/// always run); the feature only gates the CLI entry points, mirroring
-/// how `TRACE_AVAILABLE` gates `--trace`.
-pub const SNAPSHOT_AVAILABLE: bool = cfg!(feature = "snapshot");
+/// Every build checkpoints and resumes; only the benchmark's result
+/// header (`perfbench/`) still reads this.
+pub const SNAPSHOT_AVAILABLE: bool = true;
 
 /// A snapshot decoding failure: truncated stream, bad tag, or a
 /// version/feature mismatch detected by a higher layer.

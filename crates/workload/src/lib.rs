@@ -17,7 +17,7 @@ pub mod traffic;
 pub mod warm;
 
 pub use dists::{DistKind, EmpiricalCdf, CACHE_FOLLOWER, DATA_MINING, WEB_SEARCH};
-pub use runner::{RunOutput, RunSpec, SystemKind, TopoKind, VertigoTuning};
+pub use runner::{RunError, RunOutput, RunSpec, SystemKind, TopoKind, VertigoTuning};
 pub use scenario::{
     onoff_envelope, ComponentKind, ComponentPlan, HostRange, IncastRate, PlanContext,
     ScenarioComponent, ScenarioSpec, TenantName, MAX_COMPONENTS,

@@ -16,7 +16,7 @@ use vertigo_netsim::{
     BufferPolicy, DeflectKind, DomainSimulation, FaultSchedule, ForwardPolicy, HostConfig,
     SimConfig, Simulation, SwitchConfig, TopologySpec, TraceSpec,
 };
-use vertigo_simcore::{EventBackend, SimDuration, SimTime, SnapReader, SNAPSHOT_AVAILABLE};
+use vertigo_simcore::{EventBackend, SimDuration, SimTime, SnapReader};
 use vertigo_stats::{Report, TRACE_AVAILABLE, TRACE_HEADER_BYTES, TRACE_RECORD_BYTES};
 use vertigo_transport::{CcKind, TransportConfig};
 
@@ -175,6 +175,43 @@ pub struct RunOutput {
     /// Where the provenance trace was written, when one was requested.
     pub trace_path: Option<PathBuf>,
 }
+
+/// A run failure that a correct program can meet: `--trace` or `--resume`
+/// pointed at something unusable. Broken internal invariants stay panics.
+#[derive(Debug)]
+pub enum RunError {
+    /// The trace file at `path`, or its directory, could not be written.
+    Trace {
+        /// The per-spec trace file.
+        path: PathBuf,
+        /// The underlying I/O failure.
+        source: std::io::Error,
+    },
+    /// The `--resume` checkpoint at `path` cannot continue this run:
+    /// unreadable, not a VSNP stream, or written by a different build
+    /// feature set or run spec.
+    Resume {
+        /// The resolved checkpoint file.
+        path: PathBuf,
+        /// Why it was refused.
+        reason: String,
+    },
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Trace { path, source } => {
+                write!(f, "--trace: cannot write {}: {source}", path.display())
+            }
+            RunError::Resume { path, reason } => {
+                write!(f, "--resume {}: {reason}", path.display())
+            }
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 impl RunSpec {
     /// A run with paper-default knobs on a scaled leaf-spine (8 hosts per
@@ -355,70 +392,71 @@ impl RunSpec {
 
     /// Runs to the horizon and collects everything.
     pub fn run(&self) -> RunOutput {
-        self.run_with_trace(None)
+        self.run_staged(None, None, None)
     }
 
-    /// Like [`run`](Self::run), but with an optional provenance trace
-    /// armed for the duration of the run. Tracing observes and never
-    /// steers: the returned `RunOutput` (minus `trace_path`) is
-    /// bit-identical to an untraced run of the same spec — CI
-    /// digest-diffs this.
-    ///
-    /// The trace file lands at [`trace_path`](Self::trace_path), a
-    /// per-spec name derived from `trace.path`, so sweeps running many
-    /// cells under one `--trace` flag never collide. Panics if a trace
-    /// is requested but the binary was built without `--features trace`
-    /// (a silent empty trace would be worse than a loud failure).
-    pub fn run_with_trace(&self, trace: Option<&TraceSpec>) -> RunOutput {
-        self.run_with_options(trace, None)
-    }
-
-    /// The full-option entry point behind every experiment subcommand:
-    /// optional provenance tracing plus optional checkpoint/resume.
-    ///
-    /// Checkpoints are written at every multiple of the requested period
-    /// strictly below the horizon, each at a *quiescent* boundary (all
-    /// events up to and including the checkpoint time processed), so a
-    /// resumed run pops the exact remaining event sequence. The resumed
-    /// run's `RunOutput` — report, telemetry, stdout, and (in a trace
-    /// build) the trace stream from the resume point on — is
-    /// byte-identical to the straight-through run's; CI digest-diffs
-    /// this on both event backends.
-    ///
-    /// Panics, mirroring the `--trace` check above, if checkpoint or
-    /// resume options are given to a binary built without
-    /// `--features snapshot`, and on any `--resume` mismatch (format
-    /// version, build features, or run spec) — a silently wrong resume
-    /// would be worse than a loud failure.
-    pub fn run_with_options(
-        &self,
-        trace: Option<&TraceSpec>,
-        snapshot: Option<&SnapshotSpec>,
-    ) -> RunOutput {
-        self.run_staged(trace, snapshot, None)
-    }
-
-    /// [`run_with_options`](Self::run_with_options) plus optional
-    /// *phased* semantics: with `fork` set, the workload's incast
-    /// component is deferred to the fork horizon and the fork's knob
-    /// overrides are applied there — the cold-start twin of
-    /// [`run_forked`](Self::run_forked), sharing its exact event
-    /// timeline. Checkpoints and resumes compose with the fork: the
-    /// snapshot identity hash mixes in the fork, and a resume at or past
-    /// the fork horizon skips re-applying it (the producing run already
-    /// did, so the deferred arrivals are in the restored queue).
+    /// [`try_run_staged`](Self::try_run_staged) for callers with no user
+    /// to report to (tests, examples, the warm-start twins): a
+    /// [`RunError`] becomes a panic carrying its message.
     pub fn run_staged(
         &self,
         trace: Option<&TraceSpec>,
         snapshot: Option<&SnapshotSpec>,
         fork: Option<&crate::warm::ForkSpec>,
     ) -> RunOutput {
+        self.try_run_staged(trace, snapshot, fork)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The full-option entry point behind every experiment subcommand:
+    /// optional provenance tracing, optional checkpoint/resume, optional
+    /// *phased* semantics.
+    ///
+    /// **Tracing** observes and never steers: the returned `RunOutput`
+    /// (minus `trace_path`) is bit-identical to an untraced run of the
+    /// same spec — CI digest-diffs this. The trace file lands at
+    /// [`trace_path`](Self::trace_path), a per-spec name derived from
+    /// `trace.path`, so sweeps running many cells under one `--trace`
+    /// flag never collide. Panics if a trace is requested but the binary
+    /// was built without `--features trace` (a silent empty trace would
+    /// be worse than a loud failure).
+    ///
+    /// **Checkpoints** are written at every multiple of the requested
+    /// period strictly below the horizon, each at a *quiescent* boundary
+    /// (all events up to and including the checkpoint time processed), so
+    /// a resumed run pops the exact remaining event sequence. The resumed
+    /// run's `RunOutput` — report, telemetry, stdout, and (in a trace
+    /// build) the trace stream from the resume point on — is
+    /// byte-identical to the straight-through run's; CI digest-diffs
+    /// this on both event backends.
+    ///
+    /// **Phased**: with `fork` set, the workload's incast component is
+    /// deferred to the fork horizon and the fork's knob overrides are
+    /// applied there — the cold-start twin of
+    /// [`run_forked`](Self::run_forked), sharing its exact event
+    /// timeline. Checkpoints and resumes compose with the fork: the
+    /// snapshot identity hash mixes in the fork, and a resume at or past
+    /// the fork horizon skips re-applying it (the producing run already
+    /// did, so the deferred arrivals are in the restored queue).
+    ///
+    /// Failures a correct invocation can meet — an unwritable trace
+    /// path, an unreadable or mismatched `--resume` file (format version,
+    /// build features, or run spec; a silently wrong resume would be
+    /// worse than a refusal) — come back as a [`RunError`]. Combining
+    /// `domains` with a trace or snapshot request is a caller bug and
+    /// panics.
+    pub fn try_run_staged(
+        &self,
+        trace: Option<&TraceSpec>,
+        snapshot: Option<&SnapshotSpec>,
+        fork: Option<&crate::warm::ForkSpec>,
+    ) -> Result<RunOutput, RunError> {
         if let Some(n) = self.domains {
             // The domain engine has no provenance hooks and no quiescent
             // single-queue state to checkpoint; combining the flags would
             // silently produce an empty trace or an unrestorable snapshot,
             // so refuse loudly instead. Checked before the feature-gate
-            // asserts below so the message is the same in every build.
+            // assert below so the message is the same in every build.
             assert!(
                 trace.is_none(),
                 "packet tracing requires the classic engine: \
@@ -429,10 +467,10 @@ impl RunSpec {
                 "checkpoint/resume requires the classic engine: \
                  drop either --checkpoint-every/--resume or --domains"
             );
-            return self.run_domains(n, fork);
+            return Ok(self.run_domains(n, fork));
         }
 
-        // Deliberately *runtime* asserts, not const blocks: plain builds
+        // Deliberately a *runtime* assert, not a const block: plain builds
         // must compile and only fail if the option is actually requested.
         #[allow(clippy::assertions_on_constants)]
         if trace.is_some() {
@@ -440,15 +478,6 @@ impl RunSpec {
                 TRACE_AVAILABLE,
                 "--trace requires a binary built with `--features trace` \
                  (this build compiled the hooks out); rebuild and rerun"
-            );
-        }
-        #[allow(clippy::assertions_on_constants)]
-        if snapshot.is_some_and(|s| s.is_active()) {
-            assert!(
-                SNAPSHOT_AVAILABLE,
-                "--checkpoint-every/--resume require a binary built with \
-                 `--features snapshot` (this build compiled the checkpoint \
-                 plumbing out); rebuild and rerun"
             );
         }
 
@@ -461,9 +490,10 @@ impl RunSpec {
         }
         let offered = self.offered_load_on(&sim);
 
-        let resumed_ns = snapshot
-            .and_then(|s| s.resume.as_deref())
-            .and_then(|arg| self.try_resume(&mut sim, arg, self.staged_hash(fork)));
+        let resumed_ns = match snapshot.and_then(|s| s.resume.as_deref()) {
+            Some(arg) => self.try_resume(&mut sim, arg, self.staged_hash(fork))?,
+            None => None,
+        };
 
         // The fork applies at its quiescent boundary *before* any
         // checkpoint written at the same instant, and never after a
@@ -512,33 +542,36 @@ impl RunSpec {
         let mut report = sim.run();
         self.scenario.apply_labels(&mut report);
 
-        let trace_path = trace.map(|spec| {
-            let out_path = self.trace_path(spec);
-            let bytes = sim.trace_bytes();
-            if let Some(parent) = out_path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)
-                        .unwrap_or_else(|e| panic!("creating trace dir {}: {e}", parent.display()));
-                }
-            }
-            std::fs::write(&out_path, &bytes)
-                .unwrap_or_else(|e| panic!("writing trace {}: {e}", out_path.display()));
-            eprintln!(
-                "[trace] wrote {} ({} records)",
-                out_path.display(),
-                bytes.len().saturating_sub(TRACE_HEADER_BYTES) / TRACE_RECORD_BYTES
-            );
-            out_path
-        });
+        let trace_path = trace.map(|spec| self.write_trace(&sim, spec)).transpose()?;
 
-        RunOutput {
+        Ok(RunOutput {
             report,
             ordering: sim.ordering_stats(),
             marking: sim.marking_stats(),
             max_port_bytes: sim.max_port_bytes(),
             offered_load: offered,
             trace_path,
-        }
+        })
+    }
+
+    /// Writes the run's provenance trace to [`trace_path`](Self::trace_path),
+    /// creating its directory as needed.
+    fn write_trace(&self, sim: &Simulation, spec: &TraceSpec) -> Result<PathBuf, RunError> {
+        let path = self.trace_path(spec);
+        let bytes = sim.trace_bytes();
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        dir.map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| std::fs::write(&path, &bytes))
+            .map_err(|source| RunError::Trace {
+                path: path.clone(),
+                source,
+            })?;
+        eprintln!(
+            "[trace] wrote {} ({} records)",
+            path.display(),
+            bytes.len().saturating_sub(TRACE_HEADER_BYTES) / TRACE_RECORD_BYTES
+        );
+        Ok(path)
     }
 
     /// Runs this spec on the conservative-parallel domain engine with `n`
@@ -587,45 +620,52 @@ impl RunSpec {
     /// checkpoint's sim time, or `None` (with a stderr notice) when there
     /// is nothing on disk to resume from — the latter keeps `--resume`
     /// safe to leave in restart loops that may start from scratch.
-    fn try_resume(&self, sim: &mut Simulation, arg: &Path, hash: u64) -> Option<u64> {
+    fn try_resume(
+        &self,
+        sim: &mut Simulation,
+        arg: &Path,
+        hash: u64,
+    ) -> Result<Option<u64>, RunError> {
         let Some(path) = snapshot::resolve_resume(arg, hash) else {
             eprintln!(
                 "[snapshot] nothing to resume at {} (no checkpoint for this spec); \
                  starting from t = 0",
                 arg.display()
             );
-            return None;
+            return Ok(None);
         };
-        let bytes =
-            std::fs::read(&path).unwrap_or_else(|e| panic!("--resume {}: {e}", path.display()));
+        let refuse = |reason: String| RunError::Resume {
+            path: path.clone(),
+            reason,
+        };
+        let bytes = std::fs::read(&path).map_err(|e| refuse(e.to_string()))?;
         let mut r = SnapReader::new(&bytes);
-        let header = snapshot::read_header(&mut r)
-            .unwrap_or_else(|e| panic!("--resume {}: {e}", path.display()));
-        assert!(
-            header.flags == snapshot::build_flags(),
-            "--resume {}: snapshot was written by a build with {} but this binary \
-             was built with {} — the feature set changes the snapshot layout; \
-             rebuild with matching features and rerun",
-            path.display(),
-            snapshot::describe_flags(header.flags),
-            snapshot::describe_flags(snapshot::build_flags()),
-        );
-        assert!(
-            header.spec_hash == hash,
-            "--resume {}: snapshot belongs to a different run spec \
-             (snapshot hash {:016x}, this spec hashes to {hash:016x}); \
-             point --resume at the matching checkpoint or drop the flag",
-            path.display(),
-            header.spec_hash,
-        );
+        let header = snapshot::read_header(&mut r).map_err(|e| refuse(e.to_string()))?;
+        if header.flags != snapshot::build_flags() {
+            return Err(refuse(format!(
+                "snapshot was written by a build with {} but this binary \
+                 was built with {} — the feature set changes the snapshot layout; \
+                 rebuild with matching features and rerun",
+                snapshot::describe_flags(header.flags),
+                snapshot::describe_flags(snapshot::build_flags()),
+            )));
+        }
+        if header.spec_hash != hash {
+            return Err(refuse(format!(
+                "snapshot belongs to a different run spec \
+                 (snapshot hash {:016x}, this spec hashes to {hash:016x}); \
+                 point --resume at the matching checkpoint or drop the flag",
+                header.spec_hash,
+            )));
+        }
         sim.restore_state(&mut r)
-            .unwrap_or_else(|e| panic!("--resume {}: {e}", path.display()));
+            .map_err(|e| refuse(e.to_string()))?;
         eprintln!(
             "[snapshot] resumed {} (t = {} ns)",
             path.display(),
             header.time_ns
         );
-        Some(header.time_ns)
+        Ok(Some(header.time_ns))
     }
 
     /// Stable 64-bit hash of the full spec debug form — the identity tag
@@ -842,20 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn run_with_trace_none_matches_run() {
-        let mut spec = RunSpec::new(SystemKind::Vertigo, CcKind::Dctcp, quick_workload());
-        spec.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };
-        spec.horizon = SimDuration::from_millis(5);
-        let plain = spec.run();
-        let traced = spec.run_with_trace(None);
-        assert_eq!(
-            format!("{:?}", plain.report),
-            format!("{:?}", traced.report)
-        );
-        assert!(traced.trace_path.is_none());
-    }
-
-    #[test]
     fn domains_rejects_trace() {
         let mut spec = RunSpec::new(SystemKind::Vertigo, CcKind::Dctcp, quick_workload());
         spec.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };
@@ -863,7 +889,7 @@ mod tests {
         spec.domains = Some(2);
         let err = std::panic::catch_unwind(move || {
             let trace = TraceSpec::parse("out/run.vtrace").unwrap();
-            spec.run_with_trace(Some(&trace))
+            spec.run_staged(Some(&trace), None, None)
         })
         .expect_err("--trace + --domains must panic, in every build");
         let msg = panic_text(&*err);
@@ -881,7 +907,7 @@ mod tests {
                 checkpoint: None,
                 resume: Some("nowhere.vsnp".into()),
             };
-            spec.run_with_options(None, Some(&snap))
+            spec.run_staged(None, Some(&snap), None)
         })
         .expect_err("--resume + --domains must panic, in every build");
         let msg = panic_text(&*err);
@@ -892,18 +918,17 @@ mod tests {
     }
 
     #[test]
-    fn run_with_options_none_matches_run() {
+    fn inactive_snapshot_spec_matches_run() {
         let mut spec = RunSpec::new(SystemKind::Vertigo, CcKind::Dctcp, quick_workload());
         spec.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };
         spec.horizon = SimDuration::from_millis(5);
         let plain = spec.run();
-        // An inactive SnapshotSpec must be as good as no SnapshotSpec,
-        // even in builds without the `snapshot` feature.
-        let opted = spec.run_with_options(None, Some(&SnapshotSpec::default()));
+        // An inactive SnapshotSpec must be as good as no SnapshotSpec: the
+        // experiments runner always passes the parsed one.
+        let opted = spec.run_staged(None, Some(&SnapshotSpec::default()), None);
         assert_eq!(format!("{:?}", plain.report), format!("{:?}", opted.report));
     }
 
-    #[cfg(feature = "snapshot")]
     #[test]
     fn checkpoint_then_resume_matches_straight_run() {
         use crate::snapshot::CheckpointSpec;
@@ -924,7 +949,7 @@ mod tests {
             checkpoint: Some(ck.clone()),
             resume: None,
         };
-        let checkpointed = spec.run_with_options(None, Some(&snap));
+        let checkpointed = spec.run_staged(None, Some(&snap), None);
         assert_eq!(
             format!("{:?}", straight.report),
             format!("{:?}", checkpointed.report),
@@ -948,7 +973,7 @@ mod tests {
                 checkpoint: None,
                 resume: Some(arg.clone()),
             };
-            let resumed = spec.run_with_options(None, Some(&snap));
+            let resumed = spec.run_staged(None, Some(&snap), None);
             assert_eq!(
                 format!("{:?}", straight.report),
                 format!("{:?}", resumed.report),
@@ -978,7 +1003,7 @@ mod tests {
                 2_000_000,
             )),
         };
-        let resumed = spec.run_with_options(None, Some(&snap));
+        let resumed = spec.run_staged(None, Some(&snap), None);
         assert_eq!(
             format!("{:?}", straight.report),
             format!("{:?}", resumed.report)
@@ -994,7 +1019,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[cfg(feature = "snapshot")]
     #[test]
     fn resume_rejects_foreign_spec_snapshot() {
         use crate::snapshot::CheckpointSpec;
@@ -1010,37 +1034,72 @@ mod tests {
             checkpoint: Some(ck.clone()),
             resume: None,
         };
-        let _ = spec.run_with_options(None, Some(&snap));
+        let _ = spec.run_staged(None, Some(&snap), None);
         let file = snapshot::snapshot_file(&ck.stem, spec.spec_hash(), 2_000_000);
         assert!(file.is_file());
-
-        // A different seed is a different spec: exact-file resume panics.
-        let mut other = spec;
-        other.seed += 1;
-        let err = std::panic::catch_unwind(move || {
+        let resume = |spec: &RunSpec, file: &Path| {
             let snap = SnapshotSpec {
                 checkpoint: None,
-                resume: Some(file),
+                resume: Some(file.to_path_buf()),
             };
-            other.run_with_options(None, Some(&snap))
-        })
-        .expect_err("foreign-spec resume must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            spec.try_run_staged(None, Some(&snap), None)
+                .expect_err("an unusable checkpoint is an error, not a panic")
+                .to_string()
+        };
+
+        // A different seed is a different spec: exact-file resume is refused.
+        let mut other = spec;
+        other.seed += 1;
+        let msg = resume(&other, &file);
+        assert!(msg.starts_with("--resume "), "{msg}");
         assert!(msg.contains("different run spec"), "{msg}");
+
+        // So is a file that is not a snapshot at all, and a truncated one.
+        let garbage = dir.join("garbage.vsnp");
+        std::fs::write(&garbage, b"not a snapshot").unwrap();
+        let msg = resume(&spec, &garbage);
+        assert!(msg.contains("not a VSNP snapshot"), "{msg}");
+        let bytes = std::fs::read(&file).unwrap();
+        let truncated = dir.join("truncated.vsnp");
+        std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+        let msg = resume(&spec, &truncated);
+        assert!(msg.starts_with("--resume "), "{msg}");
 
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[cfg(feature = "trace")]
     #[test]
-    fn run_with_trace_writes_file_and_keeps_report_identical() {
+    fn unwritable_trace_directory_is_an_error_not_a_panic() {
+        // A regular file where the trace directory should go.
+        let blocker =
+            std::env::temp_dir().join(format!("vertigo-trace-blocker-{}", std::process::id()));
+        std::fs::write(&blocker, b"in the way").unwrap();
+        let trace = TraceSpec::parse(&format!("{}/sub/t.vtrace", blocker.display())).unwrap();
+        let mut spec = RunSpec::new(SystemKind::Vertigo, CcKind::Dctcp, quick_workload());
+        spec.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };
+        spec.horizon = SimDuration::from_millis(1);
+        let err = spec
+            .try_run_staged(Some(&trace), None, None)
+            .expect_err("the trace cannot be written");
+        assert!(matches!(err, RunError::Trace { .. }), "{err:?}");
+        assert!(
+            err.to_string().starts_with("--trace: cannot write "),
+            "{err}"
+        );
+        std::fs::remove_file(&blocker).ok();
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn traced_run_writes_file_and_keeps_report_identical() {
         let dir = std::env::temp_dir().join("vertigo-runner-trace-test");
         let trace = TraceSpec::parse(&format!("{}/t.vtrace:flow=1", dir.display())).unwrap();
         let mut spec = RunSpec::new(SystemKind::Vertigo, CcKind::Dctcp, quick_workload());
         spec.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };
         spec.horizon = SimDuration::from_millis(5);
         let plain = spec.run();
-        let traced = spec.run_with_trace(Some(&trace));
+        let traced = spec.run_staged(Some(&trace), None, None);
         assert_eq!(
             format!("{:?}", plain.report),
             format!("{:?}", traced.report),

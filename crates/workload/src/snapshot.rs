@@ -108,7 +108,7 @@ pub struct SnapshotSpec {
 }
 
 impl SnapshotSpec {
-    /// Whether either knob was given (gates the `snapshot` feature check).
+    /// Whether either knob was given.
     pub fn is_active(&self) -> bool {
         self.checkpoint.is_some() || self.resume.is_some()
     }

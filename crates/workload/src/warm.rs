@@ -88,9 +88,6 @@ impl ForkSpec {
 /// `--checkpoint-every` file holds, minus the disk round-trip. Captured
 /// once per equivalence class by [`RunSpec::run_warmup`] and forked by
 /// every cell of the class via [`RunSpec::run_forked`].
-///
-/// In-memory forking is always available — the `snapshot` cargo feature
-/// only gates the *CLI* checkpoint entry points, not the codec.
 pub struct SnapBuf {
     bytes: Vec<u8>,
 }

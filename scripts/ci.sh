@@ -36,9 +36,6 @@ cargo run --release --quiet --example trace_digest > /tmp/vertigo_digest_plain2.
 cargo run --release --quiet --features trace --example trace_digest > /tmp/vertigo_digest_trace.txt
 diff /tmp/vertigo_digest_plain2.txt /tmp/vertigo_digest_trace.txt
 
-echo "==> cargo test --features snapshot -q"
-cargo test --workspace --features snapshot -q
-
 echo "==> resume equivalence: checkpoint+resume digest (both backends, faults active)"
 SNAPDIR=/tmp/vertigo_snapshot_ci
 rm -rf "$SNAPDIR"
@@ -46,10 +43,10 @@ FAULTS='loss:*:0.002@2ms-10ms'
 for ev in wheel heap; do
   base="$SNAPDIR/$ev"
   mkdir -p "$base"
-  cargo run --release --quiet --features snapshot -p vertigo-experiments --bin experiments -- \
+  cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
     fig5 --quick --events "$ev" --faults "$FAULTS" --out "$base/straight" \
     | grep -v '^\[csv\]' > "$base/straight.txt"
-  cargo run --release --quiet --features snapshot -p vertigo-experiments --bin experiments -- \
+  cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
     fig5 --quick --events "$ev" --faults "$FAULTS" --out "$base/ck" \
     --checkpoint-every "6ms:$base/snaps/fig5.vsnp" \
     | grep -v '^\[csv\]' > "$base/ck.txt"
@@ -60,7 +57,7 @@ for ev in wheel heap; do
   # resume from t = 12 ms: equivalence at two distinct sim-times.
   for t in 18000000 12000000; do
     out="$base/resume_$t"
-    cargo run --release --quiet --features snapshot -p vertigo-experiments --bin experiments -- \
+    cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
       fig5 --quick --events "$ev" --faults "$FAULTS" --out "$out" \
       --resume "$base/snaps/fig5.vsnp" 2> "$out.err" \
       | grep -v '^\[csv\]' > "$out.txt"
@@ -74,12 +71,12 @@ done
 echo "==> resume equivalence under trace: identical .vtrace streams from the resume point on"
 base="$SNAPDIR/traced"
 mkdir -p "$base"
-cargo run --release --quiet --features snapshot,trace -p vertigo-experiments --bin experiments -- \
+cargo run --release --quiet --features trace -p vertigo-experiments --bin experiments -- \
   fig5 --quick --faults "$FAULTS" --out "$base/straight" \
   --trace "$base/tstraight/fig5.vtrace:time=18ms-" \
   --checkpoint-every "6ms:$base/snaps/fig5.vsnp" \
   | grep -v '^\[csv\]' > "$base/straight.txt"
-cargo run --release --quiet --features snapshot,trace -p vertigo-experiments --bin experiments -- \
+cargo run --release --quiet --features trace -p vertigo-experiments --bin experiments -- \
   fig5 --quick --faults "$FAULTS" --out "$base/resume" \
   --resume "$base/snaps/fig5.vsnp" \
   --trace "$base/tresume/fig5.vtrace:time=18ms-" \
@@ -191,28 +188,23 @@ echo "==> workload conformance: statistical + grammar suites"
 cargo test -p vertigo-workload -q --test workload_stats
 cargo test -p vertigo-workload -q --test scenario_grammar
 
-echo "==> absent --workload is byte-inert: fig5 vs committed CSVs (both backends)"
+echo "==> committed quick CSVs are what the tree produces: experiments all --quick vs results/quick"
+# The whole directory is the refactoring oracle: every figure, wheel
+# backend, default flags (so an absent --workload, --deflect, --faults or
+# --domains must not move a committed byte). ≈ 2.7 min on 2 cores.
 WLDIR=/tmp/vertigo_workload_ci
 rm -rf "$WLDIR"
-for ev in wheel heap; do
-  base="$WLDIR/$ev"
-  mkdir -p "$base"
-  cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-    fig5 --quick --events "$ev" --out "$base" > /dev/null
-  # The scenario plumbing threads through every cell; with no --workload
-  # it must not move a single committed byte.
-  for bg in 25 50 75; do
-    diff "results/quick/fig5_bg$bg.csv" "$base/fig5_bg$bg.csv"
-  done
-done
-
-echo "==> figworkload smoke: every scenario preset produces rows (matches committed CSV)"
+mkdir -p "$WLDIR"
 cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-  figworkload --quick --out "$WLDIR/fig" > /dev/null
-for sc in burst perm onoff tenants; do
-  grep -q "^$sc," "$WLDIR/fig/figworkload.csv"
+  all --quick --out "$WLDIR/quick" > /dev/null
+diff -r results/quick "$WLDIR/quick"
+
+echo "==> the heap backend prints the same fig5 as the committed (wheel) CSVs"
+cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
+  fig5 --quick --events heap --out "$WLDIR/heap" > /dev/null
+for bg in 25 50 75; do
+  diff "results/quick/fig5_bg$bg.csv" "$WLDIR/heap/fig5_bg$bg.csv"
 done
-diff results/quick/figworkload.csv "$WLDIR/fig/figworkload.csv"
 
 echo "==> soak smoke: multi-tenant scenario with the audit layer live"
 cargo run --release --quiet --features audit -p vertigo-experiments --bin experiments -- \

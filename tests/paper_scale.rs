@@ -103,7 +103,6 @@ fn full_scale_construction_is_fast() {
 /// same opt-in gate the timing assertions use, since a 320-host run is
 /// too slow for the default suite — and at smoke scale otherwise, so the
 /// e2e path itself is always exercised.
-#[cfg(feature = "snapshot")]
 #[test]
 fn kill_at_midpoint_then_resume_reproduces_straight_run() {
     use vertigo::simcore::{SimDuration, SimTime};
@@ -154,12 +153,13 @@ fn kill_at_midpoint_then_resume_reproduces_straight_run() {
 
     // Resume through the same entry point the CLI uses (stem resolution
     // included) and demand an identical report.
-    let resumed = spec.run_with_options(
+    let resumed = spec.run_staged(
         None,
         Some(&SnapshotSpec {
             checkpoint: None,
             resume: Some(stem),
         }),
+        None,
     );
     assert_eq!(
         format!("{:?}", straight.report),
