@@ -13,14 +13,19 @@
 //! bucket count so the XOR trick is an involution, and a bounded eviction
 //! walk (500 kicks) driven by a deterministic internal LCG.
 //!
-//! Beside the table sits a one-bit-per-bucket occupancy summary (4 KB for
-//! the 256 KB default table). The filter sizes itself for ~0.84 load at
-//! *capacity*; the marking component runs it far emptier, so most probes
-//! land on an empty bucket. The summary answers those from a cache-resident
-//! bitmap instead of a cold table line. It is derived state: never
-//! serialized, rebuilt on restore, and invisible in every answer.
+//! Storage is sparse: only non-empty buckets exist, in a map keyed by
+//! bucket index, and an absent index *is* four empty slots. The filter
+//! sizes itself for ~0.84 load at *capacity*; the marking component runs
+//! it at a few per cent (entries leave when their flow completes), so a
+//! filter costs memory for the packets it tracks, not for the 256 KB the
+//! default capacity provisions — and a probe of an empty bucket is a miss
+//! in a small map instead of a read of a cold table line. The price is at
+//! the other end: a filter that an elephant flow does fill pays a hash
+//! probe per bucket access and, saturated, holds about three times the
+//! flat array (DESIGN.md §5j has both sides measured).
 
-use vertigo_pkt::mix64;
+use std::collections::hash_map::{Entry, HashMap};
+use vertigo_pkt::{mix64, Mix64Build};
 
 /// Slots per bucket.
 const BUCKET_SLOTS: usize = 4;
@@ -32,16 +37,28 @@ const MAX_KICKS: usize = 500;
 /// (the caller treats a failed insert as "not tracked").
 const FULL_PCT: usize = 94;
 
+/// Four fingerprints; 0 = empty slot.
+type Bucket = [u16; BUCKET_SLOTS];
+
+/// Overwrites the first slot holding `from` with `to`, if there is one:
+/// `(0, fp)` files a fingerprint in the first empty slot, `(fp, 0)`
+/// clears one copy of it.
+#[inline]
+fn replace_first(bucket: &mut Bucket, from: u16, to: u16) -> bool {
+    bucket
+        .iter_mut()
+        .find(|slot| **slot == from)
+        .map(|slot| *slot = to)
+        .is_some()
+}
+
 /// A set-membership filter with deletion support and a small, bounded
 /// false-positive rate (~2⁻¹³ at 16-bit fingerprints and 4-way buckets).
 #[derive(Clone)]
 pub struct CuckooFilter {
-    /// `buckets[i][j]` is a fingerprint; 0 = empty slot.
-    buckets: Vec<[u16; BUCKET_SLOTS]>,
-    /// Bit `i` is set iff `buckets[i]` holds at least one fingerprint.
-    /// Allocated by the first insert: an empty `Vec` reads as all-clear,
-    /// and building a filter (one per host) touches no memory for it.
-    occupied: Vec<u64>,
+    /// The non-empty buckets by index. A bucket whose last fingerprint
+    /// goes is removed, so no stored bucket is all zeros.
+    buckets: HashMap<u32, Bucket, Mix64Build>,
     bucket_mask: usize,
     len: usize,
     /// Deterministic state for eviction-victim choice.
@@ -57,9 +74,12 @@ impl CuckooFilter {
         // Headroom: cuckoo filters degrade near full; size for ~0.84 load.
         let padded = ((want_buckets as f64) / 0.84).ceil() as usize;
         let nbuckets = padded.next_power_of_two().max(2);
+        assert!(
+            nbuckets - 1 <= u32::MAX as usize,
+            "cuckoo filter of {nbuckets} buckets exceeds 32-bit bucket indices"
+        );
         CuckooFilter {
-            buckets: vec![[0; BUCKET_SLOTS]; nbuckets],
-            occupied: Vec::new(),
+            buckets: HashMap::default(),
             bucket_mask: nbuckets - 1,
             len: 0,
             lcg: 0x1234_5678_9ABC_DEF1,
@@ -78,7 +98,7 @@ impl CuckooFilter {
 
     /// Total slot capacity.
     pub fn capacity(&self) -> usize {
-        self.buckets.len() * BUCKET_SLOTS
+        (self.bucket_mask + 1) * BUCKET_SLOTS
     }
 
     #[inline]
@@ -102,57 +122,48 @@ impl CuckooFilter {
         index ^ ((mix64(fp as u64) as usize) & self.bucket_mask)
     }
 
-    #[inline]
-    fn is_occupied(&self, idx: usize) -> bool {
-        self.occupied
-            .get(idx / 64)
-            .is_some_and(|word| (word >> (idx % 64)) & 1 != 0)
-    }
-
-    fn set_occupied(&mut self, idx: usize) {
-        if self.occupied.is_empty() {
-            self.occupied = vec![0; self.buckets.len().div_ceil(64)];
-        }
-        self.occupied[idx / 64] |= 1 << (idx % 64);
-    }
-
     fn bucket_insert(&mut self, idx: usize, fp: u16) -> bool {
-        if !self.is_occupied(idx) {
-            // Empty bucket: slot 0 is the first free slot; write it
-            // without reading the (probably cold) line.
-            self.set_occupied(idx);
-            self.buckets[idx][0] = fp;
-            return true;
-        }
-        for slot in self.buckets[idx].iter_mut() {
-            if *slot == 0 {
-                *slot = fp;
-                return true;
+        match self.buckets.entry(idx as u32) {
+            Entry::Occupied(mut e) => replace_first(e.get_mut(), 0, fp),
+            Entry::Vacant(e) => {
+                e.insert([fp, 0, 0, 0]);
+                true
             }
         }
-        false
     }
 
     #[inline]
     fn bucket_contains(&self, idx: usize, fp: u16) -> bool {
-        self.is_occupied(idx) && self.buckets[idx].contains(&fp)
+        self.buckets
+            .get(&(idx as u32))
+            .is_some_and(|b| b.contains(&fp))
     }
 
     fn bucket_remove(&mut self, idx: usize, fp: u16) -> bool {
-        if !self.is_occupied(idx) {
+        // Not `entry`: a vacant `entry` reserves room for an insert, which
+        // would let removals from absent buckets grow the map.
+        let Some(bucket) = self.buckets.get_mut(&(idx as u32)) else {
             return false;
+        };
+        let taken = replace_first(bucket, fp, 0);
+        if *bucket == [0; BUCKET_SLOTS] {
+            self.buckets.remove(&(idx as u32));
         }
-        let bucket = &mut self.buckets[idx];
-        for slot in bucket.iter_mut() {
-            if *slot == fp {
-                *slot = 0;
-                if *bucket == [0; BUCKET_SLOTS] {
-                    self.occupied[idx / 64] &= !(1 << (idx % 64));
-                }
-                return true;
-            }
-        }
-        false
+        taken
+    }
+
+    /// A bucket that a failed [`Self::bucket_insert`] has just found full.
+    fn full_bucket(&mut self, idx: usize) -> &mut Bucket {
+        self.buckets
+            .get_mut(&(idx as u32))
+            .expect("a full bucket is stored")
+    }
+
+    /// Bytes of heap the table holds now: an estimate of the map's
+    /// allocation (one control byte per slot, eight slots per seven of
+    /// `capacity()`).
+    pub fn heap_bytes(&self) -> usize {
+        self.buckets.capacity() * 8 / 7 * (std::mem::size_of::<(u32, Bucket)>() + 1)
     }
 
     #[inline]
@@ -184,11 +195,11 @@ impl CuckooFilter {
             return false;
         }
         // Evict: random walk between the two candidate buckets. Every
-        // bucket the walk swaps in is full, so occupancy bits do not move.
+        // bucket the walk swaps in is full.
         let mut idx = if self.next_rand() & 1 == 0 { i1 } else { i2 };
         for _ in 0..MAX_KICKS {
             let victim_slot = (self.next_rand() as usize) % BUCKET_SLOTS;
-            std::mem::swap(&mut fp, &mut self.buckets[idx][victim_slot]);
+            std::mem::swap(&mut fp, &mut self.full_bucket(idx)[victim_slot]);
             idx = self.alt_index(idx, fp);
             if self.bucket_insert(idx, fp) {
                 self.len += 1;
@@ -200,9 +211,10 @@ impl CuckooFilter {
         // in place of the last swap to keep no-false-negative for stored
         // items). Simplest correct recovery: put it back where we took the
         // last one from.
-        let slot = self.buckets[idx].iter().position(|&s| s == 0).unwrap_or(0);
-        let displaced = self.buckets[idx][slot];
-        self.buckets[idx][slot] = fp;
+        let bucket = self.full_bucket(idx);
+        let slot = bucket.iter().position(|&s| s == 0).unwrap_or(0);
+        let displaced = bucket[slot];
+        bucket[slot] = fp;
         if displaced == 0 {
             self.len += 1;
             true
@@ -246,16 +258,24 @@ impl CuckooFilter {
     }
 }
 
-/// Serializes the whole table (bucket contents, occupancy, and the
+/// Bytes of one `(index, bucket)` record in a snapshot.
+const RECORD_BYTES: usize = 4 + 2 * BUCKET_SLOTS;
+
+/// Serializes the non-empty buckets as `(index, 4 × u16)` records in
+/// ascending index order (never map iteration order, so the bytes are a
+/// function of the contents), the fingerprint count, and the
 /// eviction-victim LCG state — the LCG **must** round-trip or post-restore
 /// eviction walks would pick different victims than the straight-through
-/// run and break determinism). The occupancy summary is a function of the
-/// bucket contents and is rebuilt, not stored.
+/// run and break determinism.
 impl vertigo_simcore::Snapshot for CuckooFilter {
     fn save(&self, w: &mut vertigo_simcore::SnapWriter) {
-        w.put_usize(self.buckets.len());
-        for bucket in &self.buckets {
-            for &fp in bucket {
+        let mut occupied: Vec<_> = self.buckets.iter().map(|(&i, &b)| (i, b)).collect();
+        occupied.sort_unstable_by_key(|&(i, _)| i);
+        w.put_usize(self.bucket_mask + 1);
+        w.put_usize(occupied.len());
+        for (idx, bucket) in occupied {
+            w.put_u32(idx);
+            for fp in bucket {
                 w.put_u16(fp);
             }
         }
@@ -266,41 +286,58 @@ impl vertigo_simcore::Snapshot for CuckooFilter {
     fn restore(
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<Self, vertigo_simcore::SnapError> {
+        use vertigo_simcore::SnapError;
         let nbuckets = r.get_usize()?;
-        if !nbuckets.is_power_of_two() {
-            return Err(vertigo_simcore::SnapError::new(format!(
-                "cuckoo filter bucket count {nbuckets} is not a power of two"
+        if !nbuckets.is_power_of_two() || nbuckets - 1 > u32::MAX as usize {
+            return Err(SnapError::new(format!(
+                "cuckoo filter bucket count {nbuckets} is not a power of two within 32 bits"
             )));
         }
-        if nbuckets > r.remaining() {
-            return Err(vertigo_simcore::SnapError::new(format!(
-                "cuckoo snapshot claims {nbuckets} buckets but only {} bytes remain",
+        let occupied = r.get_usize()?;
+        if occupied > nbuckets || occupied > r.remaining() / RECORD_BYTES {
+            return Err(SnapError::new(format!(
+                "cuckoo snapshot claims {occupied} occupied buckets of {nbuckets} \
+                 with {} bytes remaining",
                 r.remaining()
             )));
         }
-        let mut buckets = Vec::with_capacity(nbuckets);
-        for _ in 0..nbuckets {
+        let mut buckets = HashMap::with_capacity_and_hasher(occupied, Mix64Build::default());
+        let mut stored = 0;
+        let mut next_idx = 0u64;
+        for _ in 0..occupied {
+            let idx = r.get_u32()?;
+            if (idx as u64) < next_idx || idx as usize >= nbuckets {
+                return Err(SnapError::new(format!(
+                    "cuckoo snapshot bucket index {idx} is out of order or beyond {nbuckets} buckets"
+                )));
+            }
+            next_idx = idx as u64 + 1;
             let mut bucket = [0u16; BUCKET_SLOTS];
             for slot in bucket.iter_mut() {
                 *slot = r.get_u16()?;
             }
-            buckets.push(bucket);
+            let used = bucket.iter().filter(|&&fp| fp != 0).count();
+            if used == 0 {
+                return Err(SnapError::new(format!(
+                    "cuckoo snapshot stores empty bucket {idx}"
+                )));
+            }
+            stored += used;
+            buckets.insert(idx, bucket);
         }
         let len = r.get_usize()?;
+        if len != stored {
+            return Err(SnapError::new(format!(
+                "cuckoo snapshot claims {len} fingerprints but stores {stored}"
+            )));
+        }
         let lcg = r.get_u64()?;
-        let mut filter = CuckooFilter {
+        Ok(CuckooFilter {
             buckets,
-            occupied: Vec::new(),
             bucket_mask: nbuckets - 1,
             len,
             lcg,
-        };
-        for idx in 0..nbuckets {
-            if filter.buckets[idx] != [0; BUCKET_SLOTS] {
-                filter.set_occupied(idx);
-            }
-        }
-        Ok(filter)
+        })
     }
 }
 
@@ -315,8 +352,187 @@ impl std::fmt::Debug for CuckooFilter {
     }
 }
 
+/// The reference implementation the sparse filter is tested against.
+#[cfg(test)]
+mod model {
+    use vertigo_pkt::mix64;
+
+    const BUCKET_SLOTS: usize = 4;
+    const MAX_KICKS: usize = 500;
+    const FULL_PCT: usize = 94;
+
+    /// The filter as it was while every bucket lived in one flat `Vec`:
+    /// same hashes, same slot order, same kick walk, every probe reads the
+    /// table. Its own copy of all of it, so that a change to the shipped
+    /// filter cannot move the oracle along.
+    pub struct FlatCuckoo {
+        buckets: Vec<[u16; BUCKET_SLOTS]>,
+        bucket_mask: usize,
+        len: usize,
+        lcg: u64,
+    }
+
+    impl FlatCuckoo {
+        pub fn with_capacity(capacity: usize) -> Self {
+            let want_buckets = (capacity.max(1)).div_ceil(BUCKET_SLOTS);
+            let padded = ((want_buckets as f64) / 0.84).ceil() as usize;
+            let nbuckets = padded.next_power_of_two().max(2);
+            FlatCuckoo {
+                buckets: vec![[0; BUCKET_SLOTS]; nbuckets],
+                bucket_mask: nbuckets - 1,
+                len: 0,
+                lcg: 0x1234_5678_9ABC_DEF1,
+            }
+        }
+
+        pub fn len(&self) -> usize {
+            self.len
+        }
+
+        pub fn capacity(&self) -> usize {
+            self.buckets.len() * BUCKET_SLOTS
+        }
+
+        fn fingerprint(key: u64) -> u16 {
+            let fp = (mix64(key ^ 0xF100_0D1E) & 0xFFFF) as u16;
+            if fp == 0 {
+                1
+            } else {
+                fp
+            }
+        }
+
+        fn index1(&self, key: u64) -> usize {
+            (mix64(key) as usize) & self.bucket_mask
+        }
+
+        fn alt_index(&self, index: usize, fp: u16) -> usize {
+            index ^ ((mix64(fp as u64) as usize) & self.bucket_mask)
+        }
+
+        /// Both candidate buckets of `key`.
+        pub fn indices(&self, key: u64) -> (usize, usize) {
+            let i1 = self.index1(key);
+            (i1, self.alt_index(i1, Self::fingerprint(key)))
+        }
+
+        fn bucket_insert(&mut self, idx: usize, fp: u16) -> bool {
+            for slot in self.buckets[idx].iter_mut() {
+                if *slot == 0 {
+                    *slot = fp;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn bucket_remove(&mut self, idx: usize, fp: u16) -> bool {
+            for slot in self.buckets[idx].iter_mut() {
+                if *slot == fp {
+                    *slot = 0;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn next_rand(&mut self) -> u64 {
+            self.lcg = self
+                .lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.lcg >> 33
+        }
+
+        pub fn insert(&mut self, key: u64) -> bool {
+            let mut fp = Self::fingerprint(key);
+            let i1 = self.index1(key);
+            let i2 = self.alt_index(i1, fp);
+            if self.bucket_insert(i1, fp) || self.bucket_insert(i2, fp) {
+                self.len += 1;
+                return true;
+            }
+            if self.len * 100 >= self.capacity() * FULL_PCT {
+                return false;
+            }
+            let mut idx = if self.next_rand() & 1 == 0 { i1 } else { i2 };
+            for _ in 0..MAX_KICKS {
+                let victim_slot = (self.next_rand() as usize) % BUCKET_SLOTS;
+                std::mem::swap(&mut fp, &mut self.buckets[idx][victim_slot]);
+                idx = self.alt_index(idx, fp);
+                if self.bucket_insert(idx, fp) {
+                    self.len += 1;
+                    return true;
+                }
+            }
+            let slot = self.buckets[idx].iter().position(|&s| s == 0).unwrap_or(0);
+            let displaced = self.buckets[idx][slot];
+            self.buckets[idx][slot] = fp;
+            if displaced == 0 {
+                self.len += 1;
+                true
+            } else {
+                false
+            }
+        }
+
+        pub fn contains(&self, key: u64) -> bool {
+            let fp = Self::fingerprint(key);
+            let i1 = self.index1(key);
+            if self.buckets[i1].contains(&fp) {
+                return true;
+            }
+            let i2 = self.alt_index(i1, fp);
+            self.buckets[i2].contains(&fp)
+        }
+
+        pub fn remove(&mut self, key: u64) -> bool {
+            let fp = Self::fingerprint(key);
+            let i1 = self.index1(key);
+            if self.bucket_remove(i1, fp) {
+                self.len -= 1;
+                return true;
+            }
+            let i2 = self.alt_index(i1, fp);
+            if self.bucket_remove(i2, fp) {
+                self.len -= 1;
+                return true;
+            }
+            false
+        }
+
+        /// Buckets holding at least one fingerprint.
+        pub fn occupied_buckets(&self) -> usize {
+            self.buckets
+                .iter()
+                .filter(|b| **b != [0; BUCKET_SLOTS])
+                .count()
+        }
+
+        /// What `CuckooFilter::save` must write for this table, from a
+        /// scan of the flat array.
+        pub fn snapshot_bytes(&self) -> Vec<u8> {
+            let mut w = vertigo_simcore::SnapWriter::new();
+            w.put_usize(self.buckets.len());
+            w.put_usize(self.occupied_buckets());
+            for (idx, bucket) in self.buckets.iter().enumerate() {
+                if *bucket != [0; BUCKET_SLOTS] {
+                    w.put_u32(idx as u32);
+                    for &fp in bucket {
+                        w.put_u16(fp);
+                    }
+                }
+            }
+            w.put_usize(self.len);
+            w.put_u64(self.lcg);
+            w.into_bytes()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::model::FlatCuckoo;
     use super::*;
     use proptest::prelude::*;
 
@@ -457,155 +673,160 @@ mod tests {
         }
     }
 
-    /// The filter as it stood before the occupancy summary: same hashes,
-    /// same kick walk, every probe reads the table. The oracle the
-    /// summarised filter must be indistinguishable from.
-    struct PlainFilter {
-        buckets: Vec<[u16; BUCKET_SLOTS]>,
-        len: usize,
-        lcg: u64,
+    fn saved(f: &CuckooFilter) -> Vec<u8> {
+        use vertigo_simcore::{SnapWriter, Snapshot};
+        let mut w = SnapWriter::new();
+        f.save(&mut w);
+        w.into_bytes()
     }
 
-    impl PlainFilter {
-        fn like(f: &CuckooFilter) -> Self {
-            PlainFilter {
-                buckets: vec![[0; BUCKET_SLOTS]; f.buckets.len()],
-                len: 0,
-                lcg: f.lcg,
-            }
-        }
+    fn restored(bytes: &[u8]) -> Result<CuckooFilter, vertigo_simcore::SnapError> {
+        use vertigo_simcore::{SnapReader, Snapshot};
+        CuckooFilter::restore(&mut SnapReader::new(bytes))
+    }
 
-        fn indices(&self, key: u64) -> (u16, usize, usize) {
-            let mask = self.buckets.len() - 1;
-            let fp = CuckooFilter::fingerprint(key);
-            let i1 = (mix64(key) as usize) & mask;
-            (fp, i1, self.alt(i1, fp))
-        }
+    /// The first `n` keys (counting up from 0) whose two candidate buckets
+    /// both fall below `below`.
+    fn clustered_keys(model: &FlatCuckoo, below: usize, n: usize) -> Vec<u64> {
+        (0u64..)
+            .map(|k| mix64(k ^ 0xC0FFEE))
+            .filter(|&k| {
+                let (i1, i2) = model.indices(k);
+                i1 < below && i2 < below
+            })
+            .take(n)
+            .collect()
+    }
 
-        fn alt(&self, idx: usize, fp: u16) -> usize {
-            idx ^ ((mix64(fp as u64) as usize) & (self.buckets.len() - 1))
+    #[test]
+    fn heap_follows_contents_and_removes_never_grow_it() {
+        let mut f = CuckooFilter::with_capacity(65_536);
+        assert_eq!(f.heap_bytes(), 0);
+        assert!(!f.remove(42));
+        assert_eq!(f.heap_bytes(), 0, "a remove from an empty table allocated");
+        // Fill the map to exactly its capacity: the state in which making
+        // room for one more entry would double it.
+        let mut keys = 0u64;
+        while f.buckets.len() < 100 || f.buckets.len() < f.buckets.capacity() {
+            assert!(f.insert(keys));
+            keys += 1;
         }
-
-        fn put(&mut self, idx: usize, fp: u16) -> bool {
-            match self.buckets[idx].iter_mut().find(|s| **s == 0) {
-                Some(slot) => {
-                    *slot = fp;
-                    true
-                }
-                None => false,
-            }
+        let held = f.heap_bytes();
+        assert!(held < 8 << 10, "{held} bytes for {keys} keys");
+        for absent in 1_000_000..1_001_000u64 {
+            f.remove(absent);
         }
-
-        fn rand(&mut self) -> u64 {
-            self.lcg = self
-                .lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            self.lcg >> 33
+        assert_eq!(
+            f.heap_bytes(),
+            held,
+            "removes of absent keys grew the table"
+        );
+        for k in 0..keys {
+            assert!(f.remove(k));
+            assert!(f.heap_bytes() <= held);
         }
+        assert!(f.is_empty() && f.buckets.is_empty());
+    }
 
-        fn insert(&mut self, key: u64) -> bool {
-            let (mut fp, i1, i2) = self.indices(key);
-            if self.put(i1, fp) || self.put(i2, fp) {
-                self.len += 1;
-                return true;
-            }
-            if self.len * 100 >= self.buckets.len() * BUCKET_SLOTS * FULL_PCT {
-                return false;
-            }
-            let mut idx = if self.rand() & 1 == 0 { i1 } else { i2 };
-            for _ in 0..MAX_KICKS {
-                let victim = (self.rand() as usize) % BUCKET_SLOTS;
-                std::mem::swap(&mut fp, &mut self.buckets[idx][victim]);
-                idx = self.alt(idx, fp);
-                if self.put(idx, fp) {
-                    self.len += 1;
-                    return true;
-                }
-            }
-            self.buckets[idx][0] = fp;
-            false
-        }
-
-        fn contains(&self, key: u64) -> bool {
-            let (fp, i1, i2) = self.indices(key);
-            self.buckets[i1].contains(&fp) || self.buckets[i2].contains(&fp)
-        }
-
-        fn remove(&mut self, key: u64) -> bool {
-            let (fp, i1, i2) = self.indices(key);
-            for idx in [i1, i2] {
-                if let Some(slot) = self.buckets[idx].iter_mut().find(|s| **s == fp) {
-                    *slot = 0;
-                    self.len -= 1;
-                    return true;
-                }
-            }
-            false
-        }
-
-        fn snapshot_bytes(&self) -> Vec<u8> {
-            let mut w = vertigo_simcore::SnapWriter::new();
-            w.put_usize(self.buckets.len());
-            for &fp in self.buckets.iter().flatten() {
+    /// A snapshot body: `nbuckets`, the records, then `len` and the LCG.
+    fn snapshot_of(nbuckets: u64, claimed: u64, records: &[(u32, [u16; 4])], len: u64) -> Vec<u8> {
+        let mut w = vertigo_simcore::SnapWriter::new();
+        w.put_u64(nbuckets);
+        w.put_u64(claimed);
+        for (idx, bucket) in records {
+            w.put_u32(*idx);
+            for &fp in bucket {
                 w.put_u16(fp);
             }
-            w.put_usize(self.len);
-            w.put_u64(self.lcg);
-            w.into_bytes()
         }
+        w.put_u64(len);
+        w.put_u64(7);
+        w.into_bytes()
     }
 
-    /// The summary says exactly "this bucket is non-empty", bucket by bucket.
-    fn summary_is_exact(f: &CuckooFilter) -> bool {
-        (0..f.buckets.len()).all(|i| f.is_occupied(i) == (f.buckets[i] != [0; BUCKET_SLOTS]))
+    #[test]
+    fn restore_rejects_hostile_records() {
+        let a = [5, 0, 0, 0];
+        let ok = snapshot_of(8, 2, &[(1, a), (6, a)], 2);
+        assert_eq!(restored(&ok).unwrap().len(), 2);
+        for (what, bytes) in [
+            (
+                "count > nbuckets",
+                snapshot_of(2, 3, &[(0, a), (1, a), (1, a)], 3),
+            ),
+            ("descending index", snapshot_of(8, 2, &[(6, a), (1, a)], 2)),
+            ("repeated index", snapshot_of(8, 2, &[(1, a), (1, a)], 2)),
+            ("index >= nbuckets", snapshot_of(8, 2, &[(1, a), (8, a)], 2)),
+            ("empty bucket stored", snapshot_of(8, 1, &[(1, [0; 4])], 0)),
+            ("len disagrees", snapshot_of(8, 2, &[(1, a), (6, a)], 3)),
+            ("nbuckets beyond 32 bits", snapshot_of(1 << 33, 0, &[], 0)),
+            // A count no input of this size could back: refused before
+            // anything is sized by it.
+            (
+                "count beyond the input",
+                snapshot_of(1 << 32, 1 << 31, &[(1, a)], 1),
+            ),
+        ] {
+            assert!(restored(&bytes).is_err(), "accepted: {what}");
+        }
+        // Truncated anywhere — inside a record, before `len`, before the LCG.
+        for cut in 0..ok.len() {
+            assert!(
+                restored(&ok[..cut]).is_err(),
+                "accepted {cut} of {} bytes",
+                ok.len()
+            );
+        }
     }
 
     proptest! {
-        /// The summarised filter against the plain one over random
-        /// insert / contains / remove streams on a 64-slot table: a key
-        /// space of 160 drives it through saturation (the `FULL_PCT`
-        /// bail-out) and the kick walk, removes empty buckets again.
-        /// Identical answers, `len` and snapshot bytes throughout; a
-        /// restored filter has the same summary and carries on identically.
+        /// The shipped filter against the flat model over random
+        /// insert / contains / remove streams on a 256-slot table.
+        ///
+        /// `ops` draws from 80 keys whose candidate buckets are all among
+        /// the first 8, so those 32 slots overflow while the rest of the
+        /// table is absent: eviction walks (and the LCG) run, fail after
+        /// `MAX_KICKS` and re-seat, and removes empty buckets that later
+        /// inserts bring back. `tail` adds 400 keys spread over all 64
+        /// buckets, which fills the table to the `FULL_PCT` bail-out.
+        /// Identical answers and `len`
+        /// throughout; identical snapshot bytes before and after a
+        /// save → restore between the two phases and at the end.
         #[test]
-        fn summary_is_unobservable(
-            ops in proptest::collection::vec((0u8..8, 0u64..160), 1..600),
-            tail in proptest::collection::vec((0u8..8, 0u64..160), 1..100),
+        fn indistinguishable_from_the_flat_table(
+            ops in proptest::collection::vec((0u8..8, 0usize..80), 1..600),
+            tail in proptest::collection::vec((0u8..8, 0usize..480), 1..900),
         ) {
-            use vertigo_simcore::{SnapReader, SnapWriter, Snapshot};
-            let mut f = CuckooFilter::with_capacity(40);
-            prop_assert_eq!(f.capacity(), 64);
-            let mut plain = PlainFilter::like(&f);
-            // Spread keys over the u64 space; removes only target keys the
-            // reference believes present (the cuckoo-filter contract).
-            let key = |k: u64| mix64(k ^ 0xC0FFEE);
-            let step = |f: &mut CuckooFilter, plain: &mut PlainFilter, op: u8, k: u64| {
-                let k = key(k);
+            let mut f = CuckooFilter::with_capacity(200);
+            let mut model = FlatCuckoo::with_capacity(200);
+            prop_assert_eq!(f.capacity(), 256);
+            let mut keys = clustered_keys(&model, 8, 80);
+            keys.extend((0..400u64).map(|k| mix64(k ^ 0xBEEF)));
+            let step = |f: &mut CuckooFilter, model: &mut FlatCuckoo, op: u8, k: usize| {
+                let k = keys[k];
                 match op {
-                    0..=3 => assert_eq!(f.insert(k), plain.insert(k), "insert {k:#x}"),
-                    4..=5 => assert_eq!(f.remove(k), plain.remove(k), "remove {k:#x}"),
+                    0..=3 => assert_eq!(f.insert(k), model.insert(k), "insert {k:#x}"),
+                    4..=5 => assert_eq!(f.remove(k), model.remove(k), "remove {k:#x}"),
                     _ => {}
                 }
-                assert_eq!(f.contains(k), plain.contains(k), "contains {k:#x}");
-                assert_eq!(f.len(), plain.len);
+                assert_eq!(f.contains(k), model.contains(k), "contains {k:#x}");
+                assert_eq!(f.len(), model.len());
             };
             for &(op, k) in &ops {
-                step(&mut f, &mut plain, op, k);
+                step(&mut f, &mut model, op, k);
             }
-            prop_assert!(summary_is_exact(&f));
-            let mut w = SnapWriter::new();
-            f.save(&mut w);
-            let bytes = w.into_bytes();
-            prop_assert_eq!(&bytes, &plain.snapshot_bytes());
-            let mut g = CuckooFilter::restore(&mut SnapReader::new(&bytes)).unwrap();
-            prop_assert!(summary_is_exact(&g));
+            let bytes = saved(&f);
+            prop_assert_eq!(&bytes, &model.snapshot_bytes());
+            let mut g = restored(&bytes).unwrap();
             for &(op, k) in &tail {
-                step(&mut g, &mut plain, op, k);
+                step(&mut g, &mut model, op, k);
             }
-            prop_assert!(summary_is_exact(&g));
-            for k in 0..160 {
-                prop_assert_eq!(g.contains(key(k)), plain.contains(key(k)));
+            let bytes = saved(&g);
+            prop_assert_eq!(&bytes, &model.snapshot_bytes());
+            let h = restored(&bytes).unwrap();
+            prop_assert_eq!(saved(&h), bytes);
+            for &k in &keys {
+                prop_assert_eq!(h.contains(k), model.contains(k));
             }
         }
 

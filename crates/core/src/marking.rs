@@ -124,6 +124,12 @@ impl MarkingComponent {
         self.stats
     }
 
+    /// Bytes of heap the retransmission filter holds now
+    /// ([`CuckooFilter::heap_bytes`]).
+    pub fn filter_heap_bytes(&self) -> usize {
+        self.filter.heap_bytes()
+    }
+
     /// Number of flows currently tracked.
     pub fn flows_tracked(&self) -> usize {
         self.flows.len()

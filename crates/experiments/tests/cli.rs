@@ -85,3 +85,32 @@ fn unusable_resume_file_exits_2_without_a_panic() {
     assert!(!dir.join("table2.csv").exists(), "no table after an error");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn unwritable_checkpoint_path_exits_2_without_a_panic() {
+    // A regular file where the checkpoint directory should be: refuses
+    // the write for every user (root ignores a read-only directory).
+    let dir = std::env::temp_dir().join(format!("vertigo-cli-ckpt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let blocker = dir.join("blocker");
+    std::fs::write(&blocker, b"in the way").unwrap();
+    let out = experiments(&[
+        "table2",
+        "--quick",
+        "--out",
+        dir.to_str().unwrap(),
+        "--checkpoint-every",
+        &format!("1ms:{}", blocker.join("ck.vsnp").display()),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.contains("error")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(
+        errors[0].starts_with("error: --checkpoint-every: cannot write "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!dir.join("table2.csv").exists(), "no table after an error");
+    std::fs::remove_dir_all(&dir).ok();
+}

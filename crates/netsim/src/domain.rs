@@ -584,4 +584,14 @@ impl DomainSimulation {
     pub fn marking_stats(&self) -> vertigo_core::MarkingStats {
         sim::marking_stats(self.nodes())
     }
+
+    /// Heap held by the hosts' retransmission filters, summed.
+    pub fn filter_heap_bytes(&self) -> usize {
+        self.nodes()
+            .map(|n| match n {
+                Node::Host(h) => h.filter_heap_bytes(),
+                Node::Switch(_) => 0,
+            })
+            .sum()
+    }
 }

@@ -298,6 +298,12 @@ impl Host {
         self.marking.as_ref().map(|m| m.stats())
     }
 
+    /// Heap held by the marking component's retransmission filter (0 when
+    /// none is deployed).
+    pub fn filter_heap_bytes(&self) -> usize {
+        self.marking.as_ref().map_or(0, |m| m.filter_heap_bytes())
+    }
+
     /// Retunes the ordering τ mid-run (warm-start fork override). No-op
     /// on hosts without an ordering component deployed.
     pub fn override_ordering_timeout(&mut self, timeout: SimDuration) {

@@ -190,9 +190,10 @@ impl<E: Snapshot> EventQueue<E> {
     /// the queue in place so the simulation keeps running unperturbed.
     ///
     /// Pop order is the only ordering fact the restored queue needs: the
-    /// rebuild re-files events with fresh tie-breaking sequences `0..n`
-    /// and then restores the insertion counter to its original value, so
-    /// FIFO ties survive and future pushes order after every pending tie.
+    /// rebuild re-files events in that order (the heap with fresh
+    /// tie-breaking sequences `0..n`; the wheel's slots simply append) and
+    /// then restores the insertion counter to its original value, so FIFO
+    /// ties survive and future pushes order after every pending tie.
     /// The drain-and-rebuild is invisible to the running simulation
     /// (identical clock, counters, and pop sequence afterwards); the
     /// wheel/heap differential suite plus the snapshot proptests pin that

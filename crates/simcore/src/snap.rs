@@ -27,7 +27,8 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 
 /// On-disk format version. Bump on any incompatible layout change; the
 /// reader refuses mismatched versions with an actionable error.
-pub const SNAP_VERSION: u16 = 1;
+/// Version 2: the cuckoo filter writes its occupied buckets only.
+pub const SNAP_VERSION: u16 = 2;
 
 /// Every build checkpoints and resumes; only the benchmark's result
 /// header (`perfbench/`) still reads this.

@@ -28,6 +28,18 @@
 //! Contrast the `BinaryHeap` backend's O(log n) sift per operation with a
 //! pointer-free but comparison-heavy layout.
 //!
+//! ## Memory
+//!
+//! Slot buffers follow what is pending, not what was ever touched. Level 0
+//! is the exception: its 256 buffers hold the few events of one nanosecond
+//! each, sit on every event's path, and keep their capacity. A level-1
+//! slot (256 ns) gives its drained buffer to a LIFO pool and the next
+//! level-1 slot to fill takes one from there, so level 1 owns as many
+//! buffers as it ever had slots occupied at one time — the occupied part
+//! of the 65.5 µs window — rather than one, grown to its largest burst,
+//! per slot. From level 2 up a slot is used once per lap of at least
+//! 16.8 ms and is simply freed when it cascades.
+//!
 //! ## Determinism contract (identical to the heap backend)
 //!
 //! Events pop in `(timestamp, insertion sequence)` order: time order
@@ -53,13 +65,21 @@ const LEVELS: usize = 8;
 /// Words of the per-level occupancy bitmap.
 const OCC_WORDS: usize = SLOTS / 64;
 
-/// A pending event: absolute timestamp, tie-breaking sequence, payload.
-type Pending<E> = (u64, u64, E);
+/// A pending event: absolute timestamp and payload. FIFO among ties needs
+/// no stored sequence number: slots only append and cascades are stable.
+type Pending<E> = (u64, E);
 
 /// The hierarchical timing wheel. See the module docs for the invariants.
 pub(crate) struct TimingWheel<E> {
     /// `LEVELS * SLOTS` append-only slot vectors, indexed `level * 256 + slot`.
     slots: Vec<Vec<Pending<E>>>,
+    /// Buffers of drained level-1 slots, taken LIFO by the next level-1
+    /// slot that fills from empty, so the buffers that cover the occupied
+    /// part of the 65.5 µs window circulate instead of all 256 slots
+    /// growing one each. A buffer is only allocated while this is empty,
+    /// so level 1 never owns more buffers than it had slots occupied at
+    /// one time.
+    spare: Vec<Vec<Pending<E>>>,
     /// Per-level slot-occupancy bitmaps.
     occ: [[u64; OCC_WORDS]; LEVELS],
     /// Events staged out of the current level-0 slot, all at `ready_at`,
@@ -69,7 +89,7 @@ pub(crate) struct TimingWheel<E> {
     ready_at: u64,
     /// Current clock in nanoseconds (timestamp of the last popped event).
     now: u64,
-    /// Monotonic insertion sequence (also the scheduled-total counter).
+    /// Events ever pushed (the scheduled-total counter).
     seq: u64,
     /// Pending events (wheel + ready).
     len: usize,
@@ -105,6 +125,7 @@ impl<E> TimingWheel<E> {
     pub(crate) fn new() -> Self {
         TimingWheel {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             occ: [[0; OCC_WORDS]; LEVELS],
             ready: VecDeque::new(),
             ready_at: 0,
@@ -122,10 +143,16 @@ impl<E> TimingWheel<E> {
 
     /// Files one event into its slot per the level invariant.
     #[inline]
-    fn place(&mut self, at: u64, seq: u64, ev: E) {
+    fn place(&mut self, at: u64, ev: E) {
         let l = level_of(self.now, at);
         let s = slot_of(l, at);
-        self.slots[l * SLOTS + s].push((at, seq, ev));
+        let slot = &mut self.slots[l * SLOTS + s];
+        if l == 1 && slot.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *slot = buf;
+            }
+        }
+        slot.push((at, ev));
         self.occ[l][s / 64] |= 1 << (s % 64);
     }
 
@@ -136,9 +163,8 @@ impl<E> TimingWheel<E> {
             self.now()
         );
         let at = at.as_nanos().max(self.now);
-        let seq = self.seq;
         self.seq += 1;
-        self.place(at, seq, ev);
+        self.place(at, ev);
         self.len += 1;
         self.peak = self.peak.max(self.len);
     }
@@ -148,9 +174,8 @@ impl<E> TimingWheel<E> {
         // now + delay saturates via SimTime arithmetic, and is >= now by
         // construction — no past-scheduling check needed.
         let at = (self.now() + delay).as_nanos();
-        let seq = self.seq;
         self.seq += 1;
-        self.place(at, seq, ev);
+        self.place(at, ev);
         self.len += 1;
         self.peak = self.peak.max(self.len);
     }
@@ -198,14 +223,17 @@ impl<E> TimingWheel<E> {
             self.now = t & !((1u64 << (SLOT_BITS * l as u32)) - 1);
             let mut evs = std::mem::take(&mut self.slots[l * SLOTS + s]);
             self.occ[l][s / 64] &= !(1 << (s % 64));
-            for (at, seq, ev) in evs.drain(..) {
+            for (at, ev) in evs.drain(..) {
                 debug_assert!(at >= self.now);
-                self.place(at, seq, ev);
+                self.place(at, ev);
             }
             // Re-filed events always land on a strictly lower level, so the
-            // slot is still empty — hand its buffer back to keep the
-            // capacity for the next lap of this wheel.
-            self.slots[l * SLOTS + s] = evs;
+            // slot stays empty until its next lap. A level-1 buffer goes to
+            // the spare pool; one from level 2 up (used once per >= 65.5 µs
+            // of simulated time) is freed here.
+            if l == 1 {
+                self.spare.push(evs);
+            }
         }
         self.now = t;
     }
@@ -220,11 +248,11 @@ impl<E> TimingWheel<E> {
         self.occ[0][s / 64] &= !(1 << (s % 64));
         debug_assert!(!evs.is_empty(), "staged an empty slot");
         let mut drain = evs.drain(..);
-        let (at, _seq, first) = drain.next().expect("staged slot is nonempty");
+        let (at, first) = drain.next().expect("staged slot is nonempty");
         debug_assert_eq!(at, t, "level-0 slot mixed timestamps");
         // The common case is a single event per instant; ties go through
         // the ready stage (usually untouched).
-        for (at, _seq, ev) in drain {
+        for (at, ev) in drain {
             debug_assert_eq!(at, t, "level-0 slot mixed timestamps");
             self.ready.push_back(ev);
         }
@@ -284,15 +312,22 @@ impl<E> TimingWheel<E> {
         self.peak
     }
 
+    /// Buffers held above level 0 — slots with capacity plus the spare
+    /// pool — and the entries they have room for.
+    #[cfg(test)]
+    pub(crate) fn retained_above_level0(&self) -> (usize, usize) {
+        let held = self.slots[SLOTS..].iter().chain(&self.spare);
+        let caps = held.map(Vec::capacity).filter(|&c| c > 0);
+        caps.fold((0, 0), |(n, room), c| (n + 1, room + c))
+    }
+
     /// Reconstructs a wheel from snapshot state: the clock, the lifetime
     /// counters, and every pending event in *pop order*.
     ///
-    /// Events are re-filed with fresh sequence numbers `0..n` — pop order
-    /// is all that matters for FIFO ties, and re-numbering keeps the
-    /// rebuild independent of where each event originally sat in the
-    /// schedule history. The insertion counter is then bumped back up to
-    /// `scheduled_total` so future pushes order after every restored tie
-    /// and the `events_scheduled` diagnostic stays byte-identical.
+    /// Re-filing in pop order is all FIFO ties need: slots append, so a
+    /// restored tie pops before any event pushed later. The insertion
+    /// counter is set back to `scheduled_total` so the `events_scheduled`
+    /// diagnostic stays byte-identical.
     pub(crate) fn rebuild(
         now: u64,
         scheduled_total: u64,
@@ -303,9 +338,9 @@ impl<E> TimingWheel<E> {
         w.now = now;
         let n = events.len();
         debug_assert!(scheduled_total >= n as u64);
-        for (i, (at, ev)) in events.into_iter().enumerate() {
+        for (at, ev) in events {
             debug_assert!(at >= now, "snapshot held an event in the past");
-            w.place(at.max(now), i as u64, ev);
+            w.place(at.max(now), ev);
         }
         w.seq = scheduled_total;
         w.len = n;
@@ -365,6 +400,46 @@ mod tests {
         assert_eq!(w.pop(), Some((t, 2)));
         assert_eq!(w.pop(), Some((t, 3)));
         assert_eq!(w.pop(), None);
+    }
+
+    /// Three laps of level 2 (50 ms) of a bursty stream: every 30 µs a
+    /// burst of 200 events over the next 20 µs, one timer 1 ms out, and
+    /// the next burst. Every level-1 and level-2 slot is used many times
+    /// over, under a hundred at a time; what the wheel keeps must follow
+    /// the latter.
+    #[test]
+    fn buffers_follow_occupied_slots_not_touched_slots() {
+        const BURST: u64 = u64::MAX;
+        let occupied = |w: &TimingWheel<u64>, levels: std::ops::Range<usize>| -> usize {
+            let words = w.occ[levels].iter().flatten();
+            words.map(|word| word.count_ones() as usize).sum()
+        };
+        let mut w: TimingWheel<u64> = TimingWheel::new();
+        w.push(SimTime::ZERO, BURST);
+        // Stop mid-burst, clear of the level-3 boundary at three laps.
+        let end = 3 * (1u64 << (3 * SLOT_BITS)) + 40_000;
+        let (mut popped, mut peak_level1) = (0u64, 0);
+        while let Some((t, ev)) = w.pop_until(SimTime::from_nanos(end)) {
+            popped += 1;
+            if ev == BURST {
+                for i in 0..200 {
+                    w.push_after(SimDuration::from_nanos(100 * (i + 1)), i);
+                }
+                w.push_after(SimDuration::from_nanos(1_000_000), 1_000);
+                w.push(t + SimDuration::from_nanos(30_000), BURST);
+            }
+            peak_level1 = peak_level1.max(occupied(&w, 1..2));
+        }
+        assert!(popped > 300_000 && w.len() > 0);
+        assert!(peak_level1 < 128, "{peak_level1} level-1 slots at once");
+        // Level 1 owns a buffer per slot it ever had occupied at one time;
+        // higher levels only where events are pending now. All 512 slots
+        // of levels 1 and 2 have been used.
+        let (buffers, room) = w.retained_above_level0();
+        let bound = peak_level1 + occupied(&w, 2..LEVELS);
+        assert!(buffers <= bound, "{buffers} buffers, bound {bound}");
+        // No slot ever held 256 events, so no buffer grew past 256.
+        assert!(room <= bound * 256, "room for {room}");
     }
 
     #[test]

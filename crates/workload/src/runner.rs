@@ -176,13 +176,21 @@ pub struct RunOutput {
     pub trace_path: Option<PathBuf>,
 }
 
-/// A run failure that a correct program can meet: `--trace` or `--resume`
-/// pointed at something unusable. Broken internal invariants stay panics.
+/// A run failure that a correct program can meet: `--trace`,
+/// `--checkpoint-every` or `--resume` pointed at something unusable.
+/// Broken internal invariants stay panics.
 #[derive(Debug)]
 pub enum RunError {
     /// The trace file at `path`, or its directory, could not be written.
     Trace {
         /// The per-spec trace file.
+        path: PathBuf,
+        /// The underlying I/O failure.
+        source: std::io::Error,
+    },
+    /// The checkpoint file at `path`, or its directory, could not be written.
+    Checkpoint {
+        /// The per-spec, per-time checkpoint file.
         path: PathBuf,
         /// The underlying I/O failure.
         source: std::io::Error,
@@ -204,6 +212,13 @@ impl std::fmt::Display for RunError {
             RunError::Trace { path, source } => {
                 write!(f, "--trace: cannot write {}: {source}", path.display())
             }
+            RunError::Checkpoint { path, source } => {
+                write!(
+                    f,
+                    "--checkpoint-every: cannot write {}: {source}",
+                    path.display()
+                )
+            }
             RunError::Resume { path, reason } => {
                 write!(f, "--resume {}: {reason}", path.display())
             }
@@ -212,6 +227,13 @@ impl std::fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
+
+/// Writes `bytes` to `path`, creating its directory as needed.
+pub(crate) fn write_creating_dir(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    dir.map_or(Ok(()), std::fs::create_dir_all)?;
+    std::fs::write(path, bytes)
+}
 
 impl RunSpec {
     /// A run with paper-default knobs on a scaled leaf-spine (8 hosts per
@@ -527,8 +549,13 @@ impl RunSpec {
                 if resumed_ns.is_none_or(|r| t > r) {
                     cross_fork(&mut sim, &mut fork_pending, t);
                     sim.drain_until(SimTime::ZERO + SimDuration::from_nanos(t));
-                    let path =
-                        snapshot::write_checkpoint(&mut sim, &ck.stem, hash, t, self.event_backend);
+                    let path = snapshot::write_checkpoint(
+                        &mut sim,
+                        &ck.stem,
+                        hash,
+                        t,
+                        self.event_backend,
+                    )?;
                     // Stderr, not stdout: experiment stdout is
                     // digest-diffed against straight-through runs and
                     // must stay byte-identical.
@@ -559,13 +586,10 @@ impl RunSpec {
     fn write_trace(&self, sim: &Simulation, spec: &TraceSpec) -> Result<PathBuf, RunError> {
         let path = self.trace_path(spec);
         let bytes = sim.trace_bytes();
-        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-        dir.map_or(Ok(()), std::fs::create_dir_all)
-            .and_then(|()| std::fs::write(&path, &bytes))
-            .map_err(|source| RunError::Trace {
-                path: path.clone(),
-                source,
-            })?;
+        write_creating_dir(&path, &bytes).map_err(|source| RunError::Trace {
+            path: path.clone(),
+            source,
+        })?;
         eprintln!(
             "[trace] wrote {} ({} records)",
             path.display(),

@@ -30,6 +30,7 @@
 //! never collide, and `--resume` can name either an exact file or the
 //! stem (which resolves to the latest checkpoint for the spec).
 
+use crate::runner::{write_creating_dir, RunError};
 use std::path::{Path, PathBuf};
 use vertigo_netsim::Simulation;
 use vertigo_simcore::{
@@ -209,28 +210,23 @@ pub fn snapshot_file(stem: &Path, spec_hash: u64, time_ns: u64) -> PathBuf {
 }
 
 /// Serializes a checkpoint of `sim` to `snapshot_file(stem, ..)`,
-/// creating parent directories as needed. Returns the path written.
+/// creating parent directories as needed. Returns the path written, or
+/// [`RunError::Checkpoint`] when the directory or file cannot be.
 pub fn write_checkpoint(
     sim: &mut Simulation,
     stem: &Path,
     spec_hash: u64,
     time_ns: u64,
     backend: EventBackend,
-) -> PathBuf {
+) -> Result<PathBuf, RunError> {
     let mut w = SnapWriter::new();
     write_header(&mut w, backend, spec_hash, time_ns);
     sim.save_state(&mut w);
     let path = snapshot_file(stem, spec_hash, time_ns);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .unwrap_or_else(|e| panic!("creating snapshot dir {}: {e}", parent.display()));
-        }
+    match write_creating_dir(&path, &w.into_bytes()) {
+        Ok(()) => Ok(path),
+        Err(source) => Err(RunError::Checkpoint { path, source }),
     }
-    let bytes = w.into_bytes();
-    std::fs::write(&path, &bytes)
-        .unwrap_or_else(|e| panic!("writing snapshot {}: {e}", path.display()));
-    path
 }
 
 /// Resolves a `--resume` argument for the spec with `spec_hash`:

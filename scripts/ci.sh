@@ -159,7 +159,7 @@ ckpt=$(ls "$SNAPDIR"/wheel/snaps/*.vsnp | head -1)
 cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect "$ckpt" | tee /tmp/vertigo_vsnp_ci.txt
 grep -q 'sim time' /tmp/vertigo_vsnp_ci.txt
-grep -q 'version    1' /tmp/vertigo_vsnp_ci.txt
+grep -q 'version    2' /tmp/vertigo_vsnp_ci.txt
 # Garbage input must fail loudly with a non-zero exit.
 if cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect scripts/ci.sh 2> /dev/null; then
@@ -227,5 +227,12 @@ echo "==> perfbench (own workspace, path deps on crates/*): tests, fmt, clippy"
 cargo test --manifest-path perfbench/Cargo.toml -q
 cargo fmt --manifest-path perfbench/Cargo.toml --check
 cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
+echo "==> memory follows what is live: ft_soak peak RSS under 25 MB (49 MB with flat filter tables)"
+rss=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml --bin perf -- \
+  --workload ft_soak --seed 1 --seconds 3 --trace 0 \
+  | tail -1 | sed 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/')
+echo "ft_soak peak_rss_mb = $rss"
+awk -v rss="$rss" 'BEGIN { exit !(rss > 0 && rss < 25) }'
 
 echo "==> ci OK"
