@@ -5,14 +5,20 @@
 //! to a fixed depth, then each iteration pops the earliest event and
 //! pushes a replacement, so depth stays constant and the cost measured is
 //! one full push+pop cycle. Three delay distributions bracket the
-//! simulator's regimes:
+//! simulator's regimes and a fourth is the simulator's own:
 //!
 //! * `uniform` — delays spread over a wide horizon (mixed timer wheel
 //!   levels, the heap's O(log n) worst case);
 //! * `bursty` — delays clustered within a few microseconds of now
 //!   (level 0 of the wheel; microburst regime);
 //! * `ties` — many events at the same instant (FIFO tie-break pressure,
-//!   where the heap still pays O(log n) per sift).
+//!   where the heap still pays O(log n) per sift);
+//! * `dc` — the delays the perfbench cells schedule: ACK and full-size
+//!   serializations at 40 and 10 Gbps, the same plus 500 ns of wire, and
+//!   one push in 64 an RTO-sized timer, at the cells' depth of 3 000. The
+//!   timers are most of what is pending, so the clock meets some 80 events
+//!   per 256 ns: four pushes in five go to wheel level 1 and cascade once,
+//!   the fifth lands in the window being popped.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vertigo_simcore::{EventBackend, EventQueue, SimDuration};
@@ -25,7 +31,7 @@ fn next(r: &mut u64) -> u64 {
 }
 
 /// Delay in nanoseconds for distribution `dist` (0 = uniform, 1 = bursty,
-/// 2 = ties).
+/// 2 = ties, 3 = dc).
 #[inline]
 fn delay(dist: usize, r: &mut u64) -> u64 {
     match dist {
@@ -34,15 +40,27 @@ fn delay(dist: usize, r: &mut u64) -> u64 {
         // Bursty: within 4 µs of now, the deflection-storm regime.
         1 => next(r) % 4_000,
         // Ties: everything at exactly now + 1 µs.
-        _ => 1_000,
+        2 => 1_000,
+        // Datacenter mix; the timers are 200 µs to 1 ms out.
+        _ => {
+            let x = next(r) >> 16;
+            match x % 64 {
+                0 => 200_000 + (x >> 6) % 800_000,
+                _ => [13, 51, 300, 513, 551, 800, 1200, 1700][(x >> 6) as usize % 8],
+            }
+        }
     }
 }
 
 fn bench_backends(c: &mut Criterion) {
-    let dists = ["uniform", "bursty", "ties"];
+    let dists = ["uniform", "bursty", "ties", "dc"];
     for (di, dist) in dists.iter().enumerate() {
         let mut g = c.benchmark_group(format!("events_{dist}"));
-        for depth in [1_000usize, 16_000, 256_000] {
+        let depths: &[usize] = match *dist {
+            "dc" => &[3_000],
+            _ => &[1_000, 16_000, 256_000],
+        };
+        for &depth in depths {
             for backend in [EventBackend::Wheel, EventBackend::Heap] {
                 let name = match backend {
                     EventBackend::Wheel => "wheel",

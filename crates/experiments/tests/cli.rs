@@ -114,3 +114,27 @@ fn unwritable_checkpoint_path_exits_2_without_a_panic() {
     assert!(!dir.join("table2.csv").exists(), "no table after an error");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[cfg(not(feature = "trace"))]
+#[test]
+fn trace_without_the_feature_exits_2_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("vertigo-cli-trace-{}", std::process::id()));
+    let out = experiments(&[
+        "table2",
+        "--quick",
+        "--out",
+        dir.to_str().unwrap(),
+        "--trace",
+        dir.join("t.vtrace").to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.contains("error")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(
+        errors[0].starts_with("error: --trace requires a binary built with `--features trace`"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!dir.exists(), "nothing is written after an error");
+}

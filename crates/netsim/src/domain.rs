@@ -206,13 +206,7 @@ impl Domain {
                         Node::Switch(_) => unreachable!("switches have no timers"),
                     }
                 }
-                Event::FlowStart {
-                    src,
-                    dst,
-                    flow,
-                    query,
-                    bytes,
-                } => {
+                Event::FlowStart { src, spec } => {
                     let l = local(src);
                     let mut ctx = Ctx {
                         now,
@@ -221,7 +215,9 @@ impl Domain {
                         rng: &mut rngs[l],
                     };
                     match &mut nodes[l] {
-                        Node::Host(h) => h.start_flow(flow, dst, bytes, query, &mut ctx),
+                        Node::Host(h) => {
+                            h.start_flow(spec.flow, spec.dst, spec.bytes, spec.query, &mut ctx)
+                        }
                         Node::Switch(_) => unreachable!("flows start at hosts"),
                     }
                 }

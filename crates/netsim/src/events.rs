@@ -17,7 +17,8 @@ pub enum Event {
         node: NodeId,
         /// Ingress port.
         port: PortId,
-        /// The packet (boxed: events are moved through a binary heap).
+        /// The packet (boxed: a pooled allocation that travels from queue
+        /// to queue, and eight bytes of the event).
         pkt: Box<Packet>,
     },
     /// `node` finished serializing a packet out of `port`; the port is free.
@@ -40,15 +41,24 @@ pub enum Event {
     FlowStart {
         /// Sending host.
         src: NodeId,
-        /// Receiving host.
-        dst: NodeId,
-        /// Flow id assigned by the driver.
-        flow: FlowId,
-        /// Owning query (`QueryId::NONE` for background traffic).
-        query: QueryId,
-        /// Flow size in bytes.
-        bytes: u64,
+        /// Everything else about the flow.
+        spec: Box<FlowSpec>,
     },
+}
+
+/// What [`Event::FlowStart`] opens. One event in thousands is a flow
+/// start, and every pending event is as large as the largest variant, so
+/// these 28 bytes live out of line and an [`Event`] is 16.
+#[derive(Debug)]
+pub struct FlowSpec {
+    /// Receiving host.
+    pub dst: NodeId,
+    /// Flow id assigned by the driver.
+    pub flow: FlowId,
+    /// Owning query (`QueryId::NONE` for background traffic).
+    pub query: QueryId,
+    /// Flow size in bytes.
+    pub bytes: u64,
 }
 
 impl Snapshot for Event {
@@ -70,19 +80,13 @@ impl Snapshot for Event {
                 node.save(w);
             }
             Event::TelemetrySample => w.put_u8(3),
-            Event::FlowStart {
-                src,
-                dst,
-                flow,
-                query,
-                bytes,
-            } => {
+            Event::FlowStart { src, spec } => {
                 w.put_u8(4);
                 src.save(w);
-                dst.save(w);
-                flow.save(w);
-                query.save(w);
-                w.put_u64(*bytes);
+                spec.dst.save(w);
+                spec.flow.save(w);
+                spec.query.save(w);
+                w.put_u64(spec.bytes);
             }
         }
     }
@@ -104,10 +108,12 @@ impl Snapshot for Event {
             3 => Event::TelemetrySample,
             4 => Event::FlowStart {
                 src: NodeId::restore(r)?,
-                dst: NodeId::restore(r)?,
-                flow: FlowId::restore(r)?,
-                query: QueryId::restore(r)?,
-                bytes: r.get_u64()?,
+                spec: Box::new(FlowSpec {
+                    dst: NodeId::restore(r)?,
+                    flow: FlowId::restore(r)?,
+                    query: QueryId::restore(r)?,
+                    bytes: r.get_u64()?,
+                }),
             },
             tag => return Err(SnapError::new(format!("invalid Event tag {tag:#x}"))),
         })
@@ -221,4 +227,46 @@ pub struct Ctx<'a> {
     /// The node's random stream (per-node in the domain engine; the
     /// run-global stream in the classic engine).
     pub rng: &'a mut SimRng,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    /// Every pending event is as large as the largest variant, and the
+    /// wheel's sorted run moves whole entries: a sixth field somewhere
+    /// must fail here, not re-inflate every entry unnoticed.
+    #[test]
+    fn an_event_is_16_bytes_and_a_pending_entry_24() {
+        assert!(size_of::<Event>() <= 16);
+        assert_eq!(size_of::<Option<(u64, Event)>>(), 24);
+        assert_eq!(size_of::<Delivery<Event>>(), 48);
+    }
+
+    #[test]
+    fn flow_start_snapshot_is_its_five_fields_in_order() {
+        let ev = Event::FlowStart {
+            src: NodeId(7),
+            spec: Box::new(FlowSpec {
+                dst: NodeId(9),
+                flow: FlowId(11),
+                query: QueryId(13),
+                bytes: 1 << 40,
+            }),
+        };
+        let mut w = SnapWriter::new();
+        ev.save(&mut w);
+        let mut flat = SnapWriter::new();
+        flat.put_u8(4);
+        NodeId(7).save(&mut flat);
+        NodeId(9).save(&mut flat);
+        FlowId(11).save(&mut flat);
+        QueryId(13).save(&mut flat);
+        flat.put_u64(1 << 40);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, flat.into_bytes());
+        let back = Event::restore(&mut SnapReader::new(&bytes)).expect("round trip");
+        assert_eq!(format!("{back:?}"), format!("{ev:?}"));
+    }
 }

@@ -34,7 +34,7 @@ pub use deflect::{
     VertigoPolicy,
 };
 pub use domain::DomainSimulation;
-pub use events::{Ctx, Event, EventSink};
+pub use events::{Ctx, Event, EventSink, FlowSpec};
 pub use faults::{FaultKind, FaultSchedule, FaultTarget, FaultWindow, MAX_FAULTS};
 pub use host::{Host, HostConfig, HostStats};
 pub use link::LinkParams;

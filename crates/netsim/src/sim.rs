@@ -2,7 +2,7 @@
 //! flow/query schedules from the workload layer, runs the event loop to a
 //! horizon, and produces a [`Report`].
 
-use crate::events::{Ctx, Event, EventSink};
+use crate::events::{Ctx, Event, EventSink, FlowSpec};
 use crate::faults::{FaultAction, FaultSchedule, FaultState};
 use crate::host::{Host, HostConfig};
 use crate::link::LinkParams;
@@ -310,10 +310,12 @@ impl Simulation {
             at,
             Event::FlowStart {
                 src,
-                dst,
-                flow,
-                query,
-                bytes,
+                spec: Box::new(FlowSpec {
+                    dst,
+                    flow,
+                    query,
+                    bytes,
+                }),
             },
         );
         flow
@@ -450,14 +452,10 @@ impl Simulation {
                     #[cfg(feature = "audit")]
                     audit_conservation(nodes.iter(), ctx.rec, "telemetry sample");
                 }
-                Event::FlowStart {
-                    src,
-                    dst,
-                    flow,
-                    query,
-                    bytes,
-                } => match &mut nodes[src.index()] {
-                    Node::Host(h) => h.start_flow(flow, dst, bytes, query, &mut ctx),
+                Event::FlowStart { src, spec } => match &mut nodes[src.index()] {
+                    Node::Host(h) => {
+                        h.start_flow(spec.flow, spec.dst, spec.bytes, spec.query, &mut ctx)
+                    }
                     Node::Switch(_) => unreachable!("flows start at hosts"),
                 },
             }

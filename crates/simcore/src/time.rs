@@ -152,7 +152,17 @@ impl SimDuration {
     #[inline]
     pub fn tx_time(bytes: u64, rate_bps: u64) -> Self {
         assert!(rate_bps > 0, "link rate must be positive");
-        // bits * 1e9 / rate, computed in u128 to avoid overflow.
+        // bits * 1e9 / rate. The product fits a `u64` up to 2.3 GB, so a
+        // packet never pays for the 128-bit division (a library call).
+        match bytes.checked_mul(8 * 1_000_000_000) {
+            Some(bit_ns) => SimDuration(bit_ns.div_ceil(rate_bps)),
+            None => Self::tx_time_wide(bytes, rate_bps),
+        }
+    }
+
+    /// [`SimDuration::tx_time`] in `u128`, for sizes whose bit count times
+    /// 1e9 overflows a `u64`; saturates.
+    fn tx_time_wide(bytes: u64, rate_bps: u64) -> Self {
         let ns = (bytes as u128 * 8 * 1_000_000_000).div_ceil(rate_bps as u128);
         SimDuration(ns.min(u64::MAX as u128) as u64)
     }
@@ -324,6 +334,30 @@ mod tests {
             SimDuration::tx_time(1, 1_000_000_000_000),
             SimDuration::from_nanos(1)
         );
+    }
+
+    #[test]
+    fn tx_time_narrow_and_wide_forms_agree() {
+        const G: u64 = 1_000_000_000;
+        let rates = [1, 10, 25, 40, 100, 400, 1000].map(|g| g * G);
+        // Three rates that do not divide 8e9, so the rounding is exercised.
+        for rate in rates.into_iter().chain([7 * G, 9_999_999_937, 1_234_567]) {
+            for bytes in 1..=9_216 {
+                assert_eq!(
+                    SimDuration::tx_time(bytes, rate),
+                    SimDuration::tx_time_wide(bytes, rate),
+                    "{bytes} B at {rate} bps"
+                );
+            }
+        }
+        // Past the u64 range of bits * 1e9 the wide form takes over.
+        let huge = u64::MAX / (8 * G) + 1;
+        assert!(huge.checked_mul(8 * G).is_none());
+        assert_eq!(
+            SimDuration::tx_time(huge, 10 * G).as_nanos(),
+            (huge as u128 * 8 * G as u128).div_ceil(10 * G as u128) as u64
+        );
+        assert_eq!(SimDuration::tx_time(u64::MAX, 1), SimDuration::MAX);
     }
 
     #[test]

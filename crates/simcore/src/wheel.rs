@@ -4,19 +4,28 @@
 //!
 //! ## Layout
 //!
-//! Eight wheels ("levels") of 256 slots each. A slot on level `l` spans
-//! `256^l` nanoseconds, so level 0 resolves single nanoseconds over a
+//! Seven wheels ("levels" 1 to 7) of 256 slots each over one sorted *run*.
+//! A slot on level `l` spans `256^l` nanoseconds, so a level-1 slot is a
 //! 256 ns window, level 1 spans 65.5 µs, level 2 ≈ 16.8 ms, and so on up
 //! to level 7, whose 256 slots cover the entire remaining `u64` range —
 //! the top wheel is the overflow level, so every representable timestamp
 //! (including `u64::MAX`) maps to exactly one slot and no auxiliary
-//! sorted structure is needed.
+//! structure is needed.
 //!
 //! An event scheduled for `at` lives on the level of the highest bit in
 //! which `at` differs from the current clock (`level = highest_diff_bit /
 //! 8`), in slot `(at >> 8·level) & 255`. Each level keeps a 256-bit
 //! occupancy bitmap, so "earliest pending slot" is four `u64` words and a
 //! `trailing_zeros` per level instead of a scan.
+//!
+//! Level 0 — the 256 ns window the clock is in — is not a wheel. When the
+//! clock enters a level-1 slot's window, the slot's entries are stable
+//! counting-sorted on the low 8 bits of their timestamp into one buffer,
+//! the run, and popping reads it front to back behind a cursor. A push
+//! that lands inside the current window goes behind every pending entry
+//! that is not later than it: an append when that is the end of the run,
+//! otherwise the few entries between the cursor and the insertion point
+//! move one place down into the gap the cursor has left behind.
 //!
 //! ## Cost model
 //!
@@ -25,45 +34,54 @@
 //! cascades at most the 7 higher-level slots that contain it, and every
 //! event moves down a strictly decreasing sequence of levels, so each is
 //! touched at most 8 times over its lifetime regardless of queue depth.
-//! Contrast the `BinaryHeap` backend's O(log n) sift per operation with a
-//! pointer-free but comparison-heavy layout.
+//! An event that is pushed more than 256 ns and less than 65.5 µs ahead —
+//! a packet's serialization or wire time — is written twice, once into
+//! its level-1 slot and once into the run, and read sequentially both
+//! times. Contrast the `BinaryHeap` backend's O(log n) sift per operation
+//! with a pointer-free but comparison-heavy layout.
 //!
 //! ## Memory
 //!
-//! Slot buffers follow what is pending, not what was ever touched. Level 0
-//! is the exception: its 256 buffers hold the few events of one nanosecond
-//! each, sit on every event's path, and keep their capacity. A level-1
-//! slot (256 ns) gives its drained buffer to a LIFO pool and the next
-//! level-1 slot to fill takes one from there, so level 1 owns as many
-//! buffers as it ever had slots occupied at one time — the occupied part
-//! of the 65.5 µs window — rather than one, grown to its largest burst,
-//! per slot. From level 2 up a slot is used once per lap of at least
-//! 16.8 ms and is simply freed when it cascades.
+//! Slot buffers follow what is pending, not what was ever touched. The run
+//! is one buffer, as large as the fullest 256 ns window so far. A level-1
+//! slot gives its drained buffer to a LIFO pool and the next level-1 slot
+//! to fill takes one from there, so level 1 owns as many buffers as it
+//! ever had slots occupied at one time — the occupied part of the 65.5 µs
+//! window — rather than one, grown to its largest burst, per slot. From
+//! level 2 up a slot is used once per lap of at least 16.8 ms and is
+//! simply freed when it cascades.
 //!
 //! ## Determinism contract (identical to the heap backend)
 //!
 //! Events pop in `(timestamp, insertion sequence)` order: time order
-//! first, FIFO among ties. Slot vectors only ever append, and cascading a
-//! slot redistributes its entries in insertion order (stable), so two
-//! events with equal timestamps can never swap — the property every
-//! end-to-end reproducibility test in this workspace leans on. Scheduling
-//! into the past is a debug panic (clamped to `now` in release), and
-//! `pop_until` never advances the clock past its horizon. The proptest
-//! differential suite (`tests/event_differential.rs`) drives this wheel
-//! and [`HeapEventQueue`](crate::HeapEventQueue) in lockstep to assert
-//! the two backends are observationally identical.
+//! first, FIFO among ties. Slot vectors only ever append, cascading a slot
+//! redistributes its entries in insertion order, the sort into the run is
+//! stable, and everything a cascade brings into the run was pushed before
+//! anything pushed into the open window, so two events with equal
+//! timestamps can never swap — the property every end-to-end
+//! reproducibility test in this workspace leans on. Scheduling into the
+//! past is a debug panic (clamped to `now` in release), and `pop_until`
+//! never advances the clock past its horizon. The proptest differential
+//! suite (`tests/event_differential.rs`) drives this wheel and
+//! [`HeapEventQueue`](crate::HeapEventQueue) in lockstep to assert the two
+//! backends are observationally identical.
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
 
 /// log2 of the slot count per level.
 const SLOT_BITS: u32 = 8;
 /// Slots per level.
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Levels; 8 × 8 bits covers the full 64-bit nanosecond clock.
+/// Levels, the run being level 0; 8 × 8 bits covers the full 64-bit
+/// nanosecond clock.
 const LEVELS: usize = 8;
 /// Words of the per-level occupancy bitmap.
 const OCC_WORDS: usize = SLOTS / 64;
+/// Entries from which a window is counting-sorted into the run. A quiet
+/// stretch has a timer or a flow start per window, and clearing and
+/// summing 256 counters costs as much as inserting about this many one by
+/// one.
+const SORT_FROM: usize = 8;
 
 /// A pending event: absolute timestamp and payload. FIFO among ties needs
 /// no stored sequence number: slots only append and cascades are stable.
@@ -71,7 +89,13 @@ type Pending<E> = (u64, E);
 
 /// The hierarchical timing wheel. See the module docs for the invariants.
 pub(crate) struct TimingWheel<E> {
-    /// `LEVELS * SLOTS` append-only slot vectors, indexed `level * 256 + slot`.
+    /// Every pending event of the 256 ns window the clock is in, in pop
+    /// order: `run[..cur]` has been popped (`None`), `run[cur..]` is
+    /// pending (`Some`) and sorted by timestamp, FIFO among ties.
+    run: Vec<Option<Pending<E>>>,
+    /// The next entry of `run` to pop.
+    cur: usize,
+    /// Append-only slot vectors of levels 1 and up; see [`upper`].
     slots: Vec<Vec<Pending<E>>>,
     /// Buffers of drained level-1 slots, taken LIFO by the next level-1
     /// slot that fills from empty, so the buffers that cover the occupied
@@ -80,18 +104,13 @@ pub(crate) struct TimingWheel<E> {
     /// so level 1 never owns more buffers than it had slots occupied at
     /// one time.
     spare: Vec<Vec<Pending<E>>>,
-    /// Per-level slot-occupancy bitmaps.
-    occ: [[u64; OCC_WORDS]; LEVELS],
-    /// Events staged out of the current level-0 slot, all at `ready_at`,
-    /// in FIFO order. Popping drains this before touching the wheel again.
-    ready: VecDeque<E>,
-    /// Timestamp shared by everything in `ready`.
-    ready_at: u64,
+    /// Slot-occupancy bitmaps of levels 1 and up (`occ[level - 1]`).
+    occ: [[u64; OCC_WORDS]; LEVELS - 1],
     /// Current clock in nanoseconds (timestamp of the last popped event).
     now: u64,
     /// Events ever pushed (the scheduled-total counter).
     seq: u64,
-    /// Pending events (wheel + ready).
+    /// Pending events (wheel + run).
     len: usize,
     /// High-water mark of `len`.
     peak: usize,
@@ -110,6 +129,12 @@ fn slot_of(level: usize, at: u64) -> usize {
     ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize
 }
 
+/// Index into `slots` of slot `slot` on `level` (1 and up).
+#[inline(always)]
+fn upper(level: usize, slot: usize) -> usize {
+    (level - 1) * SLOTS + slot
+}
+
 /// First occupied slot index in a level's bitmap, if any.
 #[inline]
 fn first_occupied(occ: &[u64; OCC_WORDS]) -> Option<usize> {
@@ -124,11 +149,11 @@ fn first_occupied(occ: &[u64; OCC_WORDS]) -> Option<usize> {
 impl<E> TimingWheel<E> {
     pub(crate) fn new() -> Self {
         TimingWheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            run: Vec::new(),
+            cur: 0,
+            slots: (0..(LEVELS - 1) * SLOTS).map(|_| Vec::new()).collect(),
             spare: Vec::new(),
-            occ: [[0; OCC_WORDS]; LEVELS],
-            ready: VecDeque::new(),
-            ready_at: 0,
+            occ: [[0; OCC_WORDS]; LEVELS - 1],
             now: 0,
             seq: 0,
             len: 0,
@@ -141,19 +166,95 @@ impl<E> TimingWheel<E> {
         SimTime::from_nanos(self.now)
     }
 
-    /// Files one event into its slot per the level invariant.
+    /// Files one event per the level invariant: into the run when it is
+    /// due inside the clock's 256 ns window, else into its slot.
     #[inline]
     fn place(&mut self, at: u64, ev: E) {
         let l = level_of(self.now, at);
+        if l == 0 {
+            return self.insert_run(at, ev);
+        }
         let s = slot_of(l, at);
-        let slot = &mut self.slots[l * SLOTS + s];
+        let slot = &mut self.slots[upper(l, s)];
         if l == 1 && slot.capacity() == 0 {
             if let Some(buf) = self.spare.pop() {
                 *slot = buf;
             }
         }
         slot.push((at, ev));
-        self.occ[l][s / 64] |= 1 << (s % 64);
+        self.occ[l - 1][s / 64] |= 1 << (s % 64);
+    }
+
+    /// Puts an event of the current window behind every pending entry of
+    /// the run that is not later than it. That is FIFO among ties: what a
+    /// cascade sorted into the run was pushed before the clock entered the
+    /// window, and what was inserted since went behind its ties the same
+    /// way.
+    #[inline]
+    fn insert_run(&mut self, at: u64, ev: E) {
+        if self.cur == self.run.len() {
+            self.run.clear();
+            self.cur = 0;
+        } else if matches!(self.run.last(), Some(Some((last, _))) if *last > at) {
+            return self.insert_run_before_end(at, ev);
+        }
+        self.run.push(Some((at, ev)));
+    }
+
+    /// The insertion that is not an append. The new entry is due soon
+    /// (hundreds of entries can be pending behind it, a few before it), so
+    /// room is made on the cursor's side: the entries ahead of it move one
+    /// place down into the popped part of the run. Only with the cursor
+    /// at 0 is there no such place, and the tail moves up instead.
+    fn insert_run_before_end(&mut self, at: u64, ev: E) {
+        let due_first = |e: &Option<Pending<E>>| matches!(e, Some((t, _)) if *t <= at);
+        let i = self.cur + self.run[self.cur..].partition_point(due_first);
+        if self.cur == 0 {
+            self.run.insert(i, Some((at, ev)));
+        } else {
+            self.cur -= 1;
+            self.run[self.cur..i].rotate_left(1);
+            self.run[i - 1] = Some((at, ev));
+        }
+    }
+
+    /// Refills the empty run with `evs`, which are all due in the clock's
+    /// 256 ns window, by a stable counting sort on the low 8 bits of their
+    /// timestamps (a handful are inserted instead). `evs` is left empty.
+    fn fill_run(&mut self, evs: &mut Vec<Pending<E>>) {
+        debug_assert_eq!(
+            self.cur,
+            self.run.len(),
+            "refilled a run with pending entries"
+        );
+        self.run.clear();
+        self.cur = 0;
+        if evs.len() < SORT_FROM {
+            for (at, ev) in evs.drain(..) {
+                self.insert_run(at, ev);
+            }
+            return;
+        }
+        // Nothing bounds a tie storm to 65 535 entries, hence `u32`.
+        assert!(
+            u32::try_from(evs.len()).is_ok(),
+            "one slot holds over 2^32 events"
+        );
+        let mut next = [0u32; SLOTS];
+        for (at, _) in evs.iter() {
+            next[slot_of(0, *at)] += 1;
+        }
+        let mut start = 0;
+        for n in &mut next {
+            start += std::mem::replace(n, start);
+        }
+        self.run.resize_with(evs.len(), || None);
+        for (at, ev) in evs.drain(..) {
+            debug_assert_eq!(level_of(self.now, at), 0);
+            let n = &mut next[slot_of(0, at)];
+            self.run[*n as usize] = Some((at, ev));
+            *n += 1;
+        }
     }
 
     pub(crate) fn push(&mut self, at: SimTime, ev: E) {
@@ -181,35 +282,32 @@ impl<E> TimingWheel<E> {
     }
 
     /// Timestamp of the earliest pending event without disturbing the
-    /// wheel. O(1) in bitmap words plus, when only upper levels are
-    /// occupied, one scan of the single first slot.
+    /// wheel. O(1) in bitmap words plus, when the run is empty, one scan
+    /// of the single first slot.
     fn earliest(&self) -> Option<u64> {
-        if !self.ready.is_empty() {
-            return Some(self.ready_at);
+        if let Some(Some((at, _))) = self.run.get(self.cur) {
+            return Some(*at);
         }
         if self.len == 0 {
             return None;
         }
-        for l in 0..LEVELS {
-            let Some(s) = first_occupied(&self.occ[l]) else {
+        for l in 1..LEVELS {
+            let Some(s) = first_occupied(&self.occ[l - 1]) else {
                 continue;
             };
-            if l == 0 {
-                // Level-0 slots hold exactly one timestamp: the slot's.
-                return Some((self.now & !(SLOTS as u64 - 1)) | s as u64);
-            }
-            // Upper-level slots mix timestamps; the earliest is the min.
-            let evs = &self.slots[l * SLOTS + s];
+            // Slots mix timestamps; the earliest is the min.
+            let evs = &self.slots[upper(l, s)];
             debug_assert!(!evs.is_empty());
             return evs.iter().map(|e| e.0).min();
         }
         unreachable!("len > 0 but no occupied slot");
     }
 
-    /// Advances the clock to `t` (the earliest pending timestamp),
-    /// cascading every higher-level slot on the path so the event lands
-    /// in its level-0 slot. Stable: redistribution preserves insertion
-    /// order, so FIFO-on-tie survives every cascade.
+    /// With the run empty, advances the clock to the start of the 256 ns
+    /// window of `t` (the earliest pending timestamp), cascading every
+    /// higher-level slot on the path so the events of that window land in
+    /// the run. Stable: redistribution preserves insertion order, so
+    /// FIFO-on-tie survives every cascade.
     fn advance_to(&mut self, t: u64) {
         loop {
             let l = level_of(self.now, t);
@@ -221,79 +319,50 @@ impl<E> TimingWheel<E> {
             // slot re-files relative to the new clock, one level (or more)
             // down.
             self.now = t & !((1u64 << (SLOT_BITS * l as u32)) - 1);
-            let mut evs = std::mem::take(&mut self.slots[l * SLOTS + s]);
-            self.occ[l][s / 64] &= !(1 << (s % 64));
-            for (at, ev) in evs.drain(..) {
+            let mut evs = std::mem::take(&mut self.slots[upper(l, s)]);
+            self.occ[l - 1][s / 64] &= !(1 << (s % 64));
+            if l == 1 {
+                // A level-1 slot is the new window, and its buffer goes to
+                // the spare pool.
+                self.fill_run(&mut evs);
+                self.spare.push(evs);
+                continue;
+            }
+            // From level 2 up every entry goes to a strictly lower level, so
+            // the slot stays empty until its next lap, and its buffer (used
+            // once per >= 65.5 µs of simulated time) is freed here. What is
+            // due in the slot's first 256 ns is inserted into the run one by
+            // one, a window's worth once per 256 windows.
+            for (at, ev) in evs {
                 debug_assert!(at >= self.now);
                 self.place(at, ev);
             }
-            // Re-filed events always land on a strictly lower level, so the
-            // slot stays empty until its next lap. A level-1 buffer goes to
-            // the spare pool; one from level 2 up (used once per >= 65.5 µs
-            // of simulated time) is freed here.
-            if l == 1 {
-                self.spare.push(evs);
-            }
         }
-        self.now = t;
-    }
-
-    /// Drains the level-0 slot holding timestamp `t`: returns its first
-    /// event and stages any remaining ties into `ready`, in insertion
-    /// order. Precondition: `advance_to(t)` has run, so the slot holds
-    /// exactly the events at `t`.
-    fn stage(&mut self, t: u64) -> E {
-        let s = slot_of(0, t);
-        let mut evs = std::mem::take(&mut self.slots[s]);
-        self.occ[0][s / 64] &= !(1 << (s % 64));
-        debug_assert!(!evs.is_empty(), "staged an empty slot");
-        let mut drain = evs.drain(..);
-        let (at, first) = drain.next().expect("staged slot is nonempty");
-        debug_assert_eq!(at, t, "level-0 slot mixed timestamps");
-        // The common case is a single event per instant; ties go through
-        // the ready stage (usually untouched).
-        for (at, ev) in drain {
-            debug_assert_eq!(at, t, "level-0 slot mixed timestamps");
-            self.ready.push_back(ev);
-        }
-        self.slots[s] = evs; // keep the slot's buffer capacity
-        self.ready_at = t;
-        first
     }
 
     pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
-        let ev = match self.ready.pop_front() {
-            Some(ev) => ev,
-            None => {
-                let t = self.earliest()?;
-                self.advance_to(t);
-                self.stage(t)
-            }
-        };
-        self.len -= 1;
-        self.now = self.ready_at;
-        Some((SimTime::from_nanos(self.ready_at), ev))
+        self.pop_until(SimTime::from_nanos(u64::MAX))
     }
 
     #[inline]
     pub(crate) fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        let ev = if self.ready.is_empty() {
+        if self.cur == self.run.len() {
             let t = self.earliest()?;
             if t > limit.as_nanos() {
                 // Beyond the horizon: stays queued, clock does not move.
                 return None;
             }
             self.advance_to(t);
-            self.stage(t)
-        } else {
-            if self.ready_at > limit.as_nanos() {
-                return None;
-            }
-            self.ready.pop_front().expect("ready is nonempty")
-        };
+        }
+        let next = &mut self.run[self.cur];
+        if matches!(next, Some((at, _)) if *at > limit.as_nanos()) {
+            return None;
+        }
+        let (at, ev) = next.take().expect("the run is pending from its cursor on");
+        self.cur += 1;
         self.len -= 1;
-        self.now = self.ready_at;
-        Some((SimTime::from_nanos(self.ready_at), ev))
+        self.now = at;
+        Some((SimTime::from_nanos(at), ev))
     }
 
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
@@ -312,11 +381,11 @@ impl<E> TimingWheel<E> {
         self.peak
     }
 
-    /// Buffers held above level 0 — slots with capacity plus the spare
+    /// Buffers held by the wheels — slots with capacity plus the spare
     /// pool — and the entries they have room for.
     #[cfg(test)]
-    pub(crate) fn retained_above_level0(&self) -> (usize, usize) {
-        let held = self.slots[SLOTS..].iter().chain(&self.spare);
+    pub(crate) fn retained_slot_buffers(&self) -> (usize, usize) {
+        let held = self.slots.iter().chain(&self.spare);
         let caps = held.map(Vec::capacity).filter(|&c| c > 0);
         caps.fold((0, 0), |(n, room), c| (n + 1, room + c))
     }
@@ -324,10 +393,10 @@ impl<E> TimingWheel<E> {
     /// Reconstructs a wheel from snapshot state: the clock, the lifetime
     /// counters, and every pending event in *pop order*.
     ///
-    /// Re-filing in pop order is all FIFO ties need: slots append, so a
-    /// restored tie pops before any event pushed later. The insertion
-    /// counter is set back to `scheduled_total` so the `events_scheduled`
-    /// diagnostic stays byte-identical.
+    /// Re-filing in pop order is all FIFO ties need: slots and the run
+    /// append, so a restored tie pops before any event pushed later. The
+    /// insertion counter is set back to `scheduled_total` so the
+    /// `events_scheduled` diagnostic stays byte-identical.
     pub(crate) fn rebuild(
         now: u64,
         scheduled_total: u64,
@@ -353,6 +422,15 @@ impl<E> TimingWheel<E> {
 mod tests {
     use super::*;
 
+    fn at(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
+    /// Pops everything, as `(timestamp, payload)`.
+    fn drain(w: &mut TimingWheel<u32>) -> Vec<(u64, u32)> {
+        std::iter::from_fn(|| w.pop().map(|(t, ev)| (t.as_nanos(), ev))).collect()
+    }
+
     #[test]
     fn level_math() {
         assert_eq!(level_of(0, 0), 0);
@@ -370,36 +448,136 @@ mod tests {
     #[test]
     fn far_future_and_max_timestamps() {
         let mut w: TimingWheel<u32> = TimingWheel::new();
-        w.push(SimTime::from_nanos(u64::MAX), 3);
-        w.push(SimTime::from_nanos(u64::MAX - 1), 2);
-        w.push(SimTime::from_nanos(5), 1);
-        assert_eq!(w.peek_time(), Some(SimTime::from_nanos(5)));
-        assert_eq!(w.pop(), Some((SimTime::from_nanos(5), 1)));
-        assert_eq!(w.pop(), Some((SimTime::from_nanos(u64::MAX - 1), 2)));
-        assert_eq!(w.pop(), Some((SimTime::from_nanos(u64::MAX), 3)));
+        w.push(at(u64::MAX), 3);
+        w.push(at(u64::MAX - 1), 2);
+        w.push(at(5), 1);
+        assert_eq!(w.peek_time(), Some(at(5)));
+        assert_eq!(w.pop(), Some((at(5), 1)));
+        assert_eq!(w.pop(), Some((at(u64::MAX - 1), 2)));
+        assert_eq!(w.pop(), Some((at(u64::MAX), 3)));
         assert_eq!(w.pop(), None);
-        assert_eq!(w.now(), SimTime::from_nanos(u64::MAX));
+        assert_eq!(w.now(), at(u64::MAX));
     }
 
     #[test]
     fn cascades_preserve_fifo_ties() {
         let mut w: TimingWheel<u32> = TimingWheel::new();
         // Two ties parked far out (level >= 1 initially), plus one pushed
-        // after the clock advances next to them (level 0 directly): the
-        // pop order must follow insertion sequence.
-        let t = SimTime::from_nanos(1_000_000);
+        // after the clock advances next to them (a lower level): the pop
+        // order must follow insertion sequence.
+        let t = at(1_000_000);
         w.push(t, 0);
         w.push(t, 1);
-        w.push(SimTime::from_nanos(10), 99);
-        assert_eq!(w.pop(), Some((SimTime::from_nanos(10), 99)));
+        w.push(at(10), 99);
+        assert_eq!(w.pop(), Some((at(10), 99)));
         w.push(t, 2);
         assert_eq!(w.pop(), Some((t, 0)));
-        // Mid-drain push at the ready timestamp lands behind the ties.
+        // Mid-drain push at the clock's own instant lands behind the ties.
         w.push(t, 3);
         assert_eq!(w.pop(), Some((t, 1)));
         assert_eq!(w.pop(), Some((t, 2)));
         assert_eq!(w.pop(), Some((t, 3)));
         assert_eq!(w.pop(), None);
+    }
+
+    #[test]
+    fn in_window_pushes_sort_into_the_run() {
+        // Cursor at 0: pushes alone build the run of the window [0, 256).
+        let mut w: TimingWheel<u32> = TimingWheel::new();
+        w.push(at(50), 0);
+        w.push(at(100), 1);
+        w.push(at(20), 2); // ahead of every pending entry
+        w.push(at(70), 3); // between two
+        w.push(at(200), 4); // behind: an append
+        w.push(at(50), 5); // a tie goes behind its elder
+        assert_eq!((w.cur, w.run.len()), (0, 6));
+        let order = [(20, 2), (50, 0), (50, 5), (70, 3), (100, 1), (200, 4)];
+        assert_eq!(drain(&mut w), order);
+
+        // Cursor past 0: a cascade fills the run and two pops leave a gap,
+        // which the first two insertions use up.
+        let mut w: TimingWheel<u32> = TimingWheel::new();
+        for (i, t) in [1030, 1040, 1100, 1100, 1200].into_iter().enumerate() {
+            w.push(at(t), i as u32);
+        }
+        assert_eq!(w.pop(), Some((at(1030), 0)));
+        assert_eq!(w.pop(), Some((at(1040), 1)));
+        assert_eq!(w.cur, 2);
+        w.push(at(1050), 10); // ahead
+        assert_eq!(w.cur, 1);
+        w.push(at(1150), 11); // between
+        assert_eq!(w.cur, 0);
+        w.push(at(1100), 12); // behind both ties, cursor back at 0
+        w.push(at(1250), 13); // behind everything
+        assert_eq!((w.cur, w.run.len(), w.len()), (0, 7, 7));
+        assert_eq!(w.peek_time(), Some(at(1050)));
+        let order = [
+            (1050, 10),
+            (1100, 2),
+            (1100, 3),
+            (1100, 12),
+            (1150, 11),
+            (1200, 4),
+            (1250, 13),
+        ];
+        assert_eq!(drain(&mut w), order);
+    }
+
+    #[test]
+    fn a_window_sorts_stably_on_both_sides_of_the_sort_threshold() {
+        for n in [SORT_FROM - 1, SORT_FROM, 40 * SORT_FROM] {
+            // Scattered over the window [1024, 1280), two to a timestamp.
+            let stamps: Vec<u64> = (0..n as u64).map(|i| 1024 + i / 2 * 37 % 256).collect();
+            let mut w: TimingWheel<u32> = TimingWheel::new();
+            for (i, &t) in stamps.iter().enumerate() {
+                w.push(at(t), i as u32);
+            }
+            let mut sorted: Vec<(u64, u32)> = stamps.iter().copied().zip(0..).collect();
+            sorted.sort(); // by timestamp, then by push order
+            assert_eq!(drain(&mut w), sorted, "{n} entries");
+        }
+    }
+
+    #[test]
+    fn cascaded_entry_pops_before_a_later_in_window_tie() {
+        let mut w: TimingWheel<u32> = TimingWheel::new();
+        w.push(at(1030), 0);
+        w.push(at(1100), 1);
+        w.push(at(1200), 2);
+        assert_eq!(w.pop(), Some((at(1030), 0)));
+        // The window is open and holds (1100, 1); the same instant pushed
+        // now is younger, though it goes in ahead of (1200, 2).
+        w.push(at(1100), 3);
+        assert_eq!(drain(&mut w), [(1100, 1), (1100, 3), (1200, 2)]);
+    }
+
+    #[test]
+    fn level2_cascade_fills_the_run_only_from_its_first_window() {
+        const L2: u64 = 1 << (2 * SLOT_BITS);
+        // Earliest entry in the first 256 ns of the level-2 slot: it and
+        // its window mates go straight to the run, sorted; the rest of the
+        // slot goes down to level 1.
+        let mut w: TimingWheel<u32> = TimingWheel::new();
+        w.push(at(L2 + 100), 0);
+        w.push(at(L2 + 300), 1);
+        w.push(at(L2 + 50), 2);
+        w.push(at(L2 + 100), 3);
+        assert_eq!(w.pop(), Some((at(L2 + 50), 2)));
+        assert_eq!((w.cur, w.run.len()), (1, 3));
+        assert_eq!(w.occ[0][0], 0b10, "only +300 is on level 1");
+        assert_eq!(drain(&mut w), [(L2 + 100, 0), (L2 + 100, 3), (L2 + 300, 1)]);
+
+        // Earliest entry past the first 256 ns: the level-2 cascade leaves
+        // the run empty and the level-1 slot of that entry fills it.
+        let mut w: TimingWheel<u32> = TimingWheel::new();
+        w.push(at(2 * L2 + 9_000), 0);
+        w.push(at(2 * L2 + 5_010), 1);
+        w.push(at(2 * L2 + 5_000), 2);
+        assert_eq!(w.peek_time(), Some(at(2 * L2 + 5_000)));
+        assert_eq!(w.pop(), Some((at(2 * L2 + 5_000), 2)));
+        assert_eq!((w.cur, w.run.len()), (1, 2));
+        assert_eq!(drain(&mut w), [(2 * L2 + 5_010, 1), (2 * L2 + 9_000, 0)]);
+        assert_eq!(w.now(), at(2 * L2 + 9_000));
     }
 
     /// Three laps of level 2 (50 ms) of a bursty stream: every 30 µs a
@@ -411,7 +589,7 @@ mod tests {
     fn buffers_follow_occupied_slots_not_touched_slots() {
         const BURST: u64 = u64::MAX;
         let occupied = |w: &TimingWheel<u64>, levels: std::ops::Range<usize>| -> usize {
-            let words = w.occ[levels].iter().flatten();
+            let words = w.occ[levels.start - 1..levels.end - 1].iter().flatten();
             words.map(|word| word.count_ones() as usize).sum()
         };
         let mut w: TimingWheel<u64> = TimingWheel::new();
@@ -419,7 +597,7 @@ mod tests {
         // Stop mid-burst, clear of the level-3 boundary at three laps.
         let end = 3 * (1u64 << (3 * SLOT_BITS)) + 40_000;
         let (mut popped, mut peak_level1) = (0u64, 0);
-        while let Some((t, ev)) = w.pop_until(SimTime::from_nanos(end)) {
+        while let Some((t, ev)) = w.pop_until(at(end)) {
             popped += 1;
             if ev == BURST {
                 for i in 0..200 {
@@ -435,40 +613,79 @@ mod tests {
         // Level 1 owns a buffer per slot it ever had occupied at one time;
         // higher levels only where events are pending now. All 512 slots
         // of levels 1 and 2 have been used.
-        let (buffers, room) = w.retained_above_level0();
+        let (buffers, room) = w.retained_slot_buffers();
         let bound = peak_level1 + occupied(&w, 2..LEVELS);
         assert!(buffers <= bound, "{buffers} buffers, bound {bound}");
-        // No slot ever held 256 events, so no buffer grew past 256.
+        // No slot ever held 256 events, so no buffer grew past 256, and
+        // neither did the run.
         assert!(room <= bound * 256, "room for {room}");
+        assert!(w.run.capacity() <= 256, "run of {}", w.run.capacity());
     }
 
     #[test]
     fn pop_until_does_not_advance_past_horizon() {
         let mut w: TimingWheel<&str> = TimingWheel::new();
-        w.push(SimTime::from_nanos(100_000), "later");
-        assert_eq!(w.pop_until(SimTime::from_nanos(99_999)), None);
+        w.push(at(100_000), "later");
+        assert_eq!(w.pop_until(at(99_999)), None);
         assert_eq!(w.now(), SimTime::ZERO);
         // Exact boundary is inclusive.
-        assert_eq!(
-            w.pop_until(SimTime::from_nanos(100_000)),
-            Some((SimTime::from_nanos(100_000), "later"))
-        );
+        assert_eq!(w.pop_until(at(100_000)), Some((at(100_000), "later")));
     }
 
     #[test]
-    fn counters_track_wheel_and_ready() {
+    fn pop_until_stops_inside_the_run_and_before_an_unopened_window() {
+        let mut w: TimingWheel<u32> = TimingWheel::new();
+        w.push(at(1030), 0);
+        w.push(at(1100), 1);
+        w.push(at(2000), 2); // the level-1 window [1792, 2048)
+        assert_eq!(w.pop_until(at(1029)), None);
+        assert_eq!(w.now(), SimTime::ZERO);
+        // A limit inside the open window: the run's head stays.
+        assert_eq!(w.pop_until(at(1050)), Some((at(1030), 0)));
+        assert_eq!(w.pop_until(at(1050)), None);
+        assert_eq!(w.pop_until(at(1099)), None);
+        assert_eq!((w.now(), w.len()), (at(1030), 2));
+        assert_eq!(w.pop_until(at(1100)), Some((at(1100), 1)));
+        // The run is spent; limits just before the next window, and inside
+        // it but before its only entry, must leave it unopened.
+        for limit in [1791, 1792, 1999] {
+            assert_eq!(w.pop_until(at(limit)), None);
+            assert_eq!(w.now(), at(1100));
+        }
+        // The clock did not move, so 1500 is still ahead of it.
+        w.push(at(1500), 3);
+        assert_eq!(w.pop_until(at(1999)), Some((at(1500), 3)));
+        assert_eq!(w.pop_until(at(2000)), Some((at(2000), 2)));
+        assert_eq!(w.pop_until(at(u64::MAX)), None);
+    }
+
+    #[test]
+    fn a_tie_storm_wider_than_u16_keeps_fifo() {
+        let mut w: TimingWheel<u32> = TimingWheel::new();
+        w.push(at(999), u32::MAX);
+        for i in 0..70_000 {
+            w.push(at(1000), i);
+        }
+        assert_eq!(w.pop(), Some((at(999), u32::MAX)));
+        for i in 0..70_000 {
+            assert_eq!(w.pop(), Some((at(1000), i)));
+        }
+        assert_eq!(w.pop(), None);
+    }
+
+    #[test]
+    fn counters_track_wheel_and_run() {
         let mut w: TimingWheel<u8> = TimingWheel::new();
-        let t = SimTime::from_nanos(7);
+        let t = at(700);
         for i in 0..5 {
             w.push(t, i);
         }
         assert_eq!(w.len(), 5);
         assert_eq!(w.peak_pending(), 5);
-        // First pop stages the slot; len must count staged events.
+        // First pop sorts the slot into the run; len must count the run.
         assert_eq!(w.pop(), Some((t, 0)));
         assert_eq!(w.len(), 4);
         assert_eq!(w.peek_time(), Some(t));
-        assert!(w.len() > 0);
         while w.pop().is_some() {}
         assert_eq!(w.len(), 0);
         assert_eq!(w.scheduled_total(), 5);

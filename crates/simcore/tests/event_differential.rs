@@ -6,8 +6,9 @@
 //! clocks, and identical pending counts on both backends — including
 //! clustered near-now timestamps (burst regime), heavy ties (FIFO
 //! tie-break), far-future delays that land in the wheel's upper levels,
-//! `pop_until` at exact tick boundaries, and `u64::MAX`-adjacent
-//! timestamps in the overflow wheel.
+//! `pop_until` at exact tick boundaries, `u64::MAX`-adjacent timestamps
+//! in the overflow wheel, and the delay mix and depth of a simulated
+//! datacenter.
 
 use proptest::prelude::*;
 use vertigo_simcore::{EventBackend, EventQueue, SimDuration, SimTime};
@@ -44,6 +45,11 @@ fn delta_strategy() -> impl Strategy<Value = u64> {
         (u64::MAX - 512)..=u64::MAX,
     ]
 }
+
+/// The delays of the perfbench cells' event census, in nanoseconds:
+/// ACK and full-size serializations at 40 and 10 Gbps, and the same
+/// plus 500 ns of propagation.
+const DC_DELAYS: [u64; 8] = [13, 51, 300, 513, 551, 800, 1200, 1700];
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
@@ -145,6 +151,37 @@ proptest! {
             if i % drain_every == drain_every - 1 {
                 ops.push(Op::Pop);
                 ops.push(Op::PopUntilExact);
+            }
+        }
+        run_script(&ops);
+    }
+
+    /// The traffic the simulator puts on the queue: some 3 000 pending
+    /// events at about a hundred per 256 ns, and a loop that pops one and
+    /// pushes one 13 ns to 1.7 µs ahead (ACK and data serializations, wire
+    /// times), so most pushes cascade once from level 1 and one in five
+    /// lands inside the window being popped. Now and then a handler also
+    /// arms an RTO-sized timer or schedules nothing.
+    #[test]
+    fn wheel_matches_heap_on_datacenter_delays(
+        prefill in proptest::collection::vec(0u64..8_192, 2_900..3_100),
+        steps in proptest::collection::vec(
+            (0usize..DC_DELAYS.len(), 0u32..40, 200_000u64..4_000_000),
+            500..3_000,
+        ),
+    ) {
+        let spread = prefill.iter().enumerate();
+        let mut ops: Vec<Op> = spread
+            .map(|(i, &d)| Op::PushAfter(d + DC_DELAYS[i % DC_DELAYS.len()]))
+            .collect();
+        for (delay, roll, rto) in steps {
+            ops.push(if roll % 8 == 7 { Op::PopUntil(1_000) } else { Op::Pop });
+            ops.push(Op::PushAfter(DC_DELAYS[delay]));
+            match roll {
+                0 => ops.push(Op::PushAfter(rto)),
+                1 => ops.push(Op::Pop),
+                2 => ops.push(Op::PopUntilExact),
+                _ => {}
             }
         }
         run_script(&ops);

@@ -176,11 +176,15 @@ pub struct RunOutput {
     pub trace_path: Option<PathBuf>,
 }
 
-/// A run failure that a correct program can meet: `--trace`,
-/// `--checkpoint-every` or `--resume` pointed at something unusable.
+/// A run failure that a correct program can meet: `--trace` on a build
+/// without the feature, or `--trace`, `--checkpoint-every` or `--resume`
+/// pointed at something unusable.
 /// Broken internal invariants stay panics.
 #[derive(Debug)]
 pub enum RunError {
+    /// A trace was requested of a build without the `trace` feature, whose
+    /// hooks are compiled out.
+    TraceUnavailable,
     /// The trace file at `path`, or its directory, could not be written.
     Trace {
         /// The per-spec trace file.
@@ -209,6 +213,10 @@ pub enum RunError {
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RunError::TraceUnavailable => f.write_str(
+                "--trace requires a binary built with `--features trace` \
+                 (this build compiled the hooks out); rebuild and rerun",
+            ),
             RunError::Trace { path, source } => {
                 write!(f, "--trace: cannot write {}: {source}", path.display())
             }
@@ -439,9 +447,7 @@ impl RunSpec {
     /// same spec — CI digest-diffs this. The trace file lands at
     /// [`trace_path`](Self::trace_path), a per-spec name derived from
     /// `trace.path`, so sweeps running many cells under one `--trace`
-    /// flag never collide. Panics if a trace is requested but the binary
-    /// was built without `--features trace` (a silent empty trace would
-    /// be worse than a loud failure).
+    /// flag never collide.
     ///
     /// **Checkpoints** are written at every multiple of the requested
     /// period strictly below the horizon, each at a *quiescent* boundary
@@ -461,7 +467,8 @@ impl RunSpec {
     /// the fork horizon skips re-applying it (the producing run already
     /// did, so the deferred arrivals are in the restored queue).
     ///
-    /// Failures a correct invocation can meet — an unwritable trace
+    /// Failures a correct invocation can meet — a trace requested of a
+    /// binary built without `--features trace`, an unwritable trace
     /// path, an unreadable or mismatched `--resume` file (format version,
     /// build features, or run spec; a silently wrong resume would be
     /// worse than a refusal) — come back as a [`RunError`]. Combining
@@ -492,15 +499,9 @@ impl RunSpec {
             return Ok(self.run_domains(n, fork));
         }
 
-        // Deliberately a *runtime* assert, not a const block: plain builds
-        // must compile and only fail if the option is actually requested.
-        #[allow(clippy::assertions_on_constants)]
-        if trace.is_some() {
-            assert!(
-                TRACE_AVAILABLE,
-                "--trace requires a binary built with `--features trace` \
-                 (this build compiled the hooks out); rebuild and rerun"
-            );
+        // A silent empty trace would be worse than a refusal.
+        if trace.is_some() && !TRACE_AVAILABLE {
+            return Err(RunError::TraceUnavailable);
         }
 
         let mut sim = match fork {

@@ -235,4 +235,11 @@ rss=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml --bin per
 echo "ft_soak peak_rss_mb = $rss"
 awk -v rss="$rss" 'BEGIN { exit !(rss > 0 && rss < 25) }'
 
+echo "==> sampling profiler smoke: one repetition yields samples"
+# The profile itself wants frame pointers (scripts/profile.sh); here only:
+# the example builds, its timer fires and its output is not empty.
+samples=$(cargo run --release --quiet --example sample_profile -- ls_burst_vertigo 1 \
+  | grep -vc '^#')
+echo "sample_profile ls_burst_vertigo 1: $samples samples"
+
 echo "==> ci OK"
