@@ -3,7 +3,6 @@
 //! the software model's push / pop-min (transmit) / pop-max (victimize).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use vertigo_core::pieo::model::BTreePieo;
 use vertigo_core::PieoQueue;
 
 fn bench_pieo(c: &mut Criterion) {
@@ -43,33 +42,15 @@ fn bench_pieo(c: &mut Criterion) {
     });
 }
 
-/// Interval heap vs the retained BTreeMap reference, across queue depths.
-/// The workload is the switch's steady-state mix: one push plus one
+/// The min-max heap across queue depths (the `BTreeMap` model it replaced
+/// is a test-only oracle now; its series is in `BENCH_PR1.json`). The
+/// workload is the switch's steady-state mix: one push plus one
 /// alternating pop_min/pop_max per iteration at constant depth.
-fn bench_pieo_vs_btree(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pieo_vs_btree");
+fn bench_pieo_depths(c: &mut Criterion) {
+    let mut g = c.benchmark_group("pieo_depth");
     for depth in [64usize, 256, 1024, 4096] {
         g.bench_function(format!("heap/depth{depth}"), |b| {
             let mut q = PieoQueue::new();
-            let mut r = 1u64;
-            for _ in 0..depth {
-                r = r.wrapping_mul(6364136223846793005).wrapping_add(1);
-                q.push(r >> 40, ());
-            }
-            let mut flip = false;
-            b.iter(|| {
-                r = r.wrapping_mul(6364136223846793005).wrapping_add(1);
-                q.push(black_box(r >> 40), ());
-                flip = !flip;
-                if flip {
-                    black_box(q.pop_min())
-                } else {
-                    black_box(q.pop_max())
-                }
-            })
-        });
-        g.bench_function(format!("btree/depth{depth}"), |b| {
-            let mut q = BTreePieo::new();
             let mut r = 1u64;
             for _ in 0..depth {
                 r = r.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -91,5 +72,5 @@ fn bench_pieo_vs_btree(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_pieo, bench_pieo_vs_btree);
+criterion_group!(benches, bench_pieo, bench_pieo_depths);
 criterion_main!(benches);

@@ -404,13 +404,14 @@ impl<T: vertigo_simcore::Snapshot> vertigo_simcore::Snapshot for PieoQueue<T> {
     }
 }
 
-/// Reference implementations kept for differential testing and benchmarks.
-pub mod model {
+/// Reference implementation kept for differential testing.
+#[cfg(test)]
+mod model {
     use std::collections::BTreeMap;
 
     /// The original `BTreeMap`-backed PIEO model: same API and semantics as
-    /// [`super::PieoQueue`], serving as the oracle in differential property
-    /// tests and as the baseline in `vertigo-bench`'s `pieo` benchmark.
+    /// [`super::PieoQueue`], the oracle in the differential property tests
+    /// below (its benchmark series against the heap is in `BENCH_PR1.json`).
     #[derive(Debug, Clone, Default)]
     pub struct BTreePieo<T> {
         map: BTreeMap<(u64, u64), T>,

@@ -11,7 +11,8 @@
 //!   even in release builds (`EventQueue::push`);
 //! * `vertigo-core`: PIEO `pop_min`/`pop_max` ranks are monotone against
 //!   the remaining heap;
-//! * `crate::switch`: DIBS deflection counts never exceed the policy cap.
+//! * `crate::deflect`: no packet is deflected more often than its policy's
+//!   budget allows (`Switch::deflect_to`).
 //!
 //! The custody tallies themselves accumulate in
 //! [`vertigo_stats::AuditHooks`], threaded through the recorder so every

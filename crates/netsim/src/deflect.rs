@@ -1,37 +1,37 @@
-//! The deflection-policy zoo: what a switch does with a packet that
-//! overflows its chosen output queue.
+//! Overflow: what a switch does with a packet that does not fit its
+//! chosen output queue (§3.2 and its baselines).
 //!
-//! Every overflow behavior is a [`DeflectionPolicy`] impl with a shared
-//! contract:
+//! Each policy is one function here, selected by the `match` on
+//! [`crate::policy::BufferPolicy`] in `Switch::enqueue_with_policy`, and
+//! all of them are written in the same few primitives: `Ctx::drop_pkt`,
+//! `Switch::deflect_to`, `Switch::room_or_drop` and `Switch::place`. The
+//! contract every policy keeps (DESIGN.md §5h):
 //!
-//! - **Decision inputs.** A policy sees the switch (`&mut Switch`: port
-//!   occupancy, candidate scratch, route table, load EWMA), the full
-//!   output port, the arrival's ingress port, and the packet itself. It
-//!   must resolve the overflow completely — enqueue somewhere, or drop
-//!   with an accounted [`DropCause`] — before returning.
+//! - **Decision inputs.** A policy sees the switch (port occupancy,
+//!   candidate scratch, route table, load EWMA), the full output port, the
+//!   arrival's ingress port, and the packet itself. It must resolve the
+//!   overflow completely — enqueue somewhere, or drop with an accounted
+//!   [`DropCause`] — before returning.
 //! - **RNG discipline.** All random draws come from the switch decision
-//!   stream (`ctx.rng`) in decision order. The legacy policies (Vertigo,
-//!   DIBS) predate this trait and their exact draw order is pinned
-//!   byte-for-byte by the golden traces: moving them here changed no
-//!   draw, no branch, no record.
+//!   stream (`ctx.rng`) in decision order; the golden traces pin the exact
+//!   draw order of every policy.
 //! - **Ingress exclusion.** Whether the arrival's ingress port may be a
 //!   deflection candidate is an explicit, per-policy contract
-//!   ([`DeflectionPolicy::excludes_ingress`]) rather than a latent
-//!   assumption. Legacy policies *include* the ingress (golden-pinned);
-//!   the new policies exclude it (hybrid, bounded) or exclusively
-//!   *target* it (PABO's backward bounce).
+//!   (`BufferPolicy::excludes_ingress`) rather than a latent assumption.
+//!   Vertigo and DIBS *include* the ingress (golden-pinned); hybrid and
+//!   bounded exclude it; PABO exclusively *targets* it (its backward
+//!   bounce).
 //! - **Down ports.** Administratively-downed ports
 //!   ([`Switch::set_port_down`]) are never selected, by any policy.
 //!
-//! Trace provenance: each policy stamps its [`DeflectionPolicy::trace_code`]
-//! into bits 2+ of the Deflect record's flags byte (bit 0 = forced, bit 1 =
-//! victim-is-arriving). The legacy policies keep code 0 so existing traces
-//! stay byte-identical.
+//! Trace provenance: a Deflect record's flags byte carries
+//! `BufferPolicy::trace_code` in bits 2+ (bit 0 = forced, bit 1 =
+//! victim-is-arriving).
 
 use crate::events::Ctx;
-use crate::switch::{trace_rec, Switch};
-use vertigo_pkt::{pool, Packet, PortId};
-use vertigo_stats::{pack_ports, DropCause, TraceKind, TRACE_NO_RANK};
+use crate::switch::Switch;
+use vertigo_pkt::{Packet, PortId};
+use vertigo_stats::{pack_ports, DropCause, TraceKind};
 
 /// Which deflection policy an experiment runs (the `--deflect` axis).
 ///
@@ -86,441 +86,303 @@ impl DeflectKind {
     }
 }
 
-/// One overflow policy: resolves a packet that does not fit its chosen
-/// output queue. See the module docs for the shared contract.
-pub trait DeflectionPolicy {
-    /// Policy code stamped into bits 2+ of Deflect-record flags. The
-    /// legacy policies return 0 so pre-trait traces remain byte-identical.
-    fn trace_code(&self) -> u8;
+/// Deflect-record flag bit 0: every sampled queue was full, so the victim
+/// was forced into one and that queue evicted down to its bound.
+const FORCED: u8 = 0b01;
+/// Deflect-record flag bit 1: the victim is the packet whose arrival
+/// overflowed the queue (not a resident it displaced).
+const ARRIVAL: u8 = 0b10;
 
-    /// Whether this policy removes the arrival's ingress port from its
-    /// deflection candidates. Legacy policies return `false` — their
-    /// candidate sets have always included the ingress, and the golden
-    /// traces pin that. (PABO also returns `false`: it does not *sample*
-    /// candidates at all, it targets the ingress-side upstream hop.)
-    fn excludes_ingress(&self) -> bool;
+impl Switch {
+    /// What every deflection does, whatever chose it: count the bounce on
+    /// the packet and the recorder, mark ECN against the queue it joins,
+    /// emit the Deflect record (`a` = the rank that queue gives the packet,
+    /// its logical RFS rank where queues are FIFO; `b` = up to four of
+    /// `sampled`), queue it on `to` and start the port. A `FORCED`
+    /// deflection skips the mark and then evicts the largest-RFS residents
+    /// of `to` until its byte bound holds again — congestion control must
+    /// see those losses.
+    fn deflect_to(
+        &mut self,
+        to: u16,
+        mut pkt: Box<Packet>,
+        sampled: &[u16],
+        flags: u8,
+        ctx: &mut Ctx,
+    ) {
+        pkt.deflections += 1;
+        ctx.rec.deflections += 1;
+        #[cfg(feature = "audit")]
+        assert!(
+            (self.cfg.buffer.deflection_budget()).is_none_or(|most| pkt.deflections <= most),
+            "audit: packet {} deflected {} times under {:?}",
+            pkt.uid,
+            pkt.deflections,
+            self.cfg.buffer
+        );
+        let cap = self.cfg.port_buffer_bytes;
+        let q = &mut self.ports[to as usize].queue;
+        if flags & FORCED == 0 {
+            Self::maybe_mark_ecn(&self.cfg, q, &mut pkt, ctx);
+        }
+        if ctx.rec.trace.enabled() {
+            let rank = q
+                .rank_of(&pkt)
+                .unwrap_or_else(|| pkt.rank(self.cfg.boost_shift));
+            let flags = flags | (self.cfg.buffer.trace_code() << 2);
+            let sampled = pack_ports(sampled);
+            ctx.trace(self.id, TraceKind::Deflect, &pkt, rank, sampled, flags, to);
+        }
+        q.push(pkt);
+        while q.bytes() > cap {
+            let evicted = q.evict_worst().expect("nonempty over-capacity queue");
+            ctx.drop_pkt(self.id, to, DropCause::DeflectionFull, evicted);
+        }
+        self.start_tx(to, ctx);
+    }
 
-    /// Resolves the overflow of `pkt`, which failed to fit on `out` after
-    /// arriving on `in_port`: enqueue it (possibly displacing a victim) or
-    /// drop it with an accounted cause.
-    fn on_overflow(
-        &self,
-        sw: &mut Switch,
+    /// The deflection candidates for `pkt` (full on `out`) whose queue has
+    /// room for it, handed out with the packet; with none, the packet is
+    /// dropped (`DeflectionFull`) and `None` returned.
+    fn room_or_drop(
+        &mut self,
         out: u16,
         in_port: PortId,
         pkt: Box<Packet>,
         ctx: &mut Ctx,
-    );
+    ) -> Option<(Box<Packet>, Vec<u16>)> {
+        let cap = self.cfg.port_buffer_bytes;
+        let exclude = self.cfg.buffer.excludes_ingress().then_some(in_port.0);
+        let mut cands = self.deflect_candidates(out, pkt.dst, exclude);
+        cands.retain(|&p| self.ports[p as usize].queue.fits(&pkt, cap));
+        if cands.is_empty() {
+            self.deflect_scratch = cands;
+            ctx.drop_pkt(self.id, out, DropCause::DeflectionFull, pkt);
+            return None;
+        }
+        Some((pkt, cands))
+    }
+
+    /// Power-of-`power` placement: draws that many distinct members of
+    /// `cands` (handing the buffer back to `deflect_scratch`) and picks the
+    /// least loaded — the most loaded under `flip`, the seeded mutation
+    /// that lets golden traces catch a selection regression. Returns the
+    /// choice and the sample; like `deflect_scratch`, the caller puts the
+    /// sample back into `sample_scratch` once done, so the steady-state
+    /// deflection path allocates nothing.
+    fn place(
+        &mut self,
+        cands: Vec<u16>,
+        power: usize,
+        flip: bool,
+        ctx: &mut Ctx,
+    ) -> (u16, Vec<u16>) {
+        let k = power.max(1).min(cands.len());
+        ctx.rng
+            .k_distinct_into(k, cands.len(), &mut self.pick_scratch);
+        let mut sample = std::mem::take(&mut self.sample_scratch);
+        sample.clear();
+        sample.extend(self.pick_scratch.iter().map(|&i| cands[i]));
+        self.deflect_scratch = cands;
+        let load = |p: &&u16| self.ports[**p as usize].queue.bytes();
+        let chosen = if flip {
+            sample.iter().max_by_key(load)
+        } else {
+            sample.iter().min_by_key(load)
+        };
+        (*chosen.expect("nonempty sample"), sample)
+    }
 }
 
 /// DIBS: deflect the *arriving* packet to a uniformly random port with
 /// space; drop at the deflection cap or when no port has space.
-#[derive(Debug, Clone, Copy)]
-pub struct DibsPolicy {
-    /// Deflection budget per packet (DIBS's TTL-like cap).
-    pub max_deflections: u16,
-}
-
-impl DeflectionPolicy for DibsPolicy {
-    fn trace_code(&self) -> u8 {
-        0
+pub(crate) fn dibs(
+    sw: &mut Switch,
+    out: u16,
+    in_port: PortId,
+    pkt: Box<Packet>,
+    max_deflections: u16,
+    ctx: &mut Ctx,
+) {
+    if pkt.deflections >= max_deflections {
+        return ctx.drop_pkt(sw.id, out, DropCause::DeflectionFull, pkt);
     }
-
-    fn excludes_ingress(&self) -> bool {
-        false
-    }
-
-    fn on_overflow(
-        &self,
-        sw: &mut Switch,
-        out: u16,
-        _in_port: PortId,
-        mut pkt: Box<Packet>,
-        ctx: &mut Ctx,
-    ) {
-        let max_deflections = self.max_deflections;
-        let cap = sw.cfg.port_buffer_bytes;
-        if pkt.deflections >= max_deflections {
-            sw.trace_drop(&pkt, DropCause::DeflectionFull, out, ctx);
-            ctx.rec.on_drop(DropCause::DeflectionFull, pkt.wire_size);
-            pool::recycle(pkt);
-            return;
-        }
-        // Random port with space (excluding the full output and
-        // host ports that are not the destination's).
-        let mut cands = sw.deflect_candidates(out, pkt.dst, None);
-        cands.retain(|&p| sw.ports[p as usize].queue.fits(&pkt, cap));
-        if cands.is_empty() {
-            sw.deflect_scratch = cands;
-            sw.trace_drop(&pkt, DropCause::DeflectionFull, out, ctx);
-            ctx.rec.on_drop(DropCause::DeflectionFull, pkt.wire_size);
-            pool::recycle(pkt);
-            return;
-        }
-        let p = cands[ctx.rng.index(cands.len())];
-        if ctx.rec.trace.enabled() {
-            // DIBS always deflects the *arriving* packet (flag
-            // bit 1) to a uniformly random candidate with space.
-            let sampled = pack_ports(&cands[..cands.len().min(4)]);
-            trace_rec(
-                ctx,
-                sw.id.0,
-                TraceKind::Deflect,
-                &pkt,
-                pkt.rank(sw.cfg.boost_shift),
-                sampled,
-                0b10,
-                p,
-            );
-        }
-        sw.deflect_scratch = cands;
-        pkt.deflections += 1;
-        #[cfg(feature = "audit")]
-        assert!(
-            pkt.deflections <= max_deflections,
-            "audit: DIBS deflection count {} exceeds policy cap {}",
-            pkt.deflections,
-            max_deflections
-        );
-        ctx.rec.deflections += 1;
-        Switch::maybe_mark_ecn(&sw.cfg, &sw.ports[p as usize].queue, &mut pkt, ctx);
-        sw.ports[p as usize].queue.push(pkt);
-        sw.start_tx(p, ctx);
-    }
+    let Some((pkt, cands)) = sw.room_or_drop(out, in_port, pkt, ctx) else {
+        return;
+    };
+    let to = cands[ctx.rng.index(cands.len())];
+    sw.deflect_to(to, pkt, &cands, ARRIVAL, ctx);
+    sw.deflect_scratch = cands;
 }
 
 /// Vertigo (§3.2): victimize the largest-RFS packet (arrival vs. queue
-/// residents when scheduling is on) and deflect the victim to the
-/// least-loaded of `deflect_power` sampled ports.
-#[derive(Debug, Clone, Copy)]
-pub struct VertigoPolicy {
-    /// Ports sampled per deflection (`1DEF`/`2DEF` in Fig. 12).
-    pub deflect_power: usize,
-    /// SRPT priority queues + evict-worst victim selection.
-    pub scheduling: bool,
-    /// Deflect at all (off = the "No Deflection" ablation).
-    pub deflection: bool,
-}
-
-impl DeflectionPolicy for VertigoPolicy {
-    fn trace_code(&self) -> u8 {
-        0
+/// residents when `scheduling` is on) and deflect each victim to the
+/// least-loaded of `deflect_power` sampled ports (`deflection` off = the
+/// "No Deflection" ablation: victims are dropped).
+pub(crate) fn vertigo(
+    sw: &mut Switch,
+    out: u16,
+    pkt: Box<Packet>,
+    deflect_power: usize,
+    scheduling: bool,
+    deflection: bool,
+    ctx: &mut Ctx,
+) {
+    let cap = sw.cfg.port_buffer_bytes;
+    // Victim selection: with scheduling, insert the arrival and evict the
+    // largest-RFS packets until the byte bound holds (footnote 4: several
+    // small packets may be displaced by one large arrival). Without
+    // scheduling, the arriving packet is the victim.
+    let arriving_uid = pkt.uid;
+    let mut victims: Vec<Box<Packet>> = Vec::new();
+    if scheduling {
+        sw.admit(out, pkt, ctx);
+        let q = &mut sw.ports[out as usize].queue;
+        while q.bytes() > cap {
+            victims.push(q.evict_worst().expect("nonempty over-capacity queue"));
+        }
+    } else {
+        victims.push(pkt);
     }
-
-    fn excludes_ingress(&self) -> bool {
-        false
-    }
-
-    fn on_overflow(
-        &self,
-        sw: &mut Switch,
-        out: u16,
-        _in_port: PortId,
-        mut pkt: Box<Packet>,
-        ctx: &mut Ctx,
-    ) {
-        let VertigoPolicy {
-            deflect_power,
-            scheduling,
-            deflection,
-        } = *self;
-        let cap = sw.cfg.port_buffer_bytes;
-        // Victim selection (§3.2): with scheduling, insert the
-        // arrival and evict the largest-RFS packets until the byte
-        // bound holds (footnote 4: several small packets may be
-        // displaced by one large arrival). Without scheduling, the
-        // arriving packet is the victim.
-        let arriving_uid = pkt.uid;
-        let mut victims: Vec<Box<Packet>> = Vec::new();
-        if scheduling {
-            Switch::maybe_mark_ecn(&sw.cfg, &sw.ports[out as usize].queue, &mut pkt, ctx);
-            sw.trace_enqueue(&pkt, out, ctx);
-            let q = &mut sw.ports[out as usize].queue;
-            q.push(pkt);
-            while q.bytes() > cap {
-                victims.push(q.evict_worst().expect("nonempty over-capacity queue"));
-            }
+    for victim in victims {
+        if !deflection {
+            ctx.drop_pkt(sw.id, out, DropCause::QueueFull, victim);
+            continue;
+        }
+        // Placement: the less loaded of the sampled ports; when even that
+        // one is full the network is congested, and the victim is forced
+        // into a random sampled queue (paper footnote 5).
+        let cands = sw.deflect_candidates(out, victim.dst, None);
+        if cands.is_empty() {
+            sw.deflect_scratch = cands;
+            ctx.drop_pkt(sw.id, out, DropCause::DeflectionFull, victim);
+            continue;
+        }
+        let (mut to, sample) = sw.place(cands, deflect_power, sw.mutate_victim, ctx);
+        let mut flags = if victim.uid == arriving_uid {
+            ARRIVAL
         } else {
-            victims.push(pkt);
+            0
+        };
+        if !sw.ports[to as usize].queue.fits(&victim, cap) {
+            to = sample[ctx.rng.index(sample.len())];
+            flags |= FORCED;
         }
-        for victim in victims {
-            if !deflection {
-                sw.trace_drop(&victim, DropCause::QueueFull, out, ctx);
-                ctx.rec.on_drop(DropCause::QueueFull, victim.wire_size);
-                pool::recycle(victim);
-                continue;
-            }
-            sw.deflect_victim(victim, out, deflect_power, arriving_uid, ctx);
-        }
-        sw.start_tx(out, ctx);
+        sw.deflect_to(to, victim, &sample, flags, ctx);
+        sw.sample_scratch = sample;
     }
+    sw.start_tx(out, ctx);
 }
 
 /// PABO: bounce the arriving packet *backward* to the hop that sent it,
 /// resolved from the packet's provenance field through the route table's
 /// reverse-path (neighbor CSR) index.
-#[derive(Debug, Clone, Copy)]
-pub struct PaboPolicy {
-    /// Bounce budget per packet.
-    pub max_deflections: u16,
-}
-
-impl DeflectionPolicy for PaboPolicy {
-    fn trace_code(&self) -> u8 {
-        1
-    }
-
-    fn excludes_ingress(&self) -> bool {
-        // PABO does not sample a candidate set; it *targets* the
-        // ingress-side upstream hop recorded in the packet's provenance.
-        false
-    }
-
-    fn on_overflow(
-        &self,
-        sw: &mut Switch,
-        out: u16,
-        _in_port: PortId,
-        mut pkt: Box<Packet>,
-        ctx: &mut Ctx,
-    ) {
-        let cap = sw.cfg.port_buffer_bytes;
-        if pkt.deflections >= self.max_deflections {
-            sw.trace_drop(&pkt, DropCause::DeflectionFull, out, ctx);
-            ctx.rec.on_drop(DropCause::DeflectionFull, pkt.wire_size);
-            pool::recycle(pkt);
-            return;
-        }
-        // Resolve the upstream hop from provenance. The seeded mutation
-        // bounces *forward* (first deflection candidate) instead, so the
-        // conformance suite can prove the goldens pin the backward bounce.
-        let upstream = if sw.mutate_victim {
-            let cands = sw.deflect_candidates(out, pkt.dst, None);
-            let first = cands.first().copied();
-            sw.deflect_scratch = cands;
-            first
-        } else {
-            sw.routes.upstream_port(sw.sw, pkt.prev_hop)
-        };
-        // The bounce fails — and the packet drops — when the upstream hop
-        // is unknown (a host's NIC, or no longer adjacent), is the full
-        // output itself, is administratively down, leads to a host that is
-        // not the destination (hosts discard foreign packets), or its
-        // queue is also full.
-        let viable = upstream.filter(|&p| {
-            if p == out || sw.down[p as usize] {
-                return false;
-            }
-            let port = &sw.ports[p as usize];
-            if port.host_facing && port.peer != pkt.dst {
-                return false;
-            }
-            port.queue.fits(&pkt, cap)
-        });
-        let Some(p) = viable else {
-            sw.trace_drop(&pkt, DropCause::DeflectionFull, out, ctx);
-            ctx.rec.on_drop(DropCause::DeflectionFull, pkt.wire_size);
-            pool::recycle(pkt);
-            return;
-        };
-        pkt.deflections += 1;
-        ctx.rec.deflections += 1;
-        ctx.rec.pabo_bounces += 1;
-        if ctx.rec.trace.enabled() {
-            trace_rec(
-                ctx,
-                sw.id.0,
-                TraceKind::Deflect,
-                &pkt,
-                pkt.rank(sw.cfg.boost_shift),
-                pack_ports(&[p]),
-                (self.trace_code() << 2) | 0b10,
-                p,
-            );
-        }
-        Switch::maybe_mark_ecn(&sw.cfg, &sw.ports[p as usize].queue, &mut pkt, ctx);
-        sw.ports[p as usize].queue.push(pkt);
-        sw.start_tx(p, ctx);
-    }
+pub(crate) fn pabo(
+    sw: &mut Switch,
+    out: u16,
+    pkt: Box<Packet>,
+    max_deflections: u16,
+    ctx: &mut Ctx,
+) {
+    let cap = sw.cfg.port_buffer_bytes;
+    // Resolve the upstream hop from provenance. The seeded mutation
+    // bounces *forward* (first deflection candidate) instead, so the
+    // conformance suite can prove the goldens pin the backward bounce.
+    let upstream = if sw.mutate_victim {
+        let cands = sw.deflect_candidates(out, pkt.dst, None);
+        let first = cands.first().copied();
+        sw.deflect_scratch = cands;
+        first
+    } else {
+        sw.routes.upstream_port(sw.sw, pkt.prev_hop)
+    };
+    // The bounce fails — and the packet drops — when the budget is spent,
+    // the upstream hop is unknown (a host's NIC, or no longer adjacent),
+    // is the full output itself, is administratively down, leads to a
+    // host that is not the destination (hosts discard foreign packets),
+    // or its queue is also full.
+    let viable = upstream.filter(|&p| {
+        let port = &sw.ports[p as usize];
+        pkt.deflections < max_deflections
+            && p != out
+            && !sw.down[p as usize]
+            && !(port.host_facing && port.peer != pkt.dst)
+            && port.queue.fits(&pkt, cap)
+    });
+    let Some(to) = viable else {
+        return ctx.drop_pkt(sw.id, out, DropCause::DeflectionFull, pkt);
+    };
+    ctx.rec.pabo_bounces += 1;
+    sw.deflect_to(to, pkt, &[to], ARRIVAL, ctx);
 }
 
 /// OBS-style adaptive hybrid: a load EWMA over total switch occupancy
 /// picks between deflecting (lightly loaded) and dropping so the
 /// transport retransmits (heavily loaded).
-#[derive(Debug, Clone, Copy)]
-pub struct HybridPolicy {
-    /// Ports sampled per deflection on the deflect branch.
-    pub deflect_power: usize,
-}
-
-impl DeflectionPolicy for HybridPolicy {
-    fn trace_code(&self) -> u8 {
-        2
+pub(crate) fn hybrid(
+    sw: &mut Switch,
+    out: u16,
+    in_port: PortId,
+    pkt: Box<Packet>,
+    deflect_power: usize,
+    ctx: &mut Ctx,
+) {
+    // Decide on the *pre-update* EWMA so tests (and operators) can pin
+    // the decision by setting the EWMA directly; then fold the current
+    // occupancy in with alpha = 1/8.
+    let ewma_before = sw.load_ewma;
+    let mut deflect = ewma_before <= sw.hybrid_threshold();
+    if sw.mutate_victim {
+        // Seeded mutation: invert the decision, so goldens catch a
+        // flipped threshold comparison.
+        deflect = !deflect;
     }
-
-    fn excludes_ingress(&self) -> bool {
-        true
+    sw.load_ewma = ewma_before - ewma_before / 8 + sw.queued_bytes() / 8;
+    if !deflect {
+        // Heavily loaded: drop and let the transport retransmit. A
+        // deflected packet would only feed the collapse.
+        ctx.rec.hybrid_retx_drops += 1;
+        return ctx.drop_pkt(sw.id, out, DropCause::QueueFull, pkt);
     }
-
-    fn on_overflow(
-        &self,
-        sw: &mut Switch,
-        out: u16,
-        in_port: PortId,
-        mut pkt: Box<Packet>,
-        ctx: &mut Ctx,
-    ) {
-        let cap = sw.cfg.port_buffer_bytes;
-        // Decide on the *pre-update* EWMA so tests (and operators) can pin
-        // the decision by setting the EWMA directly; then fold the current
-        // occupancy in with alpha = 1/8.
-        let ewma_before = sw.load_ewma;
-        let mut deflect = ewma_before <= sw.hybrid_threshold();
-        if sw.mutate_victim {
-            // Seeded mutation: invert the decision, so goldens catch a
-            // flipped threshold comparison.
-            deflect = !deflect;
-        }
-        let occ = sw.queued_bytes();
-        sw.load_ewma = ewma_before - ewma_before / 8 + occ / 8;
-        if !deflect {
-            // Heavily loaded: drop and let the transport retransmit. A
-            // deflected packet would only feed the collapse.
-            ctx.rec.hybrid_retx_drops += 1;
-            sw.trace_drop(&pkt, DropCause::QueueFull, out, ctx);
-            ctx.rec.on_drop(DropCause::QueueFull, pkt.wire_size);
-            pool::recycle(pkt);
-            return;
-        }
-        let mut cands = sw.deflect_candidates(out, pkt.dst, Some(in_port.0));
-        cands.retain(|&p| sw.ports[p as usize].queue.fits(&pkt, cap));
-        if cands.is_empty() {
-            sw.deflect_scratch = cands;
-            sw.trace_drop(&pkt, DropCause::DeflectionFull, out, ctx);
-            ctx.rec.on_drop(DropCause::DeflectionFull, pkt.wire_size);
-            pool::recycle(pkt);
-            return;
-        }
-        let k = self.deflect_power.max(1).min(cands.len());
-        let sample = sw.sample_ports(&cands, k, ctx);
-        sw.deflect_scratch = cands;
-        let chosen = *sample
-            .iter()
-            .min_by_key(|&&p| sw.ports[p as usize].queue.bytes())
-            .expect("nonempty sample");
-        pkt.deflections += 1;
-        ctx.rec.deflections += 1;
-        ctx.rec.hybrid_deflects += 1;
-        if ctx.rec.trace.enabled() {
-            trace_rec(
-                ctx,
-                sw.id.0,
-                TraceKind::Deflect,
-                &pkt,
-                pkt.rank(sw.cfg.boost_shift),
-                pack_ports(&sample[..sample.len().min(4)]),
-                (self.trace_code() << 2) | 0b10,
-                chosen,
-            );
-        }
-        sw.sample_scratch = sample;
-        Switch::maybe_mark_ecn(&sw.cfg, &sw.ports[chosen as usize].queue, &mut pkt, ctx);
-        sw.ports[chosen as usize].queue.push(pkt);
-        sw.start_tx(chosen, ctx);
-    }
+    let Some((pkt, cands)) = sw.room_or_drop(out, in_port, pkt, ctx) else {
+        return;
+    };
+    let (to, sample) = sw.place(cands, deflect_power, false, ctx);
+    ctx.rec.hybrid_deflects += 1;
+    sw.deflect_to(to, pkt, &sample, ARRIVAL, ctx);
+    sw.sample_scratch = sample;
 }
 
 /// Bounce-bounded deflection (NoC worst-case-latency protocols): every
 /// bounce escalates the packet's priority in the escalating PIEO queues
-/// (rank halves per bounce); the packet drops precisely at the cap.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundedPolicy {
-    /// Maximum bounces per packet before it is dropped.
-    pub cap: u16,
-    /// Ports sampled per deflection.
-    pub deflect_power: usize,
-}
-
-impl DeflectionPolicy for BoundedPolicy {
-    fn trace_code(&self) -> u8 {
-        3
+/// (rank halves per bounce — `deflect_to` counts the bounce before the
+/// push, so this enqueue is ranked with it); the packet drops precisely
+/// at the cap.
+pub(crate) fn bounded(
+    sw: &mut Switch,
+    out: u16,
+    in_port: PortId,
+    pkt: Box<Packet>,
+    cap: u16,
+    deflect_power: usize,
+    ctx: &mut Ctx,
+) {
+    if pkt.deflections >= cap {
+        ctx.rec.bounded_cap_drops += 1;
+        return ctx.drop_pkt(sw.id, out, DropCause::DeflectionFull, pkt);
     }
-
-    fn excludes_ingress(&self) -> bool {
-        true
-    }
-
-    fn on_overflow(
-        &self,
-        sw: &mut Switch,
-        out: u16,
-        in_port: PortId,
-        mut pkt: Box<Packet>,
-        ctx: &mut Ctx,
-    ) {
-        let bytes_cap = sw.cfg.port_buffer_bytes;
-        if pkt.deflections >= self.cap {
-            ctx.rec.bounded_cap_drops += 1;
-            sw.trace_drop(&pkt, DropCause::DeflectionFull, out, ctx);
-            ctx.rec.on_drop(DropCause::DeflectionFull, pkt.wire_size);
-            pool::recycle(pkt);
-            return;
-        }
-        let mut cands = sw.deflect_candidates(out, pkt.dst, Some(in_port.0));
-        cands.retain(|&p| sw.ports[p as usize].queue.fits(&pkt, bytes_cap));
-        if cands.is_empty() {
-            sw.deflect_scratch = cands;
-            sw.trace_drop(&pkt, DropCause::DeflectionFull, out, ctx);
-            ctx.rec.on_drop(DropCause::DeflectionFull, pkt.wire_size);
-            pool::recycle(pkt);
-            return;
-        }
-        let k = self.deflect_power.max(1).min(cands.len());
-        let sample = sw.sample_ports(&cands, k, ctx);
-        sw.deflect_scratch = cands;
-        // Least-loaded sampled queue (the seeded mutation flips this to
-        // most-loaded, so golden traces catch selection regressions).
-        let chosen = if sw.mutate_victim {
-            *sample
-                .iter()
-                .max_by_key(|&&p| sw.ports[p as usize].queue.bytes())
-                .expect("nonempty sample")
-        } else {
-            *sample
-                .iter()
-                .min_by_key(|&&p| sw.ports[p as usize].queue.bytes())
-                .expect("nonempty sample")
-        };
-        // Bump the bounce count *before* the push so the escalating queue
-        // ranks this enqueue with the new bounce included.
-        pkt.deflections += 1;
-        ctx.rec.deflections += 1;
-        if ctx.rec.trace.enabled() {
-            let rank = sw.ports[chosen as usize]
-                .queue
-                .rank_of(&pkt)
-                .unwrap_or(TRACE_NO_RANK);
-            trace_rec(
-                ctx,
-                sw.id.0,
-                TraceKind::Deflect,
-                &pkt,
-                rank,
-                pack_ports(&sample[..sample.len().min(4)]),
-                (self.trace_code() << 2) | 0b10,
-                chosen,
-            );
-        }
-        sw.sample_scratch = sample;
-        Switch::maybe_mark_ecn(&sw.cfg, &sw.ports[chosen as usize].queue, &mut pkt, ctx);
-        sw.ports[chosen as usize].queue.push(pkt);
-        sw.start_tx(chosen, ctx);
-    }
+    let Some((pkt, cands)) = sw.room_or_drop(out, in_port, pkt, ctx) else {
+        return;
+    };
+    let (to, sample) = sw.place(cands, deflect_power, sw.mutate_victim, ctx);
+    sw.deflect_to(to, pkt, &sample, ARRIVAL, ctx);
+    sw.sample_scratch = sample;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::SwitchConfig;
 
     #[test]
     fn kind_parse_round_trips() {
@@ -532,66 +394,25 @@ mod tests {
 
     #[test]
     fn trace_codes_are_stable() {
-        // Legacy policies keep code 0 (byte-identical pre-trait traces);
-        // the new policies claim 1..=3. These values are part of the
-        // on-disk trace format — changing them breaks readers.
-        assert_eq!(
-            DibsPolicy {
-                max_deflections: 16
-            }
-            .trace_code(),
-            0
-        );
-        assert_eq!(
-            VertigoPolicy {
-                deflect_power: 2,
-                scheduling: true,
-                deflection: true
-            }
-            .trace_code(),
-            0
-        );
-        assert_eq!(
-            PaboPolicy {
-                max_deflections: 16
-            }
-            .trace_code(),
-            1
-        );
-        assert_eq!(HybridPolicy { deflect_power: 2 }.trace_code(), 2);
-        assert_eq!(
-            BoundedPolicy {
-                cap: 16,
-                deflect_power: 2
-            }
-            .trace_code(),
-            3
-        );
+        // Vertigo and DIBS keep code 0 (the traces that predate the other
+        // three stay byte-identical); PABO, hybrid and bounded claim
+        // 1..=3. These values are part of the on-disk trace format —
+        // changing them breaks readers.
+        assert_eq!(SwitchConfig::dibs().buffer.trace_code(), 0);
+        assert_eq!(SwitchConfig::vertigo().buffer.trace_code(), 0);
+        assert_eq!(SwitchConfig::pabo().buffer.trace_code(), 1);
+        assert_eq!(SwitchConfig::hybrid().buffer.trace_code(), 2);
+        assert_eq!(SwitchConfig::bounded().buffer.trace_code(), 3);
     }
 
     #[test]
     fn ingress_exclusion_contract() {
-        // Golden-pinned: legacy policies include the ingress; the new
+        // Golden-pinned: Vertigo and DIBS include the ingress; the newer
         // sampled policies exclude it; PABO targets it (so: false).
-        assert!(!DibsPolicy {
-            max_deflections: 16
-        }
-        .excludes_ingress());
-        assert!(!VertigoPolicy {
-            deflect_power: 2,
-            scheduling: true,
-            deflection: true
-        }
-        .excludes_ingress());
-        assert!(!PaboPolicy {
-            max_deflections: 16
-        }
-        .excludes_ingress());
-        assert!(HybridPolicy { deflect_power: 2 }.excludes_ingress());
-        assert!(BoundedPolicy {
-            cap: 16,
-            deflect_power: 2
-        }
-        .excludes_ingress());
+        assert!(!SwitchConfig::dibs().buffer.excludes_ingress());
+        assert!(!SwitchConfig::vertigo().buffer.excludes_ingress());
+        assert!(!SwitchConfig::pabo().buffer.excludes_ingress());
+        assert!(SwitchConfig::hybrid().buffer.excludes_ingress());
+        assert!(SwitchConfig::bounded().buffer.excludes_ingress());
     }
 }

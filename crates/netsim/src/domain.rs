@@ -62,7 +62,6 @@ use crate::sim::{self, Node, Simulation};
 use crate::telemetry::{Telemetry, TelemetryConfig};
 use crate::topology::Topology;
 use std::sync::Arc;
-use vertigo_pkt::pool;
 use vertigo_simcore::{
     Batch, CalendarInbox, EventQueue, LookaheadGrid, SimDuration, SimRng, SimTime, WorkerPool,
 };
@@ -118,9 +117,10 @@ impl Domain {
     /// One barrier round: takes delivery of what other domains sent last
     /// window, injects every delivery landing at or before `limit` in
     /// canonical order, then runs the wheel up to and including `limit`.
-    /// The loop mirrors `Simulation::drain_until`, minus telemetry (the
-    /// coordinator samples at barriers) and tracing (rejected up front
-    /// for domain runs).
+    /// What this scheduler owns of the loop: wire deliveries routed through
+    /// the inbox, one RNG stream per node, content-keyed fault draws; the
+    /// coordinator samples telemetry at barriers, and tracing is rejected
+    /// up front for domain runs.
     fn drain_window(&mut self, limit: SimTime) {
         let Domain {
             nodes,
@@ -142,89 +142,24 @@ impl Domain {
             wheel.push(d.at, d.ev);
         });
         while let Some((now, ev)) = wheel.pop_until(limit) {
-            if let Some(fs) = faults.as_deref() {
-                match fs.intercept_keyed(now, &ev) {
-                    FaultAction::Pass => {}
-                    FaultAction::Defer(until) => {
-                        rec.fault_events += 1;
-                        // Self-targeted re-push: the event already lives in
-                        // the right domain, and its deferral round is fixed
-                        // by the (partition-independent) barrier grid.
-                        wheel.push(until.max(now), ev);
-                        continue;
-                    }
-                    FaultAction::Drop(cause) => {
-                        rec.fault_events += 1;
-                        if let Event::Arrive { pkt, .. } = ev {
-                            rec.audit.on_wire_rx();
-                            rec.on_drop(cause, pkt.wire_size);
-                            pool::recycle(pkt);
-                        }
-                        continue;
-                    }
-                }
-            }
-            let local = |id: vertigo_pkt::NodeId| node_local[id.index()] as usize;
-            match ev {
-                Event::Arrive { node, port, pkt } => {
-                    rec.audit.on_wire_rx();
-                    let l = local(node);
-                    let mut ctx = Ctx {
-                        now,
-                        events: EventSink::routed(wheel, router),
-                        rec,
-                        rng: &mut rngs[l],
-                    };
-                    match &mut nodes[l] {
-                        Node::Host(h) => h.on_arrive(pkt, &mut ctx),
-                        Node::Switch(s) => s.on_arrive(port, pkt, &mut ctx),
-                    }
-                }
-                Event::TxDone { node, port } => {
-                    let l = local(node);
-                    let mut ctx = Ctx {
-                        now,
-                        events: EventSink::routed(wheel, router),
-                        rec,
-                        rng: &mut rngs[l],
-                    };
-                    match &mut nodes[l] {
-                        Node::Host(h) => h.on_tx_done(&mut ctx),
-                        Node::Switch(s) => s.on_tx_done(port, &mut ctx),
-                    }
-                }
-                Event::HostTimer { node } => {
-                    let l = local(node);
-                    let mut ctx = Ctx {
-                        now,
-                        events: EventSink::routed(wheel, router),
-                        rec,
-                        rng: &mut rngs[l],
-                    };
-                    match &mut nodes[l] {
-                        Node::Host(h) => h.on_timer(&mut ctx),
-                        Node::Switch(_) => unreachable!("switches have no timers"),
-                    }
-                }
-                Event::FlowStart { src, spec } => {
-                    let l = local(src);
-                    let mut ctx = Ctx {
-                        now,
-                        events: EventSink::routed(wheel, router),
-                        rec,
-                        rng: &mut rngs[l],
-                    };
-                    match &mut nodes[l] {
-                        Node::Host(h) => {
-                            h.start_flow(spec.flow, spec.dst, spec.bytes, spec.query, &mut ctx)
-                        }
-                        Node::Switch(_) => unreachable!("flows start at hosts"),
-                    }
-                }
-                Event::TelemetrySample => {
-                    unreachable!("the domain engine samples at barriers, not via events")
-                }
-            }
+            let id = ev
+                .node()
+                .expect("the domain engine samples at barriers, not via events");
+            let verdict = match faults.as_deref() {
+                Some(fs) => fs.intercept_keyed(now, &ev),
+                None => FaultAction::Pass,
+            };
+            let l = node_local[id.index()] as usize;
+            let mut ctx = Ctx {
+                now,
+                events: EventSink::routed(wheel, router),
+                rec,
+                rng: &mut rngs[l],
+            };
+            // A deferred event is re-pushed into this wheel: it already
+            // lives in the right domain, and its deferral round is fixed by
+            // the (partition-independent) barrier grid.
+            nodes[l].dispatch(ev, verdict, &mut ctx);
         }
     }
 }
@@ -455,39 +390,17 @@ impl DomainSimulation {
     }
 
     /// Collects one telemetry sample at time `s` (called at a barrier
-    /// that landed exactly on the sample time).
+    /// that landed exactly on the sample time), plus this engine's
+    /// per-wheel breakdown of `pending`.
     fn sample_telemetry(&mut self, s: SimTime, pending: u64) {
-        let mut queued = 0u64;
-        let mut max_port = 0u64;
-        let mut deflections = 0u64;
-        let mut drops = 0u64;
-        let mut ecn = 0u64;
-        for d in &self.domains {
-            for node in &d.nodes {
-                if let Node::Switch(sw) = node {
-                    queued += sw.queued_bytes();
-                    max_port = max_port.max(sw.busiest_port_bytes());
-                }
-            }
-            deflections += d.rec.deflections;
-            drops += d.rec.total_drops();
-            ecn += d.rec.ecn_marks;
-        }
-        deflections += self.base_rec.deflections;
-        drops += self.base_rec.total_drops();
-        ecn += self.base_rec.ecn_marks;
-        if let Some((_, tel)) = self.telemetry.as_mut() {
-            tel.record_with_domains(
-                s,
-                queued,
-                max_port,
-                deflections,
-                drops,
-                ecn,
-                pending,
-                self.domains.iter().map(|d| d.wheel.len() as u64),
-            );
-        }
+        let Some((_, tel)) = self.telemetry.as_mut() else {
+            return;
+        };
+        let nodes = self.domains.iter().flat_map(|d| &d.nodes);
+        let recs = self.domains.iter().map(|d| &d.rec).chain([&self.base_rec]);
+        sim::sample_fabric(nodes, recs, tel, s, pending);
+        tel.domain_pending
+            .extend(self.domains.iter().map(|d| d.wheel.len() as u64));
     }
 
     /// Global conservation check over summed per-domain tallies. The
@@ -514,29 +427,15 @@ impl DomainSimulation {
     /// Merges domain recorders into the base, closes the books, and
     /// builds the report.
     fn finalize(&mut self, horizon: SimTime) -> Report {
-        for d in &mut self.domains {
-            for node in &d.nodes {
-                if let Node::Host(h) = node {
-                    let s = h.stats();
-                    d.rec.retransmits += s.retransmits;
-                    d.rec.rtos += s.rtos;
-                }
-            }
-        }
         let mut rec = std::mem::take(&mut self.base_rec);
         for d in &mut self.domains {
             rec.absorb(std::mem::take(&mut d.rec));
         }
         rec.recompute_queries();
-        #[cfg(feature = "audit")]
-        {
-            // In-flight custody at the horizon = arrivals in wheels and
-            // inboxes + deliveries handed over in the last exchange, all
-            // already summed into the merged `wire` tally.
-            sim::audit_conservation(self.nodes(), &mut rec, "end of run");
-            crate::audit::check_flow_accounting(&mut rec);
-        }
-        let mut report = Report::from_recorder(&rec, horizon);
+        // In-flight custody at the horizon = arrivals in wheels and inboxes
+        // + deliveries handed over in the last exchange, all already summed
+        // into the merged `wire` tally the conservation audit reads.
+        let mut report = sim::close_books(self.nodes(), &mut rec, horizon);
         report.events_scheduled = self.domains.iter().map(|d| d.wheel.scheduled_total()).sum();
         report.peak_pending_events = self.peak_pending;
         report.domains = self.domains.len() as u64;
@@ -562,7 +461,7 @@ impl DomainSimulation {
     }
 
     /// Every node, domain by domain.
-    fn nodes(&self) -> impl Iterator<Item = &Node> {
+    fn nodes(&self) -> impl Iterator<Item = &Node> + Clone {
         self.domains.iter().flat_map(|d| d.nodes.iter())
     }
 

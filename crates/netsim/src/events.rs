@@ -1,12 +1,13 @@
 //! Simulation events and the handler context.
 
+use crate::link::LinkParams;
 use std::sync::Arc;
-use vertigo_pkt::{FlowId, NodeId, Packet, PortId, QueryId};
+use vertigo_pkt::{pool, FlowId, NodeId, Packet, PortId, QueryId};
 use vertigo_simcore::{
     Batch, CalendarInbox, Delivery, EventQueue, SimRng, SimTime, SnapError, SnapReader, SnapWriter,
     Snapshot,
 };
-use vertigo_stats::Recorder;
+use vertigo_stats::{DropCause, Recorder, TraceKind, TraceRecord};
 
 /// Everything that can happen in the simulated network.
 #[derive(Debug)]
@@ -59,6 +60,22 @@ pub struct FlowSpec {
     pub query: QueryId,
     /// Flow size in bytes.
     pub bytes: u64,
+}
+
+impl Event {
+    /// The node whose handler runs this event (`None` for the driver's
+    /// own telemetry tick): what a scheduler indexes its nodes and RNG
+    /// streams by, and what the fault layer freezes.
+    #[inline]
+    pub(crate) fn node(&self) -> Option<NodeId> {
+        match *self {
+            Event::Arrive { node, .. } | Event::TxDone { node, .. } | Event::HostTimer { node } => {
+                Some(node)
+            }
+            Event::FlowStart { src, .. } => Some(src),
+            Event::TelemetrySample => None,
+        }
+    }
 }
 
 impl Snapshot for Event {
@@ -193,6 +210,14 @@ impl<'a> EventSink<'a> {
         }
     }
 
+    /// Schedules `ev` in the local queue whatever its kind: a deferred
+    /// event already sits with the node it targets, so even an `Arrive`
+    /// skips the router.
+    #[inline]
+    pub(crate) fn push_local(&mut self, at: SimTime, ev: Event) {
+        self.queue.push(at, ev);
+    }
+
     /// Schedules `ev` at `now + delay`.
     #[inline]
     pub fn push_after(&mut self, delay: vertigo_simcore::SimDuration, ev: Event) {
@@ -227,6 +252,75 @@ pub struct Ctx<'a> {
     /// The node's random stream (per-node in the domain engine; the
     /// run-global stream in the classic engine).
     pub rng: &'a mut SimRng,
+}
+
+impl Ctx<'_> {
+    /// Emits one provenance record for `pkt` at `node`. Callers guard with
+    /// `self.rec.trace.enabled()` (compile-time `false` without the
+    /// `trace` feature, so every hook site folds away).
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // one argument per record field
+    pub(crate) fn trace(
+        &mut self,
+        node: NodeId,
+        kind: TraceKind,
+        pkt: &Packet,
+        a: u64,
+        b: u64,
+        flags: u8,
+        port: u16,
+    ) {
+        self.rec.trace.record(TraceRecord {
+            time_ns: self.now.as_nanos(),
+            uid: pkt.uid,
+            flow: pkt.flow.0,
+            a,
+            b,
+            node: node.0,
+            kind: kind.code(),
+            flags,
+            port,
+        });
+    }
+
+    /// The one way a packet leaves the simulation early: its Drop record
+    /// (`port` = the attempted output or the ingress it never got past,
+    /// `u16::MAX` when none was chosen), the recorder's ledger, and the
+    /// allocation back to the pool.
+    #[inline]
+    pub(crate) fn drop_pkt(&mut self, node: NodeId, port: u16, cause: DropCause, pkt: Box<Packet>) {
+        if self.rec.trace.enabled() {
+            let (a, b) = (cause.index() as u64, pkt.wire_size as u64);
+            self.trace(node, TraceKind::Drop, &pkt, a, b, 0, port);
+        }
+        self.rec.on_drop(cause, pkt.wire_size);
+        pool::recycle(pkt);
+    }
+
+    /// Puts `pkt` on the wire out of `from`'s `port`: the port's own
+    /// `TxDone` once the last bit is serialized, and the peer's `Arrive`
+    /// a propagation delay after that.
+    #[inline]
+    pub(crate) fn transmit(
+        &mut self,
+        from: NodeId,
+        port: PortId,
+        link: LinkParams,
+        peer: NodeId,
+        peer_port: PortId,
+        pkt: Box<Packet>,
+    ) {
+        let tx = link.tx_time(pkt.wire_size);
+        self.events
+            .push_after(tx, Event::TxDone { node: from, port });
+        self.rec.audit.on_wire_tx();
+        let arrive = Event::Arrive {
+            node: peer,
+            port: peer_port,
+            pkt,
+        };
+        self.events.push_after(tx + link.prop_delay, arrive);
+    }
 }
 
 #[cfg(test)]

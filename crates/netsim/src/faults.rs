@@ -329,17 +329,24 @@ impl<K> Compiled<K> {
     }
 }
 
-/// A schedule compiled against a concrete topology, ready for O(1)-ish
-/// per-event lookups at dispatch time. Owned by the simulation driver.
+/// A schedule's windows compiled against a concrete topology, ready for
+/// O(1)-ish per-event lookups at dispatch time.
+#[derive(Debug, Default)]
+struct Windows {
+    /// Link windows keyed by the *receiving* `(node, port)` of a traversal.
+    link: BTreeMap<(u32, u16), Vec<Compiled<LinkFault>>>,
+    /// Node windows keyed by node id.
+    node: BTreeMap<u32, Vec<Compiled<NodeFault>>>,
+}
+
+/// The compiled windows plus the stream the classic engine draws loss and
+/// corruption from. Owned by the simulation driver.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     /// Dedicated RNG stream for loss/corruption draws, forked off the run
     /// seed so faults never perturb switch or workload randomness.
     rng: SimRng,
-    /// Link windows keyed by the *receiving* `(node, port)` of a traversal.
-    link: BTreeMap<(u32, u16), Vec<Compiled<LinkFault>>>,
-    /// Node windows keyed by node id.
-    node: BTreeMap<u32, Vec<Compiled<NodeFault>>>,
+    windows: Windows,
 }
 
 impl FaultState {
@@ -347,21 +354,17 @@ impl FaultState {
     /// exist in the topology — a schedule/config mismatch is a setup bug,
     /// not a runtime condition.
     pub(crate) fn compile(sched: &FaultSchedule, topo: &Topology, rng: SimRng) -> FaultState {
-        let mut st = FaultState {
-            rng,
-            link: BTreeMap::new(),
-            node: BTreeMap::new(),
-        };
+        let mut windows = Windows::default();
         for w in sched.iter() {
             match w.kind {
-                FaultKind::Down => st.add_link(w, LinkFault::Down, topo),
-                FaultKind::Loss(p) => st.add_link(w, LinkFault::Loss(p), topo),
-                FaultKind::Corrupt(p) => st.add_link(w, LinkFault::Corrupt(p), topo),
-                FaultKind::Stall | FaultKind::Pause => st.add_node(w, NodeFault::Freeze, topo),
-                FaultKind::Blackhole => st.add_node(w, NodeFault::Blackhole, topo),
+                FaultKind::Down => windows.add_link(w, LinkFault::Down, topo),
+                FaultKind::Loss(p) => windows.add_link(w, LinkFault::Loss(p), topo),
+                FaultKind::Corrupt(p) => windows.add_link(w, LinkFault::Corrupt(p), topo),
+                FaultKind::Stall | FaultKind::Pause => windows.add_node(w, NodeFault::Freeze, topo),
+                FaultKind::Blackhole => windows.add_node(w, NodeFault::Blackhole, topo),
             }
         }
-        st
+        FaultState { rng, windows }
     }
 
     /// Serializes the fault RNG (stream `0xFA17`). The compiled windows
@@ -382,6 +385,35 @@ impl FaultState {
         Ok(())
     }
 
+    /// The classic engine's entry point: loss/corruption draws advance the
+    /// dedicated fault stream in event order, which is identical across
+    /// backends and `--jobs`.
+    pub(crate) fn intercept(&mut self, now: SimTime, ev: &Event) -> FaultAction {
+        self.windows.decide(now, ev, |p, _, _| self.rng.chance(p))
+    }
+
+    /// The domain engine's entry point. Two differences, both forced by
+    /// parallelism:
+    ///
+    /// * `&self` — every domain shares one compiled schedule behind an
+    ///   `Arc`, so interception cannot mutate;
+    /// * loss/corruption draws hash the *packet* (seed, uid, arrival time,
+    ///   rx location, window index) instead of advancing a sequential RNG
+    ///   stream. The verdict for a given packet traversal is therefore
+    ///   identical for any domain count — sequential draw order would be
+    ///   partition-dependent. Same uniform construction as
+    ///   [`SimRng::uniform`] (top 53 bits of a mixed 64-bit word).
+    pub(crate) fn intercept_keyed(&self, now: SimTime, ev: &Event) -> FaultAction {
+        self.windows.decide(now, ev, |p, uid, location| {
+            let mut h = mix64(self.rng.seed() ^ mix64(uid));
+            h = mix64(h ^ now.as_nanos());
+            h = mix64(h ^ location);
+            ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
+        })
+    }
+}
+
+impl Windows {
     fn add_link(&mut self, w: &FaultWindow, kind: LinkFault, topo: &Topology) {
         let c = Compiled {
             kind,
@@ -443,143 +475,181 @@ impl FaultState {
         })
     }
 
-    /// Decides the fate of a popped event. Called by the driver before
-    /// normal dispatch; draws loss/corruption randomness in event order,
-    /// which is identical across backends and `--jobs`.
-    pub(crate) fn intercept(&mut self, now: SimTime, ev: &Event) -> FaultAction {
-        match *ev {
-            Event::Arrive { node, port, .. } => {
-                if let Some(until) = self.frozen_until(now, node) {
-                    return FaultAction::Defer(until);
-                }
-                if self.blackholed(now, node) {
-                    return FaultAction::Drop(DropCause::Blackhole);
-                }
-                if let Some(ws) = self.link.get(&(node.0, port.0)) {
-                    for c in ws {
-                        if !c.active(now) {
-                            continue;
-                        }
-                        match c.kind {
-                            LinkFault::Down => return FaultAction::Drop(DropCause::LinkDown),
-                            LinkFault::Loss(p) => {
-                                if self.rng.chance(p) {
-                                    return FaultAction::Drop(DropCause::LinkLoss);
-                                }
-                            }
-                            LinkFault::Corrupt(p) => {
-                                if self.rng.chance(p) {
-                                    return FaultAction::Drop(DropCause::LinkCorrupt);
-                                }
-                            }
-                        }
-                    }
-                }
-                FaultAction::Pass
-            }
-            Event::TxDone { node, .. } | Event::HostTimer { node } => {
-                match self.frozen_until(now, node) {
-                    Some(until) => FaultAction::Defer(until),
-                    None => FaultAction::Pass,
-                }
-            }
-            Event::FlowStart { src, .. } => match self.frozen_until(now, src) {
-                Some(until) => FaultAction::Defer(until),
-                None => FaultAction::Pass,
-            },
-            Event::TelemetrySample => FaultAction::Pass,
-        }
-    }
-
-    /// Content-keyed variant of [`FaultState::intercept`] for the domain
-    /// engine. Two differences, both forced by parallelism:
-    ///
-    /// * `&self` — every domain shares one compiled schedule behind an
-    ///   `Arc`, so interception cannot mutate;
-    /// * loss/corruption draws hash the *packet* (seed, uid, arrival time,
-    ///   rx location, window index) instead of advancing a sequential RNG
-    ///   stream. The verdict for a given packet traversal is therefore
-    ///   identical for any domain count — sequential draw order would be
-    ///   partition-dependent.
-    ///
-    /// Deterministic faults (down / blackhole / freeze) share the exact
-    /// window logic with the classic path.
-    pub(crate) fn intercept_keyed(&self, now: SimTime, ev: &Event) -> FaultAction {
-        match *ev {
-            Event::Arrive {
-                node,
-                port,
-                ref pkt,
-            } => {
-                if let Some(until) = self.frozen_until(now, node) {
-                    return FaultAction::Defer(until);
-                }
-                if self.blackholed(now, node) {
-                    return FaultAction::Drop(DropCause::Blackhole);
-                }
-                if let Some(ws) = self.link.get(&(node.0, port.0)) {
-                    for (i, c) in ws.iter().enumerate() {
-                        if !c.active(now) {
-                            continue;
-                        }
-                        match c.kind {
-                            LinkFault::Down => return FaultAction::Drop(DropCause::LinkDown),
-                            LinkFault::Loss(p) => {
-                                if self.keyed_chance(p, pkt.uid, now, node, port.0, i) {
-                                    return FaultAction::Drop(DropCause::LinkLoss);
-                                }
-                            }
-                            LinkFault::Corrupt(p) => {
-                                if self.keyed_chance(p, pkt.uid, now, node, port.0, i) {
-                                    return FaultAction::Drop(DropCause::LinkCorrupt);
-                                }
-                            }
-                        }
-                    }
-                }
-                FaultAction::Pass
-            }
-            Event::TxDone { node, .. } | Event::HostTimer { node } => {
-                match self.frozen_until(now, node) {
-                    Some(until) => FaultAction::Defer(until),
-                    None => FaultAction::Pass,
-                }
-            }
-            Event::FlowStart { src, .. } => match self.frozen_until(now, src) {
-                Some(until) => FaultAction::Defer(until),
-                None => FaultAction::Pass,
-            },
-            Event::TelemetrySample => FaultAction::Pass,
-        }
-    }
-
-    /// A Bernoulli(p) draw keyed on packet content and fault location
-    /// rather than stream position. Same uniform construction as
-    /// [`SimRng::uniform`] (top 53 bits of a mixed 64-bit word); the
-    /// window index keeps co-located Loss and Corrupt windows
-    /// independent.
-    fn keyed_chance(
+    /// The one walk over the schedule: decides the fate of a popped event.
+    /// Freezes, blackholes and downed links are a function of time and
+    /// place; for a loss or corruption window active on the arrival's link
+    /// the verdict is `chance(p, uid, location)`, where `location` names
+    /// the receiving node, port and window (so co-located Loss and Corrupt
+    /// windows draw independently).
+    fn decide(
         &self,
-        p: f64,
-        uid: u64,
         now: SimTime,
-        node: NodeId,
-        port: u16,
-        w: usize,
-    ) -> bool {
-        let mut h = mix64(self.rng.seed() ^ mix64(uid));
-        h = mix64(h ^ now.as_nanos());
-        h = mix64(h ^ (((node.0 as u64) << 24) | ((port as u64) << 8) | w as u64));
-        ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
+        ev: &Event,
+        mut chance: impl FnMut(f64, u64, u64) -> bool,
+    ) -> FaultAction {
+        let Some(node) = ev.node() else {
+            return FaultAction::Pass;
+        };
+        if let Some(until) = self.frozen_until(now, node) {
+            return FaultAction::Defer(until);
+        }
+        let Event::Arrive { port, pkt, .. } = ev else {
+            return FaultAction::Pass;
+        };
+        if self.blackholed(now, node) {
+            return FaultAction::Drop(DropCause::Blackhole);
+        }
+        let windows = self.link.get(&(node.0, port.0)).into_iter().flatten();
+        for (i, c) in windows.enumerate().filter(|(_, c)| c.active(now)) {
+            let (p, cause) = match c.kind {
+                LinkFault::Down => return FaultAction::Drop(DropCause::LinkDown),
+                LinkFault::Loss(p) => (p, DropCause::LinkLoss),
+                LinkFault::Corrupt(p) => (p, DropCause::LinkCorrupt),
+            };
+            let location = ((node.0 as u64) << 24) | ((port.0 as u64) << 8) | i as u64;
+            if chance(p, pkt.uid, location) {
+                return FaultAction::Drop(cause);
+            }
+        }
+        FaultAction::Pass
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::FlowSpec;
+    use crate::link::LinkParams;
+    use proptest::prelude::*;
+    use vertigo_pkt::{AckSeg, FlowId, Packet, PortId, QueryId};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    /// 4 hosts, 2 leaves, 2 spines: node ids 0..8.
+    fn small_topo() -> Topology {
+        let link = LinkParams::gbps(10, 500);
+        Topology::leaf_spine(2, 2, 2, link, link)
+    }
+
+    /// `(kind, node, neighbour index, from us, length us, probability %)`.
+    /// Kinds 0..3 are the deterministic ones (down, blackhole, stall),
+    /// 3 and 4 loss on one link and corruption everywhere.
+    type WindowSpec = (u8, usize, usize, u64, u64, u32);
+
+    fn compile(topo: &Topology, specs: &[WindowSpec]) -> FaultState {
+        let mut sched = FaultSchedule::new();
+        for &(kind, n, nbr, from, len, pct) in specs {
+            let a = NodeId(n as u32);
+            let b = topo.adj[n][nbr % topo.adj[n].len()].0;
+            let p = pct as f64 / 100.0;
+            let (kind, target) = match kind {
+                0 => (FaultKind::Down, FaultTarget::Link { a, b }),
+                1 => (FaultKind::Blackhole, FaultTarget::Node(a)),
+                2 => (FaultKind::Stall, FaultTarget::Node(a)),
+                3 => (FaultKind::Loss(p), FaultTarget::Link { a, b }),
+                _ => (FaultKind::Corrupt(p), FaultTarget::AllLinks),
+            };
+            let (from, until) = (t(from), t(from + len));
+            let w = FaultWindow {
+                kind,
+                target,
+                from,
+                until,
+            };
+            sched.push(w).expect("valid window");
+        }
+        FaultState::compile(&sched, topo, SimRng::new(7).fork(0xFA17))
+    }
+
+    /// `(time us, event kind, node, port index, packet uid)`; kinds from 3
+    /// up are arrivals, the only events the link windows look at.
+    type Probe = (u64, u8, usize, usize, u64);
+
+    fn probe(topo: &Topology, &(at, kind, n, port, uid): &Probe) -> (SimTime, Event) {
+        let node = NodeId(n as u32);
+        let port = PortId((port % topo.adj[n].len()) as u16);
+        let ack = AckSeg {
+            cum_ack: 0,
+            ecn_echo: false,
+            ts_echo: SimTime::ZERO,
+            reorder_seen: 0,
+        };
+        let ev = match kind {
+            0 => Event::TxDone { node, port },
+            1 => Event::HostTimer { node },
+            2 => Event::FlowStart {
+                src: node,
+                spec: Box::new(FlowSpec {
+                    dst: NodeId(0),
+                    flow: FlowId(1),
+                    query: QueryId::NONE,
+                    bytes: 1,
+                }),
+            },
+            _ => Event::Arrive {
+                node,
+                port,
+                pkt: Box::new(Packet::ack(
+                    uid,
+                    FlowId(1),
+                    QueryId::NONE,
+                    NodeId(0),
+                    node,
+                    ack,
+                    SimTime::ZERO,
+                )),
+            },
+        };
+        (t(at), ev)
+    }
+
+    proptest! {
+        /// Where no draw is involved the two entry points are one walk:
+        /// the same verdict for every event, whatever was probed before.
+        #[test]
+        fn entry_points_agree_on_deterministic_windows(
+            specs in proptest::collection::vec(
+                (0u8..3, 0usize..8, 0usize..8, 0u64..1000, 1u64..500, 1u32..=100), 0..12),
+            probes in proptest::collection::vec(
+                (0u64..1600, 0u8..8, 0usize..8, 0usize..8, 0u64..1000), 1..60),
+        ) {
+            let topo = small_topo();
+            let mut fs = compile(&topo, &specs);
+            for p in &probes {
+                let (now, ev) = probe(&topo, p);
+                let verdict = fs.intercept(now, &ev);
+                prop_assert_eq!(verdict, fs.intercept_keyed(now, &ev));
+            }
+        }
+
+        /// A keyed loss/corruption verdict is a function of the packet and
+        /// the place alone: it does not move with how many other events
+        /// went through either entry point first (sequential probes advance
+        /// the fault stream the keyed draw shares a seed with).
+        #[test]
+        fn keyed_verdict_ignores_probe_history(
+            specs in proptest::collection::vec(
+                (0u8..5, 0usize..8, 0usize..8, 0u64..1000, 1u64..500, 1u32..=100), 1..12),
+            others in proptest::collection::vec(
+                (0u64..1600, 0u8..8, 0usize..8, 0usize..8, 0u64..1000), 0..40),
+            target in (0u64..1600, 3u8..8, 0usize..8, 0usize..8, 0u64..1000),
+        ) {
+            let topo = small_topo();
+            let fresh = compile(&topo, &specs);
+            let mut used = compile(&topo, &specs);
+            for (i, o) in others.iter().enumerate() {
+                let (now, ev) = probe(&topo, o);
+                if i % 2 == 0 {
+                    used.intercept(now, &ev);
+                } else {
+                    used.intercept_keyed(now, &ev);
+                }
+            }
+            let (now, ev) = probe(&topo, &target);
+            prop_assert_eq!(fresh.intercept_keyed(now, &ev), used.intercept_keyed(now, &ev));
+        }
     }
 
     #[test]

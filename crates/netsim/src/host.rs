@@ -640,17 +640,8 @@ impl Host {
                         // A cuckoo-detected retransmission left the marker
                         // boosted: a = retransmission count, b = the
                         // rotated (boosted) RFS on the wire.
-                        ctx.rec.trace.record(TraceRecord {
-                            time_ns: ctx.now.as_nanos(),
-                            uid: pkt.uid,
-                            flow: flow.0,
-                            a: info.retcnt as u64,
-                            b: info.rfs as u64,
-                            node: self.id.0,
-                            kind: TraceKind::Boost.code(),
-                            flags: 0,
-                            port: 0,
-                        });
+                        let (a, b) = (info.retcnt as u64, info.rfs as u64);
+                        ctx.trace(self.id, TraceKind::Boost, &pkt, a, b, 0, 0);
                     }
                 }
                 ctx.rec.data_sent += 1;
@@ -692,22 +683,7 @@ impl Host {
         // shows up on the `drops` side of the ledger).
         ctx.rec.audit.on_packet_created();
         if self.nic_bytes + pkt.wire_size as u64 > self.cfg.nic_buffer_bytes {
-            if ctx.rec.trace.enabled() {
-                ctx.rec.trace.record(TraceRecord {
-                    time_ns: ctx.now.as_nanos(),
-                    uid: pkt.uid,
-                    flow: pkt.flow.0,
-                    a: DropCause::HostQueue.index() as u64,
-                    b: pkt.wire_size as u64,
-                    node: self.id.0,
-                    kind: TraceKind::Drop.code(),
-                    flags: 0,
-                    port: 0,
-                });
-            }
-            ctx.rec.on_drop(DropCause::HostQueue, pkt.wire_size);
-            pool::recycle(pkt);
-            return;
+            return ctx.drop_pkt(self.id, 0, DropCause::HostQueue, pkt);
         }
         self.nic_bytes += pkt.wire_size as u64;
         self.nic_q.push_back(pkt);
@@ -727,21 +703,13 @@ impl Host {
         // NIC hardware timestamping).
         pkt.sent_at = ctx.now;
         pkt.prev_hop = self.id;
-        ctx.events.push_after(
-            self.link.tx_time(pkt.wire_size),
-            Event::TxDone {
-                node: self.id,
-                port: PortId(0),
-            },
-        );
-        ctx.rec.audit.on_wire_tx();
-        ctx.events.push_after(
-            self.link.wire_time(pkt.wire_size),
-            Event::Arrive {
-                node: self.peer,
-                port: self.peer_port,
-                pkt,
-            },
+        ctx.transmit(
+            self.id,
+            PortId(0),
+            self.link,
+            self.peer,
+            self.peer_port,
+            pkt,
         );
     }
 

@@ -29,10 +29,7 @@ pub mod telemetry;
 pub mod topology;
 pub mod trace;
 
-pub use deflect::{
-    BoundedPolicy, DeflectKind, DeflectionPolicy, DibsPolicy, HybridPolicy, PaboPolicy,
-    VertigoPolicy,
-};
+pub use deflect::DeflectKind;
 pub use domain::DomainSimulation;
 pub use events::{Ctx, Event, EventSink, FlowSpec};
 pub use faults::{FaultKind, FaultSchedule, FaultTarget, FaultWindow, MAX_FAULTS};

@@ -7,9 +7,10 @@
 //!    ECMP flow hashing, DRILL's `d=2,m=1` micro load balancing, and
 //!    Vertigo's power-of-n-choices (paper Fig. 12's `1FW`/`2FW`).
 //! 2. **Overflow** — the chosen output queue is full; now what?
-//!    [`BufferPolicy`] covers tail drop (ECMP/DRILL), DIBS random
-//!    deflection, and Vertigo's selective deflection with power-of-n
-//!    placement (`1DEF`/`2DEF`).
+//!    [`BufferPolicy`] covers tail drop (ECMP/DRILL), NDP trimming, and the
+//!    deflection policies of `crate::deflect`: DIBS, Vertigo's selective
+//!    deflection with power-of-n placement (`1DEF`/`2DEF`), PABO, the
+//!    load-threshold hybrid and bounce-bounded deflection.
 
 /// How a switch picks among equal-cost next hops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,6 +124,56 @@ impl BufferPolicy {
     /// the plain or the escalating discipline).
     pub fn wants_priority_queues(&self) -> bool {
         self.queue_discipline() != QueueDiscipline::Fifo
+    }
+
+    /// Policy code stamped into bits 2+ of a Deflect record's flags byte.
+    /// Vertigo and DIBS share code 0: their traces predate the codes and
+    /// stay byte-identical. Part of the on-disk trace format.
+    pub fn trace_code(&self) -> u8 {
+        match self {
+            BufferPolicy::Pabo { .. } => 1,
+            BufferPolicy::Hybrid { .. } => 2,
+            BufferPolicy::Bounded { .. } => 3,
+            _ => 0,
+        }
+    }
+
+    /// The most deflections one packet can collect under this policy —
+    /// what `audit` builds assert on every deflection — or `None` where
+    /// nothing bounds it.
+    #[cfg(feature = "audit")]
+    pub(crate) fn deflection_budget(&self) -> Option<u16> {
+        match *self {
+            BufferPolicy::DropTail | BufferPolicy::NdpTrim => Some(0),
+            BufferPolicy::Dibs { max_deflections } | BufferPolicy::Pabo { max_deflections } => {
+                Some(max_deflections)
+            }
+            BufferPolicy::Bounded { cap, .. } => Some(cap),
+            // Only the arrival is deflected, once per switch visit, and the
+            // hop guard bounds the visits.
+            BufferPolicy::Hybrid { .. }
+            | BufferPolicy::Vertigo {
+                scheduling: false, ..
+            } => Some(vertigo_pkt::MAX_HOPS),
+            // A queued victim can be displaced again before it leaves the
+            // switch, with no hop in between: `experiments table3 --quick`
+            // deflects one packet 61 times in 56 hops (ROADMAP, harden (b)).
+            BufferPolicy::Vertigo {
+                scheduling: true, ..
+            } => None,
+        }
+    }
+
+    /// Whether this policy removes the arrival's ingress port from its
+    /// deflection candidates. Vertigo and DIBS do not — their candidate
+    /// sets have always included the ingress, and the golden traces pin
+    /// that. Neither does PABO: it samples no candidates at all, it
+    /// *targets* the ingress-side upstream hop.
+    pub fn excludes_ingress(&self) -> bool {
+        matches!(
+            self,
+            BufferPolicy::Hybrid { .. } | BufferPolicy::Bounded { .. }
+        )
     }
 }
 

@@ -12,7 +12,7 @@ use crate::switch::{Port, Switch};
 use crate::telemetry::{Telemetry, TelemetryConfig};
 use crate::topology::Topology;
 use std::sync::Arc;
-use vertigo_pkt::{mix64, pool, FlowId, NodeId, QueryId};
+use vertigo_pkt::{mix64, FlowId, NodeId, QueryId};
 use vertigo_simcore::{EventBackend, EventQueue, SimDuration, SimRng, SimTime};
 use vertigo_stats::{Recorder, Report};
 
@@ -111,6 +111,63 @@ pub struct SimConfig {
 pub(crate) enum Node {
     Host(Host),
     Switch(Switch),
+}
+
+impl Node {
+    /// Runs this node's handler for `ev`, which a scheduler popped for it
+    /// (`Event::node` said so) and the fault layer let pass. Inlined into
+    /// each scheduler's loop: out of line it costs 8-13 % of
+    /// `wall_us_per_mb` on the classic-engine cells (BENCH_PR17.json).
+    #[inline]
+    fn handle(&mut self, ev: Event, ctx: &mut Ctx) {
+        match ev {
+            Event::Arrive { port, pkt, .. } => {
+                ctx.rec.audit.on_wire_rx();
+                match self {
+                    Node::Host(h) => h.on_arrive(pkt, ctx),
+                    Node::Switch(s) => s.on_arrive(port, pkt, ctx),
+                }
+            }
+            Event::TxDone { port, .. } => match self {
+                Node::Host(h) => h.on_tx_done(ctx),
+                Node::Switch(s) => s.on_tx_done(port, ctx),
+            },
+            Event::HostTimer { .. } => match self {
+                Node::Host(h) => h.on_timer(ctx),
+                Node::Switch(_) => unreachable!("switches have no timers"),
+            },
+            Event::FlowStart { spec, .. } => match self {
+                Node::Host(h) => h.start_flow(spec.flow, spec.dst, spec.bytes, spec.query, ctx),
+                Node::Switch(_) => unreachable!("flows start at hosts"),
+            },
+            Event::TelemetrySample => unreachable!("the driver's own tick, not a node's"),
+        }
+    }
+
+    /// The per-event dispatch both schedulers share: applies the fault
+    /// layer's `verdict` on `ev` and, if it passes, runs the handler.
+    /// Interception happens here, before any node sees the event: a
+    /// deferral goes back into the scheduler's own queue at the window end
+    /// (same-time events pop in insertion order, so deferred events keep
+    /// their relative order), a drop is charged to the recorder at the
+    /// node and port where the packet would have arrived.
+    #[inline]
+    pub(crate) fn dispatch(&mut self, ev: Event, verdict: FaultAction, ctx: &mut Ctx) {
+        match verdict {
+            FaultAction::Pass => self.handle(ev, ctx),
+            FaultAction::Defer(until) => {
+                ctx.rec.fault_events += 1;
+                ctx.events.push_local(until.max(ctx.now), ev);
+            }
+            FaultAction::Drop(cause) => {
+                ctx.rec.fault_events += 1;
+                if let Event::Arrive { node, port, pkt } = ev {
+                    ctx.rec.audit.on_wire_rx();
+                    ctx.drop_pkt(node, port.0, cause, pkt);
+                }
+            }
+        }
+    }
 }
 
 /// A runnable simulation instance.
@@ -362,103 +419,31 @@ impl Simulation {
         // Combined peek-then-pop: one heap access per iteration, and events
         // beyond the limit stay queued.
         while let Some((now, ev)) = events.pop_until(limit) {
-            // Fault interception happens at dispatch, before any node sees
-            // the event: drops are charged to the recorder, deferrals are
-            // re-enqueued at the fault-window end (same-time events pop in
-            // insertion order, so relative order among deferred events is
-            // preserved on both backends).
-            if let Some(fs) = faults.as_mut() {
-                match fs.intercept(now, &ev) {
-                    FaultAction::Pass => {}
-                    FaultAction::Defer(until) => {
-                        rec.fault_events += 1;
-                        events.push(until.max(now), ev);
-                        continue;
-                    }
-                    FaultAction::Drop(cause) => {
-                        rec.fault_events += 1;
-                        if let Event::Arrive { node, port, pkt } = ev {
-                            rec.audit.on_wire_rx();
-                            if rec.trace.enabled() {
-                                // Fault drops never reach a node handler,
-                                // so provenance is recorded here at the
-                                // interception point (node/port = where
-                                // the packet would have arrived).
-                                rec.trace.record(vertigo_stats::TraceRecord {
-                                    time_ns: now.as_nanos(),
-                                    uid: pkt.uid,
-                                    flow: pkt.flow.0,
-                                    a: cause.index() as u64,
-                                    b: pkt.wire_size as u64,
-                                    node: node.0,
-                                    kind: vertigo_stats::TraceKind::Drop.code(),
-                                    flags: 0,
-                                    port: port.0,
-                                });
-                            }
-                            rec.on_drop(cause, pkt.wire_size);
-                            pool::recycle(pkt);
-                        }
-                        continue;
+            let Some(id) = ev.node() else {
+                // `TelemetrySample`: this scheduler samples as an event.
+                if let Some((tcfg, tel)) = telemetry.as_mut() {
+                    let pending = events.len() as u64;
+                    sample_fabric(nodes.iter(), [&*rec], tel, now, pending);
+                    let next = now + tcfg.interval;
+                    if next <= horizon {
+                        events.push(next, Event::TelemetrySample);
                     }
                 }
-            }
+                #[cfg(feature = "audit")]
+                audit_conservation(nodes.iter(), rec, "telemetry sample");
+                continue;
+            };
+            let verdict = match faults.as_mut() {
+                Some(fs) => fs.intercept(now, &ev),
+                None => FaultAction::Pass,
+            };
             let mut ctx = Ctx {
                 now,
                 events: EventSink::direct(events),
                 rec,
                 rng,
             };
-            match ev {
-                Event::Arrive { node, port, pkt } => {
-                    ctx.rec.audit.on_wire_rx();
-                    match &mut nodes[node.index()] {
-                        Node::Host(h) => h.on_arrive(pkt, &mut ctx),
-                        Node::Switch(s) => s.on_arrive(port, pkt, &mut ctx),
-                    }
-                }
-                Event::TxDone { node, port } => match &mut nodes[node.index()] {
-                    Node::Host(h) => h.on_tx_done(&mut ctx),
-                    Node::Switch(s) => s.on_tx_done(port, &mut ctx),
-                },
-                Event::HostTimer { node } => match &mut nodes[node.index()] {
-                    Node::Host(h) => h.on_timer(&mut ctx),
-                    Node::Switch(_) => unreachable!("switches have no timers"),
-                },
-                Event::TelemetrySample => {
-                    if let Some((tcfg, tel)) = telemetry.as_mut() {
-                        let mut queued = 0u64;
-                        let mut max_port = 0u64;
-                        for n in nodes.iter() {
-                            if let Node::Switch(s) = n {
-                                queued += s.queued_bytes();
-                                max_port = max_port.max(s.busiest_port_bytes());
-                            }
-                        }
-                        tel.record(
-                            now,
-                            queued,
-                            max_port,
-                            ctx.rec.deflections,
-                            ctx.rec.total_drops(),
-                            ctx.rec.ecn_marks,
-                            ctx.events.len() as u64,
-                        );
-                        let next = now + tcfg.interval;
-                        if next <= horizon {
-                            ctx.events.push(next, Event::TelemetrySample);
-                        }
-                    }
-                    #[cfg(feature = "audit")]
-                    audit_conservation(nodes.iter(), ctx.rec, "telemetry sample");
-                }
-                Event::FlowStart { src, spec } => match &mut nodes[src.index()] {
-                    Node::Host(h) => {
-                        h.start_flow(spec.flow, spec.dst, spec.bytes, spec.query, &mut ctx)
-                    }
-                    Node::Switch(_) => unreachable!("flows start at hosts"),
-                },
-            }
+            nodes[id.index()].dispatch(ev, verdict, &mut ctx);
         }
     }
 
@@ -467,23 +452,7 @@ impl Simulation {
     /// [`Simulation::run`], which does both).
     pub fn finalize(&mut self) -> Report {
         let horizon = SimTime::ZERO + self.horizon;
-        // Bank per-host transport stats into the recorder.
-        for n in &self.nodes {
-            if let Node::Host(h) = n {
-                let s = h.stats();
-                self.rec.retransmits += s.retransmits;
-                self.rec.rtos += s.rtos;
-            }
-        }
-        // End-of-run invariants: conservation must close over whatever is
-        // still parked in queues or on the wire at the horizon, and every
-        // finished flow's byte ledger must balance.
-        #[cfg(feature = "audit")]
-        {
-            audit_conservation(self.nodes.iter(), &mut self.rec, "end of run");
-            crate::audit::check_flow_accounting(&mut self.rec);
-        }
-        let mut report = Report::from_recorder(&self.rec, horizon);
+        let mut report = close_books(self.nodes.iter(), &mut self.rec, horizon);
         report.events_scheduled = self.events.scheduled_total();
         report.peak_pending_events = self.events.peak_pending() as u64;
         report
@@ -648,6 +617,58 @@ impl Simulation {
 
 // Whole-fabric aggregates, over whichever nodes an engine holds: the
 // classic arena or the domain engine's per-domain slices chained.
+
+/// Closes a run's books on `rec` (the one recorder, or the domain
+/// recorders merged) and builds the [`Report`]: banks per-host transport
+/// stats, then — under `audit` — the end-of-run invariants: conservation
+/// must close over whatever is still parked in queues or on the wire at
+/// the horizon, and every finished flow's byte ledger must balance.
+pub(crate) fn close_books<'a>(
+    nodes: impl Iterator<Item = &'a Node> + Clone,
+    rec: &mut Recorder,
+    horizon: SimTime,
+) -> Report {
+    for n in nodes.clone() {
+        if let Node::Host(h) = n {
+            let s = h.stats();
+            rec.retransmits += s.retransmits;
+            rec.rtos += s.rtos;
+        }
+    }
+    #[cfg(feature = "audit")]
+    {
+        audit_conservation(nodes, rec, "end of run");
+        crate::audit::check_flow_accounting(rec);
+    }
+    Report::from_recorder(rec, horizon)
+}
+
+/// Takes one telemetry sample at `at`: instantaneous switch occupancy over
+/// `nodes`, cumulative deflection/drop/ECN counters summed over `recs`
+/// (one recorder, or one per domain plus the base), and the scheduler's
+/// pending-event count.
+pub(crate) fn sample_fabric<'a>(
+    nodes: impl Iterator<Item = &'a Node>,
+    recs: impl IntoIterator<Item = &'a Recorder>,
+    tel: &mut Telemetry,
+    at: SimTime,
+    pending: u64,
+) {
+    let (mut queued, mut max_port) = (0u64, 0u64);
+    for n in nodes {
+        if let Node::Switch(s) = n {
+            queued += s.queued_bytes();
+            max_port = max_port.max(s.busiest_port_bytes());
+        }
+    }
+    let (mut deflections, mut drops, mut ecn) = (0u64, 0u64, 0u64);
+    for r in recs {
+        deflections += r.deflections;
+        drops += r.total_drops();
+        ecn += r.ecn_marks;
+    }
+    tel.record(at, queued, max_port, deflections, drops, ecn, pending);
+}
 
 pub(crate) fn max_port_bytes<'a>(nodes: impl Iterator<Item = &'a Node>) -> u64 {
     nodes

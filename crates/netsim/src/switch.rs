@@ -1,45 +1,17 @@
-//! The output-queued switch: forwarding, ECN marking, and the deflection
-//! machinery of §3.2.
+//! The output-queued switch: forwarding, ECN marking, and the enqueue and
+//! transmit primitives the overflow policies of §3.2 (`crate::deflect`)
+//! are written in.
 
-use crate::deflect::DeflectionPolicy;
-use crate::events::{Ctx, Event};
+use crate::deflect;
+use crate::events::Ctx;
 use crate::link::LinkParams;
 use crate::policy::{BufferPolicy, ForwardPolicy, SwitchConfig};
 use crate::queue::PortQueue;
 use crate::topology::RouteTable;
 use std::sync::Arc;
-use vertigo_pkt::{ecmp_hash, pool, NodeId, Packet, PortId, MAX_HOPS};
+use vertigo_pkt::{ecmp_hash, NodeId, Packet, PortId, MAX_HOPS};
 use vertigo_simcore::{SnapError, SnapReader, SnapWriter, Snapshot};
-use vertigo_stats::{pack_ports, DropCause, TraceKind, TraceRecord, TRACE_NO_RANK};
-
-/// Emits one provenance record for `pkt`. A free function rather than a
-/// method so it can be called while a port is mutably borrowed; callers
-/// guard with `ctx.rec.trace.enabled()` (compile-time `false` without the
-/// `trace` feature, so every hook site folds away).
-#[inline]
-#[allow(clippy::too_many_arguments)] // one argument per record field
-pub(crate) fn trace_rec(
-    ctx: &mut Ctx,
-    node: u32,
-    kind: TraceKind,
-    pkt: &Packet,
-    a: u64,
-    b: u64,
-    flags: u8,
-    port: u16,
-) {
-    ctx.rec.trace.record(TraceRecord {
-        time_ns: ctx.now.as_nanos(),
-        uid: pkt.uid,
-        flow: pkt.flow.0,
-        a,
-        b,
-        node,
-        kind: kind.code(),
-        flags,
-        port,
-    });
-}
+use vertigo_stats::{DropCause, TraceKind, TRACE_NO_RANK};
 
 /// One output port: queue, link, and transmit state.
 #[derive(Debug)]
@@ -77,7 +49,7 @@ pub struct Switch {
     pub(crate) deflect_scratch: Vec<u16>,
     /// Reusable buffers for power-of-n sampling: the drawn candidate
     /// indices, and (for deflection) the ports they select.
-    pick_scratch: Vec<usize>,
+    pub(crate) pick_scratch: Vec<usize>,
     pub(crate) sample_scratch: Vec<u16>,
     /// Administratively-downed ports: never offered as deflection
     /// candidates. All-false by default; set by tests and operators, not
@@ -266,24 +238,19 @@ impl Switch {
     /// Handles a packet arriving on `in_port`.
     pub fn on_arrive(&mut self, in_port: PortId, mut pkt: Box<Packet>, ctx: &mut Ctx) {
         pkt.hops += 1;
-        if pkt.hops > MAX_HOPS {
-            self.trace_drop(&pkt, DropCause::TtlExceeded, u16::MAX, ctx);
-            ctx.rec.on_drop(DropCause::TtlExceeded, pkt.wire_size);
-            pool::recycle(pkt);
-            return;
-        }
-        let dst = pkt.dst.index();
-        debug_assert!(dst < self.routes.hosts(), "packet to unknown destination");
-        let out = match self.select_output(dst, &pkt, ctx) {
-            Some(p) => p,
-            None => {
-                self.trace_drop(&pkt, DropCause::TtlExceeded, u16::MAX, ctx);
-                ctx.rec.on_drop(DropCause::TtlExceeded, pkt.wire_size);
-                pool::recycle(pkt);
-                return;
-            }
+        // Past the hop budget the packet dies before anything is decided
+        // (or drawn) for it.
+        let out = if pkt.hops > MAX_HOPS {
+            None
+        } else {
+            let dst = pkt.dst.index();
+            debug_assert!(dst < self.routes.hosts(), "packet to unknown destination");
+            self.select_output(dst, &pkt, ctx)
         };
-        self.enqueue_with_policy(out, in_port, pkt, ctx);
+        match out {
+            Some(out) => self.enqueue_with_policy(out, in_port, pkt, ctx),
+            None => ctx.drop_pkt(self.id, u16::MAX, DropCause::TtlExceeded, pkt),
+        }
     }
 
     /// Forwarding decision: pick among the equal-cost candidates.
@@ -352,9 +319,8 @@ impl Switch {
             if let Some(c) = chosen {
                 let b = n as u64 | ((remembered_before.map_or(0, |m| m as u64 + 1)) << 32);
                 let flags = u8::from(remembered_before == Some(c));
-                trace_rec(
-                    ctx,
-                    self.id.0,
+                ctx.trace(
+                    self.id,
                     TraceKind::FwdDecision,
                     pkt,
                     policy_code,
@@ -365,36 +331,6 @@ impl Switch {
             }
         }
         chosen
-    }
-
-    /// Provenance: records a drop of `pkt` at this switch (`port` = the
-    /// attempted output, `u16::MAX` when none was chosen yet).
-    #[inline]
-    pub(crate) fn trace_drop(&self, pkt: &Packet, cause: DropCause, port: u16, ctx: &mut Ctx) {
-        if ctx.rec.trace.enabled() {
-            trace_rec(
-                ctx,
-                self.id.0,
-                TraceKind::Drop,
-                pkt,
-                cause.index() as u64,
-                pkt.wire_size as u64,
-                0,
-                port,
-            );
-        }
-    }
-
-    /// Provenance: records the enqueue of `pkt` onto `out` (call just
-    /// before the push; `b` = queue bytes including the packet).
-    #[inline]
-    pub(crate) fn trace_enqueue(&self, pkt: &Packet, out: u16, ctx: &mut Ctx) {
-        if ctx.rec.trace.enabled() {
-            let q = &self.ports[out as usize].queue;
-            let rank = q.rank_of(pkt).unwrap_or(TRACE_NO_RANK);
-            let after = q.bytes().saturating_add(pkt.wire_size as u64);
-            trace_rec(ctx, self.id.0, TraceKind::Enqueue, pkt, rank, after, 0, out);
-        }
     }
 
     /// ECN: mark CE when the instantaneous queue length meets the DCTCP
@@ -414,6 +350,21 @@ impl Switch {
         }
     }
 
+    /// Queues `pkt` on `out`: the ECN mark against the queue it joins, its
+    /// Enqueue record (`b` = queue bytes including the packet), the push.
+    /// The caller has checked that it fits, or evicts afterwards.
+    #[inline]
+    pub(crate) fn admit(&mut self, out: u16, mut pkt: Box<Packet>, ctx: &mut Ctx) {
+        let q = &mut self.ports[out as usize].queue;
+        Self::maybe_mark_ecn(&self.cfg, q, &mut pkt, ctx);
+        if ctx.rec.trace.enabled() {
+            let rank = q.rank_of(&pkt).unwrap_or(TRACE_NO_RANK);
+            let after = q.bytes().saturating_add(pkt.wire_size as u64);
+            ctx.trace(self.id, TraceKind::Enqueue, &pkt, rank, after, 0, out);
+        }
+        q.push(pkt);
+    }
+
     /// Enqueues `pkt` on `out`, applying the overflow policy when full.
     fn enqueue_with_policy(
         &mut self,
@@ -424,49 +375,30 @@ impl Switch {
     ) {
         let cap = self.cfg.port_buffer_bytes;
         if self.ports[out as usize].queue.fits(&pkt, cap) {
-            Self::maybe_mark_ecn(&self.cfg, &self.ports[out as usize].queue, &mut pkt, ctx);
-            self.trace_enqueue(&pkt, out, ctx);
-            self.ports[out as usize].queue.push(pkt);
+            self.admit(out, pkt, ctx);
             self.max_port_bytes = self
                 .max_port_bytes
                 .max(self.ports[out as usize].queue.bytes());
-            self.start_tx(out, ctx);
-            return;
+            return self.start_tx(out, ctx);
         }
         match self.cfg.buffer {
-            BufferPolicy::DropTail => {
-                self.trace_drop(&pkt, DropCause::QueueFull, out, ctx);
-                ctx.rec.on_drop(DropCause::QueueFull, pkt.wire_size);
-                pool::recycle(pkt);
-            }
-            // The deflection-policy zoo: each variant maps to one
-            // [`DeflectionPolicy`] impl (see `crate::deflect` for the
-            // trait contract the conformance and property suites pin).
+            BufferPolicy::DropTail => ctx.drop_pkt(self.id, out, DropCause::QueueFull, pkt),
             BufferPolicy::Dibs { max_deflections } => {
-                crate::deflect::DibsPolicy { max_deflections }
-                    .on_overflow(self, out, in_port, pkt, ctx)
+                deflect::dibs(self, out, in_port, pkt, max_deflections, ctx)
             }
             BufferPolicy::Vertigo {
                 deflect_power,
                 scheduling,
                 deflection,
-            } => crate::deflect::VertigoPolicy {
-                deflect_power,
-                scheduling,
-                deflection,
-            }
-            .on_overflow(self, out, in_port, pkt, ctx),
+            } => deflect::vertigo(self, out, pkt, deflect_power, scheduling, deflection, ctx),
             BufferPolicy::Pabo { max_deflections } => {
-                crate::deflect::PaboPolicy { max_deflections }
-                    .on_overflow(self, out, in_port, pkt, ctx)
+                deflect::pabo(self, out, pkt, max_deflections, ctx)
             }
             BufferPolicy::Hybrid { deflect_power } => {
-                crate::deflect::HybridPolicy { deflect_power }
-                    .on_overflow(self, out, in_port, pkt, ctx)
+                deflect::hybrid(self, out, in_port, pkt, deflect_power, ctx)
             }
             BufferPolicy::Bounded { cap, deflect_power } => {
-                crate::deflect::BoundedPolicy { cap, deflect_power }
-                    .on_overflow(self, out, in_port, pkt, ctx)
+                deflect::bounded(self, out, in_port, pkt, cap, deflect_power, ctx)
             }
             BufferPolicy::NdpTrim => {
                 // Trim the payload and enqueue the header stub as an
@@ -476,21 +408,11 @@ impl Switch {
                     pkt.trim();
                     ctx.rec.trims += 1;
                     if self.ports[out as usize].queue.fits(&pkt, cap) {
-                        Self::maybe_mark_ecn(
-                            &self.cfg,
-                            &self.ports[out as usize].queue,
-                            &mut pkt,
-                            ctx,
-                        );
-                        self.trace_enqueue(&pkt, out, ctx);
-                        self.ports[out as usize].queue.push(pkt);
-                        self.start_tx(out, ctx);
-                        return;
+                        self.admit(out, pkt, ctx);
+                        return self.start_tx(out, ctx);
                     }
                 }
-                self.trace_drop(&pkt, DropCause::QueueFull, out, ctx);
-                ctx.rec.on_drop(DropCause::QueueFull, pkt.wire_size);
-                pool::recycle(pkt);
+                ctx.drop_pkt(self.id, out, DropCause::QueueFull, pkt);
             }
         }
     }
@@ -499,12 +421,11 @@ impl Switch {
     /// output port, administratively-downed ports, host-facing ports that
     /// do not lead to the packet's destination (a foreign host would
     /// simply discard it), and — when the policy's
-    /// [`crate::deflect::DeflectionPolicy::excludes_ingress`] contract
-    /// says so — the arrival's ingress port, passed as `exclude_ingress`.
+    /// [`BufferPolicy::excludes_ingress`] contract says so — the arrival's
+    /// ingress port, passed as `exclude_ingress`.
     ///
-    /// The legacy policies (Vertigo, DIBS) pass `None`: their candidate
-    /// sets have always included the ingress, and the golden traces pin
-    /// that behavior byte-for-byte.
+    /// Vertigo and DIBS pass `None`: their candidate sets have always
+    /// included the ingress, and the golden traces pin that byte for byte.
     ///
     /// Returns the switch's scratch buffer, detached to sidestep the
     /// borrow on `self`; callers hand it back by assigning
@@ -543,120 +464,6 @@ impl Switch {
         cands
     }
 
-    /// Draws `k` distinct members of `cands` into the per-switch sample
-    /// buffer and hands it out; like `deflect_scratch`, the caller puts it
-    /// back into `sample_scratch` when done so the next deflection reuses
-    /// the allocation.
-    pub(crate) fn sample_ports(&mut self, cands: &[u16], k: usize, ctx: &mut Ctx) -> Vec<u16> {
-        ctx.rng
-            .k_distinct_into(k, cands.len(), &mut self.pick_scratch);
-        let mut sample = std::mem::take(&mut self.sample_scratch);
-        sample.clear();
-        sample.extend(self.pick_scratch.iter().map(|&i| cands[i]));
-        sample
-    }
-
-    /// Vertigo deflection: power-of-n placement; on total congestion force
-    /// the victim in and drop the worst-ranked packet (paper footnote 5).
-    /// `arriving_uid` identifies the packet that triggered the overflow,
-    /// so provenance can flag "the victim was the arrival itself".
-    pub(crate) fn deflect_victim(
-        &mut self,
-        mut victim: Box<Packet>,
-        full_port: u16,
-        power: usize,
-        arriving_uid: u64,
-        ctx: &mut Ctx,
-    ) {
-        let cap = self.cfg.port_buffer_bytes;
-        let cands = self.deflect_candidates(full_port, victim.dst, None);
-        if cands.is_empty() {
-            self.deflect_scratch = cands;
-            self.trace_drop(&victim, DropCause::DeflectionFull, full_port, ctx);
-            ctx.rec.on_drop(DropCause::DeflectionFull, victim.wire_size);
-            pool::recycle(victim);
-            return;
-        }
-        let k = power.max(1).min(cands.len());
-        let sample = self.sample_ports(&cands, k, ctx);
-        self.deflect_scratch = cands;
-        // Least-loaded sampled queue (the seeded mutation flips this to
-        // most-loaded, so golden traces catch selection regressions).
-        let chosen = if self.mutate_victim {
-            *sample
-                .iter()
-                .max_by_key(|&&p| self.ports[p as usize].queue.bytes())
-                .expect("nonempty sample")
-        } else {
-            *sample
-                .iter()
-                .min_by_key(|&&p| self.ports[p as usize].queue.bytes())
-                .expect("nonempty sample")
-        };
-        // Provenance for Deflect records: victim rank at selection time,
-        // the sampled ports, and whether the victim was the arrival.
-        let trace_deflect =
-            |this: &Switch, ctx: &mut Ctx, victim: &Packet, to: u16, forced: bool| {
-                if ctx.rec.trace.enabled() {
-                    let flags = u8::from(forced) | (u8::from(victim.uid == arriving_uid) << 1);
-                    trace_rec(
-                        ctx,
-                        this.id.0,
-                        TraceKind::Deflect,
-                        victim,
-                        victim.rank(this.cfg.boost_shift),
-                        pack_ports(&sample[..sample.len().min(4)]),
-                        flags,
-                        to,
-                    );
-                }
-            };
-        if self.ports[chosen as usize].queue.fits(&victim, cap) {
-            victim.deflections += 1;
-            ctx.rec.deflections += 1;
-            Self::maybe_mark_ecn(
-                &self.cfg,
-                &self.ports[chosen as usize].queue,
-                &mut victim,
-                ctx,
-            );
-            trace_deflect(self, ctx, &victim, chosen, false);
-            self.sample_scratch = sample;
-            self.ports[chosen as usize].queue.push(victim);
-            self.start_tx(chosen, ctx);
-            return;
-        }
-        // Every sampled queue is full: the network is congested. Force the
-        // victim into a random sampled queue and drop the largest-RFS
-        // overflow — congestion control must see this loss.
-        let forced = sample[ctx.rng.index(sample.len())];
-        victim.deflections += 1;
-        ctx.rec.deflections += 1;
-        trace_deflect(self, ctx, &victim, forced, true);
-        self.sample_scratch = sample;
-        let q = &mut self.ports[forced as usize].queue;
-        q.push(victim);
-        while q.bytes() > cap {
-            let dropped = q.evict_worst().expect("nonempty over-capacity queue");
-            if ctx.rec.trace.enabled() {
-                trace_rec(
-                    ctx,
-                    self.id.0,
-                    TraceKind::Drop,
-                    &dropped,
-                    DropCause::DeflectionFull.index() as u64,
-                    dropped.wire_size as u64,
-                    0,
-                    forced,
-                );
-            }
-            ctx.rec
-                .on_drop(DropCause::DeflectionFull, dropped.wire_size);
-            pool::recycle(dropped);
-        }
-        self.start_tx(forced, ctx);
-    }
-
     /// Starts transmission on `port` if it is idle and has queued packets.
     pub fn start_tx(&mut self, port: u16, ctx: &mut Ctx) {
         let p = &mut self.ports[port as usize];
@@ -671,34 +478,11 @@ impl Switch {
         pkt.prev_hop = self.id;
         if ctx.rec.trace.enabled() {
             let rank = p.queue.rank_of(&pkt).unwrap_or(TRACE_NO_RANK);
-            trace_rec(
-                ctx,
-                self.id.0,
-                TraceKind::Dequeue,
-                &pkt,
-                rank,
-                p.queue.bytes(),
-                0,
-                port,
-            );
+            let left = p.queue.bytes();
+            ctx.trace(self.id, TraceKind::Dequeue, &pkt, rank, left, 0, port);
         }
         p.busy = true;
-        ctx.events.push_after(
-            p.link.tx_time(pkt.wire_size),
-            Event::TxDone {
-                node: self.id,
-                port: PortId(port),
-            },
-        );
-        ctx.rec.audit.on_wire_tx();
-        ctx.events.push_after(
-            p.link.wire_time(pkt.wire_size),
-            Event::Arrive {
-                node: p.peer,
-                port: p.peer_port,
-                pkt,
-            },
-        );
+        ctx.transmit(self.id, PortId(port), p.link, p.peer, p.peer_port, pkt);
     }
 
     /// Serialization finished on `port`: free it and continue draining.

@@ -92,32 +92,6 @@ impl Telemetry {
         self.last_ecn = ecn_cum;
     }
 
-    /// [`Telemetry::record`] plus the domain engine's per-wheel pending
-    /// breakdown for this sample.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_with_domains(
-        &mut self,
-        at: SimTime,
-        queued_bytes: u64,
-        max_port_bytes: u64,
-        deflections_cum: u64,
-        drops_cum: u64,
-        ecn_cum: u64,
-        pending_events: u64,
-        per_domain: impl IntoIterator<Item = u64>,
-    ) {
-        self.record(
-            at,
-            queued_bytes,
-            max_port_bytes,
-            deflections_cum,
-            drops_cum,
-            ecn_cum,
-            pending_events,
-        );
-        self.domain_pending.extend(per_domain);
-    }
-
     /// Serializes the collected series and the delta cursors.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.put_usize(self.samples.len());

@@ -1,5 +1,6 @@
-//! Property tests for the [`DeflectionPolicy`] trait contract, across
-//! every policy in the zoo: whatever the policy, workload, or fault
+//! Property tests for the overflow-policy contract (`vertigo_netsim::deflect`
+//! module docs, DESIGN.md §5h), across every policy in the zoo: whatever
+//! the policy, workload, or fault
 //! state, a deflection's chosen egress is a *live* candidate (never the
 //! full output, never an administratively-down port, never the ingress
 //! for an excluding policy, always the provenance upstream for PABO) —

@@ -8,7 +8,7 @@ use vertigo_netsim::{
 };
 use vertigo_pkt::{DataSeg, FlowId, FlowInfo, NodeId, Packet, PortId, QueryId, MAX_HOPS};
 use vertigo_simcore::{EventQueue, SimRng, SimTime};
-use vertigo_stats::{DropCause, Recorder};
+use vertigo_stats::{DropCause, Recorder, TraceFilter, TraceKind, TRACE_AVAILABLE};
 
 const HOST: NodeId = NodeId(0);
 const SW: NodeId = NodeId(10);
@@ -31,8 +31,13 @@ fn mk_switch(cfg: SwitchConfig) -> Switch {
         })
         .collect();
     // One destination (HOST, id 0): reached via port 0. The single-switch
-    // table has one row, so this switch is index 0.
-    let routes = std::sync::Arc::new(RouteTable::from_nested(&[vec![vec![0u16]]]));
+    // table has one row, so this switch is index 0. The reverse-path row
+    // (peer of port i is node 20 + i) is what PABO's bounce resolves.
+    let nbrs: Vec<(u32, u16)> = (1..4).map(|i| (20 + i as u32, i)).collect();
+    let routes = std::sync::Arc::new(RouteTable::from_nested_with_neighbors(
+        &[vec![vec![0u16]]],
+        &[nbrs],
+    ));
     Switch::new(SW, cfg, ports, routes, 0, 0xBEEF)
 }
 
@@ -292,6 +297,109 @@ fn acks_survive_vertigo_overflow() {
     assert_eq!(h.rec.total_drops(), 0);
     let q = &sw.port(PortId(0)).queue;
     assert!(q.len() >= 8);
+}
+
+/// What `Ctx::drop_pkt` and `Switch::deflect_to` own, whatever policy calls
+/// them: every packet an overflow displaces is counted once as a drop or
+/// once as a deflection, leaves exactly one record of that kind behind
+/// (trace builds), and no packet is lost from the books on the way.
+#[test]
+fn every_policy_accounts_each_displaced_packet_once() {
+    let no_deflection = BufferPolicy::Vertigo {
+        deflect_power: 2,
+        scheduling: true,
+        deflection: false,
+    };
+    // (policy, deflects before it drops, may force a victim into a full queue)
+    let table = [
+        (SwitchConfig::ecmp(), false, false),
+        (SwitchConfig::ndp_trim(), false, false),
+        (SwitchConfig::dibs(), true, false),
+        (SwitchConfig::vertigo(), true, true),
+        (
+            SwitchConfig {
+                buffer: no_deflection,
+                ..SwitchConfig::vertigo()
+            },
+            false,
+            false,
+        ),
+        (SwitchConfig::pabo(), true, false),
+        (SwitchConfig::hybrid(), true, false),
+        (SwitchConfig::bounded(), true, false),
+    ];
+    for (cfg, deflects, forces) in table {
+        let cfg = small(cfg);
+        let what = format!("{:?}", cfg.buffer);
+        let mut sw = mk_switch(cfg);
+        let mut h = Harness::new();
+        h.rec.trace.arm(TraceFilter::default(), 32, 1 << 12);
+        let mut seen = 0;
+        // No `TxDone` is played, so every port holds what it sent (one
+        // packet, `busy`) plus its queue: 36 packets fit, 60 are offered.
+        for offered in 1..=60u64 {
+            let mut p = pkt(offered, 10_000);
+            p.prev_hop = NodeId(21); // came in through port 1
+            let fit = sw.port(PortId(0)).queue.fits(&p, cfg.port_buffer_bytes);
+            let before = (h.rec.deflections, h.rec.total_drops());
+            sw.on_arrive(PortId(1), p, &mut h.ctx());
+            let deflected = h.rec.deflections - before.0;
+            let dropped = h.rec.total_drops() - before.1;
+            if fit {
+                assert_eq!((deflected, dropped), (0, 0), "{what}: #{offered} fit");
+            } else if forces {
+                // One victim, deflected; forced into a full queue, that
+                // queue drops its worst packet (possibly the victim).
+                assert_eq!(deflected, 1, "{what}: #{offered}");
+                assert!(dropped <= 1, "{what}: #{offered} dropped {dropped}");
+            } else {
+                assert_eq!(deflected + dropped, 1, "{what}: #{offered}");
+            }
+            let held: u64 = (0..4)
+                .map(|i| sw.port(PortId(i)))
+                .map(|port| port.queue.len() as u64 + u64::from(port.busy))
+                .sum();
+            assert_eq!(offered, held + h.rec.total_drops(), "{what}: #{offered}");
+            if TRACE_AVAILABLE {
+                let records = h.rec.trace.records();
+                let of = |kind: TraceKind| {
+                    let new = records[seen..].iter();
+                    new.filter(|r| r.kind() == Some(kind)).count() as u64
+                };
+                assert_eq!(of(TraceKind::Deflect), deflected, "{what}: #{offered}");
+                assert_eq!(of(TraceKind::Drop), dropped, "{what}: #{offered}");
+                let forced = records[seen..]
+                    .iter()
+                    .any(|r| r.kind() == Some(TraceKind::Deflect) && r.flags & 1 == 1);
+                assert_eq!(forced, deflected == 1 && dropped == 1, "{what}");
+                seen = records.len();
+            }
+        }
+        assert_eq!(h.rec.deflections > 0, deflects, "{what}");
+        assert!(h.rec.total_drops() > 0, "{what}: 60 offered, 36 fit");
+    }
+}
+
+/// `deflect_to`'s budget assertion covers the policies that keep no count
+/// of their own: the hybrid deflects only arrivals, so a packet cannot
+/// have been deflected more often than the hop guard lets it arrive.
+/// Vertigo with scheduling is exempt (a queued victim can be displaced
+/// again without a hop), and the same packet goes through.
+#[cfg(feature = "audit")]
+#[test]
+#[should_panic(expected = "deflected 65 times under Hybrid")]
+fn audit_catches_a_deflection_past_the_hop_guard() {
+    for cfg in [SwitchConfig::vertigo(), SwitchConfig::hybrid()] {
+        let mut sw = mk_switch(small(cfg));
+        let mut h = Harness::new();
+        for i in 0..9u64 {
+            sw.on_arrive(PortId(1), pkt(i, 10_000), &mut h.ctx());
+        }
+        let mut p = pkt(100, 1_000_000);
+        p.deflections = MAX_HOPS;
+        sw.on_arrive(PortId(1), p, &mut h.ctx());
+        assert_eq!(h.rec.deflections, 1, "{:?}", cfg.buffer);
+    }
 }
 
 #[test]

@@ -548,7 +548,7 @@ impl TraceSink {
     ) -> Result<(), vertigo_simcore::SnapError> {
         #[cfg(feature = "trace")]
         {
-            use vertigo_simcore::Snapshot;
+            use vertigo_simcore::{SnapError, Snapshot};
             if !r.get_bool()? {
                 self.inner = None;
                 return Ok(());
@@ -560,13 +560,23 @@ impl TraceSink {
                 until_ns: r.get_u64()?,
             };
             let capacity = r.get_usize()?;
+            if capacity == 0 {
+                return Err(SnapError::new("trace ring capacity 0"));
+            }
             let seq = r.get_u64()?;
             let nrings = r.get_usize()?;
             let mut rings = Vec::with_capacity(nrings.min(r.remaining()));
-            for _ in 0..nrings {
+            for i in 0..nrings {
                 let start = r.get_usize()?;
                 let overwritten = r.get_u64()?;
                 let nbuf = r.get_usize()?;
+                // What `NodeRing::push` and `merged` index by: a ring holds
+                // at most `capacity` records and rotates only once full.
+                if nbuf > capacity || start >= capacity || (start != 0 && nbuf < capacity) {
+                    return Err(SnapError::new(format!(
+                        "trace ring {i}: start {start} with {nbuf} records at capacity {capacity}"
+                    )));
+                }
                 let mut buf = Vec::with_capacity(nbuf.min(r.remaining()));
                 for _ in 0..nbuf {
                     let rec_seq = r.get_u64()?;
@@ -806,6 +816,72 @@ mod tests {
             s2.record(rec(t, 0, 1, TraceKind::Dequeue));
         }
         assert_eq!(s2.serialize(), s.serialize());
+    }
+
+    /// An armed-sink VSNP record with one ring per `(start, records held)`
+    /// entry; record `j` of a ring carries sequence number `j`.
+    #[cfg(feature = "trace")]
+    fn armed_record(capacity: usize, rings: &[(usize, usize)]) -> Vec<u8> {
+        use vertigo_simcore::{SnapWriter, Snapshot};
+        let mut w = SnapWriter::new();
+        w.put_bool(true);
+        None::<u64>.save(&mut w);
+        None::<u32>.save(&mut w);
+        w.put_u64(0);
+        w.put_u64(u64::MAX);
+        w.put_usize(capacity);
+        w.put_u64(rings.iter().map(|&(_, n)| n as u64).sum());
+        w.put_usize(rings.len());
+        for &(start, nbuf) in rings {
+            w.put_usize(start);
+            w.put_u64(0);
+            w.put_usize(nbuf);
+            for j in 0..nbuf as u64 {
+                w.put_u64(j);
+                w.put_bytes(&rec(j, 0, 1, TraceKind::Enqueue).encode());
+            }
+        }
+        w.into_bytes()
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn restore_rejects_hostile_records() {
+        use vertigo_simcore::SnapReader;
+        let restored = |bytes: &[u8]| {
+            let mut s = TraceSink::new();
+            s.snap_restore(&mut SnapReader::new(bytes)).map(|()| s)
+        };
+        // A full ring rotated to slot 2 next to a part-filled one.
+        let ok = armed_record(4, &[(2, 4), (0, 3)]);
+        let mut s = restored(&ok).unwrap();
+        assert_eq!(s.len(), 7);
+        // What the unchecked fields used to reach: a push into each ring
+        // and the merge.
+        s.record(rec(9, 0, 1, TraceKind::Drop));
+        s.record(rec(9, 1, 1, TraceKind::Drop));
+        assert_eq!(s.records().len(), 8);
+        for (what, bytes) in [
+            ("capacity 0", armed_record(0, &[(0, 0)])),
+            ("more records than capacity", armed_record(2, &[(0, 3)])),
+            ("start == capacity", armed_record(4, &[(4, 4)])),
+            (
+                "start beyond the buffer",
+                armed_record(4, &[(usize::MAX, 4)]),
+            ),
+            ("rotated before full", armed_record(4, &[(1, 3)])),
+            ("rotated while empty", armed_record(4, &[(0, 4), (1, 0)])),
+        ] {
+            assert!(restored(&bytes).is_err(), "accepted: {what}");
+        }
+        // Truncated anywhere — in the filter, a ring header, a record.
+        for cut in 0..ok.len() {
+            assert!(
+                restored(&ok[..cut]).is_err(),
+                "accepted {cut} of {} bytes",
+                ok.len()
+            );
+        }
     }
 
     #[test]

@@ -242,4 +242,7 @@ samples=$(cargo run --release --quiet --example sample_profile -- ls_burst_verti
   | grep -vc '^#')
 echo "sample_profile ls_burst_vertigo 1: $samples samples"
 
+echo "==> lines of Rust by crate (the numbers CHANGES.md entries quote)"
+scripts/loc.sh
+
 echo "==> ci OK"
