@@ -141,12 +141,16 @@ impl Domain {
             *cross_in += u64::from(d.src != own);
             wheel.push(d.at, d.ev);
         });
+        // As in `Simulation::drain_until`, `ev` goes from the wheel's entry
+        // to `dispatch` in registers, and an `&ev` handed to anything out
+        // of line would give it a stack home and a stalled reload, 5-9 %
+        // of `wall_us_per_mb`: the fault layer gets what it reads by value.
         while let Some((now, ev)) = wheel.pop_until(limit) {
             let id = ev
                 .node()
                 .expect("the domain engine samples at barriers, not via events");
             let verdict = match faults.as_deref() {
-                Some(fs) => fs.intercept_keyed(now, &ev),
+                Some(fs) => fs.intercept_keyed(now, id, ev.arrival()),
                 None => FaultAction::Pass,
             };
             let l = node_local[id.index()] as usize;

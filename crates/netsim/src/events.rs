@@ -76,6 +76,17 @@ impl Event {
             Event::TelemetrySample => None,
         }
     }
+
+    /// For a wire delivery, the ingress port and the packet's uid: with
+    /// the node, all the fault layer reads of an event, handed to it by
+    /// value so that it never holds the event's address.
+    #[inline]
+    pub(crate) fn arrival(&self) -> Option<(PortId, u64)> {
+        match self {
+            Event::Arrive { port, pkt, .. } => Some((*port, pkt.uid)),
+            _ => None,
+        }
+    }
 }
 
 impl Snapshot for Event {

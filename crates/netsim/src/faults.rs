@@ -45,10 +45,9 @@
 //! * **blackhole** — the node silently discards every arriving packet
 //!   ([`DropCause::Blackhole`]) while processing everything else normally.
 
-use crate::events::Event;
 use crate::topology::Topology;
 use std::collections::BTreeMap;
-use vertigo_pkt::{mix64, NodeId};
+use vertigo_pkt::{mix64, NodeId, PortId};
 use vertigo_simcore::{SimRng, SimTime};
 use vertigo_stats::DropCause;
 
@@ -385,11 +384,19 @@ impl FaultState {
         Ok(())
     }
 
-    /// The classic engine's entry point: loss/corruption draws advance the
-    /// dedicated fault stream in event order, which is identical across
-    /// backends and `--jobs`.
-    pub(crate) fn intercept(&mut self, now: SimTime, ev: &Event) -> FaultAction {
-        self.windows.decide(now, ev, |p, _, _| self.rng.chance(p))
+    /// The classic engine's entry point, for an event of `node` that is a
+    /// wire delivery if `arrival` names its ingress port and packet uid
+    /// ([`Event::arrival`](crate::events::Event::arrival)): loss/corruption
+    /// draws advance the dedicated fault stream in event order, which is
+    /// identical across backends and `--jobs`.
+    pub(crate) fn intercept(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        arrival: Option<(PortId, u64)>,
+    ) -> FaultAction {
+        let chance = |p, _, _| self.rng.chance(p);
+        self.windows.decide(now, node, arrival, chance)
     }
 
     /// The domain engine's entry point. Two differences, both forced by
@@ -403,8 +410,13 @@ impl FaultState {
     ///   identical for any domain count — sequential draw order would be
     ///   partition-dependent. Same uniform construction as
     ///   [`SimRng::uniform`] (top 53 bits of a mixed 64-bit word).
-    pub(crate) fn intercept_keyed(&self, now: SimTime, ev: &Event) -> FaultAction {
-        self.windows.decide(now, ev, |p, uid, location| {
+    pub(crate) fn intercept_keyed(
+        &self,
+        now: SimTime,
+        node: NodeId,
+        arrival: Option<(PortId, u64)>,
+    ) -> FaultAction {
+        self.windows.decide(now, node, arrival, |p, uid, location| {
             let mut h = mix64(self.rng.seed() ^ mix64(uid));
             h = mix64(h ^ now.as_nanos());
             h = mix64(h ^ location);
@@ -475,7 +487,8 @@ impl Windows {
         })
     }
 
-    /// The one walk over the schedule: decides the fate of a popped event.
+    /// The one walk over the schedule: decides the fate of a popped event
+    /// of `node`, a wire delivery if `arrival` is its `(port, uid)`.
     /// Freezes, blackholes and downed links are a function of time and
     /// place; for a loss or corruption window active on the arrival's link
     /// the verdict is `chance(p, uid, location)`, where `location` names
@@ -484,16 +497,14 @@ impl Windows {
     fn decide(
         &self,
         now: SimTime,
-        ev: &Event,
+        node: NodeId,
+        arrival: Option<(PortId, u64)>,
         mut chance: impl FnMut(f64, u64, u64) -> bool,
     ) -> FaultAction {
-        let Some(node) = ev.node() else {
-            return FaultAction::Pass;
-        };
         if let Some(until) = self.frozen_until(now, node) {
             return FaultAction::Defer(until);
         }
-        let Event::Arrive { port, pkt, .. } = ev else {
+        let Some((port, uid)) = arrival else {
             return FaultAction::Pass;
         };
         if self.blackholed(now, node) {
@@ -507,7 +518,7 @@ impl Windows {
                 LinkFault::Corrupt(p) => (p, DropCause::LinkCorrupt),
             };
             let location = ((node.0 as u64) << 24) | ((port.0 as u64) << 8) | i as u64;
-            if chance(p, pkt.uid, location) {
+            if chance(p, uid, location) {
                 return FaultAction::Drop(cause);
             }
         }
@@ -518,10 +529,8 @@ impl Windows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::FlowSpec;
     use crate::link::LinkParams;
     use proptest::prelude::*;
-    use vertigo_pkt::{AckSeg, FlowId, Packet, PortId, QueryId};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -567,42 +576,13 @@ mod tests {
     /// up are arrivals, the only events the link windows look at.
     type Probe = (u64, u8, usize, usize, u64);
 
-    fn probe(topo: &Topology, &(at, kind, n, port, uid): &Probe) -> (SimTime, Event) {
-        let node = NodeId(n as u32);
+    /// What a scheduler hands the fault layer for the probe's event.
+    fn probe(
+        topo: &Topology,
+        &(at, kind, n, port, uid): &Probe,
+    ) -> (SimTime, NodeId, Option<(PortId, u64)>) {
         let port = PortId((port % topo.adj[n].len()) as u16);
-        let ack = AckSeg {
-            cum_ack: 0,
-            ecn_echo: false,
-            ts_echo: SimTime::ZERO,
-            reorder_seen: 0,
-        };
-        let ev = match kind {
-            0 => Event::TxDone { node, port },
-            1 => Event::HostTimer { node },
-            2 => Event::FlowStart {
-                src: node,
-                spec: Box::new(FlowSpec {
-                    dst: NodeId(0),
-                    flow: FlowId(1),
-                    query: QueryId::NONE,
-                    bytes: 1,
-                }),
-            },
-            _ => Event::Arrive {
-                node,
-                port,
-                pkt: Box::new(Packet::ack(
-                    uid,
-                    FlowId(1),
-                    QueryId::NONE,
-                    NodeId(0),
-                    node,
-                    ack,
-                    SimTime::ZERO,
-                )),
-            },
-        };
-        (t(at), ev)
+        (t(at), NodeId(n as u32), (kind >= 3).then_some((port, uid)))
     }
 
     proptest! {
@@ -618,9 +598,9 @@ mod tests {
             let topo = small_topo();
             let mut fs = compile(&topo, &specs);
             for p in &probes {
-                let (now, ev) = probe(&topo, p);
-                let verdict = fs.intercept(now, &ev);
-                prop_assert_eq!(verdict, fs.intercept_keyed(now, &ev));
+                let (now, node, arrival) = probe(&topo, p);
+                let verdict = fs.intercept(now, node, arrival);
+                prop_assert_eq!(verdict, fs.intercept_keyed(now, node, arrival));
             }
         }
 
@@ -640,15 +620,18 @@ mod tests {
             let fresh = compile(&topo, &specs);
             let mut used = compile(&topo, &specs);
             for (i, o) in others.iter().enumerate() {
-                let (now, ev) = probe(&topo, o);
+                let (now, node, arrival) = probe(&topo, o);
                 if i % 2 == 0 {
-                    used.intercept(now, &ev);
+                    used.intercept(now, node, arrival);
                 } else {
-                    used.intercept_keyed(now, &ev);
+                    used.intercept_keyed(now, node, arrival);
                 }
             }
-            let (now, ev) = probe(&topo, &target);
-            prop_assert_eq!(fresh.intercept_keyed(now, &ev), used.intercept_keyed(now, &ev));
+            let (now, node, arrival) = probe(&topo, &target);
+            prop_assert_eq!(
+                fresh.intercept_keyed(now, node, arrival),
+                used.intercept_keyed(now, node, arrival)
+            );
         }
     }
 

@@ -416,8 +416,14 @@ impl Simulation {
             faults,
             ..
         } = self;
-        // Combined peek-then-pop: one heap access per iteration, and events
-        // beyond the limit stay queued.
+        // Combined peek-then-pop: one queue access per iteration, and events
+        // beyond the limit stay queued. `ev` is 16 bytes that `pop_until`
+        // loads from the queue's entry into registers and `dispatch` takes
+        // by value. Nothing out of line may be handed `&ev`: the event then
+        // gets a stack home, stored as two overlapping 8-byte moves, and
+        // the reload of `pkt` straddles both and waits for them to retire
+        // (no store-to-load forwarding), 5-9 % of `wall_us_per_mb`
+        // (BENCH_PR18.json).
         while let Some((now, ev)) = events.pop_until(limit) {
             let Some(id) = ev.node() else {
                 // `TelemetrySample`: this scheduler samples as an event.
@@ -434,7 +440,7 @@ impl Simulation {
                 continue;
             };
             let verdict = match faults.as_mut() {
-                Some(fs) => fs.intercept(now, &ev),
+                Some(fs) => fs.intercept(now, id, ev.arrival()),
                 None => FaultAction::Pass,
             };
             let mut ctx = Ctx {

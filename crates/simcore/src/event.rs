@@ -498,22 +498,29 @@ mod tests {
                 q.pop();
             }
             assert_eq!(q.now(), SimTime::from_nanos(1100));
+            // Pushed into the open window (the wheel's side run), pending
+            // when the snapshot is taken: a tie at the clock's own instant
+            // and one with what the cascade brought, out of time order.
+            q.push(SimTime::from_nanos(1200), 8);
+            q.push(SimTime::from_nanos(1100), 9);
 
             let mut w = SnapWriter::new();
             q.save_into(&mut w);
             let bytes = w.into_bytes();
             let mut r = EventQueue::<u64>::restore_from(&mut SnapReader::new(&bytes), b).unwrap();
-            // Behind the pending ties at the clock's own instant, ahead of
-            // the rest of the window.
-            q.push(SimTime::from_nanos(1100), 8);
-            r.push(SimTime::from_nanos(1100), 8);
+            // Behind the pending ties, restored from either run, and ahead
+            // of the rest of the window.
+            for (at, id) in [(1100, 10), (1200, 11), (1150, 12)] {
+                q.push(SimTime::from_nanos(at), id);
+                r.push(SimTime::from_nanos(at), id);
+            }
             let order: Vec<u64> = std::iter::from_fn(|| {
                 let (a, c) = (q.pop(), r.pop());
                 assert_eq!(a, c);
                 a.map(|(_, id)| id)
             })
             .collect();
-            assert_eq!(order, [3, 5, 8, 4, 6, 7]);
+            assert_eq!(order, [3, 5, 9, 10, 12, 4, 8, 11, 6, 7]);
         });
     }
 

@@ -4,7 +4,7 @@
 //!
 //! ## Layout
 //!
-//! Seven wheels ("levels" 1 to 7) of 256 slots each over one sorted *run*.
+//! Seven wheels ("levels" 1 to 7) of 256 slots each over two sorted *runs*.
 //! A slot on level `l` spans `256^l` nanoseconds, so a level-1 slot is a
 //! 256 ns window, level 1 spans 65.5 µs, level 2 ≈ 16.8 ms, and so on up
 //! to level 7, whose 256 slots cover the entire remaining `u64` range —
@@ -21,11 +21,16 @@
 //! Level 0 — the 256 ns window the clock is in — is not a wheel. When the
 //! clock enters a level-1 slot's window, the slot's entries are stable
 //! counting-sorted on the low 8 bits of their timestamp into one buffer,
-//! the run, and popping reads it front to back behind a cursor. A push
-//! that lands inside the current window goes behind every pending entry
-//! that is not later than it: an append when that is the end of the run,
-//! otherwise the few entries between the cursor and the insertion point
-//! move one place down into the gap the cursor has left behind.
+//! the run, which is then only read, front to back behind a cursor. A
+//! push that lands inside the open window goes to a second, small buffer,
+//! the side run, behind every pending entry of it that is not later: an
+//! append when the push is not earlier than the side run's last entry,
+//! else a binary search over its pending part and a `Vec::insert`. Popping
+//! is a two-way merge of the heads of the two, the run's entry first on a
+//! tie, and the window closes when both are spent. A window too small to
+//! be worth the sort's 256 counters, and what a slot of level 2 or above
+//! holds for its own first 256 ns, go through the side run one by one
+//! instead; the run is then empty, so the order is the same.
 //!
 //! ## Cost model
 //!
@@ -37,13 +42,18 @@
 //! An event that is pushed more than 256 ns and less than 65.5 µs ahead —
 //! a packet's serialization or wire time — is written twice, once into
 //! its level-1 slot and once into the run, and read sequentially both
-//! times. Contrast the `BinaryHeap` backend's O(log n) sift per operation
-//! with a pointer-free but comparison-heavy layout.
+//! times. One pushed into the open window — an ACK's serialization — is
+//! written once, into the side run, at a cost in the entries of the side
+//! run due after it (a handful: those pushed in the last few tens of
+//! nanoseconds), whatever the run holds. Contrast the `BinaryHeap`
+//! backend's O(log n) sift per operation with a pointer-free but
+//! comparison-heavy layout.
 //!
 //! ## Memory
 //!
 //! Slot buffers follow what is pending, not what was ever touched. The run
-//! is one buffer, as large as the fullest 256 ns window so far. A level-1
+//! is one buffer, as large as the fullest 256 ns window so far, and the
+//! side run another, as large as the most pushes one window took. A level-1
 //! slot gives its drained buffer to a LIFO pool and the next level-1 slot
 //! to fill takes one from there, so level 1 owns as many buffers as it
 //! ever had slots occupied at one time — the occupied part of the 65.5 µs
@@ -56,8 +66,10 @@
 //! Events pop in `(timestamp, insertion sequence)` order: time order
 //! first, FIFO among ties. Slot vectors only ever append, cascading a slot
 //! redistributes its entries in insertion order, the sort into the run is
-//! stable, and everything a cascade brings into the run was pushed before
-//! anything pushed into the open window, so two events with equal
+//! stable, and the side run takes an entry behind its ties. Between the
+//! two, the merge takes the run's entry on a tie, and everything a cascade
+//! sorted into the run was pushed before the window opened, which is
+//! before anything in the side run was. So two events with equal
 //! timestamps can never swap — the property every end-to-end
 //! reproducibility test in this workspace leans on. Scheduling into the
 //! past is a debug panic (clamped to `now` in release), and `pop_until`
@@ -87,14 +99,69 @@ const SORT_FROM: usize = 8;
 /// no stored sequence number: slots only append and cascades are stable.
 type Pending<E> = (u64, E);
 
+/// Entries in pop order behind a cursor: `entries[..cur]` has been popped
+/// (`None`), `entries[cur..]` is pending (`Some`) and sorted by timestamp,
+/// FIFO among ties.
+struct Run<E> {
+    entries: Vec<Option<Pending<E>>>,
+    /// The next entry to pop.
+    cur: usize,
+}
+
+impl<E> Run<E> {
+    fn new() -> Self {
+        Run {
+            entries: Vec::new(),
+            cur: 0,
+        }
+    }
+
+    /// Timestamp of the next entry to pop, if any is pending.
+    #[inline]
+    fn head(&self) -> Option<u64> {
+        match self.entries.get(self.cur) {
+            Some(Some((at, _))) => Some(*at),
+            _ => None,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.cur = 0;
+    }
+
+    /// Puts an entry behind every pending one that is not later than it:
+    /// FIFO among ties, as long as callers insert in push order.
+    #[inline]
+    fn insert(&mut self, at: u64, ev: E) {
+        if self.cur == self.entries.len() {
+            self.clear();
+        } else if matches!(self.entries.last(), Some(Some((last, _))) if *last > at) {
+            return self.insert_before_last(at, ev);
+        }
+        self.entries.push(Some((at, ev)));
+    }
+
+    /// The insertion that is not an append: a binary search over the
+    /// pending part and a `memmove` of what is due later.
+    fn insert_before_last(&mut self, at: u64, ev: E) {
+        let due_first = |e: &Option<Pending<E>>| matches!(e, Some((t, _)) if *t <= at);
+        let i = self.cur + self.entries[self.cur..].partition_point(due_first);
+        self.entries.insert(i, Some((at, ev)));
+    }
+}
+
 /// The hierarchical timing wheel. See the module docs for the invariants.
 pub(crate) struct TimingWheel<E> {
-    /// Every pending event of the 256 ns window the clock is in, in pop
-    /// order: `run[..cur]` has been popped (`None`), `run[cur..]` is
-    /// pending (`Some`) and sorted by timestamp, FIFO among ties.
-    run: Vec<Option<Pending<E>>>,
-    /// The next entry of `run` to pop.
-    cur: usize,
+    /// What the cascade that opened the 256 ns window the clock is in
+    /// sorted into it. Never inserted into: it is written whole, with the
+    /// cursor at 0, and read front to back.
+    run: Run<E>,
+    /// The side run: what was put into the open window one entry at a
+    /// time, which is every push since it opened (and the whole of a
+    /// window too small to sort). Everything in `run` was pushed before
+    /// anything in here.
+    side: Run<E>,
     /// Append-only slot vectors of levels 1 and up; see [`upper`].
     slots: Vec<Vec<Pending<E>>>,
     /// Buffers of drained level-1 slots, taken LIFO by the next level-1
@@ -110,7 +177,7 @@ pub(crate) struct TimingWheel<E> {
     now: u64,
     /// Events ever pushed (the scheduled-total counter).
     seq: u64,
-    /// Pending events (wheel + run).
+    /// Pending events (wheel + both runs).
     len: usize,
     /// High-water mark of `len`.
     peak: usize,
@@ -149,8 +216,8 @@ fn first_occupied(occ: &[u64; OCC_WORDS]) -> Option<usize> {
 impl<E> TimingWheel<E> {
     pub(crate) fn new() -> Self {
         TimingWheel {
-            run: Vec::new(),
-            cur: 0,
+            run: Run::new(),
+            side: Run::new(),
             slots: (0..(LEVELS - 1) * SLOTS).map(|_| Vec::new()).collect(),
             spare: Vec::new(),
             occ: [[0; OCC_WORDS]; LEVELS - 1],
@@ -166,13 +233,13 @@ impl<E> TimingWheel<E> {
         SimTime::from_nanos(self.now)
     }
 
-    /// Files one event per the level invariant: into the run when it is
-    /// due inside the clock's 256 ns window, else into its slot.
+    /// Files one event per the level invariant: into the side run when it
+    /// is due inside the clock's 256 ns window, else into its slot.
     #[inline]
     fn place(&mut self, at: u64, ev: E) {
         let l = level_of(self.now, at);
         if l == 0 {
-            return self.insert_run(at, ev);
+            return self.side.insert(at, ev);
         }
         let s = slot_of(l, at);
         let slot = &mut self.slots[upper(l, s)];
@@ -185,53 +252,19 @@ impl<E> TimingWheel<E> {
         self.occ[l - 1][s / 64] |= 1 << (s % 64);
     }
 
-    /// Puts an event of the current window behind every pending entry of
-    /// the run that is not later than it. That is FIFO among ties: what a
-    /// cascade sorted into the run was pushed before the clock entered the
-    /// window, and what was inserted since went behind its ties the same
-    /// way.
-    #[inline]
-    fn insert_run(&mut self, at: u64, ev: E) {
-        if self.cur == self.run.len() {
-            self.run.clear();
-            self.cur = 0;
-        } else if matches!(self.run.last(), Some(Some((last, _))) if *last > at) {
-            return self.insert_run_before_end(at, ev);
-        }
-        self.run.push(Some((at, ev)));
-    }
-
-    /// The insertion that is not an append. The new entry is due soon
-    /// (hundreds of entries can be pending behind it, a few before it), so
-    /// room is made on the cursor's side: the entries ahead of it move one
-    /// place down into the popped part of the run. Only with the cursor
-    /// at 0 is there no such place, and the tail moves up instead.
-    fn insert_run_before_end(&mut self, at: u64, ev: E) {
-        let due_first = |e: &Option<Pending<E>>| matches!(e, Some((t, _)) if *t <= at);
-        let i = self.cur + self.run[self.cur..].partition_point(due_first);
-        if self.cur == 0 {
-            self.run.insert(i, Some((at, ev)));
-        } else {
-            self.cur -= 1;
-            self.run[self.cur..i].rotate_left(1);
-            self.run[i - 1] = Some((at, ev));
-        }
-    }
-
-    /// Refills the empty run with `evs`, which are all due in the clock's
-    /// 256 ns window, by a stable counting sort on the low 8 bits of their
-    /// timestamps (a handful are inserted instead). `evs` is left empty.
+    /// Opens the clock's 256 ns window with `evs`, which are all due in
+    /// it: a stable counting sort on the low 8 bits of their timestamps
+    /// into the run (a handful go through the side run instead). `evs` is
+    /// left empty.
     fn fill_run(&mut self, evs: &mut Vec<Pending<E>>) {
-        debug_assert_eq!(
-            self.cur,
-            self.run.len(),
-            "refilled a run with pending entries"
+        debug_assert!(
+            self.run.head().is_none() && self.side.head().is_none(),
+            "opened a window with entries of the last one pending"
         );
         self.run.clear();
-        self.cur = 0;
         if evs.len() < SORT_FROM {
             for (at, ev) in evs.drain(..) {
-                self.insert_run(at, ev);
+                self.side.insert(at, ev);
             }
             return;
         }
@@ -248,11 +281,11 @@ impl<E> TimingWheel<E> {
         for n in &mut next {
             start += std::mem::replace(n, start);
         }
-        self.run.resize_with(evs.len(), || None);
+        self.run.entries.resize_with(evs.len(), || None);
         for (at, ev) in evs.drain(..) {
             debug_assert_eq!(level_of(self.now, at), 0);
             let n = &mut next[slot_of(0, at)];
-            self.run[*n as usize] = Some((at, ev));
+            self.run.entries[*n as usize] = Some((at, ev));
             *n += 1;
         }
     }
@@ -282,11 +315,13 @@ impl<E> TimingWheel<E> {
     }
 
     /// Timestamp of the earliest pending event without disturbing the
-    /// wheel. O(1) in bitmap words plus, when the run is empty, one scan
-    /// of the single first slot.
+    /// wheel. O(1) in bitmap words plus, when the window is spent, one
+    /// scan of the single first slot.
     fn earliest(&self) -> Option<u64> {
-        if let Some(Some((at, _))) = self.run.get(self.cur) {
-            return Some(*at);
+        match (self.run.head(), self.side.head()) {
+            (Some(r), Some(s)) => return Some(r.min(s)),
+            (Some(t), None) | (None, Some(t)) => return Some(t),
+            (None, None) => {}
         }
         if self.len == 0 {
             return None;
@@ -303,11 +338,11 @@ impl<E> TimingWheel<E> {
         unreachable!("len > 0 but no occupied slot");
     }
 
-    /// With the run empty, advances the clock to the start of the 256 ns
-    /// window of `t` (the earliest pending timestamp), cascading every
-    /// higher-level slot on the path so the events of that window land in
-    /// the run. Stable: redistribution preserves insertion order, so
-    /// FIFO-on-tie survives every cascade.
+    /// With the window spent, advances the clock to the start of the
+    /// 256 ns window of `t` (the earliest pending timestamp), cascading
+    /// every higher-level slot on the path so the events of that window
+    /// land in the runs. Stable: redistribution preserves insertion order,
+    /// so FIFO-on-tie survives every cascade.
     fn advance_to(&mut self, t: u64) {
         loop {
             let l = level_of(self.now, t);
@@ -331,8 +366,8 @@ impl<E> TimingWheel<E> {
             // From level 2 up every entry goes to a strictly lower level, so
             // the slot stays empty until its next lap, and its buffer (used
             // once per >= 65.5 µs of simulated time) is freed here. What is
-            // due in the slot's first 256 ns is inserted into the run one by
-            // one, a window's worth once per 256 windows.
+            // due in the slot's first 256 ns is inserted into the side run
+            // one by one, a window's worth once per 256 windows.
             for (at, ev) in evs {
                 debug_assert!(at >= self.now);
                 self.place(at, ev);
@@ -344,25 +379,45 @@ impl<E> TimingWheel<E> {
         self.pop_until(SimTime::from_nanos(u64::MAX))
     }
 
+    /// The two-way merge of the run and the side run, the run first on a
+    /// tie. Small and inlined into the scheduler's loop, so that the popped
+    /// event goes from its entry to the handler in registers; what happens
+    /// once per window is out of line in [`Self::open_window`].
     #[inline]
     pub(crate) fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        if self.cur == self.run.len() {
-            let t = self.earliest()?;
-            if t > limit.as_nanos() {
-                // Beyond the horizon: stays queued, clock does not move.
-                return None;
+        let limit = limit.as_nanos();
+        let from = loop {
+            match (self.run.head(), self.side.head()) {
+                (Some(r), Some(s)) if s < r => break &mut self.side,
+                (Some(_), _) => break &mut self.run,
+                (None, Some(_)) => break &mut self.side,
+                (None, None) if self.open_window(limit) => {}
+                (None, None) => return None,
             }
-            self.advance_to(t);
-        }
-        let next = &mut self.run[self.cur];
-        if matches!(next, Some((at, _)) if *at > limit.as_nanos()) {
+        };
+        let next = &mut from.entries[from.cur];
+        if matches!(next, Some((at, _)) if *at > limit) {
+            // Beyond the horizon: stays queued, clock does not move.
             return None;
         }
-        let (at, ev) = next.take().expect("the run is pending from its cursor on");
-        self.cur += 1;
+        let (at, ev) = next.take().expect("a run is pending from its cursor on");
+        from.cur += 1;
         self.len -= 1;
         self.now = at;
         Some((SimTime::from_nanos(at), ev))
+    }
+
+    /// With the window spent, opens the one of the earliest pending event
+    /// if that event is due by `limit`; says whether it did.
+    #[inline(never)]
+    fn open_window(&mut self, limit: u64) -> bool {
+        match self.earliest() {
+            Some(t) if t <= limit => {
+                self.advance_to(t);
+                true
+            }
+            _ => false,
+        }
     }
 
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
@@ -393,8 +448,8 @@ impl<E> TimingWheel<E> {
     /// Reconstructs a wheel from snapshot state: the clock, the lifetime
     /// counters, and every pending event in *pop order*.
     ///
-    /// Re-filing in pop order is all FIFO ties need: slots and the run
-    /// append, so a restored tie pops before any event pushed later. The
+    /// Re-filing in pop order is all FIFO ties need: slots and the side
+    /// run append, so a restored tie pops before any event pushed later. The
     /// insertion counter is set back to `scheduled_total` so the
     /// `events_scheduled` diagnostic stays byte-identical.
     pub(crate) fn rebuild(
@@ -429,6 +484,29 @@ mod tests {
     /// Pops everything, as `(timestamp, payload)`.
     fn drain(w: &mut TimingWheel<u32>) -> Vec<(u64, u32)> {
         std::iter::from_fn(|| w.pop().map(|(t, ev)| (t.as_nanos(), ev))).collect()
+    }
+
+    /// A wheel with `stamps` pending (payloads 0, 1, ...) and the clock at
+    /// 1024, the start of the open window [1024, 1280). What that window
+    /// holds of them came in by a cascade: sorted into the run if `sorted`,
+    /// and if not inserted one by one through the side run, as a window of
+    /// fewer than `SORT_FROM` is. Every order below must hold both ways.
+    fn window_of(stamps: &[u64], sorted: bool) -> TimingWheel<u32> {
+        let pad = if sorted { SORT_FROM as u32 } else { 1 };
+        let mut w = TimingWheel::new();
+        for i in 0..pad {
+            w.push(at(1024), 100 + i);
+        }
+        for (i, &t) in stamps.iter().enumerate() {
+            w.push(at(t), i as u32);
+        }
+        for i in 0..pad {
+            assert_eq!(w.pop(), Some((at(1024), 100 + i)));
+        }
+        let in_window = stamps.iter().filter(|&&t| t < 1280).count();
+        let in_run = if sorted { pad as usize + in_window } else { 0 };
+        assert_eq!(w.run.entries.len(), in_run);
+        w
     }
 
     #[test]
@@ -482,7 +560,7 @@ mod tests {
 
     #[test]
     fn in_window_pushes_sort_into_the_run() {
-        // Cursor at 0: pushes alone build the run of the window [0, 256).
+        // Pushes alone build the window [0, 256).
         let mut w: TimingWheel<u32> = TimingWheel::new();
         w.push(at(50), 0);
         w.push(at(100), 1);
@@ -490,37 +568,32 @@ mod tests {
         w.push(at(70), 3); // between two
         w.push(at(200), 4); // behind: an append
         w.push(at(50), 5); // a tie goes behind its elder
-        assert_eq!((w.cur, w.run.len()), (0, 6));
         let order = [(20, 2), (50, 0), (50, 5), (70, 3), (100, 1), (200, 4)];
         assert_eq!(drain(&mut w), order);
 
-        // Cursor past 0: a cascade fills the run and two pops leave a gap,
-        // which the first two insertions use up.
-        let mut w: TimingWheel<u32> = TimingWheel::new();
-        for (i, t) in [1030, 1040, 1100, 1100, 1200].into_iter().enumerate() {
-            w.push(at(t), i as u32);
+        // A cascade fills the window, two pops, and pushes on every side
+        // of what is left of it.
+        for sorted in [true, false] {
+            let mut w = window_of(&[1030, 1040, 1100, 1100, 1200], sorted);
+            assert_eq!(w.pop(), Some((at(1030), 0)));
+            assert_eq!(w.pop(), Some((at(1040), 1)));
+            w.push(at(1050), 10); // ahead
+            w.push(at(1150), 11); // between
+            w.push(at(1100), 12); // behind both ties
+            w.push(at(1250), 13); // behind everything
+            assert_eq!(w.len(), 7);
+            assert_eq!(w.peek_time(), Some(at(1050)));
+            let order = [
+                (1050, 10),
+                (1100, 2),
+                (1100, 3),
+                (1100, 12),
+                (1150, 11),
+                (1200, 4),
+                (1250, 13),
+            ];
+            assert_eq!(drain(&mut w), order);
         }
-        assert_eq!(w.pop(), Some((at(1030), 0)));
-        assert_eq!(w.pop(), Some((at(1040), 1)));
-        assert_eq!(w.cur, 2);
-        w.push(at(1050), 10); // ahead
-        assert_eq!(w.cur, 1);
-        w.push(at(1150), 11); // between
-        assert_eq!(w.cur, 0);
-        w.push(at(1100), 12); // behind both ties, cursor back at 0
-        w.push(at(1250), 13); // behind everything
-        assert_eq!((w.cur, w.run.len(), w.len()), (0, 7, 7));
-        assert_eq!(w.peek_time(), Some(at(1050)));
-        let order = [
-            (1050, 10),
-            (1100, 2),
-            (1100, 3),
-            (1100, 12),
-            (1150, 11),
-            (1200, 4),
-            (1250, 13),
-        ];
-        assert_eq!(drain(&mut w), order);
     }
 
     #[test]
@@ -540,15 +613,90 @@ mod tests {
 
     #[test]
     fn cascaded_entry_pops_before_a_later_in_window_tie() {
-        let mut w: TimingWheel<u32> = TimingWheel::new();
-        w.push(at(1030), 0);
-        w.push(at(1100), 1);
-        w.push(at(1200), 2);
-        assert_eq!(w.pop(), Some((at(1030), 0)));
-        // The window is open and holds (1100, 1); the same instant pushed
-        // now is younger, though it goes in ahead of (1200, 2).
-        w.push(at(1100), 3);
-        assert_eq!(drain(&mut w), [(1100, 1), (1100, 3), (1200, 2)]);
+        for sorted in [true, false] {
+            let mut w = window_of(&[1030, 1100, 1200], sorted);
+            assert_eq!(w.pop(), Some((at(1030), 0)));
+            // The window holds (1100, 1); the same instant pushed now is
+            // younger, though it goes in ahead of (1200, 2).
+            w.push(at(1100), 3);
+            assert_eq!(drain(&mut w), [(1100, 1), (1100, 3), (1200, 2)]);
+        }
+    }
+
+    #[test]
+    fn side_run_ties_go_behind_the_run_and_behind_their_elders() {
+        for sorted in [true, false] {
+            let mut w = window_of(&[1030, 1100, 1200, 1300], sorted);
+            assert_eq!(w.pop(), Some((at(1030), 0)));
+            // The cascade brought (1100, 1) and (1200, 2); all of these
+            // go to the side run.
+            w.push(at(1200), 10); // ties with a cascaded entry: that one first
+            w.push(at(1200), 11); // and with an older side-run entry: FIFO
+            w.push(at(1100), 12); // the same, sorted in ahead of both
+            w.push(at(1150), 13);
+            w.push(at(1100), 14);
+            assert_eq!(w.peek_time(), Some(at(1100)));
+            let window = [
+                (1100, 1),
+                (1100, 12),
+                (1100, 14),
+                (1150, 13),
+                (1200, 2),
+                (1200, 10),
+                (1200, 11),
+            ];
+            for expected in window {
+                assert_eq!(w.pop().map(|(t, ev)| (t.as_nanos(), ev)), Some(expected));
+            }
+            // (1300, 3) was pushed before its window opened and is cascaded
+            // into it: it pops ahead of a tie that was pushed, into the
+            // window before, later than it, and of one pushed now.
+            w.push(at(1300), 20);
+            assert_eq!(w.pop(), Some((at(1300), 3)));
+            w.push(at(1400), 21);
+            w.push(at(1300), 22);
+            assert_eq!(drain(&mut w), [(1300, 20), (1300, 22), (1400, 21)]);
+
+            // Earlier than everything the cascade brought, all of which is
+            // still pending.
+            let mut w = window_of(&[1100, 1100, 1200], sorted);
+            w.push(at(1030), 10);
+            w.push(at(1026), 11);
+            assert_eq!(w.peek_time(), Some(at(1026)));
+            let order = [(1026, 11), (1030, 10), (1100, 0), (1100, 1), (1200, 2)];
+            assert_eq!(drain(&mut w), order);
+        }
+    }
+
+    #[test]
+    fn the_window_closes_only_when_both_runs_are_spent() {
+        let next_window_waits = |w: &TimingWheel<u32>| w.occ[0][0] == 1 << slot_of(1, 1300);
+        for sorted in [true, false] {
+            // What the cascade brought spent, the side run not.
+            let mut w = window_of(&[1030, 1300], sorted);
+            assert_eq!(w.pop(), Some((at(1030), 0)));
+            w.push(at(1100), 2);
+            assert_eq!(w.pop(), Some((at(1100), 2)));
+            // Both spent, and the clock is still in the window: it takes
+            // more.
+            assert!(next_window_waits(&w));
+            w.push(at(1100), 3);
+            w.push(at(1279), 4);
+            assert_eq!(w.peek_time(), Some(at(1100)));
+            assert_eq!(w.pop(), Some((at(1100), 3)));
+            assert_eq!(w.pop(), Some((at(1279), 4)));
+            assert!(next_window_waits(&w));
+            assert_eq!(w.pop(), Some((at(1300), 1)));
+            assert_eq!((w.occ[0][0], w.len()), (0, 0));
+
+            // The side run spent, what the cascade brought not.
+            let mut w = window_of(&[1030, 1200, 1300], sorted);
+            assert_eq!(w.pop(), Some((at(1030), 0)));
+            w.push(at(1040), 3);
+            assert_eq!(w.pop(), Some((at(1040), 3)));
+            assert!(next_window_waits(&w));
+            assert_eq!(drain(&mut w), [(1200, 1), (1300, 2)]);
+        }
     }
 
     #[test]
@@ -563,7 +711,6 @@ mod tests {
         w.push(at(L2 + 50), 2);
         w.push(at(L2 + 100), 3);
         assert_eq!(w.pop(), Some((at(L2 + 50), 2)));
-        assert_eq!((w.cur, w.run.len()), (1, 3));
         assert_eq!(w.occ[0][0], 0b10, "only +300 is on level 1");
         assert_eq!(drain(&mut w), [(L2 + 100, 0), (L2 + 100, 3), (L2 + 300, 1)]);
 
@@ -575,7 +722,6 @@ mod tests {
         w.push(at(2 * L2 + 5_000), 2);
         assert_eq!(w.peek_time(), Some(at(2 * L2 + 5_000)));
         assert_eq!(w.pop(), Some((at(2 * L2 + 5_000), 2)));
-        assert_eq!((w.cur, w.run.len()), (1, 2));
         assert_eq!(drain(&mut w), [(2 * L2 + 5_010, 1), (2 * L2 + 9_000, 0)]);
         assert_eq!(w.now(), at(2 * L2 + 9_000));
     }
@@ -617,9 +763,12 @@ mod tests {
         let bound = peak_level1 + occupied(&w, 2..LEVELS);
         assert!(buffers <= bound, "{buffers} buffers, bound {bound}");
         // No slot ever held 256 events, so no buffer grew past 256, and
-        // neither did the run.
+        // neither did the runs.
         assert!(room <= bound * 256, "room for {room}");
-        assert!(w.run.capacity() <= 256, "run of {}", w.run.capacity());
+        for run in [&w.run, &w.side] {
+            let room = run.entries.capacity();
+            assert!(room <= 256, "a run of {room}");
+        }
     }
 
     #[test]
@@ -657,6 +806,45 @@ mod tests {
         assert_eq!(w.pop_until(at(1999)), Some((at(1500), 3)));
         assert_eq!(w.pop_until(at(2000)), Some((at(2000), 2)));
         assert_eq!(w.pop_until(at(u64::MAX)), None);
+    }
+
+    #[test]
+    fn pop_until_stops_between_the_run_and_the_side_run() {
+        for sorted in [true, false] {
+            let mut w = window_of(&[1030, 1100, 1200], sorted);
+            assert_eq!(w.pop(), Some((at(1030), 0)));
+            w.push(at(1150), 3);
+            w.push(at(1250), 4);
+            // From the cascade 1100, 1200; in the side run 1150, 1250. Each
+            // limit falls between an entry and the next, which is of the
+            // other origin.
+            let steps = [
+                (1099, None),
+                (1149, Some((1100, 1))),
+                (1149, None),
+                (1199, Some((1150, 3))),
+                (1199, None),
+                (1249, Some((1200, 2))),
+                (1249, None),
+                (1250, Some((1250, 4))),
+                (u64::MAX, None),
+            ];
+            let mut clock = 1030;
+            for (limit, expected) in steps {
+                let head = w.peek_time();
+                let popped = w.pop_until(at(limit)).map(|(t, ev)| (t.as_nanos(), ev));
+                assert_eq!(popped, expected, "limit {limit}");
+                match popped {
+                    Some((t, _)) => {
+                        assert_eq!(head, Some(at(t)));
+                        clock = t;
+                    }
+                    None => assert_eq!(w.peek_time(), head, "a refusal moves nothing"),
+                }
+                assert_eq!(w.now(), at(clock), "limit {limit}");
+            }
+            assert_eq!(w.len(), 0);
+        }
     }
 
     #[test]

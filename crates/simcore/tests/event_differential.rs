@@ -7,8 +7,8 @@
 //! clustered near-now timestamps (burst regime), heavy ties (FIFO
 //! tie-break), far-future delays that land in the wheel's upper levels,
 //! `pop_until` at exact tick boundaries, `u64::MAX`-adjacent timestamps
-//! in the overflow wheel, and the delay mix and depth of a simulated
-//! datacenter.
+//! in the overflow wheel, the delay mix and depth of a simulated
+//! datacenter, and ACK-sized delays pushed into the window being popped.
 
 use proptest::prelude::*;
 use vertigo_simcore::{EventBackend, EventQueue, SimDuration, SimTime};
@@ -181,6 +181,45 @@ proptest! {
                 0 => ops.push(Op::PushAfter(rto)),
                 1 => ops.push(Op::Pop),
                 2 => ops.push(Op::PopUntilExact),
+                _ => {}
+            }
+        }
+        run_script(&ops);
+    }
+
+    /// What the wheel's side run sees: a window that a cascade filled
+    /// (serializations and wire times, 300 ns to 1.7 µs ahead) being
+    /// popped while ACK serializations (13 and 52 ns, and same-instant
+    /// follow-ups) are pushed into it, most of them behind the last such
+    /// push, some ahead of it, many tying with an entry of the run or of
+    /// the side run; `pop_until` limits at the head's own instant and a
+    /// few nanoseconds short of it, which is between the two runs as often
+    /// as not.
+    #[test]
+    fn wheel_matches_heap_on_ack_shaped_pushes(
+        prefill in proptest::collection::vec((0usize..4, 0u64..2_048), 200..600),
+        steps in proptest::collection::vec(
+            (0usize..3, 0usize..3, 0usize..4, 0u32..16, 0u64..60),
+            300..2_000,
+        ),
+    ) {
+        const ACK: [u64; 3] = [0, 13, 52];
+        const DATA: [u64; 4] = [300, 513, 1200, 1700];
+        let mut ops: Vec<Op> = prefill
+            .iter()
+            .map(|&(d, spread)| Op::PushAfter(DATA[d] + spread))
+            .collect();
+        for (a, b, d, roll, short) in steps {
+            ops.push(match roll % 4 {
+                0 => Op::PopUntilExact,
+                1 => Op::PopUntil(short),
+                _ => Op::Pop,
+            });
+            ops.push(Op::PushAfter(ACK[a]));
+            match roll / 4 {
+                0 => ops.push(Op::PushAfter(ACK[b])),
+                1 => ops.push(Op::Push(DATA[d])),
+                2 => ops.push(Op::PushAfter(DATA[d] + ACK[b])),
                 _ => {}
             }
         }

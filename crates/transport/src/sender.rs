@@ -14,7 +14,7 @@ use crate::dctcp::{Dctcp, DctcpConfig};
 use crate::reno::{Reno, RenoConfig};
 use crate::rto::{RtoConfig, RtoEstimator};
 use crate::swift::{Swift, SwiftConfig};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, VecDeque};
 use vertigo_pkt::{AckSeg, DataSeg, FlowId, MAX_PAYLOAD};
 use vertigo_simcore::{SimDuration, SimTime};
 
@@ -110,7 +110,14 @@ pub struct FlowSender {
     dup_acks: u32,
     in_recovery: bool,
     recover_point: u64,
-    outstanding: BTreeMap<u64, Seg>,
+    /// Sent and not yet cumulatively acknowledged, in sequence order: the
+    /// bytes `[front_seq, next_seq)`. Segments are cut in order at `mss`
+    /// and only a flow's last one is shorter, so the segment that starts
+    /// at `seq` is entry `(seq - front_seq) / mss`; see [`Self::seg_mut`].
+    outstanding: VecDeque<Seg>,
+    /// Sequence number of the front of `outstanding` (`next_seq` while it
+    /// is empty).
+    front_seq: u64,
     /// Sequence numbers of segments marked lost (awaiting retransmission).
     lost: BTreeSet<u64>,
     /// Bytes in flight (outstanding and not marked lost).
@@ -137,7 +144,8 @@ impl FlowSender {
             dup_acks: 0,
             in_recovery: false,
             recover_point: 0,
-            outstanding: BTreeMap::new(),
+            outstanding: VecDeque::new(),
+            front_seq: 0,
             lost: BTreeSet::new(),
             flight: 0,
             rto_deadline: None,
@@ -208,6 +216,16 @@ impl FlowSender {
         (self.cc.cwnd().max(0.0) * self.cfg.mss as f64) as u64
     }
 
+    /// The outstanding segment that starts at `seq`, if one does.
+    fn seg_mut(&mut self, seq: u64) -> Option<&mut Seg> {
+        let offset = seq.checked_sub(self.front_seq)?;
+        let mss = self.cfg.mss as u64;
+        if offset % mss != 0 {
+            return None;
+        }
+        self.outstanding.get_mut((offset / mss) as usize)
+    }
+
     fn arm_rto(&mut self, now: SimTime) {
         self.rto_deadline = Some(now + self.rto.current());
     }
@@ -233,20 +251,22 @@ impl FlowSender {
         if let Some(seq) = rtx_seq {
             let cwnd_bytes = self.cwnd_bytes();
             let head = self.cum_acked;
-            let seg = self.outstanding.get_mut(&seq).expect("present");
+            let flight = self.flight;
+            let seg = self.seg_mut(seq).expect("a lost segment is outstanding");
+            let len = seg.len;
             // The head-of-line hole may always be retransmitted regardless
             // of the window (classic fast-retransmit/RTO behavior); other
             // holes wait for window space.
-            if seq == head || self.flight + seg.len as u64 <= cwnd_bytes.max(seg.len as u64) {
+            if seq == head || flight + len as u64 <= cwnd_bytes.max(len as u64) {
                 seg.lost = false;
-                self.lost.remove(&seq);
                 seg.sends += 1;
-                self.flight += seg.len as u64;
+                self.lost.remove(&seq);
+                self.flight += len as u64;
                 self.stats.segments_sent += 1;
                 self.stats.retransmits += 1;
                 let out = DataSeg {
                     seq,
-                    payload: seg.len,
+                    payload: len,
                     flow_bytes: self.size,
                     retransmit: true,
                     trimmed: false,
@@ -277,14 +297,11 @@ impl FlowSender {
         }
         let seq = self.next_seq;
         self.next_seq += len as u64;
-        self.outstanding.insert(
-            seq,
-            Seg {
-                len,
-                lost: false,
-                sends: 1,
-            },
-        );
+        self.outstanding.push_back(Seg {
+            len,
+            lost: false,
+            sends: 1,
+        });
         self.flight += len as u64;
         self.stats.segments_sent += 1;
         let out = DataSeg {
@@ -308,11 +325,12 @@ impl FlowSender {
     }
 
     fn mark_lost(&mut self, seq: u64) {
-        if let Some(seg) = self.outstanding.get_mut(&seq) {
+        if let Some(seg) = self.seg_mut(seq) {
             if !seg.lost {
                 seg.lost = true;
+                let len = seg.len as u64;
                 self.lost.insert(seq);
-                self.flight = self.flight.saturating_sub(seg.len as u64);
+                self.flight = self.flight.saturating_sub(len);
             }
         }
     }
@@ -335,17 +353,18 @@ impl FlowSender {
         if newly > 0 {
             self.cum_acked = ack.cum_ack;
             self.dup_acks = 0;
-            // Retire fully acknowledged segments (they leave from the front).
-            while let Some(head) = self.outstanding.first_entry() {
-                if *head.key() >= self.cum_acked {
+            // Retire every segment that starts below the ACK (they leave
+            // from the front).
+            while self.front_seq < self.cum_acked {
+                let Some(seg) = self.outstanding.pop_front() else {
                     break;
-                }
-                let (s, seg) = head.remove_entry();
+                };
                 if seg.lost {
-                    self.lost.remove(&s);
+                    self.lost.remove(&self.front_seq);
                 } else {
                     self.flight = self.flight.saturating_sub(seg.len as u64);
                 }
+                self.front_seq += seg.len as u64;
             }
             if self.in_recovery {
                 if self.cum_acked >= self.recover_point {
@@ -393,7 +412,7 @@ impl FlowSender {
             if self.cfg.fast_retransmit
                 && !self.in_recovery
                 && self.dup_acks >= self.cfg.dupack_threshold
-                && self.outstanding.contains_key(&self.cum_acked)
+                && self.seg_mut(self.cum_acked).is_some()
             {
                 self.in_recovery = true;
                 self.recover_point = self.next_seq;
@@ -423,11 +442,13 @@ impl FlowSender {
         w.put_bool(self.in_recovery);
         w.put_u64(self.recover_point);
         w.put_usize(self.outstanding.len());
-        for (&seq, seg) in &self.outstanding {
+        let mut seq = self.front_seq;
+        for seg in &self.outstanding {
             w.put_u64(seq);
             w.put_u32(seg.len);
             w.put_bool(seg.lost);
             w.put_u32(seg.sends);
+            seq += seg.len as u64;
         }
         w.put_usize(self.lost.len());
         for &seq in &self.lost {
@@ -444,14 +465,22 @@ impl FlowSender {
     }
 
     /// Reconstructs a sender from a [`FlowSender::snap_save`] stream and
-    /// the (unsaved) transport config.
+    /// the (unsaved) transport config. A record this sender could not have
+    /// written — segments not cut in order at `mss` up to `next_seq`, a
+    /// `lost` set that disagrees with the segments' flags — is an error
+    /// here, not a panic in `poll_segment` later.
     pub fn snap_restore(
         cfg: TransportConfig,
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<Self, vertigo_simcore::SnapError> {
-        use vertigo_simcore::Snapshot;
+        use vertigo_simcore::{SnapError, Snapshot};
         let flow = FlowId::restore(r)?;
         let size = r.get_u64()?;
+        if size == 0 {
+            return Err(SnapError::new(format!(
+                "sender of {flow:?}: zero-byte flow"
+            )));
+        }
         let mut s = FlowSender::new(flow, size, cfg);
         s.cc.snap_restore(r)?;
         s.rto.snap_restore(r)?;
@@ -460,19 +489,61 @@ impl FlowSender {
         s.dup_acks = r.get_u32()?;
         s.in_recovery = r.get_bool()?;
         s.recover_point = r.get_u64()?;
+        if !(s.cum_acked <= s.next_seq && s.next_seq <= size) {
+            return Err(SnapError::new(format!(
+                "sender of {flow:?}: cum_acked {} <= next_seq {} <= size {size} does not hold",
+                s.cum_acked, s.next_seq
+            )));
+        }
+        // One segment at a time, each read from the input: a hostile count
+        // runs out of bytes before it sizes anything.
         let n = r.get_usize()?;
-        for _ in 0..n {
+        s.front_seq = s.next_seq; // of an empty window
+        let mut end = s.next_seq;
+        for i in 0..n {
             let seq = r.get_u64()?;
             let seg = Seg {
                 len: r.get_u32()?,
                 lost: r.get_bool()?,
                 sends: r.get_u32()?,
             };
-            s.outstanding.insert(seq, seg);
+            if i == 0 {
+                s.front_seq = seq;
+            } else if seq != end {
+                return Err(SnapError::new(format!(
+                    "sender of {flow:?}: segment at {seq} does not follow the one ending at {end}"
+                )));
+            }
+            let cut = size.saturating_sub(seq).min(cfg.mss as u64);
+            if cut == 0 || seg.len as u64 != cut {
+                return Err(SnapError::new(format!(
+                    "sender of {flow:?}: segment at {seq} is {} bytes, cut at mss it is {cut}",
+                    seg.len
+                )));
+            }
+            end = seq + cut;
+            s.outstanding.push_back(seg);
+        }
+        if end != s.next_seq {
+            return Err(SnapError::new(format!(
+                "sender of {flow:?}: outstanding segments end at {end}, next_seq is {}",
+                s.next_seq
+            )));
         }
         let n = r.get_usize()?;
         for _ in 0..n {
-            s.lost.insert(r.get_u64()?);
+            let seq = r.get_u64()?;
+            let flagged = s.seg_mut(seq).is_some_and(|seg| seg.lost);
+            if !(flagged && s.lost.insert(seq)) {
+                return Err(SnapError::new(format!(
+                    "sender of {flow:?}: lost entry {seq} is repeated or names no segment flagged lost"
+                )));
+            }
+        }
+        if s.outstanding.iter().filter(|seg| seg.lost).count() != s.lost.len() {
+            return Err(SnapError::new(format!(
+                "sender of {flow:?}: a segment flagged lost is missing from the lost set"
+            )));
         }
         s.flight = r.get_u64()?;
         s.rto_deadline = Option::restore(r)?;
@@ -504,12 +575,14 @@ impl FlowSender {
         self.rto.backoff();
         self.in_recovery = false;
         self.dup_acks = 0;
-        for (&s, seg) in self.outstanding.iter_mut() {
+        let mut seq = self.front_seq;
+        for seg in self.outstanding.iter_mut() {
             if !seg.lost {
                 seg.lost = true;
-                self.lost.insert(s);
+                self.lost.insert(seq);
                 self.flight = self.flight.saturating_sub(seg.len as u64);
             }
+            seq += seg.len as u64;
         }
         self.arm_rto(now);
     }
@@ -768,6 +841,292 @@ mod tests {
         assert_eq!(s2.next_deadline(t(102)), s.next_deadline(t(102)));
         assert_eq!(s2.cwnd(), s.cwnd());
         assert_eq!(s2.srtt(), s.srtt());
+    }
+
+    fn saved(s: &FlowSender) -> Vec<u8> {
+        let mut w = vertigo_simcore::SnapWriter::new();
+        s.snap_save(&mut w);
+        w.into_bytes()
+    }
+
+    fn restored(bytes: &[u8]) -> Result<FlowSender, vertigo_simcore::SnapError> {
+        FlowSender::snap_restore(cfg(), &mut vertigo_simcore::SnapReader::new(bytes))
+    }
+
+    /// A sender record written field by field, so that a test can write
+    /// what `snap_save` never would: a `size`-byte flow with a fresh
+    /// controller and estimator, the sequence state, `segs` as
+    /// `(seq, len, lost)` and the `lost` set.
+    fn record(
+        size: u64,
+        next_seq: u64,
+        cum_acked: u64,
+        segs: &[(u64, u64, bool)],
+        lost: &[u64],
+    ) -> Vec<u8> {
+        record_counting(size, next_seq, cum_acked, segs.len(), segs, lost)
+    }
+
+    /// [`record`] with a segment count of its own.
+    fn record_counting(
+        size: u64,
+        next_seq: u64,
+        cum_acked: u64,
+        count: usize,
+        segs: &[(u64, u64, bool)],
+        lost: &[u64],
+    ) -> Vec<u8> {
+        use vertigo_simcore::Snapshot;
+        let mut w = vertigo_simcore::SnapWriter::new();
+        FlowId(1).save(&mut w);
+        w.put_u64(size);
+        cfg().make_cc().snap_save(&mut w);
+        RtoEstimator::new(cfg().rto).snap_save(&mut w);
+        w.put_u64(next_seq);
+        w.put_u64(cum_acked);
+        w.put_u32(0); // dup_acks
+        w.put_bool(false); // in_recovery
+        w.put_u64(0); // recover_point
+        w.put_usize(count);
+        for &(seq, len, lost) in segs {
+            w.put_u64(seq);
+            w.put_u32(len as u32);
+            w.put_bool(lost);
+            w.put_u32(1);
+        }
+        w.put_usize(lost.len());
+        for &seq in lost {
+            w.put_u64(seq);
+        }
+        let flight = segs.iter().filter(|g| !g.2).map(|g| g.1).sum();
+        w.put_u64(flight);
+        Some(t(900)).save(&mut w); // rto_deadline
+        SimTime::ZERO.save(&mut w); // pace_next
+        w.put_bool(false); // completed
+        for _ in 0..4 {
+            w.put_u64(0); // stats
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_hostile_records() {
+        // A valid record from the messiest reachable state: the front of
+        // the window acknowledged away, a fast retransmit repaired by a
+        // partial ACK, two holes marked, one of them resent.
+        let mut s = FlowSender::new(FlowId(1), 12 * MSS + 100, cfg());
+        while s.poll_segment(t(0)).is_some() {}
+        s.on_ack(t(100), &ack(2 * MSS, t(0)));
+        while s.poll_segment(t(100)).is_some() {}
+        for i in 0..3 {
+            s.on_ack(t(110 + i), &ack(2 * MSS, t(0)));
+        }
+        assert_eq!(s.poll_segment(t(120)).map(|g| g.seq), Some(2 * MSS));
+        s.on_ack(t(200), &ack(4 * MSS, t(120)));
+        assert_eq!((s.front_seq, s.lost.len()), (4 * MSS, 1));
+        let ok = saved(&s);
+        let mut back = restored(&ok).unwrap();
+        assert_eq!(saved(&back), ok, "byte for byte");
+        // And it keeps running: the hole, then ACKs up to the short tail.
+        for now in [210u64, 300, 400, 500] {
+            assert_eq!(s.poll_segment(t(now)), back.poll_segment(t(now)));
+            let a = ack((now / 100 + 3) * MSS, t(now - 90));
+            assert_eq!(s.on_ack(t(now + 50), &a), back.on_ack(t(now + 50), &a));
+        }
+        assert_eq!(saved(&back), saved(&s));
+
+        let size = 10 * MSS + 100;
+        let seg = |i: u64, lost: bool| (i * MSS, MSS, lost);
+        let window = [seg(2, false), seg(3, true), seg(4, false)];
+        let good = record(size, 5 * MSS, 2 * MSS, &window, &[3 * MSS]);
+        let mut back = restored(&good).unwrap();
+        assert_eq!(back.poll_segment(t(1)).map(|g| g.seq), Some(3 * MSS));
+        let tail = [(10 * MSS, 100, false)];
+        assert!(restored(&record(size, size, 10 * MSS, &tail, &[])).is_ok());
+        for (what, bytes) in [
+            // What used to restore and panic in `poll_segment`.
+            (
+                "lost names no segment",
+                record(size, 5 * MSS, 2 * MSS, &window, &[3 * MSS, 7 * MSS]),
+            ),
+            (
+                "lost names the middle of a segment",
+                record(size, 5 * MSS, 2 * MSS, &window, &[3 * MSS + 1]),
+            ),
+            (
+                "lost names a segment not flagged",
+                record(size, 5 * MSS, 2 * MSS, &window, &[3 * MSS, 4 * MSS]),
+            ),
+            (
+                "flagged segment not in lost",
+                record(size, 5 * MSS, 2 * MSS, &window, &[]),
+            ),
+            (
+                "lost entry repeated",
+                record(size, 5 * MSS, 2 * MSS, &window, &[3 * MSS, 3 * MSS]),
+            ),
+            (
+                "gap between segments",
+                record(
+                    size,
+                    5 * MSS,
+                    0,
+                    &[seg(1, false), seg(3, false), seg(4, false)],
+                    &[],
+                ),
+            ),
+            (
+                "sequences descend",
+                record(size, 5 * MSS, 0, &[seg(4, false), seg(3, false)], &[]),
+            ),
+            (
+                "segment longer than mss",
+                record(
+                    size,
+                    2 * MSS + 2,
+                    0,
+                    &[(0, MSS + 1, false), (MSS + 1, MSS + 1, false)],
+                    &[],
+                ),
+            ),
+            (
+                "short segment before the tail",
+                record(size, 200, 0, &[(0, 100, false), (100, 100, false)], &[]),
+            ),
+            ("empty segment", record(size, 0, 0, &[(0, 0, false)], &[])),
+            (
+                "segments stop short of next_seq",
+                record(size, 5 * MSS, 0, &[seg(2, false), seg(3, false)], &[]),
+            ),
+            (
+                "segment past the end of the flow",
+                record(size, size, 0, &[(10 * MSS, MSS, false)], &[]),
+            ),
+            (
+                "cum_acked > next_seq",
+                record(size, 2 * MSS, 3 * MSS, &[], &[]),
+            ),
+            ("next_seq > size", record(size, size + 1, 0, &[], &[])),
+            ("zero-byte flow", record(0, 0, 0, &[], &[])),
+        ] {
+            assert!(restored(&bytes).is_err(), "accepted: {what}");
+        }
+        // A count no input of this size could back.
+        let huge = record_counting(size, 5 * MSS, 2 * MSS, usize::MAX, &window, &[3 * MSS]);
+        assert!(restored(&huge).is_err(), "accepted: count beyond the input");
+        // Truncated anywhere: in the controller, a segment, the lost set.
+        for cut in 0..ok.len() {
+            assert!(
+                restored(&ok[..cut]).is_err(),
+                "accepted {cut} of {} bytes",
+                ok.len()
+            );
+        }
+    }
+
+    /// The window as `(seq, len, lost)`, front first.
+    fn window(s: &FlowSender) -> Vec<(u64, u32, bool)> {
+        let mut seq = s.front_seq;
+        let segs = s.outstanding.iter().map(|g| {
+            seq += g.len as u64;
+            (seq - g.len as u64, g.len, g.lost)
+        });
+        segs.collect()
+    }
+
+    #[test]
+    fn partial_ack_in_recovery_marks_the_hole_behind_a_moved_front() {
+        let mut s = FlowSender::new(FlowId(1), 100 * MSS, cfg());
+        while s.poll_segment(t(0)).is_some() {}
+        // Three segments acknowledged: the front of the window is 3 MSS.
+        s.on_ack(t(100), &ack(3 * MSS, t(0)));
+        while s.poll_segment(t(100)).is_some() {}
+        assert_eq!(s.front_seq, 3 * MSS);
+        let sent = s.next_seq;
+        for i in 0..3 {
+            s.on_ack(t(110 + i), &ack(3 * MSS, t(0)));
+        }
+        assert_eq!(s.stats().fast_retransmits, 1);
+        let flight = s.flight_bytes();
+        let seg = s.poll_segment(t(120)).unwrap();
+        assert_eq!((seg.seq, seg.retransmit), (3 * MSS, true));
+        assert_eq!(s.flight_bytes(), flight + MSS);
+        // Partial ACK two segments on: the next hole is 5 MSS, one entry
+        // behind the new front, and nothing new is sent in recovery.
+        s.on_ack(t(200), &ack(5 * MSS, t(120)));
+        assert_eq!(
+            window(&s)[..2],
+            [(5 * MSS, MSS as u32, true), (6 * MSS, MSS as u32, false)]
+        );
+        let seg = s.poll_segment(t(200)).unwrap();
+        assert_eq!((seg.seq, seg.retransmit), (5 * MSS, true));
+        assert!(s.poll_segment(t(200)).is_none());
+        // The full ACK ends recovery and new data follows what was sent.
+        s.on_ack(t(300), &ack(sent, t(200)));
+        assert!(window(&s).is_empty());
+        assert_eq!((s.front_seq, s.flight_bytes()), (sent, 0));
+        let seg = s.poll_segment(t(300)).unwrap();
+        assert_eq!((seg.seq, seg.retransmit), (sent, false));
+    }
+
+    #[test]
+    fn rto_marks_the_window_lost_and_resends_it_in_order() {
+        let mut s = FlowSender::new(FlowId(1), 6 * MSS + 100, cfg());
+        while s.poll_segment(t(0)).is_some() {}
+        s.on_ack(t(100), &ack(2 * MSS, t(0)));
+        // One hole already marked and resent before the timer fires.
+        for i in 0..3 {
+            s.on_ack(t(110 + i), &ack(2 * MSS, t(0)));
+        }
+        assert_eq!(s.poll_segment(t(120)).map(|g| g.seq), Some(2 * MSS));
+        let dl = s.next_deadline(t(120)).unwrap();
+        s.on_timer(dl);
+        assert_eq!((s.stats().rtos, s.flight_bytes()), (1, 0));
+        let lost: Vec<u64> = s.lost.iter().copied().collect();
+        assert_eq!(lost, [2 * MSS, 3 * MSS, 4 * MSS, 5 * MSS, 6 * MSS]);
+        assert!(window(&s).iter().all(|g| g.2));
+        // ACKs let the rest out in sequence order, the short last segment
+        // at its own length.
+        let (mut now, mut resent) = (dl, Vec::new());
+        while !s.is_complete() {
+            let mut upto = None;
+            while let Some(seg) = s.poll_segment(now) {
+                assert!(seg.retransmit);
+                resent.push((seg.seq, seg.payload as u64));
+                upto = Some(seg.seq + seg.payload as u64);
+            }
+            let sent = now;
+            now += SimDuration::from_micros(50);
+            s.on_ack(now, &ack(upto.expect("every ACK opens the window"), sent));
+        }
+        let window = [(2, MSS), (3, MSS), (4, MSS), (5, MSS), (6, 100)];
+        assert_eq!(resent, window.map(|(i, len)| (i * MSS, len)));
+        assert_eq!(s.stats().retransmits, 6);
+    }
+
+    #[test]
+    fn mid_segment_cum_ack_retires_the_segment_it_falls_in() {
+        let mut s = FlowSender::new(FlowId(1), 100 * MSS, cfg());
+        while s.poll_segment(t(0)).is_some() {}
+        // 100 bytes into the second segment: both leave, as every segment
+        // that starts below the ACK does.
+        let o = s.on_ack(t(100), &ack(MSS + 100, t(0)));
+        assert_eq!(o.newly_acked, MSS + 100);
+        assert_eq!((s.front_seq, s.flight_bytes()), (2 * MSS, 8 * MSS));
+        // No segment starts at the ACK point, so duplicates of it find
+        // nothing to retransmit.
+        for i in 0..5 {
+            s.on_ack(t(110 + i), &ack(MSS + 100, t(0)));
+        }
+        assert_eq!(s.stats().fast_retransmits, 0);
+        assert!(s.lost.is_empty());
+        // An aligned ACK point does.
+        s.on_ack(t(200), &ack(2 * MSS, t(0)));
+        for i in 0..3 {
+            s.on_ack(t(210 + i), &ack(2 * MSS, t(0)));
+        }
+        assert_eq!(s.stats().fast_retransmits, 1);
+        assert_eq!(s.poll_segment(t(220)).map(|g| g.seq), Some(2 * MSS));
     }
 
     #[test]

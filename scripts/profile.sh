@@ -2,21 +2,34 @@
 # Where host time goes inside a run: builds examples/sample_profile.rs with
 # frame pointers and line tables, runs a perfbench cell under its SIGPROF
 # sampler, resolves the sampled addresses (inlined frames included) with
-# addr2line and prints self and inclusive shares by function.
+# addr2line and prints three tables: the instructions the samples sit on
+# (by address), then self and inclusive shares by function.
 #
-#   scripts/profile.sh <cell> [repetitions=20] [rows=30]
+#   scripts/profile.sh <cell> [repetitions=20] [rows=30] [codegen-units=16]
+#
+# Read the address table first. A stall on one instruction — a load that
+# waits for a store it cannot forward from, a miss — is 5-9 % of a run on
+# one row there, and a function table spreads it over whatever was inlined
+# around it. Each row names the inlining chain of its address, innermost
+# first, as function@file:line.
+#
+# Code generation: 16 units is what perfbench/ builds with, the binary the
+# benchmark judges; 1 is the root workspace's release profile, the binary
+# users run. The two inline differently (see the verify skill), so a row
+# can be in one and not the other. Each goes to its own target/profile<units>.
 #
 # The kernel delivers ITIMER_PROF at its own tick rate (250 Hz on the CI
-# box), so twenty one-second repetitions give about 5 000 samples. The
-# build goes to target/profile, apart from the ordinary release build.
+# box), so twenty one-second repetitions give about 5 000 samples.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-cell=${1:?usage: scripts/profile.sh <cell> [repetitions] [rows]}
+cell=${1:?usage: scripts/profile.sh <cell> [repetitions] [rows] [codegen-units]}
 reps=${2:-20}
 rows=${3:-30}
-dir=target/profile
+units=${4:-16}
+dir=target/profile$units
 
 RUSTFLAGS="-C force-frame-pointers=yes" CARGO_PROFILE_RELEASE_DEBUG=line-tables-only \
+  CARGO_PROFILE_RELEASE_CODEGEN_UNITS="$units" \
   cargo build --release --quiet --example sample_profile --target-dir "$dir"
 exe=$dir/release/examples/sample_profile
 "$exe" "$cell" "$reps" > "$dir/$cell.samples"
@@ -31,25 +44,34 @@ OUTSIDE = "[outside the executable]"
 
 # addr2line -a -f -i: "0x<addr>", then (function, file:line) pairs, the
 # innermost inlined function first.
-functions, addr, lines = {}, None, open(resolved_path).read().splitlines()
+frames, addr, lines = {}, None, open(resolved_path).read().splitlines()
 for i, line in enumerate(lines):
     if line.startswith("0x"):
         addr, pair = int(line, 16), i
-        functions[addr] = []
+        frames[addr] = []
     elif (i - pair) % 2 == 1:
         name = re.sub(r"::h[0-9a-f]{16}$", "", line)
-        functions[addr].append(OUTSIDE if name == "??" else name)
+        where = re.sub(r"^.*/(?=[^/]+:)| \(discriminator \d+\)$", "", lines[i + 1])
+        frames[addr].append((OUTSIDE if name == "??" else name, where))
 
+by_address = collections.Counter()
 self_time, inclusive, total = collections.Counter(), collections.Counter(), 0
 for line in open(samples_path):
     if line.startswith("#"):
         print(line.strip())
         continue
-    stack = [f for a in line.split() for f in functions[int(a, 16)]]
+    addrs = [int(a, 16) for a in line.split()]
+    stack = [f for a in addrs for f, _ in frames[a]]
     total += 1
+    by_address[addrs[0]] += 1
     self_time[stack[0]] += 1
     # Every chain ends outside, in libc's start-up code.
     inclusive.update(set(stack[:1] + [f for f in stack if f != OUTSIDE]))
+
+print(f"\n   share samples  address   inlining chain, innermost first ({total} samples)")
+for a, n in by_address.most_common(rows):
+    chain = " < ".join(f if f == OUTSIDE else f"{f}@{where}" for f, where in frames[a])
+    print(f"{100 * n / total:7.1f}% {n:7d}  {a:#9x}  {chain}")
 
 for title, counts in (("self", self_time), ("inclusive", inclusive)):
     print(f"\n{title:>9}  function ({total} samples)")
