@@ -68,5 +68,49 @@ fn bench_swapped_pairs(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_in_order, bench_swapped_pairs);
+/// Swapped pairs in front of a standing buffer: `depth` packets from the
+/// far end of the flow sit buffered throughout, so each pair costs an
+/// insert at the end of a buffer that deep, the gap fill that takes it
+/// out again, and the re-arm's pass over what stays — the in-order path
+/// of a flow with a second gap behind the first (the benchmark's burst
+/// cell buffers up to 272 packets of one flow).
+fn bench_swapped_pairs_at_depth(c: &mut Criterion) {
+    for depth in [16u32, 256] {
+        c.bench_function(format!("ordering/swapped_pair_buffered{depth}"), |b| {
+            let n = 1 << 20;
+            let open = || {
+                let mut o: OrderingComponent<u64> =
+                    OrderingComponent::new(OrderingConfig::default());
+                let mut out = Vec::with_capacity(4);
+                o.on_packet(SimTime::ZERO, FlowId(1), info(0, n), MSS, 0, &mut out);
+                for far in n - 1 - depth..n - 1 {
+                    o.on_packet(SimTime::ZERO, FlowId(1), info(far, n), MSS, 0, &mut out);
+                }
+                assert_eq!(o.buffered_packets(), depth as usize);
+                o
+            };
+            let mut o = open();
+            let mut k = 1u32;
+            let mut out = Vec::with_capacity(4);
+            b.iter(|| {
+                if k + 2 >= n - 1 - depth {
+                    k = 1;
+                    o = open();
+                }
+                out.clear();
+                o.on_packet(SimTime::ZERO, FlowId(1), info(k + 1, n), MSS, 0, &mut out);
+                o.on_packet(SimTime::ZERO, FlowId(1), info(k, n), MSS, 0, &mut out);
+                k += 2;
+                black_box(out.len())
+            })
+        });
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_in_order,
+    bench_swapped_pairs,
+    bench_swapped_pairs_at_depth
+);
 criterion_main!(benches);

@@ -42,34 +42,41 @@ fn bench_pieo(c: &mut Criterion) {
     });
 }
 
-/// The min-max heap across queue depths (the `BTreeMap` model it replaced
-/// is a test-only oracle now; its series is in `BENCH_PR1.json`). The
-/// workload is the switch's steady-state mix: one push plus one
-/// alternating pop_min/pop_max per iteration at constant depth.
+/// The sorted ring across queue depths, up to the 4 687 minimum-size
+/// packets a 300 KB port can hold, with a unit payload (the rank column
+/// alone moves on an insert) and a pointer-sized one (what a port holds:
+/// 16 bytes per packet). The workload is the switch's steady-state mix:
+/// one push of a uniformly random rank — so an insert shifts a quarter of
+/// the queue on average — plus one alternating pop_min/pop_max per
+/// iteration at constant depth.
 fn bench_pieo_depths(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pieo_depth");
-    for depth in [64usize, 256, 1024, 4096] {
-        g.bench_function(format!("heap/depth{depth}"), |b| {
-            let mut q = PieoQueue::new();
-            let mut r = 1u64;
-            for _ in 0..depth {
-                r = r.wrapping_mul(6364136223846793005).wrapping_add(1);
-                q.push(r >> 40, ());
-            }
-            let mut flip = false;
-            b.iter(|| {
-                r = r.wrapping_mul(6364136223846793005).wrapping_add(1);
-                q.push(black_box(r >> 40), ());
-                flip = !flip;
-                if flip {
-                    black_box(q.pop_min())
-                } else {
-                    black_box(q.pop_max())
+    fn series<T: Copy>(c: &mut Criterion, payload: &str, item: T) {
+        let mut g = c.benchmark_group("pieo_depth");
+        for depth in [64usize, 256, 1024, 4096, 4687] {
+            g.bench_function(format!("ring_{payload}/depth{depth}"), |b| {
+                let mut q = PieoQueue::new();
+                let mut r = 1u64;
+                for _ in 0..depth {
+                    r = r.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    q.push(r >> 40, item);
                 }
-            })
-        });
+                let mut flip = false;
+                b.iter(|| {
+                    r = r.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    q.push(black_box(r >> 40), item);
+                    flip = !flip;
+                    if flip {
+                        black_box(q.pop_min())
+                    } else {
+                        black_box(q.pop_max())
+                    }
+                })
+            });
+        }
+        g.finish();
     }
-    g.finish();
+    series(c, "unit", ());
+    series(c, "ptr", 0usize);
 }
 
 criterion_group!(benches, bench_pieo, bench_pieo_depths);

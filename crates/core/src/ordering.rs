@@ -25,9 +25,18 @@
 //!
 //! The component is generic over the buffered item `T` so it can carry the
 //! simulator's packets, a real stack's mbuf pointers, or test tokens.
+//!
+//! No per-packet operation walks a tree. The flows are a [`FlowTable`]
+//! (sorted parallel vectors, one binary search per packet); a flow's early
+//! packets are a ring ascending by recovered RFS, where arrivals and
+//! releases happen at the ends — the next early packet of a flow sorts
+//! in front of everything buffered under SRPT (behind it under LAS) and
+//! the next release leaves from the other end — so both ends are compared
+//! before any search; and the armed deadlines are one sorted vector whose
+//! first entry is the host's next wake-up.
 
-use std::collections::{BTreeMap, BTreeSet};
-use vertigo_pkt::{FlowId, FlowInfo};
+use std::collections::VecDeque;
+use vertigo_pkt::{FlowId, FlowInfo, FlowTable};
 use vertigo_simcore::{SimDuration, SimTime};
 
 use crate::boost::unboost;
@@ -118,6 +127,8 @@ pub struct OrderingStats {
 
 #[derive(Debug)]
 struct OooEntry<T> {
+    /// Original (un-boosted) RFS: the buffer's sort key.
+    rfs: u64,
     item: T,
     payload: u32,
     arrived: SimTime,
@@ -134,8 +145,8 @@ enum Expect {
 #[derive(Debug)]
 struct FlowRx<T> {
     expect: Expect,
-    /// Buffered early packets keyed by original RFS.
-    ooo: BTreeMap<u64, OooEntry<T>>,
+    /// Buffered early packets, ascending by original RFS, no two alike.
+    ooo: VecDeque<OooEntry<T>>,
     /// Armed release deadline: τ past the oldest buffered arrival.
     deadline: Option<SimTime>,
 }
@@ -144,21 +155,73 @@ impl<T> FlowRx<T> {
     fn new() -> Self {
         FlowRx {
             expect: Expect::AwaitFirst,
-            ooo: BTreeMap::new(),
+            ooo: VecDeque::new(),
             deadline: None,
         }
     }
+
+    /// Where `rfs` is (`Ok`), or would go (`Err`), in the buffer: the two
+    /// ends, where arrivals and releases happen, before the binary search.
+    fn find(&self, rfs: u64) -> Result<usize, usize> {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let (Some(front), Some(back)) = (self.ooo.front(), self.ooo.back()) else {
+            return Err(0);
+        };
+        match (rfs.cmp(&front.rfs), rfs.cmp(&back.rfs)) {
+            (Less, _) => Err(0),
+            (Equal, _) => Ok(0),
+            (_, Greater) => Err(self.ooo.len()),
+            (_, Equal) => Ok(self.ooo.len() - 1),
+            _ => self.ooo.binary_search_by_key(&rfs, |e| e.rfs),
+        }
+    }
+
+    /// Re-arms the deadline to τ past the oldest still-buffered arrival, or
+    /// disarms it if the buffer emptied. One rearm in 7 to 17 finds a buffer
+    /// to scan, 5 to 8 entries long at the median (DESIGN §5j).
+    fn rearm(&mut self, armed: &mut Vec<(SimTime, FlowId)>, flow: FlowId, timeout: SimDuration) {
+        let oldest = self.ooo.iter().map(|e| e.arrived).min();
+        self.set_deadline(armed, flow, oldest.map(|at| at + timeout));
+    }
+
+    /// The single place a flow's deadline changes, keeping `armed` in step.
+    fn set_deadline(
+        &mut self,
+        armed: &mut Vec<(SimTime, FlowId)>,
+        flow: FlowId,
+        deadline: Option<SimTime>,
+    ) {
+        if self.deadline == deadline {
+            return;
+        }
+        if let Some(old) = self.deadline {
+            disarm(armed, old, flow);
+        }
+        if let Some(new) = deadline {
+            let at = armed.partition_point(|&e| e < (new, flow));
+            armed.insert(at, (new, flow));
+        }
+        self.deadline = deadline;
+    }
+}
+
+/// Takes `(deadline, flow)` out of the armed index.
+fn disarm(armed: &mut Vec<(SimTime, FlowId)>, deadline: SimTime, flow: FlowId) {
+    let at = armed
+        .binary_search(&(deadline, flow))
+        .expect("every armed flow is in the index");
+    armed.remove(at);
 }
 
 /// The receive-side re-sequencing shim. One instance per host.
 pub struct OrderingComponent<T> {
     cfg: OrderingConfig,
-    flows: BTreeMap<FlowId, FlowRx<T>>,
-    /// Every armed `(deadline, flow)`, ordered by deadline, so the earliest
-    /// one is `first()` rather than a scan over `flows`. Derived from the
-    /// per-flow deadlines (every write goes through [`Self::set_deadline`]);
-    /// not serialized, rebuilt on restore.
-    armed: BTreeSet<(SimTime, FlowId)>,
+    flows: FlowTable<FlowRx<T>>,
+    /// Every armed `(deadline, flow)`, ascending, so the earliest one is
+    /// `first()` rather than a scan over `flows`. Derived from the per-flow
+    /// deadlines (every write goes through [`FlowRx::set_deadline`]); not
+    /// serialized, rebuilt on restore.
+    armed: Vec<(SimTime, FlowId)>,
     stats: OrderingStats,
 }
 
@@ -167,8 +230,8 @@ impl<T> OrderingComponent<T> {
     pub fn new(cfg: OrderingConfig) -> Self {
         OrderingComponent {
             cfg,
-            flows: BTreeMap::new(),
-            armed: BTreeSet::new(),
+            flows: FlowTable::new(),
+            armed: Vec::new(),
             stats: OrderingStats::default(),
         }
     }
@@ -211,30 +274,11 @@ impl<T> OrderingComponent<T> {
         next
     }
 
-    /// The single place a flow's deadline changes, keeping `armed` in step.
-    fn set_deadline(
-        armed: &mut BTreeSet<(SimTime, FlowId)>,
-        flow: FlowId,
-        st: &mut FlowRx<T>,
-        deadline: Option<SimTime>,
-    ) {
-        if st.deadline == deadline {
-            return;
-        }
-        if let Some(old) = st.deadline {
-            armed.remove(&(old, flow));
-        }
-        if let Some(new) = deadline {
-            armed.insert((new, flow));
-        }
-        st.deadline = deadline;
-    }
-
     /// Forgets a flow, disarming its deadline first.
     fn drop_flow(&mut self, flow: FlowId) -> Option<FlowRx<T>> {
-        let st = self.flows.remove(&flow)?;
+        let st = self.flows.remove(flow)?;
         if let Some(deadline) = st.deadline {
-            self.armed.remove(&(deadline, flow));
+            disarm(&mut self.armed, deadline, flow);
         }
         Some(st)
     }
@@ -243,16 +287,7 @@ impl<T> OrderingComponent<T> {
     /// tracing reads this to record the deadline a buffered packet waits
     /// on; `None` = disarmed or flow untracked).
     pub fn flow_deadline(&self, flow: FlowId) -> Option<SimTime> {
-        self.flows.get(&flow).and_then(|f| f.deadline)
-    }
-
-    /// In SRPT mode the "earliest missing packet" has the *largest* RFS in
-    /// the buffer; in LAS mode the smallest.
-    fn head_key(mode: OrderingMode, ooo: &BTreeMap<u64, OooEntry<T>>) -> Option<u64> {
-        match mode {
-            OrderingMode::SrptBytes => ooo.keys().next_back().copied(),
-            OrderingMode::LasPackets => ooo.keys().next().copied(),
-        }
+        self.flows.get(flow).and_then(|f| f.deadline)
     }
 
     /// Advances the expectation past a delivered packet.
@@ -293,43 +328,17 @@ impl<T> OrderingComponent<T> {
         out: &mut Vec<Delivered<T>>,
     ) -> bool {
         let mode = self.cfg.mode;
-        let shift = self.cfg.boost_shift;
-        let rfs = unboost(info.rfs, info.retcnt, shift) as u64;
-        let st = self.flows.entry(flow).or_insert_with(FlowRx::new);
-
+        let timeout = self.cfg.timeout;
+        let rfs = unboost(info.rfs, info.retcnt, self.cfg.boost_shift) as u64;
+        let st = self.flows.get_or_insert_with(flow, FlowRx::new);
         let expected = match st.expect {
-            Expect::AwaitFirst => {
-                if info.first {
-                    // First packet defines the expectation directly.
-                    rfs
-                } else {
-                    // First packet still in flight (or lost): buffer.
-                    Self::buffer_early(
-                        &mut self.stats,
-                        &mut self.armed,
-                        flow,
-                        st,
-                        now,
-                        rfs,
-                        payload,
-                        item,
-                        self.cfg.timeout,
-                    );
-                    Self::maybe_force_release(
-                        &self.cfg,
-                        &mut self.stats,
-                        &mut self.armed,
-                        flow,
-                        st,
-                        out,
-                    );
-                    return false;
-                }
-            }
-            Expect::At(e) => e,
+            Expect::At(e) => Some(e),
+            // The packet flagged first defines the expectation directly;
+            // while it is in flight (or lost) everything else is early.
+            Expect::AwaitFirst => info.first.then_some(rfs),
         };
 
-        if rfs == expected {
+        if expected == Some(rfs) {
             // In-order: flush up, then drain any now-contiguous buffer.
             self.stats.in_order += 1;
             out.push(Delivered {
@@ -338,29 +347,36 @@ impl<T> OrderingComponent<T> {
             });
             st.expect = Self::advance(mode, rfs, payload);
             let done = Self::drain_contiguous(mode, &mut self.stats, st, out);
-            Self::rearm(&mut self.armed, flow, st, self.cfg.timeout);
+            st.rearm(&mut self.armed, flow, timeout);
             if done || st.expect == Expect::AwaitFirst && st.ooo.is_empty() {
                 self.drop_flow(flow);
                 return true;
             }
-            return false;
-        }
-
-        if Self::is_early(mode, rfs, expected) {
+        } else if expected.is_none_or(|e| Self::is_early(mode, rfs, e)) {
             // Early: a gap is in front of it. Buffer (dropping duplicates).
-            Self::buffer_early(
-                &mut self.stats,
-                &mut self.armed,
-                flow,
-                st,
-                now,
-                rfs,
-                payload,
-                item,
-                self.cfg.timeout,
+            let Err(at) = st.find(rfs) else {
+                self.stats.dup_dropped += 1;
+                return false;
+            };
+            self.stats.buffered += 1;
+            st.ooo.insert(
+                at,
+                OooEntry {
+                    rfs,
+                    item,
+                    payload,
+                    arrived: now,
+                },
             );
-            Self::maybe_force_release(&self.cfg, &mut self.stats, &mut self.armed, flow, st, out);
-            false
+            self.stats.max_depth = self.stats.max_depth.max(st.ooo.len());
+            if st.deadline.is_none() {
+                st.set_deadline(&mut self.armed, flow, Some(now + timeout));
+            }
+            if st.ooo.len() > self.cfg.max_buffered_per_flow {
+                // Over the cap: force an immediate release up to the next gap.
+                Self::release_to_next_gap(mode, &mut self.stats, st, out);
+                st.rearm(&mut self.armed, flow, timeout);
+            }
         } else {
             // Late: behind the release window. Hand it up immediately so
             // the transport can use it (delayed retransmission) or discard
@@ -370,39 +386,8 @@ impl<T> OrderingComponent<T> {
                 item,
                 reason: DeliverReason::LateOrDuplicate,
             });
-            false
         }
-    }
-
-    #[allow(clippy::too_many_arguments)] // disjoint borrows of `self`, spelled out
-    fn buffer_early(
-        stats: &mut OrderingStats,
-        armed: &mut BTreeSet<(SimTime, FlowId)>,
-        flow: FlowId,
-        st: &mut FlowRx<T>,
-        now: SimTime,
-        rfs: u64,
-        payload: u32,
-        item: T,
-        timeout: SimDuration,
-    ) {
-        if st.ooo.contains_key(&rfs) {
-            stats.dup_dropped += 1;
-            return;
-        }
-        stats.buffered += 1;
-        st.ooo.insert(
-            rfs,
-            OooEntry {
-                item,
-                payload,
-                arrived: now,
-            },
-        );
-        stats.max_depth = stats.max_depth.max(st.ooo.len());
-        if st.deadline.is_none() {
-            Self::set_deadline(armed, flow, st, Some(now + timeout));
-        }
+        false
     }
 
     /// Delivers buffered packets that are now contiguous with the
@@ -421,45 +406,16 @@ impl<T> OrderingComponent<T> {
                     return matches!(mode, OrderingMode::SrptBytes);
                 }
             };
-            match st.ooo.remove(&expected) {
-                Some(entry) => {
-                    stats.gap_filled += 1;
-                    out.push(Delivered {
-                        item: entry.item,
-                        reason: DeliverReason::GapFilled,
-                    });
-                    st.expect = Self::advance(mode, expected, entry.payload);
-                }
-                None => return false,
-            }
-        }
-    }
-
-    /// Re-arms the deadline to τ past the oldest still-buffered arrival, or
-    /// disarms it if the buffer emptied.
-    fn rearm(
-        armed: &mut BTreeSet<(SimTime, FlowId)>,
-        flow: FlowId,
-        st: &mut FlowRx<T>,
-        timeout: SimDuration,
-    ) {
-        let oldest = st.ooo.values().map(|e| e.arrived).min();
-        Self::set_deadline(armed, flow, st, oldest.map(|at| at + timeout));
-    }
-
-    /// If the buffer exceeds its cap, force an immediate release up to the
-    /// next gap.
-    fn maybe_force_release(
-        cfg: &OrderingConfig,
-        stats: &mut OrderingStats,
-        armed: &mut BTreeSet<(SimTime, FlowId)>,
-        flow: FlowId,
-        st: &mut FlowRx<T>,
-        out: &mut Vec<Delivered<T>>,
-    ) {
-        if st.ooo.len() > cfg.max_buffered_per_flow {
-            Self::release_to_next_gap(cfg.mode, stats, st, out);
-            Self::rearm(armed, flow, st, cfg.timeout);
+            let Ok(at) = st.find(expected) else {
+                return false;
+            };
+            let entry = st.ooo.remove(at).expect("found at this index");
+            stats.gap_filled += 1;
+            out.push(Delivered {
+                item: entry.item,
+                reason: DeliverReason::GapFilled,
+            });
+            st.expect = Self::advance(mode, expected, entry.payload);
         }
     }
 
@@ -471,16 +427,21 @@ impl<T> OrderingComponent<T> {
         st: &mut FlowRx<T>,
         out: &mut Vec<Delivered<T>>,
     ) {
-        let Some(head) = Self::head_key(mode, &st.ooo) else {
+        // The "earliest missing packet" is followed by the *largest* RFS in
+        // the buffer in SRPT mode, by the smallest in LAS mode.
+        let head = match mode {
+            OrderingMode::SrptBytes => st.ooo.pop_back(),
+            OrderingMode::LasPackets => st.ooo.pop_front(),
+        };
+        let Some(entry) = head else {
             return;
         };
-        let entry = st.ooo.remove(&head).expect("head key present");
         stats.timeout_released += 1;
         out.push(Delivered {
             item: entry.item,
             reason: DeliverReason::TimeoutRelease,
         });
-        st.expect = Self::advance(mode, head, entry.payload);
+        st.expect = Self::advance(mode, entry.rfs, entry.payload);
         // Anything contiguous behind the released head goes up too.
         let before = out.len();
         Self::drain_contiguous(mode, stats, st, out);
@@ -495,17 +456,14 @@ impl<T> OrderingComponent<T> {
     /// Fires all expired release timers. The host calls this when the timer
     /// armed at [`OrderingComponent::next_deadline`] fires.
     pub fn on_timer(&mut self, now: SimTime, out: &mut Vec<Delivered<T>>) {
-        let cfg_timeout = self.cfg.timeout;
+        let timeout = self.cfg.timeout;
         let mode = self.cfg.mode;
         let mut done_flows = Vec::new();
         for (flow, st) in self.flows.iter_mut() {
-            while let Some(dl) = st.deadline {
-                if dl > now {
-                    break;
-                }
+            while st.deadline.is_some_and(|dl| dl <= now) {
                 self.stats.timeouts += 1;
                 Self::release_to_next_gap(mode, &mut self.stats, st, out);
-                Self::rearm(&mut self.armed, *flow, st, cfg_timeout);
+                st.rearm(&mut self.armed, *flow, timeout);
                 if st.ooo.is_empty() {
                     if st.expect == Expect::AwaitFirst {
                         done_flows.push(*flow);
@@ -530,7 +488,7 @@ impl<T> OrderingComponent<T> {
     {
         use vertigo_simcore::Snapshot;
         w.put_usize(self.flows.len());
-        for (flow, st) in &self.flows {
+        for (flow, st) in self.flows.iter() {
             flow.save(w);
             match st.expect {
                 Expect::AwaitFirst => w.put_u8(0),
@@ -540,8 +498,8 @@ impl<T> OrderingComponent<T> {
                 }
             }
             w.put_usize(st.ooo.len());
-            for (rfs, entry) in &st.ooo {
-                w.put_u64(*rfs);
+            for entry in &st.ooo {
+                w.put_u64(entry.rfs);
                 entry.item.save(w);
                 w.put_u32(entry.payload);
                 entry.arrived.save(w);
@@ -559,7 +517,10 @@ impl<T> OrderingComponent<T> {
     }
 
     /// Restores state written by [`OrderingComponent::snap_save`] into a
-    /// component freshly built with the same config.
+    /// component freshly built with the same config. Flow ids, and each
+    /// flow's RFS keys, must ascend strictly as `snap_save` writes them:
+    /// the lookups are binary searches, and a flow named twice would leave
+    /// an armed deadline nothing can disarm.
     pub fn snap_restore(
         &mut self,
         r: &mut vertigo_simcore::SnapReader<'_>,
@@ -568,12 +529,34 @@ impl<T> OrderingComponent<T> {
         T: vertigo_simcore::Snapshot,
     {
         use vertigo_simcore::{SnapError, Snapshot};
+        // A count no input of this size could back is refused before
+        // anything is sized by it or looped over.
+        let bounded = |n: usize, what: &str, r: &vertigo_simcore::SnapReader<'_>| {
+            if n > r.remaining() {
+                return Err(SnapError::new(format!(
+                    "ordering snapshot claims {n} {what} but only {} bytes remain",
+                    r.remaining()
+                )));
+            }
+            Ok(n)
+        };
         self.flows.clear();
         self.armed.clear();
-        let nflows = r.get_usize()?;
+        let nflows = bounded(r.get_usize()?, "flows", r)?;
         for _ in 0..nflows {
             let flow = FlowId::restore(r)?;
-            let expect = match r.get_u8()? {
+            if self
+                .flows
+                .keys()
+                .next_back()
+                .is_some_and(|last| last >= flow)
+            {
+                return Err(SnapError::new(format!(
+                    "ordering snapshot: flow {flow} repeated or out of order"
+                )));
+            }
+            let mut st = FlowRx::new();
+            st.expect = match r.get_u8()? {
                 0 => Expect::AwaitFirst,
                 1 => Expect::At(r.get_u64()?),
                 tag => {
@@ -582,27 +565,22 @@ impl<T> OrderingComponent<T> {
                     )))
                 }
             };
-            let mut st = FlowRx::new();
-            st.expect = expect;
-            let nbuf = r.get_usize()?;
+            let nbuf = bounded(r.get_usize()?, "buffered packets", r)?;
             for _ in 0..nbuf {
                 let rfs = r.get_u64()?;
-                let item = T::restore(r)?;
-                let payload = r.get_u32()?;
-                let arrived = SimTime::restore(r)?;
-                st.ooo.insert(
+                if st.ooo.back().is_some_and(|last| last.rfs >= rfs) {
+                    return Err(SnapError::new(format!(
+                        "ordering snapshot: flow {flow} RFS {rfs} repeated or out of order"
+                    )));
+                }
+                st.ooo.push_back(OooEntry {
                     rfs,
-                    OooEntry {
-                        item,
-                        payload,
-                        arrived,
-                    },
-                );
+                    item: T::restore(r)?,
+                    payload: r.get_u32()?,
+                    arrived: SimTime::restore(r)?,
+                });
             }
-            st.deadline = Option::restore(r)?;
-            if let Some(deadline) = st.deadline {
-                self.armed.insert((deadline, flow));
-            }
+            st.set_deadline(&mut self.armed, flow, Option::restore(r)?);
             self.flows.insert(flow, st);
         }
         self.stats.in_order = r.get_u64()?;
@@ -620,16 +598,14 @@ impl<T> OrderingComponent<T> {
     /// when the transport reports the flow finished or aborted).
     pub fn purge_flow(&mut self, flow: FlowId, out: &mut Vec<Delivered<T>>) {
         if let Some(st) = self.drop_flow(flow) {
-            let mode = self.cfg.mode;
-            let mut entries: Vec<(u64, OooEntry<T>)> = st.ooo.into_iter().collect();
-            if matches!(mode, OrderingMode::SrptBytes) {
-                entries.reverse(); // deliver in decreasing-RFS (flow) order
-            }
-            for (_, e) in entries {
-                out.push(Delivered {
-                    item: e.item,
-                    reason: DeliverReason::Flush,
-                });
+            let flush = |e: OooEntry<T>| Delivered {
+                item: e.item,
+                reason: DeliverReason::Flush,
+            };
+            // Deliver in flow order: decreasing RFS under SRPT.
+            match self.cfg.mode {
+                OrderingMode::SrptBytes => out.extend(st.ooo.into_iter().rev().map(flush)),
+                OrderingMode::LasPackets => out.extend(st.ooo.into_iter().map(flush)),
             }
         }
     }
@@ -984,9 +960,204 @@ mod tests {
                     }
                 }
                 let scan = armed_by_scan(&o);
-                proptest::prop_assert_eq!(o.armed.iter().copied().collect::<Vec<_>>(), &scan[..]);
+                proptest::prop_assert_eq!(&o.armed[..], &scan[..]);
                 proptest::prop_assert_eq!(o.next_deadline(), scan.first().map(|e| e.0));
                 out.clear();
+            }
+        }
+    }
+
+    /// `set_timeout` leaves armed deadlines alone, and the next in-order
+    /// arrival re-arms with the new τ even when it releases nothing, so
+    /// `rearm` may not return early on an unchanged buffer (warm-started τ
+    /// sweeps fork on this).
+    #[test]
+    fn retuned_timeout_rearms_on_the_next_in_order_arrival() {
+        for (tau, mode) in [
+            (SimDuration::from_micros(100), OrderingMode::SrptBytes),
+            (SimDuration::from_micros(900), OrderingMode::LasPackets),
+        ] {
+            let mut o: OrderingComponent<u64> =
+                OrderingComponent::new(OrderingConfig { mode, ..cfg() });
+            let f = FlowId(12);
+            let pkt = |k: u32| match mode {
+                OrderingMode::SrptBytes => info(k, 8),
+                OrderingMode::LasPackets => FlowInfo {
+                    rfs: k,
+                    retcnt: 0,
+                    flow_seq: 0,
+                    first: k == 0,
+                },
+            };
+            let mut out = Vec::new();
+            o.on_packet(t(0), f, pkt(0), MSS, 0, &mut out);
+            // 1 and 2 missing; 4 arrives before 3, so the oldest buffered
+            // arrival sits at neither end of the buffer's RFS order alone.
+            o.on_packet(t(5), f, pkt(4), MSS, 4, &mut out);
+            o.on_packet(t(7), f, pkt(3), MSS, 3, &mut out);
+            o.on_packet(t(9), f, pkt(6), MSS, 6, &mut out);
+            assert_eq!(o.next_deadline(), Some(t(5) + cfg().timeout));
+            o.set_timeout(tau);
+            assert_eq!(o.next_deadline(), Some(t(5) + cfg().timeout), "armed: kept");
+            // A further early packet does not re-arm either.
+            o.on_packet(t(11), f, pkt(7), MSS, 7, &mut out);
+            assert_eq!(o.flow_deadline(f), Some(t(5) + cfg().timeout));
+            // In order, nothing released (2 still missing): new τ, same anchor.
+            o.on_packet(t(20), f, pkt(1), MSS, 1, &mut out);
+            assert_eq!(out.len(), 2);
+            assert_eq!(o.next_deadline(), Some(t(5) + tau));
+            // 2 fills the gap up to 5: the anchor moves to the oldest left.
+            o.on_packet(t(30), f, pkt(2), MSS, 2, &mut out);
+            assert_eq!(out.len(), 5);
+            assert_eq!(o.next_deadline(), Some(t(9) + tau));
+            assert_eq!(o.buffered_packets(), 2);
+        }
+    }
+
+    /// One ordering record by hand, with the counts it claims beside what
+    /// it holds: `flows` of `(flow, claimed packets, buffered RFS keys)`,
+    /// each flow expecting RFS 9 000, the i-th armed at 500 + i ns.
+    fn record(nflows: u64, flows: &[(u64, u64, &[u64])]) -> Vec<u8> {
+        let mut w = vertigo_simcore::SnapWriter::new();
+        w.put_u64(nflows);
+        for (i, &(flow, nbuf, keys)) in flows.iter().enumerate() {
+            w.put_u64(flow);
+            w.put_u8(1);
+            w.put_u64(9_000);
+            w.put_u64(nbuf);
+            for &rfs in keys {
+                w.put_u64(rfs);
+                w.put_u64(rfs + 1); // item
+                w.put_u32(MSS);
+                w.put_u64(140); // arrived
+            }
+            w.put_u8(1);
+            w.put_u64(500 + i as u64);
+        }
+        for _ in 0..8 {
+            w.put_u64(0);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_hostile_records() {
+        use vertigo_simcore::{SnapReader, SnapWriter};
+        let restored = |bytes: &[u8]| {
+            let mut o = comp();
+            o.snap_restore(&mut SnapReader::new(bytes)).map(|()| o)
+        };
+        // A valid mid-run record — two flows with gaps, one of them still
+        // waiting for its first packet — round-trips byte for byte and
+        // keeps running in step with the component it was taken from.
+        let mut o = comp();
+        let mut out = Vec::new();
+        o.on_packet(t(0), FlowId(3), info(0, 9), MSS, 0, &mut out);
+        for (at, k) in [(1, 4u32), (2, 2), (3, 7), (4, 5)] {
+            o.on_packet(t(at), FlowId(3), info(k, 9), MSS, k as u64, &mut out);
+        }
+        o.on_packet(t(5), FlowId(1), info(2, 4), MSS, 12, &mut out);
+        let saved = |o: &OrderingComponent<u64>| {
+            let mut w = SnapWriter::new();
+            o.snap_save(&mut w);
+            w.into_bytes()
+        };
+        let ok = saved(&o);
+        let mut o2 = restored(&ok).unwrap();
+        assert_eq!(saved(&o2), ok);
+        let mut out2 = Vec::new();
+        out.clear();
+        for (at, flow, k, n) in [(6, 3, 1u32, 9u32), (7, 1, 0, 4), (8, 3, 3, 9), (9, 1, 1, 4)] {
+            let a = o.on_packet(t(at), FlowId(flow), info(k, n), MSS, k as u64, &mut out);
+            let b = o2.on_packet(t(at), FlowId(flow), info(k, n), MSS, k as u64, &mut out2);
+            assert_eq!(a, b);
+            assert_eq!(o.next_deadline(), o2.next_deadline());
+        }
+        let dl = o.next_deadline().unwrap();
+        o.on_timer(dl, &mut out);
+        o2.on_timer(dl, &mut out2);
+        let seen =
+            |out: &[Delivered<u64>]| -> Vec<_> { out.iter().map(|d| (d.item, d.reason)).collect() };
+        assert_eq!(seen(&out), seen(&out2));
+        assert_eq!(saved(&o), saved(&o2));
+
+        let valid = record(2, &[(1, 2, &[1_460, 2_920]), (4, 1, &[4_380])]);
+        assert_eq!(restored(&valid).unwrap().buffered_packets(), 3);
+        for (what, bytes) in [
+            // Both occurrences would arm a deadline; only one could ever be
+            // disarmed, and `next_deadline` would answer the other for ever.
+            (
+                "flow named twice",
+                record(2, &[(4, 1, &[1_460]), (4, 1, &[2_920])]),
+            ),
+            (
+                "descending flows",
+                record(2, &[(4, 1, &[1_460]), (1, 1, &[1_460])]),
+            ),
+            ("RFS repeated", record(1, &[(1, 2, &[1_460, 1_460])])),
+            ("descending RFS", record(1, &[(1, 2, &[2_920, 1_460])])),
+            ("more flows than records", record(3, &[(1, 1, &[1_460])])),
+            ("more packets than records", record(1, &[(1, 3, &[1_460])])),
+            // Counts no input of this size could back.
+            ("flow count beyond the input", record(1 << 40, &[])),
+            (
+                "packet count beyond the input",
+                record(1, &[(1, 1 << 40, &[])]),
+            ),
+        ] {
+            assert!(restored(&bytes).is_err(), "accepted: {what}");
+        }
+        for cut in 0..ok.len() {
+            assert!(
+                restored(&ok[..cut]).is_err(),
+                "accepted {cut} of {} bytes",
+                ok.len()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// The early-packet buffer against a `BTreeMap` keyed by RFS, over
+        /// a key range narrow enough that duplicates, misses and hits at
+        /// the two ends (where `find` answers without searching) dominate.
+        /// The two pops are the head under each `OrderingMode`.
+        #[test]
+        fn ooo_buffer_indistinguishable_from_a_btreemap(
+            ops in proptest::collection::vec((0u8..8, 0u64..24), 1..400),
+        ) {
+            let mut st: FlowRx<usize> = FlowRx::new();
+            let mut model: std::collections::BTreeMap<u64, usize> = Default::default();
+            for (tag, &(op, rfs)) in ops.iter().enumerate() {
+                match op {
+                    // Insert, refusing a duplicate as `on_packet` does.
+                    0..=3 => {
+                        let vacant = st.find(rfs).err();
+                        proptest::prop_assert_eq!(vacant.is_some(), !model.contains_key(&rfs));
+                        if let Some(at) = vacant {
+                            let entry = OooEntry { rfs, item: tag, payload: MSS, arrived: t(0) };
+                            st.ooo.insert(at, entry);
+                            model.insert(rfs, tag);
+                        }
+                    }
+                    // Remove, present or not, as `drain_contiguous` does.
+                    4 | 5 => {
+                        let gone = st.find(rfs).ok().and_then(|at| st.ooo.remove(at));
+                        proptest::prop_assert_eq!(gone.map(|e| e.item), model.remove(&rfs));
+                    }
+                    6 => {
+                        let head = st.ooo.pop_back().map(|e| (e.rfs, e.item));
+                        proptest::prop_assert_eq!(head, model.pop_last());
+                    }
+                    _ => {
+                        let head = st.ooo.pop_front().map(|e| (e.rfs, e.item));
+                        proptest::prop_assert_eq!(head, model.pop_first());
+                    }
+                }
+                proptest::prop_assert!(st
+                    .ooo
+                    .iter()
+                    .map(|e| (e.rfs, e.item))
+                    .eq(model.iter().map(|(&k, &v)| (k, v))));
             }
         }
     }

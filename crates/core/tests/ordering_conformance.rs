@@ -448,3 +448,119 @@ fn next_deadline_is_oldest_arrival_plus_tau() {
     assert_eq!(o.buffered_packets(), 0);
     assert_eq!(o.next_deadline(), None);
 }
+
+/// The state machine at the depths the benchmark's burst cell reaches (272
+/// buffered packets of one flow) and at the per-flow cap: early packets
+/// arriving at both ends and in the middle of the buffer's order, then a
+/// gap fill, a τ release that stops at the next gap, duplicates of
+/// buffered packets, and a forced release at `max_buffered_per_flow`.
+/// Checked: every delivery with its reason, in order, and every counter.
+#[test]
+fn deep_buffer_delivery_order_and_stats() {
+    const N: u32 = 4_000;
+    struct Driver {
+        o: OrderingComponent<u64>,
+        out: Vec<Delivered<u64>>,
+        now_ns: u64,
+    }
+    impl Driver {
+        /// Packet `k` arrives 10 ns after the last; returns its arrival.
+        fn pkt(&mut self, k: u32) -> SimTime {
+            self.now_ns += 10;
+            let now = SimTime::from_nanos(self.now_ns);
+            let info = wire_info(k, N, 0);
+            self.o
+                .on_packet(now, FlowId(5), info, MSS, k as u64, &mut self.out);
+            now
+        }
+    }
+    let cfg = OrderingConfig::default();
+    let (tau, cap) = (cfg.timeout, cfg.max_buffered_per_flow as u32);
+    let mut d = Driver {
+        o: OrderingComponent::new(cfg),
+        out: Vec::new(),
+        now_ns: 0,
+    };
+    let mut want: Vec<Want> = Vec::new();
+    fn expect(want: &mut Vec<Want>, ks: std::ops::RangeInclusive<u32>, reason: DeliverReason) {
+        want.extend(ks.map(|k| Want {
+            item: k as u64,
+            reason,
+        }));
+    }
+
+    // 1 is missing; 2..=301 arrive evens first, then odds from the top.
+    d.pkt(0);
+    for k in (2..=300).step_by(2).chain((3..=301).rev().step_by(2)) {
+        d.pkt(k);
+    }
+    assert_eq!((d.out.len(), d.o.buffered_packets()), (1, 300));
+    // Duplicates of buffered packets: middle, and both ends of the buffer.
+    for k in [150, 301, 2] {
+        d.pkt(k);
+    }
+    assert_eq!(d.o.stats().dup_dropped, 3);
+    // The gap fills: everything goes up in flow order, the timer disarms.
+    d.pkt(1);
+    expect(&mut want, 0..=1, InOrder);
+    expect(&mut want, 2..=301, GapFilled);
+    assert_eq!(d.o.next_deadline(), None);
+    d.pkt(1);
+    expect(&mut want, 1..=1, LateOrDuplicate);
+
+    // 302 and 450 are missing. τ past the oldest arrival releases up to
+    // the second gap, not a nanosecond earlier, and re-arms for the rest.
+    let first = d.pkt(303);
+    for k in 304..=449 {
+        d.pkt(k);
+    }
+    let second = d.pkt(451);
+    for k in 452..=600 {
+        d.pkt(k);
+    }
+    assert_eq!(d.o.buffered_packets(), 297);
+    let before = d.out.len();
+    let early = SimTime::from_nanos((first + tau).as_nanos() - 1);
+    d.o.on_timer(early, &mut d.out);
+    assert_eq!(d.out.len(), before);
+    d.o.on_timer(first + tau, &mut d.out);
+    expect(&mut want, 303..=449, TimeoutRelease);
+    assert_eq!(d.o.next_deadline(), Some(second + tau));
+    d.pkt(450);
+    expect(&mut want, 450..=450, InOrder);
+    expect(&mut want, 451..=600, GapFilled);
+
+    // 601 and 1000 are missing; the packet that takes the buffer past its
+    // cap forces a release up to the second gap and re-arms for the rest.
+    let last = 602 + cap + 1;
+    let mut rest = None;
+    for k in (602..=last).filter(|&k| k != 1_000) {
+        assert_eq!(d.out.len(), want.len(), "nothing released before {k}");
+        let at = d.pkt(k);
+        if k == 1_001 {
+            rest = Some(at);
+        }
+    }
+    expect(&mut want, 602..=999, TimeoutRelease);
+    assert_eq!(d.o.buffered_packets(), (last - 1_000) as usize);
+    assert_eq!(d.o.next_deadline(), rest.map(|at| at + tau));
+
+    let got: Vec<Want> = d
+        .out
+        .iter()
+        .map(|d| Want {
+            item: d.item,
+            reason: d.reason,
+        })
+        .collect();
+    assert_eq!(got, want);
+    let s = d.o.stats();
+    assert_eq!(s.in_order, 3);
+    assert_eq!(s.buffered, 300 + 297 + (cap as u64 + 1));
+    assert_eq!(s.gap_filled, 300 + 150);
+    assert_eq!(s.timeout_released, 147 + 398);
+    assert_eq!(s.timeouts, 1);
+    assert_eq!(s.late_or_dup, 1);
+    assert_eq!(s.dup_dropped, 3);
+    assert_eq!(s.max_depth, cap as usize + 1);
+}

@@ -39,7 +39,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use vertigo_core::boost::unboost;
 use vertigo_core::{Delivered, MarkingComponent, MarkingConfig, OrderingComponent, OrderingConfig};
-use vertigo_pkt::{pool, FlowId, NodeId, Packet, PacketKind, PortId, QueryId};
+use vertigo_pkt::{pool, FlowId, FlowTable, NodeId, Packet, PacketKind, PortId, QueryId};
 use vertigo_simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter, Snapshot};
 use vertigo_stats::{DropCause, TraceKind, TraceRecord, TRACE_NO_RANK};
 use vertigo_transport::{FlowReceiver, FlowSender, TransportConfig};
@@ -76,98 +76,6 @@ impl HostConfig {
             ordering: Some(OrderingConfig::default()),
             nic_buffer_bytes: 2 * 1024 * 1024,
         }
-    }
-}
-
-/// Per-flow host state as sorted parallel arrays (structure-of-arrays,
-/// the same layout trick the PIEO queue uses): flow ids in one dense
-/// sorted `Vec`, values in another, joined by index. Lookups are a
-/// binary search over a contiguous id array — one cache line covers 8
-/// flows — instead of a pointer chase per BTreeMap node, and iteration
-/// walks the value array linearly. Every traversal (`keys`, `values`,
-/// `iter`) is in ascending-id order, exactly like the `BTreeMap` this
-/// replaces, so pump order, timer order, and snapshot bytes are
-/// unchanged.
-struct FlowTable<T> {
-    ids: Vec<FlowId>,
-    vals: Vec<T>,
-}
-
-impl<T> FlowTable<T> {
-    fn new() -> Self {
-        FlowTable {
-            ids: Vec::new(),
-            vals: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn insert(&mut self, flow: FlowId, val: T) {
-        match self.ids.binary_search(&flow) {
-            Ok(i) => self.vals[i] = val,
-            Err(i) => {
-                self.ids.insert(i, flow);
-                self.vals.insert(i, val);
-            }
-        }
-    }
-
-    fn index_of(&self, flow: FlowId) -> Option<usize> {
-        self.ids.binary_search(&flow).ok()
-    }
-
-    fn get(&self, flow: FlowId) -> Option<&T> {
-        self.index_of(flow).map(|i| &self.vals[i])
-    }
-
-    fn get_mut(&mut self, flow: FlowId) -> Option<&mut T> {
-        self.index_of(flow).map(|i| &mut self.vals[i])
-    }
-
-    fn remove(&mut self, flow: FlowId) -> Option<T> {
-        match self.ids.binary_search(&flow) {
-            Ok(i) => {
-                self.ids.remove(i);
-                Some(self.vals.remove(i))
-            }
-            Err(_) => None,
-        }
-    }
-
-    fn get_or_insert_with(&mut self, flow: FlowId, make: impl FnOnce() -> T) -> &mut T {
-        let i = match self.ids.binary_search(&flow) {
-            Ok(i) => i,
-            Err(i) => {
-                self.ids.insert(i, flow);
-                self.vals.insert(i, make());
-                i
-            }
-        };
-        &mut self.vals[i]
-    }
-
-    fn keys(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.ids.iter().copied()
-    }
-
-    fn values(&self) -> std::slice::Iter<'_, T> {
-        self.vals.iter()
-    }
-
-    fn values_mut(&mut self) -> std::slice::IterMut<'_, T> {
-        self.vals.iter_mut()
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (FlowId, &T)> {
-        self.ids.iter().copied().zip(self.vals.iter())
-    }
-
-    fn clear(&mut self) {
-        self.ids.clear();
-        self.vals.clear();
     }
 }
 
@@ -435,8 +343,12 @@ impl Host {
                         self.deliver_data(d.item, ctx);
                     }
                     self.deliveries = out;
-                    // Only this flow's τ can have been armed or re-armed.
-                    moved = self.ordering.as_ref().and_then(|o| o.flow_deadline(flow));
+                    // Only this flow's τ can have been armed or re-armed, and
+                    // every other flow's is covered by the outstanding wakeup:
+                    // the earliest τ of all asks for a new wakeup exactly when
+                    // this flow's would, and is the armed index's first entry
+                    // where this flow's is a second search of the flow table.
+                    moved = self.ordering.as_ref().and_then(|o| o.next_deadline());
                 } else {
                     self.deliver_data(pkt, ctx);
                 }
@@ -622,7 +534,7 @@ impl Host {
                 if self.nic_bytes + mss_wire > self.cfg.nic_buffer_bytes {
                     break 'outer; // NIC full: stop generating
                 }
-                let st = &mut self.senders.vals[i];
+                let st = self.senders.value_at_mut(i);
                 let Some(seg) = st.sender.poll_segment(ctx.now) else {
                     break;
                 };
@@ -648,7 +560,7 @@ impl Host {
                 self.enqueue_nic(pkt, ctx);
             }
             settled += 1;
-            let sender = &self.senders.vals[i].sender;
+            let sender = &self.senders.value_at(i).sender;
             if let Some(release) = sender.pacer_release(ctx.now) {
                 self.paced.push(Reverse((release, flow)));
             }
@@ -665,7 +577,7 @@ impl Host {
         self.ready = ready;
         self.start_tx(ctx);
         #[cfg(any(debug_assertions, feature = "audit"))]
-        for (flow, st) in self.senders.ids.iter().zip(&mut self.senders.vals) {
+        for (flow, st) in self.senders.iter_mut() {
             // What polling every sender, as this loop once did, would find.
             assert!(
                 self.ready.binary_search(flow).is_ok() || st.sender.poll_segment(ctx.now).is_none(),

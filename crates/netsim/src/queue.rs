@@ -225,11 +225,11 @@ impl PortQueue {
                 for _ in 0..n {
                     f.q.push_back(<Box<Packet>>::restore(r)?);
                 }
-                f.bytes = r.get_u64()?;
+                f.bytes = restore_bytes(r, f.q.iter().map(|pkt| pkt.wire_size))?;
             }
             (PortQueue::Prio(p), 1) | (PortQueue::PrioEsc(p), 2) => {
                 p.q = PieoQueue::restore(r)?;
-                p.bytes = r.get_u64()?;
+                p.bytes = restore_bytes(r, p.q.iter().map(|(_, pkt)| pkt.wire_size))?;
             }
             (_, tag) => {
                 return Err(SnapError::new(format!(
@@ -240,6 +240,23 @@ impl PortQueue {
         }
         Ok(())
     }
+}
+
+/// Reads a queue's byte counter, which must be what the packets just
+/// restored add up to: capacity checks compare against it, so a smaller
+/// value would silently enlarge the port's buffer.
+fn restore_bytes(
+    r: &mut SnapReader<'_>,
+    wire_sizes: impl Iterator<Item = u32>,
+) -> Result<u64, SnapError> {
+    let bytes = r.get_u64()?;
+    let held: u64 = wire_sizes.map(u64::from).sum();
+    if bytes != held {
+        return Err(SnapError::new(format!(
+            "port queue claims {bytes} bytes, its packets hold {held}"
+        )));
+    }
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -400,6 +417,88 @@ mod tests {
                     _ => panic!("pop sequences diverge"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn snapshot_restore_rejects_hostile_records() {
+        // A priority-queue record by hand: the count it claims, the cells
+        // it holds, the byte counter it claims.
+        let prio_record = |n: u64, cells: &[(u64, Box<Packet>)], bytes: u64| {
+            let mut w = SnapWriter::new();
+            w.put_u8(1);
+            w.put_u64(n);
+            for (rank, pkt) in cells {
+                w.put_u64(*rank);
+                pkt.save(&mut w);
+            }
+            w.put_u64(bytes);
+            w.into_bytes()
+        };
+        let cells = || vec![(3_000, pkt(2, 3_000, 500)), (7_000, pkt(3, 7_000, 700))];
+        let restored = |mk: fn() -> PortQueue, bytes: &[u8]| {
+            let mut q = mk();
+            q.snap_restore(&mut SnapReader::new(bytes)).map(|()| q)
+        };
+        let prio: fn() -> PortQueue = || PortQueue::prio(1);
+        for mk in [PortQueue::fifo as fn() -> PortQueue, prio] {
+            // Mid-run — pops at both ends behind it — the record round-trips
+            // byte for byte and the restored queue keeps running in step.
+            let mut q = mk();
+            for (uid, rfs) in [(1, 20_000), (2, 3_000), (3, 7_000), (4, 7_000), (5, 900)] {
+                q.push(pkt(uid, rfs, 100 * uid as u32));
+            }
+            q.pop_next();
+            q.evict_worst();
+            let saved = |q: &PortQueue| {
+                let mut w = SnapWriter::new();
+                q.snap_save(&mut w);
+                w.into_bytes()
+            };
+            let ok = saved(&q);
+            let mut q2 = restored(mk, &ok).unwrap();
+            assert_eq!(saved(&q2), ok);
+            q.push(pkt(6, 7_000, 600));
+            q2.push(pkt(6, 7_000, 600));
+            assert_eq!(q.evict_worst().unwrap().uid, q2.evict_worst().unwrap().uid);
+            while let Some(a) = q.pop_next() {
+                assert_eq!(a.uid, q2.pop_next().unwrap().uid);
+                assert_eq!(q.bytes(), q2.bytes());
+            }
+            assert!(q2.is_empty());
+            // The byte counter is the last field: one too few would enlarge
+            // the port's buffer by a byte, one too many shrink it.
+            let held = u64::from_le_bytes(ok[ok.len() - 8..].try_into().unwrap());
+            for claimed in [held - 1, held + 1, 0, u64::MAX] {
+                let mut bytes = ok.clone();
+                let at = bytes.len() - 8;
+                bytes[at..].copy_from_slice(&claimed.to_le_bytes());
+                assert!(
+                    restored(mk, &bytes).is_err(),
+                    "accepted {claimed} for {held}"
+                );
+            }
+            for cut in 0..ok.len() {
+                assert!(restored(mk, &ok[..cut]).is_err(), "accepted {cut} bytes");
+            }
+        }
+        assert_eq!(
+            restored(prio, &prio_record(2, &cells(), 1_296))
+                .unwrap()
+                .len(),
+            2
+        );
+        let mut descending = cells();
+        descending.reverse();
+        for (what, bytes) in [
+            ("descending ranks", prio_record(2, &descending, 1_296)),
+            ("count beyond the cells", prio_record(3, &cells(), 1_296)),
+            (
+                "count beyond the input",
+                prio_record(1 << 40, &cells(), 1_296),
+            ),
+        ] {
+            assert!(restored(prio, &bytes).is_err(), "accepted: {what}");
         }
     }
 

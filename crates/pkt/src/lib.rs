@@ -3,18 +3,21 @@
 //! Packet, flow, and addressing primitives shared by every crate in the
 //! Vertigo workspace: identifier newtypes ([`NodeId`], [`PortId`],
 //! [`FlowId`], [`QueryId`]), the metadata-only [`Packet`] model with exact
-//! wire-size accounting, the [`FlowInfo`] header, and deterministic hashing
-//! for ECMP-style placement.
+//! wire-size accounting, the [`FlowInfo`] header, the [`FlowTable`] hosts
+//! keep their per-flow state in, and deterministic hashing for ECMP-style
+//! placement.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod flow_table;
 mod hash;
 mod ids;
 mod packet;
 pub mod pool;
 mod snap;
 
+pub use flow_table::FlowTable;
 pub use hash::{ecmp_hash, fnv1a, fnv1a_u64, mix64, Mix64Build, Mix64Hasher};
 pub use ids::{FlowId, NodeId, PortId, QueryId};
 pub use packet::{

@@ -28,7 +28,9 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// On-disk format version. Bump on any incompatible layout change; the
 /// reader refuses mismatched versions with an actionable error.
 /// Version 2: the cuckoo filter writes its occupied buckets only.
-pub const SNAP_VERSION: u16 = 2;
+/// Version 3: the PIEO record is `(rank, item)` in queue order, with no
+/// per-element sequence number and no counter.
+pub const SNAP_VERSION: u16 = 3;
 
 /// Every build checkpoints and resumes; only the benchmark's result
 /// header (`perfbench/`) still reads this.
@@ -214,7 +216,7 @@ impl<'a> SnapReader<'a> {
 /// `restore` must be the exact inverse of `save`: for every reachable
 /// state `s`, `restore(save(s)) == s` in all observable behavior. The
 /// proptest suites assert this for the hairiest implementors (timing
-/// wheel, PIEO arrays, `SimRng`).
+/// wheel, PIEO ring, `SimRng`).
 pub trait Snapshot: Sized {
     /// Serializes this component's full state.
     fn save(&self, w: &mut SnapWriter);

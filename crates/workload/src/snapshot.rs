@@ -319,6 +319,14 @@ mod tests {
         bad[4] = SNAP_VERSION as u8 + 1;
         let err = read_header(&mut SnapReader::new(&bad)).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+
+        // A version-2 file (PIEO records with sequence numbers) is refused
+        // here, in the header, with nothing behind it to read.
+        let mut old = bytes[..6].to_vec();
+        old[4] = 2;
+        let err = read_header(&mut SnapReader::new(&old)).unwrap_err();
+        let want = "format version 2, this binary reads version 3";
+        assert!(err.to_string().contains(want), "{err}");
     }
 
     #[test]

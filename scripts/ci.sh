@@ -159,7 +159,7 @@ ckpt=$(ls "$SNAPDIR"/wheel/snaps/*.vsnp | head -1)
 cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect "$ckpt" | tee /tmp/vertigo_vsnp_ci.txt
 grep -q 'sim time' /tmp/vertigo_vsnp_ci.txt
-grep -q 'version    2' /tmp/vertigo_vsnp_ci.txt
+grep -q 'version    3' /tmp/vertigo_vsnp_ci.txt
 # Garbage input must fail loudly with a non-zero exit.
 if cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect scripts/ci.sh 2> /dev/null; then
@@ -228,12 +228,21 @@ cargo test --manifest-path perfbench/Cargo.toml -q
 cargo fmt --manifest-path perfbench/Cargo.toml --check
 cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
-echo "==> memory follows what is live: ft_soak peak RSS under 14 MB (it reads 11.1; 49 MB with flat filter tables)"
+echo "==> memory follows what is live: ft_soak peak RSS under 14 MB (it reads 10.8; 49 MB with flat filter tables)"
 rss=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml --bin perf -- \
   --workload ft_soak --seed 1 --seconds 3 --trace 0 \
   | tail -1 | sed 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/')
 echo "ft_soak peak_rss_mb = $rss"
 awk -v rss="$rss" 'BEGIN { exit !(rss > 0 && rss < 14) }'
+
+echo "==> the other three pinned full-horizon digests reproduce (perf exits 1 on a mismatch)"
+# With ft_soak above that is all four cells: a tie-order slip in any
+# ordered structure (event queue, PIEO ring, ordering buffer, flow table)
+# moves events=, ord= or mark= and fails here, not in the pipeline.
+for cell in ls_burst_vertigo ls_bg_ecmp_swift ft_soak_d1; do
+  cargo run --release --quiet --manifest-path perfbench/Cargo.toml --bin perf -- \
+    --workload "$cell" --seed 1 --seconds 2 --trace 0 | tail -1 | cut -c1-60
+done
 
 echo "==> sampling profiler smoke: one repetition yields samples"
 # The profile itself wants frame pointers (scripts/profile.sh); here only:
