@@ -1,6 +1,6 @@
 //! VSNP checkpoint inspector: decodes the headers of `.vsnp` snapshot
-//! files written by `--checkpoint-every` (and by the warm-start warmup
-//! path, when persisted) without deserializing the payload.
+//! files written by `--checkpoint-every` without deserializing the
+//! payload.
 //!
 //! The header codec is compiled unconditionally, so this tool reads any
 //! checkpoint regardless of which features (`audit`, `trace`,

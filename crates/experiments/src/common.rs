@@ -171,11 +171,6 @@ pub struct Opts {
     /// byte-identical for every N — CI diffs `--domains 2` against
     /// `--domains 1`.
     pub domains: Option<usize>,
-    /// Share one warmup snapshot per equivalence class across the sweep
-    /// (`--warm-start`). Results are byte-identical to a cold sweep — CI
-    /// digest-diffs this — only the wall clock changes, and only for
-    /// figures whose cells carry a fork (the footer says how many did).
-    pub warm_start: bool,
     /// Deflection-policy override applied to every Vertigo-system run
     /// (`--deflect vertigo|dibs|pabo|hybrid|bounded`). `None` (and the
     /// explicit `vertigo`) is the native policy — CI digest-diffs
@@ -193,12 +188,11 @@ pub struct Opts {
 /// The flags every subcommand takes, for the usage text.
 pub const FLAGS: &str = "[--quick|--full] [--seed N] [--out DIR] [--jobs N] \
     [--events wheel|heap] [--faults SPEC] [--trace FILE[:filter]] \
-    [--checkpoint-every SIMTIME[:PATH]] [--resume PATH] [--domains N] [--warm-start] \
+    [--checkpoint-every SIMTIME[:PATH]] [--resume PATH] [--domains N] \
     [--deflect vertigo|dibs|pabo|hybrid|bounded] [--workload SPEC]";
 
 /// The flags only `tune` takes, for the usage text.
-pub const TUNE_FLAGS: &str =
-    "[--search grid|halving] [--knobs tau,defl,k,buf] [--budget N] [--cold]";
+pub const TUNE_FLAGS: &str = "[--search grid|halving] [--knobs tau,defl,k,buf] [--budget N]";
 
 impl Opts {
     /// Parses the flags of subcommand `cmd` ([`FLAGS`], plus
@@ -215,7 +209,6 @@ impl Opts {
         let mut trace = None;
         let mut snapshot = SnapshotSpec::default();
         let mut domains = None;
-        let mut warm_start = false;
         let mut deflect = None;
         let mut scenario = ScenarioSpec::new();
         let mut tune = TuneOpts::default();
@@ -274,7 +267,6 @@ impl Opts {
                     }
                     domains = Some(n);
                 }
-                "--warm-start" => warm_start = true,
                 "--deflect" => {
                     let v = it.next().ok_or("--deflect needs a policy name")?;
                     deflect = Some(DeflectKind::parse(v).ok_or_else(|| {
@@ -312,58 +304,30 @@ impl Opts {
                     }
                     tune.budget = Some(n);
                 }
-                "--cold" if tuning => tune.cold = true,
                 other => return Err(format!("unknown option: {other}")),
             }
         }
         // Every flag combination that cannot work, refused up front with
         // both sides of the conflict named rather than silently degraded.
-        // Warm-starting forks cells from a restored snapshot on the classic
-        // engine, `tune` is warm-started by construction, and the domain
-        // engine has neither provenance hooks nor a quiescent single-queue
-        // state: each refused option needs the one thing its partner
-        // cannot give it.
+        // `tune` re-tunes knobs at the fork horizon and ends rungs early,
+        // and the domain engine has neither provenance hooks nor a
+        // quiescent single-queue state: each refused option needs the one
+        // thing its partner cannot give it.
         let refusals = [
             (
-                warm_start && domains.is_some(),
-                "--warm-start forks cells on the classic engine (the domain engine \
-                 has no quiescent single-queue state to fork from): \
-                 drop either --warm-start or --domains",
-            ),
-            (
-                warm_start && trace.is_some(),
-                "--warm-start shares one warmup across cells, so per-cell traces \
-                 would be missing their prefix: drop either --warm-start or --trace",
-            ),
-            (
-                warm_start && snapshot.resume.is_some(),
-                "--warm-start manages its own in-memory snapshots and cannot also \
-                 resume from disk: drop either --warm-start or --resume",
-            ),
-            (
-                warm_start && snapshot.checkpoint.is_some(),
-                "--warm-start skips the shared warmup in every forked cell, so \
-                 periodic checkpoints would be incomplete: drop either \
-                 --warm-start or --checkpoint-every",
-            ),
-            (
                 tuning && domains.is_some(),
-                "tune forks every candidate from a shared snapshot on the classic engine: \
-                 drop --domains",
+                "tune applies each candidate's knobs at the fork horizon and ends rungs \
+                 early, which needs the classic engine's quiescent boundary: drop --domains",
             ),
             (
                 tuning && trace.is_some(),
-                "tune shares one warmup across candidates, so per-candidate traces would \
-                 be missing their prefix: drop --trace",
+                "tune's candidates share one run spec, so their per-spec trace files \
+                 would collide: drop --trace",
             ),
             (
                 tuning && snapshot.is_active(),
-                "tune manages its own in-memory snapshots: drop --checkpoint-every/--resume",
-            ),
-            (
-                cmd == "soak" && warm_start,
-                "soak runs one sustained cell with no warmup equivalence class to share: \
-                 drop --warm-start",
+                "tune's rungs are keyed by their measurement window, so one rung's \
+                 checkpoints never serve the next: drop --checkpoint-every/--resume",
             ),
             (
                 domains.is_some() && trace.is_some(),
@@ -389,7 +353,6 @@ impl Opts {
             trace,
             snapshot,
             domains,
-            warm_start,
             deflect,
             scenario,
             tune,
@@ -413,8 +376,8 @@ impl Opts {
         spec
     }
 
-    /// The phased-run fork every warm-startable figure grid uses: incast
-    /// deferred to the scale's fork horizon, no knob overrides.
+    /// The fork every phased figure grid uses: incast deferred to the
+    /// scale's fork horizon, no knob overrides, no measurement window.
     pub fn fig_fork(&self) -> ForkSpec {
         ForkSpec::at(self.scale.fork_at())
     }
@@ -605,46 +568,8 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_parses_and_guards_interop() {
-        let d = parse("fig5", &[]).unwrap();
-        assert!(!d.warm_start);
-        let w = parse("fig5", &["--warm-start"]).unwrap();
-        assert!(w.warm_start);
-
-        // Each incompatible flag is refused with an actionable message
-        // naming both sides of the conflict.
-        let cases: [(&[&str], &str); 4] = [
-            (
-                &["--warm-start", "--domains", "2"],
-                "drop either --warm-start or --domains",
-            ),
-            (
-                &["--warm-start", "--trace", "out/t.vtrace"],
-                "drop either --warm-start or --trace",
-            ),
-            (
-                &["--warm-start", "--resume", "out/ck.vsnp"],
-                "drop either --warm-start or --resume",
-            ),
-            (
-                &["--warm-start", "--checkpoint-every", "6ms:out/ck.vsnp"],
-                "drop either --warm-start or --checkpoint-every",
-            ),
-        ];
-        for (args, needle) in cases {
-            let err = parse("fig5", args).expect_err("conflicting flags must be rejected");
-            assert!(err.contains(needle), "{err:?} should mention {needle:?}");
-        }
-
-        // Flag order must not matter.
-        let err = parse("fig5", &["--domains", "2", "--warm-start"])
-            .expect_err("order-independent rejection");
-        assert!(err.contains("drop either --warm-start or --domains"));
-    }
-
-    #[test]
     fn subcommand_and_engine_refusals() {
-        let cases: [(&str, &[&str], &str); 7] = [
+        let cases: [(&str, &[&str], &str); 6] = [
             ("tune", &["--domains", "2"], "drop --domains"),
             ("tune", &["--trace", "x"], "drop --trace"),
             (
@@ -657,7 +582,6 @@ mod tests {
                 &["--checkpoint-every", "6ms"],
                 "drop --checkpoint-every/--resume",
             ),
-            ("soak", &["--warm-start"], "drop --warm-start"),
             (
                 "fig5",
                 &["--domains", "2", "--trace", "x"],
@@ -677,7 +601,7 @@ mod tests {
             );
         }
         // The same flags are fine where nothing conflicts.
-        assert!(parse("fig5", &["--warm-start"]).is_ok());
+        assert!(parse("fig5", &["--trace", "x"]).is_ok());
         assert!(parse("soak", &["--domains", "2"]).is_ok());
     }
 
@@ -687,15 +611,13 @@ mod tests {
         assert_eq!(t.search, Search::Grid);
         assert_eq!(t.knobs, [Knob::Tau, Knob::Defl]);
         assert_eq!(t.budget, None);
-        assert!(!t.cold);
         let args = [
-            "--search", "halving", "--knobs", "k,buf", "--budget", "4", "--cold", "--quick",
+            "--search", "halving", "--knobs", "k,buf", "--budget", "4", "--quick",
         ];
         let o = parse("tune", &args).unwrap();
         assert_eq!(o.tune.search, Search::Halving);
         assert_eq!(o.tune.knobs, [Knob::EcnK, Knob::Buf]);
         assert_eq!(o.tune.budget, Some(4));
-        assert!(o.tune.cold);
         assert_eq!(o.scale.name, "quick");
         for bad in [
             &["--search", "random"][..],
@@ -710,10 +632,11 @@ mod tests {
         // Everywhere else they are unknown options.
         let err = parse("fig5", &args).unwrap_err();
         assert_eq!(err, "unknown option: --search");
-        assert_eq!(
-            parse("soak", &["--cold"]).unwrap_err(),
-            "unknown option: --cold"
-        );
+        // Which of two byte-identical paths runs a cell is not an option.
+        for (cmd, gone) in [("tune", "--cold"), ("fig5", "--warm-start")] {
+            let err = parse(cmd, &[gone]).unwrap_err();
+            assert_eq!(err, format!("unknown option: {gone}"));
+        }
     }
 
     /// Every run axis `Opts` carries must land in the `RunSpec`. The
@@ -757,7 +680,6 @@ mod tests {
             jobs: _,
             trace: _,
             snapshot: _,
-            warm_start: _,
             // Where tables go, and one subcommand's search strategy.
             outdir: _,
             tune: _,
@@ -801,7 +723,7 @@ mod tests {
         let f = o.fig_fork();
         assert_eq!(f.at, SimDuration::from_millis(5));
         assert!(f.defer_incast);
-        assert!(f.overrides.is_empty());
+        assert!(f.overrides.is_empty() && f.window.is_none());
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
             ));
         }
     }
-    let rows = sweep::run(opts, "ext", cells, |c, out| {
+    let rows = sweep::run(opts, cells, |c, out| {
         let r = &out.report;
         vec![
             c.tag.to_string(),

@@ -27,7 +27,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
             ));
         }
     }
-    let rows = sweep::run(opts, "fig10", cells, |c, out| {
+    let rows = sweep::run(opts, cells, |c, out| {
         let (incast_pct, qps) = c.tag;
         let r = &out.report;
         vec![

@@ -41,7 +41,7 @@ pub fn run_a(opts: &Opts) -> Result<(), RunError> {
             ));
         }
     }
-    let rows = sweep::run(opts, "fig11a", cells, |c, out| {
+    let rows = sweep::run(opts, cells, |c, out| {
         let (total, name) = c.tag;
         let r = &out.report;
         vec![
@@ -96,7 +96,7 @@ pub fn run_b(opts: &Opts) -> Result<(), RunError> {
             ));
         }
     }
-    let rows = sweep::run(opts, "fig11b", cells, |c, out| {
+    let rows = sweep::run(opts, cells, |c, out| {
         let (bg_pct, boosting) = &c.tag;
         let r = &out.report;
         vec![

@@ -65,7 +65,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
                 ));
             }
         }
-        let rows = sweep::run(opts, "fig12", cells, |c, out| {
+        let rows = sweep::run(opts, cells, |c, out| {
             let (total, name) = c.tag;
             let r = &out.report;
             vec![

@@ -25,7 +25,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
             Cell::new(format!("fig13 tau{tau_us}us"), spec, tau_us)
         })
         .collect();
-    let rows = sweep::run(opts, "fig13", cells, |c, out| {
+    let rows = sweep::run(opts, cells, |c, out| {
         let r = &out.report;
         vec![
             c.tag.to_string(),

@@ -3,11 +3,13 @@
 //!
 //! The grid runs *phased*: every cell simulates a background-only warmup
 //! for the first quarter of the horizon, then the incast burst arrives —
-//! the paper's steady-state-background methodology. Phasing is what makes
-//! the grid warm-startable: the 4 systems × 7/5/2 loads of a panel
-//! collapse into 4 equivalence classes (one per system at that background
-//! load), and `--warm-start` simulates each class's warmup once instead
-//! of per cell. Output is byte-identical either way (CI digest-diffs it).
+//! the paper's steady-state-background methodology. Phasing also lets the
+//! sweep share warmups: the 4 systems × 7/5/2 loads of a panel collapse
+//! into 4 equivalence classes (one per system at that background load),
+//! and each class's warmup is simulated once instead of per cell. Output
+//! is byte-identical to simulating every cell straight through, which
+//! `--checkpoint-every`, `--resume`, `--trace` and `--domains` do (CI
+//! digest-diffs those against the plain run).
 
 use crate::common::{fmt_secs, Opts, Table};
 use crate::sweep::{self, Cell};
@@ -52,7 +54,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
         }
         panels.push((bg_pct, cells.len() - before));
     }
-    let rows = sweep::run(opts, "fig5", cells, |c, out| {
+    let rows = sweep::run(opts, cells, |c, out| {
         let r = &out.report;
         vec![
             c.tag.to_string(),

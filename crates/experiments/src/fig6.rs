@@ -38,7 +38,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
         }
     }
     // One cell's output: the sweep row, plus CDF rows for the 85 % column.
-    let outs = sweep::run(opts, "fig6", cells, |c, out| {
+    let outs = sweep::run(opts, cells, |c, out| {
         let (total, sys, cc) = (c.tag, c.spec.system.name(), c.spec.cc.name());
         let r = &out.report;
         let row = vec![

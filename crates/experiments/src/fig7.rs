@@ -41,7 +41,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
         }
     }
     // One cell's output: its summary row plus its FCT and QCT CDF rows.
-    let outs = sweep::run(opts, "fig7", cells, |c, out| {
+    let outs = sweep::run(opts, cells, |c, out| {
         let r = &out.report;
         let id = [
             c.tag.clone(),

@@ -41,7 +41,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
             ));
         }
     }
-    let rows = sweep::run(opts, "fig8", cells, |c, out| {
+    let rows = sweep::run(opts, cells, |c, out| {
         let r = &out.report;
         vec![
             c.tag.to_string(),

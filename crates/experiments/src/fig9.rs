@@ -39,7 +39,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
             ));
         }
     }
-    let rows = sweep::run(opts, "fig9", cells, |c, out| {
+    let rows = sweep::run(opts, cells, |c, out| {
         let (flow_kb, name) = c.tag;
         let r = &out.report;
         vec![

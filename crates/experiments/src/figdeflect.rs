@@ -10,11 +10,11 @@
 //! policy-specific fields.
 //!
 //! The grid runs *phased* like fig5: background-only warmup for the first
-//! quarter of the horizon, then the incast burst. `--warm-start` is
-//! accepted but every cell is its own equivalence class (the overflow
-//! policy is part of the prefix spec — background overflows, EWMA state,
-//! and queue disciplines all depend on it), so the conservative fork key
-//! correctly sends all 15 cells down the cold path.
+//! quarter of the horizon, then the incast burst. Every cell is its own
+//! warmup equivalence class (the overflow policy is part of the prefix
+//! spec — background overflows, EWMA state, and queue disciplines all
+//! depend on it), so the conservative fork key sends all 15 cells
+//! straight through.
 
 use crate::common::{fmt_pct, fmt_secs, Opts, Table};
 use crate::sweep::{self, Cell};
@@ -45,7 +45,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
             ));
         }
     }
-    let rows = sweep::run(opts, "figdeflect", cells, |c, out| {
+    let rows = sweep::run(opts, cells, |c, out| {
         let kind = c.tag;
         let r = &out.report;
         // The policy-specific action column: what the policy did

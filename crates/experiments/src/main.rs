@@ -115,7 +115,7 @@ const FIGURES: &[Figure] = &[
     ),
     (
         "tune",
-        "parameter search over Vertigo's knobs from a shared warm snapshot",
+        "parameter search over Vertigo's knobs (grid or successive halving)",
         tune::run,
         false,
     ),

@@ -32,7 +32,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
             }
         }
     }
-    let rows = sweep::run(opts, "nonbursty", cells, |c, out| {
+    let rows = sweep::run(opts, cells, |c, out| {
         let (dist, load) = c.tag;
         let r = &out.report;
         vec![

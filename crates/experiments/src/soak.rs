@@ -68,7 +68,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
     // The one cell's output: the per-tenant rows, the totals line, and
     // the audit tally.
     let cell = Cell::new("soak", spec, ());
-    let mut outs = sweep::run(opts, "soak", vec![cell], |_, out| {
+    let mut outs = sweep::run(opts, vec![cell], |_, out| {
         let r = &out.report;
         let tenants: Vec<Vec<String>> = r
             .tenants

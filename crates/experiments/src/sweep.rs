@@ -7,7 +7,8 @@
 //! a shared RNG. That makes the grid embarrassingly parallel, and [`run`]
 //! exploits it with `std::thread::scope` (no external dependencies). It
 //! owns every option that decides *how* a cell executes: `--jobs`,
-//! `--warm-start`, `--trace` and `--checkpoint-every`/`--resume`.
+//! `--trace` and `--checkpoint-every`/`--resume` — and the one decision
+//! no option makes: whether phased cells share their warmup.
 //!
 //! ## Determinism contract
 //!
@@ -15,10 +16,11 @@
 //! completion order, and each cell is self-contained (its `RunSpec`
 //! carries its own seed). Consequently the table a figure prints is
 //! identical for every `--jobs` value, and `--jobs 1` executes the cells
-//! inline on the calling thread. Warm-started cells are byte-identical to
-//! cold ones (`vertigo_workload::warm`), so `--warm-start` is equally
-//! unobservable. Progress chatter and the warm-start footer go to stderr
-//! only, so stdout (tables, CSV paths) stays clean and comparable.
+//! inline on the calling thread. Cells started from a shared warmup are
+//! byte-identical to cells simulated straight through
+//! (`vertigo_workload::warm`), so that choice is equally unobservable.
+//! Progress chatter goes to stderr only, so stdout (tables, CSV paths)
+//! stays clean and comparable.
 
 use crate::common::Opts;
 use std::collections::{BTreeMap, BTreeSet};
@@ -32,8 +34,8 @@ pub struct Cell<T> {
     pub label: String,
     /// The run, seed and all.
     pub spec: RunSpec,
-    /// Phased execution (`RunSpec::try_run_staged`'s `fork`). A cell that
-    /// carries one may be warm-started from its class's shared snapshot.
+    /// Phased execution (`RunSpec::try_run_staged`'s `fork`). Cells whose
+    /// forks share a warmup class start from one simulation of it.
     pub fork: Option<ForkSpec>,
     /// Whatever else the figure's row function needs to know about the
     /// cell (the swept load, a display name, ...).
@@ -60,42 +62,29 @@ impl<T> Cell<T> {
     }
 }
 
-/// How a warm sweep's cells were scheduled (the report footer's numbers).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct WarmStats {
-    /// Warmup snapshots captured (one per multi-member class).
-    classes_warmed: usize,
-    /// Cells forked from a shared snapshot.
-    warm_cells: usize,
-    /// Cells run cold because their class has a single member (a warmup
-    /// would cost more than it saves).
-    singleton_cells: usize,
-    /// Cells run cold because prefix-equivalence was not provable (no
-    /// fork, or `fork_key` returned `None`).
-    unprovable_cells: usize,
-}
-
-/// Runs the figure `name`'s `cells` under `opts` and maps each cell's
-/// output through `row` (on the worker, so only rows are retained),
-/// returning the rows in submission order.
+/// Runs `cells` under `opts` and maps each cell's output through `row`
+/// (on the worker, so only rows are retained), returning the rows in
+/// submission order.
 ///
-/// With `--warm-start`, cells that carry a fork and a provable
-/// [`RunSpec::fork_key`] are grouped into equivalence classes; each class
-/// with at least two members simulates its warmup once and its cells fork
-/// from that snapshot. Every other cell — and every cell without the flag
-/// — runs cold through [`RunSpec::try_run_staged`], the code path (and
-/// bytes) of a sweep that never heard of warm-starting. The first cell
-/// error in submission order is returned.
+/// Phased cells with a provable [`RunSpec::fork_key`] are grouped into
+/// equivalence classes; each class with at least two members simulates
+/// its warmup once and its cells start from that snapshot — unless the
+/// invocation asks for something a cell that starts mid-run cannot give
+/// (`--trace`: the prefix would be missing from the trace;
+/// `--checkpoint-every`/`--resume`: the cell's start is not on disk;
+/// `--domains`: no quiescent state to start from, which `fork_key`
+/// already answers). Every other cell runs through
+/// [`RunSpec::try_run_staged`], and the bytes are the same either way.
+/// The first cell error in submission order is returned.
 pub fn run<T: Send, R: Send>(
     opts: &Opts,
-    name: &str,
     cells: Vec<Cell<T>>,
     row: impl Fn(&Cell<T>, &RunOutput) -> R + Sync,
 ) -> Result<Vec<R>, RunError> {
-    let (snaps, stats) = if opts.warm_start {
+    let snaps = if opts.trace.is_none() && !opts.snapshot.is_active() {
         warm_up(opts.jobs, &cells)
     } else {
-        (vec![None; cells.len()], WarmStats::default())
+        vec![None; cells.len()]
     };
     let items = cells
         .into_iter()
@@ -113,24 +102,12 @@ pub fn run<T: Send, R: Send>(
         };
         Ok(row(&cell, &out))
     });
-    if opts.warm_start {
-        // Stderr only: stdout is digest-diffed against cold sweeps and
-        // must stay byte-identical. Fallback counts are measured, never
-        // guessed — a cell is either forked from a snapshot or it ran
-        // cold, and this says which and why.
-        let cold = stats.singleton_cells + stats.unprovable_cells;
-        eprintln!(
-            "[warm-start] {name}: {} cells forked from {} shared warmups; {cold} cold \
-             ({} singleton-class, {} unprovable)",
-            stats.warm_cells, stats.classes_warmed, stats.singleton_cells, stats.unprovable_cells,
-        );
-    }
     rows.into_iter().collect()
 }
 
-/// The warm-start census and warmup phase: per cell, the class snapshot
-/// it forks from (`None`: run cold).
-fn warm_up<T>(jobs: usize, cells: &[Cell<T>]) -> (Vec<Option<Arc<SnapBuf>>>, WarmStats) {
+/// The warmup phase: per cell, the class snapshot it starts from (`None`:
+/// run straight through).
+fn warm_up<T>(jobs: usize, cells: &[Cell<T>]) -> Vec<Option<Arc<SnapBuf>>> {
     let keys: Vec<Option<u64>> = cells
         .iter()
         .map(|c| c.fork.and_then(|f| c.spec.fork_key(&f)))
@@ -140,34 +117,25 @@ fn warm_up<T>(jobs: usize, cells: &[Cell<T>]) -> (Vec<Option<Arc<SnapBuf>>>, War
         *members.entry(*k).or_insert(0) += 1;
     }
     // One warmup per class with ≥ 2 members, claimed by the class's first
-    // cell in submission order. Singleton classes run cold — a warmup
-    // would simulate the prefix once to save simulating it once.
-    let mut stats = WarmStats::default();
+    // cell in submission order. A singleton class runs straight through —
+    // a warmup would simulate the prefix once to save simulating it once.
     let mut warmups = Vec::new();
     let mut claimed = BTreeSet::new();
     for (c, key) in cells.iter().zip(&keys) {
-        match (key, c.fork) {
-            (Some(k), Some(fork)) if members[k] >= 2 => {
-                stats.warm_cells += 1;
-                if claimed.insert(*k) {
-                    warmups.push((format!("warmup {}", c.label), (*k, c.spec, fork)));
-                }
+        if let (Some(k), Some(fork)) = (key, c.fork) {
+            if members[k] >= 2 && claimed.insert(*k) {
+                warmups.push((format!("warmup {}", c.label), (*k, c.spec, fork)));
             }
-            (Some(_), _) => stats.singleton_cells += 1,
-            (None, _) => stats.unprovable_cells += 1,
         }
     }
-    stats.classes_warmed = warmups.len();
     let snaps: BTreeMap<u64, Arc<SnapBuf>> = pool(jobs, warmups, |(k, spec, fork)| {
         (k, Arc::new(spec.run_warmup(&fork)))
     })
     .into_iter()
     .collect();
-    let per_cell = keys
-        .iter()
+    keys.iter()
         .map(|k| k.and_then(|k| snaps.get(&k).cloned()))
-        .collect();
-    (per_cell, stats)
+        .collect()
 }
 
 /// Number of workers to use when `--jobs` is not given.
@@ -184,7 +152,7 @@ pub fn default_jobs() -> usize {
 /// the sequential reference behavior. Otherwise `min(jobs, items)` scoped
 /// threads pull items off a shared index counter; a panicking item
 /// propagates the panic once the scope joins.
-pub fn pool<T: Send, R: Send>(
+fn pool<T: Send, R: Send>(
     jobs: usize,
     items: Vec<(String, T)>,
     f: impl Fn(T) -> R + Sync,
@@ -280,11 +248,8 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    fn test_opts(jobs: usize, warm_start: bool) -> Opts {
-        let mut args = vec!["--quick".to_string(), "--jobs".into(), jobs.to_string()];
-        if warm_start {
-            args.push("--warm-start".into());
-        }
+    fn test_opts(jobs: usize) -> Opts {
+        let args = ["--quick".to_string(), "--jobs".into(), jobs.to_string()];
         Opts::parse("fig5", &args).expect("valid test options")
     }
 
@@ -341,18 +306,21 @@ mod tests {
     #[test]
     fn rows_come_back_in_submission_order_warm_or_cold_at_any_jobs() {
         let digest = |c: &Cell<usize>, out: &RunOutput| (c.tag, format!("{:?}", out.report));
-        let reference = run(&test_opts(1, false), "test", mixed_grid(), digest).unwrap();
+        // Cold: every cell straight through the staged driver, in order.
+        let reference: Vec<_> = mixed_grid()
+            .iter()
+            .map(|c| digest(c, &c.spec.run_staged(None, None, c.fork.as_ref())))
+            .collect();
         assert_eq!(
             reference.iter().map(|r| r.0).collect::<Vec<_>>(),
             (0..6).collect::<Vec<_>>()
         );
         assert_ne!(reference[0].1, reference[2].1, "cells must differ");
         assert_ne!(reference[0].1, reference[5].1, "phasing must matter");
+        // Warm where the sweep chooses to be (four of the six cells).
         for jobs in [1, 2, 5] {
-            for warm_start in [false, true] {
-                let rows = run(&test_opts(jobs, warm_start), "test", mixed_grid(), digest);
-                assert_eq!(rows.unwrap(), reference, "jobs={jobs} warm={warm_start}");
-            }
+            let rows = run(&test_opts(jobs), mixed_grid(), digest);
+            assert_eq!(rows.unwrap(), reference, "jobs={jobs}");
         }
     }
 
@@ -360,7 +328,7 @@ mod tests {
     fn warm_scheduling_groups_classes_and_falls_back() {
         let grid = mixed_grid();
         for jobs in [1, 4] {
-            let (snaps, stats) = warm_up(jobs, &grid);
+            let snaps = warm_up(jobs, &grid);
             assert_eq!(
                 snaps.iter().map(Option::is_some).collect::<Vec<_>>(),
                 vec![true, true, true, false, true, false],
@@ -370,16 +338,10 @@ mod tests {
                 snaps[0].as_ref().unwrap(),
                 snaps[2].as_ref().unwrap()
             ));
-            assert_eq!(
-                stats,
-                WarmStats {
-                    classes_warmed: 2,
-                    warm_cells: 4,
-                    singleton_cells: 1,
-                    unprovable_cells: 1,
-                },
-                "jobs={jobs}"
-            );
+            assert!(!Arc::ptr_eq(
+                snaps[0].as_ref().unwrap(),
+                snaps[1].as_ref().unwrap()
+            ));
         }
     }
 
@@ -389,9 +351,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let garbage = dir.join("garbage.vsnp");
         std::fs::write(&garbage, b"not a snapshot").unwrap();
-        let mut opts = test_opts(2, false);
+        let mut opts = test_opts(2);
         opts.snapshot.resume = Some(garbage);
-        let err = run(&opts, "test", mixed_grid(), |_, _| ()).expect_err("resume must fail");
+        let err = run(&opts, mixed_grid(), |_, _| ()).expect_err("resume must fail");
         assert!(err.to_string().contains("not a VSNP snapshot"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

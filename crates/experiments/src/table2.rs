@@ -27,7 +27,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
             ));
         }
     }
-    let rows = sweep::run(opts, "table2", cells, |c, out| {
+    let rows = sweep::run(opts, cells, |c, out| {
         vec![
             c.spec.cc.name().to_string(),
             c.spec.system.name().to_string(),

@@ -37,9 +37,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
         }
     }
     // One cell per table *column*: a row is a load's four mean QCTs.
-    let qcts = sweep::run(opts, "table3", cells, |_, out| {
-        fmt_secs(out.report.qct_mean)
-    })?;
+    let qcts = sweep::run(opts, cells, |_, out| fmt_secs(out.report.qct_mean))?;
     let mut t = Table::new(&[
         "load%",
         "DCTCP+ECMP",

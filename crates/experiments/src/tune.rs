@@ -1,32 +1,27 @@
-//! `tune`: simulation-driven parameter search over Vertigo's knobs from
-//! one shared warm checkpoint — the FlowForge idiom (protocols tuned by
-//! simulating them thousands of times) applied to Vertigo.
+//! `tune`: simulation-driven parameter search over Vertigo's knobs — the
+//! FlowForge idiom (protocols tuned by simulating them thousands of
+//! times) applied to Vertigo.
 //!
 //! The scenario is a fig5-style cell under pressure: 25 % CacheFollower
 //! background plus a 50 % incast burst over DCTCP. Every candidate is a
 //! [`ForkOverrides`] — τ, deflection power-of-d, DCTCP marking threshold
-//! K, per-port queue bytes — applied at the fork horizon, so the whole
-//! search shares a *single* warmup equivalence class: the background
-//! prefix is simulated once, then every candidate forks from the same
-//! in-memory snapshot.
+//! K, per-port queue bytes — applied at the fork horizon, so a rung's
+//! candidates are phased cells of a *single* warmup equivalence class and
+//! the sweep runner simulates their background prefix once.
 //!
 //! Two search strategies: exhaustive `grid`, and successive `halving`
 //! where the simulated measurement window past the fork is the rung
 //! resource (short windows rank cheaply, survivors graduate to longer
 //! ones). Either way the result is a Pareto front over p99 FCT vs.
-//! drops, printed as a table and written as CSV like the fig modules.
-//!
-//! Stdout is byte-identical between the warm path and `--cold` (each
-//! candidate simulated straight through) at every `--jobs` value — the
-//! same oracle the figure grids obey; CI diffs it.
+//! drops, printed as a table and written as CSV like the fig modules,
+//! byte-identical at every `--jobs` value; CI diffs it.
 
 use crate::common::{fmt_secs, Opts, Table};
-use crate::sweep::pool;
+use crate::sweep::{self, Cell};
 use vertigo_simcore::SimDuration;
 use vertigo_transport::CcKind;
 use vertigo_workload::{
-    BackgroundSpec, DistKind, ForkOverrides, ForkSpec, RunError, RunSpec, SnapBuf, SystemKind,
-    WorkloadSpec,
+    BackgroundSpec, DistKind, ForkOverrides, ForkSpec, RunError, RunSpec, SystemKind, WorkloadSpec,
 };
 
 /// Which knobs a `--knobs` list selects.
@@ -86,8 +81,6 @@ pub struct TuneOpts {
     pub knobs: Vec<Knob>,
     /// `--budget N`: evaluate only the first N grid candidates.
     pub budget: Option<usize>,
-    /// `--cold`: simulate every candidate straight through.
-    pub cold: bool,
 }
 
 impl Default for TuneOpts {
@@ -96,7 +89,6 @@ impl Default for TuneOpts {
             search: Search::Grid,
             knobs: vec![Knob::Tau, Knob::Defl],
             budget: None,
-            cold: false,
         }
     }
 }
@@ -171,46 +163,35 @@ fn scenario(opts: &Opts) -> RunSpec {
     opts.spec(SystemKind::Vertigo, CcKind::Dctcp, workload)
 }
 
-/// Evaluates `who` (candidate indices) at `window` across the job pool,
-/// warm (forked from `buf`) or cold (straight through).
-///
-/// This is the one grid that does not go through `sweep::run`: a rung
-/// drains only a measurement *window* past the fork, and all rungs share
-/// the one snapshot captured before the first — neither is something a
-/// figure cell can say.
+/// Evaluates `who` (candidate indices) at `window`: one sweep of phased
+/// cells, each applying its candidate's overrides at the fork horizon and
+/// ending `window` past it.
 fn evaluate(
     opts: &Opts,
     spec: RunSpec,
     cands: &[Candidate],
     who: &[usize],
     window: Option<SimDuration>,
-    buf: Option<&SnapBuf>,
-) -> Vec<Scored> {
-    let items = who
+) -> Result<Vec<Scored>, RunError> {
+    let cells = who
         .iter()
-        .map(|&idx| (format!("tune cand{idx}"), idx))
+        .map(|&idx| {
+            let fork = ForkSpec {
+                overrides: cands[idx].overrides,
+                window,
+                ..opts.fig_fork()
+            };
+            Cell::phased(format!("tune cand{idx}"), spec, fork, idx)
+        })
         .collect();
-    pool(opts.jobs, items, |idx| {
-        let fork = fork_for(opts, &cands[idx]);
-        let out = match buf {
-            Some(b) => spec.run_forked_until(&fork, b, window),
-            None => spec.run_phased_until(&fork, window),
-        };
-        Scored {
-            idx,
-            window,
-            p99_fct: out.report.fct_p99,
-            mean_fct: out.report.fct_mean,
-            drops: out.report.drops,
-            finalist: window.is_none(),
-        }
+    sweep::run(opts, cells, |cell, out| Scored {
+        idx: cell.tag,
+        window,
+        p99_fct: out.report.fct_p99,
+        mean_fct: out.report.fct_mean,
+        drops: out.report.drops,
+        finalist: window.is_none(),
     })
-}
-
-fn fork_for(opts: &Opts, cand: &Candidate) -> ForkSpec {
-    let mut f = ForkSpec::at(opts.scale.fork_at());
-    f.overrides = cand.overrides;
-    f
 }
 
 /// Non-dominated candidates under (minimize p99 FCT, minimize drops).
@@ -240,7 +221,6 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
         search,
         ref knobs,
         budget,
-        cold,
     } = opts.tune;
     println!(
         "== tune: Vertigo knob search ({}) ==\n",
@@ -255,7 +235,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
     if let Some(b) = budget {
         if b < cands.len() {
             // Deterministic truncation; stderr so stdout stays
-            // warm-vs-cold comparable.
+            // comparable across invocations.
             eprintln!(
                 "[tune] budget {b}: evaluating the first {b} of {} grid candidates",
                 cands.len()
@@ -264,37 +244,13 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
         }
     }
 
-    // One shared warmup for the whole search: every candidate's knobs are
-    // fork-time overrides, so every fork key is the same class.
-    let fork0 = fork_for(opts, &cands[0]);
-    let key = spec
-        .fork_key(&fork0)
-        .expect("the tune scenario is warm-startable by construction");
-    for c in &cands {
-        assert_eq!(
-            spec.fork_key(&fork_for(opts, c)),
-            Some(key),
-            "all candidates must share one equivalence class"
-        );
-    }
-    let buf = if cold {
-        eprintln!("[tune] --cold: simulating every candidate straight through");
-        None
-    } else {
-        eprintln!(
-            "[tune] warming 1 shared class ({} candidates share one {} prefix)",
-            cands.len(),
-            fmt_secs(fork0.at.as_secs_f64()),
-        );
-        Some(spec.run_warmup(&fork0))
-    };
-
-    let full_window = SimDuration::from_nanos(spec.horizon.as_nanos() - fork0.at.as_nanos());
+    let fork_at = opts.fig_fork().at;
+    let full_window = SimDuration::from_nanos(spec.horizon.as_nanos() - fork_at.as_nanos());
     let mut best: Vec<Scored> = Vec::new();
     match search {
         Search::Grid => {
             let who: Vec<usize> = (0..cands.len()).collect();
-            best = evaluate(opts, spec, &cands, &who, None, buf.as_ref());
+            best = evaluate(opts, spec, &cands, &who, None)?;
         }
         Search::Halving => {
             // Rung resource = measurement window past the fork: quarter,
@@ -308,7 +264,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
                 // front) are always evaluated at full depth.
                 let last_rung = *frac == 1 || alive.len() <= 2;
                 let window = (!last_rung).then(|| full_window / *frac);
-                let scored = evaluate(opts, spec, &cands, &alive, window, buf.as_ref());
+                let scored = evaluate(opts, spec, &cands, &alive, window)?;
                 eprintln!(
                     "[tune] rung {i}: {} candidates at window {}",
                     alive.len(),

@@ -42,17 +42,19 @@ fn bad_arguments_exit_2() {
     refused(&["fig99", "--quick"], "unknown id: fig99");
     refused(&["fig5", "--bogus"], "unknown option: --bogus");
     refused(&["fig5", "--search", "grid"], "unknown option: --search");
+    // Which of two byte-identical paths runs a cell is not the user's call.
+    refused(&["fig5", "--warm-start"], "unknown option: --warm-start");
+    refused(&["tune", "--quick", "--cold"], "unknown option: --cold");
 }
 
 #[test]
 fn conflicting_flags_exit_2() {
-    refused(
-        &["fig5", "--warm-start", "--domains", "2"],
-        "drop either --warm-start or --domains",
-    );
     refused(&["tune", "--trace", "x"], "drop --trace");
     refused(&["tune", "--quick", "--domains", "2"], "drop --domains");
-    refused(&["soak", "--quick", "--warm-start"], "drop --warm-start");
+    refused(
+        &["tune", "--quick", "--checkpoint-every", "2.5ms"],
+        "drop --checkpoint-every/--resume",
+    );
     refused(
         &["fig5", "--quick", "--domains", "2", "--trace", "x"],
         "drop either --trace or --domains",
@@ -61,6 +63,39 @@ fn conflicting_flags_exit_2() {
         &["all", "--quick", "--domains", "2", "--resume", "x"],
         "drop either --checkpoint-every/--resume or --domains",
     );
+}
+
+/// A `--workload` that parses but does not fit the run's topology is the
+/// user's error: one `error:` line and exit 2, no panic, no table.
+fn workload_refused(hosts: &str, needle: &str) {
+    let dir = std::env::temp_dir().join(format!("vertigo-cli-wl-{hosts}-{}", std::process::id()));
+    let workload = format!("bg:load=0.1,hosts={hosts}");
+    let out = experiments(&[
+        "soak",
+        "--quick",
+        "--out",
+        dir.to_str().unwrap(),
+        "--workload",
+        &workload,
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.contains("error")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(errors[0].starts_with("error: --workload: "), "{stderr}");
+    assert!(errors[0].contains(needle), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!dir.exists(), "nothing is written after an error");
+}
+
+#[test]
+fn workload_past_the_topology_exits_2_without_a_panic() {
+    workload_refused("0-999", "hosts=0-999 exceeds the topology (16 hosts");
+}
+
+#[test]
+fn full_u32_host_range_exits_2_without_overflow() {
+    workload_refused("0-4294967295", "exceeds the topology");
 }
 
 #[test]

@@ -268,8 +268,9 @@ fn parse_node(s: &str, item: &str) -> Result<u32, String> {
 }
 
 /// Parses `<float><unit>` where unit is ns/us/ms/s (e.g. `360us`, `2.5ms`).
-/// Shared with the trace-filter grammar (`time=1ms-2ms`) and the
-/// `--workload` scenario grammar in the workload crate.
+/// The one time-literal parser: the trace-filter grammar (`time=1ms-2ms`)
+/// and, in the workload crate, the `--workload` and `--checkpoint-every`
+/// grammars read it too.
 pub fn parse_time(s: &str) -> Result<SimTime, String> {
     let split = s
         .find(|c: char| c.is_ascii_alphabetic())
@@ -288,6 +289,10 @@ pub fn parse_time(s: &str) -> Result<SimTime, String> {
         "s" => v * 1e9,
         other => return Err(format!("time `{s}`: unknown unit `{other}`")),
     };
+    // `as u64` saturates, and `SimTime::MAX` means "never".
+    if nanos >= u64::MAX as f64 {
+        return Err(format!("time `{s}`: does not fit 64-bit nanoseconds"));
+    }
     Ok(SimTime::from_nanos(nanos.round() as u64))
 }
 
@@ -719,6 +724,12 @@ mod tests {
         assert!(parse_time("5").is_err());
         assert!(parse_time("ms").is_err());
         assert!(parse_time("-1ms").is_err());
+        // The largest literal that fits, and the first that does not.
+        assert!(parse_time("18446744073709549568ns").is_ok());
+        for huge in ["18446744073709551616ns", "99999999999999999999s"] {
+            let err = parse_time(huge).unwrap_err();
+            assert!(err.contains("does not fit"), "{huge}: {err}");
+        }
     }
 
     #[test]

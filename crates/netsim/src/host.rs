@@ -694,7 +694,8 @@ impl Host {
         for _ in 0..n {
             self.nic_q.push_back(<Box<Packet>>::restore(r)?);
         }
-        self.nic_bytes = r.get_u64()?;
+        self.nic_bytes =
+            crate::queue::restore_bytes(r, "NIC queue", self.nic_q.iter().map(|p| p.wire_size))?;
         self.nic_busy = r.get_bool()?;
         self.senders.clear();
         let n = r.get_usize()?;

@@ -225,11 +225,11 @@ impl PortQueue {
                 for _ in 0..n {
                     f.q.push_back(<Box<Packet>>::restore(r)?);
                 }
-                f.bytes = restore_bytes(r, f.q.iter().map(|pkt| pkt.wire_size))?;
+                f.bytes = restore_bytes(r, "port queue", f.q.iter().map(|pkt| pkt.wire_size))?;
             }
             (PortQueue::Prio(p), 1) | (PortQueue::PrioEsc(p), 2) => {
                 p.q = PieoQueue::restore(r)?;
-                p.bytes = restore_bytes(r, p.q.iter().map(|(_, pkt)| pkt.wire_size))?;
+                p.bytes = restore_bytes(r, "port queue", p.q.iter().map(|(_, pkt)| pkt.wire_size))?;
             }
             (_, tag) => {
                 return Err(SnapError::new(format!(
@@ -242,18 +242,20 @@ impl PortQueue {
     }
 }
 
-/// Reads a queue's byte counter, which must be what the packets just
-/// restored add up to: capacity checks compare against it, so a smaller
-/// value would silently enlarge the port's buffer.
-fn restore_bytes(
+/// Reads a queue's byte counter (a switch port's or a host NIC's), which
+/// must be what the packets just restored add up to: capacity checks
+/// compare against it, so a smaller value would silently enlarge the
+/// buffer, and dequeues subtract from it.
+pub(crate) fn restore_bytes(
     r: &mut SnapReader<'_>,
+    what: &str,
     wire_sizes: impl Iterator<Item = u32>,
 ) -> Result<u64, SnapError> {
     let bytes = r.get_u64()?;
     let held: u64 = wire_sizes.map(u64::from).sum();
     if bytes != held {
         return Err(SnapError::new(format!(
-            "port queue claims {bytes} bytes, its packets hold {held}"
+            "{what} claims {bytes} bytes, its packets hold {held}"
         )));
     }
     Ok(bytes)

@@ -137,11 +137,6 @@ impl Switch {
         &self.ports[p.index()]
     }
 
-    /// Number of ports.
-    pub fn num_ports(&self) -> usize {
-        self.ports.len()
-    }
-
     /// Total bytes queued across all ports.
     pub fn queued_bytes(&self) -> u64 {
         self.ports.iter().map(|p| p.queue.bytes()).sum()

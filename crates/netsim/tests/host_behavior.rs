@@ -435,3 +435,83 @@ fn full_nic_keeps_unreached_senders_ready() {
         .collect();
     assert_eq!(firsts, [1, 2, 3, 4, 5]);
 }
+
+#[test]
+fn snapshot_restore_rejects_a_hostile_nic_record() {
+    use vertigo_simcore::{SnapReader, SnapWriter, Snapshot};
+
+    // Two hosts driven through the same events until the third of two
+    // flows' twenty initial-window packets has left the NIC: one is in
+    // flight, one is serializing, sixteen wait in the NIC queue.
+    let midrun = || {
+        let mut h = Harness::new();
+        let mut host = vertigo_host();
+        for f in 1..=2 {
+            host.start_flow(FlowId(f), PEER_HOST, 20 * 1460, QueryId::NONE, &mut h.ctx());
+        }
+        let mut done = 0;
+        while done < 3 {
+            if let Some((_, Event::TxDone { .. })) = h.events.pop() {
+                host.on_tx_done(&mut h.ctx());
+                done += 1;
+            }
+        }
+        (h, host)
+    };
+    let saved = |host: &Host| {
+        let mut w = SnapWriter::new();
+        host.snap_save(&mut w);
+        w.into_bytes()
+    };
+    let restored = |bytes: &[u8]| {
+        let mut host = vertigo_host();
+        host.snap_restore(&mut SnapReader::new(bytes))
+            .map(|()| host)
+    };
+
+    // A valid mid-run record round-trips byte for byte, and the restored
+    // host puts the same packets on the wire at the same instants.
+    let (mut h, mut host) = midrun();
+    let (mut h2, live) = midrun();
+    let ok = saved(&live);
+    assert_eq!(ok, saved(&host));
+    let mut host2 = restored(&ok).unwrap();
+    assert_eq!(saved(&host2), ok);
+    let seen = |wire: Vec<Packet>| -> Vec<(u64, u64, SimTime)> {
+        let key = |p: &Packet| (p.uid, p.data_seg().unwrap().seq, p.sent_at);
+        wire.iter().map(key).collect()
+    };
+    let wire = seen(h.drain_tx(&mut host));
+    assert_eq!(
+        wire.len(),
+        18,
+        "in flight, serializing, and the sixteen queued"
+    );
+    assert_eq!(wire, seen(h2.drain_tx(&mut host2)));
+
+    // The byte counter sits behind the queued packets. A smaller value
+    // enlarges the NIC buffer and underflows when the queue drains past
+    // it; a larger one shrinks the buffer.
+    let mut r = SnapReader::new(&ok);
+    let queued = r.get_usize().unwrap();
+    assert_eq!(queued, 16);
+    for _ in 0..queued {
+        <Box<Packet>>::restore(&mut r).unwrap();
+    }
+    let at = ok.len() - r.remaining();
+    let held = r.get_u64().unwrap();
+    assert_eq!(held, 16 * (1460 + 40 + FLOWINFO_OVERHEAD_BYTES) as u64);
+    for claimed in [held - 1, held + 1, 0, u64::MAX] {
+        let mut bytes = ok.clone();
+        bytes[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
+        let err = restored(&bytes).expect_err("hostile byte counter");
+        assert!(err.to_string().contains("NIC queue claims"), "{err}");
+    }
+    // A queue length the input cannot hold sizes no allocation.
+    let mut bytes = ok.clone();
+    bytes[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    assert!(restored(&bytes).is_err());
+    for cut in 0..ok.len() {
+        assert!(restored(&ok[..cut]).is_err(), "accepted {cut} bytes");
+    }
+}

@@ -9,7 +9,6 @@
 //!   binary-heap implementation is retained as [`HeapEventQueue`] and
 //!   selectable via [`EventBackend`] for differential testing,
 //! * [`SimRng`] — seeded randomness with forkable independent streams,
-//! * [`TimerSlot`] / [`TimerToken`] — O(1)-cancellable logical timers,
 //! * [`LookaheadGrid`] / [`CalendarInbox`] / [`WorkerPool`] — model-agnostic
 //!   building blocks for conservative parallel (domain-partitioned)
 //!   simulation with deterministic cross-domain merge order.
@@ -29,7 +28,6 @@ mod heapq;
 mod rng;
 mod snap;
 mod time;
-mod timer;
 mod wheel;
 
 pub use barrier::WorkerPool;
@@ -41,4 +39,3 @@ pub use snap::{
     SnapError, SnapReader, SnapWriter, Snapshot, SNAPSHOT_AVAILABLE, SNAP_MAGIC, SNAP_VERSION,
 };
 pub use time::{SimDuration, SimTime};
-pub use timer::{TimerSlot, TimerToken};

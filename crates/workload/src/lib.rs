@@ -1,10 +1,12 @@
 //! # vertigo-workload
 //!
 //! Workload generation for the Vertigo evaluation: the empirical flow-size
-//! distributions the paper samples ([`dists`]), Poisson background load
-//! and the incast application ([`traffic`]), and the one-stop experiment
-//! runner ([`RunSpec`]) that maps a (system, transport, topology,
-//! workload) tuple to a finished [`vertigo_stats::Report`].
+//! distributions the paper samples ([`dists`]), the figure workload
+//! (Poisson background load and the incast application, [`traffic`]) and
+//! the composable `--workload` components, both planned by the one
+//! planner in [`scenario`], and the one-stop experiment runner
+//! ([`RunSpec`]) that maps a (system, transport, topology, workload)
+//! tuple to a finished [`vertigo_stats::Report`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,9 +25,6 @@ pub use scenario::{
     ScenarioComponent, ScenarioSpec, TenantName, MAX_COMPONENTS,
 };
 pub use snapshot::{CheckpointSpec, SnapshotSpec};
-pub use traffic::{
-    install_background, install_incast, install_incast_from, BackgroundSpec, IncastSpec,
-    WorkloadSpec,
-};
+pub use traffic::{BackgroundSpec, IncastSpec, WorkloadSpec};
 pub use vertigo_netsim::{DeflectKind, FaultSchedule, TraceSpec};
 pub use warm::{ForkOverrides, ForkSpec, SnapBuf};

@@ -9,6 +9,7 @@
 
 use crate::snapshot::{self, SnapshotSpec};
 use crate::traffic::WorkloadSpec;
+use crate::warm::{ForkSpec, SnapBuf};
 use std::path::{Path, PathBuf};
 use vertigo_core::{MarkingConfig, MarkingDiscipline, OrderingConfig, OrderingMode};
 use vertigo_netsim::trace::stable_hash;
@@ -176,12 +177,17 @@ pub struct RunOutput {
     pub trace_path: Option<PathBuf>,
 }
 
-/// A run failure that a correct program can meet: `--trace` on a build
-/// without the feature, or `--trace`, `--checkpoint-every` or `--resume`
-/// pointed at something unusable.
+/// A run failure that a correct program can meet: a workload the topology
+/// cannot carry, `--trace` on a build without the feature, or `--trace`,
+/// `--checkpoint-every` or `--resume` pointed at something unusable.
 /// Broken internal invariants stay panics.
 #[derive(Debug)]
 pub enum RunError {
+    /// The workload is well-formed but does not fit this run's topology
+    /// or horizon: a `hosts=` range past the last host, an incast `scale=`
+    /// its host set cannot serve, a window that starts at or past the
+    /// horizon. Carries the whole message.
+    Workload(String),
     /// A trace was requested of a build without the `trace` feature, whose
     /// hooks are compiled out.
     TraceUnavailable,
@@ -213,6 +219,7 @@ pub enum RunError {
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RunError::Workload(why) => f.write_str(why),
             RunError::TraceUnavailable => f.write_str(
                 "--trace requires a binary built with `--features trace` \
                  (this build compiled the hooks out); rebuild and rerun",
@@ -375,37 +382,16 @@ impl RunSpec {
     }
 
     /// Builds the simulation with the workload installed (not yet run).
+    /// Panics on a workload the topology cannot carry; the staged driver
+    /// reports that as [`RunError::Workload`] instead.
     pub fn build(&self) -> Simulation {
-        let mut sim = self.build_bare();
-        self.workload.install(&mut sim);
-        if !self.scenario.is_empty() {
-            self.scenario.install(&mut sim);
-        }
-        sim
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The run's total offered load: the base workload plus any scenario
-    /// components (windowed components contribute pro-rata).
-    pub(crate) fn offered_load_on(&self, sim: &Simulation) -> f64 {
-        let total_bw = sim.topology().total_host_bw_bps();
-        let mut offered = self.workload.offered_load(total_bw);
-        if !self.scenario.is_empty() {
-            let n = sim.num_hosts();
-            offered += self.scenario.offered_load(&crate::scenario::PlanContext {
-                num_hosts: n,
-                host_bw_bps: total_bw / n.max(1) as u64,
-                horizon: self.horizon,
-            });
-        }
-        offered
-    }
-
-    /// Topology + faults, no workload. The warm-start fork path restores
-    /// a snapshot over this: restore replaces the event queue wholesale,
-    /// so pre-installing arrivals would be wasted work. (`install_faults`
-    /// schedules nothing — compiling the fault table before or after the
-    /// workload is observationally identical.)
-    pub(crate) fn build_bare(&self) -> Simulation {
+    /// Topology, faults (`install_faults` schedules nothing, so it may
+    /// come before the workload), then the one planner for the figure
+    /// workload and the `--workload` components.
+    pub(crate) fn try_build(&self) -> Result<Simulation, RunError> {
         let cfg = SimConfig {
             topology: self.topology_spec(),
             switch: self.switch_config(),
@@ -417,7 +403,23 @@ impl RunSpec {
         if !self.faults.is_empty() {
             sim.install_faults(&self.faults);
         }
-        sim
+        self.workload
+            .try_install(&mut sim)
+            .map_err(|e| RunError::Workload(format!("workload: {e}")))?;
+        self.scenario
+            .try_install(&mut sim)
+            .map_err(|e| RunError::Workload(format!("--workload: {e}")))?;
+        Ok(sim)
+    }
+
+    /// The run's total offered load: the base workload plus any scenario
+    /// components (windowed components contribute pro-rata).
+    fn offered_load_on(&self, sim: &Simulation) -> f64 {
+        self.workload
+            .offered_load(sim.topology().total_host_bw_bps())
+            + self
+                .scenario
+                .offered_load(&crate::scenario::PlanContext::of(sim))
     }
 
     /// Runs to the horizon and collects everything.
@@ -426,13 +428,13 @@ impl RunSpec {
     }
 
     /// [`try_run_staged`](Self::try_run_staged) for callers with no user
-    /// to report to (tests, examples, the warm-start twins): a
-    /// [`RunError`] becomes a panic carrying its message.
+    /// to report to (tests, examples): a [`RunError`] becomes a panic
+    /// carrying its message.
     pub fn run_staged(
         &self,
         trace: Option<&TraceSpec>,
         snapshot: Option<&SnapshotSpec>,
-        fork: Option<&crate::warm::ForkSpec>,
+        fork: Option<&ForkSpec>,
     ) -> RunOutput {
         self.try_run_staged(trace, snapshot, fork)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -450,42 +452,62 @@ impl RunSpec {
     /// flag never collide.
     ///
     /// **Checkpoints** are written at every multiple of the requested
-    /// period strictly below the horizon, each at a *quiescent* boundary
-    /// (all events up to and including the checkpoint time processed), so
-    /// a resumed run pops the exact remaining event sequence. The resumed
-    /// run's `RunOutput` — report, telemetry, stdout, and (in a trace
-    /// build) the trace stream from the resume point on — is
-    /// byte-identical to the straight-through run's; CI digest-diffs
-    /// this on both event backends.
+    /// period strictly below the end of the run, each at a *quiescent*
+    /// boundary (all events up to and including the checkpoint time
+    /// processed), so a resumed run pops the exact remaining event
+    /// sequence. The resumed run's `RunOutput` — report, telemetry,
+    /// stdout, and (in a trace build) the trace stream from the resume
+    /// point on — is byte-identical to the straight-through run's; CI
+    /// digest-diffs this on both event backends.
     ///
     /// **Phased**: with `fork` set, the workload's incast component is
     /// deferred to the fork horizon and the fork's knob overrides are
-    /// applied there — the cold-start twin of
-    /// [`run_forked`](Self::run_forked), sharing its exact event
-    /// timeline. Checkpoints and resumes compose with the fork: the
-    /// snapshot identity hash mixes in the fork, and a resume at or past
-    /// the fork horizon skips re-applying it (the producing run already
-    /// did, so the deferred arrivals are in the restored queue).
+    /// applied there, and the run ends `fork.window` past it when one is
+    /// set. Checkpoints and resumes compose with the fork: the snapshot
+    /// identity hash mixes in the fork, and a resume at or past the fork
+    /// horizon skips re-applying it (the producing run already did, so
+    /// the deferred arrivals are in the restored queue).
     ///
-    /// Failures a correct invocation can meet — a trace requested of a
-    /// binary built without `--features trace`, an unwritable trace
-    /// path, an unreadable or mismatched `--resume` file (format version,
-    /// build features, or run spec; a silently wrong resume would be
-    /// worse than a refusal) — come back as a [`RunError`]. Combining
-    /// `domains` with a trace or snapshot request is a caller bug and
-    /// panics.
+    /// Failures a correct invocation can meet — a workload the topology
+    /// cannot carry, a trace requested of a binary built without
+    /// `--features trace`, an unwritable trace path, an unreadable or
+    /// mismatched `--resume` file (format version, build features, or run
+    /// spec; a silently wrong resume would be worse than a refusal) — come
+    /// back as a [`RunError`]. Combining `domains` with a trace, a
+    /// snapshot request, fork-time overrides or a measurement window is a
+    /// caller bug and panics.
     pub fn try_run_staged(
         &self,
         trace: Option<&TraceSpec>,
         snapshot: Option<&SnapshotSpec>,
-        fork: Option<&crate::warm::ForkSpec>,
+        fork: Option<&ForkSpec>,
     ) -> Result<RunOutput, RunError> {
-        if let Some(n) = self.domains {
+        self.drive(trace, snapshot, fork, None)
+    }
+
+    /// The one staged driver, for both engines and for all three places a
+    /// run can start from: t = 0, a `--resume` checkpoint on disk, or
+    /// (`warm`) the in-memory snapshot of this cell's warmup class, taken
+    /// at the fork horizon with the fork not yet applied. It builds the
+    /// prefix spec, restores if asked, crosses the run's boundaries in
+    /// time order — the phase at the fork horizon (overrides, then the
+    /// deferred incast), checkpoints at every multiple of the period, the
+    /// end of the measurement window — finalizes, and assembles the
+    /// output.
+    pub(crate) fn drive(
+        &self,
+        trace: Option<&TraceSpec>,
+        snapshot: Option<&SnapshotSpec>,
+        fork: Option<&ForkSpec>,
+        warm: Option<&SnapBuf>,
+    ) -> Result<RunOutput, RunError> {
+        if self.domains.is_some() {
             // The domain engine has no provenance hooks and no quiescent
-            // single-queue state to checkpoint; combining the flags would
-            // silently produce an empty trace or an unrestorable snapshot,
-            // so refuse loudly instead. Checked before the feature-gate
-            // assert below so the message is the same in every build.
+            // single-queue state to checkpoint, re-tune or stop early at;
+            // combining the flags would silently produce an empty trace,
+            // an unrestorable snapshot or an untuned run, so refuse loudly
+            // instead. Checked before the feature gate below so the
+            // message is the same in every build.
             assert!(
                 trace.is_none(),
                 "packet tracing requires the classic engine: \
@@ -496,88 +518,112 @@ impl RunSpec {
                 "checkpoint/resume requires the classic engine: \
                  drop either --checkpoint-every/--resume or --domains"
             );
-            return Ok(self.run_domains(n, fork));
+            assert!(
+                fork.is_none_or(|f| f.overrides.is_empty() && f.window.is_none()),
+                "fork-time knob overrides and measurement windows require the \
+                 classic engine: drop either them or --domains"
+            );
         }
-
         // A silent empty trace would be worse than a refusal.
         if trace.is_some() && !TRACE_AVAILABLE {
             return Err(RunError::TraceUnavailable);
         }
 
-        let mut sim = match fork {
-            Some(f) => self.prefix_spec(f).build(),
-            None => self.build(),
-        };
-        if let Some(spec) = trace {
-            sim.enable_trace(spec.filter, spec.capacity);
-        }
-        let offered = self.offered_load_on(&sim);
+        let mut sim = fork.map_or(*self, |f| self.prefix_spec(f)).try_build()?;
+        let offered_load = self.offered_load_on(&sim);
 
-        let resumed_ns = match snapshot.and_then(|s| s.resume.as_deref()) {
-            Some(arg) => self.try_resume(&mut sim, arg, self.staged_hash(fork))?,
-            None => None,
-        };
-
-        // The fork applies at its quiescent boundary *before* any
-        // checkpoint written at the same instant, and never after a
-        // resume at or past it (the producing run already applied it,
-        // so the deferred arrivals are in the restored queue).
-        let mut fork_pending = match (fork, resumed_ns) {
-            (Some(f), Some(r)) => r < f.at.as_nanos(),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        let cross_fork = |sim: &mut Simulation, pending: &mut bool, up_to: u64| {
-            if *pending {
-                let f = fork.expect("pending implies fork");
-                if f.at.as_nanos() <= up_to {
-                    sim.drain_until(SimTime::ZERO + f.at);
-                    self.apply_fork(sim, f);
-                    *pending = false;
+        let (mut report, ordering, marking, max_port_bytes, trace_path) = match self.domains {
+            // Byte-identical for every `n` (CI enforces `--domains 2` ≡
+            // `--domains 1` on both event backends). With nowhere to stop
+            // at the fork horizon, the deferred incast is scheduled up
+            // front: the offered traffic is the classic phased run's,
+            // though, as always with the domain engine, the tie-breaking
+            // order (and so the report) is its own.
+            Some(n) => {
+                if let Some(f) = fork {
+                    self.apply_fork(&mut sim, f)?;
                 }
+                let mut dsim = DomainSimulation::from_sim(sim, n);
+                let report = dsim.run();
+                let (ordering, marking) = (dsim.ordering_stats(), dsim.marking_stats());
+                (report, ordering, marking, dsim.max_port_bytes(), None)
+            }
+            None => {
+                if let Some(spec) = trace {
+                    sim.enable_trace(spec.filter, spec.capacity);
+                }
+                let hash = self.staged_hash(fork);
+                let at = |ns: u64| SimTime::ZERO + SimDuration::from_nanos(ns);
+                let started_ns = match (warm, snapshot.and_then(|s| s.resume.as_deref())) {
+                    (Some(buf), _) => {
+                        let fork = fork.expect("a warm start is the start of a fork");
+                        Some(self.restore_warmup(&mut sim, fork, buf))
+                    }
+                    (None, Some(arg)) => self.try_resume(&mut sim, arg, hash)?,
+                    (None, None) => None,
+                };
+                // The fork applies at its quiescent boundary *before* any
+                // checkpoint written at the same instant, and never after
+                // a resume at or past it (the producing run already
+                // applied it, so the deferred arrivals are in the restored
+                // queue). A warmup snapshot stands at the boundary with
+                // the fork still to apply.
+                let mut phase = fork
+                    .filter(|f| warm.is_some() || started_ns.is_none_or(|r| r < f.at.as_nanos()));
+                let mut cross = |sim: &mut Simulation, up_to: u64| match phase
+                    .filter(|f| f.at.as_nanos() <= up_to)
+                {
+                    Some(f) => {
+                        phase = None;
+                        sim.drain_until(SimTime::ZERO + f.at);
+                        self.apply_fork(sim, f)
+                    }
+                    None => Ok(()),
+                };
+                let end = fork
+                    .and_then(|f| Some((f.at + f.window?).min(self.horizon)))
+                    .unwrap_or(self.horizon)
+                    .as_nanos();
+                if let Some(ck) = snapshot.and_then(|s| s.checkpoint.as_ref()) {
+                    let every = ck.every.as_nanos();
+                    let mut t = every;
+                    while t < end {
+                        // Checkpoints at or before the starting point
+                        // already exist on disk (we resumed past them);
+                        // skip, don't clobber.
+                        if started_ns.is_none_or(|r| t > r) {
+                            cross(&mut sim, t)?;
+                            sim.drain_until(at(t));
+                            let path = snapshot::write_checkpoint(
+                                &mut sim,
+                                &ck.stem,
+                                hash,
+                                t,
+                                self.event_backend,
+                            )?;
+                            // Stderr, not stdout: experiment stdout is
+                            // digest-diffed against straight-through runs
+                            // and must stay byte-identical.
+                            eprintln!("[snapshot] wrote {} (t = {t} ns)", path.display());
+                        }
+                        t += every;
+                    }
+                }
+                cross(&mut sim, end)?;
+                sim.drain_until(at(end));
+                let report = sim.finalize();
+                let trace_path = trace.map(|spec| self.write_trace(&sim, spec)).transpose()?;
+                let (ordering, marking) = (sim.ordering_stats(), sim.marking_stats());
+                (report, ordering, marking, sim.max_port_bytes(), trace_path)
             }
         };
-
-        if let Some(ck) = snapshot.and_then(|s| s.checkpoint.as_ref()) {
-            let every = ck.every.as_nanos();
-            let horizon = self.horizon.as_nanos();
-            let hash = self.staged_hash(fork);
-            let mut t = every;
-            while t < horizon {
-                // Checkpoints at or before the resume point already
-                // exist on disk (we resumed past them); skip, don't
-                // clobber.
-                if resumed_ns.is_none_or(|r| t > r) {
-                    cross_fork(&mut sim, &mut fork_pending, t);
-                    sim.drain_until(SimTime::ZERO + SimDuration::from_nanos(t));
-                    let path = snapshot::write_checkpoint(
-                        &mut sim,
-                        &ck.stem,
-                        hash,
-                        t,
-                        self.event_backend,
-                    )?;
-                    // Stderr, not stdout: experiment stdout is
-                    // digest-diffed against straight-through runs and
-                    // must stay byte-identical.
-                    eprintln!("[snapshot] wrote {} (t = {t} ns)", path.display());
-                }
-                t += every;
-            }
-        }
-        cross_fork(&mut sim, &mut fork_pending, self.horizon.as_nanos());
-
-        let mut report = sim.run();
         self.scenario.apply_labels(&mut report);
-
-        let trace_path = trace.map(|spec| self.write_trace(&sim, spec)).transpose()?;
-
         Ok(RunOutput {
             report,
-            ordering: sim.ordering_stats(),
-            marking: sim.marking_stats(),
-            max_port_bytes: sim.max_port_bytes(),
-            offered_load: offered,
+            ordering,
+            marking,
+            max_port_bytes,
+            offered_load,
             trace_path,
         })
     }
@@ -597,48 +643,6 @@ impl RunSpec {
             bytes.len().saturating_sub(TRACE_HEADER_BYTES) / TRACE_RECORD_BYTES
         );
         Ok(path)
-    }
-
-    /// Runs this spec on the conservative-parallel domain engine with `n`
-    /// domains. The report is byte-identical for every `n` (CI enforces
-    /// `--domains 2` ≡ `--domains 1` on both event backends).
-    ///
-    /// With a `fork`, the phased workload (incast deferred to the fork
-    /// horizon) is pre-scheduled at build time — the offered traffic is
-    /// identical to the classic phased run, though, as always with the
-    /// domain engine, the tie-breaking order (and so the report) is its
-    /// own. Fork-time knob overrides need the classic engine's quiescent
-    /// boundary and are refused.
-    fn run_domains(&self, n: usize, fork: Option<&crate::warm::ForkSpec>) -> RunOutput {
-        let sim = match fork {
-            Some(f) => {
-                assert!(
-                    f.overrides.is_empty(),
-                    "fork-time knob overrides require the classic engine: \
-                     drop either the overrides or --domains"
-                );
-                let mut sim = self.prefix_spec(f).build();
-                if f.defer_incast {
-                    if let Some(inc) = self.workload.incast {
-                        crate::traffic::install_incast_from(&mut sim, inc, f.at);
-                    }
-                }
-                sim
-            }
-            None => self.build(),
-        };
-        let offered = self.offered_load_on(&sim);
-        let mut dsim = DomainSimulation::from_sim(sim, n);
-        let mut report = dsim.run();
-        self.scenario.apply_labels(&mut report);
-        RunOutput {
-            ordering: dsim.ordering_stats(),
-            marking: dsim.marking_stats(),
-            max_port_bytes: dsim.max_port_bytes(),
-            offered_load: offered,
-            trace_path: None,
-            report,
-        }
     }
 
     /// Resolves and applies a `--resume` argument. Returns the resumed
@@ -706,7 +710,7 @@ impl RunSpec {
     /// checkpoint names stay valid — and mixed with the fork otherwise,
     /// so a phased run's checkpoints can never be resumed into an
     /// unforked run of the same spec (the timelines differ).
-    pub fn staged_hash(&self, fork: Option<&crate::warm::ForkSpec>) -> u64 {
+    pub fn staged_hash(&self, fork: Option<&ForkSpec>) -> u64 {
         match fork {
             None => self.spec_hash(),
             Some(f) => stable_hash(format!("{self:?}|staged:{f:?}").as_bytes()),

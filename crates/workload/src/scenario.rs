@@ -53,6 +53,7 @@
 //! empty scenario is byte-inert (CI digest-diffs this).
 
 use crate::dists::DistKind;
+use crate::traffic::IncastSpec;
 use std::fmt;
 use vertigo_netsim::faults::parse_time;
 use vertigo_netsim::Simulation;
@@ -131,7 +132,8 @@ pub struct HostRange {
 impl HostRange {
     /// Number of hosts in the range.
     pub fn count(&self) -> usize {
-        (self.hi - self.lo + 1) as usize
+        // Widened before the `+ 1`: `hosts=0-4294967295` is a legal literal.
+        (self.hi - self.lo) as usize + 1
     }
 
     /// True when the two ranges share at least one host.
@@ -337,7 +339,7 @@ impl ScenarioSpec {
                 let n = c
                     .hosts
                     .map_or(ctx.num_hosts, |r| r.count().min(ctx.num_hosts));
-                let subset_bw = (n as u64 * ctx.host_bw_bps) as f64;
+                let subset_bw = n as u64 * ctx.host_bw_bps;
                 let (from, until) = active_window(c, ctx.horizon);
                 let frac = (until.saturating_since(from)).as_secs_f64() / horizon_s;
                 let load = match c.kind {
@@ -348,10 +350,15 @@ impl ScenarioSpec {
                         scale, bytes, rate, ..
                     } => match rate {
                         IncastRate::Load(l) => l,
-                        IncastRate::Qps(q) => q * scale as f64 * bytes as f64 * 8.0 / subset_bw,
+                        IncastRate::Qps(qps) => IncastSpec {
+                            qps,
+                            scale: scale as usize,
+                            flow_bytes: bytes,
+                        }
+                        .offered_load(subset_bw),
                     },
                 };
-                load * frac * subset_bw / total_bw
+                load * frac * subset_bw as f64 / total_bw
             })
             .sum()
     }
@@ -360,10 +367,16 @@ impl ScenarioSpec {
     /// `(self, base RNG seed, ctx)` — no simulator required, which is
     /// what the statistical-conformance and conservation tests exercise.
     pub fn plan(&self, base: &SimRng, ctx: &PlanContext) -> Result<Vec<ComponentPlan>, String> {
-        let root = base.fork(STREAM_SCENARIO);
         self.iter()
             .enumerate()
-            .map(|(i, c)| plan_component(c, root.fork(i as u64), ctx))
+            .map(|(i, c)| {
+                let mut plan = ComponentPlan::default();
+                plan_component(c, component_rng(base, i), ctx, &mut |p| match p {
+                    Planned::Query(q) => plan.queries.push(q),
+                    Planned::Flow(f) => plan.flows.push(f),
+                })?;
+                Ok(plan)
+            })
             .collect()
     }
 
@@ -373,48 +386,68 @@ impl ScenarioSpec {
     /// grammar-valid but incompatible with the topology or horizon
     /// (e.g. `hosts=` out of range, `scale=` too large for the host set,
     /// a window starting at or past the horizon) — a silently empty
-    /// component would be worse than a loud failure.
+    /// component would be worse than a loud failure. The staged driver
+    /// reports the same message as a [`RunError`](crate::RunError).
     pub fn install(&self, sim: &mut Simulation) -> ScenarioSummary {
-        let num_hosts = sim.num_hosts();
-        let ctx = PlanContext {
-            num_hosts,
-            host_bw_bps: sim.topology().total_host_bw_bps() / num_hosts.max(1) as u64,
-            horizon: sim.horizon(),
-        };
-        // Plans fork off the run *seed*, never the live RNG state, so the
-        // scenario neither observes nor perturbs the classic generators.
-        let run_rng = SimRng::new(sim.rng().seed());
-        let plans = self
-            .plan(&run_rng, &ctx)
-            .unwrap_or_else(|e| panic!("--workload: {e}"));
-        let mut summary = ScenarioSummary::default();
-        for (i, plan) in plans.iter().enumerate() {
-            let tag = (i + 1) as u8;
-            let qids: Vec<QueryId> = plan
-                .queries
-                .iter()
-                .map(|q| {
-                    let id = sim.register_query(q.fanout, q.at);
-                    sim.tag_query(id, tag);
-                    id
-                })
-                .collect();
-            let mut bytes = 0u64;
-            for f in &plan.flows {
-                let query = f.query.map_or(QueryId::NONE, |qi| qids[qi as usize]);
-                let fid = sim.schedule_flow(f.at, NodeId(f.src), NodeId(f.dst), f.bytes, query);
-                sim.tag_flow(fid, tag);
-                bytes += f.bytes;
-            }
-            summary.components.push(ComponentSummary {
-                label: self.label(i),
-                flows: plan.flows.len() as u64,
-                queries: plan.queries.len() as u64,
-                bytes,
-            });
-        }
-        summary
+        self.try_install(sim)
+            .unwrap_or_else(|e| panic!("--workload: {e}"))
     }
+
+    pub(crate) fn try_install(&self, sim: &mut Simulation) -> Result<ScenarioSummary, String> {
+        // Plans fork off the run *seed*, never the live RNG state, so the
+        // scenario neither observes nor perturbs the figure workload.
+        let base = SimRng::new(sim.rng().seed());
+        let mut summary = ScenarioSummary::default();
+        for (i, c) in self.iter().enumerate() {
+            let mut installed =
+                install_component(sim, c, component_rng(&base, i), Some((i + 1) as u8))?;
+            installed.label = self.label(i);
+            summary.components.push(installed);
+        }
+        Ok(summary)
+    }
+}
+
+/// Component `i`'s planning stream: the scenario stream off the run seed,
+/// re-forked by index, so components never share draws.
+fn component_rng(base: &SimRng, i: usize) -> SimRng {
+    base.fork(STREAM_SCENARIO).fork(i as u64)
+}
+
+/// The one loop every planned arrival reaches the simulator through, as
+/// the planner produces it (no plan is held in memory): a query is
+/// registered, then its flows are scheduled. A `tag` marks them for the
+/// per-tenant breakdown; the figure workload (`WorkloadSpec`) carries
+/// none, so `Report.tenants` stays empty on scenario-free runs.
+pub(crate) fn install_component(
+    sim: &mut Simulation,
+    c: &ScenarioComponent,
+    rng: SimRng,
+    tag: Option<u8>,
+) -> Result<ComponentSummary, String> {
+    let ctx = PlanContext::of(sim);
+    let mut qids: Vec<QueryId> = Vec::new();
+    let mut done = ComponentSummary::default();
+    plan_component(c, rng, &ctx, &mut |p| match p {
+        Planned::Query(q) => {
+            let id = sim.register_query(q.fanout, q.at);
+            if let Some(tag) = tag {
+                sim.tag_query(id, tag);
+            }
+            qids.push(id);
+            done.queries += 1;
+        }
+        Planned::Flow(f) => {
+            let query = f.query.map_or(QueryId::NONE, |qi| qids[qi as usize]);
+            let fid = sim.schedule_flow(f.at, NodeId(f.src), NodeId(f.dst), f.bytes, query);
+            if let Some(tag) = tag {
+                sim.tag_flow(fid, tag);
+            }
+            done.flows += 1;
+            done.bytes += f.bytes;
+        }
+    })?;
+    Ok(done)
 }
 
 impl fmt::Display for ScenarioSpec {
@@ -488,11 +521,6 @@ pub struct ScenarioSummary {
 }
 
 impl ScenarioSummary {
-    /// Total flows scheduled across components.
-    pub fn total_flows(&self) -> u64 {
-        self.components.iter().map(|c| c.flows).sum()
-    }
-
     /// Total bytes offered across components.
     pub fn total_bytes(&self) -> u64 {
         self.components.iter().map(|c| c.bytes).sum()
@@ -500,7 +528,7 @@ impl ScenarioSummary {
 }
 
 /// Install summary of one component.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ComponentSummary {
     /// The component's report label.
     pub label: String,
@@ -522,6 +550,18 @@ pub struct PlanContext {
     pub host_bw_bps: u64,
     /// Run horizon.
     pub horizon: SimDuration,
+}
+
+impl PlanContext {
+    /// The planning facts of a built simulation.
+    pub(crate) fn of(sim: &Simulation) -> PlanContext {
+        let num_hosts = sim.num_hosts();
+        PlanContext {
+            num_hosts,
+            host_bw_bps: sim.topology().total_host_bw_bps() / num_hosts.max(1) as u64,
+            horizon: sim.horizon(),
+        }
+    }
 }
 
 /// One planned flow arrival.
@@ -546,6 +586,12 @@ pub struct PlannedQuery {
     pub at: SimTime,
     /// Reply fan-out.
     pub fanout: u32,
+}
+
+/// What the planner produces, in order: a query precedes its flows.
+enum Planned {
+    Query(PlannedQuery),
+    Flow(PlannedFlow),
 }
 
 /// Everything one component pre-schedules.
@@ -604,7 +650,8 @@ fn plan_component(
     c: &ScenarioComponent,
     mut rng: SimRng,
     ctx: &PlanContext,
-) -> Result<ComponentPlan, String> {
+    emit: &mut dyn FnMut(Planned),
+) -> Result<(), String> {
     // Resolve the host subset.
     let (lo, n) = match c.hosts {
         None => {
@@ -643,7 +690,6 @@ fn plan_component(
     let until_s = until.as_secs_f64();
     let subset_bw = n as f64 * ctx.host_bw_bps as f64;
 
-    let mut plan = ComponentPlan::default();
     match c.kind {
         ComponentKind::Background { load, dist } => {
             let cdf = dist.cdf();
@@ -655,13 +701,13 @@ fn plan_component(
                     break;
                 }
                 let (a, b) = rng.two_distinct(n);
-                plan.flows.push(PlannedFlow {
+                emit(Planned::Flow(PlannedFlow {
                     at: SimTime::ZERO + SimDuration::from_secs_f64(t),
                     src: lo + a as u32,
                     dst: lo + b as u32,
                     bytes: cdf.sample(&mut rng),
                     query: None,
-                });
+                }));
             }
         }
         ComponentKind::Permutation { load, dist } => {
@@ -684,13 +730,13 @@ fn plan_component(
                     break;
                 }
                 let src = rng.index(n);
-                plan.flows.push(PlannedFlow {
+                emit(Planned::Flow(PlannedFlow {
                     at: SimTime::ZERO + SimDuration::from_secs_f64(t),
                     src: lo + src as u32,
                     dst: lo + perm[src] as u32,
                     bytes: cdf.sample(&mut rng),
                     query: None,
-                });
+                }));
             }
         }
         ComponentKind::OnOff {
@@ -705,6 +751,7 @@ fn plan_component(
             // Per-host average rate, boosted while ON so the long-run
             // mean hits `load`.
             let lambda_on = load * ctx.host_bw_bps as f64 / (8.0 * cdf.mean_bytes()) / duty;
+            let mut flows = Vec::new();
             for h in 0..n {
                 let mut hrng = rng.fork(h as u64);
                 for (s, e) in onoff_envelope(&mut hrng, from_s, until_s, on_s, off_s) {
@@ -716,7 +763,7 @@ fn plan_component(
                         }
                         let d = hrng.index(n - 1);
                         let dst = if d >= h { d + 1 } else { d };
-                        plan.flows.push(PlannedFlow {
+                        flows.push(PlannedFlow {
                             at: SimTime::ZERO + SimDuration::from_secs_f64(t),
                             src: lo + h as u32,
                             dst: lo + dst as u32,
@@ -728,7 +775,8 @@ fn plan_component(
             }
             // Merge the per-host streams into schedule order (stable, so
             // equal-time arrivals keep host order — deterministic).
-            plan.flows.sort_by_key(|f| f.at);
+            flows.sort_by_key(|f| f.at);
+            flows.into_iter().for_each(|f| emit(Planned::Flow(f)));
         }
         ComponentKind::Incast {
             scale,
@@ -745,9 +793,12 @@ fn plan_component(
             }
             let qps = match rate {
                 IncastRate::Qps(q) => q,
-                IncastRate::Load(l) => l * subset_bw / (scale as f64 * bytes as f64 * 8.0),
+                IncastRate::Load(l) => {
+                    IncastSpec::qps_for_load(l, scale, bytes, n as u64 * ctx.host_bw_bps)
+                }
             };
             let sync_s = sync.as_secs_f64();
+            let mut qi = 0u32;
             let mut t = from_s;
             loop {
                 t += rng.exp(1.0 / qps);
@@ -756,11 +807,10 @@ fn plan_component(
                 }
                 let at = SimTime::ZERO + SimDuration::from_secs_f64(t);
                 let client = rng.index(n);
-                let qi = plan.queries.len() as u32;
-                plan.queries.push(PlannedQuery {
+                emit(Planned::Query(PlannedQuery {
                     at,
                     fanout: scale as u32,
-                });
+                }));
                 for idx in rng.k_distinct(scale, n - 1) {
                     let s = if idx >= client { idx + 1 } else { idx };
                     let jitter = if sync_s > 0.0 {
@@ -768,18 +818,19 @@ fn plan_component(
                     } else {
                         0.0
                     };
-                    plan.flows.push(PlannedFlow {
+                    emit(Planned::Flow(PlannedFlow {
                         at: SimTime::ZERO + SimDuration::from_secs_f64(t + jitter),
                         src: lo + s as u32,
                         dst: lo + client as u32,
                         bytes,
                         query: Some(qi),
-                    });
+                    }));
                 }
+                qi += 1;
             }
         }
     }
-    Ok(plan)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -823,7 +874,7 @@ fn check_load(kind: &str, load: f64) -> Result<(), String> {
     Ok(())
 }
 
-fn validate_component(c: &ScenarioComponent) -> Result<(), String> {
+pub(crate) fn validate_component(c: &ScenarioComponent) -> Result<(), String> {
     let kw = c.kind.keyword();
     match c.kind {
         ComponentKind::Background { load, .. } | ComponentKind::Permutation { load, .. } => {

@@ -32,6 +32,7 @@
 
 use crate::runner::{write_creating_dir, RunError};
 use std::path::{Path, PathBuf};
+use vertigo_netsim::faults::parse_time;
 use vertigo_netsim::Simulation;
 use vertigo_simcore::{
     EventBackend, SimDuration, SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION,
@@ -78,13 +79,14 @@ pub struct CheckpointSpec {
 }
 
 impl CheckpointSpec {
-    /// Parses `SIMTIME[:PATH]`, e.g. `6ms` or `500us:out/ck.vsnp`.
+    /// Parses `SIMTIME[:PATH]`, e.g. `6ms`, `2.5ms` or `500us:out/ck.vsnp`
+    /// (the `--faults` time literal: a number with an `ns|us|ms|s` unit).
     pub fn parse(s: &str) -> Result<Self, String> {
         let (time_s, path_s) = match s.split_once(':') {
             Some((t, p)) => (t, Some(p)),
             None => (s, None),
         };
-        let every = parse_simtime(time_s.trim())?;
+        let every = SimDuration::from_nanos(parse_time(time_s.trim())?.as_nanos());
         if every.as_nanos() == 0 {
             return Err("checkpoint period must be positive".into());
         }
@@ -113,31 +115,6 @@ impl SnapshotSpec {
     pub fn is_active(&self) -> bool {
         self.checkpoint.is_some() || self.resume.is_some()
     }
-}
-
-/// Parses a simulated-time literal: a non-negative integer with an
-/// `ns`/`us`/`ms`/`s` suffix (e.g. `6ms`, `500us`, `2s`).
-pub fn parse_simtime(s: &str) -> Result<SimDuration, String> {
-    let (digits, mult) = if let Some(d) = s.strip_suffix("ns") {
-        (d, 1u64)
-    } else if let Some(d) = s.strip_suffix("us") {
-        (d, 1_000)
-    } else if let Some(d) = s.strip_suffix("ms") {
-        (d, 1_000_000)
-    } else if let Some(d) = s.strip_suffix('s') {
-        (d, 1_000_000_000)
-    } else {
-        return Err(format!(
-            "time `{s}`: missing unit (expected ns, us, ms, or s)"
-        ));
-    };
-    let v: u64 = digits
-        .trim()
-        .parse()
-        .map_err(|_| format!("time `{s}`: bad number `{digits}`"))?;
-    v.checked_mul(mult)
-        .map(SimDuration::from_nanos)
-        .ok_or_else(|| format!("time `{s}` overflows"))
 }
 
 /// A parsed and validated snapshot file header.
@@ -271,19 +248,17 @@ mod tests {
 
     #[test]
     fn simtime_grammar() {
-        assert_eq!(parse_simtime("6ms").unwrap(), SimDuration::from_millis(6));
-        assert_eq!(
-            parse_simtime("500us").unwrap(),
-            SimDuration::from_micros(500)
-        );
-        assert_eq!(
-            parse_simtime("2s").unwrap(),
-            SimDuration::from_nanos(2_000_000_000)
-        );
-        assert_eq!(parse_simtime("42ns").unwrap(), SimDuration::from_nanos(42));
-        assert!(parse_simtime("6").is_err(), "unit required");
-        assert!(parse_simtime("ms").is_err());
-        assert!(parse_simtime("-3ms").is_err());
+        let every = |s: &str| CheckpointSpec::parse(s).map(|c| c.every);
+        assert_eq!(every("6ms").unwrap(), SimDuration::from_millis(6));
+        assert_eq!(every("500us").unwrap(), SimDuration::from_micros(500));
+        assert_eq!(every("2s").unwrap(), SimDuration::from_nanos(2_000_000_000));
+        assert_eq!(every("42ns").unwrap(), SimDuration::from_nanos(42));
+        // One literal grammar with `--faults`: fractions are fine.
+        assert_eq!(every("2.5ms").unwrap(), SimDuration::from_micros(2500));
+        assert!(every("6").is_err(), "unit required");
+        assert!(every("ms").is_err());
+        assert!(every("-3ms").is_err());
+        assert!(every("99999999999999999999s").is_err(), "must fit u64 ns");
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! Traffic generation: Poisson background load and the incast application.
+//! The figure workload: Poisson background load plus the incast
+//! application, as every paper figure offers them.
 //!
-//! Both generators *pre-schedule* their arrivals into the simulation's
-//! event queue before `run()`, drawing from RNG streams forked off the
-//! run's seed — so the offered traffic is identical across the systems
-//! being compared (paired comparison, the same methodology the paper's
-//! figures rely on).
+//! Both are *pre-scheduled* into the simulation's event queue before
+//! `run()`, planned by the scenario planner ([`crate::scenario`]) on RNG
+//! streams forked off the run's seed — so the offered traffic is identical
+//! across the systems being compared (paired comparison, the same
+//! methodology the paper's figures rely on).
 
 use crate::dists::DistKind;
+use crate::scenario::{
+    install_component, validate_component, ComponentKind, IncastRate, ScenarioComponent,
+};
 use vertigo_netsim::Simulation;
-use vertigo_pkt::{NodeId, QueryId};
 use vertigo_simcore::{SimDuration, SimTime};
 
 /// Background (all-to-all) traffic at a target fraction of aggregate host
@@ -45,6 +48,42 @@ impl IncastSpec {
     pub fn qps_for_load(load: f64, scale: usize, flow_bytes: u64, total_bw_bps: u64) -> f64 {
         load * total_bw_bps as f64 / (scale as f64 * flow_bytes as f64 * 8.0)
     }
+
+    /// Plans and schedules the query process over `[from, horizon)`:
+    /// perfectly synchronized replies, all hosts, no tenant. `from` is
+    /// zero for a straight run and the phase boundary for a deferred
+    /// incast. The planner draws from a stream forked off the run *seed*
+    /// (forking never consults the simulator clock or RNG state), so the
+    /// arrivals are a pure function of `(self, from, seed)`: installing
+    /// after draining to `from` — or after restoring a checkpoint taken
+    /// before it — schedules what installing at build time would.
+    pub(crate) fn install_from(
+        &self,
+        sim: &mut Simulation,
+        from: SimDuration,
+    ) -> Result<(), String> {
+        let kind = ComponentKind::Incast {
+            scale: u32::try_from(self.scale).map_err(|_| "incast scale overflows u32")?,
+            bytes: self.flow_bytes,
+            rate: IncastRate::Qps(self.qps),
+            sync: SimDuration::ZERO,
+        };
+        let window = (SimTime::ZERO + from, SimTime::ZERO + sim.horizon());
+        let component = all_hosts(kind, Some(window));
+        validate_component(&component)?;
+        let rng = sim.rng().fork(STREAM_INCAST);
+        install_component(sim, &component, rng, None).map(drop)
+    }
+}
+
+/// A figure-workload component: every host, no tenant.
+fn all_hosts(kind: ComponentKind, window: Option<(SimTime, SimTime)>) -> ScenarioComponent {
+    ScenarioComponent {
+        kind,
+        hosts: None,
+        tenant: None,
+        window,
+    }
 }
 
 /// The complete offered workload of one run.
@@ -65,112 +104,39 @@ impl WorkloadSpec {
     }
 
     /// Pre-schedules every flow arrival of this workload into `sim`.
+    /// Panics if the topology cannot carry it (fewer than two hosts, an
+    /// incast scale the host count cannot serve); the staged driver
+    /// reports the same message as a [`RunError`](crate::RunError).
     pub fn install(&self, sim: &mut Simulation) {
-        if let Some(bg) = self.background {
-            install_background(sim, bg);
+        self.try_install(sim)
+            .unwrap_or_else(|e| panic!("workload: {e}"))
+    }
+
+    pub(crate) fn try_install(&self, sim: &mut Simulation) -> Result<(), String> {
+        if let Some(bg) = self.background.filter(|bg| bg.load != 0.0) {
+            if !(bg.load > 0.0 && bg.load < 2.0) {
+                return Err(format!("background load {} out of range", bg.load));
+            }
+            let kind = ComponentKind::Background {
+                load: bg.load,
+                dist: bg.dist,
+            };
+            let rng = sim.rng().fork(STREAM_BACKGROUND);
+            install_component(sim, &all_hosts(kind, None), rng, None)?;
         }
         if let Some(inc) = self.incast {
-            install_incast(sim, inc);
+            inc.install_from(sim, SimDuration::ZERO)?;
         }
+        Ok(())
     }
 }
 
-/// RNG stream ids (forked off the simulation seed).
+/// The RNG stream ids the figure workload has always drawn from (forked
+/// off the simulation seed). Scenario components fork `0x5CE4` and then
+/// their index; keeping these two is what keeps every committed digest,
+/// golden trace and quick CSV where it is.
 const STREAM_BACKGROUND: u64 = 0xB6;
 const STREAM_INCAST: u64 = 0x1C;
-
-/// Schedules Poisson background flows between uniformly random distinct
-/// host pairs so the aggregate offered load hits `spec.load`.
-pub fn install_background(sim: &mut Simulation, spec: BackgroundSpec) {
-    assert!(spec.load >= 0.0 && spec.load < 2.0, "load out of range");
-    if spec.load == 0.0 {
-        return;
-    }
-    let mut rng = sim.rng().fork(STREAM_BACKGROUND);
-    let hosts = sim.num_hosts();
-    assert!(hosts >= 2);
-    let total_bw = sim.topology().total_host_bw_bps() as f64;
-    let cdf = spec.dist.cdf();
-    let mean = cdf.mean_bytes();
-    let lambda = spec.load * total_bw / (8.0 * mean); // flows per second
-    let mean_gap_s = 1.0 / lambda;
-    let horizon = sim.horizon().as_secs_f64();
-
-    let mut t = 0.0_f64;
-    loop {
-        t += rng.exp(mean_gap_s);
-        if t >= horizon {
-            break;
-        }
-        let (a, b) = rng.two_distinct(hosts);
-        let bytes = cdf.sample(&mut rng);
-        sim.schedule_flow(
-            SimTime::ZERO + SimDuration::from_secs_f64(t),
-            NodeId(a as u32),
-            NodeId(b as u32),
-            bytes,
-            QueryId::NONE,
-        );
-    }
-}
-
-/// Schedules incast queries: Poisson query arrivals; each query picks a
-/// random client and `scale` distinct random servers (client excluded)
-/// that all reply simultaneously.
-pub fn install_incast(sim: &mut Simulation, spec: IncastSpec) {
-    install_incast_from(sim, spec, SimDuration::ZERO);
-}
-
-/// Like [`install_incast`], but the Poisson query process starts at
-/// `from` (an offset from t=0) instead of the beginning of the run.
-///
-/// Because the generator draws from an RNG stream forked off the run
-/// *seed* (forking never consults the simulator clock or RNG state), the
-/// scheduled queries are a pure function of `(spec, from, seed)`: calling
-/// this after draining to `from` — or after restoring a snapshot taken at
-/// `from` — yields byte-identical arrivals to calling it at build time.
-/// This is the hook phased runs use to defer the incast burst past a
-/// shared warmup prefix.
-pub fn install_incast_from(sim: &mut Simulation, spec: IncastSpec, from: SimDuration) {
-    assert!(spec.qps > 0.0 && spec.scale >= 1 && spec.flow_bytes > 0);
-    let mut rng = sim.rng().fork(STREAM_INCAST);
-    let hosts = sim.num_hosts();
-    assert!(
-        hosts > spec.scale,
-        "incast scale {} needs more than {} hosts",
-        spec.scale,
-        hosts
-    );
-    let horizon = sim.horizon().as_secs_f64();
-    let mean_gap_s = 1.0 / spec.qps;
-
-    let mut t = from.as_secs_f64();
-    loop {
-        t += rng.exp(mean_gap_s);
-        if t >= horizon {
-            break;
-        }
-        let at = SimTime::ZERO + SimDuration::from_secs_f64(t);
-        let client = rng.index(hosts);
-        // scale distinct servers, none of them the client.
-        let mut servers = Vec::with_capacity(spec.scale);
-        for idx in rng.k_distinct(spec.scale, hosts - 1) {
-            // Map [0, hosts-1) onto hosts minus the client.
-            let s = if idx >= client { idx + 1 } else { idx };
-            servers.push(s);
-        }
-        let q = sim.register_query(spec.scale as u32, at);
-        for s in servers {
-            sim.schedule_flow(
-                at,
-                NodeId(s as u32),
-                NodeId(client as u32),
-                spec.flow_bytes,
-                q,
-            );
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -194,21 +160,19 @@ mod tests {
         })
     }
 
+    fn background(load: f64, dist: DistKind) -> WorkloadSpec {
+        WorkloadSpec {
+            background: Some(BackgroundSpec { load, dist }),
+            incast: None,
+        }
+    }
+
     #[test]
     fn background_load_is_calibrated() {
         // Offered bytes over the horizon should match load × capacity.
+        // Flows are recorded when they start, so run the sim first.
         let mut s = sim(200, 1);
-        install_background(
-            &mut s,
-            BackgroundSpec {
-                load: 0.30,
-                dist: DistKind::CacheFollower,
-            },
-        );
-        let offered: u64 = s.recorder().flows.values().map(|f| f.bytes).sum();
-        // Flows are recorded at start; none started yet. Count scheduled
-        // flows via... they're events. Run briefly so FlowStart fires.
-        // Simplest: run the whole sim and sum flow bytes.
+        background(0.30, DistKind::CacheFollower).install(&mut s);
         let _ = s.run();
         let total: f64 = s.recorder().flows.values().map(|f| f.bytes as f64).sum();
         let capacity_bytes = 16.0 * 10e9 / 8.0 * 0.2; // 16 hosts, 10G, 200 ms
@@ -217,20 +181,20 @@ mod tests {
             (measured_load - 0.30).abs() < 0.08,
             "offered load {measured_load:.3} should be ≈ 0.30"
         );
-        let _ = offered;
     }
 
     #[test]
     fn incast_queries_have_right_shape() {
         let mut s = sim(100, 2);
-        install_incast(
-            &mut s,
-            IncastSpec {
+        let workload = WorkloadSpec {
+            background: None,
+            incast: Some(IncastSpec {
                 qps: 500.0,
                 scale: 8,
                 flow_bytes: 40_000,
-            },
-        );
+            }),
+        };
+        workload.install(&mut s);
         let _ = s.run();
         let rec = s.recorder();
         // ~50 queries in 100 ms at 500 QPS.
@@ -278,13 +242,7 @@ mod tests {
     fn same_seed_same_workload() {
         let flows = |seed| {
             let mut s = sim(50, seed);
-            install_background(
-                &mut s,
-                BackgroundSpec {
-                    load: 0.2,
-                    dist: DistKind::WebSearch,
-                },
-            );
+            background(0.2, DistKind::WebSearch).install(&mut s);
             let _ = s.run();
             s.recorder()
                 .flows

@@ -1,37 +1,42 @@
-//! Warm-started (snapshot-forked) runs.
+//! Phased runs, and the warm start that shares their prefix.
 //!
-//! A figure grid re-simulates the same warmup prefix in every cell: all
-//! four systems at one background load share identical dynamics until
-//! the incast burst (and any per-cell knob override) kicks in. This
-//! module splits a run into a **prefix** (everything before a fork
-//! horizon) and a **suffix** (the deferred incast plus fork-time knob
-//! overrides), so one simulated prefix can be captured once into an
-//! in-memory VSNP snapshot and forked into every cell of its
-//! *equivalence class*.
+//! A *phased* cell is `(RunSpec, ForkSpec)`: the **prefix** (everything
+//! before the fork horizon: the spec with its incast stripped, at its
+//! base knob values) runs to the fork horizon, where the fork's knob
+//! overrides are applied and the deferred incast is installed; the
+//! **suffix** runs from there to the horizon, or to the end of the fork's
+//! measurement window. fig5, figdeflect and `tune` are defined this way —
+//! the paper's steady-state-background methodology — so the phase is part
+//! of what they simulate, not an optimisation.
 //!
-//! The contract, enforced by proptest and by the CI warm-vs-cold digest
-//! diff, is exact: a forked run's `RunOutput` is byte-identical to the
-//! straight-through phased run of the same spec. Three properties make
-//! that hold:
+//! A figure grid re-simulates the same prefix in every cell: all four
+//! systems at one background load share identical dynamics until the
+//! incast burst (and any per-cell knob override) kicks in. So one
+//! simulated prefix can be captured once into an in-memory snapshot
+//! ([`RunSpec::run_warmup`]) and every cell of its *equivalence class*
+//! ([`RunSpec::fork_key`]) started from it ([`RunSpec::run_forked`]). The
+//! sweep runner chooses that path by itself where it applies; nothing a
+//! user sets selects it, because the contract, enforced by proptest and
+//! by the CI digest diffs, is exact: a forked run's `RunOutput` is
+//! byte-identical to the straight-through phased run of the same spec.
+//! Three properties make that hold:
 //!
-//! 1. [`crate::traffic::install_incast_from`] draws from an RNG stream
-//!    forked off the run *seed* (never the live RNG state), so the
-//!    deferred arrivals are a pure function of `(spec, fork.at, seed)`.
+//! 1. The deferred incast is planned on an RNG stream forked off the run
+//!    *seed* (never the live RNG state), so its arrivals are a pure
+//!    function of `(spec, fork.at, seed)`.
 //! 2. The event queue's snapshot codec preserves pop order *and* the
 //!    insertion counter, so arrivals installed after a restore tie-break
 //!    exactly like arrivals installed after a plain `drain_until`.
-//! 3. `restore(save(S)) ≡ S` — the PR5 resume oracle, CI-enforced on
-//!    both event backends.
+//! 3. `restore(save(S)) ≡ S` — the resume oracle, CI-enforced on both
+//!    event backends.
 //!
 //! Classes where [`RunSpec::fork_key`] cannot prove prefix-equivalence
-//! return `None` and the sweep engine falls back to a cold start for
-//! those cells (counted in its footer, never guessed).
+//! return `None` and the cell runs straight through.
 
-use crate::runner::{RunOutput, RunSpec};
-use crate::snapshot::{self, SnapHeader};
+use crate::runner::{RunError, RunOutput, RunSpec};
 use vertigo_netsim::trace::stable_hash;
 use vertigo_netsim::Simulation;
-use vertigo_simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use vertigo_simcore::{SimDuration, SimTime, SnapReader, SnapWriter};
 
 /// Knobs that may be re-tuned at the fork horizon without invalidating
 /// the shared warmup prefix. Everything here only shapes dynamics *after*
@@ -57,11 +62,11 @@ impl ForkOverrides {
 }
 
 /// How a phased run splits one cell: the fork horizon, whether the
-/// incast component is deferred past it, and the knob overrides applied
-/// when crossing it.
+/// incast component is deferred past it, the knob overrides applied
+/// when crossing it, and how far past it the run goes.
 #[derive(Debug, Clone, Copy)]
 pub struct ForkSpec {
-    /// The fork horizon: the quiescent boundary the warmup runs to and
+    /// The fork horizon: the quiescent boundary the prefix runs to and
     /// the suffix continues from.
     pub at: SimDuration,
     /// Defer the workload's incast component to `at` (the background
@@ -70,53 +75,38 @@ pub struct ForkSpec {
     pub defer_incast: bool,
     /// Knob overrides applied at `at`.
     pub overrides: ForkOverrides,
+    /// Measurement window: the run ends this long after `at` (clamped to
+    /// the spec horizon) — the cheap-evaluation rungs of successive
+    /// halving. `None` runs to the horizon.
+    pub window: Option<SimDuration>,
 }
 
 impl ForkSpec {
-    /// A fork at `at` deferring the incast, with no knob overrides —
-    /// the shape every figure grid uses.
+    /// A fork at `at` deferring the incast, with no knob overrides and no
+    /// measurement window — the shape every figure grid uses.
     pub fn at(at: SimDuration) -> Self {
         ForkSpec {
             at,
             defer_incast: true,
             overrides: ForkOverrides::default(),
+            window: None,
         }
     }
 }
 
-/// An in-memory VSNP snapshot: the same header + payload bytes a
-/// `--checkpoint-every` file holds, minus the disk round-trip. Captured
-/// once per equivalence class by [`RunSpec::run_warmup`] and forked by
-/// every cell of the class via [`RunSpec::run_forked`].
+/// The state of one warmup class at its fork horizon, in memory: the
+/// payload a `--checkpoint-every` file holds, tagged with the class key
+/// instead of a file header. Captured by [`RunSpec::run_warmup`] and
+/// started from by every cell of the class via [`RunSpec::run_forked`].
 pub struct SnapBuf {
+    key: u64,
     bytes: Vec<u8>,
 }
 
-impl SnapBuf {
-    /// Total size in bytes (header + payload).
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// True if the buffer is empty (never the case for a captured one).
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Parses the VSNP header and returns it with a reader positioned at
-    /// the start of the payload.
-    pub fn open(&self) -> Result<(SnapHeader, SnapReader<'_>), SnapError> {
-        let mut r = SnapReader::new(&self.bytes);
-        let header = snapshot::read_header(&mut r)?;
-        Ok((header, r))
-    }
-}
-
 impl RunSpec {
-    /// The spec whose dynamics the warmup prefix follows: this spec with
-    /// the deferred workload components stripped. Knob overrides live in
-    /// the [`ForkSpec`], not here, so the prefix runs the *base* knob
-    /// values.
+    /// The spec whose dynamics the prefix follows: this spec with the
+    /// deferred workload components stripped. Knob overrides live in the
+    /// [`ForkSpec`], not here, so the prefix runs the *base* knob values.
     pub fn prefix_spec(&self, fork: &ForkSpec) -> RunSpec {
         let mut p = *self;
         if fork.defer_incast {
@@ -127,7 +117,7 @@ impl RunSpec {
 
     /// Applies the fork to a simulation standing at the fork horizon:
     /// knob overrides first, then the deferred incast arrivals.
-    pub(crate) fn apply_fork(&self, sim: &mut Simulation, fork: &ForkSpec) {
+    pub(crate) fn apply_fork(&self, sim: &mut Simulation, fork: &ForkSpec) -> Result<(), RunError> {
         let o = fork.overrides;
         if let Some(tau) = o.tau {
             sim.override_ordering_timeout(tau);
@@ -141,24 +131,27 @@ impl RunSpec {
         if let Some(k) = o.ecn_threshold_pkts {
             sim.override_ecn_threshold_pkts(k);
         }
-        if fork.defer_incast {
-            if let Some(inc) = self.workload.incast {
-                crate::traffic::install_incast_from(sim, inc, fork.at);
-            }
+        match self.workload.incast {
+            // A fork at the horizon leaves the incast no time to offer
+            // anything.
+            Some(inc) if fork.defer_incast && fork.at < self.horizon => inc
+                .install_from(sim, fork.at)
+                .map_err(|e| RunError::Workload(format!("workload: {e}"))),
+            _ => Ok(()),
         }
     }
 
     /// The conservative warmup-equivalence key: a stable hash of exactly
     /// the state that shapes dynamics *before* the fork horizon — the
-    /// prefix spec (deferred incast stripped, overrides excluded) plus
-    /// the horizon itself. Two cells with equal keys may share one
-    /// warmup snapshot.
+    /// prefix spec (deferred incast stripped, overrides and measurement
+    /// window excluded) plus the horizon itself. Two cells with equal
+    /// keys may share one warmup snapshot.
     ///
     /// Returns `None` when prefix-equivalence cannot be proven or a warm
     /// start cannot apply: the domain engine (different tie-breaking
     /// order, no quiescent single-queue state), a fork at t = 0 or at/past
     /// the horizon, or a fork that defers and overrides nothing. Callers
-    /// fall back to a cold start on `None`.
+    /// run the cell straight through on `None`.
     pub fn fork_key(&self, fork: &ForkSpec) -> Option<u64> {
         if self.domains.is_some() {
             return None;
@@ -177,129 +170,61 @@ impl RunSpec {
         ))
     }
 
-    /// Runs the shared warmup prefix of this spec's equivalence class to
-    /// the fork horizon and captures it as an in-memory snapshot. The
-    /// buffer's header carries the class key, so forking it into a cell
-    /// of a *different* class fails loudly.
+    /// Runs the shared prefix of this spec's equivalence class to the
+    /// fork horizon and captures it. The buffer carries the class key, so
+    /// forking it into a cell of a *different* class fails loudly.
     pub fn run_warmup(&self, fork: &ForkSpec) -> SnapBuf {
         let key = self
             .fork_key(fork)
             .expect("run_warmup: spec is not warm-startable (fork_key is None)");
-        let prefix = self.prefix_spec(fork);
-        let mut sim = prefix.build();
+        let mut sim = self.prefix_spec(fork).build();
         sim.drain_until(SimTime::ZERO + fork.at);
         let mut w = SnapWriter::new();
-        snapshot::write_header(&mut w, self.event_backend, key, fork.at.as_nanos());
         sim.save_state(&mut w);
         SnapBuf {
+            key,
             bytes: w.into_bytes(),
         }
     }
 
     /// Restores the class warmup and continues as this cell: applies the
-    /// fork (overrides + deferred incast) and runs to the horizon. The
-    /// output is byte-identical to [`run_phased`](Self::run_phased) of
+    /// fork (overrides + deferred incast) and runs to the end of the run.
+    /// The output is byte-identical to [`run_phased`](Self::run_phased) of
     /// the same spec — the warm-start oracle.
     pub fn run_forked(&self, fork: &ForkSpec, buf: &SnapBuf) -> RunOutput {
-        self.run_forked_until(fork, buf, None)
+        self.drive(None, None, Some(fork), Some(buf))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Like [`run_forked`](Self::run_forked), but draining only `window`
-    /// past the fork horizon (clamped to the spec horizon) before
-    /// finalizing — the cheap-evaluation rungs of successive halving.
-    /// `None` runs to the horizon.
-    pub fn run_forked_until(
+    /// Puts `sim` (this cell's prefix spec, freshly built) into the state
+    /// `buf` captured and returns the time it stands at. A buffer from
+    /// another class, or one that does not decode, is a bug in the caller.
+    pub(crate) fn restore_warmup(
         &self,
+        sim: &mut Simulation,
         fork: &ForkSpec,
         buf: &SnapBuf,
-        window: Option<SimDuration>,
-    ) -> RunOutput {
+    ) -> u64 {
         let key = self
             .fork_key(fork)
             .expect("run_forked: spec is not warm-startable (fork_key is None)");
-        let (header, mut r) = buf
-            .open()
-            .unwrap_or_else(|e| panic!("warm-start: corrupt snapshot buffer: {e}"));
         assert!(
-            header.flags == snapshot::build_flags(),
-            "warm-start: snapshot was captured by a build with {} but this binary \
-             was built with {} — the feature set changes the snapshot layout",
-            snapshot::describe_flags(header.flags),
-            snapshot::describe_flags(snapshot::build_flags()),
-        );
-        assert!(
-            header.backend == self.event_backend,
-            "warm-start: snapshot was captured on the {:?} event backend but this \
-             spec runs {:?}",
-            header.backend,
-            self.event_backend,
-        );
-        assert!(
-            header.spec_hash == key,
+            buf.key == key,
             "warm-start: snapshot belongs to a different equivalence class \
              (snapshot key {:016x}, this cell's key {key:016x}); \
              never fork across classes",
-            header.spec_hash,
+            buf.key,
         );
-        assert!(
-            header.time_ns == fork.at.as_nanos(),
-            "warm-start: snapshot was captured at t = {} ns but the fork horizon \
-             is {} ns",
-            header.time_ns,
-            fork.at.as_nanos(),
-        );
-        let prefix = self.prefix_spec(fork);
-        // Restore replaces the event queue wholesale, so build without
-        // the workload — pre-installing arrivals would be wasted work.
-        let mut sim = prefix.build_bare();
-        sim.restore_state(&mut r)
+        sim.restore_state(&mut SnapReader::new(&buf.bytes))
             .unwrap_or_else(|e| panic!("warm-start: restoring snapshot buffer: {e}"));
-        self.finish_from_fork(sim, fork, window)
+        fork.at.as_nanos()
     }
 
-    /// The cold twin of [`run_forked`](Self::run_forked): the same
-    /// phased semantics (prefix to the fork horizon, then overrides +
-    /// deferred incast) simulated straight through, no snapshot.
+    /// The same phased semantics (prefix to the fork horizon, then
+    /// overrides + deferred incast) simulated straight through, no
+    /// snapshot.
     pub fn run_phased(&self, fork: &ForkSpec) -> RunOutput {
         self.run_staged(None, None, Some(fork))
-    }
-
-    /// Cold twin of [`run_forked_until`](Self::run_forked_until).
-    pub fn run_phased_until(&self, fork: &ForkSpec, window: Option<SimDuration>) -> RunOutput {
-        assert!(
-            self.domains.is_none(),
-            "phased measurement windows require the classic engine"
-        );
-        let prefix = self.prefix_spec(fork);
-        let mut sim = prefix.build();
-        sim.drain_until(SimTime::ZERO + fork.at);
-        self.finish_from_fork(sim, fork, window)
-    }
-
-    /// Shared suffix: apply the fork to a sim standing at the fork
-    /// horizon, drain the measurement window, finalize, and collect.
-    fn finish_from_fork(
-        &self,
-        mut sim: Simulation,
-        fork: &ForkSpec,
-        window: Option<SimDuration>,
-    ) -> RunOutput {
-        self.apply_fork(&mut sim, fork);
-        let limit = match window {
-            Some(w) => (fork.at + w).min(self.horizon),
-            None => self.horizon,
-        };
-        sim.drain_until(SimTime::ZERO + limit);
-        let mut report = sim.finalize();
-        self.scenario.apply_labels(&mut report);
-        RunOutput {
-            ordering: sim.ordering_stats(),
-            marking: sim.marking_stats(),
-            max_port_bytes: sim.max_port_bytes(),
-            offered_load: self.offered_load_on(&sim),
-            trace_path: None,
-            report,
-        }
     }
 }
 
@@ -460,13 +385,18 @@ mod tests {
     #[test]
     fn measurement_windows_nest() {
         let spec = base_spec();
-        let f = fork();
-        let buf = spec.run_warmup(&f);
-        let short = spec.run_forked_until(&f, &buf, Some(SimDuration::from_millis(1)));
-        let full = spec.run_forked_until(&f, &buf, None);
+        let buf = spec.run_warmup(&fork());
+        let windowed = |window| {
+            let f = ForkSpec { window, ..fork() };
+            let (warm, cold) = (spec.run_forked(&f, &buf), spec.run_phased(&f));
+            assert_eq!(output_digest(&warm), output_digest(&cold));
+            warm
+        };
+        let short = windowed(Some(SimDuration::from_millis(1)));
+        let full = windowed(None);
         assert!(short.report.flows_completed <= full.report.flows_completed);
         // A window past the horizon clamps to it.
-        let clamped = spec.run_forked_until(&f, &buf, Some(SimDuration::from_secs(1)));
+        let clamped = windowed(Some(SimDuration::from_secs(1)));
         assert_eq!(output_digest(&full), output_digest(&clamped));
     }
 }

@@ -1,10 +1,12 @@
 //! Fork-equivalence proptests: across (system × congestion control ×
-//! event backend × seed × fork horizon), a warm-started run —
-//! [`RunSpec::run_warmup`] then [`RunSpec::run_forked`] — must produce a
-//! `RunOutput` byte-identical to the straight-through phased run of the
-//! same spec. This is the oracle the `--warm-start` sweep path and the
-//! `tune` search stand on; CI additionally digest-diffs it end-to-end on
-//! the fig5 grid.
+//! event backend × seed × fork horizon), a run that starts from a
+//! snapshot — the in-memory warmup of its class ([`RunSpec::run_warmup`]
+//! then [`RunSpec::run_forked`]), or a `--checkpoint-every` file taken
+//! before or at the fork horizon and resumed — must produce a `RunOutput`
+//! byte-identical to the straight-through phased run of the same spec.
+//! This is the oracle the sweep runner's shared warmups and the `tune`
+//! search stand on; CI additionally digest-diffs it end-to-end on the
+//! fig5 grid.
 //!
 //! Runs are deliberately tiny (16 hosts, ≤ 2 ms horizons) so the suite
 //! stays debug-build fast while still crossing every interesting seam:
@@ -15,8 +17,8 @@ use proptest::prelude::*;
 use vertigo_simcore::{EventBackend, SimDuration};
 use vertigo_transport::CcKind;
 use vertigo_workload::{
-    BackgroundSpec, DistKind, ForkSpec, IncastSpec, RunOutput, RunSpec, SystemKind, TopoKind,
-    WorkloadSpec,
+    BackgroundSpec, CheckpointSpec, DistKind, ForkSpec, IncastSpec, RunOutput, RunSpec,
+    SnapshotSpec, SystemKind, TopoKind, WorkloadSpec,
 };
 
 /// A tiny but non-trivial cell: background plus a deferred incast on a
@@ -74,6 +76,52 @@ proptest! {
         let buf = spec.run_warmup(&fork);
         let warm = spec.run_forked(&fork, &buf);
         prop_assert_eq!(digest(&cold), digest(&warm));
+    }
+
+    /// The same seam through the disk path: a checkpoint taken before the
+    /// fork horizon, resumed, crosses it (restore → overrides → deferred
+    /// incast installed after a restore) like the straight phased run, so
+    /// post-restore installs tie-break like post-drain installs; and a
+    /// checkpoint taken exactly at the fork horizon already holds the
+    /// fork, which a resume must not apply twice.
+    #[test]
+    fn resumed_across_or_at_the_fork_equals_phased(
+        sys_i in 0usize..4,
+        cc_i in 0usize..3,
+        heap in 0usize..2,
+        seed in 1u64..10_000,
+        fork_us in 400u64..1_600,
+    ) {
+        let cc = [CcKind::Reno, CcKind::Dctcp, CcKind::Swift][cc_i];
+        let backend = [EventBackend::Wheel, EventBackend::Heap][heap];
+        let spec = spec_for(SystemKind::all()[sys_i], cc, backend, seed);
+        let fork = ForkSpec::at(SimDuration::from_micros(fork_us));
+        let straight = digest(&spec.run_phased(&fork));
+
+        let dir = std::env::temp_dir().join(format!(
+            "vertigo-fork-resume-{}-{sys_i}-{cc_i}-{heap}-{seed}-{fork_us}",
+            std::process::id()
+        ));
+        // Half the fork horizon: checkpoints at W/2 (before the fork), W
+        // (at it, written after it applied) and beyond.
+        let every = format!("{}ns:{}/ck.vsnp", fork_us * 500, dir.display());
+        let ck = CheckpointSpec::parse(&every).unwrap();
+        let writing = SnapshotSpec { checkpoint: Some(ck.clone()), resume: None };
+        let written = spec.run_staged(None, Some(&writing), Some(&fork));
+        prop_assert_eq!(&straight, &digest(&written));
+
+        let hash = spec.staged_hash(Some(&fork));
+        for t in [fork_us * 500, fork_us * 1000] {
+            let file = vertigo_workload::snapshot::snapshot_file(&ck.stem, hash, t);
+            prop_assert!(file.is_file(), "no checkpoint at t = {} ns", t);
+            let resuming = SnapshotSpec { checkpoint: None, resume: Some(file) };
+            let resumed = spec.run_staged(None, Some(&resuming), Some(&fork));
+            prop_assert_eq!(&straight, &digest(&resumed), "resumed at t = {} ns", t);
+        }
+        // The phase is part of the run's identity: its checkpoints are not
+        // the unphased run's.
+        prop_assert_ne!(hash, spec.spec_hash());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Negative: any pre-fork difference lands in a different class, so
