@@ -219,3 +219,95 @@ proptest! {
         prop_assert_eq!(out.max_port_bytes, base.max_port_bytes);
     }
 }
+
+/// Everything `--domains 1` decides about a run, as text: the scheduler
+/// counters, the FCT/QCT percentiles (bit patterns), drops by cause,
+/// deflections, and the hosts' ordering and marking counters. Leaves out
+/// what a build feature moves (`audit_checks`).
+fn pin_text(
+    r: &Report,
+    ordering: &vertigo::core::OrderingStats,
+    marking: &vertigo::core::MarkingStats,
+) -> String {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    format!(
+        "ev={} peak={} epochs={} flows={}/{} queries={}/{} fct={:?} qct={:?} goodput={} \
+         drops={:?} defl={} retx={} rtos={} ecn={} faults={} ord={ordering:?} mark={marking:?}",
+        r.events_scheduled,
+        r.peak_pending_events,
+        r.barrier_epochs,
+        r.flows_completed,
+        r.flows_started,
+        r.queries_completed,
+        r.queries_started,
+        bits(&[r.fct_mean, r.fct_p50, r.fct_p99, r.fct_mice_p99]),
+        bits(&[r.qct_mean, r.qct_p50, r.qct_p99]),
+        r.goodput_gbps.to_bits(),
+        r.drops_by_cause,
+        r.deflections,
+        r.retransmits,
+        r.rtos,
+        r.ecn_marks,
+        r.fault_events,
+    )
+}
+
+/// The leaf-spine cell (40 G fabric: a fabric `TxDone` lands inside the
+/// window that scheduled it) straight through `--domains 1`.
+fn pinned_leaf_spine(seed: u64, backend: EventBackend) -> String {
+    let mut spec = cell(SystemKind::Vertigo, backend);
+    spec.seed = seed;
+    spec.domains = Some(1);
+    let out = spec.run();
+    pin_text(&out.report, &out.ordering, &out.marking)
+}
+
+/// A fat-tree k = 4 Vertigo + DCTCP cell whose windows end off the grid
+/// (horizon and telemetry interval are no multiples of the 500 ns quantum)
+/// and whose first edge switch stalls for 300 µs, so split calendar slots
+/// and deferred events are inside the pin.
+fn pinned_fat_tree(seed: u64, backend: EventBackend) -> String {
+    let mut spec = cell(SystemKind::Vertigo, backend);
+    spec.topo = TopoKind::FatTree { k: 4 };
+    spec.seed = seed;
+    spec.horizon = SimDuration::from_nanos(6_000_777);
+    spec.faults = FaultSchedule::parse("stall:16@1000333ns-1300111ns").unwrap();
+    let mut sim = spec.build();
+    sim.enable_telemetry(TelemetryConfig {
+        interval: SimDuration::from_nanos(33_333),
+    });
+    let mut dsim = DomainSimulation::from_sim(sim, 1);
+    let report = dsim.run();
+    assert!(report.fault_events > 0, "the stall must defer something");
+    pin_text(&report, &dsim.ordering_stats(), &dsim.marking_stats())
+}
+
+/// The tie rule of the domain engine, pinned. The suites above compare N
+/// domains against one inside a single build, so a rule changed for every
+/// N at once passes them; these hashes were taken from the tree that still
+/// injected due arrivals into the wheel at each barrier, and a scheduler
+/// that orders one tie differently moves them.
+#[test]
+fn one_domain_runs_are_the_pinned_ones() {
+    for (seed, leaf_spine, fat_tree) in PINNED {
+        for backend in [EventBackend::Wheel, EventBackend::Heap] {
+            for (what, text, pinned) in [
+                ("leaf-spine", pinned_leaf_spine(seed, backend), leaf_spine),
+                ("fat-tree", pinned_fat_tree(seed, backend), fat_tree),
+            ] {
+                assert_eq!(
+                    vertigo::netsim::trace::stable_hash(text.as_bytes()),
+                    pinned,
+                    "{what}, seed {seed}, {backend:?}: {text}"
+                );
+            }
+        }
+    }
+}
+
+/// `(seed, leaf-spine hash, fat-tree hash)`.
+const PINNED: [(u64, u64, u64); 3] = [
+    (1, 0x4f58_e5ff_d68c_ce7b, 0xceaa_7b21_61fc_20d8),
+    (2, 0x4623_aa23_ec5a_239f, 0x3faa_fb9f_0916_b550),
+    (3, 0x4a15_db0a_062d_2ffb, 0x7cb7_166a_5cd7_887c),
+];
