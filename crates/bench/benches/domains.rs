@@ -2,16 +2,18 @@
 //! `--domains` counts, against the classic single-queue engine as the
 //! baseline. On a multi-core box the parallel counts should win once
 //! per-barrier work dominates barrier overhead; on a single core they
-//! measure the engine's synchronization tax. BENCH_PR6.json records the
-//! committed numbers.
+//! measure the engine's synchronization tax.
 //!
-//! The `mailbox` group isolates the barrier's data structure: the
-//! per-domain calendar inbox against the global `BTreeMap` mailbox it
-//! replaced, one barrier round per iteration at a fixed number pending.
+//! The `mailbox` group isolates the barrier's data structure: one barrier
+//! round per iteration at a fixed number of deliveries pending — a
+//! window's worth delivered, the window that came due opened and popped
+//! dry — through a domain's `WindowQueue` against the global `BTreeMap`
+//! mailbox the calendar inbox replaced. BENCH_PR24.json records the
+//! committed numbers.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use std::collections::BTreeMap;
-use vertigo_simcore::{CalendarInbox, Delivery, LookaheadGrid, SimDuration, SimTime};
+use vertigo_simcore::{Delivery, EventQueue, LookaheadGrid, SimDuration, SimTime, WindowQueue};
 use vertigo_transport::CcKind;
 use vertigo_workload::{
     BackgroundSpec, DistKind, IncastSpec, RunSpec, SystemKind, TopoKind, WorkloadSpec,
@@ -72,7 +74,7 @@ const SLOTS_AHEAD: u64 = 4;
 
 /// The deliveries one window produces when `pending` are in flight: sent
 /// in clock order, the odd ones a slot early (ACK-sized).
-fn window(round: u64, pending: usize) -> impl Iterator<Item = Delivery<u64>> {
+fn generate(round: u64, pending: usize) -> impl Iterator<Item = Delivery<u64>> {
     let per_round = pending as u64 / SLOTS_AHEAD;
     (0..per_round).map(move |k| {
         let sent = round * QUANTUM + k * QUANTUM / per_round;
@@ -81,7 +83,6 @@ fn window(round: u64, pending: usize) -> impl Iterator<Item = Delivery<u64>> {
             at: SimTime::from_nanos(sent + (SLOTS_AHEAD - k % 2) * QUANTUM),
             sent: SimTime::from_nanos(sent),
             uid,
-            src: 0,
             ev: uid,
         }
     })
@@ -89,28 +90,33 @@ fn window(round: u64, pending: usize) -> impl Iterator<Item = Delivery<u64>> {
 
 fn bench_mailbox(c: &mut Criterion) {
     let mut g = c.benchmark_group("mailbox");
-    for pending in [64usize, 512, 4096] {
-        g.bench_function(format!("calendar/pending{pending}"), |b| {
-            let mut inbox = CalendarInbox::new(LookaheadGrid::new(QUANTUM));
+    for pending in [256usize, 4096, 65_536] {
+        g.bench_function(format!("window_queue/pending{pending}"), |b| {
+            // As the domain engine uses it: deliver, open the window that
+            // came due, pop it dry. The event queue beside it stays empty,
+            // so what is timed is the inbox, the take and the merge.
+            let mut window = WindowQueue::new(LookaheadGrid::new(QUANTUM));
+            let mut queue = EventQueue::new();
             let mut round = 0;
-            let mut step = |inbox: &mut CalendarInbox<u64>| {
-                window(round, pending).for_each(|d| inbox.push(d));
+            let mut step = |window: &mut WindowQueue<u64>| {
+                generate(round, pending).for_each(|d| window.deliver(d));
                 round += 1;
-                inbox.drain_until(SimTime::from_nanos(round * QUANTUM), |d| {
-                    black_box(d);
-                });
+                window.open(SimTime::from_nanos(round * QUANTUM));
+                while let Some(ev) = window.pop(&mut queue) {
+                    black_box(ev);
+                }
             };
-            (0..2 * SLOTS_AHEAD).for_each(|_| step(&mut inbox));
-            b.iter(|| step(&mut inbox))
+            (0..2 * SLOTS_AHEAD).for_each(|_| step(&mut window));
+            b.iter(|| step(&mut window))
         });
         g.bench_function(format!("btree/pending{pending}"), |b| {
             // As the barrier used it: keyed insert, then pop the front
             // while it is due, collected into a fresh Vec.
-            let mut mailbox: BTreeMap<(SimTime, SimTime, u64), (u64, u32)> = BTreeMap::new();
+            let mut mailbox: BTreeMap<(SimTime, SimTime, u64), u64> = BTreeMap::new();
             let mut round = 0;
             let mut step = |mailbox: &mut BTreeMap<_, _>| {
-                for d in window(round, pending) {
-                    mailbox.insert((d.at, d.sent, d.uid), (d.ev, d.src));
+                for d in generate(round, pending) {
+                    mailbox.insert((d.at, d.sent, d.uid), d.ev);
                 }
                 round += 1;
                 let limit = SimTime::from_nanos(round * QUANTUM);

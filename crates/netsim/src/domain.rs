@@ -19,14 +19,18 @@
 //!   for a barrier in the destination's calendar inbox — pushed there
 //!   directly when sender and receiver share a domain, via a per-destination
 //!   outbox handed over at the barrier when they do not — and every domain
-//!   injects what came due into its own wheel in canonical
+//!   takes what came due out of it as one run in canonical
 //!   `(arrival, send time, packet uid)` order — never in thread finish
-//!   order. A wheel only ever sees deliveries addressed to its own nodes,
+//!   order. A domain only ever sees deliveries addressed to its own nodes,
 //!   so that order is the global canonical order restricted to the domain,
 //!   whatever the partition. Self-targeted events (`TxDone`, `HostTimer`)
-//!   go straight to the local wheel, so their tie order against injected
-//!   arrivals is a function of the (partition-independent) barrier grid
-//!   alone.
+//!   go to the local wheel, or, when they are due inside the window that
+//!   is open, to a run of their own. A window pops the three merged by
+//!   time, and at one instant the wheel's first (scheduled in an earlier
+//!   window), then the arrivals, then what this window scheduled into
+//!   itself: a tie order that is a function of the (partition-independent)
+//!   barrier grid alone, and the one a single queue gives when the arrivals
+//!   are pushed into it as the window opens.
 //! * **Barriers land on a fixed grid**: a window starting at the earliest
 //!   pending time `m` ends at `min(grid_ceil(m), horizon, next sample)`
 //!   where the grid quantum is the global minimum propagation delay.
@@ -47,7 +51,7 @@
 //! takes the earliest pending time over wheels, inboxes and handed-over
 //! batches (each tracks its own minimum), and samples telemetry.
 //! Everything that costs per delivery — buffering, sorting a slot that
-//! came due, pushing it into the wheel — is the destination domain's and
+//! came due, merging it with the wheel — is the destination domain's and
 //! runs inside its round.
 //!
 //! The classic engine (no `--domains` flag) is untouched and remains the
@@ -63,7 +67,7 @@ use crate::telemetry::{Telemetry, TelemetryConfig};
 use crate::topology::Topology;
 use std::sync::Arc;
 use vertigo_simcore::{
-    Batch, CalendarInbox, EventQueue, LookaheadGrid, SimDuration, SimRng, SimTime, WorkerPool,
+    Batch, EventQueue, LookaheadGrid, SimDuration, SimRng, SimTime, WindowQueue, WorkerPool,
 };
 use vertigo_stats::{Recorder, Report};
 
@@ -78,16 +82,20 @@ struct Domain {
     nodes: Vec<Node>,
     /// One RNG stream per local node, parallel to `nodes`.
     rngs: Vec<SimRng>,
-    /// This domain's private event wheel.
+    /// This domain's private event wheel: what its nodes scheduled for
+    /// themselves past the window that was open at the time.
     wheel: EventQueue<Event>,
-    /// Where this domain's wire deliveries wait: its inbox, and its
-    /// outboxes towards the other domains.
+    /// Everything else it has pending — the clock, the inbox its wire
+    /// deliveries wait in, the open window's runs — and its outboxes
+    /// towards the other domains.
     router: Router,
     /// What each other domain sent last window (indexed by source),
     /// absorbed into the inbox at the start of the next round.
     inbound: Vec<Batch<Event>>,
-    /// Deliveries from other domains injected into this wheel so far.
+    /// Deliveries from other domains absorbed so far.
     cross_in: u64,
+    /// Most events this domain had pending at a barrier.
+    peak_pending: u64,
     /// This domain's private metrics (merged into the base at the end).
     rec: Recorder,
     /// Shared compiled fault schedule (content-keyed, so `&self` works).
@@ -101,7 +109,7 @@ impl Domain {
     /// handed over but not yet absorbed.
     fn pending(&self) -> u64 {
         let inbound: usize = self.inbound.iter().map(Batch::len).sum();
-        (self.wheel.len() + self.router.inbox.len() + inbound) as u64
+        (self.wheel.len() + self.router.window.len() + inbound) as u64
     }
 
     /// Earliest time any of them is due.
@@ -110,13 +118,14 @@ impl Domain {
             .iter()
             .filter_map(Batch::min_time)
             .chain(self.wheel.peek_time())
-            .chain(self.router.inbox.min_time())
+            .chain(self.router.window.min_time())
             .min()
     }
 
     /// One barrier round: takes delivery of what other domains sent last
-    /// window, injects every delivery landing at or before `limit` in
-    /// canonical order, then runs the wheel up to and including `limit`.
+    /// window, opens the window that ends at `limit` — the deliveries
+    /// landing in it leave the inbox as one run in canonical order — and
+    /// pops it dry, wheel and run merged.
     /// What this scheduler owns of the loop: wire deliveries routed through
     /// the inbox, one RNG stream per node, content-keyed fault draws; the
     /// coordinator samples telemetry at barriers, and tracing is rejected
@@ -132,20 +141,19 @@ impl Domain {
             rec,
             faults,
             node_local,
+            ..
         } = self;
-        for batch in inbound {
-            router.inbox.absorb(batch);
+        // The batch kept for this domain's own index stays empty.
+        for batch in inbound.iter_mut().filter(|b| !b.is_empty()) {
+            *cross_in += batch.len() as u64;
+            router.window.absorb(batch);
         }
-        let own = router.index;
-        router.inbox.drain_until(limit, |d| {
-            *cross_in += u64::from(d.src != own);
-            wheel.push(d.at, d.ev);
-        });
-        // As in `Simulation::drain_until`, `ev` goes from the wheel's entry
-        // to `dispatch` in registers, and an `&ev` handed to anything out
+        router.window.open(limit);
+        // As in `Simulation::drain_until`, `ev` goes from its entry to
+        // `dispatch` in registers, and an `&ev` handed to anything out
         // of line would give it a stack home and a stalled reload, 5-9 %
         // of `wall_us_per_mb`: the fault layer gets what it reads by value.
-        while let Some((now, ev)) = wheel.pop_until(limit) {
+        while let Some((now, ev)) = router.window.pop(wheel) {
             let id = ev
                 .node()
                 .expect("the domain engine samples at barriers, not via events");
@@ -160,9 +168,9 @@ impl Domain {
                 rec,
                 rng: &mut rngs[l],
             };
-            // A deferred event is re-pushed into this wheel: it already
-            // lives in the right domain, and its deferral round is fixed by
-            // the (partition-independent) barrier grid.
+            // A deferred event is re-pushed for this domain alone: it
+            // already lives in the right one, and its deferral round is
+            // fixed by the (partition-independent) barrier grid.
             nodes[l].dispatch(ev, verdict, &mut ctx);
         }
     }
@@ -238,11 +246,12 @@ impl DomainSimulation {
                 router: Router {
                     index: i as u32,
                     node_domain: Arc::clone(&node_domain),
-                    inbox: CalendarInbox::new(grid),
+                    window: WindowQueue::new(grid),
                     outboxes: (0..n).map(|_| Batch::default()).collect(),
                 },
                 inbound: (0..n).map(|_| Batch::default()).collect(),
                 cross_in: 0,
+                peak_pending: 0,
                 rec: Recorder::new(),
                 faults: faults.clone(),
                 node_local: Arc::clone(&node_local),
@@ -311,8 +320,10 @@ impl DomainSimulation {
             // pending work anywhere.
             let mut pending = 0u64;
             let mut m = None;
-            for d in &self.domains {
-                pending += d.pending();
+            for d in &mut self.domains {
+                let own = d.pending();
+                d.peak_pending = d.peak_pending.max(own);
+                pending += own;
                 m = earlier(m, d.min_time());
             }
             self.peak_pending = self.peak_pending.max(pending);
@@ -350,8 +361,8 @@ impl DomainSimulation {
                 end = end.min(s);
             }
 
-            // (6) One lockstep round: every domain injects what lands in
-            // the window and drains it.
+            // (6) One lockstep round: every domain takes what lands in the
+            // window out of its inbox and pops it merged with its wheel.
             match pool.as_mut() {
                 Some(p) => p.round_in_place(&mut self.domains, end),
                 None => self.domains[0].drain_window(end),
@@ -440,16 +451,16 @@ impl DomainSimulation {
         // + deliveries handed over in the last exchange, all already summed
         // into the merged `wire` tally the conservation audit reads.
         let mut report = sim::close_books(self.nodes(), &mut rec, horizon);
-        report.events_scheduled = self.domains.iter().map(|d| d.wheel.scheduled_total()).sum();
+        // What one queue would have counted: each event went through the
+        // wheel or through the window queue beside it, never both.
+        report.events_scheduled = (self.domains.iter())
+            .map(|d| d.wheel.scheduled_total() + d.router.window.merged_total())
+            .sum();
         report.peak_pending_events = self.peak_pending;
         report.domains = self.domains.len() as u64;
         report.barrier_epochs = self.barrier_epochs;
         report.cross_domain_packets = self.domains.iter().map(|d| d.cross_in).sum();
-        report.domain_peak_pending = self
-            .domains
-            .iter()
-            .map(|d| d.wheel.peak_pending() as u64)
-            .collect();
+        report.domain_peak_pending = self.domains.iter().map(|d| d.peak_pending).collect();
         self.base_rec = rec;
         report
     }

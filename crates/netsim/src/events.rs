@@ -4,8 +4,8 @@ use crate::link::LinkParams;
 use std::sync::Arc;
 use vertigo_pkt::{pool, FlowId, NodeId, Packet, PortId, QueryId};
 use vertigo_simcore::{
-    Batch, CalendarInbox, Delivery, EventQueue, SimRng, SimTime, SnapError, SnapReader, SnapWriter,
-    Snapshot,
+    Batch, Delivery, EventQueue, SimRng, SimTime, SnapError, SnapReader, SnapWriter, Snapshot,
+    WindowQueue,
 };
 use vertigo_stats::{DropCause, Recorder, TraceKind, TraceRecord};
 
@@ -148,28 +148,67 @@ impl Snapshot for Event {
     }
 }
 
-/// Where one domain's wire deliveries wait for a barrier: its own
-/// calendar inbox for packets that stay inside the domain, one outbox per
-/// destination for packets that leave it. The merge key of a delivery is
-/// `(arrival, send time, Packet::uid)` — content-derived, so independent
-/// of the partition.
+/// Where one domain's events go that are not its event queue's alone: the
+/// window queue that buffers wire deliveries to the domain's own nodes and
+/// merges them at pop time, and one outbox per destination for packets
+/// that leave the domain. The merge key of a delivery is `(arrival, send
+/// time, Packet::uid)` — content-derived, so independent of the partition.
 pub(crate) struct Router {
     /// The owning domain.
     pub(crate) index: u32,
     /// Global node id -> owning domain.
     pub(crate) node_domain: Arc<Vec<u16>>,
-    /// Deliveries to this domain's own nodes that are not due yet.
-    pub(crate) inbox: CalendarInbox<Event>,
+    /// The domain's clock, its deliveries that are not due yet, and what
+    /// is left of the open window.
+    pub(crate) window: WindowQueue<Event>,
     /// Deliveries produced this window for each other domain, handed
     /// over at the barrier (`outboxes[index]` stays empty).
     pub(crate) outboxes: Vec<Batch<Event>>,
 }
 
+impl Router {
+    /// Schedules `ev` at `at` from a handler of this domain: a wire
+    /// delivery waits for the window it lands in, here or in the outbox
+    /// towards the domain that owns its node; anything else targets the
+    /// node that scheduled it.
+    #[inline]
+    fn route(&mut self, queue: &mut EventQueue<Event>, at: SimTime, ev: Event) {
+        let (node, port, pkt) = match ev {
+            Event::Arrive { node, port, pkt } => (node, port, pkt),
+            // Read field by field, as the scheduling handler wrote it a
+            // few instructions ago: a copy of the whole event loads
+            // across its stores and waits for them to retire.
+            Event::TxDone { node, port } => {
+                return self.window.push(queue, at, Event::TxDone { node, port });
+            }
+            other => return self.window.push(queue, at, other),
+        };
+        let d = Delivery {
+            at,
+            sent: self.window.now(),
+            uid: pkt.uid,
+            ev: Event::Arrive { node, port, pkt },
+        };
+        // One domain owns every node: no table to consult.
+        let own = self.index as usize;
+        let dst = match self.outboxes.len() {
+            1 => own,
+            _ => self.node_domain[node.index()] as usize,
+        };
+        if dst == own {
+            self.window.deliver(d);
+        } else {
+            self.outboxes[dst].push(d);
+        }
+    }
+}
+
 /// Where scheduled events go: straight into the local queue (classic
-/// single-queue engine), or — in the domain-partitioned engine — wire
-/// deliveries (`Event::Arrive`) detour through the domain's [`Router`] so
-/// the barrier can inject them in canonical order, while self-targeted
-/// events (`TxDone`, `HostTimer`) stay local.
+/// single-queue engine), or — in the domain-partitioned engine — through
+/// the domain's [`Router`]: wire deliveries (`Event::Arrive`) wait in an
+/// inbox or outbox for the window they land in, and self-targeted events
+/// (`TxDone`, `HostTimer`) go to the local queue unless they are due in
+/// the window that is open.
 pub struct EventSink<'a> {
     queue: &'a mut EventQueue<Event>,
     router: Option<&'a mut Router>,
@@ -184,7 +223,7 @@ impl<'a> EventSink<'a> {
         }
     }
 
-    /// A sink that detours `Arrive` events through `router` (domain engine).
+    /// A sink that sends everything through `router` (domain engine).
     pub(crate) fn routed(queue: &'a mut EventQueue<Event>, router: &'a mut Router) -> Self {
         EventSink {
             queue,
@@ -192,60 +231,40 @@ impl<'a> EventSink<'a> {
         }
     }
 
-    /// Current queue time.
+    /// Current time: the timestamp of the last popped event. A domain's
+    /// queue pops only part of its events, so its router keeps the clock.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        match &self.router {
+            Some(r) => r.window.now(),
+            None => self.queue.now(),
+        }
     }
 
     /// Schedules `ev` at absolute time `at`.
     #[inline]
     pub fn push(&mut self, at: SimTime, ev: Event) {
-        match (&mut self.router, &ev) {
-            (Some(r), Event::Arrive { node, pkt, .. }) => {
-                let dst = r.node_domain[node.index()] as usize;
-                let d = Delivery {
-                    at,
-                    sent: self.queue.now(),
-                    uid: pkt.uid,
-                    src: r.index,
-                    ev,
-                };
-                if dst == r.index as usize {
-                    r.inbox.push(d);
-                } else {
-                    r.outboxes[dst].push(d);
-                }
-            }
-            _ => self.queue.push(at, ev),
+        match &mut self.router {
+            Some(r) => r.route(self.queue, at, ev),
+            None => self.queue.push(at, ev),
         }
     }
 
-    /// Schedules `ev` in the local queue whatever its kind: a deferred
-    /// event already sits with the node it targets, so even an `Arrive`
-    /// skips the router.
+    /// Schedules `ev` for the node it already sits with, whatever its
+    /// kind: a deferred `Arrive` skips the inbox.
     #[inline]
     pub(crate) fn push_local(&mut self, at: SimTime, ev: Event) {
-        self.queue.push(at, ev);
+        match &mut self.router {
+            Some(r) => r.window.push(self.queue, at, ev),
+            None => self.queue.push(at, ev),
+        }
     }
 
     /// Schedules `ev` at `now + delay`.
     #[inline]
     pub fn push_after(&mut self, delay: vertigo_simcore::SimDuration, ev: Event) {
-        let at = self.queue.now() + delay;
+        let at = self.now() + delay;
         self.push(at, ev);
-    }
-
-    /// Pending events in the underlying local queue.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if the underlying local queue is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 
@@ -346,7 +365,7 @@ mod tests {
     fn an_event_is_16_bytes_and_a_pending_entry_24() {
         assert!(size_of::<Event>() <= 16);
         assert_eq!(size_of::<Option<(u64, Event)>>(), 24);
-        assert_eq!(size_of::<Delivery<Event>>(), 48);
+        assert_eq!(size_of::<Option<Delivery<Event>>>(), 40);
     }
 
     #[test]

@@ -715,6 +715,18 @@ impl Host {
             let reported_reorders = r.get_u64()?;
             let reported_bytes = r.get_u64()?;
             let recv = FlowReceiver::snap_restore(r)?;
+            // `deliver_data` exports the difference to these on the next
+            // packet: a claim above what the receiver holds underflows it.
+            let (bytes, reorders) = (
+                recv.contiguous().min(recv.size),
+                recv.stats().reorder_events,
+            );
+            if reported_bytes > bytes || reported_reorders > reorders {
+                return Err(SnapError::new(format!(
+                    "receiver of {flow:?}: reported {reported_bytes} bytes and \
+                     {reported_reorders} reorders of {bytes} and {reorders} received"
+                )));
+            }
             self.receivers.insert(
                 flow,
                 RecvState {

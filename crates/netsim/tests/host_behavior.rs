@@ -515,3 +515,135 @@ fn snapshot_restore_rejects_a_hostile_nic_record() {
         assert!(restored(&ok[..cut]).is_err(), "accepted {cut} bytes");
     }
 }
+
+#[test]
+fn snapshot_restore_rejects_a_hostile_receiver_record() {
+    use vertigo_simcore::{SnapReader, SnapWriter, Snapshot};
+
+    // No ordering shim, so a gap on the wire is a gap at the receiver.
+    let plain_host = || {
+        let cfg = HostConfig::plain(TransportConfig::default_for(CcKind::Dctcp));
+        Host::new(ME, TOR, PortId(2), LinkParams::gbps(10, 500), cfg)
+    };
+    let data = |k: u64| {
+        let seg = DataSeg {
+            seq: k * 1460,
+            payload: 1460,
+            flow_bytes: 8 * 1460,
+            retransmit: false,
+            trimmed: false,
+        };
+        let (flow, query) = (FlowId(9), QueryId::NONE);
+        Box::new(Packet::data(
+            100 + k,
+            flow,
+            query,
+            PEER_HOST,
+            ME,
+            seg,
+            true,
+            SimTime::ZERO,
+        ))
+    };
+    // Segments 0 and 1, then 3 and 5 behind two holes, ACKs drained.
+    let midrun = || {
+        let (mut h, mut host) = (Harness::new(), plain_host());
+        for k in [0, 1, 3, 5] {
+            host.on_arrive(data(k), &mut h.ctx());
+        }
+        assert_eq!(h.drain_tx(&mut host).len(), 4);
+        (h, host)
+    };
+    let saved = |host: &Host| {
+        let mut w = SnapWriter::new();
+        host.snap_save(&mut w);
+        w.into_bytes()
+    };
+    let restored = |bytes: &[u8]| {
+        let mut host = plain_host();
+        host.snap_restore(&mut SnapReader::new(bytes))
+            .map(|()| host)
+    };
+
+    // A valid mid-run record round-trips byte for byte, and the restored
+    // host keeps delivering in step: same ACKs, same goodput and reorder
+    // deltas, the flow finished at the same packet.
+    let (mut h, mut host) = midrun();
+    let (mut h2, live) = midrun();
+    let ok = saved(&live);
+    assert_eq!(ok, saved(&host));
+    let mut host2 = restored(&ok).unwrap();
+    assert_eq!(saved(&host2), ok);
+    assert_eq!(
+        (h.rec.goodput_bytes, h.rec.transport_reorders),
+        (2 * 1460, 2)
+    );
+    for k in [2, 7, 4, 6, 6] {
+        host.on_arrive(data(k), &mut h.ctx());
+        host2.on_arrive(data(k), &mut h2.ctx());
+        let acks = |wire: Vec<Packet>| -> Vec<_> {
+            wire.iter().map(|p| *p.ack_seg().expect("an ACK")).collect()
+        };
+        assert_eq!(acks(h.drain_tx(&mut host)), acks(h2.drain_tx(&mut host2)));
+        assert_eq!(h.rec.goodput_bytes, h2.rec.goodput_bytes);
+        assert_eq!(h.rec.transport_reorders, h2.rec.transport_reorders);
+        let done = |rec: &Recorder| rec.flows[&FlowId(9)].finished.is_some();
+        assert_eq!(done(&h.rec), done(&h2.rec));
+    }
+    assert_eq!(h2.rec.goodput_bytes, 8 * 1460);
+    assert_eq!(saved(&host), saved(&host2));
+
+    // Empty NIC, idle, no senders; then the one receiver: its flow, peer
+    // and query, and the two counters `deliver_data` subtracts from.
+    let mut r = SnapReader::new(&ok);
+    assert_eq!(r.get_usize().unwrap(), 0);
+    assert_eq!(r.get_u64().unwrap(), 0);
+    assert!(!r.get_bool().unwrap());
+    assert_eq!(r.get_usize().unwrap(), 0);
+    assert_eq!(r.get_usize().unwrap(), 1);
+    assert_eq!(FlowId::restore(&mut r).unwrap(), FlowId(9));
+    NodeId::restore(&mut r).unwrap();
+    QueryId::restore(&mut r).unwrap();
+    let at = ok.len() - r.remaining();
+    assert_eq!(r.get_u64().unwrap(), 2, "reported reorders");
+    assert_eq!(r.get_u64().unwrap(), 2 * 1460, "reported bytes");
+    let with = |offset: usize, claimed: u64| {
+        let mut bytes = ok.clone();
+        bytes[at + offset..at + offset + 8].copy_from_slice(&claimed.to_le_bytes());
+        bytes
+    };
+    // Less than the receiver holds restores (the next packet exports the
+    // rest); more would underflow the subtraction.
+    assert!(restored(&with(0, 1)).is_ok());
+    assert!(restored(&with(8, 1460)).is_ok());
+    for (offset, claimed) in [(0, 3), (0, u64::MAX), (8, 2 * 1460 + 1), (8, u64::MAX)] {
+        let err = restored(&with(offset, claimed)).expect_err("hostile counter");
+        assert!(err.to_string().contains("reported"), "{err}");
+    }
+    // A flow whose prefix ran past its size reports the size, no more.
+    let (mut h, mut host) = (Harness::new(), plain_host());
+    let mut runt = data(0);
+    runt.kind = PacketKind::Data(DataSeg {
+        flow_bytes: 1000,
+        ..*runt.data_seg().unwrap()
+    });
+    host.on_arrive(runt, &mut h.ctx());
+    h.drain_tx(&mut host);
+    let over = saved(&host);
+    assert!(restored(&over).is_ok());
+    let mut bytes = over.clone();
+    bytes[at + 8..at + 16].copy_from_slice(&1001u64.to_le_bytes());
+    assert!(restored(&bytes).is_err(), "reported bytes above the size");
+    // The receiver's own record is checked through the host's, too.
+    let recv_at = at + 16;
+    let cum_at = recv_at + 16; // behind the flow id and the size
+    let mut bytes = ok.clone();
+    bytes[cum_at..cum_at + 8].copy_from_slice(&(3 * 1460u64).to_le_bytes());
+    assert!(
+        restored(&bytes).is_err(),
+        "a range at the contiguous prefix"
+    );
+    for cut in 0..ok.len() {
+        assert!(restored(&ok[..cut]).is_err(), "accepted {cut} bytes");
+    }
+}

@@ -146,6 +146,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the earliest pending event, if any.
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         match &self.inner {
             Backend::Wheel(q) => q.peek_time(),

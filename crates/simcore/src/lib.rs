@@ -9,7 +9,7 @@
 //!   binary-heap implementation is retained as [`HeapEventQueue`] and
 //!   selectable via [`EventBackend`] for differential testing,
 //! * [`SimRng`] — seeded randomness with forkable independent streams,
-//! * [`LookaheadGrid`] / [`CalendarInbox`] / [`WorkerPool`] — model-agnostic
+//! * [`LookaheadGrid`] / [`WindowQueue`] / [`WorkerPool`] — model-agnostic
 //!   building blocks for conservative parallel (domain-partitioned)
 //!   simulation with deterministic cross-domain merge order.
 //!
@@ -31,7 +31,7 @@ mod time;
 mod wheel;
 
 pub use barrier::WorkerPool;
-pub use domain::{Batch, CalendarInbox, Delivery, LookaheadGrid};
+pub use domain::{Batch, Delivery, LookaheadGrid, WindowQueue};
 pub use event::{EventBackend, EventQueue};
 pub use heapq::HeapEventQueue;
 pub use rng::SimRng;

@@ -315,14 +315,20 @@ impl<E> TimingWheel<E> {
     }
 
     /// Timestamp of the earliest pending event without disturbing the
-    /// wheel. O(1) in bitmap words plus, when the window is spent, one
-    /// scan of the single first slot.
+    /// wheel: a look at the two run heads while the window is open, else
+    /// [`Self::earliest_slotted`].
+    #[inline]
     fn earliest(&self) -> Option<u64> {
         match (self.run.head(), self.side.head()) {
-            (Some(r), Some(s)) => return Some(r.min(s)),
-            (Some(t), None) | (None, Some(t)) => return Some(t),
-            (None, None) => {}
+            (Some(r), Some(s)) => Some(r.min(s)),
+            (Some(t), None) | (None, Some(t)) => Some(t),
+            (None, None) => self.earliest_slotted(),
         }
+    }
+
+    /// With the window spent: O(1) in bitmap words plus one scan of the
+    /// single first slot.
+    fn earliest_slotted(&self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -420,6 +426,7 @@ impl<E> TimingWheel<E> {
         }
     }
 
+    #[inline]
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.earliest().map(SimTime::from_nanos)
     }

@@ -96,12 +96,15 @@ pub struct Report {
     pub domains: u64,
     /// Lookahead barrier epochs executed by the domain engine.
     pub barrier_epochs: u64,
-    /// Packets that crossed a domain boundary and were injected into the
-    /// receiving domain's wheel. Depends on the partition (not domain-count-invariant) —
-    /// a load-balance diagnostic, not a result.
+    /// Packets that crossed a domain boundary and were taken in by the
+    /// receiving domain (counted when its round absorbs the sender's
+    /// batch, so a few may still be in flight at the horizon). Depends on
+    /// the partition (not domain-count-invariant) — a load-balance
+    /// diagnostic, not a result.
     pub cross_domain_packets: u64,
-    /// Per-domain high-water marks of pending events in each domain's
-    /// wheel. Length equals `domains`; partition-dependent diagnostic.
+    /// Per-domain high-water marks of events pending at a barrier: the
+    /// domain's wheel, its inbox, and what was handed over to it. Length
+    /// equals `domains`; partition-dependent diagnostic.
     pub domain_peak_pending: Vec<u64>,
 
     /// Fault-injection interventions (fault drops + stall/pause event

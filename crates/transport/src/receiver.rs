@@ -147,21 +147,49 @@ impl FlowReceiver {
     }
 
     /// Reconstructs a receiver from a [`FlowReceiver::snap_save`] stream.
+    ///
+    /// Refuses a record [`FlowReceiver::on_data`] cannot have left behind:
+    /// out-of-order ranges that do not lie strictly above the contiguous
+    /// prefix, one after the other without overlap, below `u64::MAX`
+    /// (`drain_ooo` adds start and length), or a completion flag
+    /// that disagrees with the prefix.
     pub fn snap_restore(
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<Self, vertigo_simcore::SnapError> {
-        use vertigo_simcore::Snapshot;
+        use vertigo_simcore::{SnapError, Snapshot};
         let flow = FlowId::restore(r)?;
         let size = r.get_u64()?;
         let mut rx = FlowReceiver::new(flow, size);
         rx.cum = r.get_u64()?;
+        // One range at a time, each read from the input: a hostile count
+        // runs out of bytes before it sizes anything.
         let n = r.get_usize()?;
+        let mut floor = rx.cum;
         for _ in 0..n {
             let start = r.get_u64()?;
             let len = r.get_u32()?;
+            let end = start.checked_add(len as u64).filter(|_| len > 0);
+            let above = if rx.ooo.is_empty() {
+                start > floor
+            } else {
+                start >= floor
+            };
+            let (Some(end), true) = (end, above) else {
+                return Err(SnapError::new(format!(
+                    "receiver of {flow:?}: out-of-order range {start}+{len} is empty, \
+                     overflows, or does not lie above {floor}"
+                )));
+            };
             rx.ooo.insert(start, len);
+            floor = end;
         }
         rx.complete = r.get_bool()?;
+        if rx.complete != (rx.cum >= size) {
+            return Err(SnapError::new(format!(
+                "receiver of {flow:?}: complete = {} with {} of {size} bytes contiguous",
+                rx.complete, rx.cum
+            )));
+        }
         rx.stats.reorder_events = r.get_u64()?;
         rx.stats.duplicates = r.get_u64()?;
         rx.stats.trim_notices = r.get_u64()?;
@@ -299,6 +327,120 @@ mod tests {
         let a2 = r2.on_data(t(3), &seg(1, 5), false, t(0));
         assert_eq!(a, a2);
         assert_eq!(a.cum_ack, 3 * MSS as u64);
+    }
+
+    /// A receiver record as `snap_save` lays it out.
+    fn record(size: u64, cum: u64, ranges: &[(u64, u32)], complete: bool) -> Vec<u8> {
+        record_counting(size, cum, ranges.len(), ranges, complete)
+    }
+
+    /// [`record`] with a range count of its own.
+    fn record_counting(
+        size: u64,
+        cum: u64,
+        count: usize,
+        ranges: &[(u64, u32)],
+        complete: bool,
+    ) -> Vec<u8> {
+        use vertigo_simcore::Snapshot;
+        let mut w = vertigo_simcore::SnapWriter::new();
+        FlowId(1).save(&mut w);
+        w.put_u64(size);
+        w.put_u64(cum);
+        w.put_usize(count);
+        for &(start, len) in ranges {
+            w.put_u64(start);
+            w.put_u32(len);
+        }
+        w.put_bool(complete);
+        for counter in [ranges.len() as u64, 0, 0, 1 + ranges.len() as u64] {
+            w.put_u64(counter);
+        }
+        Some(t(1)).save(&mut w); // first_arrival
+        complete.then_some(t(9)).save(&mut w); // completed_at
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_hostile_records() {
+        use vertigo_simcore::{SnapReader, SnapWriter};
+        let saved = |r: &FlowReceiver| {
+            let mut w = SnapWriter::new();
+            r.snap_save(&mut w);
+            w.into_bytes()
+        };
+        let restored = |bytes: &[u8]| FlowReceiver::snap_restore(&mut SnapReader::new(bytes));
+
+        // A valid mid-run record: a prefix, two holes, three ranges behind
+        // them (two adjacent), a duplicate and a trim notice on the books.
+        let mut r = FlowReceiver::new(FlowId(1), 9 * MSS as u64);
+        for k in [0, 2, 3, 6, 0] {
+            r.on_data(t(k), &seg(k, 9), false, t(0));
+        }
+        r.on_trim(t(7), false, t(0));
+        assert_eq!((r.contiguous(), r.ooo.len()), (MSS as u64, 3));
+        let ok = saved(&r);
+        let mut back = restored(&ok).unwrap();
+        assert_eq!(saved(&back), ok, "byte for byte");
+        // And it keeps running in step: the holes fill, the tail arrives.
+        for (now, k) in [(10, 1), (11, 5), (12, 4), (13, 7), (14, 8), (15, 8)] {
+            let (a, b) = (
+                r.on_data(t(now), &seg(k, 9), k == 4, t(now - 1)),
+                back.on_data(t(now), &seg(k, 9), k == 4, t(now - 1)),
+            );
+            assert_eq!(a, b);
+            assert_eq!(r.is_complete(), back.is_complete());
+        }
+        assert!(back.is_complete());
+        assert_eq!(saved(&back), saved(&r));
+        assert!(restored(&saved(&r)).is_ok(), "a completed record, too");
+
+        let (m, size) = (MSS as u64, 9 * MSS as u64);
+        let good = record(size, m, &[(2 * m, MSS), (3 * m, MSS), (6 * m, MSS)], false);
+        assert_eq!(restored(&good).unwrap().contiguous(), m);
+        assert!(restored(&record(size, size, &[], true)).is_ok());
+        for (what, bytes) in [
+            // What used to restore, and overflow in `drain_ooo` once the
+            // hole in front of it filled.
+            (
+                "range ends past u64::MAX",
+                record(size, m, &[(u64::MAX - 10, 11)], false),
+            ),
+            (
+                "range ends past u64::MAX behind another",
+                record(size, m, &[(2 * m, MSS), (u64::MAX, 1)], false),
+            ),
+            ("range starts at cum", record(size, m, &[(m, MSS)], false)),
+            (
+                "range starts below cum",
+                record(size, 2 * m, &[(m, MSS)], false),
+            ),
+            (
+                "ranges overlap",
+                record(size, m, &[(2 * m, MSS), (3 * m - 1, MSS)], false),
+            ),
+            (
+                "ranges descend",
+                record(size, m, &[(4 * m, MSS), (2 * m, MSS)], false),
+            ),
+            (
+                "range repeated",
+                record(size, m, &[(2 * m, MSS), (2 * m, MSS)], false),
+            ),
+            ("empty range", record(size, m, &[(2 * m, 0)], false)),
+            ("complete short of size", record(size, m, &[], true)),
+            ("incomplete at size", record(size, size, &[], false)),
+            ("incomplete past size", record(size, size + 1, &[], false)),
+            (
+                "range count the input cannot hold",
+                record_counting(size, m, 1 << 40, &[(2 * m, MSS)], false),
+            ),
+        ] {
+            assert!(restored(&bytes).is_err(), "accepted: {what}");
+        }
+        for cut in 0..ok.len() {
+            assert!(restored(&ok[..cut]).is_err(), "accepted {cut} bytes");
+        }
     }
 
     #[test]

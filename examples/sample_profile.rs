@@ -17,6 +17,18 @@
 //! scripts/profile.sh ls_bg_ecmp_swift 5
 //! ```
 //!
+//! `--time <cell>... <n>` is the other question asked of the same cells:
+//! how long one repetition of each takes *relative to the others*. It runs
+//! the named cells in turn, `n` rounds of one repetition each, without the
+//! sampler, and prints the minimum and the quartiles per cell and every
+//! cell's median over the first one's. The box's speed drifts by a fifth
+//! over minutes, so back-to-back runs of two binaries (or of one binary on
+//! two cells) compare the drift; alternated single repetitions do not.
+//!
+//! ```sh
+//! sample_profile --time ft_soak ft_soak_d1 24
+//! ```
+//!
 //! Only the main thread's stack is walked; all four cells run on it alone.
 //! This file is its own crate root, which is why it may hold the `unsafe`
 //! that `sigaction` and `setitimer` need and no workspace crate does.
@@ -248,8 +260,55 @@ mod sampler {
     }
 }
 
+/// `--time`: `rounds` rounds of one repetition of each cell in turn, then
+/// per cell the minimum and quartiles of its repetitions in milliseconds.
+fn time_cells(names: &[String], specs: &[RunSpec], rounds: usize) {
+    let mut ms = vec![Vec::with_capacity(rounds); specs.len()];
+    for _ in 0..rounds {
+        for (spec, ms) in specs.iter().zip(&mut ms) {
+            let start = std::time::Instant::now();
+            std::hint::black_box(spec.run());
+            ms.push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    println!("# {rounds} alternated repetitions per cell, ms");
+    println!(
+        "{:<18}{:>9}{:>9}{:>9}{:>9}{:>9}",
+        "cell", "min", "q1", "median", "q3", "/ first"
+    );
+    let mut first = None;
+    for (name, ms) in names.iter().zip(&mut ms) {
+        ms.sort_by(f64::total_cmp);
+        let q = |k: usize| ms[(ms.len() - 1) * k / 4];
+        let first = *first.get_or_insert(q(2));
+        let (min, q1, median, q3) = (q(0), q(1), q(2), q(3));
+        println!(
+            "{name:<18}{min:>9.1}{q1:>9.1}{median:>9.1}{q3:>9.1}{:>9.3}",
+            median / first
+        );
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "--time") {
+        let (rounds, names) = args[1..].split_last().unzip();
+        let rounds = rounds.and_then(|n: &String| n.parse::<usize>().ok());
+        let names: &[String] = names.unwrap_or_default();
+        let specs: Option<Vec<RunSpec>> = names.iter().map(|n| cell(n)).collect();
+        match (rounds, specs) {
+            (Some(rounds), Some(specs)) if rounds > 0 && !specs.is_empty() => {
+                return time_cells(names, &specs, rounds);
+            }
+            _ => {
+                eprintln!(
+                    "usage: sample_profile --time <{}>... <rounds>",
+                    CELLS.join("|")
+                );
+                std::process::exit(2);
+            }
+        }
+    }
     let spec = args.first().and_then(|name| cell(name));
     let reps = args.get(1).map_or(Ok(1), |n| n.parse::<u32>());
     let (Some(spec), Ok(reps)) = (spec, reps) else {
