@@ -82,7 +82,7 @@ pub fn run<T: Send, R: Send>(
     row: impl Fn(&Cell<T>, &RunOutput) -> R + Sync,
 ) -> Result<Vec<R>, RunError> {
     let snaps = if opts.trace.is_none() && !opts.snapshot.is_active() {
-        warm_up(opts.jobs, &cells)
+        warm_up(opts.jobs, &cells)?
     } else {
         vec![None; cells.len()]
     };
@@ -106,8 +106,9 @@ pub fn run<T: Send, R: Send>(
 }
 
 /// The warmup phase: per cell, the class snapshot it starts from (`None`:
-/// run straight through).
-fn warm_up<T>(jobs: usize, cells: &[Cell<T>]) -> Vec<Option<Arc<SnapBuf>>> {
+/// run straight through). The first warmup error in submission order is
+/// returned.
+fn warm_up<T>(jobs: usize, cells: &[Cell<T>]) -> Result<Vec<Option<Arc<SnapBuf>>>, RunError> {
     let keys: Vec<Option<u64>> = cells
         .iter()
         .map(|c| c.fork.and_then(|f| c.spec.fork_key(&f)))
@@ -129,13 +130,14 @@ fn warm_up<T>(jobs: usize, cells: &[Cell<T>]) -> Vec<Option<Arc<SnapBuf>>> {
         }
     }
     let snaps: BTreeMap<u64, Arc<SnapBuf>> = pool(jobs, warmups, |(k, spec, fork)| {
-        (k, Arc::new(spec.run_warmup(&fork)))
+        Ok((k, Arc::new(spec.run_warmup(&fork)?)))
     })
     .into_iter()
-    .collect();
-    keys.iter()
+    .collect::<Result<_, RunError>>()?;
+    Ok(keys
+        .iter()
         .map(|k| k.and_then(|k| snaps.get(&k).cloned()))
-        .collect()
+        .collect())
 }
 
 /// Number of workers to use when `--jobs` is not given.
@@ -328,7 +330,7 @@ mod tests {
     fn warm_scheduling_groups_classes_and_falls_back() {
         let grid = mixed_grid();
         for jobs in [1, 4] {
-            let snaps = warm_up(jobs, &grid);
+            let snaps = warm_up(jobs, &grid).expect("warmups run");
             assert_eq!(
                 snaps.iter().map(Option::is_some).collect::<Vec<_>>(),
                 vec![true, true, true, false, true, false],

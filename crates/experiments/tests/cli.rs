@@ -65,27 +65,33 @@ fn conflicting_flags_exit_2() {
     );
 }
 
-/// A `--workload` that parses but does not fit the run's topology is the
-/// user's error: one `error:` line and exit 2, no panic, no table.
-fn workload_refused(hosts: &str, needle: &str) {
-    let dir = std::env::temp_dir().join(format!("vertigo-cli-wl-{hosts}-{}", std::process::id()));
-    let workload = format!("bg:load=0.1,hosts={hosts}");
-    let out = experiments(&[
-        "soak",
-        "--quick",
-        "--out",
-        dir.to_str().unwrap(),
-        "--workload",
-        &workload,
-    ]);
+/// Flags that parse but do not fit the run's topology are the user's
+/// error: one `error:` line starting `error: {flag}: ` and exit 2, no
+/// panic, no table.
+fn spec_refused(id: &str, flags: &[&str], flag: &str, needle: &str) {
+    let tag = flags
+        .join("")
+        .replace(|c: char| !c.is_ascii_alphanumeric(), "");
+    let dir = std::env::temp_dir().join(format!("vertigo-cli-{id}-{tag}-{}", std::process::id()));
+    let mut args = vec![id, "--quick", "--out", dir.to_str().unwrap()];
+    args.extend(flags);
+    let out = experiments(&args);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     let errors: Vec<&str> = stderr.lines().filter(|l| l.contains("error")).collect();
-    assert_eq!(errors.len(), 1, "{stderr}");
-    assert!(errors[0].starts_with("error: --workload: "), "{stderr}");
+    assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+    assert!(
+        errors[0].starts_with(&format!("error: {flag}: ")),
+        "{stderr}"
+    );
     assert!(errors[0].contains(needle), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     assert!(!dir.exists(), "nothing is written after an error");
+}
+
+fn workload_refused(hosts: &str, needle: &str) {
+    let workload = format!("bg:load=0.1,hosts={hosts}");
+    spec_refused("soak", &["--workload", &workload], "--workload", needle);
 }
 
 #[test]
@@ -96,6 +102,34 @@ fn workload_past_the_topology_exits_2_without_a_panic() {
 #[test]
 fn full_u32_host_range_exits_2_without_overflow() {
     workload_refused("0-4294967295", "exceeds the topology");
+}
+
+#[test]
+fn faults_off_the_topology_exit_2_without_a_panic() {
+    let stall = ["--faults", "stall:9999@1ms-2ms"];
+    spec_refused(
+        "soak",
+        &stall,
+        "--faults",
+        "node 9999 not in topology (36 nodes)",
+    );
+    let down = ["--faults", "down:0-1@1ms-2ms"];
+    spec_refused("soak", &down, "--faults", "no link between nodes 0 and 1");
+    // Under a sweep, each cell's error and not one panic per worker; and
+    // from the shared warmup of phased cells too.
+    spec_refused("fig1", &stall, "--faults", "node 9999 not in topology");
+    spec_refused("fig5", &stall, "--faults", "node 9999 not in topology");
+}
+
+#[test]
+fn more_domains_than_the_engine_takes_exit_2_without_a_panic() {
+    let domains = ["--domains", "100000"];
+    spec_refused(
+        "soak",
+        &domains,
+        "--domains 100000",
+        "at most 65535 domains",
+    );
 }
 
 #[test]

@@ -170,8 +170,9 @@ impl Router {
     /// Schedules `ev` at `at` from a handler of this domain: a wire
     /// delivery waits for the window it lands in, here or in the outbox
     /// towards the domain that owns its node; anything else targets the
-    /// node that scheduled it.
-    #[inline]
+    /// node that scheduled it. Always inlined into the sink's push, as
+    /// the classic queue's push is.
+    #[inline(always)]
     fn route(&mut self, queue: &mut EventQueue<Event>, at: SimTime, ev: Event) {
         let (node, port, pkt) = match ev {
             Event::Arrive { node, port, pkt } => (node, port, pkt),
@@ -241,8 +242,9 @@ impl<'a> EventSink<'a> {
         }
     }
 
-    /// Schedules `ev` at absolute time `at`.
-    #[inline]
+    /// Schedules `ev` at absolute time `at`. Always inlined, like
+    /// [`EventSink::push_after`].
+    #[inline(always)]
     pub fn push(&mut self, at: SimTime, ev: Event) {
         match &mut self.router {
             Some(r) => r.route(self.queue, at, ev),
@@ -260,11 +262,18 @@ impl<'a> EventSink<'a> {
         }
     }
 
-    /// Schedules `ev` at `now + delay`.
-    #[inline]
+    /// Schedules `ev` at `now + delay`. Always inlined, with the queue's
+    /// and the wheel's push under it, down to the slot's append: an event
+    /// handed to a call goes through a copy on the stack (DESIGN.md §5b).
+    #[inline(always)]
     pub fn push_after(&mut self, delay: vertigo_simcore::SimDuration, ev: Event) {
-        let at = self.now() + delay;
-        self.push(at, ev);
+        match &mut self.router {
+            Some(r) => {
+                let at = r.window.now() + delay;
+                r.route(self.queue, at, ev);
+            }
+            None => self.queue.push_after(delay, ev),
+        }
     }
 }
 
@@ -349,7 +358,7 @@ impl Ctx<'_> {
             port: peer_port,
             pkt,
         };
-        self.events.push_after(tx + link.prop_delay, arrive);
+        self.events.push_after(tx + link.prop_delay(), arrive);
     }
 }
 

@@ -142,6 +142,35 @@ impl FaultSchedule {
             .map(|w| w.as_ref().expect("windows below len are Some"))
     }
 
+    /// Whether every window's target exists in `topo`: a node id below
+    /// its node count, a link between two of its nodes. A schedule parses
+    /// without a topology, so this is checked where the two meet: the
+    /// staged driver reports a refusal as an error, and
+    /// [`Simulation::install_faults`](crate::Simulation::install_faults)
+    /// panics on one.
+    pub fn check(&self, topo: &Topology) -> Result<(), String> {
+        let nodes = topo.num_nodes();
+        let node = |n: NodeId| {
+            (n.index() < nodes)
+                .then_some(())
+                .ok_or_else(|| format!("node {} not in topology ({nodes} nodes)", n.0))
+        };
+        for w in self.iter() {
+            match w.target {
+                FaultTarget::Node(n) => node(n)?,
+                FaultTarget::Link { a, b } => {
+                    node(a)?;
+                    node(b)?;
+                    if topo.port_to(a, b).is_none() {
+                        return Err(format!("no link between nodes {} and {}", a.0, b.0));
+                    }
+                }
+                FaultTarget::AllLinks => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Adds a window, validating kind/target compatibility, probability
     /// range, and window ordering.
     pub fn push(&mut self, w: FaultWindow) -> Result<(), String> {
@@ -355,17 +384,20 @@ pub(crate) struct FaultState {
 
 impl FaultState {
     /// Compiles `sched` against `topo`. Panics on a target that does not
-    /// exist in the topology — a schedule/config mismatch is a setup bug,
-    /// not a runtime condition.
+    /// exist in the topology ([`FaultSchedule::check`]) — a schedule/config
+    /// mismatch is a setup bug, not a runtime condition.
     pub(crate) fn compile(sched: &FaultSchedule, topo: &Topology, rng: SimRng) -> FaultState {
+        if let Err(e) = sched.check(topo) {
+            panic!("fault schedule: {e}");
+        }
         let mut windows = Windows::default();
         for w in sched.iter() {
             match w.kind {
                 FaultKind::Down => windows.add_link(w, LinkFault::Down, topo),
                 FaultKind::Loss(p) => windows.add_link(w, LinkFault::Loss(p), topo),
                 FaultKind::Corrupt(p) => windows.add_link(w, LinkFault::Corrupt(p), topo),
-                FaultKind::Stall | FaultKind::Pause => windows.add_node(w, NodeFault::Freeze, topo),
-                FaultKind::Blackhole => windows.add_node(w, NodeFault::Blackhole, topo),
+                FaultKind::Stall | FaultKind::Pause => windows.add_node(w, NodeFault::Freeze),
+                FaultKind::Blackhole => windows.add_node(w, NodeFault::Blackhole),
             }
         }
         FaultState { rng, windows }
@@ -442,9 +474,7 @@ impl Windows {
                 // A packet a->b arrives at b on b's port toward a (and
                 // vice versa); fault both directions.
                 for (rx, tx) in [(b, a), (a, b)] {
-                    let port = topo.port_to(rx, tx).unwrap_or_else(|| {
-                        panic!("fault schedule: no link between nodes {} and {}", a.0, b.0)
-                    });
+                    let port = topo.port_to(rx, tx).expect("a checked link");
                     self.link.entry((rx.0, port.0)).or_default().push(c);
                 }
             }
@@ -459,16 +489,10 @@ impl Windows {
         }
     }
 
-    fn add_node(&mut self, w: &FaultWindow, kind: NodeFault, topo: &Topology) {
+    fn add_node(&mut self, w: &FaultWindow, kind: NodeFault) {
         let FaultTarget::Node(n) = w.target else {
             unreachable!("validated at push");
         };
-        assert!(
-            (n.index()) < topo.num_nodes(),
-            "fault schedule: node {} not in topology ({} nodes)",
-            n.0,
-            topo.num_nodes()
-        );
         self.node.entry(n.0).or_default().push(Compiled {
             kind,
             from: w.from,

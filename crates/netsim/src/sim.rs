@@ -269,7 +269,8 @@ impl Simulation {
     ///
     /// # Panics
     /// Panics if the schedule targets a link or node that does not exist
-    /// in the topology (a configuration bug, not a runtime condition).
+    /// in the topology ([`FaultSchedule::check`]: a configuration bug, not
+    /// a runtime condition).
     pub fn install_faults(&mut self, sched: &FaultSchedule) {
         if sched.is_empty() {
             self.faults = None;
@@ -475,8 +476,7 @@ impl Simulation {
         use vertigo_simcore::Snapshot;
         self.events.save_into(w);
         self.rng.save(w);
-        self.rec.snap_save(w);
-        w.put_u64(self.next_flow);
+        self.rec.snap_save(w, self.next_flow);
         w.put_u64(self.next_query);
         w.put_usize(self.nodes.len());
         for n in &self.nodes {
@@ -507,8 +507,7 @@ impl Simulation {
         use vertigo_simcore::{SnapError, Snapshot};
         self.events = EventQueue::restore_from(r, self.events.backend())?;
         self.rng = SimRng::restore(r)?;
-        self.rec.snap_restore(r)?;
-        self.next_flow = r.get_u64()?;
+        self.next_flow = self.rec.snap_restore(r)?;
         self.next_query = r.get_u64()?;
         let n = r.get_usize()?;
         if n != self.nodes.len() {

@@ -218,7 +218,7 @@ impl Topology {
     /// Aggregate host-facing capacity in bits per second (the load
     /// denominator used throughout the paper's "% aggregate network load").
     pub fn total_host_bw_bps(&self) -> u64 {
-        (0..self.hosts).map(|h| self.adj[h][0].1.rate_bps).sum()
+        (0..self.hosts).map(|h| self.adj[h][0].1.rate_bps()).sum()
     }
 
     /// Internal consistency check: symmetric adjacency with matching link
@@ -361,10 +361,14 @@ impl Topology {
     pub fn min_prop_delay(&self) -> SimDuration {
         self.adj
             .iter()
-            .flat_map(|ports| ports.iter().map(|&(_, l)| l.prop_delay))
+            .flat_map(|ports| ports.iter().map(|&(_, l)| l.prop_delay()))
             .min()
             .unwrap_or(SimDuration::ZERO)
     }
+
+    /// The most domains [`Topology::partition`] deals nodes to: a node's
+    /// domain is a `u16`.
+    pub const MAX_DOMAINS: usize = u16::MAX as usize;
 
     /// Partitions the topology into `n` domains for the parallel engine,
     /// returning the domain of every node (indexed by node id).
@@ -381,7 +385,7 @@ impl Topology {
     /// results: the engine's cross-domain merge order is canonical.
     pub fn partition(&self, n: usize) -> Vec<u16> {
         assert!(
-            n >= 1 && n <= u16::MAX as usize,
+            (1..=Self::MAX_DOMAINS).contains(&n),
             "domain count out of range"
         );
         let nn = self.num_nodes();

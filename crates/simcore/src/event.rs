@@ -90,7 +90,10 @@ impl<E> EventQueue<E> {
     ///
     /// `at` must not be earlier than the current clock; in debug builds this
     /// panics, in release builds the event is clamped to `now`.
-    #[inline]
+    ///
+    /// Always inlined, here and in `push_after`, down to the wheel's slot
+    /// append; the heap backend's push is a call (DESIGN.md §5b).
+    #[inline(always)]
     pub fn push(&mut self, at: SimTime, ev: E) {
         // Under the audit feature the past-scheduling check is a hard
         // error even in release builds (the backends debug-assert and
@@ -114,7 +117,7 @@ impl<E> EventQueue<E> {
     /// the addition into the queue so callers cannot accidentally use a
     /// stale clock, and the non-negative-delay invariant holds by
     /// construction (no past-scheduling check needed).
-    #[inline]
+    #[inline(always)]
     pub fn push_after(&mut self, delay: SimDuration, ev: E) {
         match &mut self.inner {
             Backend::Wheel(q) => q.push_after(delay, ev),

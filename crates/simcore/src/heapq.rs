@@ -74,6 +74,11 @@ impl<E> HeapEventQueue<E> {
     ///
     /// `at` must not be earlier than the current clock; in debug builds this
     /// panics, in release builds the event is clamped to `now`.
+    ///
+    /// Never inlined, here and in `push_after`: the sift would otherwise
+    /// go into every push site of [`EventQueue`](crate::EventQueue),
+    /// beside the wheel's append, which is the one that runs.
+    #[inline(never)]
     pub fn push(&mut self, at: SimTime, ev: E) {
         debug_assert!(
             at >= self.now,
@@ -88,7 +93,7 @@ impl<E> HeapEventQueue<E> {
     }
 
     /// Schedules `ev` for `delay` after the current clock.
-    #[inline]
+    #[inline(never)]
     pub fn push_after(&mut self, delay: SimDuration, ev: E) {
         let at = self.now + delay;
         let seq = self.seq;

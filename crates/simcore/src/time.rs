@@ -167,6 +167,28 @@ impl SimDuration {
         SimDuration(ns.min(u64::MAX as u128) as u64)
     }
 
+    /// The serialization time of one byte at `rate_bps` in picoseconds,
+    /// when that is a whole number (the rate divides 8·10¹²: 10 Gb/s is
+    /// 800 ps, 40 Gb/s 200). A link fixes it once, and every transmit is
+    /// then [`SimDuration::tx_time_ps`], a multiply instead of a division.
+    pub const fn ps_per_byte(rate_bps: u64) -> Option<u64> {
+        const PS_PER_BYTE_AT_1_BPS: u64 = 8 * 1_000_000_000_000;
+        match PS_PER_BYTE_AT_1_BPS.checked_rem(rate_bps) {
+            Some(0) => Some(PS_PER_BYTE_AT_1_BPS / rate_bps),
+            _ => None,
+        }
+    }
+
+    /// `bytes` at `ps_per_byte` picoseconds each, rounded up to a whole
+    /// nanosecond: [`SimDuration::tx_time`] at the rate whose
+    /// [`SimDuration::ps_per_byte`] that is, with a division by the
+    /// constant 1 000 in place of one by the rate. `None` when the
+    /// picoseconds overflow a `u64`.
+    #[inline]
+    pub fn tx_time_ps(bytes: u64, ps_per_byte: u64) -> Option<Self> {
+        Some(SimDuration(bytes.checked_mul(ps_per_byte)?.div_ceil(1_000)))
+    }
+
     /// Multiplies the span by an integer factor, saturating.
     #[inline]
     pub fn saturating_mul(self, k: u64) -> Self {
@@ -339,17 +361,29 @@ mod tests {
     #[test]
     fn tx_time_narrow_and_wide_forms_agree() {
         const G: u64 = 1_000_000_000;
+        // Every rate a topology builder uses (10 and 40 G) is among these,
+        // and each has a whole number of picoseconds per byte.
         let rates = [1, 10, 25, 40, 100, 400, 1000].map(|g| g * G);
-        // Three rates that do not divide 8e9, so the rounding is exercised.
-        for rate in rates.into_iter().chain([7 * G, 9_999_999_937, 1_234_567]) {
+        // Three rates that do not divide 8e9, so the rounding is exercised;
+        // nor do they divide 8e12, so they have no constant.
+        let odd = [7 * G, 9_999_999_937, 1_234_567];
+        for rate in rates.into_iter().chain(odd) {
+            let ps = SimDuration::ps_per_byte(rate);
+            assert_eq!(ps.is_some(), !odd.contains(&rate), "{rate} bps");
             for bytes in 1..=9_216 {
-                assert_eq!(
-                    SimDuration::tx_time(bytes, rate),
-                    SimDuration::tx_time_wide(bytes, rate),
-                    "{bytes} B at {rate} bps"
-                );
+                let t = SimDuration::tx_time(bytes, rate);
+                assert_eq!(t, SimDuration::tx_time_wide(bytes, rate));
+                if let Some(ps) = ps {
+                    let fixed = SimDuration::tx_time_ps(bytes, ps);
+                    assert_eq!(fixed, Some(t), "{bytes} B at {rate} bps");
+                }
             }
         }
+        assert_eq!(SimDuration::ps_per_byte(10 * G), Some(800));
+        assert_eq!(SimDuration::ps_per_byte(40 * G), Some(200));
+        assert_eq!(SimDuration::ps_per_byte(0), None);
+        // Rates above 8e12 b/s serialize a byte in under a picosecond.
+        assert_eq!(SimDuration::ps_per_byte(16_000 * G), None);
         // Past the u64 range of bits * 1e9 the wide form takes over.
         let huge = u64::MAX / (8 * G) + 1;
         assert!(huge.checked_mul(8 * G).is_none());
@@ -358,6 +392,15 @@ mod tests {
             (huge as u128 * 8 * G as u128).div_ceil(10 * G as u128) as u64
         );
         assert_eq!(SimDuration::tx_time(u64::MAX, 1), SimDuration::MAX);
+        // And past the u64 range of picoseconds the constant gives up at
+        // the first size that overflows, where the division still answers.
+        let ps = SimDuration::ps_per_byte(10 * G).unwrap();
+        let edge = u64::MAX / ps;
+        assert_eq!(
+            SimDuration::tx_time_ps(edge, ps),
+            Some(SimDuration::tx_time(edge, 10 * G))
+        );
+        assert_eq!(SimDuration::tx_time_ps(edge + 1, ps), None);
     }
 
     #[test]

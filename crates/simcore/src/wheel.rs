@@ -131,8 +131,9 @@ impl<E> Run<E> {
     }
 
     /// Puts an entry behind every pending one that is not later than it:
-    /// FIFO among ties, as long as callers insert in push order.
-    #[inline]
+    /// FIFO among ties, as long as callers insert in push order. The
+    /// append is inlined into the push path; the rest is out of line.
+    #[inline(always)]
     fn insert(&mut self, at: u64, ev: E) {
         if self.cur == self.entries.len() {
             self.clear();
@@ -144,6 +145,7 @@ impl<E> Run<E> {
 
     /// The insertion that is not an append: a binary search over the
     /// pending part and a `memmove` of what is due later.
+    #[inline(never)]
     fn insert_before_last(&mut self, at: u64, ev: E) {
         let due_first = |e: &Option<Pending<E>>| matches!(e, Some((t, _)) if *t <= at);
         let i = self.cur + self.entries[self.cur..].partition_point(due_first);
@@ -235,20 +237,49 @@ impl<E> TimingWheel<E> {
 
     /// Files one event per the level invariant: into the side run when it
     /// is due inside the clock's 256 ns window, else into its slot.
-    #[inline]
+    ///
+    /// Inlined into every push down to the two appends a packet's `TxDone`
+    /// and `Arrive` take — the side run's and a level-1 slot's — so that a
+    /// handler's event goes from its registers into the entry with no call
+    /// and no copy on the stack. What is rarer stays out of line, so that
+    /// the scheduler's loop stays small: a slot that takes a buffer from
+    /// the pool, levels 2 and up, and the side run's insertion before its
+    /// last entry.
+    #[inline(always)]
     fn place(&mut self, at: u64, ev: E) {
         let l = level_of(self.now, at);
         if l == 0 {
             return self.side.insert(at, ev);
         }
-        let s = slot_of(l, at);
-        let slot = &mut self.slots[upper(l, s)];
-        if l == 1 && slot.capacity() == 0 {
-            if let Some(buf) = self.spare.pop() {
-                *slot = buf;
-            }
+        if l > 1 {
+            return self.place_far(l, at, ev);
+        }
+        let s = slot_of(1, at);
+        let slot = &mut self.slots[upper(1, s)];
+        if slot.capacity() == 0 {
+            return self.place_in_empty_slot(s, at, ev);
         }
         slot.push((at, ev));
+        self.occ[0][s / 64] |= 1 << (s % 64);
+    }
+
+    /// Level 1, into slot `s` that has no buffer: it takes the last one a
+    /// drained slot gave back, if any.
+    #[inline(never)]
+    fn place_in_empty_slot(&mut self, s: usize, at: u64, ev: E) {
+        let slot = &mut self.slots[upper(1, s)];
+        if let Some(buf) = self.spare.pop() {
+            *slot = buf;
+        }
+        slot.push((at, ev));
+        self.occ[0][s / 64] |= 1 << (s % 64);
+    }
+
+    /// Levels 2 and up: at least 65.5 µs ahead of the clock.
+    #[inline(never)]
+    fn place_far(&mut self, l: usize, at: u64, ev: E) {
+        let s = slot_of(l, at);
+        self.slots[upper(l, s)].push((at, ev));
         self.occ[l - 1][s / 64] |= 1 << (s % 64);
     }
 
@@ -290,6 +321,7 @@ impl<E> TimingWheel<E> {
         }
     }
 
+    #[inline(always)]
     pub(crate) fn push(&mut self, at: SimTime, ev: E) {
         debug_assert!(
             at >= self.now(),
@@ -303,7 +335,7 @@ impl<E> TimingWheel<E> {
         self.peak = self.peak.max(self.len);
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn push_after(&mut self, delay: SimDuration, ev: E) {
         // now + delay saturates via SimTime arithmetic, and is >= now by
         // construction — no past-scheduling check needed.

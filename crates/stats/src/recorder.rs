@@ -7,8 +7,9 @@
 //! drop and reorder rates, hop inflation).
 
 use std::collections::BTreeMap;
+use std::fmt;
 use vertigo_pkt::{FlowId, NodeId, QueryId};
-use vertigo_simcore::SimTime;
+use vertigo_simcore::{SimTime, SnapError, SnapReader, SnapWriter};
 
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,6 +120,87 @@ impl FlowRecord {
     }
 }
 
+/// The flow records of a run, indexed by the simulator-assigned
+/// [`FlowId`]: `Simulation::schedule_flow` hands ids out densely in order,
+/// so the record a delivered packet updates is one indexed load away. Reads
+/// see the records in id order, as a `BTreeMap<FlowId, FlowRecord>` gave
+/// them (reports, snapshot bytes, [`Recorder::absorb`]); an id without a
+/// record is a hole.
+#[derive(Clone, Default)]
+pub struct FlowLedger {
+    slots: Vec<Option<FlowRecord>>,
+    /// Records held (slots that are not holes).
+    len: usize,
+}
+
+impl FlowLedger {
+    /// Records held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no record is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The record of `flow`, if one is held.
+    #[inline]
+    pub fn get(&self, flow: FlowId) -> Option<&FlowRecord> {
+        self.slots.get(slot_of(flow))?.as_ref()
+    }
+
+    #[inline]
+    fn get_mut(&mut self, flow: FlowId) -> Option<&mut FlowRecord> {
+        self.slots.get_mut(slot_of(flow))?.as_mut()
+    }
+
+    /// Every record, in id order.
+    pub fn values(&self) -> impl Iterator<Item = &FlowRecord> {
+        self.slots.iter().flatten()
+    }
+
+    fn into_values(self) -> impl Iterator<Item = FlowRecord> {
+        self.slots.into_iter().flatten()
+    }
+
+    /// Files `rec` under its id, replacing what was there.
+    fn insert(&mut self, rec: FlowRecord) {
+        let i = slot_of(rec.flow);
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        if self.slots[i].replace(rec).is_none() {
+            self.len += 1;
+        }
+    }
+}
+
+/// A flow id's slot. Ids count flows, so one that does not fit a `usize`
+/// has no slot to be in.
+#[inline]
+fn slot_of(flow: FlowId) -> usize {
+    usize::try_from(flow.0).expect("flow id beyond the address space")
+}
+
+impl std::ops::Index<&FlowId> for FlowLedger {
+    type Output = FlowRecord;
+
+    fn index(&self, flow: &FlowId) -> &FlowRecord {
+        self.get(*flow)
+            .unwrap_or_else(|| panic!("no record of {flow:?}"))
+    }
+}
+
+/// As a map from id to record, the holes left out.
+impl fmt::Debug for FlowLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.values().map(|r| (r.flow, r)))
+            .finish()
+    }
+}
+
 /// Lifecycle record of one incast query.
 #[derive(Debug, Clone)]
 pub struct QueryRecord {
@@ -146,7 +228,7 @@ impl QueryRecord {
 #[derive(Debug, Default)]
 pub struct Recorder {
     /// All flows ever started.
-    pub flows: BTreeMap<FlowId, FlowRecord>,
+    pub flows: FlowLedger,
     /// All queries ever issued.
     pub queries: BTreeMap<QueryId, QueryRecord>,
     /// Packet drops by cause.
@@ -223,19 +305,16 @@ impl Recorder {
         bytes: u64,
         at: SimTime,
     ) {
-        self.flows.insert(
+        self.flows.insert(FlowRecord {
             flow,
-            FlowRecord {
-                flow,
-                query,
-                src,
-                dst,
-                bytes,
-                start: at,
-                finished: None,
-                delivered_bytes: 0,
-            },
-        );
+            query,
+            src,
+            dst,
+            bytes,
+            start: at,
+            finished: None,
+            delivered_bytes: 0,
+        });
     }
 
     /// Records `delta` newly delivered unique bytes for `flow` (goodput
@@ -254,8 +333,18 @@ impl Recorder {
     /// `src == NodeId(u32::MAX)`) if the metadata lives in another
     /// domain's recorder. The classic engine never takes the placeholder
     /// path: every `flow_started` precedes any progress/finish.
+    #[inline]
     fn flow_stub(&mut self, flow: FlowId) -> &mut FlowRecord {
-        self.flows.entry(flow).or_insert_with(|| FlowRecord {
+        if self.flows.get(flow).is_none() {
+            self.add_stub(flow);
+        }
+        self.flows.get_mut(flow).expect("a record was just filed")
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn add_stub(&mut self, flow: FlowId) {
+        self.flows.insert(FlowRecord {
             flow,
             query: QueryId::NONE,
             src: NodeId(u32::MAX),
@@ -264,7 +353,7 @@ impl Recorder {
             start: SimTime::ZERO,
             finished: None,
             delivered_bytes: 0,
-        })
+        });
     }
 
     /// Tags `flow` as belonging to scenario component `tag` (1-based;
@@ -331,26 +420,27 @@ impl Recorder {
     ///
     /// The trace sink is intentionally untouched: tracing and the domain
     /// engine are mutually exclusive.
-    pub fn absorb(&mut self, other: Recorder) {
-        for (id, o) in other.flows {
-            match self.flows.entry(id) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(o);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let a = e.get_mut();
-                    if a.src == NodeId(u32::MAX) {
-                        // `a` is a placeholder: adopt `o`'s identity.
-                        a.query = o.query;
-                        a.src = o.src;
-                        a.dst = o.dst;
-                        a.bytes = o.bytes;
-                        a.start = o.start;
-                    }
-                    a.delivered_bytes += o.delivered_bytes;
-                    a.finished = a.finished.or(o.finished);
-                }
+    pub fn absorb(&mut self, mut other: Recorder) {
+        if self.flows.is_empty() {
+            // Nothing to reconcile: the first domain's ledger is taken
+            // whole rather than copied record by record.
+            std::mem::swap(&mut self.flows, &mut other.flows);
+        }
+        for o in other.flows.into_values() {
+            let Some(a) = self.flows.get_mut(o.flow) else {
+                self.flows.insert(o);
+                continue;
+            };
+            if a.src == NodeId(u32::MAX) {
+                // `a` is a placeholder: adopt `o`'s identity.
+                a.query = o.query;
+                a.src = o.src;
+                a.dst = o.dst;
+                a.bytes = o.bytes;
+                a.start = o.start;
             }
+            a.delivered_bytes += o.delivered_bytes;
+            a.finished = a.finished.or(o.finished);
         }
         for (id, o) in other.queries {
             self.queries.entry(id).or_insert(o);
@@ -419,8 +509,11 @@ impl Recorder {
 
     /// Serializes every accumulator: flow and query lifecycles, drop/
     /// deflection/ECN/goodput counters, and the embedded audit and trace
-    /// state. `BTreeMap`s iterate sorted, so the stream is deterministic.
-    pub fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
+    /// state, then `next_flow`, the simulator's flow-id counter: every id
+    /// the ledger holds is below it, and [`Recorder::snap_restore`] checks
+    /// that before the ledger grows. Flows, queries and tags are written
+    /// in id order, so the stream is deterministic.
+    pub fn snap_save(&self, w: &mut SnapWriter, next_flow: u64) {
         use vertigo_simcore::Snapshot;
         w.put_usize(self.flows.len());
         for rec in self.flows.values() {
@@ -474,21 +567,24 @@ impl Recorder {
             w.put_u64(q.0);
             w.put_u32(*tag as u32);
         }
+        w.put_u64(next_flow);
     }
 
     /// Restores state written by [`Recorder::snap_save`], replacing the
-    /// recorder's entire contents.
-    pub fn snap_restore(
-        &mut self,
-        r: &mut vertigo_simcore::SnapReader<'_>,
-    ) -> Result<(), vertigo_simcore::SnapError> {
+    /// recorder's entire contents, and returns the `next_flow` saved with
+    /// it. Refuses what `snap_save` never writes: flows, queries or tags
+    /// whose ids do not strictly ascend (named twice, or out of order), a
+    /// tag above 255, and a flow id at or above `next_flow` — checked
+    /// before the ledger, which a flow id sizes, grows.
+    pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
         use vertigo_simcore::Snapshot;
-        self.flows.clear();
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let flow = FlowId(r.get_u64()?);
-            let rec = FlowRecord {
-                flow,
+        // Read before they are filed: the last id is checked against
+        // `next_flow`, which ends the record.
+        let mut flows = Vec::new();
+        let mut last = None;
+        for _ in 0..r.get_usize()? {
+            flows.push(FlowRecord {
+                flow: FlowId(ascending(r, &mut last, "flow")?),
                 query: QueryId(r.get_u64()?),
                 src: NodeId(r.get_u32()?),
                 dst: NodeId(r.get_u32()?),
@@ -496,13 +592,12 @@ impl Recorder {
                 start: SimTime::restore(r)?,
                 finished: Option::restore(r)?,
                 delivered_bytes: r.get_u64()?,
-            };
-            self.flows.insert(flow, rec);
+            });
         }
         self.queries.clear();
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let query = QueryId(r.get_u64()?);
+        let mut last = None;
+        for _ in 0..r.get_usize()? {
+            let query = QueryId(ascending(r, &mut last, "query")?);
             let rec = QueryRecord {
                 query,
                 start: SimTime::restore(r)?,
@@ -535,27 +630,67 @@ impl Recorder {
         self.fault_events = r.get_u64()?;
         self.audit.snap_restore(r)?;
         self.trace.snap_restore(r)?;
-        self.flow_tags.clear();
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let f = FlowId(r.get_u64()?);
-            let tag = r.get_u32()? as u8;
-            self.flow_tags.insert(f, tag);
+        let flow_tags = tags(r, "flow")?;
+        self.flow_tags = flow_tags.iter().map(|&(f, t)| (FlowId(f), t)).collect();
+        self.query_tags = (tags(r, "query")?.into_iter())
+            .map(|(q, t)| (QueryId(q), t))
+            .collect();
+        let next_flow = r.get_u64()?;
+        let last_flow = flows.last().map(|f| f.flow.0);
+        let last_tagged = flow_tags.last().map(|&(f, _)| f);
+        if let Some(id) = last_flow.max(last_tagged).filter(|&id| id >= next_flow) {
+            return Err(SnapError::new(format!(
+                "flow {id} at or above the flow-id counter {next_flow}"
+            )));
         }
-        self.query_tags.clear();
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let q = QueryId(r.get_u64()?);
-            let tag = r.get_u32()? as u8;
-            self.query_tags.insert(q, tag);
+        self.flows = FlowLedger::default();
+        if let Some(id) = last_flow {
+            (self.flows.slots.try_reserve_exact(slot_of(FlowId(id)) + 1))
+                .map_err(|e| SnapError::new(format!("no room for flow {id}: {e}")))?;
         }
-        Ok(())
+        for rec in flows {
+            self.flows.insert(rec);
+        }
+        Ok(next_flow)
     }
+}
+
+/// The id of the next entry of a list written in strictly ascending id
+/// order, `last` being the one before it.
+fn ascending(r: &mut SnapReader<'_>, last: &mut Option<u64>, what: &str) -> Result<u64, SnapError> {
+    let id = r.get_u64()?;
+    match *last {
+        Some(prev) if id == prev => Err(SnapError::new(format!("{what} {id} named twice"))),
+        Some(prev) if id < prev => Err(SnapError::new(format!(
+            "{what} {id} after {what} {prev}: ids must ascend"
+        ))),
+        _ => {
+            *last = Some(id);
+            Ok(id)
+        }
+    }
+}
+
+/// A list of `(id, tag)` in ascending id order, each tag a `u8` written
+/// as a `u32`.
+fn tags(r: &mut SnapReader<'_>, what: &str) -> Result<Vec<(u64, u8)>, SnapError> {
+    let mut out = Vec::new();
+    let mut last = None;
+    for _ in 0..r.get_usize()? {
+        let id = ascending(r, &mut last, what)?;
+        let tag = r.get_u32()?;
+        let tag = u8::try_from(tag)
+            .map_err(|_| SnapError::new(format!("{what} {id} tagged {tag}, above 255")))?;
+        out.push((id, tag));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Report;
+    use proptest::prelude::*;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -641,11 +776,11 @@ mod tests {
         r.tag_flow(FlowId(1), 2);
         r.tag_query(q, 1);
         let mut w = SnapWriter::new();
-        r.snap_save(&mut w);
+        r.snap_save(&mut w, 4);
         let bytes = w.into_bytes();
         let mut r2 = Recorder::new();
         let mut reader = SnapReader::new(&bytes);
-        r2.snap_restore(&mut reader).unwrap();
+        assert_eq!(r2.snap_restore(&mut reader), Ok(4));
         assert_eq!(reader.remaining(), 0);
         assert_eq!(format!("{:?}", r2.flows), format!("{:?}", r.flows));
         assert_eq!(format!("{:?}", r2.queries), format!("{:?}", r.queries));
@@ -664,6 +799,372 @@ mod tests {
         r.flow_finished(FlowId(3), t(300));
         r2.flow_finished(FlowId(3), t(300));
         assert_eq!(r2.queries[&q].done_flows, r.queries[&q].done_flows);
+    }
+
+    fn saved(r: &Recorder, next_flow: u64) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        r.snap_save(&mut w, next_flow);
+        w.into_bytes()
+    }
+
+    fn restored(bytes: &[u8]) -> Result<(Recorder, u64), SnapError> {
+        let mut r = Recorder::new();
+        let next_flow = r.snap_restore(&mut SnapReader::new(bytes))?;
+        Ok((r, next_flow))
+    }
+
+    fn report(r: &Recorder) -> String {
+        format!("{:?}", Report::from_recorder(r, t(1_000)))
+    }
+
+    /// A recorder record as `snap_save` lays it out, from its four id
+    /// lists — flows and queries with fixed contents, tags as given — and
+    /// the counters of an empty recorder.
+    fn record(
+        flows: &[u64],
+        queries: &[u64],
+        flow_tags: &[(u64, u32)],
+        query_tags: &[(u64, u32)],
+        next_flow: u64,
+    ) -> Vec<u8> {
+        use vertigo_simcore::Snapshot;
+        let empty = saved(&Recorder::new(), 0);
+        let counters = &empty[16..empty.len() - 24];
+        let mut w = SnapWriter::new();
+        w.put_usize(flows.len());
+        for &id in flows {
+            for v in [id, QueryId::NONE.0] {
+                w.put_u64(v);
+            }
+            w.put_u32(0);
+            w.put_u32(1);
+            w.put_u64(1_000);
+            t(1).save(&mut w);
+            None::<SimTime>.save(&mut w);
+            w.put_u64(0);
+        }
+        w.put_usize(queries.len());
+        for &id in queries {
+            w.put_u64(id);
+            t(1).save(&mut w);
+            w.put_u32(1);
+            w.put_u32(0);
+            None::<SimTime>.save(&mut w);
+        }
+        w.put_bytes(counters);
+        for list in [flow_tags, query_tags] {
+            w.put_usize(list.len());
+            for &(id, tag) in list {
+                w.put_u64(id);
+                w.put_u32(tag);
+            }
+        }
+        w.put_u64(next_flow);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_hostile_records() {
+        // A valid mid-run record: a query half done, a finished flow, one
+        // in progress and one only tagged yet, a hole below the counter.
+        let mut r = Recorder::new();
+        let q = QueryId(3);
+        r.query_started(q, 2, t(0));
+        r.tag_query(q, 255);
+        r.flow_started(FlowId(2), q, NodeId(0), NodeId(9), 1_000, t(1));
+        r.flow_started(FlowId(4), q, NodeId(1), NodeId(9), 1_000, t(1));
+        r.flow_started(FlowId(5), QueryId::NONE, NodeId(2), NodeId(3), 5_000, t(2));
+        r.flow_progress(FlowId(2), 1_000);
+        r.flow_finished(FlowId(2), t(40));
+        r.flow_progress(FlowId(5), 1_460);
+        for (f, tag) in [(2, 1), (5, 2), (6, 2)] {
+            r.tag_flow(FlowId(f), tag);
+        }
+        let ok = saved(&r, 7);
+        let (mut back, next_flow) = restored(&ok).unwrap();
+        assert_eq!((saved(&back, next_flow), next_flow), (ok.clone(), 7));
+        // And the restored recorder keeps in step with the original.
+        for rec in [&mut r, &mut back] {
+            rec.flow_started(FlowId(6), QueryId::NONE, NodeId(4), NodeId(3), 900, t(50));
+            rec.flow_progress(FlowId(4), 1_000);
+            rec.flow_finished(FlowId(4), t(60));
+            rec.flow_progress(FlowId(5), 3_540);
+            rec.flow_finished(FlowId(5), t(70));
+        }
+        assert_eq!(saved(&back, 7), saved(&r, 7));
+        assert_eq!(report(&back), report(&r));
+        assert_eq!(back.queries[&q].finished, Some(t(60)));
+
+        let good = record(&[1, 3], &[1, 2], &[(1, 255), (5, 0)], &[(2, 7)], 6);
+        let (g, next_flow) = restored(&good).unwrap();
+        assert_eq!(
+            (g.flows.len(), g.flow_tag(FlowId(1)), next_flow),
+            (2, 255, 6)
+        );
+        for (what, bytes) in [
+            // What used to restore as another tenant's flow: 256 as u8 is 0.
+            ("flow tag 256", record(&[1], &[], &[(1, 256)], &[], 2)),
+            ("query tag 256", record(&[], &[1], &[], &[(1, 256)], 1)),
+            (
+                "query tag u32::MAX",
+                record(&[], &[1], &[], &[(1, u32::MAX)], 1),
+            ),
+            // What used to restore with the second entry winning.
+            ("flow named twice", record(&[1, 1], &[], &[], &[], 2)),
+            ("query named twice", record(&[], &[4, 4], &[], &[], 1)),
+            (
+                "flow tag named twice",
+                record(&[], &[], &[(1, 1), (1, 2)], &[], 2),
+            ),
+            (
+                "query tag named twice",
+                record(&[], &[], &[], &[(1, 1), (1, 1)], 1),
+            ),
+            // What `snap_save` never writes.
+            ("flows descend", record(&[3, 1], &[], &[], &[], 4)),
+            ("queries descend", record(&[], &[3, 1], &[], &[], 1)),
+            (
+                "flow tags descend",
+                record(&[], &[], &[(3, 1), (1, 1)], &[], 4),
+            ),
+            (
+                "query tags descend",
+                record(&[], &[], &[], &[(3, 1), (1, 1)], 1),
+            ),
+            // Ids the flow-id counter never handed out.
+            ("flow at the counter", record(&[1, 4], &[], &[], &[], 4)),
+            (
+                "flow past the counter",
+                record(&[1 << 40], &[], &[], &[], 1),
+            ),
+            (
+                "flow tag at the counter",
+                record(&[], &[], &[(4, 1)], &[], 4),
+            ),
+            // Below the counter, and more slots than any machine has.
+            ("flow at 2^60", record(&[1 << 60], &[], &[], &[], u64::MAX)),
+        ] {
+            assert!(restored(&bytes).is_err(), "accepted: {what}");
+        }
+        let mut huge_count = record(&[1], &[], &[], &[], 2);
+        huge_count[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(
+            restored(&huge_count).is_err(),
+            "a flow count past the input"
+        );
+        for cut in 0..ok.len() {
+            assert!(restored(&ok[..cut]).is_err(), "accepted {cut} bytes");
+        }
+    }
+
+    /// One step of the flow bookkeeping, in one of two recorders (two
+    /// domains of the domain engine).
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Start {
+            flow: u64,
+            query: u64,
+            bytes: u64,
+            at: u64,
+        },
+        Progress {
+            flow: u64,
+            delta: u64,
+        },
+        Finish {
+            flow: u64,
+            at: u64,
+        },
+        Query {
+            query: u64,
+            expected: u32,
+            at: u64,
+        },
+    }
+
+    fn op() -> impl Strategy<Value = (bool, Op)> {
+        // Few ids, so that flows collide, holes open and stubs form.
+        let flow = 0..24u64;
+        let kind = prop_oneof![
+            (flow.clone(), 0..3u64, 1..50_000u64, 0..100u64).prop_map(
+                |(flow, query, bytes, at)| Op::Start {
+                    flow,
+                    query,
+                    bytes,
+                    at
+                }
+            ),
+            (flow.clone(), 1..2_000u64).prop_map(|(flow, delta)| Op::Progress { flow, delta }),
+            (flow, 0..200u64).prop_map(|(flow, at)| Op::Finish { flow, at }),
+            (1..3u64, 0..4u32, 0..100u64).prop_map(|(query, expected, at)| Op::Query {
+                query,
+                expected,
+                at
+            }),
+        ];
+        (any::<bool>(), kind)
+    }
+
+    /// The flow bookkeeping on the `BTreeMap` it used to be, beside a
+    /// recorder that keeps everything else (queries, counters) and no
+    /// flows: the oracle the ledger must be indistinguishable from.
+    #[derive(Default)]
+    struct Oracle {
+        flows: BTreeMap<FlowId, FlowRecord>,
+        rest: Recorder,
+    }
+
+    impl Oracle {
+        fn stub(&mut self, flow: FlowId) -> &mut FlowRecord {
+            self.flows.entry(flow).or_insert_with(|| FlowRecord {
+                flow,
+                query: QueryId::NONE,
+                src: NodeId(u32::MAX),
+                dst: NodeId(u32::MAX),
+                bytes: 0,
+                start: SimTime::ZERO,
+                finished: None,
+                delivered_bytes: 0,
+            })
+        }
+
+        fn apply(&mut self, op: Op) {
+            match op {
+                Op::Start {
+                    flow,
+                    query,
+                    bytes,
+                    at,
+                } => {
+                    let flow = FlowId(flow);
+                    let rec = FlowRecord {
+                        flow,
+                        query: QueryId(query),
+                        src: NodeId(flow.0 as u32),
+                        dst: NodeId(99),
+                        bytes,
+                        start: t(at),
+                        finished: None,
+                        delivered_bytes: 0,
+                    };
+                    self.flows.insert(flow, rec);
+                }
+                Op::Progress { flow, delta } => {
+                    self.rest.goodput_bytes += delta;
+                    self.stub(FlowId(flow)).delivered_bytes += delta;
+                }
+                Op::Finish { flow, at } => {
+                    let rec = self.stub(FlowId(flow));
+                    if rec.finished.is_some() {
+                        return;
+                    }
+                    rec.finished = Some(t(at));
+                    let q = rec.query;
+                    if let Some(qr) = self.rest.queries.get_mut(&q).filter(|_| q.is_query()) {
+                        qr.done_flows += 1;
+                        if qr.done_flows >= qr.expected_flows && qr.finished.is_none() {
+                            qr.finished = Some(t(at));
+                        }
+                    }
+                }
+                Op::Query {
+                    query,
+                    expected,
+                    at,
+                } => self.rest.query_started(QueryId(query), expected, t(at)),
+            }
+        }
+
+        fn absorb(&mut self, other: Oracle) {
+            for (id, o) in other.flows {
+                match self.flows.entry(id) {
+                    std::collections::btree_map::Entry::Vacant(v) => {
+                        v.insert(o);
+                    }
+                    std::collections::btree_map::Entry::Occupied(mut e) => {
+                        let a = e.get_mut();
+                        if a.src == NodeId(u32::MAX) {
+                            a.query = o.query;
+                            a.src = o.src;
+                            a.dst = o.dst;
+                            a.bytes = o.bytes;
+                            a.start = o.start;
+                        }
+                        a.delivered_bytes += o.delivered_bytes;
+                        a.finished = a.finished.or(o.finished);
+                    }
+                }
+            }
+            self.rest.absorb(other.rest);
+        }
+
+        /// The oracle's flows filed into its recorder, which then reports
+        /// and saves what a recorder on the map did.
+        fn into_recorder(mut self) -> Recorder {
+            for rec in self.flows.into_values() {
+                self.rest.flows.insert(rec);
+            }
+            self.rest
+        }
+    }
+
+    fn apply(r: &mut Recorder, op: Op) {
+        match op {
+            Op::Start {
+                flow,
+                query,
+                bytes,
+                at,
+            } => {
+                let src = NodeId(flow as u32);
+                r.flow_started(FlowId(flow), QueryId(query), src, NodeId(99), bytes, t(at))
+            }
+            Op::Progress { flow, delta } => r.flow_progress(FlowId(flow), delta),
+            Op::Finish { flow, at } => r.flow_finished(FlowId(flow), t(at)),
+            Op::Query {
+                query,
+                expected,
+                at,
+            } => r.query_started(QueryId(query), expected, t(at)),
+        }
+    }
+
+    /// Recorders `a` and `b` and their oracles after `ops`.
+    fn replay(ops: &[(bool, Op)]) -> ([Recorder; 2], [Oracle; 2]) {
+        let mut recs = [Recorder::new(), Recorder::new()];
+        let mut oracles = [Oracle::default(), Oracle::default()];
+        for &(in_b, op) in ops {
+            apply(&mut recs[in_b as usize], op);
+            oracles[in_b as usize].apply(op);
+        }
+        (recs, oracles)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+        #[test]
+        fn ledger_matches_a_btree_map(ops in proptest::collection::vec(op(), 0..80)) {
+            for first in [0, 1] {
+                let ([a, b], [oa, ob]) = replay(&ops);
+                let (mut rec, other, mut oracle, other_oracle) = match first {
+                    0 => (a, b, oa, ob),
+                    _ => (b, a, ob, oa),
+                };
+                rec.absorb(other);
+                rec.recompute_queries();
+                oracle.absorb(other_oracle);
+                let mut oracle = oracle.into_recorder();
+                oracle.recompute_queries();
+                prop_assert_eq!(report(&rec), report(&oracle));
+                prop_assert_eq!(format!("{:?}", rec.flows), format!("{:?}", oracle.flows));
+                let bytes = saved(&rec, 24);
+                prop_assert_eq!(&bytes, &saved(&oracle, 24));
+                let (back, _) = restored(&bytes).expect("a saved record restores");
+                prop_assert_eq!(saved(&back, 24), bytes);
+                prop_assert_eq!(report(&back), report(&rec));
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use vertigo_core::{MarkingConfig, MarkingDiscipline, OrderingConfig, OrderingMod
 use vertigo_netsim::trace::stable_hash;
 use vertigo_netsim::{
     BufferPolicy, DeflectKind, DomainSimulation, FaultSchedule, ForwardPolicy, HostConfig,
-    SimConfig, Simulation, SwitchConfig, TopologySpec, TraceSpec,
+    SimConfig, Simulation, SwitchConfig, Topology, TopologySpec, TraceSpec,
 };
 use vertigo_simcore::{EventBackend, SimDuration, SimTime, SnapReader};
 use vertigo_stats::{Report, TRACE_AVAILABLE, TRACE_HEADER_BYTES, TRACE_RECORD_BYTES};
@@ -188,6 +188,11 @@ pub enum RunError {
     /// its host set cannot serve, a window that starts at or past the
     /// horizon. Carries the whole message.
     Workload(String),
+    /// The fault schedule names a node or link this run's topology does
+    /// not have. Carries the whole message.
+    Faults(String),
+    /// More domains than the domain engine can deal nodes to.
+    Domains(usize),
     /// A trace was requested of a build without the `trace` feature, whose
     /// hooks are compiled out.
     TraceUnavailable,
@@ -219,7 +224,12 @@ pub enum RunError {
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RunError::Workload(why) => f.write_str(why),
+            RunError::Workload(why) | RunError::Faults(why) => f.write_str(why),
+            RunError::Domains(n) => write!(
+                f,
+                "--domains {n}: the domain engine takes at most {} domains",
+                Topology::MAX_DOMAINS
+            ),
             RunError::TraceUnavailable => f.write_str(
                 "--trace requires a binary built with `--features trace` \
                  (this build compiled the hooks out); rebuild and rerun",
@@ -401,6 +411,8 @@ impl RunSpec {
         };
         let mut sim = Simulation::new_with_events(&cfg, self.event_backend);
         if !self.faults.is_empty() {
+            (self.faults.check(sim.topology()))
+                .map_err(|e| RunError::Faults(format!("--faults: {e}")))?;
             sim.install_faults(&self.faults);
         }
         self.workload
@@ -527,6 +539,9 @@ impl RunSpec {
         // A silent empty trace would be worse than a refusal.
         if trace.is_some() && !TRACE_AVAILABLE {
             return Err(RunError::TraceUnavailable);
+        }
+        if let Some(n) = self.domains.filter(|&n| n > Topology::MAX_DOMAINS) {
+            return Err(RunError::Domains(n));
         }
 
         let mut sim = fork.map_or(*self, |f| self.prefix_spec(f)).try_build()?;

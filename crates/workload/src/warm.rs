@@ -172,19 +172,20 @@ impl RunSpec {
 
     /// Runs the shared prefix of this spec's equivalence class to the
     /// fork horizon and captures it. The buffer carries the class key, so
-    /// forking it into a cell of a *different* class fails loudly.
-    pub fn run_warmup(&self, fork: &ForkSpec) -> SnapBuf {
+    /// forking it into a cell of a *different* class fails loudly. A spec
+    /// the topology cannot carry is the [`RunError`] its run would be.
+    pub fn run_warmup(&self, fork: &ForkSpec) -> Result<SnapBuf, RunError> {
         let key = self
             .fork_key(fork)
             .expect("run_warmup: spec is not warm-startable (fork_key is None)");
-        let mut sim = self.prefix_spec(fork).build();
+        let mut sim = self.prefix_spec(fork).try_build()?;
         sim.drain_until(SimTime::ZERO + fork.at);
         let mut w = SnapWriter::new();
         sim.save_state(&mut w);
-        SnapBuf {
+        Ok(SnapBuf {
             key,
             bytes: w.into_bytes(),
-        }
+        })
     }
 
     /// Restores the class warmup and continues as this cell: applies the
@@ -273,7 +274,7 @@ mod tests {
         let spec = base_spec();
         let f = fork();
         let cold = spec.run_phased(&f);
-        let buf = spec.run_warmup(&f);
+        let buf = spec.run_warmup(&f).expect("warmup");
         let warm = spec.run_forked(&f, &buf);
         assert_eq!(output_digest(&cold), output_digest(&warm));
         assert!(
@@ -355,7 +356,7 @@ mod tests {
         let mut b = a;
         b.seed += 1;
         let f = fork();
-        let buf = a.run_warmup(&f);
+        let buf = a.run_warmup(&f).expect("warmup");
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.run_forked(&f, &buf)))
             .expect_err("cross-class fork must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
@@ -377,7 +378,7 @@ mod tests {
             "a τ override at the fork must change the dynamics"
         );
         // And the warm twin of the tuned run still matches exactly.
-        let buf = spec.run_warmup(&f);
+        let buf = spec.run_warmup(&f).expect("warmup");
         let warm = spec.run_forked(&f, &buf);
         assert_eq!(output_digest(&tuned), output_digest(&warm));
     }
@@ -385,7 +386,7 @@ mod tests {
     #[test]
     fn measurement_windows_nest() {
         let spec = base_spec();
-        let buf = spec.run_warmup(&fork());
+        let buf = spec.run_warmup(&fork()).expect("warmup");
         let windowed = |window| {
             let f = ForkSpec { window, ..fork() };
             let (warm, cold) = (spec.run_forked(&f, &buf), spec.run_phased(&f));

@@ -73,7 +73,7 @@ proptest! {
 
         prop_assert!(spec.fork_key(&fork).is_some());
         let cold = spec.run_phased(&fork);
-        let buf = spec.run_warmup(&fork);
+        let buf = spec.run_warmup(&fork).expect("warmup");
         let warm = spec.run_forked(&fork, &buf);
         prop_assert_eq!(digest(&cold), digest(&warm));
     }

@@ -265,6 +265,11 @@ echo "==> one domain against the classic loop, alternated in process (informatio
 # single repetitions in turn rather than two runs back to back.
 cargo run --release --quiet --example sample_profile -- --time ft_soak ft_soak_d1 8
 
+echo "==> two revisions alternated: scripts/ab.sh smoke (information, never a gate)"
+# One pair of the committed tree against itself: the script builds, runs
+# and reports. Comparing a change with its parent takes 20 pairs or more.
+scripts/ab.sh HEAD HEAD ls_bg_ecmp_swift 1
+
 echo "==> lines of Rust by crate (the numbers CHANGES.md entries quote)"
 scripts/loc.sh
 
