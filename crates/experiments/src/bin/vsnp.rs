@@ -2,73 +2,31 @@
 //! files written by `--checkpoint-every` without deserializing the
 //! payload.
 //!
-//! The header codec is compiled unconditionally, so this tool reads any
-//! checkpoint regardless of which features (`audit`, `trace`,
-//! `snapshot`) it was itself built with — inspection never needs to
-//! reconstruct a `Simulation`. It decodes the fields by hand rather
-//! than through `read_header` so that even version-mismatched files
-//! still print their header (with a note) instead of erroring out.
+//! It reads any checkpoint whatever features (`audit`, `trace`) either
+//! build carried — inspection never reconstructs a `Simulation` — through
+//! the one header decoder, `snapshot::read_header`, which leaves the
+//! version to the caller: a file of another format version still prints,
+//! with a note.
 
 use std::process::ExitCode;
-use vertigo_simcore::{SnapReader, SNAP_MAGIC, SNAP_VERSION};
-use vertigo_workload::snapshot::{describe_flags, FLAG_AUDIT, FLAG_TRACE};
+use vertigo_netsim::grammar::fmt_dur;
+use vertigo_simcore::{EventBackend, SimDuration, SnapReader, SNAP_VERSION};
+use vertigo_workload::snapshot::{describe_flags, read_header, FLAG_AUDIT, FLAG_TRACE};
 
 fn usage() -> ExitCode {
     eprintln!("usage: vsnp inspect FILE...    decode VSNP checkpoint headers");
     ExitCode::from(2)
 }
 
-/// One decoded header plus the payload size; everything `inspect` prints.
-struct Info {
-    version: u16,
-    flags: u16,
-    backend: u8,
-    spec_hash: u64,
-    time_ns: u64,
-    payload_bytes: usize,
-}
-
-fn decode(bytes: &[u8]) -> Result<Info, String> {
-    let mut r = SnapReader::new(bytes);
-    let magic = r.get_bytes(4).map_err(|e| e.to_string())?;
-    if magic != SNAP_MAGIC {
-        return Err(format!("not a VSNP snapshot (magic {magic:02x?})"));
-    }
-    let version = r.get_u16().map_err(|e| e.to_string())?;
-    let flags = r.get_u16().map_err(|e| e.to_string())?;
-    let backend = r.get_u8().map_err(|e| e.to_string())?;
-    let spec_hash = r.get_u64().map_err(|e| e.to_string())?;
-    let time_ns = r.get_u64().map_err(|e| e.to_string())?;
-    Ok(Info {
-        version,
-        flags,
-        backend,
-        spec_hash,
-        time_ns,
-        payload_bytes: r.remaining(),
-    })
-}
-
-fn fmt_time(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
 fn inspect(path: &str) -> Result<(), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let info = decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    let mut r = SnapReader::new(&bytes);
+    let h = read_header(&mut r).map_err(|e| format!("{path}: {e}"))?;
     println!("{path}:");
     println!(
         "  version    {}{}",
-        info.version,
-        if info.version == SNAP_VERSION {
+        h.version,
+        if h.version == SNAP_VERSION {
             String::new()
         } else {
             format!(" (this binary reads version {SNAP_VERSION}; payload not restorable here)")
@@ -77,9 +35,9 @@ fn inspect(path: &str) -> Result<(), String> {
     let known = FLAG_AUDIT | FLAG_TRACE;
     println!(
         "  features   {} (flags {:#06x}{})",
-        describe_flags(info.flags),
-        info.flags,
-        if info.flags & !known != 0 {
+        describe_flags(h.flags),
+        h.flags,
+        if h.flags & !known != 0 {
             ", unknown bits set"
         } else {
             ""
@@ -87,19 +45,18 @@ fn inspect(path: &str) -> Result<(), String> {
     );
     println!(
         "  backend    {}",
-        match info.backend {
-            0 => "timing wheel".to_string(),
-            1 => "binary heap".to_string(),
-            b => format!("invalid ({b:#x})"),
+        match h.backend {
+            EventBackend::Wheel => "timing wheel",
+            EventBackend::Heap => "binary heap",
         }
     );
-    println!("  spec hash  {:016x}", info.spec_hash);
+    println!("  spec hash  {:016x}", h.spec_hash);
     println!(
         "  sim time   {} ns ({})",
-        info.time_ns,
-        fmt_time(info.time_ns)
+        h.time_ns,
+        fmt_dur(SimDuration::from_nanos(h.time_ns))
     );
-    println!("  payload    {} bytes", info.payload_bytes);
+    println!("  payload    {} bytes", r.remaining());
     Ok(())
 }
 

@@ -13,9 +13,11 @@
 //! produced the committed numbers.
 
 use crate::tune::{Knob, Search, TuneOpts};
+use std::fmt::Display;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use vertigo_simcore::{EventBackend, SimDuration};
+use std::str::FromStr;
+use vertigo_simcore::SimDuration;
 use vertigo_transport::CcKind;
 use vertigo_workload::{
     CheckpointSpec, DeflectKind, FaultSchedule, ForkSpec, IncastSpec, RunSpec, ScenarioSpec,
@@ -152,9 +154,6 @@ pub struct Opts {
     /// Sweep worker count (`--jobs N`; default: available parallelism).
     /// `1` runs every cell inline — the sequential reference behavior.
     pub jobs: usize,
-    /// Event-queue backend (`--events wheel|heap`). Results are identical
-    /// either way — the flag exists for A/B benchmarking.
-    pub events: EventBackend,
     /// Fault schedule applied to every run (`--faults SPEC`; see
     /// `vertigo_netsim::faults` for the grammar). Empty by default.
     pub faults: FaultSchedule,
@@ -187,7 +186,7 @@ pub struct Opts {
 
 /// The flags every subcommand takes, for the usage text.
 pub const FLAGS: &str = "[--quick|--full] [--seed N] [--out DIR] [--jobs N] \
-    [--events wheel|heap] [--faults SPEC] [--trace FILE[:filter]] \
+    [--faults SPEC] [--trace FILE[:filter]] \
     [--checkpoint-every SIMTIME[:PATH]] [--resume PATH] [--domains N] \
     [--deflect vertigo|dibs|pabo|hybrid|bounded] [--workload SPEC]";
 
@@ -204,7 +203,6 @@ impl Opts {
         let mut seed = 1u64;
         let mut outdir = PathBuf::from("results");
         let mut jobs = crate::sweep::default_jobs();
-        let mut events = EventBackend::default();
         let mut faults = FaultSchedule::new();
         let mut trace = None;
         let mut snapshot = SnapshotSpec::default();
@@ -214,96 +212,30 @@ impl Opts {
         let mut tune = TuneOpts::default();
         let mut it = args.iter();
         while let Some(a) = it.next() {
+            let it = &mut it;
             match a.as_str() {
                 "--quick" => scale = Scale::quick(),
                 "--full" => scale = Scale::full(),
-                "--events" => {
-                    events = match it.next().ok_or("--events needs a value")?.as_str() {
-                        "wheel" => EventBackend::Wheel,
-                        "heap" => EventBackend::Heap,
-                        other => return Err(format!("bad --events (wheel|heap): {other}")),
-                    };
-                }
-                "--seed" => {
-                    seed = it
-                        .next()
-                        .ok_or("--seed needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad seed: {e}"))?;
-                }
-                "--out" => {
-                    outdir = PathBuf::from(it.next().ok_or("--out needs a value")?);
-                }
-                "--faults" => {
-                    faults = FaultSchedule::parse(it.next().ok_or("--faults needs a spec")?)
-                        .map_err(|e| format!("bad --faults: {e}"))?;
-                }
-                "--trace" => {
-                    trace = Some(
-                        TraceSpec::parse(it.next().ok_or("--trace needs a path")?)
-                            .map_err(|e| format!("bad --trace: {e}"))?,
-                    );
-                }
+                "--seed" => seed = at_least(it, a, 0)?,
+                "--out" => outdir = PathBuf::from(value(it, a)?),
+                "--jobs" => jobs = at_least(it, a, 1)?,
+                "--domains" => domains = Some(at_least(it, a, 1)?),
+                "--faults" => faults = parsed(it, a, FaultSchedule::parse)?,
+                "--trace" => trace = Some(parsed(it, a, TraceSpec::parse)?),
                 "--checkpoint-every" => {
-                    snapshot.checkpoint = Some(
-                        CheckpointSpec::parse(
-                            it.next().ok_or("--checkpoint-every needs SIMTIME[:PATH]")?,
-                        )
-                        .map_err(|e| format!("bad --checkpoint-every: {e}"))?,
-                    );
+                    snapshot.checkpoint = Some(parsed(it, a, CheckpointSpec::parse)?);
                 }
-                "--resume" => {
-                    snapshot.resume =
-                        Some(PathBuf::from(it.next().ok_or("--resume needs a path")?));
-                }
-                "--domains" => {
-                    let n: usize = it
-                        .next()
-                        .ok_or("--domains needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad domains: {e}"))?;
-                    if n == 0 {
-                        return Err("--domains must be at least 1".into());
-                    }
-                    domains = Some(n);
-                }
+                "--resume" => snapshot.resume = Some(PathBuf::from(value(it, a)?)),
+                "--workload" => scenario = parsed(it, a, ScenarioSpec::parse)?,
                 "--deflect" => {
-                    let v = it.next().ok_or("--deflect needs a policy name")?;
+                    let v = value(it, a)?;
                     deflect = Some(DeflectKind::parse(v).ok_or_else(|| {
                         format!("bad --deflect (vertigo|dibs|pabo|hybrid|bounded): {v}")
                     })?);
                 }
-                "--workload" => {
-                    scenario = ScenarioSpec::parse(it.next().ok_or("--workload needs a spec")?)
-                        .map_err(|e| format!("bad --workload: {e}"))?;
-                }
-                "--jobs" => {
-                    jobs = it
-                        .next()
-                        .ok_or("--jobs needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad jobs: {e}"))?;
-                    if jobs == 0 {
-                        return Err("--jobs must be at least 1".into());
-                    }
-                }
-                "--search" if tuning => {
-                    tune.search = Search::parse(it.next().ok_or("--search needs a value")?)?;
-                }
-                "--knobs" if tuning => {
-                    tune.knobs = Knob::parse_list(it.next().ok_or("--knobs needs a comma list")?)?;
-                }
-                "--budget" if tuning => {
-                    let n: usize = it
-                        .next()
-                        .ok_or("--budget needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad budget: {e}"))?;
-                    if n < 2 {
-                        return Err("--budget must be at least 2 (a search needs contrast)".into());
-                    }
-                    tune.budget = Some(n);
-                }
+                "--search" if tuning => tune.search = Search::parse(value(it, a)?)?,
+                "--knobs" if tuning => tune.knobs = Knob::parse_list(value(it, a)?)?,
+                "--budget" if tuning => tune.budget = Some(at_least(it, a, 2)?),
                 other => return Err(format!("unknown option: {other}")),
             }
         }
@@ -348,7 +280,6 @@ impl Opts {
             seed,
             outdir,
             jobs,
-            events,
             faults,
             trace,
             snapshot,
@@ -368,7 +299,6 @@ impl Opts {
         spec.topo = self.scale.leaf_spine();
         spec.horizon = self.scale.horizon;
         spec.seed = self.seed;
-        spec.event_backend = self.events;
         spec.domains = self.domains;
         spec.faults = self.faults;
         spec.deflect = self.deflect;
@@ -381,6 +311,36 @@ impl Opts {
     pub fn fig_fork(&self) -> ForkSpec {
         ForkSpec::at(self.scale.fork_at())
     }
+}
+
+/// The value after `flag`.
+fn value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, String> {
+    it.next()
+        .map(String::as_str)
+        .ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The value after `flag`, read by a spec grammar's `parse`.
+fn parsed<T>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    parse: fn(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    parse(value(it, flag)?).map_err(|e| format!("bad {flag}: {e}"))
+}
+
+/// The value after `flag` as a number of at least `min`.
+fn at_least<T>(it: &mut std::slice::Iter<'_, String>, flag: &str, min: T) -> Result<T, String>
+where
+    T: FromStr + PartialOrd + Display,
+    T::Err: Display,
+{
+    let name = flag.trim_start_matches('-');
+    let n: T = (value(it, flag)?.parse()).map_err(|e| format!("bad {name}: {e}"))?;
+    if n < min {
+        return Err(format!("{flag} must be at least {min}"));
+    }
+    Ok(n)
 }
 
 /// A simple aligned-column table printer for figure output.
@@ -512,10 +472,6 @@ mod tests {
         // Default worker count follows the machine.
         let d = parse("fig5", &[]).unwrap();
         assert!(d.jobs >= 1);
-        assert_eq!(d.events, EventBackend::Wheel);
-        let h = parse("fig5", &["--events", "heap"]).unwrap();
-        assert_eq!(h.events, EventBackend::Heap);
-        assert!(parse("fig5", &["--events", "btree"]).is_err());
         assert!(d.faults.is_empty());
         let f = parse("fig5", &["--faults", "loss:*:0.01@2ms-18ms"]).unwrap();
         assert_eq!(f.faults.len(), 1);
@@ -633,7 +589,11 @@ mod tests {
         let err = parse("fig5", &args).unwrap_err();
         assert_eq!(err, "unknown option: --search");
         // Which of two byte-identical paths runs a cell is not an option.
-        for (cmd, gone) in [("tune", "--cold"), ("fig5", "--warm-start")] {
+        for (cmd, gone) in [
+            ("tune", "--cold"),
+            ("fig5", "--warm-start"),
+            ("fig5", "--events"),
+        ] {
             let err = parse(cmd, &[gone]).unwrap_err();
             assert_eq!(err, format!("unknown option: {gone}"));
         }
@@ -650,8 +610,6 @@ mod tests {
                 "--quick",
                 "--seed",
                 "7",
-                "--events",
-                "heap",
                 "--faults",
                 "loss:*:0.01@2ms-18ms",
                 "--domains",
@@ -671,7 +629,6 @@ mod tests {
         let Opts {
             scale,
             seed,
-            events,
             faults,
             domains,
             deflect,
@@ -690,7 +647,6 @@ mod tests {
         );
         assert_eq!(spec.horizon, scale.horizon);
         assert_eq!(spec.seed, seed);
-        assert_eq!(spec.event_backend, events);
         assert_eq!(format!("{:?}", spec.faults), format!("{faults:?}"));
         assert_eq!(spec.domains, domains);
         assert_eq!(spec.deflect, deflect);
@@ -699,7 +655,6 @@ mod tests {
         let plain = RunSpec::new(SystemKind::Dibs, CcKind::Swift, workload);
         assert_ne!(spec.horizon, plain.horizon);
         assert_ne!(spec.seed, plain.seed);
-        assert_ne!(spec.event_backend, plain.event_backend);
         assert_ne!(format!("{:?}", spec.faults), format!("{:?}", plain.faults));
         assert_ne!(spec.domains, plain.domains);
         assert!(plain.deflect.is_none() && plain.scenario.is_empty());

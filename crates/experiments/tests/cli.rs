@@ -45,6 +45,12 @@ fn bad_arguments_exit_2() {
     // Which of two byte-identical paths runs a cell is not the user's call.
     refused(&["fig5", "--warm-start"], "unknown option: --warm-start");
     refused(&["tune", "--quick", "--cold"], "unknown option: --cold");
+    refused(&["fig5", "--events", "heap"], "unknown option: --events");
+    // A literal rate whose mean gap is under the 1 ns clock.
+    refused(
+        &["table2", "--workload", "incast:scale=2,size=1k,qps=1e300"],
+        "qps must be in (0, 1e9]",
+    );
 }
 
 #[test]
@@ -97,6 +103,19 @@ fn workload_refused(hosts: &str, needle: &str) {
 #[test]
 fn workload_past_the_topology_exits_2_without_a_panic() {
     workload_refused("0-999", "hosts=0-999 exceeds the topology (16 hosts");
+}
+
+/// A rate solved from `load=` whose mean gap is under the 1 ns clock: the
+/// planner used to emit queries until memory ran out.
+#[test]
+fn workload_rate_past_the_clock_exits_2_without_a_panic() {
+    let workload = ["--workload", "incast:scale=2,size=1,load=1"];
+    spec_refused(
+        "table2",
+        &workload,
+        "--workload",
+        "incast offers 2.000e10 arrivals per second",
+    );
 }
 
 #[test]

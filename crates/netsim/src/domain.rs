@@ -405,8 +405,7 @@ impl DomainSimulation {
     }
 
     /// Collects one telemetry sample at time `s` (called at a barrier
-    /// that landed exactly on the sample time), plus this engine's
-    /// per-wheel breakdown of `pending`.
+    /// that landed exactly on the sample time).
     fn sample_telemetry(&mut self, s: SimTime, pending: u64) {
         let Some((_, tel)) = self.telemetry.as_mut() else {
             return;
@@ -414,8 +413,6 @@ impl DomainSimulation {
         let nodes = self.domains.iter().flat_map(|d| &d.nodes);
         let recs = self.domains.iter().map(|d| &d.rec).chain([&self.base_rec]);
         sim::sample_fabric(nodes, recs, tel, s, pending);
-        tel.domain_pending
-            .extend(self.domains.iter().map(|d| d.wheel.len() as u64));
     }
 
     /// Global conservation check over summed per-domain tallies. The

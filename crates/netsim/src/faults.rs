@@ -23,7 +23,8 @@
 //! * `prob` — loss/corruption probability in `(0, 1]`; required for
 //!   `loss`/`corrupt`, forbidden otherwise.
 //! * `from`/`until` — times with a unit suffix (`ns`, `us`, `ms`, `s`);
-//!   the window is half-open `[from, until)`.
+//!   the window is half-open `[from, until)`. The window and the time
+//!   literal read as in every spec grammar ([`crate::grammar`]).
 //!
 //! Examples: `down:0-64@5ms-8ms` (link between host 0 and switch 64 dead
 //! for 3 ms), `loss:*:0.01@2ms-20ms` (1% loss everywhere),
@@ -45,6 +46,7 @@
 //! * **blackhole** — the node silently discards every arriving packet
 //!   ([`DropCause::Blackhole`]) while processing everything else normally.
 
+use crate::grammar;
 use crate::topology::Topology;
 use std::collections::BTreeMap;
 use vertigo_pkt::{mix64, NodeId, PortId};
@@ -214,115 +216,67 @@ impl FaultSchedule {
             if item.is_empty() {
                 continue;
             }
-            sched.push(parse_item(item)?)?;
+            let w = parse_item(item).map_err(|e| format!("fault `{item}`: {e}"))?;
+            sched.push(w)?;
         }
         Ok(sched)
     }
 }
 
 fn parse_item(item: &str) -> Result<FaultWindow, String> {
-    let (head, times) = item
-        .split_once('@')
-        .ok_or_else(|| format!("fault `{item}`: missing `@from-until` window"))?;
-    let (from_s, until_s) = times
-        .split_once('-')
-        .ok_or_else(|| format!("fault `{item}`: window must be `from-until`"))?;
-    let from = parse_time(from_s.trim())?;
-    let until = parse_time(until_s.trim())?;
-
-    let mut parts = head.split(':');
-    let kind_s = parts.next().unwrap_or("").trim();
-    let target_s = parts
+    let (head, window) = grammar::split_window(item)?;
+    let (from, until) = window.ok_or("missing `@from-until` window")?;
+    let mut parts = head.split(':').map(str::trim);
+    let kind_s = parts.next().unwrap_or("");
+    let target_s = parts.next().ok_or("missing target")?;
+    let prob = parts
         .next()
-        .ok_or_else(|| format!("fault `{item}`: missing target"))?
-        .trim();
-    let prob_s = parts.next().map(str::trim);
+        .map(|p| {
+            p.parse::<f64>()
+                .map_err(|_| format!("bad probability `{p}`"))
+        })
+        .transpose()?;
     if parts.next().is_some() {
-        return Err(format!("fault `{item}`: too many `:` fields"));
+        return Err("too many `:` fields".into());
     }
-
-    let prob = |wanted: &str| -> Result<f64, String> {
-        let p = prob_s
-            .ok_or_else(|| format!("fault `{item}`: `{wanted}` needs a probability field"))?;
-        p.parse::<f64>()
-            .map_err(|_| format!("fault `{item}`: bad probability `{p}`"))
-    };
-    let kind = match kind_s {
-        "down" => FaultKind::Down,
-        "loss" => FaultKind::Loss(prob("loss")?),
-        "corrupt" => FaultKind::Corrupt(prob("corrupt")?),
-        "stall" => FaultKind::Stall,
-        "blackhole" => FaultKind::Blackhole,
-        "pause" => FaultKind::Pause,
-        other => {
+    // Loss and corruption take the probability field; no other kind does.
+    let kind = match (kind_s, prob) {
+        ("down", None) => FaultKind::Down,
+        ("loss", Some(p)) => FaultKind::Loss(p),
+        ("corrupt", Some(p)) => FaultKind::Corrupt(p),
+        ("stall", None) => FaultKind::Stall,
+        ("blackhole", None) => FaultKind::Blackhole,
+        ("pause", None) => FaultKind::Pause,
+        ("loss" | "corrupt", None) => return Err(format!("`{kind_s}` needs a probability field")),
+        ("down" | "stall" | "blackhole" | "pause", Some(_)) => {
+            return Err(format!("`{kind_s}` does not take a probability"))
+        }
+        (other, _) => {
             return Err(format!(
-                "fault `{item}`: unknown kind `{other}` \
-                 (expected down|loss|corrupt|stall|blackhole|pause)"
+                "unknown kind `{other}` (expected down|loss|corrupt|stall|blackhole|pause)"
             ))
         }
     };
-    if !kind.is_link_fault() && prob_s.is_some() {
-        return Err(format!(
-            "fault `{item}`: `{kind_s}` does not take a probability"
-        ));
-    }
-
-    let target = if kind.is_link_fault() {
-        if target_s == "*" {
-            FaultTarget::AllLinks
-        } else {
-            let (a, b) = target_s.split_once('-').ok_or_else(|| {
-                format!("fault `{item}`: link target must be `A-B` node ids or `*`")
-            })?;
+    let node = |s: &str| (s.trim().parse().map(NodeId)).map_err(|_| format!("bad node id `{s}`"));
+    let target = match (kind.is_link_fault(), target_s) {
+        (true, "*") => FaultTarget::AllLinks,
+        (true, _) => {
+            let (a, b) = target_s
+                .split_once('-')
+                .ok_or("link target must be `A-B` node ids or `*`")?;
             FaultTarget::Link {
-                a: NodeId(parse_node(a.trim(), item)?),
-                b: NodeId(parse_node(b.trim(), item)?),
+                a: node(a)?,
+                b: node(b)?,
             }
         }
-    } else {
-        FaultTarget::Node(NodeId(parse_node(target_s, item)?))
+        (false, _) => FaultTarget::Node(node(target_s)?),
     };
-
     Ok(FaultWindow {
         kind,
         target,
         from,
         until,
     })
-}
-
-fn parse_node(s: &str, item: &str) -> Result<u32, String> {
-    s.parse::<u32>()
-        .map_err(|_| format!("fault `{item}`: bad node id `{s}`"))
-}
-
-/// Parses `<float><unit>` where unit is ns/us/ms/s (e.g. `360us`, `2.5ms`).
-/// The one time-literal parser: the trace-filter grammar (`time=1ms-2ms`)
-/// and, in the workload crate, the `--workload` and `--checkpoint-every`
-/// grammars read it too.
-pub fn parse_time(s: &str) -> Result<SimTime, String> {
-    let split = s
-        .find(|c: char| c.is_ascii_alphabetic())
-        .ok_or_else(|| format!("time `{s}`: missing unit (ns|us|ms|s)"))?;
-    let (num, unit) = s.split_at(split);
-    let v: f64 = num
-        .parse()
-        .map_err(|_| format!("time `{s}`: bad number `{num}`"))?;
-    if !(v.is_finite() && v >= 0.0) {
-        return Err(format!("time `{s}`: must be finite and non-negative"));
-    }
-    let nanos = match unit {
-        "ns" => v,
-        "us" => v * 1e3,
-        "ms" => v * 1e6,
-        "s" => v * 1e9,
-        other => return Err(format!("time `{s}`: unknown unit `{other}`")),
-    };
-    // `as u64` saturates, and `SimTime::MAX` means "never".
-    if nanos >= u64::MAX as f64 {
-        return Err(format!("time `{s}`: does not fit 64-bit nanoseconds"));
-    }
-    Ok(SimTime::from_nanos(nanos.round() as u64))
 }
 
 /// What the driver should do with a popped event.
@@ -737,23 +691,6 @@ mod tests {
             s.push(w).expect("below capacity");
         }
         assert!(s.push(w).is_err());
-    }
-
-    #[test]
-    fn time_units_parse() {
-        assert_eq!(parse_time("250ns").unwrap(), SimTime::from_nanos(250));
-        assert_eq!(parse_time("360us").unwrap(), t(360));
-        assert_eq!(parse_time("2.5ms").unwrap(), t(2500));
-        assert_eq!(parse_time("1s").unwrap(), t(1_000_000));
-        assert!(parse_time("5").is_err());
-        assert!(parse_time("ms").is_err());
-        assert!(parse_time("-1ms").is_err());
-        // The largest literal that fits, and the first that does not.
-        assert!(parse_time("18446744073709549568ns").is_ok());
-        for huge in ["18446744073709551616ns", "99999999999999999999s"] {
-            let err = parse_time(huge).unwrap_err();
-            assert!(err.contains("does not fit"), "{huge}: {err}");
-        }
     }
 
     #[test]

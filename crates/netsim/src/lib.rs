@@ -19,6 +19,7 @@ pub mod deflect;
 pub mod domain;
 pub mod events;
 pub mod faults;
+pub mod grammar;
 pub mod host;
 pub mod link;
 pub mod policy;

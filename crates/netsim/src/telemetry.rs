@@ -45,15 +45,6 @@ pub struct TelemetrySample {
 pub struct Telemetry {
     /// Samples in time order.
     pub samples: Vec<TelemetrySample>,
-    /// Parallel to `samples`: the per-domain breakdown of
-    /// `pending_events` when the domain engine collected the sample, one
-    /// row of N counts per sample, flat (`domain_pending[i * N + d]` =
-    /// events pending in domain `d`'s wheel at sample `i`; deliveries
-    /// waiting in inboxes account for the remainder). Empty for classic
-    /// single-queue runs. Kept out of [`TelemetrySample`] so the sample
-    /// stays `Copy` and the snapshot format is untouched — snapshots and
-    /// domains are mutually exclusive anyway.
-    pub domain_pending: Vec<u64>,
     last_deflections: u64,
     last_drops: u64,
     last_ecn: u64,

@@ -20,6 +20,9 @@
 //! * `cap=N` — per-node ring capacity in records (default
 //!   [`DEFAULT_RING_CAPACITY`]).
 //!
+//! The `k=v` list, the window and the time literal read as in every spec
+//! grammar ([`crate::grammar`]): a key given twice is refused.
+//!
 //! This module compiles unconditionally: parsing a spec never requires
 //! the `trace` feature. Only *recording* does, and
 //! `RunSpec::try_run_staged` fails loudly when a spec is supplied to a
@@ -27,9 +30,14 @@
 
 use std::path::PathBuf;
 use vertigo_core::ordering::DeliverReason;
+use vertigo_simcore::SimTime;
 use vertigo_stats::TraceFilter;
 
+use crate::grammar::{self, KvList};
 use crate::policy::ForwardPolicy;
+
+/// The filter's keys; `node` and `switch` are one key.
+const KEYS: &[&str] = &["flow", "node|switch", "time", "cap"];
 
 /// Default per-node ring capacity in records (48 B each, so 64 Ki records
 /// ≈ 3 MB per node before overwrite kicks in).
@@ -51,78 +59,37 @@ impl TraceSpec {
     /// Parses `PATH[:filter,...]`. See the module docs for the grammar.
     pub fn parse(s: &str) -> Result<TraceSpec, String> {
         let s = s.trim();
-        if s.is_empty() {
-            return Err("trace spec: empty path".into());
-        }
-        let (path_s, filter_s) = match s.split_once(':') {
-            Some((p, f)) => (p, Some(f)),
-            None => (s, None),
-        };
-        if path_s.is_empty() {
+        let (path, filter) = s.split_once(':').unwrap_or((s, ""));
+        if path.is_empty() {
             return Err(format!("trace spec `{s}`: empty path"));
         }
-        let mut spec = TraceSpec {
-            path: PathBuf::from(path_s),
-            filter: TraceFilter::default(),
-            capacity: DEFAULT_RING_CAPACITY,
-        };
-        let Some(filter_s) = filter_s else {
-            return Ok(spec);
-        };
-        for clause in filter_s.split(',') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            let (key, val) = clause
-                .split_once('=')
-                .ok_or_else(|| format!("trace filter `{clause}`: expected key=value"))?;
-            match key {
-                "flow" => {
-                    let v: u64 = val
-                        .parse()
-                        .map_err(|_| format!("trace filter `{clause}`: bad flow id"))?;
-                    spec.filter.flow = Some(v);
-                }
-                "node" | "switch" => {
-                    let v: u32 = val
-                        .parse()
-                        .map_err(|_| format!("trace filter `{clause}`: bad node id"))?;
-                    spec.filter.node = Some(v);
-                }
-                "time" => {
-                    let (from_s, until_s) = val
-                        .split_once('-')
-                        .ok_or_else(|| format!("trace filter `{clause}`: expected FROM-UNTIL"))?;
-                    if !from_s.is_empty() {
-                        spec.filter.from_ns = crate::faults::parse_time(from_s)?.as_nanos();
-                    }
-                    if !until_s.is_empty() {
-                        spec.filter.until_ns = crate::faults::parse_time(until_s)?.as_nanos();
-                    }
-                    if spec.filter.from_ns >= spec.filter.until_ns {
-                        return Err(format!("trace filter `{clause}`: empty time window"));
-                    }
-                }
-                "cap" => {
-                    let v: usize = val
-                        .parse()
-                        .map_err(|_| format!("trace filter `{clause}`: bad capacity"))?;
-                    if v == 0 {
-                        return Err(format!("trace filter `{clause}`: capacity must be > 0"));
-                    }
-                    spec.capacity = v;
-                }
-                other => {
-                    return Err(format!(
-                        "trace filter `{clause}`: unknown key `{other}` \
-                         (expected flow|node|switch|time|cap)"
-                    ))
-                }
-            }
-        }
-        Ok(spec)
+        let (filter, capacity) =
+            read_filter(filter).map_err(|e| format!("trace filter `{filter}`: {e}"))?;
+        Ok(TraceSpec {
+            path: PathBuf::from(path),
+            filter,
+            capacity,
+        })
     }
+}
+
+/// The record filter and ring capacity a filter list asks for.
+fn read_filter(list: &str) -> Result<(TraceFilter, usize), String> {
+    let kv = KvList::parse(list, KEYS)?;
+    let (from, until) = kv
+        .get("time", |v| grammar::parse_window(v, true))?
+        .unwrap_or((SimTime::ZERO, SimTime::MAX));
+    let filter = TraceFilter {
+        flow: kv.num("flow")?,
+        node: kv.num("node")?,
+        from_ns: from.as_nanos(),
+        until_ns: until.as_nanos(),
+    };
+    let capacity = kv.num("cap")?.unwrap_or(DEFAULT_RING_CAPACITY);
+    if capacity == 0 {
+        return Err("capacity must be > 0".into());
+    }
+    Ok((filter, capacity))
 }
 
 impl ForwardPolicy {
@@ -164,14 +131,7 @@ pub fn deliver_reason_label(code: u8) -> &'static str {
 /// per-cell trace filenames from a `RunSpec`'s debug representation, so
 /// parallel sweep cells never collide on one output path and filenames
 /// are identical run-to-run (no randomness, no wall clock).
-pub fn stable_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use vertigo_pkt::fnv1a as stable_hash;
 
 #[cfg(test)]
 mod tests {

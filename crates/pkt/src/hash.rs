@@ -1,8 +1,9 @@
-//! Deterministic hashing for flow placement.
+//! Deterministic hashing for flow placement and stable names.
 //!
-//! ECMP and the cuckoo filter must hash identically across runs, so this
-//! module implements FNV-1a and a 64-bit avalanche mix by hand instead of
-//! relying on `std`'s randomized `RandomState`.
+//! ECMP and the cuckoo filter must hash identically across runs, and spec
+//! hashes name files, so this module implements FNV-1a and a 64-bit
+//! avalanche mix by hand instead of relying on `std`'s randomized
+//! `RandomState`.
 
 /// 64-bit FNV-1a over a byte slice.
 #[inline]
@@ -15,12 +16,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(PRIME);
     }
     h
-}
-
-/// 64-bit FNV-1a over a `u64`, in little-endian byte order.
-#[inline]
-pub fn fnv1a_u64(x: u64) -> u64 {
-    fnv1a(&x.to_le_bytes())
 }
 
 /// SplitMix64 finalizer: a fast, well-distributed 64-bit avalanche mix.

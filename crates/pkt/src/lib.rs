@@ -18,7 +18,7 @@ pub mod pool;
 mod snap;
 
 pub use flow_table::FlowTable;
-pub use hash::{ecmp_hash, fnv1a, fnv1a_u64, mix64, Mix64Build, Mix64Hasher};
+pub use hash::{ecmp_hash, fnv1a, mix64, Mix64Build, Mix64Hasher};
 pub use ids::{FlowId, NodeId, PortId, QueryId};
 pub use packet::{
     AckSeg, DataSeg, Ecn, FlowInfo, Packet, PacketKind, ACK_WIRE_BYTES, DATA_HEADER_BYTES,

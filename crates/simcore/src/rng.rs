@@ -91,14 +91,6 @@ impl SimRng {
         (((self.next_u64() as u128) * (n as u128)) >> 64) as usize
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    #[inline]
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi);
-        let span = hi - lo;
-        lo + (((self.next_u64() as u128) * (span as u128)) >> 64) as u64
-    }
-
     /// Two *distinct* uniform indices in `[0, n)`; requires `n >= 2`.
     ///
     /// This is the sampling primitive behind every power-of-two-choices
@@ -230,15 +222,6 @@ mod tests {
         for _ in 0..10_000 {
             let u = r.uniform();
             assert!((0.0..1.0).contains(&u));
-        }
-    }
-
-    #[test]
-    fn range_u64_stays_in_range() {
-        let mut r = SimRng::new(21);
-        for _ in 0..10_000 {
-            let v = r.range_u64(100, 200);
-            assert!((100..200).contains(&v));
         }
     }
 

@@ -19,7 +19,7 @@ pub mod trace;
 pub use audit::{AuditHooks, AUDIT_AVAILABLE};
 pub use recorder::{DropCause, FlowLedger, FlowRecord, QueryRecord, Recorder, DROP_CAUSES};
 pub use report::{Report, TenantReport, ELEPHANT_BYTES, MICE_BYTES};
-pub use summary::{mean, percentile, percentile_sorted, Cdf, Running};
+pub use summary::{mean, percentile, percentile_sorted, Cdf};
 pub use trace::{
     pack_ports, parse_trace, unpack_ports, TraceFilter, TraceHeader, TraceKind, TraceRecord,
     TraceSink, TRACE_AVAILABLE, TRACE_HEADER_BYTES, TRACE_NO_RANK, TRACE_RECORD_BYTES,

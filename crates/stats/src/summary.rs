@@ -70,62 +70,6 @@ impl Cdf {
         }
         Cdf { points, n }
     }
-
-    /// The fraction of samples ≤ `x` (interpolating between points).
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        let mut prev = 0.0;
-        for &(v, f) in &self.points {
-            if x < v {
-                return prev;
-            }
-            prev = f;
-        }
-        1.0
-    }
-}
-
-/// Streaming mean/min/max/count accumulator.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Running {
-    /// Sample count.
-    pub n: u64,
-    sum: f64,
-    /// Minimum sample (∞ when empty).
-    pub min: f64,
-    /// Maximum sample (-∞ when empty).
-    pub max: f64,
-}
-
-impl Running {
-    /// A fresh accumulator.
-    pub fn new() -> Self {
-        Running {
-            n: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// The running mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +92,7 @@ mod tests {
         assert_eq!(percentile(&[], 0.99), 0.0);
         let c = Cdf::from_samples(&[], 10);
         assert_eq!(c.n, 0);
-        assert_eq!(c.fraction_below(1.0), 0.0);
+        assert!(c.points.is_empty());
     }
 
     #[test]
@@ -168,20 +112,8 @@ mod tests {
             assert!(w[0].0 <= w[1].0);
             assert!(w[0].1 < w[1].1);
         }
-        assert!((c.fraction_below(500.0) - 0.5).abs() < 0.05);
-        assert_eq!(c.fraction_below(0.5), 0.0);
-        assert_eq!(c.fraction_below(2000.0), 1.0);
-    }
-
-    #[test]
-    fn running_accumulator() {
-        let mut r = Running::new();
-        for x in [3.0, 1.0, 2.0] {
-            r.push(x);
-        }
-        assert_eq!(r.n, 3);
-        assert_eq!(r.mean(), 2.0);
-        assert_eq!(r.min, 1.0);
-        assert_eq!(r.max, 3.0);
+        // Each point is the sample at its quantile.
+        assert_eq!(c.points[0], (20.0, 0.02));
+        assert_eq!(c.points[24], (500.0, 0.5));
     }
 }

@@ -17,7 +17,7 @@ use vertigo_netsim::{
     BufferPolicy, DeflectKind, DomainSimulation, FaultSchedule, ForwardPolicy, HostConfig,
     SimConfig, Simulation, SwitchConfig, Topology, TopologySpec, TraceSpec,
 };
-use vertigo_simcore::{EventBackend, SimDuration, SimTime, SnapReader};
+use vertigo_simcore::{EventBackend, SimDuration, SimTime, SnapReader, SNAP_VERSION};
 use vertigo_stats::{Report, TRACE_AVAILABLE, TRACE_HEADER_BYTES, TRACE_RECORD_BYTES};
 use vertigo_transport::{CcKind, TransportConfig};
 
@@ -132,8 +132,8 @@ pub struct RunSpec {
     pub vertigo: VertigoTuning,
     /// Per-port switch buffer in bytes (paper: 300 KB).
     pub port_buffer_bytes: u64,
-    /// Event-queue backend (results are backend-independent; the heap
-    /// exists for A/B benchmarking and oracle replays).
+    /// Event-queue backend. Results are backend-independent: the command
+    /// line always runs the wheel, and the heap is its reference in tests.
     pub event_backend: EventBackend,
     /// Deterministic fault schedule (empty by default). Faults draw from
     /// their own RNG stream, so two specs differing only here offer
@@ -685,6 +685,13 @@ impl RunSpec {
         let bytes = std::fs::read(&path).map_err(|e| refuse(e.to_string()))?;
         let mut r = SnapReader::new(&bytes);
         let header = snapshot::read_header(&mut r).map_err(|e| refuse(e.to_string()))?;
+        if header.version != SNAP_VERSION {
+            return Err(refuse(format!(
+                "snapshot format version {}, this binary reads version {SNAP_VERSION}; \
+                 re-create the checkpoint with this binary (or rerun without --resume)",
+                header.version
+            )));
+        }
         if header.flags != snapshot::build_flags() {
             return Err(refuse(format!(
                 "snapshot was written by a build with {} but this binary \
@@ -1108,6 +1115,15 @@ mod tests {
         std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
         let msg = resume(&spec, &truncated);
         assert!(msg.starts_with("--resume "), "{msg}");
+        // A version-2 file (PIEO records with sequence numbers) is refused
+        // at its header, before anything behind it is read.
+        let mut old = bytes.clone();
+        old[4] = 2;
+        let old_file = dir.join("v2.vsnp");
+        std::fs::write(&old_file, &old).unwrap();
+        let msg = resume(&spec, &old_file);
+        let want = "format version 2, this binary reads version 3";
+        assert!(msg.contains(want), "{msg}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -9,7 +9,8 @@
 //! mix with per-tenant FCT/QCT breakdowns in the
 //! [`Report`](vertigo_stats::Report).
 //!
-//! The spec string follows the `--faults`/`--trace` house grammar:
+//! The spec string follows the `--faults`/`--trace` house grammar, its
+//! `k=v` list, window and literals read by [`vertigo_netsim::grammar`]:
 //! components separated by `+`, each `kind:key=val,...[@from-until]`:
 //!
 //! ```text
@@ -32,10 +33,10 @@
 //!   long-run average hits `load=`.
 //! * `incast` — the §4.1 query application with explicit knobs:
 //!   `scale=` servers per query, `size=` reply bytes (`k`/`m`/`g`
-//!   decimal suffixes), at most one of `qps=` or `load=` (default
-//!   `load=0.1`), and `sync=` synchronized-arrival jitter (each reply's
-//!   start is jittered uniformly in `[0, sync)`; default `0ns` —
-//!   perfectly synchronized).
+//!   decimal suffixes), at most one of `qps=` (up to [`MAX_RATE`]) or
+//!   `load=` (default `load=0.1`), and `sync=` synchronized-arrival
+//!   jitter (each reply's start is jittered uniformly in `[0, sync)`;
+//!   default `0ns` — perfectly synchronized).
 //! * Every kind accepts `tenant=NAME` (a label for per-tenant reporting)
 //!   and `hosts=LO-HI` (an inclusive host-id range; default all hosts).
 //!   Components naming *different* tenants must use disjoint host
@@ -55,7 +56,7 @@
 use crate::dists::DistKind;
 use crate::traffic::IncastSpec;
 use std::fmt;
-use vertigo_netsim::faults::parse_time;
+use vertigo_netsim::grammar::{self, fmt_dur, fmt_size, KvList};
 use vertigo_netsim::Simulation;
 use vertigo_pkt::{NodeId, QueryId};
 use vertigo_simcore::{SimDuration, SimRng, SimTime};
@@ -67,6 +68,11 @@ pub const MAX_COMPONENTS: usize = 8;
 
 /// Maximum tenant-name length (stored inline to stay `Copy`).
 pub const MAX_TENANT_NAME: usize = 15;
+
+/// Arrivals per second above which the mean gap between arrivals is
+/// under the simulator's 1 ns clock, where the planner's clock would stop
+/// advancing: refused for a literal `qps=` and for any rate a plan solves.
+pub const MAX_RATE: f64 = 1e9;
 
 /// RNG stream id the scenario subsystem forks off the run seed; each
 /// component re-forks by its index, so components never share draws with
@@ -297,7 +303,8 @@ impl ScenarioSpec {
             if item.is_empty() {
                 continue;
             }
-            s.push(parse_component(item)?)?;
+            let c = parse_component(item).map_err(|e| format!("component `{item}`: {e}"))?;
+            s.push(c)?;
         }
         Ok(s)
     }
@@ -693,7 +700,7 @@ fn plan_component(
     match c.kind {
         ComponentKind::Background { load, dist } => {
             let cdf = dist.cdf();
-            let lambda = load * subset_bw / (8.0 * cdf.mean_bytes());
+            let lambda = arrival_rate(c, load * subset_bw / (8.0 * cdf.mean_bytes()))?;
             let mut t = from_s;
             loop {
                 t += rng.exp(1.0 / lambda);
@@ -722,7 +729,7 @@ fn plan_component(
                     perm.swap(i, j);
                 }
             }
-            let lambda = load * subset_bw / (8.0 * cdf.mean_bytes());
+            let lambda = arrival_rate(c, load * subset_bw / (8.0 * cdf.mean_bytes()))?;
             let mut t = from_s;
             loop {
                 t += rng.exp(1.0 / lambda);
@@ -751,6 +758,7 @@ fn plan_component(
             // Per-host average rate, boosted while ON so the long-run
             // mean hits `load`.
             let lambda_on = load * ctx.host_bw_bps as f64 / (8.0 * cdf.mean_bytes()) / duty;
+            let lambda_on = arrival_rate(c, lambda_on)?;
             let mut flows = Vec::new();
             for h in 0..n {
                 let mut hrng = rng.fork(h as u64);
@@ -791,12 +799,15 @@ fn plan_component(
                      host set (have {n}): lower scale= or widen hosts="
                 ));
             }
-            let qps = match rate {
-                IncastRate::Qps(q) => q,
-                IncastRate::Load(l) => {
-                    IncastSpec::qps_for_load(l, scale, bytes, n as u64 * ctx.host_bw_bps)
-                }
-            };
+            let qps = arrival_rate(
+                c,
+                match rate {
+                    IncastRate::Qps(q) => q,
+                    IncastRate::Load(l) => {
+                        IncastSpec::qps_for_load(l, scale, bytes, n as u64 * ctx.host_bw_bps)
+                    }
+                },
+            )?;
             let sync_s = sync.as_secs_f64();
             let mut qi = 0u32;
             let mut t = from_s;
@@ -831,6 +842,19 @@ fn plan_component(
         }
     }
     Ok(())
+}
+
+/// `rate` arrivals (or queries) per second of `c`, refused above
+/// [`MAX_RATE`].
+fn arrival_rate(c: &ScenarioComponent, rate: f64) -> Result<f64, String> {
+    if rate > MAX_RATE {
+        return Err(format!(
+            "{} offers {rate:.3e} arrivals per second, a mean gap under the \
+             simulator's 1 ns clock: lower its rate",
+            c.kind.keyword()
+        ));
+    }
+    Ok(rate)
 }
 
 // ---------------------------------------------------------------------
@@ -897,8 +921,11 @@ pub(crate) fn validate_component(c: &ScenarioComponent) -> Result<(), String> {
             }
             match rate {
                 IncastRate::Qps(q) => {
-                    if !(q.is_finite() && q > 0.0) {
-                        return Err(format!("incast: qps must be positive, got {q}"));
+                    if !(q > 0.0 && q <= MAX_RATE) {
+                        return Err(format!(
+                            "incast: qps must be in (0, 1e9] (a mean gap of at least \
+                             the simulator's 1 ns clock), got {q:e}"
+                        ));
                     }
                 }
                 IncastRate::Load(l) => check_load(kw, l)?,
@@ -937,277 +964,97 @@ fn dist_key(d: DistKind) -> &'static str {
     }
 }
 
-/// Parses a `size=` value: decimal bytes with optional `k`/`m`/`g`
-/// (decimal, matching the paper's 40 KB = 40 000).
-fn parse_size(s: &str) -> Result<u64, String> {
-    let (num, mult) = match s.to_ascii_lowercase() {
-        ref l if l.ends_with('k') => (s[..s.len() - 1].to_owned(), 1_000u64),
-        ref l if l.ends_with('m') => (s[..s.len() - 1].to_owned(), 1_000_000),
-        ref l if l.ends_with('g') => (s[..s.len() - 1].to_owned(), 1_000_000_000),
-        _ => (s.to_owned(), 1),
-    };
-    let v: f64 = num
-        .parse()
-        .map_err(|_| format!("size `{s}`: bad number `{num}`"))?;
-    if !(v.is_finite() && v >= 0.0) {
-        return Err(format!("size `{s}`: must be finite and non-negative"));
-    }
-    Ok((v * mult as f64).round() as u64)
-}
+/// Every `--workload` key.
+const KEYS: &[&str] = &[
+    "load", "dist", "on", "off", "scale", "size", "qps", "sync", "tenant", "hosts",
+];
 
-/// Canonical size formatting: the largest decimal suffix that divides
-/// evenly (round-trips through [`parse_size`]).
-fn fmt_size(bytes: u64) -> String {
-    if bytes > 0 && bytes.is_multiple_of(1_000_000_000) {
-        format!("{}g", bytes / 1_000_000_000)
-    } else if bytes > 0 && bytes.is_multiple_of(1_000_000) {
-        format!("{}m", bytes / 1_000_000)
-    } else if bytes > 0 && bytes.is_multiple_of(1_000) {
-        format!("{}k", bytes / 1_000)
-    } else {
-        bytes.to_string()
-    }
-}
-
-/// Parses a duration using the faults time syntax.
-fn parse_dur(s: &str) -> Result<SimDuration, String> {
-    parse_time(s).map(|t| SimDuration::from_nanos(t.as_nanos()))
-}
-
-/// Canonical duration formatting: the largest unit that divides evenly
-/// (round-trips through [`parse_dur`]).
-fn fmt_dur(d: SimDuration) -> String {
-    let ns = d.as_nanos();
-    if ns > 0 && ns.is_multiple_of(1_000_000_000) {
-        format!("{}s", ns / 1_000_000_000)
-    } else if ns > 0 && ns.is_multiple_of(1_000_000) {
-        format!("{}ms", ns / 1_000_000)
-    } else if ns > 0 && ns.is_multiple_of(1_000) {
-        format!("{}us", ns / 1_000)
-    } else {
-        format!("{ns}ns")
-    }
-}
+/// Per kind: the keys it requires, and the others it takes besides
+/// `tenant=` and `hosts=`, which every kind takes. It refuses the rest.
+const KINDS: [(&str, &[&str], &[&str]); 5] = [
+    ("bg", &["load"], &["dist"]),
+    ("a2a", &["load"], &["dist"]),
+    ("perm", &["load"], &["dist"]),
+    ("onoff", &["load", "on", "off"], &["dist"]),
+    ("incast", &["scale", "size"], &["qps", "load", "sync"]),
+];
 
 fn parse_component(item: &str) -> Result<ScenarioComponent, String> {
-    let (head, window) = match item.split_once('@') {
-        Some((h, times)) => {
-            let (from_s, until_s) = times
-                .split_once('-')
-                .ok_or_else(|| format!("component `{item}`: window must be `@from-until`"))?;
-            let from = parse_time(from_s.trim())?;
-            let until = parse_time(until_s.trim())?;
-            (h, Some((from, until)))
+    let (head, window) = grammar::split_window(item)?;
+    let (kind_s, keys) = head.split_once(':').unwrap_or((head, ""));
+    let kind_s = kind_s.trim();
+    let kv = KvList::parse(keys, KEYS)?;
+    let (_, requires, takes) = KINDS
+        .iter()
+        .find(|k| k.0 == kind_s)
+        .ok_or_else(|| format!("unknown kind `{kind_s}` (expected incast|bg|a2a|perm|onoff)"))?;
+    for key in KEYS {
+        let needed = requires.contains(key);
+        if needed && !kv.has(key) {
+            return Err(format!("`{kind_s}` requires `{key}=`"));
         }
-        None => (item, None),
-    };
-    let (kind_s, keys_s) = match head.split_once(':') {
-        Some((k, rest)) => (k.trim(), rest),
-        None => (head.trim(), ""),
-    };
-
-    // Collect key=value pairs.
-    let mut load: Option<f64> = None;
-    let mut dist: Option<DistKind> = None;
-    let mut on: Option<SimDuration> = None;
-    let mut off: Option<SimDuration> = None;
-    let mut scale: Option<u32> = None;
-    let mut size: Option<u64> = None;
-    let mut qps: Option<f64> = None;
-    let mut sync: Option<SimDuration> = None;
-    let mut tenant: Option<TenantName> = None;
-    let mut hosts: Option<HostRange> = None;
-    for kv in keys_s.split(',') {
-        let kv = kv.trim();
-        if kv.is_empty() {
-            continue;
-        }
-        let (k, v) = kv
-            .split_once('=')
-            .ok_or_else(|| format!("component `{item}`: `{kv}` is not `key=value`"))?;
-        let (k, v) = (k.trim(), v.trim());
-        let dup = |name: &str| format!("component `{item}`: duplicate `{name}=`");
-        match k {
-            "load" => {
-                if load.replace(parse_f64(v, item, "load")?).is_some() {
-                    return Err(dup("load"));
-                }
-            }
-            "dist" => {
-                let d = DistKind::parse(v).ok_or_else(|| {
-                    format!(
-                        "component `{item}`: unknown dist `{v}` \
-                         (expected cachefollower|datamining|websearch)"
-                    )
-                })?;
-                if dist.replace(d).is_some() {
-                    return Err(dup("dist"));
-                }
-            }
-            "on" => {
-                if on.replace(parse_dur(v)?).is_some() {
-                    return Err(dup("on"));
-                }
-            }
-            "off" => {
-                if off.replace(parse_dur(v)?).is_some() {
-                    return Err(dup("off"));
-                }
-            }
-            "scale" => {
-                let s: u32 = v
-                    .parse()
-                    .map_err(|_| format!("component `{item}`: bad scale `{v}`"))?;
-                if scale.replace(s).is_some() {
-                    return Err(dup("scale"));
-                }
-            }
-            "size" => {
-                if size.replace(parse_size(v)?).is_some() {
-                    return Err(dup("size"));
-                }
-            }
-            "qps" => {
-                if qps.replace(parse_f64(v, item, "qps")?).is_some() {
-                    return Err(dup("qps"));
-                }
-            }
-            "sync" => {
-                if sync.replace(parse_dur(v)?).is_some() {
-                    return Err(dup("sync"));
-                }
-            }
-            "tenant" => {
-                if tenant.replace(TenantName::parse(v)?).is_some() {
-                    return Err(dup("tenant"));
-                }
-            }
-            "hosts" => {
-                let (lo, hi) = v
-                    .split_once('-')
-                    .ok_or_else(|| format!("component `{item}`: hosts must be `LO-HI` host ids"))?;
-                let lo: u32 = lo
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("component `{item}`: bad host id `{lo}`"))?;
-                let hi: u32 = hi
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("component `{item}`: bad host id `{hi}`"))?;
-                if hosts.replace(HostRange { lo, hi }).is_some() {
-                    return Err(dup("hosts"));
-                }
-            }
-            other => {
-                return Err(format!(
-                    "component `{item}`: unknown key `{other}` (expected \
-                     load|dist|on|off|scale|size|qps|sync|tenant|hosts)"
-                ));
-            }
+        let taken = needed || takes.contains(key) || ["tenant", "hosts"].contains(key);
+        if !taken && kv.has(key) {
+            return Err(format!("`{kind_s}` does not take `{key}=`"));
         }
     }
-
-    let require = |name: &str, ok: bool| -> Result<(), String> {
-        if ok {
-            Ok(())
-        } else {
-            Err(format!("component `{item}`: `{kind_s}` requires `{name}=`"))
-        }
-    };
-    let forbid = |name: &str, absent: bool| -> Result<(), String> {
-        if absent {
-            Ok(())
-        } else {
-            Err(format!(
-                "component `{item}`: `{kind_s}` does not take `{name}=`"
-            ))
-        }
-    };
+    let load = kv.num("load")?;
+    let dist = kv
+        .get("dist", |v| {
+            DistKind::parse(v).ok_or_else(|| {
+                format!("unknown dist `{v}` (expected cachefollower|datamining|websearch)")
+            })
+        })?
+        .unwrap_or(DistKind::CacheFollower);
+    let dur = |key| kv.get(key, grammar::parse_dur);
+    let required = "required by KINDS";
     let kind = match kind_s {
-        "bg" | "a2a" => {
-            require("load", load.is_some())?;
-            forbid("on", on.is_none())?;
-            forbid("off", off.is_none())?;
-            forbid("scale", scale.is_none())?;
-            forbid("size", size.is_none())?;
-            forbid("qps", qps.is_none())?;
-            forbid("sync", sync.is_none())?;
-            ComponentKind::Background {
-                load: load.expect("required above"),
-                dist: dist.unwrap_or(DistKind::CacheFollower),
-            }
-        }
-        "perm" => {
-            require("load", load.is_some())?;
-            forbid("on", on.is_none())?;
-            forbid("off", off.is_none())?;
-            forbid("scale", scale.is_none())?;
-            forbid("size", size.is_none())?;
-            forbid("qps", qps.is_none())?;
-            forbid("sync", sync.is_none())?;
-            ComponentKind::Permutation {
-                load: load.expect("required above"),
-                dist: dist.unwrap_or(DistKind::CacheFollower),
-            }
-        }
-        "onoff" => {
-            require("load", load.is_some())?;
-            require("on", on.is_some())?;
-            require("off", off.is_some())?;
-            forbid("scale", scale.is_none())?;
-            forbid("size", size.is_none())?;
-            forbid("qps", qps.is_none())?;
-            forbid("sync", sync.is_none())?;
-            ComponentKind::OnOff {
-                load: load.expect("required above"),
-                dist: dist.unwrap_or(DistKind::CacheFollower),
-                on: on.expect("required above"),
-                off: off.expect("required above"),
-            }
-        }
-        "incast" => {
-            require("scale", scale.is_some())?;
-            require("size", size.is_some())?;
-            forbid("dist", dist.is_none())?;
-            forbid("on", on.is_none())?;
-            forbid("off", off.is_none())?;
-            let rate = match (qps, load) {
+        "bg" | "a2a" => ComponentKind::Background {
+            load: load.expect(required),
+            dist,
+        },
+        "perm" => ComponentKind::Permutation {
+            load: load.expect(required),
+            dist,
+        },
+        "onoff" => ComponentKind::OnOff {
+            load: load.expect(required),
+            dist,
+            on: dur("on")?.expect(required),
+            off: dur("off")?.expect(required),
+        },
+        "incast" => ComponentKind::Incast {
+            scale: kv.num("scale")?.expect(required),
+            bytes: kv.get("size", grammar::parse_size)?.expect(required),
+            rate: match (kv.num("qps")?, load) {
                 (Some(q), None) => IncastRate::Qps(q),
                 (None, Some(l)) => IncastRate::Load(l),
                 (Some(_), Some(_)) => {
-                    return Err(format!(
-                        "component `{item}`: give exactly one of `qps=` or `load=`, not both"
-                    ));
+                    return Err("give exactly one of `qps=` or `load=`, not both".into())
                 }
-                // Default: a moderate 10% of the host set's bandwidth —
-                // the knob the issue's exemplar spec leaves implicit.
+                // Default: a moderate 10% of the host set's bandwidth.
                 (None, None) => IncastRate::Load(0.1),
-            };
-            ComponentKind::Incast {
-                scale: scale.expect("required above"),
-                bytes: size.expect("required above"),
-                rate,
-                sync: sync.unwrap_or(SimDuration::ZERO),
-            }
-        }
-        other => {
-            return Err(format!(
-                "component `{item}`: unknown kind `{other}` \
-                 (expected incast|bg|a2a|perm|onoff)"
-            ));
-        }
+            },
+            sync: dur("sync")?.unwrap_or(SimDuration::ZERO),
+        },
+        other => unreachable!("`{other}` is not in KINDS"),
     };
     Ok(ScenarioComponent {
         kind,
-        hosts,
-        tenant,
+        hosts: kv.get("hosts", parse_hosts)?,
+        tenant: kv.get("tenant", TenantName::parse)?,
         window,
     })
 }
 
-fn parse_f64(v: &str, item: &str, key: &str) -> Result<f64, String> {
-    v.parse::<f64>()
-        .map_err(|_| format!("component `{item}`: bad {key} `{v}`"))
+/// Parses `hosts=LO-HI`, two host ids.
+fn parse_hosts(v: &str) -> Result<HostRange, String> {
+    let (lo, hi) = v.split_once('-').ok_or("hosts must be `LO-HI` host ids")?;
+    let id = |s: &str| s.trim().parse().map_err(|_| format!("bad host id `{s}`"));
+    Ok(HostRange {
+        lo: id(lo)?,
+        hi: id(hi)?,
+    })
 }
 
 #[cfg(test)]
@@ -1349,6 +1196,14 @@ mod tests {
         let s = ScenarioSpec::parse("bg:load=0.1@30ms-40ms").unwrap();
         let err = s.plan(&SimRng::new(1), &ctx()).expect_err("past horizon");
         assert!(err.contains("past the"), "{err}");
+
+        // 16 hosts at 10 Gbps, one-byte replies from two servers: 1e10
+        // queries per second, a gap under the 1 ns clock.
+        let s = ScenarioSpec::parse("incast:scale=2,size=1,load=1").unwrap();
+        let err = s
+            .plan(&SimRng::new(1), &ctx())
+            .expect_err("rate past the clock");
+        assert!(err.contains("1.000e10 arrivals per second"), "{err}");
     }
 
     #[test]

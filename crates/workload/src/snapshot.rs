@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! magic    [u8; 4]  "VSNP"
-//! version  u16      SNAP_VERSION (reader refuses mismatches)
+//! version  u16      SNAP_VERSION (a restore refuses mismatches)
 //! flags    u16      bit 0 = built with `audit`, bit 1 = built with `trace`
 //! backend  u8       0 = timing wheel, 1 = binary heap (informational:
 //!                   restore uses the run spec's backend — pop order is
@@ -32,7 +32,7 @@
 
 use crate::runner::{write_creating_dir, RunError};
 use std::path::{Path, PathBuf};
-use vertigo_netsim::faults::parse_time;
+use vertigo_netsim::grammar::parse_dur;
 use vertigo_netsim::Simulation;
 use vertigo_simcore::{
     EventBackend, SimDuration, SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION,
@@ -86,7 +86,7 @@ impl CheckpointSpec {
             Some((t, p)) => (t, Some(p)),
             None => (s, None),
         };
-        let every = SimDuration::from_nanos(parse_time(time_s.trim())?.as_nanos());
+        let every = parse_dur(time_s.trim())?;
         if every.as_nanos() == 0 {
             return Err("checkpoint period must be positive".into());
         }
@@ -117,9 +117,11 @@ impl SnapshotSpec {
     }
 }
 
-/// A parsed and validated snapshot file header.
+/// A decoded snapshot file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapHeader {
+    /// Format version; only [`SNAP_VERSION`] restores.
+    pub version: u16,
     /// Producing build's feature flags.
     pub flags: u16,
     /// Producing run's event backend (informational).
@@ -143,9 +145,11 @@ pub fn write_header(w: &mut SnapWriter, backend: EventBackend, spec_hash: u64, t
     w.put_u64(time_ns);
 }
 
-/// Reads and validates a VSNP header: magic and version mismatches are
-/// errors here; the caller checks `flags` and `spec_hash` against its own
-/// build and spec (it knows how to phrase those failures actionably).
+/// Decodes a VSNP header, refusing only what is not one: a wrong magic, a
+/// truncation, an unknown backend byte. The caller that restores checks
+/// `version`, `flags` and `spec_hash` against its own binary, build and
+/// spec (it knows how to phrase those failures actionably); an inspector
+/// prints them.
 pub fn read_header(r: &mut SnapReader<'_>) -> Result<SnapHeader, SnapError> {
     let magic = r.get_bytes(4)?;
     if magic != SNAP_MAGIC {
@@ -154,12 +158,6 @@ pub fn read_header(r: &mut SnapReader<'_>) -> Result<SnapHeader, SnapError> {
         )));
     }
     let version = r.get_u16()?;
-    if version != SNAP_VERSION {
-        return Err(SnapError::new(format!(
-            "snapshot format version {version}, this binary reads version {SNAP_VERSION}; \
-             re-create the checkpoint with this binary (or rerun without --resume)"
-        )));
-    }
     let flags = r.get_u16()?;
     let backend = match r.get_u8()? {
         0 => EventBackend::Wheel,
@@ -169,6 +167,7 @@ pub fn read_header(r: &mut SnapReader<'_>) -> Result<SnapHeader, SnapError> {
     let spec_hash = r.get_u64()?;
     let time_ns = r.get_u64()?;
     Ok(SnapHeader {
+        version,
         flags,
         backend,
         spec_hash,
@@ -279,6 +278,7 @@ mod tests {
         write_header(&mut w, EventBackend::Heap, 0xDEAD_BEEF, 6_000_000);
         let bytes = w.into_bytes();
         let h = read_header(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(h.version, SNAP_VERSION);
         assert_eq!(h.flags, build_flags());
         assert_eq!(h.backend, EventBackend::Heap);
         assert_eq!(h.spec_hash, 0xDEAD_BEEF);
@@ -289,19 +289,22 @@ mod tests {
         bad[0] = b'X';
         assert!(read_header(&mut SnapReader::new(&bad)).is_err());
 
-        // Wrong version: the error tells the user what to do.
-        let mut bad = bytes.clone();
-        bad[4] = SNAP_VERSION as u8 + 1;
-        let err = read_header(&mut SnapReader::new(&bad)).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
-
-        // A version-2 file (PIEO records with sequence numbers) is refused
-        // here, in the header, with nothing behind it to read.
-        let mut old = bytes[..6].to_vec();
+        // Another version decodes (a restore refuses it; an inspector
+        // prints it), and so does a version-2 header alone.
+        let mut old = bytes.clone();
         old[4] = 2;
-        let err = read_header(&mut SnapReader::new(&old)).unwrap_err();
-        let want = "format version 2, this binary reads version 3";
-        assert!(err.to_string().contains(want), "{err}");
+        assert_eq!(read_header(&mut SnapReader::new(&old)).unwrap().version, 2);
+
+        // An unknown backend byte, and every truncation, are refused.
+        let mut bad = bytes.clone();
+        bad[8] = 7;
+        assert!(read_header(&mut SnapReader::new(&bad)).is_err());
+        for n in 0..bytes.len() {
+            assert!(
+                read_header(&mut SnapReader::new(&bytes[..n])).is_err(),
+                "{n}"
+            );
+        }
     }
 
     #[test]

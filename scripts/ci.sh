@@ -8,13 +8,14 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> cargo test -q"
+# Includes the workload conformance suites: statistical (workload_stats)
+# and grammar (scenario_grammar, grammar_hostile and its outcome corpus).
 cargo test --workspace -q
 
 echo "==> cargo test --features audit -q"
+# Includes the mutation smoke: the audit layer must catch a seeded
+# accounting bug (netsim's audit suite, seeded_phantom_packet_is_caught).
 cargo test --workspace --features audit -q
-
-echo "==> mutation smoke: audit layer must catch a seeded accounting bug"
-cargo test -p vertigo-netsim --features audit -q --test audit seeded_phantom_packet_is_caught
 
 echo "==> audit observes, never perturbs: digest diff"
 cargo run --release --quiet --example audit_digest > /tmp/vertigo_digest_plain.txt
@@ -22,70 +23,65 @@ cargo run --release --quiet --features audit --example audit_digest > /tmp/verti
 diff /tmp/vertigo_digest_plain.txt /tmp/vertigo_digest_audit.txt
 
 echo "==> cargo test --features trace -q"
+# Includes the golden-trace regression suite (golden_trace) and the
+# deflection-policy conformance and invariant suites (policy_conformance,
+# deflect_invariants), which read the provenance trace.
 cargo test --workspace --features trace -q
-
-echo "==> golden-trace regression suite"
-cargo test --features trace -q --test golden_trace
-
-echo "==> deflection-policy conformance + invariant suites"
-cargo test -p vertigo-netsim --features trace -q --test policy_conformance
-cargo test -p vertigo-netsim --features trace -q --test deflect_invariants
 
 echo "==> trace observes, never perturbs: digest diff (both backends)"
 cargo run --release --quiet --example trace_digest > /tmp/vertigo_digest_plain2.txt
 cargo run --release --quiet --features trace --example trace_digest > /tmp/vertigo_digest_trace.txt
 diff /tmp/vertigo_digest_plain2.txt /tmp/vertigo_digest_trace.txt
 
-echo "==> resume equivalence: checkpoint+resume digest (both backends, faults active)"
+echo "==> resume equivalence: checkpoint+resume digest (faults active)"
 # fig5's cells are phased (incast deferred to W = 5 ms), and the plain run
 # starts each warmup class's cells from one in-memory snapshot while the
 # checkpointing and resuming runs simulate every cell straight through:
 # the diffs below are also the shared-warmup-vs-straight-through oracle.
+# The heap backend's side of it is snapshot_resume and backend_equivalence.
 SNAPDIR=/tmp/vertigo_snapshot_ci
 rm -rf "$SNAPDIR"
 FAULTS='loss:*:0.002@2ms-10ms'
-for ev in wheel heap; do
-  base="$SNAPDIR/$ev"
-  mkdir -p "$base"
+base="$SNAPDIR/wheel"
+mkdir -p "$base"
+cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
+  fig5 --quick --faults "$FAULTS" --out "$base/straight" \
+  | grep -v '^\[csv\]' > "$base/straight.txt"
+cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
+  fig5 --quick --faults "$FAULTS" --out "$base/ck" \
+  --checkpoint-every "6ms:$base/snaps/fig5.vsnp" \
+  | grep -v '^\[csv\]' > "$base/ck.txt"
+# Checkpointing must not perturb the run.
+diff "$base/straight.txt" "$base/ck.txt"
+diff -r "$base/straight" "$base/ck"
+# Resume from the deepest checkpoint (t = 18 ms), then delete it and
+# resume from t = 12 ms: equivalence at two distinct sim-times.
+for t in 18000000 12000000; do
+  out="$base/resume_$t"
   cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-    fig5 --quick --events "$ev" --faults "$FAULTS" --out "$base/straight" \
-    | grep -v '^\[csv\]' > "$base/straight.txt"
-  cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-    fig5 --quick --events "$ev" --faults "$FAULTS" --out "$base/ck" \
-    --checkpoint-every "6ms:$base/snaps/fig5.vsnp" \
-    | grep -v '^\[csv\]' > "$base/ck.txt"
-  # Checkpointing must not perturb the run.
-  diff "$base/straight.txt" "$base/ck.txt"
-  diff -r "$base/straight" "$base/ck"
-  # Resume from the deepest checkpoint (t = 18 ms), then delete it and
-  # resume from t = 12 ms: equivalence at two distinct sim-times.
-  for t in 18000000 12000000; do
-    out="$base/resume_$t"
-    cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-      fig5 --quick --events "$ev" --faults "$FAULTS" --out "$out" \
-      --resume "$base/snaps/fig5.vsnp" 2> "$out.err" \
-      | grep -v '^\[csv\]' > "$out.txt"
-    grep -q -- "-t$t.vsnp" "$out.err"   # really resumed at this depth
-    diff "$base/straight.txt" "$out.txt"
-    diff -r "$base/straight" "$out"
-    rm -f "$base/snaps/"*"-t$t.vsnp"
-  done
-  # Crossing W after a resume: checkpoints every 4 ms, all but the one
-  # at t = 4 ms (before W) deleted, so the resumed cells restore, apply
-  # the phase at 5 ms and install the deferred incast themselves.
-  cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-    fig5 --quick --events "$ev" --faults "$FAULTS" --out "$base/ck4" \
-    --checkpoint-every "4ms:$base/snaps4/fig5.vsnp" > /dev/null
-  find "$base/snaps4" -name '*.vsnp' ! -name '*-t4000000.vsnp' -delete
-  out="$base/resume_across_w"
-  cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-    fig5 --quick --events "$ev" --faults "$FAULTS" --out "$out" \
-    --resume "$base/snaps4/fig5.vsnp" 2> "$out.err" \
+    fig5 --quick --faults "$FAULTS" --out "$out" \
+    --resume "$base/snaps/fig5.vsnp" 2> "$out.err" \
     | grep -v '^\[csv\]' > "$out.txt"
-  grep -q -- "-t4000000.vsnp" "$out.err"
+  grep -q -- "-t$t.vsnp" "$out.err"   # really resumed at this depth
   diff "$base/straight.txt" "$out.txt"
   diff -r "$base/straight" "$out"
+  rm -f "$base/snaps/"*"-t$t.vsnp"
 done
+# Crossing W after a resume: checkpoints every 4 ms, all but the one
+# at t = 4 ms (before W) deleted, so the resumed cells restore, apply
+# the phase at 5 ms and install the deferred incast themselves.
+cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
+  fig5 --quick --faults "$FAULTS" --out "$base/ck4" \
+  --checkpoint-every "4ms:$base/snaps4/fig5.vsnp" > /dev/null
+find "$base/snaps4" -name '*.vsnp' ! -name '*-t4000000.vsnp' -delete
+out="$base/resume_across_w"
+cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
+  fig5 --quick --faults "$FAULTS" --out "$out" \
+  --resume "$base/snaps4/fig5.vsnp" 2> "$out.err" \
+  | grep -v '^\[csv\]' > "$out.txt"
+grep -q -- "-t4000000.vsnp" "$out.err"
+diff "$base/straight.txt" "$out.txt"
+diff -r "$base/straight" "$out"
 
 echo "==> resume equivalence under trace: identical .vtrace streams from the resume point on"
 base="$SNAPDIR/traced"
@@ -123,22 +119,19 @@ for search in grid halving; do
   grep -q '^  cand' "$base/j1.txt"   # a Pareto front was printed
 done
 
-echo "==> deflect override is inert at the default: --deflect vertigo vs no flag (both backends)"
-DEFLDIR=/tmp/vertigo_deflect_ci
-rm -rf "$DEFLDIR"
-for ev in wheel heap; do
-  base="$DEFLDIR/$ev"
-  mkdir -p "$base"
-  cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-    fig5 --quick --events "$ev" --out "$base/native" \
-    | grep -v '^\[csv\]' > "$base/native.txt"
-  cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-    fig5 --quick --events "$ev" --deflect vertigo --out "$base/explicit" \
-    | grep -v '^\[csv\]' > "$base/explicit.txt"
-  # Explicitly selecting the default policy must be byte-unobservable.
-  diff "$base/native.txt" "$base/explicit.txt"
-  diff -r "$base/native" "$base/explicit"
-done
+echo "==> deflect override is inert at the default: --deflect vertigo vs no flag"
+base=/tmp/vertigo_deflect_ci
+rm -rf "$base"
+mkdir -p "$base"
+cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
+  fig5 --quick --out "$base/native" \
+  | grep -v '^\[csv\]' > "$base/native.txt"
+cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
+  fig5 --quick --deflect vertigo --out "$base/explicit" \
+  | grep -v '^\[csv\]' > "$base/explicit.txt"
+# Explicitly selecting the default policy must be byte-unobservable.
+diff "$base/native.txt" "$base/explicit.txt"
+diff -r "$base/native" "$base/explicit"
 
 echo "==> figdeflect smoke: all five policies produce rows"
 FIGDEFL=/tmp/vertigo_figdeflect_ci
@@ -163,37 +156,30 @@ if cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   exit 1
 fi
 
-echo "==> domain equivalence: fig5 at --domains 1/2 (faults active) and soak at 1/2/4, both backends"
-DOMDIR=/tmp/vertigo_domains_ci
-rm -rf "$DOMDIR"
-for ev in wheel heap; do
-  base="$DOMDIR/$ev"
-  mkdir -p "$base"
-  for n in 1 2; do
-    cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-      fig5 --quick --events "$ev" --faults "$FAULTS" --out "$base/d$n" \
-      --domains "$n" \
-      | grep -v '^\[csv\]' > "$base/d$n.txt"
-  done
-  # The domain count must be unobservable: same stdout, same CSVs.
-  diff "$base/d1.txt" "$base/d2.txt"
-  diff -r "$base/d1" "$base/d2"
-  # The per-pod partition of the fat-tree, end to end: one domain, two
-  # pods a domain, one pod a domain.
-  for n in 1 2 4; do
-    cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-      soak --quick --events "$ev" --out "$base/soak_d$n" --domains "$n" \
-      | grep -v '^\[csv\]' > "$base/soak_d$n.txt"
-  done
-  for n in 2 4; do
-    diff "$base/soak_d1.txt" "$base/soak_d$n.txt"
-    diff -r "$base/soak_d1" "$base/soak_d$n"
-  done
+echo "==> domain equivalence: fig5 at --domains 1/2 (faults active) and soak at 1/2/4"
+# The heap backend's side of it is domain_equivalence.
+base=/tmp/vertigo_domains_ci
+rm -rf "$base"
+mkdir -p "$base"
+for n in 1 2; do
+  cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
+    fig5 --quick --faults "$FAULTS" --out "$base/d$n" --domains "$n" \
+    | grep -v '^\[csv\]' > "$base/d$n.txt"
 done
-
-echo "==> workload conformance: statistical + grammar suites"
-cargo test -p vertigo-workload -q --test workload_stats
-cargo test -p vertigo-workload -q --test scenario_grammar
+# The domain count must be unobservable: same stdout, same CSVs.
+diff "$base/d1.txt" "$base/d2.txt"
+diff -r "$base/d1" "$base/d2"
+# The per-pod partition of the fat-tree, end to end: one domain, two
+# pods a domain, one pod a domain.
+for n in 1 2 4; do
+  cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
+    soak --quick --out "$base/soak_d$n" --domains "$n" \
+    | grep -v '^\[csv\]' > "$base/soak_d$n.txt"
+done
+for n in 2 4; do
+  diff "$base/soak_d1.txt" "$base/soak_d$n.txt"
+  diff -r "$base/soak_d1" "$base/soak_d$n"
+done
 
 echo "==> committed quick CSVs are what the tree produces: experiments all --quick vs results/quick"
 # The whole directory is the refactoring oracle: every figure, wheel
@@ -205,13 +191,6 @@ mkdir -p "$WLDIR"
 cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
   all --quick --out "$WLDIR/quick" > /dev/null
 diff -r results/quick "$WLDIR/quick"
-
-echo "==> the heap backend prints the same fig5 as the committed (wheel) CSVs"
-cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-  fig5 --quick --events heap --out "$WLDIR/heap" > /dev/null
-for bg in 25 50 75; do
-  diff "results/quick/fig5_bg$bg.csv" "$WLDIR/heap/fig5_bg$bg.csv"
-done
 
 echo "==> soak smoke: multi-tenant scenario with the audit layer live"
 cargo run --release --quiet --features audit -p vertigo-experiments --bin experiments -- \
