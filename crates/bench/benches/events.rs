@@ -1,5 +1,6 @@
-//! Event-queue microbenchmarks: the timing wheel against the retained
-//! binary-heap oracle, across queue depths and timestamp distributions.
+//! Event-queue microbenchmarks: the timing wheel across queue depths and
+//! timestamp distributions. Its comparison with the binary heap it
+//! replaced is on record in `BENCH_PR2.json` and DESIGN.md §5b.
 //!
 //! The workload is the simulator's steady state: the queue is prefilled
 //! to a fixed depth, then each iteration pops the earliest event and
@@ -8,11 +9,10 @@
 //! simulator's regimes and a fourth is the simulator's own:
 //!
 //! * `uniform` — delays spread over a wide horizon (mixed timer wheel
-//!   levels, the heap's O(log n) worst case);
+//!   levels);
 //! * `bursty` — delays clustered within a few microseconds of now
 //!   (level 0 of the wheel; microburst regime);
-//! * `ties` — many events at the same instant (FIFO tie-break pressure,
-//!   where the heap still pays O(log n) per sift);
+//! * `ties` — many events at the same instant (FIFO tie-break pressure);
 //! * `dc` — the delays the perfbench cells schedule: ACK and full-size
 //!   serializations at 40 and 10 Gbps, the same plus 500 ns of wire, and
 //!   one push in 64 an RTO-sized timer, at the cells' depth of 3 000. The
@@ -21,7 +21,7 @@
 //!   the fifth lands in the window being popped.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use vertigo_simcore::{EventBackend, EventQueue, SimDuration};
+use vertigo_simcore::{EventQueue, SimDuration};
 
 /// Splitmix-style step for deterministic pseudo-random delays.
 #[inline]
@@ -52,7 +52,7 @@ fn delay(dist: usize, r: &mut u64) -> u64 {
     }
 }
 
-fn bench_backends(c: &mut Criterion) {
+fn bench_wheel(c: &mut Criterion) {
     let dists = ["uniform", "bursty", "ties", "dc"];
     for (di, dist) in dists.iter().enumerate() {
         let mut g = c.benchmark_group(format!("events_{dist}"));
@@ -61,31 +61,25 @@ fn bench_backends(c: &mut Criterion) {
             _ => &[1_000, 16_000, 256_000],
         };
         for &depth in depths {
-            for backend in [EventBackend::Wheel, EventBackend::Heap] {
-                let name = match backend {
-                    EventBackend::Wheel => "wheel",
-                    EventBackend::Heap => "heap",
-                };
-                g.bench_function(format!("{name}/depth{depth}"), |b| {
-                    let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
-                    let mut r = 0x9E3779B97F4A7C15u64;
-                    for i in 0..depth as u64 {
-                        q.push_after(SimDuration::from_nanos(delay(di, &mut r)), i);
-                    }
-                    b.iter(|| {
-                        let popped = q.pop().expect("queue never drains");
-                        q.push_after(
-                            SimDuration::from_nanos(delay(di, &mut r)),
-                            black_box(popped.1),
-                        );
-                        black_box(popped.0)
-                    })
-                });
-            }
+            g.bench_function(format!("wheel/depth{depth}"), |b| {
+                let mut q: EventQueue<u64> = EventQueue::new();
+                let mut r = 0x9E3779B97F4A7C15u64;
+                for i in 0..depth as u64 {
+                    q.push_after(SimDuration::from_nanos(delay(di, &mut r)), i);
+                }
+                b.iter(|| {
+                    let popped = q.pop().expect("queue never drains");
+                    q.push_after(
+                        SimDuration::from_nanos(delay(di, &mut r)),
+                        black_box(popped.1),
+                    );
+                    black_box(popped.0)
+                })
+            });
         }
         g.finish();
     }
 }
 
-criterion_group!(benches, bench_backends);
+criterion_group!(benches, bench_wheel);
 criterion_main!(benches);

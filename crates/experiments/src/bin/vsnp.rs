@@ -10,7 +10,7 @@
 
 use std::process::ExitCode;
 use vertigo_netsim::grammar::fmt_dur;
-use vertigo_simcore::{EventBackend, SimDuration, SnapReader, SNAP_VERSION};
+use vertigo_simcore::{SimDuration, SnapReader, SNAP_VERSION};
 use vertigo_workload::snapshot::{describe_flags, read_header, FLAG_AUDIT, FLAG_TRACE};
 
 fn usage() -> ExitCode {
@@ -46,8 +46,8 @@ fn inspect(path: &str) -> Result<(), String> {
     println!(
         "  backend    {}",
         match h.backend {
-            EventBackend::Wheel => "timing wheel",
-            EventBackend::Heap => "binary heap",
+            0 => "timing wheel",
+            _ => "binary heap",
         }
     );
     println!("  spec hash  {:016x}", h.spec_hash);

@@ -7,7 +7,7 @@
 //! `--features trace`.
 
 use std::process::ExitCode;
-use vertigo_netsim::trace::deliver_reason_label;
+use vertigo_netsim::trace::{deflect_policy_label, deliver_reason_label, forward_policy_label};
 use vertigo_stats::{
     parse_trace, unpack_ports, DropCause, TraceHeader, TraceKind, TraceRecord, TRACE_NO_RANK,
 };
@@ -23,17 +23,6 @@ fn usage() -> ExitCode {
 fn load(path: &str) -> Result<(TraceHeader, Vec<TraceRecord>), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     parse_trace(&bytes).map_err(|e| format!("{path}: {e}"))
-}
-
-/// `ForwardPolicy::trace_code` values back to legend names.
-fn policy_label(code: u64) -> &'static str {
-    match code {
-        0 => "single",
-        1 => "ecmp",
-        2 => "drill",
-        3 => "power-of-n",
-        _ => "?",
-    }
 }
 
 fn fmt_rank(r: u64) -> String {
@@ -66,7 +55,7 @@ fn detail(r: &TraceRecord) -> String {
             format!(
                 "port={} policy={} candidates={} remembered={}{}",
                 r.port,
-                policy_label(r.a),
+                forward_policy_label(r.a),
                 n,
                 remembered.map_or("-".to_string(), |m| m.to_string()),
                 if r.flags & 1 != 0 {
@@ -77,8 +66,9 @@ fn detail(r: &TraceRecord) -> String {
             )
         }
         Some(TraceKind::Deflect) => format!(
-            "to_port={} victim_rank={} sampled={}{}{}",
+            "to_port={} policy={} victim_rank={} sampled={}{}{}",
             r.port,
+            deflect_policy_label(r.flags >> 2),
             fmt_rank(r.a),
             fmt_sample(r.b),
             if r.flags & 0b01 != 0 { " forced" } else { "" },

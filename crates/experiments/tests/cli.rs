@@ -1,6 +1,7 @@
 //! The `experiments` binary from the outside: argument errors are
 //! reported on stderr with the usage text and exit code 2, never as a
-//! panic, and before any simulation starts.
+//! panic, and before any simulation starts; and `vtrace dump` on a golden
+//! trace.
 
 use std::process::{Command, Output};
 
@@ -225,4 +226,27 @@ fn trace_without_the_feature_exits_2_without_a_panic() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!dir.exists(), "nothing is written after an error");
+}
+
+#[test]
+fn vtrace_dump_names_the_overflow_policy_of_a_deflection() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/deflect_pabo.vtrace"
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_vtrace"))
+        .args(["dump", golden])
+        .output()
+        .expect("the vtrace binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let deflects: Vec<&str> = stdout.lines().filter(|l| l.contains(" deflect ")).collect();
+    assert!(!deflects.is_empty(), "the golden trace deflects");
+    for row in deflects {
+        assert!(row.contains(" policy=pabo "), "{row}");
+    }
 }

@@ -3,11 +3,11 @@
 //!
 //! [`DomainSimulation`] consumes a freshly built [`Simulation`] and splits
 //! its nodes into `N` domains along the structural zones of
-//! [`Topology::partition`] (per-leaf on a leaf-spine, per-pod on a
-//! fat-tree). Each domain owns a private timing wheel, per-node RNG
-//! streams, and a private [`Recorder`]; domains advance in lockstep
-//! windows bounded by the minimum link propagation delay (the lookahead),
-//! each window on its own thread.
+//! [`Topology::partition`](crate::Topology::partition) (per-leaf on a
+//! leaf-spine, per-pod on a fat-tree). Each domain owns a private timing
+//! wheel, per-node RNG streams, and a private [`Recorder`]; domains
+//! advance in lockstep windows bounded by the minimum link propagation
+//! delay (the lookahead), each window on its own thread.
 //!
 //! # Why `--domains N` is byte-identical to `--domains 1`
 //!
@@ -64,7 +64,6 @@ use crate::faults::{FaultAction, FaultState};
 use crate::host::earlier;
 use crate::sim::{self, Node, Simulation};
 use crate::telemetry::{Telemetry, TelemetryConfig};
-use crate::topology::Topology;
 use std::sync::Arc;
 use vertigo_simcore::{
     Batch, EventQueue, LookaheadGrid, SimDuration, SimRng, SimTime, WindowQueue, WorkerPool,
@@ -181,7 +180,6 @@ impl Domain {
 /// [`Simulation`] (workload scheduled, faults installed, telemetry
 /// enabled, nothing run yet), then call [`DomainSimulation::run`].
 pub struct DomainSimulation {
-    topo: Arc<Topology>,
     domains: Vec<Domain>,
     grid: LookaheadGrid,
     horizon: SimDuration,
@@ -236,13 +234,12 @@ impl DomainSimulation {
         }
         let node_local = Arc::new(node_local);
         let faults = faults.map(Arc::new);
-        let backend = events.backend();
 
         let mut domains: Vec<Domain> = (0..n)
             .map(|i| Domain {
                 nodes: Vec::with_capacity(counts[i] as usize),
                 rngs: Vec::with_capacity(counts[i] as usize),
-                wheel: EventQueue::with_backend(backend),
+                wheel: EventQueue::new(),
                 router: Router {
                     index: i as u32,
                     node_domain: Arc::clone(&node_domain),
@@ -282,7 +279,6 @@ impl DomainSimulation {
         }
 
         DomainSimulation {
-            topo,
             domains,
             grid,
             horizon,
@@ -460,11 +456,6 @@ impl DomainSimulation {
         report.domain_peak_pending = self.domains.iter().map(|d| d.peak_pending).collect();
         self.base_rec = rec;
         report
-    }
-
-    /// The built topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
     }
 
     /// The collected telemetry time series, if enabled.

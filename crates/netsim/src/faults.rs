@@ -5,9 +5,9 @@
 //! simulation driver applies at event-dispatch time. Faults are
 //! seed-deterministic: probabilistic windows draw from a dedicated RNG
 //! stream forked off the run seed, so an identical `RunSpec` + schedule +
-//! seed reproduces the exact same packet fates at any `--jobs` and on both
-//! event backends, and adding a fault never perturbs the RNG draws of
-//! switches or workload generators.
+//! seed reproduces the exact same packet fates at any `--jobs`, and
+//! adding a fault never perturbs the RNG draws of switches or workload
+//! generators.
 //!
 //! Schedules are parsed from a compact spec string (the `--faults` CLI
 //! flag), one item per window, items separated by `;`:
@@ -379,7 +379,7 @@ impl FaultState {
     /// wire delivery if `arrival` names its ingress port and packet uid
     /// ([`Event::arrival`](crate::events::Event::arrival)): loss/corruption
     /// draws advance the dedicated fault stream in event order, which is
-    /// identical across backends and `--jobs`.
+    /// identical across `--jobs`.
     pub(crate) fn intercept(
         &mut self,
         now: SimTime,

@@ -185,17 +185,8 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds the network described by `cfg` on the default event backend
-    /// (the timing wheel).
+    /// Builds the network described by `cfg`.
     pub fn new(cfg: &SimConfig) -> Self {
-        Self::new_with_events(cfg, EventBackend::default())
-    }
-
-    /// Builds the network described by `cfg` with an explicitly chosen
-    /// event-queue backend. The backend is unobservable in results — the
-    /// differential test suite asserts byte-identical reports either way —
-    /// so this exists for A/B benchmarking and oracle replays.
-    pub fn new_with_events(cfg: &SimConfig, backend: EventBackend) -> Self {
         let topo = cfg.topology.build();
         topo.validate().expect("invalid topology");
         let routes = Arc::new(topo.switch_routes());
@@ -251,7 +242,7 @@ impl Simulation {
         Simulation {
             topo,
             nodes,
-            events: EventQueue::with_backend(backend),
+            events: EventQueue::new(),
             rng,
             rec: Recorder::new(),
             horizon: cfg.horizon,
@@ -260,6 +251,12 @@ impl Simulation {
             telemetry: None,
             faults: None,
         }
+    }
+
+    /// [`Simulation::new`]: the timing wheel is the only event queue. Kept
+    /// only because `perfbench` names it.
+    pub fn new_with_events(cfg: &SimConfig, _events: EventBackend) -> Self {
+        Self::new(cfg)
     }
 
     /// Installs a fault schedule, compiled against this simulation's
@@ -505,7 +502,7 @@ impl Simulation {
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<(), vertigo_simcore::SnapError> {
         use vertigo_simcore::{SnapError, Snapshot};
-        self.events = EventQueue::restore_from(r, self.events.backend())?;
+        self.events = EventQueue::restore_from(r)?;
         self.rng = SimRng::restore(r)?;
         self.next_flow = self.rec.snap_restore(r)?;
         self.next_query = r.get_u64()?;

@@ -10,7 +10,7 @@ use crate::queue::PortQueue;
 use crate::topology::RouteTable;
 use std::sync::Arc;
 use vertigo_pkt::{ecmp_hash, NodeId, Packet, PortId, MAX_HOPS};
-use vertigo_simcore::{SnapError, SnapReader, SnapWriter, Snapshot};
+use vertigo_simcore::{SimRng, SnapError, SnapReader, SnapWriter, Snapshot};
 use vertigo_stats::{DropCause, TraceKind, TRACE_NO_RANK};
 
 /// One output port: queue, link, and transmit state.
@@ -28,6 +28,28 @@ pub struct Port {
     pub busy: bool,
     /// Whether the peer is a host.
     pub host_facing: bool,
+}
+
+/// Draws `k` distinct candidates and keeps the least loaded, the first
+/// drawn on a tie — DRILL's sample and power-of-n's choice — with its
+/// queued bytes; `(None, u64::MAX)` when `k` is 0.
+fn least_loaded(
+    k: usize,
+    cands: &[u16],
+    ports: &[Port],
+    scratch: &mut Vec<usize>,
+    rng: &mut SimRng,
+) -> (Option<u16>, u64) {
+    rng.k_distinct_into(k, cands.len(), scratch);
+    let mut best = (None, u64::MAX);
+    for &i in scratch.iter() {
+        let p = cands[i];
+        let b = ports[p as usize].queue.bytes();
+        if best.0.is_none() || b < best.1 {
+            best = (Some(p), b);
+        }
+    }
+    best
 }
 
 /// A datacenter switch.
@@ -269,18 +291,13 @@ impl Switch {
                     }
                     ForwardPolicy::Drill { d } => {
                         // Sample d random candidates plus the remembered best.
-                        let k = d.min(n);
-                        let mut best: Option<u16> = None;
-                        let mut best_bytes = u64::MAX;
-                        ctx.rng.k_distinct_into(k, n, &mut self.pick_scratch);
-                        for &i in &self.pick_scratch {
-                            let p = cands[i];
-                            let b = self.ports[p as usize].queue.bytes();
-                            if best.is_none() || b < best_bytes {
-                                best_bytes = b;
-                                best = Some(p);
-                            }
-                        }
+                        let (mut best, best_bytes) = least_loaded(
+                            d.min(n),
+                            cands,
+                            &self.ports,
+                            &mut self.pick_scratch,
+                            ctx.rng,
+                        );
                         remembered_before = self.drill_best[dst];
                         if let Some(m) = remembered_before {
                             if cands.contains(&m)
@@ -294,18 +311,7 @@ impl Switch {
                     }
                     ForwardPolicy::PowerOfN { n: power } => {
                         let k = power.max(1).min(n);
-                        let mut best: Option<u16> = None;
-                        let mut best_bytes = u64::MAX;
-                        ctx.rng.k_distinct_into(k, n, &mut self.pick_scratch);
-                        for &i in &self.pick_scratch {
-                            let p = cands[i];
-                            let b = self.ports[p as usize].queue.bytes();
-                            if best.is_none() || b < best_bytes {
-                                best_bytes = b;
-                                best = Some(p);
-                            }
-                        }
-                        best
+                        least_loaded(k, cands, &self.ports, &mut self.pick_scratch, ctx.rng).0
                     }
                 }
             }

@@ -104,6 +104,32 @@ impl ForwardPolicy {
     }
 }
 
+/// Label for a `FwdDecision` record's policy code (the `vtrace dump`
+/// column): [`ForwardPolicy::trace_code`], or 0 for a single candidate.
+pub fn forward_policy_label(code: u64) -> &'static str {
+    match code {
+        0 => "single",
+        1 => "ecmp",
+        2 => "drill",
+        3 => "power-of-n",
+        _ => "?",
+    }
+}
+
+/// Label for a `Deflect` record's policy code, bits 2 and up of its
+/// flags (the `vtrace dump` column):
+/// [`BufferPolicy::trace_code`](crate::BufferPolicy::trace_code), which
+/// Vertigo and DIBS share.
+pub fn deflect_policy_label(code: u8) -> &'static str {
+    match code {
+        0 => "vertigo|dibs",
+        1 => "pabo",
+        2 => "hybrid",
+        3 => "bounded",
+        _ => "?",
+    }
+}
+
 /// Stable on-disk code for `RxDeliver` records' `flags` field.
 pub fn deliver_reason_code(reason: DeliverReason) -> u8 {
     match reason {
@@ -201,6 +227,32 @@ mod tests {
         uniq.dedup();
         assert_eq!(uniq.len(), codes.len());
         assert!(!codes.contains(&0), "0 is reserved for single-candidate");
+    }
+
+    #[test]
+    fn every_policy_code_has_a_label() {
+        use crate::policy::SwitchConfig;
+        let configs = [
+            SwitchConfig::ecmp(),
+            SwitchConfig::drill(),
+            SwitchConfig::ndp_trim(),
+            SwitchConfig::dibs(),
+            SwitchConfig::vertigo(),
+            SwitchConfig::pabo(),
+            SwitchConfig::hybrid(),
+            SwitchConfig::bounded(),
+        ];
+        let forward = configs.iter().map(|c| c.forward.trace_code());
+        let mut fwd: Vec<_> = forward.chain([0]).map(forward_policy_label).collect();
+        let deflect = configs.iter().map(|c| c.buffer.trace_code());
+        let mut defl: Vec<_> = deflect.map(deflect_policy_label).collect();
+        for labels in [&mut fwd, &mut defl] {
+            assert!(!labels.contains(&"?"), "{labels:?}");
+            labels.sort_unstable();
+            labels.dedup();
+        }
+        // Every forwarding policy and single-candidate; four deflect codes.
+        assert_eq!((fwd.len(), defl.len()), (4, 4));
     }
 
     #[test]

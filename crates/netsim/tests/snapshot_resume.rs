@@ -2,8 +2,8 @@
 //! snapshotted mid-flight and resumed into a freshly built simulation
 //! must be indistinguishable — identical reports, telemetry series, and
 //! even identical *subsequent snapshots* — from the run that never
-//! stopped. Exercised on both event backends, with faults and telemetry
-//! active, across several checkpoint times (including ones far enough
+//! stopped. Exercised with faults and telemetry active, across several
+//! checkpoint times (including ones far enough
 //! apart to cross timing-wheel level boundaries).
 
 use vertigo_netsim::{
@@ -11,7 +11,7 @@ use vertigo_netsim::{
     TopologySpec,
 };
 use vertigo_pkt::{NodeId, QueryId};
-use vertigo_simcore::{EventBackend, SimDuration, SimTime, SnapReader, SnapWriter};
+use vertigo_simcore::{SimDuration, SimTime, SnapReader, SnapWriter};
 use vertigo_stats::Report;
 use vertigo_transport::{CcKind, TransportConfig};
 
@@ -33,8 +33,8 @@ fn cfg() -> SimConfig {
 
 /// Builds the simulation exactly the way a resume must: topology, then
 /// telemetry, then faults, then the full workload schedule.
-fn build(backend: EventBackend) -> Simulation {
-    let mut sim = Simulation::new_with_events(&cfg(), backend);
+fn build() -> Simulation {
+    let mut sim = Simulation::new(&cfg());
     sim.enable_telemetry(TelemetryConfig {
         interval: SimDuration::from_micros(100),
     });
@@ -78,14 +78,14 @@ fn report_key(rep: &Report, sim: &Simulation) -> String {
 
 /// One straight-through run vs a save-at-`t`/restore-into-fresh-build
 /// run, compared exhaustively.
-fn assert_resume_equivalent(backend: EventBackend, t: SimTime) {
+fn assert_resume_equivalent(t: SimTime) {
     // Straight through.
-    let mut straight = build(backend);
+    let mut straight = build();
     let rep_a = straight.run();
     let key_a = report_key(&rep_a, &straight);
 
     // Interrupted: drain to t, snapshot, throw the simulation away.
-    let mut first = build(backend);
+    let mut first = build();
     first.drain_until(t);
     let mut w = SnapWriter::new();
     first.save_state(&mut w);
@@ -93,7 +93,7 @@ fn assert_resume_equivalent(backend: EventBackend, t: SimTime) {
     drop(first);
 
     // Resume into a freshly built instance.
-    let mut resumed = build(backend);
+    let mut resumed = build();
     resumed
         .restore_state(&mut SnapReader::new(&bytes))
         .expect("restore");
@@ -105,18 +105,16 @@ fn assert_resume_equivalent(backend: EventBackend, t: SimTime) {
 
     assert_eq!(
         key_a, key_b,
-        "resume at {t:?} on {backend:?} diverged from the straight-through run"
+        "resume at {t:?} diverged from the straight-through run"
     );
 }
 
 #[test]
-fn resume_matches_straight_run_both_backends() {
-    for backend in [EventBackend::Wheel, EventBackend::Heap] {
-        // Early (workload barely started), mid-burst, and late inside the
-        // fault window — three distinct wheel fill levels.
-        for t_us in [60, 2_500, 11_000] {
-            assert_resume_equivalent(backend, SimTime::from_micros(t_us));
-        }
+fn resume_matches_straight_run() {
+    // Early (workload barely started), mid-burst, and late inside the
+    // fault window — three distinct wheel fill levels.
+    for t_us in [60, 2_500, 11_000] {
+        assert_resume_equivalent(SimTime::from_micros(t_us));
     }
 }
 
@@ -126,7 +124,7 @@ fn resumed_run_takes_byte_identical_later_snapshots() {
     let t2 = SimTime::from_micros(6_000);
 
     // Straight run snapshotted at t1 and t2.
-    let mut straight = build(EventBackend::Wheel);
+    let mut straight = build();
     straight.drain_until(t1);
     let mut w = SnapWriter::new();
     straight.save_state(&mut w);
@@ -138,7 +136,7 @@ fn resumed_run_takes_byte_identical_later_snapshots() {
 
     // Resume from t1, run to t2, snapshot again: the byte streams must
     // match exactly — state equality, not just report equality.
-    let mut resumed = build(EventBackend::Wheel);
+    let mut resumed = build();
     resumed
         .restore_state(&mut SnapReader::new(&snap1))
         .expect("restore");
@@ -155,7 +153,7 @@ fn resumed_run_takes_byte_identical_later_snapshots() {
 
 #[test]
 fn restore_rejects_wrong_node_count() {
-    let mut sim = build(EventBackend::Wheel);
+    let mut sim = build();
     sim.drain_until(SimTime::from_micros(500));
     let mut w = SnapWriter::new();
     sim.save_state(&mut w);
@@ -181,10 +179,10 @@ fn restore_rejects_wrong_node_count() {
 fn save_is_transparent_to_the_running_simulation() {
     // Snapshotting drains and rebuilds the event queue in place; the run
     // that keeps going afterwards must match one that never snapshotted.
-    let mut plain = build(EventBackend::Wheel);
+    let mut plain = build();
     let rep_plain = plain.run();
 
-    let mut snapped = build(EventBackend::Wheel);
+    let mut snapped = build();
     for t_us in [100, 3_000, 9_000] {
         snapped.drain_until(SimTime::from_micros(t_us));
         let mut w = SnapWriter::new();

@@ -137,12 +137,6 @@ fn rank<E>(e: &Entry<E>) -> (SimTime, u64) {
 pub struct Batch<E> {
     entries: Vec<Entry<E>>,
     min_at: SimTime,
-    /// Send time of the last push.
-    last_sent: SimTime,
-    /// Whether some push was sent *before* the push ahead of it (a run
-    /// handed over by another domain). Until one is, the entries are in
-    /// `(sent, uid)` order.
-    tied: bool,
 }
 
 impl<E> Default for Batch<E> {
@@ -150,8 +144,6 @@ impl<E> Default for Batch<E> {
         Batch {
             entries: Vec::new(),
             min_at: SimTime::MAX,
-            last_sent: SimTime::ZERO,
-            tied: false,
         }
     }
 }
@@ -175,16 +167,7 @@ impl<E> Batch<E> {
     #[inline(always)]
     pub fn push(&mut self, d: Delivery<E>) {
         self.min_at = self.min_at.min(d.at);
-        let (sent, last) = (d.sent, self.last_sent);
-        self.last_sent = sent;
         self.entries.push(Some(d));
-        // A domain's clock only moves forward, so its own pushes are out
-        // of `(sent, uid)` order only within one nanosecond.
-        match sent.cmp(&last) {
-            std::cmp::Ordering::Greater => {}
-            std::cmp::Ordering::Equal => self.order_last(),
-            std::cmp::Ordering::Less => self.tied = true,
-        }
     }
 
     /// Earliest buffered arrival time, if any.
@@ -196,42 +179,6 @@ impl<E> Batch<E> {
     fn reset(&mut self) {
         debug_assert!(self.entries.is_empty());
         self.min_at = SimTime::MAX;
-        self.last_sent = SimTime::ZERO;
-        self.tied = false;
-    }
-
-    /// Steps the last push back over the larger uids of its nanosecond.
-    fn order_last(&mut self) {
-        let v = &mut self.entries[..];
-        let mut i = v.len() - 1;
-        while i > 0 && rank(&v[i - 1]) > rank(&v[i]) {
-            v.swap(i - 1, i);
-            i -= 1;
-        }
-    }
-
-    /// Puts the entries in `(sent, uid)` order, which a stable sort on the
-    /// arrival time then turns into the canonical one.
-    ///
-    /// Batches absorbed from other domains are whole runs out of place:
-    /// an insertion sort while the swaps do not outnumber the entries,
-    /// then the general sort.
-    fn settle_ties(&mut self) {
-        let v = &mut self.entries[..];
-        let mut budget = v.len();
-        'sorted: for i in 1..v.len() {
-            let mut j = i;
-            while j > 0 && rank(&v[j - 1]) > rank(&v[j]) {
-                if budget == 0 {
-                    v.sort_unstable_by_key(rank);
-                    break 'sorted;
-                }
-                budget -= 1;
-                v.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-        self.tied = false;
     }
 
     /// Lists in `order` the indices of the entries in canonical order, if
@@ -239,9 +186,10 @@ impl<E> Batch<E> {
     /// start + counts.len()]` and there are enough of them to pay for
     /// clearing and summing the counters. Says whether it did.
     ///
-    /// A stable counting sort on the arrival times (the timing wheel's
-    /// `fill_run` idiom) over entries in `(sent, uid)` order — but of their
-    /// indices: the entries stay where they were pushed.
+    /// A counting sort on the arrival times (the timing wheel's `fill_run`
+    /// idiom) — but of their indices: the entries stay where they were
+    /// pushed — then a sort of each instant's few deliveries by `(sent,
+    /// uid)`.
     fn count_into(&mut self, start: u64, counts: &mut [u32], order: &mut Vec<u32>) -> bool {
         let n = self.entries.len();
         if n < COUNT_FROM.max(counts.len() / 16)
@@ -249,9 +197,6 @@ impl<E> Batch<E> {
             || self.min_at.as_nanos() <= start
         {
             return false;
-        }
-        if self.tied {
-            self.settle_ties();
         }
         assert!(
             u32::try_from(n).is_ok(),
@@ -275,6 +220,12 @@ impl<E> Batch<E> {
             let c = &mut counts[bucket(e)];
             order[*c as usize] = i as u32;
             *c += 1;
+        }
+        let at = |&i: &u32| self.entries[i as usize].as_ref().map(|d| d.at);
+        for instant in order.chunk_by_mut(|a, b| at(a) == at(b)) {
+            if instant.len() > 1 {
+                instant.sort_unstable_by_key(|&i| rank(&self.entries[i as usize]));
+            }
         }
         true
     }
@@ -717,7 +668,6 @@ impl<E> BTreeMailbox<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventBackend;
     use proptest::prelude::*;
 
     fn t(ns: u64) -> SimTime {
@@ -887,8 +837,9 @@ mod tests {
 
     #[test]
     fn runs_handed_over_out_of_place_still_sort() {
-        // Three senders' worth of deliveries for one slot, each in its own
-        // order: far more swaps than entries, so the general sort finishes.
+        // Three senders' runs of deliveries landing at one instant, each
+        // run in `(sent, uid)` order but not the three together: the
+        // instant's sort puts all 120 in order.
         let mut m = CalendarInbox::new(LookaheadGrid::new(1000));
         for run in 0..3u64 {
             let mut batch = Batch::default();
@@ -1027,48 +978,46 @@ mod tests {
 
     #[test]
     fn ties_pop_queue_first_then_deliveries_then_pushes_into_the_window() {
-        for backend in [EventBackend::Wheel, EventBackend::Heap] {
-            let mut q = EventQueue::with_backend(backend);
-            let mut w = WindowQueue::new(LookaheadGrid::new(100));
-            // Scheduled before the window opens: the queue's.
-            q.push(t(150), "queued");
-            q.push(t(150), "queued later");
-            w.deliver(d(150, 40, 2, "delivery b"));
-            w.deliver(d(150, 40, 1, "delivery a"));
-            w.deliver(d(201, 60, 3, "next window"));
-            w.open(t(200));
-            assert_eq!((w.len(), w.min_time()), (3, Some(t(150))));
-            assert_eq!(w.pop(&mut q), Some((t(150), "queued")));
-            assert_eq!(w.now(), t(150));
-            // From a handler at 150: now, later in the window, past its end.
-            w.push(&mut q, t(150), "pushed");
-            w.push(&mut q, t(200), "pushed at the limit");
-            w.push(&mut q, t(150), "pushed again");
-            w.push(&mut q, t(201), "pushed past the limit");
-            assert_eq!((w.len(), q.len()), (6, 2));
-            let order: Vec<_> = std::iter::from_fn(|| w.pop(&mut q)).collect();
-            assert_eq!(
-                order,
-                [
-                    (t(150), "queued later"),
-                    (t(150), "delivery a"),
-                    (t(150), "delivery b"),
-                    (t(150), "pushed"),
-                    (t(150), "pushed again"),
-                    (t(200), "pushed at the limit"),
-                ]
-            );
-            assert_eq!((w.len(), q.len(), w.now()), (1, 1, t(200)));
-            // What went past the limit is the queue's in the next window,
-            // so ahead of the delivery at its instant.
-            w.open(t(300));
-            assert_eq!(w.pop(&mut q), Some((t(201), "pushed past the limit")));
-            assert_eq!(w.pop(&mut q), Some((t(201), "next window")));
-            assert_eq!(w.pop(&mut q), None);
-            assert!(w.is_empty());
-            // Two queued, three taken out of the inbox, three into a window.
-            assert_eq!((q.scheduled_total(), w.merged_total()), (3, 6));
-        }
+        let mut q = EventQueue::new();
+        let mut w = WindowQueue::new(LookaheadGrid::new(100));
+        // Scheduled before the window opens: the queue's.
+        q.push(t(150), "queued");
+        q.push(t(150), "queued later");
+        w.deliver(d(150, 40, 2, "delivery b"));
+        w.deliver(d(150, 40, 1, "delivery a"));
+        w.deliver(d(201, 60, 3, "next window"));
+        w.open(t(200));
+        assert_eq!((w.len(), w.min_time()), (3, Some(t(150))));
+        assert_eq!(w.pop(&mut q), Some((t(150), "queued")));
+        assert_eq!(w.now(), t(150));
+        // From a handler at 150: now, later in the window, past its end.
+        w.push(&mut q, t(150), "pushed");
+        w.push(&mut q, t(200), "pushed at the limit");
+        w.push(&mut q, t(150), "pushed again");
+        w.push(&mut q, t(201), "pushed past the limit");
+        assert_eq!((w.len(), q.len()), (6, 2));
+        let order: Vec<_> = std::iter::from_fn(|| w.pop(&mut q)).collect();
+        assert_eq!(
+            order,
+            [
+                (t(150), "queued later"),
+                (t(150), "delivery a"),
+                (t(150), "delivery b"),
+                (t(150), "pushed"),
+                (t(150), "pushed again"),
+                (t(200), "pushed at the limit"),
+            ]
+        );
+        assert_eq!((w.len(), q.len(), w.now()), (1, 1, t(200)));
+        // What went past the limit is the queue's in the next window,
+        // so ahead of the delivery at its instant.
+        w.open(t(300));
+        assert_eq!(w.pop(&mut q), Some((t(201), "pushed past the limit")));
+        assert_eq!(w.pop(&mut q), Some((t(201), "next window")));
+        assert_eq!(w.pop(&mut q), None);
+        assert!(w.is_empty());
+        // Two queued, three taken out of the inbox, three into a window.
+        assert_eq!((q.scheduled_total(), w.merged_total()), (3, 6));
     }
 
     /// One step of a window-queue schedule. Distances are drawn raw and
@@ -1144,13 +1093,13 @@ mod tests {
     }
 
     impl Lockstep {
-        fn new(quantum: u64, backend: EventBackend) -> Self {
+        fn new(quantum: u64) -> Self {
             Lockstep {
                 quantum,
-                queue: EventQueue::with_backend(backend),
+                queue: EventQueue::new(),
                 window: WindowQueue::new(LookaheadGrid::new(quantum)),
                 handed_over: Batch::default(),
-                oracle_queue: EventQueue::with_backend(backend),
+                oracle_queue: EventQueue::new(),
                 oracle_mailbox: BTreeMailbox::new(),
                 clock: 0,
                 limit: 0,
@@ -1245,18 +1194,17 @@ mod tests {
     }
 
     proptest! {
-        /// Merging at pop time is unobservable: over any schedule, on both
-        /// backends, the window queue pops the `(time, event)` sequence the
+        /// Merging at pop time is unobservable: over any schedule the
+        /// window queue pops the `(time, event)` sequence the
         /// inject-at-the-barrier step did, and agrees with it on what is
         /// pending, what is due first and how much was ever scheduled after
         /// every step.
         #[test]
         fn window_queue_matches_injecting_at_the_barrier(
             quantum in prop_oneof![Just(1u64), Just(4), Just(7), Just(500)],
-            backend in prop_oneof![Just(EventBackend::Wheel), Just(EventBackend::Heap)],
             steps in proptest::collection::vec(step_strategy(), 1..300),
         ) {
-            let mut pair = Lockstep::new(quantum, backend);
+            let mut pair = Lockstep::new(quantum);
             for (id, step) in steps.iter().enumerate() {
                 pair.step(id, step);
             }

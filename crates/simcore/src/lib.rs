@@ -5,9 +5,7 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond-resolution simulation clock,
 //! * [`EventQueue`] — a time-ordered event queue with FIFO tie-breaking,
-//!   backed by a hierarchical timing wheel (amortized O(1)); the original
-//!   binary-heap implementation is retained as [`HeapEventQueue`] and
-//!   selectable via [`EventBackend`] for differential testing,
+//!   a hierarchical timing wheel (amortized O(1)),
 //! * [`SimRng`] — seeded randomness with forkable independent streams,
 //! * [`LookaheadGrid`] / [`WindowQueue`] / [`WorkerPool`] — model-agnostic
 //!   building blocks for conservative parallel (domain-partitioned)
@@ -24,7 +22,6 @@
 mod barrier;
 mod domain;
 mod event;
-mod heapq;
 mod rng;
 mod snap;
 mod time;
@@ -33,7 +30,6 @@ mod wheel;
 pub use barrier::WorkerPool;
 pub use domain::{Batch, Delivery, LookaheadGrid, WindowQueue};
 pub use event::{EventBackend, EventQueue};
-pub use heapq::HeapEventQueue;
 pub use rng::SimRng;
 pub use snap::{
     SnapError, SnapReader, SnapWriter, Snapshot, SNAPSHOT_AVAILABLE, SNAP_MAGIC, SNAP_VERSION,

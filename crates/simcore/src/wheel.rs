@@ -1,4 +1,4 @@
-//! A hierarchical timing wheel: the O(1) backend of [`EventQueue`].
+//! A hierarchical timing wheel: what [`EventQueue`] runs on, O(1).
 //!
 //! [`EventQueue`]: crate::EventQueue
 //!
@@ -45,9 +45,9 @@
 //! times. One pushed into the open window — an ACK's serialization — is
 //! written once, into the side run, at a cost in the entries of the side
 //! run due after it (a handful: those pushed in the last few tens of
-//! nanoseconds), whatever the run holds. Contrast the `BinaryHeap`
-//! backend's O(log n) sift per operation with a pointer-free but
-//! comparison-heavy layout.
+//! nanoseconds), whatever the run holds. Contrast a binary heap's
+//! O(log n) sift per operation with a pointer-free but comparison-heavy
+//! layout.
 //!
 //! ## Memory
 //!
@@ -61,7 +61,7 @@
 //! level 2 up a slot is used once per lap of at least 16.8 ms and is
 //! simply freed when it cascades.
 //!
-//! ## Determinism contract (identical to the heap backend)
+//! ## Determinism contract (identical to a binary heap's)
 //!
 //! Events pop in `(timestamp, insertion sequence)` order: time order
 //! first, FIFO among ties. Slot vectors only ever append, cascading a slot
@@ -74,9 +74,8 @@
 //! reproducibility test in this workspace leans on. Scheduling into the
 //! past is a debug panic (clamped to `now` in release), and `pop_until`
 //! never advances the clock past its horizon. The proptest differential
-//! suite (`tests/event_differential.rs`) drives this wheel and
-//! [`HeapEventQueue`](crate::HeapEventQueue) in lockstep to assert the two
-//! backends are observationally identical.
+//! suite (`tests/event_differential.rs`) drives this wheel and a binary
+//! heap in lockstep to assert the two are observationally identical.
 
 use crate::time::{SimDuration, SimTime};
 

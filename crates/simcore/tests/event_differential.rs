@@ -1,17 +1,71 @@
-//! Differential proptests: the timing-wheel event queue against the
-//! retained `HeapEventQueue` oracle.
+//! Differential proptests: the timing-wheel event queue against a binary
+//! heap, the queue it replaced, kept here as the reference (`HeapQueue`
+//! below, a copy of its own so that no change to the shipped queue can
+//! move it).
 //!
-//! Random interleavings of `push` / `push_after` / `pop` / `pop_until`
-//! must produce identical `(timestamp, payload)` sequences, identical
-//! clocks, and identical pending counts on both backends — including
-//! clustered near-now timestamps (burst regime), heavy ties (FIFO
-//! tie-break), far-future delays that land in the wheel's upper levels,
-//! `pop_until` at exact tick boundaries, `u64::MAX`-adjacent timestamps
-//! in the overflow wheel, the delay mix and depth of a simulated
-//! datacenter, and ACK-sized delays pushed into the window being popped.
+//! Random interleavings of `push` / `push_after` / `pop` / `pop_until`,
+//! and snapshots of the wheel taken and restored mid-script, must produce
+//! identical `(timestamp, payload)` sequences, identical clocks, and
+//! identical pending counts on both queues — including clustered near-now
+//! timestamps (burst regime), heavy ties (FIFO tie-break), far-future
+//! delays that land in the wheel's upper levels, `pop_until` at exact tick
+//! boundaries, `u64::MAX`-adjacent timestamps in the overflow wheel, the
+//! delay mix and depth of a simulated datacenter, and ACK-sized delays
+//! pushed into the window being popped.
 
 use proptest::prelude::*;
-use vertigo_simcore::{EventBackend, EventQueue, SimDuration, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use vertigo_simcore::{EventQueue, SimDuration, SimTime, SnapReader, SnapWriter};
+
+/// The oracle: a `BinaryHeap` keyed on `(at, seq)`, the sequence number
+/// making ties pop first-in first-out. Payloads never take part in the
+/// ordering, since `(at, seq)` is unique.
+struct HeapQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    seq: u64,
+    now: SimTime,
+    peak: usize,
+}
+
+impl HeapQueue {
+    fn new() -> Self {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            now: SimTime::ZERO,
+            peak: 0,
+        }
+    }
+
+    fn push(&mut self, at: SimTime, ev: u64) {
+        assert!(at >= self.now, "scheduled an event in the past");
+        self.heap.push(Reverse((at, self.seq, ev)));
+        self.seq += 1;
+        self.peak = self.peak.max(self.heap.len());
+    }
+
+    fn push_after(&mut self, delay: SimDuration, ev: u64) {
+        self.push(self.now + delay, ev);
+    }
+
+    fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, u64)> {
+        if self.heap.peek()?.0 .0 > limit {
+            return None;
+        }
+        let Reverse((at, _, ev)) = self.heap.pop()?;
+        self.now = at;
+        Some((at, ev))
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.pop_until(SimTime::MAX)
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.0 .0)
+    }
+}
 
 /// One scripted operation against both queues.
 #[derive(Debug, Clone)]
@@ -25,8 +79,11 @@ enum Op {
     /// `pop_until(now + horizon)` — bounded drain.
     PopUntil(u64),
     /// `pop_until` at the exact timestamp of the earliest pending event
-    /// (boundary must be inclusive on both backends).
+    /// (boundary must be inclusive on both queues).
     PopUntilExact,
+    /// `save_into` then `restore_from` on the wheel alone: what a
+    /// checkpoint does to the queue of a running simulation.
+    Snapshot,
 }
 
 /// Delay distributions exercising different wheel levels.
@@ -58,14 +115,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         delta_strategy().prop_map(Op::PopUntil),
         Just(Op::PopUntilExact),
+        Just(Op::Snapshot),
     ]
 }
 
-/// Runs the script on both backends in lockstep, asserting every
+/// Runs the script on the wheel and the heap in lockstep, asserting every
 /// observable agrees after every step.
 fn run_script(ops: &[Op]) {
-    let mut wheel: EventQueue<u64> = EventQueue::with_backend(EventBackend::Wheel);
-    let mut heap: EventQueue<u64> = EventQueue::with_backend(EventBackend::Heap);
+    let mut wheel: EventQueue<u64> = EventQueue::new();
+    let mut heap = HeapQueue::new();
     let mut next_id = 0u64;
     for (step, op) in ops.iter().enumerate() {
         match *op {
@@ -103,17 +161,25 @@ fn run_script(ops: &[Op]) {
                     assert_eq!(x.map(|(at, _)| at), Some(t), "boundary must be inclusive");
                 }
             }
+            Op::Snapshot => {
+                // The save leaves the wheel running; the restored copy
+                // takes over from it.
+                let mut w = SnapWriter::new();
+                wheel.save_into(&mut w);
+                let bytes = w.into_bytes();
+                wheel = EventQueue::restore_from(&mut SnapReader::new(&bytes)).expect("restore");
+            }
         }
-        assert_eq!(wheel.now(), heap.now(), "clock diverged at step {step}");
-        assert_eq!(wheel.len(), heap.len(), "len diverged at step {step}");
+        assert_eq!(wheel.now(), heap.now, "clock diverged at step {step}");
+        assert_eq!(wheel.len(), heap.heap.len(), "len diverged at step {step}");
         assert_eq!(
             wheel.peak_pending(),
-            heap.peak_pending(),
+            heap.peak,
             "peak diverged at step {step}"
         );
         assert_eq!(
             wheel.scheduled_total(),
-            heap.scheduled_total(),
+            heap.seq,
             "scheduled_total diverged at step {step}"
         );
     }
@@ -125,7 +191,7 @@ fn run_script(ops: &[Op]) {
             break;
         }
     }
-    assert_eq!(wheel.now(), heap.now());
+    assert_eq!(wheel.now(), heap.now);
 }
 
 proptest! {
@@ -161,7 +227,8 @@ proptest! {
     /// pushes one 13 ns to 1.7 µs ahead (ACK and data serializations, wire
     /// times), so most pushes cascade once from level 1 and one in five
     /// lands inside the window being popped. Now and then a handler also
-    /// arms an RTO-sized timer or schedules nothing.
+    /// arms an RTO-sized timer or schedules nothing, and a checkpoint
+    /// snapshots the wheel.
     #[test]
     fn wheel_matches_heap_on_datacenter_delays(
         prefill in proptest::collection::vec(0u64..8_192, 2_900..3_100),
@@ -181,6 +248,7 @@ proptest! {
                 0 => ops.push(Op::PushAfter(rto)),
                 1 => ops.push(Op::Pop),
                 2 => ops.push(Op::PopUntilExact),
+                3 => ops.push(Op::Snapshot),
                 _ => {}
             }
         }
@@ -194,7 +262,7 @@ proptest! {
     /// push, some ahead of it, many tying with an entry of the run or of
     /// the side run; `pop_until` limits at the head's own instant and a
     /// few nanoseconds short of it, which is between the two runs as often
-    /// as not.
+    /// as not; and a snapshot now and then, with both runs pending.
     #[test]
     fn wheel_matches_heap_on_ack_shaped_pushes(
         prefill in proptest::collection::vec((0usize..4, 0u64..2_048), 200..600),
@@ -221,6 +289,9 @@ proptest! {
                 1 => ops.push(Op::Push(DATA[d])),
                 2 => ops.push(Op::PushAfter(DATA[d] + ACK[b])),
                 _ => {}
+            }
+            if roll == 15 {
+                ops.push(Op::Snapshot);
             }
         }
         run_script(&ops);
@@ -277,13 +348,17 @@ fn max_clock_saturation() {
     ];
     run_script(&ops);
     // Saturating push_after at a clock already at MAX.
-    let mut wheel: EventQueue<u64> = EventQueue::with_backend(EventBackend::Wheel);
-    let mut heap: EventQueue<u64> = EventQueue::with_backend(EventBackend::Heap);
-    for q in [&mut wheel, &mut heap] {
-        q.push(SimTime::from_nanos(u64::MAX), 0);
-        q.pop();
-        q.push_after(SimDuration::from_nanos(17), 1); // saturates to MAX
-    }
-    assert_eq!(wheel.pop(), heap.pop());
+    run_script(&[
+        Op::Push(u64::MAX),
+        Op::Pop,
+        Op::PushAfter(17), // saturates to MAX
+        Op::Snapshot,
+        Op::Pop,
+    ]);
+    let mut wheel: EventQueue<u64> = EventQueue::new();
+    wheel.push(SimTime::from_nanos(u64::MAX), 0);
+    wheel.pop();
+    wheel.push_after(SimDuration::from_nanos(17), 1);
+    assert_eq!(wheel.pop(), Some((SimTime::MAX, 1)));
     assert_eq!(wheel.now(), SimTime::from_nanos(u64::MAX));
 }

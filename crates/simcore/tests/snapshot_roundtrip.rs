@@ -1,5 +1,5 @@
 //! Snapshot round-trip proptests for the event queue and RNG: a queue
-//! serialized mid-script and restored (onto either backend) must pop the
+//! serialized mid-script and restored must pop the
 //! exact remaining sequence the original would have, and a restored
 //! [`SimRng`] must emit the exact tail of the original stream.
 //!
@@ -10,9 +10,7 @@
 //! wrong, and which the drain-and-rebuild design must keep exact.
 
 use proptest::prelude::*;
-use vertigo_simcore::{
-    EventBackend, EventQueue, SimDuration, SimRng, SnapReader, SnapWriter, Snapshot,
-};
+use vertigo_simcore::{EventQueue, SimDuration, SimRng, SnapReader, SnapWriter, Snapshot};
 
 /// Delays spanning all wheel levels (256 slots each) plus the overflow
 /// horizon, mirroring the differential suite's distribution.
@@ -35,15 +33,10 @@ fn step_strategy() -> impl Strategy<Value = (u64, usize)> {
 }
 
 /// Replays `steps` for `prefix` steps, snapshots, and checks the restored
-/// queue (on `restore_backend`) pops identically to the original through
-/// the rest of the script and the final drain.
-fn check_roundtrip(
-    steps: &[(u64, usize)],
-    prefix: usize,
-    run_backend: EventBackend,
-    restore_backend: EventBackend,
-) {
-    let mut q: EventQueue<u64> = EventQueue::with_backend(run_backend);
+/// queue pops identically to the original through the rest of the script
+/// and the final drain.
+fn check_roundtrip(steps: &[(u64, usize)], prefix: usize) {
+    let mut q: EventQueue<u64> = EventQueue::new();
     let mut id = 0u64;
     let apply = |q: &mut EventQueue<u64>, (delta, pops): (u64, usize), id: &mut u64| {
         q.push(q.now() + SimDuration::from_nanos(delta), *id);
@@ -59,8 +52,7 @@ fn check_roundtrip(
     let mut w = SnapWriter::new();
     q.save_into(&mut w);
     let bytes = w.into_bytes();
-    let mut r = EventQueue::<u64>::restore_from(&mut SnapReader::new(&bytes), restore_backend)
-        .expect("restore");
+    let mut r = EventQueue::<u64>::restore_from(&mut SnapReader::new(&bytes)).expect("restore");
 
     assert_eq!(q.now(), r.now());
     assert_eq!(q.len(), r.len());
@@ -92,17 +84,7 @@ proptest! {
         cut in 0usize..120,
     ) {
         let prefix = cut.min(steps.len());
-        check_roundtrip(&steps, prefix, EventBackend::Wheel, EventBackend::Wheel);
-    }
-
-    #[test]
-    fn snapshot_crosses_backends(
-        steps in proptest::collection::vec(step_strategy(), 1..80),
-        cut in 0usize..80,
-    ) {
-        let prefix = cut.min(steps.len());
-        check_roundtrip(&steps, prefix, EventBackend::Wheel, EventBackend::Heap);
-        check_roundtrip(&steps, prefix, EventBackend::Heap, EventBackend::Wheel);
+        check_roundtrip(&steps, prefix);
     }
 
     #[test]

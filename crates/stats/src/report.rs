@@ -81,7 +81,7 @@ pub struct Report {
     pub ecn_marks: u64,
 
     /// Total events ever scheduled on the simulator's event queue — a
-    /// backend-independent measure of how much work the run was (filled in
+    /// measure of how much work the run was (filled in
     /// by the simulation driver after the event loop finishes).
     pub events_scheduled: u64,
     /// High-water mark of pending events in the queue. Deflection storms

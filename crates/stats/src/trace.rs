@@ -27,10 +27,10 @@
 //! reorders or corrupts what remains.
 //!
 //! The event loop is deterministic, so for a fixed spec + seed the byte
-//! stream is identical on every run, at any `--jobs` count, and on both
-//! event backends — which is what lets golden `.vtrace` files act as
-//! regression tests and `vtrace diff` act as a determinism check strictly
-//! stronger than comparing `Report`s.
+//! stream is identical on every run and at any `--jobs` count — which is
+//! what lets golden `.vtrace` files act as regression tests and `vtrace
+//! diff` act as a determinism check strictly stronger than comparing
+//! `Report`s.
 
 /// Whether this build can actually record traces (the `trace` feature).
 pub const TRACE_AVAILABLE: bool = cfg!(feature = "trace");

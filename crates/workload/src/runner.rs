@@ -132,8 +132,10 @@ pub struct RunSpec {
     pub vertigo: VertigoTuning,
     /// Per-port switch buffer in bytes (paper: 300 KB).
     pub port_buffer_bytes: u64,
-    /// Event-queue backend. Results are backend-independent: the command
-    /// line always runs the wheel, and the heap is its reference in tests.
+    /// The event queue: the timing wheel is the only one. Kept only
+    /// because `perfbench` names it; its `Debug` form is part of
+    /// [`spec_hash`](Self::spec_hash), and so of checkpoint and trace file
+    /// names.
     pub event_backend: EventBackend,
     /// Deterministic fault schedule (empty by default). Faults draw from
     /// their own RNG stream, so two specs differing only here offer
@@ -409,7 +411,7 @@ impl RunSpec {
             horizon: self.horizon,
             seed: self.seed,
         };
-        let mut sim = Simulation::new_with_events(&cfg, self.event_backend);
+        let mut sim = Simulation::new(&cfg);
         if !self.faults.is_empty() {
             (self.faults.check(sim.topology()))
                 .map_err(|e| RunError::Faults(format!("--faults: {e}")))?;
@@ -470,7 +472,7 @@ impl RunSpec {
     /// sequence. The resumed run's `RunOutput` — report, telemetry,
     /// stdout, and (in a trace build) the trace stream from the resume
     /// point on — is byte-identical to the straight-through run's; CI
-    /// digest-diffs this on both event backends.
+    /// digest-diffs this.
     ///
     /// **Phased**: with `fork` set, the workload's incast component is
     /// deferred to the fork horizon and the fork's knob overrides are
@@ -549,7 +551,7 @@ impl RunSpec {
 
         let (mut report, ordering, marking, max_port_bytes, trace_path) = match self.domains {
             // Byte-identical for every `n` (CI enforces `--domains 2` ≡
-            // `--domains 1` on both event backends). With nowhere to stop
+            // `--domains 1`). With nowhere to stop
             // at the fork horizon, the deferred incast is scheduled up
             // front: the offered traffic is the classic phased run's,
             // though, as always with the domain engine, the tie-breaking
@@ -609,13 +611,7 @@ impl RunSpec {
                         if started_ns.is_none_or(|r| t > r) {
                             cross(&mut sim, t)?;
                             sim.drain_until(at(t));
-                            let path = snapshot::write_checkpoint(
-                                &mut sim,
-                                &ck.stem,
-                                hash,
-                                t,
-                                self.event_backend,
-                            )?;
+                            let path = snapshot::write_checkpoint(&mut sim, &ck.stem, hash, t)?;
                             // Stderr, not stdout: experiment stdout is
                             // digest-diffed against straight-through runs
                             // and must stay byte-identical.
@@ -1019,6 +1015,13 @@ mod tests {
         for t in [2_000_000u64, 4_000_000] {
             resume_args.push(snapshot::snapshot_file(&ck.stem, spec.spec_hash(), t));
         }
+        // The same checkpoint as a heap run of an older build wrote it:
+        // backend byte 1, and the payload in pop order all the same.
+        let heap_file = dir.join("heap.vsnp");
+        let mut heap = std::fs::read(&resume_args[1]).unwrap();
+        heap[8] = 1;
+        std::fs::write(&heap_file, heap).unwrap();
+        resume_args.push(heap_file);
         for arg in resume_args {
             let snap = SnapshotSpec {
                 checkpoint: None,

@@ -48,10 +48,10 @@
 //! this down): planning draws from per-component RNG streams forked off
 //! the run *seed* — never the live RNG state — so the planned arrivals
 //! are a pure function of `(spec, topology, horizon, seed)`, identical
-//! across `--jobs` values, both event backends, the domain engine, and
-//! warm-started forks. Adding a scenario never perturbs the draws of the
-//! classic background/incast generators or the fault stream, and an
-//! empty scenario is byte-inert (CI digest-diffs this).
+//! across `--jobs` values, the domain engine, and warm-started forks.
+//! Adding a scenario never perturbs the draws of the classic
+//! background/incast generators or the fault stream, and an empty
+//! scenario is byte-inert (CI digest-diffs this).
 
 use crate::dists::DistKind;
 use crate::traffic::IncastSpec;

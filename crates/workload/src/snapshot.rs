@@ -9,9 +9,9 @@
 //! magic    [u8; 4]  "VSNP"
 //! version  u16      SNAP_VERSION (a restore refuses mismatches)
 //! flags    u16      bit 0 = built with `audit`, bit 1 = built with `trace`
-//! backend  u8       0 = timing wheel, 1 = binary heap (informational:
-//!                   restore uses the run spec's backend — pop order is
-//!                   backend-independent)
+//! backend  u8       the event queue that wrote it: always 0, the timing
+//!                   wheel; 1, a binary heap, comes from older builds and
+//!                   restores all the same (the payload holds pop order)
 //! spechash u64      stable hash of the producing RunSpec's debug form
 //! time_ns  u64      checkpoint simulation time
 //! payload  ...      Simulation::save_state byte stream
@@ -34,9 +34,7 @@ use crate::runner::{write_creating_dir, RunError};
 use std::path::{Path, PathBuf};
 use vertigo_netsim::grammar::parse_dur;
 use vertigo_netsim::Simulation;
-use vertigo_simcore::{
-    EventBackend, SimDuration, SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION,
-};
+use vertigo_simcore::{SimDuration, SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};
 
 /// Default checkpoint stem when `--checkpoint-every` gives only a period.
 pub const DEFAULT_CHECKPOINT_STEM: &str = "checkpoints/ckpt.vsnp";
@@ -124,8 +122,9 @@ pub struct SnapHeader {
     pub version: u16,
     /// Producing build's feature flags.
     pub flags: u16,
-    /// Producing run's event backend (informational).
-    pub backend: EventBackend,
+    /// Producing run's event queue: 0 the timing wheel, 1 a binary heap
+    /// (informational).
+    pub backend: u8,
     /// Stable hash of the producing `RunSpec`.
     pub spec_hash: u64,
     /// Simulation time of the checkpoint, in nanoseconds.
@@ -133,14 +132,11 @@ pub struct SnapHeader {
 }
 
 /// Writes the VSNP header for a checkpoint about to be serialized.
-pub fn write_header(w: &mut SnapWriter, backend: EventBackend, spec_hash: u64, time_ns: u64) {
+pub fn write_header(w: &mut SnapWriter, spec_hash: u64, time_ns: u64) {
     w.put_bytes(&SNAP_MAGIC);
     w.put_u16(SNAP_VERSION);
     w.put_u16(build_flags());
-    w.put_u8(match backend {
-        EventBackend::Wheel => 0,
-        EventBackend::Heap => 1,
-    });
+    w.put_u8(0);
     w.put_u64(spec_hash);
     w.put_u64(time_ns);
 }
@@ -159,11 +155,10 @@ pub fn read_header(r: &mut SnapReader<'_>) -> Result<SnapHeader, SnapError> {
     }
     let version = r.get_u16()?;
     let flags = r.get_u16()?;
-    let backend = match r.get_u8()? {
-        0 => EventBackend::Wheel,
-        1 => EventBackend::Heap,
-        b => return Err(SnapError::new(format!("invalid backend byte {b:#x}"))),
-    };
+    let backend = r.get_u8()?;
+    if backend > 1 {
+        return Err(SnapError::new(format!("invalid backend byte {backend:#x}")));
+    }
     let spec_hash = r.get_u64()?;
     let time_ns = r.get_u64()?;
     Ok(SnapHeader {
@@ -193,10 +188,9 @@ pub fn write_checkpoint(
     stem: &Path,
     spec_hash: u64,
     time_ns: u64,
-    backend: EventBackend,
 ) -> Result<PathBuf, RunError> {
     let mut w = SnapWriter::new();
-    write_header(&mut w, backend, spec_hash, time_ns);
+    write_header(&mut w, spec_hash, time_ns);
     sim.save_state(&mut w);
     let path = snapshot_file(stem, spec_hash, time_ns);
     match write_creating_dir(&path, &w.into_bytes()) {
@@ -275,12 +269,12 @@ mod tests {
     #[test]
     fn header_round_trips_and_validates() {
         let mut w = SnapWriter::new();
-        write_header(&mut w, EventBackend::Heap, 0xDEAD_BEEF, 6_000_000);
+        write_header(&mut w, 0xDEAD_BEEF, 6_000_000);
         let bytes = w.into_bytes();
         let h = read_header(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(h.version, SNAP_VERSION);
         assert_eq!(h.flags, build_flags());
-        assert_eq!(h.backend, EventBackend::Heap);
+        assert_eq!(h.backend, 0);
         assert_eq!(h.spec_hash, 0xDEAD_BEEF);
         assert_eq!(h.time_ns, 6_000_000);
 
@@ -294,6 +288,11 @@ mod tests {
         let mut old = bytes.clone();
         old[4] = 2;
         assert_eq!(read_header(&mut SnapReader::new(&old)).unwrap().version, 2);
+
+        // A heap's byte, from older builds, decodes too.
+        let mut heap = bytes.clone();
+        heap[8] = 1;
+        assert_eq!(read_header(&mut SnapReader::new(&heap)).unwrap().backend, 1);
 
         // An unknown backend byte, and every truncation, are refused.
         let mut bad = bytes.clone();

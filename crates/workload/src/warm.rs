@@ -27,8 +27,7 @@
 //! 2. The event queue's snapshot codec preserves pop order *and* the
 //!    insertion counter, so arrivals installed after a restore tie-break
 //!    exactly like arrivals installed after a plain `drain_until`.
-//! 3. `restore(save(S)) ≡ S` — the resume oracle, CI-enforced on both
-//!    event backends.
+//! 3. `restore(save(S)) ≡ S` — the resume oracle, CI-enforced.
 //!
 //! Classes where [`RunSpec::fork_key`] cannot prove prefix-equivalence
 //! return `None` and the cell runs straight through.

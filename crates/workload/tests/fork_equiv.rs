@@ -1,5 +1,5 @@
 //! Fork-equivalence proptests: across (system × congestion control ×
-//! event backend × seed × fork horizon), a run that starts from a
+//! seed × fork horizon), a run that starts from a
 //! snapshot — the in-memory warmup of its class ([`RunSpec::run_warmup`]
 //! then [`RunSpec::run_forked`]), or a `--checkpoint-every` file taken
 //! before or at the fork horizon and resumed — must produce a `RunOutput`
@@ -10,11 +10,11 @@
 //!
 //! Runs are deliberately tiny (16 hosts, ≤ 2 ms horizons) so the suite
 //! stays debug-build fast while still crossing every interesting seam:
-//! both event backends, all four systems, all three CC algorithms, and
-//! fork horizons that land before/at the middle of the run.
+//! all four systems, all three CC algorithms, and fork horizons that land
+//! before/at the middle of the run.
 
 use proptest::prelude::*;
-use vertigo_simcore::{EventBackend, SimDuration};
+use vertigo_simcore::SimDuration;
 use vertigo_transport::CcKind;
 use vertigo_workload::{
     BackgroundSpec, CheckpointSpec, DistKind, ForkSpec, IncastSpec, RunOutput, RunSpec,
@@ -23,7 +23,7 @@ use vertigo_workload::{
 
 /// A tiny but non-trivial cell: background plus a deferred incast on a
 /// 16-host leaf-spine.
-fn spec_for(system: SystemKind, cc: CcKind, backend: EventBackend, seed: u64) -> RunSpec {
+fn spec_for(system: SystemKind, cc: CcKind, seed: u64) -> RunSpec {
     let mut spec = RunSpec::new(
         system,
         cc,
@@ -42,7 +42,6 @@ fn spec_for(system: SystemKind, cc: CcKind, backend: EventBackend, seed: u64) ->
     spec.topo = TopoKind::LeafSpine { hosts_per_leaf: 2 };
     spec.horizon = SimDuration::from_millis(2);
     spec.seed = seed;
-    spec.event_backend = backend;
     spec
 }
 
@@ -62,13 +61,11 @@ proptest! {
     fn forked_equals_phased(
         sys_i in 0usize..4,
         cc_i in 0usize..3,
-        heap in 0usize..2,
         seed in 1u64..10_000,
         fork_us in 400u64..1_600,
     ) {
         let cc = [CcKind::Reno, CcKind::Dctcp, CcKind::Swift][cc_i];
-        let backend = [EventBackend::Wheel, EventBackend::Heap][heap];
-        let spec = spec_for(SystemKind::all()[sys_i], cc, backend, seed);
+        let spec = spec_for(SystemKind::all()[sys_i], cc, seed);
         let fork = ForkSpec::at(SimDuration::from_micros(fork_us));
 
         prop_assert!(spec.fork_key(&fork).is_some());
@@ -88,18 +85,16 @@ proptest! {
     fn resumed_across_or_at_the_fork_equals_phased(
         sys_i in 0usize..4,
         cc_i in 0usize..3,
-        heap in 0usize..2,
         seed in 1u64..10_000,
         fork_us in 400u64..1_600,
     ) {
         let cc = [CcKind::Reno, CcKind::Dctcp, CcKind::Swift][cc_i];
-        let backend = [EventBackend::Wheel, EventBackend::Heap][heap];
-        let spec = spec_for(SystemKind::all()[sys_i], cc, backend, seed);
+        let spec = spec_for(SystemKind::all()[sys_i], cc, seed);
         let fork = ForkSpec::at(SimDuration::from_micros(fork_us));
         let straight = digest(&spec.run_phased(&fork));
 
         let dir = std::env::temp_dir().join(format!(
-            "vertigo-fork-resume-{}-{sys_i}-{cc_i}-{heap}-{seed}-{fork_us}",
+            "vertigo-fork-resume-{}-{sys_i}-{cc_i}-{seed}-{fork_us}",
             std::process::id()
         ));
         // Half the fork horizon: checkpoints at W/2 (before the fork), W
@@ -132,12 +127,7 @@ proptest! {
         seed in 1u64..10_000,
         fork_us in 400u64..1_600,
     ) {
-        let spec = spec_for(
-            SystemKind::all()[sys_i],
-            CcKind::Dctcp,
-            EventBackend::Wheel,
-            seed,
-        );
+        let spec = spec_for(SystemKind::all()[sys_i], CcKind::Dctcp, seed);
         let fork = ForkSpec::at(SimDuration::from_micros(fork_us));
         let key = spec.fork_key(&fork);
         prop_assert!(key.is_some());

@@ -17,13 +17,13 @@
 //! 3. **Conservation oracle** — each component's planned bytes must match
 //!    its offered-load target over its active window, flows must stay
 //!    inside their window and host subset, and full runs with a scenario
-//!    must be byte-identical across event backends, thread parallelism,
-//!    and the domain engine.
+//!    must be byte-identical across thread parallelism and the domain
+//!    engine.
 //!
 //! Everything in layers 1–2 is plan-only (no simulator), so the suite
 //! stays debug-build fast.
 
-use vertigo_simcore::{EventBackend, SimDuration, SimRng};
+use vertigo_simcore::{SimDuration, SimRng};
 use vertigo_transport::CcKind;
 use vertigo_workload::{
     onoff_envelope, BackgroundSpec, DistKind, EmpiricalCdf, PlanContext, RunSpec, ScenarioSpec,
@@ -386,7 +386,7 @@ fn plans_are_pure_functions_of_the_seed() {
 
 /// One small scenario cell (16-host leaf-spine, composed ON-OFF + tenant
 /// background + base load) used for the cross-execution identity checks.
-fn scenario_cell(backend: EventBackend) -> RunSpec {
+fn scenario_cell() -> RunSpec {
     let mut spec = RunSpec::new(
         SystemKind::Vertigo,
         CcKind::Dctcp,
@@ -401,7 +401,6 @@ fn scenario_cell(backend: EventBackend) -> RunSpec {
     spec.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };
     spec.horizon = SimDuration::from_millis(5);
     spec.seed = 3;
-    spec.event_backend = backend;
     spec.scenario = ScenarioSpec::parse(
         "onoff:load=0.2,on=1ms,off=2ms,dist=datamining,tenant=bursty,hosts=0-15 \
          + bg:load=0.1,tenant=svc,hosts=16-31 \
@@ -411,35 +410,19 @@ fn scenario_cell(backend: EventBackend) -> RunSpec {
     spec
 }
 
-/// The event-queue backend must be unobservable in scenario results:
-/// wheel and heap runs produce byte-identical reports, including the
-/// per-tenant breakdown.
-#[test]
-fn scenario_runs_identical_across_backends() {
-    let wheel = scenario_cell(EventBackend::Wheel).run();
-    let heap = scenario_cell(EventBackend::Heap).run();
-    assert!(
-        !wheel.report.tenants.is_empty(),
-        "scenario run must produce tenant breakdowns"
-    );
-    assert_eq!(
-        format!("{:?}", wheel.report),
-        format!("{:?}", heap.report),
-        "scenario results must not depend on the event backend"
-    );
-    assert_eq!(wheel.offered_load, heap.offered_load);
-}
-
 /// Concurrent execution (the `--jobs` sweep path runs cells on worker
 /// threads) must not perturb scenario results: the same cell run on two
 /// threads at once matches the serial run byte-for-byte.
 #[test]
 fn scenario_runs_identical_under_thread_parallelism() {
-    let serial = format!("{:?}", scenario_cell(EventBackend::Wheel).run().report);
+    let report = scenario_cell().run().report;
+    assert!(
+        !report.tenants.is_empty(),
+        "scenario run must produce tenant breakdowns"
+    );
+    let serial = format!("{report:?}");
     let handles: Vec<_> = (0..2)
-        .map(|_| {
-            std::thread::spawn(|| format!("{:?}", scenario_cell(EventBackend::Wheel).run().report))
-        })
+        .map(|_| std::thread::spawn(|| format!("{:?}", scenario_cell().run().report)))
         .collect();
     for h in handles {
         assert_eq!(
@@ -457,7 +440,7 @@ fn scenario_runs_identical_under_thread_parallelism() {
 #[test]
 fn scenario_runs_identical_across_domain_counts() {
     let canon = |n: usize| {
-        let mut spec = scenario_cell(EventBackend::Wheel);
+        let mut spec = scenario_cell();
         spec.domains = Some(n);
         let mut r = spec.run().report;
         r.domains = 0;

@@ -4,6 +4,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> one event queue in shipped code: the binary heap is a test oracle only"
+if grep -rnE 'HeapEventQueue|EventBackend::Heap' crates/*/src src; then
+  echo "shipped code names the heap; it lives in crates/simcore/tests/event_differential.rs" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -28,7 +34,7 @@ echo "==> cargo test --features trace -q"
 # deflect_invariants), which read the provenance trace.
 cargo test --workspace --features trace -q
 
-echo "==> trace observes, never perturbs: digest diff (both backends)"
+echo "==> trace observes, never perturbs: digest diff"
 cargo run --release --quiet --example trace_digest > /tmp/vertigo_digest_plain2.txt
 cargo run --release --quiet --features trace --example trace_digest > /tmp/vertigo_digest_trace.txt
 diff /tmp/vertigo_digest_plain2.txt /tmp/vertigo_digest_trace.txt
@@ -38,7 +44,6 @@ echo "==> resume equivalence: checkpoint+resume digest (faults active)"
 # starts each warmup class's cells from one in-memory snapshot while the
 # checkpointing and resuming runs simulate every cell straight through:
 # the diffs below are also the shared-warmup-vs-straight-through oracle.
-# The heap backend's side of it is snapshot_resume and backend_equivalence.
 SNAPDIR=/tmp/vertigo_snapshot_ci
 rm -rf "$SNAPDIR"
 FAULTS='loss:*:0.002@2ms-10ms'
@@ -157,7 +162,6 @@ if cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
 fi
 
 echo "==> domain equivalence: fig5 at --domains 1/2 (faults active) and soak at 1/2/4"
-# The heap backend's side of it is domain_equivalence.
 base=/tmp/vertigo_domains_ci
 rm -rf "$base"
 mkdir -p "$base"
@@ -182,9 +186,9 @@ for n in 2 4; do
 done
 
 echo "==> committed quick CSVs are what the tree produces: experiments all --quick vs results/quick"
-# The whole directory is the refactoring oracle: every figure, wheel
-# backend, default flags (so an absent --workload, --deflect, --faults or
-# --domains must not move a committed byte). ≈ 2.7 min on 2 cores.
+# The whole directory is the refactoring oracle: every figure, default
+# flags (so an absent --workload, --deflect, --faults or --domains must
+# not move a committed byte). ≈ 2.7 min on 2 cores.
 WLDIR=/tmp/vertigo_workload_ci
 rm -rf "$WLDIR"
 mkdir -p "$WLDIR"

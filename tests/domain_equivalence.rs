@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use vertigo::netsim::{DomainSimulation, TelemetryConfig};
-use vertigo::simcore::{EventBackend, SimDuration};
+use vertigo::simcore::SimDuration;
 use vertigo::stats::Report;
 use vertigo::transport::CcKind;
 use vertigo::workload::{
@@ -19,7 +19,7 @@ use vertigo::workload::{
 
 /// A quick fig5-style cell: background + incast on the 32-host quick
 /// leaf-spine, 10 ms horizon.
-fn cell(system: SystemKind, backend: EventBackend) -> RunSpec {
+fn cell(system: SystemKind) -> RunSpec {
     let total_bw = 32u64 * 10_000_000_000;
     let mut spec = RunSpec::new(
         system,
@@ -38,7 +38,6 @@ fn cell(system: SystemKind, backend: EventBackend) -> RunSpec {
     );
     spec.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };
     spec.horizon = SimDuration::from_millis(10);
-    spec.event_backend = backend;
     spec
 }
 
@@ -56,7 +55,7 @@ fn canon(mut r: Report) -> String {
 
 #[test]
 fn domain_counts_are_unobservable_in_reports() {
-    let mut spec = cell(SystemKind::Vertigo, EventBackend::Wheel);
+    let mut spec = cell(SystemKind::Vertigo);
     spec.domains = Some(1);
     let base = spec.run();
     let base_canon = canon(base.report.clone());
@@ -69,7 +68,7 @@ fn domain_counts_are_unobservable_in_reports() {
         "one domain has no boundary to cross"
     );
     for n in [2usize, 4, 8] {
-        let mut spec = cell(SystemKind::Vertigo, EventBackend::Wheel);
+        let mut spec = cell(SystemKind::Vertigo);
         spec.domains = Some(n);
         let out = spec.run();
         assert_eq!(out.report.domains, n as u64);
@@ -93,9 +92,9 @@ fn domain_counts_are_unobservable_in_reports() {
 }
 
 #[test]
-fn domain_equivalence_holds_on_heap_and_under_faults() {
+fn domain_equivalence_holds_under_faults() {
     let faults = FaultSchedule::parse("loss:*:0.002@2ms-8ms").unwrap();
-    let mut spec = cell(SystemKind::Vertigo, EventBackend::Heap);
+    let mut spec = cell(SystemKind::Vertigo);
     spec.faults = faults;
     spec.domains = Some(1);
     let base = spec.run();
@@ -105,14 +104,14 @@ fn domain_equivalence_holds_on_heap_and_under_faults() {
     );
     let base_canon = canon(base.report);
     for n in [2usize, 4, 8] {
-        let mut spec = cell(SystemKind::Vertigo, EventBackend::Heap);
+        let mut spec = cell(SystemKind::Vertigo);
         spec.faults = faults;
         spec.domains = Some(n);
         let out = spec.run();
         assert_eq!(
             canon(out.report),
             base_canon,
-            "--domains {n} diverged under faults on the heap backend"
+            "--domains {n} diverged under faults"
         );
     }
 }
@@ -121,13 +120,13 @@ fn domain_equivalence_holds_on_heap_and_under_faults() {
 fn domain_equivalence_holds_on_a_fat_tree() {
     // k = 4 fat-tree: 16 hosts, per-pod zones — exercises the multi-zone
     // partition path (leaf-spine collapses to per-leaf zones).
-    let mut base_spec = cell(SystemKind::Ecmp, EventBackend::Wheel);
+    let mut base_spec = cell(SystemKind::Ecmp);
     base_spec.topo = TopoKind::FatTree { k: 4 };
     base_spec.domains = Some(1);
     let base = base_spec.run();
     let base_canon = canon(base.report);
     for n in [2usize, 4] {
-        let mut spec = cell(SystemKind::Ecmp, EventBackend::Wheel);
+        let mut spec = cell(SystemKind::Ecmp);
         spec.topo = TopoKind::FatTree { k: 4 };
         spec.domains = Some(n);
         let out = spec.run();
@@ -143,8 +142,8 @@ fn domain_equivalence_holds_on_a_fat_tree() {
 /// caps windows at the horizon and at every telemetry sample, and neither
 /// is a multiple of the 500 ns lookahead quantum here, so most samples and
 /// the final window cut a calendar slot in two.
-fn off_grid_run(backend: EventBackend, faults: FaultSchedule, n: usize) -> (String, String, u64) {
-    let mut spec = cell(SystemKind::Vertigo, backend);
+fn off_grid_run(faults: FaultSchedule, n: usize) -> (String, String, u64) {
+    let mut spec = cell(SystemKind::Vertigo);
     spec.horizon = SimDuration::from_nanos(4_000_777);
     spec.faults = faults;
     let mut sim = spec.build();
@@ -165,15 +164,13 @@ fn off_grid_run(backend: EventBackend, faults: FaultSchedule, n: usize) -> (Stri
 }
 
 fn assert_off_grid_runs_agree(faults: FaultSchedule) {
-    for backend in [EventBackend::Wheel, EventBackend::Heap] {
-        let base = off_grid_run(backend, faults, 1);
-        for n in [2usize, 4] {
-            assert_eq!(
-                off_grid_run(backend, faults, n),
-                base,
-                "--domains {n} diverged on {backend:?} with off-grid window ends"
-            );
-        }
+    let base = off_grid_run(faults, 1);
+    for n in [2usize, 4] {
+        assert_eq!(
+            off_grid_run(faults, n),
+            base,
+            "--domains {n} diverged with off-grid window ends"
+        );
     }
 }
 
@@ -194,18 +191,17 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// For any system, backend, seed, fault window, and domain count, the
+    /// For any system, seed, fault window, and domain count, the
     /// domain engine's results match its own `--domains 1` run exactly.
     #[test]
     fn any_domain_count_matches_one(
         system in prop_oneof![Just(SystemKind::Ecmp), Just(SystemKind::Vertigo)],
-        backend in prop_oneof![Just(EventBackend::Wheel), Just(EventBackend::Heap)],
         n in 2usize..=8,
         seed in 1u64..100,
         with_faults in any::<bool>(),
     ) {
         let make = |domains: usize| {
-            let mut spec = cell(system, backend);
+            let mut spec = cell(system);
             spec.seed = seed;
             spec.domains = Some(domains);
             if with_faults {
@@ -254,8 +250,8 @@ fn pin_text(
 
 /// The leaf-spine cell (40 G fabric: a fabric `TxDone` lands inside the
 /// window that scheduled it) straight through `--domains 1`.
-fn pinned_leaf_spine(seed: u64, backend: EventBackend) -> String {
-    let mut spec = cell(SystemKind::Vertigo, backend);
+fn pinned_leaf_spine(seed: u64) -> String {
+    let mut spec = cell(SystemKind::Vertigo);
     spec.seed = seed;
     spec.domains = Some(1);
     let out = spec.run();
@@ -266,8 +262,8 @@ fn pinned_leaf_spine(seed: u64, backend: EventBackend) -> String {
 /// (horizon and telemetry interval are no multiples of the 500 ns quantum)
 /// and whose first edge switch stalls for 300 µs, so split calendar slots
 /// and deferred events are inside the pin.
-fn pinned_fat_tree(seed: u64, backend: EventBackend) -> String {
-    let mut spec = cell(SystemKind::Vertigo, backend);
+fn pinned_fat_tree(seed: u64) -> String {
+    let mut spec = cell(SystemKind::Vertigo);
     spec.topo = TopoKind::FatTree { k: 4 };
     spec.seed = seed;
     spec.horizon = SimDuration::from_nanos(6_000_777);
@@ -290,17 +286,15 @@ fn pinned_fat_tree(seed: u64, backend: EventBackend) -> String {
 #[test]
 fn one_domain_runs_are_the_pinned_ones() {
     for (seed, leaf_spine, fat_tree) in PINNED {
-        for backend in [EventBackend::Wheel, EventBackend::Heap] {
-            for (what, text, pinned) in [
-                ("leaf-spine", pinned_leaf_spine(seed, backend), leaf_spine),
-                ("fat-tree", pinned_fat_tree(seed, backend), fat_tree),
-            ] {
-                assert_eq!(
-                    vertigo::netsim::trace::stable_hash(text.as_bytes()),
-                    pinned,
-                    "{what}, seed {seed}, {backend:?}: {text}"
-                );
-            }
+        for (what, text, pinned) in [
+            ("leaf-spine", pinned_leaf_spine(seed), leaf_spine),
+            ("fat-tree", pinned_fat_tree(seed), fat_tree),
+        ] {
+            assert_eq!(
+                vertigo::netsim::trace::stable_hash(text.as_bytes()),
+                pinned,
+                "{what}, seed {seed}: {text}"
+            );
         }
     }
 }

@@ -5,11 +5,10 @@
 //! actually retransmit, the marking component must detect and boost those
 //! retransmissions, and the RX ordering shim must release packets by
 //! τ-timeout. They also pin the determinism contract for faulted runs —
-//! identical spec + schedule + seed gives identical results on both event
-//! backends — and the semantics of hard link-down and switch-stall
-//! windows.
+//! identical spec + schedule + seed gives identical results — and the
+//! semantics of hard link-down and switch-stall windows.
 
-use vertigo::simcore::{EventBackend, SimDuration};
+use vertigo::simcore::SimDuration;
 use vertigo::stats::{DropCause, DROP_CAUSES};
 use vertigo::transport::CcKind;
 use vertigo::workload::{
@@ -104,21 +103,12 @@ fn loss_window_fires_recovery_paths_for_every_cc() {
     }
 }
 
-/// Identical spec + fault schedule + seed is bit-reproducible, and the
-/// wheel and heap event backends agree on every counter.
+/// Identical spec + fault schedule + seed is bit-reproducible.
 #[test]
-fn faulted_runs_are_deterministic_across_backends() {
+fn faulted_runs_are_deterministic() {
     let fspec = "loss:*:0.02@1ms-10ms;down:0-32@12ms-14ms;stall:33@15ms-16ms";
-    let run = |backend: EventBackend| {
-        let mut s = spec(CcKind::Dctcp, fspec);
-        s.event_backend = backend;
-        digest(&s.run())
-    };
-    let a = run(EventBackend::Wheel);
-    let b = run(EventBackend::Wheel);
-    assert_eq!(a, b, "same backend, same everything => same digest");
-    let c = run(EventBackend::Heap);
-    assert_eq!(a, c, "wheel and heap must agree under faults");
+    let run = || digest(&spec(CcKind::Dctcp, fspec).run());
+    assert_eq!(run(), run(), "same everything => same digest");
 }
 
 /// A hard link-down window drops every traversal with the LinkDown cause

@@ -147,7 +147,7 @@ fn kill_at_midpoint_then_resume_reproduces_straight_run() {
     {
         let mut sim = spec.build();
         sim.drain_until(SimTime::ZERO + SimDuration::from_nanos(mid));
-        snapshot::write_checkpoint(&mut sim, &stem, spec.spec_hash(), mid, spec.event_backend)
+        snapshot::write_checkpoint(&mut sim, &stem, spec.spec_hash(), mid)
             .expect("temp dir is writable");
         // sim dropped here mid-flight: the checkpoint is all that survives.
     }
