@@ -25,6 +25,7 @@
 //! flat array (DESIGN.md §5j has both sides measured).
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::Hash;
 use vertigo_pkt::{mix64, Mix64Build};
 
 /// Slots per bucket.
@@ -39,6 +40,17 @@ const FULL_PCT: usize = 94;
 
 /// Four fingerprints; 0 = empty slot.
 type Bucket = [u16; BUCKET_SLOTS];
+
+/// Gives back the room a map keeps past its contents: once its capacity
+/// exceeds four times what it holds, it shrinks to twice that. A shrink
+/// rehashes only what is left, and the gap between the two factors makes
+/// that amortized O(1) per removal. Nothing but the heap moves, as long as
+/// the map is read by key only and saved sorted.
+pub(crate) fn shrink_if_sparse<K: Eq + Hash, V>(map: &mut HashMap<K, V, Mix64Build>) {
+    if map.capacity() > 4 * map.len() {
+        map.shrink_to(2 * map.len());
+    }
+}
 
 /// Overwrites the first slot holding `from` with `to`, if there is one:
 /// `(0, fp)` files a fingerprint in the first empty slot, `(fp, 0)`
@@ -164,6 +176,13 @@ impl CuckooFilter {
     /// `capacity()`).
     pub fn heap_bytes(&self) -> usize {
         self.buckets.capacity() * 8 / 7 * (std::mem::size_of::<(u32, Bucket)>() + 1)
+    }
+
+    /// Gives back table room the stored buckets no longer need
+    /// ([`shrink_if_sparse`]); answers, eviction victims and snapshot
+    /// bytes stay as they were.
+    pub(crate) fn release_spare(&mut self) {
+        shrink_if_sparse(&mut self.buckets);
     }
 
     #[inline]
@@ -726,6 +745,26 @@ mod tests {
             assert!(f.heap_bytes() <= held);
         }
         assert!(f.is_empty() && f.buckets.is_empty());
+        // Removes alone keep the peak's allocation; a release frees it.
+        f.release_spare();
+        assert_eq!(f.heap_bytes(), 0);
+        // Part-full, a release keeps at most four times what is held, and
+        // a second one finds nothing to give back.
+        for k in 0..keys {
+            assert!(f.insert(k));
+        }
+        for k in keys / 8..keys {
+            assert!(f.remove(k));
+        }
+        f.release_spare();
+        let part = f.heap_bytes();
+        assert!(part <= held / 2, "{part} of {held} bytes kept");
+        assert!(f.buckets.capacity() <= 4 * f.buckets.len());
+        f.release_spare();
+        assert_eq!(f.heap_bytes(), part);
+        for k in 0..keys / 8 {
+            assert!(f.contains(k), "lost key {k} in the release");
+        }
     }
 
     /// A snapshot body: `nbuckets`, the records, then `len` and the LCG.
@@ -789,6 +828,7 @@ mod tests {
         /// `MAX_KICKS` and re-seat, and removes empty buckets that later
         /// inserts bring back. `tail` adds 400 keys spread over all 64
         /// buckets, which fills the table to the `FULL_PCT` bail-out.
+        /// A seventh op releases spare room, which the model cannot see.
         /// Identical answers and `len`
         /// throughout; identical snapshot bytes before and after a
         /// save → restore between the two phases and at the end.
@@ -807,6 +847,8 @@ mod tests {
                 match op {
                     0..=3 => assert_eq!(f.insert(k), model.insert(k), "insert {k:#x}"),
                     4..=5 => assert_eq!(f.remove(k), model.remove(k), "remove {k:#x}"),
+                    // The flat table has no room to give back.
+                    6 => f.release_spare(),
                     _ => {}
                 }
                 assert_eq!(f.contains(k), model.contains(k), "contains {k:#x}");

@@ -17,9 +17,10 @@
 //! sizes are unknown) and removed when the flow completes.
 
 use crate::boost;
-use crate::cuckoo::CuckooFilter;
+use crate::cuckoo::{shrink_if_sparse, CuckooFilter};
 use std::collections::HashMap;
 use vertigo_pkt::{mix64, FlowId, FlowInfo, Mix64Build, NodeId, MAX_PAYLOAD};
+use vertigo_simcore::{strictly_ascending, SnapError};
 
 /// Which quantity the RFS field carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,6 +77,16 @@ pub struct MarkingStats {
     pub retransmissions: u64,
     /// Packets whose filter insert was rejected (filter past design load).
     pub filter_overflows: u64,
+}
+
+/// Refuses a value `mark` or `register_flow` cannot have left behind.
+fn at_most(value: u8, max: u8, what: &str) -> Result<u8, SnapError> {
+    if value > max {
+        return Err(SnapError::new(format!(
+            "marking {what} {value} exceeds {max}"
+        )));
+    }
+    Ok(value)
 }
 
 /// The sender-side marking component. One instance per host.
@@ -182,13 +193,8 @@ impl MarkingComponent {
             // Retransmission: bump its boost count (saturating at what the
             // 4-bit field and 32-bit rotation can absorb).
             self.stats.retransmissions += 1;
-            let cap = if shift == 0 {
-                boost::MAX_RETCNT
-            } else {
-                boost::max_boosts(shift)
-            };
             let e = self.retx.entry((flow, seq)).or_insert(0);
-            *e = (*e + 1).min(cap);
+            *e = (*e + 1).min(boost::max_boosts(shift));
             *e
         } else {
             if !self.filter.insert(key) {
@@ -237,6 +243,8 @@ impl MarkingComponent {
     /// cuckoo-filter fingerprints and its retransmission counters
     /// (segments are MSS-aligned, so both key sets are reconstructible and
     /// the cost is the flow's own length, not the host's loss history).
+    /// The filter's bucket map and the counter map then give back the room
+    /// the live flows no longer need ([`shrink_if_sparse`]).
     pub fn complete_flow(&mut self, flow: FlowId) {
         if let Some(fl) = self.flows.remove(&flow) {
             let mut seq = 0u64;
@@ -247,6 +255,8 @@ impl MarkingComponent {
                 }
                 seq += MAX_PAYLOAD as u64;
             }
+            self.filter.release_spare();
+            shrink_if_sparse(&mut self.retx);
         }
     }
 
@@ -289,18 +299,22 @@ impl MarkingComponent {
     }
 
     /// Restores state written by [`MarkingComponent::snap_save`] into a
-    /// component freshly built with the same config.
+    /// component freshly built with the same config. Refuses what that
+    /// writer cannot produce: map keys out of ascending order, a flow or
+    /// destination counter past its 3 bits, a retransmission count past
+    /// the cap `mark` applies.
     pub fn snap_restore(
         &mut self,
         r: &mut vertigo_simcore::SnapReader<'_>,
-    ) -> Result<(), vertigo_simcore::SnapError> {
+    ) -> Result<(), SnapError> {
         use vertigo_simcore::Snapshot;
         self.flows.clear();
-        let n = r.get_usize()?;
+        let (n, mut prev) = (r.get_usize()?, None);
         for _ in 0..n {
             let flow = FlowId(r.get_u64()?);
+            strictly_ascending(&mut prev, flow, "marking flow")?;
             let total = r.get_u64()?;
-            let flow_seq = r.get_u8()?;
+            let flow_seq = at_most(r.get_u8()?, 7, "flow counter")?;
             let age_pkts = r.get_u64()?;
             let dst = NodeId(r.get_u32()?);
             self.flows.insert(
@@ -315,18 +329,24 @@ impl MarkingComponent {
         }
         self.filter = CuckooFilter::restore(r)?;
         self.retx.clear();
-        let n = r.get_usize()?;
+        let (n, mut prev) = (r.get_usize()?, None);
         for _ in 0..n {
             let flow = FlowId(r.get_u64()?);
             let seq = r.get_u64()?;
-            let retcnt = r.get_u8()?;
+            strictly_ascending(&mut prev, (flow, seq), "marking retx")?;
+            let retcnt = at_most(
+                r.get_u8()?,
+                boost::max_boosts(self.shift),
+                "retransmission count",
+            )?;
             self.retx.insert((flow, seq), retcnt);
         }
         self.dst_counters.clear();
-        let n = r.get_usize()?;
+        let (n, mut prev) = (r.get_usize()?, None);
         for _ in 0..n {
             let dst = NodeId(r.get_u32()?);
-            let ctr = r.get_u8()?;
+            strictly_ascending(&mut prev, dst, "marking destination")?;
+            let ctr = at_most(r.get_u8()?, 7, "destination counter")?;
             self.dst_counters.insert(dst, ctr);
         }
         self.stats.marked = r.get_u64()?;
@@ -500,6 +520,130 @@ mod tests {
             m2.register_flow(FlowId(3), NodeId(4), 1000),
             m.register_flow(FlowId(3), NodeId(4), 1000)
         );
+    }
+
+    #[test]
+    fn completed_flows_give_the_filter_and_retx_room_back() {
+        let mut m = comp(MarkingDiscipline::Srpt, Some(2));
+        let flows = 64u64;
+        for f in 0..flows {
+            m.register_flow(FlowId(f), NodeId(9), 20 * 1460);
+            for k in 0..20 {
+                m.mark(FlowId(f), k * 1460, 1460);
+            }
+            m.mark(FlowId(f), 0, 1460); // one retransmission each
+        }
+        let (filter, retx) = (m.filter_heap_bytes(), m.retx.capacity());
+        assert!(filter > 0 && retx >= flows as usize);
+        // Room follows the flows still live...
+        for f in 0..flows - 8 {
+            m.complete_flow(FlowId(f));
+        }
+        assert!(
+            m.filter_heap_bytes() < filter / 2,
+            "{} of {filter}",
+            m.filter_heap_bytes()
+        );
+        assert!(m.retx.capacity() <= 4 * m.retx.len());
+        // ...and the survivors are still told apart: a retransmission is
+        // boosted again, a fresh offset is not.
+        let f = FlowId(flows - 1);
+        assert_eq!(m.mark(f, 0, 1460).retcnt, 2);
+        assert_eq!(m.mark(f, 1460, 1460).retcnt, 1);
+        // ...down to nothing once every flow is done.
+        for f in flows - 8..flows {
+            m.complete_flow(FlowId(f));
+        }
+        assert_eq!((m.filter_heap_bytes(), m.retx.capacity()), (0, 0));
+    }
+
+    /// A marking record as `snap_save` lays it out, around an empty filter:
+    /// `flows` as (id, flow counter), `retx` as (flow, seq, count), and
+    /// `ctrs` as (destination, counter).
+    fn record(flows: &[(u64, u8)], retx: &[(u64, u64, u8)], ctrs: &[(u32, u8)]) -> Vec<u8> {
+        use vertigo_simcore::Snapshot;
+        let mut w = vertigo_simcore::SnapWriter::new();
+        w.put_usize(flows.len());
+        for &(flow, flow_seq) in flows {
+            w.put_u64(flow);
+            w.put_u64(10 * 1460);
+            w.put_u8(flow_seq);
+            w.put_u64(3);
+            w.put_u32(4);
+        }
+        CuckooFilter::with_capacity(4096).save(&mut w);
+        w.put_usize(retx.len());
+        for &(flow, seq, retcnt) in retx {
+            w.put_u64(flow);
+            w.put_u64(seq);
+            w.put_u8(retcnt);
+        }
+        w.put_usize(ctrs.len());
+        for &(dst, ctr) in ctrs {
+            w.put_u32(dst);
+            w.put_u8(ctr);
+        }
+        for stat in [8, 2, 0] {
+            w.put_u64(stat);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_hostile_records() {
+        use vertigo_simcore::SnapReader;
+        let restored = |bytes: &[u8]| {
+            let mut m = comp(MarkingDiscipline::Srpt, Some(2));
+            m.snap_restore(&mut SnapReader::new(bytes)).map(|()| m)
+        };
+        let cap = boost::max_boosts(comp(MarkingDiscipline::Srpt, Some(2)).boost_shift());
+        let (flows, retx, ctrs) = (
+            [(1, 0), (2, 7)],
+            [(1, 0, 1), (1, 1460, cap), (2, 0, 1)],
+            [(4, 2), (5, 7)],
+        );
+        let ok = record(&flows, &retx, &ctrs);
+        let m = restored(&ok).unwrap();
+        assert_eq!((m.flows_tracked(), m.retx.len()), (2, 3));
+        for (what, bytes) in [
+            ("flows descend", record(&[(2, 0), (1, 0)], &retx, &ctrs)),
+            ("flow repeated", record(&[(1, 0), (1, 1)], &retx, &ctrs)),
+            ("flow counter past 3 bits", record(&[(1, 8)], &retx, &ctrs)),
+            (
+                "retx descend",
+                record(&flows, &[(1, 1460, 1), (1, 0, 1)], &ctrs),
+            ),
+            (
+                "retx descend by flow",
+                record(&flows, &[(2, 0, 1), (1, 1460, 1)], &ctrs),
+            ),
+            (
+                "retx repeated",
+                record(&flows, &[(1, 0, 1), (1, 0, 2)], &ctrs),
+            ),
+            (
+                "retcnt past the cap",
+                record(&flows, &[(1, 0, cap + 1)], &ctrs),
+            ),
+            ("retcnt of 255", record(&flows, &[(1, 0, u8::MAX)], &ctrs)),
+            (
+                "destinations descend",
+                record(&flows, &retx, &[(5, 0), (4, 0)]),
+            ),
+            (
+                "destination repeated",
+                record(&flows, &retx, &[(4, 0), (4, 1)]),
+            ),
+            (
+                "destination counter past 3 bits",
+                record(&flows, &retx, &[(4, 8)]),
+            ),
+        ] {
+            assert!(restored(&bytes).is_err(), "accepted: {what}");
+        }
+        for cut in 0..ok.len() {
+            assert!(restored(&ok[..cut]).is_err(), "accepted {cut} bytes");
+        }
     }
 
     #[test]

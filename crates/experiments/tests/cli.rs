@@ -1,7 +1,7 @@
 //! The `experiments` binary from the outside: argument errors are
 //! reported on stderr with the usage text and exit code 2, never as a
-//! panic, and before any simulation starts; and `vtrace dump` on a golden
-//! trace.
+//! panic, and before any simulation starts; `vtrace dump` on a golden
+//! trace; and `vsnp inspect` on a header of the previous format version.
 
 use std::process::{Command, Output};
 
@@ -173,6 +173,31 @@ fn unusable_resume_file_exits_2_without_a_panic() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!dir.join("table2.csv").exists(), "no table after an error");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn vsnp_inspect_prints_a_version_3_header() {
+    use vertigo_simcore::{SnapWriter, SNAP_VERSION};
+    // A header as this build writes it, then as version 3 wrote it (the
+    // host record without its finished flows): the version is a `u16`
+    // behind the four magic bytes.
+    let mut w = SnapWriter::new();
+    vertigo_workload::snapshot::write_header(&mut w, 0xABCD, 6_000_000);
+    let mut bytes = w.into_bytes();
+    assert_eq!(bytes[4..6], SNAP_VERSION.to_le_bytes());
+    bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+    let file = std::env::temp_dir().join(format!("vertigo-cli-v3-{}.vsnp", std::process::id()));
+    std::fs::write(&file, &bytes).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_vsnp"))
+        .args(["inspect", file.to_str().unwrap()])
+        .output()
+        .expect("the vsnp binary runs");
+    std::fs::remove_file(&file).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let note = format!("version    3 (this binary reads version {SNAP_VERSION};");
+    assert!(stdout.contains(&note), "{stdout}");
+    assert!(stdout.contains("sim time   6000000 ns"), "{stdout}");
 }
 
 #[test]

@@ -39,10 +39,12 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use vertigo_core::boost::unboost;
 use vertigo_core::{Delivered, MarkingComponent, MarkingConfig, OrderingComponent, OrderingConfig};
-use vertigo_pkt::{pool, FlowId, FlowTable, NodeId, Packet, PacketKind, PortId, QueryId};
-use vertigo_simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter, Snapshot};
+use vertigo_pkt::{pool, AckSeg, FlowId, FlowTable, NodeId, Packet, PacketKind, PortId, QueryId};
+use vertigo_simcore::{
+    strictly_ascending, SimDuration, SimTime, SnapError, SnapReader, SnapWriter, Snapshot,
+};
 use vertigo_stats::{DropCause, TraceKind, TraceRecord, TRACE_NO_RANK};
-use vertigo_transport::{FlowReceiver, FlowSender, TransportConfig};
+use vertigo_transport::{FinishedReceiver, FlowReceiver, FlowSender, TransportConfig};
 
 /// Host-side configuration.
 #[derive(Debug, Clone)]
@@ -124,6 +126,9 @@ pub struct Host {
 
     senders: FlowTable<SendState>,
     receivers: FlowTable<RecvState>,
+    /// Flows received to completion, as the 16 bytes their late segments
+    /// still read. A flow is here or in `receivers`, never both.
+    finished: FlowTable<FinishedReceiver>,
     marking: Option<MarkingComponent>,
     ordering: Option<OrderingComponent<Box<Packet>>>,
 
@@ -172,6 +177,7 @@ impl Host {
             nic_busy: false,
             senders: FlowTable::new(),
             receivers: FlowTable::new(),
+            finished: FlowTable::new(),
             marking,
             ordering,
             wake_scheduled: None,
@@ -226,6 +232,12 @@ impl Host {
     /// Number of flows currently sending.
     pub fn active_senders(&self) -> usize {
         self.senders.len()
+    }
+
+    /// Flows with a receiver held whole, and flows received to completion
+    /// and held as their finished record.
+    pub fn receiving(&self) -> (usize, usize) {
+        (self.receivers.len(), self.finished.len())
     }
 
     /// Packets waiting in the NIC egress queue (conservation audit).
@@ -388,21 +400,52 @@ impl Host {
     /// immediate duplicate ACK (the NdpTrim extension's loss signal).
     fn on_trim_notice(&mut self, pkt: Box<Packet>, ctx: &mut Ctx) {
         let seg = *pkt.data_seg().expect("data packet");
+        let (flow, ce, sent_at) = (pkt.flow, pkt.ecn.is_ce(), pkt.sent_at);
+        let (ack, src, query) = match self.receivers.index_of(flow) {
+            Some(i) => {
+                let st = self.receivers.value_at_mut(i);
+                (st.recv.on_trim(ctx.now, ce, sent_at), st.src, st.query)
+            }
+            None => match self.finished.get(flow) {
+                Some(fin) => (fin.on_trim(ce, sent_at), pkt.src, pkt.query),
+                None => {
+                    let i = self.open_receiver(&pkt, seg.flow_bytes);
+                    let st = self.receivers.value_at_mut(i);
+                    (st.recv.on_trim(ctx.now, ce, sent_at), st.src, st.query)
+                }
+            },
+        };
+        pool::recycle(pkt);
+        self.send_ack(flow, query, src, ack, ctx);
+    }
+
+    /// Files a receiver for `pkt`'s flow and returns its position in
+    /// `receivers`: a fresh one, or, for a segment past the prefix of a
+    /// finished flow (no `FlowSender` sends one), the complete receiver
+    /// that flow's record stands for.
+    fn open_receiver(&mut self, pkt: &Packet, flow_bytes: u64) -> usize {
         let flow = pkt.flow;
-        let st = self.receivers.get_or_insert_with(flow, || RecvState {
-            recv: FlowReceiver::new(flow, seg.flow_bytes),
+        let (recv, reported_reorders, reported_bytes) = match self.finished.remove(flow) {
+            Some(fin) => (fin.revive(flow), fin.reorder_events(), fin.contiguous()),
+            None => (FlowReceiver::new(flow, flow_bytes), 0, 0),
+        };
+        let st = RecvState {
+            recv,
             src: pkt.src,
             query: pkt.query,
-            reported_reorders: 0,
-            reported_bytes: 0,
-        });
-        let ack = st.recv.on_trim(ctx.now, pkt.ecn.is_ce(), pkt.sent_at);
-        let src = st.src;
-        let query = st.query;
-        pool::recycle(pkt);
+            reported_reorders,
+            reported_bytes,
+        };
+        self.receivers.insert(flow, st);
+        self.receivers.index_of(flow).expect("just filed")
+    }
+
+    /// Sends `ack` for `flow` back to its data sender `dst`.
+    #[inline]
+    fn send_ack(&mut self, flow: FlowId, query: QueryId, dst: NodeId, ack: AckSeg, ctx: &mut Ctx) {
         self.uid += 1;
         let ack_pkt = pool::boxed(Packet::ack(
-            self.uid, flow, query, self.id, src, ack, ctx.now,
+            self.uid, flow, query, self.id, dst, ack, ctx.now,
         ));
         self.enqueue_nic(ack_pkt, ctx);
     }
@@ -410,18 +453,26 @@ impl Host {
     /// Hands one data packet to the transport receiver and emits the ACK.
     fn deliver_data(&mut self, pkt: Box<Packet>, ctx: &mut Ctx) {
         let seg = *pkt.data_seg().expect("data packet");
-        let flow = pkt.flow;
+        let (flow, ce, sent_at) = (pkt.flow, pkt.ecn.is_ce(), pkt.sent_at);
         ctx.rec.data_delivered += 1;
         ctx.rec.hops_delivered += pkt.hops as u64;
-        let st = self.receivers.get_or_insert_with(flow, || RecvState {
-            recv: FlowReceiver::new(flow, seg.flow_bytes),
-            src: pkt.src,
-            query: pkt.query,
-            reported_reorders: 0,
-            reported_bytes: 0,
-        });
+        let i = match self.receivers.index_of(flow) {
+            Some(i) => i,
+            None => {
+                // A late copy for a finished flow: the complete receiver's
+                // ACK, with no goodput, reorder or second completion.
+                let late = self.finished.get_mut(flow);
+                if let Some(ack) = late.and_then(|fin| fin.on_data(&seg, ce, sent_at)) {
+                    let (src, query) = (pkt.src, pkt.query);
+                    pool::recycle(pkt);
+                    return self.send_ack(flow, query, src, ack, ctx);
+                }
+                self.open_receiver(&pkt, seg.flow_bytes)
+            }
+        };
+        let st = self.receivers.value_at_mut(i);
         let was_complete = st.recv.is_complete();
-        let ack = st.recv.on_data(ctx.now, &seg, pkt.ecn.is_ce(), pkt.sent_at);
+        let ack = st.recv.on_data(ctx.now, &seg, ce, sent_at);
         pool::recycle(pkt);
         // Export reorder and goodput deltas.
         let reorders = st.recv.stats().reorder_events;
@@ -435,6 +486,11 @@ impl Host {
         ctx.rec.flow_progress(flow, delta);
         if st.recv.is_complete() && !was_complete {
             ctx.rec.flow_finished(flow, ctx.now);
+            // From here on the flow holds its finished record only.
+            if let Some(fin) = st.recv.finished() {
+                self.receivers.remove(flow);
+                self.finished.insert(flow, fin);
+            }
             if let Some(o) = &mut self.ordering {
                 // LAS flows (and any stragglers) are purged explicitly.
                 let mut out = std::mem::take(&mut self.deliveries);
@@ -446,12 +502,7 @@ impl Host {
                 self.deliveries = out;
             }
         }
-        // ACK back to the data sender.
-        self.uid += 1;
-        let ack_pkt = pool::boxed(Packet::ack(
-            self.uid, flow, query, self.id, src, ack, ctx.now,
-        ));
-        self.enqueue_nic(ack_pkt, ctx);
+        self.send_ack(flow, query, src, ack, ctx);
     }
 
     /// A consolidated wakeup fired: process every due timer. Redundant
@@ -635,7 +686,8 @@ impl Host {
     }
 
     /// Serializes the mutable host state: the NIC queue, every live
-    /// sender and receiver, the marking and ordering components, the
+    /// sender and receiver, the finished flows' records (each table in
+    /// ascending id order), the marking and ordering components, the
     /// wakeup cursor, the uid counter, and banked stats. The config and
     /// link come from the run spec. `deliveries` is drained within every
     /// event, and the ready set and pacer heap are derived state that
@@ -663,6 +715,11 @@ impl Host {
             w.put_u64(st.reported_reorders);
             w.put_u64(st.reported_bytes);
             st.recv.snap_save(w);
+        }
+        w.put_usize(self.finished.len());
+        for (flow, fin) in self.finished.iter() {
+            flow.save(w);
+            fin.snap_save(w);
         }
         w.put_bool(self.marking.is_some());
         if let Some(m) = &self.marking {
@@ -697,19 +754,21 @@ impl Host {
         self.nic_bytes =
             crate::queue::restore_bytes(r, "NIC queue", self.nic_q.iter().map(|p| p.wire_size))?;
         self.nic_busy = r.get_bool()?;
+        // Every table is read one record at a time, so a count the input
+        // cannot back runs out of bytes before it sizes anything.
         self.senders.clear();
-        let n = r.get_usize()?;
+        let (n, mut prev) = (r.get_usize()?, None);
         for _ in 0..n {
-            let flow = FlowId::restore(r)?;
+            let flow = strictly_ascending(&mut prev, FlowId::restore(r)?, "sender")?;
             let dst = NodeId::restore(r)?;
             let query = QueryId::restore(r)?;
             let sender = FlowSender::snap_restore(self.cfg.transport, r)?;
             self.senders.insert(flow, SendState { sender, dst, query });
         }
         self.receivers.clear();
-        let n = r.get_usize()?;
+        let (n, mut prev) = (r.get_usize()?, None);
         for _ in 0..n {
-            let flow = FlowId::restore(r)?;
+            let flow = strictly_ascending(&mut prev, FlowId::restore(r)?, "receiver")?;
             let src = NodeId::restore(r)?;
             let query = QueryId::restore(r)?;
             let reported_reorders = r.get_u64()?;
@@ -737,6 +796,18 @@ impl Host {
                     reported_bytes,
                 },
             );
+        }
+        self.finished.clear();
+        let (n, mut prev) = (r.get_usize()?, None);
+        for _ in 0..n {
+            let flow = strictly_ascending(&mut prev, FlowId::restore(r)?, "finished flow")?;
+            if self.receivers.index_of(flow).is_some() {
+                return Err(SnapError::new(format!(
+                    "finished flow {flow:?} also has a live receiver"
+                )));
+            }
+            self.finished
+                .insert(flow, FinishedReceiver::snap_restore(r)?);
         }
         let had_marking = r.get_bool()?;
         if had_marking != self.marking.is_some() {
@@ -809,6 +880,7 @@ impl std::fmt::Debug for Host {
             .field("id", &self.id)
             .field("senders", &self.senders.len())
             .field("receivers", &self.receivers.len())
+            .field("finished", &self.finished.len())
             .field("nic_bytes", &self.nic_bytes)
             .finish()
     }

@@ -592,6 +592,7 @@ fn snapshot_restore_rejects_a_hostile_receiver_record() {
     }
     assert_eq!(h2.rec.goodput_bytes, 8 * 1460);
     assert_eq!(saved(&host), saved(&host2));
+    assert_eq!(host2.receiving(), (0, 1), "finished, held as its record");
 
     // Empty NIC, idle, no senders; then the one receiver: its flow, peer
     // and query, and the two counters `deliver_data` subtracts from.
@@ -621,14 +622,33 @@ fn snapshot_restore_rejects_a_hostile_receiver_record() {
         assert!(err.to_string().contains("reported"), "{err}");
     }
     // A flow whose prefix ran past its size reports the size, no more.
+    // Finished on that segment, the flow keeps its prefix, not its size...
+    let runt = |k: u64| {
+        let mut pkt = data(k);
+        pkt.kind = PacketKind::Data(DataSeg {
+            flow_bytes: 1000,
+            ..*pkt.data_seg().unwrap()
+        });
+        pkt
+    };
     let (mut h, mut host) = (Harness::new(), plain_host());
-    let mut runt = data(0);
-    runt.kind = PacketKind::Data(DataSeg {
-        flow_bytes: 1000,
-        ..*runt.data_seg().unwrap()
-    });
-    host.on_arrive(runt, &mut h.ctx());
+    host.on_arrive(runt(0), &mut h.ctx());
+    host.on_arrive(runt(0), &mut h.ctx());
+    let acks: Vec<_> = h
+        .drain_tx(&mut host)
+        .iter()
+        .map(|p| p.ack_seg().unwrap().cum_ack)
+        .collect();
+    assert_eq!(acks, [1460, 1460]);
+    assert_eq!(host.receiving(), (0, 1));
+    assert_eq!(h.rec.goodput_bytes, 1000);
+    // ...and while a range lies past its last byte, its receiver stays
+    // whole: no `FlowSender` leaves one.
+    let (mut h, mut host) = (Harness::new(), plain_host());
+    host.on_arrive(runt(3), &mut h.ctx());
+    host.on_arrive(runt(0), &mut h.ctx());
     h.drain_tx(&mut host);
+    assert_eq!(host.receiving(), (1, 0));
     let over = saved(&host);
     assert!(restored(&over).is_ok());
     let mut bytes = over.clone();
@@ -643,6 +663,238 @@ fn snapshot_restore_rejects_a_hostile_receiver_record() {
         restored(&bytes).is_err(),
         "a range at the contiguous prefix"
     );
+    for cut in 0..ok.len() {
+        assert!(restored(&ok[..cut]).is_err(), "accepted {cut} bytes");
+    }
+}
+
+/// A data packet of `flow` from the peer: segment `k` of a `segs`-MSS flow.
+fn peer_data(flow: FlowId, k: u64, segs: u64, ce: bool, sent_at: SimTime) -> Box<Packet> {
+    let seg = DataSeg {
+        seq: k * 1460,
+        payload: 1460,
+        flow_bytes: segs * 1460,
+        retransmit: false,
+        trimmed: false,
+    };
+    let mut pkt = Packet::data(
+        200 + k,
+        flow,
+        QueryId::NONE,
+        PEER_HOST,
+        ME,
+        seg,
+        true,
+        sent_at,
+    );
+    if ce {
+        pkt.ecn = Ecn::CongestionExperienced;
+    }
+    Box::new(pkt)
+}
+
+#[test]
+fn a_finished_flow_answers_late_segments_as_its_full_receiver_did() {
+    use vertigo_transport::FlowReceiver;
+    const FLOW: FlowId = FlowId(9);
+    let cfg = HostConfig::plain(TransportConfig::default_for(CcKind::Dctcp));
+    let mut host = Host::new(ME, TOR, PortId(2), LinkParams::gbps(10, 500), cfg);
+    let mut h = Harness::new();
+    // The full receiver, fed the same segments, says what each ACK is.
+    let mut full = FlowReceiver::new(FLOW, 2 * 1460);
+    let us = SimTime::from_micros;
+    let mut acks = |host: &mut Host, h: &mut Harness, pkt: Box<Packet>| {
+        let seg = *pkt.data_seg().unwrap();
+        let (now, ce, sent_at) = (h.events.now(), pkt.ecn.is_ce(), pkt.sent_at);
+        let want = if pkt.is_trimmed() {
+            full.on_trim(now, ce, sent_at)
+        } else {
+            full.on_data(now, &seg, ce, sent_at)
+        };
+        host.on_arrive(pkt, &mut h.ctx());
+        let wire = h.drain_tx(host);
+        assert_eq!(wire.len(), 1, "one ACK per arrival");
+        assert_eq!(*wire[0].ack_seg().expect("an ACK"), want);
+        assert_eq!((wire[0].dst, wire[0].flow), (PEER_HOST, FLOW));
+    };
+    // Out of order, so the flow has a reorder on its books: it finishes.
+    acks(&mut host, &mut h, peer_data(FLOW, 1, 2, false, us(1)));
+    acks(&mut host, &mut h, peer_data(FLOW, 0, 2, false, us(2)));
+    let finished = h.rec.flows[&FLOW].finished.expect("complete");
+    let books = |h: &Harness| (h.rec.goodput_bytes, h.rec.transport_reorders);
+    assert_eq!(books(&h), (2 * 1460, 1));
+    assert_eq!(host.receiving(), (0, 1));
+    // A duplicate of its first segment (CE-marked), then a trimmed stub of
+    // its second: each gets the full receiver's ACK (cumulative through the
+    // flow, one reorder seen), and neither adds goodput or finishes it again.
+    acks(&mut host, &mut h, peer_data(FLOW, 0, 2, true, us(3)));
+    let mut stub = peer_data(FLOW, 1, 2, false, us(4));
+    stub.trim();
+    acks(&mut host, &mut h, stub);
+    assert_eq!(books(&h), (2 * 1460, 1));
+    assert_eq!(h.rec.flows[&FLOW].finished, Some(finished));
+    assert_eq!(h.rec.data_delivered, 3, "the stub is no delivery");
+    assert_eq!(host.receiving(), (0, 1), "one finished entry, no receiver");
+}
+
+/// The byte span of every record in a host record's three flow tables.
+struct Tables {
+    senders: Vec<std::ops::Range<usize>>,
+    receivers: Vec<std::ops::Range<usize>>,
+    finished: Vec<std::ops::Range<usize>>,
+}
+
+fn tables(bytes: &[u8], transport: TransportConfig) -> Tables {
+    use vertigo_simcore::{SnapReader, Snapshot};
+    use vertigo_transport::{FinishedReceiver, FlowReceiver, FlowSender};
+    let mut r = SnapReader::new(bytes);
+    let at = |r: &SnapReader| bytes.len() - r.remaining();
+    for _ in 0..r.get_usize().unwrap() {
+        <Box<Packet>>::restore(&mut r).unwrap();
+    }
+    r.get_u64().unwrap();
+    r.get_bool().unwrap();
+    let span = |r: &mut SnapReader, read: &dyn Fn(&mut SnapReader)| {
+        let n = r.get_usize().unwrap();
+        (0..n)
+            .map(|_| {
+                let start = at(r);
+                FlowId::restore(r).unwrap();
+                read(r);
+                start..at(r)
+            })
+            .collect::<Vec<_>>()
+    };
+    let senders = span(&mut r, &|r| {
+        NodeId::restore(r).unwrap();
+        QueryId::restore(r).unwrap();
+        FlowSender::snap_restore(transport, r).unwrap();
+    });
+    let receivers = span(&mut r, &|r| {
+        NodeId::restore(r).unwrap();
+        QueryId::restore(r).unwrap();
+        r.get_u64().unwrap();
+        r.get_u64().unwrap();
+        FlowReceiver::snap_restore(r).unwrap();
+    });
+    let finished = span(&mut r, &|r| {
+        FinishedReceiver::snap_restore(r).unwrap();
+    });
+    Tables {
+        senders,
+        receivers,
+        finished,
+    }
+}
+
+/// `bytes` with one table's records replaced by the picks `order` makes
+/// of them (as many as there were).
+fn reordered(bytes: &[u8], records: &[std::ops::Range<usize>], order: &[usize]) -> Vec<u8> {
+    let (start, end) = (records[0].start, records[records.len() - 1].end);
+    let mut out = bytes[..start].to_vec();
+    for &i in order {
+        out.extend_from_slice(&bytes[records[i].clone()]);
+    }
+    out.extend_from_slice(&bytes[end..]);
+    out
+}
+
+#[test]
+fn snapshot_restore_refuses_flow_tables_its_writer_cannot_produce() {
+    use vertigo_simcore::{SnapReader, SnapWriter};
+    let transport = TransportConfig::default_for(CcKind::Dctcp);
+    let plain_host = || {
+        let cfg = HostConfig::plain(transport);
+        Host::new(ME, TOR, PortId(2), LinkParams::gbps(10, 500), cfg)
+    };
+    // Two senders, two flows half received, two received to completion.
+    let (mut h, mut host) = (Harness::new(), plain_host());
+    for f in [1, 2] {
+        host.start_flow(FlowId(f), PEER_HOST, 20 * 1460, QueryId::NONE, &mut h.ctx());
+    }
+    for (f, segs) in [
+        (20, [0].as_slice()),
+        (21, &[1]),
+        (30, &[0, 1]),
+        (31, &[1, 0]),
+    ] {
+        for &k in segs {
+            let pkt = peer_data(FlowId(f), k, 2, false, SimTime::ZERO);
+            host.on_arrive(pkt, &mut h.ctx());
+        }
+    }
+    h.drain_tx(&mut host);
+    assert_eq!(host.receiving(), (2, 2));
+    let saved = |host: &Host| {
+        let mut w = SnapWriter::new();
+        host.snap_save(&mut w);
+        w.into_bytes()
+    };
+    let restored = |bytes: &[u8]| {
+        let mut host = plain_host();
+        host.snap_restore(&mut SnapReader::new(bytes))
+            .map(|()| host)
+    };
+    let ok = saved(&host);
+    let mut back = restored(&ok).unwrap();
+    assert_eq!(saved(&back), ok, "byte for byte");
+    assert_eq!(back.receiving(), (2, 2));
+    // The restored finished record answers a late copy as the live one does.
+    let late = |host: &mut Host| {
+        let mut h = Harness::new();
+        host.on_arrive(
+            peer_data(FlowId(31), 0, 2, false, SimTime::ZERO),
+            &mut h.ctx(),
+        );
+        let wire = h.drain_tx(host);
+        (*wire[0].ack_seg().unwrap(), h.rec.goodput_bytes)
+    };
+    assert_eq!(late(&mut back), late(&mut host));
+
+    let t = tables(&ok, transport);
+    assert_eq!(
+        (t.senders.len(), t.receivers.len(), t.finished.len()),
+        (2, 2, 2)
+    );
+    let count_at = |records: &[std::ops::Range<usize>]| records[0].start - 8;
+    let with_count = |records: &[std::ops::Range<usize>], n: u64| {
+        let mut bytes = ok.clone();
+        let at = count_at(records);
+        bytes[at..at + 8].copy_from_slice(&n.to_le_bytes());
+        bytes
+    };
+    // Flow 30's finished record under flow 20's id, which is live.
+    let mut live_and_finished = ok.clone();
+    let at = t.finished[0].start;
+    live_and_finished[at..at + 8].copy_from_slice(&20u64.to_le_bytes());
+    // Flow 31's record under flow 32's id restores: not every id is live.
+    let mut other = ok.clone();
+    let at = t.finished[1].start;
+    other[at..at + 8].copy_from_slice(&32u64.to_le_bytes());
+    assert!(restored(&other).is_ok());
+    for (what, bytes) in [
+        ("senders descend", reordered(&ok, &t.senders, &[1, 0])),
+        ("sender repeated", reordered(&ok, &t.senders, &[0, 0])),
+        ("receivers descend", reordered(&ok, &t.receivers, &[1, 0])),
+        ("receiver repeated", reordered(&ok, &t.receivers, &[1, 1])),
+        (
+            "finished flows descend",
+            reordered(&ok, &t.finished, &[1, 0]),
+        ),
+        (
+            "finished flow repeated",
+            reordered(&ok, &t.finished, &[0, 0]),
+        ),
+        ("finished flow also live", live_and_finished),
+        (
+            "finished count past the input",
+            with_count(&t.finished, 1 << 40),
+        ),
+        ("finished count one short", with_count(&t.finished, 1)),
+        ("finished count one over", with_count(&t.finished, 3)),
+    ] {
+        assert!(restored(&bytes).is_err(), "accepted: {what}");
+    }
     for cut in 0..ok.len() {
         assert!(restored(&ok[..cut]).is_err(), "accepted {cut} bytes");
     }

@@ -32,6 +32,7 @@ pub use domain::{Batch, Delivery, LookaheadGrid, WindowQueue};
 pub use event::{EventBackend, EventQueue};
 pub use rng::SimRng;
 pub use snap::{
-    SnapError, SnapReader, SnapWriter, Snapshot, SNAPSHOT_AVAILABLE, SNAP_MAGIC, SNAP_VERSION,
+    strictly_ascending, SnapError, SnapReader, SnapWriter, Snapshot, SNAPSHOT_AVAILABLE,
+    SNAP_MAGIC, SNAP_VERSION,
 };
 pub use time::{SimDuration, SimTime};

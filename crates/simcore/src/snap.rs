@@ -30,7 +30,8 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// Version 2: the cuckoo filter writes its occupied buckets only.
 /// Version 3: the PIEO record is `(rank, item)` in queue order, with no
 /// per-element sequence number and no counter.
-pub const SNAP_VERSION: u16 = 3;
+/// Version 4: the host record lists its finished flows after its receivers.
+pub const SNAP_VERSION: u16 = 4;
 
 /// Every build checkpoints and resumes; only the benchmark's result
 /// header (`perfbench/`) still reads this.
@@ -57,6 +58,24 @@ impl std::fmt::Display for SnapError {
 }
 
 impl std::error::Error for SnapError {}
+
+/// Accepts `key`, read from a list its writer saves in strictly ascending
+/// order, when it lies above `last`, the key read before it, and makes it
+/// `last`. A key named twice or out of order is no writer's, and a reader
+/// that files keys in a map would silently keep one of two equal keys.
+pub fn strictly_ascending<K: Ord + Copy + std::fmt::Debug>(
+    last: &mut Option<K>,
+    key: K,
+    what: &str,
+) -> Result<K, SnapError> {
+    if let Some(prev) = last.filter(|&prev| prev >= key) {
+        return Err(SnapError::new(format!(
+            "{what} {key:?} after {prev:?}: keys must strictly ascend"
+        )));
+    }
+    *last = Some(key);
+    Ok(key)
+}
 
 /// Append-only little-endian byte-stream writer for snapshot payloads.
 #[derive(Debug, Default)]

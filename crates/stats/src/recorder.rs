@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use vertigo_pkt::{FlowId, NodeId, QueryId};
-use vertigo_simcore::{SimTime, SnapError, SnapReader, SnapWriter};
+use vertigo_simcore::{strictly_ascending, SimTime, SnapError, SnapReader, SnapWriter};
 
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -584,7 +584,7 @@ impl Recorder {
         let mut last = None;
         for _ in 0..r.get_usize()? {
             flows.push(FlowRecord {
-                flow: FlowId(ascending(r, &mut last, "flow")?),
+                flow: FlowId(strictly_ascending(&mut last, r.get_u64()?, "flow")?),
                 query: QueryId(r.get_u64()?),
                 src: NodeId(r.get_u32()?),
                 dst: NodeId(r.get_u32()?),
@@ -597,7 +597,7 @@ impl Recorder {
         self.queries.clear();
         let mut last = None;
         for _ in 0..r.get_usize()? {
-            let query = QueryId(ascending(r, &mut last, "query")?);
+            let query = QueryId(strictly_ascending(&mut last, r.get_u64()?, "query")?);
             let rec = QueryRecord {
                 query,
                 start: SimTime::restore(r)?,
@@ -655,29 +655,13 @@ impl Recorder {
     }
 }
 
-/// The id of the next entry of a list written in strictly ascending id
-/// order, `last` being the one before it.
-fn ascending(r: &mut SnapReader<'_>, last: &mut Option<u64>, what: &str) -> Result<u64, SnapError> {
-    let id = r.get_u64()?;
-    match *last {
-        Some(prev) if id == prev => Err(SnapError::new(format!("{what} {id} named twice"))),
-        Some(prev) if id < prev => Err(SnapError::new(format!(
-            "{what} {id} after {what} {prev}: ids must ascend"
-        ))),
-        _ => {
-            *last = Some(id);
-            Ok(id)
-        }
-    }
-}
-
 /// A list of `(id, tag)` in ascending id order, each tag a `u8` written
 /// as a `u32`.
 fn tags(r: &mut SnapReader<'_>, what: &str) -> Result<Vec<(u64, u8)>, SnapError> {
     let mut out = Vec::new();
     let mut last = None;
     for _ in 0..r.get_usize()? {
-        let id = ascending(r, &mut last, what)?;
+        let id = strictly_ascending(&mut last, r.get_u64()?, what)?;
         let tag = r.get_u32()?;
         let tag = u8::try_from(tag)
             .map_err(|_| SnapError::new(format!("{what} {id} tagged {tag}, above 255")))?;

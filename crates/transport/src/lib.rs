@@ -26,7 +26,7 @@ pub mod swift;
 
 pub use cc::{AckContext, CcKind, CongestionControl};
 pub use dctcp::{Dctcp, DctcpConfig};
-pub use receiver::{FlowReceiver, ReceiverStats};
+pub use receiver::{FinishedReceiver, FlowReceiver, ReceiverStats};
 pub use reno::{Reno, RenoConfig};
 pub use rto::{RtoConfig, RtoEstimator};
 pub use sender::{AckOutcome, FlowSender, SenderStats, TransportConfig};

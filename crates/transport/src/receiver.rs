@@ -126,6 +126,17 @@ impl FlowReceiver {
         }
     }
 
+    /// The [`FinishedReceiver`] standing for this receiver once it is
+    /// complete, or `None` before that. Also `None` while it holds an
+    /// out-of-order range, which a complete receiver only has after a
+    /// segment past the flow's last byte: no [`crate::FlowSender`] sends one.
+    pub fn finished(&self) -> Option<FinishedReceiver> {
+        (self.complete && self.ooo.is_empty()).then_some(FinishedReceiver {
+            cum: self.cum,
+            reorder_events: self.stats.reorder_events,
+        })
+    }
+
     /// Serializes the full receive state.
     pub fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
         use vertigo_simcore::Snapshot;
@@ -207,6 +218,77 @@ impl FlowReceiver {
             self.ooo.remove(&start);
             self.cum = self.cum.max(start + len as u64);
         }
+    }
+}
+
+/// A complete receiver reduced to what its answers to later segments
+/// read: the contiguous prefix (which a runt can push past the flow's
+/// size) and the reorder count. Its ACKs are the complete
+/// [`FlowReceiver`]'s, byte for byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FinishedReceiver {
+    cum: u64,
+    reorder_events: u64,
+}
+
+impl FinishedReceiver {
+    /// Contiguous bytes received.
+    pub fn contiguous(&self) -> u64 {
+        self.cum
+    }
+
+    /// Data packets that arrived with a gap in front of them.
+    pub fn reorder_events(&self) -> u64 {
+        self.reorder_events
+    }
+
+    /// The complete receiver's ACK for a later data segment. `None`, with
+    /// nothing changed, for a segment past the prefix: that one opens an
+    /// out-of-order range, which only the [`FinishedReceiver::revive`]d
+    /// receiver can hold.
+    pub fn on_data(&mut self, seg: &DataSeg, ce: bool, sent_at: SimTime) -> Option<AckSeg> {
+        if seg.seq > self.cum {
+            return None;
+        }
+        self.cum = self.cum.max(seg.seq + seg.payload as u64);
+        Some(self.on_trim(ce, sent_at))
+    }
+
+    /// The complete receiver's ACK for a trimmed header stub.
+    pub fn on_trim(&self, ce: bool, sent_at: SimTime) -> AckSeg {
+        AckSeg {
+            cum_ack: self.cum,
+            ecn_echo: ce,
+            ts_echo: sent_at,
+            reorder_seen: self.reorder_events,
+        }
+    }
+
+    /// A complete [`FlowReceiver`] that answers everything as this record
+    /// does. Its size is the prefix, so its goodput
+    /// (`contiguous().min(size)`) stays where this record's is.
+    pub fn revive(self, flow: FlowId) -> FlowReceiver {
+        let mut rx = FlowReceiver::new(flow, self.cum);
+        rx.cum = self.cum;
+        rx.complete = true;
+        rx.stats.reorder_events = self.reorder_events;
+        rx
+    }
+
+    /// Serializes the record.
+    pub fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
+        w.put_u64(self.cum);
+        w.put_u64(self.reorder_events);
+    }
+
+    /// Reads a record written by [`FinishedReceiver::snap_save`].
+    pub fn snap_restore(
+        r: &mut vertigo_simcore::SnapReader<'_>,
+    ) -> Result<Self, vertigo_simcore::SnapError> {
+        Ok(FinishedReceiver {
+            cum: r.get_u64()?,
+            reorder_events: r.get_u64()?,
+        })
     }
 }
 
@@ -441,6 +523,123 @@ mod tests {
         for cut in 0..ok.len() {
             assert!(restored(&ok[..cut]).is_err(), "accepted {cut} bytes");
         }
+    }
+
+    /// A receiver of `size` bytes after `before` (segments at half-MSS
+    /// offsets), then in-order MSS segments from its prefix until complete.
+    fn completed(size: u64, before: &[(u64, u32)]) -> FlowReceiver {
+        let mut r = FlowReceiver::new(FlowId(1), size);
+        for &(at, payload) in before {
+            r.on_data(t(0), &later(at, payload), false, t(0));
+        }
+        while !r.is_complete() {
+            r.on_data(t(1), &later(r.contiguous() / 730, MSS), false, t(0));
+        }
+        r
+    }
+
+    /// A segment at `at` half-MSS steps (a runt whenever `payload` is short
+    /// of the MSS, a gap whenever it starts past the prefix).
+    fn later(at: u64, payload: u32) -> DataSeg {
+        DataSeg {
+            seq: at * 730,
+            payload,
+            flow_bytes: 0,
+            retransmit: false,
+            trimmed: false,
+        }
+    }
+
+    /// What a host holds for a completed flow: the finished record, or
+    /// the full receiver once a segment past a gap revived it.
+    enum Held {
+        Finished(FinishedReceiver),
+        Full(FlowReceiver),
+    }
+
+    proptest::proptest! {
+        /// A complete receiver and its finished form, driven through the
+        /// same later segments and trim notices, give the same ACKs and
+        /// the same reorder count; neither moves the goodput
+        /// (`contiguous().min(size)`) or stops being complete.
+        #[test]
+        fn the_finished_form_answers_as_the_complete_receiver(
+            size in 1u64..8 * MSS as u64,
+            before in proptest::collection::vec((0u64..18, 1u32..=MSS), 0..8),
+            ops in proptest::collection::vec((0u8..4, 0u64..24, 1u32..=MSS), 1..40),
+        ) {
+            let mut full = completed(size, &before);
+            let goodput = full.contiguous().min(full.size);
+            let mut held = match full.finished() {
+                Some(fin) => Held::Finished(fin),
+                None => Held::Full(completed(size, &before)),
+            };
+            for (i, &(op, at, payload)) in ops.iter().enumerate() {
+                let (now, ce, sent) = (t(10 + i as u64), op == 1, t(i as u64));
+                let (want, got) = if op == 3 {
+                    let got = match &mut held {
+                        Held::Finished(fin) => fin.on_trim(ce, sent),
+                        Held::Full(r) => r.on_trim(now, ce, sent),
+                    };
+                    (full.on_trim(now, ce, sent), got)
+                } else {
+                    let seg = later(at, payload);
+                    let got = match &mut held {
+                        Held::Finished(fin) => match fin.on_data(&seg, ce, sent) {
+                            Some(ack) => ack,
+                            None => {
+                                let mut r = fin.revive(FlowId(1));
+                                let ack = r.on_data(now, &seg, ce, sent);
+                                held = Held::Full(r);
+                                ack
+                            }
+                        },
+                        Held::Full(r) => r.on_data(now, &seg, ce, sent),
+                    };
+                    (full.on_data(now, &seg, ce, sent), got)
+                };
+                proptest::prop_assert_eq!(want, got);
+                proptest::prop_assert!(full.is_complete());
+                proptest::prop_assert_eq!(full.contiguous().min(full.size), goodput);
+                let (reorders, contiguous) = match &held {
+                    Held::Finished(fin) => (fin.reorder_events(), fin.contiguous()),
+                    Held::Full(r) => {
+                        proptest::prop_assert!(r.is_complete());
+                        (r.stats().reorder_events, r.contiguous())
+                    }
+                };
+                proptest::prop_assert_eq!(reorders, full.stats().reorder_events);
+                proptest::prop_assert_eq!(contiguous, full.contiguous());
+            }
+        }
+    }
+
+    #[test]
+    fn a_finished_record_round_trips_and_a_revived_one_restores() {
+        use vertigo_simcore::{SnapReader, SnapWriter};
+        let mut r = FlowReceiver::new(FlowId(1), 2 * MSS as u64);
+        r.on_data(t(0), &seg(1, 2), false, t(0));
+        r.on_data(t(1), &seg(0, 2), false, t(0));
+        let fin = r.finished().expect("complete, nothing out of order");
+        assert_eq!(
+            (fin.contiguous(), fin.reorder_events()),
+            (2 * MSS as u64, 1)
+        );
+        let mut w = SnapWriter::new();
+        fin.snap_save(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 16);
+        let back = FinishedReceiver::snap_restore(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back, fin);
+        assert!(FinishedReceiver::snap_restore(&mut SnapReader::new(&bytes[..15])).is_err());
+        // Revived past a gap, it is a receiver record like any other.
+        let mut full = back.revive(FlowId(1));
+        full.on_data(t(2), &seg(5, 2), false, t(0));
+        assert!(full.finished().is_none(), "an out-of-order range is held");
+        let mut w = SnapWriter::new();
+        full.snap_save(&mut w);
+        let bytes = w.into_bytes();
+        assert!(FlowReceiver::snap_restore(&mut SnapReader::new(&bytes)).is_ok());
     }
 
     #[test]

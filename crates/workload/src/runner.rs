@@ -1118,14 +1118,14 @@ mod tests {
         std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
         let msg = resume(&spec, &truncated);
         assert!(msg.starts_with("--resume "), "{msg}");
-        // A version-2 file (PIEO records with sequence numbers) is refused
-        // at its header, before anything behind it is read.
+        // A version-3 file (host records without their finished flows) is
+        // refused at its header, before anything behind it is read.
         let mut old = bytes.clone();
-        old[4] = 2;
-        let old_file = dir.join("v2.vsnp");
+        old[4] = 3;
+        let old_file = dir.join("v3.vsnp");
         std::fs::write(&old_file, &old).unwrap();
         let msg = resume(&spec, &old_file);
-        let want = "format version 2, this binary reads version 3";
+        let want = "format version 3, this binary reads version 4";
         assert!(msg.contains(want), "{msg}");
 
         std::fs::remove_dir_all(&dir).ok();

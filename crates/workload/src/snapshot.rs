@@ -284,10 +284,10 @@ mod tests {
         assert!(read_header(&mut SnapReader::new(&bad)).is_err());
 
         // Another version decodes (a restore refuses it; an inspector
-        // prints it), and so does a version-2 header alone.
+        // prints it), and so does a version-3 header alone.
         let mut old = bytes.clone();
-        old[4] = 2;
-        assert_eq!(read_header(&mut SnapReader::new(&old)).unwrap().version, 2);
+        old[4] = 3;
+        assert_eq!(read_header(&mut SnapReader::new(&old)).unwrap().version, 3);
 
         // A heap's byte, from older builds, decodes too.
         let mut heap = bytes.clone();

@@ -190,8 +190,8 @@ fn table1_defaults_are_encoded() {
 /// The domain engine at datacenter scale: a k = 16 fat-tree (1024 hosts,
 /// 320 switches) partitioned into 16 per-pod domains completes a short
 /// traffic window — under ECMP, and then under Vertigo, whose per-host
-/// retransmission filters must end the window holding memory for what
-/// they track, not the 256 KB each is provisioned for. Paper-scale
+/// retransmission filters must end the window holding memory for the
+/// flows still live, not the 256 KB each is provisioned for. Paper-scale
 /// k = 16 runs only under `VERTIGO_TIMING_TESTS=1` (the suite's opt-in
 /// gate for slow runs); the default suite exercises the same path at
 /// k = 4 so it never goes untested.
@@ -247,11 +247,11 @@ fn big_fat_tree_runs_on_the_domain_engine() {
     let mut dsim = DomainSimulation::from_sim(spec.build(), domains);
     assert!(dsim.run().flows_started > 0);
     let hosts = k * k * k / 4;
+    // The counter sums every host: packets were marked, by at least one.
+    assert!(dsim.marking_stats().marked > 0, "hosts marked packets");
+    // What the filters hold now is the flows still live; completed flows
+    // gave their room back.
     let filters = dsim.filter_heap_bytes();
-    assert!(
-        dsim.marking_stats().marked > 0 && filters > 0,
-        "every host marks"
-    );
     assert!(
         filters < hosts * (256 << 10) / 8,
         "{filters} B of filter tables on {hosts} hosts"
