@@ -37,7 +37,7 @@
 
 use std::collections::VecDeque;
 use vertigo_pkt::{FlowId, FlowInfo, FlowTable};
-use vertigo_simcore::{SimDuration, SimTime};
+use vertigo_simcore::{release_if_drained, SimDuration, SimTime};
 
 use crate::boost::unboost;
 
@@ -146,6 +146,8 @@ enum Expect {
 struct FlowRx<T> {
     expect: Expect,
     /// Buffered early packets, ascending by original RFS, no two alike.
+    /// Drained by arrivals, it keeps a small buffer for the next gap
+    /// ([`release_if_drained`]); drained by a release, none.
     ooo: VecDeque<OooEntry<T>>,
     /// Armed release deadline: τ past the oldest buffered arrival.
     deadline: Option<SimTime>,
@@ -347,6 +349,7 @@ impl<T> OrderingComponent<T> {
             });
             st.expect = Self::advance(mode, rfs, payload);
             let done = Self::drain_contiguous(mode, &mut self.stats, st, out);
+            release_if_drained(&mut st.ooo);
             st.rearm(&mut self.armed, flow, timeout);
             if done || st.expect == Expect::AwaitFirst && st.ooo.is_empty() {
                 self.drop_flow(flow);
@@ -451,10 +454,19 @@ impl<T> OrderingComponent<T> {
             stats.timeout_released += 1;
             stats.gap_filled -= 1;
         }
+        // Whatever its size: see `on_timer`. Over the cap it held more than
+        // the floor anyway.
+        if st.ooo.is_empty() {
+            st.ooo = VecDeque::new();
+        }
     }
 
     /// Fires all expired release timers. The host calls this when the timer
-    /// armed at [`OrderingComponent::next_deadline`] fires.
+    /// armed at [`OrderingComponent::next_deadline`] fires. A buffer the
+    /// timeout empties is freed whatever its size: the flow's next gap, if
+    /// it has one, is at least τ away, and a flow that stays tracked after
+    /// it completed (a late duplicate released by τ, DESIGN §5j) never has
+    /// another.
     pub fn on_timer(&mut self, now: SimTime, out: &mut Vec<Delivered<T>>) {
         let timeout = self.cfg.timeout;
         let mode = self.cfg.mode;
@@ -716,6 +728,50 @@ mod tests {
         let done = o.on_packet(t(900), f, info(4, 5), MSS, 4, &mut out);
         assert!(done);
         assert_eq!(out.last().unwrap().reason, DeliverReason::InOrder);
+    }
+
+    /// A duplicate of an early segment that arrives after its flow
+    /// completed finds no state, so it is buffered as the early packet of a
+    /// new flow, and τ hands it up and leaves the flow expecting the
+    /// segment after it: the flow stays tracked for good (forgetting it is
+    /// a behaviour change, see DESIGN §5j), but its ring holds nothing.
+    #[test]
+    fn a_late_duplicate_after_completion_stays_tracked_and_holds_no_buffer() {
+        let mut o = comp();
+        let f = FlowId(13);
+        let mut out = Vec::new();
+        for k in 0..4u32 {
+            o.on_packet(t(k as u64), f, info(k, 4), MSS, k as u64, &mut out);
+        }
+        assert_eq!(o.flows_tracked(), 0, "completed");
+        o.on_packet(t(10), f, info(1, 4), MSS, 11, &mut out);
+        assert_eq!((out.len(), o.flows_tracked()), (4, 1), "buffered");
+        o.on_timer(o.next_deadline().unwrap(), &mut out);
+        assert_eq!(out[4].item, 11);
+        assert_eq!(out[4].reason, DeliverReason::TimeoutRelease);
+        assert_eq!(o.flows_tracked(), 1);
+        let st = o.flows.get(f).unwrap();
+        assert_eq!(st.expect, Expect::At(2 * MSS as u64));
+        assert_eq!((st.deadline, st.ooo.len()), (None, 0));
+        assert_eq!(st.ooo.capacity(), 0, "τ frees the ring it empties");
+    }
+
+    /// A gap of 20 filled: the ring that held the burst keeps no more than
+    /// the drained floor.
+    #[test]
+    fn a_filled_gap_gives_the_burst_room_back() {
+        let mut o = comp();
+        let f = FlowId(14);
+        let mut out = Vec::new();
+        o.on_packet(t(0), f, info(0, 30), MSS, 0, &mut out);
+        for k in 2..22u32 {
+            o.on_packet(t(k as u64), f, info(k, 30), MSS, k as u64, &mut out);
+        }
+        assert!(o.flows.get(f).unwrap().ooo.capacity() >= 20);
+        o.on_packet(t(30), f, info(1, 30), MSS, 1, &mut out);
+        assert_eq!(out.len(), 22);
+        let held = o.flows.get(f).unwrap().ooo.capacity() * std::mem::size_of::<OooEntry<u64>>();
+        assert!(held <= vertigo_simcore::RING_KEEP_BYTES, "{held} B held");
     }
 
     #[test]

@@ -25,11 +25,13 @@
 //! tests.
 
 use std::collections::VecDeque;
+use vertigo_simcore::release_if_drained;
 
 /// A rank-ordered queue with O(1) extraction at both ends.
 #[derive(Debug, Clone)]
 pub struct PieoQueue<T> {
-    /// Ascending by rank; equal ranks in insertion order.
+    /// Ascending by rank; equal ranks in insertion order. A pop that
+    /// empties it frees a buffer a burst grew ([`release_if_drained`]).
     ring: VecDeque<(u64, T)>,
 }
 
@@ -51,6 +53,11 @@ impl<T> PieoQueue<T> {
         self.ring.is_empty()
     }
 
+    /// Elements the queue has room for without allocating.
+    pub fn capacity(&self) -> usize {
+        self.ring.capacity()
+    }
+
     /// Inserts `item` with the given rank ("push-in"), behind every
     /// resident of the same or a smaller rank.
     pub fn push(&mut self, rank: u64, item: T) {
@@ -66,6 +73,7 @@ impl<T> PieoQueue<T> {
     /// the next packet to transmit under SRPT. Equal ranks come out FIFO.
     pub fn pop_min(&mut self) -> Option<(u64, T)> {
         let (rank, item) = self.ring.pop_front()?;
+        release_if_drained(&mut self.ring);
         #[cfg(feature = "audit")]
         if let Some(next) = self.peek_min_rank() {
             assert!(
@@ -81,6 +89,7 @@ impl<T> PieoQueue<T> {
     /// recently inserted is victimized, so older traffic keeps its place.
     pub fn pop_max(&mut self) -> Option<(u64, T)> {
         let (rank, item) = self.ring.pop_back()?;
+        release_if_drained(&mut self.ring);
         #[cfg(feature = "audit")]
         if let Some(next) = self.peek_max_rank() {
             assert!(
@@ -305,6 +314,22 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// A burst of 100, then a drain from either end: the ring gives back
+    /// what the burst grew and keeps no more than the drained floor.
+    #[test]
+    fn a_drained_burst_gives_its_room_back() {
+        for pop_max in [false, true] {
+            let mut q = PieoQueue::new();
+            for i in 0..100u64 {
+                q.push(i % 7, i);
+            }
+            assert!(q.ring.capacity() >= 100);
+            while if pop_max { q.pop_max() } else { q.pop_min() }.is_some() {}
+            let held = q.ring.capacity() * std::mem::size_of::<(u64, u64)>();
+            assert!(held <= vertigo_simcore::RING_KEEP_BYTES, "{held} B held");
+        }
+    }
+
     #[test]
     fn iter_is_sorted_and_nondestructive() {
         let mut q = PieoQueue::new();
@@ -392,6 +417,9 @@ mod tests {
         PopMin,
         PopMax,
         Peeks,
+        /// Pops both to empty, where the ring gives its buffer back, and
+        /// the script goes on from there.
+        Drain,
     }
 
     fn op_strategy(max_rank: u64) -> impl Strategy<Value = Op> {
@@ -400,7 +428,21 @@ mod tests {
             Just(Op::PopMin),
             Just(Op::PopMax),
             Just(Op::Peeks),
+            Just(Op::Drain),
         ]
+    }
+
+    /// Pops `heap` and `oracle` from the min end in lockstep until both are
+    /// empty; the ring is then left with no more than the drained floor.
+    fn drain_both(heap: &mut PieoQueue<usize>, oracle: &mut BTreePieo<usize>) {
+        loop {
+            let (a, b) = (heap.pop_min(), oracle.pop_min());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+        assert!(heap.ring.capacity() * 16 <= vertigo_simcore::RING_KEEP_BYTES);
     }
 
     fn run_differential(ops: &[Op]) {
@@ -419,17 +461,12 @@ mod tests {
                     assert_eq!(heap.peek_max_rank(), oracle.peek_max_rank(), "op #{tag}");
                     assert_eq!(heap.peek_max(), oracle.peek_max(), "op #{tag}");
                 }
+                Op::Drain => drain_both(&mut heap, &mut oracle),
             }
             assert_eq!(heap.len(), oracle.len(), "op #{tag}");
         }
         // Drain both: remaining contents must agree element-for-element.
-        loop {
-            let (a, b) = (heap.pop_min(), oracle.pop_min());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        drain_both(&mut heap, &mut oracle);
     }
 
     proptest! {

@@ -41,7 +41,8 @@ use vertigo_core::boost::unboost;
 use vertigo_core::{Delivered, MarkingComponent, MarkingConfig, OrderingComponent, OrderingConfig};
 use vertigo_pkt::{pool, AckSeg, FlowId, FlowTable, NodeId, Packet, PacketKind, PortId, QueryId};
 use vertigo_simcore::{
-    strictly_ascending, SimDuration, SimTime, SnapError, SnapReader, SnapWriter, Snapshot,
+    release_if_drained, strictly_ascending, SimDuration, SimTime, SnapError, SnapReader,
+    SnapWriter, Snapshot,
 };
 use vertigo_stats::{DropCause, TraceKind, TraceRecord, TRACE_NO_RANK};
 use vertigo_transport::{FinishedReceiver, FlowReceiver, FlowSender, TransportConfig};
@@ -120,6 +121,8 @@ pub struct Host {
     link: LinkParams,
     cfg: HostConfig,
 
+    /// A pop that empties it frees a buffer a burst grew
+    /// ([`release_if_drained`]).
     nic_q: VecDeque<Box<Packet>>,
     nic_bytes: u64,
     nic_busy: bool,
@@ -243,6 +246,11 @@ impl Host {
     /// Packets waiting in the NIC egress queue (conservation audit).
     pub fn nic_queued_pkts(&self) -> u64 {
         self.nic_q.len() as u64
+    }
+
+    /// Packets the NIC egress ring has room for without allocating.
+    pub fn nic_capacity(&self) -> usize {
+        self.nic_q.capacity()
     }
 
     /// Provenance: one RX-ordering record. `a` = recovered (un-boosted)
@@ -660,6 +668,7 @@ impl Host {
         let Some(mut pkt) = self.nic_q.pop_front() else {
             return;
         };
+        release_if_drained(&mut self.nic_q);
         self.nic_bytes -= pkt.wire_size as u64;
         self.nic_busy = true;
         // Timestamp at the moment the packet hits the wire (Swift-style

@@ -9,11 +9,13 @@
 use std::collections::VecDeque;
 use vertigo_core::PieoQueue;
 use vertigo_pkt::Packet;
-use vertigo_simcore::{SnapError, SnapReader, SnapWriter, Snapshot};
+use vertigo_simcore::{release_if_drained, SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// A byte-bounded FIFO queue.
 #[derive(Debug, Default)]
 pub struct FifoQueue {
+    /// A pop that empties it frees a buffer a burst grew
+    /// ([`release_if_drained`]).
     q: VecDeque<Box<Packet>>,
     bytes: u64,
 }
@@ -131,6 +133,7 @@ impl PortQueue {
         match self {
             PortQueue::Fifo(f) => {
                 let pkt = f.q.pop_front()?;
+                release_if_drained(&mut f.q);
                 f.bytes = f.bytes.saturating_sub(pkt.wire_size as u64);
                 Some(pkt)
             }
@@ -149,6 +152,7 @@ impl PortQueue {
         match self {
             PortQueue::Fifo(f) => {
                 let pkt = f.q.pop_back()?;
+                release_if_drained(&mut f.q);
                 f.bytes = f.bytes.saturating_sub(pkt.wire_size as u64);
                 Some(pkt)
             }
@@ -304,6 +308,32 @@ mod tests {
         assert_eq!(q.pop_next().unwrap().uid, 2);
         assert!(q.pop_next().is_none());
         assert_eq!(q.bytes(), 0);
+    }
+
+    /// A burst of 100 packets, then a drain: every discipline's ring ends
+    /// holding no more than the drained floor.
+    #[test]
+    fn a_drained_burst_gives_its_room_back() {
+        for (mk, entry) in [
+            (PortQueue::fifo as fn() -> PortQueue, 8),
+            (|| PortQueue::prio(1), 16),
+            (|| PortQueue::prio_escalating(1), 16),
+        ] {
+            let mut q = mk();
+            for uid in 0..100 {
+                q.push(pkt(uid, 1_000 + uid as u32 % 9, 100));
+            }
+            q.evict_worst();
+            while q.pop_next().is_some() {}
+            let room = match &q {
+                PortQueue::Fifo(f) => f.q.capacity(),
+                PortQueue::Prio(p) | PortQueue::PrioEsc(p) => p.q.capacity(),
+            };
+            assert!(
+                room * entry <= vertigo_simcore::RING_KEEP_BYTES,
+                "room for {room}"
+            );
+        }
     }
 
     #[test]

@@ -436,6 +436,22 @@ fn full_nic_keeps_unreached_senders_ready() {
     assert_eq!(firsts, [1, 2, 3, 4, 5]);
 }
 
+/// Ten flows put 100 segments into the NIC at once; once they are on the
+/// wire the ring keeps no more than the drained floor of its burst.
+#[test]
+fn a_drained_nic_gives_its_room_back() {
+    let mut host = vertigo_host();
+    let mut h = Harness::new();
+    for f in 1..=10 {
+        host.start_flow(FlowId(f), PEER_HOST, 20 * 1460, QueryId::NONE, &mut h.ctx());
+    }
+    assert_eq!(host.nic_queued_pkts(), 99, "one is on the wire");
+    assert!(host.nic_capacity() >= 99);
+    assert_eq!(h.drain_tx(&mut host).len(), 100);
+    let held = host.nic_capacity() * std::mem::size_of::<Box<Packet>>();
+    assert!(held <= vertigo_simcore::RING_KEEP_BYTES, "{held} B held");
+}
+
 #[test]
 fn snapshot_restore_rejects_a_hostile_nic_record() {
     use vertigo_simcore::{SnapReader, SnapWriter, Snapshot};

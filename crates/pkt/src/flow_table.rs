@@ -11,6 +11,11 @@ use crate::ids::FlowId;
 /// (pump order, timer order, snapshot bytes) does not depend on which of
 /// the two holds the flows. Meant for the tens of flows one host has live,
 /// where the `memmove` of an insert or removal is a few cache lines.
+///
+/// A removal gives back the room a burst of flows left: once the vectors
+/// have room for more than four times what they hold (and for more than
+/// eight), they shrink to twice that (and to no fewer than four). The gap
+/// between the two factors keeps the shrink amortized O(1) per removal.
 #[derive(Debug)]
 pub struct FlowTable<T> {
     ids: Vec<FlowId>,
@@ -24,6 +29,9 @@ impl<T> Default for FlowTable<T> {
 }
 
 impl<T> FlowTable<T> {
+    /// The fewest entries a removal shrinks the table to.
+    const KEEP: usize = 4;
+
     /// Creates an empty table.
     pub fn new() -> Self {
         FlowTable {
@@ -85,7 +93,15 @@ impl<T> FlowTable<T> {
     pub fn remove(&mut self, flow: FlowId) -> Option<T> {
         let i = self.index_of(flow)?;
         self.ids.remove(i);
-        Some(self.vals.remove(i))
+        let val = self.vals.remove(i);
+        let keep = (2 * self.ids.len()).max(Self::KEEP);
+        if self.ids.capacity() > 2 * keep {
+            self.ids.shrink_to(keep);
+        }
+        if self.vals.capacity() > 2 * keep {
+            self.vals.shrink_to(keep);
+        }
+        Some(val)
     }
 
     /// `flow`'s value, inserting `make()` first if it is not held.
@@ -184,6 +200,35 @@ mod tests {
             }
             table.clear();
             prop_assert!(table.is_empty() && table.iter().next().is_none());
+        }
+
+        /// Bursts of inserts and removals over a wide key range: after
+        /// every removal the table has room for at most four times what it
+        /// holds (or `2 × KEEP`), and every lookup still answers as the
+        /// `BTreeMap` does.
+        #[test]
+        fn removals_give_room_back_and_change_no_answer(
+            ops in proptest::collection::vec((any::<bool>(), 0u64..200, 1usize..40), 1..60),
+        ) {
+            let mut table: FlowTable<u64> = FlowTable::new();
+            let mut model: BTreeMap<FlowId, u64> = BTreeMap::new();
+            let bound = |t: &FlowTable<u64>| (4 * t.len()).max(2 * FlowTable::<u64>::KEEP);
+            for &(grow, start, n) in &ops {
+                for key in (start..).take(n) {
+                    let flow = FlowId(key);
+                    if grow {
+                        prop_assert_eq!(table.insert(flow, key * 3), model.insert(flow, key * 3));
+                    } else {
+                        prop_assert_eq!(table.remove(flow), model.remove(&flow));
+                        prop_assert!(table.ids.capacity() <= bound(&table), "{} ids", table.ids.capacity());
+                        prop_assert!(table.vals.capacity() <= bound(&table), "{} vals", table.vals.capacity());
+                        for probe in 0..240 {
+                            prop_assert_eq!(table.get(FlowId(probe)), model.get(&FlowId(probe)));
+                        }
+                    }
+                }
+                prop_assert!(table.iter().eq(model.iter()));
+            }
         }
     }
 }

@@ -9,7 +9,9 @@
 //! * [`SimRng`] — seeded randomness with forkable independent streams,
 //! * [`LookaheadGrid`] / [`WindowQueue`] / [`WorkerPool`] — model-agnostic
 //!   building blocks for conservative parallel (domain-partitioned)
-//!   simulation with deterministic cross-domain merge order.
+//!   simulation with deterministic cross-domain merge order,
+//! * [`release_if_drained`] — the one rule by which the simulator's rings
+//!   give back the room a burst left behind.
 //!
 //! Determinism contract: given the same seed and the same sequence of
 //! `push`/`pop` calls, a simulation built on these primitives produces
@@ -23,6 +25,7 @@ mod barrier;
 mod domain;
 mod event;
 mod rng;
+mod room;
 mod snap;
 mod time;
 mod wheel;
@@ -31,6 +34,7 @@ pub use barrier::WorkerPool;
 pub use domain::{Batch, Delivery, LookaheadGrid, WindowQueue};
 pub use event::{EventBackend, EventQueue};
 pub use rng::SimRng;
+pub use room::{release_if_drained, RING_KEEP_BYTES};
 pub use snap::{
     strictly_ascending, SnapError, SnapReader, SnapWriter, Snapshot, SNAPSHOT_AVAILABLE,
     SNAP_MAGIC, SNAP_VERSION,

@@ -54,11 +54,12 @@
 //! Slot buffers follow what is pending, not what was ever touched. The run
 //! is one buffer, as large as the fullest 256 ns window so far, and the
 //! side run another, as large as the most pushes one window took. A level-1
-//! slot gives its drained buffer to a LIFO pool and the next level-1 slot
-//! to fill takes one from there, so level 1 owns as many buffers as it
-//! ever had slots occupied at one time — the occupied part of the 65.5 µs
-//! window — rather than one, grown to its largest burst, per slot. From
-//! level 2 up a slot is used once per lap of at least 16.8 ms and is
+//! slot gives its drained buffer to a LIFO pool of at most `SPARE_MAX`
+//! (16) and the next level-1 slot to fill takes one from there, so level 1
+//! owns a buffer per slot occupied now plus that pool — rather than one,
+//! grown to its largest burst, per slot, or one per slot it ever had
+//! occupied at one time. A buffer drained while the pool is full is freed.
+//! From level 2 up a slot is used once per lap of at least 16.8 ms and is
 //! simply freed when it cascades.
 //!
 //! ## Determinism contract (identical to a binary heap's)
@@ -93,6 +94,9 @@ const OCC_WORDS: usize = SLOTS / 64;
 /// summing 256 counters costs as much as inserting about this many one by
 /// one.
 const SORT_FROM: usize = 8;
+/// Drained level-1 buffers the spare pool keeps; one drained while the
+/// pool is full is freed.
+const SPARE_MAX: usize = 16;
 
 /// A pending event: absolute timestamp and payload. FIFO among ties needs
 /// no stored sequence number: slots only append and cascades are stable.
@@ -168,9 +172,8 @@ pub(crate) struct TimingWheel<E> {
     /// Buffers of drained level-1 slots, taken LIFO by the next level-1
     /// slot that fills from empty, so the buffers that cover the occupied
     /// part of the 65.5 µs window circulate instead of all 256 slots
-    /// growing one each. A buffer is only allocated while this is empty,
-    /// so level 1 never owns more buffers than it had slots occupied at
-    /// one time.
+    /// growing one each. At most [`SPARE_MAX`]: a burst that occupied many
+    /// slots at once does not leave all their buffers behind.
     spare: Vec<Vec<Pending<E>>>,
     /// Slot-occupancy bitmaps of levels 1 and up (`occ[level - 1]`).
     occ: [[u64; OCC_WORDS]; LEVELS - 1],
@@ -395,9 +398,11 @@ impl<E> TimingWheel<E> {
             self.occ[l - 1][s / 64] &= !(1 << (s % 64));
             if l == 1 {
                 // A level-1 slot is the new window, and its buffer goes to
-                // the spare pool.
+                // the spare pool while that has room.
                 self.fill_run(&mut evs);
-                self.spare.push(evs);
+                if self.spare.len() < SPARE_MAX {
+                    self.spare.push(evs);
+                }
                 continue;
             }
             // From level 2 up every entry goes to a strictly lower level, so
@@ -768,7 +773,8 @@ mod tests {
     /// burst of 200 events over the next 20 µs, one timer 1 ms out, and
     /// the next burst. Every level-1 and level-2 slot is used many times
     /// over, under a hundred at a time; what the wheel keeps must follow
-    /// the latter.
+    /// what is occupied now, plus a spare pool that never exceeds its
+    /// bound.
     #[test]
     fn buffers_follow_occupied_slots_not_touched_slots() {
         const BURST: u64 = u64::MAX;
@@ -791,14 +797,17 @@ mod tests {
                 w.push(t + SimDuration::from_nanos(30_000), BURST);
             }
             peak_level1 = peak_level1.max(occupied(&w, 1..2));
+            assert!(w.spare.len() <= SPARE_MAX, "a pool of {}", w.spare.len());
         }
         assert!(popped > 300_000 && w.len() > 0);
-        assert!(peak_level1 < 128, "{peak_level1} level-1 slots at once");
-        // Level 1 owns a buffer per slot it ever had occupied at one time;
-        // higher levels only where events are pending now. All 512 slots
-        // of levels 1 and 2 have been used.
+        assert!(
+            (SPARE_MAX..128).contains(&peak_level1),
+            "{peak_level1} level-1 slots at once"
+        );
+        // Slots own a buffer only while occupied, and the pool at most
+        // `SPARE_MAX` more. All 512 slots of levels 1 and 2 have been used.
         let (buffers, room) = w.retained_slot_buffers();
-        let bound = peak_level1 + occupied(&w, 2..LEVELS);
+        let bound = occupied(&w, 1..LEVELS) + SPARE_MAX;
         assert!(buffers <= bound, "{buffers} buffers, bound {bound}");
         // No slot ever held 256 events, so no buffer grew past 256, and
         // neither did the runs.

@@ -20,8 +20,9 @@
 //! `--time <cell>... <n>` is the other question asked of the same cells:
 //! how long one repetition of each takes *relative to the others*. It runs
 //! the named cells in turn, `n` rounds of one repetition each, without the
-//! sampler, and prints the minimum and the quartiles per cell and every
-//! cell's median over the first one's. The box's speed drifts by a fifth
+//! sampler, and prints the minimum and the quartiles per cell, every
+//! cell's median over the first one's, and the process's peak resident set
+//! (`VmHWM`, where `/proc` has it). The box's speed drifts by a fifth
 //! over minutes, so back-to-back runs of two binaries (or of one binary on
 //! two cells) compare the drift; alternated single repetitions do not.
 //!
@@ -287,6 +288,19 @@ fn time_cells(names: &[String], specs: &[RunSpec], rounds: usize) {
             median / first
         );
     }
+    if let Some(mb) = peak_rss_mb() {
+        println!("# peak RSS {mb:.2} MB (VmHWM, all cells and rounds)");
+    }
+}
+
+/// The process's peak resident set in MB. Read from the process itself:
+/// a parent's `ru_maxrss` of its child also counts the image the child was
+/// forked from, which `exec` does not reset.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 fn main() {

@@ -2,8 +2,11 @@
 # Two revisions on one cell, alternated: builds examples/sample_profile.rs
 # of each revision from a `git archive` of it under target/ab/<commit>/,
 # then runs one repetition of the cell on each side in turn, the side that
-# goes first flipping every pair, and prints each side's minimum, quartiles
-# and median, the ratio of the medians and in how many pairs b was faster.
+# goes first flipping every pair, and prints every pair's time and peak RSS
+# (the `VmHWM` that `sample_profile --time` prints), then for each of the
+# two each side's minimum, quartiles and median, the ratio of the medians
+# and in how many pairs b was lower. A memory claim is judged on the same
+# pairs as a time claim.
 #
 #   scripts/ab.sh <rev-a> <rev-b> <cell> [pairs=20] [codegen-units=16]
 #
@@ -39,9 +42,14 @@ build() {
 exe_a=$(build "$rev_a")
 exe_b=$(build "$rev_b")
 
-# Milliseconds of one repetition: the median column of `--time`'s row.
+# One repetition: its milliseconds (the median column of `--time`'s row)
+# and the process's peak RSS in MB, `nan` from a revision that does not
+# print it.
 once() {
-  "$1" --time "$cell" 1 | awk -v cell="$cell" '$1 == cell { print $4 }'
+  "$1" --time "$cell" 1 | awk -v cell="$cell" '
+    $1 == cell { ms = $4 }
+    $2 == "peak" && $3 == "RSS" { mb = $4 }
+    END { print ms, (mb == "" ? "nan" : mb) }'
 }
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
@@ -57,18 +65,27 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 python3 - "$runs" "$rev_a" "$rev_b" "$cell" "$units" <<'PY'
-import sys
+import math, sys
 
 path, rev_a, rev_b, cell, units = sys.argv[1:]
+# Each line: a's ms and MB, then b's.
 pairs = [tuple(map(float, line.split())) for line in open(path)]
-print(f"# {cell}, {len(pairs)} alternated pairs, {units} codegen units, ms")
-print(f"{'side':<24}{'min':>9}{'q1':>9}{'median':>9}{'q3':>9}")
-medians = []
-for name, k in ((f"a {rev_a}", 0), (f"b {rev_b}", 1)):
-    ms = sorted(p[k] for p in pairs)
-    q = lambda i: ms[(len(ms) - 1) * i // 4]
-    medians.append(q(2))
-    print(f"{name[:23]:<24}{q(0):>9.1f}{q(1):>9.1f}{q(2):>9.1f}{q(3):>9.1f}")
-ahead = sum(b < a for a, b in pairs)
-print(f"b / a median {medians[1] / medians[0]:.3f}; b ahead in {ahead} of {len(pairs)}")
+print(f"# {cell}, {len(pairs)} alternated pairs, {units} codegen units")
+print(f"{'pair':<6}{'a ms':>9}{'b ms':>9}{'a MB':>9}{'b MB':>9}")
+for i, (a_ms, a_mb, b_ms, b_mb) in enumerate(pairs):
+    print(f"{i:<6}{a_ms:>9.1f}{b_ms:>9.1f}{a_mb:>9.2f}{b_mb:>9.2f}")
+for what, k in (("ms", 0), ("peak RSS, MB", 1)):
+    print(f"# {what}")
+    if any(math.isnan(p[k]) or math.isnan(p[2 + k]) for p in pairs):
+        print("not printed by one of the revisions")
+        continue
+    print(f"{'side':<24}{'min':>9}{'q1':>9}{'median':>9}{'q3':>9}")
+    medians = []
+    for name, col in ((f"a {rev_a}", k), (f"b {rev_b}", 2 + k)):
+        xs = sorted(p[col] for p in pairs)
+        q = lambda i: xs[(len(xs) - 1) * i // 4]
+        medians.append(q(2))
+        print(f"{name[:23]:<24}{q(0):>9.2f}{q(1):>9.2f}{q(2):>9.2f}{q(3):>9.2f}")
+    lower = sum(p[2 + k] < p[k] for p in pairs)
+    print(f"b / a median {medians[1] / medians[0]:.3f}; b lower in {lower} of {len(pairs)}")
 PY

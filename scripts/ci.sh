@@ -218,12 +218,12 @@ cargo test --manifest-path perfbench/Cargo.toml -q
 cargo fmt --manifest-path perfbench/Cargo.toml --check
 cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
-echo "==> memory follows what is live: ft_soak peak RSS under 10 MB (it reads 9.6; 10.6 while finished receivers stayed whole; 49 MB with flat filter tables)"
+echo "==> memory follows what is live: ft_soak peak RSS under 9 MB (it reads 8.5; 9.6 while drained rings, flow tables and the wheel's pool kept their busiest moment's room; 10.6 while finished receivers stayed whole; 49 MB with flat filter tables)"
 rss=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml --bin perf -- \
   --workload ft_soak --seed 1 --seconds 3 --trace 0 \
   | tail -1 | sed 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/')
 echo "ft_soak peak_rss_mb = $rss"
-awk -v rss="$rss" 'BEGIN { exit !(rss > 0 && rss < 10) }'
+awk -v rss="$rss" 'BEGIN { exit !(rss > 0 && rss < 9) }'
 
 echo "==> the other three pinned full-horizon digests reproduce (perf exits 1 on a mismatch)"
 # With ft_soak above that is all four cells: a tie-order slip in any
@@ -248,7 +248,7 @@ echo "==> one domain against the classic loop, alternated in process (informatio
 # single repetitions in turn rather than two runs back to back.
 cargo run --release --quiet --example sample_profile -- --time ft_soak ft_soak_d1 8
 
-echo "==> the default soak's peak RSS and wall time (information, never a gate)"
+echo "==> the default soak's peak RSS and wall time (information, never a gate; ≈ 43 MB since drained buffers give their room back, 49 before)"
 # The soak smoke above left an audit build behind: time the plain one.
 cargo build --release --quiet -p vertigo-experiments --bin experiments
 python3 - <<'EOF'
