@@ -267,8 +267,7 @@ impl<T> OrderingComponent<T> {
     pub fn next_deadline(&self) -> Option<SimTime> {
         let next = self.armed.first().map(|&(deadline, _)| deadline);
         // The scan over all flows this index replaces, as its oracle.
-        #[cfg(any(debug_assertions, feature = "audit"))]
-        assert_eq!(
+        debug_assert_eq!(
             next,
             self.flows.values().filter_map(|f| f.deadline).min(),
             "armed-deadline index out of step with the per-flow deadlines"

@@ -74,7 +74,7 @@ impl<T> PieoQueue<T> {
     pub fn pop_min(&mut self) -> Option<(u64, T)> {
         let (rank, item) = self.ring.pop_front()?;
         release_if_drained(&mut self.ring);
-        #[cfg(feature = "audit")]
+        #[cfg(debug_assertions)]
         if let Some(next) = self.peek_min_rank() {
             assert!(
                 rank <= next,
@@ -90,7 +90,7 @@ impl<T> PieoQueue<T> {
     pub fn pop_max(&mut self) -> Option<(u64, T)> {
         let (rank, item) = self.ring.pop_back()?;
         release_if_drained(&mut self.ring);
-        #[cfg(feature = "audit")]
+        #[cfg(debug_assertions)]
         if let Some(next) = self.peek_max_rank() {
             assert!(
                 rank >= next,

@@ -2,16 +2,14 @@
 //! files written by `--checkpoint-every` without deserializing the
 //! payload.
 //!
-//! It reads any checkpoint whatever features (`audit`, `trace`) either
-//! build carried — inspection never reconstructs a `Simulation` — through
-//! the one header decoder, `snapshot::read_header`, which leaves the
-//! version to the caller: a file of another format version still prints,
-//! with a note.
+//! Inspection never reconstructs a `Simulation`. It goes through the one
+//! header decoder, `snapshot::read_header`: a file of another format
+//! version prints its version, with a note, and nothing else.
 
 use std::process::ExitCode;
 use vertigo_netsim::grammar::fmt_dur;
 use vertigo_simcore::{SimDuration, SnapReader, SNAP_VERSION};
-use vertigo_workload::snapshot::{describe_flags, read_header, FLAG_AUDIT, FLAG_TRACE};
+use vertigo_workload::snapshot::{read_header, SnapHeader};
 
 fn usage() -> ExitCode {
     eprintln!("usage: vsnp inspect FILE...    decode VSNP checkpoint headers");
@@ -23,40 +21,21 @@ fn inspect(path: &str) -> Result<(), String> {
     let mut r = SnapReader::new(&bytes);
     let h = read_header(&mut r).map_err(|e| format!("{path}: {e}"))?;
     println!("{path}:");
-    println!(
-        "  version    {}{}",
-        h.version,
-        if h.version == SNAP_VERSION {
-            String::new()
-        } else {
-            format!(" (this binary reads version {SNAP_VERSION}; payload not restorable here)")
+    match h {
+        SnapHeader::Other { version } => println!(
+            "  version    {version} (this binary reads version {SNAP_VERSION}; \
+             payload not restorable here)"
+        ),
+        SnapHeader::Current { spec_hash, time_ns } => {
+            println!("  version    {SNAP_VERSION}");
+            println!("  spec hash  {spec_hash:016x}");
+            println!(
+                "  sim time   {time_ns} ns ({})",
+                fmt_dur(SimDuration::from_nanos(time_ns))
+            );
+            println!("  payload    {} bytes", r.remaining());
         }
-    );
-    let known = FLAG_AUDIT | FLAG_TRACE;
-    println!(
-        "  features   {} (flags {:#06x}{})",
-        describe_flags(h.flags),
-        h.flags,
-        if h.flags & !known != 0 {
-            ", unknown bits set"
-        } else {
-            ""
-        }
-    );
-    println!(
-        "  backend    {}",
-        match h.backend {
-            0 => "timing wheel",
-            _ => "binary heap",
-        }
-    );
-    println!("  spec hash  {:016x}", h.spec_hash);
-    println!(
-        "  sim time   {} ns ({})",
-        h.time_ns,
-        fmt_dur(SimDuration::from_nanos(h.time_ns))
-    );
-    println!("  payload    {} bytes", r.remaining());
+    }
     Ok(())
 }
 

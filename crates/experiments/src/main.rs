@@ -121,7 +121,7 @@ const FIGURES: &[Figure] = &[
     ),
     (
         "soak",
-        "sustained multi-tenant scenario on the fat-tree, audit on",
+        "sustained multi-tenant scenario on the fat-tree, audited in debug builds",
         soak::run,
         false,
     ),

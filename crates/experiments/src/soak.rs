@@ -7,10 +7,10 @@
 //! latency-sensitive service tenant pinned to disjoint host halves with
 //! a shared synchronized incast application on top of a light all-hosts
 //! base load; `--workload SPEC` replaces it wholesale. The horizon is 4×
-//! the scale's fat-tree horizon. Audit tallies only exist in builds with
-//! `--features audit` — the run reports whether the invariant layer was
-//! live, and CI runs the soak in an audit build so a conservation
-//! violation fails loudly.
+//! the scale's fat-tree horizon. The conservation checks run in debug
+//! builds (`cargo run` without `--release`) — the run reports whether the
+//! invariant layer was live, and CI runs the soak in a debug build so a
+//! conservation violation fails loudly.
 
 use crate::common::{fmt_pct, fmt_secs, Opts, Table};
 use crate::sweep::{self, Cell};
@@ -108,11 +108,14 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
 
     println!("{totals}");
     // Audit tallies live on stderr with the build note: stdout stays
-    // byte-identical between audit and non-audit builds.
-    if vertigo_stats::AUDIT_AVAILABLE {
+    // byte-identical between debug and release builds.
+    if cfg!(debug_assertions) {
         eprintln!("[audit] conservation layer live: {audit_checks} invariant checks, zero diffs");
     } else {
-        eprintln!("[audit] built without --features audit: conservation checks compiled out");
+        eprintln!(
+            "[audit] release build: conservation checks compiled out \
+             (run without --release to audit)"
+        );
     }
     Ok(())
 }

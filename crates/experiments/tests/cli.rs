@@ -197,7 +197,8 @@ fn vsnp_inspect_prints_a_version_3_header() {
     assert!(out.status.success(), "{stdout}");
     let note = format!("version    3 (this binary reads version {SNAP_VERSION};");
     assert!(stdout.contains(&note), "{stdout}");
-    assert!(stdout.contains("sim time   6000000 ns"), "{stdout}");
+    // Nothing behind another version's version is decoded.
+    assert!(!stdout.contains("sim time"), "{stdout}");
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! The conservation-audit invariant layer.
 //!
-//! Compiled to nothing unless the workspace is built with
-//! `--features audit`. With the feature on, the simulation driver calls
-//! [`check_conservation`] at every telemetry sample and at the end of
-//! every run, and [`check_flow_accounting`] at teardown; both panic with
-//! a precise per-term diff on violation. Sibling invariants live where
-//! the state lives:
+//! Compiled into every debug-assertion build (every `cargo test`, every
+//! `cargo run` without `--release`) and out of release builds. The
+//! simulation driver calls [`check_conservation`] at every telemetry
+//! sample and at the end of every run, and [`check_flow_accounting`] at
+//! teardown; both panic with a precise per-term diff on violation.
+//! Sibling invariants live where the state lives:
 //!
-//! * `vertigo-simcore`: scheduling an event in the past is a hard error
-//!   even in release builds (`EventQueue::push`);
+//! * `vertigo-simcore`: scheduling an event in the past panics
+//!   (`TimingWheel::push`);
 //! * `vertigo-core`: PIEO `pop_min`/`pop_max` ranks are monotone against
 //!   the remaining heap;
 //! * `crate::deflect`: no packet is deflected more often than its policy's
@@ -18,7 +18,7 @@
 //! [`vertigo_stats::AuditHooks`], threaded through the recorder so every
 //! component can report custody transitions without new plumbing.
 
-#![cfg(feature = "audit")]
+#![cfg(debug_assertions)]
 
 use vertigo_stats::Recorder;
 

@@ -112,8 +112,7 @@ impl Switch {
     ) {
         pkt.deflections += 1;
         ctx.rec.deflections += 1;
-        #[cfg(feature = "audit")]
-        assert!(
+        debug_assert!(
             (self.cfg.buffer.deflection_budget()).is_none_or(|most| pkt.deflections <= most),
             "audit: packet {} deflected {} times under {:?}",
             pkt.uid,

@@ -332,7 +332,7 @@ impl DomainSimulation {
                     break;
                 }
                 self.sample_telemetry(s, pending);
-                #[cfg(feature = "audit")]
+                #[cfg(debug_assertions)]
                 self.audit_conservation("telemetry sample");
                 let interval = self
                     .telemetry
@@ -391,11 +391,8 @@ impl DomainSimulation {
                 // Custody transfer: the sender's domain counted the tx;
                 // hand the in-flight packets to the receiver's tally so
                 // neither side underflows.
-                #[cfg(feature = "audit")]
-                for _ in 0..to.inbound[src].len() {
-                    from.rec.audit.on_wire_rx();
-                    to.rec.audit.on_wire_tx();
-                }
+                let n = to.inbound[src].len() as u64;
+                from.rec.audit.hand_over_wire(&mut to.rec.audit, n);
             }
         }
     }
@@ -415,7 +412,7 @@ impl DomainSimulation {
     /// scratch recorder is discarded; the successful check is counted on
     /// the base recorder so `audit_checks` matches the classic cadence
     /// (one per sample plus the teardown checks).
-    #[cfg(feature = "audit")]
+    #[cfg(debug_assertions)]
     fn audit_conservation(&mut self, where_: &str) {
         let mut scratch = Recorder::new();
         scratch.audit.absorb(&self.base_rec.audit);

@@ -30,7 +30,7 @@
 //! have answered `None`. Both schemes are derived state: not in snapshots,
 //! rebuilt conservatively (everyone ready) on restore, and checked against
 //! the poll-everyone / scan-everything behaviour they replace under
-//! `debug_assertions` and the `audit` feature.
+//! `debug_assertions`.
 
 use crate::events::{Ctx, Event};
 use crate::link::LinkParams;
@@ -635,7 +635,7 @@ impl Host {
         ready.drain(..settled);
         self.ready = ready;
         self.start_tx(ctx);
-        #[cfg(any(debug_assertions, feature = "audit"))]
+        #[cfg(debug_assertions)]
         for (flow, st) in self.senders.iter_mut() {
             // What polling every sender, as this loop once did, would find.
             assert!(
@@ -860,7 +860,7 @@ impl Host {
                 ctx.events.push(d, Event::HostTimer { node: self.id });
             }
         }
-        #[cfg(any(debug_assertions, feature = "audit"))]
+        #[cfg(debug_assertions)]
         {
             // The scan over every sender and ordering flow this replaces
             // must find nothing left to schedule.

@@ -139,9 +139,8 @@ impl BufferPolicy {
     }
 
     /// The most deflections one packet can collect under this policy —
-    /// what `audit` builds assert on every deflection — or `None` where
+    /// what debug builds assert on every deflection — or `None` where
     /// nothing bounds it.
-    #[cfg(feature = "audit")]
     pub(crate) fn deflection_budget(&self) -> Option<u16> {
         match *self {
             BufferPolicy::DropTail | BufferPolicy::NdpTrim => Some(0),

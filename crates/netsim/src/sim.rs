@@ -433,7 +433,7 @@ impl Simulation {
                         events.push(next, Event::TelemetrySample);
                     }
                 }
-                #[cfg(feature = "audit")]
+                #[cfg(debug_assertions)]
                 audit_conservation(nodes.iter(), rec, "telemetry sample");
                 continue;
             };
@@ -544,7 +544,7 @@ impl Simulation {
     /// so the mutation smoke test can prove the conservation check
     /// actually detects a seeded accounting bug (guarding the auditor
     /// against rotting into a no-op).
-    #[cfg(feature = "audit")]
+    #[cfg(debug_assertions)]
     pub fn audit_inject_phantom(&mut self) {
         self.rec.audit.created += 1;
     }
@@ -622,7 +622,7 @@ impl Simulation {
 
 /// Closes a run's books on `rec` (the one recorder, or the domain
 /// recorders merged) and builds the [`Report`]: banks per-host transport
-/// stats, then — under `audit` — the end-of-run invariants: conservation
+/// stats, then — in debug builds — the end-of-run invariants: conservation
 /// must close over whatever is still parked in queues or on the wire at
 /// the horizon, and every finished flow's byte ledger must balance.
 pub(crate) fn close_books<'a>(
@@ -637,7 +637,7 @@ pub(crate) fn close_books<'a>(
             rec.rtos += s.rtos;
         }
     }
-    #[cfg(feature = "audit")]
+    #[cfg(debug_assertions)]
     {
         audit_conservation(nodes, rec, "end of run");
         crate::audit::check_flow_accounting(rec);
@@ -721,7 +721,7 @@ pub(crate) fn marking_stats<'a>(
 
 /// Gathers live queue occupancy from every node and runs the
 /// conservation check (see `crate::audit`).
-#[cfg(feature = "audit")]
+#[cfg(debug_assertions)]
 pub(crate) fn audit_conservation<'a>(
     nodes: impl Iterator<Item = &'a Node>,
     rec: &mut Recorder,

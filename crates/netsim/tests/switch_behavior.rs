@@ -385,7 +385,7 @@ fn every_policy_accounts_each_displaced_packet_once() {
 /// have been deflected more often than the hop guard lets it arrive.
 /// Vertigo with scheduling is exempt (a queued victim can be displaced
 /// again without a hop), and the same packet goes through.
-#[cfg(feature = "audit")]
+#[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "deflected 65 times under Hybrid")]
 fn audit_catches_a_deflection_past_the_hop_guard() {

@@ -251,12 +251,12 @@ const COUNT_FROM: usize = 8;
 /// Largest quantum a slot is counting-sorted over (16 KiB of counters).
 const MAX_COUNTERS: u64 = 4096;
 
-/// In debug and `audit` builds, panics unless `run`, read in `order`, is
+/// In debug builds, panics unless `run`, read in `order`, is
 /// strictly ascending in `(at, sent, uid)`: keys must be unique or the
 /// merge order would be ambiguous.
 #[inline]
 fn assert_canonical<E>(_run: &[Entry<E>], _order: &[u32]) {
-    #[cfg(any(debug_assertions, feature = "audit"))]
+    #[cfg(debug_assertions)]
     for w in _order.windows(2) {
         let (a, b) = (key(&_run[w[0] as usize]), key(&_run[w[1] as usize]));
         assert!(
@@ -533,15 +533,14 @@ impl<E> WindowQueue<E> {
     /// window: into that window if it is due by its end, else into `queue`.
     ///
     /// `at` must not be earlier than [`WindowQueue::now`]; as with
-    /// [`EventQueue::push`] that is a panic in debug and `audit` builds
-    /// and clamped in release.
+    /// [`EventQueue::push`] that is a panic in debug builds and clamped
+    /// in release.
     #[inline(always)]
     pub fn push(&mut self, queue: &mut EventQueue<E>, at: SimTime, ev: E) {
         if at > self.limit {
             return queue.push(at, ev);
         }
-        #[cfg(any(debug_assertions, feature = "audit"))]
-        assert!(
+        debug_assert!(
             at >= self.now,
             "scheduled an event in the past: {at:?} < {:?}",
             self.now
@@ -883,7 +882,7 @@ mod tests {
     }
 
     // Collisions are only looked for where the oracle idiom looks.
-    #[cfg(any(debug_assertions, feature = "audit"))]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "inbox key collision")]
     fn duplicate_key_is_a_bug() {
@@ -893,7 +892,7 @@ mod tests {
         taken(&mut m, 10);
     }
 
-    #[cfg(any(debug_assertions, feature = "audit"))]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "inbox key collision")]
     fn duplicate_key_is_a_bug_in_a_counted_slot() {

@@ -57,16 +57,6 @@ impl<E> EventQueue<E> {
     /// append (DESIGN.md §5b).
     #[inline(always)]
     pub fn push(&mut self, at: SimTime, ev: E) {
-        // Under the audit feature the past-scheduling check is a hard
-        // error even in release builds (the wheel debug-asserts and clamps
-        // otherwise).
-        #[cfg(feature = "audit")]
-        assert!(
-            at >= self.now(),
-            "audit: event scheduled in the past (at {:?} < now {:?})",
-            at,
-            self.now()
-        );
         self.wheel.push(at, ev)
     }
 
@@ -159,9 +149,7 @@ impl<E: Snapshot> EventQueue<E> {
     }
 
     /// Reconstructs a queue serialized by [`EventQueue::save_into`]. The
-    /// payload holds pop order and nothing of the queue's layout, so it
-    /// restores whatever queue wrote it — the binary heap of older builds
-    /// included.
+    /// payload holds pop order and nothing of the queue's layout.
     pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let now = r.get_u64()?;
         let total = r.get_u64()?;
@@ -410,11 +398,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restores_across_backends() {
+    fn snapshot_restores_pop_order() {
         // The payload is the clock, the counters and the events in pop
         // order, nothing of the layout of the queue that wrote it: written
-        // here by hand, as the binary heap of older builds wrote it, it
-        // restores onto the wheel and pops in exactly that order.
+        // here by hand, it restores onto the wheel and pops in exactly
+        // that order.
         let pending = [
             (1000u64, 7u64),
             (1000, 3),

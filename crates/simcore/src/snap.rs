@@ -14,7 +14,7 @@
 //! decimal round-trip, and hash-map-backed state is serialized in sorted
 //! key order so the byte stream itself is deterministic.
 //!
-//! The framing (magic, version, feature flags) lives with the writer of
+//! The framing (magic, version, spec hash, time) lives with the writer of
 //! the *file*, not here: this module is the codec for component payloads
 //! plus the shared header constants ([`SNAP_MAGIC`], [`SNAP_VERSION`]).
 //! Mismatches are reported through [`SnapError`], which callers surface
@@ -31,14 +31,16 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// Version 3: the PIEO record is `(rank, item)` in queue order, with no
 /// per-element sequence number and no counter.
 /// Version 4: the host record lists its finished flows after its receivers.
-pub const SNAP_VERSION: u16 = 4;
+/// Version 5: the header drops its feature flags and backend byte, and the
+/// payload's audit tallies and trace armed byte are written by every build.
+pub const SNAP_VERSION: u16 = 5;
 
 /// Every build checkpoints and resumes; only the benchmark's result
 /// header (`perfbench/`) still reads this.
 pub const SNAPSHOT_AVAILABLE: bool = true;
 
 /// A snapshot decoding failure: truncated stream, bad tag, or a
-/// version/feature mismatch detected by a higher layer.
+/// version or spec mismatch detected by a higher layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapError {
     msg: String,

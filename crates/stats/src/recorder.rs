@@ -275,8 +275,8 @@ pub struct Recorder {
     /// Fault-injection interventions: fault drops plus stall/pause
     /// deferrals. Zero on fault-free runs.
     pub fault_events: u64,
-    /// Conservation-audit tallies (live counters only under the `audit`
-    /// cargo feature; all hooks are no-ops without it).
+    /// Conservation-audit custody tallies (counted in every build;
+    /// checked in debug-assertion builds).
     pub audit: crate::audit::AuditHooks,
     /// Per-packet provenance sink (records only under the `trace` cargo
     /// feature *and* after arming; empty inline no-ops otherwise).

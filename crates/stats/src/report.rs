@@ -110,10 +110,10 @@ pub struct Report {
     /// Fault-injection interventions (fault drops + stall/pause event
     /// deferrals). Zero on fault-free runs.
     pub fault_events: u64,
-    /// Conservation-audit invariant evaluations performed. Zero unless the
-    /// workspace was built with `--features audit`; intentionally excluded
-    /// from every stdout/CSV table so audit and non-audit builds emit
-    /// byte-identical output.
+    /// Conservation-audit invariant evaluations performed: zero in a
+    /// release build unless it resumed a debug build's checkpoint;
+    /// intentionally excluded from every stdout/CSV table so debug and
+    /// release builds emit byte-identical output.
     pub audit_checks: u64,
 
     /// Sorted FCT samples (seconds) for CDF plotting.
@@ -251,7 +251,7 @@ impl Report {
             cross_domain_packets: 0,
             domain_peak_pending: Vec::new(),
             fault_events: rec.fault_events,
-            audit_checks: rec.audit.checks(),
+            audit_checks: rec.audit.checks,
             fct_samples: fct,
             qct_samples: qct,
             tenants,

@@ -506,53 +506,52 @@ impl TraceSink {
     /// sequence counter, and every ring's contents (including each ring's
     /// rotation point and overflow count) — so a resumed run's rings evolve
     /// exactly like the straight-through run's and the final `.vtrace`
-    /// stream is byte-identical. Writes nothing without the `trace`
-    /// feature; the VSNP header's feature flags keep the layouts apart.
+    /// stream is byte-identical. Every build writes the armed byte, so a
+    /// checkpoint without an armed trace restores in any build.
     pub fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
         #[cfg(feature = "trace")]
-        {
+        if let Some(inner) = self.inner.as_deref() {
             use vertigo_simcore::Snapshot;
-            match self.inner.as_deref() {
-                None => w.put_bool(false),
-                Some(inner) => {
-                    w.put_bool(true);
-                    inner.filter.flow.save(w);
-                    inner.filter.node.save(w);
-                    w.put_u64(inner.filter.from_ns);
-                    w.put_u64(inner.filter.until_ns);
-                    w.put_usize(inner.capacity);
-                    w.put_u64(inner.seq);
-                    w.put_usize(inner.rings.len());
-                    for ring in &inner.rings {
-                        w.put_usize(ring.start);
-                        w.put_u64(ring.overwritten);
-                        w.put_usize(ring.buf.len());
-                        for (seq, rec) in &ring.buf {
-                            w.put_u64(*seq);
-                            w.put_bytes(&rec.encode());
-                        }
-                    }
+            w.put_bool(true);
+            inner.filter.flow.save(w);
+            inner.filter.node.save(w);
+            w.put_u64(inner.filter.from_ns);
+            w.put_u64(inner.filter.until_ns);
+            w.put_usize(inner.capacity);
+            w.put_u64(inner.seq);
+            w.put_usize(inner.rings.len());
+            for ring in &inner.rings {
+                w.put_usize(ring.start);
+                w.put_u64(ring.overwritten);
+                w.put_usize(ring.buf.len());
+                for (seq, rec) in &ring.buf {
+                    w.put_u64(*seq);
+                    w.put_bytes(&rec.encode());
                 }
             }
+            return;
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = w;
-        }
+        w.put_bool(false);
     }
 
-    /// Restores state written by [`TraceSink::snap_save`].
+    /// Restores state written by [`TraceSink::snap_save`]. An armed
+    /// record in a build without the `trace` feature is an error.
     pub fn snap_restore(
         &mut self,
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<(), vertigo_simcore::SnapError> {
+        if !r.get_bool()? {
+            *self = TraceSink::new();
+            return Ok(());
+        }
+        #[cfg(not(feature = "trace"))]
+        return Err(vertigo_simcore::SnapError::new(
+            "the checkpoint carries an armed packet trace, which this build cannot \
+             continue: rebuild with `--features trace` to resume it",
+        ));
         #[cfg(feature = "trace")]
         {
             use vertigo_simcore::{SnapError, Snapshot};
-            if !r.get_bool()? {
-                self.inner = None;
-                return Ok(());
-            }
             let filter = TraceFilter {
                 flow: Option::restore(r)?,
                 node: Option::restore(r)?,
@@ -598,12 +597,8 @@ impl TraceSink {
                 rings,
                 seq,
             }));
+            Ok(())
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = r;
-        }
-        Ok(())
     }
 
     /// All `(seq, record)` pairs across rings, sorted by sequence. Each
@@ -820,7 +815,6 @@ mod tests {
 
     /// An armed-sink VSNP record with one ring per `(start, records held)`
     /// entry; record `j` of a ring carries sequence number `j`.
-    #[cfg(feature = "trace")]
     fn armed_record(capacity: usize, rings: &[(usize, usize)]) -> Vec<u8> {
         use vertigo_simcore::{SnapWriter, Snapshot};
         let mut w = SnapWriter::new();
@@ -894,8 +888,20 @@ mod tests {
         let mut s2 = TraceSink::new();
         let mut r = SnapReader::new(&bytes);
         s2.snap_restore(&mut r).unwrap();
+        assert_eq!(bytes, [0], "the armed byte alone, in every build");
         assert_eq!(r.remaining(), 0);
         assert!(!s2.enabled());
+    }
+
+    #[cfg(not(feature = "trace"))]
+    #[test]
+    fn armed_record_without_the_feature_is_an_error() {
+        use vertigo_simcore::SnapReader;
+        let bytes = armed_record(4, &[(0, 3)]);
+        let err = TraceSink::new()
+            .snap_restore(&mut SnapReader::new(&bytes))
+            .expect_err("an armed trace needs the feature");
+        assert!(err.to_string().contains("--features trace"), "{err}");
     }
 
     #[cfg(not(feature = "trace"))]

@@ -7,7 +7,7 @@
 //! integration tests, and the examples, so every figure in EXPERIMENTS.md
 //! is reproducible from a `RunSpec` literal.
 
-use crate::snapshot::{self, SnapshotSpec};
+use crate::snapshot::{self, SnapHeader, SnapshotSpec};
 use crate::traffic::WorkloadSpec;
 use crate::warm::{ForkSpec, SnapBuf};
 use std::path::{Path, PathBuf};
@@ -485,8 +485,9 @@ impl RunSpec {
     /// Failures a correct invocation can meet — a workload the topology
     /// cannot carry, a trace requested of a binary built without
     /// `--features trace`, an unwritable trace path, an unreadable or
-    /// mismatched `--resume` file (format version, build features, or run
-    /// spec; a silently wrong resume would be worse than a refusal) — come
+    /// mismatched `--resume` file (format version, run spec, or an armed
+    /// trace a build without `trace` cannot continue; a silently wrong
+    /// resume would be worse than a refusal) — come
     /// back as a [`RunError`]. Combining `domains` with a trace, a
     /// snapshot request, fork-time overrides or a measurement window is a
     /// caller bug and panics.
@@ -681,38 +682,27 @@ impl RunSpec {
         let bytes = std::fs::read(&path).map_err(|e| refuse(e.to_string()))?;
         let mut r = SnapReader::new(&bytes);
         let header = snapshot::read_header(&mut r).map_err(|e| refuse(e.to_string()))?;
-        if header.version != SNAP_VERSION {
-            return Err(refuse(format!(
-                "snapshot format version {}, this binary reads version {SNAP_VERSION}; \
-                 re-create the checkpoint with this binary (or rerun without --resume)",
-                header.version
-            )));
-        }
-        if header.flags != snapshot::build_flags() {
-            return Err(refuse(format!(
-                "snapshot was written by a build with {} but this binary \
-                 was built with {} — the feature set changes the snapshot layout; \
-                 rebuild with matching features and rerun",
-                snapshot::describe_flags(header.flags),
-                snapshot::describe_flags(snapshot::build_flags()),
-            )));
-        }
-        if header.spec_hash != hash {
+        let (spec_hash, time_ns) = match header {
+            SnapHeader::Current { spec_hash, time_ns } => (spec_hash, time_ns),
+            SnapHeader::Other { version } => {
+                return Err(refuse(format!(
+                    "snapshot format version {version}, this binary reads version \
+                     {SNAP_VERSION}; re-create the checkpoint with this binary (or rerun \
+                     without --resume)"
+                )))
+            }
+        };
+        if spec_hash != hash {
             return Err(refuse(format!(
                 "snapshot belongs to a different run spec \
-                 (snapshot hash {:016x}, this spec hashes to {hash:016x}); \
+                 (snapshot hash {spec_hash:016x}, this spec hashes to {hash:016x}); \
                  point --resume at the matching checkpoint or drop the flag",
-                header.spec_hash,
             )));
         }
         sim.restore_state(&mut r)
             .map_err(|e| refuse(e.to_string()))?;
-        eprintln!(
-            "[snapshot] resumed {} (t = {} ns)",
-            path.display(),
-            header.time_ns
-        );
-        Ok(Some(header.time_ns))
+        eprintln!("[snapshot] resumed {} (t = {time_ns} ns)", path.display(),);
+        Ok(Some(time_ns))
     }
 
     /// Stable 64-bit hash of the full spec debug form — the identity tag
@@ -1015,13 +1005,6 @@ mod tests {
         for t in [2_000_000u64, 4_000_000] {
             resume_args.push(snapshot::snapshot_file(&ck.stem, spec.spec_hash(), t));
         }
-        // The same checkpoint as a heap run of an older build wrote it:
-        // backend byte 1, and the payload in pop order all the same.
-        let heap_file = dir.join("heap.vsnp");
-        let mut heap = std::fs::read(&resume_args[1]).unwrap();
-        heap[8] = 1;
-        std::fs::write(&heap_file, heap).unwrap();
-        resume_args.push(heap_file);
         for arg in resume_args {
             let snap = SnapshotSpec {
                 checkpoint: None,
@@ -1076,6 +1059,7 @@ mod tests {
     #[test]
     fn resume_rejects_foreign_spec_snapshot() {
         use crate::snapshot::CheckpointSpec;
+        use vertigo_simcore::SnapWriter;
 
         let dir =
             std::env::temp_dir().join(format!("vertigo-runner-snap-reject-{}", std::process::id()));
@@ -1119,13 +1103,29 @@ mod tests {
         let msg = resume(&spec, &truncated);
         assert!(msg.starts_with("--resume "), "{msg}");
         // A version-3 file (host records without their finished flows) is
-        // refused at its header, before anything behind it is read.
+        // refused at its header, before anything behind it is read; so is
+        // a version-4 file, whose header carried feature flags and a
+        // backend byte before the spec hash.
         let mut old = bytes.clone();
         old[4] = 3;
         let old_file = dir.join("v3.vsnp");
         std::fs::write(&old_file, &old).unwrap();
         let msg = resume(&spec, &old_file);
-        let want = "format version 3, this binary reads version 4";
+        let want = "format version 3, this binary reads version 5";
+        assert!(msg.contains(want), "{msg}");
+        let mut v4 = SnapWriter::new();
+        v4.put_bytes(b"VSNP");
+        v4.put_u16(4);
+        v4.put_u16(0);
+        v4.put_u8(0);
+        v4.put_u64(spec.spec_hash());
+        v4.put_u64(2_000_000);
+        let mut v4 = v4.into_bytes();
+        v4.extend_from_slice(&bytes[22..]);
+        let v4_file = dir.join("v4.vsnp");
+        std::fs::write(&v4_file, &v4).unwrap();
+        let msg = resume(&spec, &v4_file);
+        let want = "format version 4, this binary reads version 5";
         assert!(msg.contains(want), "{msg}");
 
         std::fs::remove_dir_all(&dir).ok();

@@ -8,20 +8,17 @@
 //! ```text
 //! magic    [u8; 4]  "VSNP"
 //! version  u16      SNAP_VERSION (a restore refuses mismatches)
-//! flags    u16      bit 0 = built with `audit`, bit 1 = built with `trace`
-//! backend  u8       the event queue that wrote it: always 0, the timing
-//!                   wheel; 1, a binary heap, comes from older builds and
-//!                   restores all the same (the payload holds pop order)
 //! spechash u64      stable hash of the producing RunSpec's debug form
 //! time_ns  u64      checkpoint simulation time
 //! payload  ...      Simulation::save_state byte stream
 //! ```
 //!
-//! The `flags` word exists because the audit and trace features change
-//! the *payload layout* (their counters are serialized only when
-//! compiled in). A snapshot therefore round-trips only between builds
-//! with identical feature sets; mismatches fail loudly with rebuild
-//! instructions rather than desynchronizing mid-stream.
+//! Every build writes the same payload layout: the audit tallies count in
+//! every build, and the trace sink writes its armed byte whether or not
+//! `trace` is compiled in. So a checkpoint taken by a debug build resumes
+//! in a release build and the other way round. Only an armed trace needs
+//! the `trace` feature to resume; a build without it refuses that record
+//! with an error naming the feature.
 //!
 //! ## Naming
 //!
@@ -38,33 +35,6 @@ use vertigo_simcore::{SimDuration, SnapError, SnapReader, SnapWriter, SNAP_MAGIC
 
 /// Default checkpoint stem when `--checkpoint-every` gives only a period.
 pub const DEFAULT_CHECKPOINT_STEM: &str = "checkpoints/ckpt.vsnp";
-
-/// Header flags bit 0: the producing build carried `--features audit`.
-pub const FLAG_AUDIT: u16 = 1 << 0;
-/// Header flags bit 1: the producing build carried `--features trace`.
-pub const FLAG_TRACE: u16 = 1 << 1;
-
-/// The feature flags of *this* build, as stored in snapshot headers.
-pub fn build_flags() -> u16 {
-    let mut f = 0;
-    if vertigo_stats::AUDIT_AVAILABLE {
-        f |= FLAG_AUDIT;
-    }
-    if vertigo_stats::TRACE_AVAILABLE {
-        f |= FLAG_TRACE;
-    }
-    f
-}
-
-/// Renders a flags word as a human-readable feature list.
-pub fn describe_flags(flags: u16) -> String {
-    match (flags & FLAG_AUDIT != 0, flags & FLAG_TRACE != 0) {
-        (false, false) => "no features".into(),
-        (true, false) => "`audit`".into(),
-        (false, true) => "`trace`".into(),
-        (true, true) => "`audit` + `trace`".into(),
-    }
-}
 
 /// Parsed `--checkpoint-every SIMTIME[:PATH]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,35 +87,34 @@ impl SnapshotSpec {
 
 /// A decoded snapshot file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapHeader {
-    /// Format version; only [`SNAP_VERSION`] restores.
-    pub version: u16,
-    /// Producing build's feature flags.
-    pub flags: u16,
-    /// Producing run's event queue: 0 the timing wheel, 1 a binary heap
-    /// (informational).
-    pub backend: u8,
-    /// Stable hash of the producing `RunSpec`.
-    pub spec_hash: u64,
-    /// Simulation time of the checkpoint, in nanoseconds.
-    pub time_ns: u64,
+pub enum SnapHeader {
+    /// A header of [`SNAP_VERSION`], the only format that restores.
+    Current {
+        /// Stable hash of the producing `RunSpec`.
+        spec_hash: u64,
+        /// Simulation time of the checkpoint, in nanoseconds.
+        time_ns: u64,
+    },
+    /// Another format version. Its layout is not this build's, so nothing
+    /// behind the version is decoded.
+    Other {
+        /// The file's format version.
+        version: u16,
+    },
 }
 
 /// Writes the VSNP header for a checkpoint about to be serialized.
 pub fn write_header(w: &mut SnapWriter, spec_hash: u64, time_ns: u64) {
     w.put_bytes(&SNAP_MAGIC);
     w.put_u16(SNAP_VERSION);
-    w.put_u16(build_flags());
-    w.put_u8(0);
     w.put_u64(spec_hash);
     w.put_u64(time_ns);
 }
 
-/// Decodes a VSNP header, refusing only what is not one: a wrong magic, a
-/// truncation, an unknown backend byte. The caller that restores checks
-/// `version`, `flags` and `spec_hash` against its own binary, build and
-/// spec (it knows how to phrase those failures actionably); an inspector
-/// prints them.
+/// Decodes a VSNP header, refusing only what is not one: a wrong magic or
+/// a truncation. The caller that restores refuses another version and
+/// checks `spec_hash` against its own spec (it knows how to phrase those
+/// failures actionably); an inspector prints them.
 pub fn read_header(r: &mut SnapReader<'_>) -> Result<SnapHeader, SnapError> {
     let magic = r.get_bytes(4)?;
     if magic != SNAP_MAGIC {
@@ -154,19 +123,12 @@ pub fn read_header(r: &mut SnapReader<'_>) -> Result<SnapHeader, SnapError> {
         )));
     }
     let version = r.get_u16()?;
-    let flags = r.get_u16()?;
-    let backend = r.get_u8()?;
-    if backend > 1 {
-        return Err(SnapError::new(format!("invalid backend byte {backend:#x}")));
+    if version != SNAP_VERSION {
+        return Ok(SnapHeader::Other { version });
     }
-    let spec_hash = r.get_u64()?;
-    let time_ns = r.get_u64()?;
-    Ok(SnapHeader {
-        version,
-        flags,
-        backend,
-        spec_hash,
-        time_ns,
+    Ok(SnapHeader::Current {
+        spec_hash: r.get_u64()?,
+        time_ns: r.get_u64()?,
     })
 }
 
@@ -271,33 +233,31 @@ mod tests {
         let mut w = SnapWriter::new();
         write_header(&mut w, 0xDEAD_BEEF, 6_000_000);
         let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 22, "magic, version, spec hash, time");
         let h = read_header(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(h.version, SNAP_VERSION);
-        assert_eq!(h.flags, build_flags());
-        assert_eq!(h.backend, 0);
-        assert_eq!(h.spec_hash, 0xDEAD_BEEF);
-        assert_eq!(h.time_ns, 6_000_000);
+        assert_eq!(
+            h,
+            SnapHeader::Current {
+                spec_hash: 0xDEAD_BEEF,
+                time_ns: 6_000_000
+            }
+        );
 
         // Wrong magic.
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(read_header(&mut SnapReader::new(&bad)).is_err());
 
-        // Another version decodes (a restore refuses it; an inspector
-        // prints it), and so does a version-3 header alone.
-        let mut old = bytes.clone();
-        old[4] = 3;
-        assert_eq!(read_header(&mut SnapReader::new(&old)).unwrap().version, 3);
+        // Another version decodes to its version alone (a restore refuses
+        // it; an inspector prints it), whatever follows it.
+        for version in [3u16, 4, 6] {
+            let mut old = bytes[..6].to_vec();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            let h = read_header(&mut SnapReader::new(&old)).unwrap();
+            assert_eq!(h, SnapHeader::Other { version });
+        }
 
-        // A heap's byte, from older builds, decodes too.
-        let mut heap = bytes.clone();
-        heap[8] = 1;
-        assert_eq!(read_header(&mut SnapReader::new(&heap)).unwrap().backend, 1);
-
-        // An unknown backend byte, and every truncation, are refused.
-        let mut bad = bytes.clone();
-        bad[8] = 7;
-        assert!(read_header(&mut SnapReader::new(&bad)).is_err());
+        // Every truncation of a current header is refused.
         for n in 0..bytes.len() {
             assert!(
                 read_header(&mut SnapReader::new(&bytes[..n])).is_err(),

@@ -1,12 +1,13 @@
 //! Prints a behavioral digest of one fixed run. CI runs this example
-//! twice — once compiled plain and once with `--features audit` — and
-//! diffs the output: the audit layer must observe without perturbing, so
-//! the two digests have to be byte-identical. (Audit-only counters such
-//! as `Report::audit_checks` are deliberately excluded.)
+//! twice — once as a debug build, where the audit layer is live, and once
+//! with `--release`, where it is compiled out — and diffs the output: the
+//! audit layer must observe without perturbing, so the two digests have
+//! to be byte-identical. (Audit-only counters such as
+//! `Report::audit_checks` are deliberately excluded.)
 //!
 //! ```sh
+//! cargo run --example audit_digest
 //! cargo run --release --example audit_digest
-//! cargo run --release --features audit --example audit_digest
 //! ```
 
 use vertigo::simcore::SimDuration;
@@ -29,7 +30,7 @@ fn main() {
         }),
     };
     // Two runs: fault-free, and under a loss window (faults must also be
-    // feature-invariant since their RNG stream is forked independently).
+    // build-invariant since their RNG stream is forked independently).
     for (tag, fspec) in [("clean", ""), ("faulted", "loss:*:0.01@1ms-15ms")] {
         let mut s = RunSpec::new(SystemKind::Vertigo, CcKind::Dctcp, wl);
         s.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };

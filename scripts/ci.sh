@@ -10,22 +10,29 @@ if grep -rnE 'HeapEventQueue|EventBackend::Heap' crates/*/src src; then
   exit 1
 fi
 
+echo "==> one audited build: no cargo feature named audit"
+# The conservation audit runs in every debug-assertion build; a feature
+# would split the builds, the tests and the checkpoint layout again.
+if grep -nE '^[[:space:]]*audit[[:space:]]*=' Cargo.toml crates/*/Cargo.toml \
+  || grep -rnF 'feature = "audit"' crates src tests examples; then
+  echo "the audit layer is gated on debug_assertions, not on a cargo feature" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> cargo test -q"
 # Includes the workload conformance suites: statistical (workload_stats)
-# and grammar (scenario_grammar, grammar_hostile and its outcome corpus).
+# and grammar (scenario_grammar, grammar_hostile and its outcome corpus),
+# and, since tests build with debug assertions, the audit layer's mutation
+# smoke: it must catch a seeded accounting bug (netsim's audit suite,
+# seeded_phantom_packet_is_caught).
 cargo test --workspace -q
 
-echo "==> cargo test --features audit -q"
-# Includes the mutation smoke: the audit layer must catch a seeded
-# accounting bug (netsim's audit suite, seeded_phantom_packet_is_caught).
-cargo test --workspace --features audit -q
-
-echo "==> audit observes, never perturbs: digest diff"
+echo "==> audit observes, never perturbs: digest diff, debug build against release"
+cargo run --quiet --example audit_digest > /tmp/vertigo_digest_audit.txt
 cargo run --release --quiet --example audit_digest > /tmp/vertigo_digest_plain.txt
-cargo run --release --quiet --features audit --example audit_digest > /tmp/vertigo_digest_audit.txt
 diff /tmp/vertigo_digest_plain.txt /tmp/vertigo_digest_audit.txt
 
 echo "==> cargo test --features trace -q"
@@ -87,6 +94,33 @@ cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
 grep -q -- "-t4000000.vsnp" "$out.err"
 diff "$base/straight.txt" "$out.txt"
 diff -r "$base/straight" "$out"
+
+echo "==> checkpoints cross builds: a debug build's resumes under --release, and back"
+# One payload layout in every build: table2's cells checkpointed by one
+# build at t = 12 ms and resumed by the other must print what the straight
+# run prints. The debug side audits the resumed run's last 8 ms from the
+# custody tallies the release side wrote.
+base="$SNAPDIR/cross"
+mkdir -p "$base"
+t2() { # PROFILE ARGS...: `table2 --quick ARGS...` built by cargo's PROFILE
+  local profile=$1
+  shift
+  cargo run --profile "$profile" --quiet -p vertigo-experiments --bin experiments -- \
+    table2 --quick "$@" | grep -v '^\[csv\]'
+}
+t2 release --out "$base/straight" > "$base/straight.txt"
+for pair in dev:release release:dev; do
+  from=${pair%:*}
+  to=${pair#*:}
+  t2 "$from" --out "$base/ck_$from" \
+    --checkpoint-every "12ms:$base/snaps_$from/t2.vsnp" 2> /dev/null > "$base/ck_$from.txt"
+  diff "$base/straight.txt" "$base/ck_$from.txt"
+  out="$base/${from}_to_$to"
+  t2 "$to" --out "$out" --resume "$base/snaps_$from/t2.vsnp" 2> "$out.err" > "$out.txt"
+  grep -q '^\[snapshot\] resumed' "$out.err"   # really resumed
+  diff "$base/straight.txt" "$out.txt"
+  diff -r "$base/straight" "$out"
+done
 
 echo "==> resume equivalence under trace: identical .vtrace streams from the resume point on"
 base="$SNAPDIR/traced"
@@ -153,7 +187,7 @@ ckpt=$(ls "$SNAPDIR"/wheel/snaps/*.vsnp | head -1)
 cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect "$ckpt" | tee /tmp/vertigo_vsnp_ci.txt
 grep -q 'sim time' /tmp/vertigo_vsnp_ci.txt
-grep -q 'version    4' /tmp/vertigo_vsnp_ci.txt
+grep -q 'version    5' /tmp/vertigo_vsnp_ci.txt
 # Garbage input must fail loudly with a non-zero exit.
 if cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect scripts/ci.sh 2> /dev/null; then
@@ -196,8 +230,8 @@ cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
   all --quick --out "$WLDIR/quick" > /dev/null
 diff -r results/quick "$WLDIR/quick"
 
-echo "==> soak smoke: multi-tenant scenario with the audit layer live"
-cargo run --release --quiet --features audit -p vertigo-experiments --bin experiments -- \
+echo "==> soak smoke: multi-tenant scenario with the audit layer live (a debug build)"
+cargo run --quiet -p vertigo-experiments --bin experiments -- \
   soak --quick --out "$WLDIR/soak" 2> "$WLDIR/soak.err" > "$WLDIR/soak.txt"
 grep -q 'bursty' "$WLDIR/soak.txt"        # per-tenant breakdown printed
 grep -q 'conservation layer live' "$WLDIR/soak.err"
@@ -249,8 +283,6 @@ echo "==> one domain against the classic loop, alternated in process (informatio
 cargo run --release --quiet --example sample_profile -- --time ft_soak ft_soak_d1 8
 
 echo "==> the default soak's peak RSS and wall time (information, never a gate; ≈ 43 MB since drained buffers give their room back, 49 before)"
-# The soak smoke above left an audit build behind: time the plain one.
-cargo build --release --quiet -p vertigo-experiments --bin experiments
 python3 - <<'EOF'
 import resource, subprocess, time
 start = time.time()
