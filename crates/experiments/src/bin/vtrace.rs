@@ -1,10 +1,6 @@
 //! Provenance-trace inspector: decodes the `.vtrace` files written by
 //! `--trace` into human-readable event rows (`dump`) and byte-compares
 //! two traces record-by-record (`diff`, exit 1 on divergence).
-//!
-//! The record codec is compiled unconditionally, so this tool reads
-//! traces regardless of whether it was itself built with
-//! `--features trace`.
 
 use std::process::ExitCode;
 use vertigo_netsim::trace::{deflect_policy_label, deliver_reason_label, forward_policy_label};

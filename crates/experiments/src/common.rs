@@ -159,7 +159,6 @@ pub struct Opts {
     pub faults: FaultSchedule,
     /// Provenance trace request applied to every run (`--trace
     /// PATH[:filter]`; see `vertigo_netsim::trace` for the grammar).
-    /// Requires a binary built with `--features trace`.
     pub trace: Option<TraceSpec>,
     /// Checkpoint/resume request applied to every run
     /// (`--checkpoint-every SIMTIME[:PATH]` / `--resume PATH`; see

@@ -1,7 +1,8 @@
 //! The `experiments` binary from the outside: argument errors are
 //! reported on stderr with the usage text and exit code 2, never as a
-//! panic, and before any simulation starts; `vtrace dump` on a golden
-//! trace; and `vsnp inspect` on a header of the previous format version.
+//! panic, and before any simulation starts; `--trace` next to an untraced
+//! run; `vtrace dump` on a golden trace and on codes it does not know; and
+//! `vsnp inspect` on a header of the previous format version.
 
 use std::process::{Command, Output};
 
@@ -230,28 +231,101 @@ fn unwritable_checkpoint_path_exits_2_without_a_panic() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[cfg(not(feature = "trace"))]
+fn vtrace(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_vtrace"))
+        .args(args)
+        .output()
+        .expect("the vtrace binary runs")
+}
+
+/// `--trace` in the default build: one `.vtrace` file per cell, stdout
+/// and CSV as an untraced run prints them, and `vtrace dump` reads the
+/// files. Small rings (`cap=64`) keep the files small while every hook
+/// still records.
 #[test]
-fn trace_without_the_feature_exits_2_without_a_panic() {
+fn trace_writes_one_file_per_cell_and_leaves_the_results_alone() {
     let dir = std::env::temp_dir().join(format!("vertigo-cli-trace-{}", std::process::id()));
-    let out = experiments(&[
-        "table2",
-        "--quick",
-        "--out",
-        dir.to_str().unwrap(),
-        "--trace",
-        dir.join("t.vtrace").to_str().unwrap(),
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    let errors: Vec<&str> = stderr.lines().filter(|l| l.contains("error")).collect();
-    assert_eq!(errors.len(), 1, "{stderr}");
+    let run = |tag: &str, trace: &[&str]| {
+        let out_dir = dir.join(tag);
+        let mut args = vec!["table2", "--quick", "--out", out_dir.to_str().unwrap()];
+        args.extend_from_slice(trace);
+        let out = experiments(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout).replace(out_dir.to_str().unwrap(), "OUT");
+        let csv = std::fs::read(out_dir.join("table2.csv")).expect("table2.csv");
+        (stdout, csv)
+    };
+    let traces = dir.join("traces");
+    let spec = format!("{}:cap=64", traces.join("t.vtrace").display());
+    let plain = run("plain", &[]);
+    let traced = run("traced", &["--trace", &spec]);
+    assert_eq!(plain, traced, "tracing changed what the run prints");
+
+    let mut files: Vec<_> = std::fs::read_dir(&traces)
+        .expect("the trace directory")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 6, "one trace per table2 cell: {files:?}");
+    for f in &files {
+        let name = f.file_name().unwrap().to_string_lossy();
+        assert!(
+            name.starts_with("t-") && name.ends_with(".vtrace"),
+            "{name}"
+        );
+    }
+    let out = vtrace(&["dump", files[0].to_str().unwrap()]);
     assert!(
-        errors[0].starts_with("error: --trace requires a binary built with `--features trace`"),
-        "{stderr}"
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(!dir.exists(), "nothing is written after an error");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.lines().count() > 1, "no records: {stdout}");
+    assert!(stdout.contains(" enqueue "), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Codes this build does not know — a kind, a forwarding or deflection
+/// policy, a drop cause, a delivery reason — print as `?`, not a panic.
+#[test]
+fn vtrace_dump_prints_unknown_codes_as_question_marks() {
+    use vertigo_stats::{TraceFilter, TraceKind, TraceRecord, TraceSink};
+    let rec = |kind: u8, a: u64, flags: u8| TraceRecord {
+        time_ns: 1,
+        uid: 2,
+        flow: 3,
+        a,
+        b: 0,
+        node: 0,
+        kind,
+        flags,
+        port: 0,
+    };
+    let mut sink = TraceSink::new();
+    sink.arm(TraceFilter::default(), 1, 8);
+    sink.record(rec(200, 0, 0));
+    sink.record(rec(TraceKind::FwdDecision.code(), 99, 0));
+    sink.record(rec(TraceKind::Deflect.code(), 0, 63 << 2));
+    sink.record(rec(TraceKind::Drop.code(), 999, 0));
+    sink.record(rec(TraceKind::RxDeliver.code(), 0, 200));
+    let path =
+        std::env::temp_dir().join(format!("vertigo-cli-unknown-{}.vtrace", std::process::id()));
+    std::fs::write(&path, sink.serialize()).unwrap();
+    let out = vtrace(&["dump", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rows: Vec<&str> = stdout.lines().skip(1).collect();
+    assert_eq!(rows.len(), 5, "{stdout}");
+    for (row, needle) in rows
+        .iter()
+        .zip([" ? ", "policy=? ", "policy=? ", "cause=? ", "reason=? "])
+    {
+        assert!(row.contains(needle), "{needle:?} not in {row}");
+    }
 }
 
 #[test]
@@ -260,10 +334,7 @@ fn vtrace_dump_names_the_overflow_policy_of_a_deflection() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/golden/deflect_pabo.vtrace"
     );
-    let out = Command::new(env!("CARGO_BIN_EXE_vtrace"))
-        .args(["dump", golden])
-        .output()
-        .expect("the vtrace binary runs");
+    let out = vtrace(&["dump", golden]);
     assert!(
         out.status.success(),
         "{}",

@@ -125,19 +125,29 @@ impl Switch {
             Self::maybe_mark_ecn(&self.cfg, q, &mut pkt, ctx);
         }
         if ctx.rec.trace.enabled() {
-            let rank = q
-                .rank_of(&pkt)
-                .unwrap_or_else(|| pkt.rank(self.cfg.boost_shift));
-            let flags = flags | (self.cfg.buffer.trace_code() << 2);
-            let sampled = pack_ports(sampled);
-            ctx.trace(self.id, TraceKind::Deflect, &pkt, rank, sampled, flags, to);
+            self.trace_deflect(to, &pkt, sampled, flags, ctx);
         }
+        let q = &mut self.ports[to as usize].queue;
         q.push(pkt);
         while q.bytes() > cap {
             let evicted = q.evict_worst().expect("nonempty over-capacity queue");
             ctx.drop_pkt(self.id, to, DropCause::DeflectionFull, evicted);
         }
         self.start_tx(to, ctx);
+    }
+
+    /// Provenance: the Deflect record of `pkt` about to join `to`'s queue
+    /// (see [`Switch::deflect_to`] for its fields).
+    #[cold]
+    #[inline(never)]
+    fn trace_deflect(&self, to: u16, pkt: &Packet, sampled: &[u16], flags: u8, ctx: &mut Ctx) {
+        let rank = self.ports[to as usize]
+            .queue
+            .rank_of(pkt)
+            .unwrap_or_else(|| pkt.rank(self.cfg.boost_shift));
+        let flags = flags | (self.cfg.buffer.trace_code() << 2);
+        let sampled = pack_ports(sampled);
+        ctx.trace(self.id, TraceKind::Deflect, pkt, rank, sampled, flags, to);
     }
 
     /// The deflection candidates for `pkt` (full on `out`) whose queue has

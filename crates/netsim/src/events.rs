@@ -295,8 +295,8 @@ pub struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// Emits one provenance record for `pkt` at `node`. Callers guard with
-    /// `self.rec.trace.enabled()` (compile-time `false` without the
-    /// `trace` feature, so every hook site folds away).
+    /// `self.rec.trace.enabled()` and build the record in a `#[cold]`,
+    /// never-inlined helper, so a disarmed hook site costs one branch.
     #[inline]
     #[allow(clippy::too_many_arguments)] // one argument per record field
     pub(crate) fn trace(
@@ -329,11 +329,19 @@ impl Ctx<'_> {
     #[inline]
     pub(crate) fn drop_pkt(&mut self, node: NodeId, port: u16, cause: DropCause, pkt: Box<Packet>) {
         if self.rec.trace.enabled() {
-            let (a, b) = (cause.index() as u64, pkt.wire_size as u64);
-            self.trace(node, TraceKind::Drop, &pkt, a, b, 0, port);
+            self.trace_drop(node, port, cause, &pkt);
         }
         self.rec.on_drop(cause, pkt.wire_size);
         pool::recycle(pkt);
+    }
+
+    /// Provenance: the Drop record of [`Ctx::drop_pkt`] (`a` = the cause,
+    /// `b` = wire bytes).
+    #[cold]
+    #[inline(never)]
+    fn trace_drop(&mut self, node: NodeId, port: u16, cause: DropCause, pkt: &Packet) {
+        let (a, b) = (cause.index() as u64, pkt.wire_size as u64);
+        self.trace(node, TraceKind::Drop, pkt, a, b, 0, port);
     }
 
     /// Puts `pkt` on the wire out of `from`'s `port`: the port's own

@@ -295,10 +295,6 @@ impl Simulation {
     /// per-node ring capacity. Call before [`Simulation::run`]; the
     /// captured stream is available afterwards via
     /// [`Simulation::trace_bytes`].
-    ///
-    /// Without the `trace` cargo feature this is a silent no-op (the
-    /// digest-diff harness runs the same code in both builds); callers
-    /// that must fail loudly check [`vertigo_stats::TRACE_AVAILABLE`].
     pub fn enable_trace(&mut self, filter: vertigo_stats::TraceFilter, capacity: usize) {
         self.rec.trace.arm(filter, self.topo.num_nodes(), capacity);
     }
@@ -465,7 +461,7 @@ impl Simulation {
     /// Serializes the complete mutable simulation state — event queue
     /// (clock included), RNG, recorder, id counters, every node, telemetry,
     /// and the fault RNG — as a VSNP component payload. Callers frame it
-    /// with the file header (magic, version, feature flags, spec hash).
+    /// with the file header (magic, version, spec hash, time).
     ///
     /// `&mut self` because the event queue snapshot drains and rebuilds
     /// in place; the running simulation is unperturbed afterwards.

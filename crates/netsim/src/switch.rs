@@ -274,64 +274,89 @@ impl Switch {
     fn select_output(&mut self, dst: usize, pkt: &Packet, ctx: &mut Ctx) -> Option<u16> {
         let cands = self.routes.candidates(self.sw, dst);
         let n = cands.len();
-        // Provenance for FwdDecision records: which policy decided (0 =
-        // forced single candidate) and, for DRILL, the remembered port
-        // going into the decision.
-        let mut policy_code = 0u64;
+        // Provenance for FwdDecision records: for DRILL, the remembered
+        // port going into the decision.
         let mut remembered_before: Option<u16> = None;
         let chosen = match n {
             0 => None,
             1 => Some(cands[0]),
-            n => {
-                policy_code = self.cfg.forward.trace_code();
-                match self.cfg.forward {
-                    ForwardPolicy::Ecmp => {
-                        let h = ecmp_hash(pkt.flow.0, self.ecmp_salt);
-                        Some(cands[(h % n as u64) as usize])
-                    }
-                    ForwardPolicy::Drill { d } => {
-                        // Sample d random candidates plus the remembered best.
-                        let (mut best, best_bytes) = least_loaded(
-                            d.min(n),
-                            cands,
-                            &self.ports,
-                            &mut self.pick_scratch,
-                            ctx.rng,
-                        );
-                        remembered_before = self.drill_best[dst];
-                        if let Some(m) = remembered_before {
-                            if cands.contains(&m)
-                                && self.ports[m as usize].queue.bytes() < best_bytes
-                            {
-                                best = Some(m);
-                            }
-                        }
-                        self.drill_best[dst] = best;
-                        best
-                    }
-                    ForwardPolicy::PowerOfN { n: power } => {
-                        let k = power.max(1).min(n);
-                        least_loaded(k, cands, &self.ports, &mut self.pick_scratch, ctx.rng).0
-                    }
+            n => match self.cfg.forward {
+                ForwardPolicy::Ecmp => {
+                    let h = ecmp_hash(pkt.flow.0, self.ecmp_salt);
+                    Some(cands[(h % n as u64) as usize])
                 }
-            }
+                ForwardPolicy::Drill { d } => {
+                    // Sample d random candidates plus the remembered best.
+                    let (mut best, best_bytes) = least_loaded(
+                        d.min(n),
+                        cands,
+                        &self.ports,
+                        &mut self.pick_scratch,
+                        ctx.rng,
+                    );
+                    remembered_before = self.drill_best[dst];
+                    if let Some(m) = remembered_before {
+                        if cands.contains(&m) && self.ports[m as usize].queue.bytes() < best_bytes {
+                            best = Some(m);
+                        }
+                    }
+                    self.drill_best[dst] = best;
+                    best
+                }
+                ForwardPolicy::PowerOfN { n: power } => {
+                    let k = power.max(1).min(n);
+                    least_loaded(k, cands, &self.ports, &mut self.pick_scratch, ctx.rng).0
+                }
+            },
         };
         if ctx.rec.trace.enabled() {
             if let Some(c) = chosen {
-                let b = n as u64 | ((remembered_before.map_or(0, |m| m as u64 + 1)) << 32);
-                let flags = u8::from(remembered_before == Some(c));
-                ctx.trace(
-                    self.id,
-                    TraceKind::FwdDecision,
-                    pkt,
-                    policy_code,
-                    b,
-                    flags,
-                    c,
-                );
+                self.trace_fwd(pkt, n, remembered_before, c, ctx);
             }
         }
         chosen
+    }
+
+    /// Provenance: the FwdDecision record of a choice of `chosen` among
+    /// `n` candidates (policy code 0 = forced single candidate).
+    #[cold]
+    #[inline(never)]
+    fn trace_fwd(
+        &self,
+        pkt: &Packet,
+        n: usize,
+        remembered_before: Option<u16>,
+        chosen: u16,
+        ctx: &mut Ctx,
+    ) {
+        let policy_code = if n > 1 {
+            self.cfg.forward.trace_code()
+        } else {
+            0
+        };
+        let b = n as u64 | ((remembered_before.map_or(0, |m| m as u64 + 1)) << 32);
+        let flags = u8::from(remembered_before == Some(chosen));
+        let kind = TraceKind::FwdDecision;
+        ctx.trace(self.id, kind, pkt, policy_code, b, flags, chosen);
+    }
+
+    /// Provenance: an Enqueue or Dequeue record of `pkt` on `port`'s
+    /// queue `q`, `b` = the queue's bytes plus `pending` (the packet's own
+    /// size while it is not yet pushed).
+    #[cold]
+    #[inline(never)]
+    fn trace_queue(
+        id: NodeId,
+        kind: TraceKind,
+        q: &PortQueue,
+        pkt: &Packet,
+        pending: u64,
+        port: u16,
+        ctx: &mut Ctx,
+    ) {
+        let rank = q.rank_of(pkt).unwrap_or(TRACE_NO_RANK);
+        let bytes = q.bytes().saturating_add(pending);
+        ctx.trace(id, kind, pkt, rank, bytes, 0, port);
     }
 
     /// ECN: mark CE when the instantaneous queue length meets the DCTCP
@@ -359,9 +384,8 @@ impl Switch {
         let q = &mut self.ports[out as usize].queue;
         Self::maybe_mark_ecn(&self.cfg, q, &mut pkt, ctx);
         if ctx.rec.trace.enabled() {
-            let rank = q.rank_of(&pkt).unwrap_or(TRACE_NO_RANK);
-            let after = q.bytes().saturating_add(pkt.wire_size as u64);
-            ctx.trace(self.id, TraceKind::Enqueue, &pkt, rank, after, 0, out);
+            let size = pkt.wire_size as u64;
+            Self::trace_queue(self.id, TraceKind::Enqueue, q, &pkt, size, out, ctx);
         }
         q.push(pkt);
     }
@@ -478,9 +502,7 @@ impl Switch {
         // previous hop, which is what PABO's backward bounce consults.
         pkt.prev_hop = self.id;
         if ctx.rec.trace.enabled() {
-            let rank = p.queue.rank_of(&pkt).unwrap_or(TRACE_NO_RANK);
-            let left = p.queue.bytes();
-            ctx.trace(self.id, TraceKind::Dequeue, &pkt, rank, left, 0, port);
+            Self::trace_queue(self.id, TraceKind::Dequeue, &p.queue, &pkt, 0, port, ctx);
         }
         p.busy = true;
         ctx.transmit(self.id, PortId(port), p.link, p.peer, p.peer_port, pkt);

@@ -22,11 +22,6 @@
 //!
 //! The `k=v` list, the window and the time literal read as in every spec
 //! grammar ([`crate::grammar`]): a key given twice is refused.
-//!
-//! This module compiles unconditionally: parsing a spec never requires
-//! the `trace` feature. Only *recording* does, and
-//! `RunSpec::try_run_staged` fails loudly when a spec is supplied to a
-//! build that cannot honor it.
 
 use std::path::PathBuf;
 use vertigo_core::ordering::DeliverReason;

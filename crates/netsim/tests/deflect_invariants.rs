@@ -6,10 +6,6 @@
 //! for an excluding policy, always the provenance upstream for PABO) —
 //! and the whole decision stream is a deterministic function of the
 //! seed.
-//!
-//! Requires `--features trace` (the decision stream is the oracle).
-
-#![cfg(feature = "trace")]
 
 use proptest::prelude::*;
 use vertigo_netsim::{

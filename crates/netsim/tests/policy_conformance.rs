@@ -2,10 +2,6 @@
 //! deflection policies do exactly what their papers specify — driven off
 //! the provenance event stream, not aggregate counters, so a policy that
 //! gets the right *count* for the wrong *reason* still fails.
-//!
-//! Requires `--features trace` (the event stream is the test oracle).
-
-#![cfg(feature = "trace")]
 
 use vertigo_netsim::{
     BufferPolicy, Ctx, Event, EventSink, ForwardPolicy, LinkParams, Port, PortQueue,

@@ -8,7 +8,7 @@ use vertigo_netsim::{
 };
 use vertigo_pkt::{DataSeg, FlowId, FlowInfo, NodeId, Packet, PortId, QueryId, MAX_HOPS};
 use vertigo_simcore::{EventQueue, SimRng, SimTime};
-use vertigo_stats::{DropCause, Recorder, TraceFilter, TraceKind, TRACE_AVAILABLE};
+use vertigo_stats::{DropCause, Recorder, TraceFilter, TraceKind};
 
 const HOST: NodeId = NodeId(0);
 const SW: NodeId = NodeId(10);
@@ -301,8 +301,8 @@ fn acks_survive_vertigo_overflow() {
 
 /// What `Ctx::drop_pkt` and `Switch::deflect_to` own, whatever policy calls
 /// them: every packet an overflow displaces is counted once as a drop or
-/// once as a deflection, leaves exactly one record of that kind behind
-/// (trace builds), and no packet is lost from the books on the way.
+/// once as a deflection, leaves exactly one record of that kind behind,
+/// and no packet is lost from the books on the way.
 #[test]
 fn every_policy_accounts_each_displaced_packet_once() {
     let no_deflection = BufferPolicy::Vertigo {
@@ -360,20 +360,18 @@ fn every_policy_accounts_each_displaced_packet_once() {
                 .map(|port| port.queue.len() as u64 + u64::from(port.busy))
                 .sum();
             assert_eq!(offered, held + h.rec.total_drops(), "{what}: #{offered}");
-            if TRACE_AVAILABLE {
-                let records = h.rec.trace.records();
-                let of = |kind: TraceKind| {
-                    let new = records[seen..].iter();
-                    new.filter(|r| r.kind() == Some(kind)).count() as u64
-                };
-                assert_eq!(of(TraceKind::Deflect), deflected, "{what}: #{offered}");
-                assert_eq!(of(TraceKind::Drop), dropped, "{what}: #{offered}");
-                let forced = records[seen..]
-                    .iter()
-                    .any(|r| r.kind() == Some(TraceKind::Deflect) && r.flags & 1 == 1);
-                assert_eq!(forced, deflected == 1 && dropped == 1, "{what}");
-                seen = records.len();
-            }
+            let records = h.rec.trace.records();
+            let of = |kind: TraceKind| {
+                let new = records[seen..].iter();
+                new.filter(|r| r.kind() == Some(kind)).count() as u64
+            };
+            assert_eq!(of(TraceKind::Deflect), deflected, "{what}: #{offered}");
+            assert_eq!(of(TraceKind::Drop), dropped, "{what}: #{offered}");
+            let forced = records[seen..]
+                .iter()
+                .any(|r| r.kind() == Some(TraceKind::Deflect) && r.flags & 1 == 1);
+            assert_eq!(forced, deflected == 1 && dropped == 1, "{what}");
+            seen = records.len();
         }
         assert_eq!(h.rec.deflections > 0, deflects, "{what}");
         assert!(h.rec.total_drops() > 0, "{what}: 60 offered, 36 fit");

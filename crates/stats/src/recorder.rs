@@ -278,8 +278,7 @@ pub struct Recorder {
     /// Conservation-audit custody tallies (counted in every build;
     /// checked in debug-assertion builds).
     pub audit: crate::audit::AuditHooks,
-    /// Per-packet provenance sink (records only under the `trace` cargo
-    /// feature *and* after arming; empty inline no-ops otherwise).
+    /// Per-packet provenance sink (records only once armed).
     pub trace: crate::trace::TraceSink,
     /// Scenario-component tag per flow (tag 0 / absent = base workload).
     /// Kept out of [`FlowRecord`] because tags are assigned at *schedule*

@@ -11,13 +11,14 @@
 //! Everything splits along one line:
 //!
 //! * The **record format** — [`TraceRecord`], [`TraceKind`],
-//!   [`TraceFilter`], the on-disk encoding — compiles unconditionally, so
-//!   the `vtrace` dump/diff CLI can always decode a `.vtrace` file.
+//!   [`TraceFilter`], the on-disk encoding — which the `vtrace` dump/diff
+//!   CLI decodes a `.vtrace` file with.
 //! * The **recording machinery** — per-node ring buffers behind
-//!   [`TraceSink`] — only exists under the `trace` cargo feature. Without
-//!   it the sink is a fieldless struct, [`TraceSink::enabled`] returns a
-//!   compile-time `false`, and every hook call site folds away, so a plain
-//!   build is bit-identical to a traced one (CI digest-diffs this).
+//!   [`TraceSink`] — armed at run time. A disarmed sink costs each hook
+//!   site one test of [`TraceSink::enabled`]; the hooks keep their
+//!   record-building code out of line, and recording never feeds back
+//!   into the simulation, so a traced run's report is identical to an
+//!   untraced one's.
 //!
 //! Records land in fixed-capacity per-node rings tagged with a global
 //! arrival sequence number; serialization merges the rings back into one
@@ -32,8 +33,9 @@
 //! diff` act as a determinism check strictly stronger than comparing
 //! `Report`s.
 
-/// Whether this build can actually record traces (the `trace` feature).
-pub const TRACE_AVAILABLE: bool = cfg!(feature = "trace");
+/// Whether this build can record traces: always. Kept for the benchmark's
+/// result header, which lists it next to [`crate::AUDIT_AVAILABLE`].
+pub const TRACE_AVAILABLE: bool = true;
 
 /// Magic bytes opening every `.vtrace` file.
 pub const TRACE_MAGIC: [u8; 4] = *b"VTRC";
@@ -332,7 +334,6 @@ pub fn parse_trace(bytes: &[u8]) -> Result<(TraceHeader, Vec<TraceRecord>), Stri
 }
 
 /// Per-node fixed-capacity ring of sequence-tagged records.
-#[cfg(feature = "trace")]
 #[derive(Debug, Default)]
 struct NodeRing {
     /// `(global sequence, record)`; once at capacity, `start` marks the
@@ -342,7 +343,6 @@ struct NodeRing {
     overwritten: u64,
 }
 
-#[cfg(feature = "trace")]
 impl NodeRing {
     fn push(&mut self, seq: u64, rec: TraceRecord, capacity: usize) {
         if self.buf.len() < capacity {
@@ -356,7 +356,6 @@ impl NodeRing {
 }
 
 /// The armed state of a recording sink.
-#[cfg(feature = "trace")]
 #[derive(Debug)]
 struct TraceInner {
     filter: TraceFilter,
@@ -371,12 +370,10 @@ struct TraceInner {
 
 /// The provenance-event sink carried by [`crate::Recorder`].
 ///
-/// All methods are safe to call unconditionally; without the `trace`
-/// cargo feature the struct has no fields, [`TraceSink::enabled`] is a
-/// compile-time `false`, and every method is an empty `#[inline]` body.
+/// All methods are safe to call unconditionally; a disarmed sink records
+/// nothing and serializes to a valid, empty trace.
 #[derive(Debug, Default)]
 pub struct TraceSink {
-    #[cfg(feature = "trace")]
     inner: Option<Box<TraceInner>>,
 }
 
@@ -387,47 +384,28 @@ impl TraceSink {
     }
 
     /// Arms the sink: record events passing `filter` into per-node rings
-    /// of `capacity` records, for node ids `0..nodes`. No-op without the
-    /// `trace` feature (callers that need loud failure check
-    /// [`TRACE_AVAILABLE`]).
-    #[inline]
+    /// of `capacity` records, for node ids `0..nodes`.
     pub fn arm(&mut self, filter: TraceFilter, nodes: usize, capacity: usize) {
-        #[cfg(feature = "trace")]
-        {
-            let mut rings = Vec::with_capacity(nodes);
-            rings.resize_with(nodes, NodeRing::default);
-            self.inner = Some(Box::new(TraceInner {
-                filter,
-                capacity: capacity.max(1),
-                rings,
-                seq: 0,
-            }));
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (filter, nodes, capacity);
-        }
+        let mut rings = Vec::with_capacity(nodes);
+        rings.resize_with(nodes, NodeRing::default);
+        self.inner = Some(Box::new(TraceInner {
+            filter,
+            capacity: capacity.max(1),
+            rings,
+            seq: 0,
+        }));
     }
 
-    /// Whether recording is armed. A compile-time `false` without the
-    /// `trace` feature, so `if sink.enabled() { ... }` hook sites fold
-    /// away entirely in plain builds.
+    /// Whether recording is armed: the one test a disarmed hook site
+    /// pays, its record-building code being out of line behind it.
     #[inline]
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Records one event (filtered, sequence-tagged, ring-buffered).
     #[inline]
     pub fn record(&mut self, rec: TraceRecord) {
-        #[cfg(feature = "trace")]
         if let Some(inner) = self.inner.as_deref_mut() {
             if !inner.filter.matches(&rec) {
                 return;
@@ -440,30 +418,19 @@ impl TraceSink {
             inner.seq += 1;
             inner.rings[node].push(seq, rec, inner.capacity);
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = rec;
-        }
     }
 
     /// Records currently held, in canonical (arrival-sequence) order.
-    /// Empty without the `trace` feature or before arming.
+    /// Empty before arming.
     pub fn records(&self) -> Vec<TraceRecord> {
         self.merged().into_iter().map(|(_, r)| r).collect()
     }
 
     /// Number of records currently held.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "trace")]
-        {
-            self.inner
-                .as_deref()
-                .map_or(0, |i| i.rings.iter().map(|r| r.buf.len()).sum())
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.inner
+            .as_deref()
+            .map_or(0, |i| i.rings.iter().map(|r| r.buf.len()).sum())
     }
 
     /// Whether no records are held.
@@ -473,20 +440,13 @@ impl TraceSink {
 
     /// Records lost to ring overflow so far.
     pub fn overwritten(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.inner
-                .as_deref()
-                .map_or(0, |i| i.rings.iter().map(|r| r.overwritten).sum())
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.inner
+            .as_deref()
+            .map_or(0, |i| i.rings.iter().map(|r| r.overwritten).sum())
     }
 
-    /// Serializes header + records into the on-disk format. An unarmed (or
-    /// featureless) sink serializes to a valid, empty trace.
+    /// Serializes header + records into the on-disk format. An unarmed
+    /// sink serializes to a valid, empty trace.
     pub fn serialize(&self) -> Vec<u8> {
         let merged = self.merged();
         let header = TraceHeader {
@@ -506,10 +466,9 @@ impl TraceSink {
     /// sequence counter, and every ring's contents (including each ring's
     /// rotation point and overflow count) — so a resumed run's rings evolve
     /// exactly like the straight-through run's and the final `.vtrace`
-    /// stream is byte-identical. Every build writes the armed byte, so a
-    /// checkpoint without an armed trace restores in any build.
+    /// stream is byte-identical. A disarmed sink writes the armed byte
+    /// alone.
     pub fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
-        #[cfg(feature = "trace")]
         if let Some(inner) = self.inner.as_deref() {
             use vertigo_simcore::Snapshot;
             w.put_bool(true);
@@ -534,77 +493,67 @@ impl TraceSink {
         w.put_bool(false);
     }
 
-    /// Restores state written by [`TraceSink::snap_save`]. An armed
-    /// record in a build without the `trace` feature is an error.
+    /// Restores state written by [`TraceSink::snap_save`].
     pub fn snap_restore(
         &mut self,
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<(), vertigo_simcore::SnapError> {
+        use vertigo_simcore::{SnapError, Snapshot};
         if !r.get_bool()? {
             *self = TraceSink::new();
             return Ok(());
         }
-        #[cfg(not(feature = "trace"))]
-        return Err(vertigo_simcore::SnapError::new(
-            "the checkpoint carries an armed packet trace, which this build cannot \
-             continue: rebuild with `--features trace` to resume it",
-        ));
-        #[cfg(feature = "trace")]
-        {
-            use vertigo_simcore::{SnapError, Snapshot};
-            let filter = TraceFilter {
-                flow: Option::restore(r)?,
-                node: Option::restore(r)?,
-                from_ns: r.get_u64()?,
-                until_ns: r.get_u64()?,
-            };
-            let capacity = r.get_usize()?;
-            if capacity == 0 {
-                return Err(SnapError::new("trace ring capacity 0"));
-            }
-            let seq = r.get_u64()?;
-            let nrings = r.get_usize()?;
-            let mut rings = Vec::with_capacity(nrings.min(r.remaining()));
-            for i in 0..nrings {
-                let start = r.get_usize()?;
-                let overwritten = r.get_u64()?;
-                let nbuf = r.get_usize()?;
-                // What `NodeRing::push` and `merged` index by: a ring holds
-                // at most `capacity` records and rotates only once full.
-                if nbuf > capacity || start >= capacity || (start != 0 && nbuf < capacity) {
-                    return Err(SnapError::new(format!(
-                        "trace ring {i}: start {start} with {nbuf} records at capacity {capacity}"
-                    )));
-                }
-                let mut buf = Vec::with_capacity(nbuf.min(r.remaining()));
-                for _ in 0..nbuf {
-                    let rec_seq = r.get_u64()?;
-                    let bytes: [u8; TRACE_RECORD_BYTES] = r
-                        .get_bytes(TRACE_RECORD_BYTES)?
-                        .try_into()
-                        .expect("exact length");
-                    buf.push((rec_seq, TraceRecord::decode(&bytes)));
-                }
-                rings.push(NodeRing {
-                    buf,
-                    start,
-                    overwritten,
-                });
-            }
-            self.inner = Some(Box::new(TraceInner {
-                filter,
-                capacity,
-                rings,
-                seq,
-            }));
-            Ok(())
+        let filter = TraceFilter {
+            flow: Option::restore(r)?,
+            node: Option::restore(r)?,
+            from_ns: r.get_u64()?,
+            until_ns: r.get_u64()?,
+        };
+        let capacity = r.get_usize()?;
+        if capacity == 0 {
+            return Err(SnapError::new("trace ring capacity 0"));
         }
+        let seq = r.get_u64()?;
+        let nrings = r.get_usize()?;
+        let mut rings = Vec::with_capacity(nrings.min(r.remaining()));
+        for i in 0..nrings {
+            let start = r.get_usize()?;
+            let overwritten = r.get_u64()?;
+            let nbuf = r.get_usize()?;
+            // What `NodeRing::push` and `merged` index by: a ring holds
+            // at most `capacity` records and rotates only once full.
+            if nbuf > capacity || start >= capacity || (start != 0 && nbuf < capacity) {
+                return Err(SnapError::new(format!(
+                    "trace ring {i}: start {start} with {nbuf} records at capacity {capacity}"
+                )));
+            }
+            let mut buf = Vec::with_capacity(nbuf.min(r.remaining()));
+            for _ in 0..nbuf {
+                let rec_seq = r.get_u64()?;
+                let bytes: [u8; TRACE_RECORD_BYTES] = r
+                    .get_bytes(TRACE_RECORD_BYTES)?
+                    .try_into()
+                    .expect("exact length");
+                buf.push((rec_seq, TraceRecord::decode(&bytes)));
+            }
+            rings.push(NodeRing {
+                buf,
+                start,
+                overwritten,
+            });
+        }
+        self.inner = Some(Box::new(TraceInner {
+            filter,
+            capacity,
+            rings,
+            seq,
+        }));
+        Ok(())
     }
 
     /// All `(seq, record)` pairs across rings, sorted by sequence. Each
     /// ring is internally seq-ordered (oldest at `start`), so this is a
     /// k-way merge; a sort keeps it simple at bounded capacity.
-    #[cfg(feature = "trace")]
     fn merged(&self) -> Vec<(u64, TraceRecord)> {
         let Some(inner) = self.inner.as_deref() else {
             return Vec::new();
@@ -617,11 +566,6 @@ impl TraceSink {
         }
         all.sort_unstable_by_key(|&(seq, _)| seq);
         all
-    }
-
-    #[cfg(not(feature = "trace"))]
-    fn merged(&self) -> Vec<(u64, TraceRecord)> {
-        Vec::new()
     }
 }
 
@@ -719,7 +663,6 @@ mod tests {
         assert_eq!(unpack_ports(pack_ports(&[1, 2, 3, 4, 5])), vec![1, 2, 3, 4]);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn armed_sink_records_in_arrival_order() {
         let mut s = TraceSink::new();
@@ -740,7 +683,6 @@ mod tests {
         assert_eq!(parsed, recs);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn ring_overflow_drops_oldest_and_counts() {
         let mut s = TraceSink::new();
@@ -756,7 +698,6 @@ mod tests {
         assert_eq!(h.overwritten, 6);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn filter_applies_before_the_ring() {
         let mut s = TraceSink::new();
@@ -774,7 +715,6 @@ mod tests {
         assert_eq!(s.records()[0].flow, 7);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn unknown_node_ids_grow_the_ring_set() {
         let mut s = TraceSink::new();
@@ -784,7 +724,6 @@ mod tests {
         assert_eq!(s.records()[0].node, 5);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn snapshot_round_trip_preserves_rings_and_serialization() {
         use vertigo_simcore::{SnapReader, SnapWriter};
@@ -838,7 +777,6 @@ mod tests {
         w.into_bytes()
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn restore_rejects_hostile_records() {
         use vertigo_simcore::SnapReader;
@@ -888,32 +826,8 @@ mod tests {
         let mut s2 = TraceSink::new();
         let mut r = SnapReader::new(&bytes);
         s2.snap_restore(&mut r).unwrap();
-        assert_eq!(bytes, [0], "the armed byte alone, in every build");
+        assert_eq!(bytes, [0], "the armed byte alone");
         assert_eq!(r.remaining(), 0);
         assert!(!s2.enabled());
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn armed_record_without_the_feature_is_an_error() {
-        use vertigo_simcore::SnapReader;
-        let bytes = armed_record(4, &[(0, 3)]);
-        let err = TraceSink::new()
-            .snap_restore(&mut SnapReader::new(&bytes))
-            .expect_err("an armed trace needs the feature");
-        assert!(err.to_string().contains("--features trace"), "{err}");
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn featureless_sink_is_inert() {
-        let mut s = TraceSink::new();
-        s.arm(TraceFilter::default(), 4, 16);
-        assert!(!s.enabled());
-        s.record(rec(1, 0, 1, TraceKind::Enqueue));
-        assert_eq!(s.len(), 0);
-        assert!(s.records().is_empty());
-        let (h, _) = parse_trace(&s.serialize()).unwrap();
-        assert_eq!(h.records, 0);
     }
 }

@@ -18,7 +18,7 @@ use vertigo_netsim::{
     SimConfig, Simulation, SwitchConfig, Topology, TopologySpec, TraceSpec,
 };
 use vertigo_simcore::{EventBackend, SimDuration, SimTime, SnapReader, SNAP_VERSION};
-use vertigo_stats::{Report, TRACE_AVAILABLE, TRACE_HEADER_BYTES, TRACE_RECORD_BYTES};
+use vertigo_stats::{Report, TRACE_HEADER_BYTES, TRACE_RECORD_BYTES};
 use vertigo_transport::{CcKind, TransportConfig};
 
 /// The four systems the paper compares.
@@ -180,8 +180,8 @@ pub struct RunOutput {
 }
 
 /// A run failure that a correct program can meet: a workload the topology
-/// cannot carry, `--trace` on a build without the feature, or `--trace`,
-/// `--checkpoint-every` or `--resume` pointed at something unusable.
+/// cannot carry, or `--trace`, `--checkpoint-every` or `--resume` pointed
+/// at something unusable.
 /// Broken internal invariants stay panics.
 #[derive(Debug)]
 pub enum RunError {
@@ -195,9 +195,6 @@ pub enum RunError {
     Faults(String),
     /// More domains than the domain engine can deal nodes to.
     Domains(usize),
-    /// A trace was requested of a build without the `trace` feature, whose
-    /// hooks are compiled out.
-    TraceUnavailable,
     /// The trace file at `path`, or its directory, could not be written.
     Trace {
         /// The per-spec trace file.
@@ -213,8 +210,8 @@ pub enum RunError {
         source: std::io::Error,
     },
     /// The `--resume` checkpoint at `path` cannot continue this run:
-    /// unreadable, not a VSNP stream, or written by a different build
-    /// feature set or run spec.
+    /// unreadable, not a VSNP stream, or its header (magic, version, spec
+    /// hash, time) names another format version or another run spec.
     Resume {
         /// The resolved checkpoint file.
         path: PathBuf,
@@ -231,10 +228,6 @@ impl std::fmt::Display for RunError {
                 f,
                 "--domains {n}: the domain engine takes at most {} domains",
                 Topology::MAX_DOMAINS
-            ),
-            RunError::TraceUnavailable => f.write_str(
-                "--trace requires a binary built with `--features trace` \
-                 (this build compiled the hooks out); rebuild and rerun",
             ),
             RunError::Trace { path, source } => {
                 write!(f, "--trace: cannot write {}: {source}", path.display())
@@ -470,9 +463,8 @@ impl RunSpec {
     /// boundary (all events up to and including the checkpoint time
     /// processed), so a resumed run pops the exact remaining event
     /// sequence. The resumed run's `RunOutput` — report, telemetry,
-    /// stdout, and (in a trace build) the trace stream from the resume
-    /// point on — is byte-identical to the straight-through run's; CI
-    /// digest-diffs this.
+    /// stdout, and the trace stream from the resume point on — is
+    /// byte-identical to the straight-through run's; CI digest-diffs this.
     ///
     /// **Phased**: with `fork` set, the workload's incast component is
     /// deferred to the fork horizon and the fork's knob overrides are
@@ -483,11 +475,9 @@ impl RunSpec {
     /// the deferred arrivals are in the restored queue).
     ///
     /// Failures a correct invocation can meet — a workload the topology
-    /// cannot carry, a trace requested of a binary built without
-    /// `--features trace`, an unwritable trace path, an unreadable or
-    /// mismatched `--resume` file (format version, run spec, or an armed
-    /// trace a build without `trace` cannot continue; a silently wrong
-    /// resume would be worse than a refusal) — come
+    /// cannot carry, an unwritable trace path, an unreadable or
+    /// mismatched `--resume` file (format version or run spec; a silently
+    /// wrong resume would be worse than a refusal) — come
     /// back as a [`RunError`]. Combining `domains` with a trace, a
     /// snapshot request, fork-time overrides or a measurement window is a
     /// caller bug and panics.
@@ -521,8 +511,7 @@ impl RunSpec {
             // single-queue state to checkpoint, re-tune or stop early at;
             // combining the flags would silently produce an empty trace,
             // an unrestorable snapshot or an untuned run, so refuse loudly
-            // instead. Checked before the feature gate below so the
-            // message is the same in every build.
+            // instead.
             assert!(
                 trace.is_none(),
                 "packet tracing requires the classic engine: \
@@ -538,10 +527,6 @@ impl RunSpec {
                 "fork-time knob overrides and measurement windows require the \
                  classic engine: drop either them or --domains"
             );
-        }
-        // A silent empty trace would be worse than a refusal.
-        if trace.is_some() && !TRACE_AVAILABLE {
-            return Err(RunError::TraceUnavailable);
         }
         if let Some(n) = self.domains.filter(|&n| n > Topology::MAX_DOMAINS) {
             return Err(RunError::Domains(n));
@@ -1131,7 +1116,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn unwritable_trace_directory_is_an_error_not_a_panic() {
         // A regular file where the trace directory should go.
@@ -1153,26 +1137,69 @@ mod tests {
         std::fs::remove_file(&blocker).ok();
     }
 
-    #[cfg(feature = "trace")]
+    /// Tracing observes, never steers: armed, each cell's report,
+    /// ordering and marking counters equal the disarmed run's. Next to a
+    /// filtered clean cell runs an unfiltered faulted one, so every hook
+    /// records, the fault-drop path's included.
     #[test]
     fn traced_run_writes_file_and_keeps_report_identical() {
         let dir = std::env::temp_dir().join("vertigo-runner-trace-test");
-        let trace = TraceSpec::parse(&format!("{}/t.vtrace:flow=1", dir.display())).unwrap();
-        let mut spec = RunSpec::new(SystemKind::Vertigo, CcKind::Dctcp, quick_workload());
-        spec.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };
-        spec.horizon = SimDuration::from_millis(5);
-        let plain = spec.run();
-        let traced = spec.run_staged(Some(&trace), None, None);
-        assert_eq!(
-            format!("{:?}", plain.report),
-            format!("{:?}", traced.report),
-            "tracing must not perturb the simulation"
+        let mut clean = RunSpec::new(SystemKind::Vertigo, CcKind::Dctcp, quick_workload());
+        clean.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };
+        clean.horizon = SimDuration::from_millis(5);
+        let mut faulted = RunSpec::new(
+            SystemKind::Vertigo,
+            CcKind::Dctcp,
+            WorkloadSpec {
+                background: Some(BackgroundSpec {
+                    load: 0.4,
+                    dist: DistKind::WebSearch,
+                }),
+                incast: Some(IncastSpec {
+                    qps: 500.0,
+                    scale: 10,
+                    flow_bytes: 40_000,
+                }),
+            },
         );
-        let path = traced.trace_path.expect("trace path set");
-        let bytes = std::fs::read(&path).unwrap();
-        let (header, records) = vertigo_stats::parse_trace(&bytes).unwrap();
-        assert_eq!(header.records, records.len() as u64);
-        assert!(records.iter().all(|r| r.flow == 1), "filter must apply");
-        std::fs::remove_file(&path).ok();
+        faulted.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };
+        faulted.horizon = SimDuration::from_millis(20);
+        faulted.seed = 17;
+        faulted.faults = FaultSchedule::parse("loss:*:0.01@1ms-15ms").unwrap();
+        for (spec, filter, flow) in [(clean, ":flow=1", Some(1)), (faulted, "", None)] {
+            let trace = TraceSpec::parse(&format!("{}/t.vtrace{filter}", dir.display())).unwrap();
+            let plain = spec.run();
+            let traced = spec.run_staged(Some(&trace), None, None);
+            let observed = |o: &RunOutput| {
+                format!(
+                    "{:?} {:?} {:?} {}",
+                    o.report, o.ordering, o.marking, o.max_port_bytes
+                )
+            };
+            assert_eq!(
+                observed(&plain),
+                observed(&traced),
+                "tracing must not perturb the simulation"
+            );
+            let path = traced.trace_path.expect("trace path set");
+            let bytes = std::fs::read(&path).unwrap();
+            let (header, records) = vertigo_stats::parse_trace(&bytes).unwrap();
+            assert_eq!(header.records, records.len() as u64);
+            assert!(!records.is_empty());
+            if let Some(flow) = flow {
+                assert!(records.iter().all(|r| r.flow == flow), "filter must apply");
+            } else {
+                assert!(plain.report.fault_events > 0, "the loss window bit");
+                let fault_drop = |r: &&vertigo_stats::TraceRecord| {
+                    r.kind() == Some(vertigo_stats::TraceKind::Drop)
+                        && r.a == vertigo_stats::DropCause::LinkLoss.index() as u64
+                };
+                assert!(
+                    records.iter().any(|r| fault_drop(&r)),
+                    "no fault-drop record"
+                );
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 }

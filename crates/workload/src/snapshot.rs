@@ -14,11 +14,9 @@
 //! ```
 //!
 //! Every build writes the same payload layout: the audit tallies count in
-//! every build, and the trace sink writes its armed byte whether or not
-//! `trace` is compiled in. So a checkpoint taken by a debug build resumes
-//! in a release build and the other way round. Only an armed trace needs
-//! the `trace` feature to resume; a build without it refuses that record
-//! with an error naming the feature.
+//! every build, and so does the trace sink, armed or not. So a checkpoint
+//! taken by a debug build resumes in a release build and the other way
+//! round, an armed trace included.
 //!
 //! ## Naming
 //!

@@ -10,12 +10,13 @@ if grep -rnE 'HeapEventQueue|EventBackend::Heap' crates/*/src src; then
   exit 1
 fi
 
-echo "==> one audited build: no cargo feature named audit"
-# The conservation audit runs in every debug-assertion build; a feature
-# would split the builds, the tests and the checkpoint layout again.
-if grep -nE '^[[:space:]]*audit[[:space:]]*=' Cargo.toml crates/*/Cargo.toml \
-  || grep -rnF 'feature = "audit"' crates src tests examples; then
-  echo "the audit layer is gated on debug_assertions, not on a cargo feature" >&2
+echo "==> one build: no cargo features"
+# The conservation audit runs in every debug-assertion build and the packet
+# recorder in every build, armed at run time; a feature would split the
+# builds, the tests and the checkpoint layout again.
+if grep -nE '^[[:space:]]*\[features\]' Cargo.toml crates/*/Cargo.toml \
+  || grep -rnE 'feature = "(audit|trace)"' crates src tests examples; then
+  echo "a manifest declares features or a source gates on one; the build has none" >&2
   exit 1
 fi
 
@@ -28,23 +29,15 @@ echo "==> cargo test -q"
 # and, since tests build with debug assertions, the audit layer's mutation
 # smoke: it must catch a seeded accounting bug (netsim's audit suite,
 # seeded_phantom_packet_is_caught).
+# Includes the golden-trace regression suite (golden_trace) and the
+# deflection-policy conformance and invariant suites (policy_conformance,
+# deflect_invariants), which read the provenance trace.
 cargo test --workspace -q
 
 echo "==> audit observes, never perturbs: digest diff, debug build against release"
 cargo run --quiet --example audit_digest > /tmp/vertigo_digest_audit.txt
 cargo run --release --quiet --example audit_digest > /tmp/vertigo_digest_plain.txt
 diff /tmp/vertigo_digest_plain.txt /tmp/vertigo_digest_audit.txt
-
-echo "==> cargo test --features trace -q"
-# Includes the golden-trace regression suite (golden_trace) and the
-# deflection-policy conformance and invariant suites (policy_conformance,
-# deflect_invariants), which read the provenance trace.
-cargo test --workspace --features trace -q
-
-echo "==> trace observes, never perturbs: digest diff"
-cargo run --release --quiet --example trace_digest > /tmp/vertigo_digest_plain2.txt
-cargo run --release --quiet --features trace --example trace_digest > /tmp/vertigo_digest_trace.txt
-diff /tmp/vertigo_digest_plain2.txt /tmp/vertigo_digest_trace.txt
 
 echo "==> resume equivalence: checkpoint+resume digest (faults active)"
 # fig5's cells are phased (incast deferred to W = 5 ms), and the plain run
@@ -125,12 +118,12 @@ done
 echo "==> resume equivalence under trace: identical .vtrace streams from the resume point on"
 base="$SNAPDIR/traced"
 mkdir -p "$base"
-cargo run --release --quiet --features trace -p vertigo-experiments --bin experiments -- \
+cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
   fig5 --quick --faults "$FAULTS" --out "$base/straight" \
   --trace "$base/tstraight/fig5.vtrace:time=18ms-" \
   --checkpoint-every "6ms:$base/snaps/fig5.vsnp" \
   | grep -v '^\[csv\]' > "$base/straight.txt"
-cargo run --release --quiet --features trace -p vertigo-experiments --bin experiments -- \
+cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
   fig5 --quick --faults "$FAULTS" --out "$base/resume" \
   --resume "$base/snaps/fig5.vsnp" \
   --trace "$base/tresume/fig5.vtrace:time=18ms-" \

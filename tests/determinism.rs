@@ -67,7 +67,6 @@ fn seeds_actually_matter() {
 
 /// Determinism holds at event granularity, not just in aggregate: the
 /// full provenance event stream is a pure function of the spec.
-#[cfg(feature = "trace")]
 mod trace_level {
     use super::*;
     use vertigo::stats::TraceFilter;

@@ -8,13 +8,11 @@
 //! To regenerate after an *intentional* behavior change:
 //!
 //! ```sh
-//! UPDATE_GOLDENS=1 cargo test --features trace --test golden_trace
+//! UPDATE_GOLDENS=1 cargo test --test golden_trace
 //! ```
 //!
 //! then commit the rewritten files under `tests/golden/` (see
 //! EXPERIMENTS.md).
-
-#![cfg(feature = "trace")]
 
 use std::path::PathBuf;
 use vertigo::simcore::SimDuration;
@@ -129,8 +127,8 @@ fn check_golden_inner(name: &str, spec: &RunSpec, window: (u64, u64), require_co
     }
     let expected = std::fs::read(&path).unwrap_or_else(|e| {
         panic!(
-            "{}: {e}\n(run UPDATE_GOLDENS=1 cargo test --features trace \
-             --test golden_trace to create it)",
+            "{}: {e}\n(run UPDATE_GOLDENS=1 cargo test --test golden_trace \
+             to create it)",
             path.display()
         )
     });
