@@ -15,8 +15,9 @@
 //!
 //! These components are deliberately independent of the simulator: they
 //! operate on `vertigo-pkt` types and simulation time only, exactly as a
-//! real host stack would operate on mbufs and timestamps, and are reused
-//! unchanged by the DPDK-style microbenchmarks in `vertigo-bench`.
+//! real host stack would operate on mbufs and timestamps, and are timed
+//! unchanged by the benchmark's per-layer probes (`perfbench`) and by the
+//! DPDK-style packet generator in `examples/host_microbench.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -29,6 +29,7 @@
 //! victim-is-arriving).
 
 use crate::events::Ctx;
+use crate::policy::BufferPolicy;
 use crate::switch::Switch;
 use vertigo_pkt::{Packet, PortId};
 use vertigo_stats::{pack_ports, DropCause, TraceKind};
@@ -84,7 +85,35 @@ impl DeflectKind {
             DeflectKind::Bounded => "bounded",
         }
     }
+
+    /// The overflow policy this kind selects, sampling `deflect_power`
+    /// ports where it samples (DIBS and PABO do not); Vertigo's has
+    /// scheduling and deflection on.
+    pub fn buffer_policy(self, deflect_power: usize) -> BufferPolicy {
+        match self {
+            DeflectKind::Vertigo => BufferPolicy::Vertigo {
+                deflect_power,
+                scheduling: true,
+                deflection: true,
+            },
+            DeflectKind::Dibs => BufferPolicy::Dibs {
+                max_deflections: BUDGET,
+            },
+            DeflectKind::Pabo => BufferPolicy::Pabo {
+                max_deflections: BUDGET,
+            },
+            DeflectKind::Hybrid => BufferPolicy::Hybrid { deflect_power },
+            DeflectKind::Bounded => BufferPolicy::Bounded {
+                cap: BUDGET,
+                deflect_power,
+            },
+        }
+    }
 }
+
+/// Deflections one packet may take under the capped policies: DIBS's and
+/// PABO's `max_deflections`, the bounded policy's `cap`.
+const BUDGET: u16 = 16;
 
 /// Deflect-record flag bit 0: every sampled queue was full, so the victim
 /// was forced into one and that queue evicted down to its bound.

@@ -12,6 +12,8 @@
 //!    deflection with power-of-n placement (`1DEF`/`2DEF`), PABO, the
 //!    load-threshold hybrid and bounce-bounded deflection.
 
+use crate::deflect::DeflectKind;
+
 /// How a switch picks among equal-cost next hops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForwardPolicy {
@@ -225,9 +227,7 @@ impl SwitchConfig {
     /// DIBS: ECMP forwarding + random deflection.
     pub fn dibs() -> Self {
         SwitchConfig {
-            buffer: BufferPolicy::Dibs {
-                max_deflections: 16,
-            },
+            buffer: DeflectKind::Dibs.buffer_policy(2),
             ..Self::ecmp()
         }
     }
@@ -237,11 +237,7 @@ impl SwitchConfig {
     pub fn vertigo() -> Self {
         SwitchConfig {
             forward: ForwardPolicy::PowerOfN { n: 2 },
-            buffer: BufferPolicy::Vertigo {
-                deflect_power: 2,
-                scheduling: true,
-                deflection: true,
-            },
+            buffer: DeflectKind::Vertigo.buffer_policy(2),
             ..Self::ecmp()
         }
     }
@@ -249,9 +245,7 @@ impl SwitchConfig {
     /// PABO: ECMP forwarding + backward bounce on overflow.
     pub fn pabo() -> Self {
         SwitchConfig {
-            buffer: BufferPolicy::Pabo {
-                max_deflections: 16,
-            },
+            buffer: DeflectKind::Pabo.buffer_policy(2),
             ..Self::ecmp()
         }
     }
@@ -260,7 +254,7 @@ impl SwitchConfig {
     /// deflect-vs-drop on overflow.
     pub fn hybrid() -> Self {
         SwitchConfig {
-            buffer: BufferPolicy::Hybrid { deflect_power: 2 },
+            buffer: DeflectKind::Hybrid.buffer_policy(2),
             ..Self::ecmp()
         }
     }
@@ -269,10 +263,7 @@ impl SwitchConfig {
     /// queues, drop at the bounce cap.
     pub fn bounded() -> Self {
         SwitchConfig {
-            buffer: BufferPolicy::Bounded {
-                cap: 16,
-                deflect_power: 2,
-            },
+            buffer: DeflectKind::Bounded.buffer_policy(2),
             ..Self::ecmp()
         }
     }

@@ -522,7 +522,7 @@ impl Simulation {
             ));
         }
         if let Some((_, tel)) = &mut self.telemetry {
-            tel.snap_restore(r)?;
+            tel.snap_restore(r, fabric_counters([&self.rec]))?;
         }
         let had_faults = r.get_bool()?;
         if had_faults != self.faults.is_some() {
@@ -659,13 +659,20 @@ pub(crate) fn sample_fabric<'a>(
             max_port = max_port.max(s.busiest_port_bytes());
         }
     }
-    let (mut deflections, mut drops, mut ecn) = (0u64, 0u64, 0u64);
-    for r in recs {
-        deflections += r.deflections;
-        drops += r.total_drops();
-        ecn += r.ecn_marks;
-    }
+    let [deflections, drops, ecn] = fabric_counters(recs);
     tel.record(at, queued, max_port, deflections, drops, ecn, pending);
+}
+
+/// The cumulative deflection, drop and ECN counters summed over `recs`:
+/// what telemetry samples difference.
+fn fabric_counters<'a>(recs: impl IntoIterator<Item = &'a Recorder>) -> [u64; 3] {
+    let mut sum = [0u64; 3];
+    for r in recs {
+        sum[0] += r.deflections;
+        sum[1] += r.total_drops();
+        sum[2] += r.ecn_marks;
+    }
+    sum
 }
 
 pub(crate) fn max_port_bytes<'a>(nodes: impl Iterator<Item = &'a Node>) -> u64 {

@@ -100,8 +100,15 @@ impl Telemetry {
         w.put_u64(self.last_ecn);
     }
 
-    /// Restores a series written by [`Telemetry::snap_save`].
-    pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// Restores a series written by [`Telemetry::snap_save`]. `counted` is
+    /// what the restored recorders hold of the cumulative deflection, drop
+    /// and ECN counters: the next sample records the difference to the
+    /// cursors, so a cursor above its counter is refused.
+    pub fn snap_restore(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        counted: [u64; 3],
+    ) -> Result<(), SnapError> {
         let n = r.get_usize()?;
         if n > r.remaining() {
             return Err(SnapError::new(format!(
@@ -121,9 +128,14 @@ impl Telemetry {
                 pending_events: r.get_u64()?,
             });
         }
-        self.last_deflections = r.get_u64()?;
-        self.last_drops = r.get_u64()?;
-        self.last_ecn = r.get_u64()?;
+        let cursors = [r.get_u64()?, r.get_u64()?, r.get_u64()?];
+        if cursors.iter().zip(counted).any(|(&c, n)| c > n) {
+            return Err(SnapError::new(format!(
+                "telemetry cursors {cursors:?} (deflections, drops, ECN marks) \
+                 exceed the recorded {counted:?}"
+            )));
+        }
+        [self.last_deflections, self.last_drops, self.last_ecn] = cursors;
         Ok(())
     }
 }

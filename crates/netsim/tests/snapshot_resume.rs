@@ -4,8 +4,11 @@
 //! even identical *subsequent snapshots* — from the run that never
 //! stopped. Exercised with faults and telemetry active, across several
 //! checkpoint times (including ones far enough
-//! apart to cross timing-wheel level boundaries).
+//! apart to cross timing-wheel level boundaries). A hostile payload is
+//! refused or restored, never a panic.
 
+use proptest::prelude::*;
+use std::sync::LazyLock;
 use vertigo_netsim::{
     FaultSchedule, HostConfig, LinkParams, SimConfig, Simulation, SwitchConfig, TelemetryConfig,
     TopologySpec,
@@ -194,4 +197,78 @@ fn save_is_transparent_to_the_running_simulation() {
         report_key(&rep_plain, &plain),
         report_key(&rep_snapped, &snapped)
     );
+}
+
+/// `build()` drained to the middle of the incast, with telemetry and the
+/// fault schedule armed, and its payload.
+fn mid_burst() -> (Simulation, Vec<u8>) {
+    let mut sim = build();
+    sim.drain_until(SimTime::from_micros(2_500));
+    let mut w = SnapWriter::new();
+    sim.save_state(&mut w);
+    let bytes = w.into_bytes();
+    (sim, bytes)
+}
+
+/// Where the telemetry record's deflection, drop and ECN cursors sit in
+/// `payload`, the state of `sim`: the record is written whole, so its own
+/// bytes find it, and it ends with the three.
+fn telemetry_cursors(sim: &Simulation, payload: &[u8]) -> usize {
+    let mut w = SnapWriter::new();
+    sim.telemetry().expect("telemetry armed").snap_save(&mut w);
+    let tel = w.into_bytes();
+    let at = payload
+        .windows(tel.len())
+        .rposition(|w| w == tel.as_slice())
+        .expect("the payload holds the telemetry record");
+    at + tel.len() - 24
+}
+
+#[test]
+fn restore_refuses_a_telemetry_cursor_past_the_recorder() {
+    // The next sample records each counter minus its cursor; a cursor
+    // above what the restored recorder counted would underflow there.
+    let (sim, bytes) = mid_burst();
+    let cursors = telemetry_cursors(&sim, &bytes);
+    for i in 0..3 {
+        let mut hostile = bytes.clone();
+        hostile[cursors + 8 * i..cursors + 8 * (i + 1)].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut resumed = build();
+        match resumed.restore_state(&mut SnapReader::new(&hostile)) {
+            Err(e) => assert!(e.to_string().contains("telemetry cursors"), "{e}"),
+            Ok(()) => {
+                // Past the next 100 µs sample.
+                resumed.drain_until(SimTime::from_micros(2_700));
+                panic!("cursor {i} at u64::MAX was restored and sampled");
+            }
+        }
+    }
+}
+
+/// The payload of [`mid_burst`], taken once for every case.
+static MID_BURST: LazyLock<Vec<u8>> = LazyLock::new(|| mid_burst().1);
+
+/// One hostile payload: restoring it into a fresh build may fail or
+/// succeed, but must not panic.
+fn restore_survives(payload: &[u8]) {
+    let mut sim = build();
+    let _ = sim.restore_state(&mut SnapReader::new(payload));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+    /// The whole payload — event queue, RNG, recorder, every host and
+    /// switch, telemetry and the fault RNG — cut short anywhere, or with
+    /// one bit flipped. It is about 9 KB; the six switches' records, the
+    /// telemetry series and the fault record are its last quarter.
+    #[test]
+    fn hostile_payloads_never_panic(pos in any::<u64>(), bit in 0u8..8) {
+        let bytes = &*MID_BURST;
+        let at = (pos % bytes.len() as u64) as usize;
+        restore_survives(&bytes[..at]);
+        let mut flipped = bytes.clone();
+        flipped[at] ^= 1 << bit;
+        restore_survives(&flipped);
+    }
 }

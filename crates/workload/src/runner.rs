@@ -315,30 +315,10 @@ impl RunSpec {
         };
         // The --deflect axis: swap the overflow policy under Vertigo's
         // forwarding and host stack, so comparisons isolate deflection.
+        // `vertigo` keeps the native policy, ablation switches included.
         if self.system == SystemKind::Vertigo {
-            match self.deflect {
-                None | Some(DeflectKind::Vertigo) => {}
-                Some(DeflectKind::Dibs) => {
-                    sw.buffer = BufferPolicy::Dibs {
-                        max_deflections: 16,
-                    };
-                }
-                Some(DeflectKind::Pabo) => {
-                    sw.buffer = BufferPolicy::Pabo {
-                        max_deflections: 16,
-                    };
-                }
-                Some(DeflectKind::Hybrid) => {
-                    sw.buffer = BufferPolicy::Hybrid {
-                        deflect_power: self.vertigo.defl_power,
-                    };
-                }
-                Some(DeflectKind::Bounded) => {
-                    sw.buffer = BufferPolicy::Bounded {
-                        cap: 16,
-                        deflect_power: self.vertigo.defl_power,
-                    };
-                }
+            if let Some(kind) = self.deflect.filter(|&k| k != DeflectKind::Vertigo) {
+                sw.buffer = kind.buffer_policy(self.vertigo.defl_power);
             }
         }
         sw.port_buffer_bytes = self.port_buffer_bytes;

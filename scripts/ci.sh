@@ -20,6 +20,16 @@ if grep -nE '^[[:space:]]*\[features\]' Cargo.toml crates/*/Cargo.toml \
   exit 1
 fi
 
+echo "==> one benchmark harness: no bench targets, no criterion"
+# Per-layer numbers come from perfbench's probes (`perf --trace 1`) and
+# examples/host_microbench; a second harness would copy their op streams.
+manifests=(Cargo.toml crates/*/Cargo.toml crates/compat/*/Cargo.toml)
+if grep -nE '^[[:space:]]*\[\[bench\]\]' "${manifests[@]}" \
+  || grep -nw criterion "${manifests[@]}"; then
+  echo "a manifest declares a bench target or criterion; perfbench is the one harness" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -234,9 +244,6 @@ cargo fmt --all --check
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo bench --no-run"
-cargo bench --workspace --no-run
 
 echo "==> perfbench (own workspace, path deps on crates/*): tests, fmt, clippy"
 # The benchmark package only calls public functions of the workspace
