@@ -1,7 +1,11 @@
 //! Provenance-trace inspector: decodes the `.vtrace` files written by
 //! `--trace` into human-readable event rows (`dump`) and byte-compares
-//! two traces record-by-record (`diff`, exit 1 on divergence).
+//! two traces record-by-record (`diff`, exit 1 on divergence). A reader
+//! that closes the pipe early (`vtrace dump … | head`) ends the output,
+//! with exit 0.
 
+use std::error::Error;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use vertigo_netsim::trace::{deflect_policy_label, deliver_reason_label, forward_policy_label};
 use vertigo_stats::{
@@ -113,33 +117,39 @@ fn row(i: usize, r: &TraceRecord) -> String {
     )
 }
 
-fn dump(path: &str) -> Result<ExitCode, String> {
+/// A subcommand's exit code, or what stops it: an unreadable trace or a
+/// failed write to stdout.
+type Outcome = Result<ExitCode, Box<dyn Error>>;
+
+fn dump(path: &str, out: &mut impl Write) -> Outcome {
     let (header, records) = load(path)?;
-    println!(
+    writeln!(
+        out,
         "{path}: version {} | {} records | {} overwritten (ring capacity exceeded)",
         header.version, header.records, header.overwritten
-    );
+    )?;
     for (i, r) in records.iter().enumerate() {
-        println!("{}", row(i, r));
+        writeln!(out, "{}", row(i, r))?;
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn diff(path_a: &str, path_b: &str) -> Result<ExitCode, String> {
+fn diff(path_a: &str, path_b: &str, out: &mut impl Write) -> Outcome {
     let (ha, a) = load(path_a)?;
     let (hb, b) = load(path_b)?;
     if ha.overwritten != hb.overwritten {
-        println!(
+        writeln!(
+            out,
             "headers differ: {} overwrote {} records, {} overwrote {}",
             path_a, ha.overwritten, path_b, hb.overwritten
-        );
+        )?;
         return Ok(ExitCode::FAILURE);
     }
     for (i, (ra, rb)) in a.iter().zip(b.iter()).enumerate() {
         if ra != rb {
-            println!("first divergence at record {i}:");
-            println!("< {}", row(i, ra));
-            println!("> {}", row(i, rb));
+            writeln!(out, "first divergence at record {i}:")?;
+            writeln!(out, "< {}", row(i, ra))?;
+            writeln!(out, "> {}", row(i, rb))?;
             return Ok(ExitCode::FAILURE);
         }
     }
@@ -149,27 +159,44 @@ fn diff(path_a: &str, path_b: &str) -> Result<ExitCode, String> {
         } else {
             (path_b, b.len())
         };
-        println!(
+        writeln!(
+            out,
             "traces agree on the first {} records, then {} continues to {}",
             a.len().min(b.len()),
             longer,
             n
-        );
+        )?;
         return Ok(ExitCode::FAILURE);
     }
-    println!("identical: {} records", a.len());
+    writeln!(out, "identical: {} records", a.len())?;
     Ok(ExitCode::SUCCESS)
+}
+
+/// Whether `e` is a write to a reader that has stopped reading (`| head`):
+/// the output ends there, and that is no error.
+fn reader_gone(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
     let result = match args.as_slice() {
-        [cmd, file] if cmd == "dump" => dump(file),
-        [cmd, a, b] if cmd == "diff" => diff(a, b),
+        [cmd, file] if cmd == "dump" => dump(file, &mut out),
+        [cmd, a, b] if cmd == "diff" => diff(a, b, &mut out),
         _ => return usage(),
     };
-    result.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        ExitCode::from(2)
-    })
+    let result = result.and_then(|code| {
+        out.flush()?;
+        Ok(code)
+    });
+    match result {
+        Ok(code) => code,
+        Err(e) if reader_gone(&*e) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
+        }
+    }
 }

@@ -17,6 +17,7 @@ use std::fmt::Display;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::str::FromStr;
+use vertigo_netsim::DomainSimulation;
 use vertigo_simcore::SimDuration;
 use vertigo_transport::CcKind;
 use vertigo_workload::{
@@ -241,9 +242,8 @@ impl Opts {
         // Every flag combination that cannot work, refused up front with
         // both sides of the conflict named rather than silently degraded.
         // `tune` re-tunes knobs at the fork horizon and ends rungs early,
-        // and the domain engine has neither provenance hooks nor a
-        // quiescent single-queue state: each refused option needs the one
-        // thing its partner cannot give it.
+        // and the domain engine states its own refusals: each refused
+        // option needs the one thing its partner cannot give it.
         let refusals = [
             (
                 tuning && domains.is_some(),
@@ -260,19 +260,12 @@ impl Opts {
                 "tune's rungs are keyed by their measurement window, so one rung's \
                  checkpoints never serve the next: drop --checkpoint-every/--resume",
             ),
-            (
-                domains.is_some() && trace.is_some(),
-                "packet tracing requires the classic engine: \
-                 drop either --trace or --domains",
-            ),
-            (
-                domains.is_some() && snapshot.is_active(),
-                "checkpoint/resume requires the classic engine: \
-                 drop either --checkpoint-every/--resume or --domains",
-            ),
         ];
-        if let Some((_, why)) = refusals.iter().find(|(hit, _)| *hit) {
-            return Err((*why).to_owned());
+        let domain_refusal = domains
+            .and_then(|_| DomainSimulation::refusal(trace.is_some(), snapshot.is_active(), false));
+        let refused = refusals.iter().find(|(hit, _)| *hit).map(|(_, why)| *why);
+        if let Some(why) = refused.or(domain_refusal) {
+            return Err(why.to_owned());
         }
         Ok(Opts {
             scale,

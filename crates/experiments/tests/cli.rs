@@ -1,8 +1,9 @@
 //! The `experiments` binary from the outside: argument errors are
 //! reported on stderr with the usage text and exit code 2, never as a
 //! panic, and before any simulation starts; `--trace` next to an untraced
-//! run; `vtrace dump` on a golden trace and on codes it does not know; and
-//! `vsnp inspect` on a header of the previous format version.
+//! run; `vtrace dump` on a golden trace, on codes it does not know and
+//! into a pipe its reader closes; and `vsnp inspect` on a header of the
+//! previous format version.
 
 use std::process::{Command, Output};
 
@@ -346,4 +347,32 @@ fn vtrace_dump_names_the_overflow_policy_of_a_deflection() {
     for row in deflects {
         assert!(row.contains(" policy=pabo "), "{row}");
     }
+}
+
+/// `vtrace dump … | head -1`: a reader that closes the pipe after one
+/// line ends the output, with exit 0 and no panic. The dump (≈ 108 KB)
+/// is larger than a pipe's buffer, so the writer meets the closed pipe.
+#[test]
+fn vtrace_dump_into_a_closed_pipe_ends_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/fault_window.vtrace"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_vtrace"))
+        .args(["dump", golden])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the vtrace binary runs");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("piped stdout");
+    BufReader::new(stdout).read_line(&mut first).unwrap();
+    // The reader is dropped: the pipe is closed.
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(first.contains("923 records"), "{first}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
 }

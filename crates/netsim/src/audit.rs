@@ -1,14 +1,15 @@
 //! The conservation-audit invariant layer.
 //!
 //! Compiled into every debug-assertion build (every `cargo test`, every
-//! `cargo run` without `--release`) and out of release builds. The
-//! simulation driver calls [`check_conservation`] at every telemetry
-//! sample and at the end of every run, and [`check_flow_accounting`] at
-//! teardown; both panic with a precise per-term diff on violation.
+//! `cargo run` without `--release`) and out of release builds. Both
+//! engines call [`check_conservation`] at every telemetry sample (in the
+//! sample step they share, `sim::take_sample`) and at the end of every
+//! run, and [`check_flow_accounting`] at teardown; both panic with a
+//! precise per-term diff on violation.
 //! Sibling invariants live where the state lives:
 //!
 //! * `vertigo-simcore`: scheduling an event in the past panics
-//!   (`TimingWheel::push`);
+//!   (`EventQueue::push`);
 //! * `vertigo-core`: PIEO `pop_min`/`pop_max` ranks are monotone against
 //!   the remaining heap;
 //! * `crate::deflect`: no packet is deflected more often than its policy's
@@ -29,19 +30,29 @@ use vertigo_stats::Recorder;
 /// ```
 ///
 /// where `nic_queued`/`switch_queued` are computed by the caller from live
-/// node state and the rest comes from the recorder. `where_` names the
-/// checkpoint for the panic message.
-pub(crate) fn check_conservation(
+/// node state and the rest is summed over `rec` and `others` (the one
+/// recorder, or the domain engine's base and one per domain). The check
+/// counts on `rec`; `where_` names the checkpoint for the panic message.
+pub(crate) fn check_conservation<'a>(
     rec: &mut Recorder,
+    others: impl IntoIterator<Item = &'a Recorder>,
     nic_queued: u64,
     switch_queued: u64,
     where_: &str,
 ) {
     rec.audit.on_check();
-    let created = rec.audit.created;
-    let consumed = rec.audit.consumed;
-    let wire = rec.audit.wire;
-    let drops = rec.total_drops();
+    let tally = |r: &Recorder| {
+        [
+            r.audit.created,
+            r.audit.consumed,
+            r.audit.wire,
+            r.total_drops(),
+        ]
+    };
+    let [created, consumed, wire, drops] = others.into_iter().fold(tally(rec), |sum, r| {
+        let t = tally(r);
+        std::array::from_fn(|i| sum[i] + t[i])
+    });
     let rhs = consumed + drops + wire + nic_queued + switch_queued;
     assert!(
         created == rhs,

@@ -4,7 +4,8 @@
 //! [`DomainSimulation`] consumes a freshly built [`Simulation`] and splits
 //! its nodes into `N` domains along the structural zones of
 //! [`Topology::partition`](crate::Topology::partition) (per-leaf on a
-//! leaf-spine, per-pod on a fat-tree). Each domain owns a private timing
+//! leaf-spine, per-pod on a fat-tree), one domain per zone when `N` is
+//! above the zone count. Each domain owns a private timing
 //! wheel, per-node RNG streams, and a private [`Recorder`]; domains
 //! advance in lockstep windows bounded by the minimum link propagation
 //! delay (the lookahead), each window on its own thread.
@@ -127,8 +128,8 @@ impl Domain {
     /// pops it dry, wheel and run merged.
     /// What this scheduler owns of the loop: wire deliveries routed through
     /// the inbox, one RNG stream per node, content-keyed fault draws; the
-    /// coordinator samples telemetry at barriers, and tracing is rejected
-    /// up front for domain runs.
+    /// coordinator samples telemetry at barriers, and tracing is refused
+    /// up front ([`DomainSimulation::refusal`]).
     fn drain_window(&mut self, limit: SimTime) {
         let Domain {
             nodes,
@@ -153,9 +154,7 @@ impl Domain {
         // of line would give it a stack home and a stalled reload, 5-9 %
         // of `wall_us_per_mb`: the fault layer gets what it reads by value.
         while let Some((now, ev)) = router.window.pop(wheel) {
-            let id = ev
-                .node()
-                .expect("the domain engine samples at barriers, not via events");
+            let id = ev.node();
             let verdict = match faults.as_deref() {
                 Some(fs) => fs.intercept_keyed(now, id, ev.arrival()),
                 None => FaultAction::Pass,
@@ -190,21 +189,51 @@ pub struct DomainSimulation {
 }
 
 impl DomainSimulation {
-    /// Partitions `sim` into `n` domains. Consumes the simulation: node
-    /// state, pending `FlowStart` events, recorder, fault schedule and
-    /// telemetry configuration all move into the domain engine.
+    /// Why the domain engine cannot run a run that asks for these, if it
+    /// cannot: a packet trace, an active checkpoint or resume request, or
+    /// fork-time knob overrides or a measurement window. It has no
+    /// provenance hooks and no quiescent single-queue state to checkpoint,
+    /// re-tune or stop early at; combining them would silently produce an
+    /// empty trace, an unrestorable snapshot or an untuned run. The
+    /// command line reports the refusal, and the drivers assert on it.
+    pub fn refusal(trace: bool, snapshot: bool, fork_changes: bool) -> Option<&'static str> {
+        let refusals = [
+            (
+                trace,
+                "packet tracing requires the classic engine: drop either --trace or --domains",
+            ),
+            (
+                snapshot,
+                "checkpoint/resume requires the classic engine: \
+                 drop either --checkpoint-every/--resume or --domains",
+            ),
+            (
+                fork_changes,
+                "fork-time knob overrides and measurement windows require the \
+                 classic engine: drop either them or --domains",
+            ),
+        ];
+        refusals
+            .into_iter()
+            .find_map(|(hit, why)| hit.then_some(why))
+    }
+
+    /// Partitions `sim` into at most `n` domains: as many as the partition
+    /// fills, one a zone when `n` is above the topology's zone count.
+    /// Consumes the simulation: node state, pending `FlowStart` events,
+    /// recorder, fault schedule and telemetry configuration all move into
+    /// the domain engine.
     ///
     /// # Panics
     /// Panics if `n == 0`, if the topology has a zero-latency link (no
-    /// conservative lookahead exists), if tracing was armed (use the
-    /// classic engine for provenance capture), or if `sim` has already
-    /// run (its queue holds anything but `FlowStart`/`TelemetrySample`).
+    /// conservative lookahead exists), if tracing was armed
+    /// ([`DomainSimulation::refusal`]), or if `sim` has already run (its
+    /// queue holds anything but `FlowStart`).
     pub fn from_sim(sim: Simulation, n: usize) -> DomainSimulation {
         assert!(n >= 1, "--domains must be at least 1");
-        assert!(
-            !sim.rec.trace.enabled(),
-            "packet tracing requires the classic engine: drop either --trace or --domains"
-        );
+        if let Some(why) = Self::refusal(sim.rec.trace.enabled(), false, false) {
+            panic!("{why}");
+        }
         let Simulation {
             topo,
             nodes,
@@ -225,7 +254,12 @@ impl DomainSimulation {
         );
         let grid = LookaheadGrid::new(quantum);
 
-        let node_domain = Arc::new(topo.partition(n));
+        let node_domain = topo.partition(n);
+        // Zones are dealt to domains round-robin, so above the zone count
+        // the domains past it would get no node and idle through every
+        // barrier: run the ones the partition filled.
+        let n = node_domain.iter().max().map_or(1, |&d| d as usize + 1);
+        let node_domain = Arc::new(node_domain);
         let mut node_local = vec![0u32; topo.num_nodes()];
         let mut counts = vec![0u32; n];
         for (id, &d) in node_domain.iter().enumerate() {
@@ -261,21 +295,15 @@ impl DomainSimulation {
         }
 
         // Distribute the pre-scheduled workload: `FlowStart`s keep their
-        // global pop order within each domain's wheel; telemetry events
-        // are dropped (the coordinator samples at barriers instead).
+        // global pop order within each domain's wheel.
         while let Some((at, ev)) = events.pop() {
-            match ev {
-                Event::FlowStart { src, .. } => {
-                    domains[node_domain[src.index()] as usize]
-                        .wheel
-                        .push(at, ev);
-                }
-                Event::TelemetrySample => {}
-                other => panic!(
-                    "--domains requires a freshly built simulation; found a \
-                     pending {other:?} in the queue"
-                ),
-            }
+            assert!(
+                matches!(ev, Event::FlowStart { .. }),
+                "--domains requires a freshly built simulation; found a \
+                 pending {ev:?} in the queue"
+            );
+            let d = node_domain[ev.node().index()] as usize;
+            domains[d].wheel.push(at, ev);
         }
 
         DomainSimulation {
@@ -297,11 +325,6 @@ impl DomainSimulation {
         // domain alive for the whole run (windows are short and numerous).
         let mut pool: Option<WorkerPool<Domain>> = (n >= 2)
             .then(|| WorkerPool::new(n, |d: &mut Domain, limit: SimTime| d.drain_window(limit)));
-        let mut next_sample = self
-            .telemetry
-            .as_ref()
-            .map(|(cfg, _)| SimTime::ZERO + cfg.interval)
-            .filter(|&s| s <= horizon);
         let mut prev_limit = SimTime::ZERO;
 
         loop {
@@ -324,27 +347,21 @@ impl DomainSimulation {
             }
             self.peak_pending = self.peak_pending.max(pending);
 
-            // (3) Fire any telemetry sample the last window landed on
-            // (windows are capped at the next sample time, so the barrier
-            // sits exactly on it).
-            while let Some(s) = next_sample {
-                if s > prev_limit {
-                    break;
+            // (3) Take the telemetry sample the last window landed on
+            // (windows are capped at the next sample instant, so the
+            // barrier sits exactly on it).
+            let next = sim::next_sample(&self.telemetry, horizon);
+            if let (Some(at), Some((_, tel))) = (next, self.telemetry.as_mut()) {
+                if at <= prev_limit {
+                    let nodes = self.domains.iter().flat_map(|d| &d.nodes);
+                    let others = self.domains.iter().map(|d| &d.rec);
+                    sim::take_sample(tel, at, pending, nodes, &mut self.base_rec, others);
                 }
-                self.sample_telemetry(s, pending);
-                #[cfg(debug_assertions)]
-                self.audit_conservation("telemetry sample");
-                let interval = self
-                    .telemetry
-                    .as_ref()
-                    .expect("sampling implies telemetry")
-                    .0
-                    .interval;
-                next_sample = Some(s + interval).filter(|&t| t <= horizon);
             }
+            let next_sample = sim::next_sample(&self.telemetry, horizon);
 
-            // (4) The sampling train keeps the loop alive through quiet
-            // stretches, like the classic engine's TelemetrySample events.
+            // (4) The sample instants keep the loop alive through quiet
+            // stretches: an empty window still ends at the next one.
             let Some(m) = earlier(m, next_sample).filter(|&t| t <= horizon) else {
                 break; // quiescent (or only post-horizon events remain)
             };
@@ -395,38 +412,6 @@ impl DomainSimulation {
                 from.rec.audit.hand_over_wire(&mut to.rec.audit, n);
             }
         }
-    }
-
-    /// Collects one telemetry sample at time `s` (called at a barrier
-    /// that landed exactly on the sample time).
-    fn sample_telemetry(&mut self, s: SimTime, pending: u64) {
-        let Some((_, tel)) = self.telemetry.as_mut() else {
-            return;
-        };
-        let nodes = self.domains.iter().flat_map(|d| &d.nodes);
-        let recs = self.domains.iter().map(|d| &d.rec).chain([&self.base_rec]);
-        sim::sample_fabric(nodes, recs, tel, s, pending);
-    }
-
-    /// Global conservation check over summed per-domain tallies. The
-    /// scratch recorder is discarded; the successful check is counted on
-    /// the base recorder so `audit_checks` matches the classic cadence
-    /// (one per sample plus the teardown checks).
-    #[cfg(debug_assertions)]
-    fn audit_conservation(&mut self, where_: &str) {
-        let mut scratch = Recorder::new();
-        scratch.audit.absorb(&self.base_rec.audit);
-        for (d, b) in scratch.drops.iter_mut().zip(&self.base_rec.drops) {
-            *d += b;
-        }
-        for dom in &self.domains {
-            scratch.audit.absorb(&dom.rec.audit);
-            for (d, b) in scratch.drops.iter_mut().zip(&dom.rec.drops) {
-                *d += b;
-            }
-        }
-        sim::audit_conservation(self.nodes(), &mut scratch, where_);
-        self.base_rec.audit.on_check();
     }
 
     /// Merges domain recorders into the base, closes the books, and

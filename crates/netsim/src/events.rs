@@ -35,9 +35,6 @@ pub enum Event {
         /// The host.
         node: NodeId,
     },
-    /// The periodic telemetry sampler fired (handled by the driver, not a
-    /// node).
-    TelemetrySample,
     /// The application opens a flow at `src`.
     FlowStart {
         /// Sending host.
@@ -63,17 +60,15 @@ pub struct FlowSpec {
 }
 
 impl Event {
-    /// The node whose handler runs this event (`None` for the driver's
-    /// own telemetry tick): what a scheduler indexes its nodes and RNG
-    /// streams by, and what the fault layer freezes.
+    /// The node whose handler runs this event: what a scheduler indexes
+    /// its nodes and RNG streams by, and what the fault layer freezes.
     #[inline]
-    pub(crate) fn node(&self) -> Option<NodeId> {
+    pub(crate) fn node(&self) -> NodeId {
         match *self {
             Event::Arrive { node, .. } | Event::TxDone { node, .. } | Event::HostTimer { node } => {
-                Some(node)
+                node
             }
-            Event::FlowStart { src, .. } => Some(src),
-            Event::TelemetrySample => None,
+            Event::FlowStart { src, .. } => src,
         }
     }
 
@@ -89,6 +84,9 @@ impl Event {
     }
 }
 
+/// One tag byte per variant, then its fields. Tag 3 was the telemetry
+/// tick until VSNP 6, when samples left the queue; it is refused like any
+/// unknown tag, and the other tags keep their numbers.
 impl Snapshot for Event {
     fn save(&self, w: &mut SnapWriter) {
         match self {
@@ -107,7 +105,6 @@ impl Snapshot for Event {
                 w.put_u8(2);
                 node.save(w);
             }
-            Event::TelemetrySample => w.put_u8(3),
             Event::FlowStart { src, spec } => {
                 w.put_u8(4);
                 src.save(w);
@@ -133,7 +130,6 @@ impl Snapshot for Event {
             2 => Event::HostTimer {
                 node: NodeId::restore(r)?,
             },
-            3 => Event::TelemetrySample,
             4 => Event::FlowStart {
                 src: NodeId::restore(r)?,
                 spec: Box::new(FlowSpec {
@@ -229,16 +225,6 @@ impl<'a> EventSink<'a> {
         EventSink {
             queue,
             router: Some(router),
-        }
-    }
-
-    /// Current time: the timestamp of the last popped event. A domain's
-    /// queue pops only part of its events, so its router keeps the clock.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        match &self.router {
-            Some(r) => r.window.now(),
-            None => self.queue.now(),
         }
     }
 
@@ -383,6 +369,17 @@ mod tests {
         assert!(size_of::<Event>() <= 16);
         assert_eq!(size_of::<Option<(u64, Event)>>(), 24);
         assert_eq!(size_of::<Option<Delivery<Event>>>(), 40);
+    }
+
+    #[test]
+    fn tag_3_is_no_event() {
+        // The telemetry tick's tag until VSNP 6, with a node after it as
+        // the `HostTimer` it is next to would have.
+        let mut w = SnapWriter::new();
+        w.put_u8(3);
+        NodeId(1).save(&mut w);
+        let err = Event::restore(&mut SnapReader::new(&w.into_bytes())).unwrap_err();
+        assert!(err.to_string().contains("invalid Event tag 0x3"), "{err}");
     }
 
     #[test]

@@ -140,7 +140,6 @@ impl Node {
                 Node::Host(h) => h.start_flow(spec.flow, spec.dst, spec.bytes, spec.query, ctx),
                 Node::Switch(_) => unreachable!("flows start at hosts"),
             },
-            Event::TelemetrySample => unreachable!("the driver's own tick, not a node's"),
         }
     }
 
@@ -277,13 +276,12 @@ impl Simulation {
         self.faults = Some(FaultState::compile(sched, &self.topo, rng));
     }
 
-    /// Enables fabric telemetry at the given sampling interval. Call
-    /// before [`Simulation::run`]; samples are available afterwards via
+    /// Enables fabric telemetry at the given sampling interval: a sample
+    /// at every multiple of it up to the horizon. Call before
+    /// [`Simulation::run`]; samples are available afterwards via
     /// [`Simulation::telemetry`].
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         self.telemetry = Some((cfg, Telemetry::new()));
-        self.events
-            .push(self.events.now() + cfg.interval, Event::TelemetrySample);
     }
 
     /// The collected telemetry time series, if enabled.
@@ -396,9 +394,10 @@ impl Simulation {
     /// at the current instant; those are drained too, so a snapshot taken
     /// here never splits a same-time causal chain, and a resumed run pops
     /// the exact remaining sequence the straight-through run would.
+    ///
+    /// With telemetry armed, the loop stops at every sample instant on
+    /// the way, once every event due then has run, and samples there.
     pub fn drain_until(&mut self, limit: SimTime) {
-        // Telemetry reschedules against the *real* horizon, not the drain
-        // limit: a checkpoint boundary must not clip the sampling train.
         let horizon = SimTime::ZERO + self.horizon;
         let limit = limit.min(horizon);
         let Simulation {
@@ -410,40 +409,36 @@ impl Simulation {
             faults,
             ..
         } = self;
-        // Combined peek-then-pop: one queue access per iteration, and events
-        // beyond the limit stay queued. `ev` is 16 bytes that `pop_until`
-        // loads from the queue's entry into registers and `dispatch` takes
-        // by value. Nothing out of line may be handed `&ev`: the event then
-        // gets a stack home, stored as two overlapping 8-byte moves, and
-        // the reload of `pkt` straddles both and waits for them to retire
-        // (no store-to-load forwarding), 5-9 % of `wall_us_per_mb`
-        // (BENCH_PR18.json).
-        while let Some((now, ev)) = events.pop_until(limit) {
-            let Some(id) = ev.node() else {
-                // `TelemetrySample`: this scheduler samples as an event.
-                if let Some((tcfg, tel)) = telemetry.as_mut() {
-                    let pending = events.len() as u64;
-                    sample_fabric(nodes.iter(), [&*rec], tel, now, pending);
-                    let next = now + tcfg.interval;
-                    if next <= horizon {
-                        events.push(next, Event::TelemetrySample);
-                    }
-                }
-                #[cfg(debug_assertions)]
-                audit_conservation(nodes.iter(), rec, "telemetry sample");
-                continue;
+        loop {
+            let sample = next_sample(telemetry, horizon).filter(|&s| s <= limit);
+            let stop = sample.unwrap_or(limit);
+            // Combined peek-then-pop: one queue access per iteration, and
+            // events beyond the stop stay queued. `ev` is 16 bytes that
+            // `pop_until` loads from the queue's entry into registers and
+            // `dispatch` takes by value. Nothing out of line may be handed
+            // `&ev`: the event then gets a stack home, stored as two
+            // overlapping 8-byte moves, and the reload of `pkt` straddles
+            // both and waits for them to retire (no store-to-load
+            // forwarding), 5-9 % of `wall_us_per_mb` (BENCH_PR18.json).
+            while let Some((now, ev)) = events.pop_until(stop) {
+                let id = ev.node();
+                let verdict = match faults.as_mut() {
+                    Some(fs) => fs.intercept(now, id, ev.arrival()),
+                    None => FaultAction::Pass,
+                };
+                let mut ctx = Ctx {
+                    now,
+                    events: EventSink::direct(events),
+                    rec,
+                    rng,
+                };
+                nodes[id.index()].dispatch(ev, verdict, &mut ctx);
+            }
+            let (Some(at), Some((_, tel))) = (sample, telemetry.as_mut()) else {
+                return;
             };
-            let verdict = match faults.as_mut() {
-                Some(fs) => fs.intercept(now, id, ev.arrival()),
-                None => FaultAction::Pass,
-            };
-            let mut ctx = Ctx {
-                now,
-                events: EventSink::direct(events),
-                rec,
-                rng,
-            };
-            nodes[id.index()].dispatch(ev, verdict, &mut ctx);
+            let pending = events.len() as u64;
+            take_sample(tel, at, pending, nodes.iter(), rec, []);
         }
     }
 
@@ -522,7 +517,7 @@ impl Simulation {
             ));
         }
         if let Some((_, tel)) = &mut self.telemetry {
-            tel.snap_restore(r, fabric_counters([&self.rec]))?;
+            tel.snap_restore(r, fabric_counters(&self.rec, []))?;
         }
         let had_faults = r.get_bool()?;
         if had_faults != self.faults.is_some() {
@@ -635,44 +630,63 @@ pub(crate) fn close_books<'a>(
     }
     #[cfg(debug_assertions)]
     {
-        audit_conservation(nodes, rec, "end of run");
+        audit_conservation(nodes, rec, [], "end of run");
         crate::audit::check_flow_accounting(rec);
     }
     Report::from_recorder(rec, horizon)
 }
 
-/// Takes one telemetry sample at `at`: instantaneous switch occupancy over
-/// `nodes`, cumulative deflection/drop/ECN counters summed over `recs`
-/// (one recorder, or one per domain plus the base), and the scheduler's
-/// pending-event count.
-pub(crate) fn sample_fabric<'a>(
-    nodes: impl Iterator<Item = &'a Node>,
-    recs: impl IntoIterator<Item = &'a Recorder>,
+/// When the next telemetry sample falls, if telemetry is armed and the
+/// sample is not past `horizon`. Samples fall at k · interval from t = 0
+/// (k ≥ 1), so the next one follows from how many were taken: a restored
+/// run finds its place in the series with no cursor of its own. The one
+/// rule of both engines.
+pub(crate) fn next_sample(
+    telemetry: &Option<(TelemetryConfig, Telemetry)>,
+    horizon: SimTime,
+) -> Option<SimTime> {
+    let (cfg, tel) = telemetry.as_ref()?;
+    let k = tel.samples.len() as u64 + 1;
+    let at = SimTime::from_nanos(cfg.interval.as_nanos().saturating_mul(k));
+    (at <= horizon).then_some(at)
+}
+
+/// Takes the telemetry sample due at `at`, once every event due then has
+/// run, for either engine: instantaneous switch occupancy over `nodes`,
+/// the cumulative deflection, drop and ECN counters summed over `rec` and
+/// `others` (the one recorder, or the domain engine's base and one per
+/// domain), and the scheduler's pending-event count. In debug builds it
+/// checks conservation there too, over the same recorders' tallies, and
+/// counts the check on `rec`.
+pub(crate) fn take_sample<'a>(
     tel: &mut Telemetry,
     at: SimTime,
     pending: u64,
+    nodes: impl Iterator<Item = &'a Node> + Clone,
+    rec: &mut Recorder,
+    others: impl IntoIterator<Item = &'a Recorder> + Clone,
 ) {
     let (mut queued, mut max_port) = (0u64, 0u64);
-    for n in nodes {
+    for n in nodes.clone() {
         if let Node::Switch(s) = n {
             queued += s.queued_bytes();
             max_port = max_port.max(s.busiest_port_bytes());
         }
     }
-    let [deflections, drops, ecn] = fabric_counters(recs);
+    let [deflections, drops, ecn] = fabric_counters(rec, others.clone());
     tel.record(at, queued, max_port, deflections, drops, ecn, pending);
+    #[cfg(debug_assertions)]
+    audit_conservation(nodes, rec, others, "telemetry sample");
 }
 
-/// The cumulative deflection, drop and ECN counters summed over `recs`:
-/// what telemetry samples difference.
-fn fabric_counters<'a>(recs: impl IntoIterator<Item = &'a Recorder>) -> [u64; 3] {
-    let mut sum = [0u64; 3];
-    for r in recs {
-        sum[0] += r.deflections;
-        sum[1] += r.total_drops();
-        sum[2] += r.ecn_marks;
-    }
-    sum
+/// The cumulative deflection, drop and ECN counters summed over `rec` and
+/// `others`: what telemetry samples difference.
+fn fabric_counters<'a>(rec: &Recorder, others: impl IntoIterator<Item = &'a Recorder>) -> [u64; 3] {
+    let counters = |r: &Recorder| [r.deflections, r.total_drops(), r.ecn_marks];
+    others.into_iter().fold(counters(rec), |sum, r| {
+        let c = counters(r);
+        std::array::from_fn(|i| sum[i] + c[i])
+    })
 }
 
 pub(crate) fn max_port_bytes<'a>(nodes: impl Iterator<Item = &'a Node>) -> u64 {
@@ -723,11 +737,13 @@ pub(crate) fn marking_stats<'a>(
 }
 
 /// Gathers live queue occupancy from every node and runs the
-/// conservation check (see `crate::audit`).
+/// conservation check (see `crate::audit`) over the tallies of `rec` and
+/// `others` summed.
 #[cfg(debug_assertions)]
 pub(crate) fn audit_conservation<'a>(
     nodes: impl Iterator<Item = &'a Node>,
     rec: &mut Recorder,
+    others: impl IntoIterator<Item = &'a Recorder>,
     where_: &str,
 ) {
     let mut nic_queued = 0u64;
@@ -738,7 +754,7 @@ pub(crate) fn audit_conservation<'a>(
             Node::Switch(s) => switch_queued += s.queued_pkts(),
         }
     }
-    crate::audit::check_conservation(rec, nic_queued, switch_queued, where_);
+    crate::audit::check_conservation(rec, others, nic_queued, switch_queued, where_);
 }
 
 impl std::fmt::Debug for Simulation {

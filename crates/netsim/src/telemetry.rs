@@ -35,8 +35,9 @@ pub struct TelemetrySample {
     pub drops: u64,
     /// ECN marks during this interval.
     pub ecn_marks: u64,
-    /// Events pending in the simulator queue at the instant of sampling —
-    /// scheduler pressure, the event-loop analogue of `queued_bytes`.
+    /// Events pending in the simulator once every event due at the
+    /// sample instant has run — scheduler pressure, the event-loop
+    /// analogue of `queued_bytes`.
     pub pending_events: u64,
 }
 

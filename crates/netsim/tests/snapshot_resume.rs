@@ -122,6 +122,20 @@ fn resume_matches_straight_run() {
 }
 
 #[test]
+fn a_checkpoint_at_a_sample_instant_resumes_to_the_straight_series() {
+    // The 30th sample falls on the checkpoint: it is taken before the
+    // snapshot, after every event due then, and the resumed run goes on
+    // with the 31st.
+    let t = SimTime::from_micros(3_000);
+    let mut sim = build();
+    sim.drain_until(t);
+    let samples = &sim.telemetry().expect("telemetry armed").samples;
+    assert_eq!(samples.len(), 30);
+    assert_eq!(samples.last().map(|s| s.at), Some(t));
+    assert_resume_equivalent(t);
+}
+
+#[test]
 fn resumed_run_takes_byte_identical_later_snapshots() {
     let t1 = SimTime::from_micros(1_500);
     let t2 = SimTime::from_micros(6_000);
@@ -243,6 +257,21 @@ fn restore_refuses_a_telemetry_cursor_past_the_recorder() {
             }
         }
     }
+}
+
+#[test]
+fn restore_refuses_a_telemetry_tick_in_the_queue() {
+    // Up to VSNP 5 the queue held the sampler's tick, event tag 3. The
+    // queue record opens with the clock, two counters and the event
+    // count; then comes the first event's time and its tag byte.
+    let (_, mut hostile) = mid_burst();
+    let tag = 5 * 8;
+    assert!(matches!(hostile[tag], 0..=2 | 4), "an event tag");
+    hostile[tag] = 3;
+    let err = build()
+        .restore_state(&mut SnapReader::new(&hostile))
+        .expect_err("tag 3 is no event");
+    assert!(err.to_string().contains("invalid Event tag 0x3"), "{err}");
 }
 
 /// The payload of [`mid_burst`], taken once for every case.

@@ -1,16 +1,8 @@
-//! The event queue at the heart of the discrete-event simulator.
+//! What names the event queue from outside: [`EventBackend`], and the
+//! tests that pin [`EventQueue`]'s contract through its public surface
+//! (the queue itself, the timing wheel, is in [`crate::wheel`]).
 //!
-//! [`EventQueue`] is a time-ordered priority queue. Events scheduled for the
-//! same instant pop in insertion order, which makes whole simulations
-//! bit-reproducible for a given seed — a property the test suite asserts
-//! end to end. It is a hierarchical timing wheel with amortized O(1)
-//! push/pop; see [`crate::wheel`]'s module docs. The differential suite
-//! (`tests/event_differential.rs`) drives it in lockstep with a binary
-//! heap of its own, the reference it replaced.
-
-use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimingWheel;
+//! [`EventQueue`]: crate::EventQueue
 
 /// The event queue a simulation runs on: the timing wheel is the only one.
 ///
@@ -23,172 +15,11 @@ pub enum EventBackend {
     Wheel,
 }
 
-/// A deterministic, time-ordered event queue.
-///
-/// The queue tracks the current simulation clock: [`EventQueue::pop`]
-/// advances it to the timestamp of the event being delivered, and scheduling
-/// an event in the past is a logic error caught by a debug assertion (it is
-/// clamped to `now` in release builds so a simulation never travels back in
-/// time).
-pub struct EventQueue<E> {
-    wheel: TimingWheel<E>,
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        EventQueue {
-            wheel: TimingWheel::new(),
-        }
-    }
-
-    /// The current simulation clock (timestamp of the last popped event).
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.wheel.now()
-    }
-
-    /// Schedules `ev` for delivery at `at`.
-    ///
-    /// `at` must not be earlier than the current clock; in debug builds this
-    /// panics, in release builds the event is clamped to `now`.
-    ///
-    /// Always inlined, here and in `push_after`, down to the wheel's slot
-    /// append (DESIGN.md §5b).
-    #[inline(always)]
-    pub fn push(&mut self, at: SimTime, ev: E) {
-        self.wheel.push(at, ev)
-    }
-
-    /// Schedules `ev` for `delay` after the current clock.
-    ///
-    /// The hot scheduling sites all compute `now + delta`; this helper folds
-    /// the addition into the queue so callers cannot accidentally use a
-    /// stale clock, and the non-negative-delay invariant holds by
-    /// construction (no past-scheduling check needed).
-    #[inline(always)]
-    pub fn push_after(&mut self, delay: SimDuration, ev: E) {
-        self.wheel.push_after(delay, ev)
-    }
-
-    /// Removes and returns the earliest event, advancing the clock to its
-    /// timestamp. Returns `None` when the queue is empty.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.wheel.pop()
-    }
-
-    /// Combined peek-then-pop: removes and returns the earliest event only
-    /// if its timestamp is at or before `limit`, advancing the clock.
-    ///
-    /// This is the main-loop fast path — events beyond the horizon stay
-    /// queued and the clock does not move past `limit`.
-    #[inline]
-    pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        self.wheel.pop_until(limit)
-    }
-
-    /// Timestamp of the earliest pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.peek_time()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events ever scheduled (diagnostic).
-    pub fn scheduled_total(&self) -> u64 {
-        self.wheel.scheduled_total()
-    }
-
-    /// High-water mark of pending events — the queue-depth analogue of a
-    /// switch buffer's peak occupancy. Deflection storms (DIBS-style) show
-    /// up here as an order-of-magnitude spike over quiet runs.
-    pub fn peak_pending(&self) -> usize {
-        self.wheel.peak_pending()
-    }
-}
-
-impl<E: Snapshot> EventQueue<E> {
-    /// Serializes the queue for a checkpoint: the clock, the lifetime
-    /// counters, and every pending event in **pop order** — then rebuilds
-    /// the queue in place so the simulation keeps running unperturbed.
-    ///
-    /// Pop order is the only ordering fact the restored queue needs: the
-    /// rebuild re-files events in that order (the wheel's slots simply
-    /// append) and then restores the insertion counter to its original
-    /// value, so FIFO ties survive and future pushes order after every
-    /// pending tie. The drain-and-rebuild is invisible to the running
-    /// simulation (identical clock, counters, and pop sequence afterwards);
-    /// the differential suite and the snapshot proptests pin that down.
-    pub fn save_into(&mut self, w: &mut SnapWriter) {
-        let now = self.now().as_nanos();
-        let total = self.scheduled_total();
-        let peak = self.peak_pending();
-        let mut events: Vec<(u64, E)> = Vec::with_capacity(self.len());
-        while let Some((t, ev)) = self.pop() {
-            events.push((t.as_nanos(), ev));
-        }
-        w.put_u64(now);
-        w.put_u64(total);
-        w.put_usize(peak);
-        w.put_usize(events.len());
-        for (at, ev) in &events {
-            w.put_u64(*at);
-            ev.save(w);
-        }
-        self.wheel = TimingWheel::rebuild(now, total, peak, events);
-    }
-
-    /// Reconstructs a queue serialized by [`EventQueue::save_into`]. The
-    /// payload holds pop order and nothing of the queue's layout.
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let now = r.get_u64()?;
-        let total = r.get_u64()?;
-        let peak = r.get_usize()?;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(SnapError::new(format!(
-                "corrupt event count {n} exceeds {} remaining bytes",
-                r.remaining()
-            )));
-        }
-        let mut events = Vec::with_capacity(n);
-        let mut prev = now;
-        for _ in 0..n {
-            let at = r.get_u64()?;
-            if at < prev {
-                return Err(SnapError::new(format!(
-                    "event stream not in pop order ({at} after {prev})"
-                )));
-            }
-            prev = at;
-            events.push((at, E::restore(r)?));
-        }
-        Ok(EventQueue {
-            wheel: TimingWheel::rebuild(now, total, peak, events),
-        })
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::time::SimDuration;
+    use crate::snap::{SnapReader, SnapWriter, Snapshot};
+    use crate::time::{SimDuration, SimTime};
+    use crate::EventQueue;
 
     #[test]
     fn pops_in_time_order() {

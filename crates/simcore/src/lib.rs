@@ -32,7 +32,7 @@ mod wheel;
 
 pub use barrier::WorkerPool;
 pub use domain::{Batch, Delivery, LookaheadGrid, WindowQueue};
-pub use event::{EventBackend, EventQueue};
+pub use event::EventBackend;
 pub use rng::SimRng;
 pub use room::{release_if_drained, RING_KEEP_BYTES};
 pub use snap::{
@@ -40,3 +40,4 @@ pub use snap::{
     SNAP_MAGIC, SNAP_VERSION,
 };
 pub use time::{SimDuration, SimTime};
+pub use wheel::EventQueue;

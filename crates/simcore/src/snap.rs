@@ -33,7 +33,9 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// Version 4: the host record lists its finished flows after its receivers.
 /// Version 5: the header drops its feature flags and backend byte, and the
 /// payload's audit tallies and trace armed byte are written by every build.
-pub const SNAP_VERSION: u16 = 5;
+/// Version 6: the event queue holds no telemetry tick (event tag 3 is
+/// refused); samples follow from the series the telemetry record holds.
+pub const SNAP_VERSION: u16 = 6;
 
 /// Every build checkpoints and resumes; only the benchmark's result
 /// header (`perfbench/`) still reads this.

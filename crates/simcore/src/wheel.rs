@@ -1,6 +1,10 @@
-//! A hierarchical timing wheel: what [`EventQueue`] runs on, O(1).
+//! The event queue at the heart of the discrete-event simulator: a
+//! hierarchical timing wheel, amortized O(1) per operation.
 //!
-//! [`EventQueue`]: crate::EventQueue
+//! [`EventQueue`] is a time-ordered priority queue. Events scheduled for
+//! the same instant pop in insertion order, which makes whole simulations
+//! bit-reproducible for a given seed — a property the test suite asserts
+//! end to end.
 //!
 //! ## Layout
 //!
@@ -78,6 +82,7 @@
 //! suite (`tests/event_differential.rs`) drives this wheel and a binary
 //! heap in lockstep to assert the two are observationally identical.
 
+use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::time::{SimDuration, SimTime};
 
 /// log2 of the slot count per level.
@@ -156,8 +161,15 @@ impl<E> Run<E> {
     }
 }
 
-/// The hierarchical timing wheel. See the module docs for the invariants.
-pub(crate) struct TimingWheel<E> {
+/// A deterministic, time-ordered event queue: the hierarchical timing
+/// wheel. See the module docs for the invariants.
+///
+/// The queue tracks the current simulation clock: [`EventQueue::pop`]
+/// advances it to the timestamp of the event being delivered, and
+/// scheduling an event in the past is a logic error caught by a debug
+/// assertion (it is clamped to `now` in release builds so a simulation
+/// never travels back in time).
+pub struct EventQueue<E> {
     /// What the cascade that opened the 256 ns window the clock is in
     /// sorted into it. Never inserted into: it is written whole, with the
     /// cursor at 0, and read front to back.
@@ -217,9 +229,10 @@ fn first_occupied(occ: &[u64; OCC_WORDS]) -> Option<usize> {
     None
 }
 
-impl<E> TimingWheel<E> {
-    pub(crate) fn new() -> Self {
-        TimingWheel {
+impl<E> EventQueue<E> {
+    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
+    pub fn new() -> Self {
+        EventQueue {
             run: Run::new(),
             side: Run::new(),
             slots: (0..(LEVELS - 1) * SLOTS).map(|_| Vec::new()).collect(),
@@ -232,8 +245,9 @@ impl<E> TimingWheel<E> {
         }
     }
 
+    /// The current simulation clock (timestamp of the last popped event).
     #[inline]
-    pub(crate) fn now(&self) -> SimTime {
+    pub fn now(&self) -> SimTime {
         SimTime::from_nanos(self.now)
     }
 
@@ -323,8 +337,15 @@ impl<E> TimingWheel<E> {
         }
     }
 
+    /// Schedules `ev` for delivery at `at`.
+    ///
+    /// `at` must not be earlier than the current clock; in debug builds this
+    /// panics, in release builds the event is clamped to `now`.
+    ///
+    /// Always inlined, here and in `push_after`, down to the slot append
+    /// (DESIGN.md §5b).
     #[inline(always)]
-    pub(crate) fn push(&mut self, at: SimTime, ev: E) {
+    pub fn push(&mut self, at: SimTime, ev: E) {
         debug_assert!(
             at >= self.now(),
             "scheduled an event in the past: {at:?} < {:?}",
@@ -337,10 +358,14 @@ impl<E> TimingWheel<E> {
         self.peak = self.peak.max(self.len);
     }
 
+    /// Schedules `ev` for `delay` after the current clock.
+    ///
+    /// The hot scheduling sites all compute `now + delta`; this helper folds
+    /// the addition into the queue so callers cannot accidentally use a
+    /// stale clock. `now + delay` saturates via `SimTime` arithmetic and is
+    /// `>= now` by construction: no past-scheduling check needed.
     #[inline(always)]
-    pub(crate) fn push_after(&mut self, delay: SimDuration, ev: E) {
-        // now + delay saturates via SimTime arithmetic, and is >= now by
-        // construction — no past-scheduling check needed.
+    pub fn push_after(&mut self, delay: SimDuration, ev: E) {
         let at = (self.now() + delay).as_nanos();
         self.seq += 1;
         self.place(at, ev);
@@ -417,16 +442,23 @@ impl<E> TimingWheel<E> {
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
+    /// Removes and returns the earliest event, advancing the clock to its
+    /// timestamp. Returns `None` when the queue is empty.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_until(SimTime::from_nanos(u64::MAX))
     }
 
+    /// Combined peek-then-pop: removes and returns the earliest event only
+    /// if its timestamp is at or before `limit`, advancing the clock. Events
+    /// beyond the horizon stay queued and the clock does not move past
+    /// `limit`.
+    ///
     /// The two-way merge of the run and the side run, the run first on a
     /// tie. Small and inlined into the scheduler's loop, so that the popped
     /// event goes from its entry to the handler in registers; what happens
     /// once per window is out of line in [`Self::open_window`].
     #[inline]
-    pub(crate) fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+    pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         let limit = limit.as_nanos();
         let from = loop {
             match (self.run.head(), self.side.head()) {
@@ -462,30 +494,32 @@ impl<E> TimingWheel<E> {
         }
     }
 
+    /// Timestamp of the earliest pending event, if any.
     #[inline]
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.earliest().map(SimTime::from_nanos)
     }
 
-    pub(crate) fn len(&self) -> usize {
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    pub(crate) fn scheduled_total(&self) -> u64 {
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Total number of events ever scheduled (diagnostic).
+    pub fn scheduled_total(&self) -> u64 {
         self.seq
     }
 
-    pub(crate) fn peak_pending(&self) -> usize {
+    /// High-water mark of pending events — the queue-depth analogue of a
+    /// switch buffer's peak occupancy. Deflection storms (DIBS-style) show
+    /// up here as an order-of-magnitude spike over quiet runs.
+    pub fn peak_pending(&self) -> usize {
         self.peak
-    }
-
-    /// Buffers held by the wheels — slots with capacity plus the spare
-    /// pool — and the entries they have room for.
-    #[cfg(test)]
-    pub(crate) fn retained_slot_buffers(&self) -> (usize, usize) {
-        let held = self.slots.iter().chain(&self.spare);
-        let caps = held.map(Vec::capacity).filter(|&c| c > 0);
-        caps.fold((0, 0), |(n, room), c| (n + 1, room + c))
     }
 
     /// Reconstructs a wheel from snapshot state: the clock, the lifetime
@@ -495,13 +529,8 @@ impl<E> TimingWheel<E> {
     /// run append, so a restored tie pops before any event pushed later. The
     /// insertion counter is set back to `scheduled_total` so the
     /// `events_scheduled` diagnostic stays byte-identical.
-    pub(crate) fn rebuild(
-        now: u64,
-        scheduled_total: u64,
-        peak: usize,
-        events: Vec<(u64, E)>,
-    ) -> Self {
-        let mut w = TimingWheel::new();
+    fn rebuild(now: u64, scheduled_total: u64, peak: usize, events: Vec<(u64, E)>) -> Self {
+        let mut w = EventQueue::new();
         w.now = now;
         let n = events.len();
         debug_assert!(scheduled_total >= n as u64);
@@ -516,6 +545,70 @@ impl<E> TimingWheel<E> {
     }
 }
 
+impl<E: Snapshot> EventQueue<E> {
+    /// Serializes the queue for a checkpoint: the clock, the lifetime
+    /// counters, and every pending event in **pop order** — then rebuilds
+    /// the queue in place so the simulation keeps running unperturbed.
+    ///
+    /// Pop order is the only ordering fact the restored queue needs: the
+    /// rebuild re-files events in that order (slots and the side run simply
+    /// append) and then restores the insertion counter to its original
+    /// value, so FIFO ties survive and future pushes order after every
+    /// pending tie. The drain-and-rebuild is invisible to the running
+    /// simulation (identical clock, counters, and pop sequence afterwards);
+    /// the differential suite and the snapshot proptests pin that down.
+    pub fn save_into(&mut self, w: &mut SnapWriter) {
+        let (now, total, peak) = (self.now, self.seq, self.peak);
+        let mut events: Vec<(u64, E)> = Vec::with_capacity(self.len);
+        while let Some((t, ev)) = self.pop() {
+            events.push((t.as_nanos(), ev));
+        }
+        w.put_u64(now);
+        w.put_u64(total);
+        w.put_usize(peak);
+        w.put_usize(events.len());
+        for (at, ev) in &events {
+            w.put_u64(*at);
+            ev.save(w);
+        }
+        *self = Self::rebuild(now, total, peak, events);
+    }
+
+    /// Reconstructs a queue serialized by [`EventQueue::save_into`]. The
+    /// payload holds pop order and nothing of the queue's layout.
+    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let now = r.get_u64()?;
+        let total = r.get_u64()?;
+        let peak = r.get_usize()?;
+        let n = r.get_usize()?;
+        if n > r.remaining() {
+            return Err(SnapError::new(format!(
+                "corrupt event count {n} exceeds {} remaining bytes",
+                r.remaining()
+            )));
+        }
+        let mut events = Vec::with_capacity(n);
+        let mut prev = now;
+        for _ in 0..n {
+            let at = r.get_u64()?;
+            if at < prev {
+                return Err(SnapError::new(format!(
+                    "event stream not in pop order ({at} after {prev})"
+                )));
+            }
+            prev = at;
+            events.push((at, E::restore(r)?));
+        }
+        Ok(Self::rebuild(now, total, peak, events))
+    }
+}
+
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,8 +617,16 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
+    /// Buffers held by the wheels — slots with capacity plus the spare
+    /// pool — and the entries they have room for.
+    fn retained_slot_buffers<E>(w: &EventQueue<E>) -> (usize, usize) {
+        let held = w.slots.iter().chain(&w.spare);
+        let caps = held.map(Vec::capacity).filter(|&c| c > 0);
+        caps.fold((0, 0), |(n, room), c| (n + 1, room + c))
+    }
+
     /// Pops everything, as `(timestamp, payload)`.
-    fn drain(w: &mut TimingWheel<u32>) -> Vec<(u64, u32)> {
+    fn drain(w: &mut EventQueue<u32>) -> Vec<(u64, u32)> {
         std::iter::from_fn(|| w.pop().map(|(t, ev)| (t.as_nanos(), ev))).collect()
     }
 
@@ -534,9 +635,9 @@ mod tests {
     /// holds of them came in by a cascade: sorted into the run if `sorted`,
     /// and if not inserted one by one through the side run, as a window of
     /// fewer than `SORT_FROM` is. Every order below must hold both ways.
-    fn window_of(stamps: &[u64], sorted: bool) -> TimingWheel<u32> {
+    fn window_of(stamps: &[u64], sorted: bool) -> EventQueue<u32> {
         let pad = if sorted { SORT_FROM as u32 } else { 1 };
-        let mut w = TimingWheel::new();
+        let mut w = EventQueue::new();
         for i in 0..pad {
             w.push(at(1024), 100 + i);
         }
@@ -568,7 +669,7 @@ mod tests {
 
     #[test]
     fn far_future_and_max_timestamps() {
-        let mut w: TimingWheel<u32> = TimingWheel::new();
+        let mut w: EventQueue<u32> = EventQueue::new();
         w.push(at(u64::MAX), 3);
         w.push(at(u64::MAX - 1), 2);
         w.push(at(5), 1);
@@ -582,7 +683,7 @@ mod tests {
 
     #[test]
     fn cascades_preserve_fifo_ties() {
-        let mut w: TimingWheel<u32> = TimingWheel::new();
+        let mut w: EventQueue<u32> = EventQueue::new();
         // Two ties parked far out (level >= 1 initially), plus one pushed
         // after the clock advances next to them (a lower level): the pop
         // order must follow insertion sequence.
@@ -604,7 +705,7 @@ mod tests {
     #[test]
     fn in_window_pushes_sort_into_the_run() {
         // Pushes alone build the window [0, 256).
-        let mut w: TimingWheel<u32> = TimingWheel::new();
+        let mut w: EventQueue<u32> = EventQueue::new();
         w.push(at(50), 0);
         w.push(at(100), 1);
         w.push(at(20), 2); // ahead of every pending entry
@@ -644,7 +745,7 @@ mod tests {
         for n in [SORT_FROM - 1, SORT_FROM, 40 * SORT_FROM] {
             // Scattered over the window [1024, 1280), two to a timestamp.
             let stamps: Vec<u64> = (0..n as u64).map(|i| 1024 + i / 2 * 37 % 256).collect();
-            let mut w: TimingWheel<u32> = TimingWheel::new();
+            let mut w: EventQueue<u32> = EventQueue::new();
             for (i, &t) in stamps.iter().enumerate() {
                 w.push(at(t), i as u32);
             }
@@ -713,7 +814,7 @@ mod tests {
 
     #[test]
     fn the_window_closes_only_when_both_runs_are_spent() {
-        let next_window_waits = |w: &TimingWheel<u32>| w.occ[0][0] == 1 << slot_of(1, 1300);
+        let next_window_waits = |w: &EventQueue<u32>| w.occ[0][0] == 1 << slot_of(1, 1300);
         for sorted in [true, false] {
             // What the cascade brought spent, the side run not.
             let mut w = window_of(&[1030, 1300], sorted);
@@ -748,7 +849,7 @@ mod tests {
         // Earliest entry in the first 256 ns of the level-2 slot: it and
         // its window mates go straight to the run, sorted; the rest of the
         // slot goes down to level 1.
-        let mut w: TimingWheel<u32> = TimingWheel::new();
+        let mut w: EventQueue<u32> = EventQueue::new();
         w.push(at(L2 + 100), 0);
         w.push(at(L2 + 300), 1);
         w.push(at(L2 + 50), 2);
@@ -759,7 +860,7 @@ mod tests {
 
         // Earliest entry past the first 256 ns: the level-2 cascade leaves
         // the run empty and the level-1 slot of that entry fills it.
-        let mut w: TimingWheel<u32> = TimingWheel::new();
+        let mut w: EventQueue<u32> = EventQueue::new();
         w.push(at(2 * L2 + 9_000), 0);
         w.push(at(2 * L2 + 5_010), 1);
         w.push(at(2 * L2 + 5_000), 2);
@@ -778,11 +879,11 @@ mod tests {
     #[test]
     fn buffers_follow_occupied_slots_not_touched_slots() {
         const BURST: u64 = u64::MAX;
-        let occupied = |w: &TimingWheel<u64>, levels: std::ops::Range<usize>| -> usize {
+        let occupied = |w: &EventQueue<u64>, levels: std::ops::Range<usize>| -> usize {
             let words = w.occ[levels.start - 1..levels.end - 1].iter().flatten();
             words.map(|word| word.count_ones() as usize).sum()
         };
-        let mut w: TimingWheel<u64> = TimingWheel::new();
+        let mut w: EventQueue<u64> = EventQueue::new();
         w.push(SimTime::ZERO, BURST);
         // Stop mid-burst, clear of the level-3 boundary at three laps.
         let end = 3 * (1u64 << (3 * SLOT_BITS)) + 40_000;
@@ -799,14 +900,14 @@ mod tests {
             peak_level1 = peak_level1.max(occupied(&w, 1..2));
             assert!(w.spare.len() <= SPARE_MAX, "a pool of {}", w.spare.len());
         }
-        assert!(popped > 300_000 && w.len() > 0);
+        assert!(popped > 300_000 && !w.is_empty());
         assert!(
             (SPARE_MAX..128).contains(&peak_level1),
             "{peak_level1} level-1 slots at once"
         );
         // Slots own a buffer only while occupied, and the pool at most
         // `SPARE_MAX` more. All 512 slots of levels 1 and 2 have been used.
-        let (buffers, room) = w.retained_slot_buffers();
+        let (buffers, room) = retained_slot_buffers(&w);
         let bound = occupied(&w, 1..LEVELS) + SPARE_MAX;
         assert!(buffers <= bound, "{buffers} buffers, bound {bound}");
         // No slot ever held 256 events, so no buffer grew past 256, and
@@ -820,7 +921,7 @@ mod tests {
 
     #[test]
     fn pop_until_does_not_advance_past_horizon() {
-        let mut w: TimingWheel<&str> = TimingWheel::new();
+        let mut w: EventQueue<&str> = EventQueue::new();
         w.push(at(100_000), "later");
         assert_eq!(w.pop_until(at(99_999)), None);
         assert_eq!(w.now(), SimTime::ZERO);
@@ -830,7 +931,7 @@ mod tests {
 
     #[test]
     fn pop_until_stops_inside_the_run_and_before_an_unopened_window() {
-        let mut w: TimingWheel<u32> = TimingWheel::new();
+        let mut w: EventQueue<u32> = EventQueue::new();
         w.push(at(1030), 0);
         w.push(at(1100), 1);
         w.push(at(2000), 2); // the level-1 window [1792, 2048)
@@ -896,7 +997,7 @@ mod tests {
 
     #[test]
     fn a_tie_storm_wider_than_u16_keeps_fifo() {
-        let mut w: TimingWheel<u32> = TimingWheel::new();
+        let mut w: EventQueue<u32> = EventQueue::new();
         w.push(at(999), u32::MAX);
         for i in 0..70_000 {
             w.push(at(1000), i);
@@ -910,7 +1011,7 @@ mod tests {
 
     #[test]
     fn counters_track_wheel_and_run() {
-        let mut w: TimingWheel<u8> = TimingWheel::new();
+        let mut w: EventQueue<u8> = EventQueue::new();
         let t = at(700);
         for i in 0..5 {
             w.push(t, i);

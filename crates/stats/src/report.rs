@@ -88,8 +88,9 @@ pub struct Report {
     /// show up here as a spike over quiet runs.
     pub peak_pending_events: u64,
 
-    /// Domain count of the parallel engine that produced this report
-    /// (0: the classic single-queue engine). Like `audit_checks`, the
+    /// Domains the parallel engine that produced this report ran (0: the
+    /// classic single-queue engine): the requested count, or the
+    /// topology's zone count if that is smaller. Like `audit_checks`, the
     /// four domain-engine fields below are excluded from every
     /// stdout/CSV table so `--domains N` output stays byte-identical to
     /// `--domains 1` and to historical tables.

@@ -487,26 +487,14 @@ impl RunSpec {
         warm: Option<&SnapBuf>,
     ) -> Result<RunOutput, RunError> {
         if self.domains.is_some() {
-            // The domain engine has no provenance hooks and no quiescent
-            // single-queue state to checkpoint, re-tune or stop early at;
-            // combining the flags would silently produce an empty trace,
-            // an unrestorable snapshot or an untuned run, so refuse loudly
-            // instead.
-            assert!(
-                trace.is_none(),
-                "packet tracing requires the classic engine: \
-                 drop either --trace or --domains"
+            let refusal = DomainSimulation::refusal(
+                trace.is_some(),
+                snapshot.is_some_and(SnapshotSpec::is_active),
+                fork.is_some_and(|f| !f.overrides.is_empty() || f.window.is_some()),
             );
-            assert!(
-                snapshot.is_none_or(|s| !s.is_active()),
-                "checkpoint/resume requires the classic engine: \
-                 drop either --checkpoint-every/--resume or --domains"
-            );
-            assert!(
-                fork.is_none_or(|f| f.overrides.is_empty() && f.window.is_none()),
-                "fork-time knob overrides and measurement windows require the \
-                 classic engine: drop either them or --domains"
-            );
+            if let Some(why) = refusal {
+                panic!("{why}");
+            }
         }
         if let Some(n) = self.domains.filter(|&n| n > Topology::MAX_DOMAINS) {
             return Err(RunError::Domains(n));
@@ -1076,8 +1064,8 @@ mod tests {
         let old_file = dir.join("v3.vsnp");
         std::fs::write(&old_file, &old).unwrap();
         let msg = resume(&spec, &old_file);
-        let want = "format version 3, this binary reads version 5";
-        assert!(msg.contains(want), "{msg}");
+        let want = format!("format version 3, this binary reads version {SNAP_VERSION}");
+        assert!(msg.contains(&want), "{msg}");
         let mut v4 = SnapWriter::new();
         v4.put_bytes(b"VSNP");
         v4.put_u16(4);
@@ -1090,8 +1078,8 @@ mod tests {
         let v4_file = dir.join("v4.vsnp");
         std::fs::write(&v4_file, &v4).unwrap();
         let msg = resume(&spec, &v4_file);
-        let want = "format version 4, this binary reads version 5";
-        assert!(msg.contains(want), "{msg}");
+        let want = format!("format version 4, this binary reads version {SNAP_VERSION}");
+        assert!(msg.contains(&want), "{msg}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -9,6 +9,12 @@ if grep -rnE 'HeapEventQueue|EventBackend::Heap' crates/*/src src; then
   echo "shipped code names the heap; it lives in crates/simcore/tests/event_differential.rs" >&2
   exit 1
 fi
+# One queue type, holding node events only: telemetry samples are taken
+# at each engine's stops, not popped as events.
+if grep -rnE 'TimingWheel|Event::TelemetrySample' crates/*/src src; then
+  echo "shipped code names a wheel behind the queue or a telemetry tick event" >&2
+  exit 1
+fi
 
 echo "==> one build: no cargo features"
 # The conservation audit runs in every debug-assertion build and the packet
@@ -190,7 +196,7 @@ ckpt=$(ls "$SNAPDIR"/wheel/snaps/*.vsnp | head -1)
 cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect "$ckpt" | tee /tmp/vertigo_vsnp_ci.txt
 grep -q 'sim time' /tmp/vertigo_vsnp_ci.txt
-grep -q 'version    5' /tmp/vertigo_vsnp_ci.txt
+grep -q 'version    6' /tmp/vertigo_vsnp_ci.txt
 # Garbage input must fail loudly with a non-zero exit.
 if cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect scripts/ci.sh 2> /dev/null; then
@@ -198,7 +204,7 @@ if cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   exit 1
 fi
 
-echo "==> domain equivalence: fig5 at --domains 1/2 (faults active) and soak at 1/2/4"
+echo "==> domain equivalence: fig5 at --domains 1/2 (faults active) and soak at 1/2/4/64"
 base=/tmp/vertigo_domains_ci
 rm -rf "$base"
 mkdir -p "$base"
@@ -211,13 +217,14 @@ done
 diff "$base/d1.txt" "$base/d2.txt"
 diff -r "$base/d1" "$base/d2"
 # The per-pod partition of the fat-tree, end to end: one domain, two
-# pods a domain, one pod a domain.
-for n in 1 2 4; do
+# pods a domain, one pod a domain, and more domains than zones (one
+# domain a zone runs).
+for n in 1 2 4 64; do
   cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
     soak --quick --out "$base/soak_d$n" --domains "$n" \
     | grep -v '^\[csv\]' > "$base/soak_d$n.txt"
 done
-for n in 2 4; do
+for n in 2 4 64; do
   diff "$base/soak_d1.txt" "$base/soak_d$n.txt"
   diff -r "$base/soak_d1" "$base/soak_d$n"
 done

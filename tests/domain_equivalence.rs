@@ -8,7 +8,7 @@
 //! explicitly excluded from stdout/CSV and normalized here).
 
 use proptest::prelude::*;
-use vertigo::netsim::{DomainSimulation, TelemetryConfig};
+use vertigo::netsim::{DomainSimulation, Telemetry, TelemetryConfig};
 use vertigo::simcore::SimDuration;
 use vertigo::stats::Report;
 use vertigo::transport::CcKind;
@@ -42,7 +42,7 @@ fn cell(system: SystemKind) -> RunSpec {
 }
 
 /// The report's result content with the partition-shape diagnostics
-/// normalized away: `domains` records the requested count verbatim and
+/// normalized away: `domains` records how many domains ran and
 /// `cross_domain_packets` / `domain_peak_pending` depend on where the
 /// cut fell, so none of the three can (or should) match across counts.
 /// Everything else must.
@@ -136,6 +136,51 @@ fn domain_equivalence_holds_on_a_fat_tree() {
             "--domains {n} diverged on the fat-tree"
         );
     }
+}
+
+#[test]
+fn domains_above_the_zone_count_run_one_a_zone() {
+    // The k = 4 fat-tree has eight zones, four pods and four cores: the
+    // domains past them would own no node.
+    let run = |n: usize| {
+        let mut spec = cell(SystemKind::Ecmp);
+        spec.topo = TopoKind::FatTree { k: 4 };
+        spec.domains = Some(n);
+        spec.run()
+    };
+    let base = run(1);
+    let out = run(1000);
+    assert_eq!(out.report.domains, 8);
+    assert_eq!(out.report.domain_peak_pending.len(), 8);
+    assert_eq!(canon(out.report), canon(base.report));
+}
+
+/// The off-grid horizon and sample interval of [`off_grid_run`]: the
+/// instants both engines sample at, k · interval for k = 1, 2, … up to
+/// the horizon.
+#[test]
+fn both_engines_sample_at_the_same_instants() {
+    let (horizon, interval) = (4_000_777u64, 33_333u64);
+    let build = || {
+        let mut spec = cell(SystemKind::Vertigo);
+        spec.horizon = SimDuration::from_nanos(horizon);
+        let mut sim = spec.build();
+        sim.enable_telemetry(TelemetryConfig {
+            interval: SimDuration::from_nanos(interval),
+        });
+        sim
+    };
+    let instants = |tel: Option<&Telemetry>| -> Vec<u64> {
+        let samples = &tel.expect("telemetry was enabled").samples;
+        samples.iter().map(|s| s.at.as_nanos()).collect()
+    };
+    let want: Vec<u64> = (1..=horizon / interval).map(|k| k * interval).collect();
+    let mut classic = build();
+    classic.run();
+    assert_eq!(instants(classic.telemetry()), want, "classic engine");
+    let mut dsim = DomainSimulation::from_sim(build(), 1);
+    dsim.run();
+    assert_eq!(instants(dsim.telemetry()), want, "--domains 1");
 }
 
 /// Everything a run with off-grid window ends produced: the barrier loop
