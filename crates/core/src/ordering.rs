@@ -243,14 +243,6 @@ impl<T> OrderingComponent<T> {
         self.stats
     }
 
-    /// Retunes τ in place. Deadlines already armed keep the value they
-    /// were computed with; only future arms/rearms use the new τ. This is
-    /// the hook warm-started sweeps use to apply a candidate τ at the
-    /// fork horizon without rebuilding the host.
-    pub fn set_timeout(&mut self, timeout: SimDuration) {
-        self.cfg.timeout = timeout;
-    }
-
     /// Flows with live ordering state.
     pub fn flows_tracked(&self) -> usize {
         self.flows.len()
@@ -1022,18 +1014,21 @@ mod tests {
         }
     }
 
-    /// `set_timeout` leaves armed deadlines alone, and the next in-order
-    /// arrival re-arms with the new τ even when it releases nothing, so
-    /// `rearm` may not return early on an unchanged buffer (warm-started τ
-    /// sweeps fork on this).
+    /// The deadline follows the oldest buffered arrival: an early packet
+    /// does not re-arm it, an in-order arrival that releases nothing from
+    /// the buffer re-arms it from the same anchor, and a gap fill moves
+    /// the anchor to the oldest arrival left.
     #[test]
-    fn retuned_timeout_rearms_on_the_next_in_order_arrival() {
+    fn timeout_rearms_on_the_next_in_order_arrival() {
         for (tau, mode) in [
             (SimDuration::from_micros(100), OrderingMode::SrptBytes),
             (SimDuration::from_micros(900), OrderingMode::LasPackets),
         ] {
-            let mut o: OrderingComponent<u64> =
-                OrderingComponent::new(OrderingConfig { mode, ..cfg() });
+            let mut o: OrderingComponent<u64> = OrderingComponent::new(OrderingConfig {
+                mode,
+                timeout: tau,
+                ..cfg()
+            });
             let f = FlowId(12);
             let pkt = |k: u32| match mode {
                 OrderingMode::SrptBytes => info(k, 8),
@@ -1051,13 +1046,11 @@ mod tests {
             o.on_packet(t(5), f, pkt(4), MSS, 4, &mut out);
             o.on_packet(t(7), f, pkt(3), MSS, 3, &mut out);
             o.on_packet(t(9), f, pkt(6), MSS, 6, &mut out);
-            assert_eq!(o.next_deadline(), Some(t(5) + cfg().timeout));
-            o.set_timeout(tau);
-            assert_eq!(o.next_deadline(), Some(t(5) + cfg().timeout), "armed: kept");
-            // A further early packet does not re-arm either.
+            assert_eq!(o.next_deadline(), Some(t(5) + tau));
+            // A further early packet does not re-arm.
             o.on_packet(t(11), f, pkt(7), MSS, 7, &mut out);
-            assert_eq!(o.flow_deadline(f), Some(t(5) + cfg().timeout));
-            // In order, nothing released (2 still missing): new τ, same anchor.
+            assert_eq!(o.flow_deadline(f), Some(t(5) + tau));
+            // In order, nothing released (2 still missing): same anchor.
             o.on_packet(t(20), f, pkt(1), MSS, 1, &mut out);
             assert_eq!(out.len(), 2);
             assert_eq!(o.next_deadline(), Some(t(5) + tau));

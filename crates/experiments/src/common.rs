@@ -12,9 +12,9 @@
 //! `--quick` is for smoke tests. EXPERIMENTS.md records which preset
 //! produced the committed numbers.
 
-use crate::tune::{Knob, Search, TuneOpts};
 use std::fmt::Display;
 use std::fmt::Write as _;
+use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::str::FromStr;
 use vertigo_netsim::DomainSimulation;
@@ -24,6 +24,27 @@ use vertigo_workload::{
     CheckpointSpec, DeflectKind, FaultSchedule, ForkSpec, IncastSpec, RunSpec, ScenarioSpec,
     SnapshotSpec, SystemKind, TopoKind, TraceSpec, WorkloadSpec,
 };
+
+/// `println!` for figure output: every line of a subcommand's stdout goes
+/// through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::common::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+pub(crate) use outln;
+
+/// Writes to the locked stdout. A reader that has stopped reading
+/// (`experiments fig5 | head`) ends the run there: exit 0, nothing on
+/// stderr, since the output it wanted has arrived.
+pub fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 /// Scale preset for a harness invocation.
 #[derive(Debug, Clone, Copy)]
@@ -180,8 +201,6 @@ pub struct Opts {
     /// grammar). Empty by default — and byte-inert when empty: CI
     /// digest-diffs an unflagged run against the committed figures.
     pub scenario: ScenarioSpec,
-    /// The `tune` subcommand's own flags (defaults everywhere else).
-    pub tune: TuneOpts,
 }
 
 /// The flags every subcommand takes, for the usage text.
@@ -190,15 +209,10 @@ pub const FLAGS: &str = "[--quick|--full] [--seed N] [--out DIR] [--jobs N] \
     [--checkpoint-every SIMTIME[:PATH]] [--resume PATH] [--domains N] \
     [--deflect vertigo|dibs|pabo|hybrid|bounded] [--workload SPEC]";
 
-/// The flags only `tune` takes, for the usage text.
-pub const TUNE_FLAGS: &str = "[--search grid|halving] [--knobs tau,defl,k,buf] [--budget N]";
-
 impl Opts {
-    /// Parses the flags of subcommand `cmd` ([`FLAGS`], plus
-    /// [`TUNE_FLAGS`] when `cmd` is `tune`) and refuses the combinations
-    /// that cannot work.
-    pub fn parse(cmd: &str, args: &[String]) -> Result<Opts, String> {
-        let tuning = cmd == "tune";
+    /// Parses a subcommand's flags ([`FLAGS`]) and refuses the
+    /// combinations that cannot work.
+    pub fn parse(args: &[String]) -> Result<Opts, String> {
         let mut scale = Scale::default_scale();
         let mut seed = 1u64;
         let mut outdir = PathBuf::from("results");
@@ -209,7 +223,6 @@ impl Opts {
         let mut domains = None;
         let mut deflect = None;
         let mut scenario = ScenarioSpec::new();
-        let mut tune = TuneOpts::default();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let it = &mut it;
@@ -233,38 +246,14 @@ impl Opts {
                         format!("bad --deflect (vertigo|dibs|pabo|hybrid|bounded): {v}")
                     })?);
                 }
-                "--search" if tuning => tune.search = Search::parse(value(it, a)?)?,
-                "--knobs" if tuning => tune.knobs = Knob::parse_list(value(it, a)?)?,
-                "--budget" if tuning => tune.budget = Some(at_least(it, a, 2)?),
                 other => return Err(format!("unknown option: {other}")),
             }
         }
-        // Every flag combination that cannot work, refused up front with
+        // The domain engine states the combinations it cannot run, with
         // both sides of the conflict named rather than silently degraded.
-        // `tune` re-tunes knobs at the fork horizon and ends rungs early,
-        // and the domain engine states its own refusals: each refused
-        // option needs the one thing its partner cannot give it.
-        let refusals = [
-            (
-                tuning && domains.is_some(),
-                "tune applies each candidate's knobs at the fork horizon and ends rungs \
-                 early, which needs the classic engine's quiescent boundary: drop --domains",
-            ),
-            (
-                tuning && trace.is_some(),
-                "tune's candidates share one run spec, so their per-spec trace files \
-                 would collide: drop --trace",
-            ),
-            (
-                tuning && snapshot.is_active(),
-                "tune's rungs are keyed by their measurement window, so one rung's \
-                 checkpoints never serve the next: drop --checkpoint-every/--resume",
-            ),
-        ];
-        let domain_refusal = domains
-            .and_then(|_| DomainSimulation::refusal(trace.is_some(), snapshot.is_active(), false));
-        let refused = refusals.iter().find(|(hit, _)| *hit).map(|(_, why)| *why);
-        if let Some(why) = refused.or(domain_refusal) {
+        if let Some(why) =
+            domains.and_then(|_| DomainSimulation::refusal(trace.is_some(), snapshot.is_active()))
+        {
             return Err(why.to_owned());
         }
         Ok(Opts {
@@ -278,7 +267,6 @@ impl Opts {
             domains,
             deflect,
             scenario,
-            tune,
         })
     }
 
@@ -299,7 +287,7 @@ impl Opts {
     }
 
     /// The fork every phased figure grid uses: incast deferred to the
-    /// scale's fork horizon, no knob overrides, no measurement window.
+    /// scale's fork horizon.
     pub fn fig_fork(&self) -> ForkSpec {
         ForkSpec::at(self.scale.fork_at())
     }
@@ -402,13 +390,13 @@ impl Table {
 
     /// Prints to stdout and writes `<outdir>/<name>.csv`.
     pub fn emit(&self, opts: &Opts, name: &str) {
-        println!("{}", self.render());
+        outln!("{}", self.render());
         let _ = std::fs::create_dir_all(&opts.outdir);
         let path = opts.outdir.join(format!("{name}.csv"));
         if let Err(e) = std::fs::write(&path, self.to_csv()) {
             eprintln!("warning: could not write {}: {e}", path.display());
         } else {
-            println!("[csv] {}", path.display());
+            outln!("[csv] {}", path.display());
         }
     }
 }
@@ -435,9 +423,9 @@ pub fn fmt_pct(x: f64) -> String {
 mod tests {
     use super::*;
 
-    fn parse(cmd: &str, args: &[&str]) -> Result<Opts, String> {
+    fn parse(args: &[&str]) -> Result<Opts, String> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        Opts::parse(cmd, &args)
+        Opts::parse(&args)
     }
 
     #[test]
@@ -450,143 +438,93 @@ mod tests {
 
     #[test]
     fn opts_parse() {
-        let o = parse(
-            "fig5",
-            &["--quick", "--seed", "7", "--out", "/tmp/x", "--jobs", "3"],
-        )
-        .unwrap();
+        let o = parse(&["--quick", "--seed", "7", "--out", "/tmp/x", "--jobs", "3"]).unwrap();
         assert_eq!(o.scale.name, "quick");
         assert_eq!(o.seed, 7);
         assert_eq!(o.outdir, PathBuf::from("/tmp/x"));
         assert_eq!(o.jobs, 3);
-        assert!(parse("fig5", &["--bogus"]).is_err());
-        assert!(parse("fig5", &["--jobs", "0"]).is_err());
+        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--jobs", "0"]).is_err());
         // Default worker count follows the machine.
-        let d = parse("fig5", &[]).unwrap();
+        let d = parse(&[]).unwrap();
         assert!(d.jobs >= 1);
         assert!(d.faults.is_empty());
-        let f = parse("fig5", &["--faults", "loss:*:0.01@2ms-18ms"]).unwrap();
+        let f = parse(&["--faults", "loss:*:0.01@2ms-18ms"]).unwrap();
         assert_eq!(f.faults.len(), 1);
-        assert!(parse("fig5", &["--faults", "flood:*@0s-1ms"]).is_err());
-        assert!(parse("fig5", &["--faults"]).is_err());
+        assert!(parse(&["--faults", "flood:*@0s-1ms"]).is_err());
+        assert!(parse(&["--faults"]).is_err());
         assert!(d.trace.is_none());
-        let t = parse("fig5", &["--trace", "out/t.vtrace:flow=3,time=1ms-"]).unwrap();
+        let t = parse(&["--trace", "out/t.vtrace:flow=3,time=1ms-"]).unwrap();
         let spec = t.trace.unwrap();
         assert_eq!(spec.path, PathBuf::from("out/t.vtrace"));
         assert_eq!(spec.filter.flow, Some(3));
-        assert!(parse("fig5", &["--trace", "t.vtrace:bogus=1"]).is_err());
-        assert!(parse("fig5", &["--trace"]).is_err());
+        assert!(parse(&["--trace", "t.vtrace:bogus=1"]).is_err());
+        assert!(parse(&["--trace"]).is_err());
         assert!(!d.snapshot.is_active());
-        let c = parse("fig5", &["--checkpoint-every", "6ms:out/ck.vsnp"]).unwrap();
+        let c = parse(&["--checkpoint-every", "6ms:out/ck.vsnp"]).unwrap();
         let ck = c.snapshot.checkpoint.as_ref().unwrap();
         assert_eq!(ck.every, SimDuration::from_millis(6));
         assert_eq!(ck.stem, PathBuf::from("out/ck.vsnp"));
         assert!(c.snapshot.is_active());
-        let r = parse("fig5", &["--resume", "out/ck.vsnp"]).unwrap();
+        let r = parse(&["--resume", "out/ck.vsnp"]).unwrap();
         assert_eq!(r.snapshot.resume, Some(PathBuf::from("out/ck.vsnp")));
-        assert!(parse("fig5", &["--checkpoint-every", "6"]).is_err());
-        assert!(parse("fig5", &["--checkpoint-every"]).is_err());
-        assert!(parse("fig5", &["--resume"]).is_err());
+        assert!(parse(&["--checkpoint-every", "6"]).is_err());
+        assert!(parse(&["--checkpoint-every"]).is_err());
+        assert!(parse(&["--resume"]).is_err());
         assert!(d.domains.is_none());
-        let dm = parse("fig5", &["--domains", "4"]).unwrap();
+        let dm = parse(&["--domains", "4"]).unwrap();
         assert_eq!(dm.domains, Some(4));
-        assert!(parse("fig5", &["--domains", "0"]).is_err());
-        assert!(parse("fig5", &["--domains", "two"]).is_err());
-        assert!(parse("fig5", &["--domains"]).is_err());
+        assert!(parse(&["--domains", "0"]).is_err());
+        assert!(parse(&["--domains", "two"]).is_err());
+        assert!(parse(&["--domains"]).is_err());
         assert!(d.deflect.is_none());
         for name in ["vertigo", "dibs", "pabo", "hybrid", "bounded"] {
-            let o = parse("fig5", &["--deflect", name]).unwrap();
+            let o = parse(&["--deflect", name]).unwrap();
             assert_eq!(o.deflect.unwrap().name(), name);
         }
-        assert!(parse("fig5", &["--deflect", "random"]).is_err());
-        assert!(parse("fig5", &["--deflect"]).is_err());
+        assert!(parse(&["--deflect", "random"]).is_err());
+        assert!(parse(&["--deflect"]).is_err());
         assert!(d.scenario.is_empty());
-        let w = parse(
-            "fig5",
-            &[
-                "--workload",
-                "bg:load=0.3,dist=datamining + incast:scale=8,size=64k,qps=500,sync=5us",
-            ],
-        )
+        let w = parse(&[
+            "--workload",
+            "bg:load=0.3,dist=datamining + incast:scale=8,size=64k,qps=500,sync=5us",
+        ])
         .unwrap();
         assert_eq!(w.scenario.len(), 2);
-        assert!(parse("fig5", &["--workload", "flood:load=0.1"]).is_err());
-        assert!(parse("fig5", &["--workload", "bg:load=1.5"]).is_err());
-        assert!(parse("fig5", &["--workload"]).is_err());
+        assert!(parse(&["--workload", "flood:load=0.1"]).is_err());
+        assert!(parse(&["--workload", "bg:load=1.5"]).is_err());
+        assert!(parse(&["--workload"]).is_err());
     }
 
     #[test]
     fn subcommand_and_engine_refusals() {
-        let cases: [(&str, &[&str], &str); 6] = [
-            ("tune", &["--domains", "2"], "drop --domains"),
-            ("tune", &["--trace", "x"], "drop --trace"),
+        let cases: [(&[&str], &str); 2] = [
             (
-                "tune",
-                &["--resume", "x"],
-                "drop --checkpoint-every/--resume",
-            ),
-            (
-                "tune",
-                &["--checkpoint-every", "6ms"],
-                "drop --checkpoint-every/--resume",
-            ),
-            (
-                "fig5",
                 &["--domains", "2", "--trace", "x"],
                 "drop either --trace or --domains",
             ),
             (
-                "fig5",
                 &["--resume", "x", "--domains", "1"],
                 "drop either --checkpoint-every/--resume or --domains",
             ),
         ];
-        for (cmd, args, needle) in cases {
-            let err = parse(cmd, args).expect_err("conflicting flags must be rejected");
+        for (args, needle) in cases {
+            let err = parse(args).expect_err("conflicting flags must be rejected");
             assert!(
                 err.contains(needle),
-                "{cmd}: {err:?} should mention {needle:?}"
+                "{args:?}: {err:?} should mention {needle:?}"
             );
         }
         // The same flags are fine where nothing conflicts.
-        assert!(parse("fig5", &["--trace", "x"]).is_ok());
-        assert!(parse("soak", &["--domains", "2"]).is_ok());
+        assert!(parse(&["--trace", "x"]).is_ok());
+        assert!(parse(&["--domains", "2"]).is_ok());
     }
 
+    /// Which of two byte-identical paths runs a cell is not an option.
     #[test]
-    fn tune_flags_parse_for_tune_only() {
-        let t = parse("tune", &[]).unwrap().tune;
-        assert_eq!(t.search, Search::Grid);
-        assert_eq!(t.knobs, [Knob::Tau, Knob::Defl]);
-        assert_eq!(t.budget, None);
-        let args = [
-            "--search", "halving", "--knobs", "k,buf", "--budget", "4", "--quick",
-        ];
-        let o = parse("tune", &args).unwrap();
-        assert_eq!(o.tune.search, Search::Halving);
-        assert_eq!(o.tune.knobs, [Knob::EcnK, Knob::Buf]);
-        assert_eq!(o.tune.budget, Some(4));
-        assert_eq!(o.scale.name, "quick");
-        for bad in [
-            &["--search", "random"][..],
-            &["--search"],
-            &["--knobs", "tau,speed"],
-            &["--knobs", ""],
-            &["--budget", "1"],
-            &["--budget", "many"],
-        ] {
-            assert!(parse("tune", bad).is_err(), "{bad:?}");
-        }
-        // Everywhere else they are unknown options.
-        let err = parse("fig5", &args).unwrap_err();
-        assert_eq!(err, "unknown option: --search");
-        // Which of two byte-identical paths runs a cell is not an option.
-        for (cmd, gone) in [
-            ("tune", "--cold"),
-            ("fig5", "--warm-start"),
-            ("fig5", "--events"),
-        ] {
-            let err = parse(cmd, &[gone]).unwrap_err();
+    fn gone_flags_are_unknown_options() {
+        for gone in ["--warm-start", "--events"] {
+            let err = parse(&[gone]).unwrap_err();
             assert_eq!(err, format!("unknown option: {gone}"));
         }
     }
@@ -596,22 +534,19 @@ mod tests {
     /// here until it is classified as an axis (and asserted on) or not.
     #[test]
     fn spec_carries_every_run_axis() {
-        let opts = parse(
-            "fig5",
-            &[
-                "--quick",
-                "--seed",
-                "7",
-                "--faults",
-                "loss:*:0.01@2ms-18ms",
-                "--domains",
-                "3",
-                "--deflect",
-                "pabo",
-                "--workload",
-                "perm:load=0.2",
-            ],
-        )
+        let opts = parse(&[
+            "--quick",
+            "--seed",
+            "7",
+            "--faults",
+            "loss:*:0.01@2ms-18ms",
+            "--domains",
+            "3",
+            "--deflect",
+            "pabo",
+            "--workload",
+            "perm:load=0.2",
+        ])
         .unwrap();
         let workload = WorkloadSpec {
             background: None,
@@ -629,9 +564,8 @@ mod tests {
             jobs: _,
             trace: _,
             snapshot: _,
-            // Where tables go, and one subcommand's search strategy.
+            // Where tables go.
             outdir: _,
-            tune: _,
         } = opts;
         assert_eq!(
             format!("{:?}", spec.topo),
@@ -666,11 +600,9 @@ mod tests {
                 s.name
             );
         }
-        let o = parse("fig5", &["--quick"]).unwrap();
+        let o = parse(&["--quick"]).unwrap();
         let f = o.fig_fork();
         assert_eq!(f.at, SimDuration::from_millis(5));
-        assert!(f.defer_incast);
-        assert!(f.overrides.is_empty() && f.window.is_none());
     }
 
     #[test]

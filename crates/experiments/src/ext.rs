@@ -5,13 +5,13 @@
 //! loss signals compare to tail-drop, DIBS, and Vertigo under the
 //! standard bursty workload.
 
-use crate::common::{fmt_pct, fmt_secs, Opts, Table};
+use crate::common::{fmt_pct, fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Extension: NDP-style trimming vs drop/deflect policies ==\n");
+    outln!("== Extension: NDP-style trimming vs drop/deflect policies ==\n");
     let s = &opts.scale;
     let systems = [
         SystemKind::Ecmp,

@@ -7,13 +7,13 @@
 //! completion %, mean QCT, flow completion %, mean FCT, overall goodput,
 //! and elephant-flow goodput.
 
-use crate::common::{fmt_pct, fmt_secs, Opts, Table};
+use crate::common::{fmt_pct, fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Figure 1: random deflection vs. load (15% BG + incast sweep) ==\n");
+    outln!("== Figure 1: random deflection vs. load (15% BG + incast sweep) ==\n");
     let s = &opts.scale;
     let systems: [(&str, SystemKind, CcKind); 3] = [
         ("TCP Reno+ECMP", SystemKind::Ecmp, CcKind::Reno),

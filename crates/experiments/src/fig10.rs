@@ -1,13 +1,13 @@
 //! Figure 10: burstiness sweep at fixed 80 % aggregate load — incast
 //! arrival rate rises while background load falls to compensate.
 
-use crate::common::{fmt_secs, Opts, Table};
+use crate::common::{fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Figure 10: incast arrival-rate sweep at fixed 80% load ==\n");
+    outln!("== Figure 10: incast arrival-rate sweep at fixed 80% load ==\n");
     let s = opts.scale;
     let mut cells = Vec::new();
     for incast_pct in [4u32, 8, 12, 16, 20, 24, 28] {

@@ -5,7 +5,7 @@
 //! * (b) boosting — completed-query ratio with boosting off / 2x / 4x / 8x
 //!   at 25 % and 75 % background load under a heavy incast.
 
-use crate::common::{fmt_pct, fmt_secs, Opts, Table};
+use crate::common::{fmt_pct, fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, RunError, RunSpec, SystemKind, WorkloadSpec};
@@ -14,7 +14,7 @@ use vertigo_workload::{BackgroundSpec, DistKind, RunError, RunSpec, SystemKind, 
 type Variant = (&'static str, fn(&mut RunSpec));
 
 pub fn run_a(opts: &Opts) -> Result<(), RunError> {
-    println!("== Figure 11a: Vertigo ablations (50% BG + incast sweep) ==\n");
+    outln!("== Figure 11a: Vertigo ablations (50% BG + incast sweep) ==\n");
     let s = &opts.scale;
     let variants: [Variant; 4] = [
         ("Vertigo", |_| {}),
@@ -69,7 +69,7 @@ pub fn run_a(opts: &Opts) -> Result<(), RunError> {
 }
 
 pub fn run_b(opts: &Opts) -> Result<(), RunError> {
-    println!("== Figure 11b: retransmission boosting (queries completed) ==\n");
+    outln!("== Figure 11b: retransmission boosting (queries completed) ==\n");
     let s = &opts.scale;
     let mut cells = Vec::new();
     for bg in [0.25, 0.75] {

@@ -1,13 +1,13 @@
 //! Figure 12: random vs. power-of-two choices for forwarding (1FW/2FW)
 //! and deflection (1DEF/2DEF), on both topologies: mean QCT and drop %.
 
-use crate::common::{fmt_secs, Opts, Table};
+use crate::common::{fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, IncastSpec, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Figure 12: 1FW/2FW x 1DEF/2DEF on leaf-spine and fat-tree ==\n");
+    outln!("== Figure 12: 1FW/2FW x 1DEF/2DEF on leaf-spine and fat-tree ==\n");
     let s = &opts.scale;
     let combos: [(&str, usize, usize); 4] = [
         ("1FW 1DEF", 1, 1),
@@ -33,7 +33,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
             (s.ft_hosts() / 3).max(2),
         ),
     ] {
-        println!("--- {topo_name} ---");
+        outln!("--- {topo_name} ---");
         let mut cells = Vec::new();
         for total in [35u32, 55, 75, 95] {
             let workload = WorkloadSpec {

@@ -1,14 +1,14 @@
 //! Figure 13: sensitivity of flow completion times to the ordering
 //! timeout τ (120 µs → 1.08 ms) under a heavily bursty load.
 
-use crate::common::{fmt_secs, Opts, Table};
+use crate::common::{fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_simcore::SimDuration;
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Figure 13: ordering timeout sweep (85% load) ==\n");
+    outln!("== Figure 13: ordering timeout sweep (85% load) ==\n");
     let s = &opts.scale;
     let workload = WorkloadSpec {
         background: Some(BackgroundSpec {

@@ -11,13 +11,13 @@
 //! `--checkpoint-every`, `--resume`, `--trace` and `--domains` do (CI
 //! digest-diffs those against the plain run).
 
-use crate::common::{fmt_secs, Opts, Table};
+use crate::common::{fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Figure 5: systems x background load (DCTCP) ==\n");
+    outln!("== Figure 5: systems x background load (DCTCP) ==\n");
     let s = opts.scale;
     let fork = opts.fig_fork();
     // Build the whole grid up front so all three panels share one sweep.
@@ -68,7 +68,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
     })?;
     let mut rows = rows.into_iter();
     for (bg_pct, count) in panels {
-        println!("--- panel: {bg_pct}% background load ---");
+        outln!("--- panel: {bg_pct}% background load ---");
         let mut t = Table::new(&[
             "load%", "system", "mean_qct", "p99_qct", "mean_fct", "p99_fct", "drops",
         ]);

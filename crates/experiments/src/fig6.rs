@@ -2,7 +2,7 @@
 //! and Swift (plus ECMP + Swift), mean QCT across a load sweep, and the
 //! QCT CDF at 85 % load.
 
-use crate::common::{fmt_secs, Opts, Table};
+use crate::common::{fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
@@ -18,7 +18,7 @@ const COMBOS: [(SystemKind, CcKind); 7] = [
 ];
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Figure 6: DIBS/Vertigo x TCP/DCTCP/Swift (25% BG + incast) ==\n");
+    outln!("== Figure 6: DIBS/Vertigo x TCP/DCTCP/Swift (25% BG + incast) ==\n");
     let s = opts.scale;
     let mut cells = Vec::new();
     for total in (35..=95).step_by(10) {

@@ -2,13 +2,13 @@
 //! (25+10, 50+25, 25+60) x {DCTCP, Swift} x {ECMP, DIBS, Vertigo}:
 //! FCT/QCT CDFs (CSV) and completion-ratio summaries.
 
-use crate::common::{fmt_pct, fmt_secs, Opts, Table};
+use crate::common::{fmt_pct, fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, IncastSpec, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Figure 7: fat-tree(k={}) CDFs ==\n", opts.scale.ft_k);
+    outln!("== Figure 7: fat-tree(k={}) CDFs ==\n", opts.scale.ft_k);
     let s = &opts.scale;
     let total_bw = s.ft_total_bw();
     // Incast fan-in scaled to the fat-tree size (paper: 100 of 128 hosts).

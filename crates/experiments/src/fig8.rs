@@ -2,13 +2,13 @@
 //! background load. The fan-in is swept as a fraction of cluster size,
 //! mirroring the paper's 50→450 over 320 hosts.
 
-use crate::common::{fmt_pct, fmt_secs, Opts, Table};
+use crate::common::{fmt_pct, fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, IncastSpec, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Figure 8: incast scale sweep (50% BG, fixed QPS) ==\n");
+    outln!("== Figure 8: incast scale sweep (50% BG, fixed QPS) ==\n");
     let s = opts.scale;
     let hosts = s.ls_hosts();
     // Paper sweeps 50..450 of 320 hosts (≈ 16 %..140 %, capped by cluster);

@@ -1,13 +1,13 @@
 //! Figure 9: incast *flow size* sweep (1→180 KB) at fixed fan-in and QPS
 //! over 50 % background load.
 
-use crate::common::{fmt_secs, Opts, Table};
+use crate::common::{fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, IncastSpec, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Figure 9: incast flow size sweep (50% BG) ==\n");
+    outln!("== Figure 9: incast flow size sweep (50% BG) ==\n");
     let s = opts.scale;
     // Fixed QPS: at the largest flow size (180 KB) total load hits ~95 %.
     let qps = IncastSpec::qps_for_load(0.45, s.incast_scale, 180_000, s.ls_total_bw());

@@ -16,13 +16,13 @@
 //! depend on it), so the conservative fork key sends all 15 cells
 //! straight through.
 
-use crate::common::{fmt_pct, fmt_secs, Opts, Table};
+use crate::common::{fmt_pct, fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DeflectKind, DistKind, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== fig-deflect: deflection-policy zoo x congestion control ==\n");
+    outln!("== fig-deflect: deflection-policy zoo x congestion control ==\n");
     let s = opts.scale;
     let fork = opts.fig_fork();
     let workload = WorkloadSpec {

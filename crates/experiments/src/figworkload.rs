@@ -10,7 +10,7 @@
 //! CacheFollower base load, whose flows land in the `base` bucket of the
 //! per-tenant breakdown.
 
-use crate::common::{fmt_secs, Opts, Table};
+use crate::common::{fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{
@@ -53,7 +53,7 @@ fn presets(opts: &Opts) -> Vec<(&'static str, String)> {
 }
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== figworkload: systems x composable scenarios ==\n");
+    outln!("== figworkload: systems x composable scenarios ==\n");
     let base = WorkloadSpec {
         background: Some(BackgroundSpec {
             load: 0.30,

@@ -23,9 +23,8 @@ mod soak;
 mod sweep;
 mod table2;
 mod table3;
-mod tune;
 
-use common::Opts;
+use common::{outln, Opts};
 use vertigo_workload::RunError;
 
 /// A subcommand: id, one-line description, entry point, and whether
@@ -114,12 +113,6 @@ const FIGURES: &[Figure] = &[
         true,
     ),
     (
-        "tune",
-        "parameter search over Vertigo's knobs (grid or successive halving)",
-        tune::run,
-        false,
-    ),
-    (
         "soak",
         "sustained multi-tenant scenario on the fat-tree, audited in debug builds",
         soak::run,
@@ -150,7 +143,6 @@ fn usage_text() -> String {
         "all",
         skipped.join(" and ")
     );
-    text += &format!("tune extras: {}\n", common::TUNE_FLAGS);
     text += "--workload grammar: kind:key=val,...[@from-until] [+ ...] with kinds \
              incast|bg|perm|onoff (see EXPERIMENTS.md)";
     text
@@ -174,8 +166,8 @@ fn main() {
     if figures.is_empty() {
         usage(Some(&format!("unknown id: {cmd}")));
     }
-    let opts = Opts::parse(cmd, rest).unwrap_or_else(|e| usage(Some(&e)));
-    println!(
+    let opts = Opts::parse(rest).unwrap_or_else(|e| usage(Some(&e)));
+    outln!(
         "[scale={} seed={} leaf-spine {} hosts / fat-tree k={}]\n",
         opts.scale.name,
         opts.seed,
@@ -217,15 +209,15 @@ mod tests {
     }
 
     #[test]
-    fn all_is_every_figure_but_tune_and_soak() {
+    fn all_is_every_figure_but_soak() {
         let all: Vec<&str> = select("all").iter().map(|f| f.0).collect();
         let expected: Vec<&str> = FIGURES
             .iter()
             .map(|f| f.0)
-            .filter(|id| !["tune", "soak"].contains(id))
+            .filter(|id| *id != "soak")
             .collect();
         assert_eq!(all, expected);
-        assert_eq!(all.len(), FIGURES.len() - 2);
+        assert_eq!(all.len(), FIGURES.len() - 1);
     }
 
     #[test]

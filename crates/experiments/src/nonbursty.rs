@@ -2,13 +2,13 @@
 //! background-only sweeps over the three trace distributions, comparing
 //! ECMP+DCTCP with Vertigo+DCTCP.
 
-use crate::common::{fmt_secs, Opts, Table};
+use crate::common::{fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Non-bursty workloads: background-only FCT comparison ==\n");
+    outln!("== Non-bursty workloads: background-only FCT comparison ==\n");
     let mut cells = Vec::new();
     for dist in [
         DistKind::CacheFollower,

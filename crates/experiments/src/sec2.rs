@@ -4,13 +4,13 @@
 //! (80 %) load: hop inflation, transport-visible reordering, packet loss,
 //! and mice-flow FCT — the four §2 observations that motivate Vertigo.
 
-use crate::common::{fmt_secs, Opts, Table};
+use crate::common::{fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Section 2 measurements: random deflection pathologies ==\n");
+    outln!("== Section 2 measurements: random deflection pathologies ==\n");
     let s = &opts.scale;
     let mut cells = Vec::new();
     for total in [35u32, 50, 65, 80] {
@@ -52,9 +52,9 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
     ]);
     t.rows(rows);
     t.emit(opts, "sec2");
-    println!("paper §2 claims to compare against:");
-    println!("  - deflection increases mean hop count by ~20% under load");
-    println!("  - random deflection raises transport reordering ~10x at 35% load");
-    println!("  - random deflection inflates mice FCT (~40%) and QCT under load");
+    outln!("paper §2 claims to compare against:");
+    outln!("  - deflection increases mean hop count by ~20% under load");
+    outln!("  - random deflection raises transport reordering ~10x at 35% load");
+    outln!("  - random deflection inflates mice FCT (~40%) and QCT under load");
     Ok(())
 }

@@ -12,7 +12,7 @@
 //! invariant layer was live, and CI runs the soak in a debug build so a
 //! conservation violation fails loudly.
 
-use crate::common::{fmt_pct, fmt_secs, Opts, Table};
+use crate::common::{fmt_pct, fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_simcore::SimDuration;
 use vertigo_transport::CcKind;
@@ -46,7 +46,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
         opts.scenario
     };
     let horizon = SimDuration::from_nanos(s.ft_horizon.as_nanos() * 4);
-    println!(
+    outln!(
         "== soak: fat-tree k={} ({hosts} hosts), {:.0} ms sustained multi-tenant load ==\n\
          workload: {scenario}\n",
         s.ft_k,
@@ -106,7 +106,7 @@ pub fn run(opts: &Opts) -> Result<(), RunError> {
     t.rows(tenants);
     t.emit(opts, "soak");
 
-    println!("{totals}");
+    outln!("{totals}");
     // Audit tallies live on stderr with the build note: stdout stays
     // byte-identical between debug and release builds.
     if cfg!(debug_assertions) {

@@ -252,7 +252,7 @@ mod tests {
 
     fn test_opts(jobs: usize) -> Opts {
         let args = ["--quick".to_string(), "--jobs".into(), jobs.to_string()];
-        Opts::parse("fig5", &args).expect("valid test options")
+        Opts::parse(&args).expect("valid test options")
     }
 
     /// A 2 ms cell on the 32-host leaf-spine; `incast_qps` varies only

@@ -2,13 +2,13 @@
 //! (50 % background + 25 % incast) under DCTCP and Swift, on the
 //! leaf-spine.
 
-use crate::common::{fmt_pct, Opts, Table};
+use crate::common::{fmt_pct, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Table 2: completion ratios at 75% load (50% BG + 25% incast) ==\n");
+    outln!("== Table 2: completion ratios at 75% load (50% BG + 25% incast) ==\n");
     let s = opts.scale;
     let workload = WorkloadSpec {
         background: Some(BackgroundSpec {

@@ -1,14 +1,14 @@
 //! Table 3: SRPT vs. flow aging (LAS) marking, against the ECMP and DIBS
 //! baselines, across a load sweep.
 
-use crate::common::{fmt_secs, Opts, Table};
+use crate::common::{fmt_secs, outln, Opts, Table};
 use crate::sweep::{self, Cell};
 use vertigo_core::MarkingDiscipline;
 use vertigo_transport::CcKind;
 use vertigo_workload::{BackgroundSpec, DistKind, RunError, SystemKind, WorkloadSpec};
 
 pub fn run(opts: &Opts) -> Result<(), RunError> {
-    println!("== Table 3: SRPT vs LAS marking (mean QCT) ==\n");
+    outln!("== Table 3: SRPT vs LAS marking (mean QCT) ==\n");
     let s = &opts.scale;
     let columns = [
         (SystemKind::Ecmp, MarkingDiscipline::Srpt),

@@ -1,9 +1,9 @@
 //! The `experiments` binary from the outside: argument errors are
 //! reported on stderr with the usage text and exit code 2, never as a
-//! panic, and before any simulation starts; `--trace` next to an untraced
-//! run; `vtrace dump` on a golden trace, on codes it does not know and
-//! into a pipe its reader closes; and `vsnp inspect` on a header of the
-//! previous format version.
+//! panic, and before any simulation starts; a figure's tables and
+//! `vtrace dump` into a pipe their reader closes; `--trace` next to an
+//! untraced run; `vtrace dump` on a golden trace and on codes it does not
+//! know; and `vsnp inspect` on a header of the previous format version.
 
 use std::process::{Command, Output};
 
@@ -30,9 +30,10 @@ fn no_arguments_prints_usage() {
     let out = experiments(&[]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for id in ["fig1", "fig11a", "figworkload", "tune", "soak", "all"] {
+    for id in ["fig1", "fig11a", "figworkload", "soak", "all"] {
         assert!(stderr.contains(&format!("\n  {id} ")), "{id}: {stderr}");
     }
+    assert!(!stderr.contains("tune"), "{stderr}");
 }
 
 #[test]
@@ -43,11 +44,11 @@ fn bad_arguments_exit_2() {
     refused(&["fig5", "--quick", "--domains"], "--domains needs a value");
     refused(&["fig5", "--domains", "0"], "--domains must be at least 1");
     refused(&["fig99", "--quick"], "unknown id: fig99");
+    refused(&["tune", "--quick"], "unknown id: tune");
     refused(&["fig5", "--bogus"], "unknown option: --bogus");
     refused(&["fig5", "--search", "grid"], "unknown option: --search");
     // Which of two byte-identical paths runs a cell is not the user's call.
     refused(&["fig5", "--warm-start"], "unknown option: --warm-start");
-    refused(&["tune", "--quick", "--cold"], "unknown option: --cold");
     refused(&["fig5", "--events", "heap"], "unknown option: --events");
     // A literal rate whose mean gap is under the 1 ns clock.
     refused(
@@ -58,12 +59,6 @@ fn bad_arguments_exit_2() {
 
 #[test]
 fn conflicting_flags_exit_2() {
-    refused(&["tune", "--trace", "x"], "drop --trace");
-    refused(&["tune", "--quick", "--domains", "2"], "drop --domains");
-    refused(
-        &["tune", "--quick", "--checkpoint-every", "2.5ms"],
-        "drop --checkpoint-every/--resume",
-    );
     refused(
         &["fig5", "--quick", "--domains", "2", "--trace", "x"],
         "drop either --trace or --domains",
@@ -375,4 +370,32 @@ fn vtrace_dump_into_a_closed_pipe_ends_quietly() {
     assert!(first.contains("923 records"), "{first}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.status.success(), "{:?}: {stderr}", out.status);
+}
+
+/// `experiments table2 --quick | head -1`: the reader closes the pipe
+/// after the scale header, long before the table is printed, and the run
+/// ends there with exit 0 and nothing on stderr (at `--jobs 1` the sweep
+/// prints no progress), so no panic.
+#[test]
+fn figure_output_into_a_closed_pipe_ends_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("vertigo-cli-pipe-{}", std::process::id()));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["table2", "--quick", "--jobs", "1", "--out"])
+        .arg(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the experiments binary runs");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("piped stdout");
+    BufReader::new(stdout).read_line(&mut first).unwrap();
+    // The reader is dropped: the pipe is closed.
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(first.starts_with("[scale=quick "), "{first}");
+    assert!(stderr.is_empty(), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -190,13 +190,12 @@ pub struct DomainSimulation {
 
 impl DomainSimulation {
     /// Why the domain engine cannot run a run that asks for these, if it
-    /// cannot: a packet trace, an active checkpoint or resume request, or
-    /// fork-time knob overrides or a measurement window. It has no
-    /// provenance hooks and no quiescent single-queue state to checkpoint,
-    /// re-tune or stop early at; combining them would silently produce an
-    /// empty trace, an unrestorable snapshot or an untuned run. The
-    /// command line reports the refusal, and the drivers assert on it.
-    pub fn refusal(trace: bool, snapshot: bool, fork_changes: bool) -> Option<&'static str> {
+    /// cannot: a packet trace, or an active checkpoint or resume request.
+    /// It has no provenance hooks and no quiescent single-queue state to
+    /// checkpoint; combining them would silently produce an empty trace
+    /// or an unrestorable snapshot. The command line reports the refusal,
+    /// and the drivers assert on it.
+    pub fn refusal(trace: bool, snapshot: bool) -> Option<&'static str> {
         let refusals = [
             (
                 trace,
@@ -206,11 +205,6 @@ impl DomainSimulation {
                 snapshot,
                 "checkpoint/resume requires the classic engine: \
                  drop either --checkpoint-every/--resume or --domains",
-            ),
-            (
-                fork_changes,
-                "fork-time knob overrides and measurement windows require the \
-                 classic engine: drop either them or --domains",
             ),
         ];
         refusals
@@ -231,7 +225,7 @@ impl DomainSimulation {
     /// queue holds anything but `FlowStart`).
     pub fn from_sim(sim: Simulation, n: usize) -> DomainSimulation {
         assert!(n >= 1, "--domains must be at least 1");
-        if let Some(why) = Self::refusal(sim.rec.trace.enabled(), false, false) {
+        if let Some(why) = Self::refusal(sim.rec.trace.enabled(), false) {
             panic!("{why}");
         }
         let Simulation {

@@ -43,8 +43,7 @@ use vertigo_pkt::{
     pool, AckSeg, FlowId, FlowInfo, FlowTable, NodeId, Packet, PacketKind, PortId, QueryId,
 };
 use vertigo_simcore::{
-    release_if_drained, strictly_ascending, SimDuration, SimTime, SnapError, SnapReader,
-    SnapWriter, Snapshot,
+    release_if_drained, strictly_ascending, SimTime, SnapError, SnapReader, SnapWriter, Snapshot,
 };
 use vertigo_stats::{DropCause, TraceKind, TraceRecord, TRACE_NO_RANK};
 use vertigo_transport::{FinishedReceiver, FlowReceiver, FlowSender, TransportConfig};
@@ -230,17 +229,6 @@ impl Host {
     /// none is deployed).
     pub fn filter_heap_bytes(&self) -> usize {
         self.marking.as_ref().map_or(0, |m| m.filter_heap_bytes())
-    }
-
-    /// Retunes the ordering τ mid-run (warm-start fork override). No-op
-    /// on hosts without an ordering component deployed.
-    pub fn override_ordering_timeout(&mut self, timeout: SimDuration) {
-        if let Some(cfg) = self.cfg.ordering.as_mut() {
-            cfg.timeout = timeout;
-        }
-        if let Some(o) = self.ordering.as_mut() {
-            o.set_timeout(timeout);
-        }
     }
 
     /// Number of flows currently sending.

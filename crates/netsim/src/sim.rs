@@ -540,46 +540,6 @@ impl Simulation {
         self.rec.audit.created += 1;
     }
 
-    /// Retunes the ordering τ on every host mid-run (warm-start fork
-    /// override). Hosts without an ordering component are unaffected.
-    pub fn override_ordering_timeout(&mut self, timeout: SimDuration) {
-        for n in &mut self.nodes {
-            if let Node::Host(h) = n {
-                h.override_ordering_timeout(timeout);
-            }
-        }
-    }
-
-    /// Retunes the per-port buffer cap on every switch mid-run
-    /// (warm-start fork override).
-    pub fn override_port_buffer_bytes(&mut self, bytes: u64) {
-        for n in &mut self.nodes {
-            if let Node::Switch(s) = n {
-                s.override_port_buffer_bytes(bytes);
-            }
-        }
-    }
-
-    /// Retunes the ECN marking threshold on every switch mid-run
-    /// (warm-start fork override).
-    pub fn override_ecn_threshold_pkts(&mut self, pkts: usize) {
-        for n in &mut self.nodes {
-            if let Node::Switch(s) = n {
-                s.override_ecn_threshold_pkts(pkts);
-            }
-        }
-    }
-
-    /// Retunes Vertigo's deflection power-of-d on every switch mid-run
-    /// (warm-start fork override). No-op on non-Vertigo policies.
-    pub fn override_deflect_power(&mut self, d: usize) {
-        for n in &mut self.nodes {
-            if let Node::Switch(s) = n {
-                s.override_deflect_power(d);
-            }
-        }
-    }
-
     /// Test-only mutation hook: perturbs victim/egress selection in every
     /// switch's deflection policy (see [`Switch::seed_victim_mutation`]).
     /// Golden-trace tests seed this to prove each policy's goldens pin the

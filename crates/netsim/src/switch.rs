@@ -178,31 +178,6 @@ impl Switch {
         self.ports.iter().map(|p| p.queue.len() as u64).sum()
     }
 
-    /// Retunes the per-port buffer cap mid-run (warm-start fork
-    /// override). Packets already queued above a lowered cap stay; only
-    /// future enqueues see the new limit.
-    pub fn override_port_buffer_bytes(&mut self, bytes: u64) {
-        self.cfg.port_buffer_bytes = bytes;
-    }
-
-    /// Retunes the ECN marking threshold mid-run (warm-start fork
-    /// override). 0 disables marking.
-    pub fn override_ecn_threshold_pkts(&mut self, pkts: usize) {
-        self.cfg.ecn_threshold_pkts = pkts;
-    }
-
-    /// Retunes Vertigo's deflection power-of-d mid-run (warm-start fork
-    /// override). No-op on non-Vertigo buffer policies.
-    pub fn override_deflect_power(&mut self, d: usize) {
-        if let BufferPolicy::Vertigo {
-            ref mut deflect_power,
-            ..
-        } = self.cfg.buffer
-        {
-            *deflect_power = d;
-        }
-    }
-
     /// Serializes the mutable switch state: per-port queue contents and
     /// busy flags, DRILL's remembered ports, and the queue high-water
     /// mark. Config, routes, and the ECMP salt derive from the run spec

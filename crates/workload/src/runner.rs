@@ -447,20 +447,18 @@ impl RunSpec {
     /// byte-identical to the straight-through run's; CI digest-diffs this.
     ///
     /// **Phased**: with `fork` set, the workload's incast component is
-    /// deferred to the fork horizon and the fork's knob overrides are
-    /// applied there, and the run ends `fork.window` past it when one is
-    /// set. Checkpoints and resumes compose with the fork: the snapshot
-    /// identity hash mixes in the fork, and a resume at or past the fork
-    /// horizon skips re-applying it (the producing run already did, so
-    /// the deferred arrivals are in the restored queue).
+    /// deferred to the fork horizon. Checkpoints and resumes compose with
+    /// the fork: the snapshot identity hash mixes in the fork, and a
+    /// resume at or past the fork horizon skips re-applying it (the
+    /// producing run already did, so the deferred arrivals are in the
+    /// restored queue).
     ///
     /// Failures a correct invocation can meet — a workload the topology
     /// cannot carry, an unwritable trace path, an unreadable or
     /// mismatched `--resume` file (format version or run spec; a silently
     /// wrong resume would be worse than a refusal) — come
-    /// back as a [`RunError`]. Combining `domains` with a trace, a
-    /// snapshot request, fork-time overrides or a measurement window is a
-    /// caller bug and panics.
+    /// back as a [`RunError`]. Combining `domains` with a trace or a
+    /// snapshot request is a caller bug and panics.
     pub fn try_run_staged(
         &self,
         trace: Option<&TraceSpec>,
@@ -475,10 +473,9 @@ impl RunSpec {
     /// (`warm`) the in-memory snapshot of this cell's warmup class, taken
     /// at the fork horizon with the fork not yet applied. It builds the
     /// prefix spec, restores if asked, crosses the run's boundaries in
-    /// time order — the phase at the fork horizon (overrides, then the
-    /// deferred incast), checkpoints at every multiple of the period, the
-    /// end of the measurement window — finalizes, and assembles the
-    /// output.
+    /// time order — the phase at the fork horizon (the deferred incast),
+    /// checkpoints at every multiple of the period — runs to the horizon,
+    /// finalizes, and assembles the output.
     pub(crate) fn drive(
         &self,
         trace: Option<&TraceSpec>,
@@ -490,7 +487,6 @@ impl RunSpec {
             let refusal = DomainSimulation::refusal(
                 trace.is_some(),
                 snapshot.is_some_and(SnapshotSpec::is_active),
-                fork.is_some_and(|f| !f.overrides.is_empty() || f.window.is_some()),
             );
             if let Some(why) = refusal {
                 panic!("{why}");
@@ -500,7 +496,7 @@ impl RunSpec {
             return Err(RunError::Domains(n));
         }
 
-        let mut sim = fork.map_or(*self, |f| self.prefix_spec(f)).try_build()?;
+        let mut sim = fork.map_or(*self, |_| self.prefix_spec()).try_build()?;
         let offered_load = self.offered_load_on(&sim);
 
         let (mut report, ordering, marking, max_port_bytes, trace_path) = match self.domains {
@@ -551,10 +547,7 @@ impl RunSpec {
                     }
                     None => Ok(()),
                 };
-                let end = fork
-                    .and_then(|f| Some((f.at + f.window?).min(self.horizon)))
-                    .unwrap_or(self.horizon)
-                    .as_nanos();
+                let end = self.horizon.as_nanos();
                 if let Some(ck) = snapshot.and_then(|s| s.checkpoint.as_ref()) {
                     let every = ck.every.as_nanos();
                     let mut t = every;

@@ -1,17 +1,15 @@
 //! Phased runs, and the warm start that shares their prefix.
 //!
 //! A *phased* cell is `(RunSpec, ForkSpec)`: the **prefix** (everything
-//! before the fork horizon: the spec with its incast stripped, at its
-//! base knob values) runs to the fork horizon, where the fork's knob
-//! overrides are applied and the deferred incast is installed; the
-//! **suffix** runs from there to the horizon, or to the end of the fork's
-//! measurement window. fig5, figdeflect and `tune` are defined this way —
-//! the paper's steady-state-background methodology — so the phase is part
-//! of what they simulate, not an optimisation.
+//! before the fork horizon: the spec with its incast stripped) runs to
+//! the fork horizon, where the deferred incast is installed; the
+//! **suffix** runs from there to the horizon. fig5 and figdeflect are
+//! defined this way — the paper's steady-state-background methodology —
+//! so the phase is part of what they simulate, not an optimisation.
 //!
-//! A figure grid re-simulates the same prefix in every cell: all four
-//! systems at one background load share identical dynamics until the
-//! incast burst (and any per-cell knob override) kicks in. So one
+//! A figure grid re-simulates the same prefix in every cell: all cells
+//! at one background load that differ only in their incast share
+//! identical dynamics until the burst kicks in. So one
 //! simulated prefix can be captured once into an in-memory snapshot
 //! ([`RunSpec::run_warmup`]) and every cell of its *equivalence class*
 //! ([`RunSpec::fork_key`]) started from it ([`RunSpec::run_forked`]). The
@@ -37,59 +35,21 @@ use vertigo_netsim::trace::stable_hash;
 use vertigo_netsim::Simulation;
 use vertigo_simcore::{SimDuration, SimTime, SnapReader, SnapWriter};
 
-/// Knobs that may be re-tuned at the fork horizon without invalidating
-/// the shared warmup prefix. Everything here only shapes dynamics *after*
-/// it is applied, so two specs differing solely in overrides share an
-/// equivalence class — this is what the `tune` search exploits.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ForkOverrides {
-    /// Ordering timeout τ (Vertigo hosts).
-    pub tau: Option<SimDuration>,
-    /// Deflection power-of-d (Vertigo switches).
-    pub defl_power: Option<usize>,
-    /// Per-port buffer cap in bytes (all switches).
-    pub port_buffer_bytes: Option<u64>,
-    /// DCTCP/ECN marking threshold in packets (all switches).
-    pub ecn_threshold_pkts: Option<usize>,
-}
-
-impl ForkOverrides {
-    /// No knob is overridden.
-    pub fn is_empty(&self) -> bool {
-        *self == ForkOverrides::default()
-    }
-}
-
-/// How a phased run splits one cell: the fork horizon, whether the
-/// incast component is deferred past it, the knob overrides applied
-/// when crossing it, and how far past it the run goes.
+/// How a phased run splits one cell: the workload's incast component is
+/// deferred to the fork horizon (the background component always runs
+/// from t = 0). This is what lets cells differing only in incast
+/// intensity share a warmup.
 #[derive(Debug, Clone, Copy)]
 pub struct ForkSpec {
     /// The fork horizon: the quiescent boundary the prefix runs to and
     /// the suffix continues from.
     pub at: SimDuration,
-    /// Defer the workload's incast component to `at` (the background
-    /// component always runs from t = 0). This is what lets cells
-    /// differing only in incast intensity share a warmup.
-    pub defer_incast: bool,
-    /// Knob overrides applied at `at`.
-    pub overrides: ForkOverrides,
-    /// Measurement window: the run ends this long after `at` (clamped to
-    /// the spec horizon) — the cheap-evaluation rungs of successive
-    /// halving. `None` runs to the horizon.
-    pub window: Option<SimDuration>,
 }
 
 impl ForkSpec {
-    /// A fork at `at` deferring the incast, with no knob overrides and no
-    /// measurement window — the shape every figure grid uses.
+    /// A fork at `at`, the shape every figure grid uses.
     pub fn at(at: SimDuration) -> Self {
-        ForkSpec {
-            at,
-            defer_incast: true,
-            overrides: ForkOverrides::default(),
-            window: None,
-        }
+        ForkSpec { at }
     }
 }
 
@@ -103,37 +63,21 @@ pub struct SnapBuf {
 }
 
 impl RunSpec {
-    /// The spec whose dynamics the prefix follows: this spec with the
-    /// deferred workload components stripped. Knob overrides live in the
-    /// [`ForkSpec`], not here, so the prefix runs the *base* knob values.
-    pub fn prefix_spec(&self, fork: &ForkSpec) -> RunSpec {
+    /// The spec whose dynamics a phased run's prefix follows: this spec
+    /// with its incast stripped.
+    pub fn prefix_spec(&self) -> RunSpec {
         let mut p = *self;
-        if fork.defer_incast {
-            p.workload.incast = None;
-        }
+        p.workload.incast = None;
         p
     }
 
     /// Applies the fork to a simulation standing at the fork horizon:
-    /// knob overrides first, then the deferred incast arrivals.
+    /// installs the deferred incast arrivals.
     pub(crate) fn apply_fork(&self, sim: &mut Simulation, fork: &ForkSpec) -> Result<(), RunError> {
-        let o = fork.overrides;
-        if let Some(tau) = o.tau {
-            sim.override_ordering_timeout(tau);
-        }
-        if let Some(d) = o.defl_power {
-            sim.override_deflect_power(d);
-        }
-        if let Some(b) = o.port_buffer_bytes {
-            sim.override_port_buffer_bytes(b);
-        }
-        if let Some(k) = o.ecn_threshold_pkts {
-            sim.override_ecn_threshold_pkts(k);
-        }
         match self.workload.incast {
             // A fork at the horizon leaves the incast no time to offer
             // anything.
-            Some(inc) if fork.defer_incast && fork.at < self.horizon => inc
+            Some(inc) if fork.at < self.horizon => inc
                 .install_from(sim, fork.at)
                 .map_err(|e| RunError::Workload(format!("workload: {e}"))),
             _ => Ok(()),
@@ -142,31 +86,25 @@ impl RunSpec {
 
     /// The conservative warmup-equivalence key: a stable hash of exactly
     /// the state that shapes dynamics *before* the fork horizon — the
-    /// prefix spec (deferred incast stripped, overrides and measurement
-    /// window excluded) plus the horizon itself. Two cells with equal
-    /// keys may share one warmup snapshot.
+    /// prefix spec (incast stripped) plus the horizon itself. Two cells
+    /// with equal keys may share one warmup snapshot.
     ///
     /// Returns `None` when prefix-equivalence cannot be proven or a warm
     /// start cannot apply: the domain engine (different tie-breaking
     /// order, no quiescent single-queue state), a fork at t = 0 or at/past
-    /// the horizon, or a fork that defers and overrides nothing. Callers
-    /// run the cell straight through on `None`.
+    /// the horizon, or a spec with no incast to defer. Callers run the
+    /// cell straight through on `None`.
     pub fn fork_key(&self, fork: &ForkSpec) -> Option<u64> {
-        if self.domains.is_some() {
-            return None;
-        }
         let at = fork.at.as_nanos();
-        if at == 0 || at >= self.horizon.as_nanos() {
+        if self.domains.is_some()
+            || self.workload.incast.is_none()
+            || at == 0
+            || at >= self.horizon.as_nanos()
+        {
             return None;
         }
-        let defers = fork.defer_incast && self.workload.incast.is_some();
-        if !defers && fork.overrides.is_empty() {
-            return None;
-        }
-        let prefix = self.prefix_spec(fork);
-        Some(stable_hash(
-            format!("fork@{at}ns defer={} {prefix:?}", fork.defer_incast).as_bytes(),
-        ))
+        let prefix = self.prefix_spec();
+        Some(stable_hash(format!("fork@{at}ns {prefix:?}").as_bytes()))
     }
 
     /// Runs the shared prefix of this spec's equivalence class to the
@@ -177,7 +115,7 @@ impl RunSpec {
         let key = self
             .fork_key(fork)
             .expect("run_warmup: spec is not warm-startable (fork_key is None)");
-        let mut sim = self.prefix_spec(fork).try_build()?;
+        let mut sim = self.prefix_spec().try_build()?;
         sim.drain_until(SimTime::ZERO + fork.at);
         let mut w = SnapWriter::new();
         sim.save_state(&mut w);
@@ -187,8 +125,8 @@ impl RunSpec {
         })
     }
 
-    /// Restores the class warmup and continues as this cell: applies the
-    /// fork (overrides + deferred incast) and runs to the end of the run.
+    /// Restores the class warmup and continues as this cell: installs the
+    /// deferred incast and runs to the horizon.
     /// The output is byte-identical to [`run_phased`](Self::run_phased) of
     /// the same spec — the warm-start oracle.
     pub fn run_forked(&self, fork: &ForkSpec, buf: &SnapBuf) -> RunOutput {
@@ -220,9 +158,8 @@ impl RunSpec {
         fork.at.as_nanos()
     }
 
-    /// The same phased semantics (prefix to the fork horizon, then
-    /// overrides + deferred incast) simulated straight through, no
-    /// snapshot.
+    /// The same phased semantics (prefix to the fork horizon, then the
+    /// deferred incast) simulated straight through, no snapshot.
     pub fn run_phased(&self, fork: &ForkSpec) -> RunOutput {
         self.run_staged(None, None, Some(fork))
     }
@@ -293,12 +230,6 @@ mod tests {
         });
         let f = fork();
         assert_eq!(a.fork_key(&f), b.fork_key(&f));
-
-        // Overrides are post-fork too: same class.
-        let mut with_overrides = f;
-        with_overrides.overrides.tau = Some(SimDuration::from_micros(720));
-        with_overrides.overrides.ecn_threshold_pkts = Some(20);
-        assert_eq!(a.fork_key(&f), a.fork_key(&with_overrides));
     }
 
     #[test]
@@ -343,7 +274,7 @@ mod tests {
         let mut d = a;
         d.domains = Some(2);
         assert_eq!(d.fork_key(&fork()), None);
-        // A fork that changes nothing.
+        // No incast to defer.
         let mut nothing = a;
         nothing.workload.incast = None;
         assert_eq!(nothing.fork_key(&fork()), None);
@@ -360,43 +291,5 @@ mod tests {
             .expect_err("cross-class fork must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("different equivalence class"), "{msg}");
-    }
-
-    #[test]
-    fn override_fork_applies_the_knobs() {
-        // τ = 0 forces the ordering shim to release every buffered packet
-        // immediately — the ablation-sized effect proves the override
-        // actually lands on live components.
-        let spec = base_spec();
-        let mut f = fork();
-        f.overrides.tau = Some(SimDuration::ZERO);
-        let plain = spec.run_phased(&fork());
-        let tuned = spec.run_phased(&f);
-        assert!(
-            output_digest(&plain) != output_digest(&tuned),
-            "a τ override at the fork must change the dynamics"
-        );
-        // And the warm twin of the tuned run still matches exactly.
-        let buf = spec.run_warmup(&f).expect("warmup");
-        let warm = spec.run_forked(&f, &buf);
-        assert_eq!(output_digest(&tuned), output_digest(&warm));
-    }
-
-    #[test]
-    fn measurement_windows_nest() {
-        let spec = base_spec();
-        let buf = spec.run_warmup(&fork()).expect("warmup");
-        let windowed = |window| {
-            let f = ForkSpec { window, ..fork() };
-            let (warm, cold) = (spec.run_forked(&f, &buf), spec.run_phased(&f));
-            assert_eq!(output_digest(&warm), output_digest(&cold));
-            warm
-        };
-        let short = windowed(Some(SimDuration::from_millis(1)));
-        let full = windowed(None);
-        assert!(short.report.flows_completed <= full.report.flows_completed);
-        // A window past the horizon clamps to it.
-        let clamped = windowed(Some(SimDuration::from_secs(1)));
-        assert_eq!(output_digest(&full), output_digest(&clamped));
     }
 }

@@ -4,9 +4,8 @@
 //! then [`RunSpec::run_forked`]), or a `--checkpoint-every` file taken
 //! before or at the fork horizon and resumed — must produce a `RunOutput`
 //! byte-identical to the straight-through phased run of the same spec.
-//! This is the oracle the sweep runner's shared warmups and the `tune`
-//! search stand on; CI additionally digest-diffs it end-to-end on the
-//! fig5 grid.
+//! This is the oracle the sweep runner's shared warmups stand on; CI
+//! additionally digest-diffs it end-to-end on the fig5 grid.
 //!
 //! Runs are deliberately tiny (16 hosts, ≤ 2 ms horizons) so the suite
 //! stays debug-build fast while still crossing every interesting seam:
@@ -76,8 +75,8 @@ proptest! {
     }
 
     /// The same seam through the disk path: a checkpoint taken before the
-    /// fork horizon, resumed, crosses it (restore → overrides → deferred
-    /// incast installed after a restore) like the straight phased run, so
+    /// fork horizon, resumed, crosses it (restore → deferred incast
+    /// installed after a restore) like the straight phased run, so
     /// post-restore installs tie-break like post-drain installs; and a
     /// checkpoint taken exactly at the fork horizon already holds the
     /// fork, which a resume must not apply twice.

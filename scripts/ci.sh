@@ -16,6 +16,15 @@ if grep -rnE 'TimingWheel|Event::TelemetrySample' crates/*/src src; then
   exit 1
 fi
 
+echo "==> knobs are fixed per run: no parameter search, no mid-run setters"
+# The paper fixes tau, d, K and the buffer per experiment, and fig12/fig13
+# sweep them as cold specs; a phased cell is a spec plus a fork horizon.
+if grep -rnE 'ForkOverrides|TUNE_FLAGS|mod tune|override_(ordering_timeout|port_buffer_bytes|ecn_threshold_pkts|deflect_power)' \
+  crates/*/src src; then
+  echo "shipped code names the knob search or a mid-run knob setter" >&2
+  exit 1
+fi
+
 echo "==> one build: no cargo features"
 # The conservation audit runs in every debug-assertion build and the packet
 # recorder in every build, armed at run time; a feature would split the
@@ -149,22 +158,6 @@ diff -r "$base/straight" "$base/resume"
 for f in "$base"/tstraight/*.vtrace; do
   cargo run --release --quiet -p vertigo-experiments --bin vtrace -- \
     diff "$f" "$base/tresume/$(basename "$f")" > /dev/null
-done
-
-echo "==> tune smoke: a Pareto front, the same at --jobs 1 and 2, on both strategies"
-TUNEDIR=/tmp/vertigo_tune_ci
-rm -rf "$TUNEDIR"
-for search in grid halving; do
-  base="$TUNEDIR/$search"
-  mkdir -p "$base"
-  for j in 1 2; do
-    cargo run --release --quiet -p vertigo-experiments --bin experiments -- \
-      tune --quick --search "$search" --budget 4 --jobs "$j" --out "$base/j$j" \
-      | sed "s|$base/j$j|OUT|" > "$base/j$j.txt"
-  done
-  diff "$base/j1.txt" "$base/j2.txt"
-  diff "$base/j1/tune.csv" "$base/j2/tune.csv"
-  grep -q '^  cand' "$base/j1.txt"   # a Pareto front was printed
 done
 
 echo "==> deflect override is inert at the default: --deflect vertigo vs no flag"
