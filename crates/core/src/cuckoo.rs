@@ -305,45 +305,41 @@ impl vertigo_simcore::Snapshot for CuckooFilter {
     fn restore(
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<Self, vertigo_simcore::SnapError> {
-        use vertigo_simcore::SnapError;
+        use vertigo_simcore::{SnapError, SnapReader};
         let nbuckets = r.get_usize()?;
         if !nbuckets.is_power_of_two() || nbuckets - 1 > u32::MAX as usize {
             return Err(SnapError::new(format!(
                 "cuckoo filter bucket count {nbuckets} is not a power of two within 32 bits"
             )));
         }
-        let occupied = r.get_usize()?;
-        if occupied > nbuckets || occupied > r.remaining() / RECORD_BYTES {
-            return Err(SnapError::new(format!(
-                "cuckoo snapshot claims {occupied} occupied buckets of {nbuckets} \
-                 with {} bytes remaining",
-                r.remaining()
-            )));
-        }
-        let mut buckets = HashMap::with_capacity_and_hasher(occupied, Mix64Build::default());
+        // Ascending indices below `nbuckets` are at most `nbuckets` buckets.
+        let mut buckets = HashMap::with_hasher(Mix64Build::default());
         let mut stored = 0;
-        let mut next_idx = 0u64;
-        for _ in 0..occupied {
-            let idx = r.get_u32()?;
-            if (idx as u64) < next_idx || idx as usize >= nbuckets {
-                return Err(SnapError::new(format!(
-                    "cuckoo snapshot bucket index {idx} is out of order or beyond {nbuckets} buckets"
-                )));
-            }
-            next_idx = idx as u64 + 1;
-            let mut bucket = [0u16; BUCKET_SLOTS];
-            for slot in bucket.iter_mut() {
-                *slot = r.get_u16()?;
-            }
-            let used = bucket.iter().filter(|&&fp| fp != 0).count();
-            if used == 0 {
-                return Err(SnapError::new(format!(
-                    "cuckoo snapshot stores empty bucket {idx}"
-                )));
-            }
-            stored += used;
-            buckets.insert(idx, bucket);
-        }
+        r.ascending(
+            RECORD_BYTES,
+            "cuckoo bucket",
+            SnapReader::get_u32,
+            |r, idx| {
+                if idx as usize >= nbuckets {
+                    return Err(SnapError::new(format!(
+                        "cuckoo snapshot bucket index {idx} is beyond {nbuckets} buckets"
+                    )));
+                }
+                let mut bucket = [0u16; BUCKET_SLOTS];
+                for slot in bucket.iter_mut() {
+                    *slot = r.get_u16()?;
+                }
+                let used = bucket.iter().filter(|&&fp| fp != 0).count();
+                if used == 0 {
+                    return Err(SnapError::new(format!(
+                        "cuckoo snapshot stores empty bucket {idx}"
+                    )));
+                }
+                stored += used;
+                buckets.insert(idx, bucket);
+                Ok(())
+            },
+        )?;
         let len = r.get_usize()?;
         if len != stored {
             return Err(SnapError::new(format!(

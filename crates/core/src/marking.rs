@@ -20,7 +20,7 @@ use crate::boost;
 use crate::cuckoo::{shrink_if_sparse, CuckooFilter};
 use std::collections::HashMap;
 use vertigo_pkt::{mix64, FlowId, FlowInfo, Mix64Build, NodeId, MAX_PAYLOAD};
-use vertigo_simcore::{strictly_ascending, SnapError};
+use vertigo_simcore::{SnapError, SnapReader};
 
 /// Which quantity the RFS field carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,52 +303,38 @@ impl MarkingComponent {
     /// writer cannot produce: map keys out of ascending order, a flow or
     /// destination counter past its 3 bits, a retransmission count past
     /// the cap `mark` applies.
-    pub fn snap_restore(
-        &mut self,
-        r: &mut vertigo_simcore::SnapReader<'_>,
-    ) -> Result<(), SnapError> {
+    pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         use vertigo_simcore::Snapshot;
         self.flows.clear();
-        let (n, mut prev) = (r.get_usize()?, None);
-        for _ in 0..n {
-            let flow = FlowId(r.get_u64()?);
-            strictly_ascending(&mut prev, flow, "marking flow")?;
+        r.ascending(29, "marking flow", FlowId::restore, |r, flow| {
             let total = r.get_u64()?;
             let flow_seq = at_most(r.get_u8()?, 7, "flow counter")?;
             let age_pkts = r.get_u64()?;
             let dst = NodeId(r.get_u32()?);
-            self.flows.insert(
-                flow,
-                FlowTx {
-                    total,
-                    flow_seq,
-                    age_pkts,
-                    dst,
-                },
-            );
-        }
+            let tx = FlowTx {
+                total,
+                flow_seq,
+                age_pkts,
+                dst,
+            };
+            self.flows.insert(flow, tx);
+            Ok(())
+        })?;
         self.filter = CuckooFilter::restore(r)?;
         self.retx.clear();
-        let (n, mut prev) = (r.get_usize()?, None);
-        for _ in 0..n {
-            let flow = FlowId(r.get_u64()?);
-            let seq = r.get_u64()?;
-            strictly_ascending(&mut prev, (flow, seq), "marking retx")?;
-            let retcnt = at_most(
-                r.get_u8()?,
-                boost::max_boosts(self.shift),
-                "retransmission count",
-            )?;
-            self.retx.insert((flow, seq), retcnt);
-        }
+        let flow_seq = |r: &mut SnapReader<'_>| Ok((FlowId::restore(r)?, r.get_u64()?));
+        let max_boosts = boost::max_boosts(self.shift);
+        r.ascending(17, "marking retx", flow_seq, |r, key| {
+            let retcnt = at_most(r.get_u8()?, max_boosts, "retransmission count")?;
+            self.retx.insert(key, retcnt);
+            Ok(())
+        })?;
         self.dst_counters.clear();
-        let (n, mut prev) = (r.get_usize()?, None);
-        for _ in 0..n {
-            let dst = NodeId(r.get_u32()?);
-            strictly_ascending(&mut prev, dst, "marking destination")?;
+        r.ascending(5, "marking destination", NodeId::restore, |r, dst| {
             let ctr = at_most(r.get_u8()?, 7, "destination counter")?;
             self.dst_counters.insert(dst, ctr);
-        }
+            Ok(())
+        })?;
         self.stats.marked = r.get_u64()?;
         self.stats.retransmissions = r.get_u64()?;
         self.stats.filter_overflows = r.get_u64()?;

@@ -531,33 +531,12 @@ impl<T> OrderingComponent<T> {
     where
         T: vertigo_simcore::Snapshot,
     {
-        use vertigo_simcore::{SnapError, Snapshot};
-        // A count no input of this size could back is refused before
-        // anything is sized by it or looped over.
-        let bounded = |n: usize, what: &str, r: &vertigo_simcore::SnapReader<'_>| {
-            if n > r.remaining() {
-                return Err(SnapError::new(format!(
-                    "ordering snapshot claims {n} {what} but only {} bytes remain",
-                    r.remaining()
-                )));
-            }
-            Ok(n)
-        };
+        use vertigo_simcore::{SnapError, SnapReader, Snapshot};
         self.flows.clear();
         self.armed.clear();
-        let nflows = bounded(r.get_usize()?, "flows", r)?;
-        for _ in 0..nflows {
-            let flow = FlowId::restore(r)?;
-            if self
-                .flows
-                .keys()
-                .next_back()
-                .is_some_and(|last| last >= flow)
-            {
-                return Err(SnapError::new(format!(
-                    "ordering snapshot: flow {flow} repeated or out of order"
-                )));
-            }
+        // A flow record opens with its id and `Expect` tag, a buffered
+        // packet with its RFS.
+        r.ascending(9, "ordering flow", FlowId::restore, |r, flow| {
             let mut st = FlowRx::new();
             st.expect = match r.get_u8()? {
                 0 => Expect::AwaitFirst,
@@ -568,24 +547,19 @@ impl<T> OrderingComponent<T> {
                     )))
                 }
             };
-            let nbuf = bounded(r.get_usize()?, "buffered packets", r)?;
-            for _ in 0..nbuf {
-                let rfs = r.get_u64()?;
-                if st.ooo.back().is_some_and(|last| last.rfs >= rfs) {
-                    return Err(SnapError::new(format!(
-                        "ordering snapshot: flow {flow} RFS {rfs} repeated or out of order"
-                    )));
-                }
+            r.ascending(8, "ordering RFS", SnapReader::get_u64, |r, rfs| {
                 st.ooo.push_back(OooEntry {
                     rfs,
                     item: T::restore(r)?,
                     payload: r.get_u32()?,
                     arrived: SimTime::restore(r)?,
                 });
-            }
+                Ok(())
+            })?;
             st.set_deadline(&mut self.armed, flow, Option::restore(r)?);
             self.flows.insert(flow, st);
-        }
+            Ok(())
+        })?;
         self.stats.in_order = r.get_u64()?;
         self.stats.buffered = r.get_u64()?;
         self.stats.gap_filled = r.get_u64()?;

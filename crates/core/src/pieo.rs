@@ -149,13 +149,8 @@ impl<T: vertigo_simcore::Snapshot> vertigo_simcore::Snapshot for PieoQueue<T> {
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<Self, vertigo_simcore::SnapError> {
         use vertigo_simcore::SnapError;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(SnapError::new(format!(
-                "PIEO snapshot claims {n} elements but only {} bytes remain",
-                r.remaining()
-            )));
-        }
+        // Each element opens with its 8-byte rank.
+        let n = r.count(8, "PIEO elements")?;
         let mut ring: VecDeque<(u64, T)> = VecDeque::with_capacity(n);
         for _ in 0..n {
             let rank = r.get_u64()?;

@@ -41,10 +41,9 @@ use vertigo_core::boost::unboost;
 use vertigo_core::{Delivered, MarkingComponent, MarkingConfig, OrderingComponent, OrderingConfig};
 use vertigo_pkt::{
     pool, AckSeg, FlowId, FlowInfo, FlowTable, NodeId, Packet, PacketKind, PortId, QueryId,
+    PACKET_RECORD_PREFIX,
 };
-use vertigo_simcore::{
-    release_if_drained, strictly_ascending, SimTime, SnapError, SnapReader, SnapWriter, Snapshot,
-};
+use vertigo_simcore::{release_if_drained, SimTime, SnapError, SnapReader, SnapWriter, Snapshot};
 use vertigo_stats::{DropCause, TraceKind, TraceRecord, TRACE_NO_RANK};
 use vertigo_transport::{FinishedReceiver, FlowReceiver, FlowSender, TransportConfig};
 
@@ -771,35 +770,28 @@ impl Host {
     /// Restores state written by [`Host::snap_save`] into a host freshly
     /// built from the same run spec.
     pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(SnapError::new(format!(
-                "corrupt NIC queue length {n} exceeds {} remaining bytes",
-                r.remaining()
-            )));
-        }
         self.nic_q.clear();
-        for _ in 0..n {
+        for _ in 0..r.count(PACKET_RECORD_PREFIX, "NIC packets")? {
             self.nic_q.push_back(<Box<Packet>>::restore(r)?);
         }
         self.nic_bytes =
             crate::queue::restore_bytes(r, "NIC queue", self.nic_q.iter().map(|p| p.wire_size))?;
         self.nic_busy = r.get_bool()?;
-        // Every table is read one record at a time, so a count the input
-        // cannot back runs out of bytes before it sizes anything.
+        // A sender record opens with its flow, peer and query, then the
+        // sender's flow and size.
         self.senders.clear();
-        let (n, mut prev) = (r.get_usize()?, None);
-        for _ in 0..n {
-            let flow = strictly_ascending(&mut prev, FlowId::restore(r)?, "sender")?;
+        r.ascending(36, "sender", FlowId::restore, |r, flow| {
             let dst = NodeId::restore(r)?;
             let query = QueryId::restore(r)?;
             let sender = FlowSender::snap_restore(self.cfg.transport, r)?;
             self.senders.insert(flow, SendState { sender, dst, query });
-        }
+            Ok(())
+        })?;
+        // A receiver record opens with its flow, peer, query and the two
+        // reported counters, then the receiver's flow, size, prefix and
+        // range count.
         self.receivers.clear();
-        let (n, mut prev) = (r.get_usize()?, None);
-        for _ in 0..n {
-            let flow = strictly_ascending(&mut prev, FlowId::restore(r)?, "receiver")?;
+        r.ascending(68, "receiver", FlowId::restore, |r, flow| {
             let src = NodeId::restore(r)?;
             let query = QueryId::restore(r)?;
             let reported_reorders = r.get_u64()?;
@@ -827,11 +819,11 @@ impl Host {
                     reported_bytes,
                 },
             );
-        }
+            Ok(())
+        })?;
+        // A finished record is its flow and two counters.
         self.finished.clear();
-        let (n, mut prev) = (r.get_usize()?, None);
-        for _ in 0..n {
-            let flow = strictly_ascending(&mut prev, FlowId::restore(r)?, "finished flow")?;
+        r.ascending(24, "finished flow", FlowId::restore, |r, flow| {
             if self.receivers.index_of(flow).is_some() {
                 return Err(SnapError::new(format!(
                     "finished flow {flow:?} also has a live receiver"
@@ -839,7 +831,8 @@ impl Host {
             }
             self.finished
                 .insert(flow, FinishedReceiver::snap_restore(r)?);
-        }
+            Ok(())
+        })?;
         let had_marking = r.get_bool()?;
         if had_marking != self.marking.is_some() {
             return Err(SnapError::new(

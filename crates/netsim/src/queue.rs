@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 use vertigo_core::PieoQueue;
-use vertigo_pkt::Packet;
+use vertigo_pkt::{Packet, PACKET_RECORD_PREFIX};
 use vertigo_simcore::{release_if_drained, SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// A byte-bounded FIFO queue.
@@ -218,13 +218,7 @@ impl PortQueue {
         let tag = r.get_u8()?;
         match (self, tag) {
             (PortQueue::Fifo(f), 0) => {
-                let n = r.get_usize()?;
-                if n > r.remaining() {
-                    return Err(SnapError::new(format!(
-                        "corrupt FIFO queue length {n} exceeds {} remaining bytes",
-                        r.remaining()
-                    )));
-                }
+                let n = r.count(PACKET_RECORD_PREFIX, "FIFO packets")?;
                 f.q.clear();
                 for _ in 0..n {
                     f.q.push_back(<Box<Packet>>::restore(r)?);

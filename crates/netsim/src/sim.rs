@@ -497,7 +497,9 @@ impl Simulation {
         self.rng = SimRng::restore(r)?;
         self.next_flow = self.rec.snap_restore(r)?;
         self.next_query = r.get_u64()?;
-        let n = r.get_usize()?;
+        // The smallest node record is a switch's without ports: two
+        // counts and two counters.
+        let n = r.count(32, "nodes")?;
         if n != self.nodes.len() {
             return Err(SnapError::new(format!(
                 "snapshot has {n} nodes, this topology has {}",

@@ -199,7 +199,9 @@ impl Switch {
     /// Restores state written by [`Switch::snap_save`] into a switch
     /// freshly built from the same run spec.
     pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let nports = r.get_usize()?;
+        // A port record is at least its queue's tag, count and byte
+        // counter and the busy flag.
+        let nports = r.count(18, "switch ports")?;
         if nports != self.ports.len() {
             return Err(SnapError::new(format!(
                 "switch {}: snapshot has {nports} ports, topology has {}",
@@ -211,7 +213,7 @@ impl Switch {
             port.queue.snap_restore(r)?;
             port.busy = r.get_bool()?;
         }
-        let nbest = r.get_usize()?;
+        let nbest = r.count(1, "DRILL entries")?;
         if nbest != self.drill_best.len() {
             return Err(SnapError::new(format!(
                 "switch {}: snapshot has {nbest} DRILL entries, topology has {}",

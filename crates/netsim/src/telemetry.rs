@@ -110,13 +110,7 @@ impl Telemetry {
         r: &mut SnapReader<'_>,
         counted: [u64; 3],
     ) -> Result<(), SnapError> {
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(SnapError::new(format!(
-                "corrupt telemetry sample count {n} exceeds {} remaining bytes",
-                r.remaining()
-            )));
-        }
+        let n = r.count(7 * 8, "telemetry samples")?;
         self.samples.clear();
         for _ in 0..n {
             self.samples.push(TelemetrySample {

@@ -24,3 +24,4 @@ pub use packet::{
     AckSeg, DataSeg, Ecn, FlowInfo, Packet, PacketKind, ACK_WIRE_BYTES, DATA_HEADER_BYTES,
     FLOWINFO_OVERHEAD_BYTES, MAX_HOPS, MAX_PAYLOAD,
 };
+pub use snap::PACKET_RECORD_PREFIX;

@@ -140,6 +140,11 @@ impl Snapshot for PacketKind {
     }
 }
 
+/// Bytes every packet record opens with: uid, flow, query, source,
+/// destination and the kind tag. A list of packets reads its count
+/// against it.
+pub const PACKET_RECORD_PREFIX: usize = 8 + 8 + 8 + 4 + 4 + 1;
+
 impl Snapshot for Packet {
     fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.uid);

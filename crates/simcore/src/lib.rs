@@ -36,8 +36,7 @@ pub use event::EventBackend;
 pub use rng::SimRng;
 pub use room::{release_if_drained, RING_KEEP_BYTES};
 pub use snap::{
-    strictly_ascending, SnapError, SnapReader, SnapWriter, Snapshot, SNAPSHOT_AVAILABLE,
-    SNAP_MAGIC, SNAP_VERSION,
+    SnapError, SnapReader, SnapWriter, Snapshot, SNAPSHOT_AVAILABLE, SNAP_MAGIC, SNAP_VERSION,
 };
 pub use time::{SimDuration, SimTime};
 pub use wheel::EventQueue;

@@ -580,11 +580,11 @@ impl<E: Snapshot> EventQueue<E> {
         let now = r.get_u64()?;
         let total = r.get_u64()?;
         let peak = r.get_usize()?;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
+        // Each event record opens with its 8-byte timestamp.
+        let n = r.count(8, "events")?;
+        if total < n as u64 {
             return Err(SnapError::new(format!(
-                "corrupt event count {n} exceeds {} remaining bytes",
-                r.remaining()
+                "{n} events pending of {total} ever scheduled"
             )));
         }
         let mut events = Vec::with_capacity(n);

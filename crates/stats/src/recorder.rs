@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use vertigo_pkt::{FlowId, NodeId, QueryId};
-use vertigo_simcore::{strictly_ascending, SimTime, SnapError, SnapReader, SnapWriter};
+use vertigo_simcore::{SimTime, SnapError, SnapReader, SnapWriter};
 
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -580,10 +580,10 @@ impl Recorder {
         // Read before they are filed: the last id is checked against
         // `next_flow`, which ends the record.
         let mut flows = Vec::new();
-        let mut last = None;
-        for _ in 0..r.get_usize()? {
+        // A flow record opens with its ids, size and start.
+        r.ascending(40, "flow", SnapReader::get_u64, |r, flow| {
             flows.push(FlowRecord {
-                flow: FlowId(strictly_ascending(&mut last, r.get_u64()?, "flow")?),
+                flow: FlowId(flow),
                 query: QueryId(r.get_u64()?),
                 src: NodeId(r.get_u32()?),
                 dst: NodeId(r.get_u32()?),
@@ -592,11 +592,12 @@ impl Recorder {
                 finished: Option::restore(r)?,
                 delivered_bytes: r.get_u64()?,
             });
-        }
+            Ok(())
+        })?;
         self.queries.clear();
-        let mut last = None;
-        for _ in 0..r.get_usize()? {
-            let query = QueryId(strictly_ascending(&mut last, r.get_u64()?, "query")?);
+        // A query record opens with its id, start and two flow counts.
+        r.ascending(24, "query", SnapReader::get_u64, |r, id| {
+            let query = QueryId(id);
             let rec = QueryRecord {
                 query,
                 start: SimTime::restore(r)?,
@@ -605,9 +606,18 @@ impl Recorder {
                 finished: Option::restore(r)?,
             };
             self.queries.insert(query, rec);
-        }
+            Ok(())
+        })?;
         for d in self.drops.iter_mut() {
             *d = r.get_u64()?;
+        }
+        // `total_drops` sums them, and no writer's tallies overflow it.
+        let total = self.drops.iter().try_fold(0u64, |s, &d| s.checked_add(d));
+        if total.is_none() {
+            let drops = self.drops;
+            return Err(SnapError::new(format!(
+                "drops by cause {drops:?} sum past u64"
+            )));
         }
         self.dropped_bytes = r.get_u64()?;
         self.deflections = r.get_u64()?;
@@ -658,14 +668,13 @@ impl Recorder {
 /// as a `u32`.
 fn tags(r: &mut SnapReader<'_>, what: &str) -> Result<Vec<(u64, u8)>, SnapError> {
     let mut out = Vec::new();
-    let mut last = None;
-    for _ in 0..r.get_usize()? {
-        let id = strictly_ascending(&mut last, r.get_u64()?, what)?;
+    r.ascending(8 + 4, what, SnapReader::get_u64, |r, id| {
         let tag = r.get_u32()?;
         let tag = u8::try_from(tag)
             .map_err(|_| SnapError::new(format!("{what} {id} tagged {tag}, above 255")))?;
         out.push((id, tag));
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 

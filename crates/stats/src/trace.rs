@@ -514,12 +514,13 @@ impl TraceSink {
             return Err(SnapError::new("trace ring capacity 0"));
         }
         let seq = r.get_u64()?;
-        let nrings = r.get_usize()?;
-        let mut rings = Vec::with_capacity(nrings.min(r.remaining()));
+        // A ring record opens with its start, overwrite tally and count.
+        let nrings = r.count(3 * 8, "trace rings")?;
+        let mut rings = Vec::with_capacity(nrings);
         for i in 0..nrings {
             let start = r.get_usize()?;
             let overwritten = r.get_u64()?;
-            let nbuf = r.get_usize()?;
+            let nbuf = r.count(8 + TRACE_RECORD_BYTES, "trace records")?;
             // What `NodeRing::push` and `merged` index by: a ring holds
             // at most `capacity` records and rotates only once full.
             if nbuf > capacity || start >= capacity || (start != 0 && nbuf < capacity) {
@@ -527,7 +528,7 @@ impl TraceSink {
                     "trace ring {i}: start {start} with {nbuf} records at capacity {capacity}"
                 )));
             }
-            let mut buf = Vec::with_capacity(nbuf.min(r.remaining()));
+            let mut buf = Vec::with_capacity(nbuf);
             for _ in 0..nbuf {
                 let rec_seq = r.get_u64()?;
                 let bytes: [u8; TRACE_RECORD_BYTES] = r

@@ -172,11 +172,9 @@ impl FlowReceiver {
         let size = r.get_u64()?;
         let mut rx = FlowReceiver::new(flow, size);
         rx.cum = r.get_u64()?;
-        // One range at a time, each read from the input: a hostile count
-        // runs out of bytes before it sizes anything.
-        let n = r.get_usize()?;
         let mut floor = rx.cum;
-        for _ in 0..n {
+        // A range record is its start and length.
+        for _ in 0..r.count(12, "out-of-order ranges")? {
             let start = r.get_u64()?;
             let len = r.get_u32()?;
             let end = start.checked_add(len as u64).filter(|_| len > 0);

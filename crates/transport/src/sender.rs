@@ -495,9 +495,8 @@ impl FlowSender {
                 s.cum_acked, s.next_seq
             )));
         }
-        // One segment at a time, each read from the input: a hostile count
-        // runs out of bytes before it sizes anything.
-        let n = r.get_usize()?;
+        // A segment record is its seq, length, lost flag and send count.
+        let n = r.count(17, "outstanding segments")?;
         s.front_seq = s.next_seq; // of an empty window
         let mut end = s.next_seq;
         for i in 0..n {
@@ -530,8 +529,7 @@ impl FlowSender {
                 s.next_seq
             )));
         }
-        let n = r.get_usize()?;
-        for _ in 0..n {
+        for _ in 0..r.count(8, "lost segments")? {
             let seq = r.get_u64()?;
             let flagged = s.seg_mut(seq).is_some_and(|seg| seg.lost);
             if !(flagged && s.lost.insert(seq)) {

@@ -25,6 +25,17 @@ if grep -rnE 'ForkOverrides|TUNE_FLAGS|mod tune|override_(ordering_timeout|port_
   exit 1
 fi
 
+echo "==> one snapshot reader: counts and key order are checked in SnapReader only"
+# `SnapReader::count` refuses a count the bytes left cannot hold and
+# `SnapReader::ascending` a key at or below the one before; a restore that
+# weighs `.remaining()` itself is a hand guard beside them.
+if grep -rn 'strictly_ascending\|\.remaining()' crates/*/src src \
+  | grep -v '^crates/simcore/src/snap\.rs:' \
+  | grep -vE 'payload .* bytes|assert.*remaining\(\), 0'; then
+  echo "shipped code guards a snapshot count or key order by hand; use SnapReader::{count, ascending}" >&2
+  exit 1
+fi
+
 echo "==> one build: no cargo features"
 # The conservation audit runs in every debug-assertion build and the packet
 # recorder in every build, armed at run time; a feature would split the
