@@ -11,9 +11,10 @@
 //!   32-bit boundary.
 //!
 //! The simulator passes [`FlowInfo`] around as a struct, but these codecs
-//! are what a host dataplane (or the Criterion microbenchmarks mirroring
-//! the paper's §4.4) would run per packet, so they are implemented and
-//! tested bit-exactly.
+//! are what a host dataplane would run per packet, so they are implemented
+//! and tested bit-exactly. `examples/host_microbench` times them on the
+//! paper's §4.4 TX/RX path, beside perfbench's per-layer probes of the
+//! marking and ordering components.
 
 use vertigo_pkt::FlowInfo;
 

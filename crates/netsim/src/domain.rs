@@ -126,10 +126,6 @@ impl Domain {
     /// window, opens the window that ends at `limit` — the deliveries
     /// landing in it leave the inbox as one run in canonical order — and
     /// pops it dry, wheel and run merged.
-    /// What this scheduler owns of the loop: wire deliveries routed through
-    /// the inbox, one RNG stream per node, content-keyed fault draws; the
-    /// coordinator samples telemetry at barriers, and tracing is refused
-    /// up front ([`DomainSimulation::refusal`]).
     fn drain_window(&mut self, limit: SimTime) {
         let Domain {
             nodes,

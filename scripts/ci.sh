@@ -56,6 +56,95 @@ if grep -nE '^[[:space:]]*\[\[bench\]\]' "${manifests[@]}" \
   exit 1
 fi
 
+echo "==> the docs name only what the tree has: files, identifiers, flags, DESIGN sections"
+# DESIGN.md, README.md and EXPERIMENTS.md describe the tree as it is. This
+# reports, one per line, each name they give that the tracked tree lacks:
+#   - a file path not in `git ls-files`, matched by path suffix (`host.rs`,
+#     `core/src/pieo.rs`) or as a cargo target name (`examples/host_microbench`);
+#   - a backticked snake_case identifier with two or more underscores that
+#     no tracked .rs file contains;
+#   - a `--flag` that is neither in a string literal of shipped code (before
+#     the first `#[cfg(test)]`, as scripts/loc.sh counts) nor an argument in
+#     scripts/*.sh; cargo's own options, between `cargo` and ` -- `, are skipped;
+#   - and, from any tracked .md, .rs or .sh file, a `DESIGN §Nx` or
+#     `DESIGN.md §Nx` that is not one of DESIGN.md's `## Nx.` headings.
+if ! python3 - <<'EOF'; then
+import re, subprocess, sys
+
+tracked = subprocess.run(["git", "ls-files"], capture_output=True, text=True, check=True).stdout.split()
+
+def read(path):
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+def shipped_literals(path):
+    lines = read(path).split("\n")
+    cut = next((i for i, l in enumerate(lines) if re.match(r"\s*#\[cfg\(test\)\]", l)), len(lines))
+    code = "\n".join(l for l in lines[:cut] if not l.lstrip().startswith("//"))
+    code = re.sub(r"b?'(?:\\.|[^\\'\n])'", "", code)  # a '"' char would pair wrongly
+    return re.findall(r'"(?:[^"\\]|\\.)*"', code, re.S)
+
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+words, flags = set(), set()
+for path in tracked:
+    if path.endswith(".rs"):
+        words.update(re.findall(r"\w+", read(path)))
+    if re.match(r"(crates/[^/]+/src|src|perfbench/src)/.*\.rs$", path):
+        for literal in shipped_literals(path):
+            flags.update(FLAG.findall(literal))
+    elif re.fullmatch(r"scripts/[^/]+\.sh", path):
+        for line in read(path).split("\n"):
+            if not line.lstrip().startswith("#"):
+                flags.update(FLAG.findall(line))
+
+def exists(name):
+    for q in (name, name + ".rs"):
+        if any(t == q or t.endswith("/" + q) or ("/" + t).find("/" + q + "/") >= 0 for t in tracked):
+            return True
+    return False
+
+def line_of(text, offset):
+    return text.count("\n", 0, offset) + 1
+
+bad = []
+for doc in ("DESIGN.md", "README.md", "EXPERIMENTS.md"):
+    text = read(doc)
+    for m in re.finditer(r"[\w./{}*-]+", text):
+        word = m.group().rstrip(".-")
+        if re.search(r"[{}*]", word) or word.startswith(("/", "target/", "..")):
+            continue  # a pattern, an absolute path or a build output
+        if re.search(r"\.(rs|sh|md|json|toml|py)$", word) or re.match(
+            r"(crates|examples|tests|scripts|src|perfbench|results)/", word
+        ):
+            name = word.removeprefix("./").rstrip("/")
+            if not exists(name):
+                bad.append(f"{doc}:{line_of(text, m.start())}: no tracked file `{word}`")
+    fence = re.compile(r"^```.*?^```", re.M | re.S)
+    prose = fence.sub(lambda m: "\n" * m.group().count("\n"), text)
+    for span in list(fence.finditer(text)) + list(re.finditer(r"`[^`]+`", prose)):
+        for m in re.finditer(r"\b[a-z][a-z0-9]*(?:_[a-z0-9]+){2,}\b", span.group()):
+            if m.group() not in words:
+                line = line_of(span.string, span.start() + m.start())
+                bad.append(f"{doc}:{line}: no .rs file names `{m.group()}`")
+    for i, line in enumerate(text.split("\n"), 1):
+        for flag in FLAG.findall(re.sub(r"\bcargo\b(?:(?! -- )[^`])*", "", line)):
+            if flag not in flags:
+                bad.append(f"{doc}:{i}: no shipped code or script reads `{flag}`")
+
+sections = set(re.findall(r"^## ([0-9]+[a-z]?)\. ", read("DESIGN.md"), re.M))
+for path in tracked:
+    if path.endswith((".md", ".rs", ".sh")):
+        for i, line in enumerate(read(path).split("\n"), 1):
+            for section in re.findall(r"DESIGN(?:\.md)?(?:'s)? §([0-9]+[a-z]?)", line):
+                if section not in sections:
+                    bad.append(f"{path}:{i}: DESIGN.md has no §{section}")
+if bad:
+    sys.exit("\n".join(bad))
+EOF
+  echo "a doc names a file, identifier, flag or DESIGN section the tree does not have" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
