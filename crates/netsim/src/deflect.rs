@@ -272,7 +272,7 @@ pub(crate) fn vertigo(
     // small packets may be displaced by one large arrival). Without
     // scheduling, the arriving packet is the victim.
     let arriving_uid = pkt.uid;
-    let mut victims: Vec<Box<Packet>> = Vec::new();
+    let mut victims = std::mem::take(&mut sw.victim_scratch);
     if scheduling {
         sw.admit(out, pkt, ctx);
         let q = &mut sw.ports[out as usize].queue;
@@ -282,7 +282,7 @@ pub(crate) fn vertigo(
     } else {
         victims.push(pkt);
     }
-    for victim in victims {
+    for victim in victims.drain(..) {
         if !deflection {
             ctx.drop_pkt(sw.id, out, DropCause::QueueFull, victim);
             continue;
@@ -309,6 +309,7 @@ pub(crate) fn vertigo(
         sw.deflect_to(to, victim, &sample, flags, ctx);
         sw.sample_scratch = sample;
     }
+    sw.victim_scratch = victims;
     sw.start_tx(out, ctx);
 }
 

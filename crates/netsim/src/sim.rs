@@ -568,6 +568,15 @@ impl Simulation {
     pub fn marking_stats(&self) -> vertigo_core::MarkingStats {
         marking_stats(self.nodes.iter())
     }
+
+    /// Retransmission counters the hosts' marking components hold, summed.
+    pub fn retx_entries(&self) -> usize {
+        let host = |n: &Node| match n {
+            Node::Host(h) => h.retx_entries(),
+            Node::Switch(_) => 0,
+        };
+        self.nodes.iter().map(host).sum()
+    }
 }
 
 // Whole-fabric aggregates, over whichever nodes an engine holds: the

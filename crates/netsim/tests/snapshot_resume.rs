@@ -121,6 +121,20 @@ fn resume_matches_straight_run() {
     }
 }
 
+/// A checkpoint taken mid-recovery, with a retransmission counter held for
+/// a segment not yet acknowledged, resumes as the straight run goes on.
+#[test]
+fn resume_mid_recovery_matches_straight_run() {
+    let mut sim = build();
+    let mut t = SimTime::ZERO;
+    while sim.retx_entries() == 0 {
+        t += SimDuration::from_micros(10);
+        assert!(t < SimTime::from_millis(20), "no retransmission in the run");
+        sim.drain_until(t);
+    }
+    assert_resume_equivalent(t);
+}
+
 #[test]
 fn a_checkpoint_at_a_sample_instant_resumes_to_the_straight_series() {
     // The 30th sample falls on the checkpoint: it is taken before the

@@ -102,7 +102,13 @@ pub struct FlowSender {
     pub flow: FlowId,
     /// Flow size in bytes.
     pub size: u64,
-    cfg: TransportConfig,
+    /// [`TransportConfig::mss`]. Of its config, a sender keeps only the
+    /// three fields it reads after `new`.
+    mss: u32,
+    /// [`TransportConfig::fast_retransmit`].
+    fast_retransmit: bool,
+    /// [`TransportConfig::dupack_threshold`].
+    dupack_threshold: u32,
     cc: Box<dyn CongestionControl>,
     rto: RtoEstimator,
     next_seq: u64,
@@ -138,7 +144,9 @@ impl FlowSender {
             size,
             cc: cfg.make_cc(),
             rto: RtoEstimator::new(cfg.rto),
-            cfg,
+            mss: cfg.mss,
+            fast_retransmit: cfg.fast_retransmit,
+            dupack_threshold: cfg.dupack_threshold,
             next_seq: 0,
             cum_acked: 0,
             dup_acks: 0,
@@ -213,13 +221,13 @@ impl FlowSender {
     }
 
     fn cwnd_bytes(&self) -> u64 {
-        (self.cc.cwnd().max(0.0) * self.cfg.mss as f64) as u64
+        (self.cc.cwnd().max(0.0) * self.mss as f64) as u64
     }
 
     /// The outstanding segment that starts at `seq`, if one does.
     fn seg_mut(&mut self, seq: u64) -> Option<&mut Seg> {
         let offset = seq.checked_sub(self.front_seq)?;
-        let mss = self.cfg.mss as u64;
+        let mss = self.mss as u64;
         if offset % mss != 0 {
             return None;
         }
@@ -286,7 +294,7 @@ impl FlowSender {
         if self.in_recovery {
             return None;
         }
-        let len = (self.size - self.next_seq).min(self.cfg.mss as u64) as u32;
+        let len = (self.size - self.next_seq).min(self.mss as u64) as u32;
         let allowed = if sub_packet {
             self.flight == 0
         } else {
@@ -377,7 +385,7 @@ impl FlowSender {
             self.cc.on_ack(&AckContext {
                 now,
                 newly_acked: newly,
-                newly_acked_pkts: newly as f64 / self.cfg.mss as f64,
+                newly_acked_pkts: newly as f64 / self.mss as f64,
                 rtt: Some(rtt),
                 ecn_echo: ack.ecn_echo,
             });
@@ -409,9 +417,9 @@ impl FlowSender {
                 rtt: Some(rtt),
                 ecn_echo: ack.ecn_echo,
             });
-            if self.cfg.fast_retransmit
+            if self.fast_retransmit
                 && !self.in_recovery
-                && self.dup_acks >= self.cfg.dupack_threshold
+                && self.dup_acks >= self.dupack_threshold
                 && self.seg_mut(self.cum_acked).is_some()
             {
                 self.in_recovery = true;

@@ -285,7 +285,10 @@ for p in vertigo dibs pabo hybrid bounded; do
 done
 
 echo "==> vsnp inspect: decodes checkpoint headers"
-ckpt=$(ls "$SNAPDIR"/wheel/snaps/*.vsnp | head -1)
+# A glob, not `ls | head -1`: under pipefail a long listing can die of
+# SIGPIPE and fail the step.
+set -- "$SNAPDIR"/wheel/snaps/*.vsnp
+ckpt=$1
 cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect "$ckpt" | tee /tmp/vertigo_vsnp_ci.txt
 grep -q 'sim time' /tmp/vertigo_vsnp_ci.txt
@@ -352,7 +355,7 @@ cargo test --manifest-path perfbench/Cargo.toml -q
 cargo fmt --manifest-path perfbench/Cargo.toml --check
 cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
-echo "==> memory follows what is live: ft_soak peak RSS under 9 MB (it reads 8.5; 9.6 while drained rings, flow tables and the wheel's pool kept their busiest moment's room; 10.6 while finished receivers stayed whole; 49 MB with flat filter tables)"
+echo "==> memory follows what is live: ft_soak peak RSS under 9 MB (it reads 7.9; 8.5 while retransmission counters stayed until their flow completed; 9.6 while drained rings, flow tables and the wheel's pool kept their busiest moment's room; 10.6 while finished receivers stayed whole; 49 MB with flat filter tables)"
 rss=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml --bin perf -- \
   --workload ft_soak --seed 1 --seconds 3 --trace 0 \
   | tail -1 | sed 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/')
@@ -382,7 +385,7 @@ echo "==> one domain against the classic loop, alternated in process (informatio
 # single repetitions in turn rather than two runs back to back.
 cargo run --release --quiet --example sample_profile -- --time ft_soak ft_soak_d1 8
 
-echo "==> the default soak's peak RSS and wall time (information, never a gate; ≈ 43 MB since drained buffers give their room back, 49 before)"
+echo "==> the default soak's peak RSS and wall time (information, never a gate; ≈ 35 MB since retransmission counters leave at the cumulative ACK, 43 before, 49 before drained buffers gave their room back)"
 python3 - <<'EOF'
 import resource, subprocess, time
 start = time.time()
