@@ -4,9 +4,9 @@
 //! The marking component hashes each outgoing packet's identity
 //! (flow id ⊕ sequence) and looks it up here: a hit means the packet was
 //! transmitted before, i.e. it is a retransmission and must be boosted.
-//! Cuckoo filters support deletion — required because entries are removed
-//! when a flow completes — and offer O(1) lookups with ~95 % load factor,
-//! which is why the paper's DPDK prototype uses them.
+//! Cuckoo filters support deletion — required because an entry is removed
+//! once the cumulative ACK passes its segment — and offer O(1) lookups with
+//! ~95 % load factor, which is why the paper's DPDK prototype uses them.
 //!
 //! Implementation: 4-way set-associative buckets of 16-bit fingerprints
 //! with partial-key cuckoo hashing (`i2 = i1 ^ H(fp)`), a power-of-two
@@ -16,11 +16,11 @@
 //! Storage is sparse: only non-empty buckets exist, in a map keyed by
 //! bucket index, and an absent index *is* four empty slots. The filter
 //! sizes itself for ~0.84 load at *capacity*; the marking component runs
-//! it at a few per cent (entries leave when their flow completes), so a
-//! filter costs memory for the packets it tracks, not for the 256 KB the
-//! default capacity provisions — and a probe of an empty bucket is a miss
-//! in a small map instead of a read of a cold table line. The price is at
-//! the other end: a filter that an elephant flow does fill pays a hash
+//! it at a few per cent (entries leave at the cumulative ACK), so a
+//! filter costs memory for the packets its host has unacknowledged, not
+//! for the 256 KB the default capacity provisions — and a probe of an
+//! empty bucket is a miss in a small map instead of a read of a cold table
+//! line. The price is at the other end: a filter that does fill pays a hash
 //! probe per bucket access and, saturated, holds about three times the
 //! flat array (DESIGN.md §5j has both sides measured).
 

@@ -14,7 +14,9 @@
 //!
 //! Flow state is registered when the application opens a flow (advance
 //! flow-size knowledge; see the paper's §4.3 for the LAS fallback when
-//! sizes are unknown) and removed when the flow completes.
+//! sizes are unknown) and removed when the flow completes. A segment's
+//! fingerprint and retransmission counter leave earlier, once the flow's
+//! cumulative ACK passes it: its sender never sends it again.
 
 use crate::boost;
 use crate::cuckoo::{shrink_if_sparse, CuckooFilter};
@@ -63,9 +65,6 @@ struct FlowTx {
     flow_seq: u8,
     /// Packets transmitted so far (fresh transmissions only) — the LAS age.
     age_pkts: u64,
-    /// Destination, kept for diagnostics.
-    #[allow(dead_code)]
-    dst: NodeId,
 }
 
 /// Counters exposed for experiments and tests.
@@ -143,6 +142,12 @@ impl MarkingComponent {
         self.filter.heap_bytes()
     }
 
+    /// Fingerprints held now: one per segment sent and not yet below its
+    /// flow's cumulative ACK.
+    pub fn filter_entries(&self) -> usize {
+        self.filter.len()
+    }
+
     /// Retransmission counters held now: one per segment that was sent
     /// again and is not yet below its flow's cumulative ACK.
     pub fn retx_entries(&self) -> usize {
@@ -166,7 +171,6 @@ impl MarkingComponent {
                 total,
                 flow_seq,
                 age_pkts: 0,
-                dst,
             },
         );
         flow_seq
@@ -247,48 +251,37 @@ impl MarkingComponent {
         }
     }
 
-    /// Removes all state for a completed flow: the flow-table entry, its
-    /// cuckoo-filter fingerprints and its retransmission counters. The
-    /// sender cuts its segments at `mss`, so both key sets are
-    /// reconstructible and the cost is the flow's own length, not the
-    /// host's loss history. The filter's bucket map and the counter map
-    /// then give back the room the live flows no longer need
-    /// ([`shrink_if_sparse`]).
-    pub fn complete_flow(&mut self, flow: FlowId, mss: u32) {
-        debug_assert!(mss > 0 && mss <= MAX_PAYLOAD);
-        if let Some(fl) = self.flows.remove(&flow) {
-            let mut seq = 0u64;
-            while seq < fl.total {
-                self.filter.remove(Self::key(flow, seq));
-                if !self.retx.is_empty() {
-                    self.retx.remove(&(flow, seq));
-                }
-                seq += mss as u64;
-            }
+    /// Removes a completed flow's entry from the flow table. The ACK that
+    /// completed it reached its size, so [`MarkingComponent::cum_ack_advanced`]
+    /// has already removed every fingerprint and counter it had; the
+    /// filter's bucket map and the counter map then give back the room the
+    /// live flows no longer need ([`shrink_if_sparse`]).
+    pub fn complete_flow(&mut self, flow: FlowId) {
+        if self.flows.remove(&flow).is_some() {
             self.filter.release_spare();
             shrink_if_sparse(&mut self.retx);
         }
     }
 
     /// `flow`'s cumulative ACK moved from `from` to `to` (`from == to` for
-    /// an ACK that moved nothing): drops the retransmission counters of the
-    /// segments, cut at `mss` as in `complete_flow`, that start in
-    /// `[from, to)`. A sender never resends a segment that starts below
-    /// its cumulative ACK, so `mark` would never read them, and the filter
-    /// keeps its fingerprints until [`MarkingComponent::complete_flow`]: no
-    /// answer changes. The map's room goes back at the host's next
-    /// completion; shrinking here would free and regrow it with every
-    /// repaired loss, for no lower peak.
+    /// an ACK that moved nothing): removes the fingerprint and the
+    /// retransmission counter of each segment, cut at `mss` as the sender
+    /// cuts them, that starts in `[from, to)`. A sender never resends a
+    /// segment that starts below its cumulative ACK, so `mark` would never
+    /// ask for them again. Over a flow's ACKs the intervals tile
+    /// `[0, size)`, so each key is removed exactly once. The maps' room
+    /// goes back at the host's next completion; shrinking here would free
+    /// and regrow them with every repaired loss, for no lower peak.
     #[inline]
     pub fn cum_ack_advanced(&mut self, flow: FlowId, from: u64, to: u64, mss: u32) {
         debug_assert!(mss > 0 && mss <= MAX_PAYLOAD);
-        if self.retx.is_empty() {
-            return;
-        }
         let mss = mss as u64;
         let mut seq = from.div_ceil(mss) * mss;
         while seq < to {
-            self.retx.remove(&(flow, seq));
+            self.filter.remove(Self::key(flow, seq));
+            if !self.retx.is_empty() {
+                self.retx.remove(&(flow, seq));
+            }
             seq += mss;
         }
     }
@@ -308,7 +301,6 @@ impl MarkingComponent {
             w.put_u64(tx.total);
             w.put_u8(tx.flow_seq);
             w.put_u64(tx.age_pkts);
-            w.put_u32(tx.dst.0);
         }
         self.filter.save(w);
         let mut retx: Vec<_> = self.retx.iter().collect();
@@ -339,16 +331,14 @@ impl MarkingComponent {
     pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         use vertigo_simcore::Snapshot;
         self.flows.clear();
-        r.ascending(29, "marking flow", FlowId::restore, |r, flow| {
+        r.ascending(25, "marking flow", FlowId::restore, |r, flow| {
             let total = r.get_u64()?;
             let flow_seq = at_most(r.get_u8()?, 7, "flow counter")?;
             let age_pkts = r.get_u64()?;
-            let dst = NodeId(r.get_u32()?);
             let tx = FlowTx {
                 total,
                 flow_seq,
                 age_pkts,
-                dst,
             };
             self.flows.insert(flow, tx);
             Ok(())
@@ -480,8 +470,9 @@ mod tests {
         for k in 0..5u64 {
             m.mark(f, k * 1460, 1460);
         }
-        m.complete_flow(f, 1460);
-        assert_eq!(m.flows_tracked(), 0);
+        m.cum_ack_advanced(f, 0, 5 * 1460, 1460);
+        m.complete_flow(f);
+        assert_eq!((m.flows_tracked(), m.filter_entries()), (0, 0));
         // Re-registering and re-sending the same offsets must NOT look like
         // retransmissions.
         m.register_flow(f, NodeId(9), 5 * 1460);
@@ -557,7 +548,8 @@ mod tests {
         assert!(filter > 0 && retx >= flows as usize);
         // Room follows the flows still live...
         for f in 0..flows - 8 {
-            m.complete_flow(FlowId(f), 1460);
+            m.cum_ack_advanced(FlowId(f), 0, 20 * 1460, 1460);
+            m.complete_flow(FlowId(f));
         }
         assert!(
             m.filter_heap_bytes() < filter / 2,
@@ -572,7 +564,8 @@ mod tests {
         assert_eq!(m.mark(f, 1460, 1460).retcnt, 1);
         // ...down to nothing once every flow is done.
         for f in flows - 8..flows {
-            m.complete_flow(FlowId(f), 1460);
+            m.cum_ack_advanced(FlowId(f), 0, 20 * 1460, 1460);
+            m.complete_flow(FlowId(f));
         }
         assert_eq!((m.filter_heap_bytes(), m.retx.capacity()), (0, 0));
     }
@@ -589,7 +582,6 @@ mod tests {
             w.put_u64(10 * 1460);
             w.put_u8(flow_seq);
             w.put_u64(3);
-            w.put_u32(4);
         }
         CuckooFilter::with_capacity(4096).save(&mut w);
         w.put_usize(retx.len());
@@ -675,13 +667,37 @@ mod tests {
         acked: u64,
     }
 
+    /// Sends the rest of `l` fresh through both components, then ACKs it
+    /// to its size and completes it: `told` hears the ACK from where the
+    /// flow's last one left it, `untold` hears it from 0, as the one walk
+    /// over the whole flow it never had.
+    fn finish(
+        told: &mut MarkingComponent,
+        untold: &mut MarkingComponent,
+        flow: FlowId,
+        l: &mut Live,
+        mss: u32,
+    ) {
+        while l.sent < l.total {
+            let len = (l.total - l.sent).min(mss as u64) as u32;
+            assert_eq!(told.mark(flow, l.sent, len), untold.mark(flow, l.sent, len));
+            l.sent += len as u64;
+        }
+        told.cum_ack_advanced(flow, l.acked, l.total, mss);
+        untold.cum_ack_advanced(flow, 0, l.total, mss);
+        told.complete_flow(flow);
+        untold.complete_flow(flow);
+    }
+
     proptest! {
         /// Two components run one script of opens, first sends,
         /// retransmissions, ACK advances and completions over four flows,
-        /// cut at an mss of up to `MAX_PAYLOAD`; only `told` hears the
-        /// ACKs. Every header and every counter is the same, `told` never
-        /// holds a counter below a flow's ACK, and once every flow is done
-        /// neither holds a counter or a fingerprint.
+        /// cut at an mss of up to `MAX_PAYLOAD`. Only `told` hears the ACKs
+        /// of a live flow; both hear the ACK that completes it. Every header
+        /// and every counter is the same, `told` holds a fingerprint for
+        /// exactly the segments sent at or above each live flow's ACK and
+        /// never a counter below it, and once every flow is done neither
+        /// holds a counter or a fingerprint.
         #[test]
         fn counters_leave_at_the_ack_and_no_answer_changes(
             mss in 536u32..=MAX_PAYLOAD,
@@ -724,7 +740,8 @@ mod tests {
                     }
                     (3, Some(l)) if l.acked < l.sent => {
                         // Mostly to a segment boundary, now and then into
-                        // the middle of a segment.
+                        // the middle of a segment; an ACK to the flow's
+                        // size completes it.
                         let to = if arg.is_multiple_of(4) {
                             l.acked + 1 + arg % (l.sent - l.acked)
                         } else {
@@ -732,12 +749,16 @@ mod tests {
                             (l.acked / seg + 1 + arg / 4 % segs.max(1)) * seg
                         }
                         .min(l.sent);
-                        told.cum_ack_advanced(flow, l.acked, to, mss);
-                        l.acked = to;
+                        if to < l.total {
+                            told.cum_ack_advanced(flow, l.acked, to, mss);
+                            l.acked = to;
+                        } else {
+                            finish(&mut told, &mut untold, flow, l, mss);
+                            live[f as usize] = None;
+                        }
                     }
-                    (4, Some(_)) => {
-                        told.complete_flow(flow, mss);
-                        untold.complete_flow(flow, mss);
+                    (4, Some(l)) => {
+                        finish(&mut told, &mut untold, flow, l, mss);
                         live[f as usize] = None;
                     }
                     _ => {}
@@ -746,15 +767,22 @@ mod tests {
                     let l = live[f.0 as usize].expect("a counter of a live flow");
                     prop_assert!(seq >= l.acked, "{f:?} holds {seq} below {}", l.acked);
                 }
+                let above_the_ack: u64 = live
+                    .iter()
+                    .flatten()
+                    .map(|l| l.sent.saturating_sub(l.acked.div_ceil(seg) * seg).div_ceil(seg))
+                    .sum();
+                prop_assert_eq!(told.filter_entries() as u64, above_the_ack);
             }
             prop_assert_eq!(format!("{:?}", told.stats()), format!("{:?}", untold.stats()));
             for (key, n) in &told.retx {
                 prop_assert_eq!(Some(n), untold.retx.get(key));
             }
             prop_assert!(told.retx_entries() <= untold.retx_entries());
-            for f in 0..4 {
-                told.complete_flow(FlowId(f), mss);
-                untold.complete_flow(FlowId(f), mss);
+            for (f, l) in live.iter_mut().enumerate() {
+                if let Some(l) = l {
+                    finish(&mut told, &mut untold, FlowId(f as u64), l, mss);
+                }
             }
             for m in [&told, &untold] {
                 prop_assert_eq!((m.retx_entries(), m.filter_heap_bytes()), (0, 0));

@@ -230,6 +230,12 @@ impl Host {
         self.marking.as_ref().map_or(0, |m| m.filter_heap_bytes())
     }
 
+    /// Fingerprints the marking component's filter holds (0 when none is
+    /// deployed).
+    pub fn filter_entries(&self) -> usize {
+        self.marking.as_ref().map_or(0, |m| m.filter_entries())
+    }
+
     /// Retransmission counters the marking component holds (0 when none
     /// is deployed).
     pub fn retx_entries(&self) -> usize {
@@ -418,6 +424,14 @@ impl Host {
                     .senders
                     .get_mut(pkt.flow)
                     .map(|st| st.sender.on_ack(ctx.now, &ack));
+                if let (Some(o), Some(m)) = (outcome, &mut self.marking) {
+                    // Segments below the ACK are never sent again, so their
+                    // fingerprints and retransmission counters go; a
+                    // completing ACK reaches the flow's size.
+                    let to = ack.cum_ack;
+                    let mss = self.cfg.transport.mss;
+                    m.cum_ack_advanced(pkt.flow, to - o.newly_acked, to, mss);
+                }
                 match outcome {
                     Some(o) if o.completed => {
                         // Bank the finished sender's stats and free its state.
@@ -429,20 +443,11 @@ impl Host {
                             self.stats.fast_retransmits += x.fast_retransmits;
                         }
                         if let Some(m) = &mut self.marking {
-                            m.complete_flow(pkt.flow, self.cfg.transport.mss);
+                            m.complete_flow(pkt.flow);
                         }
                     }
-                    Some(o) => {
-                        // Segments below the ACK are never sent again, so
-                        // their retransmission counters go.
-                        if let Some(m) = &mut self.marking {
-                            let to = ack.cum_ack;
-                            let mss = self.cfg.transport.mss;
-                            m.cum_ack_advanced(pkt.flow, to - o.newly_acked, to, mss);
-                        }
-                        // The window may have opened, or a hole been marked lost.
-                        self.mark_ready(pkt.flow)
-                    }
+                    // The window may have opened, or a hole been marked lost.
+                    Some(_) => self.mark_ready(pkt.flow),
                     // A stray ACK for a flow that already finished.
                     None => {}
                 }

@@ -437,9 +437,9 @@ fn full_nic_keeps_unreached_senders_ready() {
 }
 
 /// Segments 0 and 1 of a flow cut at `mss` are lost. Each retransmission
-/// gets a counter, and each counter leaves when the cumulative ACK passes
-/// its segment, while the flow still has data to send. Once the flow is
-/// done the host holds no fingerprint either.
+/// gets a counter, and each counter and fingerprint leaves when the
+/// cumulative ACK passes its segment, while the flow still has data to
+/// send. Once the flow is done the host holds neither.
 fn lossy_flow_counters_leave_at_the_ack(mss: u32) {
     let mut h = Harness::new();
     let mut tc = TransportConfig::default_for(CcKind::Dctcp);
@@ -471,6 +471,7 @@ fn lossy_flow_counters_leave_at_the_ack(mss: u32) {
     host.on_arrive(ack_pkt(flow, mss, ts), &mut h.ctx());
     assert_eq!(resent(&h.drain_tx(&mut host)), [(mss, 1)]);
     assert_eq!(host.retx_entries(), 1, "segment 0's counter left");
+    assert_eq!(host.filter_entries(), 9, "segment 0's fingerprint left");
     // The full ACK ends recovery: no counter is left, the flow is not done,
     // and what it sends next is fresh.
     host.on_arrive(ack_pkt(flow, 10 * mss, ts), &mut h.ctx());
@@ -483,14 +484,19 @@ fn lossy_flow_counters_leave_at_the_ack(mss: u32) {
                 .iter()
                 .all(|&(seq, retcnt)| seq >= 10 * mss && retcnt == 0)
     );
-    // ACK everything sent until the flow completes.
+    // ACK everything sent until the flow completes. Mid-flow the filter
+    // holds no more fingerprints than the segments still unacknowledged.
+    let mut acked = 10 * mss;
     while host.active_senders() > 0 {
         let end = sent
             .iter()
             .filter_map(|p| p.data_seg().map(|d| d.seq + d.payload as u64))
             .max()
             .expect("a live flow sends");
+        let unacked = (end - acked).div_ceil(mss);
+        assert!(host.filter_entries() as u64 <= unacked, "{unacked} unacked");
         host.on_arrive(ack_pkt(flow, end, ts), &mut h.ctx());
+        acked = end;
         sent = h.drain_tx(&mut host);
     }
     assert_eq!((host.retx_entries(), host.filter_heap_bytes()), (0, 0));

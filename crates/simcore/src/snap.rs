@@ -35,7 +35,9 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// payload's audit tallies and trace armed byte are written by every build.
 /// Version 6: the event queue holds no telemetry tick (event tag 3 is
 /// refused); samples follow from the series the telemetry record holds.
-pub const SNAP_VERSION: u16 = 6;
+/// Version 7: a marking flow record drops its destination (25 bytes), and
+/// the filter holds no fingerprint below a flow's cumulative ACK.
+pub const SNAP_VERSION: u16 = 7;
 
 /// Every build checkpoints and resumes; only the benchmark's result
 /// header (`perfbench/`) still reads this.
