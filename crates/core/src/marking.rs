@@ -78,6 +78,15 @@ pub struct MarkingStats {
     pub filter_overflows: u64,
 }
 
+/// Sums two hosts' counters.
+impl std::ops::AddAssign for MarkingStats {
+    fn add_assign(&mut self, s: MarkingStats) {
+        self.marked += s.marked;
+        self.retransmissions += s.retransmissions;
+        self.filter_overflows += s.filter_overflows;
+    }
+}
+
 /// Refuses a value `mark` or `register_flow` cannot have left behind.
 fn at_most(value: u8, max: u8, what: &str) -> Result<u8, SnapError> {
     if value > max {

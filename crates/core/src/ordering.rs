@@ -125,6 +125,20 @@ pub struct OrderingStats {
     pub max_depth: usize,
 }
 
+/// Sums two hosts' counters; the high-water mark is the larger one.
+impl std::ops::AddAssign for OrderingStats {
+    fn add_assign(&mut self, s: OrderingStats) {
+        self.in_order += s.in_order;
+        self.buffered += s.buffered;
+        self.gap_filled += s.gap_filled;
+        self.timeout_released += s.timeout_released;
+        self.timeouts += s.timeouts;
+        self.late_or_dup += s.late_or_dup;
+        self.dup_dropped += s.dup_dropped;
+        self.max_depth = self.max_depth.max(s.max_depth);
+    }
+}
+
 #[derive(Debug)]
 struct OooEntry<T> {
     /// Original (un-boosted) RFS: the buffer's sort key.

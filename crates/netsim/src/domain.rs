@@ -62,7 +62,7 @@
 
 use crate::events::{Ctx, Event, EventSink, Router};
 use crate::faults::{FaultAction, FaultState};
-use crate::host::earlier;
+use crate::host::{earlier, Host};
 use crate::sim::{self, Node, Simulation};
 use crate::telemetry::{Telemetry, TelemetryConfig};
 use std::sync::Arc;
@@ -447,21 +447,21 @@ impl DomainSimulation {
 
     /// Aggregated ordering-shim counters across hosts.
     pub fn ordering_stats(&self) -> vertigo_core::OrderingStats {
-        sim::ordering_stats(self.nodes())
+        sim::sum_over_hosts(self.nodes(), |h| h.ordering_stats().unwrap_or_default())
     }
 
     /// Aggregated marking-component counters across hosts.
     pub fn marking_stats(&self) -> vertigo_core::MarkingStats {
-        sim::marking_stats(self.nodes())
+        sim::sum_over_hosts(self.nodes(), |h| h.marking_stats().unwrap_or_default())
     }
 
     /// Heap held by the hosts' retransmission filters, summed.
     pub fn filter_heap_bytes(&self) -> usize {
-        self.nodes()
-            .map(|n| match n {
-                Node::Host(h) => h.filter_heap_bytes(),
-                Node::Switch(_) => 0,
-            })
-            .sum()
+        sim::sum_over_hosts(self.nodes(), Host::filter_heap_bytes)
+    }
+
+    /// Retransmission counters the hosts' marking components hold, summed.
+    pub fn retx_entries(&self) -> usize {
+        sim::sum_over_hosts(self.nodes(), Host::retx_entries)
     }
 }

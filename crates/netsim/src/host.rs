@@ -1,5 +1,5 @@
 //! The end host: transport flows, the Vertigo marking and ordering
-//! components, and a NIC egress queue.
+//! components, and a NIC: a FIFO [`Port`] onto the link to its ToR.
 //!
 //! Packet path on TX: transport window releases a segment → the marking
 //! component tags it with RFS (if deployed) → NIC FIFO → link. On RX:
@@ -33,19 +33,18 @@
 //! `debug_assertions`.
 
 use crate::events::{Ctx, Event};
-use crate::link::LinkParams;
+use crate::queue::Port;
 use crate::trace::deliver_reason_code;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use vertigo_core::boost::unboost;
 use vertigo_core::{Delivered, MarkingComponent, MarkingConfig, OrderingComponent, OrderingConfig};
 use vertigo_pkt::{
     pool, AckSeg, FlowId, FlowInfo, FlowTable, NodeId, Packet, PacketKind, PortId, QueryId,
-    PACKET_RECORD_PREFIX,
 };
-use vertigo_simcore::{release_if_drained, SimTime, SnapError, SnapReader, SnapWriter, Snapshot};
+use vertigo_simcore::{SimTime, SnapError, SnapReader, SnapWriter, Snapshot};
 use vertigo_stats::{DropCause, TraceKind, TraceRecord, TRACE_NO_RANK};
-use vertigo_transport::{FinishedReceiver, FlowReceiver, FlowSender, TransportConfig};
+use vertigo_transport::{FinishedReceiver, FlowReceiver, FlowSender, SenderStats, TransportConfig};
 
 /// Host-side configuration.
 #[derive(Debug, Clone)]
@@ -74,10 +73,9 @@ impl HostConfig {
     /// Vertigo host: marking + ordering with defaults.
     pub fn vertigo(transport: TransportConfig) -> Self {
         HostConfig {
-            transport,
             marking: Some(MarkingConfig::default()),
             ordering: Some(OrderingConfig::default()),
-            nic_buffer_bytes: 2 * 1024 * 1024,
+            ..HostConfig::plain(transport)
         }
     }
 }
@@ -98,34 +96,17 @@ struct RecvState {
     reported_bytes: u64,
 }
 
-/// Counters accumulated as flows come and go (senders are dropped on
-/// completion, so their stats are banked here).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct HostStats {
-    /// Data segments sent (including retransmissions).
-    pub segments_sent: u64,
-    /// Retransmitted segments.
-    pub retransmits: u64,
-    /// RTO firings.
-    pub rtos: u64,
-    /// Fast-retransmit episodes.
-    pub fast_retransmits: u64,
-}
+/// A host's sender counters: its finished flows', banked as each
+/// completes, plus its live senders'.
+pub type HostStats = SenderStats;
 
 /// An end host.
 pub struct Host {
     /// This host's node id.
     pub id: NodeId,
-    peer: NodeId,
-    peer_port: PortId,
-    link: LinkParams,
     cfg: HostConfig,
-
-    /// A pop that empties it frees a buffer a burst grew
-    /// ([`release_if_drained`]).
-    nic_q: VecDeque<Box<Packet>>,
-    nic_bytes: u64,
-    nic_busy: bool,
+    /// The NIC: a FIFO bounded by `cfg.nic_buffer_bytes`.
+    nic: Port,
 
     senders: FlowTable<SendState>,
     receivers: FlowTable<RecvState>,
@@ -168,25 +149,15 @@ fn trace_boost(host: NodeId, pkt: &Packet, info: FlowInfo, ctx: &mut Ctx) {
 }
 
 impl Host {
-    /// Creates a host attached to `peer` (its ToR) via `link`.
-    pub fn new(
-        id: NodeId,
-        peer: NodeId,
-        peer_port: PortId,
-        link: LinkParams,
-        cfg: HostConfig,
-    ) -> Self {
+    /// Creates a host whose NIC is `nic`, a FIFO port onto the link to
+    /// its ToR.
+    pub fn new(id: NodeId, nic: Port, cfg: HostConfig) -> Self {
         let marking = cfg.marking.clone().map(MarkingComponent::new);
         let ordering = cfg.ordering.clone().map(OrderingComponent::new);
         Host {
             id,
-            peer,
-            peer_port,
-            link,
             cfg,
-            nic_q: VecDeque::new(),
-            nic_bytes: 0,
-            nic_busy: false,
+            nic,
             senders: FlowTable::new(),
             receivers: FlowTable::new(),
             finished: FlowTable::new(),
@@ -205,11 +176,7 @@ impl Host {
     pub fn stats(&self) -> HostStats {
         let mut s = self.stats;
         for st in self.senders.values() {
-            let x = st.sender.stats();
-            s.segments_sent += x.segments_sent;
-            s.retransmits += x.retransmits;
-            s.rtos += x.rtos;
-            s.fast_retransmits += x.fast_retransmits;
+            s += st.sender.stats();
         }
         s
     }
@@ -255,12 +222,12 @@ impl Host {
 
     /// Packets waiting in the NIC egress queue (conservation audit).
     pub fn nic_queued_pkts(&self) -> u64 {
-        self.nic_q.len() as u64
+        self.nic.queue.len() as u64
     }
 
     /// Packets the NIC egress ring has room for without allocating.
     pub fn nic_capacity(&self) -> usize {
-        self.nic_q.capacity()
+        self.nic.queue.capacity()
     }
 
     /// Provenance: one RX-ordering record. `a` = recovered (un-boosted)
@@ -436,11 +403,7 @@ impl Host {
                     Some(o) if o.completed => {
                         // Bank the finished sender's stats and free its state.
                         if let Some(st) = self.senders.remove(pkt.flow) {
-                            let x = st.sender.stats();
-                            self.stats.segments_sent += x.segments_sent;
-                            self.stats.retransmits += x.retransmits;
-                            self.stats.rtos += x.rtos;
-                            self.stats.fast_retransmits += x.fast_retransmits;
+                            self.stats += st.sender.stats();
                         }
                         if let Some(m) = &mut self.marking {
                             m.complete_flow(pkt.flow);
@@ -635,7 +598,7 @@ impl Host {
                 continue;
             };
             loop {
-                if self.nic_bytes + mss_wire > self.cfg.nic_buffer_bytes {
+                if self.nic.queue.bytes() + mss_wire > self.cfg.nic_buffer_bytes {
                     break 'outer; // NIC full: stop generating
                 }
                 let st = self.senders.value_at_mut(i);
@@ -694,41 +657,26 @@ impl Host {
         // `created` tally; an immediate overflow drop still counts — it
         // shows up on the `drops` side of the ledger).
         ctx.rec.audit.on_packet_created();
-        if self.nic_bytes + pkt.wire_size as u64 > self.cfg.nic_buffer_bytes {
+        if !self.nic.queue.fits(&pkt, self.cfg.nic_buffer_bytes) {
             return ctx.drop_pkt(self.id, 0, DropCause::HostQueue, pkt);
         }
-        self.nic_bytes += pkt.wire_size as u64;
-        self.nic_q.push_back(pkt);
+        self.nic.queue.push(pkt);
         self.start_tx(ctx);
     }
 
     fn start_tx(&mut self, ctx: &mut Ctx) {
-        if self.nic_busy {
-            return;
-        }
-        let Some(mut pkt) = self.nic_q.pop_front() else {
+        let Some(mut pkt) = self.nic.next_tx() else {
             return;
         };
-        release_if_drained(&mut self.nic_q);
-        self.nic_bytes -= pkt.wire_size as u64;
-        self.nic_busy = true;
         // Timestamp at the moment the packet hits the wire (Swift-style
         // NIC hardware timestamping).
         pkt.sent_at = ctx.now;
-        pkt.prev_hop = self.id;
-        ctx.transmit(
-            self.id,
-            PortId(0),
-            self.link,
-            self.peer,
-            self.peer_port,
-            pkt,
-        );
+        ctx.transmit(self.id, PortId(0), &self.nic, pkt);
     }
 
     /// NIC finished serializing; send the next queued packet.
     pub fn on_tx_done(&mut self, ctx: &mut Ctx) {
-        self.nic_busy = false;
+        self.nic.busy = false;
         self.start_tx(ctx);
         // A sender may have been left ready behind a full NIC.
         let moved = self.pump(ctx);
@@ -744,12 +692,7 @@ impl Host {
     /// `snap_restore` rebuilds, so none of them is saved.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         debug_assert!(self.deliveries.is_empty());
-        w.put_usize(self.nic_q.len());
-        for pkt in &self.nic_q {
-            pkt.save(w);
-        }
-        w.put_u64(self.nic_bytes);
-        w.put_bool(self.nic_busy);
+        self.nic.snap_save(w);
         w.put_usize(self.senders.len());
         for (flow, st) in self.senders.iter() {
             flow.save(w);
@@ -790,13 +733,7 @@ impl Host {
     /// Restores state written by [`Host::snap_save`] into a host freshly
     /// built from the same run spec.
     pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.nic_q.clear();
-        for _ in 0..r.count(PACKET_RECORD_PREFIX, "NIC packets")? {
-            self.nic_q.push_back(<Box<Packet>>::restore(r)?);
-        }
-        self.nic_bytes =
-            crate::queue::restore_bytes(r, "NIC queue", self.nic_q.iter().map(|p| p.wire_size))?;
-        self.nic_busy = r.get_bool()?;
+        self.nic.snap_restore(r, "NIC queue")?;
         // A sender record opens with its flow, peer and query, then the
         // sender's flow and size.
         self.senders.clear();
@@ -925,7 +862,7 @@ impl std::fmt::Debug for Host {
             .field("senders", &self.senders.len())
             .field("receivers", &self.receivers.len())
             .field("finished", &self.finished.len())
-            .field("nic_bytes", &self.nic_bytes)
+            .field("nic_queued_bytes", &self.nic.queue.bytes())
             .finish()
     }
 }

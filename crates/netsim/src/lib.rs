@@ -37,9 +37,9 @@ pub use faults::{FaultKind, FaultSchedule, FaultTarget, FaultWindow, MAX_FAULTS}
 pub use host::{Host, HostConfig, HostStats};
 pub use link::LinkParams;
 pub use policy::{BufferPolicy, ForwardPolicy, QueueDiscipline, SwitchConfig};
-pub use queue::PortQueue;
+pub use queue::{Port, PortQueue};
 pub use sim::{SimConfig, Simulation, TopologySpec};
-pub use switch::{Port, Switch};
+pub use switch::Switch;
 pub use telemetry::{
     detect_bursts, Episode, IntervalClass, Telemetry, TelemetryConfig, TelemetrySample,
 };

@@ -1,15 +1,70 @@
-//! Output-port queues: byte-bounded FIFO and RFS-sorted priority queues.
+//! Output ports and their queues: byte-bounded FIFO and RFS-sorted
+//! priority queues.
 //!
-//! Baselines (ECMP, DRILL, DIBS) use FIFO tail-drop queues; Vertigo uses a
+//! A [`Port`] is a switch's output port or a host's NIC: both queue packets
+//! and serialize them onto one link, one at a time. Baselines (ECMP, DRILL,
+//! DIBS) use FIFO tail-drop queues, as does every NIC; Vertigo uses a
 //! [`PieoQueue`]-backed priority queue sorted by the packets' logical RFS
 //! rank, which supports the *evict-worst* operation its deflection needs.
 //! Both are bounded in **bytes** (paper: 300 KB per port) and count packets
 //! for the DCTCP ECN threshold.
 
+use crate::link::LinkParams;
 use std::collections::VecDeque;
 use vertigo_core::PieoQueue;
-use vertigo_pkt::{Packet, PACKET_RECORD_PREFIX};
+use vertigo_pkt::{NodeId, Packet, PortId, PACKET_RECORD_PREFIX};
 use vertigo_simcore::{release_if_drained, SnapError, SnapReader, SnapWriter, Snapshot};
+
+/// One output port: queue, link, and transmit state. A switch has one per
+/// neighbour, a host one for its NIC.
+#[derive(Debug)]
+pub struct Port {
+    /// Neighboring node.
+    pub peer: NodeId,
+    /// The neighbor's port this link lands on.
+    pub peer_port: PortId,
+    /// Link parameters.
+    pub link: LinkParams,
+    /// The output queue.
+    pub queue: PortQueue,
+    /// Whether a packet is currently being serialized.
+    pub busy: bool,
+    /// Whether the peer is a host.
+    pub host_facing: bool,
+}
+
+impl Port {
+    /// The packet to serialize next, if the port is idle and holds one;
+    /// the port is busy from here until its `TxDone`.
+    #[inline]
+    pub(crate) fn next_tx(&mut self) -> Option<Box<Packet>> {
+        if self.busy {
+            return None;
+        }
+        let pkt = self.queue.pop_next()?;
+        self.busy = true;
+        Some(pkt)
+    }
+
+    /// Serializes the queue and the busy flag. Peer, link and discipline
+    /// come from the run spec and are not saved.
+    pub(crate) fn snap_save(&self, w: &mut SnapWriter) {
+        self.queue.snap_save(w);
+        w.put_bool(self.busy);
+    }
+
+    /// Restores state written by [`Port::snap_save`] into a port freshly
+    /// built from the same run spec; `what` names the queue in a refusal.
+    pub(crate) fn snap_restore(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        what: &str,
+    ) -> Result<(), SnapError> {
+        self.queue.snap_restore(r, what)?;
+        self.busy = r.get_bool()?;
+        Ok(())
+    }
+}
 
 /// A byte-bounded FIFO queue.
 #[derive(Debug, Default)]
@@ -29,7 +84,7 @@ pub struct PrioQueue {
     boost_shift: u32,
 }
 
-/// A switch output queue of any discipline.
+/// An output queue of any discipline.
 #[derive(Debug)]
 pub enum PortQueue {
     /// First-in first-out (baselines, and Vertigo's no-scheduling ablation).
@@ -95,6 +150,14 @@ impl PortQueue {
     /// Whether no packets are queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Packets the ring has room for without allocating.
+    pub fn capacity(&self) -> usize {
+        match self {
+            PortQueue::Fifo(f) => f.q.capacity(),
+            PortQueue::Prio(p) | PortQueue::PrioEsc(p) => p.q.capacity(),
+        }
     }
 
     /// Whether `pkt` fits within `capacity` bytes.
@@ -186,7 +249,7 @@ impl PortQueue {
     }
 
     /// Serializes resident packets and byte counters. The discipline and
-    /// boost shift come from the switch config at build time, so only a
+    /// boost shift come from the run spec at build time, so only a
     /// one-byte tag is written to let restore verify the config matches.
     pub(crate) fn snap_save(&self, w: &mut SnapWriter) {
         match self {
@@ -211,10 +274,15 @@ impl PortQueue {
         }
     }
 
-    /// Restores resident packets into a queue freshly built with the same
-    /// switch config. Errors if the snapshot was taken under the other
-    /// queue discipline (the run spec changed between save and resume).
-    pub(crate) fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// Restores resident packets into a queue freshly built from the same
+    /// run spec; `what` names the queue in a refusal. Errors if the
+    /// snapshot was taken under another queue discipline (the run spec
+    /// changed between save and resume).
+    pub(crate) fn snap_restore(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        what: &str,
+    ) -> Result<(), SnapError> {
         let tag = r.get_u8()?;
         match (self, tag) {
             (PortQueue::Fifo(f), 0) => {
@@ -223,11 +291,11 @@ impl PortQueue {
                 for _ in 0..n {
                     f.q.push_back(<Box<Packet>>::restore(r)?);
                 }
-                f.bytes = restore_bytes(r, "port queue", f.q.iter().map(|pkt| pkt.wire_size))?;
+                f.bytes = restore_bytes(r, what, f.q.iter().map(|pkt| pkt.wire_size))?;
             }
             (PortQueue::Prio(p), 1) | (PortQueue::PrioEsc(p), 2) => {
                 p.q = PieoQueue::restore(r)?;
-                p.bytes = restore_bytes(r, "port queue", p.q.iter().map(|(_, pkt)| pkt.wire_size))?;
+                p.bytes = restore_bytes(r, what, p.q.iter().map(|(_, pkt)| pkt.wire_size))?;
             }
             (_, tag) => {
                 return Err(SnapError::new(format!(
@@ -240,11 +308,10 @@ impl PortQueue {
     }
 }
 
-/// Reads a queue's byte counter (a switch port's or a host NIC's), which
-/// must be what the packets just restored add up to: capacity checks
-/// compare against it, so a smaller value would silently enlarge the
-/// buffer, and dequeues subtract from it.
-pub(crate) fn restore_bytes(
+/// Reads a queue's byte counter, which must be what the packets just
+/// restored add up to: capacity checks compare against it, so a smaller
+/// value would silently enlarge the buffer, and dequeues subtract from it.
+fn restore_bytes(
     r: &mut SnapReader<'_>,
     what: &str,
     wire_sizes: impl Iterator<Item = u32>,
@@ -319,10 +386,7 @@ mod tests {
             }
             q.evict_worst();
             while q.pop_next().is_some() {}
-            let room = match &q {
-                PortQueue::Fifo(f) => f.q.capacity(),
-                PortQueue::Prio(p) | PortQueue::PrioEsc(p) => p.q.capacity(),
-            };
+            let room = q.capacity();
             assert!(
                 room * entry <= vertigo_simcore::RING_KEEP_BYTES,
                 "room for {room}"
@@ -432,7 +496,9 @@ mod tests {
             q.snap_save(&mut w);
             let bytes = w.into_bytes();
             let mut restored = mk();
-            restored.snap_restore(&mut SnapReader::new(&bytes)).unwrap();
+            restored
+                .snap_restore(&mut SnapReader::new(&bytes), "port queue")
+                .unwrap();
             assert_eq!(restored.len(), q.len());
             assert_eq!(restored.bytes(), q.bytes());
             loop {
@@ -464,7 +530,8 @@ mod tests {
         let cells = || vec![(3_000, pkt(2, 3_000, 500)), (7_000, pkt(3, 7_000, 700))];
         let restored = |mk: fn() -> PortQueue, bytes: &[u8]| {
             let mut q = mk();
-            q.snap_restore(&mut SnapReader::new(bytes)).map(|()| q)
+            q.snap_restore(&mut SnapReader::new(bytes), "port queue")
+                .map(|()| q)
         };
         let prio: fn() -> PortQueue = || PortQueue::prio(1);
         for mk in [PortQueue::fifo as fn() -> PortQueue, prio] {
@@ -534,14 +601,18 @@ mod tests {
         PortQueue::fifo().snap_save(&mut w);
         let bytes = w.into_bytes();
         let mut prio = PortQueue::prio(1);
-        assert!(prio.snap_restore(&mut SnapReader::new(&bytes)).is_err());
+        assert!(prio
+            .snap_restore(&mut SnapReader::new(&bytes), "port queue")
+            .is_err());
         // Plain-prio and escalating-prio are distinct disciplines too: a
         // restore must not silently demote escalated ranks.
         let mut w = SnapWriter::new();
         PortQueue::prio(1).snap_save(&mut w);
         let bytes = w.into_bytes();
         let mut esc = PortQueue::prio_escalating(1);
-        assert!(esc.snap_restore(&mut SnapReader::new(&bytes)).is_err());
+        assert!(esc
+            .snap_restore(&mut SnapReader::new(&bytes), "port queue")
+            .is_err());
     }
 
     #[test]

@@ -7,10 +7,11 @@ use crate::faults::{FaultAction, FaultSchedule, FaultState};
 use crate::host::{Host, HostConfig};
 use crate::link::LinkParams;
 use crate::policy::{QueueDiscipline, SwitchConfig};
-use crate::queue::PortQueue;
-use crate::switch::{Port, Switch};
+use crate::queue::{Port, PortQueue};
+use crate::switch::Switch;
 use crate::telemetry::{Telemetry, TelemetryConfig};
 use crate::topology::Topology;
+use std::ops::AddAssign;
 use std::sync::Arc;
 use vertigo_pkt::{mix64, FlowId, NodeId, QueryId};
 use vertigo_simcore::{EventBackend, EventQueue, SimDuration, SimRng, SimTime};
@@ -191,41 +192,34 @@ impl Simulation {
         let routes = Arc::new(topo.switch_routes());
         let rng = SimRng::new(cfg.seed);
 
+        // A host's NIC and a switch's ports are built alike: `id`'s port
+        // onto the link `(peer, link)`, queueing in `queue`.
+        let port = |id: NodeId, (peer, link): (NodeId, LinkParams), queue| Port {
+            peer,
+            peer_port: topo.port_to(peer, id).expect("symmetric link"),
+            link,
+            queue,
+            busy: false,
+            host_facing: topo.is_host(peer),
+        };
         let mut nodes = Vec::with_capacity(topo.num_nodes());
         for h in 0..topo.hosts {
             let id = NodeId(h as u32);
-            let (peer, link) = topo.adj[h][0];
-            let peer_port = topo.port_to(peer, id).expect("host attached");
-            nodes.push(Node::Host(Host::new(
-                id,
-                peer,
-                peer_port,
-                link,
-                cfg.host.clone(),
-            )));
+            let nic = port(id, topo.adj[h][0], PortQueue::fifo());
+            nodes.push(Node::Host(Host::new(id, nic, cfg.host.clone())));
         }
         for s in 0..topo.switches {
             let id = NodeId((topo.hosts + s) as u32);
+            let queue = || match cfg.switch.buffer.queue_discipline() {
+                QueueDiscipline::Fifo => PortQueue::fifo(),
+                QueueDiscipline::Prio => PortQueue::prio(cfg.switch.boost_shift),
+                QueueDiscipline::PrioEscalating => {
+                    PortQueue::prio_escalating(cfg.switch.boost_shift)
+                }
+            };
             let ports: Vec<Port> = topo.adj[id.index()]
                 .iter()
-                .map(|&(peer, link)| {
-                    let peer_port = topo.port_to(peer, id).expect("symmetric link");
-                    let queue = match cfg.switch.buffer.queue_discipline() {
-                        QueueDiscipline::Fifo => PortQueue::fifo(),
-                        QueueDiscipline::Prio => PortQueue::prio(cfg.switch.boost_shift),
-                        QueueDiscipline::PrioEscalating => {
-                            PortQueue::prio_escalating(cfg.switch.boost_shift)
-                        }
-                    };
-                    Port {
-                        peer,
-                        peer_port,
-                        link,
-                        queue,
-                        busy: false,
-                        host_facing: topo.is_host(peer),
-                    }
-                })
+                .map(|&adj| port(id, adj, queue()))
                 .collect();
             let salt = mix64(cfg.seed ^ mix64(id.0 as u64));
             nodes.push(Node::Switch(Switch::new(
@@ -561,21 +555,24 @@ impl Simulation {
 
     /// Aggregated ordering-shim counters across hosts (for §4.3 analyses).
     pub fn ordering_stats(&self) -> vertigo_core::OrderingStats {
-        ordering_stats(self.nodes.iter())
+        sum_over_hosts(self.nodes.iter(), |h| {
+            h.ordering_stats().unwrap_or_default()
+        })
     }
 
     /// Aggregated marking-component counters across hosts.
     pub fn marking_stats(&self) -> vertigo_core::MarkingStats {
-        marking_stats(self.nodes.iter())
+        sum_over_hosts(self.nodes.iter(), |h| h.marking_stats().unwrap_or_default())
+    }
+
+    /// Heap held by the hosts' retransmission filters, summed.
+    pub fn filter_heap_bytes(&self) -> usize {
+        sum_over_hosts(self.nodes.iter(), Host::filter_heap_bytes)
     }
 
     /// Retransmission counters the hosts' marking components hold, summed.
     pub fn retx_entries(&self) -> usize {
-        let host = |n: &Node| match n {
-            Node::Host(h) => h.retx_entries(),
-            Node::Switch(_) => 0,
-        };
-        self.nodes.iter().map(host).sum()
+        sum_over_hosts(self.nodes.iter(), Host::retx_entries)
     }
 }
 
@@ -592,13 +589,9 @@ pub(crate) fn close_books<'a>(
     rec: &mut Recorder,
     horizon: SimTime,
 ) -> Report {
-    for n in nodes.clone() {
-        if let Node::Host(h) = n {
-            let s = h.stats();
-            rec.retransmits += s.retransmits;
-            rec.rtos += s.rtos;
-        }
-    }
+    let s = sum_over_hosts(nodes.clone(), Host::stats);
+    rec.retransmits += s.retransmits;
+    rec.rtos += s.rtos;
     #[cfg(debug_assertions)]
     {
         audit_conservation(nodes, rec, [], "end of run");
@@ -670,38 +663,16 @@ pub(crate) fn max_port_bytes<'a>(nodes: impl Iterator<Item = &'a Node>) -> u64 {
         .unwrap_or(0)
 }
 
-pub(crate) fn ordering_stats<'a>(
+/// `read` of every host among `nodes`, summed: the fabric read-outs both
+/// engines give.
+pub(crate) fn sum_over_hosts<'a, T: Default + AddAssign>(
     nodes: impl Iterator<Item = &'a Node>,
-) -> vertigo_core::OrderingStats {
-    let mut total = vertigo_core::OrderingStats::default();
+    read: impl Fn(&Host) -> T,
+) -> T {
+    let mut total = T::default();
     for n in nodes {
         if let Node::Host(h) = n {
-            if let Some(s) = h.ordering_stats() {
-                total.in_order += s.in_order;
-                total.buffered += s.buffered;
-                total.gap_filled += s.gap_filled;
-                total.timeout_released += s.timeout_released;
-                total.timeouts += s.timeouts;
-                total.late_or_dup += s.late_or_dup;
-                total.dup_dropped += s.dup_dropped;
-                total.max_depth = total.max_depth.max(s.max_depth);
-            }
-        }
-    }
-    total
-}
-
-pub(crate) fn marking_stats<'a>(
-    nodes: impl Iterator<Item = &'a Node>,
-) -> vertigo_core::MarkingStats {
-    let mut total = vertigo_core::MarkingStats::default();
-    for n in nodes {
-        if let Node::Host(h) = n {
-            if let Some(s) = h.marking_stats() {
-                total.marked += s.marked;
-                total.retransmissions += s.retransmissions;
-                total.filter_overflows += s.filter_overflows;
-            }
+            total += read(h);
         }
     }
     total

@@ -4,31 +4,13 @@
 
 use crate::deflect;
 use crate::events::Ctx;
-use crate::link::LinkParams;
 use crate::policy::{BufferPolicy, ForwardPolicy, SwitchConfig};
-use crate::queue::PortQueue;
+use crate::queue::{Port, PortQueue};
 use crate::topology::RouteTable;
 use std::sync::Arc;
 use vertigo_pkt::{ecmp_hash, NodeId, Packet, PortId, MAX_HOPS};
 use vertigo_simcore::{SimRng, SnapError, SnapReader, SnapWriter, Snapshot};
 use vertigo_stats::{DropCause, TraceKind, TRACE_NO_RANK};
-
-/// One output port: queue, link, and transmit state.
-#[derive(Debug)]
-pub struct Port {
-    /// Neighboring node.
-    pub peer: NodeId,
-    /// The neighbor's port this link lands on.
-    pub peer_port: PortId,
-    /// Link parameters.
-    pub link: LinkParams,
-    /// The output queue.
-    pub queue: PortQueue,
-    /// Whether a packet is currently being serialized.
-    pub busy: bool,
-    /// Whether the peer is a host.
-    pub host_facing: bool,
-}
 
 /// Draws `k` distinct candidates and keeps the least loaded, the first
 /// drawn on a tie — DRILL's sample and power-of-n's choice — with its
@@ -191,8 +173,7 @@ impl Switch {
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.put_usize(self.ports.len());
         for port in &self.ports {
-            port.queue.snap_save(w);
-            w.put_bool(port.busy);
+            port.snap_save(w);
         }
         w.put_usize(self.drill_best.len());
         for d in &self.drill_best {
@@ -216,8 +197,7 @@ impl Switch {
             )));
         }
         for port in &mut self.ports {
-            port.queue.snap_restore(r)?;
-            port.busy = r.get_bool()?;
+            port.snap_restore(r, "port queue")?;
         }
         let nbest = r.count(1, "DRILL entries")?;
         if nbest != self.drill_best.len() {
@@ -475,20 +455,13 @@ impl Switch {
     /// Starts transmission on `port` if it is idle and has queued packets.
     pub fn start_tx(&mut self, port: u16, ctx: &mut Ctx) {
         let p = &mut self.ports[port as usize];
-        if p.busy {
-            return;
-        }
-        let Some(mut pkt) = p.queue.pop_next() else {
+        let Some(pkt) = p.next_tx() else {
             return;
         };
-        // Stamp provenance: the receiver sees this switch as the packet's
-        // previous hop, which is what PABO's backward bounce consults.
-        pkt.prev_hop = self.id;
         if ctx.rec.trace.enabled() {
             Self::trace_queue(self.id, TraceKind::Dequeue, &p.queue, &pkt, 0, port, ctx);
         }
-        p.busy = true;
-        ctx.transmit(self.id, PortId(port), p.link, p.peer, p.peer_port, pkt);
+        ctx.transmit(self.id, PortId(port), p, pkt);
     }
 
     /// Serialization finished on `port`: free it and continue draining.
@@ -511,6 +484,7 @@ impl std::fmt::Debug for Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::LinkParams;
     use crate::topology::RouteTable;
 
     /// A 4-port switch: ports 0-1 host-facing (hosts 0 and 1), ports 2-3

@@ -2,9 +2,10 @@
 //! marking → NIC serialization) and the RX path (ordering → receiver →
 //! ACK generation), driven directly with hand-made events.
 
-use vertigo_netsim::{Ctx, Event, EventSink, Host, HostConfig, LinkParams};
+use vertigo_netsim::{Ctx, Event, EventSink, Host, HostConfig, LinkParams, Port, PortQueue};
 use vertigo_pkt::{
-    DataSeg, Ecn, FlowId, NodeId, Packet, PacketKind, PortId, QueryId, FLOWINFO_OVERHEAD_BYTES,
+    DataSeg, Ecn, FlowId, NodeId, Packet, PacketKind, PortId, QueryId, ACK_WIRE_BYTES,
+    FLOWINFO_OVERHEAD_BYTES,
 };
 use vertigo_simcore::{EventQueue, SimRng, SimTime};
 use vertigo_stats::Recorder;
@@ -67,14 +68,21 @@ impl Harness {
     }
 }
 
+/// The host's NIC: a FIFO onto a 10 Gbps link to port 2 of its ToR.
+fn nic() -> Port {
+    Port {
+        peer: TOR,
+        peer_port: PortId(2),
+        link: LinkParams::gbps(10, 500),
+        queue: PortQueue::fifo(),
+        busy: false,
+        host_facing: false,
+    }
+}
+
 fn vertigo_host() -> Host {
-    Host::new(
-        ME,
-        TOR,
-        PortId(2),
-        LinkParams::gbps(10, 500),
-        HostConfig::vertigo(TransportConfig::default_for(CcKind::Dctcp)),
-    )
+    let cfg = HostConfig::vertigo(TransportConfig::default_for(CcKind::Dctcp));
+    Host::new(ME, nic(), cfg)
 }
 
 #[test]
@@ -332,13 +340,7 @@ fn pacer_release_is_exact_when_another_event_shares_the_instant() {
     let mut transport = TransportConfig::default_for(CcKind::Swift);
     transport.swift.init_cwnd = 0.5; // sub-packet window: one in flight, paced
     transport.swift.ai = 0.0;
-    let mut host = Host::new(
-        ME,
-        TOR,
-        PortId(2),
-        LinkParams::gbps(10, 500),
-        HostConfig::plain(transport),
-    );
+    let mut host = Host::new(ME, nic(), HostConfig::plain(transport));
     let mut h = Harness::new();
     host.start_flow(PACED, PEER_HOST, 10 * 1460, QueryId::NONE, &mut h.ctx());
     host.start_flow(OTHER, PEER_HOST, 10 * 1460, QueryId::NONE, &mut h.ctx());
@@ -406,7 +408,7 @@ fn full_nic_keeps_unreached_senders_ready() {
     // skipped sender had a segment and no deadline went uncovered.)
     let mut cfg = HostConfig::vertigo(TransportConfig::default_for(CcKind::Dctcp));
     cfg.nic_buffer_bytes = 12 * (1460 + 40 + FLOWINFO_OVERHEAD_BYTES) as u64;
-    let mut host = Host::new(ME, TOR, PortId(2), LinkParams::gbps(10, 500), cfg);
+    let mut host = Host::new(ME, nic(), cfg);
     let mut h = Harness::new();
     for f in 1..=5 {
         host.start_flow(FlowId(f), PEER_HOST, 20 * 1460, QueryId::NONE, &mut h.ctx());
@@ -444,13 +446,7 @@ fn lossy_flow_counters_leave_at_the_ack(mss: u32) {
     let mut h = Harness::new();
     let mut tc = TransportConfig::default_for(CcKind::Dctcp);
     tc.mss = mss;
-    let mut host = Host::new(
-        ME,
-        TOR,
-        PortId(2),
-        LinkParams::gbps(10, 500),
-        HostConfig::vertigo(tc),
-    );
+    let mut host = Host::new(ME, nic(), HostConfig::vertigo(tc));
     let flow = FlowId(1);
     let mss = mss as u64;
     host.start_flow(flow, PEER_HOST, 40 * mss, QueryId::NONE, &mut h.ctx());
@@ -530,6 +526,35 @@ fn a_drained_nic_gives_its_room_back() {
     assert!(held <= vertigo_simcore::RING_KEEP_BYTES, "{held} B held");
 }
 
+/// The NIC holds `nic_buffer_bytes` and not a byte more: the ACK that
+/// fills it exactly is queued, the next is dropped as a host-queue drop.
+#[test]
+fn the_nic_queues_up_to_its_byte_bound_and_drops_past_it() {
+    let ack_wire = ACK_WIRE_BYTES as u64;
+    let mut cfg = HostConfig::plain(TransportConfig::default_for(CcKind::Dctcp));
+    cfg.nic_buffer_bytes = 3 * ack_wire;
+    let mut host = Host::new(ME, nic(), cfg);
+    let mut h = Harness::new();
+    // Five segments of five flows arrive while the NIC's first ACK is
+    // still serializing: one ACK on the wire, three fill the NIC, the
+    // fifth finds it full.
+    for f in 1..=5 {
+        host.on_arrive(
+            peer_data(FlowId(f), 0, 2, false, SimTime::ZERO),
+            &mut h.ctx(),
+        );
+        let queued = host.nic_queued_pkts();
+        assert_eq!(queued, (f - 1).min(3), "after ACK {f}");
+    }
+    let host_queue = vertigo_stats::DropCause::HostQueue.index();
+    assert_eq!(h.rec.drops[host_queue], 1, "the fifth ACK");
+    assert_eq!(h.rec.total_drops(), 1);
+    let wire = h.drain_tx(&mut host);
+    assert!(wire.iter().all(|p| p.wire_size as u64 == ack_wire));
+    let acked: Vec<u64> = wire.iter().map(|p| p.flow.0).collect();
+    assert_eq!(acked, [1, 2, 3, 4]);
+}
+
 #[test]
 fn snapshot_restore_rejects_a_hostile_nic_record() {
     use vertigo_simcore::{SnapReader, SnapWriter, Snapshot};
@@ -583,10 +608,11 @@ fn snapshot_restore_rejects_a_hostile_nic_record() {
     );
     assert_eq!(wire, seen(h2.drain_tx(&mut host2)));
 
-    // The byte counter sits behind the queued packets. A smaller value
-    // enlarges the NIC buffer and underflows when the queue drains past
-    // it; a larger one shrinks the buffer.
+    // The byte counter sits behind the FIFO tag and the queued packets. A
+    // smaller value enlarges the NIC buffer and underflows when the queue
+    // drains past it; a larger one shrinks the buffer.
     let mut r = SnapReader::new(&ok);
+    assert_eq!(r.get_u8().unwrap(), 0, "a FIFO");
     let queued = r.get_usize().unwrap();
     assert_eq!(queued, 16);
     for _ in 0..queued {
@@ -603,7 +629,7 @@ fn snapshot_restore_rejects_a_hostile_nic_record() {
     }
     // A queue length the input cannot hold sizes no allocation.
     let mut bytes = ok.clone();
-    bytes[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    bytes[1..9].copy_from_slice(&(1u64 << 40).to_le_bytes());
     assert!(restored(&bytes).is_err());
     for cut in 0..ok.len() {
         assert!(restored(&ok[..cut]).is_err(), "accepted {cut} bytes");
@@ -617,7 +643,7 @@ fn snapshot_restore_rejects_a_hostile_receiver_record() {
     // No ordering shim, so a gap on the wire is a gap at the receiver.
     let plain_host = || {
         let cfg = HostConfig::plain(TransportConfig::default_for(CcKind::Dctcp));
-        Host::new(ME, TOR, PortId(2), LinkParams::gbps(10, 500), cfg)
+        Host::new(ME, nic(), cfg)
     };
     let data = |k: u64| {
         let seg = DataSeg {
@@ -691,6 +717,7 @@ fn snapshot_restore_rejects_a_hostile_receiver_record() {
     // Empty NIC, idle, no senders; then the one receiver: its flow, peer
     // and query, and the two counters `deliver_data` subtracts from.
     let mut r = SnapReader::new(&ok);
+    assert_eq!(r.get_u8().unwrap(), 0, "a FIFO");
     assert_eq!(r.get_usize().unwrap(), 0);
     assert_eq!(r.get_u64().unwrap(), 0);
     assert!(!r.get_bool().unwrap());
@@ -792,7 +819,7 @@ fn a_finished_flow_answers_late_segments_as_its_full_receiver_did() {
     use vertigo_transport::FlowReceiver;
     const FLOW: FlowId = FlowId(9);
     let cfg = HostConfig::plain(TransportConfig::default_for(CcKind::Dctcp));
-    let mut host = Host::new(ME, TOR, PortId(2), LinkParams::gbps(10, 500), cfg);
+    let mut host = Host::new(ME, nic(), cfg);
     let mut h = Harness::new();
     // The full receiver, fed the same segments, says what each ACK is.
     let mut full = FlowReceiver::new(FLOW, 2 * 1460);
@@ -843,6 +870,7 @@ fn tables(bytes: &[u8], transport: TransportConfig) -> Tables {
     use vertigo_transport::{FinishedReceiver, FlowReceiver, FlowSender};
     let mut r = SnapReader::new(bytes);
     let at = |r: &SnapReader| bytes.len() - r.remaining();
+    assert_eq!(r.get_u8().unwrap(), 0, "a FIFO NIC");
     for _ in 0..r.get_usize().unwrap() {
         <Box<Packet>>::restore(&mut r).unwrap();
     }
@@ -899,7 +927,7 @@ fn snapshot_restore_refuses_flow_tables_its_writer_cannot_produce() {
     let transport = TransportConfig::default_for(CcKind::Dctcp);
     let plain_host = || {
         let cfg = HostConfig::plain(transport);
-        Host::new(ME, TOR, PortId(2), LinkParams::gbps(10, 500), cfg)
+        Host::new(ME, nic(), cfg)
     };
     // Two senders, two flows half received, two received to completion.
     let (mut h, mut host) = (Harness::new(), plain_host());

@@ -37,7 +37,9 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// refused); samples follow from the series the telemetry record holds.
 /// Version 7: a marking flow record drops its destination (25 bytes), and
 /// the filter holds no fingerprint below a flow's cumulative ACK.
-pub const SNAP_VERSION: u16 = 7;
+/// Version 8: the host's NIC record is a port record, opening with the
+/// FIFO's discipline tag as a switch port's does.
+pub const SNAP_VERSION: u16 = 8;
 
 /// Every build checkpoints and resumes; only the benchmark's result
 /// header (`perfbench/`) still reads this.

@@ -1,7 +1,7 @@
 //! Turning raw records into the paper's reported quantities.
 
 use crate::recorder::{Recorder, DROP_CAUSES};
-use crate::summary::{mean, percentile_sorted, Cdf};
+use crate::summary::{summarize, Cdf};
 use vertigo_simcore::SimTime;
 
 /// Flows below this size are "mice" in the paper's §2 analysis.
@@ -189,8 +189,8 @@ impl Report {
                 elephant_active_secs += active.max(1e-9);
             }
         }
-        fct.sort_by(|a, b| a.partial_cmp(b).expect("NaN fct"));
-        fct_mice.sort_by(|a, b| a.partial_cmp(b).expect("NaN fct"));
+        let (fct_mean, fct_p50, fct_p99) = summarize(&mut fct);
+        let (fct_mice_mean, _, fct_mice_p99) = summarize(&mut fct_mice);
 
         let mut qct = Vec::new();
         for q in rec.queries.values() {
@@ -198,7 +198,7 @@ impl Report {
                 qct.push(s);
             }
         }
-        qct.sort_by(|a, b| a.partial_cmp(b).expect("NaN qct"));
+        let (qct_mean, qct_p50, qct_p99) = summarize(&mut qct);
 
         let data_sent = rec.data_sent.max(1);
         let delivered = rec.data_delivered.max(1);
@@ -216,16 +216,16 @@ impl Report {
             horizon_secs,
             flows_started: rec.flows.len() as u64,
             flows_completed: fct.len() as u64,
-            fct_mean: mean(&fct),
-            fct_p50: percentile_sorted(&fct, 0.50),
-            fct_p99: percentile_sorted(&fct, 0.99),
-            fct_mice_mean: mean(&fct_mice),
-            fct_mice_p99: percentile_sorted(&fct_mice, 0.99),
+            fct_mean,
+            fct_p50,
+            fct_p99,
+            fct_mice_mean,
+            fct_mice_p99,
             queries_started: rec.queries.len() as u64,
             queries_completed: qct.len() as u64,
-            qct_mean: mean(&qct),
-            qct_p50: percentile_sorted(&qct, 0.50),
-            qct_p99: percentile_sorted(&qct, 0.99),
+            qct_mean,
+            qct_p50,
+            qct_p99,
             goodput_gbps: rec.goodput_bytes as f64 * 8.0 / horizon_secs / 1e9,
             elephant_goodput_mbps: if elephant_active_secs > 0.0 {
                 elephant_bytes as f64 * 8.0 / elephant_active_secs / 1e6
@@ -297,15 +297,10 @@ impl Report {
         }
         for (tag, t) in &mut by_tag {
             if let Some(samples) = fct.get_mut(tag) {
-                samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN fct"));
-                t.fct_mean = mean(samples);
-                t.fct_p50 = percentile_sorted(samples, 0.50);
-                t.fct_p99 = percentile_sorted(samples, 0.99);
+                (t.fct_mean, t.fct_p50, t.fct_p99) = summarize(samples);
             }
             if let Some(samples) = qct.get_mut(tag) {
-                samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN qct"));
-                t.qct_mean = mean(samples);
-                t.qct_p99 = percentile_sorted(samples, 0.99);
+                (t.qct_mean, _, t.qct_p99) = summarize(samples);
             }
             t.goodput_gbps = t.bytes_delivered as f64 * 8.0 / horizon_secs / 1e9;
         }

@@ -331,39 +331,30 @@ impl RunSpec {
         if self.system == SystemKind::Dibs {
             transport.fast_retransmit = false;
         }
-        match self.system {
-            SystemKind::Vertigo => {
-                let shift = self
-                    .vertigo
-                    .boost_factor
-                    .map(vertigo_core::boost::factor_to_shift)
-                    .unwrap_or(0);
-                let mode = match self.vertigo.discipline {
-                    MarkingDiscipline::Srpt => OrderingMode::SrptBytes,
-                    MarkingDiscipline::Las => OrderingMode::LasPackets,
-                };
-                HostConfig {
-                    transport,
-                    marking: Some(MarkingConfig {
-                        discipline: self.vertigo.discipline,
-                        boost_factor: self.vertigo.boost_factor,
-                        filter_capacity: 65_536,
-                    }),
-                    ordering: if self.vertigo.ordering {
-                        Some(OrderingConfig {
-                            timeout: self.vertigo.tau,
-                            boost_shift: shift,
-                            mode,
-                            max_buffered_per_flow: 1024,
-                        })
-                    } else {
-                        None
-                    },
-                    nic_buffer_bytes: 2 * 1024 * 1024,
-                }
-            }
-            _ => HostConfig::plain(transport),
+        let mut host = HostConfig::plain(transport);
+        if self.system == SystemKind::Vertigo {
+            let shift = self
+                .vertigo
+                .boost_factor
+                .map(vertigo_core::boost::factor_to_shift)
+                .unwrap_or(0);
+            let mode = match self.vertigo.discipline {
+                MarkingDiscipline::Srpt => OrderingMode::SrptBytes,
+                MarkingDiscipline::Las => OrderingMode::LasPackets,
+            };
+            host.marking = Some(MarkingConfig {
+                discipline: self.vertigo.discipline,
+                boost_factor: self.vertigo.boost_factor,
+                ..MarkingConfig::default()
+            });
+            host.ordering = self.vertigo.ordering.then(|| OrderingConfig {
+                timeout: self.vertigo.tau,
+                boost_shift: shift,
+                mode,
+                ..OrderingConfig::default()
+            });
         }
+        host
     }
 
     /// Builds the simulation with the workload installed (not yet run).

@@ -292,7 +292,7 @@ ckpt=$1
 cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect "$ckpt" | tee /tmp/vertigo_vsnp_ci.txt
 grep -q 'sim time' /tmp/vertigo_vsnp_ci.txt
-grep -q 'version    7' /tmp/vertigo_vsnp_ci.txt
+grep -q 'version    8' /tmp/vertigo_vsnp_ci.txt
 # Garbage input must fail loudly with a non-zero exit.
 if cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect scripts/ci.sh 2> /dev/null; then
@@ -385,7 +385,8 @@ echo "==> one domain against the classic loop, alternated in process (informatio
 # single repetitions in turn rather than two runs back to back.
 cargo run --release --quiet --example sample_profile -- --time ft_soak ft_soak_d1 8
 
-echo "==> the default soak's peak RSS and wall time (information, never a gate; ≈ 23.5 MB since fingerprints leave at the cumulative ACK, 35 before, 43 while retransmission counters stayed until their flow completed, 49 before drained buffers gave their room back)"
+echo "==> the default soak: its CSV must equal results/default/soak.csv byte for byte; its peak RSS and wall time are information, never a gate (≈ 23.5 MB since fingerprints leave at the cumulative ACK, 35 before, 43 while retransmission counters stayed until their flow completed, 49 before drained buffers gave their room back)"
+rm -rf /tmp/vertigo_soak_info
 python3 - <<'EOF'
 import resource, subprocess, time
 start = time.time()
@@ -398,6 +399,7 @@ wall = time.time() - start
 rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 print(f"soak: peak RSS {rss:.1f} MB, wall {wall:.1f} s")
 EOF
+cmp /tmp/vertigo_soak_info/soak.csv results/default/soak.csv
 
 echo "==> two revisions alternated: scripts/ab.sh smoke (information, never a gate)"
 # One pair of the committed tree against itself: the script builds, runs
