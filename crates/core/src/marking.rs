@@ -263,12 +263,13 @@ impl MarkingComponent {
     /// Removes a completed flow's entry from the flow table. The ACK that
     /// completed it reached its size, so [`MarkingComponent::cum_ack_advanced`]
     /// has already removed every fingerprint and counter it had; the
-    /// filter's bucket map and the counter map then give back the room the
-    /// live flows no longer need ([`shrink_if_sparse`]).
+    /// filter's bucket map, the counter map and the flow map then give back
+    /// the room the live flows no longer need ([`shrink_if_sparse`]).
     pub fn complete_flow(&mut self, flow: FlowId) {
         if self.flows.remove(&flow).is_some() {
             self.filter.release_spare();
             shrink_if_sparse(&mut self.retx);
+            shrink_if_sparse(&mut self.flows);
         }
     }
 
@@ -566,6 +567,7 @@ mod tests {
             m.filter_heap_bytes()
         );
         assert!(m.retx.capacity() <= 4 * m.retx.len());
+        assert!(m.flows.capacity() <= 4 * m.flows.len());
         // ...and the survivors are still told apart: a retransmission is
         // boosted again, a fresh offset is not.
         let f = FlowId(flows - 1);
@@ -577,6 +579,7 @@ mod tests {
             m.complete_flow(FlowId(f));
         }
         assert_eq!((m.filter_heap_bytes(), m.retx.capacity()), (0, 0));
+        assert_eq!(m.flows.capacity(), 0);
     }
 
     /// A marking record as `snap_save` lays it out, around an empty filter:

@@ -3,7 +3,8 @@
 //! panic, and before any simulation starts; a figure's tables and
 //! `vtrace dump` into a pipe their reader closes; `--trace` next to an
 //! untraced run; `vtrace dump` on a golden trace and on codes it does not
-//! know; and `vsnp inspect` on a header of the previous format version.
+//! know; `vsnp inspect` on a header of an older format version, and
+//! `--resume` refusing a checkpoint of the previous one.
 
 use std::process::{Command, Output};
 
@@ -196,6 +197,37 @@ fn vsnp_inspect_prints_a_version_3_header() {
     assert!(stdout.contains(&note), "{stdout}");
     // Nothing behind another version's version is decoded.
     assert!(!stdout.contains("sim time"), "{stdout}");
+}
+
+#[test]
+fn a_version_8_checkpoint_is_refused_on_resume() {
+    use vertigo_simcore::{SnapWriter, SNAP_VERSION};
+    // A version 8 file: its recorder held every flow's record and two tag
+    // maps, a layout this binary no longer reads.
+    let dir = std::env::temp_dir().join(format!("vertigo-cli-v8-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut w = SnapWriter::new();
+    vertigo_workload::snapshot::write_header(&mut w, 0xABCD, 6_000_000);
+    let mut bytes = w.into_bytes();
+    bytes[4..6].copy_from_slice(&8u16.to_le_bytes());
+    let file = dir.join("v8.vsnp");
+    std::fs::write(&file, &bytes).unwrap();
+    let out = experiments(&[
+        "table2",
+        "--quick",
+        "--out",
+        dir.to_str().unwrap(),
+        "--resume",
+        file.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let usual = format!("snapshot format version 8, this binary reads version {SNAP_VERSION}");
+    assert!(stderr.contains("error: --resume "), "{stderr}");
+    assert!(stderr.contains(&usual), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!dir.join("table2.csv").exists(), "no table after an error");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -68,9 +68,10 @@ pub(crate) fn check_conservation<'a>(
     );
 }
 
-/// Asserts per-flow byte accounting closes at teardown: every finished
-/// flow delivered exactly its size, no flow over-delivered, and the
-/// per-flow tallies sum to the global goodput counter.
+/// Asserts per-flow byte accounting closes at teardown: every live record
+/// delivered at most its size and a finished one exactly its size, the
+/// folded flows delivered their sizes summed, and live and folded bytes
+/// sum to the global goodput counter.
 pub(crate) fn check_flow_accounting(rec: &mut Recorder) {
     rec.audit.on_check();
     let mut delivered_sum: u64 = 0;
@@ -94,6 +95,15 @@ pub(crate) fn check_flow_accounting(rec: &mut Recorder) {
             );
         }
         delivered_sum += f.delivered_bytes;
+    }
+    for (tag, t) in &rec.folded.tenants {
+        assert!(
+            t.bytes_delivered == t.bytes_offered,
+            "audit: the finished flows of tag {tag} delivered {} of their {} bytes",
+            t.bytes_delivered,
+            t.bytes_offered,
+        );
+        delivered_sum += t.bytes_delivered;
     }
     assert!(
         delivered_sum == rec.goodput_bytes,

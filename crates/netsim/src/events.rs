@@ -46,7 +46,7 @@ pub enum Event {
 
 /// What [`Event::FlowStart`] opens. One event in thousands is a flow
 /// start, and every pending event is as large as the largest variant, so
-/// these 28 bytes live out of line and an [`Event`] is 16.
+/// these 29 bytes live out of line and an [`Event`] is 16.
 #[derive(Debug)]
 pub struct FlowSpec {
     /// Receiving host.
@@ -57,6 +57,9 @@ pub struct FlowSpec {
     pub query: QueryId,
     /// Flow size in bytes.
     pub bytes: u64,
+    /// Scenario-component tag the flow's record carries (0: the base
+    /// workload).
+    pub tag: u8,
 }
 
 impl Event {
@@ -112,6 +115,7 @@ impl Snapshot for Event {
                 spec.flow.save(w);
                 spec.query.save(w);
                 w.put_u64(spec.bytes);
+                w.put_u8(spec.tag);
             }
         }
     }
@@ -137,6 +141,7 @@ impl Snapshot for Event {
                     flow: FlowId::restore(r)?,
                     query: QueryId::restore(r)?,
                     bytes: r.get_u64()?,
+                    tag: r.get_u8()?,
                 }),
             },
             tag => return Err(SnapError::new(format!("invalid Event tag {tag:#x}"))),
@@ -384,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn flow_start_snapshot_is_its_five_fields_in_order() {
+    fn flow_start_snapshot_is_its_six_fields_in_order() {
         let ev = Event::FlowStart {
             src: NodeId(7),
             spec: Box::new(FlowSpec {
@@ -392,6 +397,7 @@ mod tests {
                 flow: FlowId(11),
                 query: QueryId(13),
                 bytes: 1 << 40,
+                tag: 3,
             }),
         };
         let mut w = SnapWriter::new();
@@ -403,6 +409,7 @@ mod tests {
         FlowId(11).save(&mut flat);
         QueryId(13).save(&mut flat);
         flat.put_u64(1 << 40);
+        flat.put_u8(3);
         let bytes = w.into_bytes();
         assert_eq!(bytes, flat.into_bytes());
         let back = Event::restore(&mut SnapReader::new(&bytes)).expect("round trip");

@@ -108,8 +108,10 @@ pub struct Host {
     /// The NIC: a FIFO bounded by `cfg.nic_buffer_bytes`.
     nic: Port,
 
-    senders: FlowTable<SendState>,
-    receivers: FlowTable<RecvState>,
+    /// Live senders and receivers, held out of line: a table keeps spare
+    /// slots after a burst, 8 bytes each instead of a whole state's.
+    senders: FlowTable<Box<SendState>>,
+    receivers: FlowTable<Box<RecvState>>,
     /// Flows received to completion, as the 16 bytes their late segments
     /// still read. A flow is here or in `receivers`, never both.
     finished: FlowTable<FinishedReceiver>,
@@ -344,7 +346,8 @@ impl Host {
             m.register_flow(flow, dst, bytes);
         }
         let sender = FlowSender::new(flow, bytes, self.cfg.transport);
-        self.senders.insert(flow, SendState { sender, dst, query });
+        self.senders
+            .insert(flow, Box::new(SendState { sender, dst, query }));
         self.mark_ready(flow);
         let moved = self.pump(ctx);
         self.rearm_timer(moved, ctx);
@@ -454,13 +457,13 @@ impl Host {
             Some(fin) => (fin.revive(flow), fin.reorder_events(), fin.contiguous()),
             None => (FlowReceiver::new(flow, flow_bytes), 0, 0),
         };
-        let st = RecvState {
+        let st = Box::new(RecvState {
             recv,
             src: pkt.src,
             query: pkt.query,
             reported_reorders,
             reported_bytes,
-        };
+        });
         self.receivers.insert(flow, st);
         self.receivers.index_of(flow).expect("just filed")
     }
@@ -741,7 +744,8 @@ impl Host {
             let dst = NodeId::restore(r)?;
             let query = QueryId::restore(r)?;
             let sender = FlowSender::snap_restore(self.cfg.transport, r)?;
-            self.senders.insert(flow, SendState { sender, dst, query });
+            self.senders
+                .insert(flow, Box::new(SendState { sender, dst, query }));
             Ok(())
         })?;
         // A receiver record opens with its flow, peer, query and the two
@@ -766,16 +770,14 @@ impl Host {
                      {reported_reorders} reorders of {bytes} and {reorders} received"
                 )));
             }
-            self.receivers.insert(
-                flow,
-                RecvState {
-                    recv,
-                    src,
-                    query,
-                    reported_reorders,
-                    reported_bytes,
-                },
-            );
+            let st = RecvState {
+                recv,
+                src,
+                query,
+                reported_reorders,
+                reported_bytes,
+            };
+            self.receivers.insert(flow, Box::new(st));
             Ok(())
         })?;
         // A finished record is its flow and two counters.

@@ -138,7 +138,12 @@ impl Node {
                 Node::Switch(_) => unreachable!("switches have no timers"),
             },
             Event::FlowStart { spec, .. } => match self {
-                Node::Host(h) => h.start_flow(spec.flow, spec.dst, spec.bytes, spec.query, ctx),
+                Node::Host(h) => {
+                    h.start_flow(spec.flow, spec.dst, spec.bytes, spec.query, ctx);
+                    if spec.tag != 0 {
+                        ctx.rec.tag_flow(spec.flow, spec.tag);
+                    }
+                }
                 Node::Switch(_) => unreachable!("flows start at hosts"),
             },
         }
@@ -344,6 +349,21 @@ impl Simulation {
         bytes: u64,
         query: QueryId,
     ) -> FlowId {
+        self.schedule_tagged_flow(at, src, dst, bytes, query, 0)
+    }
+
+    /// [`Simulation::schedule_flow`] for workload-scenario component `tag`
+    /// (tag 0 = base workload): the flow's record carries it for
+    /// per-tenant reporting.
+    pub fn schedule_tagged_flow(
+        &mut self,
+        at: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        query: QueryId,
+        tag: u8,
+    ) -> FlowId {
         assert!(src != dst, "flow to self");
         assert!(self.topo.is_host(src) && self.topo.is_host(dst));
         assert!(bytes > 0);
@@ -358,16 +378,11 @@ impl Simulation {
                     flow,
                     query,
                     bytes,
+                    tag,
                 }),
             },
         );
         flow
-    }
-
-    /// Tags `flow` as belonging to workload-scenario component `tag` for
-    /// per-tenant reporting (tag 0 / untagged = base workload).
-    pub fn tag_flow(&mut self, flow: FlowId, tag: u8) {
-        self.rec.tag_flow(flow, tag);
     }
 
     /// Tags `query` as belonging to workload-scenario component `tag`.

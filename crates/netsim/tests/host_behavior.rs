@@ -1021,3 +1021,111 @@ fn snapshot_restore_refuses_flow_tables_its_writer_cannot_produce() {
         assert!(restored(&ok[..cut]).is_err(), "accepted {cut} bytes");
     }
 }
+
+/// Two Vertigo hosts, `ME` and `PEER_HOST`, whose NICs face one ToR that
+/// hands every packet straight to its destination.
+struct Pair {
+    h: Harness,
+    hosts: [Host; 2],
+}
+
+impl Pair {
+    fn new() -> Self {
+        let cfg = HostConfig::vertigo(TransportConfig::default_for(CcKind::Dctcp));
+        Pair {
+            h: Harness::new(),
+            hosts: [ME, PEER_HOST].map(|id| Host::new(id, nic(), cfg.clone())),
+        }
+    }
+
+    fn host(&mut self, id: NodeId) -> (&mut Host, Ctx<'_>) {
+        let i = usize::from(id != ME);
+        (&mut self.hosts[i], self.h.ctx())
+    }
+
+    /// Runs every event to quiescence.
+    fn run(&mut self) {
+        while let Some((_, ev)) = self.h.events.pop() {
+            match ev {
+                Event::Arrive { pkt, .. } => {
+                    let (host, mut ctx) = self.host(pkt.dst);
+                    host.on_arrive(pkt, &mut ctx);
+                }
+                Event::TxDone { node, .. } => {
+                    let (host, mut ctx) = self.host(node);
+                    host.on_tx_done(&mut ctx);
+                }
+                Event::HostTimer { node } => {
+                    let (host, mut ctx) = self.host(node);
+                    host.on_timer(&mut ctx);
+                }
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_host_whose_flows_completed_holds_no_state_for_them() {
+    const N: u64 = 6;
+    let mut p = Pair::new();
+    for f in 1..=N {
+        let (host, mut ctx) = p.host(ME);
+        host.start_flow(FlowId(f), PEER_HOST, f * 10 * 1460, QueryId::NONE, &mut ctx);
+    }
+    assert_eq!((p.hosts[0].active_senders(), p.h.rec.flows.len()), (6, 6));
+    p.run();
+    // No sender value, no receiver value and no record: each flow left
+    // its finished entry at the receiver and its FCT sample.
+    assert_eq!(p.hosts[0].active_senders(), 0);
+    assert_eq!(p.hosts[1].receiving(), (0, N as usize));
+    assert!(p.h.rec.flows.is_empty());
+    assert_eq!((p.h.rec.flows_started(), p.h.rec.flows_completed()), (N, N));
+    assert_eq!(p.h.rec.goodput_bytes, (1..=N).map(|f| f * 10 * 1460).sum());
+    assert_eq!(p.h.rec.folded.tenants[&0].fct_mice.len(), N as usize);
+}
+
+#[test]
+fn a_late_copy_past_a_finished_flow_files_no_record() {
+    const FLOW: FlowId = FlowId(1);
+    let mut p = Pair::new();
+    let (host, mut ctx) = p.host(ME);
+    host.start_flow(FLOW, PEER_HOST, 3 * 1460, QueryId::NONE, &mut ctx);
+    p.run();
+    assert_eq!(p.hosts[1].receiving(), (0, 1));
+    let books = |p: &Pair| {
+        let rec = &p.h.rec;
+        (
+            rec.flows_started(),
+            rec.flows_completed(),
+            rec.goodput_bytes,
+        )
+    };
+    let before = books(&p);
+    // A segment past the finished prefix revives the complete receiver,
+    // whose progress is nothing: no placeholder, no count moves.
+    let seg = DataSeg {
+        seq: 4 * 1460,
+        payload: 1460,
+        flow_bytes: 3 * 1460,
+        retransmit: false,
+        trimmed: false,
+    };
+    let late = Packet::data(
+        77,
+        FLOW,
+        QueryId::NONE,
+        ME,
+        PEER_HOST,
+        seg,
+        true,
+        SimTime::ZERO,
+    );
+    let (host, mut ctx) = p.host(PEER_HOST);
+    host.on_arrive(Box::new(late), &mut ctx);
+    p.run();
+    assert_eq!(p.hosts[1].receiving(), (1, 0), "revived whole");
+    assert!(p.h.rec.flows.is_empty(), "{:?}", p.h.rec.flows);
+    assert!(p.h.rec.flows.is_folded(FLOW));
+    assert_eq!(books(&p), before);
+}

@@ -71,7 +71,8 @@ const TRACE_CAPACITY: usize = 3;
 
 /// `snapshot_resume.rs`'s build: a 16-host leaf-spine with telemetry and
 /// a fault schedule armed, an 8-to-1 incast and staggered background
-/// flows; with `traced`, the packet recorder armed as well.
+/// flows, plus a two-reply query; with `traced`, the packet recorder armed
+/// as well.
 fn build(traced: bool) -> Simulation {
     let cfg = SimConfig {
         topology: TopologySpec::LeafSpine {
@@ -105,6 +106,11 @@ fn build(traced: bool) -> Simulation {
         let at = SimTime::from_micros(200 + i as u64 * 700);
         sim.schedule_flow(at, NodeId(i + 2), NodeId(15 - i), 250_000, QueryId::NONE);
     }
+    // A query still open mid-burst: one reply done, one to start.
+    let q = sim.register_query(2, SimTime::from_micros(2_000));
+    for (i, at) in [(9, 2_000), (10, 3_000)] {
+        sim.schedule_flow(SimTime::from_micros(at), NodeId(i), NodeId(1), 20_000, q);
+    }
     sim
 }
 
@@ -112,6 +118,11 @@ fn build(traced: bool) -> Simulation {
 fn mid_burst(traced: bool) -> Vec<u8> {
     let mut sim = build(traced);
     sim.drain_until(SimTime::from_micros(2_500));
+    // The recorder record has all its parts: live records, folded ids,
+    // an open query, and the folded FCT and QCT samples.
+    let rec = sim.recorder();
+    assert!(!rec.flows.is_empty() && rec.folded.flows() > 0);
+    assert!(!rec.queries.is_empty() && !rec.folded.tenants[&0].qct.is_empty());
     let mut w = SnapWriter::new();
     sim.save_state(&mut w);
     w.into_bytes()

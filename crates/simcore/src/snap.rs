@@ -39,7 +39,11 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// the filter holds no fingerprint below a flow's cumulative ACK.
 /// Version 8: the host's NIC record is a port record, opening with the
 /// FIFO's discipline tag as a switch port's does.
-pub const SNAP_VERSION: u16 = 8;
+/// Version 9: the recorder holds live flow records only, each with its
+/// scenario tag, then the folded ids as a bitmap, queries with their tags,
+/// and the finished flows' and queries' samples by tag; no tag maps. A
+/// flow-start event carries the tag.
+pub const SNAP_VERSION: u16 = 9;
 
 /// Every build checkpoints and resumes; only the benchmark's result
 /// header (`perfbench/`) still reads this.

@@ -17,7 +17,9 @@ pub mod summary;
 pub mod trace;
 
 pub use audit::{AuditHooks, AUDIT_AVAILABLE};
-pub use recorder::{DropCause, FlowLedger, FlowRecord, QueryRecord, Recorder, DROP_CAUSES};
+pub use recorder::{
+    DropCause, Elephant, FlowRecord, Folded, LiveFlows, QueryRecord, Recorder, Tally, DROP_CAUSES,
+};
 pub use report::{Report, TenantReport, ELEPHANT_BYTES, MICE_BYTES};
 pub use summary::{mean, percentile, percentile_sorted, Cdf};
 pub use trace::{

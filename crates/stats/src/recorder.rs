@@ -2,10 +2,14 @@
 //!
 //! Every component reports here: hosts record flow lifecycles, switches
 //! record drops/deflections/ECN marks, receivers record delivery and
-//! reordering. [`crate::report::Report`] turns the raw records into the
-//! quantities the paper plots (FCT, QCT, completion ratios, goodput,
-//! drop and reorder rates, hop inflation).
+//! reordering. A flow's record lives while the flow runs; when it
+//! finishes, what [`crate::report::Report`] reads of it (its FCT sample,
+//! bytes, counts and, for an elephant, goodput share) is folded into
+//! [`Folded`] and the record dropped. The report turns the folded and the
+//! live records into the quantities the paper plots (FCT, QCT, completion
+//! ratios, goodput, drop and reorder rates, hop inflation).
 
+use crate::report::{ELEPHANT_BYTES, MICE_BYTES};
 use std::collections::BTreeMap;
 use std::fmt;
 use vertigo_pkt::{FlowId, NodeId, QueryId};
@@ -110,7 +114,12 @@ pub struct FlowRecord {
     /// Unique bytes delivered to the receiver so far (equals `bytes` once
     /// finished; partial progress for flows cut off by the horizon).
     pub delivered_bytes: u64,
+    /// Scenario-component tag (0: the base workload).
+    pub tag: u8,
 }
+
+/// The `src` of a placeholder record.
+const PLACEHOLDER: NodeId = NodeId(u32::MAX);
 
 impl FlowRecord {
     /// Flow completion time in seconds, if completed.
@@ -118,61 +127,164 @@ impl FlowRecord {
         self.finished
             .map(|f| f.saturating_since(self.start).as_secs_f64())
     }
+
+    /// A record for progress whose metadata lives in another domain's
+    /// recorder, recognizable by `src == NodeId(u32::MAX)`.
+    fn placeholder(flow: FlowId) -> FlowRecord {
+        FlowRecord {
+            flow,
+            query: QueryId::NONE,
+            src: PLACEHOLDER,
+            dst: PLACEHOLDER,
+            bytes: 0,
+            start: SimTime::ZERO,
+            finished: None,
+            delivered_bytes: 0,
+            tag: 0,
+        }
+    }
+
+    /// Whether the record has its sender's metadata (a placeholder has not).
+    fn is_whole(&self) -> bool {
+        self.src != PLACEHOLDER
+    }
 }
 
-/// The flow records of a run, indexed by the simulator-assigned
-/// [`FlowId`]: `Simulation::schedule_flow` hands ids out densely in order,
-/// so the record a delivered packet updates is one indexed load away. Reads
-/// see the records in id order, as a `BTreeMap<FlowId, FlowRecord>` gave
-/// them (reports, snapshot bytes, [`Recorder::absorb`]); an id without a
-/// record is a hole.
+/// The records of the flows still running, plus, in the domain engine, the
+/// placeholders and finished records that wait for [`Recorder::absorb`].
+/// A finished flow's record is folded into [`Folded`] and dropped.
+///
+/// `Simulation::schedule_flow` hands ids out densely from 1, so a per-id
+/// index finds a record in one indexed load and a slab load: 4 bytes per
+/// id, which also mark the ids folded. The slab is in no particular order;
+/// reads that need one (reports, snapshot bytes) sort by id.
 #[derive(Clone, Default)]
-pub struct FlowLedger {
-    slots: Vec<Option<FlowRecord>>,
-    /// Records held (slots that are not holes).
-    len: usize,
+pub struct LiveFlows {
+    /// Per flow id: [`NO_RECORD`], [`FOLDED`], or the record's position in
+    /// `slab` plus one.
+    index: Vec<u32>,
+    slab: Vec<FlowRecord>,
 }
 
-impl FlowLedger {
+/// An id never filed.
+const NO_RECORD: u32 = 0;
+/// An id whose record was folded.
+const FOLDED: u32 = u32::MAX;
+
+impl LiveFlows {
     /// Records held.
     pub fn len(&self) -> usize {
-        self.len
+        self.slab.len()
     }
 
     /// Whether no record is held.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.slab.is_empty()
+    }
+
+    #[inline]
+    fn slot(&self, flow: FlowId) -> u32 {
+        self.index.get(slot_of(flow)).copied().unwrap_or(NO_RECORD)
+    }
+
+    /// Where `flow`'s record is in `slab`, if one is held.
+    #[inline]
+    fn position(&self, flow: FlowId) -> Option<usize> {
+        match self.slot(flow) {
+            NO_RECORD | FOLDED => None,
+            p => Some(p as usize - 1),
+        }
     }
 
     /// The record of `flow`, if one is held.
     #[inline]
     pub fn get(&self, flow: FlowId) -> Option<&FlowRecord> {
-        self.slots.get(slot_of(flow))?.as_ref()
+        self.position(flow).map(|p| &self.slab[p])
     }
 
     #[inline]
     fn get_mut(&mut self, flow: FlowId) -> Option<&mut FlowRecord> {
-        self.slots.get_mut(slot_of(flow))?.as_mut()
+        self.position(flow).map(|p| &mut self.slab[p])
+    }
+
+    /// Whether `flow` finished and was folded.
+    pub fn is_folded(&self, flow: FlowId) -> bool {
+        self.slot(flow) == FOLDED
+    }
+
+    /// Every record, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &FlowRecord> {
+        self.slab.iter()
     }
 
     /// Every record, in id order.
-    pub fn values(&self) -> impl Iterator<Item = &FlowRecord> {
-        self.slots.iter().flatten()
+    fn sorted(&self) -> Vec<&FlowRecord> {
+        let mut v: Vec<&FlowRecord> = self.slab.iter().collect();
+        v.sort_unstable_by_key(|r| r.flow);
+        v
     }
 
-    fn into_values(self) -> impl Iterator<Item = FlowRecord> {
-        self.slots.into_iter().flatten()
+    /// `flow`'s index entry, the index grown to hold it.
+    #[inline]
+    fn entry(&mut self, flow: FlowId) -> &mut u32 {
+        let i = slot_of(flow);
+        if i >= self.index.len() {
+            self.index.resize(i + 1, NO_RECORD);
+        }
+        &mut self.index[i]
     }
 
-    /// Files `rec` under its id, replacing what was there.
-    fn insert(&mut self, rec: FlowRecord) {
-        let i = slot_of(rec.flow);
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
+    /// Files `rec` under its id, replacing a record held there, and
+    /// returns its position.
+    #[inline]
+    fn insert(&mut self, rec: FlowRecord) -> usize {
+        let next = self.slab.len();
+        let e = self.entry(rec.flow);
+        if let NO_RECORD | FOLDED = *e {
+            let code = u32::try_from(next + 1).ok().filter(|&c| c != FOLDED);
+            *e = code.expect("live flows beyond the index's reach");
+            self.slab.push(rec);
+            return next;
         }
-        if self.slots[i].replace(rec).is_none() {
-            self.len += 1;
+        let p = *e as usize - 1;
+        self.slab[p] = rec;
+        p
+    }
+
+    /// Drops `flow`'s record, at `p`, and marks the id folded; the last
+    /// record takes its place.
+    #[inline]
+    fn fold_out(&mut self, flow: FlowId, p: usize) {
+        let last = self.slab.len() - 1;
+        if p != last {
+            self.slab.swap(p, last);
+            self.index[slot_of(self.slab[p].flow)] = p as u32 + 1;
         }
+        self.slab.truncate(last);
+        self.index[slot_of(flow)] = FOLDED;
+    }
+
+    /// Marks `flow` folded (it holds no record).
+    fn mark_folded(&mut self, flow: FlowId) {
+        *self.entry(flow) = FOLDED;
+    }
+
+    /// The folded ids, ascending.
+    fn folded_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
+        (self.index.iter().enumerate())
+            .filter(|&(_, &p)| p == FOLDED)
+            .map(|(i, _)| FlowId(i as u64))
+    }
+
+    /// Heap bytes the per-id index holds: 4 per id up to the highest
+    /// filed, and the index's spare room.
+    pub fn index_bytes(&self) -> usize {
+        self.index.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Heap bytes held: the index and the records' room.
+    pub fn heap_bytes(&self) -> usize {
+        self.index_bytes() + self.slab.capacity() * std::mem::size_of::<FlowRecord>()
     }
 }
 
@@ -183,7 +295,7 @@ fn slot_of(flow: FlowId) -> usize {
     usize::try_from(flow.0).expect("flow id beyond the address space")
 }
 
-impl std::ops::Index<&FlowId> for FlowLedger {
+impl std::ops::Index<&FlowId> for LiveFlows {
     type Output = FlowRecord;
 
     fn index(&self, flow: &FlowId) -> &FlowRecord {
@@ -192,11 +304,11 @@ impl std::ops::Index<&FlowId> for FlowLedger {
     }
 }
 
-/// As a map from id to record, the holes left out.
-impl fmt::Debug for FlowLedger {
+/// As a map from id to record, in id order.
+impl fmt::Debug for LiveFlows {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()
-            .entries(self.values().map(|r| (r.flow, r)))
+            .entries(self.sorted().into_iter().map(|r| (r.flow, r)))
             .finish()
     }
 }
@@ -214,6 +326,8 @@ pub struct QueryRecord {
     pub done_flows: u32,
     /// When the last reply finished (None: incomplete at horizon).
     pub finished: Option<SimTime>,
+    /// Scenario-component tag (0: the base workload).
+    pub tag: u8,
 }
 
 impl QueryRecord {
@@ -227,10 +341,13 @@ impl QueryRecord {
 /// Central metrics sink for one simulation run.
 #[derive(Debug, Default)]
 pub struct Recorder {
-    /// All flows ever started.
-    pub flows: FlowLedger,
-    /// All queries ever issued.
+    /// The flows still running (see [`LiveFlows`]).
+    pub flows: LiveFlows,
+    /// Queries issued and not yet complete, and, in the domain engine,
+    /// every query until [`Recorder::recompute_queries`].
     pub queries: BTreeMap<QueryId, QueryRecord>,
+    /// What finished flows and queries left for the report.
+    pub folded: Folded,
     /// Packet drops by cause.
     pub drops: [u64; DROP_CAUSES],
     /// Bytes dropped.
@@ -280,12 +397,6 @@ pub struct Recorder {
     pub audit: crate::audit::AuditHooks,
     /// Per-packet provenance sink (records only once armed).
     pub trace: crate::trace::TraceSink,
-    /// Scenario-component tag per flow (tag 0 / absent = base workload).
-    /// Kept out of [`FlowRecord`] because tags are assigned at *schedule*
-    /// time while `flow_started` fires at dispatch.
-    pub flow_tags: BTreeMap<FlowId, u8>,
-    /// Scenario-component tag per query (see `flow_tags`).
-    pub query_tags: BTreeMap<QueryId, u8>,
 }
 
 impl Recorder {
@@ -313,7 +424,23 @@ impl Recorder {
             start: at,
             finished: None,
             delivered_bytes: 0,
+            tag: 0,
         });
+    }
+
+    /// Tags the running `flow` as belonging to scenario component `tag`
+    /// (1-based; untagged flows carry tag 0).
+    pub fn tag_flow(&mut self, flow: FlowId, tag: u8) {
+        if let Some(rec) = self.flows.get_mut(flow) {
+            rec.tag = tag;
+        }
+    }
+
+    /// Tags the issued `query` as belonging to scenario component `tag`.
+    pub fn tag_query(&mut self, query: QueryId, tag: u8) {
+        if let Some(rec) = self.queries.get_mut(&query) {
+            rec.tag = tag;
+        }
     }
 
     /// Records `delta` newly delivered unique bytes for `flow` (goodput
@@ -323,57 +450,28 @@ impl Recorder {
     /// hold the flow's metadata (the sender registered it in another
     /// domain); progress then accrues on a placeholder record that
     /// [`Recorder::absorb`] reconciles with the real one at merge time.
+    #[inline]
     pub fn flow_progress(&mut self, flow: FlowId, delta: u64) {
         self.goodput_bytes += delta;
-        self.flow_stub(flow).delivered_bytes += delta;
-    }
-
-    /// The record for `flow`, creating a placeholder (recognizable by
-    /// `src == NodeId(u32::MAX)`) if the metadata lives in another
-    /// domain's recorder. The classic engine never takes the placeholder
-    /// path: every `flow_started` precedes any progress/finish.
-    #[inline]
-    fn flow_stub(&mut self, flow: FlowId) -> &mut FlowRecord {
-        if self.flows.get(flow).is_none() {
-            self.add_stub(flow);
+        match self.flows.get_mut(flow) {
+            Some(rec) => rec.delivered_bytes += delta,
+            None => self.progress_without_record(flow, delta),
         }
-        self.flows.get_mut(flow).expect("a record was just filed")
     }
 
+    /// Progress on a flow that holds no record: a late copy of a folded
+    /// flow, which delivers nothing new and files nothing, or the first
+    /// progress of a flow another domain's recorder started.
     #[cold]
     #[inline(never)]
-    fn add_stub(&mut self, flow: FlowId) {
-        self.flows.insert(FlowRecord {
-            flow,
-            query: QueryId::NONE,
-            src: NodeId(u32::MAX),
-            dst: NodeId(u32::MAX),
-            bytes: 0,
-            start: SimTime::ZERO,
-            finished: None,
-            delivered_bytes: 0,
-        });
-    }
-
-    /// Tags `flow` as belonging to scenario component `tag` (1-based;
-    /// untagged flows implicitly carry tag 0).
-    pub fn tag_flow(&mut self, flow: FlowId, tag: u8) {
-        self.flow_tags.insert(flow, tag);
-    }
-
-    /// Tags `query` as belonging to scenario component `tag`.
-    pub fn tag_query(&mut self, query: QueryId, tag: u8) {
-        self.query_tags.insert(query, tag);
-    }
-
-    /// The tag of `flow` (0 when untagged).
-    pub fn flow_tag(&self, flow: FlowId) -> u8 {
-        self.flow_tags.get(&flow).copied().unwrap_or(0)
-    }
-
-    /// The tag of `query` (0 when untagged).
-    pub fn query_tag(&self, query: QueryId) -> u8 {
-        self.query_tags.get(&query).copied().unwrap_or(0)
+    fn progress_without_record(&mut self, flow: FlowId, delta: u64) {
+        if self.flows.is_folded(flow) {
+            debug_assert_eq!(delta, 0, "{flow:?} progressed after it finished");
+            return;
+        }
+        let mut stub = FlowRecord::placeholder(flow);
+        stub.delivered_bytes = delta;
+        self.flows.insert(stub);
     }
 
     /// Registers a query fan-out (call before starting its flows).
@@ -386,61 +484,106 @@ impl Recorder {
                 expected_flows,
                 done_flows: 0,
                 finished: None,
+                tag: 0,
             },
         );
     }
 
-    /// Marks a flow finished (receiver has every byte), updating its query.
+    /// Marks a flow finished (receiver has every byte), updating its query,
+    /// and folds what the report reads of a whole record into
+    /// [`Recorder::folded`], dropping the record. A query folds the same
+    /// way when its last reply finishes. A placeholder waits for
+    /// [`Recorder::absorb`], and so does a reply whose query another
+    /// recorder holds, for [`Recorder::recompute_queries`].
     pub fn flow_finished(&mut self, flow: FlowId, at: SimTime) {
-        let rec = self.flow_stub(flow);
+        let p = match self.flows.slot(flow) {
+            FOLDED => return,
+            NO_RECORD => self.flows.insert(FlowRecord::placeholder(flow)),
+            p => p as usize - 1,
+        };
+        let rec = &mut self.flows.slab[p];
         if rec.finished.is_some() {
             return;
         }
         rec.finished = Some(at);
-        let q = rec.query;
-        if q.is_query() {
-            if let Some(qr) = self.queries.get_mut(&q) {
-                qr.done_flows += 1;
-                if qr.done_flows >= qr.expected_flows && qr.finished.is_none() {
-                    qr.finished = Some(at);
-                }
-            }
+        let (q, whole) = (rec.query, rec.is_whole());
+        let query_here = !q.is_query() || self.reply_finished(q, at);
+        if whole && query_here {
+            self.folded.add_flow(&self.flows.slab[p], at);
+            self.flows.fold_out(flow, p);
         }
     }
 
-    /// Merges a domain recorder into this one. Every counter is a sum and
-    /// flow records reconcile symmetrically (metadata from whichever side
-    /// registered the flow, progress summed, earliest finish wins — with
-    /// per-flow state owned by exactly one domain there is never a
-    /// conflicting pair), so absorbing domain recorders in any order
-    /// yields the same result. Query completion state is *not* rebuilt
-    /// here; call [`Recorder::recompute_queries`] once after the last
-    /// absorb.
+    /// Counts a reply of `q` finished at `at`, folding the query at its
+    /// last reply; false when this recorder does not hold `q`.
+    fn reply_finished(&mut self, q: QueryId, at: SimTime) -> bool {
+        let Some(qr) = self.queries.get_mut(&q) else {
+            return false;
+        };
+        qr.done_flows += 1;
+        if qr.done_flows >= qr.expected_flows && qr.finished.is_none() {
+            qr.finished = Some(at);
+            let qr = self.queries.remove(&q).expect("just counted");
+            self.folded.add_query(&qr);
+        }
+        true
+    }
+
+    /// Flows started: folded and live records, as the report counts them.
+    pub fn flows_started(&self) -> u64 {
+        self.folded.flows() + self.flows.len() as u64
+    }
+
+    /// Flows completed: folded records and finished live ones.
+    pub fn flows_completed(&self) -> u64 {
+        let live = self.flows.values().filter(|f| f.finished.is_some());
+        self.folded.flows() + live.count() as u64
+    }
+
+    /// Bytes offered: the sizes of the flows started, folded and live.
+    pub fn bytes_offered(&self) -> u64 {
+        let folded: u64 = self.folded.tenants.values().map(|t| t.bytes_offered).sum();
+        folded + self.flows.values().map(|f| f.bytes).sum::<u64>()
+    }
+
+    /// Merges a domain recorder into this one. Every counter is a sum,
+    /// folded samples are pooled, and flow records reconcile symmetrically
+    /// (metadata from whichever side registered the flow, progress summed,
+    /// earliest finish wins — with per-flow state owned by exactly one
+    /// domain there is never a conflicting pair), so absorbing domain
+    /// recorders in any order yields the same report. Query completion
+    /// state is *not* rebuilt here; call [`Recorder::recompute_queries`]
+    /// once after the last absorb.
     ///
     /// The trace sink is intentionally untouched: tracing and the domain
     /// engine are mutually exclusive.
     pub fn absorb(&mut self, mut other: Recorder) {
-        if self.flows.is_empty() {
-            // Nothing to reconcile: the first domain's ledger is taken
-            // whole rather than copied record by record.
+        if self.flows.index.is_empty() {
+            // Nothing to reconcile: the first domain's records are taken
+            // whole rather than copied one by one.
             std::mem::swap(&mut self.flows, &mut other.flows);
         }
-        for o in other.flows.into_values() {
+        for flow in other.flows.folded_ids() {
+            self.flows.mark_folded(flow);
+        }
+        for o in other.flows.slab {
             let Some(a) = self.flows.get_mut(o.flow) else {
                 self.flows.insert(o);
                 continue;
             };
-            if a.src == NodeId(u32::MAX) {
+            if !a.is_whole() {
                 // `a` is a placeholder: adopt `o`'s identity.
                 a.query = o.query;
                 a.src = o.src;
                 a.dst = o.dst;
                 a.bytes = o.bytes;
                 a.start = o.start;
+                a.tag = o.tag;
             }
             a.delivered_bytes += o.delivered_bytes;
             a.finished = a.finished.or(o.finished);
         }
+        self.folded.absorb(other.folded);
         for (id, o) in other.queries {
             self.queries.entry(id).or_insert(o);
         }
@@ -466,14 +609,14 @@ impl Recorder {
         self.mice_queueing_pkts += other.mice_queueing_pkts;
         self.fault_events += other.fault_events;
         self.audit.absorb(&other.audit);
-        self.flow_tags.extend(other.flow_tags);
-        self.query_tags.extend(other.query_tags);
     }
 
-    /// Rebuilds every query's `done_flows`/`finished` from the flow
-    /// records — the merge-order-independent replacement for the
+    /// Rebuilds every open query's `done_flows`/`finished` from the live
+    /// flow records — the merge-order-independent replacement for the
     /// incremental bookkeeping [`Recorder::flow_finished`] does when flow
-    /// and query live in the same recorder.
+    /// and query live in the same recorder. A domain recorder holds no
+    /// queries, so it folds no reply and every reply is still a record
+    /// here.
     pub fn recompute_queries(&mut self) {
         let mut finished: BTreeMap<QueryId, Vec<SimTime>> = BTreeMap::new();
         for f in self.flows.values() {
@@ -506,16 +649,17 @@ impl Recorder {
         self.drops.iter().sum()
     }
 
-    /// Serializes every accumulator: flow and query lifecycles, drop/
-    /// deflection/ECN/goodput counters, and the embedded audit and trace
-    /// state, then `next_flow`, the simulator's flow-id counter: every id
-    /// the ledger holds is below it, and [`Recorder::snap_restore`] checks
-    /// that before the ledger grows. Flows, queries and tags are written
-    /// in id order, so the stream is deterministic.
+    /// Serializes every accumulator: live flow records, the folded ids,
+    /// open queries, the folded samples, drop/deflection/ECN/goodput
+    /// counters, and the embedded audit and trace state, then `next_flow`,
+    /// the simulator's flow-id counter: every id the recorder names is
+    /// below it, and [`Recorder::snap_restore`] checks that before the
+    /// index grows. Records and queries are written in id order, so the
+    /// stream is deterministic.
     pub fn snap_save(&self, w: &mut SnapWriter, next_flow: u64) {
         use vertigo_simcore::Snapshot;
         w.put_usize(self.flows.len());
-        for rec in self.flows.values() {
+        for rec in self.flows.sorted() {
             w.put_u64(rec.flow.0);
             w.put_u64(rec.query.0);
             w.put_u32(rec.src.0);
@@ -524,6 +668,19 @@ impl Recorder {
             rec.start.save(w);
             rec.finished.save(w);
             w.put_u64(rec.delivered_bytes);
+            w.put_u32(rec.tag as u32);
+        }
+        // The folded ids as a bitmap, bit `i % 64` of word `i / 64`.
+        let mut words = vec![0u64; self.flows.index.len().div_ceil(64)];
+        for f in self.flows.folded_ids() {
+            words[slot_of(f) / 64] |= 1 << (f.0 % 64);
+        }
+        while words.last() == Some(&0) {
+            words.pop();
+        }
+        w.put_usize(words.len());
+        for word in words {
+            w.put_u64(word);
         }
         w.put_usize(self.queries.len());
         for rec in self.queries.values() {
@@ -532,7 +689,9 @@ impl Recorder {
             w.put_u32(rec.expected_flows);
             w.put_u32(rec.done_flows);
             rec.finished.save(w);
+            w.put_u32(rec.tag as u32);
         }
+        self.folded.snap_save(w);
         for d in &self.drops {
             w.put_u64(*d);
         }
@@ -556,25 +715,17 @@ impl Recorder {
         w.put_u64(self.fault_events);
         self.audit.snap_save(w);
         self.trace.snap_save(w);
-        w.put_usize(self.flow_tags.len());
-        for (f, tag) in &self.flow_tags {
-            w.put_u64(f.0);
-            w.put_u32(*tag as u32);
-        }
-        w.put_usize(self.query_tags.len());
-        for (q, tag) in &self.query_tags {
-            w.put_u64(q.0);
-            w.put_u32(*tag as u32);
-        }
         w.put_u64(next_flow);
     }
 
     /// Restores state written by [`Recorder::snap_save`], replacing the
     /// recorder's entire contents, and returns the `next_flow` saved with
-    /// it. Refuses what `snap_save` never writes: flows, queries or tags
-    /// whose ids do not strictly ascend (named twice, or out of order), a
-    /// tag above 255, and a flow id at or above `next_flow` — checked
-    /// before the ledger, which a flow id sizes, grows.
+    /// it. Refuses what `snap_save` never writes: records, queries or
+    /// tenants whose ids do not strictly ascend (named twice, or out of
+    /// order), a tag above 255, a sample that is not a finite count of
+    /// seconds, an id both live and folded, an elephant not folded, and a
+    /// flow id at or above `next_flow` — checked before the index, which a
+    /// flow id sizes, grows.
     pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
         use vertigo_simcore::Snapshot;
         // Read before they are filed: the last id is checked against
@@ -591,9 +742,16 @@ impl Recorder {
                 start: SimTime::restore(r)?,
                 finished: Option::restore(r)?,
                 delivered_bytes: r.get_u64()?,
+                tag: tag(r, "flow", flow)?,
             });
             Ok(())
         })?;
+        let words = (0..r.count(8, "folded-id words")?)
+            .map(|_| r.get_u64())
+            .collect::<Result<Vec<u64>, _>>()?;
+        if words.last() == Some(&0) {
+            return Err(SnapError::new("folded-id bitmap ends in an empty word"));
+        }
         self.queries.clear();
         // A query record opens with its id, start and two flow counts.
         r.ascending(24, "query", SnapReader::get_u64, |r, id| {
@@ -604,10 +762,12 @@ impl Recorder {
                 expected_flows: r.get_u32()?,
                 done_flows: r.get_u32()?,
                 finished: Option::restore(r)?,
+                tag: tag(r, "query", id)?,
             };
             self.queries.insert(query, rec);
             Ok(())
         })?;
+        self.folded = Folded::snap_restore(r)?;
         for d in self.drops.iter_mut() {
             *d = r.get_u64()?;
         }
@@ -639,48 +799,247 @@ impl Recorder {
         self.fault_events = r.get_u64()?;
         self.audit.snap_restore(r)?;
         self.trace.snap_restore(r)?;
-        let flow_tags = tags(r, "flow")?;
-        self.flow_tags = flow_tags.iter().map(|&(f, t)| (FlowId(f), t)).collect();
-        self.query_tags = (tags(r, "query")?.into_iter())
-            .map(|(q, t)| (QueryId(q), t))
-            .collect();
         let next_flow = r.get_u64()?;
         let last_flow = flows.last().map(|f| f.flow.0);
-        let last_tagged = flow_tags.last().map(|&(f, _)| f);
-        if let Some(id) = last_flow.max(last_tagged).filter(|&id| id >= next_flow) {
+        // The highest folded id: the last word's top bit.
+        let last_folded = (words.len() as u64 * 64)
+            .checked_sub(1 + words.last().map_or(0, |w| w.leading_zeros()) as u64);
+        if let Some(id) = last_flow.max(last_folded).filter(|&id| id >= next_flow) {
             return Err(SnapError::new(format!(
                 "flow {id} at or above the flow-id counter {next_flow}"
             )));
         }
-        self.flows = FlowLedger::default();
-        if let Some(id) = last_flow {
-            (self.flows.slots.try_reserve_exact(slot_of(FlowId(id)) + 1))
+        let mut live = LiveFlows::default();
+        if let Some(id) = last_flow.max(last_folded) {
+            (live.index.try_reserve_exact(slot_of(FlowId(id)) + 1))
                 .map_err(|e| SnapError::new(format!("no room for flow {id}: {e}")))?;
         }
-        for rec in flows {
-            self.flows.insert(rec);
+        for (k, word) in words.iter().enumerate() {
+            for bit in (0..64).filter(|b| word >> b & 1 == 1) {
+                live.mark_folded(FlowId(k as u64 * 64 + bit));
+            }
         }
+        for rec in flows {
+            if live.is_folded(rec.flow) {
+                let id = rec.flow.0;
+                return Err(SnapError::new(format!("flow {id} both live and folded")));
+            }
+            live.insert(rec);
+        }
+        if let Some(e) = self
+            .folded
+            .elephants
+            .iter()
+            .find(|e| !live.is_folded(e.flow))
+        {
+            let id = e.flow.0;
+            return Err(SnapError::new(format!("elephant {id} was never folded")));
+        }
+        self.flows = live;
         Ok(next_flow)
     }
 }
 
-/// A list of `(id, tag)` in ascending id order, each tag a `u8` written
-/// as a `u32`.
-fn tags(r: &mut SnapReader<'_>, what: &str) -> Result<Vec<(u64, u8)>, SnapError> {
-    let mut out = Vec::new();
-    r.ascending(8 + 4, what, SnapReader::get_u64, |r, id| {
-        let tag = r.get_u32()?;
-        let tag = u8::try_from(tag)
-            .map_err(|_| SnapError::new(format!("{what} {id} tagged {tag}, above 255")))?;
-        out.push((id, tag));
-        Ok(())
-    })?;
-    Ok(out)
+/// A tag, a `u8` written as a `u32`, of the `what` record `id`.
+fn tag(r: &mut SnapReader<'_>, what: &str, id: u64) -> Result<u8, SnapError> {
+    let tag = r.get_u32()?;
+    u8::try_from(tag).map_err(|_| SnapError::new(format!("{what} {id} tagged {tag}, above 255")))
+}
+
+/// A finished elephant's share of the report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Elephant {
+    /// Flow id: the goodput's sum runs in id order.
+    pub flow: FlowId,
+    /// Unique bytes delivered.
+    pub delivered_bytes: u64,
+    /// Seconds from start to finish.
+    pub active_secs: f64,
+}
+
+/// What one scenario tag's flows and queries leave in a [`Folded`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Tally {
+    /// Flows added.
+    pub flows_started: u64,
+    /// Sizes of the flows added, summed.
+    pub bytes_offered: u64,
+    /// Unique bytes those flows delivered, summed.
+    pub bytes_delivered: u64,
+    /// FCTs (seconds) of the completed mice (< [`MICE_BYTES`]), in the
+    /// order they were added.
+    pub fct_mice: Vec<f64>,
+    /// FCTs of the other completed flows.
+    pub fct_rest: Vec<f64>,
+    /// Queries added.
+    pub queries_started: u64,
+    /// QCTs (seconds) of the completed queries.
+    pub qct: Vec<f64>,
+}
+
+impl Tally {
+    /// FCT samples: one per completed flow.
+    pub fn flows_completed(&self) -> u64 {
+        (self.fct_mice.len() + self.fct_rest.len()) as u64
+    }
+}
+
+/// Flows and queries reduced to what [`crate::Report`] reads of them: per
+/// scenario tag, the counts, byte sums and FCT/QCT samples, and each
+/// elephant's bytes and active time. The recorder folds a flow here when
+/// it finishes and a query when its last reply does; a report adds the
+/// live records to a copy.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Folded {
+    /// Per tag present, its tally.
+    pub tenants: BTreeMap<u8, Tally>,
+    /// Finished elephants (> [`ELEPHANT_BYTES`]) in the order they were
+    /// added.
+    pub elephants: Vec<Elephant>,
+}
+
+impl Folded {
+    /// Adds `f`: started and its bytes, its FCT if it finished, and, for an
+    /// elephant, its delivered bytes and active time up to its finish, or
+    /// up to `horizon` while it runs.
+    pub(crate) fn add_flow(&mut self, f: &FlowRecord, horizon: SimTime) {
+        let t = self.tenants.entry(f.tag).or_default();
+        t.flows_started += 1;
+        t.bytes_offered += f.bytes;
+        t.bytes_delivered += f.delivered_bytes;
+        if let Some(s) = f.fct_secs() {
+            if f.bytes < MICE_BYTES {
+                t.fct_mice.push(s);
+            } else {
+                t.fct_rest.push(s);
+            }
+        }
+        if f.bytes > ELEPHANT_BYTES {
+            let end = f.finished.unwrap_or(horizon);
+            self.elephants.push(Elephant {
+                flow: f.flow,
+                delivered_bytes: f.delivered_bytes,
+                active_secs: end.saturating_since(f.start).as_secs_f64(),
+            });
+        }
+    }
+
+    /// Adds `q`: issued, and its QCT if it completed.
+    pub(crate) fn add_query(&mut self, q: &QueryRecord) {
+        let t = self.tenants.entry(q.tag).or_default();
+        t.queries_started += 1;
+        t.qct.extend(q.qct_secs());
+    }
+
+    /// Flows added.
+    pub fn flows(&self) -> u64 {
+        self.tenants.values().map(|t| t.flows_started).sum()
+    }
+
+    /// Pools `other`'s tallies and elephants into these.
+    fn absorb(&mut self, other: Folded) {
+        for (tag, o) in other.tenants {
+            let t = self.tenants.entry(tag).or_default();
+            t.flows_started += o.flows_started;
+            t.bytes_offered += o.bytes_offered;
+            t.bytes_delivered += o.bytes_delivered;
+            t.fct_mice.extend(o.fct_mice);
+            t.fct_rest.extend(o.fct_rest);
+            t.queries_started += o.queries_started;
+            t.qct.extend(o.qct);
+        }
+        self.elephants.extend(other.elephants);
+    }
+
+    /// Heap bytes held by the tallies, their samples and the elephants.
+    pub fn heap_bytes(&self) -> usize {
+        let tally = std::mem::size_of::<(u8, Tally)>();
+        let samples = |t: &Tally| t.fct_mice.capacity() + t.fct_rest.capacity() + t.qct.capacity();
+        self.tenants
+            .values()
+            .map(|t| tally + 8 * samples(t))
+            .sum::<usize>()
+            + self.elephants.capacity() * std::mem::size_of::<Elephant>()
+    }
+
+    /// Writes the tallies in tag order, then the elephants in id order. A
+    /// recorder's tallies hold finished flows and queries only, so their
+    /// counts are their sample counts and are not written.
+    fn snap_save(&self, w: &mut SnapWriter) {
+        w.put_usize(self.tenants.len());
+        for (&tag, t) in &self.tenants {
+            debug_assert_eq!(t.flows_started, t.flows_completed());
+            debug_assert_eq!(t.queries_started, t.qct.len() as u64);
+            w.put_u64(tag as u64);
+            w.put_u64(t.bytes_offered);
+            w.put_u64(t.bytes_delivered);
+            for samples in [&t.fct_mice, &t.fct_rest, &t.qct] {
+                w.put_usize(samples.len());
+                for &s in samples {
+                    w.put_f64(s);
+                }
+            }
+        }
+        let mut elephants: Vec<&Elephant> = self.elephants.iter().collect();
+        elephants.sort_unstable_by_key(|e| e.flow);
+        w.put_usize(elephants.len());
+        for e in elephants {
+            w.put_u64(e.flow.0);
+            w.put_u64(e.delivered_bytes);
+            w.put_f64(e.active_secs);
+        }
+    }
+
+    /// Reads what [`Folded::snap_save`] wrote.
+    fn snap_restore(r: &mut SnapReader<'_>) -> Result<Folded, SnapError> {
+        fn secs(r: &mut SnapReader<'_>, what: &str) -> Result<f64, SnapError> {
+            let s = r.get_f64()?;
+            if !(s.is_finite() && s >= 0.0) {
+                return Err(SnapError::new(format!("{what} sample {s} is no time")));
+            }
+            Ok(s)
+        }
+        let mut out = Folded::default();
+        // A tally opens with its tag, two byte sums and three list counts.
+        r.ascending(48, "tenant", SnapReader::get_u64, |r, id| {
+            let tag = u8::try_from(id)
+                .map_err(|_| SnapError::new(format!("tenant {id} above tag 255")))?;
+            let mut t = Tally {
+                bytes_offered: r.get_u64()?,
+                bytes_delivered: r.get_u64()?,
+                ..Tally::default()
+            };
+            for (samples, what) in [
+                (&mut t.fct_mice, "mice FCT"),
+                (&mut t.fct_rest, "FCT"),
+                (&mut t.qct, "QCT"),
+            ] {
+                for _ in 0..r.count(8, what)? {
+                    samples.push(secs(r, what)?);
+                }
+            }
+            t.flows_started = t.flows_completed();
+            t.queries_started = t.qct.len() as u64;
+            out.tenants.insert(tag, t);
+            Ok(())
+        })?;
+        r.ascending(24, "elephant", SnapReader::get_u64, |r, flow| {
+            out.elephants.push(Elephant {
+                flow: FlowId(flow),
+                delivered_bytes: r.get_u64()?,
+                active_secs: secs(r, "elephant active-time")?,
+            });
+            Ok(())
+        })?;
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::TenantReport;
+    use crate::summary::summarize;
     use crate::Report;
     use proptest::prelude::*;
 
@@ -692,12 +1051,19 @@ mod tests {
     fn flow_lifecycle() {
         let mut r = Recorder::new();
         r.flow_started(FlowId(1), QueryId::NONE, NodeId(0), NodeId(1), 1000, t(10));
+        assert_eq!(r.flows[&FlowId(1)].finished, None);
+        r.flow_progress(FlowId(1), 1000);
         r.flow_finished(FlowId(1), t(110));
-        let rec = &r.flows[&FlowId(1)];
-        assert_eq!(rec.fct_secs(), Some(100e-6));
-        // Double-finish is idempotent.
+        // Finished, the record is folded: its FCT sample stays.
+        assert!(r.flows.is_empty() && r.flows.is_folded(FlowId(1)));
+        assert_eq!(r.folded.tenants[&0].fct_mice, [100e-6]);
+        assert_eq!((r.flows_started(), r.flows_completed()), (1, 1));
+        // Double-finish is idempotent, and a late copy files nothing.
         r.flow_finished(FlowId(1), t(999));
-        assert_eq!(r.flows[&FlowId(1)].finished, Some(t(110)));
+        r.flow_progress(FlowId(1), 0);
+        assert!(r.flows.is_empty());
+        assert_eq!(r.folded.tenants[&0].fct_mice, [100e-6]);
+        assert_eq!((r.flows_started(), r.flows_completed()), (1, 1));
     }
 
     #[test]
@@ -711,9 +1077,12 @@ mod tests {
         r.flow_finished(FlowId(0), t(50));
         r.flow_finished(FlowId(1), t(70));
         assert_eq!(r.queries[&q].finished, None);
+        assert_eq!(r.queries[&q].done_flows, 2);
         r.flow_finished(FlowId(2), t(90));
-        assert_eq!(r.queries[&q].finished, Some(t(90)));
-        assert_eq!(r.queries[&q].qct_secs(), Some(90e-6));
+        // Complete, the query is folded into its QCT sample.
+        assert!(r.queries.is_empty());
+        assert_eq!(r.folded.tenants[&0].qct, [90e-6]);
+        assert_eq!(Report::from_recorder(&r, t(100)).qct_mean, 90e-6);
     }
 
     #[test]
@@ -722,6 +1091,7 @@ mod tests {
         r.flow_started(FlowId(1), QueryId::NONE, NodeId(0), NodeId(1), 10, t(0));
         r.flow_finished(FlowId(1), t(5));
         assert!(r.queries.is_empty());
+        assert_eq!(r.folded.tenants[&0].queries_started, 0);
     }
 
     #[test]
@@ -757,7 +1127,9 @@ mod tests {
         let mut r = Recorder::new();
         let q = QueryId(1);
         r.query_started(q, 2, t(0));
+        r.tag_query(q, 1);
         r.flow_started(FlowId(1), q, NodeId(0), NodeId(1), 1000, t(10));
+        r.tag_flow(FlowId(1), 2);
         r.flow_started(FlowId(2), QueryId::NONE, NodeId(2), NodeId(3), 500, t(20));
         r.flow_progress(FlowId(1), 400);
         r.flow_finished(FlowId(1), t(110));
@@ -765,8 +1137,6 @@ mod tests {
         r.deflections = 7;
         r.mice_queueing_secs = 0.125;
         r.fault_events = 3;
-        r.tag_flow(FlowId(1), 2);
-        r.tag_query(q, 1);
         let mut w = SnapWriter::new();
         r.snap_save(&mut w, 4);
         let bytes = w.into_bytes();
@@ -776,21 +1146,23 @@ mod tests {
         assert_eq!(reader.remaining(), 0);
         assert_eq!(format!("{:?}", r2.flows), format!("{:?}", r.flows));
         assert_eq!(format!("{:?}", r2.queries), format!("{:?}", r.queries));
+        assert_eq!(r2.folded, r.folded);
+        assert!(r2.flows.is_folded(FlowId(1)) && !r2.flows.is_folded(FlowId(2)));
         assert_eq!(r2.drops, r.drops);
         assert_eq!(r2.deflections, 7);
         assert_eq!(r2.goodput_bytes, 400);
         assert_eq!(r2.mice_queueing_secs, 0.125);
         assert_eq!(r2.fault_events, 3);
-        assert_eq!(r2.flow_tag(FlowId(1)), 2);
-        assert_eq!(r2.flow_tag(FlowId(2)), 0);
-        assert_eq!(r2.query_tag(q), 1);
+        assert_eq!(r2.folded.tenants[&2].bytes_delivered, 400);
+        assert_eq!(r2.queries[&q].tag, 1);
         // Future behavior identical: finishing the second query flow closes
         // the query the same way in both.
-        r.flow_started(FlowId(3), q, NodeId(4), NodeId(0), 200, t(200));
-        r2.flow_started(FlowId(3), q, NodeId(4), NodeId(0), 200, t(200));
-        r.flow_finished(FlowId(3), t(300));
-        r2.flow_finished(FlowId(3), t(300));
-        assert_eq!(r2.queries[&q].done_flows, r.queries[&q].done_flows);
+        for rec in [&mut r, &mut r2] {
+            rec.flow_started(FlowId(3), q, NodeId(4), NodeId(0), 200, t(200));
+            rec.flow_finished(FlowId(3), t(300));
+            assert!(rec.queries.is_empty());
+        }
+        assert_eq!(r2.folded, r.folded);
     }
 
     fn saved(r: &Recorder, next_flow: u64) -> Vec<u8> {
@@ -805,60 +1177,83 @@ mod tests {
         Ok((r, next_flow))
     }
 
-    fn report(r: &Recorder) -> String {
-        format!("{:?}", Report::from_recorder(r, t(1_000)))
+    fn report(r: &Recorder) -> Vec<u64> {
+        bits(&Report::from_recorder(r, t(1_000)))
     }
 
-    /// A recorder record as `snap_save` lays it out, from its four id
-    /// lists — flows and queries with fixed contents, tags as given — and
-    /// the counters of an empty recorder.
-    fn record(
-        flows: &[u64],
-        queries: &[u64],
-        flow_tags: &[(u64, u32)],
-        query_tags: &[(u64, u32)],
+    /// The parts of a recorder record, each as `snap_save` lays it out.
+    #[derive(Clone)]
+    struct Parts {
+        flows: Vec<(u64, u32)>,
+        folded_words: Vec<u64>,
+        queries: Vec<(u64, u32)>,
+        tenants: Vec<(u64, f64)>,
+        elephants: Vec<(u64, f64)>,
         next_flow: u64,
-    ) -> Vec<u8> {
-        use vertigo_simcore::Snapshot;
-        let empty = saved(&Recorder::new(), 0);
-        let counters = &empty[16..empty.len() - 24];
-        let mut w = SnapWriter::new();
-        w.put_usize(flows.len());
-        for &id in flows {
-            for v in [id, QueryId::NONE.0] {
-                w.put_u64(v);
-            }
-            w.put_u32(0);
-            w.put_u32(1);
-            w.put_u64(1_000);
-            t(1).save(&mut w);
-            None::<SimTime>.save(&mut w);
-            w.put_u64(0);
-        }
-        w.put_usize(queries.len());
-        for &id in queries {
-            w.put_u64(id);
-            t(1).save(&mut w);
-            w.put_u32(1);
-            w.put_u32(0);
-            None::<SimTime>.save(&mut w);
-        }
-        w.put_bytes(counters);
-        for list in [flow_tags, query_tags] {
-            w.put_usize(list.len());
-            for &(id, tag) in list {
-                w.put_u64(id);
+    }
+
+    impl Parts {
+        /// A live record per `(id, tag)`, a folded-id bitmap, a query per
+        /// `(id, tag)`, a tenant per `(tag, mice FCT sample)`, an elephant
+        /// per `(id, active seconds)`, and the counters of an empty
+        /// recorder.
+        fn bytes(&self) -> Vec<u8> {
+            use vertigo_simcore::Snapshot;
+            let empty = saved(&Recorder::new(), 0);
+            // Behind five empty lists, before the counter.
+            let counters = &empty[40..empty.len() - 8];
+            let mut w = SnapWriter::new();
+            w.put_usize(self.flows.len());
+            for &(id, tag) in &self.flows {
+                for v in [id, QueryId::NONE.0] {
+                    w.put_u64(v);
+                }
+                w.put_u32(0);
+                w.put_u32(1);
+                w.put_u64(1_000);
+                t(1).save(&mut w);
+                None::<SimTime>.save(&mut w);
+                w.put_u64(0);
                 w.put_u32(tag);
             }
+            w.put_usize(self.folded_words.len());
+            for &word in &self.folded_words {
+                w.put_u64(word);
+            }
+            w.put_usize(self.queries.len());
+            for &(id, tag) in &self.queries {
+                w.put_u64(id);
+                t(1).save(&mut w);
+                w.put_u32(1);
+                w.put_u32(0);
+                None::<SimTime>.save(&mut w);
+                w.put_u32(tag);
+            }
+            w.put_usize(self.tenants.len());
+            for &(tag, sample) in &self.tenants {
+                for v in [tag, 1_000, 1_000, 1] {
+                    w.put_u64(v);
+                }
+                w.put_f64(sample);
+                w.put_usize(0);
+                w.put_usize(0);
+            }
+            w.put_usize(self.elephants.len());
+            for &(id, secs) in &self.elephants {
+                w.put_u64(id);
+                w.put_u64(20_000_000);
+                w.put_f64(secs);
+            }
+            w.put_bytes(counters);
+            w.put_u64(self.next_flow);
+            w.into_bytes()
         }
-        w.put_u64(next_flow);
-        w.into_bytes()
     }
 
     #[test]
     fn restore_rejects_hostile_records() {
         // A valid mid-run record: a query half done, a finished flow, one
-        // in progress and one only tagged yet, a hole below the counter.
+        // in progress and one not started yet, a hole below the counter.
         let mut r = Recorder::new();
         let q = QueryId(3);
         r.query_started(q, 2, t(0));
@@ -866,18 +1261,17 @@ mod tests {
         r.flow_started(FlowId(2), q, NodeId(0), NodeId(9), 1_000, t(1));
         r.flow_started(FlowId(4), q, NodeId(1), NodeId(9), 1_000, t(1));
         r.flow_started(FlowId(5), QueryId::NONE, NodeId(2), NodeId(3), 5_000, t(2));
+        r.tag_flow(FlowId(5), 2);
         r.flow_progress(FlowId(2), 1_000);
         r.flow_finished(FlowId(2), t(40));
         r.flow_progress(FlowId(5), 1_460);
-        for (f, tag) in [(2, 1), (5, 2), (6, 2)] {
-            r.tag_flow(FlowId(f), tag);
-        }
         let ok = saved(&r, 7);
         let (mut back, next_flow) = restored(&ok).unwrap();
         assert_eq!((saved(&back, next_flow), next_flow), (ok.clone(), 7));
         // And the restored recorder keeps in step with the original.
         for rec in [&mut r, &mut back] {
             rec.flow_started(FlowId(6), QueryId::NONE, NodeId(4), NodeId(3), 900, t(50));
+            rec.tag_flow(FlowId(6), 2);
             rec.flow_progress(FlowId(4), 1_000);
             rec.flow_finished(FlowId(4), t(60));
             rec.flow_progress(FlowId(5), 3_540);
@@ -885,60 +1279,72 @@ mod tests {
         }
         assert_eq!(saved(&back, 7), saved(&r, 7));
         assert_eq!(report(&back), report(&r));
-        assert_eq!(back.queries[&q].finished, Some(t(60)));
+        assert!(back.queries.is_empty() && back.flows.len() == 1);
 
-        let good = record(&[1, 3], &[1, 2], &[(1, 255), (5, 0)], &[(2, 7)], 6);
-        let (g, next_flow) = restored(&good).unwrap();
+        let good = Parts {
+            flows: vec![(1, 255), (3, 0)],
+            folded_words: vec![1 << 5],
+            queries: vec![(1, 0), (2, 7)],
+            tenants: vec![(0, 1e-4), (9, 0.0)],
+            elephants: vec![(5, 0.5)],
+            next_flow: 6,
+        };
+        let (g, next_flow) = restored(&good.bytes()).unwrap();
         assert_eq!(
-            (g.flows.len(), g.flow_tag(FlowId(1)), next_flow),
+            (g.flows.len(), g.flows[&FlowId(1)].tag, next_flow),
             (2, 255, 6)
         );
+        assert!(g.flows.is_folded(FlowId(5)) && g.folded.tenants[&9].flows_started == 1);
+        let with = |edit: &dyn Fn(&mut Parts)| {
+            let mut p = good.clone();
+            edit(&mut p);
+            p.bytes()
+        };
         for (what, bytes) in [
             // What used to restore as another tenant's flow: 256 as u8 is 0.
-            ("flow tag 256", record(&[1], &[], &[(1, 256)], &[], 2)),
-            ("query tag 256", record(&[], &[1], &[], &[(1, 256)], 1)),
-            (
-                "query tag u32::MAX",
-                record(&[], &[1], &[], &[(1, u32::MAX)], 1),
-            ),
-            // What used to restore with the second entry winning.
-            ("flow named twice", record(&[1, 1], &[], &[], &[], 2)),
-            ("query named twice", record(&[], &[4, 4], &[], &[], 1)),
-            (
-                "flow tag named twice",
-                record(&[], &[], &[(1, 1), (1, 2)], &[], 2),
-            ),
-            (
-                "query tag named twice",
-                record(&[], &[], &[], &[(1, 1), (1, 1)], 1),
-            ),
+            ("flow tag 256", with(&|p| p.flows[0].1 = 256)),
+            ("query tag 256", with(&|p| p.queries[1].1 = 256)),
+            ("query tag u32::MAX", with(&|p| p.queries[1].1 = u32::MAX)),
+            ("tenant 256", with(&|p| p.tenants[1].0 = 256)),
             // What `snap_save` never writes.
-            ("flows descend", record(&[3, 1], &[], &[], &[], 4)),
-            ("queries descend", record(&[], &[3, 1], &[], &[], 1)),
+            ("flow named twice", with(&|p| p.flows[1].0 = 1)),
+            ("query named twice", with(&|p| p.queries[1].0 = 1)),
+            ("tenant named twice", with(&|p| p.tenants[1].0 = 0)),
             (
-                "flow tags descend",
-                record(&[], &[], &[(3, 1), (1, 1)], &[], 4),
+                "elephant named twice",
+                with(&|p| p.elephants = vec![(5, 0.5); 2]),
             ),
+            ("flows descend", with(&|p| p.flows.reverse())),
+            ("queries descend", with(&|p| p.queries.reverse())),
+            ("tenants descend", with(&|p| p.tenants.reverse())),
+            ("a trailing empty word", with(&|p| p.folded_words.push(0))),
             (
-                "query tags descend",
-                record(&[], &[], &[], &[(3, 1), (1, 1)], 1),
+                "an id live and folded",
+                with(&|p| p.folded_words[0] |= 1 << 3),
+            ),
+            ("an elephant not folded", with(&|p| p.elephants[0].0 = 4)),
+            ("a NaN sample", with(&|p| p.tenants[0].1 = f64::NAN)),
+            ("a negative sample", with(&|p| p.tenants[0].1 = -1.0)),
+            (
+                "an endless sample",
+                with(&|p| p.elephants[0].1 = f64::INFINITY),
             ),
             // Ids the flow-id counter never handed out.
-            ("flow at the counter", record(&[1, 4], &[], &[], &[], 4)),
-            (
-                "flow past the counter",
-                record(&[1 << 40], &[], &[], &[], 1),
-            ),
-            (
-                "flow tag at the counter",
-                record(&[], &[], &[(4, 1)], &[], 4),
-            ),
+            ("flow at the counter", with(&|p| p.next_flow = 3)),
+            ("folded id at the counter", with(&|p| p.next_flow = 5)),
+            ("flow past the counter", with(&|p| p.flows[1].0 = 1 << 40)),
             // Below the counter, and more slots than any machine has.
-            ("flow at 2^60", record(&[1 << 60], &[], &[], &[], u64::MAX)),
+            (
+                "flow at 2^60",
+                with(&|p| {
+                    p.flows[1].0 = 1 << 60;
+                    p.next_flow = u64::MAX;
+                }),
+            ),
         ] {
             assert!(restored(&bytes).is_err(), "accepted: {what}");
         }
-        let mut huge_count = record(&[1], &[], &[], &[], 2);
+        let mut huge_count = good.bytes();
         huge_count[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         assert!(
             restored(&huge_count).is_err(),
@@ -949,212 +1355,438 @@ mod tests {
         }
     }
 
-    /// One step of the flow bookkeeping, in one of two recorders (two
-    /// domains of the domain engine).
-    #[derive(Debug, Clone, Copy)]
-    enum Op {
-        Start {
-            flow: u64,
-            query: u64,
-            bytes: u64,
-            at: u64,
-        },
-        Progress {
-            flow: u64,
-            delta: u64,
-        },
-        Finish {
-            flow: u64,
-            at: u64,
-        },
-        Query {
-            query: u64,
-            expected: u32,
-            at: u64,
-        },
-    }
-
-    fn op() -> impl Strategy<Value = (bool, Op)> {
-        // Few ids, so that flows collide, holes open and stubs form.
-        let flow = 0..24u64;
-        let kind = prop_oneof![
-            (flow.clone(), 0..3u64, 1..50_000u64, 0..100u64).prop_map(
-                |(flow, query, bytes, at)| Op::Start {
-                    flow,
-                    query,
-                    bytes,
-                    at
-                }
-            ),
-            (flow.clone(), 1..2_000u64).prop_map(|(flow, delta)| Op::Progress { flow, delta }),
-            (flow, 0..200u64).prop_map(|(flow, at)| Op::Finish { flow, at }),
-            (1..3u64, 0..4u32, 0..100u64).prop_map(|(query, expected, at)| Op::Query {
-                query,
-                expected,
-                at
-            }),
+    /// Every number a report holds, `f64`s by `to_bits`, tenants included.
+    fn bits(r: &Report) -> Vec<u64> {
+        let f = f64::to_bits;
+        let mut v = vec![
+            f(r.horizon_secs),
+            r.flows_started,
+            r.flows_completed,
+            f(r.fct_mean),
+            f(r.fct_p50),
+            f(r.fct_p99),
+            f(r.fct_mice_mean),
+            f(r.fct_mice_p99),
+            r.queries_started,
+            r.queries_completed,
+            f(r.qct_mean),
+            f(r.qct_p50),
+            f(r.qct_p99),
+            f(r.goodput_gbps),
+            f(r.elephant_goodput_mbps),
+            r.tenants.len() as u64,
         ];
-        (any::<bool>(), kind)
+        v.extend(r.fct_samples.iter().map(|&s| f(s)));
+        v.extend(r.qct_samples.iter().map(|&s| f(s)));
+        for t in &r.tenants {
+            let TenantReport {
+                tag,
+                label: _,
+                flows_started,
+                flows_completed,
+                fct_mean,
+                fct_p50,
+                fct_p99,
+                queries_started,
+                queries_completed,
+                qct_mean,
+                qct_p99,
+                bytes_offered,
+                bytes_delivered,
+                goodput_gbps,
+            } = t;
+            v.extend([*tag as u64, *flows_started, *flows_completed]);
+            v.extend([*queries_started, *queries_completed]);
+            v.extend([*bytes_offered, *bytes_delivered]);
+            v.extend(
+                [
+                    *fct_mean,
+                    *fct_p50,
+                    *fct_p99,
+                    *qct_mean,
+                    *qct_p99,
+                    *goodput_gbps,
+                ]
+                .map(f),
+            );
+        }
+        v
     }
 
-    /// The flow bookkeeping on the `BTreeMap` it used to be, beside a
-    /// recorder that keeps everything else (queries, counters) and no
-    /// flows: the oracle the ledger must be indistinguishable from.
+    /// Every flow and query record a run ever had, kept whole, and the
+    /// report built from them as it was before records folded: flows
+    /// and the elephant sum in id order, tenants from the records' tags.
     #[derive(Default)]
-    struct Oracle {
+    struct Reference {
         flows: BTreeMap<FlowId, FlowRecord>,
-        rest: Recorder,
+        queries: BTreeMap<QueryId, QueryRecord>,
+        goodput_bytes: u64,
     }
 
-    impl Oracle {
-        fn stub(&mut self, flow: FlowId) -> &mut FlowRecord {
-            self.flows.entry(flow).or_insert_with(|| FlowRecord {
+    impl Reference {
+        fn record(&mut self, flow: FlowId) -> &mut FlowRecord {
+            self.flows
+                .entry(flow)
+                .or_insert_with(|| FlowRecord::placeholder(flow))
+        }
+
+        fn progress(&mut self, flow: FlowId, delta: u64) {
+            self.goodput_bytes += delta;
+            self.record(flow).delivered_bytes += delta;
+        }
+
+        /// `flow` finishes at `at`; with `incremental`, its query counts it
+        /// as `flow_finished` does.
+        fn finish(&mut self, flow: FlowId, at: SimTime, incremental: bool) {
+            let rec = self.record(flow);
+            if rec.finished.is_some() {
+                return;
+            }
+            rec.finished = Some(at);
+            let q = rec.query;
+            if let Some(qr) = self.queries.get_mut(&q).filter(|_| incremental) {
+                qr.done_flows += 1;
+                if qr.done_flows >= qr.expected_flows && qr.finished.is_none() {
+                    qr.finished = Some(at);
+                }
+            }
+        }
+
+        /// Each query finishes at its `expected`-th reply (the first for
+        /// a query that expects none), as `recompute_queries` rebuilds it.
+        fn recompute_queries(&mut self) {
+            for qr in self.queries.values_mut() {
+                let replies = self.flows.values().filter(|f| f.query == qr.query);
+                let mut times: Vec<SimTime> = replies.filter_map(|f| f.finished).collect();
+                times.sort_unstable();
+                qr.done_flows = times.len() as u32;
+                let need = qr.expected_flows.max(1) as usize;
+                qr.finished = times.get(need - 1).copied();
+            }
+        }
+
+        fn report(&self, horizon: SimTime) -> Report {
+            let mut rest = Recorder::new();
+            rest.goodput_bytes = self.goodput_bytes;
+            let mut r = Report::from_recorder(&rest, horizon);
+            let (mut fct, mut mice, mut qct) = (vec![], vec![], vec![]);
+            let (mut elephant_bytes, mut elephant_secs) = (0u64, 0.0f64);
+            type Tenant = (TenantReport, Vec<f64>, Vec<f64>);
+            let mut by_tag: BTreeMap<u8, Tenant> = BTreeMap::new();
+            let entry = |by_tag: &mut BTreeMap<u8, Tenant>, tag: u8| {
+                let label = format!("tag{tag}");
+                let t = TenantReport {
+                    tag,
+                    label,
+                    ..TenantReport::default()
+                };
+                by_tag.entry(tag).or_insert((t, vec![], vec![]));
+            };
+            for f in self.flows.values() {
+                entry(&mut by_tag, f.tag);
+                let e = by_tag.get_mut(&f.tag).expect("just filed");
+                e.0.flows_started += 1;
+                e.0.bytes_offered += f.bytes;
+                e.0.bytes_delivered += f.delivered_bytes;
+                if let Some(s) = f.fct_secs() {
+                    fct.push(s);
+                    e.1.push(s);
+                    if f.bytes < MICE_BYTES {
+                        mice.push(s);
+                    }
+                }
+                if f.bytes > ELEPHANT_BYTES {
+                    let end = f.finished.unwrap_or(horizon);
+                    elephant_bytes += f.delivered_bytes;
+                    elephant_secs += end.saturating_since(f.start).as_secs_f64().max(1e-9);
+                }
+            }
+            for q in self.queries.values() {
+                entry(&mut by_tag, q.tag);
+                let e = by_tag.get_mut(&q.tag).expect("just filed");
+                e.0.queries_started += 1;
+                if let Some(s) = q.qct_secs() {
+                    qct.push(s);
+                    e.2.push(s);
+                }
+            }
+            r.flows_started = self.flows.len() as u64;
+            r.flows_completed = fct.len() as u64;
+            (r.fct_mean, r.fct_p50, r.fct_p99) = summarize(&mut fct);
+            (r.fct_mice_mean, _, r.fct_mice_p99) = summarize(&mut mice);
+            r.queries_started = self.queries.len() as u64;
+            r.queries_completed = qct.len() as u64;
+            (r.qct_mean, r.qct_p50, r.qct_p99) = summarize(&mut qct);
+            r.elephant_goodput_mbps = if elephant_secs > 0.0 {
+                elephant_bytes as f64 * 8.0 / elephant_secs / 1e6
+            } else {
+                0.0
+            };
+            r.fct_samples = fct;
+            r.qct_samples = qct;
+            let tagged = self.flows.values().any(|f| f.tag != 0)
+                || self.queries.values().any(|q| q.tag != 0);
+            if tagged {
+                for (_, (mut t, mut fct, mut qct)) in by_tag {
+                    t.flows_completed = fct.len() as u64;
+                    t.queries_completed = qct.len() as u64;
+                    if !fct.is_empty() {
+                        (t.fct_mean, t.fct_p50, t.fct_p99) = summarize(&mut fct);
+                    }
+                    if !qct.is_empty() {
+                        (t.qct_mean, _, t.qct_p99) = summarize(&mut qct);
+                    }
+                    t.goodput_gbps = t.bytes_delivered as f64 * 8.0 / r.horizon_secs / 1e9;
+                    r.tenants.push(t);
+                }
+            }
+            r
+        }
+    }
+
+    /// One flow's life: which scenario tag and query (0: none) it has,
+    /// its size class and start, how many progress steps it takes and
+    /// whether it finishes, the recorders (0 or 1) its sender and receiver
+    /// report to, and whether its start comes after its receiver's steps
+    /// (only in two recorders, as in the domain engine).
+    #[derive(Debug, Clone, Copy)]
+    struct Life {
+        tag: u8,
+        query: u64,
+        size: u64,
+        start: u64,
+        steps: u64,
+        finishes: bool,
+        sides: (usize, usize),
+        start_late: bool,
+    }
+
+    impl Life {
+        fn bytes(&self) -> u64 {
+            match self.size % 3 {
+                0 => 1 + self.size % 49_999,
+                1 => MICE_BYTES + self.size % 1_900_000,
+                _ => ELEPHANT_BYTES + 1 + self.size % 20_000_000,
+            }
+        }
+
+        /// The record its sender files.
+        fn record(&self, flow: FlowId) -> FlowRecord {
+            FlowRecord {
                 flow,
-                query: QueryId::NONE,
-                src: NodeId(u32::MAX),
-                dst: NodeId(u32::MAX),
-                bytes: 0,
-                start: SimTime::ZERO,
+                query: QueryId(self.query),
+                src: NodeId(flow.0 as u32),
+                dst: NodeId(99),
+                bytes: self.bytes(),
+                start: t(self.start),
                 finished: None,
                 delivered_bytes: 0,
+                tag: self.tag,
+            }
+        }
+
+        /// Step `k` of its script: a start, a progress of its share, a
+        /// finish, or past the end a late copy (no bytes) and a second
+        /// finish; `None` for a late step of a flow that never finishes.
+        fn step(&self, k: u64) -> Option<Step> {
+            let start_at = if self.start_late { self.steps + 1 } else { 0 };
+            let k = if self.start_late && k <= self.steps {
+                k + 1
+            } else {
+                k
+            };
+            let k = if k == start_at {
+                return Some(Step::Start);
+            } else {
+                k.min(self.steps + 2)
+            };
+            let at = t(self.start + 7 * k);
+            let share = self.bytes() / (self.steps + 1);
+            Some(match k {
+                _ if k <= self.steps && self.finishes && k == self.steps => {
+                    Step::Progress(self.bytes() - share * (self.steps - 1))
+                }
+                _ if k <= self.steps => Step::Progress(share),
+                _ if k == self.steps + 1 && !self.finishes => return None,
+                _ if k == self.steps + 1 => Step::Finish(at),
+                _ => Step::Late(at),
             })
         }
-
-        fn apply(&mut self, op: Op) {
-            match op {
-                Op::Start {
-                    flow,
-                    query,
-                    bytes,
-                    at,
-                } => {
-                    let flow = FlowId(flow);
-                    let rec = FlowRecord {
-                        flow,
-                        query: QueryId(query),
-                        src: NodeId(flow.0 as u32),
-                        dst: NodeId(99),
-                        bytes,
-                        start: t(at),
-                        finished: None,
-                        delivered_bytes: 0,
-                    };
-                    self.flows.insert(flow, rec);
-                }
-                Op::Progress { flow, delta } => {
-                    self.rest.goodput_bytes += delta;
-                    self.stub(FlowId(flow)).delivered_bytes += delta;
-                }
-                Op::Finish { flow, at } => {
-                    let rec = self.stub(FlowId(flow));
-                    if rec.finished.is_some() {
-                        return;
-                    }
-                    rec.finished = Some(t(at));
-                    let q = rec.query;
-                    if let Some(qr) = self.rest.queries.get_mut(&q).filter(|_| q.is_query()) {
-                        qr.done_flows += 1;
-                        if qr.done_flows >= qr.expected_flows && qr.finished.is_none() {
-                            qr.finished = Some(t(at));
-                        }
-                    }
-                }
-                Op::Query {
-                    query,
-                    expected,
-                    at,
-                } => self.rest.query_started(QueryId(query), expected, t(at)),
-            }
-        }
-
-        fn absorb(&mut self, other: Oracle) {
-            for (id, o) in other.flows {
-                match self.flows.entry(id) {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(o);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        let a = e.get_mut();
-                        if a.src == NodeId(u32::MAX) {
-                            a.query = o.query;
-                            a.src = o.src;
-                            a.dst = o.dst;
-                            a.bytes = o.bytes;
-                            a.start = o.start;
-                        }
-                        a.delivered_bytes += o.delivered_bytes;
-                        a.finished = a.finished.or(o.finished);
-                    }
-                }
-            }
-            self.rest.absorb(other.rest);
-        }
-
-        /// The oracle's flows filed into its recorder, which then reports
-        /// and saves what a recorder on the map did.
-        fn into_recorder(mut self) -> Recorder {
-            for rec in self.flows.into_values() {
-                self.rest.flows.insert(rec);
-            }
-            self.rest
-        }
     }
 
-    fn apply(r: &mut Recorder, op: Op) {
-        match op {
-            Op::Start {
-                flow,
-                query,
-                bytes,
-                at,
-            } => {
-                let src = NodeId(flow as u32);
-                r.flow_started(FlowId(flow), QueryId(query), src, NodeId(99), bytes, t(at))
-            }
-            Op::Progress { flow, delta } => r.flow_progress(FlowId(flow), delta),
-            Op::Finish { flow, at } => r.flow_finished(FlowId(flow), t(at)),
-            Op::Query {
-                query,
-                expected,
-                at,
-            } => r.query_started(QueryId(query), expected, t(at)),
-        }
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Start,
+        Progress(u64),
+        Finish(SimTime),
+        Late(SimTime),
     }
 
-    /// Recorders `a` and `b` and their oracles after `ops`.
-    fn replay(ops: &[(bool, Op)]) -> ([Recorder; 2], [Oracle; 2]) {
+    fn life() -> impl Strategy<Value = Life> {
+        (
+            (0..3u8, 0..4u64, any::<u64>(), 0..100u64),
+            (
+                0..4u64,
+                any::<bool>(),
+                (0..2usize, 0..2usize),
+                any::<bool>(),
+            ),
+        )
+            .prop_map(
+                |((tag, query, size, start), (steps, finishes, sides, late))| Life {
+                    tag,
+                    query,
+                    size,
+                    start,
+                    steps,
+                    finishes,
+                    sides,
+                    start_late: late && sides.0 != sides.1,
+                },
+            )
+    }
+
+    /// The three queries, `(expected replies, tag, issue time)`: fan-outs
+    /// that no, some, all or fewer than all replies reach.
+    fn queries() -> impl Strategy<Value = Vec<(u32, u8, u64)>> {
+        proptest::collection::vec((0..4u32, 0..3u8, 0..50u64), 3..4)
+    }
+
+    /// Plays `picks`, each the next step of `lives[pick]` (flow `pick + 1`),
+    /// into two recorders and the reference, which register `queries`
+    /// first. With `one`, every step and query goes to the first recorder
+    /// and the reference counts replies as they finish; without, the
+    /// steps go to their sides and the queries to neither recorder.
+    /// `before(n, recs)` runs ahead of the `n`-th pick.
+    fn play(
+        lives: &[Life],
+        queries: &[(u32, u8, u64)],
+        picks: &[usize],
+        one: bool,
+        mut before: impl FnMut(usize, &mut [Recorder; 2]),
+    ) -> ([Recorder; 2], Reference) {
         let mut recs = [Recorder::new(), Recorder::new()];
-        let mut oracles = [Oracle::default(), Oracle::default()];
-        for &(in_b, op) in ops {
-            apply(&mut recs[in_b as usize], op);
-            oracles[in_b as usize].apply(op);
+        let mut reference = Reference::default();
+        for (i, &(expected, tag, at)) in queries.iter().enumerate() {
+            let query = QueryId(i as u64 + 1);
+            if one {
+                recs[0].query_started(query, expected, t(at));
+                recs[0].tag_query(query, tag);
+            }
+            let qr = QueryRecord {
+                query,
+                start: t(at),
+                expected_flows: expected,
+                done_flows: 0,
+                finished: None,
+                tag,
+            };
+            reference.queries.insert(query, qr);
         }
-        (recs, oracles)
+        let mut next = vec![0u64; lives.len()];
+        for (n, &pick) in picks.iter().enumerate() {
+            before(n, &mut recs);
+            let i = pick % lives.len();
+            let life = Life {
+                start_late: lives[i].start_late && !one,
+                ..lives[i]
+            };
+            let flow = FlowId(i as u64 + 1);
+            let Some(step) = life.step(next[i]) else {
+                continue;
+            };
+            next[i] += 1;
+            let (tx, rx) = if one { (0, 0) } else { life.sides };
+            match step {
+                Step::Start => {
+                    let rec = life.record(flow);
+                    let (q, src, dst) = (rec.query, rec.src, rec.dst);
+                    recs[tx].flow_started(flow, q, src, dst, rec.bytes, rec.start);
+                    recs[tx].tag_flow(flow, life.tag);
+                    let r = reference.record(flow);
+                    *r = FlowRecord {
+                        finished: r.finished,
+                        delivered_bytes: r.delivered_bytes,
+                        ..rec
+                    };
+                }
+                Step::Progress(delta) => {
+                    recs[rx].flow_progress(flow, delta);
+                    reference.progress(flow, delta);
+                }
+                Step::Finish(at) => {
+                    recs[rx].flow_finished(flow, at);
+                    reference.finish(flow, at, one);
+                }
+                Step::Late(at) => {
+                    recs[rx].flow_progress(flow, 0);
+                    recs[rx].flow_finished(flow, at);
+                    reference.finish(flow, at, one);
+                }
+            }
+        }
+        (recs, reference)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
 
+        /// The classic engine: one recorder, queries issued before their
+        /// replies start, a flow's steps in order, lives interleaved at
+        /// random, and the recorder saved and restored at a random step.
         #[test]
-        fn ledger_matches_a_btree_map(ops in proptest::collection::vec(op(), 0..80)) {
+        fn folded_report_matches_one_built_from_every_record(
+            lives in proptest::collection::vec(life(), 1..16),
+            qs in queries(),
+            picks in proptest::collection::vec(0..16usize, 0..120),
+            cut in 0..120usize,
+        ) {
+            let ([rec, _], reference) = play(&lives, &qs, &picks, true, |n, recs| {
+                if n == cut {
+                    let (back, _) = restored(&saved(&recs[0], 17)).expect("a saved record restores");
+                    assert_eq!(report(&back), report(&recs[0]));
+                    recs[0] = back;
+                }
+            });
+            prop_assert_eq!(report(&rec), bits(&reference.report(t(1_000))));
+            // What stays live: flows running, and replies that finished
+            // after their query was complete.
+            for f in rec.flows.values() {
+                prop_assert!(f.finished.is_none() || !rec.queries.contains_key(&f.query));
+            }
+            let running = reference.flows.values().filter(|f| f.finished.is_none()).count();
+            prop_assert!(rec.flows.values().filter(|f| f.finished.is_none()).count() == running);
+            prop_assert_eq!(rec.flows_started(), reference.flows.len() as u64);
+        }
+
+        /// The domain engine: two domain recorders that hold no queries,
+        /// restored from their snapshots into a base recorder that holds
+        /// them, in either order.
+        #[test]
+        fn ledger_matches_a_btree_map(
+            lives in proptest::collection::vec(life(), 1..16),
+            qs in queries(),
+            picks in proptest::collection::vec(0..16usize, 0..120),
+        ) {
+            let ([a, b], mut reference) = play(&lives, &qs, &picks, false, |_, _| {});
+            reference.recompute_queries();
+            let want = bits(&reference.report(t(1_000)));
+            let bytes = [saved(&a, 17), saved(&b, 17)];
             for first in [0, 1] {
-                let ([a, b], [oa, ob]) = replay(&ops);
-                let (mut rec, other, mut oracle, other_oracle) = match first {
-                    0 => (a, b, oa, ob),
-                    _ => (b, a, ob, oa),
-                };
-                rec.absorb(other);
-                rec.recompute_queries();
-                oracle.absorb(other_oracle);
-                let mut oracle = oracle.into_recorder();
-                oracle.recompute_queries();
-                prop_assert_eq!(report(&rec), report(&oracle));
-                prop_assert_eq!(format!("{:?}", rec.flows), format!("{:?}", oracle.flows));
-                let bytes = saved(&rec, 24);
-                prop_assert_eq!(&bytes, &saved(&oracle, 24));
-                let (back, _) = restored(&bytes).expect("a saved record restores");
-                prop_assert_eq!(saved(&back, 24), bytes);
-                prop_assert_eq!(report(&back), report(&rec));
+                let mut base = Recorder::new();
+                for (i, &(expected, tag, at)) in qs.iter().enumerate() {
+                    base.query_started(QueryId(i as u64 + 1), expected, t(at));
+                    base.tag_query(QueryId(i as u64 + 1), tag);
+                }
+                for side in [first, 1 - first] {
+                    base.absorb(restored(&bytes[side]).expect("a domain record restores").0);
+                }
+                base.recompute_queries();
+                prop_assert_eq!(report(&base), want.clone());
+                let merged = saved(&base, 17);
+                let (back, _) = restored(&merged).expect("a merged record restores");
+                prop_assert_eq!(saved(&back, 17), merged);
+                prop_assert_eq!(report(&back), want.clone());
             }
         }
     }

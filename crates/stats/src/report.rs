@@ -1,6 +1,6 @@
 //! Turning raw records into the paper's reported quantities.
 
-use crate::recorder::{Recorder, DROP_CAUSES};
+use crate::recorder::{Folded, Recorder, DROP_CAUSES};
 use crate::summary::{summarize, Cdf};
 use vertigo_simcore::SimTime;
 
@@ -165,40 +165,39 @@ pub struct TenantReport {
 }
 
 impl Report {
-    /// Builds a report from the recorder at the simulation horizon.
+    /// Builds a report from the recorder at the simulation horizon: its
+    /// folded flows and queries plus its live records, added to a copy of
+    /// them as the recorder folds a finished one.
     pub fn from_recorder(rec: &Recorder, horizon: SimTime) -> Report {
         let horizon_secs = horizon.as_secs_f64().max(1e-12);
 
-        let mut fct = Vec::new();
-        let mut fct_mice = Vec::new();
-        let mut elephant_bytes: u64 = 0;
-        let mut elephant_active_secs: f64 = 0.0;
+        let mut all = rec.folded.clone();
         for f in rec.flows.values() {
-            if let Some(s) = f.fct_secs() {
-                fct.push(s);
-                if f.bytes < MICE_BYTES {
-                    fct_mice.push(s);
-                }
-            }
-            if f.bytes > ELEPHANT_BYTES {
-                // Elephant goodput: unique bytes delivered (finished or
-                // not) over the time the flow was active in the horizon.
-                let end = f.finished.unwrap_or(horizon);
-                let active = end.saturating_since(f.start).as_secs_f64();
-                elephant_bytes += f.delivered_bytes;
-                elephant_active_secs += active.max(1e-9);
-            }
+            all.add_flow(f, horizon);
         }
+        for q in rec.queries.values() {
+            all.add_query(q);
+        }
+        let tallies = all.tenants.values();
+        let mut fct: Vec<f64> = tallies
+            .clone()
+            .flat_map(|t| t.fct_mice.iter().chain(&t.fct_rest))
+            .copied()
+            .collect();
+        let mut fct_mice: Vec<f64> = tallies.clone().flat_map(|t| &t.fct_mice).copied().collect();
+        let mut qct: Vec<f64> = tallies.clone().flat_map(|t| &t.qct).copied().collect();
         let (fct_mean, fct_p50, fct_p99) = summarize(&mut fct);
         let (fct_mice_mean, _, fct_mice_p99) = summarize(&mut fct_mice);
-
-        let mut qct = Vec::new();
-        for q in rec.queries.values() {
-            if let Some(s) = q.qct_secs() {
-                qct.push(s);
-            }
-        }
         let (qct_mean, qct_p50, qct_p99) = summarize(&mut qct);
+
+        // Elephant goodput: unique bytes delivered (finished or not) over
+        // the time each was active in the horizon, summed in id order.
+        all.elephants.sort_unstable_by_key(|e| e.flow);
+        let elephant_bytes: u64 = all.elephants.iter().map(|e| e.delivered_bytes).sum();
+        let mut elephant_active_secs: f64 = 0.0;
+        for e in &all.elephants {
+            elephant_active_secs += e.active_secs.max(1e-9);
+        }
 
         let data_sent = rec.data_sent.max(1);
         let delivered = rec.data_delivered.max(1);
@@ -206,22 +205,22 @@ impl Report {
         // Per-tenant breakdowns only exist on tagged (scenario) runs, so
         // scenario-free reports stay structurally identical to historical
         // ones (`tenants` empty).
-        let tenants = if rec.flow_tags.is_empty() && rec.query_tags.is_empty() {
+        let tenants = if all.tenants.keys().all(|&tag| tag == 0) {
             Vec::new()
         } else {
-            Self::tenant_breakdowns(rec, horizon_secs)
+            Self::tenant_breakdowns(&mut all, horizon_secs)
         };
 
         Report {
             horizon_secs,
-            flows_started: rec.flows.len() as u64,
+            flows_started: all.flows(),
             flows_completed: fct.len() as u64,
             fct_mean,
             fct_p50,
             fct_p99,
             fct_mice_mean,
             fct_mice_p99,
-            queries_started: rec.queries.len() as u64,
+            queries_started: all.tenants.values().map(|t| t.queries_started).sum(),
             queries_completed: qct.len() as u64,
             qct_mean,
             qct_p50,
@@ -259,52 +258,34 @@ impl Report {
         }
     }
 
-    /// Groups flows and queries by scenario tag (0 = base workload) and
-    /// summarizes each group. Tags with no flows and no queries cannot
-    /// occur (tags are only assigned at schedule time), so every entry is
+    /// Summarizes each tag's tally (0 = base workload). A tally exists
+    /// only for a tag some flow or query carries, so every entry is
     /// backed by traffic.
-    fn tenant_breakdowns(rec: &Recorder, horizon_secs: f64) -> Vec<TenantReport> {
-        use std::collections::BTreeMap;
-        let mut by_tag: BTreeMap<u8, TenantReport> = BTreeMap::new();
-        fn entry(m: &mut BTreeMap<u8, TenantReport>, tag: u8) -> &mut TenantReport {
-            m.entry(tag).or_insert_with(|| TenantReport {
+    fn tenant_breakdowns(all: &mut Folded, horizon_secs: f64) -> Vec<TenantReport> {
+        let mut out = Vec::with_capacity(all.tenants.len());
+        for (&tag, t) in &mut all.tenants {
+            let mut fct: Vec<f64> = t.fct_mice.iter().chain(&t.fct_rest).copied().collect();
+            let mut r = TenantReport {
                 tag,
                 label: format!("tag{tag}"),
+                flows_started: t.flows_started,
+                flows_completed: t.flows_completed(),
+                queries_started: t.queries_started,
+                queries_completed: t.qct.len() as u64,
+                bytes_offered: t.bytes_offered,
+                bytes_delivered: t.bytes_delivered,
+                goodput_gbps: t.bytes_delivered as f64 * 8.0 / horizon_secs / 1e9,
                 ..TenantReport::default()
-            })
-        }
-        let mut fct: BTreeMap<u8, Vec<f64>> = BTreeMap::new();
-        for f in rec.flows.values() {
-            let tag = rec.flow_tag(f.flow);
-            let t = entry(&mut by_tag, tag);
-            t.flows_started += 1;
-            t.bytes_offered += f.bytes;
-            t.bytes_delivered += f.delivered_bytes;
-            if let Some(s) = f.fct_secs() {
-                t.flows_completed += 1;
-                fct.entry(tag).or_default().push(s);
+            };
+            if !fct.is_empty() {
+                (r.fct_mean, r.fct_p50, r.fct_p99) = summarize(&mut fct);
             }
-        }
-        let mut qct: BTreeMap<u8, Vec<f64>> = BTreeMap::new();
-        for q in rec.queries.values() {
-            let tag = rec.query_tag(q.query);
-            let t = entry(&mut by_tag, tag);
-            t.queries_started += 1;
-            if let Some(s) = q.qct_secs() {
-                t.queries_completed += 1;
-                qct.entry(tag).or_default().push(s);
+            if !t.qct.is_empty() {
+                (r.qct_mean, _, r.qct_p99) = summarize(&mut t.qct);
             }
+            out.push(r);
         }
-        for (tag, t) in &mut by_tag {
-            if let Some(samples) = fct.get_mut(tag) {
-                (t.fct_mean, t.fct_p50, t.fct_p99) = summarize(samples);
-            }
-            if let Some(samples) = qct.get_mut(tag) {
-                (t.qct_mean, _, t.qct_p99) = summarize(samples);
-            }
-            t.goodput_gbps = t.bytes_delivered as f64 * 8.0 / horizon_secs / 1e9;
-        }
-        by_tag.into_values().collect()
+        out
     }
 
     /// Fraction of started flows that completed (1.0 when none started).

@@ -683,6 +683,7 @@ impl RunSpec {
 mod tests {
     use super::*;
     use crate::dists::DistKind;
+    use crate::scenario::PlanContext;
     use crate::traffic::{BackgroundSpec, IncastSpec};
 
     /// Panic payloads are `&str` for literal messages and `String` for
@@ -745,23 +746,26 @@ mod tests {
 
     #[test]
     fn paired_runs_share_offered_traffic() {
-        // Same seed, different systems: identical flow sets.
+        // Same seed, different systems: identical flow sets, as planned
+        // and as started (the recorder counts and sums them).
         let flows_of = |system| {
             let mut spec = RunSpec::new(system, CcKind::Dctcp, quick_workload());
             spec.topo = TopoKind::LeafSpine { hosts_per_leaf: 4 };
             spec.horizon = SimDuration::from_millis(10);
-            let sim = {
-                let mut s = spec.build();
-                let _ = s.run();
-                s
-            };
-            sim.recorder()
-                .flows
-                .values()
-                .map(|f| (f.src, f.dst, f.bytes, f.start))
-                .collect::<Vec<_>>()
+            let mut sim = spec.build();
+            let plans = (spec.workload.plan(sim.rng(), &PlanContext::of(&sim)))
+                .expect("the workload plans");
+            let _ = sim.run();
+            let rec = sim.recorder();
+            let started = (rec.flows_started(), rec.bytes_offered());
+            let planned: Vec<_> = plans.into_iter().flat_map(|p| p.flows).collect();
+            (planned, started)
         };
-        assert_eq!(flows_of(SystemKind::Ecmp), flows_of(SystemKind::Vertigo));
+        let ecmp = flows_of(SystemKind::Ecmp);
+        assert_eq!(ecmp, flows_of(SystemKind::Vertigo));
+        let (planned, started) = ecmp;
+        let offered = planned.iter().map(|f| f.bytes).sum();
+        assert_eq!(started, (planned.len() as u64, offered));
     }
 
     #[test]

@@ -376,14 +376,7 @@ impl ScenarioSpec {
     pub fn plan(&self, base: &SimRng, ctx: &PlanContext) -> Result<Vec<ComponentPlan>, String> {
         self.iter()
             .enumerate()
-            .map(|(i, c)| {
-                let mut plan = ComponentPlan::default();
-                plan_component(c, component_rng(base, i), ctx, &mut |p| match p {
-                    Planned::Query(q) => plan.queries.push(q),
-                    Planned::Flow(f) => plan.flows.push(f),
-                })?;
-                Ok(plan)
-            })
+            .map(|(i, c)| plan_one(c, component_rng(base, i), ctx))
             .collect()
     }
 
@@ -413,6 +406,20 @@ impl ScenarioSpec {
         }
         Ok(summary)
     }
+}
+
+/// Plans one component's arrivals from `rng`.
+pub(crate) fn plan_one(
+    c: &ScenarioComponent,
+    rng: SimRng,
+    ctx: &PlanContext,
+) -> Result<ComponentPlan, String> {
+    let mut plan = ComponentPlan::default();
+    plan_component(c, rng, ctx, &mut |p| match p {
+        Planned::Query(q) => plan.queries.push(q),
+        Planned::Flow(f) => plan.flows.push(f),
+    })?;
+    Ok(plan)
 }
 
 /// Component `i`'s planning stream: the scenario stream off the run seed,
@@ -446,10 +453,8 @@ pub(crate) fn install_component(
         }
         Planned::Flow(f) => {
             let query = f.query.map_or(QueryId::NONE, |qi| qids[qi as usize]);
-            let fid = sim.schedule_flow(f.at, NodeId(f.src), NodeId(f.dst), f.bytes, query);
-            if let Some(tag) = tag {
-                sim.tag_flow(fid, tag);
-            }
+            let (src, dst) = (NodeId(f.src), NodeId(f.dst));
+            sim.schedule_tagged_flow(f.at, src, dst, f.bytes, query, tag.unwrap_or(0));
             done.flows += 1;
             done.bytes += f.bytes;
         }
@@ -561,7 +566,7 @@ pub struct PlanContext {
 
 impl PlanContext {
     /// The planning facts of a built simulation.
-    pub(crate) fn of(sim: &Simulation) -> PlanContext {
+    pub fn of(sim: &Simulation) -> PlanContext {
         let num_hosts = sim.num_hosts();
         PlanContext {
             num_hosts,

@@ -9,10 +9,11 @@
 
 use crate::dists::DistKind;
 use crate::scenario::{
-    install_component, validate_component, ComponentKind, IncastRate, ScenarioComponent,
+    install_component, plan_one, validate_component, ComponentKind, ComponentPlan, IncastRate,
+    PlanContext, ScenarioComponent,
 };
 use vertigo_netsim::Simulation;
-use vertigo_simcore::{SimDuration, SimTime};
+use vertigo_simcore::{SimDuration, SimRng, SimTime};
 
 /// Background (all-to-all) traffic at a target fraction of aggregate host
 /// capacity.
@@ -62,17 +63,26 @@ impl IncastSpec {
         sim: &mut Simulation,
         from: SimDuration,
     ) -> Result<(), String> {
+        let component = self.component(from, sim.horizon())?;
+        let rng = sim.rng().fork(STREAM_INCAST);
+        install_component(sim, &component, rng, None).map(drop)
+    }
+
+    /// The query process over `[from, horizon)` as a scenario component.
+    fn component(
+        &self,
+        from: SimDuration,
+        horizon: SimDuration,
+    ) -> Result<ScenarioComponent, String> {
         let kind = ComponentKind::Incast {
             scale: u32::try_from(self.scale).map_err(|_| "incast scale overflows u32")?,
             bytes: self.flow_bytes,
             rate: IncastRate::Qps(self.qps),
             sync: SimDuration::ZERO,
         };
-        let window = (SimTime::ZERO + from, SimTime::ZERO + sim.horizon());
-        let component = all_hosts(kind, Some(window));
+        let component = all_hosts(kind, Some((SimTime::ZERO + from, SimTime::ZERO + horizon)));
         validate_component(&component)?;
-        let rng = sim.rng().fork(STREAM_INCAST);
-        install_component(sim, &component, rng, None).map(drop)
+        Ok(component)
     }
 }
 
@@ -113,6 +123,29 @@ impl WorkloadSpec {
     }
 
     pub(crate) fn try_install(&self, sim: &mut Simulation) -> Result<(), String> {
+        for (c, rng) in self.components(sim.rng(), sim.horizon())? {
+            install_component(sim, &c, rng, None)?;
+        }
+        Ok(())
+    }
+
+    /// Plans every arrival [`WorkloadSpec::install`] schedules, component
+    /// by component in schedule order (background, then incast), without
+    /// a simulator: `base` is the run's RNG (its seed is all that is read).
+    pub fn plan(&self, base: &SimRng, ctx: &PlanContext) -> Result<Vec<ComponentPlan>, String> {
+        (self.components(base, ctx.horizon)?.into_iter())
+            .map(|(c, rng)| plan_one(&c, rng, ctx))
+            .collect()
+    }
+
+    /// The components this workload installs, each with the stream it
+    /// plans from, in install order.
+    fn components(
+        &self,
+        base: &SimRng,
+        horizon: SimDuration,
+    ) -> Result<Vec<(ScenarioComponent, SimRng)>, String> {
+        let mut out = Vec::new();
         if let Some(bg) = self.background.filter(|bg| bg.load != 0.0) {
             if !(bg.load > 0.0 && bg.load < 2.0) {
                 return Err(format!("background load {} out of range", bg.load));
@@ -121,13 +154,13 @@ impl WorkloadSpec {
                 load: bg.load,
                 dist: bg.dist,
             };
-            let rng = sim.rng().fork(STREAM_BACKGROUND);
-            install_component(sim, &all_hosts(kind, None), rng, None)?;
+            out.push((all_hosts(kind, None), base.fork(STREAM_BACKGROUND)));
         }
         if let Some(inc) = self.incast {
-            inc.install_from(sim, SimDuration::ZERO)?;
+            let c = inc.component(SimDuration::ZERO, horizon)?;
+            out.push((c, base.fork(STREAM_INCAST)));
         }
-        Ok(())
+        Ok(out)
     }
 }
 
@@ -170,11 +203,11 @@ mod tests {
     #[test]
     fn background_load_is_calibrated() {
         // Offered bytes over the horizon should match load × capacity.
-        // Flows are recorded when they start, so run the sim first.
+        // Flows are counted when they start, so run the sim first.
         let mut s = sim(200, 1);
         background(0.30, DistKind::CacheFollower).install(&mut s);
         let _ = s.run();
-        let total: f64 = s.recorder().flows.values().map(|f| f.bytes as f64).sum();
+        let total = s.recorder().bytes_offered() as f64;
         let capacity_bytes = 16.0 * 10e9 / 8.0 * 0.2; // 16 hosts, 10G, 200 ms
         let measured_load = total / capacity_bytes;
         assert!(
@@ -183,9 +216,15 @@ mod tests {
         );
     }
 
+    /// What `workload` schedules into `s`, planned without running it.
+    fn planned(workload: &WorkloadSpec, s: &Simulation) -> Vec<ComponentPlan> {
+        let plans = workload.plan(s.rng(), &PlanContext::of(s));
+        plans.expect("the workload plans")
+    }
+
     #[test]
     fn incast_queries_have_right_shape() {
-        let mut s = sim(100, 2);
+        let s = sim(100, 2);
         let workload = WorkloadSpec {
             background: None,
             incast: Some(IncastSpec {
@@ -194,31 +233,23 @@ mod tests {
                 flow_bytes: 40_000,
             }),
         };
-        workload.install(&mut s);
-        let _ = s.run();
-        let rec = s.recorder();
+        let plans = planned(&workload, &s);
+        let [plan] = &plans[..] else {
+            panic!("one component: the incast")
+        };
         // ~50 queries in 100 ms at 500 QPS.
-        let nq = rec.queries.len();
+        let nq = plan.queries.len();
         assert!((25..=85).contains(&nq), "query count {nq}");
-        for q in rec.queries.values() {
-            assert_eq!(q.expected_flows, 8);
+        for q in &plan.queries {
+            assert_eq!(q.fanout, 8);
         }
         // Every query flow goes *to* the query's client: all 8 flows of a
         // query share one dst.
-        for q in rec.queries.values() {
-            let dsts: std::collections::BTreeSet<_> = rec
-                .flows
-                .values()
-                .filter(|f| f.query == q.query)
-                .map(|f| f.dst)
-                .collect();
+        for qi in 0..nq as u32 {
+            let replies = || plan.flows.iter().filter(|f| f.query == Some(qi));
+            let dsts: std::collections::BTreeSet<_> = replies().map(|f| f.dst).collect();
             assert_eq!(dsts.len(), 1, "one client per query");
-            let srcs: std::collections::BTreeSet<_> = rec
-                .flows
-                .values()
-                .filter(|f| f.query == q.query)
-                .map(|f| f.src)
-                .collect();
+            let srcs: std::collections::BTreeSet<_> = replies().map(|f| f.src).collect();
             assert_eq!(srcs.len(), 8, "servers must be distinct");
             assert!(!srcs.contains(dsts.iter().next().unwrap()));
         }
@@ -241,12 +272,9 @@ mod tests {
     #[test]
     fn same_seed_same_workload() {
         let flows = |seed| {
-            let mut s = sim(50, seed);
-            background(0.2, DistKind::WebSearch).install(&mut s);
-            let _ = s.run();
-            s.recorder()
-                .flows
-                .values()
+            let s = sim(50, seed);
+            let plans = planned(&background(0.2, DistKind::WebSearch), &s);
+            (plans.iter().flat_map(|p| &p.flows))
                 .map(|f| (f.src, f.dst, f.bytes))
                 .collect::<Vec<_>>()
         };

@@ -10,7 +10,7 @@ use vertigo_netsim::trace::stable_hash;
 use vertigo_simcore::SimDuration;
 use vertigo_transport::CcKind;
 use vertigo_workload::{
-    BackgroundSpec, DistKind, IncastSpec, RunSpec, SystemKind, TopoKind, WorkloadSpec,
+    BackgroundSpec, DistKind, IncastSpec, PlanContext, RunSpec, SystemKind, TopoKind, WorkloadSpec,
 };
 
 /// The fig5 cell at `--quick` scale: 25 % CacheFollower background plus a
@@ -38,24 +38,33 @@ fn figure_spec(seed: u64) -> RunSpec {
     spec
 }
 
-/// Hash and length of the scheduled stream, read back from the recorder
-/// (keyed by `FlowId`, which `schedule_flow` hands out in call order).
+/// Hash and length of the scheduled stream, as the planner hands it to
+/// `schedule_flow`: flows in schedule order (their `FlowId` order), each
+/// query the id `register_query` gives it, 1 up in registration order.
 fn planned_stream(seed: u64) -> (u64, usize) {
-    let mut sim = figure_spec(seed).build();
-    let _ = sim.run();
-    let flows = &sim.recorder().flows;
+    let spec = figure_spec(seed);
+    let sim = spec.build();
+    let plans = (spec.workload)
+        .plan(sim.rng(), &PlanContext::of(&sim))
+        .expect("the figure workload plans");
     let mut text = String::new();
-    for f in flows.values() {
-        text.push_str(&format!(
-            "{},{},{},{},{};",
-            f.start.as_nanos(),
-            f.src.0,
-            f.dst.0,
-            f.bytes,
-            f.query.0
-        ));
+    let (mut flows, mut queries_before) = (0, 0);
+    for plan in &plans {
+        for f in &plan.flows {
+            let query = f.query.map_or(0, |qi| queries_before + qi as u64 + 1);
+            text.push_str(&format!(
+                "{},{},{},{},{};",
+                f.at.as_nanos(),
+                f.src,
+                f.dst,
+                f.bytes,
+                query
+            ));
+        }
+        flows += plan.flows.len();
+        queries_before += plan.queries.len() as u64;
     }
-    (stable_hash(text.as_bytes()), flows.len())
+    (stable_hash(text.as_bytes()), flows)
 }
 
 #[test]

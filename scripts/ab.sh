@@ -4,11 +4,13 @@
 # then runs one repetition of the cell on each side in turn, the side that
 # goes first flipping every pair, and prints every pair's time and peak RSS
 # (the `VmHWM` that `sample_profile --time` prints), then for each of the
-# two each side's minimum, quartiles and median, the ratio of the medians
-# and in how many pairs b was lower. A memory claim is judged on the same
-# pairs as a time claim.
+# two each side's minimum, quartiles and median, the ratio of the medians,
+# in how many pairs b was lower, and the verdict: "gain" when, over at least
+# ten pairs, b is lower in nine tenths of them (a tie counts for neither
+# side) and the medians differ by more than a's q3 - q1, else "unresolved". A memory
+# claim is judged on the same pairs as a time claim.
 #
-#   scripts/ab.sh <rev-a> <rev-b> <cell> [pairs=20] [codegen-units=16]
+#   scripts/ab.sh <rev-a> <rev-b> <cell> [pairs=40] [codegen-units=16]
 #
 # `sample_profile --time` compares cells inside one binary; this compares
 # binaries. The box's speed drifts by a fifth over minutes, so two runs
@@ -17,11 +19,11 @@
 # root release profile's. A revision needs `sample_profile --time`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-usage="usage: scripts/ab.sh <rev-a> <rev-b> <cell> [pairs=20] [codegen-units=16]"
+usage="usage: scripts/ab.sh <rev-a> <rev-b> <cell> [pairs=40] [codegen-units=16]"
 rev_a=${1:?$usage}
 rev_b=${2:?$usage}
 cell=${3:?$usage}
-pairs=${4:-20}
+pairs=${4:-40}
 units=${5:-16}
 
 # The sample_profile binary of a revision, built once per commit and unit
@@ -80,12 +82,18 @@ for what, k in (("ms", 0), ("peak RSS, MB", 1)):
         print("not printed by one of the revisions")
         continue
     print(f"{'side':<24}{'min':>9}{'q1':>9}{'median':>9}{'q3':>9}")
-    medians = []
+    sides = []
     for name, col in ((f"a {rev_a}", k), (f"b {rev_b}", 2 + k)):
         xs = sorted(p[col] for p in pairs)
-        q = lambda i: xs[(len(xs) - 1) * i // 4]
-        medians.append(q(2))
-        print(f"{name[:23]:<24}{q(0):>9.2f}{q(1):>9.2f}{q(2):>9.2f}{q(3):>9.2f}")
+        q = [xs[(len(xs) - 1) * i // 4] for i in range(5)]
+        sides.append(q)
+        print(f"{name[:23]:<24}{q[0]:>9.2f}{q[1]:>9.2f}{q[2]:>9.2f}{q[3]:>9.2f}")
+    (_, a_q1, a_med, a_q3, _), (_, _, b_med, _, _) = sides
     lower = sum(p[2 + k] < p[k] for p in pairs)
-    print(f"b / a median {medians[1] / medians[0]:.3f}; b lower in {lower} of {len(pairs)}")
+    # choosing-metrics §8: at least ten pairs, b wins nine tenths of them,
+    # and the medians are further apart than a's own quartiles.
+    n = len(pairs)
+    gain = n >= 10 and 10 * lower >= 9 * n and a_med - b_med > a_q3 - a_q1
+    verdict = "gain" if gain else "unresolved"
+    print(f"b / a median {b_med / a_med:.3f}; b lower in {lower} of {len(pairs)}: {verdict}")
 PY

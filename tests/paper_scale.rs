@@ -258,32 +258,16 @@ fn big_fat_tree_runs_on_the_domain_engine() {
     );
 }
 
-/// The soak scenario end-to-end: a sustained multi-tenant `--workload`
-/// mix (ON-OFF bursty tenant and Poisson service tenant on disjoint host
-/// halves, plus a shared incast) on a fat-tree, with per-tenant FCT
-/// breakdowns in the report and — in a debug build — the conservation
-/// invariant layer live for the whole run.
-///
-/// Runs at k = 8 (128 hosts) over a long horizon under
-/// `VERTIGO_TIMING_TESTS=1`; the default suite exercises the identical
-/// path at k = 4 with a short horizon so the scenario pipeline never
-/// goes untested.
-#[test]
-fn soak_multi_tenant_scenario_completes_with_tenant_breakdowns() {
-    use vertigo::simcore::SimDuration;
+/// The `soak` subcommand's default scenario on a fat-tree, scaled to its
+/// hosts: k = 8 (128 hosts) with `full`, else k = 4 (16 hosts).
+fn soak(full: bool, horizon: vertigo::simcore::SimDuration) -> vertigo::workload::RunSpec {
     use vertigo::transport::CcKind;
     use vertigo::workload::{
         BackgroundSpec, DistKind, RunSpec, ScenarioSpec, SystemKind, TopoKind, WorkloadSpec,
     };
 
-    let full = std::env::var_os("VERTIGO_TIMING_TESTS").is_some_and(|v| v == "1");
-    let (k, hosts, horizon) = if full {
-        (8usize, 128u32, SimDuration::from_millis(40))
-    } else {
-        (4, 16, SimDuration::from_millis(5))
-    };
+    let (k, hosts) = if full { (8usize, 128u32) } else { (4, 16) };
     let half = hosts / 2;
-    // The `soak` subcommand's default scenario shape, scaled to `hosts`.
     let scenario = ScenarioSpec::parse(&format!(
         "onoff:load=0.3,on=1ms,off=3ms,dist=datamining,tenant=bursty,hosts=0-{} \
          + bg:load=0.15,tenant=svc,hosts={half}-{} \
@@ -308,6 +292,27 @@ fn soak_multi_tenant_scenario_completes_with_tenant_breakdowns() {
     spec.topo = TopoKind::FatTree { k };
     spec.horizon = horizon;
     spec.scenario = scenario;
+    spec
+}
+
+/// The soak scenario end-to-end: a sustained multi-tenant `--workload`
+/// mix (ON-OFF bursty tenant and Poisson service tenant on disjoint host
+/// halves, plus a shared incast) on a fat-tree, with per-tenant FCT
+/// breakdowns in the report and — in a debug build — the conservation
+/// invariant layer live for the whole run.
+///
+/// Runs at k = 8 (128 hosts) over a long horizon under
+/// `VERTIGO_TIMING_TESTS=1`; the default suite exercises the identical
+/// path at k = 4 with a short horizon so the scenario pipeline never
+/// goes untested.
+#[test]
+fn soak_multi_tenant_scenario_completes_with_tenant_breakdowns() {
+    use vertigo::simcore::SimDuration;
+
+    let full = std::env::var_os("VERTIGO_TIMING_TESTS").is_some_and(|v| v == "1");
+    let horizon = SimDuration::from_millis(if full { 40 } else { 5 });
+    let spec = soak(full, horizon);
+    let k = if full { 8 } else { 4 };
 
     let t0 = std::time::Instant::now();
     let out = spec.run();
@@ -353,4 +358,27 @@ fn soak_multi_tenant_scenario_completes_with_tenant_breakdowns() {
     if cfg!(debug_assertions) {
         assert!(r.audit_checks > 0, "a debug build must record checks");
     }
+}
+
+/// A finished flow leaves its samples and its id's index entry, not its
+/// record: after the soak the recorder holds a record per flow still
+/// running, and what the completed ones left is at most 24 bytes each.
+/// The soak runs 60 ms, ten times the benchmark's `ft_soak` horizon, at
+/// k = 8 under `VERTIGO_TIMING_TESTS=1`.
+#[test]
+fn completed_flows_leave_their_samples_not_their_records() {
+    use vertigo::simcore::SimDuration;
+
+    let full = std::env::var_os("VERTIGO_TIMING_TESTS").is_some_and(|v| v == "1");
+    let mut sim = soak(full, SimDuration::from_millis(60)).build();
+    let _ = sim.run();
+    let rec = sim.recorder();
+    let (started, completed) = (rec.flows_started(), rec.flows_completed());
+    assert!(completed > 1_000, "{completed} flows completed");
+    assert_eq!(rec.flows.len() as u64, started - completed);
+    assert!(rec.flows.values().all(|f| f.finished.is_none()));
+    let left = rec.flows.index_bytes() + rec.folded.heap_bytes();
+    let per_flow = left as f64 / completed as f64;
+    eprintln!("{completed} of {started} flows completed: {per_flow:.1} B each");
+    assert!(per_flow <= 24.0, "{left} B for {completed} completed flows");
 }

@@ -111,7 +111,7 @@ proptest! {
         }
         let rep = sim.run();
         let rec = sim.recorder();
-        let offered: u64 = rec.flows.values().map(|f| f.bytes).sum();
+        let offered = rec.bytes_offered();
         prop_assert!(rec.goodput_bytes <= offered);
         prop_assert!(rep.flows_completed <= rep.flows_started);
         prop_assert!(rep.queries_completed <= rep.queries_started);
