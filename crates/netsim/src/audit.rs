@@ -68,14 +68,26 @@ pub(crate) fn check_conservation<'a>(
     );
 }
 
-/// Asserts per-flow byte accounting closes at teardown: every live record
-/// delivered at most its size and a finished one exactly its size, the
-/// folded flows delivered their sizes summed, and live and folded bytes
-/// sum to the global goodput counter.
+/// Asserts per-flow byte accounting closes at teardown: every record
+/// left has its sender's metadata, every live record delivered at most its
+/// size and a finished one exactly its size, the folded flows delivered
+/// their sizes summed, and live and folded bytes sum to the global goodput
+/// counter. A placeholder left after the merge is a second finish,
+/// progress after a flow was folded, or a domain's record of a flow that
+/// no other domain's record reconciled.
 pub(crate) fn check_flow_accounting(rec: &mut Recorder) {
     rec.audit.on_check();
     let mut delivered_sum: u64 = 0;
     for f in rec.flows.values() {
+        assert!(
+            f.is_whole(),
+            "audit: flow {:?} left a record without its sender's metadata \
+             ({} bytes delivered, finished {:?}): a second finish, progress \
+             after it finished, or a record never reconciled",
+            f.flow,
+            f.delivered_bytes,
+            f.finished,
+        );
         assert!(
             f.delivered_bytes <= f.bytes,
             "audit: flow {:?} over-delivered ({} of {} bytes)",
@@ -112,4 +124,51 @@ pub(crate) fn check_flow_accounting(rec: &mut Recorder) {
         rec.goodput_bytes,
         delivered_sum as i128 - rec.goodput_bytes as i128,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_flow_accounting;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use vertigo_pkt::{FlowId, NodeId, QueryId};
+    use vertigo_simcore::{SimDuration, SimTime};
+    use vertigo_stats::Recorder;
+
+    const FLOW: FlowId = FlowId(1);
+
+    /// A recorder whose one flow delivered its 1 000 bytes and finished.
+    fn finished() -> Recorder {
+        let mut rec = Recorder::new();
+        let at = SimTime::from_micros(10);
+        rec.flow_started(FLOW, QueryId::NONE, NodeId(0), NodeId(1), 1_000, at);
+        rec.flow_progress(FLOW, 1_000);
+        rec.flow_finished(FLOW, at + SimDuration::from_micros(90));
+        rec
+    }
+
+    #[test]
+    fn a_flow_recorded_past_its_finish_trips_the_audit() {
+        let mut clean = finished();
+        // A late copy's zero progress is what a finished flow reports.
+        clean.flow_progress(FLOW, 0);
+        check_flow_accounting(&mut clean);
+        type Mutation = fn(&mut Recorder);
+        let mutations: [(&str, Mutation); 2] = [
+            ("a second finish", |r| {
+                r.flow_finished(FLOW, SimTime::from_micros(500))
+            }),
+            ("progress after the fold", |r| r.flow_progress(FLOW, 1)),
+        ];
+        for (what, mutate) in mutations {
+            let mut rec = finished();
+            mutate(&mut rec);
+            let err =
+                catch_unwind(AssertUnwindSafe(|| check_flow_accounting(&mut rec))).expect_err(what);
+            let msg = (err.downcast_ref::<String>().cloned()).unwrap_or_default();
+            assert!(
+                msg.contains("without its sender's metadata"),
+                "{what}: {msg}"
+            );
+        }
+    }
 }

@@ -43,7 +43,10 @@
 //!   thread.
 //!
 //! The per-domain recorders merge commutatively at the end
-//! ([`Recorder::absorb`] + [`Recorder::recompute_queries`]).
+//! ([`Recorder::absorb`] + [`Recorder::recompute_queries`]). When the
+//! partition fills one domain, that domain records into the run's
+//! recorder, queries included, so flows and queries fold as they finish,
+//! as in the classic loop.
 //!
 //! # What stays serial
 //!
@@ -96,7 +99,8 @@ struct Domain {
     cross_in: u64,
     /// Most events this domain had pending at a barrier.
     peak_pending: u64,
-    /// This domain's private metrics (merged into the base at the end).
+    /// This domain's private metrics (merged into the base at the end),
+    /// or, when it is the only one, the run's recorder.
     rec: Recorder,
     /// Shared compiled fault schedule (content-keyed, so `&self` works).
     faults: Option<Arc<FaultState>>,
@@ -178,6 +182,8 @@ pub struct DomainSimulation {
     domains: Vec<Domain>,
     grid: LookaheadGrid,
     horizon: SimDuration,
+    /// The run's recorder, queries included, until the domains run; then
+    /// every domain's merged into it. A lone domain holds it while it runs.
     base_rec: Recorder,
     telemetry: Option<(TelemetryConfig, Telemetry)>,
     barrier_epochs: u64,
@@ -212,7 +218,7 @@ impl DomainSimulation {
     /// fills, one a zone when `n` is above the topology's zone count.
     /// Consumes the simulation: node state, pending `FlowStart` events,
     /// recorder, fault schedule and telemetry configuration all move into
-    /// the domain engine.
+    /// the domain engine; one domain takes the recorder itself.
     ///
     /// # Panics
     /// Panics if `n == 0`, if the topology has a zero-latency link (no
@@ -296,11 +302,16 @@ impl DomainSimulation {
             domains[d].wheel.push(at, ev);
         }
 
+        let base_rec = match domains.as_mut_slice() {
+            [only] => std::mem::replace(&mut only.rec, rec),
+            _ => rec,
+        };
+
         DomainSimulation {
             domains,
             grid,
             horizon,
-            base_rec: rec,
+            base_rec,
             telemetry,
             barrier_epochs: 0,
             peak_pending: 0,
@@ -404,14 +415,20 @@ impl DomainSimulation {
         }
     }
 
-    /// Merges domain recorders into the base, closes the books, and
-    /// builds the report.
+    /// Merges domain recorders into the base (a lone domain's is the
+    /// run's), closes the books, and builds the report.
     fn finalize(&mut self, horizon: SimTime) -> Report {
         let mut rec = std::mem::take(&mut self.base_rec);
+        if let [only] = self.domains.as_mut_slice() {
+            // The base holds only the audit checks telemetry counted on it.
+            std::mem::swap(&mut rec, &mut only.rec);
+        }
         for d in &mut self.domains {
             rec.absorb(std::mem::take(&mut d.rec));
         }
-        rec.recompute_queries();
+        if self.domains.len() > 1 {
+            rec.recompute_queries();
+        }
         // In-flight custody at the horizon = arrivals in wheels and inboxes
         // + deliveries handed over in the last exchange, all already summed
         // into the merged `wire` tally the conservation audit reads.
@@ -428,6 +445,13 @@ impl DomainSimulation {
         report.domain_peak_pending = self.domains.iter().map(|d| d.peak_pending).collect();
         self.base_rec = rec;
         report
+    }
+
+    /// The metrics recorder: after [`DomainSimulation::run`], the run's,
+    /// every domain's merged into it (read access for tests and workload
+    /// layers).
+    pub fn recorder(&self) -> &Recorder {
+        &self.base_rec
     }
 
     /// The collected telemetry time series, if enabled.

@@ -118,8 +118,8 @@ fn build(traced: bool) -> Simulation {
 fn mid_burst(traced: bool) -> Vec<u8> {
     let mut sim = build(traced);
     sim.drain_until(SimTime::from_micros(2_500));
-    // The recorder record has all its parts: live records, folded ids,
-    // an open query, and the folded FCT and QCT samples.
+    // The recorder record has all its parts: live records, an open
+    // query, and the folded FCT and QCT samples.
     let rec = sim.recorder();
     assert!(!rec.flows.is_empty() && rec.folded.flows() > 0);
     assert!(!rec.queries.is_empty() && !rec.folded.tenants[&0].qct.is_empty());

@@ -43,7 +43,8 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// scenario tag, then the folded ids as a bitmap, queries with their tags,
 /// and the finished flows' and queries' samples by tag; no tag maps. A
 /// flow-start event carries the tag.
-pub const SNAP_VERSION: u16 = 9;
+/// Version 10: the recorder record drops the folded-id bitmap.
+pub const SNAP_VERSION: u16 = 10;
 
 /// Every build checkpoints and resumes; only the benchmark's result
 /// header (`perfbench/`) still reads this.

@@ -18,7 +18,7 @@ pub mod trace;
 
 pub use audit::{AuditHooks, AUDIT_AVAILABLE};
 pub use recorder::{
-    DropCause, Elephant, FlowRecord, Folded, LiveFlows, QueryRecord, Recorder, Tally, DROP_CAUSES,
+    DropCause, Elephant, FlowRecord, Folded, QueryRecord, Recorder, Tally, DROP_CAUSES,
 };
 pub use report::{Report, TenantReport, ELEPHANT_BYTES, MICE_BYTES};
 pub use summary::{mean, percentile, percentile_sorted, Cdf};

@@ -292,7 +292,7 @@ ckpt=$1
 cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect "$ckpt" | tee /tmp/vertigo_vsnp_ci.txt
 grep -q 'sim time' /tmp/vertigo_vsnp_ci.txt
-grep -q 'version    9' /tmp/vertigo_vsnp_ci.txt
+grep -q 'version    10' /tmp/vertigo_vsnp_ci.txt
 # Garbage input must fail loudly with a non-zero exit.
 if cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect scripts/ci.sh 2> /dev/null; then
@@ -355,12 +355,14 @@ cargo test --manifest-path perfbench/Cargo.toml -q
 cargo fmt --manifest-path perfbench/Cargo.toml --check
 cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
-echo "==> memory follows what is live: ft_soak peak RSS under 7.6 MB (it reads 7.1; 7.4 while finished flows kept their Recorder records and host flow slots held whole states; 7.9 while fingerprints stayed until their flow completed; 8.5 while retransmission counters did; 9.6 while drained rings, flow tables and the wheel's pool kept their busiest moment's room; 10.6 while finished receivers stayed whole; 49 MB with flat filter tables)"
-rss=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml --bin perf -- \
-  --workload ft_soak --seed 1 --seconds 3 --trace 0 \
-  | tail -1 | sed 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/')
-echo "ft_soak peak_rss_mb = $rss"
-awk -v rss="$rss" 'BEGIN { exit !(rss > 0 && rss < 7.6) }'
+echo "==> memory follows what is live: ft_soak and ft_soak_d1 peak RSS under 7.6 MB (ft_soak reads 7.1; 7.4 while finished flows kept their Recorder records and host flow slots held whole states; 7.9 while fingerprints stayed until their flow completed; 8.5 while retransmission counters did; 9.6 while drained rings, flow tables and the wheel's pool kept their busiest moment's room; 10.6 while finished receivers stayed whole; 49 MB with flat filter tables. ft_soak_d1 reads 6.7 since one domain records into the run's recorder)"
+for w in ft_soak ft_soak_d1; do
+  rss=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml --bin perf -- \
+    --workload "$w" --seed 1 --seconds 3 --trace 0 \
+    | tail -1 | sed 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/')
+  echo "$w peak_rss_mb = $rss"
+  awk -v rss="$rss" 'BEGIN { exit !(rss > 0 && rss < 7.6) }'
+done
 
 echo "==> the other three pinned full-horizon digests reproduce (perf exits 1 on a mismatch)"
 # With ft_soak above that is all four cells: a tie-order slip in any

@@ -155,6 +155,31 @@ fn domains_above_the_zone_count_run_one_a_zone() {
     assert_eq!(canon(out.report), canon(base.report));
 }
 
+/// One domain records into the run's recorder, queries included: incast
+/// replies and their queries fold as they finish, as in the classic loop,
+/// and what the recorder holds at the horizon is what still runs.
+#[test]
+fn one_domain_folds_what_finishes() {
+    let mut dsim = DomainSimulation::from_sim(cell(SystemKind::Vertigo).build(), 1);
+    let report = dsim.run();
+    assert!(
+        report.queries_completed > 0,
+        "the incast must answer queries"
+    );
+    let rec = dsim.recorder();
+    let finished = rec.flows.values().filter(|f| f.finished.is_some()).count();
+    assert_eq!(finished, 0, "finished records left behind");
+    assert_eq!(
+        rec.flows.len() as u64,
+        report.flows_started - report.flows_completed
+    );
+    assert!(rec.queries.values().all(|q| q.finished.is_none()));
+    assert_eq!(
+        rec.queries.len() as u64,
+        report.queries_started - report.queries_completed
+    );
+}
+
 /// The off-grid horizon and sample interval of [`off_grid_run`]: the
 /// instants both engines sample at, k · interval for k = 1, 2, … up to
 /// the horizon.

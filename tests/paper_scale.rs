@@ -360,9 +360,9 @@ fn soak_multi_tenant_scenario_completes_with_tenant_breakdowns() {
     }
 }
 
-/// A finished flow leaves its samples and its id's index entry, not its
-/// record: after the soak the recorder holds a record per flow still
-/// running, and what the completed ones left is at most 24 bytes each.
+/// A finished flow leaves its samples, not its record: after the soak the
+/// recorder holds a record per flow still running, and what the completed
+/// ones left is at most 16 bytes each.
 /// The soak runs 60 ms, ten times the benchmark's `ft_soak` horizon, at
 /// k = 8 under `VERTIGO_TIMING_TESTS=1`.
 #[test]
@@ -377,8 +377,8 @@ fn completed_flows_leave_their_samples_not_their_records() {
     assert!(completed > 1_000, "{completed} flows completed");
     assert_eq!(rec.flows.len() as u64, started - completed);
     assert!(rec.flows.values().all(|f| f.finished.is_none()));
-    let left = rec.flows.index_bytes() + rec.folded.heap_bytes();
+    let left = rec.folded.heap_bytes();
     let per_flow = left as f64 / completed as f64;
     eprintln!("{completed} of {started} flows completed: {per_flow:.1} B each");
-    assert!(per_flow <= 24.0, "{left} B for {completed} completed flows");
+    assert!(per_flow <= 16.0, "{left} B for {completed} completed flows");
 }
