@@ -31,7 +31,5 @@ pub mod pieo;
 
 pub use cuckoo::CuckooFilter;
 pub use marking::{MarkingComponent, MarkingConfig, MarkingDiscipline, MarkingStats};
-pub use ordering::{
-    DeliverReason, Delivered, OrderingComponent, OrderingConfig, OrderingMode, OrderingStats,
-};
+pub use ordering::{DeliverReason, Delivered, OrderingComponent, OrderingConfig, OrderingStats};
 pub use pieo::PieoQueue;

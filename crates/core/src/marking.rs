@@ -43,8 +43,6 @@ pub struct MarkingConfig {
     /// Retransmission boosting factor (power of two ≥ 2), or `None` to
     /// disable boosting (paper Fig. 11b's leftmost columns).
     pub boost_factor: Option<u32>,
-    /// Capacity of the retransmission-detection cuckoo filter, in packets.
-    pub filter_capacity: usize,
 }
 
 impl Default for MarkingConfig {
@@ -52,7 +50,6 @@ impl Default for MarkingConfig {
         MarkingConfig {
             discipline: MarkingDiscipline::Srpt,
             boost_factor: Some(2),
-            filter_capacity: 65_536,
         }
     }
 }
@@ -97,6 +94,9 @@ fn at_most(value: u8, max: u8, what: &str) -> Result<u8, SnapError> {
     Ok(value)
 }
 
+/// Capacity of the retransmission-detection cuckoo filter, in packets.
+const FILTER_CAPACITY: usize = 65_536;
+
 /// The sender-side marking component. One instance per host.
 pub struct MarkingComponent {
     cfg: MarkingConfig,
@@ -118,7 +118,7 @@ impl MarkingComponent {
     /// Creates a marking component.
     pub fn new(cfg: MarkingConfig) -> Self {
         let shift = cfg.boost_factor.map(boost::factor_to_shift).unwrap_or(0);
-        let filter = CuckooFilter::with_capacity(cfg.filter_capacity);
+        let filter = CuckooFilter::with_capacity(FILTER_CAPACITY);
         MarkingComponent {
             cfg,
             shift,
@@ -275,17 +275,16 @@ impl MarkingComponent {
 
     /// `flow`'s cumulative ACK moved from `from` to `to` (`from == to` for
     /// an ACK that moved nothing): removes the fingerprint and the
-    /// retransmission counter of each segment, cut at `mss` as the sender
-    /// cuts them, that starts in `[from, to)`. A sender never resends a
+    /// retransmission counter of each segment, cut at `MAX_PAYLOAD` as the
+    /// sender cuts them, that starts in `[from, to)`. A sender never resends a
     /// segment that starts below its cumulative ACK, so `mark` would never
     /// ask for them again. Over a flow's ACKs the intervals tile
     /// `[0, size)`, so each key is removed exactly once. The maps' room
     /// goes back at the host's next completion; shrinking here would free
     /// and regrow them with every repaired loss, for no lower peak.
     #[inline]
-    pub fn cum_ack_advanced(&mut self, flow: FlowId, from: u64, to: u64, mss: u32) {
-        debug_assert!(mss > 0 && mss <= MAX_PAYLOAD);
-        let mss = mss as u64;
+    pub fn cum_ack_advanced(&mut self, flow: FlowId, from: u64, to: u64) {
+        let mss = MAX_PAYLOAD as u64;
         let mut seq = from.div_ceil(mss) * mss;
         while seq < to {
             self.filter.remove(Self::key(flow, seq));
@@ -395,7 +394,6 @@ mod tests {
         MarkingComponent::new(MarkingConfig {
             discipline,
             boost_factor: factor,
-            filter_capacity: 4096,
         })
     }
 
@@ -480,7 +478,7 @@ mod tests {
         for k in 0..5u64 {
             m.mark(f, k * 1460, 1460);
         }
-        m.cum_ack_advanced(f, 0, 5 * 1460, 1460);
+        m.cum_ack_advanced(f, 0, 5 * 1460);
         m.complete_flow(f);
         assert_eq!((m.flows_tracked(), m.filter_entries()), (0, 0));
         // Re-registering and re-sending the same offsets must NOT look like
@@ -558,7 +556,7 @@ mod tests {
         assert!(filter > 0 && retx >= flows as usize);
         // Room follows the flows still live...
         for f in 0..flows - 8 {
-            m.cum_ack_advanced(FlowId(f), 0, 20 * 1460, 1460);
+            m.cum_ack_advanced(FlowId(f), 0, 20 * 1460);
             m.complete_flow(FlowId(f));
         }
         assert!(
@@ -575,7 +573,7 @@ mod tests {
         assert_eq!(m.mark(f, 1460, 1460).retcnt, 1);
         // ...down to nothing once every flow is done.
         for f in flows - 8..flows {
-            m.cum_ack_advanced(FlowId(f), 0, 20 * 1460, 1460);
+            m.cum_ack_advanced(FlowId(f), 0, 20 * 1460);
             m.complete_flow(FlowId(f));
         }
         assert_eq!((m.filter_heap_bytes(), m.retx.capacity()), (0, 0));
@@ -688,15 +686,14 @@ mod tests {
         untold: &mut MarkingComponent,
         flow: FlowId,
         l: &mut Live,
-        mss: u32,
     ) {
         while l.sent < l.total {
-            let len = (l.total - l.sent).min(mss as u64) as u32;
+            let len = (l.total - l.sent).min(MAX_PAYLOAD as u64) as u32;
             assert_eq!(told.mark(flow, l.sent, len), untold.mark(flow, l.sent, len));
             l.sent += len as u64;
         }
-        told.cum_ack_advanced(flow, l.acked, l.total, mss);
-        untold.cum_ack_advanced(flow, 0, l.total, mss);
+        told.cum_ack_advanced(flow, l.acked, l.total);
+        untold.cum_ack_advanced(flow, 0, l.total);
         told.complete_flow(flow);
         untold.complete_flow(flow);
     }
@@ -704,7 +701,7 @@ mod tests {
     proptest! {
         /// Two components run one script of opens, first sends,
         /// retransmissions, ACK advances and completions over four flows,
-        /// cut at an mss of up to `MAX_PAYLOAD`. Only `told` hears the ACKs
+        /// cut at `MAX_PAYLOAD`. Only `told` hears the ACKs
         /// of a live flow; both hear the ACK that completes it. Every header
         /// and every counter is the same, `told` holds a fingerprint for
         /// exactly the segments sent at or above each live flow's ACK and
@@ -712,10 +709,9 @@ mod tests {
         /// holds a counter or a fingerprint.
         #[test]
         fn counters_leave_at_the_ack_and_no_answer_changes(
-            mss in 536u32..=MAX_PAYLOAD,
             script in proptest::collection::vec((0u8..5, 0u64..4, any::<u16>()), 1..400),
         ) {
-            let seg = mss as u64;
+            let seg = MAX_PAYLOAD as u64;
             let mut told = comp(MarkingDiscipline::Srpt, Some(2));
             let mut untold = comp(MarkingDiscipline::Srpt, Some(2));
             let mut live: [Option<Live>; 4] = [None; 4];
@@ -762,15 +758,15 @@ mod tests {
                         }
                         .min(l.sent);
                         if to < l.total {
-                            told.cum_ack_advanced(flow, l.acked, to, mss);
+                            told.cum_ack_advanced(flow, l.acked, to);
                             l.acked = to;
                         } else {
-                            finish(&mut told, &mut untold, flow, l, mss);
+                            finish(&mut told, &mut untold, flow, l);
                             live[f as usize] = None;
                         }
                     }
                     (4, Some(l)) => {
-                        finish(&mut told, &mut untold, flow, l, mss);
+                        finish(&mut told, &mut untold, flow, l);
                         live[f as usize] = None;
                     }
                     _ => {}
@@ -793,7 +789,7 @@ mod tests {
             prop_assert!(told.retx_entries() <= untold.retx_entries());
             for (f, l) in live.iter_mut().enumerate() {
                 if let Some(l) = l {
-                    finish(&mut told, &mut untold, FlowId(f as u64), l, mss);
+                    finish(&mut told, &mut untold, FlowId(f as u64), l);
                 }
             }
             for m in [&told, &untold] {

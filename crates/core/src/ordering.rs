@@ -40,17 +40,7 @@ use vertigo_pkt::{FlowId, FlowInfo, FlowTable};
 use vertigo_simcore::{release_if_drained, SimDuration, SimTime};
 
 use crate::boost::unboost;
-
-/// How the RFS field orders packets within a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OrderingMode {
-    /// SRPT marking: RFS counts *down* by the payload size per packet; the
-    /// flow is complete when a packet's RFS equals its payload.
-    SrptBytes,
-    /// LAS marking (§4.3): RFS is a packet counter counting *up* by one;
-    /// flow completion is signalled out of band (`purge_flow`).
-    LasPackets,
-}
+use crate::marking::MarkingDiscipline;
 
 /// Configuration for the ordering component.
 #[derive(Debug, Clone)]
@@ -61,8 +51,13 @@ pub struct OrderingConfig {
     /// Per-retransmission rotation (bits) used by the peer's marking
     /// component; needed to recover original RFS values.
     pub boost_shift: u32,
-    /// Ordering semantics, matching the peer's marking discipline.
-    pub mode: OrderingMode,
+    /// The peer's marking discipline, which fixes how the RFS field
+    /// orders a flow's packets: under SRPT it counts *down* by the payload
+    /// size per packet, and the flow is complete when a packet's RFS
+    /// equals its payload; under LAS (§4.3) it is a packet counter
+    /// counting *up* by one, and flow completion is signalled out of band
+    /// (`purge_flow`).
+    pub discipline: MarkingDiscipline,
     /// Upper bound on buffered packets per flow; exceeding it forces an
     /// immediate release (bounds memory under pathological reordering).
     pub max_buffered_per_flow: usize,
@@ -73,7 +68,7 @@ impl Default for OrderingConfig {
         OrderingConfig {
             timeout: SimDuration::from_micros(360),
             boost_shift: 1,
-            mode: OrderingMode::SrptBytes,
+            discipline: MarkingDiscipline::Srpt,
             max_buffered_per_flow: 1024,
         }
     }
@@ -298,9 +293,9 @@ impl<T> OrderingComponent<T> {
     }
 
     /// Advances the expectation past a delivered packet.
-    fn advance(mode: OrderingMode, rfs: u64, payload: u32) -> Expect {
-        match mode {
-            OrderingMode::SrptBytes => {
+    fn advance(discipline: MarkingDiscipline, rfs: u64, payload: u32) -> Expect {
+        match discipline {
+            MarkingDiscipline::Srpt => {
                 let next = rfs.saturating_sub(payload as u64);
                 if next == 0 {
                     // Flow fully delivered.
@@ -309,15 +304,15 @@ impl<T> OrderingComponent<T> {
                     Expect::At(next)
                 }
             }
-            OrderingMode::LasPackets => Expect::At(rfs + 1),
+            MarkingDiscipline::Las => Expect::At(rfs + 1),
         }
     }
 
-    /// Is `rfs` *early* (beyond the expected packet) under this mode?
-    fn is_early(mode: OrderingMode, rfs: u64, expected: u64) -> bool {
-        match mode {
-            OrderingMode::SrptBytes => rfs < expected,
-            OrderingMode::LasPackets => rfs > expected,
+    /// Is `rfs` *early* (beyond the expected packet) under this discipline?
+    fn is_early(discipline: MarkingDiscipline, rfs: u64, expected: u64) -> bool {
+        match discipline {
+            MarkingDiscipline::Srpt => rfs < expected,
+            MarkingDiscipline::Las => rfs > expected,
         }
     }
 
@@ -334,7 +329,7 @@ impl<T> OrderingComponent<T> {
         item: T,
         out: &mut Vec<Delivered<T>>,
     ) -> bool {
-        let mode = self.cfg.mode;
+        let discipline = self.cfg.discipline;
         let timeout = self.cfg.timeout;
         let rfs = unboost(info.rfs, info.retcnt, self.cfg.boost_shift) as u64;
         let st = self.flows.get_or_insert_with(flow, FlowRx::new);
@@ -352,15 +347,15 @@ impl<T> OrderingComponent<T> {
                 item,
                 reason: DeliverReason::InOrder,
             });
-            st.expect = Self::advance(mode, rfs, payload);
-            let done = Self::drain_contiguous(mode, &mut self.stats, st, out);
+            st.expect = Self::advance(discipline, rfs, payload);
+            let done = Self::drain_contiguous(discipline, &mut self.stats, st, out);
             release_if_drained(&mut st.ooo);
             st.rearm(&mut self.armed, flow, timeout);
             if done || st.expect == Expect::AwaitFirst && st.ooo.is_empty() {
                 self.drop_flow(flow);
                 return true;
             }
-        } else if expected.is_none_or(|e| Self::is_early(mode, rfs, e)) {
+        } else if expected.is_none_or(|e| Self::is_early(discipline, rfs, e)) {
             // Early: a gap is in front of it. Buffer (dropping duplicates).
             let Err(at) = st.find(rfs) else {
                 self.stats.dup_dropped += 1;
@@ -382,7 +377,7 @@ impl<T> OrderingComponent<T> {
             }
             if st.ooo.len() > self.cfg.max_buffered_per_flow {
                 // Over the cap: force an immediate release up to the next gap.
-                Self::release_to_next_gap(mode, &mut self.stats, st, out);
+                Self::release_to_next_gap(discipline, &mut self.stats, st, out);
                 st.rearm(&mut self.armed, flow, timeout);
             }
         } else {
@@ -401,7 +396,7 @@ impl<T> OrderingComponent<T> {
     /// Delivers buffered packets that are now contiguous with the
     /// expectation. Returns `true` if the flow completed (SRPT).
     fn drain_contiguous(
-        mode: OrderingMode,
+        discipline: MarkingDiscipline,
         stats: &mut OrderingStats,
         st: &mut FlowRx<T>,
         out: &mut Vec<Delivered<T>>,
@@ -411,7 +406,7 @@ impl<T> OrderingComponent<T> {
                 Expect::At(e) => e,
                 Expect::AwaitFirst => {
                     // SRPT: expectation hit zero — flow done.
-                    return matches!(mode, OrderingMode::SrptBytes);
+                    return matches!(discipline, MarkingDiscipline::Srpt);
                 }
             };
             let Ok(at) = st.find(expected) else {
@@ -423,23 +418,23 @@ impl<T> OrderingComponent<T> {
                 item: entry.item,
                 reason: DeliverReason::GapFilled,
             });
-            st.expect = Self::advance(mode, expected, entry.payload);
+            st.expect = Self::advance(discipline, expected, entry.payload);
         }
     }
 
     /// Timeout action (paper §3.3.2 event 4): jump the expectation to the
     /// first buffered packet and release the contiguous run behind it.
     fn release_to_next_gap(
-        mode: OrderingMode,
+        discipline: MarkingDiscipline,
         stats: &mut OrderingStats,
         st: &mut FlowRx<T>,
         out: &mut Vec<Delivered<T>>,
     ) {
         // The "earliest missing packet" is followed by the *largest* RFS in
         // the buffer in SRPT mode, by the smallest in LAS mode.
-        let head = match mode {
-            OrderingMode::SrptBytes => st.ooo.pop_back(),
-            OrderingMode::LasPackets => st.ooo.pop_front(),
+        let head = match discipline {
+            MarkingDiscipline::Srpt => st.ooo.pop_back(),
+            MarkingDiscipline::Las => st.ooo.pop_front(),
         };
         let Some(entry) = head else {
             return;
@@ -449,10 +444,10 @@ impl<T> OrderingComponent<T> {
             item: entry.item,
             reason: DeliverReason::TimeoutRelease,
         });
-        st.expect = Self::advance(mode, entry.rfs, entry.payload);
+        st.expect = Self::advance(discipline, entry.rfs, entry.payload);
         // Anything contiguous behind the released head goes up too.
         let before = out.len();
-        Self::drain_contiguous(mode, stats, st, out);
+        Self::drain_contiguous(discipline, stats, st, out);
         // Recategorize those as timeout releases for accounting.
         for d in out[before..].iter_mut() {
             d.reason = DeliverReason::TimeoutRelease;
@@ -474,12 +469,12 @@ impl<T> OrderingComponent<T> {
     /// another.
     pub fn on_timer(&mut self, now: SimTime, out: &mut Vec<Delivered<T>>) {
         let timeout = self.cfg.timeout;
-        let mode = self.cfg.mode;
+        let discipline = self.cfg.discipline;
         let mut done_flows = Vec::new();
         for (flow, st) in self.flows.iter_mut() {
             while st.deadline.is_some_and(|dl| dl <= now) {
                 self.stats.timeouts += 1;
-                Self::release_to_next_gap(mode, &mut self.stats, st, out);
+                Self::release_to_next_gap(discipline, &mut self.stats, st, out);
                 st.rearm(&mut self.armed, *flow, timeout);
                 if st.ooo.is_empty() {
                     if st.expect == Expect::AwaitFirst {
@@ -594,9 +589,9 @@ impl<T> OrderingComponent<T> {
                 reason: DeliverReason::Flush,
             };
             // Deliver in flow order: decreasing RFS under SRPT.
-            match self.cfg.mode {
-                OrderingMode::SrptBytes => out.extend(st.ooo.into_iter().rev().map(flush)),
-                OrderingMode::LasPackets => out.extend(st.ooo.into_iter().map(flush)),
+            match self.cfg.discipline {
+                MarkingDiscipline::Srpt => out.extend(st.ooo.into_iter().rev().map(flush)),
+                MarkingDiscipline::Las => out.extend(st.ooo.into_iter().map(flush)),
             }
         }
     }
@@ -857,7 +852,7 @@ mod tests {
     #[test]
     fn las_mode_orders_by_ascending_counter() {
         let mut o: OrderingComponent<u64> = OrderingComponent::new(OrderingConfig {
-            mode: OrderingMode::LasPackets,
+            discipline: MarkingDiscipline::Las,
             ..cfg()
         });
         let f = FlowId(10);
@@ -1008,19 +1003,19 @@ mod tests {
     /// the anchor to the oldest arrival left.
     #[test]
     fn timeout_rearms_on_the_next_in_order_arrival() {
-        for (tau, mode) in [
-            (SimDuration::from_micros(100), OrderingMode::SrptBytes),
-            (SimDuration::from_micros(900), OrderingMode::LasPackets),
+        for (tau, discipline) in [
+            (SimDuration::from_micros(100), MarkingDiscipline::Srpt),
+            (SimDuration::from_micros(900), MarkingDiscipline::Las),
         ] {
             let mut o: OrderingComponent<u64> = OrderingComponent::new(OrderingConfig {
-                mode,
+                discipline,
                 timeout: tau,
                 ..cfg()
             });
             let f = FlowId(12);
-            let pkt = |k: u32| match mode {
-                OrderingMode::SrptBytes => info(k, 8),
-                OrderingMode::LasPackets => FlowInfo {
+            let pkt = |k: u32| match discipline {
+                MarkingDiscipline::Srpt => info(k, 8),
+                MarkingDiscipline::Las => FlowInfo {
                     rfs: k,
                     retcnt: 0,
                     flow_seq: 0,
@@ -1156,7 +1151,7 @@ mod tests {
         /// The early-packet buffer against a `BTreeMap` keyed by RFS, over
         /// a key range narrow enough that duplicates, misses and hits at
         /// the two ends (where `find` answers without searching) dominate.
-        /// The two pops are the head under each `OrderingMode`.
+        /// The two pops are the head under each `MarkingDiscipline`.
         #[test]
         fn ooo_buffer_indistinguishable_from_a_btreemap(
             ops in proptest::collection::vec((0u8..8, 0u64..24), 1..400),

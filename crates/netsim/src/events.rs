@@ -322,7 +322,7 @@ impl Ctx<'_> {
         if self.rec.trace.enabled() {
             self.trace_drop(node, port, cause, &pkt);
         }
-        self.rec.on_drop(cause, pkt.wire_size);
+        self.rec.on_drop(cause);
         pool::recycle(pkt);
     }
 
@@ -375,6 +375,14 @@ mod tests {
         assert!(size_of::<Event>() <= 16);
         assert_eq!(size_of::<Option<(u64, Event)>>(), 24);
         assert_eq!(size_of::<Option<Delivery<Event>>>(), 40);
+    }
+
+    /// An ACK is its cumulative ACK, ECN echo and timestamp echo; a
+    /// finished flow's receiver is its prefix alone.
+    #[test]
+    fn an_ack_is_24_bytes_and_a_finished_receiver_8() {
+        assert_eq!(size_of::<vertigo_pkt::AckSeg>(), 24);
+        assert_eq!(size_of::<vertigo_transport::FinishedReceiver>(), 8);
     }
 
     #[test]

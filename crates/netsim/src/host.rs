@@ -49,7 +49,7 @@ use vertigo_transport::{FinishedReceiver, FlowReceiver, FlowSender, SenderStats,
 /// Host-side configuration.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
-    /// Transport parameters (congestion control, RTO, MSS).
+    /// Transport parameters (congestion control, fast retransmit).
     pub transport: TransportConfig,
     /// TX-path marking component; `None` disables Vertigo tagging.
     pub marking: Option<MarkingConfig>,
@@ -112,7 +112,7 @@ pub struct Host {
     /// slots after a burst, 8 bytes each instead of a whole state's.
     senders: FlowTable<Box<SendState>>,
     receivers: FlowTable<Box<RecvState>>,
-    /// Flows received to completion, as the 16 bytes their late segments
+    /// Flows received to completion, as the 8 bytes their late segments
     /// still read. A flow is here or in `receivers`, never both.
     finished: FlowTable<FinishedReceiver>,
     marking: Option<MarkingComponent>,
@@ -399,8 +399,7 @@ impl Host {
                     // fingerprints and retransmission counters go; a
                     // completing ACK reaches the flow's size.
                     let to = ack.cum_ack;
-                    let mss = self.cfg.transport.mss;
-                    m.cum_ack_advanced(pkt.flow, to - o.newly_acked, to, mss);
+                    m.cum_ack_advanced(pkt.flow, to - o.newly_acked, to);
                 }
                 match outcome {
                     Some(o) if o.completed => {
@@ -431,15 +430,15 @@ impl Host {
         let (flow, ce, sent_at) = (pkt.flow, pkt.ecn.is_ce(), pkt.sent_at);
         let (ack, src, query) = match self.receivers.index_of(flow) {
             Some(i) => {
-                let st = self.receivers.value_at_mut(i);
-                (st.recv.on_trim(ctx.now, ce, sent_at), st.src, st.query)
+                let st = self.receivers.value_at(i);
+                (st.recv.on_trim(ce, sent_at), st.src, st.query)
             }
             None => match self.finished.get(flow) {
                 Some(fin) => (fin.on_trim(ce, sent_at), pkt.src, pkt.query),
                 None => {
                     let i = self.open_receiver(&pkt, seg.flow_bytes);
-                    let st = self.receivers.value_at_mut(i);
-                    (st.recv.on_trim(ctx.now, ce, sent_at), st.src, st.query)
+                    let st = self.receivers.value_at(i);
+                    (st.recv.on_trim(ce, sent_at), st.src, st.query)
                 }
             },
         };
@@ -454,7 +453,7 @@ impl Host {
     fn open_receiver(&mut self, pkt: &Packet, flow_bytes: u64) -> usize {
         let flow = pkt.flow;
         let (recv, reported_reorders, reported_bytes) = match self.finished.remove(flow) {
-            Some(fin) => (fin.revive(flow), fin.reorder_events(), fin.contiguous()),
+            Some(fin) => (fin.revive(flow), 0, fin.contiguous()),
             None => (FlowReceiver::new(flow, flow_bytes), 0, 0),
         };
         let st = Box::new(RecvState {
@@ -503,7 +502,7 @@ impl Host {
         let ack = st.recv.on_data(ctx.now, &seg, ce, sent_at);
         pool::recycle(pkt);
         // Export reorder and goodput deltas.
-        let reorders = st.recv.stats().reorder_events;
+        let reorders = st.recv.reorder_events();
         ctx.rec.transport_reorders += reorders - st.reported_reorders;
         st.reported_reorders = reorders;
         let contiguous = st.recv.contiguous().min(st.recv.size);
@@ -581,7 +580,7 @@ impl Host {
     /// Returns the earliest deadline among the senders it looked at — the
     /// only senders whose deadlines can have moved in this event.
     fn pump(&mut self, ctx: &mut Ctx) -> Option<SimTime> {
-        let mss_wire = (self.cfg.transport.mss
+        let mss_wire = (vertigo_pkt::MAX_PAYLOAD
             + vertigo_pkt::DATA_HEADER_BYTES
             + vertigo_pkt::FLOWINFO_OVERHEAD_BYTES) as u64;
         while let Some(&Reverse((release, flow))) = self.paced.peek() {
@@ -760,10 +759,7 @@ impl Host {
             let recv = FlowReceiver::snap_restore(r)?;
             // `deliver_data` exports the difference to these on the next
             // packet: a claim above what the receiver holds underflows it.
-            let (bytes, reorders) = (
-                recv.contiguous().min(recv.size),
-                recv.stats().reorder_events,
-            );
+            let (bytes, reorders) = (recv.contiguous().min(recv.size), recv.reorder_events());
             if reported_bytes > bytes || reported_reorders > reorders {
                 return Err(SnapError::new(format!(
                     "receiver of {flow:?}: reported {reported_bytes} bytes and \
@@ -780,9 +776,9 @@ impl Host {
             self.receivers.insert(flow, Box::new(st));
             Ok(())
         })?;
-        // A finished record is its flow and two counters.
+        // A finished record is its flow and its prefix.
         self.finished.clear();
-        r.ascending(24, "finished flow", FlowId::restore, |r, flow| {
+        r.ascending(16, "finished flow", FlowId::restore, |r, flow| {
             if self.receivers.index_of(flow).is_some() {
                 return Err(SnapError::new(format!(
                     "finished flow {flow:?} also has a live receiver"

@@ -629,7 +629,6 @@ mod tests {
                 cum_ack: 0,
                 ecn_echo: false,
                 ts_echo: SimTime::ZERO,
-                reorder_seen: 0,
             },
             SimTime::ZERO,
         );

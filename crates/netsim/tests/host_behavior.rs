@@ -187,7 +187,6 @@ fn ack_arrival_opens_the_window() {
             cum_ack: 1460,
             ecn_echo: false,
             ts_echo: first[0].sent_at,
-            reorder_seen: 0,
         },
         SimTime::ZERO,
     );
@@ -216,7 +215,6 @@ fn flow_record_lifecycle_lives_at_the_sender() {
             cum_ack: 1460,
             ecn_echo: false,
             ts_echo: pkts[0].sent_at,
-            reorder_seen: 0,
         },
         SimTime::ZERO,
     );
@@ -239,7 +237,6 @@ fn ack_pkt(flow: FlowId, cum_ack: u64, ts_echo: SimTime) -> Box<Packet> {
             cum_ack,
             ecn_echo: false,
             ts_echo,
-            reorder_seen: 0,
         },
         SimTime::ZERO,
     ))
@@ -337,23 +334,26 @@ fn idle_senders_do_not_change_what_an_active_flow_does() {
 fn pacer_release_is_exact_when_another_event_shares_the_instant() {
     const PACED: FlowId = FlowId(1);
     const OTHER: FlowId = FlowId(2);
-    let mut transport = TransportConfig::default_for(CcKind::Swift);
-    transport.swift.init_cwnd = 0.5; // sub-packet window: one in flight, paced
-    transport.swift.ai = 0.0;
-    let mut host = Host::new(ME, nic(), HostConfig::plain(transport));
+    let swift = HostConfig::plain(TransportConfig::default_for(CcKind::Swift));
+    let mut host = Host::new(ME, nic(), swift);
     let mut h = Harness::new();
-    host.start_flow(PACED, PEER_HOST, 10 * 1460, QueryId::NONE, &mut h.ctx());
-    host.start_flow(OTHER, PEER_HOST, 10 * 1460, QueryId::NONE, &mut h.ctx());
+    host.start_flow(PACED, PEER_HOST, 20 * 1460, QueryId::NONE, &mut h.ctx());
+    host.start_flow(OTHER, PEER_HOST, 20 * 1460, QueryId::NONE, &mut h.ctx());
     let us = SimTime::from_micros;
-    // The paced flow's first two ACKs: the first lets segment 1 out and
-    // arms the pacer, the second finds the pacer closed.
-    for (at, cum, echo) in [(100, 1460, 0), (150, 2 * 1460, 100)] {
+    // Both initial windows of 10 leave at once. The paced flow's ACKs come
+    // back 1 ms after they left: four cuts, one per RTT, take its window
+    // to 0.625 MSS, and the ACK of the rest (half an RTT after the last
+    // cut) lets segment 10 out alone and arms the pacer for 1.6 ms. The
+    // next ACK, above the target delay, finds the pacer closed.
+    let mut acks: Vec<(u64, u64, u64)> = (1..=4).map(|k| (1000 * k, k, 1000 * (k - 1))).collect();
+    acks.extend([(4500, 10, 3500), (5000, 11, 4500)]);
+    for (at, segs, echo) in acks {
         h.events.push(
             us(at),
             Event::Arrive {
                 node: ME,
                 port: PortId(0),
-                pkt: ack_pkt(PACED, cum, us(echo)),
+                pkt: ack_pkt(PACED, segs * 1460, us(echo)),
             },
         );
     }
@@ -366,19 +366,21 @@ fn pacer_release_is_exact_when_another_event_shares_the_instant() {
             Event::Arrive { node: TOR, pkt, .. } => wire.push(*pkt),
             Event::Arrive { pkt, .. } => host.on_arrive(pkt, &mut h.ctx()),
             Event::TxDone { .. } => host.on_tx_done(&mut h.ctx()),
-            Event::HostTimer { .. } if at > us(150) => break at,
+            Event::HostTimer { .. } if at > us(5000) => break at,
             Event::HostTimer { .. } => host.on_timer(&mut h.ctx()),
             other => panic!("unexpected event {other:?}"),
         }
     };
-    assert!(release > us(150) && release < us(1000), "{release:?}");
+    assert!(release > us(6000) && release < us(6200), "{release:?}");
     let sent = |wire: &[Packet], flow| wire.iter().filter(|p| p.flow == flow).count();
-    assert_eq!(sent(&wire, PACED), 2, "segment 2 waits for the pacer");
-    assert_eq!(sent(&wire, OTHER), 1, "sub-packet window: one in flight");
+    assert_eq!(sent(&wire, PACED), 11, "segment 11 waits for the pacer");
+    assert_eq!(sent(&wire, OTHER), 10, "its initial window, unacknowledged");
     // The clock now reads `release`, and the wakeup has not been handled.
-    // Another event of the same instant goes first: the other flow's ACK.
+    // Another event of the same instant goes first: the other flow's ACK,
+    // 10 µs after its segment left, which lets one more segment out.
     wire.clear();
-    host.on_arrive(ack_pkt(OTHER, 1460, us(1)), &mut h.ctx());
+    let echo = SimTime::from_nanos(release.as_nanos() - 10_000);
+    host.on_arrive(ack_pkt(OTHER, 1460, echo), &mut h.ctx());
     // That event's pump must already release the paced sender — polling
     // every sender always did — ahead of the higher-numbered flow it ACKed.
     host.on_timer(&mut h.ctx());
@@ -394,7 +396,7 @@ fn pacer_release_is_exact_when_another_event_shares_the_instant() {
         .iter()
         .map(|p| (p.flow, p.data_seg().unwrap().seq))
         .collect();
-    assert_eq!(order, [(PACED, 2 * 1460), (OTHER, 1460)]);
+    assert_eq!(order, [(PACED, 11 * 1460), (OTHER, 10 * 1460)]);
     assert_eq!(wire[0].sent_at, release, "on the wire at exactly pace_next");
     assert!(wire[0].uid < wire[1].uid, "created first, in flow order");
 }
@@ -438,17 +440,16 @@ fn full_nic_keeps_unreached_senders_ready() {
     assert_eq!(firsts, [1, 2, 3, 4, 5]);
 }
 
-/// Segments 0 and 1 of a flow cut at `mss` are lost. Each retransmission
-/// gets a counter, and each counter and fingerprint leaves when the
-/// cumulative ACK passes its segment, while the flow still has data to
-/// send. Once the flow is done the host holds neither.
-fn lossy_flow_counters_leave_at_the_ack(mss: u32) {
+/// Segments 0 and 1 of a flow are lost. Each retransmission gets a
+/// counter, and each counter and fingerprint leaves when the cumulative
+/// ACK passes its segment, while the flow still has data to send. Once the
+/// flow is done the host holds neither.
+#[test]
+fn a_lossy_flows_counters_leave_at_the_ack_while_it_is_live() {
     let mut h = Harness::new();
-    let mut tc = TransportConfig::default_for(CcKind::Dctcp);
-    tc.mss = mss;
-    let mut host = Host::new(ME, nic(), HostConfig::vertigo(tc));
+    let mut host = vertigo_host();
     let flow = FlowId(1);
-    let mss = mss as u64;
+    let mss = vertigo_pkt::MAX_PAYLOAD as u64;
     host.start_flow(flow, PEER_HOST, 40 * mss, QueryId::NONE, &mut h.ctx());
     let window = h.drain_tx(&mut host);
     assert_eq!(window.len(), 10);
@@ -496,18 +497,6 @@ fn lossy_flow_counters_leave_at_the_ack(mss: u32) {
         sent = h.drain_tx(&mut host);
     }
     assert_eq!((host.retx_entries(), host.filter_heap_bytes()), (0, 0));
-}
-
-#[test]
-fn a_lossy_flows_counters_leave_at_the_ack_while_it_is_live() {
-    lossy_flow_counters_leave_at_the_ack(1460);
-}
-
-/// A host whose transport cuts segments below `MAX_PAYLOAD` finds every
-/// counter and fingerprint of the flow, at the ACK and at completion.
-#[test]
-fn counters_and_fingerprints_follow_the_transports_mss() {
-    lossy_flow_counters_leave_at_the_ack(1000);
 }
 
 /// Ten flows put 100 segments into the NIC at once; once they are on the
@@ -828,7 +817,7 @@ fn a_finished_flow_answers_late_segments_as_its_full_receiver_did() {
         let seg = *pkt.data_seg().unwrap();
         let (now, ce, sent_at) = (h.events.now(), pkt.ecn.is_ce(), pkt.sent_at);
         let want = if pkt.is_trimmed() {
-            full.on_trim(now, ce, sent_at)
+            full.on_trim(ce, sent_at)
         } else {
             full.on_data(now, &seg, ce, sent_at)
         };
@@ -847,7 +836,7 @@ fn a_finished_flow_answers_late_segments_as_its_full_receiver_did() {
     assert_eq!(host.receiving(), (0, 1));
     // A duplicate of its first segment (CE-marked), then a trimmed stub of
     // its second: each gets the full receiver's ACK (cumulative through the
-    // flow, one reorder seen), and neither adds goodput or finishes it again.
+    // flow), and neither adds goodput or finishes it again.
     acks(&mut host, &mut h, peer_data(FLOW, 0, 2, true, us(3)));
     let mut stub = peer_data(FLOW, 1, 2, false, us(4));
     stub.trim();
@@ -856,6 +845,12 @@ fn a_finished_flow_answers_late_segments_as_its_full_receiver_did() {
     assert_eq!(h.rec.flows[&FLOW].finished, Some(finished));
     assert_eq!(h.rec.data_delivered, 3, "the stub is no delivery");
     assert_eq!(host.receiving(), (0, 1), "one finished entry, no receiver");
+    // A segment past a gap revives the receiver: its one reorder is
+    // exported, the finished flow's is not exported a second time, and
+    // the goodput stays.
+    acks(&mut host, &mut h, peer_data(FLOW, 3, 2, false, us(5)));
+    assert_eq!(books(&h), (2 * 1460, 2));
+    assert_eq!(host.receiving(), (1, 0), "revived");
 }
 
 /// The byte span of every record in a host record's three flow tables.
@@ -1101,9 +1096,10 @@ fn a_late_copy_past_a_finished_flow_files_no_record() {
             rec.goodput_bytes,
         )
     };
-    let before = books(&p);
+    let (before, reorders) = (books(&p), p.h.rec.transport_reorders);
     // A segment past the finished prefix revives the complete receiver,
-    // whose progress is nothing: no placeholder, no count moves.
+    // whose progress is nothing: no placeholder, no count moves but the
+    // one reorder the gap in front of it is.
     let seg = DataSeg {
         seq: 4 * 1460,
         payload: 1460,
@@ -1127,4 +1123,5 @@ fn a_late_copy_past_a_finished_flow_files_no_record() {
     assert_eq!(p.hosts[1].receiving(), (1, 0), "revived whole");
     assert!(p.h.rec.flows.is_empty(), "{:?}", p.h.rec.flows);
     assert_eq!(books(&p), before);
+    assert_eq!(p.h.rec.transport_reorders, reorders + 1);
 }

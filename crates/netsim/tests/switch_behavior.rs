@@ -287,7 +287,6 @@ fn acks_survive_vertigo_overflow() {
             cum_ack: 0,
             ecn_echo: false,
             ts_echo: SimTime::ZERO,
-            reorder_seen: 0,
         },
         SimTime::ZERO,
     ));

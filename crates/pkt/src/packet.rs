@@ -121,10 +121,6 @@ pub struct AckSeg {
     /// Echo of the data packet's transmit timestamp, for RTT measurement
     /// (Swift-style hardware timestamping).
     pub ts_echo: SimTime,
-    /// Number of distinct out-of-order arrivals the receiver has seen for
-    /// this flow (diagnostic; lets experiments report reordering as seen by
-    /// the transport, after any ordering shim).
-    pub reorder_seen: u64,
 }
 
 /// What a packet carries.
@@ -405,7 +401,6 @@ mod tests {
                 cum_ack: 1460,
                 ecn_echo: false,
                 ts_echo: SimTime::ZERO,
-                reorder_seen: 0,
             },
             SimTime::ZERO,
         );

@@ -106,14 +106,12 @@ impl Snapshot for AckSeg {
         w.put_u64(self.cum_ack);
         w.put_bool(self.ecn_echo);
         self.ts_echo.save(w);
-        w.put_u64(self.reorder_seen);
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(AckSeg {
             cum_ack: r.get_u64()?,
             ecn_echo: r.get_bool()?,
             ts_echo: SimTime::restore(r)?,
-            reorder_seen: r.get_u64()?,
         })
     }
 }
@@ -236,7 +234,6 @@ mod tests {
                     cum_ack: 4380,
                     ecn_echo: true,
                     ts_echo: SimTime::from_nanos(321),
-                    reorder_seen: 2,
                 },
                 SimTime::from_nanos(999),
             ),

@@ -44,7 +44,11 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// and the finished flows' and queries' samples by tag; no tag maps. A
 /// flow-start event carries the tag.
 /// Version 10: the recorder record drops the folded-id bitmap.
-pub const SNAP_VERSION: u16 = 10;
+/// Version 11: an ACK drops its reorder count; a receiver record keeps one
+/// counter and no timestamps, a finished receiver its prefix alone, a
+/// sender's segment no send count, and the recorder no dropped bytes and
+/// no mice queueing sums.
+pub const SNAP_VERSION: u16 = 11;
 
 /// Every build checkpoints and resumes; only the benchmark's result
 /// header (`perfbench/`) still reads this.

@@ -192,8 +192,6 @@ pub struct Recorder {
     pub folded: Folded,
     /// Packet drops by cause.
     pub drops: [u64; DROP_CAUSES],
-    /// Bytes dropped.
-    pub dropped_bytes: u64,
     /// Deflection events.
     pub deflections: u64,
     /// PABO backward bounces to the upstream hop (a subset of
@@ -226,11 +224,6 @@ pub struct Recorder {
     pub retransmits: u64,
     /// RTO firings across all senders.
     pub rtos: u64,
-    /// Sum of per-packet queueing delay in seconds for mice flows
-    /// (< 100 KB), and their packet count, for the §2 queueing statistic.
-    pub mice_queueing_secs: f64,
-    /// Packets behind `mice_queueing_secs`.
-    pub mice_queueing_pkts: u64,
     /// Fault-injection interventions: fault drops plus stall/pause
     /// deferrals. Zero on fault-free runs.
     pub fault_events: u64,
@@ -422,7 +415,6 @@ impl Recorder {
         for (d, o) in self.drops.iter_mut().zip(other.drops) {
             *d += o;
         }
-        self.dropped_bytes += other.dropped_bytes;
         self.deflections += other.deflections;
         self.pabo_bounces += other.pabo_bounces;
         self.hybrid_deflects += other.hybrid_deflects;
@@ -437,8 +429,6 @@ impl Recorder {
         self.data_sent += other.data_sent;
         self.retransmits += other.retransmits;
         self.rtos += other.rtos;
-        self.mice_queueing_secs += other.mice_queueing_secs;
-        self.mice_queueing_pkts += other.mice_queueing_pkts;
         self.fault_events += other.fault_events;
         self.audit.absorb(&other.audit);
     }
@@ -471,9 +461,8 @@ impl Recorder {
     }
 
     /// Records a packet drop.
-    pub fn on_drop(&mut self, cause: DropCause, wire_bytes: u32) {
+    pub fn on_drop(&mut self, cause: DropCause) {
         self.drops[cause.index()] += 1;
-        self.dropped_bytes += wire_bytes as u64;
     }
 
     /// Total drops across causes.
@@ -516,7 +505,6 @@ impl Recorder {
         for d in &self.drops {
             w.put_u64(*d);
         }
-        w.put_u64(self.dropped_bytes);
         w.put_u64(self.deflections);
         w.put_u64(self.pabo_bounces);
         w.put_u64(self.hybrid_deflects);
@@ -531,8 +519,6 @@ impl Recorder {
         w.put_u64(self.data_sent);
         w.put_u64(self.retransmits);
         w.put_u64(self.rtos);
-        w.put_f64(self.mice_queueing_secs);
-        w.put_u64(self.mice_queueing_pkts);
         w.put_u64(self.fault_events);
         self.audit.snap_save(w);
         self.trace.snap_save(w);
@@ -593,7 +579,6 @@ impl Recorder {
                 "drops by cause {drops:?} sum past u64"
             )));
         }
-        self.dropped_bytes = r.get_u64()?;
         self.deflections = r.get_u64()?;
         self.pabo_bounces = r.get_u64()?;
         self.hybrid_deflects = r.get_u64()?;
@@ -608,8 +593,6 @@ impl Recorder {
         self.data_sent = r.get_u64()?;
         self.retransmits = r.get_u64()?;
         self.rtos = r.get_u64()?;
-        self.mice_queueing_secs = r.get_f64()?;
-        self.mice_queueing_pkts = r.get_u64()?;
         self.fault_events = r.get_u64()?;
         self.audit.snap_restore(r)?;
         self.trace.snap_restore(r)?;
@@ -890,12 +873,11 @@ mod tests {
     #[test]
     fn drop_accounting() {
         let mut r = Recorder::new();
-        r.on_drop(DropCause::QueueFull, 1500);
-        r.on_drop(DropCause::QueueFull, 1500);
-        r.on_drop(DropCause::TtlExceeded, 64);
+        r.on_drop(DropCause::QueueFull);
+        r.on_drop(DropCause::QueueFull);
+        r.on_drop(DropCause::TtlExceeded);
         assert_eq!(r.total_drops(), 3);
         assert_eq!(r.drops[DropCause::QueueFull.index()], 2);
-        assert_eq!(r.dropped_bytes, 3064);
     }
 
     #[test]
@@ -926,9 +908,8 @@ mod tests {
         r.flow_started(FlowId(2), QueryId::NONE, NodeId(2), NodeId(3), 500, t(20));
         r.flow_progress(FlowId(1), 400);
         r.flow_finished(FlowId(1), t(110));
-        r.on_drop(DropCause::DeflectionFull, 1500);
+        r.on_drop(DropCause::DeflectionFull);
         r.deflections = 7;
-        r.mice_queueing_secs = 0.125;
         r.fault_events = 3;
         let mut w = SnapWriter::new();
         r.snap_save(&mut w, 4);
@@ -944,7 +925,6 @@ mod tests {
         assert_eq!(r2.drops, r.drops);
         assert_eq!(r2.deflections, 7);
         assert_eq!(r2.goodput_bytes, 400);
-        assert_eq!(r2.mice_queueing_secs, 0.125);
         assert_eq!(r2.fault_events, 3);
         assert_eq!(r2.folded.tenants[&2].bytes_delivered, 400);
         assert_eq!(r2.queries[&q].tag, 1);

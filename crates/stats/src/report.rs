@@ -344,7 +344,7 @@ mod tests {
         r.data_delivered = 90;
         r.hops_delivered = 360;
         r.goodput_bytes = 130_000;
-        r.on_drop(DropCause::QueueFull, 1500);
+        r.on_drop(DropCause::QueueFull);
 
         let rep = Report::from_recorder(&r, SimTime::from_millis(1));
         assert_eq!(rep.flows_started, 4);

@@ -57,13 +57,13 @@ pub trait CongestionControl: std::fmt::Debug + Send {
     /// Short protocol name for reports.
     fn name(&self) -> &'static str;
 
-    /// Serializes the controller's mutable state for a checkpoint. The
-    /// configuration is *not* saved — resume reconstructs the controller
-    /// from the run spec and then overlays this state.
+    /// Serializes the controller's mutable state for a checkpoint. Its
+    /// kind is *not* saved — resume constructs the controller the run
+    /// spec names and then overlays this state.
     fn snap_save(&self, w: &mut SnapWriter);
 
     /// Restores state written by [`CongestionControl::snap_save`] into a
-    /// freshly constructed controller of the same kind and configuration.
+    /// freshly constructed controller of the same kind.
     fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 

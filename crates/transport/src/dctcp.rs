@@ -8,36 +8,18 @@
 //! style halving when every packet was marked.
 
 use crate::cc::{AckContext, CongestionControl};
+use crate::reno::{INIT_CWND, MAX_CWND, MIN_CWND};
+use vertigo_pkt::MAX_PAYLOAD;
 use vertigo_simcore::SimTime;
 
-/// DCTCP parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct DctcpConfig {
-    /// Initial window in MSS (paper setting: 10).
-    pub init_cwnd: f64,
-    /// Lower bound on the window.
-    pub min_cwnd: f64,
-    /// Upper bound on the window.
-    pub max_cwnd: f64,
-    /// EWMA gain `g` for the α estimate (DCTCP paper: 1/16).
-    pub g: f64,
-}
-
-impl Default for DctcpConfig {
-    fn default() -> Self {
-        DctcpConfig {
-            init_cwnd: 10.0,
-            min_cwnd: 1.0,
-            max_cwnd: 10_000.0,
-            g: 1.0 / 16.0,
-        }
-    }
-}
+/// EWMA gain `g` for the α estimate (DCTCP paper: 1/16).
+const G: f64 = 1.0 / 16.0;
+/// The segment size the window is counted in.
+const MSS: u64 = MAX_PAYLOAD as u64;
 
 /// DCTCP sender state.
 #[derive(Debug)]
 pub struct Dctcp {
-    cfg: DctcpConfig,
     cwnd: f64,
     ssthresh: f64,
     /// Smoothed fraction of marked packets.
@@ -49,32 +31,31 @@ pub struct Dctcp {
     /// Window length in bytes for the current observation round
     /// (≈ one cwnd at round start).
     window_len: u64,
-    mss: u64,
 }
 
-impl Dctcp {
-    /// Creates a DCTCP controller.
-    pub fn new(cfg: DctcpConfig, mss: u32) -> Self {
-        let mss = mss as u64;
+impl Default for Dctcp {
+    /// A DCTCP controller in slow start, its window counted in
+    /// `MAX_PAYLOAD`-byte segments.
+    fn default() -> Self {
         Dctcp {
-            cwnd: cfg.init_cwnd,
+            cwnd: INIT_CWND,
             ssthresh: f64::INFINITY,
             alpha: 0.0,
             window_acked: 0,
             window_marked: 0,
-            window_len: (cfg.init_cwnd as u64).max(1) * mss,
-            mss,
-            cfg,
+            window_len: INIT_CWND as u64 * MSS,
         }
     }
+}
 
+impl Dctcp {
     /// The smoothed marking fraction α (for tests and diagnostics).
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
 
     fn clamp(&mut self) {
-        self.cwnd = self.cwnd.clamp(self.cfg.min_cwnd, self.cfg.max_cwnd);
+        self.cwnd = self.cwnd.clamp(MIN_CWND, MAX_CWND);
     }
 
     /// Closes an observation window: update α and apply the proportional
@@ -85,7 +66,7 @@ impl Dctcp {
         } else {
             self.window_marked as f64 / self.window_acked as f64
         };
-        self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g * f;
+        self.alpha = (1.0 - G) * self.alpha + G * f;
         if self.window_marked > 0 {
             self.cwnd *= 1.0 - self.alpha / 2.0;
             self.ssthresh = self.cwnd;
@@ -93,7 +74,7 @@ impl Dctcp {
         }
         self.window_acked = 0;
         self.window_marked = 0;
-        self.window_len = ((self.cwnd * self.mss as f64) as u64).max(self.mss);
+        self.window_len = ((self.cwnd * MSS as f64) as u64).max(MSS);
     }
 }
 
@@ -183,7 +164,7 @@ mod tests {
 
     #[test]
     fn no_marks_behaves_like_reno_slow_start() {
-        let mut d = Dctcp::new(DctcpConfig::default(), 1460);
+        let mut d = Dctcp::default();
         let w0 = d.cwnd();
         d.on_ack(&ack(w0, false));
         assert_eq!(d.cwnd(), w0 * 2.0);
@@ -192,7 +173,7 @@ mod tests {
 
     #[test]
     fn fully_marked_window_converges_to_halving() {
-        let mut d = Dctcp::new(DctcpConfig::default(), 1460);
+        let mut d = Dctcp::default();
         // Repeatedly ack fully-marked windows; α → 1, reduction → cwnd/2.
         for _ in 0..200 {
             let w = d.cwnd();
@@ -203,7 +184,7 @@ mod tests {
 
     #[test]
     fn light_marking_gives_gentle_reduction() {
-        let mut d = Dctcp::new(DctcpConfig::default(), 1460);
+        let mut d = Dctcp::default();
         // Grow to a sizable window first.
         for _ in 0..6 {
             let w = d.cwnd();
@@ -225,7 +206,7 @@ mod tests {
 
     #[test]
     fn alpha_decays_when_marking_stops() {
-        let mut d = Dctcp::new(DctcpConfig::default(), 1460);
+        let mut d = Dctcp::default();
         for _ in 0..50 {
             let w = d.cwnd();
             d.on_ack(&ack(w, true));
@@ -240,14 +221,14 @@ mod tests {
 
     #[test]
     fn rto_collapses_window() {
-        let mut d = Dctcp::new(DctcpConfig::default(), 1460);
+        let mut d = Dctcp::default();
         d.on_rto(SimTime::ZERO);
         assert_eq!(d.cwnd(), 1.0);
     }
 
     #[test]
     fn is_ecn_capable() {
-        let d = Dctcp::new(DctcpConfig::default(), 1460);
+        let d = Dctcp::default();
         assert!(d.ecn_capable());
         assert_eq!(d.name(), "DCTCP");
     }

@@ -10,8 +10,10 @@
 //! * [`Swift`] — delay-based with sub-packet windows and pacing.
 //!
 //! Loss detection supports both fast retransmit (3 duplicate ACKs,
-//! NewReno partial-ACK repair) and RTO with exponential backoff; DIBS
-//! disables fast retransmit per its paper, which is a config switch here.
+//! NewReno partial-ACK repair) and RTO with exponential backoff. The
+//! controllers and the RTO estimator run at the paper's parameters, fixed
+//! as constants in their modules; [`TransportConfig`] picks the controller
+//! and whether fast retransmit is on (DIBS turns it off, per its paper).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,9 +27,9 @@ pub mod sender;
 pub mod swift;
 
 pub use cc::{AckContext, CcKind, CongestionControl};
-pub use dctcp::{Dctcp, DctcpConfig};
-pub use receiver::{FinishedReceiver, FlowReceiver, ReceiverStats};
-pub use reno::{Reno, RenoConfig};
-pub use rto::{RtoConfig, RtoEstimator};
+pub use dctcp::Dctcp;
+pub use receiver::{FinishedReceiver, FlowReceiver};
+pub use reno::Reno;
+pub use rto::RtoEstimator;
 pub use sender::{AckOutcome, FlowSender, SenderStats, TransportConfig};
-pub use swift::{Swift, SwiftConfig};
+pub use swift::Swift;

@@ -14,19 +14,6 @@ use std::collections::BTreeMap;
 use vertigo_pkt::{AckSeg, DataSeg, FlowId};
 use vertigo_simcore::SimTime;
 
-/// Receiver-side counters.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ReceiverStats {
-    /// Data packets that arrived with a gap in front of them.
-    pub reorder_events: u64,
-    /// Duplicate data packets (already fully received).
-    pub duplicates: u64,
-    /// Trimmed header-only stubs received (explicit loss notices).
-    pub trim_notices: u64,
-    /// Total data packets processed.
-    pub packets: u64,
-}
-
 /// One flow's receive state.
 #[derive(Debug)]
 pub struct FlowReceiver {
@@ -39,11 +26,8 @@ pub struct FlowReceiver {
     /// Out-of-order ranges: start → length.
     ooo: BTreeMap<u64, u32>,
     complete: bool,
-    stats: ReceiverStats,
-    /// When the first data packet arrived (for FCT-from-first-byte stats).
-    pub first_arrival: Option<SimTime>,
-    /// When the flow completed.
-    pub completed_at: Option<SimTime>,
+    /// Data packets that arrived with a gap in front of them.
+    reorder_events: u64,
 }
 
 impl FlowReceiver {
@@ -55,9 +39,7 @@ impl FlowReceiver {
             cum: 0,
             ooo: BTreeMap::new(),
             complete: false,
-            stats: ReceiverStats::default(),
-            first_arrival: None,
-            completed_at: None,
+            reorder_events: 0,
         }
     }
 
@@ -71,58 +53,41 @@ impl FlowReceiver {
         self.complete
     }
 
-    /// Receiver counters.
-    pub fn stats(&self) -> ReceiverStats {
-        self.stats
+    /// Data packets that arrived with a gap in front of them.
+    pub fn reorder_events(&self) -> u64 {
+        self.reorder_events
     }
 
     /// Processes a data segment and produces the ACK to send back.
     ///
+    /// * `_now` — the arrival time; the receiver keeps no clock.
     /// * `ce` — whether the packet arrived with ECN CE set (echoed).
     /// * `sent_at` — the packet's transmit timestamp (echoed for RTT).
-    pub fn on_data(&mut self, now: SimTime, seg: &DataSeg, ce: bool, sent_at: SimTime) -> AckSeg {
-        self.stats.packets += 1;
-        if self.first_arrival.is_none() {
-            self.first_arrival = Some(now);
-        }
+    pub fn on_data(&mut self, _now: SimTime, seg: &DataSeg, ce: bool, sent_at: SimTime) -> AckSeg {
         let end = seg.seq + seg.payload as u64;
-        if end <= self.cum {
-            self.stats.duplicates += 1;
-        } else if seg.seq <= self.cum {
-            // Advances the contiguous prefix (possibly partially duplicate).
+        if seg.seq > self.cum {
+            // A gap precedes this segment.
+            self.reorder_events += 1;
+            self.ooo.entry(seg.seq).or_insert(seg.payload);
+        } else if end > self.cum {
+            // Advances the contiguous prefix (possibly partially
+            // duplicate); a whole duplicate moves nothing.
             self.cum = end;
             self.drain_ooo();
-        } else {
-            // A gap precedes this segment.
-            self.stats.reorder_events += 1;
-            self.ooo.entry(seg.seq).or_insert(seg.payload);
         }
-        if !self.complete && self.cum >= self.size {
-            self.complete = true;
-            self.completed_at = Some(now);
-        }
-        AckSeg {
-            cum_ack: self.cum,
-            ecn_echo: ce,
-            ts_echo: sent_at,
-            reorder_seen: self.stats.reorder_events,
-        }
+        self.complete |= self.cum >= self.size;
+        self.on_trim(ce, sent_at)
     }
 
     /// Processes a trimmed header stub: the payload was cut off in the
     /// network, so nothing advances — but the stub still generates an
     /// immediate (duplicate) ACK, which is the explicit loss signal that
     /// lets the sender fast-retransmit without waiting for an RTO.
-    pub fn on_trim(&mut self, now: SimTime, ce: bool, sent_at: SimTime) -> AckSeg {
-        self.stats.trim_notices += 1;
-        if self.first_arrival.is_none() {
-            self.first_arrival = Some(now);
-        }
+    pub fn on_trim(&self, ce: bool, sent_at: SimTime) -> AckSeg {
         AckSeg {
             cum_ack: self.cum,
             ecn_echo: ce,
             ts_echo: sent_at,
-            reorder_seen: self.stats.reorder_events,
         }
     }
 
@@ -131,10 +96,7 @@ impl FlowReceiver {
     /// out-of-order range, which a complete receiver only has after a
     /// segment past the flow's last byte: no [`crate::FlowSender`] sends one.
     pub fn finished(&self) -> Option<FinishedReceiver> {
-        (self.complete && self.ooo.is_empty()).then_some(FinishedReceiver {
-            cum: self.cum,
-            reorder_events: self.stats.reorder_events,
-        })
+        (self.complete && self.ooo.is_empty()).then_some(FinishedReceiver { cum: self.cum })
     }
 
     /// Serializes the full receive state.
@@ -149,12 +111,7 @@ impl FlowReceiver {
             w.put_u32(len);
         }
         w.put_bool(self.complete);
-        w.put_u64(self.stats.reorder_events);
-        w.put_u64(self.stats.duplicates);
-        w.put_u64(self.stats.trim_notices);
-        w.put_u64(self.stats.packets);
-        self.first_arrival.save(w);
-        self.completed_at.save(w);
+        w.put_u64(self.reorder_events);
     }
 
     /// Reconstructs a receiver from a [`FlowReceiver::snap_save`] stream.
@@ -199,12 +156,7 @@ impl FlowReceiver {
                 rx.complete, rx.cum
             )));
         }
-        rx.stats.reorder_events = r.get_u64()?;
-        rx.stats.duplicates = r.get_u64()?;
-        rx.stats.trim_notices = r.get_u64()?;
-        rx.stats.packets = r.get_u64()?;
-        rx.first_arrival = Option::restore(r)?;
-        rx.completed_at = Option::restore(r)?;
+        rx.reorder_events = r.get_u64()?;
         Ok(rx)
     }
 
@@ -221,23 +173,16 @@ impl FlowReceiver {
 
 /// A complete receiver reduced to what its answers to later segments
 /// read: the contiguous prefix (which a runt can push past the flow's
-/// size) and the reorder count. Its ACKs are the complete
-/// [`FlowReceiver`]'s, byte for byte.
+/// size). Its ACKs are the complete [`FlowReceiver`]'s, byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FinishedReceiver {
     cum: u64,
-    reorder_events: u64,
 }
 
 impl FinishedReceiver {
     /// Contiguous bytes received.
     pub fn contiguous(&self) -> u64 {
         self.cum
-    }
-
-    /// Data packets that arrived with a gap in front of them.
-    pub fn reorder_events(&self) -> u64 {
-        self.reorder_events
     }
 
     /// The complete receiver's ACK for a later data segment. `None`, with
@@ -258,35 +203,30 @@ impl FinishedReceiver {
             cum_ack: self.cum,
             ecn_echo: ce,
             ts_echo: sent_at,
-            reorder_seen: self.reorder_events,
         }
     }
 
     /// A complete [`FlowReceiver`] that answers everything as this record
     /// does. Its size is the prefix, so its goodput
-    /// (`contiguous().min(size)`) stays where this record's is.
+    /// (`contiguous().min(size)`) stays where this record's is, and its
+    /// reorder count starts at 0: it counts only what arrives from here.
     pub fn revive(self, flow: FlowId) -> FlowReceiver {
         let mut rx = FlowReceiver::new(flow, self.cum);
         rx.cum = self.cum;
         rx.complete = true;
-        rx.stats.reorder_events = self.reorder_events;
         rx
     }
 
     /// Serializes the record.
     pub fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
         w.put_u64(self.cum);
-        w.put_u64(self.reorder_events);
     }
 
     /// Reads a record written by [`FinishedReceiver::snap_save`].
     pub fn snap_restore(
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<Self, vertigo_simcore::SnapError> {
-        Ok(FinishedReceiver {
-            cum: r.get_u64()?,
-            reorder_events: r.get_u64()?,
-        })
+        Ok(FinishedReceiver { cum: r.get_u64()? })
     }
 }
 
@@ -318,8 +258,7 @@ mod tests {
             assert_eq!(a.cum_ack, (k + 1) * MSS as u64);
         }
         assert!(r.is_complete());
-        assert_eq!(r.completed_at, Some(t(2)));
-        assert_eq!(r.stats().reorder_events, 0);
+        assert_eq!(r.reorder_events(), 0);
     }
 
     #[test]
@@ -331,7 +270,7 @@ mod tests {
         let a3 = r.on_data(t(2), &seg(3, 4), false, t(0));
         assert_eq!(a2.cum_ack, MSS as u64);
         assert_eq!(a3.cum_ack, MSS as u64);
-        assert_eq!(r.stats().reorder_events, 2);
+        assert_eq!(r.reorder_events(), 2);
         // The hole fills: ACK jumps to the end.
         let a1 = r.on_data(t(3), &seg(1, 4), false, t(0));
         assert_eq!(a1.cum_ack, 4 * MSS as u64);
@@ -342,8 +281,8 @@ mod tests {
     fn duplicates_counted_not_fatal() {
         let mut r = FlowReceiver::new(FlowId(1), 2 * MSS as u64);
         r.on_data(t(0), &seg(0, 2), false, t(0));
-        r.on_data(t(1), &seg(0, 2), false, t(0));
-        assert_eq!(r.stats().duplicates, 1);
+        let dup = r.on_data(t(1), &seg(0, 2), false, t(0));
+        assert_eq!((dup.cum_ack, r.reorder_events()), (MSS as u64, 0));
         r.on_data(t(2), &seg(1, 2), false, t(0));
         assert!(r.is_complete());
     }
@@ -377,9 +316,8 @@ mod tests {
         let mut r = FlowReceiver::new(FlowId(1), 3 * MSS as u64);
         r.on_data(t(0), &seg(0, 3), false, t(0));
         // Packet 1 was trimmed in the network: the stub arrives.
-        let a = r.on_trim(t(1), false, t(0));
+        let a = r.on_trim(false, t(0));
         assert_eq!(a.cum_ack, MSS as u64, "duplicate ACK at the hole");
-        assert_eq!(r.stats().trim_notices, 1);
         assert!(!r.is_complete());
         // The retransmission fills the stream normally afterwards.
         r.on_data(t(2), &seg(1, 3), false, t(0));
@@ -393,15 +331,12 @@ mod tests {
         let mut r = FlowReceiver::new(FlowId(1), 5 * MSS as u64);
         r.on_data(t(0), &seg(0, 5), false, t(0));
         r.on_data(t(1), &seg(2, 5), true, t(0)); // gap at 1
-        r.on_trim(t(2), false, t(0));
         let mut w = SnapWriter::new();
         r.snap_save(&mut w);
         let bytes = w.into_bytes();
         let mut r2 = FlowReceiver::snap_restore(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(r2.contiguous(), r.contiguous());
-        assert_eq!(r2.stats().reorder_events, r.stats().reorder_events);
-        assert_eq!(r2.stats().trim_notices, r.stats().trim_notices);
-        assert_eq!(r2.first_arrival, r.first_arrival);
+        assert_eq!(r2.reorder_events(), r.reorder_events());
         // The hole fills identically: both jump straight to 3*MSS.
         let a = r.on_data(t(3), &seg(1, 5), false, t(0));
         let a2 = r2.on_data(t(3), &seg(1, 5), false, t(0));
@@ -433,11 +368,7 @@ mod tests {
             w.put_u32(len);
         }
         w.put_bool(complete);
-        for counter in [ranges.len() as u64, 0, 0, 1 + ranges.len() as u64] {
-            w.put_u64(counter);
-        }
-        Some(t(1)).save(&mut w); // first_arrival
-        complete.then_some(t(9)).save(&mut w); // completed_at
+        w.put_u64(ranges.len() as u64); // reorder_events
         w.into_bytes()
     }
 
@@ -452,12 +383,11 @@ mod tests {
         let restored = |bytes: &[u8]| FlowReceiver::snap_restore(&mut SnapReader::new(bytes));
 
         // A valid mid-run record: a prefix, two holes, three ranges behind
-        // them (two adjacent), a duplicate and a trim notice on the books.
+        // them (two adjacent), and a duplicate on the books.
         let mut r = FlowReceiver::new(FlowId(1), 9 * MSS as u64);
         for k in [0, 2, 3, 6, 0] {
             r.on_data(t(k), &seg(k, 9), false, t(0));
         }
-        r.on_trim(t(7), false, t(0));
         assert_eq!((r.contiguous(), r.ooo.len()), (MSS as u64, 3));
         let ok = saved(&r);
         let mut back = restored(&ok).unwrap();
@@ -549,16 +479,18 @@ mod tests {
     }
 
     /// What a host holds for a completed flow: the finished record, or
-    /// the full receiver once a segment past a gap revived it.
+    /// the full receiver with the reorder count and goodput already
+    /// reported for it, once a segment past a gap revived it.
     enum Held {
         Finished(FinishedReceiver),
-        Full(FlowReceiver),
+        Full(FlowReceiver, u64, u64),
     }
 
     proptest::proptest! {
         /// A complete receiver and its finished form, driven through the
-        /// same later segments and trim notices, give the same ACKs and
-        /// the same reorder count; neither moves the goodput
+        /// same later segments and trim notices, give the same ACKs, and
+        /// the finished form's reorders past completion, as a host exports
+        /// them, are the complete receiver's; neither moves the goodput
         /// (`contiguous().min(size)`) or stops being complete.
         #[test]
         fn the_finished_form_answers_as_the_complete_receiver(
@@ -567,46 +499,50 @@ mod tests {
             ops in proptest::collection::vec((0u8..4, 0u64..24, 1u32..=MSS), 1..40),
         ) {
             let mut full = completed(size, &before);
-            let goodput = full.contiguous().min(full.size);
+            let (goodput, reorders) = (full.contiguous().min(full.size), full.reorder_events());
             let mut held = match full.finished() {
                 Some(fin) => Held::Finished(fin),
-                None => Held::Full(completed(size, &before)),
+                None => Held::Full(completed(size, &before), reorders, goodput),
             };
             for (i, &(op, at, payload)) in ops.iter().enumerate() {
                 let (now, ce, sent) = (t(10 + i as u64), op == 1, t(i as u64));
                 let (want, got) = if op == 3 {
                     let got = match &mut held {
                         Held::Finished(fin) => fin.on_trim(ce, sent),
-                        Held::Full(r) => r.on_trim(now, ce, sent),
+                        Held::Full(r, ..) => r.on_trim(ce, sent),
                     };
-                    (full.on_trim(now, ce, sent), got)
+                    (full.on_trim(ce, sent), got)
                 } else {
                     let seg = later(at, payload);
                     let got = match &mut held {
                         Held::Finished(fin) => match fin.on_data(&seg, ce, sent) {
                             Some(ack) => ack,
                             None => {
+                                // As a host revives it: nothing reported
+                                // of its reorders, all of its goodput.
                                 let mut r = fin.revive(FlowId(1));
                                 let ack = r.on_data(now, &seg, ce, sent);
-                                held = Held::Full(r);
+                                held = Held::Full(r, 0, fin.contiguous());
                                 ack
                             }
                         },
-                        Held::Full(r) => r.on_data(now, &seg, ce, sent),
+                        Held::Full(r, ..) => r.on_data(now, &seg, ce, sent),
                     };
                     (full.on_data(now, &seg, ce, sent), got)
                 };
                 proptest::prop_assert_eq!(want, got);
                 proptest::prop_assert!(full.is_complete());
                 proptest::prop_assert_eq!(full.contiguous().min(full.size), goodput);
-                let (reorders, contiguous) = match &held {
-                    Held::Finished(fin) => (fin.reorder_events(), fin.contiguous()),
-                    Held::Full(r) => {
+                let (exported, contiguous) = match &held {
+                    Held::Finished(fin) => (0, fin.contiguous()),
+                    Held::Full(r, reported_reorders, reported_bytes) => {
                         proptest::prop_assert!(r.is_complete());
-                        (r.stats().reorder_events, r.contiguous())
+                        let bytes = r.contiguous().min(r.size);
+                        proptest::prop_assert_eq!(bytes, *reported_bytes, "goodput moved");
+                        (r.reorder_events() - reported_reorders, r.contiguous())
                     }
                 };
-                proptest::prop_assert_eq!(reorders, full.stats().reorder_events);
+                proptest::prop_assert_eq!(exported, full.reorder_events() - reorders);
                 proptest::prop_assert_eq!(contiguous, full.contiguous());
             }
         }
@@ -619,20 +555,23 @@ mod tests {
         r.on_data(t(0), &seg(1, 2), false, t(0));
         r.on_data(t(1), &seg(0, 2), false, t(0));
         let fin = r.finished().expect("complete, nothing out of order");
-        assert_eq!(
-            (fin.contiguous(), fin.reorder_events()),
-            (2 * MSS as u64, 1)
-        );
+        assert_eq!(fin.contiguous(), 2 * MSS as u64);
         let mut w = SnapWriter::new();
         fin.snap_save(&mut w);
         let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 16);
+        assert_eq!(bytes.len(), 8);
         let back = FinishedReceiver::snap_restore(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(back, fin);
-        assert!(FinishedReceiver::snap_restore(&mut SnapReader::new(&bytes[..15])).is_err());
+        assert!(FinishedReceiver::snap_restore(&mut SnapReader::new(&bytes[..7])).is_err());
         // Revived past a gap, it is a receiver record like any other.
         let mut full = back.revive(FlowId(1));
+        assert_eq!(
+            full.reorder_events(),
+            0,
+            "the finished flow's reorder is not counted twice"
+        );
         full.on_data(t(2), &seg(5, 2), false, t(0));
+        assert_eq!(full.reorder_events(), 1);
         assert!(full.finished().is_none(), "an out-of-order range is held");
         let mut w = SnapWriter::new();
         full.snap_save(&mut w);
@@ -650,6 +589,6 @@ mod tests {
         let a = r.on_data(t(10), &seg(0, 5), false, t(0));
         assert_eq!(a.cum_ack, 5 * MSS as u64);
         assert!(r.is_complete());
-        assert_eq!(r.stats().reorder_events, 4);
+        assert_eq!(r.reorder_events(), 4);
     }
 }

@@ -4,52 +4,38 @@
 use crate::cc::{AckContext, CongestionControl};
 use vertigo_simcore::SimTime;
 
-/// Reno parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct RenoConfig {
-    /// Initial window in MSS (paper setting: 10).
-    pub init_cwnd: f64,
-    /// Lower bound on the window.
-    pub min_cwnd: f64,
-    /// Upper bound on the window.
-    pub max_cwnd: f64,
-}
-
-impl Default for RenoConfig {
-    fn default() -> Self {
-        RenoConfig {
-            init_cwnd: 10.0,
-            min_cwnd: 1.0,
-            max_cwnd: 10_000.0,
-        }
-    }
-}
+/// Initial window in MSS (paper setting: 10).
+pub(crate) const INIT_CWND: f64 = 10.0;
+/// Lower bound on the window.
+pub(crate) const MIN_CWND: f64 = 1.0;
+/// Upper bound on the window.
+pub(crate) const MAX_CWND: f64 = 10_000.0;
 
 /// Classic Reno state: `cwnd` and `ssthresh`.
 #[derive(Debug)]
 pub struct Reno {
-    cfg: RenoConfig,
     cwnd: f64,
     ssthresh: f64,
 }
 
-impl Reno {
-    /// Creates a Reno controller in slow start.
-    pub fn new(cfg: RenoConfig) -> Self {
+impl Default for Reno {
+    /// A Reno controller in slow start.
+    fn default() -> Self {
         Reno {
-            cwnd: cfg.init_cwnd,
+            cwnd: INIT_CWND,
             ssthresh: f64::INFINITY,
-            cfg,
         }
     }
+}
 
+impl Reno {
     /// Slow-start threshold (for tests).
     pub fn ssthresh(&self) -> f64 {
         self.ssthresh
     }
 
     fn clamp(&mut self) {
-        self.cwnd = self.cwnd.clamp(self.cfg.min_cwnd, self.cfg.max_cwnd);
+        self.cwnd = self.cwnd.clamp(MIN_CWND, MAX_CWND);
     }
 }
 
@@ -120,20 +106,17 @@ mod tests {
 
     #[test]
     fn slow_start_doubles_per_rtt() {
-        let mut r = Reno::new(RenoConfig {
-            init_cwnd: 2.0,
-            ..Default::default()
-        });
+        let mut r = Reno::default();
         // Acking a full window in slow start doubles it.
-        r.on_ack(&ack(2.0));
-        assert_eq!(r.cwnd(), 4.0);
-        r.on_ack(&ack(4.0));
-        assert_eq!(r.cwnd(), 8.0);
+        r.on_ack(&ack(10.0));
+        assert_eq!(r.cwnd(), 20.0);
+        r.on_ack(&ack(20.0));
+        assert_eq!(r.cwnd(), 40.0);
     }
 
     #[test]
     fn congestion_avoidance_is_linear() {
-        let mut r = Reno::new(RenoConfig::default());
+        let mut r = Reno::default();
         r.on_fast_retransmit(SimTime::ZERO); // sets ssthresh = cwnd/2 = 5
         let w0 = r.cwnd();
         assert_eq!(w0, 5.0);
@@ -148,7 +131,7 @@ mod tests {
 
     #[test]
     fn rto_collapses_to_one() {
-        let mut r = Reno::new(RenoConfig::default());
+        let mut r = Reno::default();
         r.on_rto(SimTime::ZERO);
         assert_eq!(r.cwnd(), 1.0);
         assert_eq!(r.ssthresh(), 5.0);
@@ -159,7 +142,7 @@ mod tests {
 
     #[test]
     fn dupacks_do_not_grow_window() {
-        let mut r = Reno::new(RenoConfig::default());
+        let mut r = Reno::default();
         let before = r.cwnd();
         r.on_ack(&AckContext {
             now: SimTime::ZERO,
@@ -173,7 +156,7 @@ mod tests {
 
     #[test]
     fn not_ecn_capable() {
-        let r = Reno::new(RenoConfig::default());
+        let r = Reno::default();
         assert!(!r.ecn_capable());
         assert_eq!(r.name(), "TCP");
     }

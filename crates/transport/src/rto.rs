@@ -1,56 +1,42 @@
 //! Retransmission-timeout estimation (RFC 6298).
 //!
 //! The paper's simulations follow the DCTCP/DIBS parameter settings:
-//! initial RTO 1 s, minimum RTO 10 ms. Those defaults live in
-//! [`RtoConfig`]; experiments override them per run.
+//! initial RTO 1 s, minimum RTO 10 ms. Every run uses them, so they are
+//! the constants below.
 
 use vertigo_simcore::SimDuration;
 
-/// RTO estimator parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct RtoConfig {
-    /// RTO before any RTT sample exists (paper: 1 s).
-    pub initial: SimDuration,
-    /// Lower clamp (paper: 10 ms).
-    pub min: SimDuration,
-    /// Upper clamp for the backed-off RTO.
-    pub max: SimDuration,
-}
-
-impl Default for RtoConfig {
-    fn default() -> Self {
-        RtoConfig {
-            initial: SimDuration::from_secs(1),
-            min: SimDuration::from_millis(10),
-            max: SimDuration::from_secs(60),
-        }
-    }
-}
+/// RTO before any RTT sample exists (paper: 1 s).
+const INITIAL: SimDuration = SimDuration::from_secs(1);
+/// Lower clamp (paper: 10 ms).
+const MIN: SimDuration = SimDuration::from_millis(10);
+/// Upper clamp for the backed-off RTO.
+const MAX: SimDuration = SimDuration::from_secs(60);
 
 /// SRTT/RTTVAR smoothing and exponential backoff per RFC 6298.
 #[derive(Debug, Clone)]
 pub struct RtoEstimator {
-    cfg: RtoConfig,
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
-    /// Base RTO (before backoff), clamped to `[min, max]`.
+    /// Base RTO (before backoff), clamped to `[MIN, MAX]`.
     rto: SimDuration,
     /// Consecutive-timeout exponent.
     backoff_exp: u32,
 }
 
-impl RtoEstimator {
-    /// Creates an estimator with no RTT samples yet.
-    pub fn new(cfg: RtoConfig) -> Self {
+impl Default for RtoEstimator {
+    /// An estimator with no RTT samples yet.
+    fn default() -> Self {
         RtoEstimator {
-            cfg,
             srtt: None,
             rttvar: SimDuration::ZERO,
-            rto: cfg.initial,
+            rto: INITIAL,
             backoff_exp: 0,
         }
     }
+}
 
+impl RtoEstimator {
     /// Smoothed RTT, once at least one sample has arrived.
     pub fn srtt(&self) -> Option<SimDuration> {
         self.srtt
@@ -74,14 +60,14 @@ impl RtoEstimator {
         }
         let srtt = self.srtt.expect("just set");
         let candidate = srtt + self.rttvar * 4;
-        self.rto = candidate.max(self.cfg.min).min(self.cfg.max);
+        self.rto = candidate.max(MIN).min(MAX);
         self.backoff_exp = 0;
     }
 
     /// The current RTO, including exponential backoff.
     pub fn current(&self) -> SimDuration {
         let backed = self.rto.saturating_mul(1u64 << self.backoff_exp.min(30));
-        backed.max(self.cfg.min).min(self.cfg.max)
+        backed.max(MIN).min(MAX)
     }
 
     /// Doubles the RTO after a timeout fires (Karn's algorithm).
@@ -94,8 +80,7 @@ impl RtoEstimator {
         self.backoff_exp
     }
 
-    /// Serializes the estimator's mutable state (the config is not saved;
-    /// resume reconstructs it from the run spec).
+    /// Serializes the estimator's state.
     pub fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
         use vertigo_simcore::Snapshot;
         self.srtt.save(w);
@@ -104,8 +89,8 @@ impl RtoEstimator {
         w.put_u32(self.backoff_exp);
     }
 
-    /// Restores state written by [`RtoEstimator::snap_save`] into an
-    /// estimator freshly built with the same config.
+    /// Restores state written by [`RtoEstimator::snap_save`] into a fresh
+    /// estimator.
     pub fn snap_restore(
         &mut self,
         r: &mut vertigo_simcore::SnapReader<'_>,
@@ -127,59 +112,55 @@ mod tests {
         SimDuration::from_micros(n)
     }
 
+    fn ms(n: u64) -> SimDuration {
+        SimDuration::from_millis(n)
+    }
+
     #[test]
     fn initial_rto_until_first_sample() {
-        let e = RtoEstimator::new(RtoConfig::default());
+        let e = RtoEstimator::default();
         assert_eq!(e.current(), SimDuration::from_secs(1));
         assert_eq!(e.srtt(), None);
     }
 
     #[test]
     fn first_sample_seeds_srtt() {
-        let mut e = RtoEstimator::new(RtoConfig::default());
+        let mut e = RtoEstimator::default();
         e.on_rtt_sample(us(100));
         assert_eq!(e.srtt(), Some(us(100)));
         // RTO = SRTT + 4*RTTVAR = 100 + 4*50 = 300 µs, clamped to min 10 ms.
-        assert_eq!(e.current(), SimDuration::from_millis(10));
+        assert_eq!(e.current(), ms(10));
     }
 
     #[test]
-    fn min_clamp_can_be_lowered() {
-        let mut e = RtoEstimator::new(RtoConfig {
-            min: us(200),
-            ..RtoConfig::default()
-        });
-        e.on_rtt_sample(us(100));
-        assert_eq!(e.current(), us(300));
+    fn an_rto_above_the_min_clamp_is_not_clamped() {
+        let mut e = RtoEstimator::default();
+        e.on_rtt_sample(ms(5));
+        // 5 ms + 4 * 2.5 ms.
+        assert_eq!(e.current(), ms(15));
     }
 
     #[test]
     fn smoothing_converges() {
-        let mut e = RtoEstimator::new(RtoConfig {
-            min: us(1),
-            ..RtoConfig::default()
-        });
+        let mut e = RtoEstimator::default();
         for _ in 0..100 {
-            e.on_rtt_sample(us(500));
+            e.on_rtt_sample(ms(20));
         }
         let srtt = e.srtt().unwrap();
         assert!(
-            (srtt.as_nanos() as i64 - 500_000).unsigned_abs() < 20_000,
-            "srtt {srtt} should converge to 500µs"
+            (srtt.as_nanos() as i64 - 20_000_000).unsigned_abs() < 20_000,
+            "srtt {srtt} should converge to 20ms"
         );
         // With zero variance, RTO converges toward SRTT.
-        assert!(e.current() < us(700));
+        assert!(e.current() < ms(28));
     }
 
     #[test]
     fn backoff_doubles_and_sample_resets() {
-        let mut e = RtoEstimator::new(RtoConfig {
-            min: us(100),
-            max: SimDuration::from_secs(300),
-            ..RtoConfig::default()
-        });
+        let mut e = RtoEstimator::default();
         e.on_rtt_sample(us(100));
         let base = e.current();
+        assert_eq!(base, ms(10));
         e.backoff();
         assert_eq!(e.current(), base * 2);
         e.backoff();
@@ -187,12 +168,12 @@ mod tests {
         assert_eq!(e.backoff_count(), 2);
         e.on_rtt_sample(us(100));
         assert_eq!(e.backoff_count(), 0);
-        assert_eq!(e.current(), e.current().max(us(100)));
+        assert_eq!(e.current(), base);
     }
 
     #[test]
     fn max_clamp_holds_under_heavy_backoff() {
-        let mut e = RtoEstimator::new(RtoConfig::default());
+        let mut e = RtoEstimator::default();
         for _ in 0..64 {
             e.backoff();
         }

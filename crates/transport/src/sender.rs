@@ -10,10 +10,10 @@
 //! [`TransportConfig::fast_retransmit`] switch.
 
 use crate::cc::{AckContext, CcKind, CongestionControl};
-use crate::dctcp::{Dctcp, DctcpConfig};
-use crate::reno::{Reno, RenoConfig};
-use crate::rto::{RtoConfig, RtoEstimator};
-use crate::swift::{Swift, SwiftConfig};
+use crate::dctcp::Dctcp;
+use crate::reno::Reno;
+use crate::rto::RtoEstimator;
+use crate::swift::Swift;
 use std::collections::{BTreeSet, VecDeque};
 use vertigo_pkt::{AckSeg, DataSeg, FlowId, MAX_PAYLOAD};
 use vertigo_simcore::{SimDuration, SimTime};
@@ -21,46 +21,35 @@ use vertigo_simcore::{SimDuration, SimTime};
 /// Duplicate ACKs that trigger fast retransmit.
 const DUPACK_THRESHOLD: u32 = 3;
 
-/// Transport configuration shared by every flow on a host.
+/// The segment size: every segment but a flow's last is this long.
+const MSS: u64 = MAX_PAYLOAD as u64;
+
+/// Transport configuration shared by every flow on a host. The
+/// controllers' and the RTO estimator's parameters are the paper's, fixed
+/// in their modules.
 #[derive(Debug, Clone, Copy)]
 pub struct TransportConfig {
     /// Which congestion controller to instantiate per flow.
     pub cc: CcKind,
-    /// Maximum segment size in bytes.
-    pub mss: u32,
-    /// RTO estimator parameters.
-    pub rto: RtoConfig,
     /// Whether 3 duplicate ACKs trigger fast retransmit (DIBS turns this
     /// off and leans on RTOs, per its paper).
     pub fast_retransmit: bool,
-    /// Reno parameters (used when `cc == Reno`).
-    pub reno: RenoConfig,
-    /// DCTCP parameters (used when `cc == Dctcp`).
-    pub dctcp: DctcpConfig,
-    /// Swift parameters (used when `cc == Swift`).
-    pub swift: SwiftConfig,
 }
 
 impl TransportConfig {
-    /// The paper's default: DCTCP with init cwnd 10, init RTO 1 s,
-    /// min RTO 10 ms, fast retransmit on.
+    /// The paper's default for `cc`: fast retransmit on.
     pub fn default_for(cc: CcKind) -> Self {
         TransportConfig {
             cc,
-            mss: MAX_PAYLOAD,
-            rto: RtoConfig::default(),
             fast_retransmit: true,
-            reno: RenoConfig::default(),
-            dctcp: DctcpConfig::default(),
-            swift: SwiftConfig::default(),
         }
     }
 
     fn make_cc(&self) -> Box<dyn CongestionControl> {
         match self.cc {
-            CcKind::Reno => Box::new(Reno::new(self.reno)),
-            CcKind::Dctcp => Box::new(Dctcp::new(self.dctcp, self.mss)),
-            CcKind::Swift => Box::new(Swift::new(self.swift)),
+            CcKind::Reno => Box::<Reno>::default(),
+            CcKind::Dctcp => Box::<Dctcp>::default(),
+            CcKind::Swift => Box::<Swift>::default(),
         }
     }
 }
@@ -92,8 +81,6 @@ struct Seg {
     len: u32,
     /// Marked lost (queued for retransmission or already retransmitted).
     lost: bool,
-    /// Transmissions so far.
-    sends: u32,
 }
 
 /// What `on_ack` tells the caller.
@@ -111,9 +98,6 @@ pub struct FlowSender {
     pub flow: FlowId,
     /// Flow size in bytes.
     pub size: u64,
-    /// [`TransportConfig::mss`]. Of its config, a sender keeps only the
-    /// two fields it reads after `new`.
-    mss: u32,
     /// [`TransportConfig::fast_retransmit`].
     fast_retransmit: bool,
     cc: Box<dyn CongestionControl>,
@@ -124,9 +108,9 @@ pub struct FlowSender {
     in_recovery: bool,
     recover_point: u64,
     /// Sent and not yet cumulatively acknowledged, in sequence order: the
-    /// bytes `[front_seq, next_seq)`. Segments are cut in order at `mss`
+    /// bytes `[front_seq, next_seq)`. Segments are cut in order at `MSS`
     /// and only a flow's last one is shorter, so the segment that starts
-    /// at `seq` is entry `(seq - front_seq) / mss`; see [`Self::seg_mut`].
+    /// at `seq` is entry `(seq - front_seq) / MSS`; see [`Self::seg_mut`].
     outstanding: VecDeque<Seg>,
     /// Sequence number of the front of `outstanding` (`next_seq` while it
     /// is empty).
@@ -150,8 +134,7 @@ impl FlowSender {
             flow,
             size,
             cc: cfg.make_cc(),
-            rto: RtoEstimator::new(cfg.rto),
-            mss: cfg.mss,
+            rto: RtoEstimator::default(),
             fast_retransmit: cfg.fast_retransmit,
             next_seq: 0,
             cum_acked: 0,
@@ -227,17 +210,16 @@ impl FlowSender {
     }
 
     fn cwnd_bytes(&self) -> u64 {
-        (self.cc.cwnd().max(0.0) * self.mss as f64) as u64
+        (self.cc.cwnd().max(0.0) * MSS as f64) as u64
     }
 
     /// The outstanding segment that starts at `seq`, if one does.
     fn seg_mut(&mut self, seq: u64) -> Option<&mut Seg> {
         let offset = seq.checked_sub(self.front_seq)?;
-        let mss = self.mss as u64;
-        if offset % mss != 0 {
+        if offset % MSS != 0 {
             return None;
         }
-        self.outstanding.get_mut((offset / mss) as usize)
+        self.outstanding.get_mut((offset / MSS) as usize)
     }
 
     fn arm_rto(&mut self, now: SimTime) {
@@ -273,7 +255,6 @@ impl FlowSender {
             // holes wait for window space.
             if seq == head || flight + len as u64 <= cwnd_bytes.max(len as u64) {
                 seg.lost = false;
-                seg.sends += 1;
                 self.lost.remove(&seq);
                 self.flight += len as u64;
                 self.stats.segments_sent += 1;
@@ -300,7 +281,7 @@ impl FlowSender {
         if self.in_recovery {
             return None;
         }
-        let len = (self.size - self.next_seq).min(self.mss as u64) as u32;
+        let len = (self.size - self.next_seq).min(MSS) as u32;
         let allowed = if sub_packet {
             self.flight == 0
         } else {
@@ -311,11 +292,7 @@ impl FlowSender {
         }
         let seq = self.next_seq;
         self.next_seq += len as u64;
-        self.outstanding.push_back(Seg {
-            len,
-            lost: false,
-            sends: 1,
-        });
+        self.outstanding.push_back(Seg { len, lost: false });
         self.flight += len as u64;
         self.stats.segments_sent += 1;
         let out = DataSeg {
@@ -391,7 +368,7 @@ impl FlowSender {
             self.cc.on_ack(&AckContext {
                 now,
                 newly_acked: newly,
-                newly_acked_pkts: newly as f64 / self.mss as f64,
+                newly_acked_pkts: newly as f64 / MSS as f64,
                 rtt: Some(rtt),
                 ecn_echo: ack.ecn_echo,
             });
@@ -461,7 +438,6 @@ impl FlowSender {
             w.put_u64(seq);
             w.put_u32(seg.len);
             w.put_bool(seg.lost);
-            w.put_u32(seg.sends);
             seq += seg.len as u64;
         }
         w.put_usize(self.lost.len());
@@ -480,7 +456,7 @@ impl FlowSender {
 
     /// Reconstructs a sender from a [`FlowSender::snap_save`] stream and
     /// the (unsaved) transport config. A record this sender could not have
-    /// written — segments not cut in order at `mss` up to `next_seq`, a
+    /// written — segments not cut in order at `MSS` up to `next_seq`, a
     /// `lost` set that disagrees with the segments' flags — is an error
     /// here, not a panic in `poll_segment` later.
     pub fn snap_restore(
@@ -509,8 +485,8 @@ impl FlowSender {
                 s.cum_acked, s.next_seq
             )));
         }
-        // A segment record is its seq, length, lost flag and send count.
-        let n = r.count(17, "outstanding segments")?;
+        // A segment record is its seq, length and lost flag.
+        let n = r.count(13, "outstanding segments")?;
         s.front_seq = s.next_seq; // of an empty window
         let mut end = s.next_seq;
         for i in 0..n {
@@ -518,7 +494,6 @@ impl FlowSender {
             let seg = Seg {
                 len: r.get_u32()?,
                 lost: r.get_bool()?,
-                sends: r.get_u32()?,
             };
             if i == 0 {
                 s.front_seq = seq;
@@ -527,7 +502,7 @@ impl FlowSender {
                     "sender of {flow:?}: segment at {seq} does not follow the one ending at {end}"
                 )));
             }
-            let cut = size.saturating_sub(seq).min(cfg.mss as u64);
+            let cut = size.saturating_sub(seq).min(MSS);
             if cut == 0 || seg.len as u64 != cut {
                 return Err(SnapError::new(format!(
                     "sender of {flow:?}: segment at {seq} is {} bytes, cut at mss it is {cut}",
@@ -617,17 +592,8 @@ impl std::fmt::Debug for FlowSender {
 mod tests {
     use super::*;
 
-    const MSS: u64 = MAX_PAYLOAD as u64;
-
     fn cfg() -> TransportConfig {
-        let mut c = TransportConfig::default_for(CcKind::Reno);
-        // Tight RTO bounds make timer tests fast.
-        c.rto = RtoConfig {
-            initial: SimDuration::from_millis(1),
-            min: SimDuration::from_micros(500),
-            max: SimDuration::from_secs(1),
-        };
-        c
+        TransportConfig::default_for(CcKind::Reno)
     }
 
     fn ack(cum: u64, ts: SimTime) -> AckSeg {
@@ -635,7 +601,6 @@ mod tests {
             cum_ack: cum,
             ecn_echo: false,
             ts_echo: ts,
-            reorder_seen: 0,
         }
     }
 
@@ -779,31 +744,44 @@ mod tests {
         assert!(seg.retransmit);
     }
 
+    /// A Swift sender that sent its initial window of 10 at t(0) and
+    /// whose ACKs come back 1 ms after they left: four cuts, one per RTT,
+    /// halve its window to 0.625 MSS, and the ACK of the rest, half an RTT
+    /// after the last cut, leaves it there with nothing in flight.
+    fn swift_below_one_packet() -> FlowSender {
+        let mut s = FlowSender::new(
+            FlowId(1),
+            20 * MSS,
+            TransportConfig::default_for(CcKind::Swift),
+        );
+        while s.poll_segment(t(0)).is_some() {}
+        for k in 1..=4 {
+            s.on_ack(t(1000 * k), &ack(k * MSS, t(1000 * (k - 1))));
+        }
+        s.on_ack(t(4500), &ack(10 * MSS, t(3500)));
+        assert_eq!((s.cwnd(), s.flight_bytes()), (0.625, 0));
+        s
+    }
+
     #[test]
     fn swift_sub_packet_window_paces() {
-        let mut c = TransportConfig::default_for(CcKind::Swift);
-        c.swift.init_cwnd = 0.5;
-        c.swift.ai = 0.0; // freeze the window to isolate pacing behavior
-        let mut s = FlowSender::new(FlowId(1), 10 * MSS, c);
-        let seg = s.poll_segment(t(0)).expect("first packet allowed");
-        assert_eq!(seg.seq, 0);
+        let mut s = swift_below_one_packet();
+        let seg = s.poll_segment(t(4500)).expect("nothing in flight");
+        assert_eq!(seg.seq, 10 * MSS);
         assert!(
-            s.poll_segment(t(0)).is_none(),
+            s.poll_segment(t(4500)).is_none(),
             "only one packet in flight at cwnd<1"
         );
-        s.on_ack(t(100), &ack(MSS, t(0)));
+        // The send armed the pacer for srtt/cwnd = 1 ms/0.625 = 1.6 ms. Its
+        // ACK, 500 µs on (above the 150 µs target), cuts the window again.
+        s.on_ack(t(5000), &ack(11 * MSS, t(4500)));
         assert!(s.cwnd() < 1.0);
-        // The first post-RTT send goes out, then arms the pacer for
-        // rtt/cwnd = 100/0.5 = 200 µs.
-        assert!(s.poll_segment(t(101)).is_some());
-        assert!(s.poll_segment(t(102)).is_none(), "in-flight packet blocks");
-        s.on_ack(t(150), &ack(2 * MSS, t(101)));
         assert!(
-            s.poll_segment(t(150)).is_none(),
-            "pacer must hold until ~t(301)"
+            s.poll_segment(t(5000)).is_none(),
+            "pacer must hold until ~t(6100)"
         );
-        let deadline = s.next_deadline(t(150)).expect("pacing deadline");
-        assert!(deadline >= t(250), "pace gap too short: {deadline:?}");
+        let deadline = s.next_deadline(t(5000)).expect("pacing deadline");
+        assert!(deadline >= t(6000), "pace gap too short: {deadline:?}");
         assert!(s.poll_segment(deadline).is_some());
     }
 
@@ -839,18 +817,17 @@ mod tests {
     #[test]
     fn snapshot_round_trip_swift_pacing() {
         use vertigo_simcore::{SnapReader, SnapWriter};
-        let mut c = TransportConfig::default_for(CcKind::Swift);
-        c.swift.init_cwnd = 0.5;
-        let mut s = FlowSender::new(FlowId(2), 10 * MSS, c);
-        s.poll_segment(t(0)).unwrap();
-        s.on_ack(t(100), &ack(MSS, t(0)));
-        s.poll_segment(t(101)).unwrap();
+        let mut s = swift_below_one_packet();
+        s.poll_segment(t(4500)).unwrap();
+        s.on_ack(t(5000), &ack(11 * MSS, t(4500)));
         let mut w = SnapWriter::new();
         s.snap_save(&mut w);
         let bytes = w.into_bytes();
+        let c = TransportConfig::default_for(CcKind::Swift);
         let s2 = FlowSender::snap_restore(c, &mut SnapReader::new(&bytes)).unwrap();
         // Pacing deadline (sub-packet window) survives the round trip.
-        assert_eq!(s2.next_deadline(t(102)), s.next_deadline(t(102)));
+        assert!(s.pacer_release(t(5001)).is_some());
+        assert_eq!(s2.next_deadline(t(5001)), s.next_deadline(t(5001)));
         assert_eq!(s2.cwnd(), s.cwnd());
         assert_eq!(s2.srtt(), s.srtt());
     }
@@ -893,7 +870,7 @@ mod tests {
         FlowId(1).save(&mut w);
         w.put_u64(size);
         cfg().make_cc().snap_save(&mut w);
-        RtoEstimator::new(cfg().rto).snap_save(&mut w);
+        RtoEstimator::default().snap_save(&mut w);
         w.put_u64(next_seq);
         w.put_u64(cum_acked);
         w.put_u32(0); // dup_acks
@@ -904,7 +881,6 @@ mod tests {
             w.put_u64(seq);
             w.put_u32(len as u32);
             w.put_bool(lost);
-            w.put_u32(1);
         }
         w.put_usize(lost.len());
         for &seq in lost {

@@ -10,58 +10,36 @@
 //! by pacing rather than windowing.
 //!
 //! This implementation follows the published algorithm with flow-count
-//! scaling of the target delay (`fs_range / √cwnd` style) and per-RTT
-//! decrease limiting. Google's production code is unavailable; constants
-//! are the paper's defaults adapted to simulation-scale RTTs.
+//! scaling of the target delay (`FS_RANGE / √cwnd` style) and per-RTT
+//! decrease limiting, and no per-hop target scaling. Google's production
+//! code is unavailable; the constants below are the paper's defaults
+//! adapted to simulation-scale RTTs.
 
 use crate::cc::{AckContext, CongestionControl};
 use vertigo_simcore::{SimDuration, SimTime};
 
-/// Swift parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SwiftConfig {
-    /// Initial window in MSS.
-    pub init_cwnd: f64,
-    /// Lowest window (Swift allows far-sub-packet windows).
-    pub min_cwnd: f64,
-    /// Highest window.
-    pub max_cwnd: f64,
-    /// Base target delay (fabric RTT plus headroom).
-    pub base_target: SimDuration,
-    /// Additive increase per RTT, in MSS.
-    pub ai: f64,
-    /// Multiplicative-decrease sensitivity β.
-    pub beta: f64,
-    /// Maximum multiplicative decrease per event.
-    pub max_mdf: f64,
-    /// Range of the flow-scaling term added to the target
-    /// (`min(fs_range, fs_range/√cwnd)`); widens the target for small
-    /// windows so many competing flows remain stable.
-    pub fs_range: SimDuration,
-    /// Per-hop target increment (scaled by observed forward hops).
-    pub hop_scale: SimDuration,
-}
-
-impl Default for SwiftConfig {
-    fn default() -> Self {
-        SwiftConfig {
-            init_cwnd: 10.0,
-            min_cwnd: 0.01,
-            max_cwnd: 10_000.0,
-            base_target: SimDuration::from_micros(50),
-            ai: 1.0,
-            beta: 0.8,
-            max_mdf: 0.5,
-            fs_range: SimDuration::from_micros(100),
-            hop_scale: SimDuration::ZERO,
-        }
-    }
-}
+/// Initial window in MSS.
+const INIT_CWND: f64 = 10.0;
+/// Lowest window (Swift allows far-sub-packet windows).
+const MIN_CWND: f64 = 0.01;
+/// Highest window.
+const MAX_CWND: f64 = 10_000.0;
+/// Base target delay (fabric RTT plus headroom).
+const BASE_TARGET: SimDuration = SimDuration::from_micros(50);
+/// Additive increase per RTT, in MSS.
+const AI: f64 = 1.0;
+/// Multiplicative-decrease sensitivity β.
+const BETA: f64 = 0.8;
+/// Maximum multiplicative decrease per event.
+const MAX_MDF: f64 = 0.5;
+/// Range of the flow-scaling term added to the target
+/// (`min(FS_RANGE, FS_RANGE/√cwnd)`); widens the target for small windows
+/// so many competing flows remain stable.
+const FS_RANGE: SimDuration = SimDuration::from_micros(100);
 
 /// Swift sender state.
 #[derive(Debug)]
 pub struct Swift {
-    cfg: SwiftConfig,
     cwnd: f64,
     /// Last time a multiplicative decrease was applied (`None` until the
     /// first decrease, which is therefore never gated).
@@ -72,30 +50,31 @@ pub struct Swift {
     consecutive_rtos: u32,
 }
 
-impl Swift {
-    /// Creates a Swift controller.
-    pub fn new(cfg: SwiftConfig) -> Self {
+impl Default for Swift {
+    /// A Swift controller at its initial window.
+    fn default() -> Self {
         Swift {
-            cwnd: cfg.init_cwnd,
+            cwnd: INIT_CWND,
             last_decrease: None,
             last_rtt: None,
             consecutive_rtos: 0,
-            cfg,
         }
     }
+}
 
+impl Swift {
     /// The current target delay, including flow scaling.
     pub fn target_delay(&self) -> SimDuration {
         let fs = if self.cwnd >= 1.0 {
-            self.cfg.fs_range.mul_f64(1.0 / self.cwnd.sqrt())
+            FS_RANGE.mul_f64(1.0 / self.cwnd.sqrt())
         } else {
-            self.cfg.fs_range
+            FS_RANGE
         };
-        self.cfg.base_target + fs.min(self.cfg.fs_range)
+        BASE_TARGET + fs.min(FS_RANGE)
     }
 
     fn clamp(&mut self) {
-        self.cwnd = self.cwnd.clamp(self.cfg.min_cwnd, self.cfg.max_cwnd);
+        self.cwnd = self.cwnd.clamp(MIN_CWND, MAX_CWND);
     }
 
     fn can_decrease(&self, now: SimTime) -> bool {
@@ -121,14 +100,13 @@ impl CongestionControl for Swift {
             // Additive increase (per the Swift paper, eq. for cwnd ≥ 1 the
             // increase is spread over the window).
             if self.cwnd >= 1.0 {
-                self.cwnd += (self.cfg.ai / self.cwnd) * ctx.newly_acked_pkts;
+                self.cwnd += (AI / self.cwnd) * ctx.newly_acked_pkts;
             } else {
-                self.cwnd += self.cfg.ai * ctx.newly_acked_pkts;
+                self.cwnd += AI * ctx.newly_acked_pkts;
             }
         } else if self.can_decrease(ctx.now) {
             let excess = rtt.as_secs_f64() - target.as_secs_f64();
-            let factor =
-                (1.0 - self.cfg.beta * (excess / rtt.as_secs_f64())).max(1.0 - self.cfg.max_mdf);
+            let factor = (1.0 - BETA * (excess / rtt.as_secs_f64())).max(1.0 - MAX_MDF);
             self.cwnd *= factor;
             self.last_decrease = Some(ctx.now);
         }
@@ -137,7 +115,7 @@ impl CongestionControl for Swift {
 
     fn on_fast_retransmit(&mut self, now: SimTime) {
         if self.can_decrease(now) {
-            self.cwnd *= 1.0 - self.cfg.max_mdf;
+            self.cwnd *= 1.0 - MAX_MDF;
             self.last_decrease = Some(now);
             self.clamp();
         }
@@ -150,9 +128,9 @@ impl CongestionControl for Swift {
         // ~cwnd⁻¹ RTTs of pacing.
         self.consecutive_rtos += 1;
         if self.consecutive_rtos >= 3 {
-            self.cwnd = self.cfg.min_cwnd;
+            self.cwnd = MIN_CWND;
         } else {
-            self.cwnd = (self.cwnd * (1.0 - self.cfg.max_mdf)).max(self.cfg.min_cwnd);
+            self.cwnd = (self.cwnd * (1.0 - MAX_MDF)).max(MIN_CWND);
         }
     }
 
@@ -166,7 +144,7 @@ impl CongestionControl for Swift {
         }
         // cwnd < 1: send one packet every rtt / cwnd.
         let rtt = srtt.or(self.last_rtt)?;
-        Some(rtt.mul_f64(1.0 / self.cwnd.max(self.cfg.min_cwnd)))
+        Some(rtt.mul_f64(1.0 / self.cwnd.max(MIN_CWND)))
     }
 
     fn ecn_capable(&self) -> bool {
@@ -220,7 +198,7 @@ mod tests {
 
     #[test]
     fn grows_below_target() {
-        let mut s = Swift::new(SwiftConfig::default());
+        let mut s = Swift::default();
         let w0 = s.cwnd();
         s.on_ack(&ack_at(100, 30, 1.0)); // 30 µs « target
         assert!(s.cwnd() > w0);
@@ -228,13 +206,13 @@ mod tests {
 
     #[test]
     fn shrinks_above_target_proportionally() {
-        let mut s = Swift::new(SwiftConfig::default());
+        let mut s = Swift::default();
         let w0 = s.cwnd();
         // RTT = 4x target: deep excess, clamped at max_mdf.
         s.on_ack(&ack_at(1000, 2_000, 1.0));
         assert!((s.cwnd() - w0 * 0.5).abs() < 1e-9, "max_mdf clamp");
         // Mild excess decreases gently.
-        let mut s2 = Swift::new(SwiftConfig::default());
+        let mut s2 = Swift::default();
         let t = s2.target_delay().as_micros_f64() as u64;
         s2.on_ack(&ack_at(1000, t + t / 10, 1.0)); // 10 % over target
         assert!(s2.cwnd() > w0 * 0.9 && s2.cwnd() < w0);
@@ -242,7 +220,7 @@ mod tests {
 
     #[test]
     fn decrease_limited_to_once_per_rtt() {
-        let mut s = Swift::new(SwiftConfig::default());
+        let mut s = Swift::default();
         s.on_ack(&ack_at(1_000, 500, 1.0));
         let w1 = s.cwnd();
         // Another congested ACK 100 µs later (< RTT of 500 µs): no cut.
@@ -255,7 +233,7 @@ mod tests {
 
     #[test]
     fn cwnd_can_fall_below_one_packet() {
-        let mut s = Swift::new(SwiftConfig::default());
+        let mut s = Swift::default();
         for i in 0..60 {
             s.on_ack(&ack_at(1_000 * (i + 1), 5_000, 1.0));
         }
@@ -267,32 +245,28 @@ mod tests {
 
     #[test]
     fn pacing_off_above_one() {
-        let s = Swift::new(SwiftConfig::default());
+        let s = Swift::default();
         assert!(s.pacing_interval(Some(us(100))).is_none());
     }
 
     #[test]
     fn single_rto_halves_repeated_rtos_collapse() {
-        let mut s = Swift::new(SwiftConfig::default());
+        let mut s = Swift::default();
         let w0 = s.cwnd();
         s.on_rto(SimTime::from_millis(1));
         assert_eq!(s.cwnd(), w0 * 0.5, "one RTO applies max_mdf");
         s.on_rto(SimTime::from_millis(2));
         s.on_rto(SimTime::from_millis(3));
-        assert_eq!(
-            s.cwnd(),
-            SwiftConfig::default().min_cwnd,
-            "a run of RTOs collapses to the floor"
-        );
+        assert_eq!(s.cwnd(), MIN_CWND, "a run of RTOs collapses to the floor");
         // An ACK resets the streak.
         s.on_ack(&ack_at(5_000, 30, 1.0));
         s.on_rto(SimTime::from_millis(6));
-        assert!(s.cwnd() > SwiftConfig::default().min_cwnd);
+        assert!(s.cwnd() > MIN_CWND);
     }
 
     #[test]
     fn target_widens_for_small_windows() {
-        let mut s = Swift::new(SwiftConfig::default());
+        let mut s = Swift::default();
         let t_big = s.target_delay();
         s.cwnd = 0.5;
         let t_small = s.target_delay();
@@ -302,7 +276,7 @@ mod tests {
     #[test]
     fn stabilizes_near_target_in_closed_loop() {
         // Toy closed loop: RTT grows linearly with cwnd (queueing model).
-        let mut s = Swift::new(SwiftConfig::default());
+        let mut s = Swift::default();
         let mut now = 0u64;
         for _ in 0..3_000 {
             now += 100;

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use vertigo_pkt::FlowId;
 use vertigo_pkt::{AckSeg, DataSeg};
 use vertigo_simcore::{SimDuration, SimRng, SimTime};
-use vertigo_transport::{CcKind, FlowReceiver, FlowSender, RtoConfig, TransportConfig};
+use vertigo_transport::{CcKind, FlowReceiver, FlowSender, TransportConfig};
 
 /// One in-flight item: a data segment or an ACK, due at `at`.
 enum InFlight {
@@ -32,12 +32,6 @@ enum InFlight {
 fn run_flow(cc: CcKind, bytes: u64, loss: f64, seed: u64, fast_rtx: bool) -> Option<SimTime> {
     let mut cfg = TransportConfig::default_for(cc);
     cfg.fast_retransmit = fast_rtx;
-    // Tight RTO bounds keep lossy runs short.
-    cfg.rto = RtoConfig {
-        initial: SimDuration::from_millis(2),
-        min: SimDuration::from_micros(500),
-        max: SimDuration::from_millis(50),
-    };
     let delay = SimDuration::from_micros(50);
     let mut rng = SimRng::new(seed);
     let mut snd = FlowSender::new(FlowId(1), bytes, cfg);

@@ -11,7 +11,7 @@ use crate::snapshot::{self, SnapHeader, SnapshotSpec};
 use crate::traffic::WorkloadSpec;
 use crate::warm::{ForkSpec, SnapBuf};
 use std::path::{Path, PathBuf};
-use vertigo_core::{MarkingConfig, MarkingDiscipline, OrderingConfig, OrderingMode};
+use vertigo_core::{MarkingConfig, MarkingDiscipline, OrderingConfig};
 use vertigo_netsim::trace::stable_hash;
 use vertigo_netsim::{
     BufferPolicy, DeflectKind, DomainSimulation, FaultSchedule, ForwardPolicy, HostConfig,
@@ -93,6 +93,16 @@ impl Default for VertigoTuning {
             discipline: MarkingDiscipline::Srpt,
             tau: SimDuration::from_micros(360),
         }
+    }
+}
+
+impl VertigoTuning {
+    /// The per-retransmission rotation, in bits, that switches and the
+    /// ordering shim undo: 0 with boosting off.
+    pub fn boost_shift(&self) -> u32 {
+        (self.boost_factor)
+            .map(vertigo_core::boost::factor_to_shift)
+            .unwrap_or(0)
     }
 }
 
@@ -290,11 +300,6 @@ impl RunSpec {
 
     /// The switch configuration this spec maps to.
     pub fn switch_config(&self) -> SwitchConfig {
-        let boost_shift = self
-            .vertigo
-            .boost_factor
-            .map(vertigo_core::boost::factor_to_shift)
-            .unwrap_or(0);
         let mut sw = match self.system {
             SystemKind::Ecmp => SwitchConfig::ecmp(),
             SystemKind::Drill => SwitchConfig::drill(),
@@ -309,7 +314,7 @@ impl RunSpec {
                     scheduling: self.vertigo.scheduling,
                     deflection: self.vertigo.deflection,
                 },
-                boost_shift,
+                boost_shift: self.vertigo.boost_shift(),
                 ..SwitchConfig::ecmp()
             },
         };
@@ -333,24 +338,14 @@ impl RunSpec {
         }
         let mut host = HostConfig::plain(transport);
         if self.system == SystemKind::Vertigo {
-            let shift = self
-                .vertigo
-                .boost_factor
-                .map(vertigo_core::boost::factor_to_shift)
-                .unwrap_or(0);
-            let mode = match self.vertigo.discipline {
-                MarkingDiscipline::Srpt => OrderingMode::SrptBytes,
-                MarkingDiscipline::Las => OrderingMode::LasPackets,
-            };
             host.marking = Some(MarkingConfig {
                 discipline: self.vertigo.discipline,
                 boost_factor: self.vertigo.boost_factor,
-                ..MarkingConfig::default()
             });
             host.ordering = self.vertigo.ordering.then(|| OrderingConfig {
                 timeout: self.vertigo.tau,
-                boost_shift: shift,
-                mode,
+                boost_shift: self.vertigo.boost_shift(),
+                discipline: self.vertigo.discipline,
                 ..OrderingConfig::default()
             });
         }

@@ -388,23 +388,19 @@ impl ScenarioSpec {
     /// a window starting at or past the horizon) — a silently empty
     /// component would be worse than a loud failure. The staged driver
     /// reports the same message as a [`RunError`](crate::RunError).
-    pub fn install(&self, sim: &mut Simulation) -> ScenarioSummary {
+    pub fn install(&self, sim: &mut Simulation) {
         self.try_install(sim)
             .unwrap_or_else(|e| panic!("--workload: {e}"))
     }
 
-    pub(crate) fn try_install(&self, sim: &mut Simulation) -> Result<ScenarioSummary, String> {
+    pub(crate) fn try_install(&self, sim: &mut Simulation) -> Result<(), String> {
         // Plans fork off the run *seed*, never the live RNG state, so the
         // scenario neither observes nor perturbs the figure workload.
         let base = SimRng::new(sim.rng().seed());
-        let mut summary = ScenarioSummary::default();
         for (i, c) in self.iter().enumerate() {
-            let mut installed =
-                install_component(sim, c, component_rng(&base, i), Some((i + 1) as u8))?;
-            installed.label = self.label(i);
-            summary.components.push(installed);
+            install_component(sim, c, component_rng(&base, i), Some((i + 1) as u8))?;
         }
-        Ok(summary)
+        Ok(())
     }
 }
 
@@ -438,10 +434,9 @@ pub(crate) fn install_component(
     c: &ScenarioComponent,
     rng: SimRng,
     tag: Option<u8>,
-) -> Result<ComponentSummary, String> {
+) -> Result<(), String> {
     let ctx = PlanContext::of(sim);
     let mut qids: Vec<QueryId> = Vec::new();
-    let mut done = ComponentSummary::default();
     plan_component(c, rng, &ctx, &mut |p| match p {
         Planned::Query(q) => {
             let id = sim.register_query(q.fanout, q.at);
@@ -449,17 +444,13 @@ pub(crate) fn install_component(
                 sim.tag_query(id, tag);
             }
             qids.push(id);
-            done.queries += 1;
         }
         Planned::Flow(f) => {
             let query = f.query.map_or(QueryId::NONE, |qi| qids[qi as usize]);
             let (src, dst) = (NodeId(f.src), NodeId(f.dst));
             sim.schedule_tagged_flow(f.at, src, dst, f.bytes, query, tag.unwrap_or(0));
-            done.flows += 1;
-            done.bytes += f.bytes;
         }
-    })?;
-    Ok(done)
+    })
 }
 
 impl fmt::Display for ScenarioSpec {
@@ -523,33 +514,6 @@ impl fmt::Display for ScenarioSpec {
         }
         Ok(())
     }
-}
-
-/// What [`ScenarioSpec::install`] scheduled, per component.
-#[derive(Debug, Clone, Default)]
-pub struct ScenarioSummary {
-    /// One entry per component, in spec order.
-    pub components: Vec<ComponentSummary>,
-}
-
-impl ScenarioSummary {
-    /// Total bytes offered across components.
-    pub fn total_bytes(&self) -> u64 {
-        self.components.iter().map(|c| c.bytes).sum()
-    }
-}
-
-/// Install summary of one component.
-#[derive(Debug, Clone, Default)]
-pub struct ComponentSummary {
-    /// The component's report label.
-    pub label: String,
-    /// Flows scheduled.
-    pub flows: u64,
-    /// Queries registered.
-    pub queries: u64,
-    /// Bytes offered.
-    pub bytes: u64,
 }
 
 /// Topology facts the planner needs (uniform host links, true of both

@@ -65,7 +65,7 @@ impl IncastSpec {
     ) -> Result<(), String> {
         let component = self.component(from, sim.horizon())?;
         let rng = sim.rng().fork(STREAM_INCAST);
-        install_component(sim, &component, rng, None).map(drop)
+        install_component(sim, &component, rng, None)
     }
 
     /// The query process over `[from, horizon)` as a scenario component.

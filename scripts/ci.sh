@@ -25,6 +25,16 @@ if grep -rnE 'ForkOverrides|TUNE_FLAGS|mod tune|override_(ordering_timeout|port_
   exit 1
 fi
 
+echo "==> the transport runs at the paper's parameters: no per-run knobs, no unread fields"
+# Reno, DCTCP, Swift and the RTO estimator use constants next to the code
+# that reads them; ordering follows the marking discipline. An ACK carries
+# no reorder count (the recorder counts reorders at the receiver).
+if grep -rnwE 'RtoConfig|RenoConfig|DctcpConfig|SwiftConfig|reorder_seen|mice_queueing_secs|OrderingMode' \
+  crates/; then
+  echo "crates/ name a transport config struct, an unread field or OrderingMode again" >&2
+  exit 1
+fi
+
 echo "==> one snapshot reader: counts and key order are checked in SnapReader only"
 # `SnapReader::count` refuses a count the bytes left cannot hold and
 # `SnapReader::ascending` a key at or below the one before; a restore that
@@ -292,7 +302,7 @@ ckpt=$1
 cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect "$ckpt" | tee /tmp/vertigo_vsnp_ci.txt
 grep -q 'sim time' /tmp/vertigo_vsnp_ci.txt
-grep -q 'version    10' /tmp/vertigo_vsnp_ci.txt
+grep -q 'version    11' /tmp/vertigo_vsnp_ci.txt
 # Garbage input must fail loudly with a non-zero exit.
 if cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect scripts/ci.sh 2> /dev/null; then
