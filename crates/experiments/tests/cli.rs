@@ -200,17 +200,18 @@ fn vsnp_inspect_prints_a_version_3_header() {
 }
 
 #[test]
-fn a_version_10_checkpoint_is_refused_on_resume() {
+fn a_previous_version_checkpoint_is_refused_on_resume() {
     use vertigo_simcore::{SnapWriter, SNAP_VERSION};
-    // A version 10 file: its ACKs carried a reorder count and its
-    // receivers their timestamps, a layout this binary no longer reads.
-    let dir = std::env::temp_dir().join(format!("vertigo-cli-v10-{}", std::process::id()));
+    // A file of the version before this one: a layout this binary no
+    // longer reads.
+    let old = SNAP_VERSION - 1;
+    let dir = std::env::temp_dir().join(format!("vertigo-cli-v{old}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut w = SnapWriter::new();
     vertigo_workload::snapshot::write_header(&mut w, 0xABCD, 6_000_000);
     let mut bytes = w.into_bytes();
-    bytes[4..6].copy_from_slice(&10u16.to_le_bytes());
-    let file = dir.join("v10.vsnp");
+    bytes[4..6].copy_from_slice(&old.to_le_bytes());
+    let file = dir.join(format!("v{old}.vsnp"));
     std::fs::write(&file, &bytes).unwrap();
     let out = experiments(&[
         "table2",
@@ -222,7 +223,7 @@ fn a_version_10_checkpoint_is_refused_on_resume() {
     ]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
-    let usual = format!("snapshot format version 10, this binary reads version {SNAP_VERSION}");
+    let usual = format!("snapshot format version {old}, this binary reads version {SNAP_VERSION}");
     assert!(stderr.contains("error: --resume "), "{stderr}");
     assert!(stderr.contains(&usual), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");

@@ -314,32 +314,31 @@ pub(crate) fn vertigo(
 }
 
 /// PABO: bounce the arriving packet *backward* to the hop that sent it,
-/// resolved from the packet's provenance field through the route table's
-/// reverse-path (neighbor CSR) index.
+/// out of the port it arrived on.
 pub(crate) fn pabo(
     sw: &mut Switch,
     out: u16,
+    in_port: PortId,
     pkt: Box<Packet>,
     max_deflections: u16,
     ctx: &mut Ctx,
 ) {
     let cap = sw.cfg.port_buffer_bytes;
-    // Resolve the upstream hop from provenance. The seeded mutation
-    // bounces *forward* (first deflection candidate) instead, so the
-    // conformance suite can prove the goldens pin the backward bounce.
+    // The seeded mutation bounces *forward* (first deflection candidate)
+    // instead, so the conformance suite can prove the goldens pin the
+    // backward bounce.
     let upstream = if sw.mutate_victim {
         let cands = sw.deflect_candidates(out, pkt.dst, None);
         let first = cands.first().copied();
         sw.deflect_scratch = cands;
         first
     } else {
-        sw.routes.upstream_port(sw.sw, pkt.prev_hop)
+        Some(in_port.0)
     };
     // The bounce fails — and the packet drops — when the budget is spent,
-    // the upstream hop is unknown (a host's NIC, or no longer adjacent),
-    // is the full output itself, is administratively down, leads to a
-    // host that is not the destination (hosts discard foreign packets),
-    // or its queue is also full.
+    // the upstream hop is the full output itself, is administratively
+    // down, is a host that is not the destination (a sender's NIC: hosts
+    // discard foreign packets), or its queue is also full.
     let viable = upstream.filter(|&p| {
         let port = &sw.ports[p as usize];
         pkt.deflections < max_deflections

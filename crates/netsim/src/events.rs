@@ -337,17 +337,9 @@ impl Ctx<'_> {
 
     /// Puts `pkt` on the wire through `out`, port `port` of node `from`:
     /// the port's own `TxDone` once the last bit is serialized, and the
-    /// peer's `Arrive` a propagation delay after that. The packet carries
-    /// `from` as its previous hop, which PABO's backward bounce consults.
+    /// peer's `Arrive` a propagation delay after that.
     #[inline]
-    pub(crate) fn transmit(
-        &mut self,
-        from: NodeId,
-        port: PortId,
-        out: &Port,
-        mut pkt: Box<Packet>,
-    ) {
-        pkt.prev_hop = from;
+    pub(crate) fn transmit(&mut self, from: NodeId, port: PortId, out: &Port, pkt: Box<Packet>) {
         let (link, peer, peer_port) = (out.link, out.peer, out.peer_port);
         let tx = link.tx_time(pkt.wire_size);
         self.events
@@ -377,12 +369,12 @@ mod tests {
         assert_eq!(size_of::<Option<Delivery<Event>>>(), 40);
     }
 
-    /// An ACK is its cumulative ACK, ECN echo and timestamp echo; a
-    /// finished flow's receiver is its prefix alone.
+    /// An ACK is its cumulative ACK, ECN echo and timestamp echo; a live
+    /// receive entry is the bare receiver a host holds out of line.
     #[test]
-    fn an_ack_is_24_bytes_and_a_finished_receiver_8() {
+    fn an_ack_is_24_bytes_and_a_receiver_64() {
         assert_eq!(size_of::<vertigo_pkt::AckSeg>(), 24);
-        assert_eq!(size_of::<vertigo_transport::FinishedReceiver>(), 8);
+        assert_eq!(size_of::<vertigo_transport::FlowReceiver>(), 64);
     }
 
     #[test]

@@ -40,11 +40,11 @@ use std::collections::BinaryHeap;
 use vertigo_core::boost::unboost;
 use vertigo_core::{Delivered, MarkingComponent, MarkingConfig, OrderingComponent, OrderingConfig};
 use vertigo_pkt::{
-    pool, AckSeg, FlowId, FlowInfo, FlowTable, NodeId, Packet, PacketKind, PortId, QueryId,
+    pool, AckSeg, DataSeg, FlowId, FlowInfo, FlowTable, NodeId, Packet, PacketKind, PortId, QueryId,
 };
 use vertigo_simcore::{SimTime, SnapError, SnapReader, SnapWriter, Snapshot};
 use vertigo_stats::{DropCause, TraceKind, TraceRecord, TRACE_NO_RANK};
-use vertigo_transport::{FinishedReceiver, FlowReceiver, FlowSender, SenderStats, TransportConfig};
+use vertigo_transport::{FlowReceiver, FlowSender, SenderStats, TransportConfig};
 
 /// Host-side configuration.
 #[derive(Debug, Clone)]
@@ -86,16 +86,6 @@ struct SendState {
     query: QueryId,
 }
 
-struct RecvState {
-    recv: FlowReceiver,
-    src: NodeId,
-    query: QueryId,
-    /// reorder_events already exported to the recorder.
-    reported_reorders: u64,
-    /// contiguous bytes already counted toward goodput.
-    reported_bytes: u64,
-}
-
 /// A host's sender counters: its finished flows', banked as each
 /// completes, plus its live senders'.
 pub type HostStats = SenderStats;
@@ -109,12 +99,14 @@ pub struct Host {
     nic: Port,
 
     /// Live senders and receivers, held out of line: a table keeps spare
-    /// slots after a burst, 8 bytes each instead of a whole state's.
+    /// slots after a burst, 8 bytes each instead of a whole state's. A
+    /// receiver leaves its table the moment it completes.
     senders: FlowTable<Box<SendState>>,
-    receivers: FlowTable<Box<RecvState>>,
-    /// Flows received to completion, as the 8 bytes their late segments
-    /// still read. A flow is here or in `receivers`, never both.
-    finished: FlowTable<FinishedReceiver>,
+    receivers: FlowTable<Box<FlowReceiver>>,
+    /// Flows received to completion: their ids alone, since a late segment
+    /// carries the flow's size that its ACK repeats. A flow is here or in
+    /// `receivers`, never both.
+    finished: FlowTable<()>,
     marking: Option<MarkingComponent>,
     ordering: Option<OrderingComponent<Box<Packet>>>,
 
@@ -148,6 +140,17 @@ pub(crate) fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime>
 fn trace_boost(host: NodeId, pkt: &Packet, info: FlowInfo, ctx: &mut Ctx) {
     let (a, b) = (info.retcnt as u64, info.rfs as u64);
     ctx.trace(host, TraceKind::Boost, pkt, a, b, 0, 0);
+}
+
+/// The ACK for a later segment or trim notice of a flow received to
+/// completion: cumulative through the flow's last byte, as its complete
+/// receiver's was.
+fn finished_ack(seg: &DataSeg, ce: bool, sent_at: SimTime) -> AckSeg {
+    AckSeg {
+        cum_ack: seg.flow_bytes,
+        ecn_echo: ce,
+        ts_echo: sent_at,
+    }
 }
 
 impl Host {
@@ -216,8 +219,7 @@ impl Host {
         self.senders.len()
     }
 
-    /// Flows with a receiver held whole, and flows received to completion
-    /// and held as their finished record.
+    /// Flows being received, and flows received to completion.
     pub fn receiving(&self) -> (usize, usize) {
         (self.receivers.len(), self.finished.len())
     }
@@ -427,43 +429,25 @@ impl Host {
     /// immediate duplicate ACK (the NdpTrim extension's loss signal).
     fn on_trim_notice(&mut self, pkt: Box<Packet>, ctx: &mut Ctx) {
         let seg = *pkt.data_seg().expect("data packet");
-        let (flow, ce, sent_at) = (pkt.flow, pkt.ecn.is_ce(), pkt.sent_at);
-        let (ack, src, query) = match self.receivers.index_of(flow) {
-            Some(i) => {
-                let st = self.receivers.value_at(i);
-                (st.recv.on_trim(ce, sent_at), st.src, st.query)
-            }
-            None => match self.finished.get(flow) {
-                Some(fin) => (fin.on_trim(ce, sent_at), pkt.src, pkt.query),
-                None => {
-                    let i = self.open_receiver(&pkt, seg.flow_bytes);
-                    let st = self.receivers.value_at(i);
-                    (st.recv.on_trim(ce, sent_at), st.src, st.query)
-                }
-            },
-        };
+        let (flow, query, src) = (pkt.flow, pkt.query, pkt.src);
+        let (ce, sent_at) = (pkt.ecn.is_ce(), pkt.sent_at);
         pool::recycle(pkt);
+        let ack = match self.receivers.index_of(flow) {
+            Some(i) => self.receivers.value_at(i).on_trim(ce, sent_at),
+            None if self.finished.index_of(flow).is_some() => finished_ack(&seg, ce, sent_at),
+            None => {
+                let i = self.open_receiver(flow, seg.flow_bytes);
+                self.receivers.value_at(i).on_trim(ce, sent_at)
+            }
+        };
         self.send_ack(flow, query, src, ack, ctx);
     }
 
-    /// Files a receiver for `pkt`'s flow and returns its position in
-    /// `receivers`: a fresh one, or, for a segment past the prefix of a
-    /// finished flow (no `FlowSender` sends one), the complete receiver
-    /// that flow's record stands for.
-    fn open_receiver(&mut self, pkt: &Packet, flow_bytes: u64) -> usize {
-        let flow = pkt.flow;
-        let (recv, reported_reorders, reported_bytes) = match self.finished.remove(flow) {
-            Some(fin) => (fin.revive(flow), 0, fin.contiguous()),
-            None => (FlowReceiver::new(flow, flow_bytes), 0, 0),
-        };
-        let st = Box::new(RecvState {
-            recv,
-            src: pkt.src,
-            query: pkt.query,
-            reported_reorders,
-            reported_bytes,
-        });
-        self.receivers.insert(flow, st);
+    /// Files a fresh receiver for `flow` and returns its position in
+    /// `receivers`.
+    fn open_receiver(&mut self, flow: FlowId, flow_bytes: u64) -> usize {
+        let recv = Box::new(FlowReceiver::new(flow, flow_bytes));
+        self.receivers.insert(flow, recv);
         self.receivers.index_of(flow).expect("just filed")
     }
 
@@ -480,44 +464,41 @@ impl Host {
     /// Hands one data packet to the transport receiver and emits the ACK.
     fn deliver_data(&mut self, pkt: Box<Packet>, ctx: &mut Ctx) {
         let seg = *pkt.data_seg().expect("data packet");
-        let (flow, ce, sent_at) = (pkt.flow, pkt.ecn.is_ce(), pkt.sent_at);
+        // Every segment a `FlowSender` cuts lies inside its flow. So a
+        // receiver completes at exactly the flow's size, and a finished
+        // flow's ACK is that size.
+        debug_assert!(
+            seg.payload > 0 && seg.seq + seg.payload as u64 <= seg.flow_bytes,
+            "host {:?}: segment {}+{} outside a flow of {} bytes",
+            self.id,
+            seg.seq,
+            seg.payload,
+            seg.flow_bytes
+        );
+        let (flow, query, src) = (pkt.flow, pkt.query, pkt.src);
+        let (ce, sent_at) = (pkt.ecn.is_ce(), pkt.sent_at);
         ctx.rec.data_delivered += 1;
         ctx.rec.hops_delivered += pkt.hops as u64;
+        pool::recycle(pkt);
         let i = match self.receivers.index_of(flow) {
             Some(i) => i,
-            None => {
-                // A late copy for a finished flow: the complete receiver's
-                // ACK, with no goodput, reorder or second completion.
-                let late = self.finished.get_mut(flow);
-                if let Some(ack) = late.and_then(|fin| fin.on_data(&seg, ce, sent_at)) {
-                    let (src, query) = (pkt.src, pkt.query);
-                    pool::recycle(pkt);
-                    return self.send_ack(flow, query, src, ack, ctx);
-                }
-                self.open_receiver(&pkt, seg.flow_bytes)
+            // A late copy for a finished flow: the complete receiver's
+            // ACK, with no goodput, reorder or second completion.
+            None if self.finished.index_of(flow).is_some() => {
+                return self.send_ack(flow, query, src, finished_ack(&seg, ce, sent_at), ctx);
             }
+            None => self.open_receiver(flow, seg.flow_bytes),
         };
-        let st = self.receivers.value_at_mut(i);
-        let was_complete = st.recv.is_complete();
-        let ack = st.recv.on_data(ctx.now, &seg, ce, sent_at);
-        pool::recycle(pkt);
-        // Export reorder and goodput deltas.
-        let reorders = st.recv.reorder_events();
-        ctx.rec.transport_reorders += reorders - st.reported_reorders;
-        st.reported_reorders = reorders;
-        let contiguous = st.recv.contiguous().min(st.recv.size);
-        let delta = contiguous - st.reported_bytes;
-        st.reported_bytes = contiguous;
-        let src = st.src;
-        let query = st.query;
-        ctx.rec.flow_progress(flow, delta);
-        if st.recv.is_complete() && !was_complete {
+        let recv = self.receivers.value_at_mut(i);
+        let (bytes, reorders) = (recv.contiguous(), recv.reorder_events());
+        let ack = recv.on_data(ctx.now, &seg, ce, sent_at);
+        ctx.rec.transport_reorders += recv.reorder_events() - reorders;
+        ctx.rec.flow_progress(flow, recv.contiguous() - bytes);
+        if recv.is_complete() {
             ctx.rec.flow_finished(flow, ctx.now);
-            // From here on the flow holds its finished record only.
-            if let Some(fin) = st.recv.finished() {
-                self.receivers.remove(flow);
-                self.finished.insert(flow, fin);
-            }
+            // From here on the flow is its id in `finished`.
+            self.receivers.remove(flow);
+            self.finished.insert(flow, ());
             if let Some(o) = &mut self.ordering {
                 // LAS flows (and any stragglers) are purged explicitly.
                 let mut out = std::mem::take(&mut self.deliveries);
@@ -686,7 +667,7 @@ impl Host {
     }
 
     /// Serializes the mutable host state: the NIC queue, every live
-    /// sender and receiver, the finished flows' records (each table in
+    /// sender and receiver, the finished flows' ids (each table in
     /// ascending id order), the marking and ordering components, the
     /// wakeup cursor, the uid counter, and banked stats. The config and
     /// link come from the run spec. `deliveries` is drained within every
@@ -703,18 +684,13 @@ impl Host {
             st.sender.snap_save(w);
         }
         w.put_usize(self.receivers.len());
-        for (flow, st) in self.receivers.iter() {
+        for (flow, recv) in self.receivers.iter() {
             flow.save(w);
-            st.src.save(w);
-            st.query.save(w);
-            w.put_u64(st.reported_reorders);
-            w.put_u64(st.reported_bytes);
-            st.recv.snap_save(w);
+            recv.snap_save(w);
         }
         w.put_usize(self.finished.len());
-        for (flow, fin) in self.finished.iter() {
+        for flow in self.finished.keys() {
             flow.save(w);
-            fin.snap_save(w);
         }
         w.put_bool(self.marking.is_some());
         if let Some(m) = &self.marking {
@@ -747,45 +723,28 @@ impl Host {
                 .insert(flow, Box::new(SendState { sender, dst, query }));
             Ok(())
         })?;
-        // A receiver record opens with its flow, peer, query and the two
-        // reported counters, then the receiver's flow, size, prefix and
-        // range count.
+        // A receiver record opens with its flow, then the receiver's flow,
+        // size, prefix and range count.
         self.receivers.clear();
-        r.ascending(68, "receiver", FlowId::restore, |r, flow| {
-            let src = NodeId::restore(r)?;
-            let query = QueryId::restore(r)?;
-            let reported_reorders = r.get_u64()?;
-            let reported_bytes = r.get_u64()?;
+        r.ascending(40, "receiver", FlowId::restore, |r, flow| {
             let recv = FlowReceiver::snap_restore(r)?;
-            // `deliver_data` exports the difference to these on the next
-            // packet: a claim above what the receiver holds underflows it.
-            let (bytes, reorders) = (recv.contiguous().min(recv.size), recv.reorder_events());
-            if reported_bytes > bytes || reported_reorders > reorders {
+            if recv.is_complete() {
                 return Err(SnapError::new(format!(
-                    "receiver of {flow:?}: reported {reported_bytes} bytes and \
-                     {reported_reorders} reorders of {bytes} and {reorders} received"
+                    "receiver of {flow:?} is complete but still live"
                 )));
             }
-            let st = RecvState {
-                recv,
-                src,
-                query,
-                reported_reorders,
-                reported_bytes,
-            };
-            self.receivers.insert(flow, Box::new(st));
+            self.receivers.insert(flow, Box::new(recv));
             Ok(())
         })?;
-        // A finished record is its flow and its prefix.
+        // A finished record is its flow.
         self.finished.clear();
-        r.ascending(16, "finished flow", FlowId::restore, |r, flow| {
+        r.ascending(8, "finished flow", FlowId::restore, |_, flow| {
             if self.receivers.index_of(flow).is_some() {
                 return Err(SnapError::new(format!(
                     "finished flow {flow:?} also has a live receiver"
                 )));
             }
-            self.finished
-                .insert(flow, FinishedReceiver::snap_restore(r)?);
+            self.finished.insert(flow, ());
             Ok(())
         })?;
         let had_marking = r.get_bool()?;
@@ -807,6 +766,15 @@ impl Host {
             o.snap_restore(r)?;
         }
         self.wake_scheduled = Option::restore(r)?;
+        // A sender with bytes in flight has its RTO armed, and every event
+        // leaves a wakeup at or before each armed deadline.
+        if self.wake_scheduled.is_none()
+            && self.senders.values().any(|st| st.sender.flight_bytes() > 0)
+        {
+            return Err(SnapError::new(
+                "a sender has bytes in flight but no wakeup is scheduled",
+            ));
+        }
         self.uid = r.get_u64()?;
         self.stats.segments_sent = r.get_u64()?;
         self.stats.retransmits = r.get_u64()?;

@@ -69,12 +69,11 @@ pub enum BufferPolicy {
         /// SRPT buffer management).
         deflection: bool,
     },
-    /// PABO (Shi et al.): bounce the arriving packet *backward* to the
-    /// hop it came from, resolved through the route table's reverse-path
-    /// index from the packet's provenance field. Drops when the bounce
-    /// budget is spent, the upstream port is the full output itself, the
-    /// upstream hop is a host (hosts discard foreign packets), or the
-    /// upstream queue is also full.
+    /// PABO (Shi et al.): bounce the arriving packet *backward* out of
+    /// its ingress port, to the hop it came from. Drops when the bounce
+    /// budget is spent, the ingress is the full output itself, is down,
+    /// faces a host (hosts discard foreign packets), or its queue is also
+    /// full.
     Pabo {
         /// Bounce budget per packet (mirrors DIBS's TTL-like cap).
         max_deflections: u16,

@@ -380,7 +380,7 @@ impl Switch {
                 deflection,
             } => deflect::vertigo(self, out, pkt, deflect_power, scheduling, deflection, ctx),
             BufferPolicy::Pabo { max_deflections } => {
-                deflect::pabo(self, out, pkt, max_deflections, ctx)
+                deflect::pabo(self, out, in_port, pkt, max_deflections, ctx)
             }
             BufferPolicy::Hybrid { deflect_power } => {
                 deflect::hybrid(self, out, in_port, pkt, deflect_power, ctx)

@@ -48,18 +48,6 @@ pub struct RouteTable {
     ports: Vec<u16>,
     /// Number of hosts (row width).
     hosts: usize,
-    /// Reverse-path neighbor index, CSR over switches:
-    /// `nbr_offsets[s] .. nbr_offsets[s+1]` spans switch `s`'s rows in
-    /// `nbr_nodes` (neighbor node ids, ascending) and `nbr_ports` (the
-    /// local port facing each neighbor). Backward-bouncing deflection
-    /// (PABO) resolves "the port my upstream hop sits behind" with one
-    /// binary search here. Empty (all-zero offsets) in tables built via
-    /// [`RouteTable::from_nested`], where no adjacency is known.
-    nbr_offsets: Vec<u32>,
-    /// Neighbor node ids, ascending per switch (see `nbr_offsets`).
-    nbr_nodes: Vec<u32>,
-    /// Local port facing each neighbor (parallel to `nbr_nodes`).
-    nbr_ports: Vec<u16>,
 }
 
 impl RouteTable {
@@ -90,47 +78,11 @@ impl RouteTable {
         self.ports.len()
     }
 
-    /// The port on switch `switch_idx` (0-based, i.e. `node_id - hosts`)
-    /// that faces `neighbor` directly, if the two are adjacent — the
-    /// reverse-path lookup backward-bouncing deflection needs. Returns
-    /// `None` when the table carries no adjacency (tables built via
-    /// [`RouteTable::from_nested`] without neighbor lists) or when
-    /// `neighbor` is not adjacent to the switch.
-    #[inline]
-    pub fn upstream_port(&self, switch_idx: usize, neighbor: NodeId) -> Option<u16> {
-        if switch_idx + 1 >= self.nbr_offsets.len() {
-            return None;
-        }
-        let lo = self.nbr_offsets[switch_idx] as usize;
-        let hi = self.nbr_offsets[switch_idx + 1] as usize;
-        let row = &self.nbr_nodes[lo..hi];
-        row.binary_search(&neighbor.0)
-            .ok()
-            .map(|i| self.nbr_ports[lo + i])
-    }
-
     /// Builds a table from nested per-switch candidate lists:
     /// `nested[switch][host]` is the candidate port list. Intended for
     /// hand-crafted topologies in tests; production tables come from
     /// [`Topology::switch_routes`].
     pub fn from_nested(nested: &[Vec<Vec<u16>>]) -> Self {
-        Self::from_nested_with_neighbors(nested, &vec![Vec::new(); nested.len()])
-    }
-
-    /// [`RouteTable::from_nested`] plus explicit reverse-path adjacency:
-    /// `neighbors[switch]` lists `(neighbor_node_id, local_port)` pairs,
-    /// in any order. Hand-built switches that exercise backward-bouncing
-    /// deflection need this; plain forwarding tests can stay on
-    /// [`RouteTable::from_nested`].
-    pub fn from_nested_with_neighbors(
-        nested: &[Vec<Vec<u16>>],
-        neighbors: &[Vec<(u32, u16)>],
-    ) -> Self {
-        assert_eq!(
-            nested.len(),
-            neighbors.len(),
-            "one neighbor list per switch"
-        );
         let hosts = nested.first().map_or(0, |per_host| per_host.len());
         let mut offsets = Vec::with_capacity(nested.len() * hosts + 1);
         let mut ports = Vec::new();
@@ -142,38 +94,11 @@ impl RouteTable {
                 offsets.push(u32::try_from(ports.len()).expect("route table < 4G entries"));
             }
         }
-        let (nbr_offsets, nbr_nodes, nbr_ports) = Self::build_neighbor_csr(neighbors);
         RouteTable {
             offsets,
             ports,
             hosts,
-            nbr_offsets,
-            nbr_nodes,
-            nbr_ports,
         }
-    }
-
-    /// Flattens per-switch `(neighbor, port)` lists into the sorted CSR
-    /// arrays [`RouteTable::upstream_port`] binary-searches.
-    fn build_neighbor_csr(neighbors: &[Vec<(u32, u16)>]) -> (Vec<u32>, Vec<u32>, Vec<u16>) {
-        let mut nbr_offsets = Vec::with_capacity(neighbors.len() + 1);
-        let mut nbr_nodes = Vec::new();
-        let mut nbr_ports = Vec::new();
-        nbr_offsets.push(0);
-        for nbrs in neighbors {
-            let mut row: Vec<(u32, u16)> = nbrs.clone();
-            row.sort_unstable();
-            debug_assert!(
-                row.windows(2).all(|w| w[0].0 != w[1].0),
-                "duplicate neighbor in reverse-path row"
-            );
-            for (node, port) in row {
-                nbr_nodes.push(node);
-                nbr_ports.push(port);
-            }
-            nbr_offsets.push(u32::try_from(nbr_nodes.len()).expect("neighbor table < 4G entries"));
-        }
-        (nbr_offsets, nbr_nodes, nbr_ports)
     }
 }
 
@@ -533,30 +458,11 @@ impl Topology {
             }
         }
         ports.shrink_to_fit();
-        let (nbr_offsets, nbr_nodes, nbr_ports) =
-            RouteTable::build_neighbor_csr(&self.switch_neighbor_lists());
         RouteTable {
             offsets,
             ports,
             hosts: self.hosts,
-            nbr_offsets,
-            nbr_nodes,
-            nbr_ports,
         }
-    }
-
-    /// Per-switch `(neighbor node id, local port)` lists, in port order —
-    /// the raw input of the route table's reverse-path CSR.
-    pub fn switch_neighbor_lists(&self) -> Vec<Vec<(u32, u16)>> {
-        (0..self.switches)
-            .map(|s| {
-                self.adj[self.hosts + s]
-                    .iter()
-                    .enumerate()
-                    .map(|(pi, &(peer, _))| (peer.0, pi as u16))
-                    .collect()
-            })
-            .collect()
     }
 }
 
@@ -686,46 +592,11 @@ mod tests {
                     .collect()
             })
             .collect();
-        assert_eq!(
-            RouteTable::from_nested_with_neighbors(&nested, &t.switch_neighbor_lists()),
-            csr
-        );
+        assert_eq!(RouteTable::from_nested(&nested), csr);
         assert_eq!(
             csr.total_entries(),
             nested.iter().flatten().map(Vec::len).sum()
         );
-        // The plain constructor carries no adjacency: forwarding rows are
-        // identical, reverse-path lookups answer None.
-        let plain = RouteTable::from_nested(&nested);
-        for s in 0..csr.switches() {
-            for h in 0..csr.hosts() {
-                assert_eq!(plain.candidates(s, h), csr.candidates(s, h));
-            }
-        }
-        assert_eq!(plain.upstream_port(0, NodeId(0)), None);
-    }
-
-    #[test]
-    fn upstream_port_inverts_adjacency() {
-        let t = ls();
-        let routes = t.switch_routes();
-        // Every adjacent (switch, neighbor) pair resolves to the exact
-        // port of the adjacency list; non-neighbors answer None.
-        for s in 0..t.switches {
-            let sw = NodeId((t.hosts + s) as u32);
-            for (pi, &(peer, _)) in t.adj[sw.index()].iter().enumerate() {
-                assert_eq!(
-                    routes.upstream_port(s, peer),
-                    Some(pi as u16),
-                    "switch {s} port to n{peer:?}"
-                );
-            }
-            // Another leaf is never adjacent to a leaf in a leaf-spine.
-            if s < 8 {
-                let other_leaf = NodeId((t.hosts + (s + 1) % 8) as u32);
-                assert_eq!(routes.upstream_port(s, other_leaf), None);
-            }
-        }
     }
 
     #[test]

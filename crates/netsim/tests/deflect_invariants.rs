@@ -3,7 +3,7 @@
 //! the policy, workload, or fault
 //! state, a deflection's chosen egress is a *live* candidate (never the
 //! full output, never an administratively-down port, never the ingress
-//! for an excluding policy, always the provenance upstream for PABO) —
+//! for an excluding policy, always the ingress for PABO) —
 //! and the whole decision stream is a deterministic function of the
 //! seed.
 
@@ -20,9 +20,8 @@ const HOST: NodeId = NodeId(0);
 const SW: NodeId = NodeId(10);
 const NPORTS: u16 = 4;
 
-/// Builds the 4-port test switch (port 0 host-facing, ports 1..=3 peer
-/// with switches `NodeId(21..=23)`) with a full reverse-path row, so
-/// every policy — including PABO's provenance lookup — is exercisable.
+/// Builds the 4-port test switch: port 0 host-facing, ports 1..=3 peer
+/// with switches `NodeId(21..=23)`.
 fn mk_switch(cfg: SwitchConfig) -> Switch {
     let ports: Vec<Port> = (0..NPORTS)
         .map(|i| Port {
@@ -38,13 +37,7 @@ fn mk_switch(cfg: SwitchConfig) -> Switch {
             host_facing: i == 0,
         })
         .collect();
-    let nbrs: Vec<(u32, u16)> = (0..NPORTS)
-        .map(|i| (if i == 0 { HOST.0 } else { 20 + i as u32 }, i))
-        .collect();
-    let routes = std::sync::Arc::new(RouteTable::from_nested_with_neighbors(
-        &[vec![vec![0]]],
-        &[nbrs],
-    ));
+    let routes = std::sync::Arc::new(RouteTable::from_nested(&[vec![vec![0]]]));
     Switch::new(SW, cfg, ports, routes, 0, 0xBEEF)
 }
 
@@ -68,7 +61,7 @@ fn small(cfg: SwitchConfig) -> SwitchConfig {
     }
 }
 
-fn pkt(uid: u64, rfs: u32, prev_hop: NodeId) -> Box<Packet> {
+fn pkt(uid: u64, rfs: u32) -> Box<Packet> {
     let mut p = Packet::data(
         uid,
         FlowId(uid),
@@ -91,19 +84,18 @@ fn pkt(uid: u64, rfs: u32, prev_hop: NodeId) -> Box<Packet> {
         flow_seq: 0,
         first: true,
     });
-    p.prev_hop = prev_hop;
     Box::new(p)
 }
 
-/// Drives `script` (one `(rfs, prev_hop index, bounce count)` triple per
-/// arrival, all on ingress port 1, all destined HOST via port 0) through
-/// a fresh switch and returns the full trace-record stream.
+/// Drives `script` (one `(rfs, ingress port, bounce count)` triple per
+/// arrival, all destined HOST via port 0) through a fresh switch and
+/// returns the full trace-record stream.
 fn drive(
     cfg: SwitchConfig,
     seed: u64,
     downs: &[u16],
     ewma: u64,
-    script: &[(u32, usize, u16)],
+    script: &[(u32, u16, u16)],
 ) -> Vec<TraceRecord> {
     let mut sw = mk_switch(small(cfg));
     for &p in downs {
@@ -114,16 +106,8 @@ fn drive(
     let mut rec = Recorder::new();
     rec.trace.arm(TraceFilter::default(), 32, 65536);
     let mut rng = SimRng::new(seed);
-    for (i, &(rfs, hop, bounces)) in script.iter().enumerate() {
-        // hop 0..3 maps to a real neighbor (HOST, 21, 22, 23); hop 3 is
-        // a node the reverse-path row has never heard of.
-        let prev = match hop {
-            0 => HOST,
-            1 => NodeId(21),
-            2 => NodeId(22),
-            _ => NodeId(55),
-        };
-        let mut p = pkt(i as u64, rfs, prev);
+    for (i, &(rfs, in_port, bounces)) in script.iter().enumerate() {
+        let mut p = pkt(i as u64, rfs);
         p.deflections = bounces;
         let ctx = &mut Ctx {
             now: events.now(),
@@ -131,16 +115,16 @@ fn drive(
             rec: &mut rec,
             rng: &mut rng,
         };
-        sw.on_arrive(PortId(1), p, ctx);
+        sw.on_arrive(PortId(in_port), p, ctx);
     }
     rec.trace.records()
 }
 
-/// `(rfs, prev-hop index, starting bounce count)` arrival strategy: RFS
+/// `(rfs, ingress port, starting bounce count)` arrival strategy: RFS
 /// spans mice through elephants, bounce counts straddle every policy's
 /// cap (bounded's default cap is 16).
-fn script_strategy() -> impl Strategy<Value = Vec<(u32, usize, u16)>> {
-    proptest::collection::vec((1_000u32..1_000_000, 0usize..4, 0u16..20), 12..48)
+fn script_strategy() -> impl Strategy<Value = Vec<(u32, u16, u16)>> {
+    proptest::collection::vec((1_000u32..1_000_000, 0u16..NPORTS, 0u16..20), 12..48)
 }
 
 /// Guards the properties against vacuity: under the canonical pressure
@@ -148,7 +132,7 @@ fn script_strategy() -> impl Strategy<Value = Vec<(u32, usize, u16)>> {
 /// the quantified assertions above range over non-empty record sets.
 #[test]
 fn pressure_script_exercises_every_policy() {
-    let script: Vec<(u32, usize, u16)> = (0..32).map(|i| (10_000, 1 + (i % 2), 0)).collect();
+    let script: Vec<(u32, u16, u16)> = (0..32).map(|i| (10_000, 1 + (i % 2), 0)).collect();
     for (cfg, _) in zoo() {
         let records = drive(cfg, 7, &[], 0, &script);
         let deflects = records
@@ -176,7 +160,7 @@ proptest! {
         ewma in 0u64..200_000,
         script in script_strategy(),
     ) {
-        // Ports 2 and/or 3 may be down; 0 (route) and 1 (ingress) stay up.
+        // Ports 2 and/or 3 may be down; 0 (the route) and 1 stay up.
         let downs: Vec<u16> = [2u16, 3]
             .into_iter()
             .filter(|p| down_mask & (1 << (p - 2)) != 0)
@@ -192,20 +176,19 @@ proptest! {
                     r.port,
                     cfg.buffer
                 );
+                // Hybrid, bounded and PABO deflect only the arrival.
+                let ingress = script.get(r.uid as usize).map(|&(_, p, _)| p);
                 if excludes_ingress {
                     prop_assert!(
-                        r.port != 1,
+                        ingress.is_some_and(|p| r.port != p),
                         "{:?} must exclude the ingress",
                         cfg.buffer
                     );
                 }
                 if matches!(cfg.buffer, BufferPolicy::Pabo { .. }) {
-                    // PABO's egress is the provenance upstream, exactly.
-                    let uid = r.uid as usize;
-                    prop_assert!(uid < script.len(), "bounced uid is an arrival");
                     prop_assert_eq!(
-                        r.port as usize, script[uid].1,
-                        "PABO bounces to the provenance port"
+                        Some(r.port), ingress,
+                        "PABO bounces out of the ingress port"
                     );
                 }
             }
@@ -268,7 +251,7 @@ proptest! {
                 _ => None,
             })
             .collect();
-        let script: Vec<(u32, usize, u16)> = (0..32).map(|i| (10_000, 1 + (i % 2), 0)).collect();
+        let script: Vec<(u32, u16, u16)> = (0..32).map(|i| (10_000, 1 + (i % 2), 0)).collect();
         for (cfg, _) in zoo() {
             let records = drive(cfg, seed, &downs, 0, &script);
             for r in records.iter().filter(|r| r.kind() == Some(TraceKind::Deflect)) {

@@ -15,15 +15,9 @@ const HOST: NodeId = NodeId(0);
 const SW: NodeId = NodeId(10);
 
 /// A 4-port switch with an armed trace sink: port 0 faces the
-/// destination host; `routes` lists the candidate ports for HOST.
+/// destination host, port `i > 0` switch `NodeId(20 + i)`; `routes` lists
+/// the candidate ports for HOST.
 fn mk_switch(cfg: SwitchConfig, routes: Vec<u16>) -> Switch {
-    mk_switch_nbrs(cfg, routes, Vec::new())
-}
-
-/// [`mk_switch`] plus an explicit reverse-path adjacency row, for the
-/// policies (PABO) that resolve an upstream port from packet provenance.
-/// Port `i > 0` peers with switch `NodeId(20 + i)`; port 0 with HOST.
-fn mk_switch_nbrs(cfg: SwitchConfig, routes: Vec<u16>, nbrs: Vec<(u32, u16)>) -> Switch {
     let ports: Vec<Port> = (0..4)
         .map(|i| Port {
             peer: if i == 0 { HOST } else { NodeId(20 + i) },
@@ -38,17 +32,8 @@ fn mk_switch_nbrs(cfg: SwitchConfig, routes: Vec<u16>, nbrs: Vec<(u32, u16)>) ->
             host_facing: i == 0,
         })
         .collect();
-    let routes = std::sync::Arc::new(RouteTable::from_nested_with_neighbors(
-        &[vec![routes]],
-        &[nbrs],
-    ));
+    let routes = std::sync::Arc::new(RouteTable::from_nested(&[vec![routes]]));
     Switch::new(SW, cfg, ports, routes, 0, 0xBEEF)
-}
-
-/// The full 4-port adjacency row of the test switch, as
-/// `(neighbor node id, local port)` pairs.
-fn all_nbrs() -> Vec<(u32, u16)> {
-    vec![(HOST.0, 0), (21, 1), (22, 2), (23, 3)]
 }
 
 struct Harness {
@@ -288,71 +273,64 @@ fn vertigo_forwarding_records_power_of_n() {
     }
 }
 
-/// PABO (Shi et al.): the arriving packet bounces *backward* — to the
-/// exact port facing the hop recorded in its provenance field, resolved
-/// through the route table's reverse-path index. Never a random port.
+/// PABO (Shi et al.): the arriving packet bounces *backward* — out of
+/// the exact port it arrived on, toward the hop that sent it. Never a
+/// random port.
 #[test]
 fn pabo_bounces_to_exact_provenance_upstream() {
     struct Case {
         name: &'static str,
-        prev_hop: NodeId,
+        in_port: u16,
         deflections: u16,
         down: Option<u16>,
         expect_port: Option<u16>,
     }
     let cases = [
         Case {
-            name: "upstream on port 1",
-            prev_hop: NodeId(21),
+            name: "arrived on port 1",
+            in_port: 1,
             deflections: 0,
             down: None,
             expect_port: Some(1),
         },
         Case {
-            name: "upstream on port 2",
-            prev_hop: NodeId(22),
+            name: "arrived on port 2",
+            in_port: 2,
             deflections: 0,
             down: None,
             expect_port: Some(2),
         },
         Case {
-            name: "upstream on port 3",
-            prev_hop: NodeId(23),
+            name: "arrived on port 3",
+            in_port: 3,
             deflections: 0,
             down: None,
             expect_port: Some(3),
         },
         Case {
-            name: "unknown upstream drops",
-            prev_hop: NodeId(55),
-            deflections: 0,
-            down: None,
-            expect_port: None,
-        },
-        Case {
-            name: "upstream == full output drops",
-            prev_hop: HOST,
+            name: "ingress == full output drops",
+            in_port: 0,
             deflections: 0,
             down: None,
             expect_port: None,
         },
         Case {
             name: "bounce budget spent drops",
-            prev_hop: NodeId(22),
+            in_port: 2,
             deflections: 16,
             down: None,
             expect_port: None,
         },
         Case {
-            name: "downed upstream drops",
-            prev_hop: NodeId(22),
+            name: "downed ingress drops",
+            in_port: 2,
             deflections: 0,
             down: Some(2),
             expect_port: None,
         },
     ];
     for case in cases {
-        let mut sw = mk_switch_nbrs(small(SwitchConfig::pabo()), vec![0], all_nbrs());
+        let mut sw = mk_switch(small(SwitchConfig::pabo()), vec![0]);
         if let Some(p) = case.down {
             sw.set_port_down(p, true);
         }
@@ -362,9 +340,8 @@ fn pabo_bounces_to_exact_provenance_upstream() {
             sw.on_arrive(PortId(1), pkt(i, 10_000), &mut h.ctx());
         }
         let mut p = pkt(100, 10_000);
-        p.prev_hop = case.prev_hop;
         p.deflections = case.deflections;
-        sw.on_arrive(PortId(1), p, &mut h.ctx());
+        sw.on_arrive(PortId(case.in_port), p, &mut h.ctx());
         let deflects = h.events_of(TraceKind::Deflect);
         let drops = h.events_of(TraceKind::Drop);
         match case.expect_port {
@@ -374,7 +351,7 @@ fn pabo_bounces_to_exact_provenance_upstream() {
                 assert_eq!(d.uid, 100, "{}: PABO bounces the arrival", case.name);
                 assert_eq!(
                     d.port, port,
-                    "{}: backward to the provenance port",
+                    "{}: backward out of the ingress port",
                     case.name
                 );
                 assert_eq!(

@@ -31,13 +31,8 @@ fn mk_switch(cfg: SwitchConfig) -> Switch {
         })
         .collect();
     // One destination (HOST, id 0): reached via port 0. The single-switch
-    // table has one row, so this switch is index 0. The reverse-path row
-    // (peer of port i is node 20 + i) is what PABO's bounce resolves.
-    let nbrs: Vec<(u32, u16)> = (1..4).map(|i| (20 + i as u32, i)).collect();
-    let routes = std::sync::Arc::new(RouteTable::from_nested_with_neighbors(
-        &[vec![vec![0u16]]],
-        &[nbrs],
-    ));
+    // table has one row, so this switch is index 0.
+    let routes = std::sync::Arc::new(RouteTable::from_nested(&[vec![vec![0u16]]]));
     Switch::new(SW, cfg, ports, routes, 0, 0xBEEF)
 }
 
@@ -337,8 +332,7 @@ fn every_policy_accounts_each_displaced_packet_once() {
         // No `TxDone` is played, so every port holds what it sent (one
         // packet, `busy`) plus its queue: 36 packets fit, 60 are offered.
         for offered in 1..=60u64 {
-            let mut p = pkt(offered, 10_000);
-            p.prev_hop = NodeId(21); // came in through port 1
+            let p = pkt(offered, 10_000);
             let fit = sw.port(PortId(0)).queue.fits(&p, cfg.port_buffer_bytes);
             let before = (h.rec.deflections, h.rec.total_drops());
             sw.on_arrive(PortId(1), p, &mut h.ctx());

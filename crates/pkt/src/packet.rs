@@ -160,11 +160,6 @@ pub struct Packet {
     pub hops: u16,
     /// Times this packet has been deflected.
     pub deflections: u16,
-    /// Provenance: the node that last put this packet on a wire (the
-    /// upstream hop). Freshly built packets carry their source host;
-    /// every NIC/switch transmit rewrites it. Backward-bouncing
-    /// deflection policies (PABO) resolve their egress from this field.
-    pub prev_hop: NodeId,
 }
 
 impl Packet {
@@ -200,7 +195,6 @@ impl Packet {
             sent_at: now,
             hops: 0,
             deflections: 0,
-            prev_hop: src,
         }
     }
 
@@ -229,7 +223,6 @@ impl Packet {
             sent_at: now,
             hops: 0,
             deflections: 0,
-            prev_hop: src,
         }
     }
 

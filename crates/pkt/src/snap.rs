@@ -7,7 +7,7 @@
 //! thing a round trip does not preserve.
 
 use crate::ids::{FlowId, NodeId, PortId, QueryId};
-use crate::packet::{AckSeg, DataSeg, Ecn, FlowInfo, Packet, PacketKind};
+use crate::packet::{AckSeg, DataSeg, Ecn, FlowInfo, Packet, PacketKind, MAX_PAYLOAD};
 use crate::pool;
 use vertigo_simcore::{SimTime, SnapError, SnapReader, SnapWriter, Snapshot};
 
@@ -90,11 +90,23 @@ impl Snapshot for DataSeg {
         w.put_bool(self.retransmit);
         w.put_bool(self.trimmed);
     }
+    /// Refuses a segment no sender cuts: an empty or oversized payload,
+    /// or one that ends past its flow's last byte. A receiver relies on
+    /// the last: a finished flow answers a late segment with its size.
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let (seq, payload, flow_bytes) = (r.get_u64()?, r.get_u32()?, r.get_u64()?);
+        let inside = seq
+            .checked_add(payload as u64)
+            .is_some_and(|end| end <= flow_bytes);
+        if payload == 0 || payload > MAX_PAYLOAD || !inside {
+            return Err(SnapError::new(format!(
+                "data segment {seq}+{payload} does not lie inside a flow of {flow_bytes} bytes"
+            )));
+        }
         Ok(DataSeg {
-            seq: r.get_u64()?,
-            payload: r.get_u32()?,
-            flow_bytes: r.get_u64()?,
+            seq,
+            payload,
+            flow_bytes,
             retransmit: r.get_bool()?,
             trimmed: r.get_bool()?,
         })
@@ -157,7 +169,6 @@ impl Snapshot for Packet {
         self.sent_at.save(w);
         w.put_u16(self.hops);
         w.put_u16(self.deflections);
-        self.prev_hop.save(w);
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Packet {
@@ -173,7 +184,6 @@ impl Snapshot for Packet {
             sent_at: SimTime::restore(r)?,
             hops: r.get_u16()?,
             deflections: r.get_u16()?,
-            prev_hop: NodeId::restore(r)?,
         })
     }
 }
@@ -245,6 +255,43 @@ mod tests {
             let q = Packet::restore(&mut r).unwrap();
             assert!(r.is_empty());
             assert_eq!(format!("{p:?}"), format!("{q:?}"));
+        }
+    }
+
+    /// A tagged data packet's record: the prefix, the segment, wire size,
+    /// ECN, flowinfo, timestamp and the two hop counters, nothing else.
+    #[test]
+    fn a_tagged_data_packet_record_is_80_bytes() {
+        let mut w = SnapWriter::new();
+        sample_data().save(&mut w);
+        assert_eq!(w.into_bytes().len(), 80);
+    }
+
+    #[test]
+    fn data_segment_restore_refuses_what_no_sender_cuts() {
+        let saved = |seq: u64, payload: u32, flow_bytes: u64| {
+            let mut w = SnapWriter::new();
+            let seg = DataSeg {
+                seq,
+                payload,
+                flow_bytes,
+                retransmit: false,
+                trimmed: true,
+            };
+            seg.save(&mut w);
+            w.into_bytes()
+        };
+        let restored = |b: &[u8]| DataSeg::restore(&mut SnapReader::new(b));
+        assert!(restored(&saved(0, 1, 1)).is_ok());
+        assert!(restored(&saved(1460, MAX_PAYLOAD, 2920)).is_ok());
+        for (what, bytes) in [
+            ("empty payload", saved(0, 0, 10)),
+            ("payload over the MSS", saved(0, MAX_PAYLOAD + 1, 1 << 20)),
+            ("ends past the flow", saved(1460, 1460, 2919)),
+            ("starts past the flow", saved(3000, 1, 2920)),
+            ("end overflows u64", saved(u64::MAX, 1, u64::MAX)),
+        ] {
+            assert!(restored(&bytes).is_err(), "accepted: {what}");
         }
     }
 

@@ -48,7 +48,10 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// counter and no timestamps, a finished receiver its prefix alone, a
 /// sender's segment no send count, and the recorder no dropped bytes and
 /// no mice queueing sums.
-pub const SNAP_VERSION: u16 = 11;
+/// Version 12: a packet drops its previous hop; a host's receiver record
+/// is its flow and the receiver's record, and a finished flow its id, and
+/// a data segment lies inside its flow.
+pub const SNAP_VERSION: u16 = 12;
 
 /// Every build checkpoints and resumes; only the benchmark's result
 /// header (`perfbench/`) still reads this.

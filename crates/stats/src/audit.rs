@@ -146,6 +146,8 @@ mod tests {
         assert_eq!(a.checks, 1);
     }
 
+    /// The check is a `debug_assert!`, so the test is compiled as it is.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "wire count underflow")]
     fn wire_underflow_is_caught() {

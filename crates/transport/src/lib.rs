@@ -28,7 +28,7 @@ pub mod swift;
 
 pub use cc::{AckContext, CcKind, CongestionControl};
 pub use dctcp::Dctcp;
-pub use receiver::{FinishedReceiver, FlowReceiver};
+pub use receiver::FlowReceiver;
 pub use reno::Reno;
 pub use rto::RtoEstimator;
 pub use sender::{AckOutcome, FlowSender, SenderStats, TransportConfig};

@@ -91,14 +91,6 @@ impl FlowReceiver {
         }
     }
 
-    /// The [`FinishedReceiver`] standing for this receiver once it is
-    /// complete, or `None` before that. Also `None` while it holds an
-    /// out-of-order range, which a complete receiver only has after a
-    /// segment past the flow's last byte: no [`crate::FlowSender`] sends one.
-    pub fn finished(&self) -> Option<FinishedReceiver> {
-        (self.complete && self.ooo.is_empty()).then_some(FinishedReceiver { cum: self.cum })
-    }
-
     /// Serializes the full receive state.
     pub fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
         use vertigo_simcore::Snapshot;
@@ -116,11 +108,11 @@ impl FlowReceiver {
 
     /// Reconstructs a receiver from a [`FlowReceiver::snap_save`] stream.
     ///
-    /// Refuses a record [`FlowReceiver::on_data`] cannot have left behind:
-    /// out-of-order ranges that do not lie strictly above the contiguous
-    /// prefix, one after the other without overlap, below `u64::MAX`
-    /// (`drain_ooo` adds start and length), or a completion flag
-    /// that disagrees with the prefix.
+    /// Refuses a record [`FlowReceiver::on_data`] cannot have left behind
+    /// from segments inside the flow: a prefix or an out-of-order range
+    /// that ends past the flow's size, ranges that do not lie strictly
+    /// above the prefix, one after the other without overlap, or a
+    /// completion flag that disagrees with the prefix.
     pub fn snap_restore(
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<Self, vertigo_simcore::SnapError> {
@@ -129,12 +121,20 @@ impl FlowReceiver {
         let size = r.get_u64()?;
         let mut rx = FlowReceiver::new(flow, size);
         rx.cum = r.get_u64()?;
+        if rx.cum > size {
+            return Err(SnapError::new(format!(
+                "receiver of {flow:?}: prefix {} past its {size} bytes",
+                rx.cum
+            )));
+        }
         let mut floor = rx.cum;
         // A range record is its start and length.
         for _ in 0..r.count(12, "out-of-order ranges")? {
             let start = r.get_u64()?;
             let len = r.get_u32()?;
-            let end = start.checked_add(len as u64).filter(|_| len > 0);
+            let end = start
+                .checked_add(len as u64)
+                .filter(|&end| len > 0 && end <= size);
             let above = if rx.ooo.is_empty() {
                 start > floor
             } else {
@@ -143,7 +143,7 @@ impl FlowReceiver {
             let (Some(end), true) = (end, above) else {
                 return Err(SnapError::new(format!(
                     "receiver of {flow:?}: out-of-order range {start}+{len} is empty, \
-                     overflows, or does not lie above {floor}"
+                     ends past {size}, or does not lie above {floor}"
                 )));
             };
             rx.ooo.insert(start, len);
@@ -168,65 +168,6 @@ impl FlowReceiver {
             self.ooo.remove(&start);
             self.cum = self.cum.max(start + len as u64);
         }
-    }
-}
-
-/// A complete receiver reduced to what its answers to later segments
-/// read: the contiguous prefix (which a runt can push past the flow's
-/// size). Its ACKs are the complete [`FlowReceiver`]'s, byte for byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FinishedReceiver {
-    cum: u64,
-}
-
-impl FinishedReceiver {
-    /// Contiguous bytes received.
-    pub fn contiguous(&self) -> u64 {
-        self.cum
-    }
-
-    /// The complete receiver's ACK for a later data segment. `None`, with
-    /// nothing changed, for a segment past the prefix: that one opens an
-    /// out-of-order range, which only the [`FinishedReceiver::revive`]d
-    /// receiver can hold.
-    pub fn on_data(&mut self, seg: &DataSeg, ce: bool, sent_at: SimTime) -> Option<AckSeg> {
-        if seg.seq > self.cum {
-            return None;
-        }
-        self.cum = self.cum.max(seg.seq + seg.payload as u64);
-        Some(self.on_trim(ce, sent_at))
-    }
-
-    /// The complete receiver's ACK for a trimmed header stub.
-    pub fn on_trim(&self, ce: bool, sent_at: SimTime) -> AckSeg {
-        AckSeg {
-            cum_ack: self.cum,
-            ecn_echo: ce,
-            ts_echo: sent_at,
-        }
-    }
-
-    /// A complete [`FlowReceiver`] that answers everything as this record
-    /// does. Its size is the prefix, so its goodput
-    /// (`contiguous().min(size)`) stays where this record's is, and its
-    /// reorder count starts at 0: it counts only what arrives from here.
-    pub fn revive(self, flow: FlowId) -> FlowReceiver {
-        let mut rx = FlowReceiver::new(flow, self.cum);
-        rx.cum = self.cum;
-        rx.complete = true;
-        rx
-    }
-
-    /// Serializes the record.
-    pub fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
-        w.put_u64(self.cum);
-    }
-
-    /// Reads a record written by [`FinishedReceiver::snap_save`].
-    pub fn snap_restore(
-        r: &mut vertigo_simcore::SnapReader<'_>,
-    ) -> Result<Self, vertigo_simcore::SnapError> {
-        Ok(FinishedReceiver { cum: r.get_u64()? })
     }
 }
 
@@ -441,6 +382,15 @@ mod tests {
             ("complete short of size", record(size, m, &[], true)),
             ("incomplete at size", record(size, size, &[], false)),
             ("incomplete past size", record(size, size + 1, &[], false)),
+            ("complete past size", record(size, size + 1, &[], true)),
+            (
+                "range ends past size",
+                record(size, m, &[(8 * m, MSS + 1)], false),
+            ),
+            (
+                "range starts past size",
+                record(size, m, &[(2 * m, MSS), (size, 1)], false),
+            ),
             (
                 "range count the input cannot hold",
                 record_counting(size, m, 1 << 40, &[(2 * m, MSS)], false),
@@ -453,130 +403,59 @@ mod tests {
         }
     }
 
-    /// A receiver of `size` bytes after `before` (segments at half-MSS
-    /// offsets), then in-order MSS segments from its prefix until complete.
-    fn completed(size: u64, before: &[(u64, u32)]) -> FlowReceiver {
-        let mut r = FlowReceiver::new(FlowId(1), size);
-        for &(at, payload) in before {
-            r.on_data(t(0), &later(at, payload), false, t(0));
-        }
-        while !r.is_complete() {
-            r.on_data(t(1), &later(r.contiguous() / 730, MSS), false, t(0));
-        }
-        r
-    }
-
-    /// A segment at `at` half-MSS steps (a runt whenever `payload` is short
-    /// of the MSS, a gap whenever it starts past the prefix).
-    fn later(at: u64, payload: u32) -> DataSeg {
+    /// A segment of a `size`-byte flow that starts `at` bytes in (taken
+    /// modulo the size) and carries up to `payload` bytes: inside the flow,
+    /// as every segment a sender cuts.
+    fn inside(size: u64, at: u64, payload: u32) -> DataSeg {
+        let seq = at % size;
         DataSeg {
-            seq: at * 730,
-            payload,
-            flow_bytes: 0,
+            seq,
+            payload: payload.min((size - seq).min(MSS as u64) as u32),
+            flow_bytes: size,
             retransmit: false,
             trimmed: false,
         }
     }
 
-    /// What a host holds for a completed flow: the finished record, or
-    /// the full receiver with the reorder count and goodput already
-    /// reported for it, once a segment past a gap revived it.
-    enum Held {
-        Finished(FinishedReceiver),
-        Full(FlowReceiver, u64, u64),
-    }
-
     proptest::proptest! {
-        /// A complete receiver and its finished form, driven through the
-        /// same later segments and trim notices, give the same ACKs, and
-        /// the finished form's reorders past completion, as a host exports
-        /// them, are the complete receiver's; neither moves the goodput
-        /// (`contiguous().min(size)`) or stops being complete.
+        /// A complete receiver answers every later segment of its flow and
+        /// every trim notice with the ACK a host sends for a finished flow
+        /// (the flow's size, the echoes), and neither moves its goodput,
+        /// its reorder count or its completion.
         #[test]
         fn the_finished_form_answers_as_the_complete_receiver(
             size in 1u64..8 * MSS as u64,
-            before in proptest::collection::vec((0u64..18, 1u32..=MSS), 0..8),
-            ops in proptest::collection::vec((0u8..4, 0u64..24, 1u32..=MSS), 1..40),
+            before in proptest::collection::vec((0u64..8 * MSS as u64, 1u32..=MSS), 0..8),
+            ops in proptest::collection::vec((0u8..4, 0u64..8 * MSS as u64, 1u32..=MSS), 1..40),
         ) {
-            let mut full = completed(size, &before);
-            let (goodput, reorders) = (full.contiguous().min(full.size), full.reorder_events());
-            let mut held = match full.finished() {
-                Some(fin) => Held::Finished(fin),
-                None => Held::Full(completed(size, &before), reorders, goodput),
-            };
+            let mut full = FlowReceiver::new(FlowId(1), size);
+            for &(at, payload) in &before {
+                full.on_data(t(0), &inside(size, at, payload), false, t(0));
+            }
+            while !full.is_complete() {
+                full.on_data(t(1), &inside(size, full.contiguous(), MSS), false, t(0));
+            }
+            let (goodput, reorders) = (full.contiguous(), full.reorder_events());
+            proptest::prop_assert_eq!(goodput, size);
             for (i, &(op, at, payload)) in ops.iter().enumerate() {
                 let (now, ce, sent) = (t(10 + i as u64), op == 1, t(i as u64));
-                let (want, got) = if op == 3 {
-                    let got = match &mut held {
-                        Held::Finished(fin) => fin.on_trim(ce, sent),
-                        Held::Full(r, ..) => r.on_trim(ce, sent),
-                    };
-                    (full.on_trim(ce, sent), got)
+                let seg = inside(size, at, payload);
+                let want = AckSeg {
+                    cum_ack: seg.flow_bytes,
+                    ecn_echo: ce,
+                    ts_echo: sent,
+                };
+                let got = if op == 3 {
+                    full.on_trim(ce, sent)
                 } else {
-                    let seg = later(at, payload);
-                    let got = match &mut held {
-                        Held::Finished(fin) => match fin.on_data(&seg, ce, sent) {
-                            Some(ack) => ack,
-                            None => {
-                                // As a host revives it: nothing reported
-                                // of its reorders, all of its goodput.
-                                let mut r = fin.revive(FlowId(1));
-                                let ack = r.on_data(now, &seg, ce, sent);
-                                held = Held::Full(r, 0, fin.contiguous());
-                                ack
-                            }
-                        },
-                        Held::Full(r, ..) => r.on_data(now, &seg, ce, sent),
-                    };
-                    (full.on_data(now, &seg, ce, sent), got)
+                    full.on_data(now, &seg, ce, sent)
                 };
                 proptest::prop_assert_eq!(want, got);
                 proptest::prop_assert!(full.is_complete());
-                proptest::prop_assert_eq!(full.contiguous().min(full.size), goodput);
-                let (exported, contiguous) = match &held {
-                    Held::Finished(fin) => (0, fin.contiguous()),
-                    Held::Full(r, reported_reorders, reported_bytes) => {
-                        proptest::prop_assert!(r.is_complete());
-                        let bytes = r.contiguous().min(r.size);
-                        proptest::prop_assert_eq!(bytes, *reported_bytes, "goodput moved");
-                        (r.reorder_events() - reported_reorders, r.contiguous())
-                    }
-                };
-                proptest::prop_assert_eq!(exported, full.reorder_events() - reorders);
-                proptest::prop_assert_eq!(contiguous, full.contiguous());
+                proptest::prop_assert_eq!(full.contiguous(), goodput);
+                proptest::prop_assert_eq!(full.reorder_events(), reorders);
             }
         }
-    }
-
-    #[test]
-    fn a_finished_record_round_trips_and_a_revived_one_restores() {
-        use vertigo_simcore::{SnapReader, SnapWriter};
-        let mut r = FlowReceiver::new(FlowId(1), 2 * MSS as u64);
-        r.on_data(t(0), &seg(1, 2), false, t(0));
-        r.on_data(t(1), &seg(0, 2), false, t(0));
-        let fin = r.finished().expect("complete, nothing out of order");
-        assert_eq!(fin.contiguous(), 2 * MSS as u64);
-        let mut w = SnapWriter::new();
-        fin.snap_save(&mut w);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 8);
-        let back = FinishedReceiver::snap_restore(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(back, fin);
-        assert!(FinishedReceiver::snap_restore(&mut SnapReader::new(&bytes[..7])).is_err());
-        // Revived past a gap, it is a receiver record like any other.
-        let mut full = back.revive(FlowId(1));
-        assert_eq!(
-            full.reorder_events(),
-            0,
-            "the finished flow's reorder is not counted twice"
-        );
-        full.on_data(t(2), &seg(5, 2), false, t(0));
-        assert_eq!(full.reorder_events(), 1);
-        assert!(full.finished().is_none(), "an out-of-order range is held");
-        let mut w = SnapWriter::new();
-        full.snap_save(&mut w);
-        let bytes = w.into_bytes();
-        assert!(FlowReceiver::snap_restore(&mut SnapReader::new(&bytes)).is_ok());
     }
 
     #[test]

@@ -35,6 +35,17 @@ if grep -rnwE 'RtoConfig|RenoConfig|DctcpConfig|SwiftConfig|reorder_seen|mice_qu
   exit 1
 fi
 
+echo "==> what the arriving packet says is not stored again"
+# PABO bounces out of the port a packet arrived on, so no packet carries
+# its previous hop and no route table a reverse-path index. A host holds a
+# live receiver bare and a finished flow as its id: a late segment's ACK
+# is the flow size it carries.
+if grep -rnwE 'prev_hop|upstream_port|from_nested_with_neighbors|switch_neighbor_lists|FinishedReceiver|RecvState|reported_bytes|reported_reorders' \
+  crates/*/src src; then
+  echo "shipped code stores a copy of what the arriving packet says again" >&2
+  exit 1
+fi
+
 echo "==> one snapshot reader: counts and key order are checked in SnapReader only"
 # `SnapReader::count` refuses a count the bytes left cannot hold and
 # `SnapReader::ascending` a key at or below the one before; a restore that
@@ -302,7 +313,9 @@ ckpt=$1
 cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect "$ckpt" | tee /tmp/vertigo_vsnp_ci.txt
 grep -q 'sim time' /tmp/vertigo_vsnp_ci.txt
-grep -q 'version    11' /tmp/vertigo_vsnp_ci.txt
+version=$(sed -n 's/^pub const SNAP_VERSION: u16 = \([0-9]*\);$/\1/p' crates/simcore/src/snap.rs)
+test -n "$version"
+grep -q "version    $version" /tmp/vertigo_vsnp_ci.txt
 # Garbage input must fail loudly with a non-zero exit.
 if cargo run --release --quiet -p vertigo-experiments --bin vsnp -- \
   inspect scripts/ci.sh 2> /dev/null; then
