@@ -232,6 +232,46 @@ fn a_previous_version_checkpoint_is_refused_on_resume() {
 }
 
 #[test]
+fn a_checkpoint_with_bytes_appended_is_refused_on_resume() {
+    // Real checkpoints of every cell, each with 16 bytes after its
+    // payload: the payload is the rest of the file.
+    let dir = std::env::temp_dir().join(format!("vertigo-cli-trailing-{}", std::process::id()));
+    let stem = dir.join("ck.vsnp");
+    let out_dir = dir.join("out");
+    let run = |flag: &str, arg: String| {
+        experiments(&[
+            "table2",
+            "--quick",
+            "--out",
+            out_dir.to_str().unwrap(),
+            flag,
+            &arg,
+        ])
+    };
+    let out = run("--checkpoint-every", format!("2ms:{}", stem.display()));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let mut files = 0;
+    for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+        if entry.path().extension().is_some_and(|e| e == "vsnp") {
+            let mut bytes = std::fs::read(entry.path()).unwrap();
+            bytes.extend_from_slice(&[0xA5; 16]);
+            std::fs::write(entry.path(), &bytes).unwrap();
+            files += 1;
+        }
+    }
+    assert!(files > 0, "no checkpoint written");
+    let out = run("--resume", stem.display().to_string());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("error: --resume "), "{stderr}");
+    assert!(stderr.contains("trailing bytes"), "{stderr}");
+    assert!(!stderr.contains("[snapshot] resumed"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unwritable_checkpoint_path_exits_2_without_a_panic() {
     // A regular file where the checkpoint directory should be: refuses
     // the write for every user (root ignores a read-only directory).

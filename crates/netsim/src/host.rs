@@ -464,16 +464,13 @@ impl Host {
     /// Hands one data packet to the transport receiver and emits the ACK.
     fn deliver_data(&mut self, pkt: Box<Packet>, ctx: &mut Ctx) {
         let seg = *pkt.data_seg().expect("data packet");
-        // Every segment a `FlowSender` cuts lies inside its flow. So a
-        // receiver completes at exactly the flow's size, and a finished
-        // flow's ACK is that size.
+        // Every segment a `FlowSender` cuts is on the grid. So a receiver
+        // knows a segment by its index, it completes at exactly the flow's
+        // size, and a finished flow's ACK is that size.
         debug_assert!(
-            seg.payload > 0 && seg.seq + seg.payload as u64 <= seg.flow_bytes,
-            "host {:?}: segment {}+{} outside a flow of {} bytes",
-            self.id,
-            seg.seq,
-            seg.payload,
-            seg.flow_bytes
+            seg.is_on_grid(),
+            "host {:?}: {seg:?} off the grid or outside a flow",
+            self.id
         );
         let (flow, query, src) = (pkt.flow, pkt.query, pkt.src);
         let (ce, sent_at) = (pkt.ecn.is_ce(), pkt.sent_at);
@@ -713,21 +710,21 @@ impl Host {
     pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.nic.snap_restore(r, "NIC queue")?;
         // A sender record opens with its flow, peer and query, then the
-        // sender's flow and size.
+        // sender's size.
         self.senders.clear();
-        r.ascending(36, "sender", FlowId::restore, |r, flow| {
+        r.ascending(28, "sender", FlowId::restore, |r, flow| {
             let dst = NodeId::restore(r)?;
             let query = QueryId::restore(r)?;
-            let sender = FlowSender::snap_restore(self.cfg.transport, r)?;
+            let sender = FlowSender::snap_restore(flow, self.cfg.transport, r)?;
             self.senders
                 .insert(flow, Box::new(SendState { sender, dst, query }));
             Ok(())
         })?;
-        // A receiver record opens with its flow, then the receiver's flow,
-        // size, prefix and range count.
+        // A receiver record opens with its flow, then the receiver's size,
+        // prefix and flag count.
         self.receivers.clear();
-        r.ascending(40, "receiver", FlowId::restore, |r, flow| {
-            let recv = FlowReceiver::snap_restore(r)?;
+        r.ascending(32, "receiver", FlowId::restore, |r, flow| {
+            let recv = FlowReceiver::snap_restore(flow, r)?;
             if recv.is_complete() {
                 return Err(SnapError::new(format!(
                     "receiver of {flow:?} is complete but still live"

@@ -332,6 +332,8 @@ mod tests {
     use vertigo_pkt::{DataSeg, FlowId, FlowInfo, NodeId, QueryId};
     use vertigo_simcore::SimTime;
 
+    /// Flow `uid`'s one segment, `payload` bytes (at most an MSS, so a
+    /// whole flow as a sender cuts it), tagged with `rfs` for ranking.
     fn pkt(uid: u64, rfs: u32, payload: u32) -> Box<Packet> {
         let mut p = Packet::data(
             uid,
@@ -342,7 +344,7 @@ mod tests {
             DataSeg {
                 seq: 0,
                 payload,
-                flow_bytes: rfs as u64,
+                flow_bytes: payload as u64,
                 retransmit: false,
                 trimmed: false,
             },

@@ -497,6 +497,7 @@ impl Simulation {
     /// workload installed, faults compiled, telemetry enabled). The event
     /// queue is rebuilt wholesale — every event the fresh build
     /// pre-installed is discarded in favor of the snapshot's pending set.
+    /// `r` holds exactly one payload: bytes after it are refused.
     pub fn restore_state(
         &mut self,
         r: &mut vertigo_simcore::SnapReader<'_>,
@@ -538,6 +539,9 @@ impl Simulation {
         }
         if let Some(fs) = &mut self.faults {
             fs.snap_restore(r)?;
+        }
+        if !r.is_empty() {
+            return Err(SnapError::new("trailing bytes after the last record"));
         }
         Ok(())
     }

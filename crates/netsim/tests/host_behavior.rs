@@ -715,22 +715,34 @@ fn snapshot_restore_rejects_a_hostile_receiver_record() {
     assert_eq!(r.get_usize().unwrap(), 1);
     assert_eq!(FlowId::restore(&mut r).unwrap(), FlowId(9));
     let recv_at = ok.len() - r.remaining();
-    let cum_at = recv_at + 16; // behind the flow id and the size
+    // Behind the size: the prefix, 2 MSS, then the count and flags of
+    // segments 3, 4 and 5.
+    let cum_at = recv_at + 8;
+    assert_eq!(ok[cum_at..cum_at + 8], (2 * 1460u64).to_le_bytes());
+    assert_eq!(
+        ok[cum_at + 8..cum_at + 19],
+        [3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1]
+    );
+    for (what, at, byte) in [
+        ("a prefix off the grid", cum_at, 1),
+        ("a clear last flag", cum_at + 18, 0),
+        ("a flag that is not a bool", cum_at + 17, 2),
+    ] {
+        let mut bytes = ok.clone();
+        bytes[at] = byte;
+        assert!(restored(&bytes).is_err(), "accepted {what}");
+    }
+    // The prefix one segment on is a state `on_data` reaches: segments 4
+    // and 6 early.
     let mut bytes = ok.clone();
     bytes[cum_at..cum_at + 8].copy_from_slice(&(3 * 1460u64).to_le_bytes());
-    assert!(
-        restored(&bytes).is_err(),
-        "a range at the contiguous prefix"
-    );
+    assert!(restored(&bytes).is_ok());
     // A receiver completes and leaves the live table in one step: a
-    // complete one in it is refused. With no range behind the prefix, the
-    // completion flag follows the range count.
+    // complete one in it is refused.
     let (_, live) = midrun_with(&[]);
     let mut bytes = saved(&live);
-    let flag_at = cum_at + 16;
     assert!(restored(&bytes).is_ok());
     bytes[cum_at..cum_at + 8].copy_from_slice(&(8 * 1460u64).to_le_bytes());
-    bytes[flag_at] = 1;
     let err = restored(&bytes).expect_err("a complete live receiver");
     assert!(err.to_string().contains("complete but still live"), "{err}");
     for cut in 0..ok.len() {
@@ -825,26 +837,26 @@ fn tables(bytes: &[u8], transport: TransportConfig) -> Tables {
     }
     r.get_u64().unwrap();
     r.get_bool().unwrap();
-    let span = |r: &mut SnapReader, read: &dyn Fn(&mut SnapReader)| {
+    let span = |r: &mut SnapReader, read: &dyn Fn(&mut SnapReader, FlowId)| {
         let n = r.get_usize().unwrap();
         (0..n)
             .map(|_| {
                 let start = at(r);
-                FlowId::restore(r).unwrap();
-                read(r);
+                let flow = FlowId::restore(r).unwrap();
+                read(r, flow);
                 start..at(r)
             })
             .collect::<Vec<_>>()
     };
-    let senders = span(&mut r, &|r| {
+    let senders = span(&mut r, &|r, flow| {
         NodeId::restore(r).unwrap();
         QueryId::restore(r).unwrap();
-        FlowSender::snap_restore(transport, r).unwrap();
+        FlowSender::snap_restore(flow, transport, r).unwrap();
     });
-    let receivers = span(&mut r, &|r| {
-        FlowReceiver::snap_restore(r).unwrap();
+    let receivers = span(&mut r, &|r, flow| {
+        FlowReceiver::snap_restore(flow, r).unwrap();
     });
-    let finished = span(&mut r, &|_| {});
+    let finished = span(&mut r, &|_, _| {});
     Tables {
         senders,
         receivers,
@@ -921,13 +933,14 @@ fn snapshot_restore_refuses_flow_tables_its_writer_cannot_produce() {
         (t.senders.len(), t.receivers.len(), t.finished.len()),
         (2, 2, 2)
     );
-    // A receiver record is its flow and the receiver's record: flow, size,
-    // prefix, range count, each range's 12 bytes, completion flag and
-    // reorder count. A finished record is its flow.
+    // A receiver record is its flow and the receiver's record: size,
+    // prefix, flag count, a byte per segment that arrived early or lies
+    // between the prefix and one that did, and reorder count. A finished
+    // record is its flow.
     let lengths = |records: &[std::ops::Range<usize>]| -> Vec<usize> {
         records.iter().map(|r| r.len()).collect()
     };
-    assert_eq!(lengths(&t.receivers), [49, 49 + 12]);
+    assert_eq!(lengths(&t.receivers), [40, 40 + 1]);
     assert_eq!(lengths(&t.finished), [8, 8]);
     let count_at = |records: &[std::ops::Range<usize>]| records[0].start - 8;
     let with_count = |records: &[std::ops::Range<usize>], n: u64| {
@@ -1074,4 +1087,33 @@ fn a_segment_past_its_flow_trips_the_delivery_bound() {
     );
     let (host, mut ctx) = p.host(PEER_HOST);
     host.on_arrive(Box::new(late), &mut ctx);
+}
+
+/// Every segment a sender cuts starts on the `MAX_PAYLOAD` grid and is the
+/// rest of its flow up to that size, and a receiver knows a segment by its
+/// index: a live flow's segment cut elsewhere trips the same bound.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "off the grid")]
+fn an_off_grid_segment_trips_the_delivery_bound() {
+    let seg = DataSeg {
+        seq: 1000,
+        payload: 1460,
+        flow_bytes: 3 * 1460,
+        retransmit: false,
+        trimmed: false,
+    };
+    let pkt = Packet::data(
+        77,
+        FlowId(1),
+        QueryId::NONE,
+        ME,
+        PEER_HOST,
+        seg,
+        true,
+        SimTime::ZERO,
+    );
+    let mut p = Pair::new();
+    let (host, mut ctx) = p.host(PEER_HOST);
+    host.on_arrive(Box::new(pkt), &mut ctx);
 }

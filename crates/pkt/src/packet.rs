@@ -110,6 +110,19 @@ pub struct DataSeg {
     pub trimmed: bool,
 }
 
+impl DataSeg {
+    /// Whether this is a segment a sender cuts: it starts on the
+    /// `MAX_PAYLOAD` grid inside its flow and carries the rest of the flow
+    /// up to `MAX_PAYLOAD` bytes. A receiver knows such a segment by its
+    /// index, and completes at exactly the flow's size.
+    pub fn is_on_grid(&self) -> bool {
+        let mss = MAX_PAYLOAD as u64;
+        self.seq.is_multiple_of(mss)
+            && self.seq < self.flow_bytes
+            && self.payload as u64 == (self.flow_bytes - self.seq).min(mss)
+    }
+}
+
 /// A cumulative acknowledgement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AckSeg {

@@ -7,7 +7,7 @@
 //! thing a round trip does not preserve.
 
 use crate::ids::{FlowId, NodeId, PortId, QueryId};
-use crate::packet::{AckSeg, DataSeg, Ecn, FlowInfo, Packet, PacketKind, MAX_PAYLOAD};
+use crate::packet::{AckSeg, DataSeg, Ecn, FlowInfo, Packet, PacketKind};
 use crate::pool;
 use vertigo_simcore::{SimTime, SnapError, SnapReader, SnapWriter, Snapshot};
 
@@ -90,26 +90,24 @@ impl Snapshot for DataSeg {
         w.put_bool(self.retransmit);
         w.put_bool(self.trimmed);
     }
-    /// Refuses a segment no sender cuts: an empty or oversized payload,
-    /// or one that ends past its flow's last byte. A receiver relies on
-    /// the last: a finished flow answers a late segment with its size.
+    /// Refuses a segment no sender cuts ([`DataSeg::is_on_grid`]): a
+    /// receiver knows a segment by its index, and a finished flow answers
+    /// a late segment with its size.
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let (seq, payload, flow_bytes) = (r.get_u64()?, r.get_u32()?, r.get_u64()?);
-        let inside = seq
-            .checked_add(payload as u64)
-            .is_some_and(|end| end <= flow_bytes);
-        if payload == 0 || payload > MAX_PAYLOAD || !inside {
-            return Err(SnapError::new(format!(
-                "data segment {seq}+{payload} does not lie inside a flow of {flow_bytes} bytes"
-            )));
-        }
-        Ok(DataSeg {
-            seq,
-            payload,
-            flow_bytes,
+        let seg = DataSeg {
+            seq: r.get_u64()?,
+            payload: r.get_u32()?,
+            flow_bytes: r.get_u64()?,
             retransmit: r.get_bool()?,
             trimmed: r.get_bool()?,
-        })
+        };
+        if !seg.is_on_grid() {
+            return Err(SnapError::new(format!(
+                "data segment {}+{} is not one a sender cuts from a flow of {} bytes",
+                seg.seq, seg.payload, seg.flow_bytes
+            )));
+        }
+        Ok(seg)
     }
 }
 
@@ -200,6 +198,7 @@ impl Snapshot for Box<Packet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::MAX_PAYLOAD;
 
     fn sample_data() -> Packet {
         let mut p = Packet::data(
@@ -284,12 +283,20 @@ mod tests {
         let restored = |b: &[u8]| DataSeg::restore(&mut SnapReader::new(b));
         assert!(restored(&saved(0, 1, 1)).is_ok());
         assert!(restored(&saved(1460, MAX_PAYLOAD, 2920)).is_ok());
+        assert!(
+            restored(&saved(2920, 7, 2927)).is_ok(),
+            "a short last segment"
+        );
         for (what, bytes) in [
             ("empty payload", saved(0, 0, 10)),
             ("payload over the MSS", saved(0, MAX_PAYLOAD + 1, 1 << 20)),
             ("ends past the flow", saved(1460, 1460, 2919)),
-            ("starts past the flow", saved(3000, 1, 2920)),
+            ("starts past the flow", saved(2920, 1, 2920)),
             ("end overflows u64", saved(u64::MAX, 1, u64::MAX)),
+            ("starts off the grid", saved(1000, 460, 2920)),
+            ("starts off the grid, ends on it", saved(1, 1459, 1460)),
+            ("short before the flow's last", saved(0, 1000, 2920)),
+            ("short of the flow's short last", saved(1460, 6, 1467)),
         ] {
             assert!(restored(&bytes).is_err(), "accepted: {what}");
         }

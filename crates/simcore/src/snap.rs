@@ -51,7 +51,10 @@ pub const SNAP_MAGIC: [u8; 4] = *b"VSNP";
 /// Version 12: a packet drops its previous hop; a host's receiver record
 /// is its flow and the receiver's record, and a finished flow its id, and
 /// a data segment lies inside its flow.
-pub const SNAP_VERSION: u16 = 12;
+/// Version 13: a sender record keeps one lost flag per outstanding segment
+/// and a receiver record one arrival flag per early segment, neither with
+/// its flow id; a data segment lies on the `MAX_PAYLOAD` grid.
+pub const SNAP_VERSION: u16 = 13;
 
 /// Every build checkpoints and resumes; only the benchmark's result
 /// header (`perfbench/`) still reads this.

@@ -1,18 +1,22 @@
 //! The per-flow receiving machine: cumulative ACK generation.
 //!
-//! [`FlowReceiver`] reassembles the byte stream (tracking out-of-order
-//! arrivals in a range map), acknowledges every data packet immediately
-//! (no delayed ACKs — DCTCP-style per-packet ECN echo needs per-packet
-//! feedback), and reports completion when the stream is contiguous through
-//! the flow's last byte.
+//! [`FlowReceiver`] reassembles the byte stream (a sender cuts every
+//! segment on the [`MAX_PAYLOAD`] grid, so one flag per segment above the
+//! contiguous prefix says which have arrived early), acknowledges every
+//! data packet immediately (no delayed ACKs — DCTCP-style per-packet ECN
+//! echo needs per-packet feedback), and reports completion when the stream
+//! is contiguous through the flow's last byte.
 //!
 //! Reordering visible *here* is reordering as seen by the transport — i.e.
 //! after Vertigo's ordering shim, if one is deployed below. The §2 and
 //! §4.3 reordering measurements read this counter.
 
-use std::collections::BTreeMap;
-use vertigo_pkt::{AckSeg, DataSeg, FlowId};
-use vertigo_simcore::SimTime;
+use std::collections::VecDeque;
+use vertigo_pkt::{AckSeg, DataSeg, FlowId, MAX_PAYLOAD};
+use vertigo_simcore::{release_if_drained, SimTime};
+
+/// The segment size: every segment but a flow's last is this long.
+const MSS: u64 = MAX_PAYLOAD as u64;
 
 /// One flow's receive state.
 #[derive(Debug)]
@@ -21,11 +25,12 @@ pub struct FlowReceiver {
     pub flow: FlowId,
     /// Flow size in bytes, learned from the first data packet.
     pub size: u64,
-    /// Contiguous prefix received.
+    /// Contiguous prefix received: a multiple of `MSS`, or the size.
     cum: u64,
-    /// Out-of-order ranges: start → length.
-    ooo: BTreeMap<u64, u32>,
-    complete: bool,
+    /// Flag `i` says that segment `cum / MSS + 1 + i` has arrived. The
+    /// segment at the prefix is never held (its arrival moves the prefix),
+    /// and the last flag is set.
+    early: VecDeque<bool>,
     /// Data packets that arrived with a gap in front of them.
     reorder_events: u64,
 }
@@ -37,8 +42,7 @@ impl FlowReceiver {
             flow,
             size,
             cum: 0,
-            ooo: BTreeMap::new(),
-            complete: false,
+            early: VecDeque::new(),
             reorder_events: 0,
         }
     }
@@ -50,7 +54,7 @@ impl FlowReceiver {
 
     /// Whether the whole flow has been received.
     pub fn is_complete(&self) -> bool {
-        self.complete
+        self.cum >= self.size
     }
 
     /// Data packets that arrived with a gap in front of them.
@@ -68,14 +72,21 @@ impl FlowReceiver {
         if seg.seq > self.cum {
             // A gap precedes this segment.
             self.reorder_events += 1;
-            self.ooo.entry(seg.seq).or_insert(seg.payload);
+            let i = ((seg.seq - self.cum) / MSS - 1) as usize;
+            if i >= self.early.len() {
+                self.early.resize(i + 1, false);
+            }
+            self.early[i] = true;
         } else if end > self.cum {
-            // Advances the contiguous prefix (possibly partially
-            // duplicate); a whole duplicate moves nothing.
+            // Advances the contiguous prefix; a duplicate moves nothing.
+            // The flag of each segment the prefix reaches leaves, and the
+            // prefix moves on past every one that has arrived.
             self.cum = end;
-            self.drain_ooo();
+            while self.early.pop_front() == Some(true) {
+                self.cum += (self.size - self.cum).min(MSS);
+            }
+            release_if_drained(&mut self.early);
         }
-        self.complete |= self.cum >= self.size;
         self.on_trim(ce, sent_at)
     }
 
@@ -91,83 +102,57 @@ impl FlowReceiver {
         }
     }
 
-    /// Serializes the full receive state.
+    /// Serializes the receive state. The flow id is not saved: the caller
+    /// keys the record by it.
     pub fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
-        use vertigo_simcore::Snapshot;
-        self.flow.save(w);
         w.put_u64(self.size);
         w.put_u64(self.cum);
-        w.put_usize(self.ooo.len());
-        for (&start, &len) in &self.ooo {
-            w.put_u64(start);
-            w.put_u32(len);
+        w.put_usize(self.early.len());
+        for &arrived in &self.early {
+            w.put_bool(arrived);
         }
-        w.put_bool(self.complete);
         w.put_u64(self.reorder_events);
     }
 
-    /// Reconstructs a receiver from a [`FlowReceiver::snap_save`] stream.
+    /// Reconstructs `flow`'s receiver from a [`FlowReceiver::snap_save`]
+    /// stream.
     ///
     /// Refuses a record [`FlowReceiver::on_data`] cannot have left behind
-    /// from segments inside the flow: a prefix or an out-of-order range
-    /// that ends past the flow's size, ranges that do not lie strictly
-    /// above the prefix, one after the other without overlap, or a
-    /// completion flag that disagrees with the prefix.
+    /// from segments a sender cuts: a prefix off the segment grid or past
+    /// the flow's size, a flag past the flow's last segment, or a clear
+    /// last flag.
     pub fn snap_restore(
+        flow: FlowId,
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<Self, vertigo_simcore::SnapError> {
-        use vertigo_simcore::{SnapError, Snapshot};
-        let flow = FlowId::restore(r)?;
+        use vertigo_simcore::SnapError;
         let size = r.get_u64()?;
         let mut rx = FlowReceiver::new(flow, size);
         rx.cum = r.get_u64()?;
-        if rx.cum > size {
+        if rx.cum > size || !(rx.cum.is_multiple_of(MSS) || rx.cum == size) {
             return Err(SnapError::new(format!(
-                "receiver of {flow:?}: prefix {} past its {size} bytes",
+                "receiver of {flow:?}: prefix {} off the {MSS}-byte grid of {size} bytes",
                 rx.cum
             )));
         }
-        let mut floor = rx.cum;
-        // A range record is its start and length.
-        for _ in 0..r.count(12, "out-of-order ranges")? {
-            let start = r.get_u64()?;
-            let len = r.get_u32()?;
-            let end = start
-                .checked_add(len as u64)
-                .filter(|&end| len > 0 && end <= size);
-            let above = if rx.ooo.is_empty() {
-                start > floor
-            } else {
-                start >= floor
-            };
-            let (Some(end), true) = (end, above) else {
-                return Err(SnapError::new(format!(
-                    "receiver of {flow:?}: out-of-order range {start}+{len} is empty, \
-                     ends past {size}, or does not lie above {floor}"
-                )));
-            };
-            rx.ooo.insert(start, len);
-            floor = end;
-        }
-        rx.complete = r.get_bool()?;
-        if rx.complete != (rx.cum >= size) {
+        let n = r.count(1, "early segments")?;
+        // Segments above the one at the prefix.
+        let above = size.div_ceil(MSS).saturating_sub(rx.cum / MSS + 1);
+        if n as u64 > above {
             return Err(SnapError::new(format!(
-                "receiver of {flow:?}: complete = {} with {} of {size} bytes contiguous",
-                rx.complete, rx.cum
+                "receiver of {flow:?}: {n} early flags, {above} segments above the prefix"
+            )));
+        }
+        for _ in 0..n {
+            rx.early.push_back(r.get_bool()?);
+        }
+        if rx.early.back() == Some(&false) {
+            return Err(SnapError::new(format!(
+                "receiver of {flow:?}: the last early flag is clear"
             )));
         }
         rx.reorder_events = r.get_u64()?;
         Ok(rx)
-    }
-
-    fn drain_ooo(&mut self) {
-        while let Some((&start, &len)) = self.ooo.first_key_value() {
-            if start > self.cum {
-                break;
-            }
-            self.ooo.remove(&start);
-            self.cum = self.cum.max(start + len as u64);
-        }
     }
 }
 
@@ -275,7 +260,7 @@ mod tests {
         let mut w = SnapWriter::new();
         r.snap_save(&mut w);
         let bytes = w.into_bytes();
-        let mut r2 = FlowReceiver::snap_restore(&mut SnapReader::new(&bytes)).unwrap();
+        let mut r2 = FlowReceiver::snap_restore(FlowId(1), &mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(r2.contiguous(), r.contiguous());
         assert_eq!(r2.reorder_events(), r.reorder_events());
         // The hole fills identically: both jump straight to 3*MSS.
@@ -286,30 +271,20 @@ mod tests {
     }
 
     /// A receiver record as `snap_save` lays it out.
-    fn record(size: u64, cum: u64, ranges: &[(u64, u32)], complete: bool) -> Vec<u8> {
-        record_counting(size, cum, ranges.len(), ranges, complete)
+    fn record(size: u64, cum: u64, early: &[bool]) -> Vec<u8> {
+        record_counting(size, cum, early.len(), early)
     }
 
-    /// [`record`] with a range count of its own.
-    fn record_counting(
-        size: u64,
-        cum: u64,
-        count: usize,
-        ranges: &[(u64, u32)],
-        complete: bool,
-    ) -> Vec<u8> {
-        use vertigo_simcore::Snapshot;
+    /// [`record`] with a flag count of its own.
+    fn record_counting(size: u64, cum: u64, count: usize, early: &[bool]) -> Vec<u8> {
         let mut w = vertigo_simcore::SnapWriter::new();
-        FlowId(1).save(&mut w);
         w.put_u64(size);
         w.put_u64(cum);
         w.put_usize(count);
-        for &(start, len) in ranges {
-            w.put_u64(start);
-            w.put_u32(len);
+        for &arrived in early {
+            w.put_bool(arrived);
         }
-        w.put_bool(complete);
-        w.put_u64(ranges.len() as u64); // reorder_events
+        w.put_u64(early.len() as u64); // reorder_events
         w.into_bytes()
     }
 
@@ -321,15 +296,18 @@ mod tests {
             r.snap_save(&mut w);
             w.into_bytes()
         };
-        let restored = |bytes: &[u8]| FlowReceiver::snap_restore(&mut SnapReader::new(bytes));
+        let restored =
+            |bytes: &[u8]| FlowReceiver::snap_restore(FlowId(1), &mut SnapReader::new(bytes));
 
-        // A valid mid-run record: a prefix, two holes, three ranges behind
-        // them (two adjacent), and a duplicate on the books.
+        // A valid mid-run record: a prefix, two holes, three segments
+        // behind them (two adjacent), and a duplicate on the books.
         let mut r = FlowReceiver::new(FlowId(1), 9 * MSS as u64);
         for k in [0, 2, 3, 6, 0] {
             r.on_data(t(k), &seg(k, 9), false, t(0));
         }
-        assert_eq!((r.contiguous(), r.ooo.len()), (MSS as u64, 3));
+        let early: Vec<bool> = r.early.iter().copied().collect();
+        assert_eq!(r.contiguous(), MSS as u64);
+        assert_eq!(early, [true, true, false, false, true]);
         let ok = saved(&r);
         let mut back = restored(&ok).unwrap();
         assert_eq!(saved(&back), ok, "byte for byte");
@@ -347,53 +325,25 @@ mod tests {
         assert!(restored(&saved(&r)).is_ok(), "a completed record, too");
 
         let (m, size) = (MSS as u64, 9 * MSS as u64);
-        let good = record(size, m, &[(2 * m, MSS), (3 * m, MSS), (6 * m, MSS)], false);
+        let good = record(size, m, &[true, true, false, false, true]);
         assert_eq!(restored(&good).unwrap().contiguous(), m);
-        assert!(restored(&record(size, size, &[], true)).is_ok());
+        assert!(restored(&record(size, size, &[])).is_ok());
+        let tail = record(size - 10, 7 * m, &[true]);
+        assert!(restored(&tail).is_ok(), "the short last segment");
         for (what, bytes) in [
-            // What used to restore, and overflow in `drain_ooo` once the
-            // hole in front of it filled.
+            ("prefix off the grid", record(size, m + 1, &[true])),
+            ("prefix past size", record(size, size + m, &[])),
+            ("prefix off the grid at size", record(size, size + 1, &[])),
             (
-                "range ends past u64::MAX",
-                record(size, m, &[(u64::MAX - 10, 11)], false),
+                "flag past the last segment",
+                record(size, 7 * m, &[false, true]),
             ),
+            ("flag past a short tail", record(size - 10, 8 * m, &[true])),
+            ("clear last flag", record(size, m, &[true, false])),
+            ("only a clear flag", record(size, m, &[false])),
             (
-                "range ends past u64::MAX behind another",
-                record(size, m, &[(2 * m, MSS), (u64::MAX, 1)], false),
-            ),
-            ("range starts at cum", record(size, m, &[(m, MSS)], false)),
-            (
-                "range starts below cum",
-                record(size, 2 * m, &[(m, MSS)], false),
-            ),
-            (
-                "ranges overlap",
-                record(size, m, &[(2 * m, MSS), (3 * m - 1, MSS)], false),
-            ),
-            (
-                "ranges descend",
-                record(size, m, &[(4 * m, MSS), (2 * m, MSS)], false),
-            ),
-            (
-                "range repeated",
-                record(size, m, &[(2 * m, MSS), (2 * m, MSS)], false),
-            ),
-            ("empty range", record(size, m, &[(2 * m, 0)], false)),
-            ("complete short of size", record(size, m, &[], true)),
-            ("incomplete at size", record(size, size, &[], false)),
-            ("incomplete past size", record(size, size + 1, &[], false)),
-            ("complete past size", record(size, size + 1, &[], true)),
-            (
-                "range ends past size",
-                record(size, m, &[(8 * m, MSS + 1)], false),
-            ),
-            (
-                "range starts past size",
-                record(size, m, &[(2 * m, MSS), (size, 1)], false),
-            ),
-            (
-                "range count the input cannot hold",
-                record_counting(size, m, 1 << 40, &[(2 * m, MSS)], false),
+                "flag count the input cannot hold",
+                record_counting(size, m, 1 << 40, &[true]),
             ),
         ] {
             assert!(restored(&bytes).is_err(), "accepted: {what}");
@@ -403,14 +353,13 @@ mod tests {
         }
     }
 
-    /// A segment of a `size`-byte flow that starts `at` bytes in (taken
-    /// modulo the size) and carries up to `payload` bytes: inside the flow,
-    /// as every segment a sender cuts.
-    fn inside(size: u64, at: u64, payload: u32) -> DataSeg {
-        let seq = at % size;
+    /// Segment `at` (taken modulo the flow's segment count) of a
+    /// `size`-byte flow, cut as a sender cuts it.
+    fn grid(size: u64, at: u64) -> DataSeg {
+        let seq = at % size.div_ceil(MSS as u64) * MSS as u64;
         DataSeg {
             seq,
-            payload: payload.min((size - seq).min(MSS as u64) as u32),
+            payload: (size - seq).min(MSS as u64) as u32,
             flow_bytes: size,
             retransmit: false,
             trimmed: false,
@@ -425,21 +374,22 @@ mod tests {
         #[test]
         fn the_finished_form_answers_as_the_complete_receiver(
             size in 1u64..8 * MSS as u64,
-            before in proptest::collection::vec((0u64..8 * MSS as u64, 1u32..=MSS), 0..8),
-            ops in proptest::collection::vec((0u8..4, 0u64..8 * MSS as u64, 1u32..=MSS), 1..40),
+            before in proptest::collection::vec(0u64..8, 0..8),
+            ops in proptest::collection::vec((0u8..4, 0u64..8), 1..40),
         ) {
             let mut full = FlowReceiver::new(FlowId(1), size);
-            for &(at, payload) in &before {
-                full.on_data(t(0), &inside(size, at, payload), false, t(0));
+            for &at in &before {
+                full.on_data(t(0), &grid(size, at), false, t(0));
             }
             while !full.is_complete() {
-                full.on_data(t(1), &inside(size, full.contiguous(), MSS), false, t(0));
+                let next = full.contiguous() / MSS as u64;
+                full.on_data(t(1), &grid(size, next), false, t(0));
             }
             let (goodput, reorders) = (full.contiguous(), full.reorder_events());
             proptest::prop_assert_eq!(goodput, size);
-            for (i, &(op, at, payload)) in ops.iter().enumerate() {
+            for (i, &(op, at)) in ops.iter().enumerate() {
                 let (now, ce, sent) = (t(10 + i as u64), op == 1, t(i as u64));
-                let seg = inside(size, at, payload);
+                let seg = grid(size, at);
                 let want = AckSeg {
                     cum_ack: seg.flow_bytes,
                     ecn_echo: ce,

@@ -14,7 +14,7 @@ use crate::dctcp::Dctcp;
 use crate::reno::Reno;
 use crate::rto::RtoEstimator;
 use crate::swift::Swift;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use vertigo_pkt::{AckSeg, DataSeg, FlowId, MAX_PAYLOAD};
 use vertigo_simcore::{SimDuration, SimTime};
 
@@ -76,15 +76,8 @@ impl std::ops::AddAssign for SenderStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Seg {
-    len: u32,
-    /// Marked lost (queued for retransmission or already retransmitted).
-    lost: bool,
-}
-
 /// What `on_ack` tells the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AckOutcome {
     /// Bytes newly acknowledged.
     pub newly_acked: u64,
@@ -107,22 +100,23 @@ pub struct FlowSender {
     dup_acks: u32,
     in_recovery: bool,
     recover_point: u64,
-    /// Sent and not yet cumulatively acknowledged, in sequence order: the
-    /// bytes `[front_seq, next_seq)`. Segments are cut in order at `MSS`
-    /// and only a flow's last one is shorter, so the segment that starts
-    /// at `seq` is entry `(seq - front_seq) / MSS`; see [`Self::seg_mut`].
-    outstanding: VecDeque<Seg>,
+    /// One flag per segment sent and not yet cumulatively acknowledged,
+    /// the bytes `[front_seq, next_seq)`: whether it is marked lost
+    /// (queued for retransmission or already retransmitted). Segments are
+    /// cut in order at `MSS` and only a flow's last one is shorter, so
+    /// flag `i` is the segment at `front_seq + i * MSS`; see
+    /// [`Self::index`] and [`Self::seg_len`].
+    outstanding: VecDeque<bool>,
     /// Sequence number of the front of `outstanding` (`next_seq` while it
     /// is empty).
     front_seq: u64,
-    /// Sequence numbers of segments marked lost (awaiting retransmission).
-    lost: BTreeSet<u64>,
-    /// Bytes in flight (outstanding and not marked lost).
+    /// Flags set in `outstanding`: segments awaiting retransmission.
+    lost: usize,
+    /// Bytes in flight: those of the outstanding segments not marked lost.
     flight: u64,
     rto_deadline: Option<SimTime>,
     /// Earliest instant the pacer allows the next transmission.
     pace_next: SimTime,
-    completed: bool,
     stats: SenderStats,
 }
 
@@ -143,11 +137,10 @@ impl FlowSender {
             recover_point: 0,
             outstanding: VecDeque::new(),
             front_seq: 0,
-            lost: BTreeSet::new(),
+            lost: 0,
             flight: 0,
             rto_deadline: None,
             pace_next: SimTime::ZERO,
-            completed: false,
             stats: SenderStats::default(),
         }
     }
@@ -159,7 +152,7 @@ impl FlowSender {
 
     /// Whether every byte has been acknowledged.
     pub fn is_complete(&self) -> bool {
-        self.completed
+        self.cum_acked >= self.size
     }
 
     /// Current window in MSS (diagnostics).
@@ -184,14 +177,14 @@ impl FlowSender {
 
     /// True while the flow still has data to transmit or retransmit.
     pub fn has_pending_work(&self) -> bool {
-        !self.completed && (self.next_seq < self.size || !self.lost.is_empty())
+        !self.is_complete() && (self.next_seq < self.size || self.lost > 0)
     }
 
     /// The next instant the host should call [`FlowSender::on_timer`]:
     /// the RTO deadline, or the pacing release if the pacer is what is
     /// blocking pending work.
     pub fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
-        if self.completed {
+        if self.is_complete() {
             return None;
         }
         match (self.rto_deadline, self.pacer_release(now)) {
@@ -213,13 +206,28 @@ impl FlowSender {
         (self.cc.cwnd().max(0.0) * MSS as f64) as u64
     }
 
-    /// The outstanding segment that starts at `seq`, if one does.
-    fn seg_mut(&mut self, seq: u64) -> Option<&mut Seg> {
+    /// The length of the segment that starts at `seq`, a point on the
+    /// grid below the flow's end.
+    fn seg_len(&self, seq: u64) -> u64 {
+        (self.size - seq).min(MSS)
+    }
+
+    /// The position in `outstanding` of the segment that starts at `seq`,
+    /// if one does.
+    fn index(&self, seq: u64) -> Option<usize> {
         let offset = seq.checked_sub(self.front_seq)?;
-        if offset % MSS != 0 {
-            return None;
-        }
-        self.outstanding.get_mut((offset / MSS) as usize)
+        let i = (offset / MSS) as usize;
+        (offset.is_multiple_of(MSS) && i < self.outstanding.len()).then_some(i)
+    }
+
+    /// The bytes of the outstanding segments not marked lost: what
+    /// `flight` holds after every call.
+    fn unflagged_bytes(&self) -> u64 {
+        let seqs = (0..).map(|i| self.front_seq + i * MSS);
+        seqs.zip(&self.outstanding)
+            .filter(|&(_, &lost)| !lost)
+            .map(|(seq, _)| self.seg_len(seq))
+            .sum()
     }
 
     fn arm_rto(&mut self, now: SimTime) {
@@ -230,7 +238,7 @@ impl FlowSender {
     /// pacer, or data supply does not allow one. The caller sends the
     /// returned segment and calls again until `None`.
     pub fn poll_segment(&mut self, now: SimTime) -> Option<DataSeg> {
-        if self.completed {
+        if self.is_complete() {
             return None;
         }
         if now < self.pace_next {
@@ -242,26 +250,25 @@ impl FlowSender {
             return None;
         }
 
-        // Retransmissions take priority over new data.
-        let rtx_seq = self.lost.first().copied();
-        if let Some(seq) = rtx_seq {
-            let cwnd_bytes = self.cwnd_bytes();
-            let head = self.cum_acked;
-            let flight = self.flight;
-            let seg = self.seg_mut(seq).expect("a lost segment is outstanding");
-            let len = seg.len;
+        // Retransmissions take priority over new data, the lowest lost
+        // segment first.
+        if self.lost > 0 {
+            let i = self.outstanding.iter().position(|&lost| lost);
+            let i = i.expect("a segment is flagged lost");
+            let seq = self.front_seq + i as u64 * MSS;
+            let len = self.seg_len(seq);
             // The head-of-line hole may always be retransmitted regardless
             // of the window (classic fast-retransmit/RTO behavior); other
             // holes wait for window space.
-            if seq == head || flight + len as u64 <= cwnd_bytes.max(len as u64) {
-                seg.lost = false;
-                self.lost.remove(&seq);
-                self.flight += len as u64;
+            if seq == self.cum_acked || self.flight + len <= self.cwnd_bytes().max(len) {
+                self.outstanding[i] = false;
+                self.lost -= 1;
+                self.flight += len;
                 self.stats.segments_sent += 1;
                 self.stats.retransmits += 1;
                 let out = DataSeg {
                     seq,
-                    payload: len,
+                    payload: len as u32,
                     flow_bytes: self.size,
                     retransmit: true,
                     trimmed: false,
@@ -281,23 +288,23 @@ impl FlowSender {
         if self.in_recovery {
             return None;
         }
-        let len = (self.size - self.next_seq).min(MSS) as u32;
+        let seq = self.next_seq;
+        let len = self.seg_len(seq);
         let allowed = if sub_packet {
             self.flight == 0
         } else {
-            self.flight + len as u64 <= self.cwnd_bytes()
+            self.flight + len <= self.cwnd_bytes()
         };
         if !allowed {
             return None;
         }
-        let seq = self.next_seq;
-        self.next_seq += len as u64;
-        self.outstanding.push_back(Seg { len, lost: false });
-        self.flight += len as u64;
+        self.next_seq += len;
+        self.outstanding.push_back(false);
+        self.flight += len;
         self.stats.segments_sent += 1;
         let out = DataSeg {
             seq,
-            payload: len,
+            payload: len as u32,
             flow_bytes: self.size,
             retransmit: false,
             trimmed: false,
@@ -307,6 +314,7 @@ impl FlowSender {
     }
 
     fn after_send(&mut self, now: SimTime) {
+        debug_assert_eq!(self.flight, self.unflagged_bytes());
         if self.rto_deadline.is_none() {
             self.arm_rto(now);
         }
@@ -316,23 +324,20 @@ impl FlowSender {
     }
 
     fn mark_lost(&mut self, seq: u64) {
-        if let Some(seg) = self.seg_mut(seq) {
-            if !seg.lost {
-                seg.lost = true;
-                let len = seg.len as u64;
-                self.lost.insert(seq);
-                self.flight = self.flight.saturating_sub(len);
-            }
+        let Some(i) = self.index(seq) else {
+            return;
+        };
+        if !std::mem::replace(&mut self.outstanding[i], true) {
+            self.lost += 1;
+            self.flight -= self.seg_len(seq);
         }
+        debug_assert_eq!(self.flight, self.unflagged_bytes());
     }
 
     /// Processes one cumulative ACK.
     pub fn on_ack(&mut self, now: SimTime, ack: &AckSeg) -> AckOutcome {
-        if self.completed {
-            return AckOutcome {
-                newly_acked: 0,
-                completed: false,
-            };
+        if self.is_complete() {
+            return AckOutcome::default();
         }
         // Timestamp echo gives an unambiguous RTT even for retransmissions.
         let rtt = now.saturating_since(ack.ts_echo);
@@ -347,16 +352,18 @@ impl FlowSender {
             // Retire every segment that starts below the ACK (they leave
             // from the front).
             while self.front_seq < self.cum_acked {
-                let Some(seg) = self.outstanding.pop_front() else {
+                let Some(lost) = self.outstanding.pop_front() else {
                     break;
                 };
-                if seg.lost {
-                    self.lost.remove(&self.front_seq);
+                let len = self.seg_len(self.front_seq);
+                if lost {
+                    self.lost -= 1;
                 } else {
-                    self.flight = self.flight.saturating_sub(seg.len as u64);
+                    self.flight -= len;
                 }
-                self.front_seq += seg.len as u64;
+                self.front_seq += len;
             }
+            debug_assert_eq!(self.flight, self.unflagged_bytes());
             if self.in_recovery {
                 if self.cum_acked >= self.recover_point {
                     self.in_recovery = false;
@@ -372,15 +379,7 @@ impl FlowSender {
                 rtt: Some(rtt),
                 ecn_echo: ack.ecn_echo,
             });
-            // Restart (or stop) the retransmission timer.
-            if self.outstanding.is_empty() && self.cum_acked >= self.size {
-                self.completed = true;
-                self.rto_deadline = None;
-                return AckOutcome {
-                    newly_acked: newly,
-                    completed: true,
-                };
-            }
+            // Restart (or stop, the flow done) the retransmission timer.
             if self.outstanding.is_empty() && !self.has_pending_work() {
                 self.rto_deadline = None;
             } else {
@@ -388,7 +387,7 @@ impl FlowSender {
             }
             AckOutcome {
                 newly_acked: newly,
-                completed: false,
+                completed: self.is_complete(),
             }
         } else {
             // Duplicate ACK.
@@ -403,7 +402,7 @@ impl FlowSender {
             if self.fast_retransmit
                 && !self.in_recovery
                 && self.dup_acks >= DUPACK_THRESHOLD
-                && self.seg_mut(self.cum_acked).is_some()
+                && self.index(self.cum_acked).is_some()
             {
                 self.in_recovery = true;
                 self.recover_point = self.next_seq;
@@ -411,19 +410,17 @@ impl FlowSender {
                 self.mark_lost(self.cum_acked);
                 self.cc.on_fast_retransmit(now);
             }
-            AckOutcome {
-                newly_acked: 0,
-                completed: false,
-            }
+            AckOutcome::default()
         }
     }
 
     /// Serializes the full sending state machine, congestion controller
-    /// and RTO estimator included. The transport config is not saved —
-    /// [`FlowSender::snap_restore`] rebuilds it from the run spec.
+    /// and RTO estimator included. The flow id and the transport config
+    /// are not saved: the caller keys the record by the flow, and
+    /// [`FlowSender::snap_restore`] rebuilds the config from the run spec.
+    /// Nor is `flight`, the bytes of the segments not flagged lost.
     pub fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
         use vertigo_simcore::Snapshot;
-        self.flow.save(w);
         w.put_u64(self.size);
         self.cc.snap_save(w);
         self.rto.snap_save(w);
@@ -432,39 +429,30 @@ impl FlowSender {
         w.put_u32(self.dup_acks);
         w.put_bool(self.in_recovery);
         w.put_u64(self.recover_point);
+        w.put_u64(self.front_seq);
         w.put_usize(self.outstanding.len());
-        let mut seq = self.front_seq;
-        for seg in &self.outstanding {
-            w.put_u64(seq);
-            w.put_u32(seg.len);
-            w.put_bool(seg.lost);
-            seq += seg.len as u64;
+        for &lost in &self.outstanding {
+            w.put_bool(lost);
         }
-        w.put_usize(self.lost.len());
-        for &seq in &self.lost {
-            w.put_u64(seq);
-        }
-        w.put_u64(self.flight);
         self.rto_deadline.save(w);
         self.pace_next.save(w);
-        w.put_bool(self.completed);
         w.put_u64(self.stats.segments_sent);
         w.put_u64(self.stats.retransmits);
         w.put_u64(self.stats.fast_retransmits);
         w.put_u64(self.stats.rtos);
     }
 
-    /// Reconstructs a sender from a [`FlowSender::snap_save`] stream and
-    /// the (unsaved) transport config. A record this sender could not have
-    /// written — segments not cut in order at `MSS` up to `next_seq`, a
-    /// `lost` set that disagrees with the segments' flags — is an error
-    /// here, not a panic in `poll_segment` later.
+    /// Reconstructs `flow`'s sender from a [`FlowSender::snap_save`]
+    /// stream and the (unsaved) transport config. A record this sender
+    /// could not have written — a window that does not start and end on
+    /// the `MSS` grid, or a flag count other than its segments' — is an
+    /// error here, not a panic in `poll_segment` later.
     pub fn snap_restore(
+        flow: FlowId,
         cfg: TransportConfig,
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<Self, vertigo_simcore::SnapError> {
         use vertigo_simcore::{SnapError, Snapshot};
-        let flow = FlowId::restore(r)?;
         let size = r.get_u64()?;
         if size == 0 {
             return Err(SnapError::new(format!(
@@ -479,63 +467,29 @@ impl FlowSender {
         s.dup_acks = r.get_u32()?;
         s.in_recovery = r.get_bool()?;
         s.recover_point = r.get_u64()?;
-        if !(s.cum_acked <= s.next_seq && s.next_seq <= size) {
+        s.front_seq = r.get_u64()?;
+        let n = r.count(1, "outstanding segments")?;
+        let on_grid = |seq: u64| seq.is_multiple_of(MSS) || seq == size;
+        let window = s.cum_acked <= s.next_seq
+            && s.front_seq <= s.next_seq
+            && s.next_seq <= size
+            && on_grid(s.front_seq)
+            && on_grid(s.next_seq)
+            && n as u64 == (s.next_seq - s.front_seq).div_ceil(MSS);
+        if !window {
             return Err(SnapError::new(format!(
-                "sender of {flow:?}: cum_acked {} <= next_seq {} <= size {size} does not hold",
-                s.cum_acked, s.next_seq
+                "sender of {flow:?}: {n} flags from {} to {} of {size} bytes, acknowledged \
+                 to {}, are not one per segment of a window on the {MSS}-byte grid",
+                s.front_seq, s.next_seq, s.cum_acked
             )));
         }
-        // A segment record is its seq, length and lost flag.
-        let n = r.count(13, "outstanding segments")?;
-        s.front_seq = s.next_seq; // of an empty window
-        let mut end = s.next_seq;
-        for i in 0..n {
-            let seq = r.get_u64()?;
-            let seg = Seg {
-                len: r.get_u32()?,
-                lost: r.get_bool()?,
-            };
-            if i == 0 {
-                s.front_seq = seq;
-            } else if seq != end {
-                return Err(SnapError::new(format!(
-                    "sender of {flow:?}: segment at {seq} does not follow the one ending at {end}"
-                )));
-            }
-            let cut = size.saturating_sub(seq).min(MSS);
-            if cut == 0 || seg.len as u64 != cut {
-                return Err(SnapError::new(format!(
-                    "sender of {flow:?}: segment at {seq} is {} bytes, cut at mss it is {cut}",
-                    seg.len
-                )));
-            }
-            end = seq + cut;
-            s.outstanding.push_back(seg);
+        for _ in 0..n {
+            s.outstanding.push_back(r.get_bool()?);
         }
-        if end != s.next_seq {
-            return Err(SnapError::new(format!(
-                "sender of {flow:?}: outstanding segments end at {end}, next_seq is {}",
-                s.next_seq
-            )));
-        }
-        for _ in 0..r.count(8, "lost segments")? {
-            let seq = r.get_u64()?;
-            let flagged = s.seg_mut(seq).is_some_and(|seg| seg.lost);
-            if !(flagged && s.lost.insert(seq)) {
-                return Err(SnapError::new(format!(
-                    "sender of {flow:?}: lost entry {seq} is repeated or names no segment flagged lost"
-                )));
-            }
-        }
-        if s.outstanding.iter().filter(|seg| seg.lost).count() != s.lost.len() {
-            return Err(SnapError::new(format!(
-                "sender of {flow:?}: a segment flagged lost is missing from the lost set"
-            )));
-        }
-        s.flight = r.get_u64()?;
+        s.lost = s.outstanding.iter().filter(|&&lost| lost).count();
+        s.flight = s.unflagged_bytes();
         s.rto_deadline = Option::restore(r)?;
         s.pace_next = SimTime::restore(r)?;
-        s.completed = r.get_bool()?;
         s.stats.segments_sent = r.get_u64()?;
         s.stats.retransmits = r.get_u64()?;
         s.stats.fast_retransmits = r.get_u64()?;
@@ -546,7 +500,7 @@ impl FlowSender {
     /// Timer callback: fires the RTO if due (pacing wakeups need no state
     /// change — the caller just polls for segments again).
     pub fn on_timer(&mut self, now: SimTime) {
-        if self.completed {
+        if self.is_complete() {
             return;
         }
         let Some(deadline) = self.rto_deadline else {
@@ -562,15 +516,9 @@ impl FlowSender {
         self.rto.backoff();
         self.in_recovery = false;
         self.dup_acks = 0;
-        let mut seq = self.front_seq;
-        for seg in self.outstanding.iter_mut() {
-            if !seg.lost {
-                seg.lost = true;
-                self.lost.insert(seq);
-                self.flight = self.flight.saturating_sub(seg.len as u64);
-            }
-            seq += seg.len as u64;
-        }
+        self.outstanding.iter_mut().for_each(|lost| *lost = true);
+        self.lost = self.outstanding.len();
+        self.flight = 0;
         self.arm_rto(now);
     }
 }
@@ -583,7 +531,7 @@ impl std::fmt::Debug for FlowSender {
             .field("cum_acked", &self.cum_acked)
             .field("cwnd", &self.cc.cwnd())
             .field("flight", &self.flight)
-            .field("completed", &self.completed)
+            .field("completed", &self.is_complete())
             .finish()
     }
 }
@@ -800,7 +748,8 @@ mod tests {
         let mut w = SnapWriter::new();
         s.snap_save(&mut w);
         let bytes = w.into_bytes();
-        let mut s2 = FlowSender::snap_restore(cfg(), &mut SnapReader::new(&bytes)).unwrap();
+        let mut s2 =
+            FlowSender::snap_restore(FlowId(1), cfg(), &mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(s2.cwnd(), s.cwnd());
         assert_eq!(s2.flight_bytes(), s.flight_bytes());
         assert_eq!(s2.next_deadline(t(150)), s.next_deadline(t(150)));
@@ -824,7 +773,7 @@ mod tests {
         s.snap_save(&mut w);
         let bytes = w.into_bytes();
         let c = TransportConfig::default_for(CcKind::Swift);
-        let s2 = FlowSender::snap_restore(c, &mut SnapReader::new(&bytes)).unwrap();
+        let s2 = FlowSender::snap_restore(FlowId(1), c, &mut SnapReader::new(&bytes)).unwrap();
         // Pacing deadline (sub-packet window) survives the round trip.
         assert!(s.pacer_release(t(5001)).is_some());
         assert_eq!(s2.next_deadline(t(5001)), s.next_deadline(t(5001)));
@@ -839,35 +788,32 @@ mod tests {
     }
 
     fn restored(bytes: &[u8]) -> Result<FlowSender, vertigo_simcore::SnapError> {
-        FlowSender::snap_restore(cfg(), &mut vertigo_simcore::SnapReader::new(bytes))
+        FlowSender::snap_restore(
+            FlowId(1),
+            cfg(),
+            &mut vertigo_simcore::SnapReader::new(bytes),
+        )
     }
 
     /// A sender record written field by field, so that a test can write
     /// what `snap_save` never would: a `size`-byte flow with a fresh
-    /// controller and estimator, the sequence state, `segs` as
-    /// `(seq, len, lost)` and the `lost` set.
-    fn record(
-        size: u64,
-        next_seq: u64,
-        cum_acked: u64,
-        segs: &[(u64, u64, bool)],
-        lost: &[u64],
-    ) -> Vec<u8> {
-        record_counting(size, next_seq, cum_acked, segs.len(), segs, lost)
+    /// controller and estimator, the sequence state, and the window from
+    /// `front_seq` as its lost flags.
+    fn record(size: u64, next_seq: u64, cum_acked: u64, front_seq: u64, flags: &[bool]) -> Vec<u8> {
+        record_counting(size, next_seq, cum_acked, front_seq, flags.len(), flags)
     }
 
-    /// [`record`] with a segment count of its own.
+    /// [`record`] with a flag count of its own.
     fn record_counting(
         size: u64,
         next_seq: u64,
         cum_acked: u64,
+        front_seq: u64,
         count: usize,
-        segs: &[(u64, u64, bool)],
-        lost: &[u64],
+        flags: &[bool],
     ) -> Vec<u8> {
         use vertigo_simcore::Snapshot;
         let mut w = vertigo_simcore::SnapWriter::new();
-        FlowId(1).save(&mut w);
         w.put_u64(size);
         cfg().make_cc().snap_save(&mut w);
         RtoEstimator::default().snap_save(&mut w);
@@ -876,21 +822,13 @@ mod tests {
         w.put_u32(0); // dup_acks
         w.put_bool(false); // in_recovery
         w.put_u64(0); // recover_point
+        w.put_u64(front_seq);
         w.put_usize(count);
-        for &(seq, len, lost) in segs {
-            w.put_u64(seq);
-            w.put_u32(len as u32);
+        for &lost in flags {
             w.put_bool(lost);
         }
-        w.put_usize(lost.len());
-        for &seq in lost {
-            w.put_u64(seq);
-        }
-        let flight = segs.iter().filter(|g| !g.2).map(|g| g.1).sum();
-        w.put_u64(flight);
         Some(t(900)).save(&mut w); // rto_deadline
         SimTime::ZERO.save(&mut w); // pace_next
-        w.put_bool(false); // completed
         for _ in 0..4 {
             w.put_u64(0); // stats
         }
@@ -911,9 +849,10 @@ mod tests {
         }
         assert_eq!(s.poll_segment(t(120)).map(|g| g.seq), Some(2 * MSS));
         s.on_ack(t(200), &ack(4 * MSS, t(120)));
-        assert_eq!((s.front_seq, s.lost.len()), (4 * MSS, 1));
+        assert_eq!((s.front_seq, s.lost), (4 * MSS, 1));
         let ok = saved(&s);
         let mut back = restored(&ok).unwrap();
+        assert_eq!(back.flight_bytes(), s.flight_bytes());
         assert_eq!(saved(&back), ok, "byte for byte");
         // And it keeps running: the hole, then ACKs up to the short tail.
         for now in [210u64, 300, 400, 500] {
@@ -924,85 +863,55 @@ mod tests {
         assert_eq!(saved(&back), saved(&s));
 
         let size = 10 * MSS + 100;
-        let seg = |i: u64, lost: bool| (i * MSS, MSS, lost);
-        let window = [seg(2, false), seg(3, true), seg(4, false)];
-        let good = record(size, 5 * MSS, 2 * MSS, &window, &[3 * MSS]);
+        let window = [false, true, false];
+        let good = record(size, 5 * MSS, 2 * MSS, 2 * MSS, &window);
         let mut back = restored(&good).unwrap();
+        assert_eq!((back.lost, back.flight_bytes()), (1, 2 * MSS));
         assert_eq!(back.poll_segment(t(1)).map(|g| g.seq), Some(3 * MSS));
-        let tail = [(10 * MSS, 100, false)];
-        assert!(restored(&record(size, size, 10 * MSS, &tail, &[])).is_ok());
+        let tail = record(size, size, 10 * MSS, 10 * MSS, &[false]);
+        assert_eq!(restored(&tail).unwrap().flight_bytes(), 100);
+        assert!(restored(&record(size, 5 * MSS, 5 * MSS, 5 * MSS, &[])).is_ok());
         for (what, bytes) in [
-            // What used to restore and panic in `poll_segment`.
             (
-                "lost names no segment",
-                record(size, 5 * MSS, 2 * MSS, &window, &[3 * MSS, 7 * MSS]),
+                "front_seq off the grid",
+                record(size, 5 * MSS, 2 * MSS, 2 * MSS + 1, &window),
             ),
             (
-                "lost names the middle of a segment",
-                record(size, 5 * MSS, 2 * MSS, &window, &[3 * MSS + 1]),
+                "next_seq off the grid",
+                record(size, 5 * MSS + 1, 2 * MSS, 2 * MSS, &window),
             ),
             (
-                "lost names a segment not flagged",
-                record(size, 5 * MSS, 2 * MSS, &window, &[3 * MSS, 4 * MSS]),
+                "front_seq past next_seq",
+                record(size, 5 * MSS, 2 * MSS, 6 * MSS, &[]),
             ),
             (
-                "flagged segment not in lost",
-                record(size, 5 * MSS, 2 * MSS, &window, &[]),
+                "a flag short of the window",
+                record(size, 5 * MSS, 2 * MSS, 2 * MSS, &window[..2]),
             ),
             (
-                "lost entry repeated",
-                record(size, 5 * MSS, 2 * MSS, &window, &[3 * MSS, 3 * MSS]),
+                "a flag past the window",
+                record(size, 5 * MSS, 2 * MSS, 2 * MSS, &[false; 4]),
             ),
             (
-                "gap between segments",
-                record(
-                    size,
-                    5 * MSS,
-                    0,
-                    &[seg(1, false), seg(3, false), seg(4, false)],
-                    &[],
-                ),
-            ),
-            (
-                "sequences descend",
-                record(size, 5 * MSS, 0, &[seg(4, false), seg(3, false)], &[]),
-            ),
-            (
-                "segment longer than mss",
-                record(
-                    size,
-                    2 * MSS + 2,
-                    0,
-                    &[(0, MSS + 1, false), (MSS + 1, MSS + 1, false)],
-                    &[],
-                ),
-            ),
-            (
-                "short segment before the tail",
-                record(size, 200, 0, &[(0, 100, false), (100, 100, false)], &[]),
-            ),
-            ("empty segment", record(size, 0, 0, &[(0, 0, false)], &[])),
-            (
-                "segments stop short of next_seq",
-                record(size, 5 * MSS, 0, &[seg(2, false), seg(3, false)], &[]),
-            ),
-            (
-                "segment past the end of the flow",
-                record(size, size, 0, &[(10 * MSS, MSS, false)], &[]),
+                "a flag past the short tail",
+                record(size, size, 9 * MSS, 9 * MSS, &[false; 3]),
             ),
             (
                 "cum_acked > next_seq",
-                record(size, 2 * MSS, 3 * MSS, &[], &[]),
+                record(size, 2 * MSS, 3 * MSS, 2 * MSS, &[]),
             ),
-            ("next_seq > size", record(size, size + 1, 0, &[], &[])),
-            ("zero-byte flow", record(0, 0, 0, &[], &[])),
+            (
+                "next_seq > size",
+                record(size, 11 * MSS, 0, 10 * MSS, &[false]),
+            ),
+            ("zero-byte flow", record(0, 0, 0, 0, &[])),
         ] {
             assert!(restored(&bytes).is_err(), "accepted: {what}");
         }
         // A count no input of this size could back.
-        let huge = record_counting(size, 5 * MSS, 2 * MSS, usize::MAX, &window, &[3 * MSS]);
+        let huge = record_counting(size, 5 * MSS, 2 * MSS, 2 * MSS, usize::MAX, &window);
         assert!(restored(&huge).is_err(), "accepted: count beyond the input");
-        // Truncated anywhere: in the controller, a segment, the lost set.
+        // Truncated anywhere: in the controller, the window, the stats.
         for cut in 0..ok.len() {
             assert!(
                 restored(&ok[..cut]).is_err(),
@@ -1013,13 +922,11 @@ mod tests {
     }
 
     /// The window as `(seq, len, lost)`, front first.
-    fn window(s: &FlowSender) -> Vec<(u64, u32, bool)> {
-        let mut seq = s.front_seq;
-        let segs = s.outstanding.iter().map(|g| {
-            seq += g.len as u64;
-            (seq - g.len as u64, g.len, g.lost)
-        });
-        segs.collect()
+    fn window(s: &FlowSender) -> Vec<(u64, u64, bool)> {
+        let seqs = (0..).map(|i| s.front_seq + i * MSS);
+        let segs = seqs.zip(&s.outstanding);
+        segs.map(|(seq, &lost)| (seq, s.seg_len(seq), lost))
+            .collect()
     }
 
     #[test]
@@ -1044,7 +951,7 @@ mod tests {
         s.on_ack(t(200), &ack(5 * MSS, t(120)));
         assert_eq!(
             window(&s)[..2],
-            [(5 * MSS, MSS as u32, true), (6 * MSS, MSS as u32, false)]
+            [(5 * MSS, MSS, true), (6 * MSS, MSS, false)]
         );
         let seg = s.poll_segment(t(200)).unwrap();
         assert_eq!((seg.seq, seg.retransmit), (5 * MSS, true));
@@ -1070,9 +977,9 @@ mod tests {
         let dl = s.next_deadline(t(120)).unwrap();
         s.on_timer(dl);
         assert_eq!((s.stats().rtos, s.flight_bytes()), (1, 0));
-        let lost: Vec<u64> = s.lost.iter().copied().collect();
+        let lost: Vec<u64> = window(&s).iter().filter(|g| g.2).map(|g| g.0).collect();
         assert_eq!(lost, [2 * MSS, 3 * MSS, 4 * MSS, 5 * MSS, 6 * MSS]);
-        assert!(window(&s).iter().all(|g| g.2));
+        assert_eq!(s.lost, 5);
         // ACKs let the rest out in sequence order, the short last segment
         // at its own length.
         let (mut now, mut resent) = (dl, Vec::new());
@@ -1107,7 +1014,7 @@ mod tests {
             s.on_ack(t(110 + i), &ack(MSS + 100, t(0)));
         }
         assert_eq!(s.stats().fast_retransmits, 0);
-        assert!(s.lost.is_empty());
+        assert_eq!(s.lost, 0);
         // An aligned ACK point does.
         s.on_ack(t(200), &ack(2 * MSS, t(0)));
         for i in 0..3 {
@@ -1115,6 +1022,64 @@ mod tests {
         }
         assert_eq!(s.stats().fast_retransmits, 1);
         assert_eq!(s.poll_segment(t(220)).map(|g| g.seq), Some(2 * MSS));
+    }
+
+    /// `s`'s invariants after a call: `flight` is the bytes of the
+    /// unflagged segments, `lost` counts the flags, and the record
+    /// round-trips byte for byte.
+    fn check_invariants(s: &FlowSender, c: TransportConfig) {
+        let flagged = s.outstanding.iter().filter(|&&lost| lost).count();
+        assert_eq!((s.flight, s.lost), (s.unflagged_bytes(), flagged), "{s:?}");
+        let bytes = saved(s);
+        let mut r = vertigo_simcore::SnapReader::new(&bytes);
+        let back = FlowSender::snap_restore(s.flow, c, &mut r).expect("its own record");
+        assert!(r.is_empty());
+        assert_eq!(saved(&back), bytes, "{s:?}: the record round-trips");
+        assert_eq!(back.flight, s.flight);
+    }
+
+    proptest::proptest! {
+        /// Random schedules of polls, ACKs as a receiver sends them (on
+        /// the grid, up to what was sent), duplicate ACKs and timeouts.
+        #[test]
+        fn flight_and_flags_agree_and_retransmit_lowest_first(
+            size in 1u64..60 * MSS,
+            kind in 0usize..3,
+            fast_retransmit: bool,
+            ops in proptest::collection::vec((0u8..4, 0u64..6), 1..120),
+        ) {
+            let cc = [CcKind::Reno, CcKind::Dctcp, CcKind::Swift][kind];
+            let c = TransportConfig { cc, fast_retransmit };
+            let mut s = FlowSender::new(FlowId(1), size, c);
+            let mut now = t(0);
+            for (op, x) in ops {
+                let sent = now;
+                now += SimDuration::from_micros(1 + 10 * x);
+                match op {
+                    0 => loop {
+                        let lowest = s.outstanding.iter().position(|&lost| lost);
+                        let Some(seg) = s.poll_segment(now) else { break };
+                        if seg.retransmit {
+                            let lowest = lowest.map(|i| s.front_seq + i as u64 * MSS);
+                            proptest::prop_assert_eq!(Some(seg.seq), lowest);
+                        }
+                        check_invariants(&s, c);
+                    },
+                    1 => {
+                        let cum = ((s.cum_acked / MSS + x) * MSS).min(s.next_seq);
+                        s.on_ack(now, &ack(cum, sent));
+                    }
+                    2 => {
+                        s.on_ack(now, &ack(s.cum_acked, sent));
+                    }
+                    _ => {
+                        now = now.max(s.next_deadline(now).unwrap_or(now));
+                        s.on_timer(now);
+                    }
+                }
+                check_invariants(&s, c);
+            }
+        }
     }
 
     #[test]

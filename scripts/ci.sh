@@ -46,6 +46,17 @@ if grep -rnwE 'prev_hop|upstream_port|from_nested_with_neighbors|switch_neighbor
   exit 1
 fi
 
+echo "==> the transport keeps one flag per segment: no ordered trees, no segment records"
+# Every segment is cut on the MAX_PAYLOAD grid, so the sender's lost
+# segments and the receiver's early ones are flags indexed from the front
+# of the window and from the prefix. The byte-range receiver lives only in
+# crates/transport/tests/receiver_oracle.rs, as the grid receiver's oracle.
+if grep -rnwE 'BTreeSet|BTreeMap' crates/transport/src \
+  || grep -rnE 'struct Seg\b' crates/transport/src; then
+  echo "crates/transport/src keeps an ordered tree or a segment record beside the grid flags" >&2
+  exit 1
+fi
+
 echo "==> one snapshot reader: counts and key order are checked in SnapReader only"
 # `SnapReader::count` refuses a count the bytes left cannot hold and
 # `SnapReader::ascending` a key at or below the one before; a restore that
