@@ -54,7 +54,7 @@ impl Default for MarkingConfig {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FlowTx {
     /// Total flow size in bytes.
     total: u64,
@@ -98,6 +98,7 @@ fn at_most(value: u8, max: u8, what: &str) -> Result<u8, SnapError> {
 const FILTER_CAPACITY: usize = 65_536;
 
 /// The sender-side marking component. One instance per host.
+#[derive(Clone)]
 pub struct MarkingComponent {
     cfg: MarkingConfig,
     /// Per-retransmission rotation in bits; 0 when boosting is disabled.

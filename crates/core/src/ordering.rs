@@ -91,7 +91,7 @@ pub enum DeliverReason {
 }
 
 /// A packet handed up to the transport.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Delivered<T> {
     /// The buffered item (e.g. the packet).
     pub item: T,
@@ -134,7 +134,7 @@ impl std::ops::AddAssign for OrderingStats {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct OooEntry<T> {
     /// Original (un-boosted) RFS: the buffer's sort key.
     rfs: u64,
@@ -151,7 +151,7 @@ enum Expect {
     At(u64),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FlowRx<T> {
     expect: Expect,
     /// Buffered early packets, ascending by original RFS, no two alike.
@@ -225,6 +225,7 @@ fn disarm(armed: &mut Vec<(SimTime, FlowId)>, deadline: SimTime, flow: FlowId) {
 }
 
 /// The receive-side re-sequencing shim. One instance per host.
+#[derive(Clone)]
 pub struct OrderingComponent<T> {
     cfg: OrderingConfig,
     flows: FlowTable<FlowRx<T>>,

@@ -26,7 +26,7 @@ use crate::common::Opts;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use vertigo_workload::{ForkSpec, RunError, RunOutput, RunSpec, SnapBuf};
+use vertigo_workload::{ForkSpec, RunError, RunOutput, RunSpec, Warmup};
 
 /// One unit of a figure's grid.
 pub struct Cell<T> {
@@ -68,7 +68,7 @@ impl<T> Cell<T> {
 ///
 /// Phased cells with a provable [`RunSpec::fork_key`] are grouped into
 /// equivalence classes; each class with at least two members simulates
-/// its warmup once and its cells start from that snapshot — unless the
+/// its warmup once and its cells start from clones of it — unless the
 /// invocation asks for something a cell that starts mid-run cannot give
 /// (`--trace`: the prefix would be missing from the trace;
 /// `--checkpoint-every`/`--resume`: the cell's start is not on disk;
@@ -81,19 +81,19 @@ pub fn run<T: Send, R: Send>(
     cells: Vec<Cell<T>>,
     row: impl Fn(&Cell<T>, &RunOutput) -> R + Sync,
 ) -> Result<Vec<R>, RunError> {
-    let snaps = if opts.trace.is_none() && !opts.snapshot.is_active() {
+    let warmups = if opts.trace.is_none() && !opts.snapshot.is_active() {
         warm_up(opts.jobs, &cells)?
     } else {
         vec![None; cells.len()]
     };
     let items = cells
         .into_iter()
-        .zip(snaps)
-        .map(|(cell, snap)| (cell.label.clone(), (cell, snap)))
+        .zip(warmups)
+        .map(|(cell, warmup)| (cell.label.clone(), (cell, warmup)))
         .collect();
-    let rows = pool(opts.jobs, items, |(cell, snap)| {
-        let out = match (&cell.fork, snap) {
-            (Some(fork), Some(snap)) => cell.spec.run_forked(fork, &snap),
+    let rows = pool(opts.jobs, items, |(cell, warmup)| {
+        let out = match (&cell.fork, warmup) {
+            (Some(fork), Some(warmup)) => cell.spec.run_forked(fork, &warmup),
             _ => cell.spec.try_run_staged(
                 opts.trace.as_ref(),
                 Some(&opts.snapshot),
@@ -105,10 +105,10 @@ pub fn run<T: Send, R: Send>(
     rows.into_iter().collect()
 }
 
-/// The warmup phase: per cell, the class snapshot it starts from (`None`:
-/// run straight through). The first warmup error in submission order is
-/// returned.
-fn warm_up<T>(jobs: usize, cells: &[Cell<T>]) -> Result<Vec<Option<Arc<SnapBuf>>>, RunError> {
+/// The warmup phase: per cell, the warmed simulation of its class, shared
+/// by every cell that clones it (`None`: run straight through). The first
+/// warmup error in submission order is returned.
+fn warm_up<T>(jobs: usize, cells: &[Cell<T>]) -> Result<Vec<Option<Arc<Warmup>>>, RunError> {
     let keys: Vec<Option<u64>> = cells
         .iter()
         .map(|c| c.fork.and_then(|f| c.spec.fork_key(&f)))
@@ -129,14 +129,14 @@ fn warm_up<T>(jobs: usize, cells: &[Cell<T>]) -> Result<Vec<Option<Arc<SnapBuf>>
             }
         }
     }
-    let snaps: BTreeMap<u64, Arc<SnapBuf>> = pool(jobs, warmups, |(k, spec, fork)| {
+    let warmed: BTreeMap<u64, Arc<Warmup>> = pool(jobs, warmups, |(k, spec, fork)| {
         Ok((k, Arc::new(spec.run_warmup(&fork)?)))
     })
     .into_iter()
     .collect::<Result<_, RunError>>()?;
     Ok(keys
         .iter()
-        .map(|k| k.and_then(|k| snaps.get(&k).cloned()))
+        .map(|k| k.and_then(|k| warmed.get(&k).cloned()))
         .collect())
 }
 
@@ -330,19 +330,19 @@ mod tests {
     fn warm_scheduling_groups_classes_and_falls_back() {
         let grid = mixed_grid();
         for jobs in [1, 4] {
-            let snaps = warm_up(jobs, &grid).expect("warmups run");
+            let warmed = warm_up(jobs, &grid).expect("warmups run");
             assert_eq!(
-                snaps.iter().map(Option::is_some).collect::<Vec<_>>(),
+                warmed.iter().map(Option::is_some).collect::<Vec<_>>(),
                 vec![true, true, true, false, true, false],
                 "jobs={jobs}"
             );
             assert!(Arc::ptr_eq(
-                snaps[0].as_ref().unwrap(),
-                snaps[2].as_ref().unwrap()
+                warmed[0].as_ref().unwrap(),
+                warmed[2].as_ref().unwrap()
             ));
             assert!(!Arc::ptr_eq(
-                snaps[0].as_ref().unwrap(),
-                snaps[1].as_ref().unwrap()
+                warmed[0].as_ref().unwrap(),
+                warmed[1].as_ref().unwrap()
             ));
         }
     }

@@ -10,7 +10,7 @@ use vertigo_simcore::{
 use vertigo_stats::{DropCause, Recorder, TraceKind, TraceRecord};
 
 /// Everything that can happen in the simulated network.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Event {
     /// The last byte of `pkt` arrived at `node` on `port`.
     Arrive {
@@ -47,7 +47,7 @@ pub enum Event {
 /// What [`Event::FlowStart`] opens. One event in thousands is a flow
 /// start, and every pending event is as large as the largest variant, so
 /// these 29 bytes live out of line and an [`Event`] is 16.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlowSpec {
     /// Receiving host.
     pub dst: NodeId,

@@ -318,7 +318,7 @@ impl<K> Compiled<K> {
 
 /// A schedule's windows compiled against a concrete topology, ready for
 /// O(1)-ish per-event lookups at dispatch time.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Windows {
     /// Link windows keyed by the *receiving* `(node, port)` of a traversal.
     link: BTreeMap<(u32, u16), Vec<Compiled<LinkFault>>>,
@@ -328,7 +328,7 @@ struct Windows {
 
 /// The compiled windows plus the stream the classic engine draws loss and
 /// corruption from. Owned by the simulation driver.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     /// Dedicated RNG stream for loss/corruption draws, forked off the run
     /// seed so faults never perturb switch or workload randomness.

@@ -80,6 +80,7 @@ impl HostConfig {
     }
 }
 
+#[derive(Clone)]
 struct SendState {
     sender: FlowSender,
     dst: NodeId,
@@ -91,6 +92,7 @@ struct SendState {
 pub type HostStats = SenderStats;
 
 /// An end host.
+#[derive(Clone)]
 pub struct Host {
     /// This host's node id.
     pub id: NodeId,

@@ -17,7 +17,7 @@ use vertigo_simcore::{release_if_drained, SnapError, SnapReader, SnapWriter, Sna
 
 /// One output port: queue, link, and transmit state. A switch has one per
 /// neighbour, a host one for its NIC.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Port {
     /// Neighboring node.
     pub peer: NodeId,
@@ -67,7 +67,7 @@ impl Port {
 }
 
 /// A byte-bounded FIFO queue.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct FifoQueue {
     /// A pop that empties it frees a buffer a burst grew
     /// ([`release_if_drained`]).
@@ -76,7 +76,7 @@ pub struct FifoQueue {
 }
 
 /// A byte-bounded priority queue ordered by RFS rank.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PrioQueue {
     q: PieoQueue<Box<Packet>>,
     bytes: u64,
@@ -85,7 +85,7 @@ pub struct PrioQueue {
 }
 
 /// An output queue of any discipline.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum PortQueue {
     /// First-in first-out (baselines, and Vertigo's no-scheduling ablation).
     Fifo(FifoQueue),

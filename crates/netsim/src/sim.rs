@@ -109,6 +109,7 @@ pub struct SimConfig {
 // size difference costs is trivial, while boxing the large variant would put
 // a pointer chase on the per-event dispatch path.
 #[allow(clippy::large_enum_variant)]
+#[derive(Clone)]
 pub(crate) enum Node {
     Host(Host),
     Switch(Switch),
@@ -176,6 +177,7 @@ impl Node {
 }
 
 /// A runnable simulation instance.
+#[derive(Clone)]
 pub struct Simulation {
     pub(crate) topo: Arc<Topology>,
     pub(crate) nodes: Vec<Node>,

@@ -35,6 +35,7 @@ fn least_loaded(
 }
 
 /// A datacenter switch.
+#[derive(Clone)]
 pub struct Switch {
     /// This switch's node id.
     pub id: NodeId,

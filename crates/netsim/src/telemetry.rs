@@ -42,7 +42,7 @@ pub struct TelemetrySample {
 }
 
 /// The collected time series.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Telemetry {
     /// Samples in time order.
     pub samples: Vec<TelemetrySample>,

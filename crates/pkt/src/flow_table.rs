@@ -16,7 +16,7 @@ use crate::ids::FlowId;
 /// have room for more than four times what they hold (and for more than
 /// eight), they shrink to twice that (and to no fewer than four). The gap
 /// between the two factors keeps the shrink amortized O(1) per removal.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlowTable<T> {
     ids: Vec<FlowId>,
     vals: Vec<T>,

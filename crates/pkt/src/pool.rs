@@ -13,8 +13,9 @@
 //!
 //! The free list is thread-local, which keeps the pool lock-free and makes
 //! it safe under the parallel sweep engine: each worker thread owns its own
-//! list, and boxes never migrate between threads (a simulation runs start
-//! to finish on one thread).
+//! list, and a simulation that runs does so on one thread. A shared warmup
+//! never runs: workers clone it, and the last to drop it frees its boxes
+//! to the allocator, not to a pool.
 
 use crate::packet::Packet;
 use std::cell::RefCell;

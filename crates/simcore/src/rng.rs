@@ -12,6 +12,7 @@
 //! across platforms and builds.
 
 /// A seeded random number generator with simulation-oriented helpers.
+#[derive(Clone)]
 pub struct SimRng {
     state: [u64; 4],
     seed: u64,

@@ -110,6 +110,7 @@ type Pending<E> = (u64, E);
 /// Entries in pop order behind a cursor: `entries[..cur]` has been popped
 /// (`None`), `entries[cur..]` is pending (`Some`) and sorted by timestamp,
 /// FIFO among ties.
+#[derive(Clone)]
 struct Run<E> {
     entries: Vec<Option<Pending<E>>>,
     /// The next entry to pop.
@@ -169,6 +170,7 @@ impl<E> Run<E> {
 /// scheduling an event in the past is a logic error caught by a debug
 /// assertion (it is clamped to `now` in release builds so a simulation
 /// never travels back in time).
+#[derive(Clone)]
 pub struct EventQueue<E> {
     /// What the cascade that opened the 256 ns window the clock is in
     /// sorted into it. Never inserted into: it is written whole, with the

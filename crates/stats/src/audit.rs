@@ -31,7 +31,7 @@
 pub const AUDIT_AVAILABLE: bool = cfg!(debug_assertions);
 
 /// Packet-custody counters for the conservation audit.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct AuditHooks {
     /// Packets created by hosts (data + ACKs), counted at NIC enqueue.
     pub created: u64,

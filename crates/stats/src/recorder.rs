@@ -175,7 +175,7 @@ impl QueryRecord {
 }
 
 /// Central metrics sink for one simulation run.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Recorder {
     /// The records of the flows still running, plus, in the recorder of
     /// one of two or more domains, the placeholders and finished records

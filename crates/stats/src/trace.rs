@@ -334,7 +334,7 @@ pub fn parse_trace(bytes: &[u8]) -> Result<(TraceHeader, Vec<TraceRecord>), Stri
 }
 
 /// Per-node fixed-capacity ring of sequence-tagged records.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct NodeRing {
     /// `(global sequence, record)`; once at capacity, `start` marks the
     /// oldest slot and pushes overwrite it.
@@ -356,7 +356,7 @@ impl NodeRing {
 }
 
 /// The armed state of a recording sink.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TraceInner {
     filter: TraceFilter,
     /// Per-node ring capacity in records.
@@ -372,7 +372,7 @@ struct TraceInner {
 ///
 /// All methods are safe to call unconditionally; a disarmed sink records
 /// nothing and serializes to a valid, empty trace.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct TraceSink {
     inner: Option<Box<TraceInner>>,
 }

@@ -1,17 +1,21 @@
-//! The congestion-control abstraction.
+//! The congestion controllers a flow can run.
 //!
 //! Vertigo is an L2/L3 service that runs *below* an unmodified transport
-//! (paper §3), so the simulator must host several congestion controllers
-//! behind one interface. [`CongestionControl`] is that interface: the
-//! sender machine reports ACKs, losses, and timeouts; the controller
-//! answers with a window (in MSS units, possibly fractional) and an
-//! optional pacing interval (Swift's sub-packet windows).
+//! (paper §3), and the paper runs it under exactly three: TCP Reno,
+//! DCTCP and Swift. [`Controller`] is the closed set of them: the sender
+//! machine reports ACKs, losses, and timeouts; the controller answers
+//! with a window (in MSS units, possibly fractional) and an optional
+//! pacing interval (Swift's sub-packet windows). Being plain data, it
+//! clones with the sender that owns it.
 
+use crate::dctcp::Dctcp;
+use crate::reno::Reno;
+use crate::swift::Swift;
 use vertigo_simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
 
 /// Everything a controller may want to know about one cumulative ACK.
 #[derive(Debug, Clone, Copy)]
-pub struct AckContext {
+pub(crate) struct AckContext {
     /// Arrival time of the ACK.
     pub now: SimTime,
     /// Bytes newly acknowledged by this ACK (0 for a duplicate ACK).
@@ -25,46 +29,85 @@ pub struct AckContext {
     pub ecn_echo: bool,
 }
 
-/// A pluggable congestion controller operating in MSS units.
-pub trait CongestionControl: std::fmt::Debug + Send {
+/// One flow's congestion controller, operating in MSS units.
+#[derive(Debug, Clone)]
+pub(crate) enum Controller {
+    Reno(Reno),
+    Dctcp(Dctcp),
+    Swift(Swift),
+}
+
+/// Applies `$body` to whichever controller `$cc` holds, bound as `$c`.
+macro_rules! each {
+    ($cc:expr, $c:ident => $body:expr) => {
+        match $cc {
+            Controller::Reno($c) => $body,
+            Controller::Dctcp($c) => $body,
+            Controller::Swift($c) => $body,
+        }
+    };
+}
+
+impl Controller {
+    /// A fresh controller of `kind`.
+    pub(crate) fn new(kind: CcKind) -> Self {
+        match kind {
+            CcKind::Reno => Controller::Reno(Reno::default()),
+            CcKind::Dctcp => Controller::Dctcp(Dctcp::default()),
+            CcKind::Swift => Controller::Swift(Swift::default()),
+        }
+    }
+
     /// Called for every cumulative ACK that advances the window.
-    fn on_ack(&mut self, ctx: &AckContext);
+    pub(crate) fn on_ack(&mut self, ctx: &AckContext) {
+        each!(self, c => c.on_ack(ctx))
+    }
 
     /// Called when loss is inferred from duplicate ACKs (entering fast
     /// recovery). Called once per recovery episode.
-    fn on_fast_retransmit(&mut self, now: SimTime);
+    pub(crate) fn on_fast_retransmit(&mut self, now: SimTime) {
+        each!(self, c => c.on_fast_retransmit(now))
+    }
 
     /// Called when the retransmission timer fires.
-    fn on_rto(&mut self, now: SimTime);
+    pub(crate) fn on_rto(&mut self, now: SimTime) {
+        each!(self, c => c.on_rto(now))
+    }
 
     /// Current congestion window in MSS units. May be fractional and may
     /// drop below 1.0 (Swift), in which case the sender paces.
-    fn cwnd(&self) -> f64;
+    pub(crate) fn cwnd(&self) -> f64 {
+        each!(self, c => c.cwnd())
+    }
 
     /// For sub-packet windows: the delay between consecutive packets
     /// (`rtt / cwnd` at `cwnd < 1`), given the current smoothed RTT.
-    /// `None` means "window-limited, no pacing".
-    fn pacing_interval(&self, srtt: Option<SimDuration>) -> Option<SimDuration> {
-        let _ = srtt;
-        None
+    /// `None` means "window-limited, no pacing"; only Swift paces.
+    pub(crate) fn pacing_interval(&self, srtt: Option<SimDuration>) -> Option<SimDuration> {
+        match self {
+            Controller::Swift(s) => s.pacing_interval(srtt),
+            _ => None,
+        }
     }
 
-    /// Whether outgoing packets should set the ECN-capable codepoint.
-    fn ecn_capable(&self) -> bool {
-        false
+    /// Whether outgoing packets should set the ECN-capable codepoint:
+    /// only DCTCP reads the echo.
+    pub(crate) fn ecn_capable(&self) -> bool {
+        matches!(self, Controller::Dctcp(_))
     }
-
-    /// Short protocol name for reports.
-    fn name(&self) -> &'static str;
 
     /// Serializes the controller's mutable state for a checkpoint. Its
     /// kind is *not* saved — resume constructs the controller the run
     /// spec names and then overlays this state.
-    fn snap_save(&self, w: &mut SnapWriter);
+    pub(crate) fn snap_save(&self, w: &mut SnapWriter) {
+        each!(self, c => c.snap_save(w))
+    }
 
-    /// Restores state written by [`CongestionControl::snap_save`] into a
+    /// Restores state written by [`Controller::snap_save`] into a
     /// freshly constructed controller of the same kind.
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+    pub(crate) fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        each!(self, c => c.snap_restore(r))
+    }
 }
 
 /// Which congestion controller a flow uses; carried in experiment configs.

@@ -7,7 +7,7 @@
 //! `cwnd ← cwnd · (1 − α/2)` — a small cut for light congestion, a Reno-
 //! style halving when every packet was marked.
 
-use crate::cc::{AckContext, CongestionControl};
+use crate::cc::AckContext;
 use crate::reno::{INIT_CWND, MAX_CWND, MIN_CWND};
 use vertigo_pkt::MAX_PAYLOAD;
 use vertigo_simcore::SimTime;
@@ -18,7 +18,7 @@ const G: f64 = 1.0 / 16.0;
 const MSS: u64 = MAX_PAYLOAD as u64;
 
 /// DCTCP sender state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Dctcp {
     cwnd: f64,
     ssthresh: f64,
@@ -76,10 +76,8 @@ impl Dctcp {
         self.window_marked = 0;
         self.window_len = ((self.cwnd * MSS as f64) as u64).max(MSS);
     }
-}
 
-impl CongestionControl for Dctcp {
-    fn on_ack(&mut self, ctx: &AckContext) {
+    pub(crate) fn on_ack(&mut self, ctx: &AckContext) {
         if ctx.newly_acked == 0 {
             return;
         }
@@ -99,32 +97,24 @@ impl CongestionControl for Dctcp {
         }
     }
 
-    fn on_fast_retransmit(&mut self, _now: SimTime) {
+    pub(crate) fn on_fast_retransmit(&mut self, _now: SimTime) {
         // Packet loss still halves, as in Reno.
         self.ssthresh = (self.cwnd / 2.0).max(2.0);
         self.cwnd = self.ssthresh;
         self.clamp();
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
+    pub(crate) fn on_rto(&mut self, _now: SimTime) {
         self.ssthresh = (self.cwnd / 2.0).max(2.0);
         self.cwnd = 1.0;
         self.clamp();
     }
 
-    fn cwnd(&self) -> f64 {
+    pub(crate) fn cwnd(&self) -> f64 {
         self.cwnd
     }
 
-    fn ecn_capable(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        "DCTCP"
-    }
-
-    fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
+    pub(crate) fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
         w.put_f64(self.cwnd);
         w.put_f64(self.ssthresh);
         w.put_f64(self.alpha);
@@ -133,7 +123,7 @@ impl CongestionControl for Dctcp {
         w.put_u64(self.window_len);
     }
 
-    fn snap_restore(
+    pub(crate) fn snap_restore(
         &mut self,
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<(), vertigo_simcore::SnapError> {
@@ -228,8 +218,8 @@ mod tests {
 
     #[test]
     fn is_ecn_capable() {
-        let d = Dctcp::default();
-        assert!(d.ecn_capable());
-        assert_eq!(d.name(), "DCTCP");
+        use crate::cc::{CcKind, Controller};
+        assert!(Controller::new(CcKind::Dctcp).ecn_capable());
+        assert_eq!(CcKind::Dctcp.name(), "DCTCP");
     }
 }

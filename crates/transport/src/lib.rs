@@ -2,8 +2,8 @@
 //!
 //! Transport protocols for the Vertigo simulator. The paper runs Vertigo
 //! *below* unmodified transports, so this crate provides full sender and
-//! receiver machines ([`FlowSender`], [`FlowReceiver`]) with pluggable
-//! congestion control:
+//! receiver machines ([`FlowSender`], [`FlowReceiver`]) under the paper's
+//! three congestion controllers, a closed set:
 //!
 //! * [`Reno`] — classic loss-based TCP (the paper's "TCP"),
 //! * [`Dctcp`] — ECN-proportional reduction (the paper's default),
@@ -26,7 +26,7 @@ pub mod rto;
 pub mod sender;
 pub mod swift;
 
-pub use cc::{AckContext, CcKind, CongestionControl};
+pub use cc::CcKind;
 pub use dctcp::Dctcp;
 pub use receiver::FlowReceiver;
 pub use reno::Reno;

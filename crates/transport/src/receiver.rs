@@ -19,7 +19,7 @@ use vertigo_simcore::{release_if_drained, SimTime};
 const MSS: u64 = MAX_PAYLOAD as u64;
 
 /// One flow's receive state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlowReceiver {
     /// Flow id (diagnostics).
     pub flow: FlowId,

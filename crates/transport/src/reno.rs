@@ -1,7 +1,7 @@
 //! TCP Reno congestion control (slow start, congestion avoidance, fast
 //! recovery halving) — the paper's "TCP" baseline.
 
-use crate::cc::{AckContext, CongestionControl};
+use crate::cc::AckContext;
 use vertigo_simcore::SimTime;
 
 /// Initial window in MSS (paper setting: 10).
@@ -12,7 +12,7 @@ pub(crate) const MIN_CWND: f64 = 1.0;
 pub(crate) const MAX_CWND: f64 = 10_000.0;
 
 /// Classic Reno state: `cwnd` and `ssthresh`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Reno {
     cwnd: f64,
     ssthresh: f64,
@@ -37,10 +37,8 @@ impl Reno {
     fn clamp(&mut self) {
         self.cwnd = self.cwnd.clamp(MIN_CWND, MAX_CWND);
     }
-}
 
-impl CongestionControl for Reno {
-    fn on_ack(&mut self, ctx: &AckContext) {
+    pub(crate) fn on_ack(&mut self, ctx: &AckContext) {
         if ctx.newly_acked == 0 {
             return;
         }
@@ -54,32 +52,28 @@ impl CongestionControl for Reno {
         self.clamp();
     }
 
-    fn on_fast_retransmit(&mut self, _now: SimTime) {
+    pub(crate) fn on_fast_retransmit(&mut self, _now: SimTime) {
         self.ssthresh = (self.cwnd / 2.0).max(2.0);
         self.cwnd = self.ssthresh;
         self.clamp();
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
+    pub(crate) fn on_rto(&mut self, _now: SimTime) {
         self.ssthresh = (self.cwnd / 2.0).max(2.0);
         self.cwnd = 1.0;
         self.clamp();
     }
 
-    fn cwnd(&self) -> f64 {
+    pub(crate) fn cwnd(&self) -> f64 {
         self.cwnd
     }
 
-    fn name(&self) -> &'static str {
-        "TCP"
-    }
-
-    fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
+    pub(crate) fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
         w.put_f64(self.cwnd);
         w.put_f64(self.ssthresh);
     }
 
-    fn snap_restore(
+    pub(crate) fn snap_restore(
         &mut self,
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<(), vertigo_simcore::SnapError> {
@@ -156,8 +150,8 @@ mod tests {
 
     #[test]
     fn not_ecn_capable() {
-        let r = Reno::default();
-        assert!(!r.ecn_capable());
-        assert_eq!(r.name(), "TCP");
+        use crate::cc::{CcKind, Controller};
+        assert!(!Controller::new(CcKind::Reno).ecn_capable());
+        assert_eq!(CcKind::Reno.name(), "TCP");
     }
 }

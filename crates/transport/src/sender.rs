@@ -3,17 +3,15 @@
 //! [`FlowSender`] owns one unidirectional flow. It tracks outstanding
 //! segments, counts duplicate ACKs (fast retransmit after 3, NewReno-style
 //! partial-ACK handling in recovery), runs the RTO timer, and delegates
-//! window sizing to a pluggable [`CongestionControl`]. Pacing for
-//! sub-packet windows (Swift) is enforced here.
+//! window sizing to its congestion controller: Reno, DCTCP or Swift
+//! ([`crate::cc`]). Pacing for sub-packet windows (Swift) is enforced
+//! here.
 //!
 //! DIBS disables fast retransmit (paper §2); that is the
 //! [`TransportConfig::fast_retransmit`] switch.
 
-use crate::cc::{AckContext, CcKind, CongestionControl};
-use crate::dctcp::Dctcp;
-use crate::reno::Reno;
+use crate::cc::{AckContext, CcKind, Controller};
 use crate::rto::RtoEstimator;
-use crate::swift::Swift;
 use std::collections::VecDeque;
 use vertigo_pkt::{AckSeg, DataSeg, FlowId, MAX_PAYLOAD};
 use vertigo_simcore::{SimDuration, SimTime};
@@ -42,14 +40,6 @@ impl TransportConfig {
         TransportConfig {
             cc,
             fast_retransmit: true,
-        }
-    }
-
-    fn make_cc(&self) -> Box<dyn CongestionControl> {
-        match self.cc {
-            CcKind::Reno => Box::<Reno>::default(),
-            CcKind::Dctcp => Box::<Dctcp>::default(),
-            CcKind::Swift => Box::<Swift>::default(),
         }
     }
 }
@@ -86,6 +76,7 @@ pub struct AckOutcome {
 }
 
 /// One flow's sending state machine.
+#[derive(Debug, Clone)]
 pub struct FlowSender {
     /// Flow id (diagnostics).
     pub flow: FlowId,
@@ -93,7 +84,7 @@ pub struct FlowSender {
     pub size: u64,
     /// [`TransportConfig::fast_retransmit`].
     fast_retransmit: bool,
-    cc: Box<dyn CongestionControl>,
+    cc: Controller,
     rto: RtoEstimator,
     next_seq: u64,
     cum_acked: u64,
@@ -127,7 +118,7 @@ impl FlowSender {
         FlowSender {
             flow,
             size,
-            cc: cfg.make_cc(),
+            cc: Controller::new(cfg.cc),
             rto: RtoEstimator::default(),
             fast_retransmit: cfg.fast_retransmit,
             next_seq: 0,
@@ -523,19 +514,6 @@ impl FlowSender {
     }
 }
 
-impl std::fmt::Debug for FlowSender {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlowSender")
-            .field("flow", &self.flow)
-            .field("size", &self.size)
-            .field("cum_acked", &self.cum_acked)
-            .field("cwnd", &self.cc.cwnd())
-            .field("flight", &self.flight)
-            .field("completed", &self.is_complete())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,7 +793,7 @@ mod tests {
         use vertigo_simcore::Snapshot;
         let mut w = vertigo_simcore::SnapWriter::new();
         w.put_u64(size);
-        cfg().make_cc().snap_save(&mut w);
+        Controller::new(cfg().cc).snap_save(&mut w);
         RtoEstimator::default().snap_save(&mut w);
         w.put_u64(next_seq);
         w.put_u64(cum_acked);

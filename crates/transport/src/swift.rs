@@ -15,7 +15,7 @@
 //! code is unavailable; the constants below are the paper's defaults
 //! adapted to simulation-scale RTTs.
 
-use crate::cc::{AckContext, CongestionControl};
+use crate::cc::AckContext;
 use vertigo_simcore::{SimDuration, SimTime};
 
 /// Initial window in MSS.
@@ -38,7 +38,7 @@ const MAX_MDF: f64 = 0.5;
 const FS_RANGE: SimDuration = SimDuration::from_micros(100);
 
 /// Swift sender state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Swift {
     cwnd: f64,
     /// Last time a multiplicative decrease was applied (`None` until the
@@ -83,10 +83,8 @@ impl Swift {
             _ => true,
         }
     }
-}
 
-impl CongestionControl for Swift {
-    fn on_ack(&mut self, ctx: &AckContext) {
+    pub(crate) fn on_ack(&mut self, ctx: &AckContext) {
         let Some(rtt) = ctx.rtt else {
             return;
         };
@@ -113,7 +111,7 @@ impl CongestionControl for Swift {
         self.clamp();
     }
 
-    fn on_fast_retransmit(&mut self, now: SimTime) {
+    pub(crate) fn on_fast_retransmit(&mut self, now: SimTime) {
         if self.can_decrease(now) {
             self.cwnd *= 1.0 - MAX_MDF;
             self.last_decrease = Some(now);
@@ -121,7 +119,7 @@ impl CongestionControl for Swift {
         }
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
+    pub(crate) fn on_rto(&mut self, _now: SimTime) {
         // One timeout gets the maximum multiplicative decrease; only a run
         // of consecutive timeouts (Swift's RETX_RESET) collapses the window
         // to the floor — a single collapse would stall the flow for
@@ -134,11 +132,11 @@ impl CongestionControl for Swift {
         }
     }
 
-    fn cwnd(&self) -> f64 {
+    pub(crate) fn cwnd(&self) -> f64 {
         self.cwnd
     }
 
-    fn pacing_interval(&self, srtt: Option<SimDuration>) -> Option<SimDuration> {
+    pub(crate) fn pacing_interval(&self, srtt: Option<SimDuration>) -> Option<SimDuration> {
         if self.cwnd >= 1.0 {
             return None;
         }
@@ -147,17 +145,7 @@ impl CongestionControl for Swift {
         Some(rtt.mul_f64(1.0 / self.cwnd.max(MIN_CWND)))
     }
 
-    fn ecn_capable(&self) -> bool {
-        // Swift is delay-based; it ignores ECN but setting ECT avoids
-        // differential switch treatment in mixed experiments.
-        false
-    }
-
-    fn name(&self) -> &'static str {
-        "Swift"
-    }
-
-    fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
+    pub(crate) fn snap_save(&self, w: &mut vertigo_simcore::SnapWriter) {
         use vertigo_simcore::Snapshot;
         w.put_f64(self.cwnd);
         self.last_decrease.save(w);
@@ -165,7 +153,7 @@ impl CongestionControl for Swift {
         w.put_u32(self.consecutive_rtos);
     }
 
-    fn snap_restore(
+    pub(crate) fn snap_restore(
         &mut self,
         r: &mut vertigo_simcore::SnapReader<'_>,
     ) -> Result<(), vertigo_simcore::SnapError> {

@@ -27,4 +27,4 @@ pub use scenario::{
 pub use snapshot::{CheckpointSpec, SnapshotSpec};
 pub use traffic::{BackgroundSpec, IncastSpec, WorkloadSpec};
 pub use vertigo_netsim::{DeflectKind, FaultSchedule, TraceSpec};
-pub use warm::{ForkSpec, SnapBuf};
+pub use warm::{ForkSpec, Warmup};

@@ -9,7 +9,7 @@
 
 use crate::snapshot::{self, SnapHeader, SnapshotSpec};
 use crate::traffic::WorkloadSpec;
-use crate::warm::{ForkSpec, SnapBuf};
+use crate::warm::ForkSpec;
 use std::path::{Path, PathBuf};
 use vertigo_core::{MarkingConfig, MarkingDiscipline, OrderingConfig};
 use vertigo_netsim::trace::stable_hash;
@@ -451,23 +451,22 @@ impl RunSpec {
         snapshot: Option<&SnapshotSpec>,
         fork: Option<&ForkSpec>,
     ) -> Result<RunOutput, RunError> {
-        self.drive(trace, snapshot, fork, None)
+        self.drive(trace, snapshot, fork)
     }
 
-    /// The one staged driver, for both engines and for all three places a
-    /// run can start from: t = 0, a `--resume` checkpoint on disk, or
-    /// (`warm`) the in-memory snapshot of this cell's warmup class, taken
-    /// at the fork horizon with the fork not yet applied. It builds the
-    /// prefix spec, restores if asked, crosses the run's boundaries in
+    /// The one staged driver, for both engines and for both places a run
+    /// can start from on disk: t = 0 or a `--resume` checkpoint. It builds
+    /// the prefix spec, restores if asked, crosses the run's boundaries in
     /// time order — the phase at the fork horizon (the deferred incast),
-    /// checkpoints at every multiple of the period — runs to the horizon,
-    /// finalizes, and assembles the output.
-    pub(crate) fn drive(
+    /// checkpoints at every multiple of the period — and
+    /// [`finish`](Self::finish)es. A warm start skips all of it: it clones
+    /// a simulation standing at the fork horizon
+    /// ([`run_forked`](Self::run_forked)).
+    fn drive(
         &self,
         trace: Option<&TraceSpec>,
         snapshot: Option<&SnapshotSpec>,
         fork: Option<&ForkSpec>,
-        warm: Option<&SnapBuf>,
     ) -> Result<RunOutput, RunError> {
         if self.domains.is_some() {
             let refusal = DomainSimulation::refusal(
@@ -483,9 +482,7 @@ impl RunSpec {
         }
 
         let mut sim = fork.map_or(*self, |_| self.prefix_spec()).try_build()?;
-        let offered_load = self.offered_load_on(&sim);
-
-        let (mut report, ordering, marking, max_port_bytes, trace_path) = match self.domains {
+        match self.domains {
             // Byte-identical for every `n` (CI enforces `--domains 2` ≡
             // `--domains 1`). With nowhere to stop
             // at the fork horizon, the deferred incast is scheduled up
@@ -496,10 +493,18 @@ impl RunSpec {
                 if let Some(f) = fork {
                     self.apply_fork(&mut sim, f)?;
                 }
+                let offered_load = self.offered_load_on(&sim);
                 let mut dsim = DomainSimulation::from_sim(sim, n);
-                let report = dsim.run();
-                let (ordering, marking) = (dsim.ordering_stats(), dsim.marking_stats());
-                (report, ordering, marking, dsim.max_port_bytes(), None)
+                let mut report = dsim.run();
+                self.scenario.apply_labels(&mut report);
+                Ok(RunOutput {
+                    report,
+                    ordering: dsim.ordering_stats(),
+                    marking: dsim.marking_stats(),
+                    max_port_bytes: dsim.max_port_bytes(),
+                    offered_load,
+                    trace_path: None,
+                })
             }
             None => {
                 if let Some(spec) = trace {
@@ -507,22 +512,16 @@ impl RunSpec {
                 }
                 let hash = self.staged_hash(fork);
                 let at = |ns: u64| SimTime::ZERO + SimDuration::from_nanos(ns);
-                let started_ns = match (warm, snapshot.and_then(|s| s.resume.as_deref())) {
-                    (Some(buf), _) => {
-                        let fork = fork.expect("a warm start is the start of a fork");
-                        Some(self.restore_warmup(&mut sim, fork, buf))
-                    }
-                    (None, Some(arg)) => self.try_resume(&mut sim, arg, hash)?,
-                    (None, None) => None,
+                let started_ns = match snapshot.and_then(|s| s.resume.as_deref()) {
+                    Some(arg) => self.try_resume(&mut sim, arg, hash)?,
+                    None => None,
                 };
                 // The fork applies at its quiescent boundary *before* any
                 // checkpoint written at the same instant, and never after
                 // a resume at or past it (the producing run already
                 // applied it, so the deferred arrivals are in the restored
-                // queue). A warmup snapshot stands at the boundary with
-                // the fork still to apply.
-                let mut phase = fork
-                    .filter(|f| warm.is_some() || started_ns.is_none_or(|r| r < f.at.as_nanos()));
+                // queue).
+                let mut phase = fork.filter(|f| started_ns.is_none_or(|r| r < f.at.as_nanos()));
                 let mut cross = |sim: &mut Simulation, up_to: u64| match phase
                     .filter(|f| f.at.as_nanos() <= up_to)
                 {
@@ -554,19 +553,29 @@ impl RunSpec {
                     }
                 }
                 cross(&mut sim, end)?;
-                sim.drain_until(at(end));
-                let report = sim.finalize();
-                let trace_path = trace.map(|spec| self.write_trace(&sim, spec)).transpose()?;
-                let (ordering, marking) = (sim.ordering_stats(), sim.marking_stats());
-                (report, ordering, marking, sim.max_port_bytes(), trace_path)
+                self.finish(sim, trace)
             }
-        };
+        }
+    }
+
+    /// Runs a classic-engine `sim` that has crossed every boundary before
+    /// the horizon to the horizon, finalizes it, writes its trace if
+    /// armed, and assembles the output.
+    pub(crate) fn finish(
+        &self,
+        mut sim: Simulation,
+        trace: Option<&TraceSpec>,
+    ) -> Result<RunOutput, RunError> {
+        let offered_load = self.offered_load_on(&sim);
+        sim.drain_until(SimTime::ZERO + self.horizon);
+        let mut report = sim.finalize();
         self.scenario.apply_labels(&mut report);
+        let trace_path = trace.map(|spec| self.write_trace(&sim, spec)).transpose()?;
         Ok(RunOutput {
             report,
-            ordering,
-            marking,
-            max_port_bytes,
+            ordering: sim.ordering_stats(),
+            marking: sim.marking_stats(),
+            max_port_bytes: sim.max_port_bytes(),
             offered_load,
             trace_path,
         })

@@ -10,22 +10,23 @@
 //! A figure grid re-simulates the same prefix in every cell: all cells
 //! at one background load that differ only in their incast share
 //! identical dynamics until the burst kicks in. So one
-//! simulated prefix can be captured once into an in-memory snapshot
-//! ([`RunSpec::run_warmup`]) and every cell of its *equivalence class*
-//! ([`RunSpec::fork_key`]) started from it ([`RunSpec::run_forked`]). The
-//! sweep runner chooses that path by itself where it applies; nothing a
-//! user sets selects it, because the contract, enforced by proptest and
-//! by the CI digest diffs, is exact: a forked run's `RunOutput` is
-//! byte-identical to the straight-through phased run of the same spec.
-//! Three properties make that hold:
+//! simulated prefix can be run once ([`RunSpec::run_warmup`]) and every
+//! cell of its *equivalence class* ([`RunSpec::fork_key`]) started from a
+//! clone of it ([`RunSpec::run_forked`]). The sweep runner chooses that
+//! path by itself where it applies; nothing a user sets selects it,
+//! because the contract, enforced by proptest and by the CI digest
+//! diffs, is exact: a forked run's `RunOutput` is byte-identical to the
+//! straight-through phased run of the same spec. Two properties make
+//! that hold:
 //!
 //! 1. The deferred incast is planned on an RNG stream forked off the run
 //!    *seed* (never the live RNG state), so its arrivals are a pure
 //!    function of `(spec, fork.at, seed)`.
-//! 2. The event queue's snapshot codec preserves pop order *and* the
-//!    insertion counter, so arrivals installed after a restore tie-break
-//!    exactly like arrivals installed after a plain `drain_until`.
-//! 3. `restore(save(S)) ≡ S` — the resume oracle, CI-enforced.
+//! 2. A clone is the state: `Simulation` is plain data (no shared
+//!    mutable cell, no trait object), so a clone holds the same queue,
+//!    insertion counter and RNG as the original, and arrivals installed
+//!    into it tie-break exactly like arrivals installed after a plain
+//!    `drain_until`.
 //!
 //! Classes where [`RunSpec::fork_key`] cannot prove prefix-equivalence
 //! return `None` and the cell runs straight through.
@@ -33,7 +34,7 @@
 use crate::runner::{RunError, RunOutput, RunSpec};
 use vertigo_netsim::trace::stable_hash;
 use vertigo_netsim::Simulation;
-use vertigo_simcore::{SimDuration, SimTime, SnapReader, SnapWriter};
+use vertigo_simcore::{SimDuration, SimTime};
 
 /// How a phased run splits one cell: the workload's incast component is
 /// deferred to the fork horizon (the background component always runs
@@ -53,13 +54,13 @@ impl ForkSpec {
     }
 }
 
-/// The state of one warmup class at its fork horizon, in memory: the
-/// payload a `--checkpoint-every` file holds, tagged with the class key
-/// instead of a file header. Captured by [`RunSpec::run_warmup`] and
-/// started from by every cell of the class via [`RunSpec::run_forked`].
-pub struct SnapBuf {
+/// One warmup class's simulation standing at its fork horizon, the fork
+/// not yet applied, tagged with the class key. Run by
+/// [`RunSpec::run_warmup`]; every cell of the class starts from a clone
+/// of it via [`RunSpec::run_forked`].
+pub struct Warmup {
     key: u64,
-    bytes: Vec<u8>,
+    sim: Simulation,
 }
 
 impl RunSpec {
@@ -87,7 +88,7 @@ impl RunSpec {
     /// The conservative warmup-equivalence key: a stable hash of exactly
     /// the state that shapes dynamics *before* the fork horizon — the
     /// prefix spec (incast stripped) plus the horizon itself. Two cells
-    /// with equal keys may share one warmup snapshot.
+    /// with equal keys may share one warmup.
     ///
     /// Returns `None` when prefix-equivalence cannot be proven or a warm
     /// start cannot apply: the domain engine (different tie-breaking
@@ -108,58 +109,42 @@ impl RunSpec {
     }
 
     /// Runs the shared prefix of this spec's equivalence class to the
-    /// fork horizon and captures it. The buffer carries the class key, so
-    /// forking it into a cell of a *different* class fails loudly. A spec
-    /// the topology cannot carry is the [`RunError`] its run would be.
-    pub fn run_warmup(&self, fork: &ForkSpec) -> Result<SnapBuf, RunError> {
+    /// fork horizon. The warmup carries the class key, so forking it into
+    /// a cell of a *different* class fails loudly. A spec the topology
+    /// cannot carry is the [`RunError`] its run would be.
+    pub fn run_warmup(&self, fork: &ForkSpec) -> Result<Warmup, RunError> {
         let key = self
             .fork_key(fork)
             .expect("run_warmup: spec is not warm-startable (fork_key is None)");
         let mut sim = self.prefix_spec().try_build()?;
         sim.drain_until(SimTime::ZERO + fork.at);
-        let mut w = SnapWriter::new();
-        sim.save_state(&mut w);
-        Ok(SnapBuf {
-            key,
-            bytes: w.into_bytes(),
-        })
+        Ok(Warmup { key, sim })
     }
 
-    /// Restores the class warmup and continues as this cell: installs the
-    /// deferred incast and runs to the horizon.
-    /// The output is byte-identical to [`run_phased`](Self::run_phased) of
-    /// the same spec — the warm-start oracle.
-    pub fn run_forked(&self, fork: &ForkSpec, buf: &SnapBuf) -> RunOutput {
-        self.drive(None, None, Some(fork), Some(buf))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Puts `sim` (this cell's prefix spec, freshly built) into the state
-    /// `buf` captured and returns the time it stands at. A buffer from
-    /// another class, or one that does not decode, is a bug in the caller.
-    pub(crate) fn restore_warmup(
-        &self,
-        sim: &mut Simulation,
-        fork: &ForkSpec,
-        buf: &SnapBuf,
-    ) -> u64 {
+    /// Continues a clone of the class warmup as this cell: installs the
+    /// deferred incast and runs to the horizon. The output is
+    /// byte-identical to [`run_phased`](Self::run_phased) of the same
+    /// spec — the warm-start oracle. A warmup of another class is a bug in
+    /// the caller.
+    pub fn run_forked(&self, fork: &ForkSpec, warm: &Warmup) -> RunOutput {
         let key = self
             .fork_key(fork)
             .expect("run_forked: spec is not warm-startable (fork_key is None)");
         assert!(
-            buf.key == key,
-            "warm-start: snapshot belongs to a different equivalence class \
-             (snapshot key {:016x}, this cell's key {key:016x}); \
+            warm.key == key,
+            "warm-start: warmup belongs to a different equivalence class \
+             (warmup key {:016x}, this cell's key {key:016x}); \
              never fork across classes",
-            buf.key,
+            warm.key,
         );
-        sim.restore_state(&mut SnapReader::new(&buf.bytes))
-            .unwrap_or_else(|e| panic!("warm-start: restoring snapshot buffer: {e}"));
-        fork.at.as_nanos()
+        let mut sim = warm.sim.clone();
+        self.apply_fork(&mut sim, fork)
+            .and_then(|()| self.finish(sim, None))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The same phased semantics (prefix to the fork horizon, then the
-    /// deferred incast) simulated straight through, no snapshot.
+    /// deferred incast) simulated straight through, no warmup.
     pub fn run_phased(&self, fork: &ForkSpec) -> RunOutput {
         self.run_staged(None, None, Some(fork))
     }
@@ -210,8 +195,8 @@ mod tests {
         let spec = base_spec();
         let f = fork();
         let cold = spec.run_phased(&f);
-        let buf = spec.run_warmup(&f).expect("warmup");
-        let warm = spec.run_forked(&f, &buf);
+        let warmup = spec.run_warmup(&f).expect("warmup");
+        let warm = spec.run_forked(&f, &warmup);
         assert_eq!(output_digest(&cold), output_digest(&warm));
         assert!(
             cold.report.flows_completed > 0,
@@ -286,9 +271,10 @@ mod tests {
         let mut b = a;
         b.seed += 1;
         let f = fork();
-        let buf = a.run_warmup(&f).expect("warmup");
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.run_forked(&f, &buf)))
-            .expect_err("cross-class fork must panic");
+        let warmup = a.run_warmup(&f).expect("warmup");
+        let err =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.run_forked(&f, &warmup)))
+                .expect_err("cross-class fork must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("different equivalence class"), "{msg}");
     }

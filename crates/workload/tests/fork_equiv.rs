@@ -1,7 +1,7 @@
 //! Fork-equivalence proptests: across (system × congestion control ×
-//! seed × fork horizon), a run that starts from a
-//! snapshot — the in-memory warmup of its class ([`RunSpec::run_warmup`]
-//! then [`RunSpec::run_forked`]), or a `--checkpoint-every` file taken
+//! seed × fork horizon), a run that starts mid-way — from a clone of the
+//! warmed simulation of its class ([`RunSpec::run_warmup`] then
+//! [`RunSpec::run_forked`]), or from a `--checkpoint-every` file taken
 //! before or at the fork horizon and resumed — must produce a `RunOutput`
 //! byte-identical to the straight-through phased run of the same spec.
 //! This is the oracle the sweep runner's shared warmups stand on; CI
@@ -69,8 +69,8 @@ proptest! {
 
         prop_assert!(spec.fork_key(&fork).is_some());
         let cold = spec.run_phased(&fork);
-        let buf = spec.run_warmup(&fork).expect("warmup");
-        let warm = spec.run_forked(&fork, &buf);
+        let warmup = spec.run_warmup(&fork).expect("warmup");
+        let warm = spec.run_forked(&fork, &warmup);
         prop_assert_eq!(digest(&cold), digest(&warm));
     }
 
@@ -163,4 +163,41 @@ proptest! {
         });
         prop_assert_eq!(key, other_incast.fork_key(&fork));
     }
+}
+
+/// Warm starts share one warmed simulation across the sweep's workers by
+/// `Arc`, and each cell runs a clone of it.
+const _: fn() = || {
+    fn shareable<T: Clone + Send + Sync>() {}
+    shareable::<vertigo_netsim::Simulation>();
+};
+
+/// The clone oracle: a simulation cloned mid-run, with deflection and the
+/// ordering shim at work, runs to the same report as its original.
+#[test]
+fn a_clone_runs_like_its_original() {
+    let mut spec = spec_for(SystemKind::Vertigo, CcKind::Dctcp, 7);
+    spec.workload.incast = Some(IncastSpec {
+        qps: 5_000.0,
+        scale: 12,
+        flow_bytes: 40_000,
+    });
+    let mut original = spec.build();
+    original.drain_until(vertigo_simcore::SimTime::from_micros(900));
+    let mut clone = original.clone();
+    let horizon = vertigo_simcore::SimTime::ZERO + spec.horizon;
+    let finish = |sim: &mut vertigo_netsim::Simulation| {
+        sim.drain_until(horizon);
+        (sim.finalize(), format!("{:?}", sim.ordering_stats()))
+    };
+    let (a, a_ordering) = finish(&mut original);
+    let (b, b_ordering) = finish(&mut clone);
+    assert!(a.deflections > 0, "no deflection: the cell proves nothing");
+    assert!(
+        original.ordering_stats().buffered > 0,
+        "the ordering shim buffered nothing: the cell proves nothing"
+    );
+    assert_eq!(a.events_scheduled, b.events_scheduled);
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    assert_eq!(a_ordering, b_ordering);
 }

@@ -46,14 +46,17 @@ if grep -rnwE 'prev_hop|upstream_port|from_nested_with_neighbors|switch_neighbor
   exit 1
 fi
 
-echo "==> the transport keeps one flag per segment: no ordered trees, no segment records"
+echo "==> the transport is plain data: one flag per segment, a closed set of controllers"
 # Every segment is cut on the MAX_PAYLOAD grid, so the sender's lost
 # segments and the receiver's early ones are flags indexed from the front
 # of the window and from the prefix. The byte-range receiver lives only in
 # crates/transport/tests/receiver_oracle.rs, as the grid receiver's oracle.
+# The paper runs three controllers, so a sender holds its controller inline
+# as an enum: a boxed trait object would keep Simulation from being Clone,
+# which warm starts need.
 if grep -rnwE 'BTreeSet|BTreeMap' crates/transport/src \
-  || grep -rnE 'struct Seg\b' crates/transport/src; then
-  echo "crates/transport/src keeps an ordered tree or a segment record beside the grid flags" >&2
+  || grep -rnE 'struct Seg\b|Box<dyn|trait CongestionControl' crates/transport/src; then
+  echo "crates/transport/src keeps an ordered tree, a segment record or a boxed controller" >&2
   exit 1
 fi
 
@@ -85,6 +88,13 @@ manifests=(Cargo.toml crates/*/Cargo.toml crates/compat/*/Cargo.toml)
 if grep -nE '^[[:space:]]*\[\[bench\]\]' "${manifests[@]}" \
   || grep -nw criterion "${manifests[@]}"; then
   echo "a manifest declares a bench target or criterion; perfbench is the one harness" >&2
+  exit 1
+fi
+
+echo "==> DESIGN.md stays under 900 lines"
+# It describes the tree as it is; history goes to CHANGES.md.
+if [ "$(wc -l < DESIGN.md)" -ge 900 ]; then
+  echo "DESIGN.md has $(wc -l < DESIGN.md) lines; move history to CHANGES.md" >&2
   exit 1
 fi
 
@@ -198,9 +208,10 @@ diff /tmp/vertigo_digest_plain.txt /tmp/vertigo_digest_audit.txt
 
 echo "==> resume equivalence: checkpoint+resume digest (faults active)"
 # fig5's cells are phased (incast deferred to W = 5 ms), and the plain run
-# starts each warmup class's cells from one in-memory snapshot while the
-# checkpointing and resuming runs simulate every cell straight through:
-# the diffs below are also the shared-warmup-vs-straight-through oracle.
+# starts each warmup class's cells from clones of one warmed simulation
+# while the checkpointing and resuming runs simulate every cell straight
+# through: the diffs below are also the shared-warmup-vs-straight-through
+# oracle.
 SNAPDIR=/tmp/vertigo_snapshot_ci
 rm -rf "$SNAPDIR"
 FAULTS='loss:*:0.002@2ms-10ms'
